@@ -6,8 +6,10 @@ expand into RNS residues.  Decoding is the exact reverse (Combine CRT ->
 unfold -> special FFT).
 
 The rounding step produces ~72-bit integers under the paper's double-scale
-Δ, so the lift goes through exact Python integers — this is the same
-big-int-to-RNS "Expand RNS" step the MSE hardware performs.
+Δ.  They are never materialized: a rounded double is a 53-bit mantissa
+times a power of two, and "Expand RNS" reduces exactly that pair per limb
+(:meth:`RnsPolynomial.from_float_coeffs`) — the step the MSE hardware
+performs on its FP55 words.
 """
 
 from __future__ import annotations
@@ -68,8 +70,9 @@ class CkksEncoder:
         folded = self.fft.inverse(values)
         # Unfold: coefficient k gets Re, coefficient k + slots gets Im.
         real_coeffs = np.concatenate([folded.real, folded.imag])
-        ints = [int(round(float(c) * scale)) for c in real_coeffs]
-        poly = RnsPolynomial.from_bigint_coeffs(self.basis, level, ints)
+        poly = RnsPolynomial.from_float_coeffs(
+            self.basis, level, np.rint(real_coeffs * scale)
+        )
         return Plaintext(poly=poly, scale=scale)
 
     def decode(self, plaintext: Plaintext) -> np.ndarray:
@@ -78,9 +81,6 @@ class CkksEncoder:
         if poly.domain != "coeff":
             poly = poly.to_coeff()
         slots = self.params.slots
-        big = poly.to_bigints(center=True)
-        folded = np.array(
-            [big[k] + 1j * big[k + slots] for k in range(slots)], dtype=np.complex128
-        )
-        folded /= plaintext.scale
+        big = np.array(poly.to_bigints(center=True), dtype=np.float64)
+        folded = (big[:slots] + 1j * big[slots:]) / plaintext.scale
         return self.fft.forward(folded)

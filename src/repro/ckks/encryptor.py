@@ -3,7 +3,9 @@
 Encrypt (public-key):  ``ct = (v*pk_b + m + e0,  v*pk_a + e1)`` with a
 dense ternary mask ``v`` and Gaussian errors — all PRNG-expanded, exactly
 the data the accelerator's on-chip PRNG unit generates instead of fetching
-from DRAM.
+from DRAM.  The message and its error are added in the coefficient
+domain and transformed together, so an encryption runs three NTTs
+(``v``, ``m + e0``, ``e1``), not four.
 
 Decrypt: ``m' = c0 + c1*s`` (plus ``c2*s^2`` for unrelinearized
 ciphertexts), followed by decode on the encoder side.
@@ -19,7 +21,7 @@ from repro.ckks.params import CkksParameters
 from repro.prng.samplers import DiscreteGaussianSampler, TernarySampler
 from repro.prng.xof import Xof
 from repro.rns.basis import RnsBasis
-from repro.rns.poly import RnsPolynomial
+from repro.rns.poly import COEFF, RnsPolynomial
 
 __all__ = ["Encryptor", "Decryptor"]
 
@@ -60,16 +62,15 @@ class Encryptor:
         v = RnsPolynomial.from_signed_coeffs(self.basis, level, v_signed).to_eval()
         e0 = RnsPolynomial.from_signed_coeffs(
             self.basis, level, self._gauss.sample_signed(self.xof, b"enc-e0", n, counter=ctr)
-        ).to_eval()
+        )
         e1 = RnsPolynomial.from_signed_coeffs(
             self.basis, level, self._gauss.sample_signed(self.xof, b"enc-e1", n, counter=ctr)
         ).to_eval()
 
-        m = plaintext.poly.drop_limbs(level).to_eval()
-        b = self.public_key.b.drop_limbs(level)
-        a = self.public_key.a.drop_limbs(level)
-        c0 = v * b + m + e0
-        c1 = v * a + e1
+        # Polynomial arithmetic runs on the common limb prefix, so the
+        # full-chain key and plaintext are sliced to ``level``, not copied.
+        c0 = v * self.public_key.b + _noisy_message(plaintext, e0)
+        c1 = v * self.public_key.a + e1
         return Ciphertext(parts=[c0, c1], scale=plaintext.scale)
 
     def encrypt_symmetric_seeded(
@@ -83,6 +84,8 @@ class Encryptor:
         over LPDDR5.
         """
         level = plaintext.level if level is None else level
+        if level > plaintext.level:
+            raise ValueError("cannot encrypt above the plaintext's level")
         ctr = self._counter
         self._counter += 1
         seed = self.xof.stream(b"sym-c1-seed", 16, counter=ctr)
@@ -91,10 +94,20 @@ class Encryptor:
             self.basis,
             level,
             self._gauss.sample_signed(self.xof, b"sym-e", self.basis.degree, counter=ctr),
-        ).to_eval()
-        m = plaintext.poly.drop_limbs(level).to_eval()
-        c0 = -(c1 * secret.at_level(level)) + m + e
+        )
+        c0 = -(c1 * secret.at_level(level)) + _noisy_message(plaintext, e)
         return Ciphertext(parts=[c0, c1], scale=plaintext.scale), seed
+
+
+def _noisy_message(plaintext: Plaintext, error: RnsPolynomial) -> RnsPolynomial:
+    """``NTT(m + e)`` on the error's limbs, with one transform.
+
+    The NTT is linear and every residue canonical, so adding before the
+    transform gives the same bytes as transforming ``m`` and ``e`` apart.
+    """
+    if plaintext.poly.domain == COEFF:
+        return (plaintext.poly + error).to_eval()
+    return plaintext.poly + error.to_eval()
 
 
 @dataclass

@@ -38,6 +38,7 @@ Integration tests assert these sizes equal the
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -95,8 +96,26 @@ _MAGIC_SEED = SEEDED_MAGIC
 _MAGIC_PLAIN = PLAINTEXT_MAGIC
 
 
+def _word_layout(bits: int) -> tuple[int, int]:
+    """``(values, words)`` of one packing period at ``bits`` bits per value.
+
+    ``64 / gcd(bits, 64)`` values fill ``bits / gcd(bits, 64)`` uint64
+    words exactly (16 values -> 11 words at 44 bits), so value ``j`` of
+    every period sits at the same word and shift.
+    """
+    unit = math.gcd(bits, 64)
+    return 64 // unit, bits // unit
+
+
 def pack_residues(values: np.ndarray, bits: int) -> bytes:
-    """Pack uint64 residues at ``bits`` bits each (little-endian bitstream)."""
+    """Pack uint64 residues at ``bits`` bits each (little-endian bitstream).
+
+    The stream is assembled a word at a time: the values are laid out as a
+    ``(periods, values per period)`` matrix and each column is shifted and
+    OR-ed into the word column(s) it lands in.  The bytes are those of
+    ``np.packbits(..., bitorder="little")`` over the values' bits —
+    ``docs/formats.md`` stays the normative layout.
+    """
     values = np.asarray(values, dtype=np.uint64).ravel()
     if bits < 1 or bits > 64:
         raise ValueError(f"bits must be in [1, 64], got {bits}")
@@ -104,36 +123,76 @@ def pack_residues(values: np.ndarray, bits: int) -> bytes:
         raise ValueError(
             f"value {values.max()} does not fit in {bits} bits"
         )
-    shifts = np.arange(bits, dtype=np.uint64)
-    bitmat = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
-    return np.packbits(bitmat.ravel(), bitorder="little").tobytes()
+    period, width = _word_layout(bits)
+    count = len(values)
+    if count % period:
+        values = np.concatenate([values, np.zeros(-count % period, dtype=np.uint64)])
+    columns = values.reshape(-1, period)
+    words = np.zeros((len(columns), width), dtype="<u8")
+    for j in range(period):
+        word, shift = divmod(j * bits, 64)
+        words[:, word] |= columns[:, j] << np.uint64(shift)
+        if shift + bits > 64:  # the value straddles two words
+            words[:, word + 1] |= columns[:, j] >> np.uint64(64 - shift)
+    return words.tobytes()[: (bits * count + 7) // 8]
 
 
 def unpack_residues(blob: bytes, bits: int, count: int) -> np.ndarray:
     """Inverse of :func:`pack_residues`."""
-    raw = np.unpackbits(np.frombuffer(blob, dtype=np.uint8), bitorder="little")
-    needed = bits * count
-    if len(raw) < needed:
-        raise WireFormatError(f"blob too short: {len(raw)} bits < {needed}")
-    bitmat = raw[:needed].reshape(count, bits).astype(np.uint64)
-    shifts = np.arange(bits, dtype=np.uint64)
-    return (bitmat << shifts).sum(axis=1, dtype=np.uint64)
+    if bits < 1 or bits > 64:
+        raise WireFormatError(f"bits must be in [1, 64], got {bits}")
+    used = (bits * count + 7) // 8
+    if len(blob) < used:
+        raise WireFormatError(
+            f"blob too short: {8 * len(blob)} bits < {bits * count}"
+        )
+    period, width = _word_layout(bits)
+    periods = -(-count // period)
+    words = np.zeros((periods, width), dtype="<u8")
+    words.reshape(-1).view(np.uint8)[:used] = np.frombuffer(blob, np.uint8, used)
+    mask = np.uint64((1 << bits) - 1)
+    values = np.empty((periods, period), dtype=np.uint64)
+    for j in range(period):
+        word, shift = divmod(j * bits, 64)
+        column = words[:, word] >> np.uint64(shift)
+        if shift + bits > 64:
+            column |= words[:, word + 1] << np.uint64(64 - shift)
+        np.bitwise_and(column, mask, out=values[:, j])
+    return values.reshape(-1)[:count]
 
 
 def _poly_payload(poly: RnsPolynomial, bits: int) -> bytes:
-    return b"".join(pack_residues(poly.data[i], bits) for i in range(poly.level))
+    if bits * poly.degree % 8 == 0:
+        # Rows end on byte boundaries: the matrix packs in one call.
+        return pack_residues(poly.data, bits)
+    return b"".join(pack_residues(row, bits) for row in poly.data)
 
 
 def _poly_from_payload(
     basis: RnsBasis, blob: bytes, offset: int, level: int, bits: int, domain: str
 ) -> tuple[RnsPolynomial, int]:
+    if not 1 <= level <= basis.num_primes:
+        raise WireFormatError(
+            f"level {level} outside the basis's 1..{basis.num_primes}"
+        )
     n = basis.degree
     row_bytes = (bits * n + 7) // 8
-    rows = []
-    for _ in range(level):
-        rows.append(unpack_residues(blob[offset : offset + row_bytes], bits, n))
-        offset += row_bytes
-    return RnsPolynomial(basis, np.stack(rows), domain), offset
+    end = offset + level * row_bytes
+    payload = memoryview(blob)[offset:end]
+    if bits * n % 8 == 0:
+        data = unpack_residues(payload, bits, level * n).reshape(level, n)
+    else:
+        data = np.stack(
+            [
+                unpack_residues(payload[i * row_bytes : (i + 1) * row_bytes], bits, n)
+                for i in range(level)
+            ]
+        )
+    # Every kernel assumes canonical residues; a wider field can carry more.
+    moduli = np.array(basis.moduli[:level], dtype=np.uint64).reshape(-1, 1)
+    if (data >= moduli).any():
+        raise WireFormatError("residue not below its modulus")
+    return RnsPolynomial(basis, data, domain), end
 
 
 def _header(magic: bytes, ct, bits: int, size: int) -> bytes:
@@ -208,6 +267,8 @@ def deserialize_seeded(blob: bytes, basis: RnsBasis) -> Ciphertext:
     offset = _HEADER_LEN
     c0, offset = _poly_from_payload(basis, blob, offset, level, bits, EVAL)
     seed = blob[offset : offset + 16]
+    if len(seed) != 16:
+        raise WireFormatError("truncated seed")
     c1 = expand_uniform_poly(basis, level, Xof(seed), b"sym-c1")
     return Ciphertext(parts=[c0, c1], scale=scale)
 

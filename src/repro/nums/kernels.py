@@ -161,7 +161,7 @@ class ReducerKernel:
     spec: ClassVar[ReducerSpec | None] = None
     #: Whether :meth:`pre` is a cheap vectorized transform.  Long-lived
     #: constant tensors (switching keys) are cached pre-formed only when
-    #: this holds; Barrett's Shoup reciprocals need exact big-int division
+    #: this holds; Barrett's Shoup reciprocals need exact long division
     #: per element, so it opts out and hot paths use plain mul instead.
     constant_pre_cheap: ClassVar[bool] = True
 
@@ -388,7 +388,7 @@ class BarrettKernel(ReducerKernel):
 
     name = "barrett"
     spec = REDUCER_SPECS["barrett"]
-    constant_pre_cheap = False  # pre() divides exact 64-bit-shifted big ints
+    constant_pre_cheap = False  # pre() long-divides w * 2^64 by q per element
 
     # mul_pre uses Shoup's variant of the same shift-multiply idea: for a
     # *constant* operand w the whole scaled reciprocal w' = floor(w*2^64/q)
@@ -461,19 +461,28 @@ class BarrettKernel(ReducerKernel):
     def pre(self, b) -> np.ndarray:
         """Stack ``[w, w' >> 43, (w' >> 22) & mask21]`` for Shoup quotients.
 
-        ``w' = floor(w * 2^64 / q)`` is computed exactly on Python ints
-        (a one-time cost — pre-forms are cached with the twiddle tables).
-        Only the top two 21-bit pieces of w' are kept: the discarded low
-        piece contributes < 1 to the quotient estimate, folded into the
+        ``w' = floor(w * 2^64 / q)`` is computed exactly in uint64 by long
+        division: with ``w < q`` the running remainder stays below ``q``,
+        so it can be shifted by ``64 - bits(q)`` bits per step without
+        overflow (three steps for the 36-bit RNS primes).  Only the top
+        two 21-bit pieces of w' are kept: the discarded low piece
+        contributes < 1 to the quotient estimate, folded into the
         conditional-subtract budget.
         """
         b = np.asarray(self.xp.to_numpy(b), dtype=np.uint64)
         q_host = np.asarray(self.xp.to_numpy(self.q), dtype=np.uint64)
         shape = np.broadcast_shapes(b.shape, np.shape(q_host))
-        # 0-d object arrays decay to Python ints under ufuncs; compute 1-d.
-        shoup = (np.atleast_1d(b).astype(object) << 64) // np.atleast_1d(q_host).astype(object)
-        w2 = (shoup >> 43).astype(np.uint64).reshape(shape)
-        w1 = ((shoup >> 22) & ((1 << 21) - 1)).astype(np.uint64).reshape(shape)
+        step = 64 - int(q_host.max()).bit_length()
+        shoup = np.zeros(shape, dtype=np.uint64)
+        rem = np.broadcast_to(b, shape)
+        for done in range(0, 64, step):
+            shift = _U64(min(step, 64 - done))
+            rem = rem << shift
+            digit = rem // q_host
+            rem = rem - digit * q_host
+            shoup = (shoup << shift) | digit
+        w2 = shoup >> _U64(43)
+        w1 = (shoup >> _U64(22)) & _U64((1 << 21) - 1)
         return self.xp.asarray(np.stack([np.broadcast_to(b, shape), w2, w1]))
 
     def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:

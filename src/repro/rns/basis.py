@@ -16,7 +16,8 @@ The basis is also the cache root for everything precomputable per prime:
   ``(level, 1)`` column over whole residue matrices;
 * ``batch_ntt(level)`` bundles the per-limb twiddles into one
   :class:`~repro.transforms.ntt.BatchNtt` so a full ``(L, N)`` polynomial
-  transforms with one kernel dispatch per butterfly stage.
+  transforms with one kernel dispatch per butterfly stage and block of
+  limb rows.
 
 Caches are keyed by the active reducer backend, so switching backends
 (e.g. ``with using_backend("montgomery")``) is safe mid-process.

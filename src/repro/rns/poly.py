@@ -10,14 +10,15 @@ corrupting ciphertexts.
 All arithmetic runs as whole-``(L, N)``-matrix kernel calls with per-row
 modulus broadcasting (``RnsBasis.kernel``) — one vectorized dispatch per
 operation instead of a Python loop over limbs — and the NTT round trips
-go through :class:`~repro.transforms.ntt.BatchNtt`, which butterflies all
-limbs in lockstep the way the accelerator streams its lanes.  The active
+go through :class:`~repro.transforms.ntt.BatchNtt`, which butterflies
+the limbs block by cache-sized block.  The active
 reducer backend (Barrett by default) decides how each modular product is
 reduced; results are bit-identical across backends.
 
 The big-integer lift (:meth:`to_bigints`) and its inverse are the exact
 CRT reference paths the MSE hardware implements as "Expand RNS" and
-"Combine CRT" (Fig. 2a).
+"Combine CRT" (Fig. 2a); the encoder's Expand-RNS takes the float
+datapath's own (mantissa, exponent) words (:meth:`from_float_coeffs`).
 """
 
 from __future__ import annotations
@@ -87,40 +88,88 @@ class RnsPolynomial:
     def from_bigint_coeffs(
         cls, basis: RnsBasis, level: int, coeffs: list[int]
     ) -> "RnsPolynomial":
-        """Arbitrary-precision coefficients -> RNS (the Expand-RNS step).
+        """Arbitrary-precision coefficients -> RNS (the exact Expand-RNS).
 
-        Vectorized as chunked limb-wise reduction: each coefficient is
-        split once into 16-bit chunks (one Python pass over the list), and
-        every limb's residues come from a single fused multiply-accumulate
-        of the chunk matrix against per-limb powers of ``2^16`` — replacing
-        the former per-limb ``[c % q for c in coeffs]`` big-int loops.
+        Each magnitude is cut into 32-bit words (``int.to_bytes``, one
+        Python pass over the list) and handed to :meth:`_expand`, the
+        weighted accumulation shared with :meth:`from_float_coeffs`.
         """
         if len(coeffs) != basis.degree:
             raise ValueError(f"expected {basis.degree} coefficients")
-        n = basis.degree
         ints = [int(c) for c in coeffs]
         negative = np.array([c < 0 for c in ints], dtype=bool)
         mags = [-c if c < 0 else c for c in ints]
         max_bits = max((c.bit_length() for c in mags), default=0)
-        num_chunks = max(1, (max_bits + 15) // 16)
-        chunks = np.zeros((num_chunks, n), dtype=np.uint64)
-        mask = (1 << 16) - 1
-        for i, c in enumerate(mags):
-            k = 0
-            while c:
-                chunks[k, i] = c & mask
-                c >>= 16
-                k += 1
+        num_words = max(1, (max_bits + 31) // 32)
+        raw = b"".join(c.to_bytes(4 * num_words, "little") for c in mags)
+        words = np.frombuffer(raw, dtype="<u4").reshape(basis.degree, num_words)
+        return cls._expand(basis, level, words.T.astype(np.uint64), 32, negative)
+
+    @classmethod
+    def from_float_coeffs(
+        cls, basis: RnsBasis, level: int, values: np.ndarray
+    ) -> "RnsPolynomial":
+        """Integer-valued doubles -> RNS, straight from the float datapath.
+
+        A double is ``±M * 2^E`` with a 53-bit integer mantissa, so its
+        residue is ``(M mod q_i) * (2^E mod q_i)`` — a table gather and
+        one modular multiply per limb, which is what the MSE does with an
+        FP55 word instead of materializing the ~72-bit integer.  Residues
+        equal ``from_bigint_coeffs([int(v) for v in values])`` exactly.
+        """
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (basis.degree,):
+            raise ValueError(f"expected {basis.degree} coefficients")
+        if not np.isfinite(values).all():
+            raise ValueError("cannot expand non-finite coefficients")
+        if (values != np.rint(values)).any():
+            raise ValueError("coefficients must be integer-valued; round them first")
+        mags = np.abs(values)
+        # Below 2^53 the double is its own mantissa; above, shift it down.
+        exponents = np.maximum(np.frexp(mags)[1] - 53, 0)
+        mantissas = np.ldexp(mags, -exponents).astype(np.uint64)
+        return cls._expand(
+            basis, level, mantissas[np.newaxis, :], 53, values < 0, exponents
+        )
+
+    @classmethod
+    def _expand(
+        cls,
+        basis: RnsBasis,
+        level: int,
+        words: np.ndarray,
+        word_bits: int,
+        negative: np.ndarray,
+        exponents: np.ndarray | None = None,
+    ) -> "RnsPolynomial":
+        """Residues of ``±(sum_k words[k] * 2^(word_bits*k)) * 2^exponents``.
+
+        ``words`` is a ``(k, N)`` matrix of ``word_bits``-bit digits, least
+        significant first.  Word 0 has weight 1 and is added as is; the
+        rest go through one fused multiply-accumulate against per-limb
+        powers of ``2^word_bits``.
+        """
         kern = basis.kernel(level)
         moduli = basis.moduli[:level]
-        # Chunk values < 2^16 may exceed tiny moduli; one reduce() maps
-        # them into canonical range before the weighted accumulation.
-        wide = np.broadcast_to(chunks[:, None, :], (num_chunks, level, n))
-        weights = np.array(
-            [[pow(2, 16 * k, q) for q in moduli] for k in range(num_chunks)],
-            dtype=np.uint64,
-        ).reshape(num_chunks, level, 1)
-        data = kern.mul_accumulate(kern.reduce(wide), weights)
+        count = len(words)
+        wide = np.broadcast_to(words[:, np.newaxis, :], (count, level, basis.degree))
+        if min(moduli) >> word_bits == 0:
+            # A word may exceed (the square of) a modulus: plain division.
+            wide = wide % kern.q
+        data = np.ascontiguousarray(wide[0])
+        if count > 1:
+            weights = np.array(
+                [[pow(2, word_bits * k, q) for q in moduli] for k in range(1, count)],
+                dtype=np.uint64,
+            ).reshape(-1, level, 1)
+            data = kern.add(data, kern.mul_accumulate(wide[1:], weights))
+        if exponents is not None:
+            top = int(exponents.max())
+            powers = np.array(
+                [[pow(2, e, q) for e in range(top + 1)] for q in moduli],
+                dtype=np.uint64,
+            )
+            data = kern.mul(data, powers[:, exponents])
         if negative.any():
             data = np.where(negative[np.newaxis, :], kern.neg(data), data)
         return cls(basis, data, COEFF)
@@ -154,14 +203,14 @@ class RnsPolynomial:
     def to_eval(self) -> "RnsPolynomial":
         """Coefficient -> NTT domain, all limbs batched."""
         if self.domain == EVAL:
-            return self.copy()
+            return self
         out = self.basis.batch_ntt(self.level).forward(self.data)
         return RnsPolynomial(self.basis, out, EVAL)
 
     def to_coeff(self) -> "RnsPolynomial":
         """NTT -> coefficient domain, all limbs batched."""
         if self.domain == COEFF:
-            return self.copy()
+            return self
         out = self.basis.batch_ntt(self.level).inverse(self.data)
         return RnsPolynomial(self.basis, out, COEFF)
 

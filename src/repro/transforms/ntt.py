@@ -13,19 +13,21 @@ multiply goes through a pluggable :class:`~repro.nums.kernels.ReducerKernel`
 (Barrett by default — no integer division on the hot path), with the
 twiddle tables held in the backend's precomputed form (Montgomery domain
 for the ``montgomery`` backend, mirroring hardware that keeps operands in
-the domain across pipeline stages).  Butterfly sums use *lazy reduction*:
-stage outputs live in ``[0, 2q)`` and are renormalized once at the top of
-the next stage — one conditional subtract per element per stage instead of
-a full reduction per operation.
+the domain across pipeline stages).
 
 Two transform front-ends share the tables:
 
 * :class:`NttContext` — one (degree, modulus) pair, the classic per-limb
-  API, with a process-level cache (:meth:`NttContext.cached`) so repeated
-  ``RnsBasis``/key-generation paths never rebuild twiddles;
-* :class:`BatchNtt` — all limbs of an RNS basis at once as one
-  ``(L, N)`` matrix op per stage with per-row modulus broadcasting, the
-  software analogue of the accelerator streaming all lanes in lockstep.
+  API and the reference the batched transform is tested against, with a
+  process-level cache (:meth:`NttContext.cached`) so repeated
+  ``RnsBasis``/key-generation paths never rebuild twiddles.  Its
+  butterfly sums use *lazy reduction*: stage outputs live in ``[0, 2q)``
+  and are renormalized once at the top of the next stage;
+* :class:`BatchNtt` — all limbs of an RNS basis with per-row modulus
+  broadcasting, walked in cache-sized blocks of limb rows: one numpy
+  dispatch per stage for *all* limbs while the operand is small, one limb
+  at a time at the paper's N = 2^16 — the software analogue of the
+  accelerator keeping a limb on chip while it streams through the stages.
 """
 
 from __future__ import annotations
@@ -65,6 +67,26 @@ def galois_permutation(degree: int, galois_elt: int) -> np.ndarray:
         src[i] = bit_reverse((exponent - 1) // 2, log_n)
     src.setflags(write=False)
     return src
+
+
+def _bit_reversed_powers(kernel: ReducerKernel, root: int, degree: int) -> np.ndarray:
+    """``out[bitrev(i)] = root^i`` — the merged twiddle layout of [30].
+
+    Bit-reversal maps ``m + i`` (``i < m``) to ``bitrev(i) + N/(2m)``, so
+    each doubling of the table is the filled half times one power of the
+    root — the seed/step identity of :mod:`repro.transforms.twiddle`, run
+    with one ``kernel.mul`` per doubling instead of a Python loop per
+    element.
+    """
+    modulus = int(kernel.q)
+    out = np.empty(degree, dtype=np.uint64)
+    out[0] = 1 % modulus
+    m = 1
+    while m < degree:
+        step = pow(root, degree // (2 * m), modulus)
+        out[m : 2 * m] = kernel.mul(out[:m], np.uint64(step))
+        m *= 2
+    return out
 
 
 def _canonicalize(a: np.ndarray, q) -> np.ndarray:
@@ -108,7 +130,7 @@ class NttContext:
         cls, degree: int, modulus: int, psi: int | None = None, backend: str | None = None
     ) -> "NttContext":
         """Build tables; derives ψ from the field structure unless given."""
-        log_n = ilog2(degree)
+        ilog2(degree)  # validates power of two
         if (modulus - 1) % (2 * degree) != 0:
             raise ValueError(
                 f"modulus {modulus} is not NTT-friendly for degree {degree}: "
@@ -119,20 +141,10 @@ class NttContext:
         elif pow(psi, 2 * degree, modulus) != 1 or pow(psi, degree, modulus) == 1:
             raise ValueError("psi is not a primitive 2N-th root of unity")
 
-        psi_inv = mod_inv(psi, modulus)
-        psi_rev = np.zeros(degree, dtype=np.uint64)
-        psi_inv_rev = np.zeros(degree, dtype=np.uint64)
-        power = 1
-        power_inv = 1
-        # psi_rev[bitrev(i)] = psi^i — the merged twiddle layout of [30].
-        for i in range(degree):
-            j = bit_reverse(i, log_n)
-            psi_rev[j] = power
-            psi_inv_rev[j] = power_inv
-            power = power * psi % modulus
-            power_inv = power_inv * psi_inv % modulus
         backend_name = backend or default_backend_name()
         kernel = kernel_for_modulus(modulus, backend_name)
+        psi_rev = _bit_reversed_powers(kernel, psi, degree)
+        psi_inv_rev = _bit_reversed_powers(kernel, mod_inv(psi, modulus), degree)
         n_inv = mod_inv(degree, modulus)
         return cls(
             degree=degree,
@@ -148,9 +160,8 @@ class NttContext:
             n_inv_pre=kernel.pre(np.uint64(n_inv)),
         )
 
-    # Process-level context cache: twiddle generation is O(N) Python work
-    # per (degree, prime), and RNS bases / key generators ask for the same
-    # pairs over and over.
+    # Process-level context cache: RNS bases / key generators ask for the
+    # same (degree, prime) pairs over and over, and the tables are O(N).
     _CACHE: ClassVar[dict[tuple[int, int, str], "NttContext"]] = {}
 
     @classmethod
@@ -237,13 +248,18 @@ class NttContext:
 
 @dataclass(frozen=True)
 class BatchNtt:
-    """All limbs of an RNS prefix transformed as one matrix per stage.
+    """All limbs of an RNS prefix transformed by broadcast butterfly stages.
 
     Stacks the per-limb merged twiddles into ``(L, N)`` tables and runs
-    each butterfly stage as a single broadcasted kernel call over the
-    whole residue matrix — one numpy dispatch per stage for *all* limbs,
-    with per-row moduli broadcast from an ``(L, 1, 1)`` column.  Results
-    are bit-identical to looping :meth:`NttContext.forward` limb by limb.
+    each butterfly stage as broadcasted kernel calls with per-row moduli
+    from an ``(L, 1, 1)`` column.  The limb rows are walked in *blocks*
+    sized from the operand (:data:`BLOCK_BYTES`): a block runs through all
+    ``log2 N`` stages before the next one starts, so its residues stay in
+    cache from the first butterfly to the last — the software analogue of
+    the accelerator keeping a limb on chip across its pipeline.  A small
+    operand is one block, i.e. one numpy dispatch per stage for *all*
+    limbs.  Results are bit-identical to looping
+    :meth:`NttContext.forward` limb by limb.
     """
 
     degree: int
@@ -253,6 +269,14 @@ class BatchNtt:
     psi_pre: np.ndarray = field(repr=False, compare=False)
     psi_inv_pre: np.ndarray = field(repr=False, compare=False)
     n_inv_pre: np.ndarray = field(repr=False, compare=False)
+    _block_kernels: dict = field(default_factory=dict, repr=False, compare=False)
+
+    #: Residue bytes one block of rows may span (``batch x rows x N x 8``).
+    #: Anything up to key switching's stacked ``(10, 10, 1024)`` digit
+    #: tensor (800 KiB) is one block — one dispatch per stage — while an
+    #: N = 2^16 polynomial goes one 512 KiB limb at a time, which with its
+    #: half-size butterfly temporaries and twiddles fits a 2 MiB L2.
+    BLOCK_BYTES: ClassVar[int] = 896 << 10
 
     @classmethod
     def create(
@@ -286,58 +310,90 @@ class BatchNtt:
     def num_limbs(self) -> int:
         return len(self.moduli)
 
-    def _q_col(self) -> np.ndarray:
-        return self.kernel.q
+    def _blocks(self, batch: int):
+        """``(rows, kernel)`` per block: a slice of limbs and its reducer.
+
+        One block covering every limb reuses the full-column kernel; the
+        kernels of partial blocks are built once and kept.
+        """
+        lcount = self.num_limbs
+        rows = max(1, self.BLOCK_BYTES // (batch * self.degree * 8))
+        if rows >= lcount:
+            yield slice(None), self.kernel
+            return
+        for start in range(0, lcount, rows):
+            stop = min(start + rows, lcount)
+            kern = self._block_kernels.get((start, stop))
+            if kern is None:
+                kern = type(self.kernel)(self.kernel.q[start:stop])
+                self._block_kernels[start, stop] = kern
+            yield slice(start, stop), kern
+
+    @staticmethod
+    def _halves(view: np.ndarray):
+        """``(upper, lower)`` butterfly operands of one ``(batch, rows, m,
+        2, t)`` stage view.
+
+        numpy's inner loop runs along the last axis; where that is only 2
+        or 4 long the stage is walked as ``t`` single-column lanes (which
+        coalesce into long strided loops) — 2-3x cheaper per element.
+        """
+        t = view.shape[-1]
+        lanes = [slice(c, c + 1) for c in range(t)] if t in (2, 4) else [slice(None)]
+        return [(view[..., 0, lane], view[..., 1, lane]) for lane in lanes]
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
-        """``(..., L, N)`` coefficient rows -> evaluation rows, one dispatch.
+        """``(..., L, N)`` coefficient rows -> evaluation rows.
 
         Leading batch axes are flattened so a stacked digit tensor — e.g.
         key switching's ``(L, L, N)`` matrix of broadcast digits — runs
         through the same per-stage kernel calls as a single polynomial:
-        one vectorized dispatch per butterfly stage covering *every* row.
+        one vectorized dispatch per butterfly stage and block, covering
+        every batch entry's rows of that block.  Every stage maps
+        canonical residues to canonical residues.
         """
         shape = self._check(mat)
         lcount, n = self.num_limbs, self.degree
-        q = self._q_col()
         a = mat.astype(np.uint64, copy=True).reshape(-1, lcount, n)
         batch = a.shape[0]
-        kern = self.kernel
-        m = 1
-        t = n
-        while m < n:
-            t //= 2
-            view = a.reshape(batch, lcount, m, 2, t)
-            factors = self.psi_pre[..., None, :, 0, m : 2 * m, None]
-            u = _csub(view[:, :, :, 0, :], q)
-            v = kern.mul_pre(_csub(view[:, :, :, 1, :], q), factors)
-            view[:, :, :, 0, :] = u + v
-            view[:, :, :, 1, :] = u + (q - v)
-            m *= 2
-        return _csub(a.reshape(batch, lcount, 1, n), q).reshape(shape)
+        for rows, kern in self._blocks(batch):
+            psi = self.psi_pre[..., None, rows, 0, :]
+            m = 1
+            t = n
+            while m < n:
+                t //= 2
+                view = a.reshape(batch, lcount, m, 2, t)[:, rows]
+                w = psi[..., m : 2 * m, None]
+                for u, x1 in self._halves(view):
+                    v = kern.mul_pre(x1, w)
+                    kern.sub(u, v, out=x1)
+                    kern.add(u, v, out=u)
+                m *= 2
+        return a.reshape(shape)
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
-        """``(..., L, N)`` evaluation rows -> coefficient rows, one dispatch."""
+        """``(..., L, N)`` evaluation rows -> coefficient rows (scaled 1/N)."""
         shape = self._check(mat)
         lcount, n = self.num_limbs, self.degree
-        q = self._q_col()
         a = mat.astype(np.uint64, copy=True).reshape(-1, lcount, n)
         batch = a.shape[0]
-        kern = self.kernel
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            view = a.reshape(batch, lcount, h, 2, t)
-            factors = self.psi_inv_pre[..., None, :, 0, h : 2 * h, None]
-            u = _csub(view[:, :, :, 0, :], q)
-            v = _csub(view[:, :, :, 1, :], q)
-            view[:, :, :, 0, :] = u + v
-            view[:, :, :, 1, :] = kern.mul_pre(kern.sub(u, v), factors)
-            t *= 2
-            m = h
-        out = _csub(a.reshape(batch, lcount, 1, n), q)
-        return kern.mul_pre(out, self.n_inv_pre).reshape(shape)
+        for rows, kern in self._blocks(batch):
+            psi_inv = self.psi_inv_pre[..., None, rows, 0, :]
+            t = 1
+            m = n
+            while m > 1:
+                h = m // 2
+                view = a.reshape(batch, lcount, h, 2, t)[:, rows]
+                w = psi_inv[..., h : 2 * h, None]
+                for u, x1 in self._halves(view):
+                    diff = kern.sub(u, x1)
+                    kern.add(u, x1, out=u)
+                    kern.mul_pre(diff, w, out=x1)
+                t *= 2
+                m = h
+            block = a[:, rows, None, :]
+            kern.mul_pre(block, self.n_inv_pre[..., rows, :, :], out=block)
+        return a.reshape(shape)
 
     def _check(self, mat: np.ndarray) -> tuple[int, ...]:
         if mat.ndim < 2 or mat.shape[-2:] != (self.num_limbs, self.degree):

@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from repro.ckks import CkksContext, toy_params
 from repro.ckks.serialization import (
+    _HEADER_LEN,
     SEEDED_MAGIC,
     SWITCHING_KEY_MAGIC,
+    WireFormatError,
     ciphertext_wire_bytes,
     deserialize_ciphertext,
     deserialize_plaintext,
@@ -30,6 +32,13 @@ from repro.ckks.serialization import (
     wire_coeff_bits,
 )
 from repro.nums.kernels import available_backends, using_backend
+
+
+def _packbits_oracle(values: np.ndarray, bits: int) -> bytes:
+    """The bit-matrix packing the word-level codec replaced."""
+    shifts = np.arange(bits, dtype=np.uint64)
+    bitmat = ((values[:, None] >> shifts) & np.uint64(1)).astype(np.uint8)
+    return np.packbits(bitmat.ravel(), bitorder="little").tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +79,48 @@ class TestPacking:
         assert np.array_equal(
             unpack_residues(pack_residues(vals, bits), bits, len(vals)), vals
         )
+
+    @pytest.mark.parametrize("bits", range(1, 65))
+    def test_word_packing_is_the_packbits_stream(self, bits, rng):
+        """Every width, counts on and off the word period: the bytes are
+        the little-endian bitstream ``docs/formats.md`` specifies."""
+        period = 64 // np.gcd(bits, 64)
+        for count in (0, 1, period - 1, period, period + 1, 3 * period + 5, 257):
+            vals = rng.integers(0, 1 << 63, count, dtype=np.uint64)
+            vals = (vals * np.uint64(2) + np.uint64(1)) >> np.uint64(64 - bits)
+            blob = pack_residues(vals, bits)
+            assert blob == _packbits_oracle(vals, bits)
+            assert np.array_equal(unpack_residues(blob, bits, count), vals)
+            # Trailing bytes and the pad bits of the last byte are ignored.
+            assert np.array_equal(unpack_residues(blob + b"\xff", bits, count), vals)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_hypothesis_matches_packbits_oracle(self, data):
+        bits = data.draw(st.integers(min_value=1, max_value=64))
+        raw = data.draw(
+            st.lists(st.integers(min_value=0, max_value=(1 << bits) - 1), max_size=200)
+        )
+        vals = np.array(raw, dtype=np.uint64)
+        blob = pack_residues(vals, bits)
+        assert blob == _packbits_oracle(vals, bits)
+        assert np.array_equal(unpack_residues(blob, bits, len(vals)), vals)
+        if bits < 64 and raw:
+            with pytest.raises(ValueError, match="does not fit"):
+                pack_residues(vals | np.uint64(1 << bits), bits)
+        if blob:
+            with pytest.raises(WireFormatError, match="too short"):
+                unpack_residues(blob[:-1], bits, len(vals))
+
+    def test_matrix_packs_as_its_rows(self, rng):
+        mat = rng.integers(0, 1 << 37, (5, 64), dtype=np.uint64)
+        rows = b"".join(pack_residues(row, 37) for row in mat)
+        assert pack_residues(mat, 37) == rows
+
+    def test_bad_width_from_the_wire_is_typed(self):
+        for bits in (0, 65):
+            with pytest.raises(WireFormatError, match="bits must be"):
+                unpack_residues(b"\x00" * 16, bits, 1)
 
 
 class TestFullCiphertext:
@@ -141,8 +192,6 @@ class TestSeededCiphertext:
         pt = sctx.encode([1.0])
         ct, seed = sctx.encryptor.encrypt_symmetric_seeded(pt, sctx.secret_key)
         wire = len(serialize_seeded(ct, seed, coeff_bits=44))
-        from repro.ckks.serialization import _HEADER_LEN
-
         assert traffic.ciphertext_bytes == wire - _HEADER_LEN
 
     def test_three_part_rejected(self, sctx):
@@ -334,6 +383,59 @@ class TestTypedWireErrors:
             read_frame(bytes(blob), 0)
         with pytest.raises(WireFormatError):
             read_frame(blob[:6], 0)
+
+    @pytest.mark.parametrize(
+        "form", ["ciphertext", "plaintext", "seeded", "switching_key"]
+    )
+    def test_non_canonical_residue_rejected(self, sctx, form):
+        """A field holding a value >= its modulus would silently corrupt
+        every kernel downstream (they assume canonical residues)."""
+        msg = np.linspace(-1, 1, sctx.params.slots)
+        pt = sctx.encode(msg)
+        bits = 44
+        if form == "ciphertext":
+            blob, header = serialize_ciphertext(sctx.encrypt(msg), bits), _HEADER_LEN
+            decode = deserialize_ciphertext
+        elif form == "plaintext":
+            blob, header = serialize_plaintext(pt, bits), _HEADER_LEN
+            decode = deserialize_plaintext
+        elif form == "seeded":
+            ct, seed = sctx.encryptor.encrypt_symmetric_seeded(pt, sctx.secret_key)
+            blob, header = serialize_seeded(ct, seed, bits), _HEADER_LEN
+            decode = deserialize_seeded
+        else:
+            key = sctx.relin_keys(levels=[4])[4]
+            blob, header = serialize_switching_key(key, bits), 12
+            decode = deserialize_switching_key
+        decode(blob, sctx.basis)  # intact
+        n, level = sctx.params.degree, 4
+        # Overwrite one residue of the last limb of the first polynomial
+        # with q (the smallest non-canonical value), in place on the wire.
+        first_poly = np.array(
+            unpack_residues(blob[header:], bits, level * n), dtype=np.uint64
+        )
+        first_poly[(level - 1) * n + 5] = sctx.basis.moduli[level - 1]
+        forged = blob[:header] + pack_residues(first_poly, bits) + blob[
+            header + level * n * bits // 8 :
+        ]
+        assert len(forged) == len(blob)
+        with pytest.raises(WireFormatError, match="not below its modulus"):
+            decode(forged, sctx.basis)
+
+    def test_header_level_outside_basis_is_typed(self, sctx):
+        blob = bytearray(serialize_ciphertext(sctx.encrypt(np.ones(2))))
+        blob[12:14] = (sctx.basis.num_primes + 1).to_bytes(2, "little")  # level field
+        with pytest.raises(WireFormatError, match="level"):
+            deserialize_ciphertext(bytes(blob), sctx.basis)
+
+    def test_truncated_payload_and_seed_are_typed(self, sctx):
+        pt = sctx.encode([1.0])
+        ct, seed = sctx.encryptor.encrypt_symmetric_seeded(pt, sctx.secret_key)
+        blob = serialize_seeded(ct, seed)
+        with pytest.raises(WireFormatError, match="truncated seed"):
+            deserialize_seeded(blob[:-1], sctx.basis)
+        with pytest.raises(WireFormatError, match="too short"):
+            deserialize_ciphertext(serialize_ciphertext(ct)[:-1], sctx.basis)
 
     def test_container_magic_mismatch_is_typed(self, sctx):
         from repro.ckks import WireFormatError

@@ -1,0 +1,90 @@
+"""Wire bytes pinned against a committed golden.
+
+``golden_bytes.json`` holds SHA-256 digests of what a fixed seed puts on
+the wire — an encoded plaintext (at Δ and at a rescaled, non-power-of-two
+scale), a fresh ciphertext, a seeded upload, a switching key and two
+key-switched outputs — generated on the commit *before* the client
+upload path was re-expressed (limb-blocked NTT, three-transform encrypt,
+mantissa/exponent Expand-RNS, word-level packing).  "Byte-equal to
+before" is therefore checked here, under every reducer backend, rather
+than asserted in a commit message.
+
+Regenerate (only when a format change is intended and documented in
+``docs/formats.md``)::
+
+    PYTHONPATH=src python tests/integration/test_golden_bytes.py > \
+        tests/integration/golden_bytes.json
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+
+import numpy as np
+import pytest
+
+from repro.ckks import (
+    CkksContext,
+    serialize_ciphertext,
+    serialize_plaintext,
+    serialize_seeded,
+    serialize_switching_key,
+    toy_params,
+)
+from repro.nums.kernels import available_backends, using_backend
+
+GOLDEN_FILE = pathlib.Path(__file__).with_name("golden_bytes.json")
+SEED = 2025
+SHAPES = {
+    "toy": toy_params(),
+    "n12_l6": toy_params(degree=1 << 12, num_primes=6),
+}
+
+
+def wire_digests(params) -> dict[str, str]:
+    """SHA-256 of every wire form one seeded context produces."""
+    ctx = CkksContext.create(params, seed=SEED)
+    top = params.num_primes
+    rng = np.random.default_rng(SEED)
+    msg = rng.uniform(-1, 1, params.slots) + 1j * rng.uniform(-1, 1, params.slots)
+    rlk = ctx.relin_keys(levels=[top])
+    gks = ctx.galois_keys([1], levels=[top])
+
+    plaintext = ctx.encode(msg)
+    ct = ctx.encryptor.encrypt(plaintext)
+    low = ctx.encryptor.encrypt(plaintext, level=top - 1)
+    sym, seed = ctx.encryptor.encrypt_symmetric_seeded(plaintext, ctx.secret_key)
+    prod = ctx.evaluator.multiply_relin_rescale(ct, ct, rlk)
+    rescaled_scale = ctx.encoder.encode(msg, level=prod.level, scale=prod.scale)
+    blobs = {
+        "plaintext": serialize_plaintext(plaintext),
+        "plaintext_rescaled_scale": serialize_plaintext(rescaled_scale),
+        "ciphertext": serialize_ciphertext(ct),
+        "ciphertext_below_top": serialize_ciphertext(low),
+        "seeded": serialize_seeded(sym, seed),
+        "switching_key": serialize_switching_key(rlk[top]),
+        "rotated": serialize_ciphertext(ctx.evaluator.rotate(ct, 1, gks)),
+        "multiplied": serialize_ciphertext(prod),
+        # Not a wire form: the float IFFT the plaintext is rounded from.
+        "fft_inverse": ctx.encoder.fft.inverse(msg).tobytes(),
+    }
+    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+
+
+@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_wire_bytes_match_golden(shape, backend):
+    golden = json.loads(GOLDEN_FILE.read_text())[shape]
+    with using_backend(backend):
+        got = wire_digests(SHAPES[shape])
+    if got["fft_inverse"] != golden["fft_inverse"]:
+        # Δ = 2^72 keeps every mantissa bit of the IFFT output, so a libm
+        # whose exp() differs in the last place encodes other integers.
+        pytest.skip("this platform's float FFT differs from the golden's")
+    assert got == golden
+
+
+if __name__ == "__main__":
+    print(json.dumps({name: wire_digests(p) for name, p in SHAPES.items()}, indent=2))

@@ -188,6 +188,35 @@ class TestMontgomeryDomain:
         assert int(kern.pre(one)[0]) == (1 << 64) % prime
 
 
+class TestBarrettShoupPieces:
+    """``pre`` long-divides in uint64; the oracle divides Python ints."""
+
+    @pytest.mark.parametrize(
+        "q", [2, 3, 257, (1 << 22) + 1, *PRIMES.values(), (1 << 41) - 21]
+    )
+    def test_pieces_match_bigint_division(self, q, rng):
+        kern = make_kernel(q, "barrett")
+        w = np.concatenate(
+            [rng.integers(0, q, 300), [0, 1 % q, q // 2, q - 1]]
+        ).astype(np.uint64)
+        shoup = [(int(x) << 64) // q for x in w]
+        pre = kern.pre(w)
+        assert pre[0].tolist() == w.tolist()
+        assert pre[1].tolist() == [s >> 43 for s in shoup]
+        assert pre[2].tolist() == [(s >> 22) & ((1 << 21) - 1) for s in shoup]
+
+    def test_column_moduli_and_scalar_operand(self, rng):
+        moduli = sorted(PRIMES.values())
+        kern = make_kernel(np.array(moduli, dtype=np.uint64).reshape(-1, 1), "barrett")
+        w = np.stack([rng.integers(0, q, 50) for q in moduli]).astype(np.uint64)
+        pre = kern.pre(w)
+        for row, q in enumerate(moduli):
+            assert pre[1][row].tolist() == [((int(x) << 64) // q) >> 43 for x in w[row]]
+        scalar = make_kernel(moduli[0], "barrett").pre(np.uint64(5))
+        assert scalar.shape == (3,)
+        assert int(scalar[1]) == ((5 << 64) // moduli[0]) >> 43
+
+
 class TestMulAccumulate:
     """The fused MAC behind batched key switching and multi-prime rescale."""
 

@@ -55,6 +55,83 @@ class TestConstruction:
             RnsPolynomial.from_signed_coeffs(basis, 2, np.zeros(N - 1, dtype=np.int64))
 
 
+def _float_coefficients():
+    """Doubles covering what the encoder's ``c * delta`` can hand over."""
+    ordinary = st.floats(min_value=-4.0, max_value=4.0, allow_nan=False)
+    special = st.sampled_from(
+        [0.0, -0.0, 0.5, -0.5, 1.5, 2.5, -3.5, 5e-324, -2.2e-308, 1e-30, 2.0**-72]
+    )
+    huge = st.floats(min_value=2.0**63, max_value=2.0**200, allow_nan=False)
+    return st.one_of(ordinary, special, huge, huge.map(lambda x: -x))
+
+
+class TestExpandRns:
+    """The float Expand-RNS against the exact big-int front-end."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(_float_coefficients(), min_size=8, max_size=8),
+        st.sampled_from(
+            [2.0**72, 2.0**36, 1.0, 2.0**72 / 68719403009, 3.0e21, 2.0**-3]
+        ),
+        st.integers(min_value=1, max_value=6),
+    )
+    def test_float_expand_matches_python_rounded_bigints(
+        self, basis, head, delta, level
+    ):
+        coeffs = np.zeros(N)
+        coeffs[: len(head)] = head
+        coeffs[len(head) : 2 * len(head)] = [-c for c in head]
+        ints = [int(round(float(c) * delta)) for c in coeffs]
+        want = RnsPolynomial.from_bigint_coeffs(basis, level, ints)
+        got = RnsPolynomial.from_float_coeffs(basis, level, np.rint(coeffs * delta))
+        assert got.domain == COEFF
+        assert np.array_equal(got.data, want.data)
+
+    def test_exact_ties_round_to_even(self, basis):
+        coeffs = np.zeros(N)
+        coeffs[:6] = [0.5, 1.5, 2.5, -0.5, -1.5, -2.5]
+        got = RnsPolynomial.from_float_coeffs(basis, 2, np.rint(coeffs))
+        assert got.to_bigints()[:6] == [0, 2, 2, 0, -2, -2]
+
+    def test_values_past_the_mantissa_are_exact(self, basis):
+        values = np.zeros(N)
+        values[:4] = [2.0**53, 2.0**53 + 2, -(2.0**100), 3 * 2.0**70]
+        got = RnsPolynomial.from_float_coeffs(basis, LEVEL, values)
+        big = basis.modulus_at(LEVEL)
+        assert got.to_bigints(center=False)[:4] == [int(v) % big for v in values[:4]]
+
+    def test_rejects_fractions_and_non_finite(self, basis):
+        values = np.zeros(N)
+        values[3] = 0.25
+        with pytest.raises(ValueError, match="integer-valued"):
+            RnsPolynomial.from_float_coeffs(basis, 2, values)
+        for bad in (np.inf, -np.inf, np.nan):
+            values[3] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                RnsPolynomial.from_float_coeffs(basis, 2, values)
+        with pytest.raises(ValueError, match="expected"):
+            RnsPolynomial.from_float_coeffs(basis, 2, np.zeros(N - 1))
+
+    def test_bigint_front_end_on_small_moduli(self):
+        """32-bit words exceed a 20-bit modulus: the front-end divides."""
+        small = RnsBasis.create(64, 3, bitwidth=20)
+        coeffs = [(-1) ** i * (3**i) for i in range(64)]
+        p = RnsPolynomial.from_bigint_coeffs(small, 3, coeffs)
+        for row, q in zip(p.data, small.moduli):
+            assert row.tolist() == [c % q for c in coeffs]
+        floats = np.array([float(2**i) for i in range(64)])
+        f = RnsPolynomial.from_float_coeffs(small, 3, floats)
+        for row, q in zip(f.data, small.moduli):
+            assert row.tolist() == [2**i % q for i in range(64)]
+
+    def test_in_domain_transform_is_not_a_copy(self, basis, rng):
+        p = poly_from(rng, basis)
+        assert p.to_coeff() is p
+        e = p.to_eval()
+        assert e.to_eval() is e
+
+
 class TestDomains:
     def test_eval_roundtrip(self, basis, rng):
         p = poly_from(rng, basis)

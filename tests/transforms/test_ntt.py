@@ -7,11 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nums.kernels import available_backends
 from repro.nums.modular import mod_inv
 from repro.nums.primegen import find_primes
 from repro.transforms.ntt import NttContext, negacyclic_mul_naive
+from repro.utils.bitops import bit_reverse
 
 PRIME = find_primes(36, 1 << 12)[0].value
+LIMB_PRIMES = tuple(p.value for p in find_primes(36, 1 << 12, max_count=7))
 
 
 @pytest.fixture(scope="module", params=[16, 256, 1024], ids=lambda n: f"n{n}")
@@ -40,6 +43,16 @@ class TestConstruction:
         base = NttContext.create(256, PRIME)
         again = NttContext.create(256, PRIME, psi=base.psi)
         assert np.array_equal(base.psi_rev, again.psi_rev)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_twiddle_tables_are_bit_reversed_powers(self, backend):
+        """The doubling construction fills ``psi_rev[bitrev(i)] = psi^i``."""
+        ctx = NttContext.create(64, PRIME, backend=backend)
+        psi_inv = mod_inv(ctx.psi, PRIME)
+        for i in range(64):
+            j = bit_reverse(i, 6)
+            assert int(ctx.psi_rev[j]) == pow(ctx.psi, i, PRIME)
+            assert int(ctx.psi_inv_rev[j]) == pow(psi_inv, i, PRIME)
 
     def test_psi_order(self, ntt):
         n, q = ntt.degree, ntt.modulus
@@ -160,6 +173,46 @@ class TestBatchedTensors:
         per_matrix = np.stack([bn.forward(tensor[i]) for i in range(4)])
         assert np.array_equal(batched, per_matrix)
         assert np.array_equal(bn.inverse(batched), tensor)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(available_backends()),
+        st.sampled_from([16, 64]),
+        st.integers(min_value=1, max_value=7),
+        st.integers(min_value=1, max_value=3),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_blocked_transform_matches_per_limb_contexts(
+        self, backend, n, limbs, batch, block_rows, seed
+    ):
+        """Any block size — one limb, a block boundary mid-chain, a last
+        block shorter than the rest, everything in one block — gives the
+        bytes of the per-limb reference transform."""
+        from unittest import mock
+
+        from repro.transforms.ntt import BatchNtt
+
+        moduli = LIMB_PRIMES[:limbs]
+        bn = BatchNtt.create(n, moduli, backend=backend)
+        rng = np.random.default_rng(seed)
+        q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        tensor = rng.integers(0, 2**62, (batch, limbs, n), dtype=np.uint64) % q_col
+        contexts = [NttContext.cached(n, q, backend) for q in moduli]
+        want = np.stack(
+            [
+                np.stack([c.forward(row) for c, row in zip(contexts, matrix)])
+                for matrix in tensor
+            ]
+        )
+        with mock.patch.object(BatchNtt, "BLOCK_BYTES", block_rows * batch * n * 8):
+            assert len(list(bn._blocks(batch))) == -(-limbs // block_rows)
+            got = bn.forward(tensor)
+            back = bn.inverse(got)
+        assert np.array_equal(got, want)
+        assert np.array_equal(back, tensor)
+        for c, row_in, row_out in zip(contexts, tensor[0], got[0]):
+            assert np.array_equal(c.inverse(row_out), row_in)
 
     def test_bad_trailing_shape_rejected(self):
         from repro.transforms.ntt import BatchNtt
