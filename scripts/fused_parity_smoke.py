@@ -4,9 +4,11 @@
 The acceptance loop for the fused plan replayer, run by CI:
 
 1. for each installed reducer backend (generic-split / barrett /
-   montgomery), run a rotate + MAC + multiply/relin/rescale program
-   eagerly, through the batched replayer, and through the arena-backed
-   fused replayer — all three must agree byte-for-byte;
+   montgomery), run a rotate + MAC + multiply/relin/rescale program and
+   a dense BSGS linear transform (default split: hoisted baby rotations,
+   giant rotations, one long plaintext MAC per giant step) eagerly,
+   through the batched replayer, and through the arena-backed fused
+   replayer — all three must agree byte-for-byte;
 2. replay the same plan through a numpy-backed *stub* array namespace
    registered under a non-default name, which drives the fused
    executor's host-staging branches (the exact path a GPU namespace
@@ -36,7 +38,7 @@ except ImportError:  # running from a bare checkout
 
 import numpy as np
 
-from repro.ckks import CkksContext, toy_params
+from repro.ckks import CkksContext, HomomorphicLinearTransform, toy_params
 from repro.nums.backend import (
     array_backend_available,
     get_array_namespace,
@@ -81,28 +83,38 @@ def _run_one(backend: str, degree: int, primes: int, array_backends) -> None:
 
         rng = np.random.default_rng(5)
         ct = ctx.encrypt(rng.uniform(-1, 1, ctx.params.slots))
-        eager_prod, eager_mac = program(ctx.evaluator, ct)
-
         spec = CtSpec(level=lvl, scale=ctx.params.scale)
-        plan = compile_fn(program, ctx.evaluator, [spec])
-        ((b_prod, b_mac),) = plan.run_batch([[ct]])
-        _assert_same(f"{backend}/batched", eager_prod, b_prod)
-        _assert_same(f"{backend}/batched", eager_mac, b_mac)
 
-        for array_backend in array_backends:
-            ((f_prod, f_mac),) = plan.run_batch(
-                [[ct]], fused=True, array_backend=array_backend
-            )
-            tag = f"{backend}/fused[{array_backend}]"
-            _assert_same(tag, eager_prod, f_prod)
-            _assert_same(tag, eager_mac, f_mac)
-            stats = plan.stats()
-            print(
-                f"  {tag}: OK "
-                f"({stats['dispatch_count_batched']} -> "
-                f"{stats['dispatch_count_fused']} dispatches, "
-                f"arena {stats['arena_slots']} slots)"
-            )
+        slots = ctx.params.slots
+        hlt = HomomorphicLinearTransform(
+            ctx, rng.uniform(-1, 1, (slots, slots)) / slots, level=lvl
+        )
+        bsgs_keys = ctx.galois_keys(hlt.required_rotations(), levels=[lvl])
+
+        def bsgs(ev, x):
+            return (hlt.emit(ev, x, bsgs_keys),)
+
+        for name, fn in (("program", program), ("bsgs", bsgs)):
+            eager = fn(ctx.evaluator, ct)
+            plan = compile_fn(fn, ctx.evaluator, [spec])
+            (batched,) = plan.run_batch([[ct]])
+            for want, got in zip(eager, batched):
+                _assert_same(f"{backend}/{name}/batched", want, got)
+
+            for array_backend in array_backends:
+                (fused,) = plan.run_batch(
+                    [[ct]], fused=True, array_backend=array_backend
+                )
+                tag = f"{backend}/{name}/fused[{array_backend}]"
+                for want, got in zip(eager, fused):
+                    _assert_same(tag, want, got)
+                stats = plan.stats()
+                print(
+                    f"  {tag}: OK "
+                    f"({stats['dispatch_count_batched']} -> "
+                    f"{stats['dispatch_count_fused']} dispatches, "
+                    f"arena {stats['arena_slots']} slots)"
+                )
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -94,9 +94,10 @@ class SwitchingKey:
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """The key as two stacked ``(L, L, N)`` tensors ``(B, A)``.
 
-        ``B[j] = b_j.data`` / ``A[j] = a_j.data`` — the layout the batched
-        key-switch engine contracts digit tensors against with one fused
-        multiply-accumulate per component.  Built lazily, cached per key.
+        ``B[j] = b_j.data`` / ``A[j] = a_j.data`` — the layout the
+        key-switch contraction walks digit row by digit row.  Built
+        lazily, cached per key; from then on ``pairs`` are row views of
+        the two tensors, so the key holds its residues once.
         """
         if self._stacked is None:
             b = np.stack([pair[0].data for pair in self.pairs])
@@ -104,18 +105,24 @@ class SwitchingKey:
             b.setflags(write=False)
             a.setflags(write=False)
             self._stacked = (b, a)
+            self.pairs = [
+                (
+                    RnsPolynomial(b_j.basis, b[j], b_j.domain),
+                    RnsPolynomial(a_j.basis, a[j], a_j.domain),
+                )
+                for j, (b_j, a_j) in enumerate(self.pairs)
+            ]
         return self._stacked
 
     def stacked_pre(self, kern) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`stacked` in ``kern``'s precomputed constant form.
 
-        Cached per backend *name* so e.g. the Montgomery domain conversion
-        (or Barrett's Shoup quotients) of the key tensors happens once per
-        key, not once per switch.  The eager engine calls this only when
-        ``kern.constant_pre_cheap`` holds; the fused replayer calls it for
-        every backend, amortizing the pre-form over many replays.  Pass
-        host-namespace kernels only — device-namespaced pre-forms would
-        poison the shared per-name cache.
+        Cached per backend *name* so the Montgomery domain conversion (or
+        Barrett's Shoup quotients, a vectorized uint64 long division) of
+        the key tensors happens once per key, not once per switch — the
+        eager engine and the fused replayer both contract against this
+        form.  Pass host-namespace kernels only — device-namespaced
+        pre-forms would poison the shared per-name cache.
         """
         name = type(kern).name
         cached = self._stacked_pre.get(name)

@@ -7,14 +7,17 @@ matrix at a time), and 2L temporary polynomials per switch.  This engine
 tensorizes the whole pipeline:
 
 * **decompose** stacks all L digit rows into one ``(L, L, N)`` tensor
-  (``tensor[j, i] = [x]_{q_j}`` re-reduced mod ``q_i``), re-reduces it with
-  one whole-tensor kernel call, and forward-transforms it with exactly one
+  (``tensor[j, i]`` = digit ``j``, the residues mod ``q_j``, on limb ``i``)
+  and forward-transforms it with exactly one
   :class:`~repro.transforms.ntt.BatchNtt` dispatch over the flattened
-  ``(L·L, N)`` matrix;
-* **apply** contracts the digit tensor against a switching key's two
-  stacked ``(L, L, N)`` tensors with one fused multiply-accumulate per key
-  component (:meth:`~repro.nums.kernels.ReducerKernel.mul_accumulate`,
-  deferred reduction) — no per-digit temporaries;
+  ``(L·L, N)`` matrix — the transform takes the digits unreduced, so no
+  whole-tensor re-reduction precedes it;
+* **contract** walks the digit rows once against a switching key's two
+  pre-formed ``(L, L, N)`` tensors
+  (:meth:`~repro.nums.kernels.ReducerKernel.mul_pre_accumulate_rows`: raw
+  products summed as uint64, one reduction per key component) — the one
+  contraction the eager :meth:`KeySwitchEngine.apply` and the fused
+  replayer share;
 * **permute** applies a Galois automorphism to a *decomposed* polynomial
   as a pure EVAL-domain slot permutation, which is what makes **hoisting**
   work: decompose once, then rotate-and-apply against many keys.  The BSGS
@@ -70,25 +73,26 @@ class KeySwitchEngine:
     # ------------------------------------------------------------------
 
     def decompose(self, poly: RnsPolynomial) -> DecomposedPoly:
-        """Gadget-decompose an NTT-domain polynomial (the hoistable half).
-
-        One inverse BatchNtt (the digits are coefficient-domain residue
-        rows), one whole-tensor re-reduction, and exactly one forward
-        BatchNtt dispatch over the stacked ``(L·L, N)`` digit matrix.
-        """
+        """Gadget-decompose an NTT-domain polynomial (the hoistable half)."""
         if poly.domain != EVAL:
             raise ValueError("key switching expects an NTT-domain polynomial")
-        lvl = poly.level
-        coeff = poly.to_coeff()
-        kern = self.basis.kernel(lvl)
-        # tensor[j, i] = digit j broadcast onto limb i; digits are < q_j,
-        # inside every limb's q_i^2 reduce() input range.
-        wide = np.broadcast_to(
-            coeff.data[:, np.newaxis, :], (lvl, lvl, self.basis.degree)
-        )
-        digits = kern.reduce(wide)
-        return DecomposedPoly(
-            basis=self.basis, tensor=self.basis.batch_ntt(lvl).forward(digits)
+        return DecomposedPoly(basis=self.basis, tensor=self.decompose_rows(poly.data))
+
+    def decompose_rows(self, data: np.ndarray) -> np.ndarray:
+        """:meth:`decompose` on a bare ``(L, N)`` evaluation-domain matrix.
+
+        One inverse BatchNtt (the digits are coefficient-domain residue
+        rows) and exactly one forward BatchNtt dispatch over the stacked
+        ``(L·L, N)`` digit matrix.
+        """
+        lvl = data.shape[0]
+        bat = self.basis.batch_ntt(lvl)
+        coeff = bat.inverse(data)
+        # tensor[j, i] = digit j broadcast onto limb i, unreduced: it is
+        # below q_j, and the forward transform accepts any limb's
+        # residues on every limb.
+        return bat.forward(
+            np.broadcast_to(coeff[:, np.newaxis, :], (lvl, lvl, self.basis.degree))
         )
 
     def permute(self, dec: DecomposedPoly, galois_elt: int) -> DecomposedPoly:
@@ -113,31 +117,38 @@ class KeySwitchEngine:
     def apply(
         self, dec: DecomposedPoly, key: SwitchingKey
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """Contract a decomposed polynomial against one switching key.
-
-        The inner products ``sum_j digit_j * b_j`` / ``sum_j digit_j * a_j``
-        run as one fused multiply-accumulate per key component over the
-        stacked key tensors.
-        """
-        lvl = dec.level
-        if key.level != lvl:
-            raise ValueError(f"switching key level {key.level} != poly level {lvl}")
-        kern = self.basis.kernel(lvl)
-        if kern.constant_pre_cheap:
-            # Key tensors cached in the backend's constant form (e.g. the
-            # Montgomery domain) — one pre-formed conversion per key, a
-            # single REDC per product here.
-            b_pre, a_pre = key.stacked_pre(kern)
-            out0 = kern.mul_pre_accumulate(dec.tensor, b_pre)
-            out1 = kern.mul_pre_accumulate(dec.tensor, a_pre)
-        else:
-            b_stack, a_stack = key.stacked()
-            out0 = kern.mul_accumulate(dec.tensor, b_stack)
-            out1 = kern.mul_accumulate(dec.tensor, a_stack)
+        """Contract a decomposed polynomial against one switching key."""
+        if key.level != dec.level:
+            raise ValueError(
+                f"switching key level {key.level} != poly level {dec.level}"
+            )
+        out0, out1 = self.contract(dec.tensor, key)
         return (
             RnsPolynomial(self.basis, out0, EVAL),
             RnsPolynomial(self.basis, out1, EVAL),
         )
+
+    def contract(
+        self, tensor: np.ndarray, key: SwitchingKey, perm=None, out0=None, out1=None
+    ) -> list[np.ndarray]:
+        """``sum_j digit_j * b_j`` and ``sum_j digit_j * a_j`` in one pass
+        over the digit rows.
+
+        Each row is gathered once — through ``perm`` when a Galois slot
+        permutation is folded in, which reads the same elements as
+        permuting the whole tensor first — and multiplied against both
+        key components while cache-hot.  The key tensors are in the
+        backend's constant form, built once per (key, backend).
+        """
+        kern = self.basis.kernel(tensor.shape[0])
+        rows = (
+            tensor[j] if perm is None else tensor[j][:, perm]
+            for j in range(tensor.shape[0])
+        )
+        # Digit axis first, whether or not the backend stacks companion
+        # planes (Barrett's Shoup pieces) ahead of the value axes.
+        pres = [np.moveaxis(pre, -3, 0) for pre in key.stacked_pre(kern)]
+        return kern.mul_pre_accumulate_rows(rows, pres, (out0, out1))
 
     def switch(
         self, poly: RnsPolynomial, key: SwitchingKey

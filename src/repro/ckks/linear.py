@@ -9,7 +9,13 @@ vector.  A dense map decomposes into rotated diagonals::
 so ``M x = sum_i diag_i(M) ⊙ rot_i(x)``.  :class:`HomomorphicLinearTransform`
 evaluates this with the baby-step/giant-step grouping (``~2 sqrt(n)``
 rotations instead of ``n``), pre-rotating giant-block diagonals so the
-inner sums share one rotation each.
+inner sums share one rotation each.  The two kinds of step do not cost
+the same: every baby step rotates the *input*, so all of them share one
+hoisted gadget decomposition and pay only a key contraction, while each
+giant step rotates a fresh inner sum and pays its own decomposition on
+top (about four contractions' worth; see "BSGS cost model" in
+``docs/architecture.md``).  The default split therefore rounds the
+baby-step count *up* to the power of two at or above ``sqrt(n)``.
 
 Evaluation goes through the lazy runtime (:mod:`repro.runtime`): the BSGS
 loop is *emitted* as plain rotate/multiply/add calls with no hand-coded
@@ -24,7 +30,6 @@ replays across many inputs via :meth:`apply_batch`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +50,9 @@ class HomomorphicLinearTransform:
         ctx: the CKKS context.
         matrix: dense (slots x slots) complex matrix.
         level: ciphertext level this transform is compiled for.
-        baby_steps: BSGS group size (default ~sqrt(slots)).
+        baby_steps: BSGS group size; 0 picks the power of two at or
+            above ``sqrt(slots)`` (32 for 512 slots: 31 hoisted baby
+            rotations, 15 giant ones).
     """
 
     ctx: CkksContext
@@ -64,7 +71,7 @@ class HomomorphicLinearTransform:
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix must be ({n}, {n}); got {self.matrix.shape}")
         if self.baby_steps <= 0:
-            self.baby_steps = max(1, 1 << (int(math.isqrt(n)).bit_length() - 1))
+            self.baby_steps = 1 << ((n - 1).bit_length() + 1) // 2
         self._compile()
 
     def _diag(self, i: int) -> np.ndarray:

@@ -24,7 +24,13 @@ prime or an ``(L, 1)``/``(L, 1, 1)`` column for per-row broadcasting over
 whole ``(L, N)`` RNS residue matrices — and carries the precomputed
 tables it needs.  All kernels assume **canonical inputs** in ``[0, q)``;
 the RNS layers maintain that invariant, and ``reduce`` is available for
-values up to ``q^2``.
+values up to ``q^2``.  The one exception is the accumulation primitive:
+``mul_pre_raw`` is each backend's product *short of its conditional
+subtracts* — congruent mod ``q``, below ``RAW_BOUND * q``, and defined
+for any first operand below ``raw_operand_limit`` — which is what the
+key-switch contraction, the fused plaintext MAC and the batched NTT's
+butterflies sum, reducing once per accumulation the way a hardware MAC
+datapath does.
 
 The :class:`ReducerSpec` table is the single source of truth tying each
 algorithm to its Table I hardware accounting (multiplier equivalents and
@@ -159,11 +165,8 @@ class ReducerKernel:
 
     name: ClassVar[str]
     spec: ClassVar[ReducerSpec | None] = None
-    #: Whether :meth:`pre` is a cheap vectorized transform.  Long-lived
-    #: constant tensors (switching keys) are cached pre-formed only when
-    #: this holds; Barrett's Shoup reciprocals need exact long division
-    #: per element, so it opts out and hot paths use plain mul instead.
-    constant_pre_cheap: ClassVar[bool] = True
+    #: :meth:`mul_pre_raw` returns values below ``RAW_BOUND * q``.
+    RAW_BOUND: ClassVar[int] = 1
 
     def __init__(self, moduli, xp=None) -> None:
         from repro.nums.backend import get_array_namespace
@@ -191,6 +194,10 @@ class ReducerKernel:
         self._acc_headroom = min(
             ((1 << 64) - 1) // max(max(flat) - 1, 1), min(flat)
         )
+        #: Exclusive bound on :meth:`mul_pre_raw`'s first operand (which
+        #: need not be canonical): below it every backend's partial
+        #: products stay inside uint64 and the ``RAW_BOUND`` holds.
+        self.raw_operand_limit = 1 << 42
         self._precompute()
         if not self.xp.is_host:
             self._move_tables()
@@ -255,11 +262,61 @@ class ReducerKernel:
         """
         return self._accumulate(self.mul(a, b), axis, out=out)
 
-    def mul_pre_accumulate(
-        self, a: np.ndarray, b_pre: np.ndarray, axis: int = 0, out=None
-    ) -> np.ndarray:
-        """:meth:`mul_accumulate` where ``b`` came from :meth:`pre`."""
-        return self._accumulate(self.mul_pre(a, b_pre), axis, out=out)
+    def mul_pre_raw(self, a: np.ndarray, b_pre: np.ndarray) -> np.ndarray:
+        """Unreduced ``a * b``: a fresh array congruent to the product mod
+        ``q`` and below ``RAW_BOUND * q``, for ``a < raw_operand_limit``.
+
+        What :meth:`mul_pre` computes before its conditional subtracts —
+        the term a MAC datapath sums, reducing once per accumulation
+        (:meth:`mul_pre_accumulate_rows`, the lazy NTT butterflies)
+        instead of once per product.  The base class has nothing cheaper
+        than the canonical product.
+        """
+        return self.mul_pre(a, b_pre)
+
+    def term_budget(self, bound: int = 1) -> int:
+        """How many terms below ``bound * q`` one deferred accumulation
+        may sum before a partial reduce: the sum must fit both uint64 and
+        ``reduce``'s ``[0, q^2)`` domain.  Raises when the moduli are too
+        small to defer anything (a reduced partial sum plus one more term
+        must fit)."""
+        budget = self._acc_headroom // bound
+        if budget < 2:
+            raise ValueError(
+                f"{self.name}: moduli too small for deferred accumulation "
+                f"(room for {budget} term(s) below {bound}q)"
+            )
+        return budget
+
+    def mul_pre_accumulate_rows(self, rows, pres, outs=None, budget=None) -> list:
+        """``outs[k] = sum_t rows[t] * pres[k][t] mod q`` — one reduction
+        per output.
+
+        The row-loop inner product behind key switching (two key
+        components contracted against the same digit rows) and the fused
+        plaintext MAC: ``rows`` yields each canonical operand once, every
+        ``pres[k][t]`` came from :meth:`pre`, and the raw products are
+        summed as uint64 and reduced at the end.  Row-sized operands keep
+        every temporary in cache, which a whole-tensor multiply does not.
+        ``budget`` (default ``term_budget(RAW_BOUND)``) caps the terms a
+        partial sum holds: past it the sums are reduced in place and
+        accumulation continues, so any term count is exact.  Canonical
+        residues are unique: the result is byte-equal to
+        ``mul_accumulate`` over the stacked operands under every backend.
+        """
+        budget = budget or self.term_budget(self.RAW_BOUND)
+        accs: list = []
+        for t, row in enumerate(rows):
+            if not accs:
+                accs = [self.mul_pre_raw(row, pre[t]) for pre in pres]
+                continue
+            if t % (budget - 1) == 0:  # a reduced sum counts as one term
+                for acc in accs:
+                    self.reduce(acc, out=acc)
+            for acc, pre in zip(accs, pres):
+                acc += self.mul_pre_raw(row, pre[t])
+        outs = outs or [None] * len(accs)
+        return [self.reduce(acc, out=out) for acc, out in zip(accs, outs)]
 
     def add_accumulate(self, terms: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
         """Fused ``sum_t terms[t] mod q`` along ``axis`` — one reduction.
@@ -358,6 +415,12 @@ class GenericSplitKernel(ReducerKernel):
     _SPLIT = _U64(18)
     _SPLIT_MASK = _U64((1 << 18) - 1)
 
+    def _precompute(self) -> None:
+        # a * (b >> 18) must fit uint64: one bit short of the other
+        # backends' operand range at a 41-bit modulus.
+        bits = int(np.max(self.q)).bit_length()
+        self.raw_operand_limit = 1 << min(42, 82 - bits)
+
     def mul(self, a: np.ndarray, b, out=None) -> np.ndarray:
         q = self.q
         xp = self.xp
@@ -388,7 +451,7 @@ class BarrettKernel(ReducerKernel):
 
     name = "barrett"
     spec = REDUCER_SPECS["barrett"]
-    constant_pre_cheap = False  # pre() long-divides w * 2^64 by q per element
+    RAW_BOUND = 4
 
     # mul_pre uses Shoup's variant of the same shift-multiply idea: for a
     # *constant* operand w the whole scaled reciprocal w' = floor(w*2^64/q)
@@ -485,18 +548,22 @@ class BarrettKernel(ReducerKernel):
         w1 = (shoup >> _U64(22)) & _U64((1 << 21) - 1)
         return self.xp.asarray(np.stack([np.broadcast_to(b, shape), w2, w1]))
 
-    def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
-        """``a * w mod q`` via the precomputed Shoup pieces of ``w``.
+    def mul_pre_raw(self, a: np.ndarray, b_pre: np.ndarray) -> np.ndarray:
+        """``a * w - mulhi(a, w') * q`` via the precomputed Shoup pieces.
 
-        ``q_est = mulhi(a, w')`` undershoots by at most 2 (two dropped
-        floor corrections plus the discarded low piece), so the remainder
-        sits in [0, 4q) and the usual 2q/q cascade finishes.
+        The estimate ``q_est`` undershoots ``a * w / q`` by less than
+        ``2 + a / 2^42`` (two dropped floor corrections plus the discarded
+        low piece of ``w'``), so the remainder sits in [0, 4q) for every
+        ``a < 2^42`` — canonical or not.
         """
         a = self.xp.asarray(a, dtype=np.uint64)
         w, w2, w1 = b_pre[0], b_pre[1], b_pre[2]
         q_est = ((a * w2) >> self._SHOUP_S2) + ((a * w1) >> self._SHOUP_S1)
-        t = a * w - q_est * self.q
-        t = self._csub_into(t, self._q2)
+        return a * w - q_est * self.q
+
+    def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
+        """``a * w mod q``: the raw product and the usual 2q/q cascade."""
+        t = self._csub_into(self.mul_pre_raw(a, b_pre), self._q2)
         return self._csub_into(t, self.q, out=out)
 
 
@@ -516,6 +583,7 @@ class MontgomeryKernel(ReducerKernel):
 
     name = "montgomery"
     spec = REDUCER_SPECS["montgomery"]
+    RAW_BOUND = 2
 
     def _precompute(self) -> None:
         table = self._table
@@ -540,13 +608,17 @@ class MontgomeryKernel(ReducerKernel):
         mid = (ll >> _S32) + (lh & _MASK32) + (hl & _MASK32)
         return m_hi * self._q_hi32 + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
 
-    def _redc(self, hi: np.ndarray, lo: np.ndarray, out=None) -> np.ndarray:
-        """REDC of a (hi, lo) value ``t < q * 2^64``: ``t * 2^-64 mod q``."""
+    def _redc_raw(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        """REDC of a (hi, lo) value ``t < q * 2^64`` short of its final
+        subtract: ``t * 2^-64 mod q`` as a value in [0, 2q)."""
         m = lo * self._ninv  # wraps mod 2^64 — exactly t * (-q^-1) mod R
         # t + m*q has zero low word; its high word is hi + mulhi(m, q) plus
         # the carry out of the low word, which is 1 iff lo != 0 (mq_lo ≡ -lo).
-        u = hi + self._mulhi_mq(m) + (lo != 0)
-        return self._csub_into(u, self.q, out=out)
+        return hi + self._mulhi_mq(m) + (lo != 0)
+
+    def _redc(self, hi: np.ndarray, lo: np.ndarray, out=None) -> np.ndarray:
+        """REDC of a (hi, lo) value ``t < q * 2^64``: ``t * 2^-64 mod q``."""
+        return self._csub_into(self._redc_raw(hi, lo), self.q, out=out)
 
     def to_montgomery(self, a: np.ndarray) -> np.ndarray:
         """Map canonical residues into the Montgomery domain (``a * R mod q``)."""
@@ -566,9 +638,12 @@ class MontgomeryKernel(ReducerKernel):
     def pre(self, b) -> np.ndarray:
         return self.to_montgomery(self.xp.asarray(b, dtype=np.uint64))
 
-    def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
+    def mul_pre_raw(self, a: np.ndarray, b_pre: np.ndarray) -> np.ndarray:
         a = self.xp.asarray(a, dtype=np.uint64)
-        return self._redc(*_mul128_41(a, b_pre), out=out)
+        return self._redc_raw(*_mul128_41(a, b_pre))
+
+    def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
+        return self._csub_into(self.mul_pre_raw(a, b_pre), self.q, out=out)
 
 
 # ---------------------------------------------------------------------------

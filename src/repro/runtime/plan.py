@@ -512,8 +512,10 @@ class FusedExecutor:
         self.xp = get_array_namespace(array_backend)
         self._host = self.xp.is_host
         self._basis = plan.evaluator.basis
+        # Key-switch steps run the eager engine's own decomposition and
+        # contraction on host arrays, so they mirror it bit for bit.
+        self._engine = plan.evaluator.keyswitch
         self._dkern_cache: dict[int, object] = {}
-        self._scratch_cache: dict[tuple, object] = {}
         g = plan.graph
         self.groups = fusion_groups(g, plan.hoist)
         by_anchor = {grp.anchor: grp for grp in self.groups}
@@ -697,110 +699,6 @@ class FusedExecutor:
             self._dkern_cache[lvl] = kern
         return kern
 
-    def _scratch(self, tag: str, lvl: int, *, host: bool = False):
-        """A lower-time-allocated ``(lvl, N)`` uint64 work buffer.
-
-        Keyed by (tag, lvl) so independent closures never share a buffer
-        that could still be live; replays reuse the same arrays, keeping
-        the steady state allocation-free.
-        """
-        key = (tag, lvl, host)
-        buf = self._scratch_cache.get(key)
-        if buf is None:
-            shape = (lvl, self._basis.degree)
-            buf = (
-                np.empty(shape, dtype=np.uint64)
-                if host or self._host
-                else self.xp.empty(shape, dtype=np.uint64)
-            )
-            self._scratch_cache[key] = buf
-        return buf
-
-    def _contract(self, kern, tensor, pre, lvl: int, out=None):
-        """``sum_j tensor[j] * key[j] mod q`` — the key-switch inner product
-        as per-digit-row precomputed-constant multiplies with raw uint64
-        accumulation.
-
-        Bit-identical to ``kern.mul_accumulate(tensor, stacked)``: each
-        row product is the same canonical residue whichever multiplication
-        algorithm produced it, the uint64 sum of L canonical terms is far
-        inside the deferred-reduction headroom, and the single final
-        reduce sees the identical accumulator.  Row-sized operands keep
-        every temporary cache-resident, which is where the speedup over
-        one whole-tensor multiply comes from.
-        """
-        acc = self._scratch("ks-acc", lvl, host=True)
-        tmp = self._scratch("ks-tmp", lvl, host=True)
-        # Backend pre-forms may stack extra precomputed pieces ahead of the
-        # value axes (Barrett's Shoup pieces); index rows accordingly.
-        stacked = pre.ndim == tensor.ndim + 1
-        kern.mul_pre(tensor[0], pre[:, 0] if stacked else pre[0], out=acc)
-        for j in range(1, tensor.shape[0]):
-            kern.mul_pre(tensor[j], pre[:, j] if stacked else pre[j], out=tmp)
-            acc += tmp
-        return kern.reduce(acc, out=out)
-
-    def _contract2(
-        self, kern, tensor, b_pre, a_pre, lvl: int, perm=None, out0=None, out1=None
-    ):
-        """Both key-component contractions in one pass over the digit rows.
-
-        Same arithmetic as two :meth:`_contract` calls, but each (possibly
-        permuted) tensor row is gathered once and fed to both component
-        multiplies while cache-hot, and the optional ``perm`` folds the
-        Galois slot permutation into the row loop instead of materializing
-        a permuted copy of the whole tensor.  Permuting row-by-row gathers
-        the identical elements, so the products — and every accumulated
-        bit — match the whole-tensor-permute path exactly.
-        """
-        acc0 = self._scratch("ks-acc0", lvl, host=True)
-        acc1 = self._scratch("ks-acc1", lvl, host=True)
-        tmp = self._scratch("ks-tmp", lvl, host=True)
-        stacked = b_pre.ndim == tensor.ndim + 1
-
-        def _row(pre, j):
-            return pre[:, j] if stacked else pre[j]
-
-        row = tensor[0] if perm is None else tensor[0][:, perm]
-        kern.mul_pre(row, _row(b_pre, 0), out=acc0)
-        kern.mul_pre(row, _row(a_pre, 0), out=acc1)
-        for j in range(1, tensor.shape[0]):
-            row = tensor[j] if perm is None else tensor[j][:, perm]
-            kern.mul_pre(row, _row(b_pre, j), out=tmp)
-            acc0 += tmp
-            kern.mul_pre(row, _row(a_pre, j), out=tmp)
-            acc1 += tmp
-        return kern.reduce(acc0, out=out0), kern.reduce(acc1, out=out1)
-
-    # ------------------------------------------------------------------
-    # Host-staged key-switch core (mirrors KeySwitchEngine bit-for-bit)
-    # ------------------------------------------------------------------
-
-    def _decompose(self, data: np.ndarray, lvl: int) -> np.ndarray:
-        basis = self._basis
-        bat = basis.batch_ntt(lvl)
-        coeff = bat.inverse(data)
-        wide = np.broadcast_to(
-            coeff[:, np.newaxis, :], (lvl, lvl, basis.degree)
-        )
-        return bat.forward(basis.kernel(lvl).reduce(wide))
-
-    def _apply(self, tensor: np.ndarray, key, lvl: int, perm=None, out0=None, out1=None):
-        """Contract a decomposed tensor against one switching key.
-
-        Unlike the eager engine (which pre-forms key tensors only when
-        ``constant_pre_cheap`` holds), the fused replayer always uses
-        :meth:`SwitchingKey.stacked_pre` — the pre-form cost is paid once
-        per (key, backend) and cached on the key, and every replay then
-        runs the cache-friendly per-row contraction (see :meth:`_contract`
-        for the bit-identity argument).
-        """
-        kern = self._basis.kernel(lvl)
-        b_pre, a_pre = key.stacked_pre(kern)
-        return self._contract2(
-            kern, tensor, b_pre, a_pre, lvl, perm=perm, out0=out0, out1=out1
-        )
-
     # ------------------------------------------------------------------
     # Lowering
     # ------------------------------------------------------------------
@@ -844,20 +742,11 @@ class FusedExecutor:
         xp = self.xp
         views = self._views[root.id]
         srcs = grp.sources
-        # Raw uint64 accumulation of canonical terms with one final reduce
-        # is bit-identical to the eager binary add tree (canonical residues
-        # are unique; see ReducerKernel.add_accumulate) as long as the term
-        # count stays inside the deferred-reduction headroom.
-        assert len(srcs) <= dkern._acc_headroom
-        # Shared per-level work buffers: replay is single-threaded and the
-        # accumulator is dead by the end of each group step.
-        acc = self._scratch("grp-acc", lvl)
-        tmp = self._scratch("grp-tmp", lvl)
         if grp.kind == "mac":
             # Per-term precomputed-constant multiplies (Shoup/Montgomery
-            # pre-forms, resolved at lower time) beat one stacked multiply:
-            # same canonical products, but row-sized temporaries stay in
-            # cache and the constant pre-form halves the per-element work.
+            # pre-forms, resolved at lower time), summed unreduced: the
+            # same canonical result as the eager multiply/add tree (see
+            # ReducerKernel.mul_pre_accumulate_rows), one reduce per part.
             m_pre = [
                 dkern.pre(
                     self._dev(
@@ -869,23 +758,31 @@ class FusedExecutor:
                 )
                 for t in grp.payload
             ]
+            budget = dkern.term_budget(dkern.RAW_BOUND)
 
             def mac_step(env, inputs):
-                a_ = acc  # local alias: += must not rebind the closure cell
                 for i, v in enumerate(views):
-                    dkern.mul_pre(env[srcs[0]][i][:lvl], m_pre[0], out=a_)
-                    for t in range(1, len(srcs)):
-                        dkern.mul_pre(env[srcs[t]][i][:lvl], m_pre[t], out=tmp)
-                        a_ += tmp
-                    dkern.reduce(a_, out=v)
+                    rows = (env[s][i][:lvl] for s in srcs)
+                    dkern.mul_pre_accumulate_rows(rows, (m_pre,), (v,), budget)
 
             return mac_step
 
+        # Raw uint64 accumulation of canonical terms with one final reduce
+        # is bit-identical to the eager binary add tree (canonical residues
+        # are unique; see ReducerKernel.add_accumulate); past the term
+        # budget the partial sum is reduced in place and counts as one.
+        chunk = dkern.term_budget() - 1
+        # Allocated once, at lower time: replay is single-threaded and the
+        # accumulator is dead when the step ends.
+        acc = xp.empty((lvl, self._basis.degree), dtype=np.uint64)
+
         def sum_step(env, inputs):
-            a_ = acc
+            a_ = acc  # local alias: += must not rebind the closure cell
             for i, v in enumerate(views):
                 xp.copyto(a_, env[srcs[0]][i][:lvl])
                 for t in range(1, len(srcs)):
+                    if t % chunk == 0:
+                        dkern.reduce(a_, out=a_)
                     a_ += env[srcs[t]][i][:lvl]
                 dkern.reduce(a_, out=v)
 
@@ -907,14 +804,15 @@ class FusedExecutor:
         ]
 
         host = self._host
+        engine = self._engine
 
         def hoisted_step(env, inputs):
             parts = env[src]
             p0 = self._H(parts[0][:lvl])
-            dec = self._decompose(self._H(parts[1][:lvl]), lvl)
+            dec = engine.decompose_rows(self._H(parts[1][:lvl]))
             for perm, key, mviews in members_meta:
                 out1 = mviews[1] if host else None
-                ks0, ks1 = self._apply(dec, key, lvl, perm=perm, out1=out1)
+                ks0, ks1 = engine.contract(dec, key, perm=perm, out1=out1)
                 self._add_into(hkern, p0[:, perm], ks0, mviews[0])
                 if not host:
                     self._S(mviews[1], ks1)
@@ -1027,11 +925,13 @@ class FusedExecutor:
             (a,) = ids
             key = g.consts[node.consts[0]]
             hkern = self._basis.kernel(lvl)
+            engine = self._engine
 
             def relin_step(env, inputs):
                 parts = env[a]
-                dec = self._decompose(self._H(parts[2][:lvl]), lvl)
-                ks0, ks1 = self._apply(dec, key, lvl)
+                ks0, ks1 = engine.contract(
+                    engine.decompose_rows(self._H(parts[2][:lvl])), key
+                )
                 self._add_into(hkern, self._H(parts[0][:lvl]), ks0, views[0])
                 self._add_into(hkern, self._H(parts[1][:lvl]), ks1, views[1])
 
@@ -1061,12 +961,13 @@ class FusedExecutor:
             )
 
             host = self._host
+            engine = self._engine
 
             def galois_step(env, inputs):
                 parts = env[a]
-                dec = self._decompose(self._H(parts[1][:lvl]), lvl)
+                dec = engine.decompose_rows(self._H(parts[1][:lvl]))
                 out1 = views[1] if host else None
-                ks0, ks1 = self._apply(dec, key, lvl, perm=perm, out1=out1)
+                ks0, ks1 = engine.contract(dec, key, perm=perm, out1=out1)
                 c0r = self._H(parts[0][:lvl])[:, perm]
                 self._add_into(hkern, c0r, ks0, views[0])
                 if not host:

@@ -246,6 +246,63 @@ class NttContext:
         return self.inverse(self.pointwise_mul(self.forward(a), self.forward(b)))
 
 
+def _lazy_plans(kernel: ReducerKernel, moduli, stages: int, input_bound: int):
+    """Where the lazy butterflies must renormalize, from the moduli alone.
+
+    Values are tracked as multiples of their own limb's modulus: ``c``
+    means "every value of limb ``i`` is below ``c * q_i``".  A raw product
+    (:meth:`~repro.nums.kernels.ReducerKernel.mul_pre_raw`) takes an
+    operand below ``kernel.raw_operand_limit`` and returns a value below
+    ``B * q`` (``B = RAW_BOUND``); ``reduce`` takes values below ``q^2``.
+    Forward inputs are below ``input_bound`` on every limb; inverse inputs
+    are canonical.
+
+    * Forward (Cooley–Tukey) stage: ``v = raw(x1 * w)``, ``x1 <- u + B*q -
+      v``, ``u <- u + v`` — ``c`` grows by ``B`` per stage, so Barrett
+      (``B = 4``) enters stage ``s`` at ``2 + 4s`` and 36-bit primes need
+      no renormalization up to N = 2^16 (``62 q < 2^42`` at the last
+      stage).
+    * Inverse (Gentleman–Sande) stage: ``u <- u + x1``, ``x1 <- raw((u +
+      c*q - x1) * w)`` — the sums double, ``c <- max(2c, B)``, so a
+      renormalization falls every fifth stage or so; the closing ``1/N``
+      multiply is a canonical product and absorbs the last one.
+
+    Returns ``(forward, inverse)``.  ``forward[s]`` says whether stage
+    ``s`` renormalizes first (the transform always ends on a reduce);
+    ``inverse[s]`` is ``(reduce_first, c)`` with ``c`` the bound entering
+    the stage's butterflies, and one closing entry for the ``1/N``
+    multiply.
+    """
+    bound = kernel.RAW_BOUND
+    q_max, q_min = max(moduli), min(moduli)
+    limit = kernel.raw_operand_limit
+    c_in = -(-input_bound // q_min)
+
+    def fits(c_operand: int, c_stored: int) -> bool:
+        return c_operand * q_max <= limit and c_stored <= q_min
+
+    # From canonical values one stage of either transform must fit, and
+    # the forward input must itself be reducible.
+    if not (c_in <= q_min and fits(1, 1 + bound) and fits(2, max(2, bound))):
+        raise ValueError(
+            f"moduli {q_min}..{q_max} leave no room for lazy butterflies under "
+            f"the {kernel.name} reducer (operands below {limit})"
+        )
+    forward, c = [], c_in
+    for _ in range(stages):
+        first = not fits(c, c + bound)
+        forward.append(first)
+        c = (1 if first else c) + bound
+    inverse, c = [], 1
+    for _ in range(stages):
+        first = not fits(2 * c, max(2 * c, bound))
+        c = 1 if first else c
+        inverse.append((first, c))
+        c = max(2 * c, bound)
+    inverse.append((not fits(c, c), c))
+    return tuple(forward), tuple(inverse)
+
+
 @dataclass(frozen=True)
 class BatchNtt:
     """All limbs of an RNS prefix transformed by broadcast butterfly stages.
@@ -258,8 +315,15 @@ class BatchNtt:
     cache from the first butterfly to the last — the software analogue of
     the accelerator keeping a limb on chip across its pipeline.  A small
     operand is one block, i.e. one numpy dispatch per stage for *all*
-    limbs.  Results are bit-identical to looping
-    :meth:`NttContext.forward` limb by limb.
+    limbs.
+
+    The butterflies are *lazy*: products stay unreduced and sums are not
+    brought back below ``q`` stage by stage; a block is renormalized only
+    where :func:`_lazy_plans` says the next operand would overflow, and
+    once at the end.  Every value stays congruent to the canonical
+    transform's, so results are bit-identical to looping
+    :meth:`NttContext.forward` limb by limb — which stays the canonical
+    reference.
     """
 
     degree: int
@@ -269,6 +333,9 @@ class BatchNtt:
     psi_pre: np.ndarray = field(repr=False, compare=False)
     psi_inv_pre: np.ndarray = field(repr=False, compare=False)
     n_inv_pre: np.ndarray = field(repr=False, compare=False)
+    input_bound: int = field(repr=False, compare=False)
+    _forward_plan: tuple = field(repr=False, compare=False)
+    _inverse_plan: tuple = field(repr=False, compare=False)
     _block_kernels: dict = field(default_factory=dict, repr=False, compare=False)
 
     #: Residue bytes one block of rows may span (``batch x rows x N x 8``).
@@ -288,6 +355,12 @@ class BatchNtt:
         the per-row moduli column ``(L, 1, 1)`` broadcasting against the
         3-D ``(L, m, t)`` stage views; a leading axis (if any) carries the
         backend's precomputed companions (e.g. Barrett's Shoup pieces).
+
+        ``input_bound`` is what :meth:`forward` accepts on every limb:
+        ``max(max q, 2 * min q)`` — any limb's residues (key switching
+        feeds digit ``j``, below ``q_j``, to every limb unreduced) and
+        any once-added pair of one limb's.  The renormalization plans are
+        derived from it here, once; moduli that leave no room raise.
         """
         backend_name = backend or default_backend_name()
         contexts = [NttContext.cached(degree, q, backend_name) for q in moduli]
@@ -296,6 +369,10 @@ class BatchNtt:
         psi = np.stack([c.psi_rev for c in contexts]).reshape(-1, 1, degree)
         psi_inv = np.stack([c.psi_inv_rev for c in contexts]).reshape(-1, 1, degree)
         n_inv = np.array([c.n_inv for c in contexts], dtype=np.uint64).reshape(-1, 1, 1)
+        input_bound = max(max(moduli), 2 * min(moduli))
+        forward_plan, inverse_plan = _lazy_plans(
+            kernel, moduli, ilog2(degree), input_bound
+        )
         return cls(
             degree=degree,
             moduli=tuple(moduli),
@@ -304,6 +381,9 @@ class BatchNtt:
             psi_pre=kernel.pre(psi),
             psi_inv_pre=kernel.pre(psi_inv),
             n_inv_pre=kernel.pre(n_inv),
+            input_bound=input_bound,
+            _forward_plan=forward_plan,
+            _inverse_plan=inverse_plan,
         )
 
     @property
@@ -349,8 +429,8 @@ class BatchNtt:
         key switching's ``(L, L, N)`` matrix of broadcast digits — runs
         through the same per-stage kernel calls as a single polynomial:
         one vectorized dispatch per butterfly stage and block, covering
-        every batch entry's rows of that block.  Every stage maps
-        canonical residues to canonical residues.
+        every batch entry's rows of that block.  Inputs may be anything
+        below :attr:`input_bound`; outputs are canonical.
         """
         shape = self._check(mat)
         lcount, n = self.num_limbs, self.degree
@@ -358,40 +438,55 @@ class BatchNtt:
         batch = a.shape[0]
         for rows, kern in self._blocks(batch):
             psi = self.psi_pre[..., None, rows, 0, :]
+            block = a[:, rows, None, :]
+            bq = kern.q * np.uint64(kern.RAW_BOUND)
             m = 1
             t = n
-            while m < n:
+            for reduce_first in self._forward_plan:
+                if reduce_first:
+                    kern.reduce(block, out=block)
                 t //= 2
                 view = a.reshape(batch, lcount, m, 2, t)[:, rows]
                 w = psi[..., m : 2 * m, None]
                 for u, x1 in self._halves(view):
-                    v = kern.mul_pre(x1, w)
-                    kern.sub(u, v, out=x1)
-                    kern.add(u, v, out=u)
+                    v = kern.mul_pre_raw(x1, w)
+                    np.add(u, bq, out=x1)
+                    x1 -= v
+                    u += v
                 m *= 2
+            kern.reduce(block, out=block)
         return a.reshape(shape)
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
-        """``(..., L, N)`` evaluation rows -> coefficient rows (scaled 1/N)."""
+        """``(..., L, N)`` evaluation rows -> coefficient rows (scaled 1/N).
+
+        Inputs are canonical residues; so are the outputs.
+        """
         shape = self._check(mat)
         lcount, n = self.num_limbs, self.degree
         a = mat.astype(np.uint64, copy=True).reshape(-1, lcount, n)
         batch = a.shape[0]
         for rows, kern in self._blocks(batch):
             psi_inv = self.psi_inv_pre[..., None, rows, 0, :]
+            block = a[:, rows, None, :]
             t = 1
             m = n
-            while m > 1:
+            for reduce_first, c in self._inverse_plan[:-1]:
+                if reduce_first:
+                    kern.reduce(block, out=block)
                 h = m // 2
                 view = a.reshape(batch, lcount, h, 2, t)[:, rows]
                 w = psi_inv[..., h : 2 * h, None]
+                cq = kern.q * np.uint64(c)
                 for u, x1 in self._halves(view):
-                    diff = kern.sub(u, x1)
-                    kern.add(u, x1, out=u)
-                    kern.mul_pre(diff, w, out=x1)
+                    diff = u + cq
+                    diff -= x1
+                    u += x1
+                    x1[...] = kern.mul_pre_raw(diff, w)
                 t *= 2
                 m = h
-            block = a[:, rows, None, :]
+            if self._inverse_plan[-1][0]:
+                kern.reduce(block, out=block)
             kern.mul_pre(block, self.n_inv_pre[..., rows, :, :], out=block)
         return a.reshape(shape)
 

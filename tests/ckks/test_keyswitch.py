@@ -80,6 +80,40 @@ class TestBatchedSwitch:
         assert len(calls) == 1  # no stray per-digit dispatches
 
 
+class TestContraction:
+    """The one row-loop contraction eager ``apply`` and fused replay share."""
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("galois_elt", [None, 5, 2 * DEGREE - 1])
+    def test_matches_whole_tensor_accumulate(self, kctx, msg, backend, galois_elt):
+        key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
+        poly = kctx.encrypt(msg).parts[1]
+        perm = None if galois_elt is None else galois_permutation(DEGREE, galois_elt)
+        with using_backend(backend):
+            engine = kctx.evaluator.keyswitch
+            tensor = engine.decompose(poly).tensor
+            out1 = np.empty((NUM_PRIMES, DEGREE), dtype=np.uint64)
+            got0, got1 = engine.contract(tensor, key, perm=perm, out1=out1)
+            kern = kctx.basis.kernel(NUM_PRIMES)
+            moved = tensor if perm is None else tensor[:, :, perm]
+            want0, want1 = (kern.mul_accumulate(moved, k) for k in key.stacked())
+        assert got1 is out1
+        assert np.array_equal(got0, want0)
+        assert np.array_equal(got1, want1)
+
+    def test_key_holds_its_residues_once(self, kctx):
+        """Once stacked, ``pairs`` are row views of the stacked tensors."""
+        key = kctx.keygen.gen_switching_key(
+            kctx.secret_key, kctx.secret_key.poly, NUM_PRIMES, b"views"
+        )
+        before = [(b.data.copy(), a.data.copy()) for b, a in key.pairs]
+        b_stack, a_stack = key.stacked()
+        for j, ((b_j, a_j), (b_was, a_was)) in enumerate(zip(key.pairs, before)):
+            assert np.shares_memory(b_j.data, b_stack) and np.shares_memory(a_j.data, a_stack)
+            assert np.array_equal(b_j.data, b_was) and np.array_equal(a_j.data, a_was)
+            assert b_j.domain == a_j.domain == "eval"
+
+
 class TestHoistedRotations:
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_hoisted_bit_identical_to_unhoisted(self, kctx, msg, backend):

@@ -73,6 +73,49 @@ class TestMatVec:
             lt.apply(lctx.encrypt(np.ones(n)), gk)  # ct at level 6
 
 
+class TestSplit:
+    """The baby/giant split: hoisting makes baby steps the cheap ones, so
+    the default rounds their count up to a power of two."""
+
+    @pytest.mark.parametrize("slots, baby", [(128, 16), (512, 32), (2048, 64)])
+    def test_default_is_power_of_two_at_or_above_sqrt(self, slots, baby):
+        ctx = CkksContext.create(toy_params(degree=2 * slots, num_primes=2), seed=3)
+        lt = HomomorphicLinearTransform(ctx, np.eye(slots), level=2)
+        assert lt.baby_steps == baby
+        assert (baby // 2) ** 2 < slots <= baby**2
+
+    def test_dense_512_needs_the_same_46_keys(self):
+        ctx = CkksContext.create(toy_params(degree=1024, num_primes=2), seed=3)
+        dense = np.ones((512, 512))
+        default = HomomorphicLinearTransform(ctx, dense, level=2)
+        before = HomomorphicLinearTransform(ctx, dense, level=2, baby_steps=16)
+        assert len(default.required_rotations()) == 31 + 15
+        assert len(before.required_rotations()) == 15 + 31
+
+    @pytest.mark.parametrize("baby_steps", [16, 32, 64])
+    @pytest.mark.parametrize("banded", [False, True], ids=["dense", "banded"])
+    def test_fused_interpreter_and_numpy_agree(self, lctx, baby_steps, banded):
+        n = lctx.params.slots
+        rng = np.random.default_rng(8)
+        m = 0.2 * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        if banded:  # keep diagonals 0-2, 17, 40-41: most (g, j) pairs missing
+            offset = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+            m = np.where(np.isin(offset, [0, 1, 2, 17, 40, 41]), m, 0)
+        x = rng.normal(size=n) + 1j * rng.normal(size=n)
+        lt = HomomorphicLinearTransform(lctx, m, level=6, baby_steps=baby_steps)
+        assert len(lt._nonzero) == (6 if banded else n)
+        gk = lctx.galois_keys(lt.required_rotations(), levels=[6])
+        ct = lctx.encrypt(x)
+        plan = lt.plan_for(ct.scale, gk)
+        (interp,) = plan.run([ct])
+        ((fused,),) = plan.run_batch([[ct]], fused=True)
+        assert fused.scale == interp.scale
+        for f, i in zip(fused.parts, interp.parts):
+            assert np.array_equal(f.data, i.data)
+        got = lctx.decrypt_decode(lctx.evaluator.rescale(fused, times=2))
+        assert np.max(np.abs(got - m @ x)) < 1e-5
+
+
 class TestConjugation:
     def test_conjugate_slots(self, lctx):
         n = lctx.params.slots

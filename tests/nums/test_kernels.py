@@ -234,9 +234,8 @@ class TestMulAccumulate:
         kern = make_kernel(prime, backend)
         a = rng.integers(0, prime, (5, 64)).astype(np.uint64)
         b = rng.integers(0, prime, (5, 64)).astype(np.uint64)
-        assert np.array_equal(
-            kern.mul_pre_accumulate(a, kern.pre(b)), kern.mul_accumulate(a, b)
-        )
+        (got,) = kern.mul_pre_accumulate_rows(a, ([kern.pre(row) for row in b],))
+        assert np.array_equal(got, kern.mul_accumulate(a, b))
 
     def test_bit_identical_across_backends(self, prime, rng):
         a = rng.integers(0, prime, (6, 32)).astype(np.uint64)
@@ -253,3 +252,94 @@ class TestMulAccumulate:
         a = np.full((9, 4), prime - 1, dtype=np.uint64)
         expected = (9 * (prime - 1) * (prime - 1)) % prime
         assert kern.mul_accumulate(a, a).tolist() == [[expected] * 4][0]
+
+
+# 36 bits is the paper's width; 37 is the first where a sum of raw terms
+# no longer fits the bounds by the 36-bit margin alone.
+RAW_PRIMES = tuple(find_primes(bw, 1 << 12, max_count=1)[0].value for bw in (36, 37))
+
+
+def _operands(q: int, top: int):
+    """Residue-like operands: the edges 0, 1, q-1, and uniform below ``top``."""
+    return st.lists(
+        st.one_of(st.sampled_from([0, 1, q - 1]), st.integers(0, top - 1)),
+        min_size=1,
+        max_size=12,
+    )
+
+
+class TestRawProduct:
+    """``mul_pre_raw`` is ``mul`` short of its conditional subtracts:
+    congruent to the product, below ``RAW_BOUND * q``."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_congruent_and_bounded(self, data):
+        q = data.draw(st.sampled_from(RAW_PRIMES))
+        kern = kernel_for_modulus(q, data.draw(st.sampled_from(BACKENDS)))
+        # The multiplier is a canonical constant; the operand may be any
+        # lazily accumulated value below the kernel's operand limit.
+        wide = data.draw(st.booleans())
+        a = data.draw(_operands(q, kern.raw_operand_limit if wide else q))
+        b = data.draw(st.lists(st.integers(0, q - 1), min_size=len(a), max_size=len(a)))
+        a_arr, b_arr = np.array(a, dtype=np.uint64), np.array(b, dtype=np.uint64)
+        raw = kern.mul_pre_raw(a_arr, kern.pre(b_arr))
+        assert [int(r) % q for r in raw] == [x * y % q for x, y in zip(a, b)]
+        assert all(int(r) < kern.RAW_BOUND * q for r in raw)
+        if not wide:
+            assert kern.reduce(raw).tolist() == kern.mul(a_arr, b_arr).tolist()
+
+    def test_worst_case_operand(self, backend):
+        """The largest operand against the largest multiplier."""
+        for q in (*RAW_PRIMES, PRIMES[41]):
+            kern = make_kernel(q, backend)
+            top = kern.raw_operand_limit - 1
+            raw = kern.mul_pre_raw(
+                np.array([top, top], dtype=np.uint64),
+                kern.pre(np.array([q - 1, 1], dtype=np.uint64)),
+            )
+            assert [int(r) % q for r in raw] == [top * (q - 1) % q, top % q]
+            assert all(int(r) < kern.RAW_BOUND * q for r in raw)
+
+    def test_bounds_per_backend(self):
+        bounds = {name: get_backend(name).RAW_BOUND for name in BACKENDS}
+        assert bounds == {"generic-split": 1, "montgomery": 2, "barrett": 4}
+
+
+class TestRowAccumulate:
+    """The row-loop MAC on raw products: key switching's contraction and
+    the fused plaintext MAC."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_matches_stacked_accumulate(self, data):
+        q = data.draw(st.sampled_from(RAW_PRIMES))
+        kern = kernel_for_modulus(q, data.draw(st.sampled_from(BACKENDS)))
+        terms = data.draw(st.integers(1, 9))
+        # A budget below the term count exercises the partial reduces.
+        budget = data.draw(st.sampled_from([None, 2, 3, 4]))
+        row = _operands(q, q).map(lambda r: (r * 4)[:4])  # four columns
+        draw_rows = st.lists(row, min_size=terms, max_size=terms)
+        a = np.array(data.draw(draw_rows), dtype=np.uint64)
+        b0 = np.array(data.draw(draw_rows), dtype=np.uint64)
+        b1 = np.array(data.draw(draw_rows), dtype=np.uint64)
+        pres = [[kern.pre(row) for row in b] for b in (b0, b1)]
+        got0, got1 = kern.mul_pre_accumulate_rows(iter(a), pres, budget=budget)
+        assert np.array_equal(got0, kern.mul_accumulate(a, b0))
+        assert np.array_equal(got1, kern.mul_accumulate(a, b1))
+
+    def test_all_q_minus_one_past_the_budget(self, backend):
+        q = RAW_PRIMES[1]
+        kern = make_kernel(q, backend)
+        a = np.full((11, 3), q - 1, dtype=np.uint64)
+        out = np.empty(3, dtype=np.uint64)
+        (got,) = kern.mul_pre_accumulate_rows(a, ([kern.pre(r) for r in a],), (out,), 2)
+        assert got is out
+        assert out.tolist() == [11 * (q - 1) * (q - 1) % q] * 3
+
+    def test_term_budget(self, backend):
+        kern = make_kernel(PRIMES[36], backend)
+        assert kern.term_budget() == kern._acc_headroom
+        assert kern.term_budget(4) == kern._acc_headroom // 4 >= 1 << 20
+        with pytest.raises(ValueError, match="too small for deferred"):
+            make_kernel(5, backend).term_budget(4)

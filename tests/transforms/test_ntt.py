@@ -214,6 +214,77 @@ class TestBatchedTensors:
         for c, row_in, row_out in zip(contexts, tensor[0], got[0]):
             assert np.array_equal(c.inverse(row_out), row_in)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from(available_backends()),
+        st.sampled_from([16, 64]),
+        st.integers(min_value=1, max_value=5),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_forward_takes_unreduced_input(self, backend, n, limbs, seed):
+        """Anything below ``input_bound`` — another limb's residues, a
+        once-added pair — transforms to the bytes of its canonical value."""
+        from repro.transforms.ntt import BatchNtt
+
+        moduli = LIMB_PRIMES[:limbs]
+        bn = BatchNtt.create(n, moduli, backend=backend)
+        assert bn.input_bound >= max(max(moduli), 2 * min(moduli))
+        rng = np.random.default_rng(seed)
+        tensor = rng.integers(0, bn.input_bound, (3, limbs, n), dtype=np.uint64)
+        tensor[1] = bn.input_bound - 1
+        tensor[2] = np.array(moduli, dtype=np.uint64).reshape(-1, 1) - np.uint64(1)
+        contexts = [NttContext.cached(n, q, backend) for q in moduli]
+        want = np.stack(
+            [
+                np.stack([c.forward(row) for c, row in zip(contexts, matrix)])
+                for matrix in tensor
+            ]
+        )
+        assert np.array_equal(bn.forward(tensor), want)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_growth_bound_worst_case_at_paper_degree(self, backend):
+        """All-(q-1) and all-(bound-1) rows at N = 2^16: sixteen stages of
+        the largest values the lazy butterflies can be handed."""
+        from repro.transforms.ntt import BatchNtt
+
+        n = 1 << 16
+        moduli = tuple(p.value for p in find_primes(36, n, max_count=2))
+        bn = BatchNtt.create(n, moduli, backend=backend)
+        q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        top = np.broadcast_to(q_col - np.uint64(1), (2, n))
+        wide = np.full((2, n), bn.input_bound - 1, dtype=np.uint64)
+        contexts = [NttContext.cached(n, q, backend) for q in moduli]
+        for rows in (top, wide):
+            want = np.stack([c.forward(r) for c, r in zip(contexts, rows)])
+            assert np.array_equal(bn.forward(rows), want)
+        want = np.stack([c.inverse(r) for c, r in zip(contexts, top)])
+        assert np.array_equal(bn.inverse(top), want)
+
+    def test_renormalization_plan_follows_the_moduli(self):
+        from repro.transforms.ntt import BatchNtt
+
+        # 36-bit primes under Barrett: 2 + 4 * 15 = 62 < 64 = 2^42 / 2^36,
+        # so sixteen forward stages never renormalize; the inverse's sums
+        # double and do, every fifth stage.
+        paper = BatchNtt.create(1 << 16, (find_primes(36, 1 << 16)[0].value,), "barrett")
+        assert not any(paper._forward_plan)
+        assert [s for s, (first, _) in enumerate(paper._inverse_plan) if first] == [5, 10, 15]
+        # A mixed toy chain has no such room (limb 0 must stay below 17^2
+        # while holding limb 1's residues) and still transforms exactly.
+        toy = BatchNtt.create(8, (17, 97), "barrett")
+        assert any(toy._forward_plan)
+        refs = [NttContext.cached(8, q, "barrett") for q in (17, 97)]
+        x = np.full((2, 8), toy.input_bound - 1, dtype=np.uint64)
+        want = np.stack([c.forward(row) for c, row in zip(refs, x)])
+        assert np.array_equal(toy.forward(x), want)
+        assert np.array_equal(toy.inverse(want), x % np.array([[17], [97]], dtype=np.uint64))
+        # generic-split's 18-bit split cannot take an unreduced 41-bit operand.
+        wide = find_primes(41, 64, max_count=1)[0].value
+        BatchNtt.create(64, (wide,), "barrett")
+        with pytest.raises(ValueError, match="no room for lazy butterflies"):
+            BatchNtt.create(64, (wide,), "generic-split")
+
     def test_bad_trailing_shape_rejected(self):
         from repro.transforms.ntt import BatchNtt
 
