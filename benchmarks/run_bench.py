@@ -8,8 +8,8 @@ Seven sections, selectable with ``--sections``:
   rotation plain/hoisted, BSGS, a bootstrap step) against the pre-PR
   reference paths, written to ``BENCH_keyswitch.json``;
 * ``runtime`` — eager one-op-at-a-time dispatch vs. a compiled
-  ``ExecutionPlan`` vs. batched plan replay, written to
-  ``BENCH_runtime.json``;
+  ``ExecutionPlan`` through the interpreter vs. fused plan replay,
+  written to ``BENCH_runtime.json``;
 * ``serving`` — the multi-process serving engine: 1/2/4-worker sharded
   ``run_batch`` scaling and streaming vs. materialized-batch latency,
   with each request charged a client-link transfer delay derived from
@@ -245,11 +245,11 @@ def bench_bsgs(ctx, repeats: int) -> dict:
     }
 
 
-RUNTIME_BATCH = 8  # ciphertexts replayed per cached plan in the batched bench
+RUNTIME_BATCH = 8  # ciphertexts replayed per cached plan in the fused bench
 
 
 def bench_runtime(ctx, repeats: int) -> tuple[dict, dict]:
-    """Eager vs. planned vs. batched vs. fused plan replay (runtime PRs).
+    """Eager vs. planned (interpreter) vs. fused plan replay.
 
     Returns ``(timings, fused_stats)`` — the second dict holds each
     plan's :meth:`ExecutionPlan.stats` payload (arena slots/bytes, fused
@@ -270,7 +270,6 @@ def bench_runtime(ctx, repeats: int) -> tuple[dict, dict]:
     batch = [[ctx.encrypt(rng.uniform(-1, 1, slots))] for _ in range(RUNTIME_BATCH)]
     plan = hlt.plan_for(ct.scale, gks)
     plan.run([ct])  # compile + warm every cache outside the timed region
-    plan.run_batch(batch[:1])
     # Fused warm is the expensive one: arena layout, fused closures, and
     # the per-key pre-formed tensors (SwitchingKey.stacked_pre) all build
     # here, once, so the timed region measures steady-state replay.
@@ -279,10 +278,6 @@ def bench_runtime(ctx, repeats: int) -> tuple[dict, dict]:
         lambda: hlt.emit(ctx.evaluator, ct, gks), repeats
     )
     results["bsgs_planned"] = _time(lambda: hlt.apply(ct, gks), repeats)
-    per_batch = _time(lambda: plan.run_batch(batch), repeats)
-    results["bsgs_batched_replay_per_ct"] = {
-        k: v / RUNTIME_BATCH for k, v in per_batch.items()
-    }
     per_batch = _time(lambda: plan.run_batch(batch, fused=True), repeats)
     results["bsgs_fused_replay_per_ct"] = {
         k: v / RUNTIME_BATCH for k, v in per_batch.items()
@@ -314,10 +309,6 @@ def bench_runtime(ctx, repeats: int) -> tuple[dict, dict]:
         lambda: poly3(ctx.evaluator, ct), repeats
     )
     results["poly3_planned"] = _time(lambda: pplan.run([ct]), repeats)
-    per_batch = _time(lambda: pplan.run_batch(batch), repeats)
-    results["poly3_batched_replay_per_ct"] = {
-        k: v / RUNTIME_BATCH for k, v in per_batch.items()
-    }
     per_batch = _time(lambda: pplan.run_batch(batch, fused=True), repeats)
     results["poly3_fused_replay_per_ct"] = {
         k: v / RUNTIME_BATCH for k, v in per_batch.items()
@@ -483,8 +474,8 @@ def bench_serving(
     (upload at the input level, download at the output level) over a
     ``link_mbps`` client link, slept inside the worker — so the pool's
     ability to hide client-link latency behind computation is measured,
-    not assumed.  Sharded outputs are asserted bit-identical to the
-    single-process batched executor on every pool size.
+    not assumed.  Sharded outputs are asserted bit-identical to
+    single-process ``plan.run_batch`` on every pool size.
     """
     rng = np.random.default_rng(41)
     slots = ctx.params.slots
@@ -509,7 +500,9 @@ def bench_serving(
     throughput: dict[int, float] = {}
     for w in workers:
         with ShardedExecutor(
-            plan, w, modeled_request_io_s=io_s, warm_inputs=batches[0]
+            plan,
+            config=ServingConfig(num_workers=w, modeled_request_io_s=io_s),
+            warm_inputs=batches[0],
         ) as pool:
             sharded = pool.run_batch(batches, timeout=600)
             _assert_bit_identical(sharded, reference, f"sharded w={w}")
@@ -534,7 +527,9 @@ def bench_serving(
         return ctx.decrypt_decode(outputs[0]).real
 
     with ShardedExecutor(
-        plan, w_max, modeled_request_io_s=io_s, warm_inputs=batches[0]
+        plan,
+        config=ServingConfig(num_workers=w_max, modeled_request_io_s=io_s),
+        warm_inputs=batches[0],
     ) as pool:
 
         def materialized_pipeline():
@@ -547,9 +542,13 @@ def bench_serving(
 
     async def run_stream():
         pool = ShardedExecutor(
-            plan, w_max, modeled_request_io_s=io_s, warm_inputs=batches[0]
+            plan,
+            config=ServingConfig(num_workers=w_max, modeled_request_io_s=io_s),
+            warm_inputs=batches[0],
         )
-        async with StreamingServer(pool, max_pending=2 * w_max) as server:
+        async with StreamingServer(
+            pool, config=ServingConfig(max_pending=2 * w_max)
+        ) as server:
             await server.serve(features, encrypt=encrypt, decrypt=decrypt)
             return server.stats()
 
@@ -935,10 +934,12 @@ def bench_chaos(
         )
         with ShardedExecutor(
             plan,
-            workers,
-            chaos=chaos,
-            policy=policy,
-            max_crash_respawns=10_000,
+            config=ServingConfig(
+                num_workers=workers,
+                chaos=chaos,
+                fault_policy=policy,
+                max_crash_respawns=10_000,
+            ),
             warm_inputs=batches[0],
         ) as pool:
             t0 = time.perf_counter()
@@ -1353,16 +1354,10 @@ def main(argv: list[str] | None = None) -> int:
 
         rt_speedups = {
             "bsgs_planned": rt_ratio("bsgs_eager_dispatch", "bsgs_planned"),
-            "bsgs_batched_replay": rt_ratio(
-                "bsgs_eager_dispatch", "bsgs_batched_replay_per_ct"
-            ),
             "bsgs_fused_replay": rt_ratio(
                 "bsgs_eager_dispatch", "bsgs_fused_replay_per_ct"
             ),
             "poly3_planned": rt_ratio("poly3_eager_dispatch", "poly3_planned"),
-            "poly3_batched_replay": rt_ratio(
-                "poly3_eager_dispatch", "poly3_batched_replay_per_ct"
-            ),
             "poly3_fused_replay": rt_ratio(
                 "poly3_eager_dispatch", "poly3_fused_replay_per_ct"
             ),

@@ -33,6 +33,7 @@ from repro.ckks import CkksContext, toy_params
 from repro.runtime import (
     CtSpec,
     PlanStore,
+    ServingConfig,
     ShardedExecutor,
     clear_plan_cache,
     compile_fn,
@@ -90,7 +91,9 @@ def main() -> None:
                          "load_path (no trace)")
 
         # --- 4. serve with workers that deserialize the shipped plan
-        with ShardedExecutor(plan, 2, ship_plan=True) as pool:
+        with ShardedExecutor(
+            plan, config=ServingConfig(num_workers=2, ship_plan=True)
+        ) as pool:
             shipped = pool.run_batch(requests, timeout=120)
             assert pool.stats()["plan_wire"] or pool.stats()["inline"]
         for i, (got, want) in enumerate(zip(shipped, reference)):

@@ -44,10 +44,10 @@ from repro.runtime import (
 
 NUM_CLIENTS = 4
 # ship_plan: workers rebuild the plan from its EPL1 bytes instead of
-# inheriting the compiled object through fork.  fused: each worker
-# replays through the arena-backed fused executor — same bits, fewer
+# inheriting the compiled object through fork, and replay it through the
+# arena-backed fused executor (the default) — same bits as eager, fewer
 # dispatches.  max_pending bounds the streaming admission queue.
-SERVING = ServingConfig(num_workers=2, max_pending=3, ship_plan=True, fused=True)
+SERVING = ServingConfig(num_workers=2, max_pending=3, ship_plan=True)
 
 
 def server_side_model(ev, ct, ctx, weights1, bias1, weights2, relin_keys):
@@ -92,7 +92,7 @@ def main() -> None:
     )
     print(plan.summary())
     fstats = plan.stats()
-    print(f"  fused replay: {fstats['dispatch_count_batched']} node dispatches -> "
+    print(f"  fused replay: {fstats['nodes']} node dispatches -> "
           f"{fstats['dispatch_count_fused']} fused "
           f"({fstats['fused_groups']} groups covering "
           f"{fstats['fused_nodes']} nodes); arena {fstats['arena_slots']} slots, "

@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Fused-replay parity smoke: eager vs. fused bits under every backend.
+"""Fused-replay parity smoke: eager / interpreter / fused bits, every backend.
 
 The acceptance loop for the fused plan replayer, run by CI:
 
@@ -7,8 +7,8 @@ The acceptance loop for the fused plan replayer, run by CI:
    montgomery), run a rotate + MAC + multiply/relin/rescale program and
    a dense BSGS linear transform (default split: hoisted baby rotations,
    giant rotations, one long plaintext MAC per giant step) eagerly,
-   through the batched replayer, and through the arena-backed fused
-   replayer — all three must agree byte-for-byte;
+   through the reference interpreter, and through the arena-backed
+   fused replayer — all three must agree byte-for-byte;
 2. replay the same plan through a numpy-backed *stub* array namespace
    registered under a non-default name, which drives the fused
    executor's host-staging branches (the exact path a GPU namespace
@@ -97,9 +97,8 @@ def _run_one(backend: str, degree: int, primes: int, array_backends) -> None:
         for name, fn in (("program", program), ("bsgs", bsgs)):
             eager = fn(ctx.evaluator, ct)
             plan = compile_fn(fn, ctx.evaluator, [spec])
-            (batched,) = plan.run_batch([[ct]])
-            for want, got in zip(eager, batched):
-                _assert_same(f"{backend}/{name}/batched", want, got)
+            for want, got in zip(eager, plan.run([ct])):
+                _assert_same(f"{backend}/{name}/interpreter", want, got)
 
             for array_backend in array_backends:
                 (fused,) = plan.run_batch(
@@ -111,7 +110,7 @@ def _run_one(backend: str, degree: int, primes: int, array_backends) -> None:
                 stats = plan.stats()
                 print(
                     f"  {tag}: OK "
-                    f"({stats['dispatch_count_batched']} -> "
+                    f"({stats['nodes']} -> "
                     f"{stats['dispatch_count_fused']} dispatches, "
                     f"arena {stats['arena_slots']} slots)"
                 )

@@ -21,12 +21,13 @@ subexpressions and dead nodes, fuse rescale chains, group hoistable
 rotations, and validate level/scale alignment at plan time
 (:mod:`repro.runtime.passes`); the resulting
 :class:`~repro.runtime.plan.ExecutionPlan` is cached process-wide and
-executed by a bit-identical reference interpreter, a batched replayer, or
-the fused replayer (``plan.run_batch(..., fused=True)``) — an
-arena-backed :class:`~repro.runtime.plan.FusedExecutor` that preassigns
-every intermediate to a slot in one preallocated pool and collapses
-elementwise/MAC/hoisted-rotation runs into single kernel dispatches,
-optionally on a non-numpy array namespace (:mod:`repro.nums.backend`);
+executed two ways: ``plan.run`` is the bit-identical reference
+interpreter (the oracle), and ``plan.run_batch`` is the fused replayer —
+an arena-backed :class:`~repro.runtime.plan.FusedExecutor` that
+preassigns every intermediate to a slot in one preallocated pool and
+collapses elementwise/MAC/hoisted-rotation runs into single kernel
+dispatches, optionally on a non-numpy array namespace
+(:mod:`repro.nums.backend`);
 :mod:`repro.runtime.bridge` converts traced plans into accelerator
 workload/queue form for scheduler experiments.
 
@@ -54,7 +55,7 @@ versioned ``EPL1`` wire format (constants deduplicated by content
 fingerprint, shipped inline or as a separate ``PCS1`` payload), a
 :class:`~repro.runtime.plan_io.PlanStore` directory backs the plan cache
 across processes (:func:`~repro.runtime.plan.set_plan_store`), and
-``ShardedExecutor(ship_plan=True)`` sends the serialized plan to each
+``ServingConfig(ship_plan=True)`` sends the serialized plan to each
 worker instead of relying on fork-shared state.  See
 ``docs/architecture.md`` for the layer map and ``docs/formats.md`` for
 the wire formats.

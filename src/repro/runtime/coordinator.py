@@ -810,7 +810,6 @@ class _HostHandle:
         self._transport_ref = weakref.ref(transport)
         # Per-transport immutables, snapshotted so the pump threads and
         # teardown never need the transport object itself.
-        self.batch_messages = transport.batch_messages
         self._slot_ids = transport._slot_ids
         self._authkey = transport._authkey
         self.host_id = host_id
@@ -922,17 +921,10 @@ class _HostHandle:
             return
         try:
             with self.send_lock:
-                if self.batch_messages:
-                    send_session_frame(
-                        self.sock, SESSION_BATCH_MAGIC, encode_batch(items)
-                    )
-                    self.frames_sent += 1
-                else:
-                    for entry in items:
-                        send_session_frame(
-                            self.sock, SESSION_BATCH_MAGIC, encode_batch([entry])
-                        )
-                        self.frames_sent += 1
+                send_session_frame(
+                    self.sock, SESSION_BATCH_MAGIC, encode_batch(items)
+                )
+                self.frames_sent += 1
                 self.messages_sent += len(items)
         except (OSError, BrokenPipeError):
             self._mark_dead()
@@ -1100,7 +1092,6 @@ class TcpTransport:
         plan_blob: bytes | None = None,
         signature: str = "",
         hosts=1,
-        batch_messages: bool = True,
         chaos=None,
         authkey: bytes | None = None,
     ) -> None:
@@ -1114,7 +1105,6 @@ class TcpTransport:
         self.plan_blob = plan_blob
         self.signature = signature or getattr(plan, "signature", "")
         self.num_hosts = num_hosts
-        self.batch_messages = batch_messages
         self.chaos = chaos
         if any(s is not None for s in self._host_specs):
             if authkey is None:
@@ -1328,5 +1318,4 @@ class TcpTransport:
             "messages_sent": sum(
                 h.messages_sent for h in self._hosts if h is not None
             ),
-            "batch_messages": self.batch_messages,
         }

@@ -2,14 +2,14 @@
 
 :class:`ShardedExecutor` scales :meth:`ExecutionPlan.run_batch` past one
 core.  Compiled plans are immutable, evaluation keys are read-only, and
-every process-level cache (lowered closures, stacked key tensors, NTT
+every process-level cache (the fused replayer, stacked key tensors, NTT
 twiddle pre-forms, Galois permutation tables) is warmed *before* the pool
 starts — so forked workers inherit all of it copy-on-write and execute
 with zero per-process recompilation.  Only the per-request ciphertexts
 move between processes, through the exact wire formats of
 :mod:`repro.ckks.serialization` (packed at :func:`wire_coeff_bits`, with
 raw-double scales, so a round trip is bit-exact and sharded output is
-bit-identical to the single-process batched executor).  Every blob is
+bit-identical to single-process ``plan.run_batch``).  Every blob is
 wrapped in a CRC-guarded ``ENV1`` envelope frame at the boundary, so a
 flipped byte anywhere in transit is *detected* — and surfaces as a typed
 per-request :class:`~repro.runtime.faults.WireCorruption`, never as a
@@ -38,7 +38,7 @@ worker deserializes its own copy from bytes — no reliance on fork-shared
 plan state, exactly what a cross-machine pool will do.  Outputs are
 byte-identical either way (pinned in
 ``tests/integration/test_backend_identity.py``); the warm-fork default
-stays cheaper on one host because workers inherit the lowered closures
+stays cheaper on one host because workers inherit the fused replayer
 and stacked key tensors copy-on-write instead of rebuilding them.
 
 Topology: one duplex pipe per worker, at most one request in flight per
@@ -114,7 +114,7 @@ from repro.runtime.faults import (
     serialize_fault,
 )
 from repro.runtime.plan import ExecutionPlan
-from repro.runtime.serving import ServingConfig, config_from_legacy_kwargs
+from repro.runtime.serving import ServingConfig
 from repro.runtime.telemetry import (
     WorkerSpanRecorder,
     deserialize_trace_frame,
@@ -174,10 +174,14 @@ class _WorkerConfig:
 def _wire_worker_loop(plan_blob: bytes, evaluator, conn, cfg: _WorkerConfig) -> None:
     """Child process body for the shipped-plan path: rebuild the plan
     from its EPL1 bytes (constants resolved from the inline PCS1
-    payload, no re-trace, no fork-shared plan state), then serve."""
+    payload, no re-trace, no fork-shared plan state), then serve.  The
+    fused replayer is lowered here, before the first request arrives, so
+    no request pays lowering inside its deadline or ``evaluate`` span."""
     from repro.runtime.plan_io import deserialize_plan
 
     plan = deserialize_plan(plan_blob, evaluator)
+    if cfg.fused:
+        plan.fused()
     _worker_loop(plan, conn, cfg)
 
 
@@ -401,11 +405,11 @@ class ShardedExecutor:
         chaos: optional :class:`~repro.runtime.chaos.FaultPlan` consulted
             at the documented hook points for deterministic fault
             injection (tests/benches only; ``None`` in production).
-        fused: route every replay through the arena-backed
-            :class:`~repro.runtime.plan.FusedExecutor` instead of the
-            batched interpreter.  Output bits are identical either way;
-            the fused warm (arena + key pre-forms) happens in the parent
-            before the first fork so workers inherit it copy-on-write.
+        fused: replay through the arena-backed
+            :class:`~repro.runtime.plan.FusedExecutor` (``False``: the
+            reference interpreter; same bits).  The fused warm (arena +
+            key pre-forms) happens in the parent before the first fork
+            so workers inherit it copy-on-write.
     """
 
     def __init__(
@@ -415,24 +419,14 @@ class ShardedExecutor:
         *,
         config: ServingConfig | None = None,
         warm_inputs=None,
-        **legacy,
     ) -> None:
-        # Preferred surface: ``ShardedExecutor(plan, config=ServingConfig(...))``.
-        # The historical keyword sprawl (ship_plan/fused/policy/chaos/...)
-        # still works for one release behind a DeprecationWarning; the
-        # positional pool size alone stays silent.
-        cfg = config_from_legacy_kwargs(config, legacy, caller="ShardedExecutor")
-        if legacy:
-            raise TypeError(
-                f"ShardedExecutor got unexpected keyword(s) {sorted(legacy)}"
-            )
+        # A bare positional pool size is ServingConfig(num_workers=...).
+        cfg = config if config is not None else ServingConfig()
         if num_workers is not None:
             if config is not None:
                 raise TypeError(
                     "pass the pool size inside ServingConfig when using config="
                 )
-            if num_workers < 0:
-                raise ValueError("num_workers must be >= 0")
             cfg = cfg.replace(num_workers=num_workers)
         self.config = cfg
         num_workers = cfg.num_workers
@@ -496,14 +490,12 @@ class ShardedExecutor:
         self._staleness_gauge = self._telemetry.gauge(
             "executor_heartbeat_staleness_s", **self._m.labels
         )
-        # Warm every fork-shared cache in the parent: the lowered closure
-        # schedule always, plus (optionally) one real replay so stacked
-        # key tensors and permutation tables exist before the first fork.
-        # Under ``fused=True`` the warm goes through the fused replayer so
-        # the arena layout, fused closures, and per-key pre-formed tensors
-        # (``SwitchingKey.stacked_pre``) are all built once in the parent
-        # and inherited copy-on-write — the pre-forms are by far the most
-        # expensive warm step and must never be paid per worker.
+        # Warm every fork-shared cache in the parent: lowering the fused
+        # replayer (arena layout, fused closures, per-key pre-formed
+        # tensors — ``SwitchingKey.stacked_pre``, by far the most
+        # expensive warm step, never to be paid per worker), plus
+        # (optionally) one real replay so stacked key tensors and
+        # permutation tables exist before the first fork.
         plan.run_batch(
             [warm_inputs] if warm_inputs is not None else [], fused=self.fused
         )
@@ -885,7 +877,6 @@ class ShardedExecutor:
             hosts=self.config.hosts,
             authkey=authkey,
             ring_bytes=self.config.ring_bytes,
-            batch_messages=self.config.batch_messages,
             chaos=self.chaos,
         )
 

@@ -1,23 +1,19 @@
 """Execution plans: topologically scheduled, ref-counted, cached, replayable.
 
 An :class:`ExecutionPlan` binds an optimized :class:`~repro.runtime.graph.Graph`
-to one eager :class:`~repro.ckks.evaluator.Evaluator` and executes it three
+to one eager :class:`~repro.ckks.evaluator.Evaluator` and executes it two
 ways:
 
-* :meth:`ExecutionPlan.run` — the **reference interpreter**.  It walks the
-  schedule node by node, issuing the exact eager-evaluator calls the
-  traced program would have made (automorphisms go through
-  ``Evaluator.apply_galois`` with a shared hoisted decomposition, which is
-  precisely what the eager path computes internally), so its outputs are
-  bit-identical to running the original function eagerly.
-* :meth:`ExecutionPlan.run_batch` — the **batched executor** for
-  throughput serving.  The schedule is pre-lowered once into per-node
-  closures with every constant resolved ahead of time (switching keys
-  bound, Galois elements computed, plaintext operands pre-dropped to
-  level and pre-transformed to the NTT domain), then replayed across many
-  input ciphertexts.  Same bits, far less per-op dispatch work.
-* ``run_batch(..., fused=True)`` — the **fused replayer**
-  (:class:`FusedExecutor`).  Fusion groups
+* :meth:`ExecutionPlan.run` — the **reference interpreter**, the
+  bit-identity oracle.  It walks the schedule node by node, issuing the
+  exact eager-evaluator calls the traced program would have made
+  (automorphisms go through ``Evaluator.apply_galois`` with a shared
+  hoisted decomposition, which is precisely what the eager path computes
+  internally), so its outputs are bit-identical to running the original
+  function eagerly.  It releases intermediates by reference counting: a
+  node's ciphertext is freed the moment its last consumer has run.
+* :meth:`ExecutionPlan.run_batch` — the **fused replayer**
+  (:class:`FusedExecutor`), the one fast path.  Fusion groups
   (:func:`~repro.runtime.passes.fusion_groups`) collapse elementwise
   runs, MAC/sum trees, and hoisted rotation families into single fused
   kernel dispatches; an :class:`~repro.runtime.arena.ArenaLayout`
@@ -29,19 +25,8 @@ ways:
   bits: every fused transformation rests on the uniqueness of canonical
   residues (deferred uint64 accumulation and Shoup/Montgomery
   pre-formed constant multiplies reproduce exact eager bytes).
-
-The first two executors release intermediate buffers by reference
-counting: a node's ciphertext is freed the moment its last consumer has
-run, so a deep pipeline's live set stays proportional to its width, not
-its length.  The fused replayer makes the same liveness decisions at
-lower time via its arena layout.
-
-Process/fork contract for the fused path: each plan caches one
-:class:`FusedExecutor` per array-namespace name; the executor's arena
-pool, fused closures, and the per-key pre-formed switching-key tensors
-it triggers (:meth:`SwitchingKey.stacked_pre`) are all parent-process
-state that forked serving workers inherit copy-on-write when the parent
-warms ``fused=True`` before forking (``ShardedExecutor`` does).
+  ``run_batch(..., fused=False)`` replays each entry through the
+  interpreter instead — the oracle at the batch call shape.
 
 ``compile_graph`` / ``compile_fn`` front a **process-level plan cache**
 keyed by (graph signature, parameter fingerprint, reducer backend): one
@@ -55,16 +40,25 @@ process (or one host) is reused by every other, trace -> load -> execute
 with the optimizer skipped.
 
 Process/fork contract (see ``docs/architecture.md``): the plan cache,
-each plan's lowered closure schedule, and every constant it binds are
-process-local state that forked serving workers inherit copy-on-write;
-nothing in this module crosses the worker boundary except through
-:mod:`repro.runtime.plan_io`'s explicit wire formats.
+each plan's :class:`FusedExecutor` per array-namespace name (arena pool,
+fused closures, and the per-key :meth:`SwitchingKey.stacked_pre` tensors
+it triggers) and every constant they bind are process-local state that
+forked serving workers inherit copy-on-write when the parent warms the
+replay before forking (``ShardedExecutor`` does); nothing in this module
+crosses the worker boundary except through :mod:`repro.runtime.plan_io`'s
+explicit wire formats.  One replay owns the arena until its outputs are
+copied out, so each executor serialises replays behind a lock, and a
+forked child gets fresh locks (a fork taken mid-replay must not leave
+the child's copy held by a thread that does not exist there).
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 import warnings
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +119,6 @@ class ExecutionPlan:
     hoist: dict[int, tuple[int, ...]]
     _releases: list[tuple[int, ...]] = field(init=False, repr=False)
     _dec_done: dict[int, int] = field(init=False, repr=False)
-    _steps: list | None = field(default=None, init=False, repr=False)
     _fused: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -172,7 +165,6 @@ class ExecutionPlan:
             "hoist_groups": len(self.hoist),
             "fused_groups": len(ex.groups),
             "fused_nodes": fused_nodes,
-            "dispatch_count_batched": len(self.graph.nodes),
             "dispatch_count_fused": ex.dispatch_count,
             "arena_slots": ex.layout.num_slots,
             "arena_peak_bytes": ex.layout.pool_bytes,
@@ -234,124 +226,25 @@ class ExecutionPlan:
         raise AssertionError(f"unschedulable op {op!r}")
 
     # ------------------------------------------------------------------
-    # Batched executor
+    # Batch replay
     # ------------------------------------------------------------------
 
     def run_batch(
-        self, batches, *, fused: bool = False, array_backend=None
+        self, batches, *, fused: bool = True, array_backend=None
     ) -> list[list[Ciphertext]]:
         """Replay the plan across many input tuples (throughput serving).
 
         ``batches`` is a sequence of input lists, each matching
         ``input_specs``; returns one output list per batch entry.  The
-        schedule is lowered to pre-resolved closures on first use and
-        shared by every replay (and every later ``run_batch`` call).
-
-        With ``fused=True`` the replay goes through the
-        :class:`FusedExecutor` instead — arena-backed buffers, fused
-        kernel dispatch, optionally on a non-default array backend —
-        with bit-identical outputs.
+        replay goes through the :class:`FusedExecutor` — arena-backed
+        buffers, fused kernel dispatch, optionally on a non-default
+        array backend — lowered on first use and shared by every later
+        call.  ``fused=False`` replays each entry through :meth:`run`,
+        the interpreter oracle, instead; the bits are the same.
         """
         if fused or array_backend is not None:
             return self.fused(array_backend).run_batch(batches)
-        if self._steps is None:
-            self._steps = self._lower()
-        results = []
-        for inputs in batches:
-            self._check_inputs(inputs)
-            env: dict[int, object] = {"inputs": inputs}
-            dec_cache: dict[int, object] = {}
-            for node_id, fn, releases in self._steps:
-                env[node_id] = fn(env, dec_cache)
-                for victim in releases:
-                    env.pop(victim, None)
-            results.append([env[o] for o in self.graph.outputs])
-        if batches:
-            get_telemetry().counter(
-                "plan_replays", mode="batched", plan=self.signature[:12]
-            ).inc(len(batches))
-        return results
-
-    def _lower(self) -> list:
-        """Pre-resolve every node into a closure over (env, dec_cache)."""
-        ev = self.evaluator
-        g = self.graph
-        steps = []
-        for node in g.nodes:
-            steps.append(
-                (node.id, self._lower_node(node, ev, g), self._releases[node.id])
-            )
-        return steps
-
-    def _lower_node(self, node: Node, ev: Evaluator, g: Graph):
-        op = node.op
-        if op in ("input", "pt_input"):
-            index = node.attrs[0]
-            return lambda env, dec: env["inputs"][index]
-        ids = node.inputs
-        if op == "add":
-            a, b = ids
-            return lambda env, dec: ev.add(env[a], env[b])
-        if op == "sub":
-            a, b = ids
-            return lambda env, dec: ev.sub(env[a], env[b])
-        if op == "negate":
-            (a,) = ids
-            return lambda env, dec: ev.negate(env[a])
-        if op == "multiply":
-            a, b = ids
-            return lambda env, dec: ev.multiply(env[a], env[b])
-        if op in ("add_plain", "multiply_plain"):
-            a = ids[0]
-            if len(ids) == 2:  # symbolic plaintext, bound per run
-                p = ids[1]
-                method = ev.add_plain if op == "add_plain" else ev.multiply_plain
-                return lambda env, dec: method(env[a], env[p])
-            # Captured constant: pre-drop to the consumer's level and
-            # pre-transform to the NTT domain once, then each replay is a
-            # pure limb-wise op — bit-identical to the eager path, which
-            # recomputes the same drop+NTT on every call.
-            pt = g.consts[node.consts[0]]
-            ct_level = g.nodes[a].level
-            m = pt.poly.drop_limbs(ct_level).to_eval()
-            pt_scale = pt.scale
-            if op == "add_plain":
-                return lambda env, dec: Ciphertext(
-                    parts=[env[a].parts[0] + m]
-                    + [p.copy() for p in env[a].parts[1:]],
-                    scale=env[a].scale,
-                )
-            return lambda env, dec: Ciphertext(
-                parts=[p * m for p in env[a].parts],
-                scale=env[a].scale * pt_scale,
-            )
-        if op == "relinearize":
-            (a,) = ids
-            key_dict = {g.nodes[a].level: g.consts[node.consts[0]]}
-            return lambda env, dec: ev.relinearize(env[a], key_dict)
-        if op == "rescale":
-            (a,) = ids
-            times = node.attrs[0]
-            return lambda env, dec: ev.rescale(env[a], times=times)
-        if op in AUTOMORPHISM_OPS:
-            (a,) = ids
-            key = g.consts[node.consts[0]]
-            galois_elt = node.attrs[-1]
-            if a in self.hoist:
-                last = self.hoist[a][-1] == node.id
-
-                def hoisted(env, dec, a=a, key=key, galois_elt=galois_elt, last=last):
-                    d = dec.get(a)
-                    if d is None:
-                        d = dec[a] = ev.decompose(env[a])
-                    out = ev.apply_galois(env[a], galois_elt, key, decomposed=d)
-                    if last:
-                        del dec[a]
-                    return out
-
-                return hoisted
-            return lambda env, dec: ev.apply_galois(env[a], galois_elt, key)
-        raise AssertionError(f"unschedulable op {op!r}")
+        return [self.run(inputs) for inputs in batches]
 
     # ------------------------------------------------------------------
     # Fused executor
@@ -484,6 +377,19 @@ def _rescale_stack(coeff_all: np.ndarray, consts) -> np.ndarray:
     return kern.mul(diff, inv_col)
 
 
+# Every live fused executor, so a forked child can replace replay locks
+# that some other thread of the parent held at fork time.
+_LIVE_EXECUTORS: "weakref.WeakSet[FusedExecutor]" = weakref.WeakSet()
+
+
+def _fresh_replay_locks() -> None:
+    for ex in list(_LIVE_EXECUTORS):
+        ex._replay_lock = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_fresh_replay_locks)
+
+
 class FusedExecutor:
     """Arena-backed fused replayer for one plan on one array namespace.
 
@@ -493,7 +399,7 @@ class FusedExecutor:
     operands from preassigned pool views and writes its result into its
     own — steady-state replay performs zero result-buffer allocations and
     ``dispatch_count`` Python dispatches (vs one per graph node for the
-    batched executor).  Outputs are bit-identical to the eager evaluator:
+    interpreter).  Outputs are bit-identical to the eager evaluator:
     every raw step mirrors the eager op's exact kernel calls, and the
     fused accumulations are exact by deferred-reduction canonicity (see
     :mod:`repro.runtime.passes`).
@@ -505,6 +411,10 @@ class FusedExecutor:
     The executor (pool included) is per-process state — forked workers
     inherit it copy-on-write when the parent lowered before forking;
     nothing here crosses the worker boundary or the ``EPL1`` format.
+
+    Thread safety: the arena is shared by every replay, so one replay
+    (its steps plus the copy-out of its outputs) holds ``_replay_lock``;
+    concurrent callers queue behind it and each gets its own bytes.
     """
 
     def __init__(self, plan: ExecutionPlan, array_backend=None) -> None:
@@ -516,6 +426,8 @@ class FusedExecutor:
         # contraction on host arrays, so they mirror it bit for bit.
         self._engine = plan.evaluator.keyswitch
         self._dkern_cache: dict[int, object] = {}
+        self._replay_lock = threading.Lock()
+        _LIVE_EXECUTORS.add(self)
         g = plan.graph
         self.groups = fusion_groups(g, plan.hoist)
         by_anchor = {grp.anchor: grp for grp in self.groups}
@@ -603,21 +515,19 @@ class FusedExecutor:
     # Execution
     # ------------------------------------------------------------------
 
-    def run(self, inputs) -> list[Ciphertext]:
-        return self.run_batch([inputs])[0]
-
     def run_batch(self, batches) -> list[list[Ciphertext]]:
         telemetry = self._telemetry
         results = []
         for inputs in batches:
             self.plan._check_inputs(inputs)
             env = self._template.copy()
-            if telemetry.enabled:
-                self._run_steps_traced(telemetry, env, inputs)
-            else:
-                for fn in self._steps:
-                    fn(env, inputs)
-            results.append(self._collect(inputs))
+            with self._replay_lock:
+                if telemetry.enabled:
+                    self._run_steps_traced(telemetry, env, inputs)
+                else:
+                    for fn in self._steps:
+                        fn(env, inputs)
+                results.append(self._collect(inputs))
         if batches:
             self._metrics.inc("replays", len(batches))
             self._metrics.inc("dispatches", len(self._steps) * len(batches))
@@ -772,8 +682,8 @@ class FusedExecutor:
         # are unique; see ReducerKernel.add_accumulate); past the term
         # budget the partial sum is reduced in place and counts as one.
         chunk = dkern.term_budget() - 1
-        # Allocated once, at lower time: replay is single-threaded and the
-        # accumulator is dead when the step ends.
+        # Allocated once, at lower time: replays hold the replay lock and
+        # the accumulator is dead when the step ends.
         acc = xp.empty((lvl, self._basis.degree), dtype=np.uint64)
 
         def sum_step(env, inputs):

@@ -1,9 +1,6 @@
 """Unified serving surface: one frozen config, one facade.
 
-The serving stack grew one keyword at a time — ``num_workers``,
-``fused``, ``ship_plan``, ``policy``, ``chaos``, ``max_pending``, and
-now transport selection — until standing up a pool meant threading six
-knobs through two constructors.  This module consolidates all of it:
+Everything needed to stand up a pool, and the only keyword surface:
 
 * :class:`ServingConfig` — a frozen dataclass holding every serving
   knob (pool shape, transport, execution mode, fault policy, chaos,
@@ -17,14 +14,6 @@ knobs through two constructors.  This module consolidates all of it:
   :class:`~repro.runtime.executor.ShardedExecutor` with batch, submit,
   and async streaming entry points.
 
-The legacy keyword surface keeps working for one release: passing the
-old kwargs to :class:`ShardedExecutor` / :class:`StreamingServer` /
-:func:`serve` emits a :class:`DeprecationWarning` whose message starts
-with ``legacy serving kwargs`` (pin in tests with
-``pytest.warns(DeprecationWarning, match="legacy serving kwargs")``)
-and is translated onto a :class:`ServingConfig` internally, so both
-surfaces execute the identical code path.
-
 Contract (see ``docs/architecture.md``): pure parent-process
 configuration — nothing here crosses the worker boundary except as
 fields already covered by the executor's contract (policy/chaos values,
@@ -34,38 +23,15 @@ pool shape).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 from dataclasses import dataclass
 
 from repro.runtime.chaos import FaultPlan
 from repro.runtime.faults import FaultPolicy
+from repro.runtime.plan import ExecutionPlan, compile_fn
+from repro.runtime.telemetry import get_telemetry
 from repro.runtime.transport import DEFAULT_RING_BYTES, available_transports
 
 __all__ = ["ServingConfig", "ServingSession", "serve"]
-
-# One release of grace for the pre-config keyword surface; every warning
-# about it starts with this prefix (pyproject ignores it suite-wide).
-_DEPRECATION_PREFIX = "legacy serving kwargs"
-
-# Executor-era keyword -> ServingConfig field.
-_LEGACY_FIELDS = {
-    "num_workers": "num_workers",
-    "coeff_bits": "coeff_bits",
-    "modeled_request_io_s": "modeled_request_io_s",
-    "max_crash_respawns": "max_crash_respawns",
-    "ship_plan": "ship_plan",
-    "fused": "fused",
-    "policy": "fault_policy",
-    "fault_policy": "fault_policy",
-    "chaos": "chaos",
-    "transport": "transport",
-    "hosts": "hosts",
-    "ring_bytes": "ring_bytes",
-    "batch_messages": "batch_messages",
-    "max_pending": "max_pending",
-    "trace": "trace",
-    "trace_sample_rate": "trace_sample_rate",
-}
 
 
 @dataclass(frozen=True)
@@ -93,7 +59,8 @@ class ServingConfig:
         ship_plan: serialize the plan once and have each worker (or
             worker host, deduplicated by content fingerprint)
             deserialize its own copy — the cross-machine wire path.
-        fused: replay through the arena-backed fused executor.
+        fused: replay through the arena-backed fused executor;
+            ``False`` = through the reference interpreter — same bits.
         fault_policy: deadlines / hang detection / retry budget /
             breaker behaviour (``None`` = :class:`FaultPolicy` defaults).
         chaos: deterministic fault injection plan (tests/benches only).
@@ -106,13 +73,9 @@ class ServingConfig:
         max_crash_respawns: pool-lifetime crash budget override.
         ring_bytes: per-direction shared-memory ring capacity for the
             ``shm`` transport.
-        batch_messages: batch multiple worker messages per TCP session
-            frame (``False`` sends one frame per message — measurably
-            slower; kept as a knob for the framing benchmark).
         trace: enable process-wide telemetry tracing when the session
             starts (left enabled on exit; use
             :meth:`Telemetry.disable` to turn it off).
-        trace_sample_rate: trace sampling rate when ``trace`` is set.
     """
 
     num_workers: int = 2
@@ -120,7 +83,7 @@ class ServingConfig:
     hosts: int | tuple = 1
     authkey_file: str | None = None
     ship_plan: bool = False
-    fused: bool = False
+    fused: bool = True
     fault_policy: FaultPolicy | None = None
     chaos: FaultPlan | None = None
     max_pending: int = 8
@@ -128,9 +91,7 @@ class ServingConfig:
     coeff_bits: int | None = None
     max_crash_respawns: int | None = None
     ring_bytes: int = DEFAULT_RING_BYTES
-    batch_messages: bool = True
     trace: bool = False
-    trace_sample_rate: float = 1.0
 
     def __post_init__(self) -> None:
         if self.num_workers < 0:
@@ -169,39 +130,6 @@ class ServingConfig:
         return dataclasses.replace(self, **changes)
 
 
-def config_from_legacy_kwargs(
-    config: ServingConfig | None,
-    kwargs: dict,
-    *,
-    caller: str,
-    stacklevel: int = 3,
-) -> ServingConfig:
-    """Translate a pre-config keyword surface onto a :class:`ServingConfig`.
-
-    ``kwargs`` is consumed (translated keys are popped); unknown keys
-    are left for the caller to reject.  Passing both a ``config`` and
-    legacy keywords is an error — a half-overridden config is always a
-    bug, not a convenience.
-    """
-    legacy = {k: kwargs.pop(k) for k in list(kwargs) if k in _LEGACY_FIELDS}
-    if not legacy:
-        return config if config is not None else ServingConfig()
-    if config is not None:
-        raise TypeError(
-            f"{caller}: pass either config=ServingConfig(...) or the legacy "
-            f"keywords ({', '.join(sorted(legacy))}), not both"
-        )
-    warnings.warn(
-        f"{_DEPRECATION_PREFIX} on {caller} ({', '.join(sorted(legacy))}) are "
-        "deprecated; pass config=ServingConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=stacklevel,
-    )
-    return ServingConfig(
-        **{_LEGACY_FIELDS[key]: value for key, value in legacy.items()}
-    )
-
-
 class ServingSession:
     """A configured pool plus its entry points, as one context manager.
 
@@ -223,9 +151,7 @@ class ServingSession:
         self.plan = plan
         self.config = config
         if config.trace:
-            from repro.runtime.telemetry import get_telemetry
-
-            get_telemetry().enable(sample_rate=config.trace_sample_rate)
+            get_telemetry().enable()
         self.executor = ShardedExecutor(plan, config=config, warm_inputs=warm_inputs)
 
     # -- lifecycle ------------------------------------------------------
@@ -271,7 +197,6 @@ def serve(
     evaluator=None,
     input_specs=None,
     warm_inputs=None,
-    **legacy,
 ) -> ServingSession:
     """Build a :class:`ServingSession` for a plan or traceable function.
 
@@ -284,14 +209,9 @@ def serve(
         evaluator / input_specs: only for the traceable-function form.
         warm_inputs: optional real inputs replayed once in the parent
             before the first fork, warming every fork-shared cache.
-        **legacy: the deprecated pre-config keyword surface; translated
-            with a :class:`DeprecationWarning`.
     """
-    config = config_from_legacy_kwargs(config, legacy, caller="serve()")
-    if legacy:
-        raise TypeError(f"serve() got unexpected keywords {sorted(legacy)}")
-    from repro.runtime.plan import ExecutionPlan
-
+    if config is None:
+        config = ServingConfig()
     if isinstance(plan_or_fn, ExecutionPlan):
         plan = plan_or_fn
     elif callable(plan_or_fn):
@@ -300,11 +220,7 @@ def serve(
                 "serve(fn, ...) requires evaluator= and input_specs= to "
                 "compile the function into a plan"
             )
-        from repro.runtime.plan import compile_graph
-        from repro.runtime.trace import trace as trace_fn
-
-        graph = trace_fn(plan_or_fn, evaluator, input_specs)
-        plan = compile_graph(graph, evaluator)
+        plan = compile_fn(plan_or_fn, evaluator, input_specs)
     else:
         raise TypeError(
             "serve() takes an ExecutionPlan or a traceable function, "

@@ -52,6 +52,7 @@ from functools import partial
 
 from repro.runtime.bridge import plan_schedule_comparison
 from repro.runtime.faults import WorkerError
+from repro.runtime.serving import ServingConfig
 from repro.runtime.telemetry import get_telemetry
 from repro.runtime.telemetry import now as _now
 
@@ -109,23 +110,14 @@ class StreamingServer:
             ``submit(inputs) -> concurrent.futures.Future`` and a
             ``plan``; inline executors work for tests).
         max_pending: admission bound — at most this many requests are
-            inside the engine (queued or in flight) at once.  Prefer
-            passing ``config=ServingConfig(max_pending=...)``; the bare
-            ``max_pending=`` keyword is the deprecated legacy surface.
+            inside the engine (queued or in flight) at once; taken from
+            ``config.max_pending`` (``None`` = :class:`ServingConfig`
+            defaults).
     """
 
-    def __init__(self, executor, *, config=None, **legacy) -> None:
-        from repro.runtime.serving import config_from_legacy_kwargs
-
-        cfg = config_from_legacy_kwargs(
-            config, legacy, caller="StreamingServer"
-        )
-        if legacy:
-            raise TypeError(
-                f"StreamingServer got unexpected keyword(s) {sorted(legacy)}"
-            )
+    def __init__(self, executor, *, config: ServingConfig | None = None) -> None:
         self.executor = executor
-        self.max_pending = cfg.max_pending
+        self.max_pending = (config or ServingConfig()).max_pending
         self._sem: asyncio.Semaphore | None = None
         self._phase_pool: ThreadPoolExecutor | None = None
         self._depth = 0

@@ -440,7 +440,6 @@ def create_transport(
     hosts=1,
     authkey: bytes | None = None,
     ring_bytes: int = DEFAULT_RING_BYTES,
-    batch_messages: bool = True,
     chaos=None,
 ) -> Transport:
     """Build a transport by name (``pipe`` / ``shm`` / ``tcp``)."""
@@ -459,7 +458,6 @@ def create_transport(
             signature=signature,
             hosts=hosts,
             authkey=authkey,
-            batch_messages=batch_messages,
             chaos=chaos,
         )
     raise ValueError(

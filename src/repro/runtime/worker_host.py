@@ -75,10 +75,13 @@ MIN_AUTHKEY_BYTES = 16
 
 
 def load_authkey(path: str) -> bytes:
-    """Read the shared session authkey from ``path`` (raw bytes; a
-    trailing newline is tolerated so ``openssl rand`` output works)."""
+    """Read the shared session authkey from ``path``: the raw bytes
+    minus one trailing newline (``\\n`` or ``\\r\\n``) and nothing else —
+    a random key may begin or end with any byte, whitespace included."""
     with open(path, "rb") as fh:
-        key = fh.read().strip()
+        key = fh.read()
+    if key.endswith(b"\n"):
+        key = key[:-2] if key.endswith(b"\r\n") else key[:-1]
     if len(key) < MIN_AUTHKEY_BYTES:
         raise ValueError(
             f"authkey file {path!r} holds {len(key)} bytes; need at "

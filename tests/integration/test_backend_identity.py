@@ -6,6 +6,12 @@ under generic-split, Barrett, and Montgomery kernels has to produce
 byte-identical ciphertexts at every stage and byte-identical decoded
 outputs.  This is the software analogue of the paper's Table I claim that
 the reducers differ in cost, not semantics.
+
+The same holds for *how* the program runs: a parametrized grid —
+executor {interpreter, fused} x delivery/transport {in-process,
+fork-pipe, shipped-pipe, shm, tcp-loopback, CLI remote host,
+hang-recovered} — pins every mode to the eager evaluator's bytes under
+each backend.
 """
 
 from __future__ import annotations
@@ -82,208 +88,166 @@ def remote_host(tmp_path_factory):
             proc.wait(timeout=10)
 
 
-def _run_pipeline(remote=None):
-    """One seeded encrypt/rotate/multiply/rescale/decrypt run; all bytes.
-
-    The same program is executed ten ways — eagerly, through the
-    runtime's reference interpreter, through the batched plan executor,
-    through the arena-backed fused replayer, through a 2-worker sharded
-    pool (ciphertexts crossing the serialization boundary), through a
-    shipped-plan worker that deserializes the EPL1 plan artifact and
-    replays it *fused*, through a pool whose first worker is
-    SIGSTOPped mid-request by a scripted chaos plan (hang-killed,
-    replaced, request retried), through a shared-memory-ring pool
-    (payloads crossing /dev/shm instead of the pipe), through a
-    loopback-TCP worker-host session, and (when ``remote`` carries a
-    ``(port, keyfile)`` pair) through a **CLI-spawned standalone worker
-    host** with no fork relationship to this process — and all modes
-    must agree byte-for-byte within the run.
-    """
-    ctx = CkksContext.create(toy_params(degree=DEGREE, num_primes=NUM_PRIMES), seed=SEED)
-    rlk = ctx.relin_keys(levels=[NUM_PRIMES])
-    gks = ctx.galois_keys([1], levels=[NUM_PRIMES])
-    rng = np.random.default_rng(7)
-    x = rng.uniform(-1, 1, ctx.params.slots)
-    y = rng.uniform(-1, 1, ctx.params.slots)
-
-    ct_x = ctx.encrypt(x)
-    ct_y = ctx.encrypt(y)
-
+def _program(rlk, gks):
     def program(ev, a, b):
         rot = ev.rotate(a, 1, gks)
         prod = ev.multiply_relin_rescale(a, b, rlk)
         return rot, prod
 
-    rot, prod = program(ctx.evaluator, ct_x, ct_y)
-    out = ctx.decrypt_decode(prod)
+    return program
 
-    spec = CtSpec(level=NUM_PRIMES, scale=ctx.params.scale)
-    plan = compile_fn(program, ctx.evaluator, [spec, spec])
-    plan_rot, plan_prod = plan.run([ct_x, ct_y])
-    ((batch_rot, batch_prod),) = plan.run_batch([[ct_x, ct_y]])
-    ((fused_rot, fused_prod),) = plan.run_batch([[ct_x, ct_y]], fused=True)
-    with ShardedExecutor(plan, 2) as pool:
-        ((shard_rot, shard_prod),) = pool.run_batch([[ct_x, ct_y]], timeout=120)
-    with ShardedExecutor(plan, 1, ship_plan=True, fused=True) as wire_pool:
-        ((ship_rot, ship_prod),) = wire_pool.run_batch(
-            [[ct_x, ct_y]], timeout=120
+
+def _eager(ctx):
+    """One seeded encrypt/rotate/multiply/rescale/decrypt run, eagerly:
+    the bytes every execution mode is held to."""
+    rlk = ctx.relin_keys(levels=[NUM_PRIMES])
+    gks = ctx.galois_keys([1], levels=[NUM_PRIMES])
+    rng = np.random.default_rng(7)
+    x = rng.uniform(-1, 1, ctx.params.slots)
+    y = rng.uniform(-1, 1, ctx.params.slots)
+    ct_x = ctx.encrypt(x)
+    ct_y = ctx.encrypt(y)
+    program = _program(rlk, gks)
+    rot, prod = program(ctx.evaluator, ct_x, ct_y)
+    return program, (ct_x, ct_y), (rot, prod), x * y
+
+
+@pytest.fixture(scope="module")
+def pipelines():
+    """Per reducer backend: the context, the compiled plan, the inputs
+    and the eager outputs — built once, shared by the whole grid."""
+    built = {}
+    for backend in available_backends():
+        with using_backend(backend):
+            ctx = CkksContext.create(
+                toy_params(degree=DEGREE, num_primes=NUM_PRIMES), seed=SEED
+            )
+            program, inputs, eager, expected = _eager(ctx)
+            spec = CtSpec(level=NUM_PRIMES, scale=ctx.params.scale)
+            plan = compile_fn(program, ctx.evaluator, [spec, spec])
+            built[backend] = (ctx, plan, inputs, eager, expected)
+    return built
+
+
+def _serving_config(delivery: str, fused: bool, remote) -> ServingConfig:
+    """The pool shape behind one delivery/transport column of the grid."""
+    if delivery == "fork-pipe":
+        return ServingConfig(num_workers=2, fused=fused)
+    if delivery == "shipped-pipe":
+        return ServingConfig(num_workers=1, ship_plan=True, fused=fused)
+    if delivery == "shm":
+        return ServingConfig(num_workers=2, transport="shm", fused=fused)
+    if delivery == "tcp-loopback":
+        return ServingConfig(
+            num_workers=1, transport="tcp", ship_plan=True, fused=fused
         )
-        assert wire_pool.stats()["plan_wire"] or wire_pool.stats()["inline"]
-        assert wire_pool.stats()["fused"]
-    # Mode 7, faulted: the worker taking the request freezes (SIGSTOP)
-    # before evaluating; the hang detector SIGKILLs and replaces it, and
-    # the retried attempt must still land byte-identical output.
-    chaos = FaultPlan(
-        0,
-        scripted={
-            ("pre_evaluate", 0, 0): FaultAction("stop", "pre_evaluate")
-        },
-    )
-    policy = FaultPolicy(hang_timeout_s=0.6, backoff_base_s=0.01)
-    with ShardedExecutor(plan, 1, chaos=chaos, policy=policy) as fault_pool:
-        ((fault_rot, fault_prod),) = fault_pool.run_batch(
-            [[ct_x, ct_y]], timeout=120
-        )
-        fault_stats = fault_pool.stats()
-        assert fault_stats["inline"] or fault_stats["hang_kills"] == 1
-        assert fault_stats["completed"] == 1
-    # Modes 8 and 9: the same request through the shared-memory-ring
-    # and loopback-TCP transports — the transport must be invisible.
-    shm_cfg = ServingConfig(num_workers=2, transport="shm")
-    with ShardedExecutor(plan, config=shm_cfg) as shm_pool:
-        ((shm_rot, shm_prod),) = shm_pool.run_batch([[ct_x, ct_y]], timeout=120)
-        assert shm_pool.stats()["transport"] == "shm"
-    tcp_cfg = ServingConfig(num_workers=1, transport="tcp", ship_plan=True)
-    with ShardedExecutor(plan, config=tcp_cfg) as tcp_pool:
-        ((tcp_rot, tcp_prod),) = tcp_pool.run_batch([[ct_x, ct_y]], timeout=120)
-        assert tcp_pool.stats()["transport"] == "tcp"
-    # Mode 10: a genuinely remote host — the worker-host CLI process,
-    # which rebuilt its evaluator from the shipped HostEnv and got the
-    # plan as FPL1 bytes.  Its process has no fork relationship to this
-    # one, so agreement here certifies the whole explicit-state path.
-    if remote is not None:
-        remote_port, remote_keyfile = remote
-        remote_cfg = ServingConfig(
+    if delivery == "remote-host":
+        # The worker-host CLI process: it rebuilt its evaluator from the
+        # shipped HostEnv and got the plan as FPL1 bytes, with no fork
+        # relationship to this process — the whole explicit-state path.
+        port, keyfile = remote
+        return ServingConfig(
             num_workers=1,
             transport="tcp",
-            hosts=(f"tcp://127.0.0.1:{remote_port}",),
+            hosts=(f"tcp://127.0.0.1:{port}",),
             ship_plan=True,
-            authkey_file=remote_keyfile,
+            authkey_file=keyfile,
+            fused=fused,
         )
-        with ShardedExecutor(plan, config=remote_cfg) as remote_pool:
-            ((remote_rot, remote_prod),) = remote_pool.run_batch(
-                [[ct_x, ct_y]], timeout=120
-            )
-            assert remote_pool.stats()["transport_stats"]["remote_hosts"] == 1
-    else:
-        remote_rot, remote_prod = tcp_rot, tcp_prod
-    for (
-        eager_ct,
-        planned,
-        batched,
-        fused,
-        sharded,
-        shipped,
-        faulted,
-        shmmed,
-        tcped,
-        remoted,
-    ) in (
-        (
-            rot,
-            plan_rot,
-            batch_rot,
-            fused_rot,
-            shard_rot,
-            ship_rot,
-            fault_rot,
-            shm_rot,
-            tcp_rot,
-            remote_rot,
-        ),
-        (
-            prod,
-            plan_prod,
-            batch_prod,
-            fused_prod,
-            shard_prod,
-            ship_prod,
-            fault_prod,
-            shm_prod,
-            tcp_prod,
-            remote_prod,
-        ),
-    ):
-        for i, part in enumerate(eager_ct.parts):
-            assert np.array_equal(part.data, planned.parts[i].data), (
-                f"planned execution diverged from eager at part {i}"
-            )
-            assert np.array_equal(part.data, batched.parts[i].data), (
-                f"batched execution diverged from eager at part {i}"
-            )
-            assert np.array_equal(part.data, fused.parts[i].data), (
-                f"fused execution diverged from eager at part {i}"
-            )
-            assert np.array_equal(part.data, sharded.parts[i].data), (
-                f"sharded execution diverged from eager at part {i}"
-            )
-            assert np.array_equal(part.data, shipped.parts[i].data), (
-                f"shipped-plan (fused) execution diverged from eager at part {i}"
-            )
-            assert np.array_equal(part.data, faulted.parts[i].data), (
-                f"faulted (hang-recovered) execution diverged from eager "
-                f"at part {i}"
-            )
-            assert np.array_equal(part.data, shmmed.parts[i].data), (
-                f"shared-memory transport diverged from eager at part {i}"
-            )
-            assert np.array_equal(part.data, tcped.parts[i].data), (
-                f"tcp transport diverged from eager at part {i}"
-            )
-            assert np.array_equal(part.data, remoted.parts[i].data), (
-                f"remote standalone host diverged from eager at part {i}"
-            )
+    assert delivery == "hang-recovered"
+    # The worker taking the request freezes (SIGSTOP) before evaluating;
+    # the hang detector SIGKILLs and replaces it, and the retried attempt
+    # must still land byte-identical output.
+    chaos = FaultPlan(
+        0, scripted={("pre_evaluate", 0, 0): FaultAction("stop", "pre_evaluate")}
+    )
+    policy = FaultPolicy(hang_timeout_s=0.6, backoff_base_s=0.01)
+    return ServingConfig(
+        num_workers=1, chaos=chaos, fault_policy=policy, fused=fused
+    )
 
-    snapshots = {
-        "ct_x": [p.data.copy() for p in ct_x.parts],
-        "rot": [p.data.copy() for p in rot.parts],
-        "prod": [p.data.copy() for p in prod.parts],
-        "plan_rot": [p.data.copy() for p in plan_rot.parts],
-        "plan_prod": [p.data.copy() for p in plan_prod.parts],
-        "fused_rot": [p.data.copy() for p in fused_rot.parts],
-        "fused_prod": [p.data.copy() for p in fused_prod.parts],
-        "out": out.copy(),
-        "plan_out": ctx.decrypt_decode(plan_prod).copy(),
-        "expected": x * y,
-    }
-    return snapshots
+
+DELIVERIES = (
+    "in-process",
+    "fork-pipe",
+    "shipped-pipe",
+    "shm",
+    "tcp-loopback",
+    "remote-host",
+    "hang-recovered",
+)
+
+
+@pytest.mark.parametrize("delivery", DELIVERIES)
+@pytest.mark.parametrize("executor", ["interpreter", "fused"])
+@pytest.mark.parametrize("backend", available_backends())
+def test_every_mode_is_byte_equal_to_eager(
+    backend, executor, delivery, pipelines, remote_host
+):
+    """executor {interpreter, fused} x delivery/transport: every way a
+    plan can run and every way a request can reach it lands the eager
+    evaluator's exact bytes, under every reducer backend."""
+    _, plan, inputs, eager, _ = pipelines[backend]
+    fused = executor == "fused"
+    with using_backend(backend):
+        if delivery == "in-process":
+            if fused:
+                (got,) = plan.run_batch([list(inputs)], fused=True)
+            else:
+                got = plan.run(list(inputs))
+        else:
+            config = _serving_config(delivery, fused, remote_host)
+            with ShardedExecutor(plan, config=config) as pool:
+                (got,) = pool.run_batch([list(inputs)], timeout=120)
+                stats = pool.stats()
+            assert stats["fused"] is fused
+            assert stats["completed"] == 1
+            if not stats["inline"]:
+                if delivery == "shipped-pipe":
+                    assert stats["plan_wire"]
+                elif delivery == "hang-recovered":
+                    assert stats["hang_kills"] == 1
+                elif delivery == "remote-host":
+                    assert stats["transport_stats"]["remote_hosts"] == 1
+                elif delivery in ("shm", "tcp-loopback"):
+                    assert stats["transport"] == delivery.split("-")[0]
+    for name, want, have in zip(("rot", "prod"), eager, got):
+        assert have.scale == want.scale
+        for i, part in enumerate(want.parts):
+            assert np.array_equal(part.data, have.parts[i].data), (
+                f"{executor} over {delivery} diverged from eager at "
+                f"{name} part {i} under {backend}"
+            )
 
 
 @pytest.mark.parametrize("backend", available_backends())
-def test_pipeline_is_correct_under_every_backend(backend, remote_host):
+def test_pipeline_is_correct_under_every_backend(backend, pipelines):
+    ctx, _, _, (_, prod), expected = pipelines[backend]
     with using_backend(backend):
-        snap = _run_pipeline(remote=remote_host)
-    assert np.max(np.abs(snap["out"].real - snap["expected"])) < 1e-3
+        out = ctx.decrypt_decode(prod)
+    assert np.max(np.abs(out.real - expected)) < 1e-3
 
 
-def test_ciphertexts_bit_identical_across_backends(remote_host):
-    runs = {}
-    for backend in available_backends():
+def test_ciphertexts_bit_identical_across_backends(pipelines):
+    """Eager bytes agree across reducer backends — and the grid above
+    ties every other mode to eager within each backend."""
+    snaps = {}
+    for backend, (ctx, plan, inputs, eager, _) in pipelines.items():
         with using_backend(backend):
-            runs[backend] = _run_pipeline(remote=remote_host)
-    names = sorted(runs)
-    ref = runs[names[0]]
+            snaps[backend] = {
+                "inputs": [p.data for ct in inputs for p in ct.parts],
+                "eager": [p.data for ct in eager for p in ct.parts],
+                "out": ctx.decrypt_decode(eager[1]),
+            }
+    names = sorted(snaps)
+    ref = snaps[names[0]]
     for other in names[1:]:
-        got = runs[other]
-        for key in (
-            "ct_x", "rot", "prod", "plan_rot", "plan_prod",
-            "fused_rot", "fused_prod",
-        ):
+        got = snaps[other]
+        for key in ("inputs", "eager"):
             for i, (a, b) in enumerate(zip(ref[key], got[key])):
                 assert np.array_equal(a, b), (
                     f"{key} part {i} differs between {names[0]} and {other}"
                 )
-        for key in ("out", "plan_out"):
-            assert np.array_equal(ref[key], got[key]), (
-                f"decoded {key} differs between {names[0]} and {other}"
-            )
+        assert np.array_equal(ref["out"], got["out"]), (
+            f"decoded output differs between {names[0]} and {other}"
+        )

@@ -157,7 +157,7 @@ class TestFusedReplayArena:
     def test_fused_matches_batched_replay(self, rctx, gks, rlk):
         plan = self._plan(rctx, gks, rlk)
         ct = rctx.encrypt(np.linspace(-0.5, 0.5, rctx.params.slots))
-        [batched] = plan.run_batch([[ct]])[0]
+        [batched] = plan.run_batch([[ct]], fused=False)[0]
         [fused] = plan.run_batch([[ct]], fused=True)[0]
         assert batched.scale == fused.scale
         for a, b in zip(batched.parts, fused.parts):

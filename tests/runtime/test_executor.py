@@ -16,6 +16,7 @@ from repro.runtime import (
     FaultPolicy,
     PoisonRequest,
     PtSpec,
+    ServingConfig,
     ShardedExecutor,
     WorkerError,
     compile_fn,
@@ -121,7 +122,9 @@ class TestCrashRecovery:
         batches = _batches(rctx, 6, seed=12)
         reference = serving_plan.run_batch(batches)
         with ShardedExecutor(
-            serving_plan, 2, modeled_request_io_s=0.3, warm_inputs=batches[0]
+            serving_plan,
+            config=ServingConfig(num_workers=2, modeled_request_io_s=0.3),
+            warm_inputs=batches[0],
         ) as pool:
             futures = [pool.submit(entry) for entry in batches]
             time.sleep(0.05)  # let both workers take a request
@@ -138,7 +141,12 @@ class TestCrashRecovery:
     def test_exhausted_crash_budget_fails_fast(self, rctx, serving_plan):
         batches = _batches(rctx, 4, seed=15)
         with ShardedExecutor(
-            serving_plan, 2, modeled_request_io_s=0.5, max_crash_respawns=0
+            serving_plan,
+            config=ServingConfig(
+                num_workers=2,
+                modeled_request_io_s=0.5,
+                max_crash_respawns=0,
+            ),
         ) as pool:
             futures = [pool.submit(entry) for entry in batches]
             time.sleep(0.05)
@@ -164,9 +172,11 @@ class TestCrashRecovery:
         policy = FaultPolicy(hang_timeout_s=1.0, backoff_base_s=0.01)
         with ShardedExecutor(
             serving_plan,
-            2,
-            modeled_request_io_s=0.4,
-            policy=policy,
+            config=ServingConfig(
+                num_workers=2,
+                modeled_request_io_s=0.4,
+                fault_policy=policy,
+            ),
             warm_inputs=batches[0],
         ) as pool:
             futures = [pool.submit(entry) for entry in batches]
@@ -199,10 +209,12 @@ class TestCrashRecovery:
         policy = FaultPolicy(max_attempts=2, backoff_base_s=0.01)
         with ShardedExecutor(
             serving_plan,
-            1,
-            modeled_request_io_s=0.6,
-            policy=policy,
-            max_crash_respawns=10,
+            config=ServingConfig(
+                num_workers=1,
+                modeled_request_io_s=0.6,
+                fault_policy=policy,
+                max_crash_respawns=10,
+            ),
             warm_inputs=batches[0],
         ) as pool:
             poison = pool.submit(batches[0])

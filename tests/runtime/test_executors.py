@@ -3,6 +3,10 @@ guards proving CSE/hoisting fire, buffer release, and the plan cache."""
 
 from __future__ import annotations
 
+import multiprocessing as mp
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -58,9 +62,9 @@ class TestBitIdentity:
         prod, rot = plan.run([sample_ct, ct_y])
         _assert_ct_equal(prod, eager_prod, "reference-interpreter prod")
         _assert_ct_equal(rot, eager_rot, "reference-interpreter rot")
-        ((bprod, brot),) = plan.run_batch([[sample_ct, ct_y]])
-        _assert_ct_equal(bprod, eager_prod, "batched prod")
-        _assert_ct_equal(brot, eager_rot, "batched rot")
+        ((bprod, brot),) = plan.run_batch([[sample_ct, ct_y]], fused=False)
+        _assert_ct_equal(bprod, eager_prod, "interpreter-batch prod")
+        _assert_ct_equal(brot, eager_rot, "interpreter-batch rot")
 
     def test_batched_replay_over_many_inputs(self, rctx, gks, rlk):
         rng = np.random.default_rng(5)
@@ -94,7 +98,9 @@ class TestBitIdentity:
         eager = program(rctx.evaluator, sample_ct)
         plan = compile_fn(program, rctx.evaluator, [_spec(rctx)])
         _assert_ct_equal(plan.run([sample_ct])[0], eager, "run plain")
-        _assert_ct_equal(plan.run_batch([[sample_ct]])[0][0], eager, "batch plain")
+        for fused in (True, False):
+            [[got]] = plan.run_batch([[sample_ct]], fused=fused)
+            _assert_ct_equal(got, eager, f"batch plain fused={fused}")
 
 
 class TestFusedReplay:
@@ -117,13 +123,13 @@ class TestFusedReplay:
             hlt.required_rotations(), levels=[rctx.params.num_primes]
         )
         plan = hlt.plan_for(sample_ct.scale, keys)
-        [batched] = plan.run_batch([[sample_ct]])[0]
+        [batched] = plan.run_batch([[sample_ct]], fused=False)[0]
         [fused] = plan.run_batch([[sample_ct]], fused=True)[0]
         _assert_ct_equal(fused, batched, "fused BSGS")
         # The headline dispatch claim: fused schedule steps vs one
-        # dispatch per graph node in the batched replayer, >= 3x fewer.
+        # dispatch per graph node in the interpreter, >= 3x fewer.
         stats = plan.stats()
-        assert stats["dispatch_count_fused"] * 3 <= stats["dispatch_count_batched"]
+        assert stats["dispatch_count_fused"] * 3 <= stats["nodes"]
         assert stats["fused_groups"] >= 1
         assert stats["arena_slots"] >= 1
 
@@ -135,12 +141,87 @@ class TestFusedReplay:
         plan = compile_fn(
             _pipeline(gks, rlk), rctx.evaluator, [_spec(rctx), _spec(rctx)]
         )
-        ((bprod, brot),) = plan.run_batch([[sample_ct, ct_y]])
-        with ShardedExecutor(plan, 1, fused=True) as pool:
-            assert pool.stats()["fused"]
+        ((bprod, brot),) = plan.run_batch([[sample_ct, ct_y]], fused=False)
+        with ShardedExecutor(plan, 1) as pool:
+            assert pool.stats()["fused"]  # the default
             ((sprod, srot),) = pool.run_batch([[sample_ct, ct_y]], timeout=120)
         _assert_ct_equal(sprod, bprod, "fused sharded prod")
         _assert_ct_equal(srot, brot, "fused sharded rot")
+
+    def test_concurrent_replays_on_one_plan_get_their_own_bytes(
+        self, rctx, gks, rlk
+    ):
+        """Every replay of a plan shares one arena, and
+        ``ShardedExecutor._run_inline`` replays on the submitter's thread
+        (and, once degraded, on the I/O thread too): concurrent callers
+        must each get the bytes of *their* input."""
+        program = _pipeline(gks, rlk)
+        plan = compile_fn(program, rctx.evaluator, [_spec(rctx), _spec(rctx)])
+        rng = np.random.default_rng(14)
+        inputs = [
+            [rctx.encrypt(rng.uniform(-1, 1, rctx.params.slots)) for _ in range(2)]
+            for _ in range(3)  # more threads than this VM has cores
+        ]
+        want = [program(rctx.evaluator, *pair) for pair in inputs]
+        plan.run_batch([inputs[0]], fused=True)  # lower outside the race
+        wrong = [0] * len(inputs)
+        done = [0] * len(inputs)
+        start = threading.Barrier(len(inputs))
+
+        def replay(i):
+            start.wait(timeout=30)
+            for _ in range(15):
+                got = plan.run_batch([inputs[i]], fused=True)[0]
+                for g, w in zip(got, want[i]):
+                    if any(
+                        not np.array_equal(pg.data, pw.data)
+                        for pg, pw in zip(g.parts, w.parts)
+                    ):
+                        wrong[i] += 1
+                done[i] += 1
+
+        threads = [
+            threading.Thread(target=replay, args=(i,), daemon=True)
+            for i in range(len(inputs))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert done == [15] * len(inputs)
+        assert wrong == [0] * len(inputs), f"wrong replays per thread: {wrong}"
+
+    def test_forked_child_gets_a_free_replay_lock(self, rctx, gks, rlk, sample_ct):
+        """A fork taken while some thread is mid-replay must not leave
+        the child's copy of the lock held by a thread it does not have."""
+        program = _pipeline(gks, rlk)
+        plan = compile_fn(program, rctx.evaluator, [_spec(rctx), _spec(rctx)])
+        want = program(rctx.evaluator, sample_ct, sample_ct)[0]
+        ctx = mp.get_context("fork")
+        recv, send = ctx.Pipe(duplex=False)
+
+        def child():
+            [[prod, _]] = plan.run_batch([[sample_ct, sample_ct]])
+            send.send_bytes(prod.parts[0].data.tobytes())
+
+        proc = ctx.Process(target=child, daemon=True)
+        with plan.fused()._replay_lock:
+            proc.start()
+        try:
+            assert recv.poll(60), "forked child deadlocked on the replay lock"
+            assert recv.recv_bytes() == want.parts[0].data.tobytes()
+        finally:
+            proc.join(timeout=10)
+            if proc.is_alive():
+                proc.kill()
+                proc.join(timeout=10)
+        assert proc.exitcode == 0
 
     def test_fused_executor_cached_per_backend(self, rctx, gks):
         def program(ev, x):

@@ -26,6 +26,7 @@ from repro.runtime import (
     FaultPolicy,
     PoisonRequest,
     RequestError,
+    ServingConfig,
     ShardedExecutor,
     WireCorruption,
     WorkerCrash,
@@ -227,8 +228,11 @@ class TestRetryBudget:
         batches = _batches(rctx, 2)
         reference = fault_plan_program.run_batch(batches)
         chaos = FaultPlan(0, scripted=_crash_attempts(0, 1))
-        with ShardedExecutor(fault_plan_program, 2, chaos=chaos,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=2, chaos=chaos),
+            warm_inputs=batches[0],
+        ) as pool:
             futures = [pool.submit(b) for b in batches]
             results = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
             stats = pool.stats()
@@ -250,9 +254,16 @@ class TestRetryBudget:
         reference = fault_plan_program.run_batch(batches[1:])
         chaos = FaultPlan(0, scripted=_crash_attempts(0, 2))
         policy = FaultPolicy(max_attempts=2, backoff_base_s=0.01)
-        with ShardedExecutor(fault_plan_program, 2, chaos=chaos, policy=policy,
-                             max_crash_respawns=10,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(
+                num_workers=2,
+                chaos=chaos,
+                fault_policy=policy,
+                max_crash_respawns=10,
+            ),
+            warm_inputs=batches[0],
+        ) as pool:
             poison = pool.submit(batches[0])
             rest = [pool.submit(b) for b in batches[1:]]
             with pytest.raises(PoisonRequest) as info:
@@ -279,8 +290,11 @@ class TestRetryBudget:
             0, scripted={("post_evaluate", 0, 0): FaultAction("crash",
                                                               "post_evaluate")}
         )
-        with ShardedExecutor(fault_plan_program, 1, chaos=chaos,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=1, chaos=chaos),
+            warm_inputs=batches[0],
+        ) as pool:
             fut = pool.submit(batches[0])
             result = fut.result(timeout=RESULT_TIMEOUT)
             stats = pool.stats()
@@ -298,8 +312,11 @@ class TestWireCorruption:
                                                              "reply_encode",
                                                              salt=5)}
         )
-        with ShardedExecutor(fault_plan_program, 1, chaos=chaos,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=1, chaos=chaos),
+            warm_inputs=batches[0],
+        ) as pool:
             result = pool.submit(batches[0]).result(timeout=RESULT_TIMEOUT)
             stats = pool.stats()
         _assert_outputs_equal(result, reference[0], "reply flip")
@@ -315,8 +332,11 @@ class TestWireCorruption:
                                                              "pre_dispatch",
                                                              salt=11)}
         )
-        with ShardedExecutor(fault_plan_program, 1, chaos=chaos,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=1, chaos=chaos),
+            warm_inputs=batches[0],
+        ) as pool:
             result = pool.submit(batches[0]).result(timeout=RESULT_TIMEOUT)
             stats = pool.stats()
         _assert_outputs_equal(result, reference[0], "request flip")
@@ -335,8 +355,11 @@ class TestHangsAndDeadlines:
                                                              "pre_evaluate")}
         )
         policy = FaultPolicy(hang_timeout_s=0.8, backoff_base_s=0.01)
-        with ShardedExecutor(fault_plan_program, 1, chaos=chaos, policy=policy,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=1, chaos=chaos, fault_policy=policy),
+            warm_inputs=batches[0],
+        ) as pool:
             fut = pool.submit(batches[0])
             result = fut.result(timeout=RESULT_TIMEOUT)
             stats = pool.stats()
@@ -358,8 +381,11 @@ class TestHangsAndDeadlines:
         # Timeout shorter than the injected slowness: only heartbeats
         # tell the parent this worker is alive and making progress.
         policy = FaultPolicy(hang_timeout_s=0.5)
-        with ShardedExecutor(fault_plan_program, 1, chaos=chaos, policy=policy,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=1, chaos=chaos, fault_policy=policy),
+            warm_inputs=batches[0],
+        ) as pool:
             result = pool.submit(batches[0]).result(timeout=RESULT_TIMEOUT)
             stats = pool.stats()
         _assert_outputs_equal(result, reference[0], "slow request")
@@ -376,8 +402,11 @@ class TestHangsAndDeadlines:
                                                              "pre_evaluate",
                                                              duration_s=30.0)}
         )
-        with ShardedExecutor(fault_plan_program, 1, chaos=chaos,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=1, chaos=chaos),
+            warm_inputs=batches[0],
+        ) as pool:
             doomed = pool.submit(batches[0], deadline_s=0.5)
             follow = pool.submit(batches[1])
             with pytest.raises(DeadlineExceeded):
@@ -398,8 +427,11 @@ class TestHangsAndDeadlines:
                                                              "pre_evaluate",
                                                              duration_s=1.5)}
         )
-        with ShardedExecutor(fault_plan_program, 1, chaos=chaos,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=1, chaos=chaos),
+            warm_inputs=batches[0],
+        ) as pool:
             slow = pool.submit(batches[0])
             queued = pool.submit(batches[1], deadline_s=0.3)
             with pytest.raises(DeadlineExceeded) as info:
@@ -418,8 +450,16 @@ class TestDegradation:
         chaos = FaultPlan(0, crash_rate=1.0)  # every dispatch dies
         policy = FaultPolicy(max_attempts=20, crash_loop_threshold=2,
                              backoff_base_s=0.01, degrade_to_inline=True)
-        pool = ShardedExecutor(fault_plan_program, 2, chaos=chaos, policy=policy,
-                               max_crash_respawns=50, warm_inputs=batches[0])
+        pool = ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(
+                num_workers=2,
+                chaos=chaos,
+                fault_policy=policy,
+                max_crash_respawns=50,
+            ),
+            warm_inputs=batches[0],
+        )
         with pool:
             futures = [pool.submit(b) for b in batches]
             with pytest.warns(RuntimeWarning, match="degrading to the inline"):
@@ -440,9 +480,16 @@ class TestDegradation:
         chaos = FaultPlan(0, crash_rate=1.0)
         policy = FaultPolicy(max_attempts=20, crash_loop_threshold=2,
                              backoff_base_s=0.01)
-        with ShardedExecutor(fault_plan_program, 2, chaos=chaos, policy=policy,
-                             max_crash_respawns=50,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(
+                num_workers=2,
+                chaos=chaos,
+                fault_policy=policy,
+                max_crash_respawns=50,
+            ),
+            warm_inputs=batches[0],
+        ) as pool:
             futures = [pool.submit(b) for b in batches]
             with pytest.raises(WorkerCrash, match="crash loop"):
                 for fut in futures:
@@ -466,8 +513,11 @@ class TestBatchTimeoutAndClose:
                 for req in range(4)
             },
         )
-        with ShardedExecutor(fault_plan_program, 1, chaos=chaos,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=1, chaos=chaos),
+            warm_inputs=batches[0],
+        ) as pool:
             with pytest.raises(TimeoutError, match="remains serviceable"):
                 pool.run_batch(batches, timeout=0.3)
             stats_after_timeout = pool.stats()
@@ -521,9 +571,16 @@ class TestChaosMatrix:
         )
         policy = FaultPolicy(hang_timeout_s=1.0, max_attempts=8,
                              backoff_base_s=0.01, backoff_max_s=0.1)
-        with ShardedExecutor(fault_plan_program, 2, chaos=chaos, policy=policy,
-                             max_crash_respawns=100,
-                             warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(
+                num_workers=2,
+                chaos=chaos,
+                fault_policy=policy,
+                max_crash_respawns=100,
+            ),
+            warm_inputs=batches[0],
+        ) as pool:
             results = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
             stats = pool.stats()
         # Zero lost, zero duplicated: exactly one result per request, in

@@ -1,0 +1,165 @@
+"""Differential property test of the one fast path against the oracle.
+
+``hypothesis`` draws a small random CKKS program; it is built well-typed
+by construction (operands of add/sub are picked among values whose
+scales agree, rescales never exhaust the chain), traced, optimized and
+compiled, and then ``plan.run_batch`` (fused replay) must return the
+bytes of ``plan.run`` (the interpreter) — and both the bytes of the
+eager evaluator running the same callable, which puts the optimizer
+passes under the same test.
+
+The settings are derandomized so tier-1 replays the same examples every
+run; explore further with ``--hypothesis-seed=random``.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ckks import CkksContext, toy_params
+from repro.ckks.evaluator import SCALE_RTOL
+from repro.runtime import CtSpec, compile_fn
+
+DEGREE = 64
+PRIMES = 6
+MAX_DEPTH = 4
+# Scales stay inside what the encoder can represent as doubles.
+MAX_SCALE = 2.0**300
+MIN_SCALE = 2.0**30
+
+KINDS = (
+    "add",
+    "sub",
+    "negate",
+    "multiply",
+    "rescale",
+    "rotate",
+    "add_plain",
+    "multiply_plain",
+)
+
+
+@pytest.fixture(scope="module")
+def world():
+    ctx = CkksContext.create(toy_params(degree=DEGREE, num_primes=PRIMES), seed=97)
+    levels = list(range(1, PRIMES + 1))
+    rlk = ctx.relin_keys(levels=levels)
+    gks = ctx.galois_keys([1, 2], levels=levels)
+    rng = np.random.default_rng(98)
+    inputs = [ctx.encrypt(rng.uniform(-1, 1, ctx.params.slots)) for _ in range(2)]
+    return ctx, rlk, gks, inputs
+
+
+def _program(ops, drop, ctx, rlk, gks):
+    """``ops`` -> a callable over the shared evaluator surface.  Every
+    choice is made from (level, scale, size) metadata, which eager and
+    lazy handles both carry, so eager and traced runs build one graph.
+    The outputs are the values nothing consumed (an untouched input
+    included), minus those whose bit is set in ``drop`` — dead code for
+    the optimizer to find — and always the last value."""
+    moduli = ctx.basis.moduli
+
+    def plaintext(seed, level, scale):
+        values = np.random.default_rng(seed).uniform(-1, 1, ctx.params.slots)
+        return ctx.encoder.encode(values, level=level, scale=scale)
+
+    def program(ev, x, y):
+        vals = [(x, 0), (y, 0)]
+        consumed = set()
+        for step, (kind, i, j, k) in enumerate(ops):
+            ia = i % len(vals)
+            ib = None
+            a, da = vals[ia]
+            if kind in ("add", "sub", "multiply"):
+                if kind == "multiply":
+                    peers = [
+                        n
+                        for n, (v, _) in enumerate(vals)
+                        if a.scale * v.scale <= MAX_SCALE
+                    ]
+                else:
+                    peers = [
+                        n
+                        for n, (v, _) in enumerate(vals)
+                        if math.isclose(a.scale, v.scale, rel_tol=SCALE_RTOL)
+                    ]
+                if not peers:
+                    continue
+                ib = peers[j % len(peers)]
+                b, db = vals[ib]
+                depth = 1 + max(da, db)
+            else:
+                depth = 1 + da
+            if depth > MAX_DEPTH:
+                continue
+            if kind == "add":
+                out = ev.add(a, b)
+            elif kind == "sub":
+                out = ev.sub(a, b)
+            elif kind == "negate":
+                out = ev.negate(a)
+            elif kind == "multiply":
+                out = ev.relinearize(ev.multiply(a, b), rlk)
+            elif kind == "rescale":
+                times = min(1 + k % 2, a.level - 1)
+                scale = a.scale
+                for t in range(times):
+                    scale /= moduli[a.level - 1 - t]
+                if times == 0 or scale < MIN_SCALE:
+                    continue
+                out = ev.rescale(a, times=times)
+            elif kind == "rotate":
+                out = ev.rotate(a, 1 + k % 2, gks)
+            elif kind == "add_plain":
+                out = ev.add_plain(a, plaintext(step, a.level, a.scale))
+            else:
+                if a.scale * ctx.params.scale > MAX_SCALE:
+                    continue
+                pt = plaintext(step, a.level, ctx.params.scale)
+                out = ev.multiply_plain(a, pt)
+            vals.append((out, depth))
+            consumed |= {ia, ib} - {None}
+        last = len(vals) - 1
+        return tuple(
+            v
+            for n, (v, _) in enumerate(vals)
+            if n == last or (n not in consumed and not drop >> n & 1)
+        )
+
+    return program
+
+
+def _bytes(outs):
+    return [(ct.scale, [p.data.tobytes() for p in ct.parts]) for ct in outs]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    ops=st.lists(
+        st.tuples(
+            st.sampled_from(KINDS),
+            st.integers(0, 9),
+            st.integers(0, 9),
+            st.integers(0, 3),
+        ),
+        min_size=1,
+        max_size=9,
+    ),
+    drop=st.integers(0, 2**11 - 1),
+)
+def test_fused_replay_matches_interpreter_on_random_graphs(world, ops, drop):
+    ctx, rlk, gks, inputs = world
+    program = _program(ops, drop, ctx, rlk, gks)
+    spec = CtSpec(level=PRIMES, scale=ctx.params.scale)
+    plan = compile_fn(program, ctx.evaluator, [spec, spec])
+    oracle = _bytes(plan.run(inputs))
+    (fused,) = plan.run_batch([inputs])
+    assert _bytes(fused) == oracle, f"fused != interpreter on {plan.summary()}"
+    assert _bytes(program(ctx.evaluator, *inputs)) == oracle, (
+        f"interpreter != eager on {plan.summary()}"
+    )

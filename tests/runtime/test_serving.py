@@ -1,5 +1,5 @@
-"""The unified serving surface: ServingConfig, serve(), and the
-one-release deprecation bridge for the legacy keyword surface."""
+"""The unified serving surface: ServingConfig, serve(), and what is
+left of the executor's own constructor surface."""
 
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ class TestServingConfig:
         cfg = ServingConfig()
         assert cfg.num_workers == 2
         assert cfg.transport == "pipe"
+        assert cfg.fused is True
 
     def test_frozen(self):
         cfg = ServingConfig()
@@ -116,11 +117,8 @@ class TestServeFacade:
 
 
 class TestLegacyKeywordBridge:
-    def test_executor_kwargs_warn_and_translate(self, square_plan):
-        with pytest.warns(DeprecationWarning, match="legacy serving kwargs"):
-            pool = ShardedExecutor(square_plan, ship_plan=True, fused=True)
-        assert pool.config.ship_plan is True
-        assert pool.config.fused is True
+    """The keyword bridge itself is gone (0.10.0); what remains of the
+    pre-config constructor surface is the positional pool size."""
 
     def test_bare_positional_pool_size_stays_silent(self, square_plan):
         import warnings
@@ -130,10 +128,6 @@ class TestLegacyKeywordBridge:
             pool = ShardedExecutor(square_plan, 3)
         assert pool.config.num_workers == 3
 
-    def test_config_plus_legacy_kwargs_is_an_error(self, square_plan):
-        with pytest.raises(TypeError, match="not both"):
-            ShardedExecutor(square_plan, config=ServingConfig(), fused=True)
-
     def test_positional_size_plus_config_is_an_error(self, square_plan):
         with pytest.raises(TypeError, match="pool size"):
             ShardedExecutor(square_plan, 2, config=ServingConfig())
@@ -141,22 +135,11 @@ class TestLegacyKeywordBridge:
     def test_unknown_kwargs_still_rejected(self, square_plan):
         with pytest.raises(TypeError, match="unexpected"):
             ShardedExecutor(square_plan, frobnicate=True)
-
-    def test_serve_legacy_kwargs_warn(self, rctx, square_plan):
-        batches = _batches(rctx, 2, seed=23)
-        reference = square_plan.run_batch(batches)
-        with pytest.warns(DeprecationWarning, match="legacy serving kwargs"):
-            session = serve(square_plan, num_workers=1)
-        with session:
-            served = session.run_batch(batches, timeout=RESULT_TIMEOUT)
-        assert session.config.num_workers == 1
-        for got, want in zip(served, reference):
-            for g, w in zip(got, want):
-                for pg, pw in zip(g.parts, w.parts):
-                    assert np.array_equal(pg.data, pw.data)
-
-    def test_streaming_server_legacy_max_pending_warns(self, square_plan):
+        for removed in ({"fused": True}, {"policy": None}, {"max_pending": 4}):
+            with pytest.raises(TypeError, match="unexpected"):
+                ShardedExecutor(square_plan, **removed)
+        with pytest.raises(TypeError, match="unexpected"):
+            serve(square_plan, num_workers=1)
         pool = ShardedExecutor(square_plan, config=ServingConfig(num_workers=0))
-        with pytest.warns(DeprecationWarning, match="legacy serving kwargs"):
-            server = StreamingServer(pool, max_pending=5)
-        assert server.max_pending == 5
+        with pytest.raises(TypeError, match="unexpected"):
+            StreamingServer(pool, max_pending=5)

@@ -16,6 +16,7 @@ from repro.runtime import (
     FaultPlan,
     FaultPolicy,
     PoisonRequest,
+    ServingConfig,
     ShardedExecutor,
     StreamingServer,
     compile_fn,
@@ -73,7 +74,9 @@ class TestBackpressure:
     def test_admission_is_bounded_by_max_pending(self):
         async def scenario():
             stub = StubExecutor()
-            async with StreamingServer(stub, max_pending=2) as server:
+            async with StreamingServer(
+                stub, config=ServingConfig(max_pending=2)
+            ) as server:
                 tasks = [
                     asyncio.create_task(server.submit([i])) for i in range(5)
                 ]
@@ -99,13 +102,13 @@ class TestBackpressure:
         assert asyncio.run(scenario())
 
     def test_submit_outside_context_raises(self):
-        server = StreamingServer(StubExecutor(), max_pending=2)
+        server = StreamingServer(StubExecutor(), config=ServingConfig(max_pending=2))
         with pytest.raises(RuntimeError, match="async with"):
             asyncio.run(server.submit([0]))
 
     def test_zero_capacity_rejected(self):
         with pytest.raises(ValueError, match="max_pending"):
-            StreamingServer(StubExecutor(), max_pending=0)
+            StreamingServer(StubExecutor(), config=ServingConfig(max_pending=0))
 
 
 class TestStreamingPipeline:
@@ -120,8 +123,13 @@ class TestStreamingPipeline:
             return rctx.decrypt_decode(outputs[0]).real
 
         async def scenario():
-            pool = ShardedExecutor(square_plan, 2, modeled_request_io_s=0.01)
-            async with StreamingServer(pool, max_pending=3) as server:
+            pool = ShardedExecutor(
+                square_plan,
+                config=ServingConfig(num_workers=2, modeled_request_io_s=0.01),
+            )
+            async with StreamingServer(
+                pool, config=ServingConfig(max_pending=3)
+            ) as server:
                 results = await server.serve(
                     payloads, encrypt=encrypt, decrypt=decrypt
                 )
@@ -156,8 +164,13 @@ class TestStreamingPipeline:
             return rctx.decrypt_decode(outputs[0]).real
 
         async def scenario():
-            pool = ShardedExecutor(square_plan, 2, modeled_request_io_s=io_s)
-            async with StreamingServer(pool, max_pending=4) as server:
+            pool = ShardedExecutor(
+                square_plan,
+                config=ServingConfig(num_workers=2, modeled_request_io_s=io_s),
+            )
+            async with StreamingServer(
+                pool, config=ServingConfig(max_pending=4)
+            ) as server:
                 await server.serve(
                     [np.full(rctx.params.slots, 0.2)] * n,
                     encrypt=encrypt,
@@ -171,7 +184,9 @@ class TestStreamingPipeline:
     def test_deadline_is_plumbed_to_the_executor(self):
         async def scenario():
             stub = DeadlineRecordingStub()
-            async with StreamingServer(stub, max_pending=2) as server:
+            async with StreamingServer(
+                stub, config=ServingConfig(max_pending=2)
+            ) as server:
                 tasks = [
                     asyncio.create_task(server.submit([0], deadline_s=1.5)),
                     asyncio.create_task(server.submit([1])),
@@ -210,9 +225,17 @@ class TestStreamingPipeline:
 
         async def scenario():
             pool = ShardedExecutor(
-                square_plan, 1, chaos=chaos, policy=policy, max_crash_respawns=10
+                square_plan,
+                config=ServingConfig(
+                    num_workers=1,
+                    chaos=chaos,
+                    fault_policy=policy,
+                    max_crash_respawns=10,
+                ),
             )
-            async with StreamingServer(pool, max_pending=1) as server:
+            async with StreamingServer(
+                pool, config=ServingConfig(max_pending=1)
+            ) as server:
                 with pytest.raises(PoisonRequest):
                     await server.serve_one(
                         payload, encrypt=encrypt, decrypt=decrypt
@@ -253,8 +276,12 @@ class TestStreamingPipeline:
         payload = np.full(rctx.params.slots, 0.3)
 
         async def scenario():
-            pool = ShardedExecutor(square_plan, 1, chaos=chaos)
-            async with StreamingServer(pool, max_pending=2) as server:
+            pool = ShardedExecutor(
+                square_plan, config=ServingConfig(num_workers=1, chaos=chaos)
+            )
+            async with StreamingServer(
+                pool, config=ServingConfig(max_pending=2)
+            ) as server:
                 results = await server.serve(
                     [payload] * 3, encrypt=encrypt, decrypt=decrypt
                 )
@@ -275,7 +302,9 @@ class TestStreamingPipeline:
     def test_schedule_comparison_covers_all_policies(self, rctx, square_plan):
         async def scenario():
             pool = ShardedExecutor(square_plan, 0)
-            async with StreamingServer(pool, max_pending=2) as server:
+            async with StreamingServer(
+                pool, config=ServingConfig(max_pending=2)
+            ) as server:
                 await server.submit(
                     [rctx.encrypt(np.zeros(rctx.params.slots))]
                 )

@@ -14,6 +14,7 @@ from repro.runtime import (
     CtSpec,
     FaultPlan,
     FaultPolicy,
+    ServingConfig,
     ShardedExecutor,
     compile_fn,
     deserialize_trace_frame,
@@ -245,7 +246,12 @@ def _serve(plan, rctx, *, chaos, n_requests, telemetry):
     rng = np.random.default_rng(11)
     batches = [[_encrypt(rctx, rng), _encrypt(rctx, rng)] for _ in range(n_requests)]
     pool = ShardedExecutor(
-        plan, 2, chaos=chaos, policy=FaultPolicy(max_attempts=5)
+        plan,
+        config=ServingConfig(
+            num_workers=2,
+            chaos=chaos,
+            fault_policy=FaultPolicy(max_attempts=5),
+        ),
     )
     with pool:
         if pool.stats()["inline"]:

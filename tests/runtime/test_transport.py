@@ -158,15 +158,7 @@ class TestTcpTransport:
             pool.run_batch(batches, timeout=RESULT_TIMEOUT)
             ts = pool.stats().get("transport_stats", {})
         if ts:
-            assert ts["batch_messages"] is True
             assert ts["frames_sent"] <= ts["messages_sent"]
-        cfg = ServingConfig(num_workers=2, transport="tcp", batch_messages=False)
-        with ShardedExecutor(fabric_plan, config=cfg) as pool:
-            pool.run_batch(batches, timeout=RESULT_TIMEOUT)
-            ts = pool.stats().get("transport_stats", {})
-        if ts:
-            assert ts["batch_messages"] is False
-            assert ts["frames_sent"] == ts["messages_sent"]
 
 
 class TestHostLoss:
