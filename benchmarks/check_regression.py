@@ -1,38 +1,31 @@
 #!/usr/bin/env python3
-"""Bench-regression gate: fresh BENCH_*.json vs. committed snapshots.
+"""Bench-regression gate: fresh BENCH_*.json vs. the committed copies.
 
-Every bench JSON tracks machine-relative ratios in ``speedups_x``
-(reference-path / engine-path time, or scaled-pool / single-pool
-throughput) — all higher-is-better, and far more stable across hosts
-than raw wall-clock.  This gate compares a freshly produced file
-against the committed snapshot and **fails when any tracked ratio
-decays by more than ``--max-slowdown``** (default 25%).
+``run_bench.py`` writes, per file, machine-relative ratios in
+``speedups_x`` (reference time / engine time, higher is better) and each
+ratio's own noise band in ``noise_x`` (spread of its interleaved
+per-round ratios).  This gate compares a fresh file against the
+committed copy of the same name:
 
-Baselines are matched on bench shape: every snapshot entry (top level
-plus the ``trajectory`` history) whose meta (bench, degree, num_primes,
-quick, backend) matches the fresh run contributes, and each ratio is
-gated against the **minimum** matching baseline value — so a ``--quick``
-CI run compares against the most conservative committed quick sample
-rather than one lucky measurement, which keeps the gate flake-resistant
-on noisy shared runners.
+* a fresh ratio is compared only to the committed value recorded under
+  the **same** ``meta`` (bench, shape, backend, rounds) — a fresh file
+  at any other meta gets the note ``no baseline at this shape`` and
+  passes, so a new shape lands green and gates once its file is
+  committed;
+* a ratio **fails** when it decays by more than
+  ``max(--max-slowdown, committed noise, fresh noise)``;
+* a move (either way) no larger than the two noise bands is reported as
+  ``below noise floor`` — neither a regression nor evidence of a gain;
+* a ratio the committed file tracks and the fresh run no longer produces
+  **fails**: a renamed or dropped row must update the committed file in
+  the same PR, never fall out of the gate unnoticed.
 
-Two failure modes the matching must not let through silently:
-
-* a ratio the shape-matched baseline tracks but the fresh run no longer
-  produces is a **failure** — a renamed or dropped bench entry must
-  update the snapshot in the same PR, never fall out of the gate
-  unnoticed;
-* a fresh ratio with no same-shape baseline is still gated against the
-  minimum of that ratio across **all** snapshot shapes (flagged
-  ``cross-shape``) when any entry tracks it — only ratios the snapshot
-  has never seen anywhere are reported and skipped, so brand-new benches
-  land green and start gating on the next PR.
+There is no history: the committed value is the baseline, git is the
+record.
 
 Usage::
 
-    python benchmarks/check_regression.py \
-        --baseline-dir snapshots --max-slowdown 0.25 \
-        BENCH_keyswitch.json BENCH_runtime.json BENCH_serving.json
+    python benchmarks/check_regression.py --baseline-dir .bench-baselines
 """
 
 from __future__ import annotations
@@ -41,52 +34,7 @@ import argparse
 import json
 from pathlib import Path
 
-DEFAULT_FILES = [
-    "BENCH_keyswitch.json",
-    "BENCH_runtime.json",
-    "BENCH_serving.json",
-    "BENCH_planio.json",
-    "BENCH_chaos.json",
-    "BENCH_telemetry.json",
-    "BENCH_fabric.json",
-]
-
-# workers/requests keep serving-bench baselines from being compared
-# across pool shapes; non-serving benches carry neither key (None==None).
-_MATCH_KEYS = (
-    "bench",
-    "degree",
-    "num_primes",
-    "quick",
-    "backend",
-    "workers",
-    "requests",
-)
-
-
-def _baseline_ratios(
-    snapshot: dict, fresh_meta: dict
-) -> tuple[dict[str, float], dict[str, float]]:
-    """Per-ratio minima over the snapshot (top level + trajectory).
-
-    Returns ``(matched, any_shape)``: minima over entries whose meta
-    matches the fresh run's shape, and minima over *every* entry
-    regardless of shape (the cross-shape fallback for ratios the matched
-    baseline does not track yet).
-    """
-    want = {k: fresh_meta.get(k) for k in _MATCH_KEYS}
-    matched: dict[str, float] = {}
-    any_shape: dict[str, float] = {}
-    for candidate in [snapshot, *snapshot.get("trajectory", [])]:
-        meta = candidate.get("meta", {})
-        is_match = all(meta.get(k) == want[k] for k in _MATCH_KEYS)
-        for key, value in candidate.get("speedups_x", {}).items():
-            value = float(value)
-            if value < any_shape.get(key, float("inf")):
-                any_shape[key] = value
-            if is_match and value < matched.get(key, float("inf")):
-                matched[key] = value
-    return matched, any_shape
+DEFAULT_FILES = ["BENCH_keyswitch.json", "BENCH_runtime.json", "BENCH_fabric.json"]
 
 
 def check_file(
@@ -99,42 +47,41 @@ def check_file(
     if not baseline_path.exists():
         return [], [f"{name}: no committed baseline at {baseline_path}; skipped"]
     fresh = json.loads(fresh_path.read_text())
-    snapshot = json.loads(baseline_path.read_text())
-    matched, any_shape = _baseline_ratios(snapshot, fresh.get("meta", {}))
-    if not any_shape:
+    committed = json.loads(baseline_path.read_text())
+    if fresh.get("meta") != committed.get("meta"):
         return [], [
-            f"{name}: snapshot tracks no ratios for any shape; skipped"
+            f"{name}: no baseline at this shape (fresh meta {fresh.get('meta')} "
+            f"!= committed {committed.get('meta')}); skipped"
         ]
     fresh_ratios = fresh.get("speedups_x", {})
+    base_ratios = committed.get("speedups_x", {})
     regressions, notes = [], []
-    for key in sorted(matched):
+    for key, base in sorted(base_ratios.items()):
         if key not in fresh_ratios:
             regressions.append(
-                f"{name}: {key} tracked by the baseline "
-                f"(min {matched[key]:.2f}x) but missing from the fresh run — "
-                "renamed/dropped ratios must update the snapshot in the same PR"
+                f"{name}: {key} tracked by the committed file ({base:.2f}x) but "
+                "missing from the fresh run — renamed/dropped ratios must "
+                "update the committed file in the same PR"
             )
-    for key in sorted(fresh_ratios):
-        if key in matched:
-            base, scope = float(matched[key]), ""
-        elif key in any_shape:
-            base, scope = float(any_shape[key]), " [cross-shape]"
-        else:
-            notes.append(f"{name}: {key} is new (no baseline ratio); skipped")
             continue
         got = float(fresh_ratios[key])
-        if base <= 0:
-            notes.append(f"{name}: {key} baseline ratio {base:g} unusable; skipped")
-            continue
-        slowdown = 1.0 - got / base
+        noise = max(
+            float(committed.get("noise_x", {}).get(key, 0.0)),
+            float(fresh.get("noise_x", {}).get(key, 0.0)),
+        )
+        move = got / float(base) - 1.0
         line = (
             f"{name}: {key} {base:.2f}x -> {got:.2f}x "
-            f"({-slowdown:+.1%} vs baseline){scope}"
+            f"({move:+.1%}, noise {noise:.0%})"
         )
-        if slowdown > max_slowdown:
+        if -move > max(max_slowdown, noise):
             regressions.append(line)
+        elif abs(move) <= noise:
+            notes.append(f"{line} below noise floor")
         else:
             notes.append(line)
+    for key in sorted(set(fresh_ratios) - set(base_ratios)):
+        notes.append(f"{name}: {key} is new (no committed ratio); skipped")
     return regressions, notes
 
 
@@ -150,7 +97,7 @@ def main(argv: list[str] | None = None) -> int:
         "--baseline-dir",
         type=Path,
         required=True,
-        help="directory holding the committed snapshot copies",
+        help="directory holding the committed copies",
     )
     ap.add_argument(
         "--fresh-dir",
@@ -162,7 +109,8 @@ def main(argv: list[str] | None = None) -> int:
         "--max-slowdown",
         type=float,
         default=0.25,
-        help="fail when a tracked ratio decays by more than this fraction",
+        help="fail when a ratio decays by more than this fraction "
+        "(or its noise band, when that is wider)",
     )
     args = ap.parse_args(argv)
 
@@ -181,11 +129,14 @@ def main(argv: list[str] | None = None) -> int:
 
     if all_regressions:
         print(
-            f"\nbench regression gate: {len(all_regressions)} ratio(s) decayed "
-            f"more than {args.max_slowdown:.0%}"
+            f"\nbench regression gate: {len(all_regressions)} ratio(s) decayed past "
+            f"max({args.max_slowdown:.0%}, their noise band) or went missing"
         )
         return 1
-    print(f"\nbench regression gate: all tracked ratios within {args.max_slowdown:.0%}")
+    print(
+        f"\nbench regression gate: every tracked ratio within "
+        f"max({args.max_slowdown:.0%}, its noise band)"
+    )
     return 0
 
 

@@ -19,7 +19,6 @@ import pytest
 from repro.ckks import CkksContext, toy_params
 from repro.nums import find_primes
 from repro.nums.kernels import available_backends, make_kernel, using_backend
-from repro.nums.modular import mulmod_vec
 from repro.rns import RnsBasis
 from repro.rns.poly import RnsPolynomial
 from repro.transforms.fft import SpecialFft
@@ -143,13 +142,6 @@ def test_special_fft(benchmark, log_slots):
     benchmark(lambda: fft.forward(v.copy()))
 
 
-def test_mulmod_vec_throughput(benchmark):
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, PRIME, 1 << 16).astype(np.uint64)
-    b = rng.integers(0, PRIME, 1 << 16).astype(np.uint64)
-    benchmark(mulmod_vec, a, b, PRIME)
-
-
 @pytest.mark.parametrize("backend", available_backends())
 def test_mulmod_backend_throughput(benchmark, backend):
     """Canonical-operand modular product under each reducer backend."""
@@ -173,9 +165,9 @@ def test_barrett_speedup_vs_seed_path(report):
     drifts, so the asserted floors sit below the typical ratios while the
     report prints what was actually achieved):
 
-    * ``mulmod``  — seed ``mulmod_vec`` vs the Barrett kernel, flat 2^16;
+    * ``mulmod``  — ``seed_mulmod_vec`` vs the Barrett kernel, flat 2^16;
     * ``polymul`` — the RnsPolynomial.__mul__ path: seed per-limb Python
-      loop of ``mulmod_vec`` calls vs one whole-(L, N) kernel dispatch;
+      loop of ``seed_mulmod_vec`` calls vs one whole-(L, N) kernel dispatch;
     * ``ntt``     — seed forward NTT (``%`` everywhere) vs the lazy-
       reduction Barrett butterfly pipeline.
     """

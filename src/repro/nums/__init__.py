@@ -5,13 +5,13 @@ reference model for the accelerator's modular-arithmetic hardware:
 
 * :mod:`repro.nums.primality` — deterministic Miller–Rabin;
 * :mod:`repro.nums.primegen` — NTT-friendly prime search (paper Eq. 8);
-* :mod:`repro.nums.modular` — scalar helpers + legacy vectorized wrappers;
+* :mod:`repro.nums.modular` — exact scalar helpers on Python ints;
 * :mod:`repro.nums.kernels` — pluggable vectorized reducer backends
   (``generic-split`` / ``barrett`` / ``montgomery``) with the registry
   and the :class:`~repro.nums.kernels.ReducerSpec` Table I accounting;
 * :mod:`repro.nums.backend` — the array-namespace seam the kernels and
-  the fused plan replayer compute through (numpy default; optional
-  CuPy/torch resolved lazily, never imported unless requested);
+  the fused plan replayer compute through (numpy default; any other
+  library is registered by the caller);
 * :mod:`repro.nums.barrett` / :mod:`repro.nums.montgomery` — the three
   scalar reducer designs compared in Table I (exact-int references);
 * :mod:`repro.nums.crt` — RNS decompose / CRT combine.
@@ -19,13 +19,8 @@ reference model for the accelerator's modular-arithmetic hardware:
 
 from repro.nums.backend import (
     ArrayNamespace,
-    array_backend_available,
-    available_array_backends,
-    default_array_backend_name,
     get_array_namespace,
     register_array_namespace,
-    set_default_array_backend,
-    using_array_backend,
 )
 from repro.nums.barrett import BarrettReducer
 from repro.nums.crt import CrtSystem
@@ -45,16 +40,11 @@ from repro.nums.kernels import (
     using_backend,
 )
 from repro.nums.modular import (
-    addmod_vec,
     centered,
     mod_inv,
     mod_pow,
-    mulmod_vec,
-    negmod_vec,
     nth_root_of_unity,
-    powmod_vec,
     primitive_root,
-    submod_vec,
 )
 from repro.nums.montgomery import MontgomeryReducer, NttFriendlyMontgomeryReducer
 from repro.nums.primality import is_prime, next_prime
@@ -63,13 +53,8 @@ from repro.nums.primegen import NttFriendlyPrime, count_primes, find_primes, pri
 __all__ = [
     "REDUCER_SPECS",
     "ArrayNamespace",
-    "array_backend_available",
-    "available_array_backends",
-    "default_array_backend_name",
     "get_array_namespace",
     "register_array_namespace",
-    "set_default_array_backend",
-    "using_array_backend",
     "BarrettKernel",
     "BarrettReducer",
     "CrtSystem",
@@ -87,19 +72,14 @@ __all__ = [
     "using_backend",
     "NttFriendlyMontgomeryReducer",
     "NttFriendlyPrime",
-    "addmod_vec",
     "centered",
     "count_primes",
     "find_primes",
     "is_prime",
     "mod_inv",
     "mod_pow",
-    "mulmod_vec",
-    "negmod_vec",
     "next_prime",
     "nth_root_of_unity",
-    "powmod_vec",
     "prime_chain",
     "primitive_root",
-    "submod_vec",
 ]

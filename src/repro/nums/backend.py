@@ -6,13 +6,11 @@ pre-lowered closures never import ``numpy`` functions directly on their
 hot paths — they go through an :class:`ArrayNamespace`, a minimal adapter
 exposing exactly the array operations the kernels need.  The default
 namespace *is* numpy (every attribute is the numpy function itself, so
-the seam costs one attribute lookup per kernel call); optional CuPy and
-torch namespaces are resolved lazily at plan-lower time, so the same
-compiled ``EPL1`` artifact replays on whatever array library the host has
-installed — no re-trace, no wire-format change.  Neither accelerator
-library is ever imported unless explicitly requested, and requesting an
-uninstalled one raises a clear error (``array_backend_available`` lets
-callers probe first and skip cleanly).
+the seam costs one attribute lookup per kernel call) and is the only one
+this module builds; any other array library is installed by the caller
+through :func:`register_array_namespace` and resolved by name at
+plan-lower time, so the same compiled ``EPL1`` artifact replays on it —
+no re-trace, no wire-format change.
 
 Scope in this revision: the seam covers the :class:`ReducerKernel`
 surface (elementwise modular arithmetic, fused multiply-/add-accumulate)
@@ -23,19 +21,16 @@ kernels move behind the seam; bit-identity holds on both sides of it
 because the conversions are exact on uint64 data.
 
 Contract (see ``docs/architecture.md``): the namespace registry is
-process-level state, resolved once per name and cached; resolved
-namespaces (and any kernel tables converted through them) are inherited
-copy-on-write by forked serving workers like every other warmed cache.
-Nothing here crosses the worker boundary — ``EPL1`` artifacts carry no
-array-backend state, and a deserialized plan re-resolves its namespace at
-lower time on the replaying host.  The default-name override
-(``set_default_array_backend`` / ``REPRO_ARRAY_BACKEND``) mirrors the
-reducer-backend registry in :mod:`repro.nums.kernels`.
+process-level state; registered namespaces (and any kernel tables
+converted through them) are inherited copy-on-write by forked serving
+workers like every other warmed cache.  Nothing here crosses the worker
+boundary — ``EPL1`` artifacts carry no array-backend state, and a
+deserialized plan re-resolves its namespace at lower time on the
+replaying host.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,13 +38,8 @@ import numpy as np
 
 __all__ = [
     "ArrayNamespace",
-    "available_array_backends",
-    "array_backend_available",
     "get_array_namespace",
     "register_array_namespace",
-    "default_array_backend_name",
-    "set_default_array_backend",
-    "using_array_backend",
 ]
 
 
@@ -90,179 +80,35 @@ class ArrayNamespace:
         return self.name == "numpy"
 
 
-def _make_numpy_namespace() -> ArrayNamespace:
-    return ArrayNamespace(name="numpy")
-
-
-def _make_cupy_namespace() -> ArrayNamespace:
-    import cupy as cp  # noqa: PLC0415 — deliberate lazy, optional import
-
-    def add_reduce(x, axis=0):
-        return cp.sum(x, axis=axis, dtype=cp.uint64)
-
-    return ArrayNamespace(
-        name="cupy",
-        asarray=cp.asarray,
-        empty=cp.empty,
-        zeros=cp.zeros,
-        zeros_like=cp.zeros_like,
-        ones=cp.ones,
-        minimum=cp.minimum,
-        mod=cp.mod,
-        where=cp.where,
-        stack=cp.stack,
-        broadcast_to=cp.broadcast_to,
-        moveaxis=cp.moveaxis,
-        copyto=cp.copyto,
-        add_reduce=add_reduce,
-        to_numpy=cp.asnumpy,
-        from_numpy=cp.asarray,
-    )
-
-
-def _make_torch_namespace() -> ArrayNamespace:
-    import torch  # noqa: PLC0415 — deliberate lazy, optional import
-
-    def asarray(x, dtype=None):
-        t = torch.as_tensor(np.asarray(x) if not torch.is_tensor(x) else x)
-        return t.to(torch.uint64) if dtype is not None else t
-
-    def _out(fn):
-        def wrapped(*args, out=None):
-            return fn(*args, out=out) if out is not None else fn(*args)
-
-        return wrapped
-
-    def add_reduce(x, axis=0):
-        return torch.sum(x, dim=axis, dtype=torch.uint64)
-
-    return ArrayNamespace(
-        name="torch",
-        asarray=asarray,
-        empty=lambda shape, dtype=None: torch.empty(shape, dtype=torch.uint64),
-        zeros=lambda shape, dtype=None: torch.zeros(shape, dtype=torch.uint64),
-        zeros_like=torch.zeros_like,
-        ones=lambda shape, dtype=None: torch.ones(shape, dtype=torch.uint64),
-        minimum=_out(torch.minimum),
-        mod=_out(torch.remainder),
-        where=torch.where,
-        stack=lambda arrays, axis=0, out=None: torch.stack(
-            list(arrays), dim=axis, out=out
-        ),
-        broadcast_to=torch.broadcast_to,
-        moveaxis=torch.movedim,
-        copyto=lambda dst, src: dst.copy_(src),
-        add_reduce=add_reduce,
-        to_numpy=lambda x: x.cpu().numpy(),
-        from_numpy=torch.from_numpy,
-    )
-
-
-_FACTORIES: dict[str, Callable[[], ArrayNamespace]] = {
-    "numpy": _make_numpy_namespace,
-    "cupy": _make_cupy_namespace,
-    "torch": _make_torch_namespace,
-}
-_RESOLVED: dict[str, ArrayNamespace] = {}
-
-_DEFAULT_ARRAY_BACKEND = os.environ.get("REPRO_ARRAY_BACKEND", "numpy")
+_REGISTERED: dict[str, ArrayNamespace] = {"numpy": ArrayNamespace(name="numpy")}
 
 
 def register_array_namespace(namespace: ArrayNamespace) -> None:
     """Install (or replace) a namespace under its own name.
 
-    The extension point for array libraries this module has no factory
-    for — and for tests, which register numpy-backed stand-ins to
-    exercise the non-default (host-staging) replay path without a GPU.
+    The extension point for every array library other than numpy — and
+    for tests, which register numpy-backed stand-ins to exercise the
+    non-default (host-staging) replay path without a GPU.
     """
-    _RESOLVED[namespace.name] = namespace
-
-
-def available_array_backends() -> tuple[str, ...]:
-    """Names of array backends that resolve on this host (probes imports)."""
-    names = set(_RESOLVED) | set(_FACTORIES)
-    return tuple(sorted(n for n in names if array_backend_available(n)))
-
-
-def array_backend_available(name: str) -> bool:
-    """Whether ``get_array_namespace(name)`` would succeed."""
-    if name in _RESOLVED:
-        return True
-    factory = _FACTORIES.get(name)
-    if factory is None:
-        return False
-    try:
-        _RESOLVED[name] = factory()
-    except ImportError:
-        return False
-    return True
+    _REGISTERED[namespace.name] = namespace
 
 
 def get_array_namespace(
     name: "str | ArrayNamespace | None" = None,
 ) -> ArrayNamespace:
-    """Resolve a namespace by name (process default when ``None``).
+    """Resolve a namespace by name (numpy when ``None``).
 
     Accepts an already-resolved :class:`ArrayNamespace` unchanged so
     kernel constructors can take either form.  Raises ``ValueError`` for
-    unknown names and ``ImportError`` (with the backend named) when the
-    underlying library is not installed.
+    names nobody registered.
     """
     if isinstance(name, ArrayNamespace):
         return name
-    key = name or default_array_backend_name()
-    resolved = _RESOLVED.get(key)
-    if resolved is not None:
-        return resolved
-    factory = _FACTORIES.get(key)
-    if factory is None:
-        raise ValueError(
-            f"unknown array backend {key!r}; available: "
-            f"{tuple(sorted(set(_RESOLVED) | set(_FACTORIES)))}"
-        )
+    key = name or "numpy"
     try:
-        resolved = factory()
-    except ImportError as exc:
-        raise ImportError(
-            f"array backend {key!r} requested but not installed: {exc}"
-        ) from exc
-    _RESOLVED[key] = resolved
-    return resolved
-
-
-def default_array_backend_name() -> str:
-    """The process-wide default array backend name."""
-    return _DEFAULT_ARRAY_BACKEND
-
-
-def set_default_array_backend(name: str) -> str:
-    """Switch the process-wide default; returns the previous name."""
-    global _DEFAULT_ARRAY_BACKEND
-    if name not in _FACTORIES and name not in _RESOLVED:
+        return _REGISTERED[key]
+    except KeyError:
         raise ValueError(
-            f"unknown array backend {name!r}; available: "
-            f"{tuple(sorted(set(_RESOLVED) | set(_FACTORIES)))}"
-        )
-    previous = _DEFAULT_ARRAY_BACKEND
-    _DEFAULT_ARRAY_BACKEND = name
-    return previous
-
-
-class using_array_backend:
-    """Context manager scoping a default array-backend override.
-
-    >>> with using_array_backend("cupy"):
-    ...     executor = plan.fused()
-    """
-
-    def __init__(self, name: str) -> None:
-        self._name = name
-        self._previous: str | None = None
-
-    def __enter__(self) -> str:
-        self._previous = set_default_array_backend(self._name)
-        return self._name
-
-    def __exit__(self, *exc) -> None:
-        assert self._previous is not None
-        set_default_array_backend(self._previous)
+            f"unknown array backend {key!r}; registered: "
+            f"{tuple(sorted(_REGISTERED))}"
+        ) from None

@@ -724,8 +724,7 @@ def make_kernel(moduli, backend: str | None = None, xp=None) -> ReducerKernel:
     """Instantiate a kernel for a modulus (array) under a backend.
 
     ``xp`` selects the array namespace (name or :class:`ArrayNamespace`)
-    the kernel computes on; ``None`` means the process default (numpy
-    unless overridden).
+    the kernel computes on; ``None`` means numpy.
     """
     return get_backend(backend)(moduli, xp=xp)
 

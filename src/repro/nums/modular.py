@@ -1,15 +1,10 @@
-"""Scalar and vectorized modular arithmetic.
+"""Exact scalar modular arithmetic on Python ints.
 
-Two layers live here:
-
-* exact scalar helpers on Python ints (``mod_pow``, ``mod_inv``,
-  ``primitive_root`` …) used for parameter generation and test oracles;
-* vectorized uint64 wrappers (``mulmod_vec`` and friends) that normalize
-  arbitrary inputs and dispatch to the process-default reducer backend in
-  :mod:`repro.nums.kernels`.  Hot paths (the RNS polynomial layer, NTT
-  butterflies) bind a :class:`~repro.nums.kernels.ReducerKernel` directly
-  and skip the normalization; these wrappers remain for ad-hoc callers
-  and as the stable legacy API.
+``mod_pow``, ``mod_inv``, ``primitive_root`` … are used for parameter
+generation and as test oracles; ``centered_vec`` is the one array helper
+(canonical residues -> signed lifts).  Vectorized modular arithmetic
+lives in :mod:`repro.nums.kernels`: callers bind a
+:class:`~repro.nums.kernels.ReducerKernel` for their modulus.
 
 The root-finding helpers are memoized: parameter generation calls
 ``nth_root_of_unity`` once per (degree, prime) pair but the underlying
@@ -23,8 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.nums.kernels import kernel_for_modulus
-
 __all__ = [
     "mod_pow",
     "mod_inv",
@@ -33,12 +26,8 @@ __all__ = [
     "nth_root_of_unity",
     "centered",
     "centered_vec",
-    "mulmod_vec",
-    "addmod_vec",
-    "submod_vec",
-    "negmod_vec",
-    "powmod_vec",
 ]
+
 
 def mod_pow(base: int, exponent: int, modulus: int) -> int:
     """``base ** exponent mod modulus`` on exact ints."""
@@ -135,55 +124,3 @@ def centered_vec(residues: np.ndarray, modulus: int) -> np.ndarray:
     """Vectorized :func:`centered`: canonical residues -> int64 lifts."""
     r = np.asarray(residues, dtype=np.uint64).astype(np.int64)
     return np.where(r > modulus // 2, r - modulus, r)
-
-
-# ---------------------------------------------------------------------------
-# Vectorized uint64 wrappers over the pluggable reducer backends
-# ---------------------------------------------------------------------------
-
-
-def mulmod_vec(a: np.ndarray, b: np.ndarray | int, q: int) -> np.ndarray:
-    """Elementwise ``a * b mod q`` on uint64 arrays without overflow.
-
-    Inputs of arbitrary magnitude are normalized into ``[0, q)`` first,
-    then the product is taken by the process-default reducer backend
-    (see :mod:`repro.nums.kernels`); with the ``barrett`` default no
-    integer division runs on the product path.
-    """
-    kern = kernel_for_modulus(q)
-    qq = np.uint64(q)
-    a = np.asarray(a, dtype=np.uint64) % qq
-    b_arr = np.asarray(b, dtype=np.uint64) % qq
-    return kern.mul(a, b_arr)
-
-
-# The additive wrappers need no reducer tables, so they keep the seed's
-# any-modulus contract (even or > 41-bit moduli included) instead of
-# routing through kernel construction.
-
-
-def addmod_vec(a: np.ndarray, b: np.ndarray | int, q: int) -> np.ndarray:
-    """Elementwise modular addition."""
-    qq = np.uint64(q)
-    s = np.asarray(a, dtype=np.uint64) % qq + np.asarray(b, dtype=np.uint64) % qq
-    return np.minimum(s, s - qq)  # s < 2q; the wrapped branch loses the min
-
-
-def submod_vec(a: np.ndarray, b: np.ndarray | int, q: int) -> np.ndarray:
-    """Elementwise modular subtraction (wraps into [0, q))."""
-    qq = np.uint64(q)
-    d = np.asarray(a, dtype=np.uint64) % qq - np.asarray(b, dtype=np.uint64) % qq
-    return np.minimum(d, d + qq)  # d wrapped iff a < b; then d + q is canonical
-
-
-def negmod_vec(a: np.ndarray, q: int) -> np.ndarray:
-    """Elementwise modular negation."""
-    qq = np.uint64(q)
-    r = np.asarray(a, dtype=np.uint64) % qq
-    return np.minimum(qq - r, np.uint64(0) - r)  # 0 - r wins only at r == 0
-
-
-def powmod_vec(a: np.ndarray, exponent: int, q: int) -> np.ndarray:
-    """Elementwise ``a ** exponent mod q`` by square-and-multiply."""
-    kern = kernel_for_modulus(q)
-    return kern.pow(np.asarray(a, dtype=np.uint64) % np.uint64(q), exponent)

@@ -21,7 +21,7 @@ ways:
   ``(slots, L, N)`` pool, so steady-state replay performs zero
   result-buffer allocations; and all array math goes through a
   pluggable :class:`~repro.nums.backend.ArrayNamespace` resolved at
-  lower time (numpy default, optional CuPy/torch).  Still the same
+  lower time (numpy unless the caller registered another).  Still the same
   bits: every fused transformation rests on the uniqueness of canonical
   residues (deferred uint64 accumulation and Shoup/Montgomery
   pre-formed constant multiplies reproduce exact eager bytes).
@@ -253,11 +253,11 @@ class ExecutionPlan:
     def fused(self, array_backend=None) -> "FusedExecutor":
         """The arena-backed fused replayer, lowered once per array backend.
 
-        ``array_backend`` is an array-namespace name (``"numpy"``,
-        ``"cupy"``, ``"torch"``, or anything registered via
+        ``array_backend`` is an array-namespace name (``"numpy"`` or
+        anything registered via
         :func:`repro.nums.backend.register_array_namespace`) or an
-        :class:`~repro.nums.backend.ArrayNamespace`; ``None`` means the
-        process default.  Executors are cached per namespace name — the
+        :class:`~repro.nums.backend.ArrayNamespace`; ``None`` means
+        numpy.  Executors are cached per namespace name — the
         same ``EPL1`` artifact replays anywhere without re-lowering.
         """
         xp = get_array_namespace(array_backend)
@@ -405,7 +405,7 @@ class FusedExecutor:
     :mod:`repro.runtime.passes`).
 
     Array namespace: elementwise and accumulate steps run on ``xp``
-    (numpy by default; CuPy/torch/registered namespaces otherwise);
+    (numpy by default; a registered namespace otherwise);
     NTT-bound steps (key switching, rescale) stage through the host via
     the namespace's exact uint64 ``to_numpy``/``from_numpy`` boundary.
     The executor (pool included) is per-process state — forked workers

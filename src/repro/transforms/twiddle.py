@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nums.modular import mod_pow, mulmod_vec
+from repro.nums.kernels import kernel_for_modulus
+from repro.nums.modular import mod_pow
 from repro.transforms.ntt import NttContext
 from repro.utils.bitops import bit_reverse_indices, ilog2
 
@@ -89,7 +90,7 @@ class OnTheFlyTwiddleGenerator:
             powers[i] = acc
             acc = acc * info.step % q
         powers = powers[bit_reverse_indices(m)] if m > 1 else powers
-        return mulmod_vec(powers, info.seed, q)
+        return kernel_for_modulus(q).mul(powers, info.seed)
 
     @property
     def stored_residues(self) -> int:

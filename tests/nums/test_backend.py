@@ -1,11 +1,11 @@
 """Array-namespace seam: registry behaviour and the host-staging path.
 
-CuPy/torch are optional and absent from CI; what we can always test is
-the registry contract (probing, clear errors, default override) and —
-the important part — that a *non-default* namespace drives the fused
-replayer through its host-staging branches bit-identically.  A
-numpy-backed stub namespace under a different name exercises exactly
-that code path with no GPU.
+numpy is the only namespace the library builds; what we test is the
+registry contract (numpy default, clear error on unknown names,
+registration) and — the important part — that a *non-default* namespace
+drives the fused replayer through its host-staging branches
+bit-identically.  A numpy-backed stub namespace under a different name
+exercises exactly that code path with no GPU.
 """
 
 from __future__ import annotations
@@ -16,26 +16,15 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, toy_params
-from repro.nums.backend import (
-    ArrayNamespace,
-    array_backend_available,
-    available_array_backends,
-    default_array_backend_name,
-    get_array_namespace,
-    register_array_namespace,
-    set_default_array_backend,
-    using_array_backend,
-)
+from repro.nums.backend import get_array_namespace, register_array_namespace
 from repro.runtime import CtSpec, compile_fn
 
 
 class TestRegistry:
-    def test_numpy_always_available_and_default(self):
-        assert "numpy" in available_array_backends()
-        assert array_backend_available("numpy")
+    def test_numpy_is_the_default(self):
         ns = get_array_namespace("numpy")
         assert ns.is_host
-        assert get_array_namespace(None).name == default_array_backend_name()
+        assert get_array_namespace(None) is ns
 
     def test_namespace_passthrough(self):
         ns = get_array_namespace("numpy")
@@ -44,33 +33,12 @@ class TestRegistry:
     def test_unknown_backend_raises_value_error(self):
         with pytest.raises(ValueError, match="unknown array backend"):
             get_array_namespace("no-such-library")
-        assert not array_backend_available("no-such-library")
-
-    def test_optional_backends_probe_cleanly(self):
-        # Whichever of cupy/torch is missing must probe False, not raise.
-        for name in ("cupy", "torch"):
-            if not array_backend_available(name):
-                with pytest.raises(ImportError, match=name):
-                    get_array_namespace(name)
-
-    def test_default_override_and_context_manager(self):
-        before = default_array_backend_name()
-        try:
-            prev = set_default_array_backend("numpy")
-            assert prev == before
-            with using_array_backend("numpy") as name:
-                assert name == default_array_backend_name() == "numpy"
-        finally:
-            set_default_array_backend(before)
-        with pytest.raises(ValueError, match="unknown array backend"):
-            set_default_array_backend("no-such-library")
 
     def test_register_installs_under_own_name(self):
         stub = dataclasses.replace(get_array_namespace("numpy"), name="stub-reg")
         register_array_namespace(stub)
         assert get_array_namespace("stub-reg") is stub
         assert not stub.is_host
-        assert "stub-reg" in available_array_backends()
 
 
 @pytest.fixture(scope="module")

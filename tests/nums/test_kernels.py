@@ -101,6 +101,38 @@ class TestAgainstOracle:
             assert int(got[0]) == expected, name
 
 
+class TestOperandAndModulusEdges:
+    """A Python-int operand, the additive ops on an even modulus, the
+    negative-exponent error, and arbitrary (non-prime) odd moduli."""
+
+    def test_mul_scalar_broadcast(self, backend, rng):
+        q = PRIMES[32]
+        a = rng.integers(0, q, 100).astype(np.uint64)
+        assert make_kernel(q, backend).mul(a, 3).tolist() == [int(x) * 3 % q for x in a]
+
+    def test_add_sub_neg_even_modulus(self, rng):
+        q = 100
+        a = rng.integers(0, q, 50).astype(np.uint64)
+        b = rng.integers(0, q, 50).astype(np.uint64)
+        kern = make_kernel(q, "barrett")
+        assert kern.add(a, b).tolist() == [(int(x) + int(y)) % q for x, y in zip(a, b)]
+        assert kern.sub(a, b).tolist() == [(int(x) - int(y)) % q for x, y in zip(a, b)]
+        assert kern.neg(a).tolist() == [(-int(x)) % q for x in a]
+
+    def test_pow_negative_exponent_raises(self, backend):
+        with pytest.raises(ValueError, match="negative"):
+            make_kernel(PRIMES[32], backend).pow(np.array([2], dtype=np.uint64), -1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(min_value=3, max_value=(1 << 41) - 1).filter(lambda q: q % 2 == 1))
+    def test_mul_arbitrary_odd_modulus(self, q):
+        a = np.array([q - 1, q // 2, 1], dtype=np.uint64)
+        b = np.array([q - 1, 3, q - 2], dtype=np.uint64)
+        expected = [int(x) * int(y) % q for x, y in zip(a, b)]
+        for name in BACKENDS:
+            assert make_kernel(q, name).mul(a, b).tolist() == expected, name
+
+
 class TestMatrixModuli:
     """Per-row modulus broadcasting over (L, N) residue matrices."""
 

@@ -1,26 +1,17 @@
-"""Scalar and vectorized modular arithmetic against exact-int oracles."""
+"""Scalar modular arithmetic against exact-int oracles."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.nums.modular import (
-    addmod_vec,
     centered,
     mod_inv,
     mod_pow,
-    mulmod_vec,
-    negmod_vec,
     nth_root_of_unity,
-    powmod_vec,
     primitive_root,
-    submod_vec,
 )
 
-Q36 = (1 << 36) - 3 * (1 << 17) + 1  # not necessarily prime; fine for kernels
 PRIME_SMALL = 12289  # NTT-friendly: 12289 = 3*2^12 + 1
 
 
@@ -63,76 +54,3 @@ class TestScalarHelpers:
         # q even: q/2 maps to q/2 (the documented (-q/2, q/2] convention).
         assert centered(8, 16) == 8
         assert centered(9, 16) == -7
-
-
-class TestVectorKernels:
-    def test_mulmod_matches_python(self, rng):
-        q = Q36 if Q36 % 2 else Q36 + 1
-        a = rng.integers(0, q, 500).astype(np.uint64)
-        b = rng.integers(0, q, 500).astype(np.uint64)
-        got = mulmod_vec(a, b, q)
-        ref = [(int(x) * int(y)) % q for x, y in zip(a, b)]
-        assert got.tolist() == ref
-
-    def test_mulmod_scalar_broadcast(self, rng):
-        q = PRIME_SMALL
-        a = rng.integers(0, q, 100).astype(np.uint64)
-        got = mulmod_vec(a, 3, q)
-        assert got.tolist() == [(int(x) * 3) % q for x in a]
-
-    def test_mulmod_rejects_wide_modulus(self):
-        with pytest.raises(ValueError, match="at most"):
-            mulmod_vec(np.array([1], dtype=np.uint64), 1, (1 << 60) + 1)
-
-    def test_addmod_submod_negmod(self, rng):
-        q = PRIME_SMALL
-        a = rng.integers(0, q, 200).astype(np.uint64)
-        b = rng.integers(0, q, 200).astype(np.uint64)
-        assert addmod_vec(a, b, q).tolist() == [(int(x) + int(y)) % q for x, y in zip(a, b)]
-        assert submod_vec(a, b, q).tolist() == [(int(x) - int(y)) % q for x, y in zip(a, b)]
-        assert negmod_vec(a, q).tolist() == [(-int(x)) % q for x in a]
-
-    def test_additive_wrappers_accept_any_modulus(self, rng):
-        # add/sub/neg need no reducer tables, so even and > 41-bit moduli
-        # stay valid (the seed contract) — only mul/pow are kernel-bound.
-        for q in (100, 1 << 50):
-            a = rng.integers(0, q, 50).astype(np.uint64)
-            b = rng.integers(0, q, 50).astype(np.uint64)
-            assert addmod_vec(a, b, q).tolist() == [(int(x) + int(y)) % q for x, y in zip(a, b)]
-            assert submod_vec(a, b, q).tolist() == [(int(x) - int(y)) % q for x, y in zip(a, b)]
-            assert negmod_vec(a, q).tolist() == [(-int(x)) % q for x in a]
-
-    def test_sub_then_add_roundtrip(self, rng):
-        q = PRIME_SMALL
-        a = rng.integers(0, q, 100).astype(np.uint64)
-        b = rng.integers(0, q, 100).astype(np.uint64)
-        assert addmod_vec(submod_vec(a, b, q), b, q).tolist() == a.tolist()
-
-    def test_powmod_matches_pow(self, rng):
-        q = PRIME_SMALL
-        a = rng.integers(0, q, 50).astype(np.uint64)
-        for e in (0, 1, 2, 17, q - 2):
-            assert powmod_vec(a, e, q).tolist() == [pow(int(x), e, q) for x in a]
-
-    def test_powmod_negative_exponent_raises(self):
-        with pytest.raises(ValueError, match="negative"):
-            powmod_vec(np.array([2], dtype=np.uint64), -1, PRIME_SMALL)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=(1 << 36) - 1),
-        st.integers(min_value=0, max_value=(1 << 36) - 1),
-    )
-    def test_mulmod_hypothesis_36bit(self, x, y):
-        q = (1 << 36) + 3 * (1 << 17) + 1
-        got = mulmod_vec(np.array([x], dtype=np.uint64), np.array([y], dtype=np.uint64), q)
-        assert int(got[0]) == x * y % q
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(min_value=3, max_value=(1 << 41) - 1).filter(lambda q: q % 2 == 1))
-    def test_mulmod_arbitrary_odd_modulus(self, q):
-        a = np.array([q - 1, q // 2, 1], dtype=np.uint64)
-        b = np.array([q - 1, 3, q - 2], dtype=np.uint64)
-        got = mulmod_vec(a, b, q)
-        ref = [(int(x) * int(y)) % q for x, y in zip(a, b)]
-        assert got.tolist() == ref

@@ -240,7 +240,9 @@ class TestRetryBudget:
             assert futures[1].attempts == 1
         _assert_outputs_equal(results[0], reference[0], "retried request")
         _assert_outputs_equal(results[1], reference[1], "untouched request")
+        # One injected crash costs exactly one respawn and one retry.
         assert stats["worker_crashes"] == 1
+        assert stats["respawns"] == 1
         assert stats["retries"] == 1
         assert stats["completed"] == 2
 
@@ -585,6 +587,7 @@ class TestChaosMatrix:
             stats = pool.stats()
         # Zero lost, zero duplicated: exactly one result per request, in
         # submission order, byte-identical to the fault-free replay.
+        assert len(results) == len(batches)
         assert stats["completed"] == len(batches)
         assert stats["errors"] == 0
         for i, (got, want) in enumerate(zip(results, reference)):

@@ -263,6 +263,33 @@ def _serve(plan, rctx, *, chaos, n_requests, telemetry):
     }
 
 
+class TestFusedReplaySpanBudget:
+    """What tracing adds to the fused hot loop is exact: one root span per
+    replay plus one child per fused dispatch when sampled in, nothing
+    when off or sampled out.  (Its *time* cost has no timing gate until a
+    paired ``bench/`` workload exists — see docs/observability.md.)"""
+
+    def test_span_count_per_mode(self, rctx, rlk, clean_telemetry):
+        telemetry = clean_telemetry
+        plan = _make_plan(rctx, rlk)
+        rng = np.random.default_rng(5)
+        batch = [[_encrypt(rctx, rng), _encrypt(rctx, rng)] for _ in range(3)]
+        want = plan.run_batch(batch, fused=True)
+        assert telemetry.spans() == []  # disabled: the plain loop ran
+
+        telemetry.enable(sample_rate=0.0)
+        plan.run_batch(batch, fused=True)
+        assert telemetry.spans() == []  # hooks reached, every trace sampled out
+
+        telemetry.enable(sample_rate=1.0)
+        got = plan.run_batch(batch, fused=True)
+        dispatches = plan.stats()["dispatch_count_fused"]
+        assert len(telemetry.spans()) == len(batch) * (1 + dispatches)
+        assert len(telemetry.trace_ids()) == len(batch)
+        for (w,), (g,) in zip(want, got):  # tracing never touches the bits
+            assert all(np.array_equal(a.data, b.data) for a, b in zip(w.parts, g.parts))
+
+
 class TestCrossProcess:
     def test_crash_retry_yields_one_nested_trace(self, rctx, rlk, clean_telemetry):
         telemetry = clean_telemetry
