@@ -252,3 +252,18 @@ def test_ckks_decrypt_decode(benchmark, ckks_ctx):
     msg = np.linspace(-1, 1, ckks_ctx.params.slots)
     ct = ckks_ctx.encrypt(msg, level=2)  # the 2-level server response
     benchmark(ckks_ctx.decrypt_decode, ct)
+
+
+@pytest.mark.parametrize("level", [2, 8])
+def test_combine_crt(benchmark, ckks_ctx, level):
+    """Combine-CRT alone on full-range residues: the 2-level reply, and
+    the top level, where every Garner peel and every fold row runs."""
+    basis = ckks_ctx.basis
+    rng = np.random.default_rng(level)
+    data = np.stack(
+        [rng.integers(0, q, basis.degree, dtype=np.uint64) for q in basis.moduli[:level]]
+    )
+    got = benchmark(RnsPolynomial(basis, data).to_bigints)
+    crt = basis.crt(level)
+    for col in (0, 1, basis.degree // 2, basis.degree - 1):
+        assert got[col] == crt.combine_centered([int(r) for r in data[:, col]])

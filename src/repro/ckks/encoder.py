@@ -9,7 +9,10 @@ The rounding step produces ~72-bit integers under the paper's double-scale
 Δ.  They are never materialized: a rounded double is a 53-bit mantissa
 times a power of two, and "Expand RNS" reduces exactly that pair per limb
 (:meth:`RnsPolynomial.from_float_coeffs`) — the step the MSE hardware
-performs on its FP55 words.
+performs on its FP55 words.  Decoding mirrors it: "Combine CRT" peels
+Garner digits on the whole residue matrix and hands back correctly
+rounded doubles (:meth:`RnsPolynomial.to_float_coeffs`), one path for
+every level, with no per-coefficient integer CRT.
 """
 
 from __future__ import annotations
@@ -81,6 +84,6 @@ class CkksEncoder:
         if poly.domain != "coeff":
             poly = poly.to_coeff()
         slots = self.params.slots
-        big = np.array(poly.to_bigints(center=True), dtype=np.float64)
-        folded = (big[:slots] + 1j * big[slots:]) / plaintext.scale
+        coeffs = poly.to_float_coeffs()
+        folded = (coeffs[:slots] + 1j * coeffs[slots:]) / plaintext.scale
         return self.fft.forward(folded)

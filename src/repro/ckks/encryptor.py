@@ -123,7 +123,11 @@ class Decryptor:
     secret_key: SecretKey
 
     def decrypt(self, ciphertext: Ciphertext) -> Plaintext:
-        """``m' = sum_i c_i * s^i``, returned in the coefficient domain."""
+        """``m' = sum_i c_i * s^i``, returned in the coefficient domain.
+
+        ``s`` is a prefix view at the ciphertext's level, so its powers
+        (a 3-part ciphertext needs ``s^2``) are taken at that level too.
+        """
         s = self.secret_key.at_level(ciphertext.level)
         acc = ciphertext.parts[0]
         s_power = None

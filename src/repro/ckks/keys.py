@@ -56,8 +56,16 @@ class SecretKey:
     poly: RnsPolynomial
 
     def at_level(self, level: int) -> RnsPolynomial:
-        """Restriction of the secret to the first ``level`` limbs."""
-        return self.poly.drop_limbs(level)
+        """Restriction of the secret to the first ``level`` limbs.
+
+        A read-only view of the limb prefix, not a copy: every product
+        with it allocates its own result.
+        """
+        if not 1 <= level <= self.poly.level:
+            raise ValueError(f"level must be in [1, {self.poly.level}]")
+        prefix = self.poly.data[:level]
+        prefix.flags.writeable = False
+        return RnsPolynomial(self.poly.basis, prefix, self.poly.domain)
 
 
 @dataclass

@@ -2,14 +2,18 @@
 
 The accelerator's MSE performs "RNS" (decompose a big integer coefficient
 into residues) on the encode path and "Combine CRT" on the decode path
-(Fig. 2a).  This module is the exact-arithmetic reference for both.
+(Fig. 2a).  This module is the scalar reference for both — one value at a
+time, in Python integers, by the idempotent sum ``sum_i [r_i * (Q/q_i)^-1]
+* Q/q_i mod Q``.  The polynomial layer does not come through here: its
+whole-matrix Combine-CRT (:meth:`RnsPolynomial.to_bigints
+<repro.rns.poly.RnsPolynomial.to_bigints>`) is Garner's mixed-radix
+algorithm, which makes this module the independent oracle its tests
+compare against.  Key generation reads the CRT idempotents from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.nums.modular import centered, mod_inv
 
@@ -64,22 +68,3 @@ class CrtSystem:
     def combine_centered(self, residues: tuple[int, ...] | list[int]) -> int:
         """Residue vector -> centered representative in (-Q/2, Q/2]."""
         return centered(self.combine(residues), self.modulus)
-
-    # ------------------------------------------------------------------
-    # Array versions used by the RNS polynomial layer
-    # ------------------------------------------------------------------
-
-    def decompose_array(self, values: list[int] | np.ndarray) -> list[np.ndarray]:
-        """Vector of big ints -> one uint64 residue array per limb."""
-        out: list[np.ndarray] = []
-        for q in self.moduli:
-            out.append(np.array([int(v) % q for v in values], dtype=np.uint64))
-        return out
-
-    def combine_array(self, limbs: list[np.ndarray], center: bool = True) -> list[int]:
-        """Per-limb residue arrays -> list of (optionally centered) big ints."""
-        if len(limbs) != len(self.moduli):
-            raise ValueError(f"expected {len(self.moduli)} limbs, got {len(limbs)}")
-        n = len(limbs[0])
-        combine = self.combine_centered if center else self.combine
-        return [combine([int(limb[i]) for limb in limbs]) for i in range(n)]

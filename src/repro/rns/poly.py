@@ -15,10 +15,15 @@ the limbs block by cache-sized block.  The active
 reducer backend (Barrett by default) decides how each modular product is
 reduced; results are bit-identical across backends.
 
-The big-integer lift (:meth:`to_bigints`) and its inverse are the exact
-CRT reference paths the MSE hardware implements as "Expand RNS" and
-"Combine CRT" (Fig. 2a); the encoder's Expand-RNS takes the float
-datapath's own (mantissa, exponent) words (:meth:`from_float_coeffs`).
+"Expand RNS" and "Combine CRT" (Fig. 2a) are word-level too, one core
+each.  :meth:`_expand` accumulates weighted words into residues, fed by
+exact integers (:meth:`from_bigint_coeffs`) or by the float datapath's
+own (mantissa, exponent) words (:meth:`from_float_coeffs`).
+:meth:`_combine` is its mirror: Garner mixed-radix digits peeled on the
+whole residue matrix, centred in mixed radix, and only the rows a
+coefficient actually reaches folded into integers — read out exactly
+(:meth:`to_bigints`) or as correctly rounded doubles
+(:meth:`to_float_coeffs`).
 """
 
 from __future__ import annotations
@@ -34,6 +39,21 @@ __all__ = ["RnsPolynomial", "COEFF", "EVAL"]
 
 COEFF = "coeff"
 EVAL = "eval"
+
+
+def _peel(basis: RnsBasis, block: np.ndarray, first: int, pivot: int, rows: slice) -> None:
+    """One mixed-radix peel, in place: ``block[rows] = (block[rows] -
+    block[pivot]) * q_pivot^-1``, row ``r`` of ``block`` living on limb
+    ``first + r``.  Row ``pivot`` is the digit; ``rows`` loses it."""
+    kern = basis.kernel_range(first + rows.start, first + rows.stop)
+    q_pivot = basis.moduli[first + pivot]
+    inv = np.array(
+        [pow(q_pivot, -1, q) for q in basis.moduli[first + rows.start : first + rows.stop]],
+        dtype=np.uint64,
+    ).reshape(-1, 1)
+    # The digit is canonical for its own limb only: reduce it per target row.
+    digit = kern.reduce(np.broadcast_to(block[pivot], block[rows].shape))
+    kern.mul(kern.sub(block[rows], digit, out=digit), inv, out=block[rows])
 
 
 @dataclass
@@ -325,17 +345,9 @@ class RnsPolynomial:
         digits = np.empty((times, n), dtype=np.uint64)
         for t in range(times):
             rows = times - 1 - t  # dropped rows still undivided
-            digit = block[rows]
-            digits[t] = digit
+            digits[t] = block[rows]
             if rows:
-                bk = basis.kernel_range(keep, keep + rows)
-                q_d = basis.moduli[lvl - 1 - t]
-                inv = np.array(
-                    [pow(q_d, -1, basis.moduli[keep + i]) for i in range(rows)],
-                    dtype=np.uint64,
-                ).reshape(-1, 1)
-                red = bk.reduce(np.broadcast_to(digit, (rows, n)))
-                block[:rows] = bk.mul(bk.sub(block[:rows], red), inv)
+                _peel(basis, block, keep, rows, slice(0, rows))
         # [x]_P mod q_i = sum_t (q_{L-1} ... q_{L-t}) * digit_t, one MAC.
         kern = self._kernel(keep)
         kept_moduli = basis.moduli[:keep]
@@ -356,9 +368,50 @@ class RnsPolynomial:
     # Exact lifts
     # ------------------------------------------------------------------
 
-    def to_bigints(self, center: bool = True) -> list[int]:
-        """CRT-combine every coefficient into a Python int (Combine CRT)."""
+    def _combine(self, center: bool) -> np.ndarray:
+        """Combine CRT on words: every coefficient as an exact Python int.
+
+        Garner's mixed-radix digits ``x = d_0 + d_1 q_0 + d_2 q_0 q_1 + …``
+        come from ``level - 1`` peels of the whole residue matrix.  ``Q``
+        is odd, so the digits of ``Q // 2`` are ``q_j // 2`` and
+        ``x > Q // 2`` (the :func:`~repro.nums.modular.centered` rule) is
+        a lexicographic compare; where it holds ``x - Q`` is taken digit
+        by digit, ``Q = q_0 + sum_{j>0} (q_j - 1) q_0 … q_{j-1}``, which
+        leaves signed digits and no carry.  A coefficient of magnitude
+        below ``q_0 … q_{k-1}`` then has zeros from row ``k`` up, so the
+        Horner fold — exact, in an object array — starts at the highest
+        row that is non-zero anywhere: one row for a scale-2^36 reply,
+        two or three for a Δ = 2^72 message, whatever the level.
+        """
         if self.domain != COEFF:
             raise ValueError("lift from the coefficient domain")
-        crt = self.basis.crt(self.level)
-        return crt.combine_array([self.data[i] for i in range(self.level)], center=center)
+        moduli = self.moduli()
+        block = self.data.copy()
+        for j in range(self.level - 1):
+            _peel(self.basis, block, 0, j, slice(j + 1, self.level))
+        digits = block.view(np.int64)  # residues are far below 2^63
+        if center:
+            negative = np.zeros(self.degree, dtype=bool)
+            for row, q in zip(digits, moduli):  # least significant first
+                negative = np.where(row == q // 2, negative, row > q // 2)
+            q_digits = np.array([moduli[0], *(q - 1 for q in moduli[1:])], dtype=np.int64)
+            np.subtract(digits, q_digits[:, np.newaxis], out=digits, where=negative)
+        top = int(np.flatnonzero(digits.any(axis=1)).max(initial=0))
+        acc = digits[top].astype(object)
+        for j in range(top - 1, -1, -1):
+            acc *= moduli[j]  # in place: one generation of integers alive
+            acc += digits[j]
+        return acc
+
+    def to_bigints(self, center: bool = True) -> list[int]:
+        """CRT-combine every coefficient into a Python int (Combine CRT)."""
+        return self._combine(center).tolist()
+
+    def to_float_coeffs(self) -> np.ndarray:
+        """Centred coefficients as doubles: :meth:`from_float_coeffs`' mirror.
+
+        The fold is exact and each integer is rounded once (ties to even,
+        CPython's int -> float), so the result is bit-equal to
+        ``np.array(self.to_bigints(), dtype=np.float64)``.
+        """
+        return self._combine(center=True).astype(np.float64)

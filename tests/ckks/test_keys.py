@@ -20,6 +20,14 @@ class TestSecretKey:
         assert s2.level == 2
         assert np.array_equal(s2.data, ctx.secret_key.poly.data[:2])
 
+    def test_at_level_is_a_read_only_view(self, ctx):
+        full = ctx.secret_key.poly.data
+        s2 = ctx.secret_key.at_level(2)
+        assert np.shares_memory(s2.data, full)
+        assert not s2.data.flags.writeable and full.flags.writeable
+        with pytest.raises(ValueError, match="level"):
+            ctx.secret_key.at_level(full.shape[0] + 1)
+
     def test_sparse_secret(self):
         from dataclasses import replace
 

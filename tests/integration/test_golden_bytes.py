@@ -1,13 +1,17 @@
-"""Wire bytes pinned against a committed golden.
+"""Wire bytes and decoded outputs pinned against a committed golden.
 
 ``golden_bytes.json`` holds SHA-256 digests of what a fixed seed puts on
 the wire — an encoded plaintext (at Δ and at a rescaled, non-power-of-two
 scale), a fresh ciphertext, a seeded upload, a switching key and two
 key-switched outputs — generated on the commit *before* the client
 upload path was re-expressed (limb-blocked NTT, three-transform encrypt,
-mantissa/exponent Expand-RNS, word-level packing).  "Byte-equal to
-before" is therefore checked here, under every reducer backend, rather
-than asserted in a commit message.
+mantissa/exponent Expand-RNS, word-level packing).  The ``decoded*``
+digests are what the download half returns — ``decode(decrypt(.))`` of
+the fresh ciphertext, of the multiplied one and of a level-2, scale-2^36
+reply — generated the same way (``PYTHONPATH=<parent>/src``) on the commit
+*before* Combine-CRT became word-level Garner.  "Byte-equal to before" is
+therefore checked here, under every reducer backend, rather than asserted
+in a commit message.
 
 Regenerate (only when a format change is intended and documented in
 ``docs/formats.md``)::
@@ -58,6 +62,7 @@ def wire_digests(params) -> dict[str, str]:
     sym, seed = ctx.encryptor.encrypt_symmetric_seeded(plaintext, ctx.secret_key)
     prod = ctx.evaluator.multiply_relin_rescale(ct, ct, rlk)
     rescaled_scale = ctx.encoder.encode(msg, level=prod.level, scale=prod.scale)
+    reply = ctx.encryptor.encrypt(ctx.encoder.encode(msg, level=2, scale=2.0**36))
     blobs = {
         "plaintext": serialize_plaintext(plaintext),
         "plaintext_rescaled_scale": serialize_plaintext(rescaled_scale),
@@ -69,6 +74,10 @@ def wire_digests(params) -> dict[str, str]:
         "multiplied": serialize_ciphertext(prod),
         # Not a wire form: the float IFFT the plaintext is rounded from.
         "fft_inverse": ctx.encoder.fft.inverse(msg).tobytes(),
+        # Nor these: the complex slots the download half hands back.
+        "decoded": ctx.decrypt_decode(ct).tobytes(),
+        "decoded_multiplied": ctx.decrypt_decode(prod).tobytes(),
+        "decoded_reply": ctx.decrypt_decode(reply).tobytes(),
     }
     return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,26 +76,3 @@ class TestRoundtrip:
         prod = crt.decompose((a * b) % crt.modulus)
         ra, rb = crt.decompose(a % crt.modulus), crt.decompose(b % crt.modulus)
         assert prod == tuple(x * y % q for x, y, q in zip(ra, rb, crt.moduli))
-
-
-class TestArrayVersions:
-    def test_decompose_array(self, crt):
-        values = [0, 1, crt.modulus - 1, 123456789123456789 % crt.modulus]
-        limbs = crt.decompose_array(values)
-        assert len(limbs) == len(MODULI)
-        for i, v in enumerate(values):
-            assert tuple(int(l[i]) for l in limbs) == crt.decompose(v)
-
-    def test_combine_array_centered(self, crt):
-        values = [-3, -1, 0, 2, 7]
-        limbs = crt.decompose_array([v % crt.modulus for v in values])
-        assert crt.combine_array(limbs) == values
-
-    def test_combine_array_uncentered(self, crt):
-        values = [crt.modulus - 2, 5]
-        limbs = crt.decompose_array(values)
-        assert crt.combine_array(limbs, center=False) == values
-
-    def test_combine_array_level_check(self, crt):
-        with pytest.raises(ValueError, match="expected"):
-            crt.combine_array([np.zeros(4, dtype=np.uint64)])

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nums import find_primes
+from repro.nums.kernels import available_backends, using_backend
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import COEFF, EVAL, RnsPolynomial
 from repro.transforms.ntt import negacyclic_mul_naive
@@ -132,6 +134,88 @@ class TestExpandRns:
         assert e.to_eval() is e
 
 
+def _interleaved_chain() -> RnsBasis:
+    """36- and 30-bit primes alternating: a Garner digit of a wide limb
+    exceeds the narrow limbs it is peeled from, and the other way round."""
+    wide, narrow = find_primes(36, N, max_count=3), find_primes(30, N, max_count=3)
+    return RnsBasis(degree=N, primes=tuple(p for pair in zip(wide, narrow) for p in pair))
+
+
+MIXED_BASIS = _interleaved_chain()
+
+
+class TestCombineCrt:
+    """The word-level Garner Combine-CRT against the scalar idempotent-sum
+    CRT of :class:`~repro.nums.crt.CrtSystem`, one column at a time."""
+
+    @pytest.fixture(params=["shared", "mixed"])
+    def chain(self, request, basis) -> RnsBasis:
+        return basis if request.param == "shared" else MIXED_BASIS
+
+    @staticmethod
+    def check(chain: RnsBasis, level: int, values: list[int], rng) -> None:
+        """``values`` head the columns, uniformly random residues (a
+        full-range coefficient each) fill the rest."""
+        moduli = chain.moduli[:level]
+        data = np.stack([rng.integers(0, q, N, dtype=np.uint64) for q in moduli])
+        for col, value in enumerate(values):
+            data[:, col] = [value % q for q in moduli]
+        poly = RnsPolynomial(chain, data)
+        crt = chain.crt(level)
+        columns = [[int(r) for r in column] for column in data.T]
+        centered = [crt.combine_centered(column) for column in columns]
+        got = poly.to_bigints()
+        assert got == centered
+        assert all(type(c) is int for c in got)
+        assert poly.to_bigints(center=False) == [crt.combine(c) for c in columns]
+        floats = poly.to_float_coeffs()
+        assert floats.dtype == np.float64
+        want = np.array(centered, dtype=np.float64)
+        assert np.array_equal(floats.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(poly.data, data)  # the lift works on a copy
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_edge_columns(self, chain, backend, rng):
+        for level in range(1, 7):
+            big, q0 = chain.modulus_at(level), chain.moduli[0]
+            edges = [
+                *(0, 1, big - 1),
+                *(big // 2, big // 2 + 1),  # the centering boundary (Q is odd)
+                *(q0 - 1, q0, q0 + 1),  # the row boundary
+                *(2**53 + 1, 2**54 - 2, 2**54 + 2),  # exact ties past the mantissa
+            ]
+            with using_backend(backend):
+                self.check(chain, level, edges + [-v for v in edges], rng)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.integers(-(2**230), 2**230),
+                st.integers(-(2**60), 2**60),
+                # A step either side of an anchor: see ``anchors`` below.
+                st.tuples(st.integers(0, 7), st.integers(-2, 2)),
+            ),
+            min_size=12,
+            max_size=12,
+        ),
+        st.integers(1, 6),
+        st.sampled_from(available_backends()),
+        st.sampled_from(["shared", "mixed"]),
+    )
+    def test_matches_scalar_crt(self, basis, draws, level, backend, which):
+        chain = basis if which == "shared" else MIXED_BASIS
+        big = chain.modulus_at(level)
+        # Q//2, then the mixed-radix weights q_0, q_0 q_1, …, Q.
+        anchors = [big // 2] + [chain.modulus_at(k) for k in range(1, level + 1)]
+        values = [
+            anchors[d[0] % len(anchors)] + d[1] if isinstance(d, tuple) else d
+            for d in draws
+        ]
+        with using_backend(backend):
+            self.check(chain, level, values, np.random.default_rng(level))
+
+
 class TestDomains:
     def test_eval_roundtrip(self, basis, rng):
         p = poly_from(rng, basis)
@@ -156,6 +240,8 @@ class TestDomains:
     def test_lift_requires_coeff(self, basis, rng):
         with pytest.raises(ValueError, match="coefficient domain"):
             poly_from(rng, basis).to_eval().to_bigints()
+        with pytest.raises(ValueError, match="coefficient domain"):
+            poly_from(rng, basis).to_eval().to_float_coeffs()
 
 
 class TestArithmetic:
