@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import ExitStack
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -122,15 +124,102 @@ def test_ntt_negacyclic_mul(benchmark):
     benchmark(ntt.negacyclic_mul, a, b)
 
 
-def test_batch_ntt_forward(benchmark):
-    """All limbs of an (8, 2^12) polynomial in one batched transform."""
-    basis = RnsBasis.create(1 << 12, 8)
+def _residue_poly(limbs: int, log_n: int) -> RnsPolynomial:
+    basis = RnsBasis.create(1 << log_n, limbs)
     rng = np.random.default_rng(0)
-    poly = RnsPolynomial(
-        basis,
-        np.stack([rng.integers(0, q, basis.degree) for q in basis.moduli]).astype(np.uint64),
-    )
+    rows = [rng.integers(0, q, basis.degree) for q in basis.moduli]
+    return RnsPolynomial(basis, np.stack(rows).astype(np.uint64))
+
+
+@pytest.mark.parametrize("limbs, log_n", [(8, 12), (24, 16)], ids=["8x2^12", "24x2^16"])
+def test_batch_ntt_forward(benchmark, limbs, log_n):
+    """All limbs of a polynomial in one batched transform: one block at
+    (8, 2^12), one 512 KiB limb per block at the paper's (24, 2^16)."""
+    poly = _residue_poly(limbs, log_n)
     benchmark(lambda: poly.to_eval())
+
+
+def _stage_times(bn, transform, x, opener) -> tuple[float, list[float], float]:
+    """``(total, per stage, other)`` seconds of one ``BatchNtt`` transform.
+
+    Nothing in the library is instrumented: the kernel entry points,
+    ``np.copyto`` and ``opener`` — the ``(owner, name)`` of the call a
+    butterfly stage opens with — are wrapped for the duration of the
+    call, and the time from one wrapped call to the next belongs to the
+    first.  A stage runs from its opener to the next copy, transpose,
+    renormalization or stage; everything else (and the inverse's 1/N
+    multiply) is ``other``.  Stages are summed over blocks, in execution
+    order.
+    """
+    kernel = type(bn.kernel)
+    stages = len(bn._forward_plan)
+    marks: list[tuple[bool, float]] = []
+    depth = 0
+
+    def marking(is_stage, real):
+        def call(*args, **kwargs):
+            nonlocal depth
+            if not depth and is_stage is not None:
+                marks.append((is_stage, time.perf_counter()))
+            depth += 1  # calls made inside a wrapped call are its own
+            try:
+                return real(*args, **kwargs)
+            finally:
+                depth -= 1
+
+        return call
+
+    wrapped = {(kernel, "mul_pre_raw"): None, (kernel, "reduce"): False}
+    wrapped.update({(kernel, "mul_pre"): False, (np, "copyto"): False, opener: True})
+    with ExitStack() as stack:
+        for (owner, name), is_stage in wrapped.items():
+            real = getattr(owner, name)
+            stack.enter_context(mock.patch.object(owner, name, marking(is_stage, real)))
+        start = time.perf_counter()
+        transform(x)
+        end = time.perf_counter()
+    per_stage = [0.0] * stages
+    other = marks[0][1] - start
+    seen = 0
+    for (is_stage, at), (_, until) in zip(marks, marks[1:] + [(False, end)]):
+        if is_stage:
+            per_stage[seen % stages] += until - at
+            seen += 1
+        else:
+            other += until - at
+    return end - start, per_stage, other
+
+
+def test_batch_ntt_stage_table(report):
+    """Report only: ms per butterfly stage of the (24, 2^16) transforms.
+
+    Every stage moves the same 24 x 32768 butterflies, so a stage that
+    costs a multiple of the cheapest is walking short runs the slow way
+    (numpy's buffered iterator): before the stages were re-laid the
+    forward read 2.3-2.8 ms for runs >= 4096 and 4.7-8.0 ms below.
+    """
+    poly = _residue_poly(24, 16)
+    bn = poly.basis.batch_ntt(poly.level)
+    evals = bn.forward(poly.data)
+    lines = []
+    # A forward stage opens with its raw product, an inverse one with its sum.
+    cases = (
+        ("forward", bn.forward, poly.data, (type(bn.kernel), "mul_pre_raw")),
+        ("inverse", bn.inverse, evals, (np, "add")),
+    )
+    for name, transform, x, opener in cases:
+        runs = [_stage_times(bn, transform, x, opener) for _ in range(3)]
+        total, stages, other = min(runs)
+        spans = [poly.degree >> (s + 1) for s in range(len(stages))]
+        if name == "inverse":
+            spans.reverse()
+        lines.append(
+            f"{name}: total {total*1e3:6.1f} ms, other {other*1e3:5.1f} ms, "
+            f"dearest/cheapest stage {max(stages)/min(stages):4.2f}x"
+        )
+        lines.append("  run t:    " + " ".join(f"{t:5d}" for t in spans))
+        lines.append("  stage ms: " + " ".join(f"{v*1e3:5.2f}" for v in stages))
+    report("BatchNtt (24, 2^16) per-stage cost, barrett", lines)
 
 
 @pytest.mark.parametrize("log_slots", [12, 15])

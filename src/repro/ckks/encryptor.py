@@ -5,7 +5,11 @@ dense ternary mask ``v`` and Gaussian errors — all PRNG-expanded, exactly
 the data the accelerator's on-chip PRNG unit generates instead of fetching
 from DRAM.  The message and its error are added in the coefficient
 domain and transformed together, so an encryption runs three NTTs
-(``v``, ``m + e0``, ``e1``), not four.
+(``v``, ``m + e0``, ``e1``), not four — and it runs them *streamed*: the
+draws are made once, then each block of limbs goes embed -> NTT ->
+multiply-add -> output row while it sits in cache, the software shape of
+the accelerator's one-limb-on-chip datapath.  No ``(level, N)``
+intermediate is ever built.
 
 Decrypt: ``m' = c0 + c1*s`` (plus ``c2*s^2`` for unrelinearized
 ciphertexts), followed by decode on the encoder side.
@@ -15,13 +19,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.ckks.containers import Ciphertext, Plaintext
 from repro.ckks.keys import PublicKey, SecretKey, expand_uniform_poly
 from repro.ckks.params import CkksParameters
 from repro.prng.samplers import DiscreteGaussianSampler, TernarySampler
 from repro.prng.xof import Xof
 from repro.rns.basis import RnsBasis
-from repro.rns.poly import COEFF, RnsPolynomial
+from repro.rns.poly import COEFF, EVAL, RnsPolynomial, signed_embedder
 
 __all__ = ["Encryptor", "Decryptor"]
 
@@ -48,30 +54,27 @@ class Encryptor:
     def __post_init__(self) -> None:
         self._gauss = DiscreteGaussianSampler(self.params.error_stddev)
 
-    def encrypt(self, plaintext: Plaintext, level: int | None = None) -> Ciphertext:
-        """Encrypt a plaintext at the given level (default: plaintext's)."""
+    def _begin(self, plaintext: Plaintext, level: int | None) -> tuple[int, int]:
+        """``(level, counter)`` of one encryption: the level checked, the
+        counter this call's draws are domain-separated by."""
         level = plaintext.level if level is None else level
         if level > plaintext.level:
             raise ValueError("cannot encrypt above the plaintext's level")
         ctr = self._counter
         self._counter += 1
+        return level, ctr
+
+    def encrypt(self, plaintext: Plaintext, level: int | None = None) -> Ciphertext:
+        """Encrypt a plaintext at the given level (default: plaintext's)."""
+        level, ctr = self._begin(plaintext, level)
         n = self.basis.degree
-
         mask_sampler = TernarySampler(self.basis.moduli[0])
-        v_signed = mask_sampler.sample_signed(self.xof, b"enc-v", n, counter=ctr)
-        v = RnsPolynomial.from_signed_coeffs(self.basis, level, v_signed).to_eval()
-        e0 = RnsPolynomial.from_signed_coeffs(
-            self.basis, level, self._gauss.sample_signed(self.xof, b"enc-e0", n, counter=ctr)
-        )
-        e1 = RnsPolynomial.from_signed_coeffs(
-            self.basis, level, self._gauss.sample_signed(self.xof, b"enc-e1", n, counter=ctr)
-        ).to_eval()
-
-        # Polynomial arithmetic runs on the common limb prefix, so the
-        # full-chain key and plaintext are sliced to ``level``, not copied.
-        c0 = v * self.public_key.b + _noisy_message(plaintext, e0)
-        c1 = v * self.public_key.a + e1
-        return Ciphertext(parts=[c0, c1], scale=plaintext.scale)
+        v = mask_sampler.sample_signed(self.xof, b"enc-v", n, counter=ctr)
+        e0 = self._gauss.sample_signed(self.xof, b"enc-e0", n, counter=ctr)
+        e1 = self._gauss.sample_signed(self.xof, b"enc-e1", n, counter=ctr)
+        pk = self.public_key
+        parts = self._masked(plaintext, level, v, (pk.b, pk.a), (e0, e1))
+        return Ciphertext(parts=parts, scale=plaintext.scale)
 
     def encrypt_symmetric_seeded(
         self, plaintext: Plaintext, secret: SecretKey, level: int | None = None
@@ -83,31 +86,72 @@ class Encryptor:
         streaming accelerator exploits when writing fresh ciphertexts out
         over LPDDR5.
         """
-        level = plaintext.level if level is None else level
-        if level > plaintext.level:
-            raise ValueError("cannot encrypt above the plaintext's level")
-        ctr = self._counter
-        self._counter += 1
+        level, ctr = self._begin(plaintext, level)
         seed = self.xof.stream(b"sym-c1-seed", 16, counter=ctr)
         c1 = expand_uniform_poly(self.basis, level, Xof(seed), b"sym-c1")
-        e = RnsPolynomial.from_signed_coeffs(
-            self.basis,
-            level,
-            self._gauss.sample_signed(self.xof, b"sym-e", self.basis.degree, counter=ctr),
-        )
-        c0 = -(c1 * secret.at_level(level)) + _noisy_message(plaintext, e)
+        n = self.basis.degree
+        e = self._gauss.sample_signed(self.xof, b"sym-e", n, counter=ctr)
+        keys = (secret.at_level(level),)
+        (c0,) = self._masked(plaintext, level, c1, keys, (e,), sign=-1)
         return Ciphertext(parts=[c0, c1], scale=plaintext.scale), seed
 
+    def _masked(
+        self,
+        plaintext: Plaintext,
+        level: int,
+        mask: np.ndarray | RnsPolynomial,
+        keys: tuple[RnsPolynomial, ...],
+        errors: tuple[np.ndarray, ...],
+        sign: int = 1,
+    ) -> list[RnsPolynomial]:
+        """``parts[k] = NTT(errors[k]) ± mask * keys[k]``, the message
+        added to part 0 — both encryptions, streamed.
 
-def _noisy_message(plaintext: Plaintext, error: RnsPolynomial) -> RnsPolynomial:
-    """``NTT(m + e)`` on the error's limbs, with one transform.
-
-    The NTT is linear and every residue canonical, so adding before the
-    transform gives the same bytes as transforming ``m`` and ``e`` apart.
-    """
-    if plaintext.poly.domain == COEFF:
-        return (plaintext.poly + error).to_eval()
-    return plaintext.poly + error.to_eval()
+        ``mask`` is a signed coefficient vector (the public-key ``v``,
+        transformed here) or an evaluation-domain polynomial (the seeded
+        ``c1``).  Per block of limbs (:meth:`BatchNtt.blocks`): embed the
+        mask and transform it; embed each error into its output rows, add
+        a coefficient-domain message to ``e0`` *unreduced* (a once-added
+        pair, which the transform accepts), transform in place, and add
+        the product with the key rows while the transformed mask is still
+        in cache.  The NTT is linear and every residue canonical, so the
+        bytes are those of the composed ``v.to_eval() * b + (m + e0)
+        .to_eval()``; keys, message and outputs are row slices of full
+        matrices, never copies.
+        """
+        basis, n = self.basis, self.basis.degree
+        bat = basis.batch_ntt(level)
+        message = plaintext.poly
+        floor = min(basis.moduli[:level])
+        embed_errors = [signed_embedder(e, floor) for e in errors]
+        embed_mask = None
+        if not isinstance(mask, RnsPolynomial):
+            embed_mask = signed_embedder(mask, floor)
+        blocks = bat.blocks()
+        width = blocks[0].stop - blocks[0].start
+        scratch = np.empty((2, width, n), dtype=np.uint64)
+        outs = [np.empty((level, n), dtype=np.uint64) for _ in keys]
+        for rows in blocks:
+            kern = basis.kernel_range(rows.start, rows.stop)
+            count = rows.stop - rows.start
+            product = scratch[1, :count]
+            if embed_mask:
+                mask_hat = scratch[0, :count]
+                embed_mask(kern.q, mask_hat)
+                bat.forward_block(mask_hat[np.newaxis], rows)
+            else:
+                mask_hat = mask.data[rows]
+            for k, (embed, key, out) in enumerate(zip(embed_errors, keys, outs)):
+                part = out[rows]
+                embed(kern.q, part)
+                if k == 0 and message.domain == COEFF:
+                    part += message.data[rows]
+                bat.forward_block(part[np.newaxis], rows)
+                if k == 0 and message.domain == EVAL:
+                    kern.add(part, message.data[rows], out=part)
+                kern.mul(mask_hat, key.data[rows], out=product)
+                (kern.add if sign > 0 else kern.sub)(part, product, out=part)
+        return [RnsPolynomial(basis, out, EVAL) for out in outs]
 
 
 @dataclass

@@ -262,17 +262,23 @@ class ReducerKernel:
         """
         return self._accumulate(self.mul(a, b), axis, out=out)
 
-    def mul_pre_raw(self, a: np.ndarray, b_pre: np.ndarray) -> np.ndarray:
-        """Unreduced ``a * b``: a fresh array congruent to the product mod
+    def mul_pre_raw(
+        self, a: np.ndarray, b_pre: np.ndarray, out=None, work=None
+    ) -> np.ndarray:
+        """Unreduced ``a * b``: an array congruent to the product mod
         ``q`` and below ``RAW_BOUND * q``, for ``a < raw_operand_limit``.
 
         What :meth:`mul_pre` computes before its conditional subtracts —
         the term a MAC datapath sums, reducing once per accumulation
         (:meth:`mul_pre_accumulate_rows`, the lazy NTT butterflies)
-        instead of once per product.  The base class has nothing cheaper
+        instead of once per product.  The result goes to ``out`` when
+        given; ``work`` is scratch of the result's shape for a backend
+        whose product has a full-size temporary (Barrett's quotient
+        estimate), so a caller that passes both allocates nothing.
+        Neither may overlap ``a``.  The base class has nothing cheaper
         than the canonical product.
         """
-        return self.mul_pre(a, b_pre)
+        return self.mul_pre(a, b_pre, out=out)
 
     def term_budget(self, bound: int = 1) -> int:
         """How many terms below ``bound * q`` one deferred accumulation
@@ -386,8 +392,14 @@ class ReducerKernel:
 
     # -- reduction -----------------------------------------------------
 
-    def reduce(self, x: np.ndarray, out=None) -> np.ndarray:
-        """Reduce arbitrary values in ``[0, q^2)`` to canonical form."""
+    def reduce(self, x: np.ndarray, out=None, work=None) -> np.ndarray:
+        """Reduce arbitrary values in ``[0, q^2)`` to canonical form.
+
+        ``work`` is a pair of scratch arrays of the result's shape for a
+        backend whose reduction has full-size temporaries (Barrett); with
+        it and ``out`` the call allocates nothing.  ``out`` may be ``x``;
+        the scratch may not overlap either.
+        """
         return self.xp.mod(self.xp.asarray(x, dtype=np.uint64), self.q, out=out)
 
     # ------------------------------------------------------------------
@@ -510,16 +522,25 @@ class BarrettKernel(ReducerKernel):
         t = self._csub_into(t, self._q2)
         return self._csub_into(t, self.q, out=out)
 
-    def reduce(self, x: np.ndarray, out=None) -> np.ndarray:
+    def reduce(self, x: np.ndarray, out=None, work=None) -> np.ndarray:
         # Single-word input: hi = 0, so _reduce_wide's (lo >> s1) | (hi <<
-        # s1c) collapses to the plain shift — same xs, two array ops and an
-        # allocation cheaper.
+        # s1c) collapses to the plain shift.  Two arrays carry the whole
+        # reduction (``work``, else allocated by their first op): a
+        # block-sized operand then cycles 1.5 MB through the cache, not
+        # the ten temporaries of the expression form.
         x = self.xp.asarray(x, dtype=np.uint64)
-        xs = x >> self._s1
-        q_est = ((xs * self._mu_hi) >> self._s3) + ((xs * self._mu_lo) >> self._s2)
-        t = x - q_est * self.q
-        t = self._csub_into(t, self._q2)
-        return self._csub_into(t, self.q, out=out)
+        est, low = (None, None) if work is None else work
+        est = np.right_shift(x, self._s1, out=est)  # exact x >> (r-1)
+        low = np.multiply(est, self._mu_lo, out=low)
+        low >>= self._s2
+        est *= self._mu_hi
+        est >>= self._s3
+        est += low  # the quotient estimate
+        est *= self.q
+        np.subtract(x, est, out=est)  # exact mod 2^64; true value in [0, 4q)
+        np.minimum(est, np.subtract(est, self._q2, out=low), out=est)
+        np.subtract(est, self.q, out=low)
+        return np.minimum(est, low, out=est if out is None else out)
 
     def pre(self, b) -> np.ndarray:
         """Stack ``[w, w' >> 43, (w' >> 22) & mask21]`` for Shoup quotients.
@@ -548,18 +569,29 @@ class BarrettKernel(ReducerKernel):
         w1 = (shoup >> _U64(22)) & _U64((1 << 21) - 1)
         return self.xp.asarray(np.stack([np.broadcast_to(b, shape), w2, w1]))
 
-    def mul_pre_raw(self, a: np.ndarray, b_pre: np.ndarray) -> np.ndarray:
+    def mul_pre_raw(
+        self, a: np.ndarray, b_pre: np.ndarray, out=None, work=None
+    ) -> np.ndarray:
         """``a * w - mulhi(a, w') * q`` via the precomputed Shoup pieces.
 
         The estimate ``q_est`` undershoots ``a * w / q`` by less than
         ``2 + a / 2^42`` (two dropped floor corrections plus the discarded
         low piece of ``w'``), so the remainder sits in [0, 4q) for every
-        ``a < 2^42`` — canonical or not.
+        ``a < 2^42`` — canonical or not.  Two arrays carry the whole
+        product — the estimate (``work``) and the result (``out``) — each
+        allocated by its first multiply when not given.
         """
         a = self.xp.asarray(a, dtype=np.uint64)
         w, w2, w1 = b_pre[0], b_pre[1], b_pre[2]
-        q_est = ((a * w2) >> self._SHOUP_S2) + ((a * w1) >> self._SHOUP_S1)
-        return a * w - q_est * self.q
+        q_est = np.multiply(a, w2, out=work)
+        q_est >>= self._SHOUP_S2
+        res = np.multiply(a, w1, out=out)
+        res >>= self._SHOUP_S1
+        q_est += res
+        q_est *= self.q
+        np.multiply(a, w, out=res)
+        res -= q_est
+        return res
 
     def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
         """``a * w mod q``: the raw product and the usual 2q/q cascade."""
@@ -608,13 +640,13 @@ class MontgomeryKernel(ReducerKernel):
         mid = (ll >> _S32) + (lh & _MASK32) + (hl & _MASK32)
         return m_hi * self._q_hi32 + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
 
-    def _redc_raw(self, hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    def _redc_raw(self, hi: np.ndarray, lo: np.ndarray, out=None) -> np.ndarray:
         """REDC of a (hi, lo) value ``t < q * 2^64`` short of its final
         subtract: ``t * 2^-64 mod q`` as a value in [0, 2q)."""
         m = lo * self._ninv  # wraps mod 2^64 — exactly t * (-q^-1) mod R
         # t + m*q has zero low word; its high word is hi + mulhi(m, q) plus
         # the carry out of the low word, which is 1 iff lo != 0 (mq_lo ≡ -lo).
-        return hi + self._mulhi_mq(m) + (lo != 0)
+        return np.add(hi + self._mulhi_mq(m), lo != 0, out=out)
 
     def _redc(self, hi: np.ndarray, lo: np.ndarray, out=None) -> np.ndarray:
         """REDC of a (hi, lo) value ``t < q * 2^64``: ``t * 2^-64 mod q``."""
@@ -638,9 +670,11 @@ class MontgomeryKernel(ReducerKernel):
     def pre(self, b) -> np.ndarray:
         return self.to_montgomery(self.xp.asarray(b, dtype=np.uint64))
 
-    def mul_pre_raw(self, a: np.ndarray, b_pre: np.ndarray) -> np.ndarray:
+    def mul_pre_raw(
+        self, a: np.ndarray, b_pre: np.ndarray, out=None, work=None
+    ) -> np.ndarray:
         a = self.xp.asarray(a, dtype=np.uint64)
-        return self._redc_raw(*_mul128_41(a, b_pre))
+        return self._redc_raw(*_mul128_41(a, b_pre), out=out)
 
     def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
         return self._csub_into(self.mul_pre_raw(a, b_pre), self.q, out=out)

@@ -41,6 +41,35 @@ COEFF = "coeff"
 EVAL = "eval"
 
 
+def signed_embedder(coeffs: np.ndarray, min_modulus: int):
+    """``embed(q_col, out)``: residues of signed ``coeffs`` on the limbs of
+    a ``(rows, 1)`` uint64 moduli column, written to ``out (rows, N)``.
+
+    A coefficient smaller in magnitude than every modulus needs no
+    division: its residue is ``x`` or ``x + q``, i.e. ``x + (q & mask)``
+    in wrapping uint64 with the sign mask (all ones where ``x < 0``) taken
+    once for the polynomial — two passes per row, which is how the
+    streamed encryption embeds its mask and errors block by block.  The
+    data decide: one coefficient as large as ``min_modulus`` (no sampler
+    output; a caller's own integers) sends every row through int64 ``%``.
+    """
+    coeffs = np.asarray(coeffs, dtype=np.int64)
+    if max(int(coeffs.max()), -int(coeffs.min())) >= min_modulus:
+
+        def embed(q_col: np.ndarray, out: np.ndarray) -> None:
+            np.mod(coeffs, q_col.view(np.int64), out=out.view(np.int64))
+
+    else:
+        words = coeffs.view(np.uint64)
+        mask = (coeffs >> 63).view(np.uint64)
+
+        def embed(q_col: np.ndarray, out: np.ndarray) -> None:
+            np.bitwise_and(q_col, mask, out=out)
+            out += words
+
+    return embed
+
+
 def _peel(basis: RnsBasis, block: np.ndarray, first: int, pivot: int, rows: slice) -> None:
     """One mixed-radix peel, in place: ``block[rows] = (block[rows] -
     block[pivot]) * q_pivot^-1``, row ``r`` of ``block`` living on limb
@@ -101,8 +130,10 @@ class RnsPolynomial:
         coeffs = np.asarray(coeffs, dtype=np.int64)
         if coeffs.shape != (basis.degree,):
             raise ValueError(f"expected {basis.degree} coefficients")
-        moduli = np.array(basis.moduli[:level], dtype=np.int64).reshape(-1, 1)
-        return cls(basis, (coeffs[np.newaxis, :] % moduli).astype(np.uint64), COEFF)
+        data = np.empty((level, basis.degree), dtype=np.uint64)
+        embed = signed_embedder(coeffs, min(basis.moduli[:level]))
+        embed(basis.kernel(level).q, data)
+        return cls(basis, data, COEFF)
 
     @classmethod
     def from_bigint_coeffs(

@@ -32,8 +32,9 @@ Two transform front-ends share the tables:
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -109,8 +110,14 @@ class NttContext:
         n_inv: ``N^{-1} mod q`` folded into the inverse's last stage.
         backend: reducer-backend name the butterfly kernels run on.
         kernel: the bound :class:`ReducerKernel` instance.
-        psi_pre / psi_inv_pre / n_inv_pre: twiddles in the backend's
-            precomputed constant form (see ``ReducerKernel.pre``).
+        n_inv_pre: ``n_inv`` in the backend's precomputed constant form
+            (see ``ReducerKernel.pre``).
+
+    ``psi_pre`` / ``psi_inv_pre``, the twiddle tables in that form, are
+    built by the first per-limb transform: :class:`BatchNtt` stacks its
+    own planes from ``psi_rev`` / ``psi_inv_rev``, so a context that only
+    feeds one never holds them (Barrett: three planes per table, 3 MiB
+    per limb at N = 2^16).
     """
 
     degree: int
@@ -121,9 +128,15 @@ class NttContext:
     n_inv: int
     backend: str = field(default="", compare=False)
     kernel: ReducerKernel = field(default=None, repr=False, compare=False)
-    psi_pre: np.ndarray = field(default=None, repr=False, compare=False)
-    psi_inv_pre: np.ndarray = field(default=None, repr=False, compare=False)
     n_inv_pre: np.ndarray = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def psi_pre(self) -> np.ndarray:
+        return self.kernel.pre(self.psi_rev)
+
+    @cached_property
+    def psi_inv_pre(self) -> np.ndarray:
+        return self.kernel.pre(self.psi_inv_rev)
 
     @classmethod
     def create(
@@ -155,8 +168,6 @@ class NttContext:
             n_inv=n_inv,
             backend=backend_name,
             kernel=kernel,
-            psi_pre=kernel.pre(psi_rev),
-            psi_inv_pre=kernel.pre(psi_inv_rev),
             n_inv_pre=kernel.pre(np.uint64(n_inv)),
         )
 
@@ -303,6 +314,63 @@ def _lazy_plans(kernel: ReducerKernel, moduli, stages: int, input_bound: int):
     return tuple(forward), tuple(inverse)
 
 
+def _late_order(table: np.ndarray, degree: int, span: int) -> np.ndarray:
+    """Re-order the late-stage slices of a stacked ``(L, 1, N)`` twiddle
+    table for the transposed layout (see :class:`BatchNtt`).
+
+    Stage ``m`` reads ``table[..., m : 2m]``.  On a block transposed from
+    ``(N/K chunks, K)`` to ``(K, N/K)`` a stage with ``m >= N/K`` pairs
+    whole rows, and butterfly group ``i * G + g`` (chunk ``i``, group
+    ``g`` of the ``G = m K / N`` inside a chunk) sits at row group ``g``,
+    column ``i`` — so those slices are stored ``g``-major, in place of
+    the natural order: same table size, contiguous along the row.
+    """
+    chunks = degree // span
+    out = table.copy()
+    m = chunks
+    while m < degree:
+        natural = table[..., m : 2 * m].reshape(*table.shape[:-1], chunks, m // chunks)
+        out[..., m : 2 * m] = natural.swapaxes(-1, -2).reshape(*table.shape[:-1], m)
+        m *= 2
+    return out
+
+
+@contextmanager
+def _ufunc_buffer():
+    """Scope numpy's ufunc buffer to :data:`_UFUNC_BUFFER` elements.
+
+    A ufunc over a strided view whose contiguous run is shorter than the
+    buffer (8192 elements by default) is copied through that buffer; at a
+    run of 4096 and up a butterfly pass costs ~0.22 ns per element, below
+    it 0.65-0.85.  With a small buffer every run of at least its length is
+    walked in place.  The setting is context-local on numpy >= 2 and
+    thread-local before, and the caller's value is restored on the way
+    out, raising or not.
+    """
+    previous = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
+#: Elements in numpy's ufunc buffer while a block is butterflied.  Small
+#: enough that the 4096-down-to-512 runs of an N = 2^16 limb are walked in
+#: place, large enough that the short rows of an N <= 2^12 block (which
+#: are buffered whatever the setting) still fill long inner loops; 128 to
+#: 1024 measure within noise of each other at every committed shape.
+_UFUNC_BUFFER = 512
+
+
+def _transposed_span(degree: int) -> int:
+    """Chunk size ``K`` whose ``log2 K`` closing (forward) or opening
+    (inverse) stages run on the transposed block: the power of two at or
+    above ``sqrt(N)``, which balances the shortest run on the two sides —
+    ``K`` in place, ``N / K`` transposed (256 and 256 at N = 2^16, 32 and
+    32 at N = 2^10, 2 and 1 at N = 2)."""
+    return 1 << ((ilog2(degree) + 1) // 2)
+
+
 @dataclass(frozen=True)
 class BatchNtt:
     """All limbs of an RNS prefix transformed by broadcast butterfly stages.
@@ -317,6 +385,16 @@ class BatchNtt:
     operand is one block, i.e. one numpy dispatch per stage for *all*
     limbs.
 
+    Every pass runs over long contiguous runs.  A stage pairs elements
+    ``t`` apart; while ``t >= K`` (``K`` = :func:`_transposed_span`) the
+    block is viewed ``(m, 2, t)`` in place, under a ufunc buffer short
+    enough to walk such runs in place (:func:`_ufunc_buffer`).  The
+    ``log2 K`` stages with shorter runs — the forward transform's last,
+    the inverse's first — work on a scratch copy of the block transposed
+    from ``(N/K, K)`` to ``(K, N/K)``, where partners are whole rows and
+    the twiddles, stored in that order (:func:`_late_order`), run along
+    the row.
+
     The butterflies are *lazy*: products stay unreduced and sums are not
     brought back below ``q`` stage by stage; a block is renormalized only
     where :func:`_lazy_plans` says the next operand would overflow, and
@@ -324,6 +402,10 @@ class BatchNtt:
     transform's, so results are bit-identical to looping
     :meth:`NttContext.forward` limb by limb — which stays the canonical
     reference.
+
+    Scratch (the raw product, its estimate, the transposed copy) is
+    allocated per call and never kept here: one cached instance serves
+    every thread.
     """
 
     degree: int
@@ -336,13 +418,13 @@ class BatchNtt:
     input_bound: int = field(repr=False, compare=False)
     _forward_plan: tuple = field(repr=False, compare=False)
     _inverse_plan: tuple = field(repr=False, compare=False)
-    _block_kernels: dict = field(default_factory=dict, repr=False, compare=False)
+    _block_plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     #: Residue bytes one block of rows may span (``batch x rows x N x 8``).
     #: Anything up to key switching's stacked ``(10, 10, 1024)`` digit
     #: tensor (800 KiB) is one block — one dispatch per stage — while an
     #: N = 2^16 polynomial goes one 512 KiB limb at a time, which with its
-    #: half-size butterfly temporaries and twiddles fits a 2 MiB L2.
+    #: scratch (as much again) and twiddles fits a 2 MiB L2.
     BLOCK_BYTES: ClassVar[int] = 896 << 10
 
     @classmethod
@@ -353,8 +435,9 @@ class BatchNtt:
 
         Tables are shaped ``(..., L, 1, N)`` — the trailing singleton keeps
         the per-row moduli column ``(L, 1, 1)`` broadcasting against the
-        3-D ``(L, m, t)`` stage views; a leading axis (if any) carries the
-        backend's precomputed companions (e.g. Barrett's Shoup pieces).
+        stage views; a leading axis (if any) carries the backend's
+        precomputed companions (e.g. Barrett's Shoup pieces).  The slices
+        of the transposed stages are stored in :func:`_late_order`.
 
         ``input_bound`` is what :meth:`forward` accepts on every limb:
         ``max(max q, 2 * min q)`` — any limb's residues (key switching
@@ -366,6 +449,7 @@ class BatchNtt:
         contexts = [NttContext.cached(degree, q, backend_name) for q in moduli]
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1, 1)
         kernel = type(contexts[0].kernel)(q_col)
+        span = _transposed_span(degree)
         psi = np.stack([c.psi_rev for c in contexts]).reshape(-1, 1, degree)
         psi_inv = np.stack([c.psi_inv_rev for c in contexts]).reshape(-1, 1, degree)
         n_inv = np.array([c.n_inv for c in contexts], dtype=np.uint64).reshape(-1, 1, 1)
@@ -378,8 +462,8 @@ class BatchNtt:
             moduli=tuple(moduli),
             backend=backend_name,
             kernel=kernel,
-            psi_pre=kernel.pre(psi),
-            psi_inv_pre=kernel.pre(psi_inv),
+            psi_pre=kernel.pre(_late_order(psi, degree, span)),
+            psi_inv_pre=kernel.pre(_late_order(psi_inv, degree, span)),
             n_inv_pre=kernel.pre(n_inv),
             input_bound=input_bound,
             _forward_plan=forward_plan,
@@ -390,37 +474,83 @@ class BatchNtt:
     def num_limbs(self) -> int:
         return len(self.moduli)
 
-    def _blocks(self, batch: int):
-        """``(rows, kernel)`` per block: a slice of limbs and its reducer.
-
-        One block covering every limb reuses the full-column kernel; the
-        kernels of partial blocks are built once and kept.
-        """
+    def blocks(self, batch: int = 1) -> list[slice]:
+        """The limb-row slices one transform of ``batch`` stacked
+        polynomials walks, each at most :data:`BLOCK_BYTES` of residues."""
         lcount = self.num_limbs
         rows = max(1, self.BLOCK_BYTES // (batch * self.degree * 8))
-        if rows >= lcount:
-            yield slice(None), self.kernel
-            return
-        for start in range(0, lcount, rows):
-            stop = min(start + rows, lcount)
-            kern = self._block_kernels.get((start, stop))
-            if kern is None:
-                kern = type(self.kernel)(self.kernel.q[start:stop])
-                self._block_kernels[start, stop] = kern
-            yield slice(start, stop), kern
+        return [slice(lo, min(lo + rows, lcount)) for lo in range(0, lcount, rows)]
+
+    def _block_plan(self, rows: slice) -> tuple[ReducerKernel, list, list]:
+        """``(kernel, psi, psi_inv)`` of limbs ``rows``, built once and
+        kept: their reducer (the full-column one when they are all the
+        limbs) and, per stage ``m = 2^s``, the slice ``[m, 2m)`` of each
+        twiddle table as a view that broadcasts against that stage's
+        operands (:meth:`_operands`)."""
+        key = (rows.start, rows.stop)
+        plan = self._block_plans.get(key)
+        if plan is None:
+            kern = self.kernel
+            if rows.stop - rows.start < self.num_limbs:
+                kern = type(kern)(kern.q[rows])
+            chunks = self.degree // _transposed_span(self.degree)
+            tables = []
+            for table in (self.psi_pre, self.psi_inv_pre):
+                psi = table[..., rows, 0, :]
+                stages = []
+                for s in range(ilog2(self.degree)):
+                    w = psi[..., 1 << s : 2 << s]
+                    if w.shape[-1] < chunks:
+                        stages.append(w[..., None, :, :, None])
+                    else:  # stored (groups, chunks): see _late_order
+                        w = w.reshape(*w.shape[:-1], -1, chunks).swapaxes(-2, -3)
+                        stages.append(w[..., None, None, :, None, :])
+                tables.append(stages)
+            plan = self._block_plans[key] = (kern, *tables)
+        return plan
 
     @staticmethod
-    def _halves(view: np.ndarray):
-        """``(upper, lower)`` butterfly operands of one ``(batch, rows, m,
-        2, t)`` stage view.
+    def _workspace(size: int) -> np.ndarray:
+        """Per-call scratch for blocks of up to ``size`` residues: two
+        rows of temporaries and one for the transposed copy."""
+        return np.empty((3, size), np.uint64)
 
-        numpy's inner loop runs along the last axis; where that is only 2
-        or 4 long the stage is walked as ``t`` single-column lanes (which
-        coalesce into long strided loops) — 2-3x cheaper per element.
-        """
-        t = view.shape[-1]
-        lanes = [slice(c, c + 1) for c in range(t)] if t in (2, 4) else [slice(None)]
-        return [(view[..., 0, lane], view[..., 1, lane]) for lane in lanes]
+    @staticmethod
+    def _turn(block: np.ndarray) -> np.ndarray:
+        """A ``(batch, r, N)`` block viewed ``(K, batch, r, 1, N/K)``:
+        position in the chunk first, chunk last — what the transposed
+        copy is read from and written back through."""
+        batch, count, n = block.shape
+        span = _transposed_span(n)
+        return block.reshape(batch, count, 1, n // span, span).transpose(4, 0, 1, 2, 3)
+
+    def _layouts(self, block: np.ndarray, work: np.ndarray):
+        """``(natural, turned, spare)`` for one ``(batch, r, N)`` block:
+        the block with the singleton the moduli column broadcasts over;
+        the contiguous scratch its transposed copy (:meth:`_turn`) lives
+        in; and ``spare(like)``, two scratch arrays shaped like an operand
+        up to the block's size (a stage's half-block temporaries, a
+        renormalization's whole-block ones)."""
+        natural = block[:, :, None, :]
+        turned = work[2, : block.size].reshape(self._turn(block).shape)
+
+        def spare(like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            first, second = work[:2, : like.size]
+            return first.reshape(like.shape), second.reshape(like.shape)
+
+        return natural, turned, spare
+
+    @staticmethod
+    def _operands(block: np.ndarray, turned: np.ndarray, m: int):
+        """``(upper, lower)`` butterfly operands of the stage with ``m``
+        groups: halves of ``(m, 2, t)`` in place while a group spans at
+        least one chunk, row groups of the transposed copy after."""
+        chunks = turned.shape[-1]
+        if m < chunks:
+            view = block.reshape(*block.shape[:-1], m, 2, -1)
+            return view[..., 0, :], view[..., 1, :]
+        view = turned.reshape(m // chunks, 2, -1, *turned.shape[1:])
+        return view[:, 0], view[:, 1]
 
     def forward(self, mat: np.ndarray) -> np.ndarray:
         """``(..., L, N)`` coefficient rows -> evaluation rows.
@@ -429,33 +559,59 @@ class BatchNtt:
         key switching's ``(L, L, N)`` matrix of broadcast digits — runs
         through the same per-stage kernel calls as a single polynomial:
         one vectorized dispatch per butterfly stage and block, covering
-        every batch entry's rows of that block.  Inputs may be anything
-        below :attr:`input_bound`; outputs are canonical.
+        every batch entry's rows of that block.  Every limb's values may
+        be anything below :attr:`input_bound`, or a once-added pair of
+        that limb's residues; outputs are canonical.
         """
         shape = self._check(mat)
-        lcount, n = self.num_limbs, self.degree
-        a = mat.astype(np.uint64, copy=True).reshape(-1, lcount, n)
-        batch = a.shape[0]
-        for rows, kern in self._blocks(batch):
-            psi = self.psi_pre[..., None, rows, 0, :]
-            block = a[:, rows, None, :]
-            bq = kern.q * np.uint64(kern.RAW_BOUND)
-            m = 1
-            t = n
-            for reduce_first in self._forward_plan:
-                if reduce_first:
-                    kern.reduce(block, out=block)
-                t //= 2
-                view = a.reshape(batch, lcount, m, 2, t)[:, rows]
-                w = psi[..., m : 2 * m, None]
-                for u, x1 in self._halves(view):
-                    v = kern.mul_pre_raw(x1, w)
-                    np.add(u, bq, out=x1)
-                    x1 -= v
-                    u += v
-                m *= 2
-            kern.reduce(block, out=block)
-        return a.reshape(shape)
+        src = np.asarray(mat, dtype=np.uint64).reshape(-1, *shape[-2:])
+        out = np.empty(src.shape, dtype=np.uint64)
+        blocks = self.blocks(len(src))
+        work = self._workspace(out[:, blocks[0]].size)
+        with _ufunc_buffer():
+            for rows in blocks:
+                np.copyto(out[:, rows], src[:, rows])
+                self._forward_block(out[:, rows], rows, work)
+        return out.reshape(shape)
+
+    def forward_block(self, block: np.ndarray, rows: slice) -> None:
+        """:meth:`forward` of limbs ``rows`` (one of :meth:`blocks`, or
+        any slice with both bounds), in place on a contiguous ``(batch,
+        rows, N)`` uint64 array — for a caller that produces and consumes
+        a polynomial block by block while it is in cache (the streamed
+        encryption) instead of materializing it."""
+        count = rows.stop - rows.start
+        if (
+            block.dtype != np.uint64
+            or block.ndim != 3
+            or block.shape[1:] != (count, self.degree)
+            or not block.flags.c_contiguous
+        ):
+            raise ValueError(
+                f"expected a contiguous (batch, {count}, {self.degree}) uint64 block"
+            )
+        with _ufunc_buffer():
+            self._forward_block(block, rows, self._workspace(block.size))
+
+    def _forward_block(self, block: np.ndarray, rows: slice, work: np.ndarray) -> None:
+        """Cooley–Tukey stages of one ``(batch, r, N)`` block, in place."""
+        kern, psi, _ = self._block_plan(rows)
+        natural, turned, spare = self._layouts(block, work)
+        bq = kern.q * np.uint64(kern.RAW_BOUND)
+        held = natural
+        for s, reduce_first in enumerate(self._forward_plan):
+            if 1 << s == turned.shape[-1]:
+                np.copyto(turned, self._turn(block))
+                held = turned
+            if reduce_first:
+                kern.reduce(held, out=held, work=spare(held))
+            u, x1 = self._operands(block, turned, 1 << s)
+            raw, est = spare(u)
+            v = kern.mul_pre_raw(x1, psi[s], out=raw, work=est)
+            np.add(u, bq, out=x1)
+            x1 -= v
+            u += v
+        kern.reduce(turned, out=self._turn(block), work=spare(turned))
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
         """``(..., L, N)`` evaluation rows -> coefficient rows (scaled 1/N).
@@ -463,32 +619,41 @@ class BatchNtt:
         Inputs are canonical residues; so are the outputs.
         """
         shape = self._check(mat)
-        lcount, n = self.num_limbs, self.degree
-        a = mat.astype(np.uint64, copy=True).reshape(-1, lcount, n)
-        batch = a.shape[0]
-        for rows, kern in self._blocks(batch):
-            psi_inv = self.psi_inv_pre[..., None, rows, 0, :]
-            block = a[:, rows, None, :]
-            t = 1
-            m = n
-            for reduce_first, c in self._inverse_plan[:-1]:
-                if reduce_first:
-                    kern.reduce(block, out=block)
-                h = m // 2
-                view = a.reshape(batch, lcount, h, 2, t)[:, rows]
-                w = psi_inv[..., h : 2 * h, None]
-                cq = kern.q * np.uint64(c)
-                for u, x1 in self._halves(view):
-                    diff = u + cq
-                    diff -= x1
-                    u += x1
-                    x1[...] = kern.mul_pre_raw(diff, w)
-                t *= 2
-                m = h
-            if self._inverse_plan[-1][0]:
-                kern.reduce(block, out=block)
-            kern.mul_pre(block, self.n_inv_pre[..., rows, :, :], out=block)
-        return a.reshape(shape)
+        src = np.asarray(mat, dtype=np.uint64).reshape(-1, *shape[-2:])
+        out = np.empty(src.shape, dtype=np.uint64)
+        blocks = self.blocks(len(src))
+        work = self._workspace(out[:, blocks[0]].size)
+        with _ufunc_buffer():
+            for rows in blocks:
+                self._inverse_block(src[:, rows], out[:, rows], rows, work)
+        return out.reshape(shape)
+
+    def _inverse_block(
+        self, src: np.ndarray, block: np.ndarray, rows: slice, work: np.ndarray
+    ) -> None:
+        """Gentleman–Sande stages of one ``(batch, r, N)`` block, read
+        from ``src`` (straight into the transposed copy) and left in
+        ``block``."""
+        kern, _, psi_inv = self._block_plan(rows)
+        natural, turned, spare = self._layouts(block, work)
+        np.copyto(turned, self._turn(src))
+        held = turned
+        stages = reversed(range(len(psi_inv)))
+        for s, (reduce_first, c) in zip(stages, self._inverse_plan[:-1]):
+            if reduce_first:
+                kern.reduce(held, out=held, work=spare(held))
+            u, x1 = self._operands(block, turned, 1 << s)
+            diff, est = spare(u)
+            np.add(u, kern.q * np.uint64(c), out=diff)
+            diff -= x1
+            u += x1
+            kern.mul_pre_raw(diff, psi_inv[s], out=x1, work=est)
+            if 1 << s == turned.shape[-1]:
+                np.copyto(self._turn(block), turned)
+                held = natural
+        if self._inverse_plan[-1][0]:
+            kern.reduce(natural, out=natural, work=spare(natural))
+        kern.mul_pre(natural, self.n_inv_pre[..., rows, :, :], out=natural)
 
     def _check(self, mat: np.ndarray) -> tuple[int, ...]:
         if mat.ndim < 2 or mat.shape[-2:] != (self.num_limbs, self.degree):

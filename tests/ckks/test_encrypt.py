@@ -33,6 +33,91 @@ class TestRoundtrip:
             ctx.encryptor.encrypt(pt, level=4)
 
 
+class TestStreamedEncrypt:
+    """The limb-streamed encryption equals the composed formula built
+    from whole-polynomial ``RnsPolynomial`` ops on the same draws."""
+
+    @staticmethod
+    def composed(ctx, plaintext, level, counter):
+        """``(v*b + (m + e0)^, v*a + e1^)`` the long way, same counter."""
+        from repro.prng.samplers import TernarySampler
+        from repro.rns.poly import COEFF, RnsPolynomial
+
+        enc, basis, n = ctx.encryptor, ctx.basis, ctx.basis.degree
+
+        def embed(signed):
+            return RnsPolynomial.from_signed_coeffs(basis, level, signed)
+
+        sampler = TernarySampler(basis.moduli[0])
+        v = embed(sampler.sample_signed(enc.xof, b"enc-v", n, counter=counter))
+        e0 = embed(enc._gauss.sample_signed(enc.xof, b"enc-e0", n, counter=counter))
+        e1 = embed(enc._gauss.sample_signed(enc.xof, b"enc-e1", n, counter=counter))
+        if plaintext.poly.domain == COEFF:
+            noisy = (plaintext.poly + e0).to_eval()
+        else:
+            noisy = plaintext.poly + e0.to_eval()
+        v = v.to_eval()
+        return v * enc.public_key.b + noisy, v * enc.public_key.a + e1.to_eval()
+
+    @pytest.mark.parametrize("backend", ["barrett", "montgomery", "generic-split"])
+    @pytest.mark.parametrize("case", ["coeff", "eval", "below-plaintext-level"])
+    def test_equals_composed_formula(self, case, backend, rng):
+        from repro.ckks.containers import Plaintext
+        from repro.nums.kernels import using_backend
+
+        with using_backend(backend):
+            ctx = CkksContext.create(toy_params(degree=128, num_primes=4), seed=11)
+            msg = rng.normal(size=ctx.params.slots)
+            plaintext = ctx.encode(msg)
+            if case == "eval":
+                poly = plaintext.poly.to_eval()
+                plaintext = Plaintext(poly=poly, scale=plaintext.scale)
+            level = plaintext.level - 1 if case == "below-plaintext-level" else None
+            counter = ctx.encryptor._counter
+            ct = ctx.encryptor.encrypt(plaintext, level=level)
+            c0, c1 = self.composed(ctx, plaintext, ct.level, counter)
+        assert ct.level == (plaintext.level if level is None else level)
+        assert ct.scale == plaintext.scale
+        assert np.array_equal(ct.c0.data, c0.data)
+        assert np.array_equal(ct.c1.data, c1.data)
+
+    def test_seeded_equals_composed_formula(self, ctx, rng):
+        from repro.ckks.keys import expand_uniform_poly
+        from repro.prng.xof import Xof
+        from repro.rns.poly import RnsPolynomial
+
+        plaintext = ctx.encode(rng.normal(size=ctx.params.slots))
+        enc, level = ctx.encryptor, plaintext.level - 1
+        counter = enc._counter
+        ct, seed = enc.encrypt_symmetric_seeded(plaintext, ctx.secret_key, level=level)
+        assert seed == enc.xof.stream(b"sym-c1-seed", 16, counter=counter)
+        c1 = expand_uniform_poly(ctx.basis, level, Xof(seed), b"sym-c1")
+        n = ctx.basis.degree
+        draw = enc._gauss.sample_signed(enc.xof, b"sym-e", n, counter=counter)
+        e = RnsPolynomial.from_signed_coeffs(ctx.basis, level, draw)
+        c0 = -(c1 * ctx.secret_key.at_level(level)) + (plaintext.poly + e).to_eval()
+        assert np.array_equal(ct.c0.data, c0.data)
+        assert np.array_equal(ct.c1.data, c1.data)
+
+    def test_consecutive_calls_use_consecutive_counters(self, ctx):
+        pt = ctx.encode([1.0])
+        enc = ctx.encryptor
+        before = enc._counter
+        first = enc.encrypt(pt)
+        enc.encrypt_symmetric_seeded(pt, ctx.secret_key)
+        third = enc.encrypt(pt)
+        assert enc._counter == before + 3
+        for ct, counter in ((first, before), (third, before + 2)):
+            c0, c1 = self.composed(ctx, pt, pt.level, counter)
+            assert np.array_equal(ct.c0.data, c0.data)
+            assert np.array_equal(ct.c1.data, c1.data)
+
+    def test_seeded_level_above_plaintext_rejected(self, ctx):
+        pt = ctx.encode([1.0], level=2)
+        with pytest.raises(ValueError, match="above the plaintext"):
+            ctx.encryptor.encrypt_symmetric_seeded(pt, ctx.secret_key, level=4)
+
+
 class TestRandomnessHygiene:
     def test_fresh_masks_per_encryption(self, ctx):
         """Two encryptions of the same message must differ (counter)."""

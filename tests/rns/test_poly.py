@@ -34,6 +34,27 @@ class TestConstruction:
         p = RnsPolynomial.from_signed_coeffs(basis, LEVEL, coeffs)
         assert p.to_bigints() == coeffs.tolist()
 
+    def test_from_signed_sign_mask_agrees_with_division(self, basis):
+        """The division-free embed (``x + (q & mask)``) and the int64
+        ``%`` it falls back to produce the same residues, on either side
+        of the switch at ``max|x| = q_min``."""
+        moduli = basis.moduli[:LEVEL]
+        q_min = min(moduli)
+        q_col = np.array(moduli, dtype=np.int64).reshape(-1, 1)
+        edge = [0, 1, -1, q_min - 1, 1 - q_min]
+        wide = [q_min, -q_min, np.iinfo(np.int64).max, np.iinfo(np.int64).min]
+
+        def embed(values):
+            coeffs = np.zeros(basis.degree, dtype=np.int64)
+            coeffs[: len(values)] = values
+            got = RnsPolynomial.from_signed_coeffs(basis, LEVEL, coeffs).data
+            assert np.array_equal(got, (coeffs % q_col).astype(np.uint64))
+            return got
+
+        masked = embed(edge)  # below q_min everywhere: sign mask
+        divided = embed(edge + wide)  # one coefficient at q_min: division
+        assert np.array_equal(masked[:, : len(edge)], divided[:, : len(edge)])
+
     def test_from_bigint_roundtrip(self, basis):
         big = basis.modulus_at(LEVEL)
         coeffs = [0, 1, -1 % big, big // 3, big - 7] + [0] * (basis.degree - 5)

@@ -206,7 +206,7 @@ class TestBatchedTensors:
             ]
         )
         with mock.patch.object(BatchNtt, "BLOCK_BYTES", block_rows * batch * n * 8):
-            assert len(list(bn._blocks(batch))) == -(-limbs // block_rows)
+            assert len(bn.blocks(batch)) == -(-limbs // block_rows)
             got = bn.forward(tensor)
             back = bn.inverse(got)
         assert np.array_equal(got, want)
@@ -309,3 +309,175 @@ class TestBatchedTensors:
             assert np.array_equal(
                 ntt.forward(rotated), ntt.forward(a)[galois_permutation(n, k)]
             )
+
+
+PAPER_PRIMES = tuple(p.value for p in find_primes(36, 1 << 16, max_count=3))
+WIDE_PRIMES = tuple(p.value for p in find_primes(40, 1 << 10, max_count=3))
+
+
+def per_limb(tensor, moduli, backend, direction):
+    """The reference: every limb row through its own ``NttContext``."""
+    n = tensor.shape[-1]
+    contexts = [NttContext.cached(n, q, backend) for q in moduli]
+    rows = [
+        getattr(contexts[i % len(moduli)], direction)(row)
+        for i, row in enumerate(tensor.reshape(-1, n))
+    ]
+    return np.stack(rows).reshape(tensor.shape)
+
+
+class TestButterflyLayouts:
+    """The re-laid dataflow (ufunc buffer scoped to the call, closing /
+    opening stages on the transposed block, per-call workspace) against
+    the per-limb reference, configuration by configuration."""
+
+    @staticmethod
+    def check(bn, moduli, lead, rng):
+        n, backend = bn.degree, bn.backend
+        q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        shape = (*lead, len(moduli), n)
+        canonical = [
+            rng.integers(0, 1 << 62, shape, dtype=np.uint64) % q_col,
+            np.zeros(shape, dtype=np.uint64),
+            np.broadcast_to(q_col - np.uint64(1), shape),
+        ]
+        canonical.append(np.asfortranarray(canonical[0]))  # another memory order
+        unreduced = [
+            np.full(shape, bn.input_bound - 1, dtype=np.uint64),
+            # a once-added pair of the limb's own residues
+            np.broadcast_to(np.uint64(2) * q_col - np.uint64(2), shape),
+        ]
+        for tensor in canonical + unreduced:
+            want = per_limb(tensor, moduli, backend, "forward")
+            assert np.array_equal(bn.forward(tensor), want)
+        for tensor in canonical:
+            want = per_limb(tensor, moduli, backend, "inverse")
+            assert np.array_equal(bn.inverse(tensor), want)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    @pytest.mark.parametrize("log_n", [1, 2, 3, 4, 5, 6, 7, 10, 12])
+    def test_grid_matches_per_limb_reference(self, backend, log_n):
+        """Degrees on both sides of every layout boundary (one chunk per
+        transposed row at N = 2, up to 64 x 64), the three batch shapes
+        incl. key switching's (L, L, N), and 1, 2 and all limbs a block."""
+        from unittest import mock
+
+        from repro.transforms.ntt import BatchNtt
+
+        n, moduli = 1 << log_n, PAPER_PRIMES
+        bn = BatchNtt.create(n, moduli, backend=backend)
+        rng = np.random.default_rng(log_n)
+        for lead in ((), (2,), (len(moduli),)):
+            batch = int(np.prod(lead))
+            for limbs in (1, 2, len(moduli)):
+                block_bytes = limbs * batch * n * 8
+                with mock.patch.object(BatchNtt, "BLOCK_BYTES", block_bytes):
+                    assert len(bn.blocks(batch)) == -(-len(moduli) // limbs)
+                    self.check(bn, moduli, lead, rng)
+
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_paper_degree_matches_per_limb_reference(self, backend):
+        """N = 2^16: one 512 KiB limb per block, 256 x 256 transposed."""
+        from repro.transforms.ntt import BatchNtt
+
+        bn = BatchNtt.create(1 << 16, PAPER_PRIMES[:2], backend=backend)
+        assert len(bn.blocks()) == 2
+        self.check(bn, PAPER_PRIMES[:2], (), np.random.default_rng(16))
+
+    # Montgomery's scalar 1/N constant wraps mod 2^64 on purpose.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("backend", available_backends())
+    def test_renormalizing_stages_fall_on_both_layouts(self, backend):
+        """At 40 bits the forward plan, too, renormalizes mid-transform
+        (at 36 only the inverse's does): a renormalization lands on the
+        in-place stages and on the transposed ones, in both directions."""
+        from repro.transforms.ntt import BatchNtt, _transposed_span
+
+        n = 1 << 10
+        bn = BatchNtt.create(n, WIDE_PRIMES, backend=backend)
+        in_place = (n // _transposed_span(n)).bit_length() - 1  # stages before the turn
+        forward = bn._forward_plan
+        assert any(forward[:in_place]) and any(forward[in_place:])
+        inverse = [first for first, _ in bn._inverse_plan[:-1]]
+        assert any(inverse[:-in_place]) and any(inverse[-in_place:])
+        rng = np.random.default_rng(40)
+        for lead in ((), (len(WIDE_PRIMES),)):
+            self.check(bn, WIDE_PRIMES, lead, rng)
+
+    def test_ufunc_buffer_is_the_callers_after_every_call(self):
+        from unittest import mock
+
+        from repro.transforms.ntt import BatchNtt
+
+        bn = BatchNtt.create(64, PAPER_PRIMES)
+        x = np.zeros((len(PAPER_PRIMES), 64), dtype=np.uint64)
+
+        def calls():
+            bn.forward(x)
+            yield "forward"
+            bn.inverse(x)
+            yield "inverse"
+            block = np.zeros((1, len(PAPER_PRIMES), 64), dtype=np.uint64)
+            bn.forward_block(block, slice(0, len(PAPER_PRIMES)))
+            yield "forward_block"
+            with pytest.raises(ValueError):
+                bn.forward(np.zeros((2, 64), dtype=np.uint64))
+            yield "forward, wrong shape"
+            with pytest.raises(ValueError):
+                bn.forward_block(block[:, :2], slice(0, len(PAPER_PRIMES)))
+            yield "forward_block, wrong shape"
+            kernel = type(bn.kernel)
+            with mock.patch.object(kernel, "mul_pre_raw", side_effect=RuntimeError):
+                for transform in (bn.forward, bn.inverse):
+                    with pytest.raises(RuntimeError):  # inside the buffer scope
+                        transform(x)
+            yield "raising mid-transform"
+
+        default = np.getbufsize()
+        for own in (default, 4096):
+            previous = np.setbufsize(own)
+            try:
+                for name in calls():
+                    assert np.getbufsize() == own, name
+            finally:
+                np.setbufsize(previous)
+        assert np.getbufsize() == default
+
+    def test_threads_share_one_instance(self):
+        """Scratch is per call: two threads transforming different inputs
+        through one cached ``BatchNtt`` both get the reference rows."""
+        import sys
+        import threading
+
+        from repro.transforms.ntt import BatchNtt
+
+        n, moduli = 1 << 10, PAPER_PRIMES
+        bn = BatchNtt.create(n, moduli)
+        rng = np.random.default_rng(3)
+        q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        shape = (len(moduli), n)
+        inputs = [
+            rng.integers(0, 1 << 62, shape, dtype=np.uint64) % q_col for _ in range(2)
+        ]
+        wants = [per_limb(x, moduli, bn.backend, "forward") for x in inputs]
+        failures: list[int] = []
+
+        def work(k: int) -> None:
+            for _ in range(200):
+                got = bn.forward(inputs[k])
+                back = bn.inverse(got)
+                if not (np.array_equal(got, wants[k]) and np.array_equal(back, inputs[k])):
+                    failures.append(k)
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures
