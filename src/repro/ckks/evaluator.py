@@ -28,6 +28,7 @@ from repro.ckks.containers import Ciphertext, Plaintext
 from repro.ckks.keys import SwitchingKey, rotation_galois_elt
 from repro.ckks.keyswitch import DecomposedPoly, KeySwitchEngine
 from repro.ckks.params import CkksParameters
+from repro.nums.kernels import ufunc_buffer
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import RnsPolynomial
 
@@ -61,6 +62,7 @@ class Evaluator:
     # Linear operations
     # ------------------------------------------------------------------
 
+    @ufunc_buffer()
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Slot-wise addition; scales must match."""
         self._check_scales(a, b, op="add")
@@ -78,15 +80,18 @@ class Evaluator:
                 parts.append(pa + pb)
         return Ciphertext(parts=parts, scale=a.scale)
 
+    @ufunc_buffer()
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Slot-wise subtraction; scales must match."""
         self._check_scales(a, b, op="sub")
         neg = Ciphertext(parts=[-p for p in b.parts], scale=b.scale)
         return self.add(a, neg)
 
+    @ufunc_buffer()
     def negate(self, a: Ciphertext) -> Ciphertext:
         return Ciphertext(parts=[-p for p in a.parts], scale=a.scale)
 
+    @ufunc_buffer()
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Add an encoded plaintext (scales must match)."""
         if not math.isclose(ct.scale, pt.scale, rel_tol=SCALE_RTOL):
@@ -100,6 +105,7 @@ class Evaluator:
         parts = [ct.parts[0] + m] + [p.copy() for p in ct.parts[1:]]
         return Ciphertext(parts=parts, scale=ct.scale)
 
+    @ufunc_buffer()
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Multiply by an encoded plaintext; output scale is the product."""
         m = pt.poly.drop_limbs(ct.level).to_eval()
@@ -110,6 +116,7 @@ class Evaluator:
     # Multiplication / relinearization / rescaling
     # ------------------------------------------------------------------
 
+    @ufunc_buffer()
     def multiply(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Tensor product of two degree-1 ciphertexts (3 parts, pre-relin)."""
         if a.size != 2 or b.size != 2:
@@ -122,6 +129,7 @@ class Evaluator:
             scale=a.scale * b.scale,
         )
 
+    @ufunc_buffer()
     def relinearize(self, ct: Ciphertext, relin_keys: dict[int, SwitchingKey]) -> Ciphertext:
         """Fold the quadratic part back to degree 1 using the level's key."""
         if ct.size == 2:
@@ -136,6 +144,7 @@ class Evaluator:
             parts=[ct.parts[0] + ks0, ct.parts[1] + ks1], scale=ct.scale
         )
 
+    @ufunc_buffer()
     def rescale(self, ct: Ciphertext, times: int = 1) -> Ciphertext:
         """Drop ``times`` primes, dividing the scale accordingly.
 
@@ -202,6 +211,7 @@ class Evaluator:
             raise KeyError(f"no conjugation key at level {ct.level}")
         return self.apply_galois(ct, 2 * self.basis.degree - 1, key)
 
+    @ufunc_buffer()
     def apply_galois(
         self,
         ct: Ciphertext,

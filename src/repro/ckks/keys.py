@@ -97,15 +97,15 @@ class SwitchingKey:
     _stacked: tuple[np.ndarray, np.ndarray] | None = field(
         default=None, repr=False, compare=False
     )
-    _stacked_pre: dict = field(default_factory=dict, repr=False, compare=False)
 
     def stacked(self) -> tuple[np.ndarray, np.ndarray]:
         """The key as two stacked ``(L, L, N)`` tensors ``(B, A)``.
 
         ``B[j] = b_j.data`` / ``A[j] = a_j.data`` — the layout the
-        key-switch contraction walks digit row by digit row.  Built
-        lazily, cached per key; from then on ``pairs`` are row views of
-        the two tensors, so the key holds its residues once.
+        key-switch contraction walks digit row by digit row, as plain
+        residues under every backend.  Built lazily, cached per key; from
+        then on ``pairs`` are row views of the two tensors, so the key
+        holds its residues once.
         """
         if self._stacked is None:
             b = np.stack([pair[0].data for pair in self.pairs])
@@ -121,24 +121,6 @@ class SwitchingKey:
                 for j, (b_j, a_j) in enumerate(self.pairs)
             ]
         return self._stacked
-
-    def stacked_pre(self, kern) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`stacked` in ``kern``'s precomputed constant form.
-
-        Cached per backend *name* so the Montgomery domain conversion (or
-        Barrett's Shoup quotients, a vectorized uint64 long division) of
-        the key tensors happens once per key, not once per switch — the
-        eager engine and the fused replayer both contract against this
-        form.  Pass host-namespace kernels only — device-namespaced
-        pre-forms would poison the shared per-name cache.
-        """
-        name = type(kern).name
-        cached = self._stacked_pre.get(name)
-        if cached is None:
-            b, a = self.stacked()
-            cached = (kern.pre(b), kern.pre(a))
-            self._stacked_pre[name] = cached
-        return cached
 
 
 def expand_uniform_poly(

@@ -13,11 +13,11 @@ tensorizes the whole pipeline:
   ``(L·L, N)`` matrix — the transform takes the digits unreduced, so no
   whole-tensor re-reduction precedes it;
 * **contract** walks the digit rows once against a switching key's two
-  pre-formed ``(L, L, N)`` tensors
-  (:meth:`~repro.nums.kernels.ReducerKernel.mul_pre_accumulate_rows`: raw
-  products summed as uint64, one reduction per key component) — the one
-  contraction the eager :meth:`KeySwitchEngine.apply` and the fused
-  replayer share;
+  stacked ``(L, L, N)`` residue tensors
+  (:meth:`~repro.nums.kernels.ReducerKernel.mul_accumulate_rows`: each
+  digit row split once, raw products summed as uint64, one reduction pair
+  per key component) — the one contraction the eager
+  :meth:`KeySwitchEngine.apply` and the fused replayer share;
 * **permute** applies a Galois automorphism to a *decomposed* polynomial
   as a pure EVAL-domain slot permutation, which is what makes **hoisting**
   work: decompose once, then rotate-and-apply against many keys.  The BSGS
@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.ckks.keys import SwitchingKey
+from repro.nums.kernels import ufunc_buffer
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import COEFF, EVAL, RnsPolynomial
 from repro.transforms.ntt import galois_permutation
@@ -128,6 +129,7 @@ class KeySwitchEngine:
             RnsPolynomial(self.basis, out1, EVAL),
         )
 
+    @ufunc_buffer()
     def contract(
         self, tensor: np.ndarray, key: SwitchingKey, perm=None, out0=None, out1=None
     ) -> list[np.ndarray]:
@@ -137,18 +139,15 @@ class KeySwitchEngine:
         Each row is gathered once — through ``perm`` when a Galois slot
         permutation is folded in, which reads the same elements as
         permuting the whole tensor first — and multiplied against both
-        key components while cache-hot.  The key tensors are in the
-        backend's constant form, built once per (key, backend).
+        key components while cache-hot.  The key tensors are the key's
+        own residues (:meth:`SwitchingKey.stacked`), whatever the backend.
         """
         kern = self.basis.kernel(tensor.shape[0])
         rows = (
             tensor[j] if perm is None else tensor[j][:, perm]
             for j in range(tensor.shape[0])
         )
-        # Digit axis first, whether or not the backend stacks companion
-        # planes (Barrett's Shoup pieces) ahead of the value axes.
-        pres = [np.moveaxis(pre, -3, 0) for pre in key.stacked_pre(kern)]
-        return kern.mul_pre_accumulate_rows(rows, pres, (out0, out1))
+        return kern.mul_accumulate_rows(rows, key.stacked(), (out0, out1))
 
     def switch(
         self, poly: RnsPolynomial, key: SwitchingKey
@@ -160,6 +159,7 @@ class KeySwitchEngine:
     # Reference path
     # ------------------------------------------------------------------
 
+    @ufunc_buffer()
     def switch_reference(
         self, poly: RnsPolynomial, key: SwitchingKey
     ) -> tuple[RnsPolynomial, RnsPolynomial]:

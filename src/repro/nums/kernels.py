@@ -24,13 +24,13 @@ prime or an ``(L, 1)``/``(L, 1, 1)`` column for per-row broadcasting over
 whole ``(L, N)`` RNS residue matrices — and carries the precomputed
 tables it needs.  All kernels assume **canonical inputs** in ``[0, q)``;
 the RNS layers maintain that invariant, and ``reduce`` is available for
-values up to ``q^2``.  The one exception is the accumulation primitive:
-``mul_pre_raw`` is each backend's product *short of its conditional
-subtracts* — congruent mod ``q``, below ``RAW_BOUND * q``, and defined
-for any first operand below ``raw_operand_limit`` — which is what the
-key-switch contraction, the fused plaintext MAC and the batched NTT's
-butterflies sum, reducing once per accumulation the way a hardware MAC
-datapath does.
+values up to ``q^2``.  Two primitives defer reduction the way a hardware
+MAC datapath does: ``mul_pre_raw``, each backend's product *short of its
+conditional subtracts* (congruent mod ``q``, below ``RAW_BOUND * q``, for
+any first operand below ``raw_operand_limit``), which the batched NTT's
+butterflies sum; and ``mul_accumulate_rows``, the inner product of key
+switching and the fused plaintext MAC, which multiplies the halves of a
+split operand against plain residues — no per-backend constant form.
 
 The :class:`ReducerSpec` table is the single source of truth tying each
 algorithm to its Table I hardware accounting (multiplier equivalents and
@@ -42,6 +42,7 @@ driven by the same data.
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -55,6 +56,7 @@ __all__ = [
     "BarrettKernel",
     "MontgomeryKernel",
     "KERNEL_LIMIT_BITS",
+    "ufunc_buffer",
     "available_backends",
     "get_backend",
     "make_kernel",
@@ -137,6 +139,34 @@ def _mul128_41(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
+#: Elements in numpy's ufunc buffer inside :func:`ufunc_buffer`: walks the
+#: 4096-down-to-512 runs of an N = 2^16 limb in place and still fills long
+#: inner loops on the short rows of an N <= 2^12 block; 128 to 1024
+#: measure within noise of each other at every committed shape.
+_UFUNC_BUFFER = 512
+
+
+@contextmanager
+def ufunc_buffer():
+    """Scope numpy's ufunc buffer to :data:`_UFUNC_BUFFER` elements.
+
+    A ufunc over a view whose contiguous run is shorter than the buffer
+    (8192 elements by default) is copied through it — a butterfly pass
+    over ``(m, 2, t)``, a kernel pass broadcasting the ``(L, 1)`` moduli
+    column over ``(L, N <= 4096)`` rows: 0.65-0.85 ns per element against
+    ~0.22 walked in place.  The setting is context-local on numpy >= 2,
+    thread-local before, and the caller's value is restored on the way
+    out, raising or not; so the scope (also a decorator) opens where ops
+    are dispatched — a transform, an evaluator call, a fused replay —
+    never process-wide.
+    """
+    previous = np.setbufsize(_UFUNC_BUFFER)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
 def _csub(x: np.ndarray, q) -> np.ndarray:
     """One conditional subtract: maps [0, 2q) into [0, q).
 
@@ -187,13 +217,18 @@ class ReducerKernel:
                     f"most {KERNEL_LIMIT_BITS} bits (paper uses 32–36-bit primes)"
                 )
         self.q = q
-        # Deferred-accumulation budget: partial sums must fit both uint64
-        # and reduce()'s [0, q^2) domain.  Precomputed so the fused hot
+        # Deferred-accumulation budgets, precomputed so the fused hot
         # paths never touch host-side scalar reductions of (possibly
         # device-resident) q.
-        self._acc_headroom = min(
-            ((1 << 64) - 1) // max(max(flat) - 1, 1), min(flat)
-        )
+        #: Canonical terms one deferred sum may hold before a partial
+        #: reduce: it must fit uint64 and ``reduce``'s ``[0, q^2)`` domain.
+        self.term_budget = min(((1 << 64) - 1) // max(max(flat) - 1, 1), min(flat))
+        #: Operand split width ``h`` of :meth:`mul_accumulate_rows`, and
+        #: the terms one of its partial sums may hold (the bound is there):
+        #: about 1024 at 36 bits, 256 at 37, 3 at 41.
+        self.mac_split = (max(flat).bit_length() + 1) // 2
+        term = (max(flat) - 1) * ((1 << self.mac_split) - 1)
+        self.mac_budget = (min(1 << 64, min(flat) ** 2) - max(flat)) // term - 1
         #: Exclusive bound on :meth:`mul_pre_raw`'s first operand (which
         #: need not be canonical): below it every backend's partial
         #: products stay inside uint64 and the ``RAW_BOUND`` holds.
@@ -269,8 +304,7 @@ class ReducerKernel:
         ``q`` and below ``RAW_BOUND * q``, for ``a < raw_operand_limit``.
 
         What :meth:`mul_pre` computes before its conditional subtracts —
-        the term a MAC datapath sums, reducing once per accumulation
-        (:meth:`mul_pre_accumulate_rows`, the lazy NTT butterflies)
+        the term the lazy NTT butterflies sum, reducing once per block
         instead of once per product.  The result goes to ``out`` when
         given; ``work`` is scratch of the result's shape for a backend
         whose product has a full-size temporary (Barrett's quotient
@@ -280,49 +314,67 @@ class ReducerKernel:
         """
         return self.mul_pre(a, b_pre, out=out)
 
-    def term_budget(self, bound: int = 1) -> int:
-        """How many terms below ``bound * q`` one deferred accumulation
-        may sum before a partial reduce: the sum must fit both uint64 and
-        ``reduce``'s ``[0, q^2)`` domain.  Raises when the moduli are too
-        small to defer anything (a reduced partial sum plus one more term
-        must fit)."""
-        budget = self._acc_headroom // bound
-        if budget < 2:
-            raise ValueError(
-                f"{self.name}: moduli too small for deferred accumulation "
-                f"(room for {budget} term(s) below {bound}q)"
-            )
-        return budget
-
-    def mul_pre_accumulate_rows(self, rows, pres, outs=None, budget=None) -> list:
-        """``outs[k] = sum_t rows[t] * pres[k][t] mod q`` — one reduction
-        per output.
+    def mul_accumulate_rows(self, rows, consts, outs=None, budget=None) -> list:
+        """``outs[k] = sum_t rows[t] * consts[k][t] mod q`` — four plain
+        passes per term, one reduction pair per output.
 
         The row-loop inner product behind key switching (two key
         components contracted against the same digit rows) and the fused
-        plaintext MAC: ``rows`` yields each canonical operand once, every
-        ``pres[k][t]`` came from :meth:`pre`, and the raw products are
-        summed as uint64 and reduced at the end.  Row-sized operands keep
-        every temporary in cache, which a whole-tensor multiply does not.
-        ``budget`` (default ``term_budget(RAW_BOUND)``) caps the terms a
-        partial sum holds: past it the sums are reduced in place and
-        accumulation continues, so any term count is exact.  Canonical
-        residues are unique: the result is byte-equal to
-        ``mul_accumulate`` over the stacked operands under every backend.
+        plaintext MAC.  ``rows`` yields each canonical operand once; it is
+        the operand every output shares, so it is the one that is split:
+        ``row = hi * 2^h + lo`` with ``h = ceil(bits(q_max) / 2)``.  A
+        term is ``S_hi += hi * c`` and ``S_lo += lo * c`` in raw uint64
+        against the *plain residues* ``c = consts[k][t]`` — no pre-form,
+        no quotient estimate, no ``q`` column — and an output is
+        ``reduce((reduce(S_hi) << h) + S_lo)``, written to ``outs[k]``
+        when given.  Row-sized operands keep every temporary in cache.
+
+        Bound: ``hi <= (q_max - 1) >> h < 2^h`` and ``lo < 2^h``, so a
+        term adds at most ``T = (q_max - 1)(2^h - 1)`` to either sum, and
+        a reduced sum, at most ``q - 1 <= T``, is one term.  With ``n``
+        terms held the recombined value is at most ``(q - 1) 2^h + n T <
+        (n + 1) T + q_max``, which stays below ``M = min(2^64, q_min^2)``
+        (uint64, and ``reduce``'s domain; ``S_hi <= n T`` a fortiori)
+        whenever ``n + 1 <= (M - q_max) // T``: ``mac_budget`` is that
+        quotient less the recombination's one.  ``budget`` (default
+        ``mac_budget``; at least 2, which moduli of a few bits do not
+        reach) caps the terms a partial sum holds: past it both sums are
+        reduced in place and accumulation continues, so any term count is
+        exact, and byte-equal to ``mul_accumulate`` over the stacked
+        operands under every backend (canonical residues are unique).
         """
-        budget = budget or self.term_budget(self.RAW_BOUND)
-        accs: list = []
+        budget = self.mac_budget if budget is None else budget
+        if budget < 2:
+            raise ValueError(
+                f"{self.name}: a partial sum must hold two terms, got budget "
+                f"{budget} (MAC split at {self.mac_split} bits)"
+            )
+        h = _U64(self.mac_split)
+        mask = _U64((1 << self.mac_split) - 1)
+        sums: list = []  # per output, the pair (S_hi, S_lo)
+        hi = lo = None
         for t, row in enumerate(rows):
-            if not accs:
-                accs = [self.mul_pre_raw(row, pre[t]) for pre in pres]
+            hi = np.right_shift(row, h, out=hi)
+            lo = np.bitwise_and(row, mask, out=lo)
+            if not sums:
+                sums = [(hi * c[0], lo * c[0]) for c in consts]
+                prod = np.empty_like(sums[0][0])
                 continue
             if t % (budget - 1) == 0:  # a reduced sum counts as one term
-                for acc in accs:
-                    self.reduce(acc, out=acc)
-            for acc, pre in zip(accs, pres):
-                acc += self.mul_pre_raw(row, pre[t])
-        outs = outs or [None] * len(accs)
-        return [self.reduce(acc, out=out) for acc, out in zip(accs, outs)]
+                for pair in sums:
+                    for s in pair:
+                        self.reduce(s, out=s)
+            for (s_hi, s_lo), c in zip(sums, consts):
+                s_hi += np.multiply(hi, c[t], out=prod)
+                s_lo += np.multiply(lo, c[t], out=prod)
+        if not sums:
+            raise ValueError("mul_accumulate_rows needs at least one row")
+        for s_hi, s_lo in sums:
+            self.reduce(s_hi, out=s_hi)
+            s_hi <<= h
+            s_hi += s_lo
+        outs = outs or [None] * len(sums)
+        return [self.reduce(s_hi, out=out) for (s_hi, _), out in zip(sums, outs)]
 
     def add_accumulate(self, terms: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
         """Fused ``sum_t terms[t] mod q`` along ``axis`` — one reduction.
@@ -339,7 +391,7 @@ class ReducerKernel:
     def _accumulate(self, prod: np.ndarray, axis: int, out=None) -> np.ndarray:
         """Sum canonical products along ``axis`` with deferred reduction."""
         xp = self.xp
-        headroom = self._acc_headroom
+        headroom = self.term_budget
         terms = prod.shape[axis]
         if terms <= headroom:
             acc = xp.add_reduce(prod, axis=axis)

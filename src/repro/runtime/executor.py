@@ -408,7 +408,7 @@ class ShardedExecutor:
         fused: replay through the arena-backed
             :class:`~repro.runtime.plan.FusedExecutor` (``False``: the
             reference interpreter; same bits).  The fused warm (arena +
-            key pre-forms) happens in the parent before the first fork
+            stacked keys) happens in the parent before the first fork
             so workers inherit it copy-on-write.
     """
 
@@ -491,11 +491,10 @@ class ShardedExecutor:
             "executor_heartbeat_staleness_s", **self._m.labels
         )
         # Warm every fork-shared cache in the parent: lowering the fused
-        # replayer (arena layout, fused closures, per-key pre-formed
-        # tensors — ``SwitchingKey.stacked_pre``, by far the most
-        # expensive warm step, never to be paid per worker), plus
-        # (optionally) one real replay so stacked key tensors and
-        # permutation tables exist before the first fork.
+        # replayer (arena layout, fused closures, bound constants), plus
+        # (optionally) one real replay so the stacked key tensors
+        # (``SwitchingKey.stacked``, one copy per key instead of one per
+        # worker) and permutation tables exist before the first fork.
         plan.run_batch(
             [warm_inputs] if warm_inputs is not None else [], fused=self.fused
         )

@@ -23,8 +23,8 @@ ways:
   pluggable :class:`~repro.nums.backend.ArrayNamespace` resolved at
   lower time (numpy unless the caller registered another).  Still the same
   bits: every fused transformation rests on the uniqueness of canonical
-  residues (deferred uint64 accumulation and Shoup/Montgomery
-  pre-formed constant multiplies reproduce exact eager bytes).
+  residues (deferred uint64 accumulation and pre-formed constant
+  multiplies reproduce exact eager bytes).
   ``run_batch(..., fused=False)`` replays each entry through the
   interpreter instead — the oracle at the batch call shape.
 
@@ -41,9 +41,9 @@ with the optimizer skipped.
 
 Process/fork contract (see ``docs/architecture.md``): the plan cache,
 each plan's :class:`FusedExecutor` per array-namespace name (arena pool,
-fused closures, and the per-key :meth:`SwitchingKey.stacked_pre` tensors
-it triggers) and every constant they bind are process-local state that
-forked serving workers inherit copy-on-write when the parent warms the
+fused closures, and the per-key :meth:`SwitchingKey.stacked` tensors its
+first replay builds) and every constant they bind are process-local state
+that forked serving workers inherit copy-on-write when the parent warms the
 replay before forking (``ShardedExecutor`` does); nothing in this module
 crosses the worker boundary except through :mod:`repro.runtime.plan_io`'s
 explicit wire formats.  One replay owns the arena until its outputs are
@@ -66,7 +66,7 @@ import numpy as np
 from repro.ckks.containers import Ciphertext, Plaintext
 from repro.ckks.evaluator import SCALE_RTOL, Evaluator
 from repro.nums.backend import get_array_namespace
-from repro.nums.kernels import default_backend_name, make_kernel
+from repro.nums.kernels import default_backend_name, make_kernel, ufunc_buffer
 from repro.rns.poly import EVAL, RnsPolynomial
 from repro.runtime.arena import ArenaLayout, ArenaStep, BufferArena
 from repro.runtime.graph import AUTOMORPHISM_OPS, CtSpec, Graph, Node, PtSpec
@@ -521,7 +521,7 @@ class FusedExecutor:
         for inputs in batches:
             self.plan._check_inputs(inputs)
             env = self._template.copy()
-            with self._replay_lock:
+            with self._replay_lock, ufunc_buffer():
                 if telemetry.enabled:
                     self._run_steps_traced(telemetry, env, inputs)
                 else:
@@ -653,27 +653,21 @@ class FusedExecutor:
         views = self._views[root.id]
         srcs = grp.sources
         if grp.kind == "mac":
-            # Per-term precomputed-constant multiplies (Shoup/Montgomery
-            # pre-forms, resolved at lower time), summed unreduced: the
-            # same canonical result as the eager multiply/add tree (see
-            # ReducerKernel.mul_pre_accumulate_rows), one reduce per part.
-            m_pre = [
-                dkern.pre(
-                    self._dev(
-                        g.consts[g.nodes[t].consts[0]]
-                        .poly.drop_limbs(lvl)
-                        .to_eval()
-                        .data
-                    )
+            # Per-term multiplies against the diagonals' plain residues,
+            # summed unreduced: the same canonical result as the eager
+            # multiply/add tree (see ReducerKernel.mul_accumulate_rows),
+            # one reduction pair per part.
+            diags = [
+                self._dev(
+                    g.consts[g.nodes[t].consts[0]].poly.drop_limbs(lvl).to_eval().data
                 )
                 for t in grp.payload
             ]
-            budget = dkern.term_budget(dkern.RAW_BOUND)
 
             def mac_step(env, inputs):
                 for i, v in enumerate(views):
                     rows = (env[s][i][:lvl] for s in srcs)
-                    dkern.mul_pre_accumulate_rows(rows, (m_pre,), (v,), budget)
+                    dkern.mul_accumulate_rows(rows, (diags,), (v,))
 
             return mac_step
 
@@ -681,7 +675,7 @@ class FusedExecutor:
         # is bit-identical to the eager binary add tree (canonical residues
         # are unique; see ReducerKernel.add_accumulate); past the term
         # budget the partial sum is reduced in place and counts as one.
-        chunk = dkern.term_budget() - 1
+        chunk = dkern.term_budget - 1
         # Allocated once, at lower time: replays hold the replay lock and
         # the accumulator is dead when the step ends.
         acc = xp.empty((lvl, self._basis.degree), dtype=np.uint64)

@@ -32,16 +32,21 @@ Two transform front-ends share the tables:
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import ClassVar
 
 import numpy as np
 
-from repro.nums.kernels import ReducerKernel, _csub, default_backend_name, kernel_for_modulus
+from repro.nums.kernels import (
+    ReducerKernel,
+    _csub,
+    default_backend_name,
+    kernel_for_modulus,
+    ufunc_buffer,
+)
 from repro.nums.modular import mod_inv, nth_root_of_unity
-from repro.utils.bitops import bit_reverse, ilog2
+from repro.utils.bitops import bit_reverse_indices, ilog2
 
 __all__ = ["NttContext", "BatchNtt", "galois_permutation", "negacyclic_mul_naive"]
 
@@ -58,14 +63,14 @@ def galois_permutation(degree: int, galois_elt: int) -> np.ndarray:
     satisfies ``ntt(automorphism(a, k)) == ntt(a)[..., src]`` for every
     limb (the table depends only on the degree, not the modulus).
     """
-    log_n = ilog2(degree)
     if galois_elt % 2 == 0:
         raise ValueError("Galois elements must be odd")
+    rev = bit_reverse_indices(degree)
+    # Slot i holds exponent 2 br(i) + 1; k maps it to another odd
+    # exponent e, which sits at slot br((e - 1) / 2).
     two_n = 2 * degree
-    src = np.empty(degree, dtype=np.intp)
-    for i in range(degree):
-        exponent = (galois_elt * (2 * bit_reverse(i, log_n) + 1)) % two_n
-        src[i] = bit_reverse((exponent - 1) // 2, log_n)
+    src = rev[(galois_elt % two_n * (2 * rev + 1) % two_n - 1) // 2]
+    src = src.astype(np.intp, copy=False)
     src.setflags(write=False)
     return src
 
@@ -335,33 +340,6 @@ def _late_order(table: np.ndarray, degree: int, span: int) -> np.ndarray:
     return out
 
 
-@contextmanager
-def _ufunc_buffer():
-    """Scope numpy's ufunc buffer to :data:`_UFUNC_BUFFER` elements.
-
-    A ufunc over a strided view whose contiguous run is shorter than the
-    buffer (8192 elements by default) is copied through that buffer; at a
-    run of 4096 and up a butterfly pass costs ~0.22 ns per element, below
-    it 0.65-0.85.  With a small buffer every run of at least its length is
-    walked in place.  The setting is context-local on numpy >= 2 and
-    thread-local before, and the caller's value is restored on the way
-    out, raising or not.
-    """
-    previous = np.setbufsize(_UFUNC_BUFFER)
-    try:
-        yield
-    finally:
-        np.setbufsize(previous)
-
-
-#: Elements in numpy's ufunc buffer while a block is butterflied.  Small
-#: enough that the 4096-down-to-512 runs of an N = 2^16 limb are walked in
-#: place, large enough that the short rows of an N <= 2^12 block (which
-#: are buffered whatever the setting) still fill long inner loops; 128 to
-#: 1024 measure within noise of each other at every committed shape.
-_UFUNC_BUFFER = 512
-
-
 def _transposed_span(degree: int) -> int:
     """Chunk size ``K`` whose ``log2 K`` closing (forward) or opening
     (inverse) stages run on the transposed block: the power of two at or
@@ -388,7 +366,8 @@ class BatchNtt:
     Every pass runs over long contiguous runs.  A stage pairs elements
     ``t`` apart; while ``t >= K`` (``K`` = :func:`_transposed_span`) the
     block is viewed ``(m, 2, t)`` in place, under a ufunc buffer short
-    enough to walk such runs in place (:func:`_ufunc_buffer`).  The
+    enough to walk such runs in place
+    (:func:`~repro.nums.kernels.ufunc_buffer`).  The
     ``log2 K`` stages with shorter runs — the forward transform's last,
     the inverse's first — work on a scratch copy of the block transposed
     from ``(N/K, K)`` to ``(K, N/K)``, where partners are whole rows and
@@ -568,7 +547,7 @@ class BatchNtt:
         out = np.empty(src.shape, dtype=np.uint64)
         blocks = self.blocks(len(src))
         work = self._workspace(out[:, blocks[0]].size)
-        with _ufunc_buffer():
+        with ufunc_buffer():
             for rows in blocks:
                 np.copyto(out[:, rows], src[:, rows])
                 self._forward_block(out[:, rows], rows, work)
@@ -590,7 +569,7 @@ class BatchNtt:
             raise ValueError(
                 f"expected a contiguous (batch, {count}, {self.degree}) uint64 block"
             )
-        with _ufunc_buffer():
+        with ufunc_buffer():
             self._forward_block(block, rows, self._workspace(block.size))
 
     def _forward_block(self, block: np.ndarray, rows: slice, work: np.ndarray) -> None:
@@ -623,7 +602,7 @@ class BatchNtt:
         out = np.empty(src.shape, dtype=np.uint64)
         blocks = self.blocks(len(src))
         work = self._workspace(out[:, blocks[0]].size)
-        with _ufunc_buffer():
+        with ufunc_buffer():
             for rows in blocks:
                 self._inverse_block(src[:, rows], out[:, rows], rows, work)
         return out.reshape(shape)

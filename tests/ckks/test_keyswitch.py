@@ -101,6 +101,29 @@ class TestContraction:
         assert np.array_equal(got0, want0)
         assert np.array_equal(got1, want1)
 
+    def test_every_backend_contracts_the_same_key_arrays(self, kctx, msg, monkeypatch):
+        """No per-backend copy of a key: each backend's kernel is handed
+        the very arrays ``stacked()`` caches."""
+        from repro.nums.kernels import ReducerKernel
+
+        key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
+        poly = kctx.encrypt(msg).parts[1]
+        seen = []
+        original = ReducerKernel.mul_accumulate_rows
+
+        def spy(kern, rows, consts, *args):
+            seen.append((kern.name, consts))
+            return original(kern, rows, consts, *args)
+
+        monkeypatch.setattr(ReducerKernel, "mul_accumulate_rows", spy)
+        for backend in BACKENDS:
+            with using_backend(backend):
+                engine = kctx.evaluator.keyswitch
+                engine.apply(engine.decompose(poly), key)
+        assert [name for name, _ in seen] == list(BACKENDS)
+        for _, consts in seen:
+            assert all(c is k for c, k in zip(consts, key.stacked(), strict=True))
+
     def test_key_holds_its_residues_once(self, kctx):
         """Once stacked, ``pairs`` are row views of the stacked tensors."""
         key = kctx.keygen.gen_switching_key(

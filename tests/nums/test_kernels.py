@@ -262,11 +262,11 @@ class TestMulAccumulate:
         ]
         assert kern.mul_accumulate(a, b).tolist() == expected
 
-    def test_pre_variant_matches_plain(self, prime, backend, rng):
+    def test_rows_variant_matches_plain(self, prime, backend, rng):
         kern = make_kernel(prime, backend)
         a = rng.integers(0, prime, (5, 64)).astype(np.uint64)
         b = rng.integers(0, prime, (5, 64)).astype(np.uint64)
-        (got,) = kern.mul_pre_accumulate_rows(a, ([kern.pre(row) for row in b],))
+        (got,) = kern.mul_accumulate_rows(a, (b,))
         assert np.array_equal(got, kern.mul_accumulate(a, b))
 
     def test_bit_identical_across_backends(self, prime, rng):
@@ -287,8 +287,11 @@ class TestMulAccumulate:
 
 
 # 36 bits is the paper's width; 37 is the first where a sum of raw terms
-# no longer fits the bounds by the 36-bit margin alone.
-RAW_PRIMES = tuple(find_primes(bw, 1 << 12, max_count=1)[0].value for bw in (36, 37))
+# no longer fits the bounds by the 36-bit margin alone; 22 is the narrowest
+# RNS prime and 41 the widest a kernel takes (three MAC terms a fold).
+RAW_PRIMES = tuple(
+    find_primes(bw, 1 << 12, max_count=1)[0].value for bw in (22, 30, 36, 37, 41)
+)
 
 
 def _operands(q: int, top: int):
@@ -323,7 +326,7 @@ class TestRawProduct:
 
     def test_worst_case_operand(self, backend):
         """The largest operand against the largest multiplier."""
-        for q in (*RAW_PRIMES, PRIMES[41]):
+        for q in RAW_PRIMES:
             kern = make_kernel(q, backend)
             top = kern.raw_operand_limit - 1
             raw = kern.mul_pre_raw(
@@ -339,39 +342,85 @@ class TestRawProduct:
 
 
 class TestRowAccumulate:
-    """The row-loop MAC on raw products: key switching's contraction and
-    the fused plaintext MAC."""
+    """The row-loop split MAC: key switching's contraction and the fused
+    plaintext MAC, against plain residues."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(st.data())
-    def test_matches_stacked_accumulate(self, data):
+    def test_matches_oracle_and_stacked_accumulate(self, data):
         q = data.draw(st.sampled_from(RAW_PRIMES))
         kern = kernel_for_modulus(q, data.draw(st.sampled_from(BACKENDS)))
         terms = data.draw(st.integers(1, 9))
-        # A budget below the term count exercises the partial reduces.
+        # A budget below the term count exercises the partial reduces; at
+        # 41 bits the kernel's own budget (None) is below it too.
         budget = data.draw(st.sampled_from([None, 2, 3, 4]))
         row = _operands(q, q).map(lambda r: (r * 4)[:4])  # four columns
         draw_rows = st.lists(row, min_size=terms, max_size=terms)
         a = np.array(data.draw(draw_rows), dtype=np.uint64)
-        b0 = np.array(data.draw(draw_rows), dtype=np.uint64)
-        b1 = np.array(data.draw(draw_rows), dtype=np.uint64)
-        pres = [[kern.pre(row) for row in b] for b in (b0, b1)]
-        got0, got1 = kern.mul_pre_accumulate_rows(iter(a), pres, budget=budget)
-        assert np.array_equal(got0, kern.mul_accumulate(a, b0))
-        assert np.array_equal(got1, kern.mul_accumulate(a, b1))
+        consts = [
+            np.array(data.draw(draw_rows), dtype=np.uint64)
+            for _ in range(data.draw(st.integers(1, 2)))
+        ]
+        gots = kern.mul_accumulate_rows(iter(a), consts, budget=budget)
+        assert len(gots) == len(consts)
+        for got, b in zip(gots, consts):
+            want = [
+                sum(int(x) * int(y) for x, y in zip(a[:, i], b[:, i])) % q
+                for i in range(4)
+            ]
+            assert got.tolist() == want
+            assert np.array_equal(got, kern.mul_accumulate(a, b))
 
-    def test_all_q_minus_one_past_the_budget(self, backend):
-        q = RAW_PRIMES[1]
-        kern = make_kernel(q, backend)
-        a = np.full((11, 3), q - 1, dtype=np.uint64)
-        out = np.empty(3, dtype=np.uint64)
-        (got,) = kern.mul_pre_accumulate_rows(a, ([kern.pre(r) for r in a],), (out,), 2)
-        assert got is out
-        assert out.tolist() == [11 * (q - 1) * (q - 1) % q] * 3
+    @pytest.mark.parametrize("budget", [None, 2])
+    def test_all_q_minus_one_past_the_budget(self, backend, budget):
+        for q in RAW_PRIMES:
+            kern = make_kernel(q, backend)
+            a = np.full((11, 3), q - 1, dtype=np.uint64)
+            out = np.full(3, 7, dtype=np.uint64)
+            (got,) = kern.mul_accumulate_rows(a, (a,), (out,), budget)
+            assert got is out  # written in place
+            assert out.tolist() == [11 * (q - 1) * (q - 1) % q] * 3
+            assert a.min() == q - 1  # operands untouched
 
-    def test_term_budget(self, backend):
+    def test_column_moduli(self, backend, rng):
+        moduli = [RAW_PRIMES[2], RAW_PRIMES[3], PRIMES[36]]
+        kern = make_kernel(np.array(moduli, dtype=np.uint64).reshape(-1, 1), backend)
+        a, b0, b1 = (
+            np.stack(
+                [[rng.integers(0, q, 16) for q in moduli] for _ in range(5)]
+            ).astype(np.uint64)
+            for _ in range(3)
+        )
+        outs = kern.mul_accumulate_rows(a, (b0, b1), budget=3)
+        for got, b in zip(outs, (b0, b1)):
+            assert np.array_equal(got, kern.mul_accumulate(a, b))
+
+    def test_budgets(self, backend):
+        """The split-MAC budget is the docstring's bound, not a tuned
+        number: the recombined worst case stays inside uint64 and
+        ``reduce``'s domain with ``mac_budget`` terms held."""
+        assert make_kernel(PRIMES[36], backend).term_budget >= 1 << 28
+        assert make_kernel(5, backend).term_budget == 5
+        budgets = {}
+        for q in RAW_PRIMES:
+            kern = make_kernel(q, backend)
+            h = (q.bit_length() + 1) // 2
+            term = (q - 1) * ((1 << h) - 1)
+            room = min(1 << 64, q * q)
+            budgets[q.bit_length()] = held = kern.mac_budget
+            assert ((q - 1) << h) + held * term < room
+            assert ((q - 1) << h) + (held + 2) * term >= room  # and no slack
+        assert budgets[36] >= 1023 and budgets[37] >= 255 and budgets[41] == 3
+        assert make_kernel(5, backend).mac_budget < 2
+
+    def test_rejects_what_it_cannot_compute(self, backend):
         kern = make_kernel(PRIMES[36], backend)
-        assert kern.term_budget() == kern._acc_headroom
-        assert kern.term_budget(4) == kern._acc_headroom // 4 >= 1 << 20
-        with pytest.raises(ValueError, match="too small for deferred"):
-            make_kernel(5, backend).term_budget(4)
+        a = np.ones((3, 4), dtype=np.uint64)
+        out = np.zeros(4, dtype=np.uint64)
+        with pytest.raises(ValueError, match="at least one row"):
+            kern.mul_accumulate_rows(a[:0], (a[:0],), (out,))
+        with pytest.raises(ValueError, match="got budget 1 "):
+            kern.mul_accumulate_rows(a, (a,), (out,), budget=1)
+        with pytest.raises(ValueError, match="MAC split at 2 bits"):
+            make_kernel(5, backend).mul_accumulate_rows(a, (a,))
+        assert not out.any()

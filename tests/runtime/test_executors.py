@@ -32,6 +32,21 @@ def _assert_ct_equal(a, b, what=""):
         assert np.array_equal(pa.data, pb.data), f"{what} part {i} differs"
 
 
+def _race(threads):
+    """Run the threads to completion under a switch interval short
+    enough to interleave them inside one kernel call."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+
+
 @pytest.fixture(scope="module")
 def sample_ct(rctx):
     rng = np.random.default_rng(3)
@@ -184,18 +199,62 @@ class TestFusedReplay:
             threading.Thread(target=replay, args=(i,), daemon=True)
             for i in range(len(inputs))
         ]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(t.is_alive() for t in threads)
+        _race(threads)
         assert done == [15] * len(inputs)
         assert wrong == [0] * len(inputs), f"wrong replays per thread: {wrong}"
+
+    def test_ufunc_buffer_scope_is_the_callers_on_every_thread(self, rctx, gks, rlk):
+        """The replay's and the eager evaluator's ufunc-buffer scopes are
+        call-scoped: a thread replaying a fused plan and one rotating
+        eagerly each find their *own* ``np.getbufsize()`` after every
+        call, raising or not — and both still get the right bytes."""
+        from unittest import mock
+
+        program = _pipeline(gks, rlk)
+        plan = compile_fn(program, rctx.evaluator, [_spec(rctx), _spec(rctx)])
+        rng = np.random.default_rng(15)
+        pair = [rctx.encrypt(rng.uniform(-1, 1, rctx.params.slots)) for _ in range(2)]
+        want_prod, want_rot = program(rctx.evaluator, *pair)
+        plan.run_batch([pair], fused=True)  # lower outside the race
+        executor = plan._fused["numpy"]
+        unrelinearized = rctx.evaluator.multiply(*pair)
+        problems: list[str] = []
+        done = {"replay": 0, "rotate": 0}
+
+        def replay():
+            (got,) = plan.run_batch([pair], fused=True)
+            _assert_ct_equal(got[0], want_prod, "fused prod")
+            with mock.patch.object(executor, "_collect", side_effect=RuntimeError):
+                with pytest.raises(RuntimeError):  # inside the scope
+                    plan.run_batch([pair], fused=True)
+
+        def rotate():
+            _assert_ct_equal(rctx.evaluator.rotate(pair[0], 1, gks), want_rot, "rot")
+            with pytest.raises(ValueError, match="relinearize before"):
+                rctx.evaluator.apply_galois(unrelinearized, 5, gks[(1, pair[0].level)])
+
+        def work(name, call, own):
+            previous = np.setbufsize(own)  # thread-local, like the scope's
+            try:
+                for _ in range(10):
+                    call()
+                    if np.getbufsize() != own:
+                        problems.append(f"{name}: buffer {np.getbufsize()} != {own}")
+                    done[name] += 1
+            except Exception as exc:  # surfaced by the assertions below
+                problems.append(f"{name}: {exc!r}")
+            finally:
+                np.setbufsize(previous)
+
+        threads = [
+            threading.Thread(target=work, args=("replay", replay, 4096), daemon=True),
+            threading.Thread(target=work, args=("rotate", rotate, 2048), daemon=True),
+        ]
+        default = np.getbufsize()
+        _race(threads)
+        assert not problems
+        assert done == {"replay": 10, "rotate": 10}
+        assert np.getbufsize() == default
 
     def test_forked_child_gets_a_free_replay_lock(self, rctx, gks, rlk, sample_ct):
         """A fork taken while some thread is mid-replay must not leave

@@ -310,6 +310,30 @@ class TestBatchedTensors:
                 ntt.forward(rotated), ntt.forward(a)[galois_permutation(n, k)]
             )
 
+    def test_galois_permutation_matches_scalar_definition(self):
+        """The vectorized table is the slot-by-slot definition: every odd
+        element at N = 8, and at N = 2^10 the 46 rotations of a dense
+        512-slot BSGS product (babies 1..32, giants 64..480)."""
+        from repro.transforms.ntt import galois_permutation
+        from repro.utils.bitops import bit_reverse, ilog2
+
+        def scalar(n, k):
+            bits = ilog2(n)
+            exponents = (k * (2 * bit_reverse(i, bits) + 1) % (2 * n) for i in range(n))
+            return [bit_reverse((e - 1) // 2, bits) for e in exponents]
+
+        rotations = [*range(1, 33), *range(64, 512, 32)]
+        assert len(rotations) == 46
+        cases = [(8, k) for k in range(1, 16, 2)]
+        cases += [(1 << 10, pow(5, r, 1 << 11)) for r in rotations]
+        for n, k in cases:
+            src = galois_permutation(n, k)
+            assert src.dtype == np.intp and not src.flags.writeable
+            assert src.tolist() == scalar(n, k), (n, k)
+        assert np.array_equal(galois_permutation(8, 3 + 16), galois_permutation(8, 3))
+        with pytest.raises(ValueError, match="odd"):
+            galois_permutation(8, 4)
+
 
 PAPER_PRIMES = tuple(p.value for p in find_primes(36, 1 << 16, max_count=3))
 WIDE_PRIMES = tuple(p.value for p in find_primes(40, 1 << 10, max_count=3))
