@@ -13,10 +13,9 @@ Three sections, selectable with ``--sections``:
   vs. a compiled ``ExecutionPlan`` through the interpreter vs. fused plan
   replay, on the BSGS matmul and a three-level polynomial, with each
   plan's arena/dispatch stats;
-* ``fabric`` → ``BENCH_fabric.json``: 1 MiB replies through the
-  shared-memory ring vs. a plain pipe, batched vs. per-message ``FBT1``
-  session framing, and reattach vs. cold start against a CLI-spawned
-  remote worker host.
+* ``fabric`` → ``BENCH_fabric.json``: batched vs. per-message ``FBT1``
+  session framing of byte worker messages, and reattach vs. cold start
+  against a CLI-spawned remote worker host.
 
 Every ratio is measured by :func:`_interleaved`: each round samples the
 reference and then the engine back to back, so host drift lands on
@@ -38,7 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import multiprocessing
 import os
 import socket
 import statistics
@@ -66,8 +64,7 @@ from repro.ckks import (
 from repro.ckks.keys import rotation_galois_elt
 from repro.nums.kernels import default_backend_name
 from repro.runtime import CtSpec, ServingConfig, ShardedExecutor, compile_fn
-from repro.runtime import coordinator as fbt
-from repro.runtime.transport import ShmChannel, ShmRing
+from repro.runtime import wire as fbt
 
 DEGREE = 1024
 PRIMES = 10
@@ -324,52 +321,11 @@ def section_runtime(ctx, payload: dict) -> None:
     )
 
 
-# --- fabric: shm ring, batched framing, remote reattach ---
+# --- fabric: batched framing, remote reattach ---
 
-REPLY_BYTES = 1 << 20
-REPLIES = 32
 FRAMING_MESSAGES = 1024
 FRAMING_MESSAGE_BYTES = 2048
 FRAMING_GROUP = 32  # messages per batched FBT1 frame
-
-
-def _large_reply_roundtrips(use_shm: bool) -> float:
-    """Seconds for ``REPLIES`` request→``REPLY_BYTES``-reply round trips to
-    a forked echo worker, over a plain pipe or a shared-memory ring.
-
-    Every call forks a fresh worker, so where the scheduler happens to
-    place the pair varies inside a run (and shows in ``noise_x``) instead
-    of being fixed for the life of one.
-    """
-    fork = multiprocessing.get_context("fork")
-    parent_conn, child_conn = fork.Pipe()
-    ring = ShmRing(capacity=REPLY_BYTES + 4096) if use_shm else None
-
-    def echo_loop():
-        parent_conn.close()
-        ch = ShmChannel(child_conn, ring, tx_half=1) if use_shm else child_conn
-        reply = b"\xa5" * REPLY_BYTES
-        while ch.recv() is not None:
-            ch.send(("reply", reply))
-
-    proc = fork.Process(target=echo_loop, daemon=True)
-    proc.start()
-    child_conn.close()
-    ch = ShmChannel(parent_conn, ring, tx_half=0) if use_shm else parent_conn
-    ch.send(("ping", 0))  # warm the worker before the timed window
-    ch.recv()
-    t0 = time.perf_counter()
-    for i in range(REPLIES):
-        ch.send(("ping", i))
-        tag, payload = ch.recv()
-        assert tag == "reply" and len(payload) == REPLY_BYTES
-    elapsed = time.perf_counter() - t0
-    ch.send(None)
-    proc.join(timeout=30)
-    ch.close()
-    if ring is not None:
-        ring.close()
-    return elapsed
 
 
 def _framing_loopback(payloads: list[bytes], messages_per_frame: int) -> float:
@@ -478,22 +434,15 @@ def _remote_attach_timers(plan, request, reference, tmp: str):
 def section_fabric(ctx, payload: dict) -> None:
     rng = np.random.default_rng(41)
     payload["meta"].update(
-        reply_bytes=REPLY_BYTES,
-        replies=REPLIES,
         framing_messages=FRAMING_MESSAGES,
         framing_message_bytes=FRAMING_MESSAGE_BYTES,
         framing_messages_per_frame=FRAMING_GROUP,
     )
-    _interleaved(
-        {
-            "large_reply_pipe": lambda: _large_reply_roundtrips(False),
-            "large_reply_shm_ring": lambda: _large_reply_roundtrips(True),
-        },
-        {"fabric_shm_large_reply": ("large_reply_pipe", "large_reply_shm_ring")},
-        payload,
-    )
-
-    payloads = [rng.bytes(FRAMING_MESSAGE_BYTES) for _ in range(FRAMING_MESSAGES)]
+    # Real worker messages: an OK reply, one FRAMING_MESSAGE_BYTES part.
+    payloads = [
+        fbt.encode_message(fbt.OK, i, 0, [rng.bytes(FRAMING_MESSAGE_BYTES)])
+        for i in range(FRAMING_MESSAGES)
+    ]
     _interleaved(
         {
             "framing_per_message": lambda: _framing_loopback(payloads, 1),

@@ -248,17 +248,32 @@ def _header(magic: bytes, ct, bits: int, size: int) -> bytes:
     # The scale ships as a raw double: rescaled ciphertexts carry
     # scale/q factors that a log2 round trip would perturb by an ulp,
     # and the worker boundary requires bit-exact transport.
-    return magic + struct.pack(
-        "<IIHHd",
+    return magic + _HEADER.pack(
         ct.poly.degree if isinstance(ct, Plaintext) else ct.parts[0].degree,
         0,
         ct.level,
         bits,
         float(ct.scale),
-    ) + struct.pack("<H", size)
+        size,
+    )
 
 
-_HEADER_LEN = 4 + struct.calcsize("<IIHHd") + struct.calcsize("<H")
+_HEADER = struct.Struct("<IIHHdH")  # degree, reserved, level, bits, scale, size
+_HEADER_LEN = 4 + _HEADER.size
+
+
+def _read_header(blob: bytes, magic: bytes, what: str, basis: RnsBasis):
+    """``(level, coeff_bits, scale, size/domain)`` of a common header."""
+    if blob[:4] != magic:
+        raise WireFormatError(f"not a {what} blob")
+    if len(blob) < _HEADER_LEN:
+        raise WireFormatError(f"truncated {what} header ({len(blob)} bytes)")
+    degree, _, level, bits, scale, size = _HEADER.unpack_from(blob, 4)
+    if degree != basis.degree:
+        raise WireFormatError(
+            f"degree mismatch: blob {degree}, basis {basis.degree}"
+        )
+    return level, bits, scale, size
 
 
 def serialize_ciphertext(ct: Ciphertext, coeff_bits: int = 44) -> bytes:
@@ -270,16 +285,9 @@ def serialize_ciphertext(ct: Ciphertext, coeff_bits: int = 44) -> bytes:
 
 
 def deserialize_ciphertext(blob: bytes, basis: RnsBasis) -> Ciphertext:
-    if blob[:4] != _MAGIC_FULL:
-        raise WireFormatError("not a full-ciphertext blob")
-    degree, _, level, bits, scale = struct.unpack(
-        "<IIHHd", blob[4 : 4 + struct.calcsize("<IIHHd")]
+    level, bits, scale, size = _read_header(
+        blob, _MAGIC_FULL, "full-ciphertext", basis
     )
-    (size,) = struct.unpack("<H", blob[_HEADER_LEN - 2 : _HEADER_LEN])
-    if degree != basis.degree:
-        raise WireFormatError(
-            f"degree mismatch: blob {degree}, basis {basis.degree}"
-        )
     offset = _HEADER_LEN
     parts = []
     for _ in range(size):
@@ -300,15 +308,9 @@ def serialize_seeded(ct: Ciphertext, seed: bytes, coeff_bits: int = 44) -> bytes
 
 def deserialize_seeded(blob: bytes, basis: RnsBasis) -> Ciphertext:
     """Rebuild the full ciphertext server-side, re-expanding c1."""
-    if blob[:4] != _MAGIC_SEED:
-        raise WireFormatError("not a seeded-ciphertext blob")
-    degree, _, level, bits, scale = struct.unpack(
-        "<IIHHd", blob[4 : 4 + struct.calcsize("<IIHHd")]
+    level, bits, scale, _ = _read_header(
+        blob, _MAGIC_SEED, "seeded-ciphertext", basis
     )
-    if degree != basis.degree:
-        raise WireFormatError(
-            f"degree mismatch: blob {degree}, basis {basis.degree}"
-        )
     offset = _HEADER_LEN
     c0, offset = _poly_from_payload(basis, blob, offset, level, bits, EVAL)
     seed = blob[offset : offset + 16]
@@ -330,16 +332,9 @@ def serialize_plaintext(pt: Plaintext, coeff_bits: int = 44) -> bytes:
 
 
 def deserialize_plaintext(blob: bytes, basis: RnsBasis) -> Plaintext:
-    if blob[:4] != _MAGIC_PLAIN:
-        raise WireFormatError("not a plaintext blob")
-    degree, _, level, bits, scale = struct.unpack(
-        "<IIHHd", blob[4 : 4 + struct.calcsize("<IIHHd")]
+    level, bits, scale, domain_flag = _read_header(
+        blob, _MAGIC_PLAIN, "plaintext", basis
     )
-    (domain_flag,) = struct.unpack("<H", blob[_HEADER_LEN - 2 : _HEADER_LEN])
-    if degree != basis.degree:
-        raise WireFormatError(
-            f"degree mismatch: blob {degree}, basis {basis.degree}"
-        )
     domain = EVAL if domain_flag else COEFF
     poly, _ = _poly_from_payload(basis, blob, _HEADER_LEN, level, bits, domain)
     return Plaintext(poly=poly, scale=scale)

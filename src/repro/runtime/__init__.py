@@ -36,15 +36,15 @@ plus a frozen :class:`~repro.runtime.serving.ServingConfig`::
 
     from repro.runtime import ServingConfig, serve
 
-    with serve(plan, ServingConfig(num_workers=4, transport="shm")) as s:
+    with serve(plan, ServingConfig(num_workers=4, transport="tcp")) as s:
         outputs = s.run_batch(batches)
 
 Underneath, :class:`~repro.runtime.executor.ShardedExecutor` shards
 ``run_batch`` across a worker pool (bit-identical, crash-recovering,
-order-preserving) reached through a pluggable transport — fork+pipe,
-a same-host shared-memory ring, or TCP worker-host sessions
-(:mod:`repro.runtime.transport` / :mod:`repro.runtime.coordinator`,
-``docs/serving.md``) — and
+order-preserving) reached through a pluggable transport — fork+pipe or
+TCP worker-host sessions (:mod:`repro.runtime.transport` /
+:mod:`repro.runtime.coordinator`, ``docs/serving.md``); every byte that
+crosses that boundary is laid out in :mod:`repro.runtime.wire` — and
 :class:`~repro.runtime.stream.StreamingServer` feeds it from a bounded
 async queue with backpressure so encrypt/evaluate/decrypt phases of
 different requests overlap.
@@ -76,10 +76,9 @@ from repro.runtime.bridge import (
     plan_to_workload,
 )
 from repro.runtime.arena import ArenaLayout, ArenaStep, BufferArena
-from repro.runtime.chaos import SITES, FaultAction, FaultPlan, flip_frame_byte
+from repro.runtime.chaos import FaultAction, FaultPlan
 from repro.runtime.executor import ShardedExecutor, WorkerError
 from repro.runtime.faults import (
-    FAULT_MAGIC,
     DeadlineExceeded,
     FaultPolicy,
     HostUnreachable,
@@ -88,8 +87,6 @@ from repro.runtime.faults import (
     WireCorruption,
     WorkerCrash,
     WorkerHang,
-    deserialize_fault,
-    serialize_fault,
 )
 from repro.runtime.graph import ELEMENTWISE_OPS, CtSpec, FusedGroup, Graph, Node, PtSpec
 from repro.runtime.passes import (
@@ -127,23 +124,14 @@ from repro.runtime.plan_io import (
 )
 from repro.runtime.serving import ServingConfig, ServingSession, serve
 from repro.runtime.stream import RequestRecord, StreamingServer
-from repro.runtime.transport import (
-    PipeTransport,
-    ShmTransport,
-    Transport,
-    available_transports,
-)
+from repro.runtime.transport import Transport
 from repro.runtime.telemetry import (
-    TRACE_MAGIC,
     MetricGroup,
     Span,
     Telemetry,
     TraceContext,
     WorkerSpanRecorder,
-    deserialize_trace_frame,
     get_telemetry,
-    serialize_trace_context,
-    serialize_worker_spans,
 )
 from repro.runtime.telemetry import now as monotonic_now
 from repro.runtime.trace import (
@@ -212,20 +200,12 @@ __all__ = [
     "WireCorruption",
     "PoisonRequest",
     "FaultPolicy",
-    "FAULT_MAGIC",
-    "serialize_fault",
-    "deserialize_fault",
     "FaultAction",
     "FaultPlan",
-    "SITES",
-    "flip_frame_byte",
     "serve",
     "ServingConfig",
     "ServingSession",
     "Transport",
-    "PipeTransport",
-    "ShmTransport",
-    "available_transports",
     "StreamingServer",
     "RequestRecord",
     "Telemetry",
@@ -233,10 +213,6 @@ __all__ = [
     "Span",
     "MetricGroup",
     "WorkerSpanRecorder",
-    "TRACE_MAGIC",
     "get_telemetry",
     "monotonic_now",
-    "serialize_trace_context",
-    "serialize_worker_spans",
-    "deserialize_trace_frame",
 ]

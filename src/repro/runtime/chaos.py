@@ -39,7 +39,8 @@ that draws a crash on attempt 0 usually draws nothing on attempt 1 and
 completes — which is exactly the recovery path under test.
 
 Contract (see ``docs/architecture.md``): immutable value object; crosses
-the worker boundary by pickling at fork/spawn time; never consulted by
+the worker boundary through fork, or field by field inside the ``FHL1``
+hello's worker config (:mod:`repro.runtime.wire`); never consulted by
 the inline degraded path (injecting a SIGKILL into the parent process
 would defeat the purpose of graceful degradation).
 """
@@ -51,7 +52,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 
 __all__ = [
     "FaultAction",
@@ -91,6 +92,7 @@ class FaultAction:
     salt: int = 0  # for flip: which byte of the frame payload
 
 
+@dataclass(frozen=True)
 class FaultPlan:
     """Seeded fault schedule, identical in parent and workers.
 
@@ -117,81 +119,49 @@ class FaultPlan:
             FaultAction | None}``; ``None`` pins "no fault" at that key.
     """
 
-    def __init__(
-        self,
-        seed: int,
-        *,
-        crash_rate: float = 0.0,
-        stop_rate: float = 0.0,
-        hang_rate: float = 0.0,
-        slow_rate: float = 0.0,
-        crash_after_rate: float = 0.0,
-        request_flip_rate: float = 0.0,
-        reply_flip_rate: float = 0.0,
-        disconnect_rate: float = 0.0,
-        partial_frame_rate: float = 0.0,
-        slow_host_rate: float = 0.0,
-        asym_latency_rate: float = 0.0,
-        reorder_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        hang_s: float = 30.0,
-        slow_s: float = 0.05,
-        slow_host_s: float = 0.05,
-        asym_latency_s: float = 0.05,
-        scripted: dict[tuple[str, int, int], FaultAction | None] | None = None,
-    ) -> None:
-        rates = (
-            crash_rate,
-            stop_rate,
-            hang_rate,
-            slow_rate,
-            crash_after_rate,
-            request_flip_rate,
-            reply_flip_rate,
-            disconnect_rate,
-            partial_frame_rate,
-            slow_host_rate,
-            asym_latency_rate,
-            reorder_rate,
-            duplicate_rate,
+    seed: int
+    _: KW_ONLY
+    crash_rate: float = 0.0
+    stop_rate: float = 0.0
+    hang_rate: float = 0.0
+    slow_rate: float = 0.0
+    crash_after_rate: float = 0.0
+    request_flip_rate: float = 0.0
+    reply_flip_rate: float = 0.0
+    disconnect_rate: float = 0.0
+    partial_frame_rate: float = 0.0
+    slow_host_rate: float = 0.0
+    asym_latency_rate: float = 0.0
+    reorder_rate: float = 0.0
+    duplicate_rate: float = 0.0
+    hang_s: float = 30.0
+    slow_s: float = 0.05
+    slow_host_s: float = 0.05
+    asym_latency_s: float = 0.05
+    scripted: dict[tuple[str, int, int], FaultAction | None] | None = None
+
+    # The generated field-tuple hash would choke on the scripted dict.
+    def __hash__(self) -> int:
+        return hash((self.seed, tuple(self.scripted)))
+
+    def __post_init__(self) -> None:
+        pre_evaluate = (self.crash_rate, self.stop_rate, self.hang_rate, self.slow_rate)
+        host_relay = (
+            self.disconnect_rate,
+            self.partial_frame_rate,
+            self.slow_host_rate,
+            self.asym_latency_rate,
+            self.reorder_rate,
+            self.duplicate_rate,
         )
-        if any(r < 0 or r > 1 for r in rates):
+        flips = (self.crash_after_rate, self.request_flip_rate, self.reply_flip_rate)
+        if any(r < 0 or r > 1 for r in pre_evaluate + host_relay + flips):
             raise ValueError("fault rates must be in [0, 1]")
-        if sum((crash_rate, stop_rate, hang_rate, slow_rate)) > 1:
+        if sum(pre_evaluate) > 1:
             raise ValueError("pre_evaluate rates must sum to <= 1")
-        if (
-            sum(
-                (
-                    disconnect_rate,
-                    partial_frame_rate,
-                    slow_host_rate,
-                    asym_latency_rate,
-                    reorder_rate,
-                    duplicate_rate,
-                )
-            )
-            > 1
-        ):
+        if sum(host_relay) > 1:
             raise ValueError("host_relay rates must sum to <= 1")
-        self.seed = seed
-        self.crash_rate = crash_rate
-        self.stop_rate = stop_rate
-        self.hang_rate = hang_rate
-        self.slow_rate = slow_rate
-        self.crash_after_rate = crash_after_rate
-        self.request_flip_rate = request_flip_rate
-        self.reply_flip_rate = reply_flip_rate
-        self.disconnect_rate = disconnect_rate
-        self.partial_frame_rate = partial_frame_rate
-        self.slow_host_rate = slow_host_rate
-        self.asym_latency_rate = asym_latency_rate
-        self.reorder_rate = reorder_rate
-        self.duplicate_rate = duplicate_rate
-        self.hang_s = hang_s
-        self.slow_s = slow_s
-        self.slow_host_s = slow_host_s
-        self.asym_latency_s = asym_latency_s
-        self.scripted = dict(scripted or {})
+        object.__setattr__(self, "scripted", dict(self.scripted or {}))
 
     # ------------------------------------------------------------------
 
@@ -266,90 +236,10 @@ class FaultPlan:
             return FaultAction("flip", site, salt=salt)
         return None
 
-    def __reduce__(self):
-        return (
-            _rebuild_plan,
-            (
-                self.seed,
-                self.crash_rate,
-                self.stop_rate,
-                self.hang_rate,
-                self.slow_rate,
-                self.crash_after_rate,
-                self.request_flip_rate,
-                self.reply_flip_rate,
-                self.disconnect_rate,
-                self.partial_frame_rate,
-                self.slow_host_rate,
-                self.asym_latency_rate,
-                self.reorder_rate,
-                self.duplicate_rate,
-                self.hang_s,
-                self.slow_s,
-                self.slow_host_s,
-                self.asym_latency_s,
-                self.scripted,
-            ),
-        )
-
-
-def _rebuild_plan(
-    seed,
-    crash_rate,
-    stop_rate,
-    hang_rate,
-    slow_rate,
-    crash_after_rate,
-    request_flip_rate,
-    reply_flip_rate,
-    disconnect_rate,
-    partial_frame_rate,
-    slow_host_rate,
-    asym_latency_rate,
-    reorder_rate,
-    duplicate_rate,
-    hang_s,
-    slow_s,
-    slow_host_s,
-    asym_latency_s,
-    scripted,
-) -> FaultPlan:
-    return FaultPlan(
-        seed,
-        crash_rate=crash_rate,
-        stop_rate=stop_rate,
-        hang_rate=hang_rate,
-        slow_rate=slow_rate,
-        crash_after_rate=crash_after_rate,
-        request_flip_rate=request_flip_rate,
-        reply_flip_rate=reply_flip_rate,
-        disconnect_rate=disconnect_rate,
-        partial_frame_rate=partial_frame_rate,
-        slow_host_rate=slow_host_rate,
-        asym_latency_rate=asym_latency_rate,
-        reorder_rate=reorder_rate,
-        duplicate_rate=duplicate_rate,
-        hang_s=hang_s,
-        slow_s=slow_s,
-        slow_host_s=slow_host_s,
-        asym_latency_s=asym_latency_s,
-        scripted=scripted,
-    )
-
 
 # ---------------------------------------------------------------------------
 # Network shaper: deterministic frame-level delivery faults on the wire
 # ---------------------------------------------------------------------------
-
-
-def _shaper_recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("shaper stream closed")
-        buf += chunk
-    return bytes(buf)
 
 
 class NetworkShaper:
@@ -477,14 +367,15 @@ class NetworkShaper:
 
     def _serve(self, client: socket.socket, upstream: socket.socket) -> None:
         from repro.runtime.coordinator import _AUTH_NONCE_BYTES
+        from repro.runtime.wire import recv_exact
 
         # The mutual-auth preamble is raw unframed bytes (nonce down,
         # digest+nonce up, proof down); relay it verbatim before
         # switching to frame-granular pumping.
         try:
-            client.sendall(_shaper_recv_exact(upstream, _AUTH_NONCE_BYTES))
-            upstream.sendall(_shaper_recv_exact(client, 2 * _AUTH_NONCE_BYTES))
-            client.sendall(_shaper_recv_exact(upstream, _AUTH_NONCE_BYTES))
+            client.sendall(recv_exact(upstream, _AUTH_NONCE_BYTES))
+            upstream.sendall(recv_exact(client, 2 * _AUTH_NONCE_BYTES))
+            client.sendall(recv_exact(upstream, _AUTH_NONCE_BYTES))
         except (ConnectionError, OSError):
             for sock in (client, upstream):
                 try:
@@ -503,13 +394,13 @@ class NetworkShaper:
         self._pump(upstream, client, "down", self.down_delay_s)
 
     def _read_session_frame(self, src: socket.socket) -> bytes:
-        from repro.runtime.coordinator import MAX_SESSION_FRAME_BYTES
+        from repro.runtime.wire import MAX_SESSION_FRAME_BYTES, recv_exact
 
-        header = _shaper_recv_exact(src, 8)
+        header = recv_exact(src, 8)
         (length,) = struct.unpack_from("<I", header, 4)
         if length > MAX_SESSION_FRAME_BYTES:
             raise ConnectionError("shaper saw an oversized frame")
-        return header + _shaper_recv_exact(src, length + 4)
+        return header + recv_exact(src, length + 4)
 
     def _decide(self, direction: str, index: int) -> str | None:
         key = (direction, index)

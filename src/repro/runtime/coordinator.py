@@ -3,35 +3,24 @@
 This module implements the ``tcp`` transport of
 :mod:`repro.runtime.transport`: worker *slots* hosted by a
 :class:`WorkerHostServer` process and multiplexed over one
-length-prefixed CRC-framed socket **session** per host.  The session
-protocol reuses the repo's frame container
-(:func:`repro.ckks.serialization.pack_frame`: ``tag(4) | u32 length |
-payload | u32 crc32``) and carries the *unchanged* worker protocol
-messages — every ciphertext still rides an ``ENV1`` envelope, faults
-are still ``FLT1``, spans still ``TRC1`` — so swapping pipe for socket
-changes byte transport, never semantics.
+length-prefixed CRC-framed socket **session** per host.  Every layout
+on that socket — the frame container, the ``FHL1`` hello / ``FHA1`` ack
+/ ``FPL1`` plan upload handshake, ``FBT1`` message batches, ``FCT1``
+control ops — is defined in :mod:`repro.runtime.wire` (normative spec:
+``docs/formats.md``); this module only moves the bytes.  The worker
+messages inside a session are relayed opaque — every ciphertext still
+rides an ``ENV1`` envelope, faults are still ``FLT1``, spans still
+``TRC1`` — so swapping pipe for socket changes byte transport, never
+semantics.
 
-Session shape (documented normatively in ``docs/formats.md``):
-
-0. both directions, before any frame: an HMAC-SHA256
-   challenge/response over a per-transport random ``authkey`` that the
-   host inherits through fork (it never crosses the wire), in the
-   style of :mod:`multiprocessing.connection`.  The host refuses to
-   parse a single session frame — in particular, to unpickle anything
-   — from a peer that cannot answer the challenge, so another local
-   user connecting to the loopback port gets silently disconnected
-   instead of a pickle deserialization surface (CWE-502);
-1. coordinator → host: ``FHL1`` HELLO (version, flags, plan
-   fingerprint, pickled worker config);
-2. host → coordinator: ``FHA1`` HELLO-ACK (``need_plan``, host pid) —
-   the host caches deserialized plans by content fingerprint across
-   sessions, so a reconnect (or a second pool) never re-uploads a plan
-   the host already holds;
-3. coordinator → host, only when asked: ``FPL1`` (the ``EPL1`` plan
-   bytes);
-4. both directions, steady state: ``FBT1`` batches (multiple worker
-   messages per frame, amortizing framing + syscalls) and ``FCT1``
-   control ops (slot spawn/kill, up/down notifications, session bye).
+What this module owns is the session's *behaviour*: before any frame,
+both directions answer an HMAC-SHA256 challenge over a per-transport
+random ``authkey`` that the host inherits through fork (it never
+crosses the wire), in the style of :mod:`multiprocessing.connection` —
+another local user connecting to the loopback port is disconnected
+before a single frame is parsed; and the host caches deserialized plans
+by content fingerprint across sessions, so a reconnect (or a second
+pool) never re-uploads a plan the host already holds.
 
 Fault model: the host relay consults the session chaos plan at the
 ``host_relay`` site (disconnect, partial frame, slow host).  Any
@@ -51,9 +40,9 @@ Hosts come in two flavours behind one session protocol:
   process with *no* fork relationship, started via its own CLI
   entrypoint, possibly on another machine.  It inherits nothing: the
   authkey comes from a file, the evaluator is rebuilt from the
-  :class:`HostEnv` shipped inside the ``FHL1`` hello's worker config,
-  and the plan always arrives as ``FPL1`` bytes (``ship_plan=True`` is
-  mandatory — there is no fork-warmed plan to fall back to).
+  :class:`~repro.runtime.wire.HostEnv` shipped inside the ``FHL1``
+  hello's worker config, and the plan always arrives as ``FPL1`` bytes
+  (``ship_plan=True`` is mandatory — no fork-warmed plan to fall back to).
   ``ServingConfig(hosts=("tcp://host:port", ...))`` dials such hosts;
   reconnecting to a surviving one reuses its fingerprint-deduped plan
   cache, so a reattach never re-uploads the plan.
@@ -69,45 +58,33 @@ from __future__ import annotations
 import hashlib
 import hmac
 import os
-import pickle
 import queue
 import signal
 import socket
-import struct
 import threading
 import time
 import weakref
-from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
 
-from repro.ckks.serialization import WireFormatError, pack_frame, read_frame
+from repro.ckks.serialization import WireFormatError, pack_frame
+from repro.runtime import wire
+from repro.runtime.transport import Transport, WorkerEndpoint
+from repro.runtime.wire import (
+    SESSION_ACK_MAGIC,
+    SESSION_BATCH_MAGIC,
+    SESSION_CONTROL_MAGIC,
+    SESSION_HELLO_MAGIC,
+    SESSION_PLAN_MAGIC,
+    recv_exact,
+    recv_session_frame,
+    send_session_frame,
+)
 
 __all__ = [
-    "SESSION_HELLO_MAGIC",
-    "SESSION_ACK_MAGIC",
-    "SESSION_PLAN_MAGIC",
-    "SESSION_BATCH_MAGIC",
-    "SESSION_CONTROL_MAGIC",
-    "SESSION_VERSION",
-    "MAX_SESSION_FRAME_BYTES",
-    "HostEnv",
     "WorkerHostServer",
     "TcpTransport",
-    "encode_batch",
-    "decode_batch",
     "parse_host_specs",
-    "recv_session_frame",
-    "send_session_frame",
 ]
-
-SESSION_HELLO_MAGIC = b"FHL1"
-SESSION_ACK_MAGIC = b"FHA1"
-SESSION_PLAN_MAGIC = b"FPL1"
-SESSION_BATCH_MAGIC = b"FBT1"
-SESSION_CONTROL_MAGIC = b"FCT1"
-SESSION_VERSION = 1
-
-_HELLO_FLAG_SHIP_PLAN = 1  # coordinator holds EPL1 bytes for this plan
 
 _HANDSHAKE_TIMEOUT_S = 30.0
 _SPAWN_ACK_TIMEOUT_S = 30.0
@@ -119,52 +96,13 @@ _SPAWN_ACK_TIMEOUT_S = 30.0
 _REMOTE_REDIAL_WINDOW_S = 15.0
 _REMOTE_REDIAL_INTERVAL_S = 0.25
 
-# Hard cap on one session frame's payload.  The length prefix is read
-# before the CRC can vouch for it, so a corrupted u32 must not be able
-# to demand a multi-GiB allocation; the largest legitimate frame is an
-# FPL1 plan upload (tens of MiB), so 256 MiB is generous headroom.
-MAX_SESSION_FRAME_BYTES = 256 << 20
-
 _AUTH_NONCE_BYTES = 32
 
-# Everything a malformed-but-CRC-valid (or simply hostile) session
-# frame can raise while being sliced and unpickled.  Any of these ends
-# the *session* — never the host process (its warm plan cache must
-# survive) and never a pump thread without marking the session dead.
-# WireFormatError subclasses ValueError.
-_SESSION_ERRORS = (
-    ConnectionError,
-    OSError,
-    EOFError,
-    ValueError,
-    IndexError,
-    KeyError,
-    struct.error,
-    pickle.UnpicklingError,
-)
-
-
-@dataclass(frozen=True)
-class HostEnv:
-    """Everything a *standalone* worker host needs to rebuild an
-    evaluator from scratch: the CKKS parameters and the exact RNS prime
-    chain (both plain picklable values, a few hundred bytes total).
-
-    Rides inside the ``FHL1`` hello's pickled worker config — the frame
-    protocol is unchanged; fork-local hosts ignore it (their evaluator
-    is fork-inherited).  The plan's backend is *not* here: ``EPL1``
-    blobs carry their own backend in the META frame.
-    """
-
-    params: object  # CkksParameters
-    primes: tuple  # tuple[NttFriendlyPrime, ...]
-
-    def build_evaluator(self):
-        from repro.ckks.evaluator import Evaluator
-        from repro.rns.basis import RnsBasis
-
-        basis = RnsBasis(degree=self.params.degree, primes=tuple(self.primes))
-        return Evaluator(self.params, basis)
+# What ends a *session* — never the host process (its warm plan cache
+# must survive), never a pump thread without marking the session dead:
+# the socket failing (a handshake TimeoutError is an OSError too), or a
+# CRC-valid frame that decodes malformed.
+_SESSION_ERRORS = (OSError, EOFError, WireFormatError)
 
 
 def parse_host_specs(hosts) -> list[tuple[str, int] | None]:
@@ -199,113 +137,13 @@ def parse_host_specs(hosts) -> list[tuple[str, int] | None]:
 
 
 # ---------------------------------------------------------------------------
-# Frame plumbing
-# ---------------------------------------------------------------------------
-
-
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise ConnectionError("session socket closed mid-frame")
-        buf += chunk
-    return bytes(buf)
-
-
-def recv_session_frame(
-    sock: socket.socket, max_bytes: int = MAX_SESSION_FRAME_BYTES
-) -> tuple[bytes, bytes]:
-    """Read one CRC-framed session frame; raises on EOF/truncation and
-    :class:`WireFormatError` on CRC mismatch or an oversized length
-    prefix (all end the session)."""
-    header = _recv_exact(sock, 8)
-    (length,) = struct.unpack_from("<I", header, 4)
-    if length > max_bytes:
-        raise WireFormatError(
-            f"session frame claims {length} bytes, above the "
-            f"{max_bytes}-byte cap (corrupt length prefix?)"
-        )
-    body = _recv_exact(sock, length + 4)
-    tag, payload, _ = read_frame(header + body, 0)
-    return tag, payload
-
-
-def send_session_frame(sock: socket.socket, tag: bytes, payload: bytes) -> None:
-    sock.sendall(pack_frame(tag, payload))
-
-
-def _session_loads(data: bytes):
-    """Unpickle a session message with a typed failure mode.
-
-    ``pickle.loads`` on crafted (CRC-valid but malformed) bytes can
-    raise nearly anything — ``AttributeError``, ``TypeError``,
-    ``ImportError`` — not just ``UnpicklingError``.  Funneling every
-    failure into :class:`WireFormatError` (a ``ValueError``, hence in
-    ``_SESSION_ERRORS``) guarantees a malformed message ends the
-    *session*, never the host process or a pump thread.
-    """
-    try:
-        return pickle.loads(data)
-    except Exception as exc:  # noqa: BLE001 — see docstring
-        raise WireFormatError(f"undecodable session message: {exc!r}") from exc
-
-
-def encode_batch(items: list[tuple[int, bytes]]) -> bytes:
-    """``FBT1`` payload: ``u32 count | count x (u32 slot | u32 len |
-    pickled worker message)``."""
-    parts = [struct.pack("<I", len(items))]
-    for slot, msg_bytes in items:
-        parts.append(struct.pack("<II", slot, len(msg_bytes)))
-        parts.append(msg_bytes)
-    return b"".join(parts)
-
-
-def decode_batch(payload: bytes) -> list[tuple[int, bytes]]:
-    (count,) = struct.unpack_from("<I", payload, 0)
-    offset = 4
-    items: list[tuple[int, bytes]] = []
-    for _ in range(count):
-        slot, length = struct.unpack_from("<II", payload, offset)
-        offset += 8
-        items.append((slot, payload[offset : offset + length]))
-        offset += length
-    if offset != len(payload):
-        raise WireFormatError("FBT1 batch payload has trailing bytes")
-    return items
-
-
-def _encode_hello(ship_plan: bool, signature: str, cfg) -> bytes:
-    sig = signature.encode()
-    cfg_blob = pickle.dumps(cfg)
-    flags = _HELLO_FLAG_SHIP_PLAN if ship_plan else 0
-    return (
-        struct.pack("<HBH", SESSION_VERSION, flags, len(sig))
-        + sig
-        + struct.pack("<I", len(cfg_blob))
-        + cfg_blob
-    )
-
-
-def _decode_hello(payload: bytes) -> tuple[int, int, str, object]:
-    version, flags, sig_len = struct.unpack_from("<HBH", payload, 0)
-    offset = 5
-    sig = payload[offset : offset + sig_len].decode()
-    offset += sig_len
-    (cfg_len,) = struct.unpack_from("<I", payload, offset)
-    offset += 4
-    cfg = _session_loads(payload[offset : offset + cfg_len])
-    return version, flags, sig, cfg
-
-
-# ---------------------------------------------------------------------------
 # Session authentication
 #
 # The listener is loopback-only, but loopback is shared with every
 # other local user: without authentication, anyone who can connect to
-# the port gets a pickle.loads of attacker bytes in the host process
-# (arbitrary code execution, CWE-502).  So before a single frame is
-# parsed, both sides must prove knowledge of a per-transport random
+# the port gets to spawn workers and feed the host's decoders.  So
+# before a single frame is parsed, both sides must prove knowledge of a
+# per-transport random
 # authkey that the host inherited through fork — the same model as
 # multiprocessing.connection's deliver/answer_challenge, mutual here.
 # ---------------------------------------------------------------------------
@@ -320,7 +158,7 @@ def _auth_server(sock: socket.socket, authkey: bytes) -> bool:
     raises into frame parsing) when the peer fails to authenticate."""
     nonce = os.urandom(_AUTH_NONCE_BYTES)
     sock.sendall(nonce)
-    reply = _recv_exact(sock, 2 * _AUTH_NONCE_BYTES)
+    reply = recv_exact(sock, 2 * _AUTH_NONCE_BYTES)
     digest = reply[:_AUTH_NONCE_BYTES]
     peer_nonce = reply[_AUTH_NONCE_BYTES:]
     if not hmac.compare_digest(digest, _auth_digest(authkey, b"coordinator", nonce)):
@@ -332,10 +170,10 @@ def _auth_server(sock: socket.socket, authkey: bytes) -> bool:
 def _auth_client(sock: socket.socket, authkey: bytes) -> None:
     """Coordinator side: answer the host's challenge, then verify the
     host's proof (mutual — a squatter on a recycled port fails too)."""
-    nonce = _recv_exact(sock, _AUTH_NONCE_BYTES)
+    nonce = recv_exact(sock, _AUTH_NONCE_BYTES)
     my_nonce = os.urandom(_AUTH_NONCE_BYTES)
     sock.sendall(_auth_digest(authkey, b"coordinator", nonce) + my_nonce)
-    proof = _recv_exact(sock, _AUTH_NONCE_BYTES)
+    proof = recv_exact(sock, _AUTH_NONCE_BYTES)
     if not hmac.compare_digest(proof, _auth_digest(authkey, b"host", my_nonce)):
         raise WireFormatError("worker host failed session authentication")
 
@@ -405,7 +243,9 @@ class WorkerHostServer:
         listener.listen(4)
         listener.settimeout(1.0)
         self._listener = listener
-        report_conn.send((listener.getsockname()[1], os.getpid()))
+        report_conn.send_bytes(
+            wire.encode_host_report(listener.getsockname()[1], os.getpid())
+        )
         report_conn.close()
         try:
             while True:
@@ -415,42 +255,49 @@ class WorkerHostServer:
                     if os.getppid() != coordinator_pid:
                         break  # orphaned: the coordinator is gone
                     continue
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                # Bounded handshake: an unauthenticated peer can hold
-                # the (one-session-at-a-time) accept loop for at most
-                # the handshake timeout, and is disconnected before any
-                # frame — hence any pickle — is parsed.
-                sock.settimeout(_HANDSHAKE_TIMEOUT_S)
-                try:
-                    try:
-                        authed = _auth_server(sock, self.authkey)
-                    except (TimeoutError, *_SESSION_ERRORS):
-                        authed = False
-                    if authed and self._serve_session(sock):
-                        break  # coordinator said bye: host retires
-                finally:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
+                if self._serve_connection(sock):
+                    break  # coordinator said bye: host retires
         finally:
             listener.close()
 
     # -- one session ----------------------------------------------------
 
+    def _serve_connection(self, sock: socket.socket) -> bool:
+        """Authenticate one accepted connection and serve its session;
+        True on graceful bye.  An unauthenticated peer can hold the
+        (one-session-at-a-time) accept loop for at most the handshake
+        timeout, and is disconnected before any frame is parsed."""
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(_HANDSHAKE_TIMEOUT_S)
+        try:
+            return _auth_server(sock, self.authkey) and self._serve_session(sock)
+        except _SESSION_ERRORS:
+            return False
+        finally:
+            try:
+                sock.close()
+            except OSError:
+                pass
+
     def _negotiate(self, sock: socket.socket):
         tag, payload = recv_session_frame(sock)
         if tag != SESSION_HELLO_MAGIC:
             raise WireFormatError(f"expected FHL1, got {tag!r}")
-        version, flags, sig, cfg = _decode_hello(payload)
-        if version != SESSION_VERSION:
-            raise WireFormatError(f"unsupported session version {version}")
-        if flags & _HELLO_FLAG_SHIP_PLAN:
-            need_plan = sig not in self._plans_by_sig
+        try:
+            ship_plan, sig, cfg = wire.decode_hello(payload)
+        except wire.VersionMismatch as exc:
+            # Rule 2 of docs/formats.md "Versioning": tell the peer both
+            # versions before hanging up, so it can name them too.
             send_session_frame(
                 sock,
-                SESSION_ACK_MAGIC,
-                struct.pack("<BI", int(need_plan), os.getpid()),
+                SESSION_CONTROL_MAGIC,
+                wire.encode_control("version", exc.ours, exc.theirs),
+            )
+            raise
+        if ship_plan:
+            need_plan = sig not in self._plans_by_sig
+            send_session_frame(
+                sock, SESSION_ACK_MAGIC, wire.encode_ack(need_plan, os.getpid())
             )
             if need_plan:
                 tag, blob = recv_session_frame(sock)
@@ -464,10 +311,10 @@ class WorkerHostServer:
                     )
                 except WireFormatError:
                     raise
-                except Exception as exc:  # noqa: BLE001 — see _session_loads
-                    # Crafted plan bytes or a crafted HostEnv can raise
-                    # nearly anything; all of it is a wire error that
-                    # ends the session, never the host.
+                except Exception as exc:  # noqa: BLE001 — a session boundary
+                    # Crafted plan bytes (or a HostEnv no evaluator can
+                    # be built from) can raise nearly anything: all of
+                    # it ends the session, never the host.
                     raise WireFormatError(
                         f"undecodable plan upload: {exc!r}"
                     ) from exc
@@ -481,7 +328,7 @@ class WorkerHostServer:
                     "the coordinator must use ship_plan=True"
                 )
             send_session_frame(
-                sock, SESSION_ACK_MAGIC, struct.pack("<BI", 0, os.getpid())
+                sock, SESSION_ACK_MAGIC, wire.encode_ack(False, os.getpid())
             )
             session_plan = self.plan
         return session_plan, cfg
@@ -492,13 +339,12 @@ class WorkerHostServer:
         on a standalone host (which inherited nothing)."""
         if self.plan is not None:
             return self.plan.evaluator
-        env = getattr(cfg, "env", None)
-        if env is None:
+        if cfg.env is None:
             raise WireFormatError(
                 "standalone worker host needs a HostEnv in the hello's "
                 "worker config to rebuild its evaluator"
             )
-        return env.build_evaluator()
+        return cfg.env.build_evaluator()
 
     def _serve_session(self, sock: socket.socket) -> bool:
         """Serve one coordinator session; returns True on graceful bye."""
@@ -506,13 +352,9 @@ class WorkerHostServer:
 
         from repro.runtime.executor import _worker_loop
 
-        try:
-            session_plan, cfg = self._negotiate(sock)
-        except (TimeoutError, *_SESSION_ERRORS):
-            return False
+        session_plan, cfg = self._negotiate(sock)
         sock.settimeout(None)  # steady state: blocking frame reads
         ctx = mp.get_context("fork")
-        chaos = getattr(cfg, "chaos", None)
         workers: dict[int, tuple] = {}  # slot -> (proc, conn)
         self._busy.clear()
         self._last_activity = time.monotonic()
@@ -545,24 +387,28 @@ class WorkerHostServer:
                     if slot is None:
                         continue
                     try:
-                        msg = ready.recv()
+                        msg_bytes = ready.recv_bytes()
                     except (EOFError, OSError):
                         self._reap_slot(workers, slot)
                         self._busy.discard(slot)
-                        out.append((slot, pickle.dumps(("down", slot))))
+                        send_session_frame(
+                            sock,
+                            SESSION_CONTROL_MAGIC,
+                            wire.encode_control("down", slot),
+                        )
                         continue
-                    if isinstance(msg, tuple) and len(msg) == 5:
+                    if wire.peek_message(msg_bytes)[0] in (wire.OK, wire.ERR):
                         self._busy.discard(slot)  # reply for the request
-                    out.append((slot, pickle.dumps(msg)))
+                    out.append((slot, msg_bytes))
                 if out:
-                    self._relay_upstream(sock, out, chaos)
+                    self._relay_upstream(sock, out, cfg.chaos)
                     self._last_activity = time.monotonic()
         except _SessionDrop:
             pass
         except _SESSION_ERRORS:
-            # Includes struct.error / UnpicklingError from a CRC-valid
-            # but malformed frame: drop the session, keep the host (and
-            # its warm plan cache) alive for the reconnect.
+            # Includes a CRC-valid but malformed frame: drop the
+            # session, keep the host (and its warm plan cache) alive
+            # for the reconnect.
             pass
         finally:
             self._busy.clear()
@@ -576,25 +422,22 @@ class WorkerHostServer:
         tag, payload = recv_session_frame(sock)
         self._last_activity = time.monotonic()
         if tag == SESSION_BATCH_MAGIC:
-            for slot, msg_bytes in decode_batch(payload):
+            for slot, msg_bytes in wire.decode_batch(payload):
                 entry = workers.get(slot)
                 if entry is None:
                     continue
-                msg = _session_loads(msg_bytes)
+                is_request = wire.peek_message(msg_bytes)[0] == wire.REQUEST
                 try:
-                    entry[1].send(msg)
+                    entry[1].send_bytes(msg_bytes)
                 except (BrokenPipeError, OSError):
                     self._reap_slot(workers, slot)
                     continue
-                if isinstance(msg, tuple) and len(msg) == 4:
-                    self._busy.add(slot)  # a request is now in flight
+                if is_request:
+                    self._busy.add(slot)
             return False
         if tag == SESSION_CONTROL_MAGIC:
-            op = _session_loads(payload)
-            if not isinstance(op, tuple) or not op:
-                raise WireFormatError(f"malformed session control op {op!r}")
-            if op[0] == "spawn":
-                slot = op[1]
+            op, slot, _ = wire.decode_control(payload)
+            if op == "spawn":
                 parent_conn, child_conn = ctx.Pipe()
                 # Fork-inherited fds the slot worker must NOT keep: the
                 # session socket and listener (a dead host's session
@@ -616,17 +459,17 @@ class WorkerHostServer:
                 send_session_frame(
                     sock,
                     SESSION_CONTROL_MAGIC,
-                    pickle.dumps(("up", slot, proc.pid)),
+                    wire.encode_control("up", slot, proc.pid),
                 )
-            elif op[0] == "kill":
-                if op[1] in workers:
-                    self._kill_slot(workers, op[1])
+            elif op == "kill":
+                if slot in workers:
+                    self._kill_slot(workers, slot)
                     send_session_frame(
                         sock,
                         SESSION_CONTROL_MAGIC,
-                        pickle.dumps(("down", op[1])),
+                        wire.encode_control("down", slot),
                     )
-            elif op[0] == "bye":
+            elif op == "bye":
                 return True
             return False
         raise WireFormatError(f"unexpected session frame {tag!r}")
@@ -639,9 +482,9 @@ class WorkerHostServer:
         for slot, msg_bytes in out:
             action = None
             if chaos is not None:
-                msg = pickle.loads(msg_bytes)
-                if isinstance(msg, tuple) and len(msg) == 5:
-                    action = chaos.decide("host_relay", msg[1], msg[2])
+                kind, req_id, attempt, _ = wire.peek_message(msg_bytes)
+                if kind in (wire.OK, wire.ERR):
+                    action = chaos.decide("host_relay", req_id, attempt)
             if action is None:
                 clean.append((slot, msg_bytes))
                 continue
@@ -666,10 +509,12 @@ class WorkerHostServer:
             # break the session (the faulted reply is lost either way —
             # its request re-runs under the executor's retry budget).
             if clean:
-                send_session_frame(sock, SESSION_BATCH_MAGIC, encode_batch(clean))
+                send_session_frame(
+                    sock, SESSION_BATCH_MAGIC, wire.encode_batch(clean)
+                )
             if action.kind == "partial":
                 frame = pack_frame(
-                    SESSION_BATCH_MAGIC, encode_batch([(slot, msg_bytes)])
+                    SESSION_BATCH_MAGIC, wire.encode_batch([(slot, msg_bytes)])
                 )
                 sock.sendall(frame[: max(9, len(frame) // 2)])
             try:
@@ -678,9 +523,11 @@ class WorkerHostServer:
                 pass
             raise _SessionDrop()
         if clean:
-            send_session_frame(sock, SESSION_BATCH_MAGIC, encode_batch(clean))
+            send_session_frame(sock, SESSION_BATCH_MAGIC, wire.encode_batch(clean))
         if deferred:
-            send_session_frame(sock, SESSION_BATCH_MAGIC, encode_batch(deferred))
+            send_session_frame(
+                sock, SESSION_BATCH_MAGIC, wire.encode_batch(deferred)
+            )
 
     @staticmethod
     def _reap_slot(workers: dict, slot: int) -> None:
@@ -736,22 +583,27 @@ class _SlotProc:
     """Process-like handle for a remote slot worker (the executor's
     ``worker.proc`` duck type)."""
 
-    def __init__(self) -> None:
+    def __init__(self, delivery_w, terminate) -> None:
         self.pid: int | None = None
         self.up = threading.Event()
         self.down = threading.Event()
+        self.delivery_w = delivery_w  # fed by the session reader thread
+        self.terminate = terminate  # kills the slot through its host
 
     def is_alive(self) -> bool:
         return self.up.is_set() and not self.down.is_set()
 
+    def mark_down(self) -> None:
+        """The slot is gone: closing its delivery writer surfaces that
+        to the executor as a worker EOF — its standard crash path."""
+        self.down.set()
+        try:
+            self.delivery_w.close()
+        except OSError:
+            pass
+
     def join(self, timeout: float | None = None) -> None:
         self.down.wait(timeout)
-
-    def terminate(self) -> None:
-        if self._kill is not None:
-            self._kill()
-
-    _kill = None  # bound by the host handle at slot-open time
 
 
 class _SlotChannel:
@@ -765,11 +617,11 @@ class _SlotChannel:
         self._slot = slot
         self._delivery_r = delivery_r
 
-    def send(self, msg) -> None:
-        self._handle.enqueue(self._slot, msg)
+    def send_bytes(self, msg_bytes: bytes) -> None:
+        self._handle.enqueue(self._slot, msg_bytes)
 
-    def recv(self):
-        return self._delivery_r.recv()
+    def recv_bytes(self) -> bytes:
+        return self._delivery_r.recv_bytes()
 
     def poll(self, timeout=0.0) -> bool:
         return self._delivery_r.poll(timeout)
@@ -782,14 +634,6 @@ class _SlotChannel:
             self._delivery_r.close()
         except OSError:
             pass
-
-
-class _SlotState:
-    __slots__ = ("proc", "delivery_w")
-
-    def __init__(self, proc: _SlotProc, delivery_w) -> None:
-        self.proc = proc
-        self.delivery_w = delivery_w
 
 
 _FLUSH_SENTINEL = object()
@@ -820,7 +664,7 @@ class _HostHandle:
         self.host_pid: int | None = None
         self.port: int | None = None
         self.sock: socket.socket | None = None
-        self.slots: dict[int, _SlotState] = {}
+        self.slots: dict[int, _SlotProc] = {}
         self.lock = threading.Lock()
         self.send_lock = threading.Lock()
         self.out_q: queue.SimpleQueue = queue.SimpleQueue()
@@ -864,20 +708,22 @@ class _HostHandle:
         send_session_frame(
             self.sock,
             SESSION_HELLO_MAGIC,
-            _encode_hello(ship, t.signature, t.cfg),
+            wire.encode_hello(ship, t.signature, t.cfg),
         )
         tag, payload = recv_session_frame(self.sock)
-        if tag == SESSION_CONTROL_MAGIC:
-            op = _session_loads(payload)
-            if isinstance(op, tuple) and op and op[0] == "busy":
+        if tag == SESSION_CONTROL_MAGIC:  # a typed refusal
+            op, a, _ = wire.decode_control(payload)
+            if op == "busy":
                 raise ConnectionError(
                     f"worker host at {address[0]}:{address[1]} is already "
                     "serving another coordinator"
                 )
+            if op == "version":
+                raise wire.VersionMismatch(wire.SESSION_VERSION, a)
             raise WireFormatError(f"expected FHA1, got control op {op!r}")
         if tag != SESSION_ACK_MAGIC:
             raise WireFormatError(f"expected FHA1, got {tag!r}")
-        need_plan, remote_pid = struct.unpack_from("<BI", payload, 0)
+        need_plan, remote_pid = wire.decode_ack(payload)
         if self.host_pid is None:
             self.host_pid = remote_pid  # standalone host's own report
         if ship and need_plan:
@@ -893,28 +739,23 @@ class _HostHandle:
 
     # -- outbound -------------------------------------------------------
 
-    def enqueue(self, slot: int, msg) -> None:
+    def enqueue(self, slot: int, msg_bytes: bytes) -> None:
         if self.dead:
             raise BrokenPipeError(f"session to {self.label} is down")
-        self.out_q.put((slot, pickle.dumps(msg)))
+        self.out_q.put((slot, msg_bytes))
 
     def _flush_loop(self) -> None:
         while True:
-            item = self.out_q.get()
-            if item is _FLUSH_SENTINEL:
-                return
-            items = [item]
+            items = [self.out_q.get()]
             while True:
                 try:
-                    nxt = self.out_q.get(block=False)
+                    items.append(self.out_q.get(block=False))
                 except queue.Empty:
                     break
-                if nxt is _FLUSH_SENTINEL:
-                    items = [i for i in items if i is not _FLUSH_SENTINEL]
-                    self._send_items(items)
-                    return
-                items.append(nxt)
-            self._send_items(items)
+            stop = _FLUSH_SENTINEL in items
+            self._send_items([i for i in items if i is not _FLUSH_SENTINEL])
+            if stop:
+                return
 
     def _send_items(self, items) -> None:
         if not items or self.dead:
@@ -922,20 +763,20 @@ class _HostHandle:
         try:
             with self.send_lock:
                 send_session_frame(
-                    self.sock, SESSION_BATCH_MAGIC, encode_batch(items)
+                    self.sock, SESSION_BATCH_MAGIC, wire.encode_batch(items)
                 )
                 self.frames_sent += 1
                 self.messages_sent += len(items)
         except (OSError, BrokenPipeError):
             self._mark_dead()
 
-    def send_control(self, op: tuple) -> None:
+    def send_control(self, op: str, slot: int = 0) -> None:
         if self.dead:
             raise BrokenPipeError(f"session to {self.label} is down")
         try:
             with self.send_lock:
                 send_session_frame(
-                    self.sock, SESSION_CONTROL_MAGIC, pickle.dumps(op)
+                    self.sock, SESSION_CONTROL_MAGIC, wire.encode_control(op, slot)
                 )
         except (OSError, BrokenPipeError):
             self._mark_dead()
@@ -948,96 +789,64 @@ class _HostHandle:
             while True:
                 tag, payload = recv_session_frame(self.sock)
                 if tag == SESSION_BATCH_MAGIC:
-                    for slot, msg_bytes in decode_batch(payload):
-                        msg = _session_loads(msg_bytes)
-                        if (
-                            isinstance(msg, tuple)
-                            and len(msg) == 2
-                            and msg[0] == "down"
-                        ):
-                            self._close_slot(msg[1])
-                            continue
+                    for slot, msg_bytes in wire.decode_batch(payload):
                         with self.lock:
-                            state = self.slots.get(slot)
-                        if state is not None:
+                            proc = self.slots.get(slot)
+                        if proc is not None:
                             try:
-                                state.delivery_w.send(msg)
+                                proc.delivery_w.send_bytes(msg_bytes)
                             except (BrokenPipeError, OSError):
                                 pass
                 elif tag == SESSION_CONTROL_MAGIC:
-                    op = _session_loads(payload)
-                    if not isinstance(op, tuple) or not op:
-                        raise WireFormatError(
-                            f"malformed session control op {op!r}"
-                        )
-                    if op[0] == "up":
+                    op, slot, pid = wire.decode_control(payload)
+                    if op == "up":
                         with self.lock:
-                            state = self.slots.get(op[1])
-                        if state is not None:
-                            state.proc.pid = op[2]
-                            state.proc.up.set()
-                    elif op[0] == "down":
-                        self._close_slot(op[1])
+                            proc = self.slots.get(slot)
+                        if proc is not None:
+                            proc.pid = pid
+                            proc.up.set()
+                    elif op == "down":
+                        self._close_slot(slot)
         except _SESSION_ERRORS:
-            # Includes struct.error / UnpicklingError from a CRC-valid
-            # but malformed frame — the session dies (finally:), the
-            # pump thread exits cleanly instead of with a traceback.
+            # Includes a CRC-valid but malformed frame — the session
+            # dies (finally:), the pump thread exits cleanly instead of
+            # with a traceback.
             pass
         finally:
             self._mark_dead()
 
     def _close_slot(self, slot: int) -> None:
         with self.lock:
-            state = self.slots.pop(slot, None)
-        if state is None:
-            return
-        state.proc.down.set()
-        try:
-            state.delivery_w.close()
-        except OSError:
-            pass
+            proc = self.slots.pop(slot, None)
+        if proc is not None:
+            proc.mark_down()
 
     def _mark_dead(self) -> None:
         if self.dead:
             return
         self.dead = True
-        # Closing every delivery writer surfaces host loss to the
-        # executor as per-worker EOFs — its standard crash path.
         with self.lock:
-            slots = list(self.slots.items())
+            procs = list(self.slots.values())
             self.slots.clear()
-        for _, state in slots:
-            state.proc.down.set()
-            try:
-                state.delivery_w.close()
-            except OSError:
-                pass
+        for proc in procs:  # host loss = an EOF on every slot
+            proc.mark_down()
         self.out_q.put(_FLUSH_SENTINEL)
 
     # -- slots ----------------------------------------------------------
 
     def open_slot(self, ctx):
-        from repro.runtime.transport import WorkerEndpoint
-
         with self.lock:
             slot = next(self._slot_ids)
         delivery_r, delivery_w = ctx.Pipe(duplex=False)
-        proc = _SlotProc()
-        state = _SlotState(proc, delivery_w)
+        proc = _SlotProc(delivery_w, lambda: self._kill_slot(slot, proc))
         with self.lock:
-            self.slots[slot] = state
-        proc._kill = lambda: self._kill_slot(slot, proc)
-        self.send_control(("spawn", slot))
+            self.slots[slot] = proc
+        self.send_control("spawn", slot)
         if not proc.up.wait(timeout=_SPAWN_ACK_TIMEOUT_S) or self.dead:
             self._close_slot(slot)
             raise BrokenPipeError(f"{self.label} never acked slot {slot}")
         channel = _SlotChannel(self, slot, delivery_r)
-        return WorkerEndpoint(
-            proc,
-            channel,
-            host=self.label,
-            on_kill=lambda: self._kill_slot(slot, proc),
-        )
+        return WorkerEndpoint(proc, channel, host=self.label, on_kill=proc.terminate)
 
     def _kill_slot(self, slot: int, proc: _SlotProc) -> None:
         # Loopback best effort first (prompt even if the relay is busy),
@@ -1048,7 +857,7 @@ class _HostHandle:
             except (ProcessLookupError, OSError):
                 pass
         try:
-            self.send_control(("kill", slot))
+            self.send_control("kill", slot)
         except BrokenPipeError:
             self._close_slot(slot)
 
@@ -1057,7 +866,7 @@ class _HostHandle:
     def close(self, *, retire_host: bool) -> None:
         if not self.dead and self.sock is not None:
             try:
-                self.send_control(("bye",))
+                self.send_control("bye")
             except BrokenPipeError:
                 pass
         self._mark_dead()
@@ -1076,10 +885,9 @@ class _HostHandle:
                 self.host_proc.join(timeout=1.0)
 
 
-class TcpTransport:
+class TcpTransport(Transport):
     """Socket transport: worker slots multiplexed over per-host
-    sessions (see module docstring).  Duck-types
-    :class:`repro.runtime.transport.Transport`."""
+    sessions (see module docstring)."""
 
     name = "tcp"
 
@@ -1090,22 +898,18 @@ class TcpTransport:
         plan,
         cfg,
         plan_blob: bytes | None = None,
-        signature: str = "",
         hosts=1,
-        chaos=None,
         authkey: bytes | None = None,
     ) -> None:
-        from repro.runtime import transport as _transport
-
+        super().__init__()
         self._host_specs = parse_host_specs(hosts)
         num_hosts = len(self._host_specs)
         self._ctx = ctx
         self.plan = plan
         self.cfg = cfg
         self.plan_blob = plan_blob
-        self.signature = signature or getattr(plan, "signature", "")
+        self.signature = getattr(plan, "signature", "")
         self.num_hosts = num_hosts
-        self.chaos = chaos
         if any(s is not None for s in self._host_specs):
             if authkey is None:
                 raise ValueError(
@@ -1135,11 +939,9 @@ class TcpTransport:
         # hosts cannot inherit — both ends load the same keyfile
         # (ServingConfig.authkey_file / worker_host --authkey-file).
         self._authkey = authkey if authkey is not None else os.urandom(32)
-        self._closed = False
         self.sessions_opened = 0
         self.hosts_spawned = 0
         self.plan_uploads = 0
-        _transport._LIVE_TRANSPORTS.add(self)
         # Drop-finalizer over the concrete host-handle list (handles
         # hold only a weakref back, so this is not a cycle): a pool
         # that is GC'd without close() still retires its host processes
@@ -1174,7 +976,7 @@ class TcpTransport:
         if not report_r.poll(_HANDSHAKE_TIMEOUT_S):
             proc.terminate()
             raise RuntimeError(f"worker host {label} never reported its port")
-        port, _pid = report_r.recv()
+        port, _pid = wire.decode_host_report(report_r.recv_bytes())
         report_r.close()
         self.hosts_spawned += 1
         return proc, port
@@ -1249,6 +1051,8 @@ class TcpTransport:
                 try:
                     handle = self._ensure_host(index)
                     return handle.open_slot(self._ctx)
+                except wire.VersionMismatch:
+                    raise  # redialing cannot change what the peer speaks
                 except (
                     BrokenPipeError,
                     ConnectionError,

@@ -85,22 +85,11 @@ import warnings
 from collections import deque
 from concurrent.futures import Future
 from concurrent.futures import TimeoutError as _FuturesTimeout
-from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
 
-from repro.ckks.containers import Ciphertext, Plaintext
-from repro.ckks.serialization import (
-    PLAINTEXT_MAGIC,
-    WireFormatError,
-    deserialize_ciphertext,
-    deserialize_plaintext,
-    pack_frame,
-    read_frame,
-    serialize_ciphertext,
-    serialize_plaintext,
-    wire_coeff_bits,
-)
-from repro.runtime.chaos import FaultPlan, flip_frame_byte
+from repro.ckks.serialization import WireFormatError, wire_coeff_bits
+from repro.runtime import wire
+from repro.runtime.chaos import flip_frame_byte
 from repro.runtime.faults import (
     DeadlineExceeded,
     FaultPolicy,
@@ -124,54 +113,16 @@ from repro.runtime.telemetry import (
 from repro.runtime.telemetry import now as _mono
 from repro.runtime.transport import create_transport
 
-__all__ = ["ShardedExecutor", "WorkerError", "ENVELOPE_MAGIC"]
-
-# Boundary envelope: every blob crossing the worker pipe rides in one
-# CRC-guarded frame so corruption is detected, not silently decoded.
-ENVELOPE_MAGIC = b"ENV1"
+__all__ = ["ShardedExecutor", "WorkerError"]
 
 # Distinguishes the metric label set of concurrently-live pools in one
 # process (test suites build dozens); monotone so exports stay stable.
 _POOL_IDS = itertools.count()
 
 
-def _encode_value(value, coeff_bits: int) -> bytes:
-    if isinstance(value, Ciphertext):
-        blob = serialize_ciphertext(value, coeff_bits=coeff_bits)
-    elif isinstance(value, Plaintext):
-        blob = serialize_plaintext(value, coeff_bits=coeff_bits)
-    else:
-        raise TypeError(
-            f"plan inputs must be Ciphertext or Plaintext, got {type(value).__name__}"
-        )
-    return pack_frame(ENVELOPE_MAGIC, blob)
-
-
-def _decode_value(frame: bytes, basis):
-    tag, blob, _ = read_frame(frame, 0)
-    if tag != ENVELOPE_MAGIC:
-        raise WireFormatError(f"unexpected boundary frame tag {tag!r}")
-    if blob[:4] == PLAINTEXT_MAGIC:
-        return deserialize_plaintext(blob, basis)
-    return deserialize_ciphertext(blob, basis)
-
-
-@dataclass(frozen=True)
-class _WorkerConfig:
-    """Per-worker knobs, pickled once into every (re)spawned child."""
-
-    coeff_bits: int
-    io_s: float
-    fused: bool
-    chaos: FaultPlan | None
-    heartbeat_s: float | None
-    # HostEnv for standalone worker hosts (tcp transport only): lets a
-    # host with no fork relationship rebuild the evaluator that FPL1
-    # plan bytes deserialize against.  None on same-host transports.
-    env: object | None = None
-
-
-def _wire_worker_loop(plan_blob: bytes, evaluator, conn, cfg: _WorkerConfig) -> None:
+def _wire_worker_loop(
+    plan_blob: bytes, evaluator, conn, cfg: wire.WorkerConfig
+) -> None:
     """Child process body for the shipped-plan path: rebuild the plan
     from its EPL1 bytes (constants resolved from the inline PCS1
     payload, no re-trace, no fork-shared plan state), then serve.  The
@@ -194,9 +145,10 @@ def _heartbeat_loop(conn, send_lock, state, stop, interval: float) -> None:
         req_id = state.get("req")
         if req_id is None or state.get("suspend"):
             continue
+        beat = wire.encode_message(wire.HEARTBEAT, req_id, state.get("attempt", 0))
         try:
             with send_lock:
-                conn.send(("hb", req_id, state.get("attempt", 0)))
+                conn.send_bytes(beat)
         except (BrokenPipeError, OSError):
             return
 
@@ -217,32 +169,38 @@ def _inject(action, state) -> None:
 
 
 def _serve_request(
-    plan, basis, cfg: _WorkerConfig, state, req_id, attempt, blobs, rec
-):
-    """Serve one request in the worker; always returns a reply tuple.
+    plan, basis, cfg: wire.WorkerConfig, state, req_id, attempt, blobs, rec
+) -> bytes:
+    """Serve one request in the worker; always returns an encoded reply.
 
     Wire corruption in the incoming frames becomes a typed
     ``WireCorruption`` reply; any evaluation error becomes a typed
     ``RequestError`` reply — the worker itself never dies for a bad
     request, only for injected/real process faults.  ``rec`` is the
     attempt's :class:`WorkerSpanRecorder`; when the attempt is traced,
-    deserialize/evaluate/serialize spans ship back in the reply's final
-    TRC1 field (on a crash the worker dies with its spans — the parent's
+    deserialize/evaluate/serialize spans ship back in the reply's TRC1
+    part (on a crash the worker dies with its spans — the parent's
     attempt span still records the attempt's extent and outcome).
     """
     chaos = cfg.chaos
     upload_s = download_s = cfg.io_s / 2.0
+
+    def failed(fault: RequestError) -> bytes:
+        frames = [serialize_fault(fault)]
+        return wire.encode_message(wire.ERR, req_id, attempt, frames, rec.payload())
+
     try:
         try:
             with rec.span("deserialize", blobs=len(blobs)):
-                inputs = [_decode_value(b, basis) for b in blobs]
+                inputs = [wire.decode_value(b, basis) for b in blobs]
         except WireFormatError as exc:
-            fault = WireCorruption(
-                f"request frame corrupt: {exc}",
-                request_id=req_id,
-                attempts=attempt + 1,
+            return failed(
+                WireCorruption(
+                    f"request frame corrupt: {exc}",
+                    request_id=req_id,
+                    attempts=attempt + 1,
+                )
             )
-            return ("err", req_id, attempt, serialize_fault(fault), rec.payload())
         action = chaos.decide("pre_evaluate", req_id, attempt) if chaos else None
         if action is not None:
             _inject(action, state)
@@ -255,22 +213,23 @@ def _serve_request(
         if action is not None:
             _inject(action, state)
         with rec.span("serialize"):
-            payload = [_encode_value(o, cfg.coeff_bits) for o in outputs]
+            payload = [wire.encode_value(o, cfg.coeff_bits) for o in outputs]
         action = chaos.decide("reply_encode", req_id, attempt) if chaos else None
         if action is not None and action.kind == "flip":
             payload[0] = flip_frame_byte(payload[0], action)
         if download_s:
             with rec.span("download_wait"):
                 time.sleep(download_s)
-        return ("ok", req_id, attempt, payload, rec.payload())
+        return wire.encode_message(wire.OK, req_id, attempt, payload, rec.payload())
     except Exception as exc:  # noqa: BLE001 — forwarded to the parent, typed
-        fault = RequestError(
-            f"{type(exc).__name__}: {exc}", request_id=req_id, attempts=attempt + 1
+        return failed(
+            RequestError(
+                f"{type(exc).__name__}: {exc}", request_id=req_id, attempts=attempt + 1
+            )
         )
-        return ("err", req_id, attempt, serialize_fault(fault), rec.payload())
 
 
-def _worker_loop(plan: ExecutionPlan, conn, cfg: _WorkerConfig) -> None:
+def _worker_loop(plan: ExecutionPlan, conn, cfg: wire.WorkerConfig) -> None:
     """Child process body: recv request -> replay plan -> send reply."""
     basis = plan.evaluator.basis
     send_lock = threading.Lock()
@@ -284,12 +243,12 @@ def _worker_loop(plan: ExecutionPlan, conn, cfg: _WorkerConfig) -> None:
         ).start()
     while True:
         try:
-            msg = conn.recv()
-        except (EOFError, OSError):
+            msg = wire.decode_message(conn.recv_bytes())
+        except (EOFError, OSError, WireFormatError):
             break
-        if msg is None:
-            break
-        req_id, attempt, blobs, trace_blob = msg
+        if msg.kind != wire.REQUEST:
+            break  # SHUTDOWN (or anything a worker cannot serve)
+        _, req_id, attempt, blobs, trace_blob = msg
         ctx = None
         if trace_blob is not None:
             try:
@@ -308,7 +267,7 @@ def _worker_loop(plan: ExecutionPlan, conn, cfg: _WorkerConfig) -> None:
         state["req"] = None
         try:
             with send_lock:
-                conn.send(reply)
+                conn.send_bytes(reply)
         except (BrokenPipeError, OSError):
             break
     hb_stop.set()
@@ -371,12 +330,6 @@ class _Worker:
         self.busy_attempt = 0
         self.dispatched_at = 0.0
         self.last_beat = 0.0
-
-    def kill(self) -> None:
-        self.endpoint.kill()
-
-    def release(self) -> None:
-        self.endpoint.release()
 
 
 def _resolve(fut: Future, *, result=None, exc=None) -> None:
@@ -547,7 +500,7 @@ class ShardedExecutor:
             self._io_thread = None
         for worker in self._workers:
             try:
-                worker.conn.send(None)
+                worker.conn.send_bytes(wire.encode_message(wire.SHUTDOWN))
             except (BrokenPipeError, OSError):
                 pass
         escalated: list[int] = []
@@ -563,12 +516,11 @@ class ShardedExecutor:
                 # or the transport's kill-slot escalation) is the only
                 # path guaranteed to reap it.
                 escalated.append(worker.proc.pid)
-                worker.kill()
+                worker.endpoint.kill()
                 worker.proc.join(timeout=1.0)
             if worker.proc.is_alive():
                 leaked.append(worker.proc.pid)
             worker.conn.close()
-            worker.release()
         if escalated:
             warnings.warn(
                 f"ShardedExecutor.close(): worker(s) failed to join and were "
@@ -584,10 +536,10 @@ class ShardedExecutor:
                 stacklevel=2,
             )
         self._workers.clear()
-        # Transport teardown frees everything workers rode on — sockets,
-        # host processes, /dev/shm segments.  Transports also register
-        # atexit/finalize hooks, so even a run that never reaches this
-        # line cannot leak segments or bound ports.
+        # Transport teardown frees everything workers rode on — sockets
+        # and host processes.  Transports also register atexit/finalize
+        # hooks, so even a run that never reaches this line cannot leak
+        # host processes or bound ports.
         if self._transport is not None:
             self._transport.close()
             self._transport = None
@@ -637,7 +589,7 @@ class ShardedExecutor:
             # The pool exceeded its crash budget and shut itself down;
             # fail fast instead of queueing requests nobody will serve.
             raise RuntimeError("executor stopped (crash budget exceeded)")
-        blobs = [_encode_value(v, self._coeff_bits) for v in inputs]
+        blobs = [wire.encode_value(v, self._coeff_bits) for v in inputs]
         fut: Future = Future()
         if self._inline or self._degraded:
             self._run_inline(blobs, fut, trace=trace)
@@ -764,10 +716,10 @@ class ShardedExecutor:
         try:
             if self._io_s:  # parity with the worker-side link model
                 time.sleep(self._io_s)
-            inputs = [_decode_value(b, basis) for b in blobs]
+            inputs = [wire.decode_value(b, basis) for b in blobs]
             outputs = self.plan.run_batch([inputs], fused=self.fused)[0]
             round_tripped = [
-                _decode_value(_encode_value(o, self._coeff_bits), basis)
+                wire.decode_value(wire.encode_value(o, self._coeff_bits), basis)
                 for o in outputs
             ]
         except Exception as exc:  # noqa: BLE001 — mirror the pool contract
@@ -818,7 +770,7 @@ class ShardedExecutor:
             return
         try:
             kind, spans = deserialize_trace_frame(span_blob)
-        except (WireFormatError, ValueError, KeyError):
+        except WireFormatError:
             return  # corrupt telemetry never fails a request
         if kind == "spans":
             try:
@@ -841,10 +793,8 @@ class ShardedExecutor:
         env = None
         authkey = None
         if self.config.transport == "tcp":
-            from repro.runtime.coordinator import HostEnv
-
             evaluator = self.plan.evaluator
-            env = HostEnv(
+            env = wire.HostEnv(
                 params=evaluator.params,
                 primes=tuple(evaluator.basis.primes),
             )
@@ -852,7 +802,7 @@ class ShardedExecutor:
                 from repro.runtime.worker_host import load_authkey
 
                 authkey = load_authkey(self.config.authkey_file)
-        cfg = _WorkerConfig(
+        cfg = wire.WorkerConfig(
             coeff_bits=self._coeff_bits,
             io_s=self._io_s,
             fused=self.fused,
@@ -872,11 +822,8 @@ class ShardedExecutor:
             cfg=cfg,
             plan=self.plan,
             plan_blob=self._plan_blob,
-            signature=getattr(self.plan, "signature", ""),
             hosts=self.config.hosts,
             authkey=authkey,
-            ring_bytes=self.config.ring_bytes,
-            chaos=self.chaos,
         )
 
     def _spawn(self) -> _Worker:
@@ -927,8 +874,14 @@ class ShardedExecutor:
                 if worker is None:  # retired earlier in this very loop
                     continue
                 try:
-                    msg = ready.recv()
+                    msg = wire.decode_message(ready.recv_bytes())
                 except (EOFError, OSError):
+                    self._on_worker_death(worker)
+                    continue
+                except WireFormatError:
+                    # Bytes no worker of ours writes: stop trusting the
+                    # process and take the standard crash path.
+                    worker.endpoint.kill()
                     self._on_worker_death(worker)
                     continue
                 self._on_message(worker, msg)
@@ -1079,8 +1032,11 @@ class ShardedExecutor:
                 )
                 trace_blob = serialize_trace_context(req.attempt_span.ctx)
             req.backoff_from = None
+            request = wire.encode_message(
+                wire.REQUEST, req.id, req.attempts, blobs, trace_blob
+            )
             try:
-                worker.conn.send((req.id, req.attempts, blobs, trace_blob))
+                worker.conn.send_bytes(request)
             except (BrokenPipeError, OSError):
                 self._close_attempt(req, "send_failed")
                 with self._lock:
@@ -1106,16 +1062,15 @@ class ShardedExecutor:
                     return req
         return None
 
-    def _on_message(self, worker: _Worker, msg) -> None:
-        kind = msg[0]
-        if kind == "hb":
-            _, req_id, attempt = msg
-            if worker.busy == req_id and worker.busy_attempt == attempt:
-                worker.last_beat = time.monotonic()
-            return
-        _, req_id, attempt, payload, span_blob = msg
+    def _on_message(self, worker: _Worker, msg: wire.Message) -> None:
+        kind, req_id, attempt, payload, span_blob = msg
         if worker.busy != req_id or worker.busy_attempt != attempt:
-            return  # stale reply from a superseded attempt; drop it
+            return  # stale beat or reply from a superseded attempt; drop it
+        if kind == wire.HEARTBEAT:
+            worker.last_beat = time.monotonic()
+            return
+        if kind not in (wire.OK, wire.ERR):
+            return  # not something a worker says
         worker.busy = None
         self._accrue_busy(worker, _mono())
         with self._lock:
@@ -1126,8 +1081,12 @@ class ShardedExecutor:
         if req is None:
             return
         self._ingest_worker_spans(span_blob)
-        if kind == "err":
-            fault = deserialize_fault(payload, request_id=req_id)
+        if kind == wire.ERR:
+            try:
+                (flt_frame,) = payload
+                fault = deserialize_fault(flt_frame, request_id=req_id)
+            except ValueError as exc:  # WireFormatError, or not one part
+                fault = WireCorruption(f"fault frame corrupt: {exc}")
             if isinstance(fault, WireCorruption):
                 self._m.inc("wire_corruptions")
                 self._close_attempt(req, "wire_corruption")
@@ -1148,7 +1107,7 @@ class ShardedExecutor:
         basis = self.plan.evaluator.basis
         decode_from = _mono()
         try:
-            outputs = [_decode_value(b, basis) for b in payload]
+            outputs = [wire.decode_value(b, basis) for b in payload]
         except (WireFormatError, ValueError) as exc:
             self._m.inc("wire_corruptions")
             self._close_attempt(req, "wire_corruption")
@@ -1230,13 +1189,12 @@ class ShardedExecutor:
         (a SIGKILL locally, a kill-slot control op on a worker host)."""
         if worker in self._workers:
             self._workers.remove(worker)
-        worker.kill()
+        worker.endpoint.kill()
         try:
             worker.conn.close()
         except OSError:
             pass
         worker.proc.join(timeout=2.0)
-        worker.release()
 
     def _retire(self, worker: _Worker) -> None:
         if worker in self._workers:
@@ -1246,7 +1204,6 @@ class ShardedExecutor:
         except OSError:
             pass
         worker.proc.join(timeout=1.0)
-        worker.release()
 
     def _on_worker_death(self, worker: _Worker) -> None:
         """An unexpected EOF: account the crash, retry its request under

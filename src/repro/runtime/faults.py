@@ -57,7 +57,7 @@ import hashlib
 import struct
 from dataclasses import dataclass
 
-from repro.ckks.serialization import pack_frame, read_frame
+from repro.ckks.serialization import WireFormatError, pack_frame, read_frame
 
 __all__ = [
     "WorkerError",
@@ -204,14 +204,23 @@ def deserialize_fault(
     """Rebuild the typed exception from an ``FLT1`` frame.
 
     Unknown codes degrade to the :class:`RequestError` base rather than
-    failing, so a newer worker never wedges an older parent.
+    failing, so a newer worker never wedges an older parent; a malformed
+    frame is a :class:`WireFormatError`.
     """
     tag, payload, _ = read_frame(blob, 0)
     if tag != FAULT_MAGIC:
-        raise ValueError(f"not a fault frame: tag {tag!r}")
-    code, attempts = struct.unpack_from("<BI", payload, 0)
-    (msg_len,) = struct.unpack_from("<I", payload, 5)
-    message = payload[9 : 9 + msg_len].decode("utf-8")
+        raise WireFormatError(f"not a fault frame: tag {tag!r}")
+    if len(payload) < 9:
+        raise WireFormatError(f"FLT1 payload of {len(payload)} bytes has no header")
+    code, attempts, msg_len = struct.unpack_from("<BII", payload, 0)
+    if 9 + msg_len != len(payload):
+        raise WireFormatError(
+            f"FLT1 message is {len(payload) - 9} bytes, header says {msg_len}"
+        )
+    try:
+        message = payload[9:].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireFormatError("FLT1 message is not UTF-8") from exc
     cls = _FAULT_TYPES.get(code, RequestError)
     return cls(message, request_id=request_id, attempts=attempts)
 

@@ -29,7 +29,7 @@ from repro.runtime.chaos import FaultPlan
 from repro.runtime.faults import FaultPolicy
 from repro.runtime.plan import ExecutionPlan, compile_fn
 from repro.runtime.telemetry import get_telemetry
-from repro.runtime.transport import DEFAULT_RING_BYTES, available_transports
+from repro.runtime.transport import available_transports
 
 __all__ = ["ServingConfig", "ServingSession", "serve"]
 
@@ -42,11 +42,10 @@ class ServingConfig:
         num_workers: pool size; ``0`` selects the inline single-process
             fallback.
         transport: worker-boundary transport — ``"pipe"`` (fork+pipe,
-            default), ``"shm"`` (pipe control + shared-memory ring for
-            large payloads), or ``"tcp"`` (worker-host sessions over
-            loopback sockets; see ``docs/serving.md``).
+            default) or ``"tcp"`` (worker-host sessions over sockets,
+            the one that runs across machines; see ``docs/serving.md``).
         hosts: worker hosts for the ``tcp`` transport (slots are
-            assigned round-robin); ignored by same-host transports.
+            assigned round-robin); ignored by ``pipe``.
             Either an ``int`` count of fork-local hosts, or a tuple of
             specs mixing ``"local"`` (fork-local) and
             ``"tcp://host:port"`` (a standalone host started via
@@ -71,8 +70,6 @@ class ServingConfig:
         coeff_bits: wire coefficient width override (``None`` = derived
             from the plan's modulus basis).
         max_crash_respawns: pool-lifetime crash budget override.
-        ring_bytes: per-direction shared-memory ring capacity for the
-            ``shm`` transport.
         trace: enable process-wide telemetry tracing when the session
             starts (left enabled on exit; use
             :meth:`Telemetry.disable` to turn it off).
@@ -90,7 +87,6 @@ class ServingConfig:
     modeled_request_io_s: float = 0.0
     coeff_bits: int | None = None
     max_crash_respawns: int | None = None
-    ring_bytes: int = DEFAULT_RING_BYTES
     trace: bool = False
 
     def __post_init__(self) -> None:
@@ -123,8 +119,6 @@ class ServingConfig:
                     )
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.ring_bytes < 1:
-            raise ValueError("ring_bytes must be positive")
 
     def replace(self, **changes) -> "ServingConfig":
         return dataclasses.replace(self, **changes)

@@ -748,7 +748,10 @@ def deserialize_trace_frame(frame: bytes):
             raise WireFormatError(
                 f"TRC1 span batch is {len(blob)} bytes, header says {length}"
             )
-        spans = json.loads(blob.decode("utf-8"))
+        try:
+            spans = json.loads(blob.decode("utf-8"))
+        except (ValueError, RecursionError) as exc:
+            raise WireFormatError(f"TRC1 span batch is not JSON: {exc}") from exc
         if not isinstance(spans, list):
             raise WireFormatError("TRC1 span batch must decode to a list")
         return ("spans", spans)

@@ -10,7 +10,7 @@ inherits through process memory arrives explicitly instead:
   (``ServingConfig(authkey_file=...)`` on the coordinator) instead of
   being fork-inherited; the mutual HMAC handshake itself is unchanged;
 * the **evaluator** is rebuilt from the
-  :class:`~repro.runtime.coordinator.HostEnv` shipped inside the
+  :class:`~repro.runtime.wire.HostEnv` shipped inside the
   ``FHL1`` hello's worker config;
 * the **plan** always arrives as ``FPL1`` bytes (``ship_plan=True`` is
   mandatory; there is no fork-warmed plan to fall back to) and is
@@ -24,10 +24,10 @@ ship_plan=True, authkey_file=...)``.
 Lifecycle differences from a fork-local host (which the coordinator
 owns outright):
 
-* a session ``("bye",)`` ends the session but never the host — a
+* a session ``bye`` ends the session but never the host — a
   standalone host is operator-owned and keeps accepting;
 * while one session is live, a second coordinator is authenticated and
-  then refused with an ``FCT1`` ``("busy", pid)`` control frame — one
+  then refused with an ``FCT1`` ``busy`` control frame — one
   session at a time stays an invariant, and the refusal is explicit
   rather than a hang;
 * ``--idle-timeout-s`` drops a session whose coordinator has gone
@@ -47,20 +47,18 @@ from __future__ import annotations
 import argparse
 import errno
 import os
-import pickle
 import signal
 import socket
 import sys
 import time
 
+from repro.runtime import wire
 from repro.runtime.coordinator import (
     _HANDSHAKE_TIMEOUT_S,
     _SESSION_ERRORS,
-    SESSION_CONTROL_MAGIC,
     WorkerHostServer,
     _auth_server,
     _SessionDrop,
-    send_session_frame,
 )
 
 __all__ = [
@@ -161,23 +159,10 @@ class StandaloneWorkerHost(WorkerHostServer):
                     continue
                 except OSError:
                     break
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                sock.settimeout(_HANDSHAKE_TIMEOUT_S)
-                try:
-                    try:
-                        authed = _auth_server(sock, self.authkey)
-                    except (TimeoutError, *_SESSION_ERRORS):
-                        authed = False
-                    if authed:
-                        # Unlike run(): bye ends the session, not the
-                        # host — the next coordinator may attach (and
-                        # hit the warm plan cache).
-                        self._serve_session(sock)
-                finally:
-                    try:
-                        sock.close()
-                    except OSError:
-                        pass
+                # Unlike run(): bye ends the session, not the host —
+                # the next coordinator may attach (and hit the warm
+                # plan cache).
+                self._serve_connection(sock)
         finally:
             listener.close()
 
@@ -204,26 +189,21 @@ class StandaloneWorkerHost(WorkerHostServer):
         # A second coordinator dialed in while a session is live: prove
         # we share its key, then refuse explicitly.  Unauthenticated
         # peers are dropped without a frame, exactly as in the accept
-        # loop (no unpickle surface for strangers).
+        # loop.
         try:
             intruder, _ = ready.accept()
         except OSError:
             return
         intruder.settimeout(_HANDSHAKE_TIMEOUT_S)
         try:
-            try:
-                authed = _auth_server(intruder, self.authkey)
-            except (TimeoutError, *_SESSION_ERRORS):
-                authed = False
-            if authed:
-                try:
-                    send_session_frame(
-                        intruder,
-                        SESSION_CONTROL_MAGIC,
-                        pickle.dumps(("busy", os.getpid())),
-                    )
-                except (TimeoutError, *_SESSION_ERRORS):
-                    pass
+            if _auth_server(intruder, self.authkey):
+                wire.send_session_frame(
+                    intruder,
+                    wire.SESSION_CONTROL_MAGIC,
+                    wire.encode_control("busy", os.getpid()),
+                )
+        except _SESSION_ERRORS:
+            pass
         finally:
             try:
                 intruder.close()

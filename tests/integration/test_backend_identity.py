@@ -9,7 +9,7 @@ the reducers differ in cost, not semantics.
 
 The same holds for *how* the program runs: a parametrized grid —
 executor {interpreter, fused} x delivery/transport {in-process,
-fork-pipe, shipped-pipe, shm, tcp-loopback, CLI remote host,
+fork-pipe, shipped-pipe, tcp-loopback, CLI remote host,
 hang-recovered} — pins every mode to the eager evaluator's bytes under
 each backend.
 """
@@ -135,8 +135,6 @@ def _serving_config(delivery: str, fused: bool, remote) -> ServingConfig:
         return ServingConfig(num_workers=2, fused=fused)
     if delivery == "shipped-pipe":
         return ServingConfig(num_workers=1, ship_plan=True, fused=fused)
-    if delivery == "shm":
-        return ServingConfig(num_workers=2, transport="shm", fused=fused)
     if delivery == "tcp-loopback":
         return ServingConfig(
             num_workers=1, transport="tcp", ship_plan=True, fused=fused
@@ -171,7 +169,6 @@ DELIVERIES = (
     "in-process",
     "fork-pipe",
     "shipped-pipe",
-    "shm",
     "tcp-loopback",
     "remote-host",
     "hang-recovered",
@@ -209,8 +206,8 @@ def test_every_mode_is_byte_equal_to_eager(
                     assert stats["hang_kills"] == 1
                 elif delivery == "remote-host":
                     assert stats["transport_stats"]["remote_hosts"] == 1
-                elif delivery in ("shm", "tcp-loopback"):
-                    assert stats["transport"] == delivery.split("-")[0]
+                elif delivery == "tcp-loopback":
+                    assert stats["transport"] == "tcp"
     for name, want, have in zip(("rot", "prod"), eager, got):
         assert have.scale == want.scale
         for i, part in enumerate(want.parts):

@@ -33,10 +33,8 @@ from repro.runtime import (
     WorkerError,
     WorkerHang,
     compile_fn,
-    deserialize_fault,
-    flip_frame_byte,
-    serialize_fault,
 )
+from repro.runtime.wire import deserialize_fault, flip_frame_byte, serialize_fault
 
 RESULT_TIMEOUT = 120.0
 

@@ -49,8 +49,8 @@ class TestServingConfig:
 
     def test_replace_returns_new_value(self):
         cfg = ServingConfig(num_workers=2)
-        other = cfg.replace(transport="shm", num_workers=3)
-        assert other.transport == "shm" and other.num_workers == 3
+        other = cfg.replace(transport="tcp", num_workers=3)
+        assert other.transport == "tcp" and other.num_workers == 3
         assert cfg.transport == "pipe" and cfg.num_workers == 2
 
     @pytest.mark.parametrize(
@@ -60,7 +60,7 @@ class TestServingConfig:
             {"transport": "carrier-pigeon"},
             {"hosts": 0},
             {"max_pending": 0},
-            {"ring_bytes": 0},
+            {"transport": "shm"},  # deleted in PR 22: rejected by name
         ],
     )
     def test_validation(self, kwargs):

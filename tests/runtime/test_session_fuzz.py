@@ -1,17 +1,18 @@
 """Seeded frame fuzzer over the serving fabric's wire formats.
 
-Every frame family the fabric parses — session frames (FHL1 hello,
-FHA1 ack, FPL1 plan, FBT1 batch, FCT1 control) and the boundary frames
-riding inside worker messages (ENV1 envelopes, FLT1 faults, TRC1
-traces) — is mutated under a fixed seed: flipped bytes, corrupted
-length prefixes, zeroed CRCs, swapped magics, truncations, junk tails,
-and CRC-*valid* malformed payloads (mutate, then re-frame).
+Every layout the fabric parses — session frames (FHL1 hello with its
+worker-config blob, FHA1 ack, FPL1 plan, FBT1 batch, FCT1 control), the
+worker message riding inside a batch (header and parts), and the
+boundary frames riding inside worker messages (ENV1 envelopes, FLT1
+faults, TRC1 traces) — is mutated under a fixed seed: flipped bytes,
+corrupted length prefixes, zeroed CRCs, swapped magics, truncations,
+junk tails, and CRC-*valid* malformed payloads (mutate, then re-frame).
 
 The invariant under test is the contract in ``docs/formats.md``: every
-mutation yields a **typed rejection** (:class:`WireFormatError` or one
-of the session-error types) **or a dropped session** — never a hung
-pump thread, never a dead host process, and never an unpickle of bytes
-whose CRC did not check out.
+mutation yields a **typed rejection** — :class:`WireFormatError` or a
+connection-level error, full stop — **or a dropped session**: never a
+hung pump thread, never a dead host process, and never a decode of
+bytes whose CRC did not check out.
 
 Tier-1 acceptance requires at least 500 seeded mutations; the counts
 below are asserted so a refactor cannot silently shrink the battery.
@@ -19,7 +20,6 @@ below are asserted so a refactor cannot silently shrink the battery.
 
 from __future__ import annotations
 
-import pickle
 import socket
 import struct
 import threading
@@ -30,48 +30,30 @@ import numpy as np
 import pytest
 
 from repro.ckks.serialization import WireFormatError, pack_frame
-from repro.runtime import CtSpec, compile_fn
-from repro.runtime.coordinator import (
+from repro.runtime import CtSpec, FaultAction, FaultPlan, compile_fn
+from repro.runtime import wire
+from repro.runtime.coordinator import _auth_client
+from repro.runtime.faults import WorkerCrash
+from repro.runtime.plan_io import serialize_plan
+from repro.runtime.telemetry import TraceContext
+from repro.runtime.wire import (
     SESSION_ACK_MAGIC,
     SESSION_BATCH_MAGIC,
     SESSION_CONTROL_MAGIC,
     SESSION_HELLO_MAGIC,
     SESSION_PLAN_MAGIC,
-    HostEnv,
-    _auth_client,
-    _decode_hello,
-    _encode_hello,
-    _session_loads,
-    decode_batch,
     recv_session_frame,
     send_session_frame,
-)
-from repro.runtime.executor import _decode_value, _WorkerConfig
-from repro.runtime.faults import WorkerCrash, deserialize_fault, serialize_fault
-from repro.runtime.plan_io import serialize_plan
-from repro.runtime.telemetry import (
-    TraceContext,
-    deserialize_trace_frame,
-    serialize_trace_context,
-    serialize_worker_spans,
 )
 from repro.runtime.worker_host import StandaloneWorkerHost
 
 # Exceptions that count as a *typed rejection*: exactly the set the
-# session loop treats as end-of-session (plus TimeoutError for reads
-# that outlive a dropped peer).  Anything else would kill a host.
-ALLOWED = (
-    WireFormatError,
-    ValueError,  # includes UnicodeDecodeError
-    struct.error,
-    KeyError,
-    IndexError,
-    EOFError,
-    ConnectionError,
-    OSError,
-    pickle.UnpicklingError,
-    TimeoutError,
-)
+# session loop treats as end-of-session — the decoders' one error type,
+# or the connection failing (ConnectionError / TimeoutError, both
+# OSErrors, for reads that outlive a dropped peer).  Anything else —
+# struct.error, KeyError, a bare ValueError — would be a decoder that
+# forgot a bounds check.
+ALLOWED = (WireFormatError, EOFError, OSError)
 
 N_DECODE_MUTATIONS = 520
 N_LIVE_MUTATIONS = 48
@@ -131,12 +113,21 @@ def fuzz_plan(rctx, rlk):
 
 
 def _worker_cfg(plan):
-    env = HostEnv(
+    env = wire.HostEnv(
         params=plan.evaluator.params, primes=tuple(plan.evaluator.basis.primes)
     )
-    return _WorkerConfig(
-        coeff_bits=0, io_s=0.0, fused=False, chaos=None, heartbeat_s=None, env=env
+    chaos = FaultPlan(
+        5,
+        crash_rate=0.25,
+        scripted={("host_relay", 1, 0): FaultAction("slow", "host_relay", 0.5)},
     )
+    return wire.WorkerConfig(
+        coeff_bits=0, io_s=0.0, fused=False, chaos=chaos, heartbeat_s=0.5, env=env
+    )
+
+
+def _reply_message() -> bytes:
+    return wire.encode_message(wire.OK, 7, 0, [b"payload-bytes" * 17])
 
 
 class TestDecodeFuzz:
@@ -146,45 +137,40 @@ class TestDecodeFuzz:
     the same payload decoder the host dispatch uses."""
 
     def _corpus(self, fuzz_plan):
-        hello = _encode_hello(True, fuzz_plan.signature, _worker_cfg(fuzz_plan))
-        reply = pickle.dumps(("ok", 7, 0, [b"payload-bytes" * 17], None))
-
-        def decode_hello(payload):
-            _decode_hello(payload)
+        hello = wire.encode_hello(True, fuzz_plan.signature, _worker_cfg(fuzz_plan))
 
         def decode_batch_entries(payload):
-            for _slot, msg_bytes in decode_batch(payload):
-                _session_loads(msg_bytes)
-
-        def decode_control(payload):
-            op = _session_loads(payload)
-            if not isinstance(op, tuple) or not op:
-                raise WireFormatError(f"malformed session control op {op!r}")
-
-        def decode_ack(payload):
-            struct.unpack_from("<BI", payload, 0)
+            for _slot, msg_bytes in wire.decode_batch(payload):
+                wire.decode_message(msg_bytes)
 
         return [
-            ("FHL1", pack_frame(SESSION_HELLO_MAGIC, hello), decode_hello),
+            ("FHL1", pack_frame(SESSION_HELLO_MAGIC, hello), wire.decode_hello),
             (
                 "FBT1",
                 pack_frame(
+                    SESSION_BATCH_MAGIC, wire.encode_batch([(3, _reply_message())])
+                ),
+                decode_batch_entries,
+            ),
+            (
+                # A heartbeat is header only, so a payload mutation
+                # lands in the batch entry or the message header.
+                "FBT1-header",
+                pack_frame(
                     SESSION_BATCH_MAGIC,
-                    struct.pack("<I", 1)
-                    + struct.pack("<II", 3, len(reply))
-                    + reply,
+                    wire.encode_batch([(3, wire.encode_message(wire.HEARTBEAT, 7, 1))]),
                 ),
                 decode_batch_entries,
             ),
             (
                 "FCT1",
-                pack_frame(SESSION_CONTROL_MAGIC, pickle.dumps(("spawn", 3))),
-                decode_control,
+                pack_frame(SESSION_CONTROL_MAGIC, wire.encode_control("spawn", 3)),
+                wire.decode_control,
             ),
             (
                 "FHA1",
-                pack_frame(SESSION_ACK_MAGIC, struct.pack("<BI", 1, 4321)),
-                decode_ack,
+                pack_frame(SESSION_ACK_MAGIC, wire.encode_ack(True, 4321)),
+                wire.decode_ack,
             ),
         ]
 
@@ -205,7 +191,7 @@ class TestDecodeFuzz:
         rng = np.random.default_rng(FUZZ_SEED)
         session_corpus = self._corpus(fuzz_plan)
         ran = 0
-        unpickled_bad_crc = 0
+        decoded_bad_crc = 0
         for _ in range(N_DECODE_MUTATIONS - 120):
             name, frame, decoder = session_corpus[
                 int(rng.integers(0, len(session_corpus)))
@@ -220,15 +206,15 @@ class TestDecodeFuzz:
             # CRC (identity, tail-junk after a full frame, or a
             # re-framed payload) — never a corrupt container.
             if not _crc_ok(mutant[: 12 + struct.unpack_from("<I", mutant, 4)[0]]):
-                unpickled_bad_crc += 1
+                decoded_bad_crc += 1
             try:
                 decoder(payload)
             except ALLOWED:
                 continue  # typed rejection at the payload layer
         assert ran == N_DECODE_MUTATIONS - 120
-        # The no-unpickle-of-unverified-bytes invariant: a frame whose
+        # The no-decode-of-unverified-bytes invariant: a frame whose
         # CRC does not check out never surfaces a payload.
-        assert unpickled_bad_crc == 0
+        assert decoded_bad_crc == 0
 
     def test_boundary_frame_mutations_reject_typed(self, rctx, fuzz_plan):
         from repro.ckks.serialization import serialize_ciphertext
@@ -237,17 +223,30 @@ class TestDecodeFuzz:
         env_frame = pack_frame(
             b"ENV1", serialize_ciphertext(rctx.encrypt(np.zeros(rctx.params.slots)), 44)
         )
-        flt_frame = serialize_fault(WorkerCrash("worker died", attempts=2))
+        flt_frame = wire.serialize_fault(WorkerCrash("worker died", attempts=2))
         trc_frames = [
-            serialize_trace_context(TraceContext(12345, 678, True)),
-            serialize_worker_spans([{"name": "op", "dur_us": 3}]),
+            wire.serialize_trace_context(TraceContext(12345, 678, True)),
+            wire.serialize_worker_spans([{"name": "op", "dur_us": 3}]),
         ]
         basis = rctx.evaluator.basis
         corpus = [
-            ("ENV1", env_frame, lambda blob: _decode_value(blob, basis)),
-            ("FLT1", flt_frame, lambda blob: deserialize_fault(blob)),
-            ("TRC1", trc_frames[0], deserialize_trace_frame),
-            ("TRC1", trc_frames[1], deserialize_trace_frame),
+            ("ENV1", env_frame, lambda blob: wire.decode_value(blob, basis)),
+            ("FLT1", flt_frame, wire.deserialize_fault),
+            ("TRC1", trc_frames[0], wire.deserialize_trace_frame),
+            ("TRC1", trc_frames[1], wire.deserialize_trace_frame),
+            # The two unframed layouts, mutated bare: the message
+            # (traced, so the part table is exercised too) and the
+            # hello's worker-config blob.
+            (
+                "message",
+                wire.encode_message(wire.ERR, 7, 2, [flt_frame], trc_frames[1]),
+                wire.decode_message,
+            ),
+            (
+                "config",
+                wire.encode_worker_config(_worker_cfg(fuzz_plan)),
+                wire.decode_worker_config,
+            ),
         ]
         ran = 0
         for _ in range(120):
@@ -284,8 +283,14 @@ class TestLiveHostFuzz:
         cfg = _worker_cfg(fuzz_plan)
         hello_frame = pack_frame(
             SESSION_HELLO_MAGIC,
-            _encode_hello(True, fuzz_plan.signature, cfg),
+            wire.encode_hello(True, fuzz_plan.signature, cfg),
         )
+        steady_frames = [
+            pack_frame(SESSION_CONTROL_MAGIC, wire.encode_control("spawn", 0)),
+            pack_frame(
+                SESSION_BATCH_MAGIC, wire.encode_batch([(0, _reply_message())])
+            ),
+        ]
         plan_frame = pack_frame(SESSION_PLAN_MAGIC, serialize_plan(fuzz_plan))
         deadline = time.monotonic() + 240
         try:
@@ -309,16 +314,10 @@ class TestLiveHostFuzz:
                             sock.sendall(_mutate(rng, plan_frame))
                         else:
                             # Plan cached from an earlier clean round:
-                            # fuzz the steady-state frames instead.
-                            sock.sendall(
-                                _mutate(
-                                    rng,
-                                    pack_frame(
-                                        SESSION_CONTROL_MAGIC,
-                                        pickle.dumps(("spawn", 0)),
-                                    ),
-                                )
-                            )
+                            # fuzz the steady-state frames instead (a
+                            # slot spawn, then a batch for that slot).
+                            for frame in steady_frames:
+                                sock.sendall(_mutate(rng, frame))
                     else:
                         # Raw seeded junk, no framing at all.
                         sock.sendall(rng.bytes(int(rng.integers(1, 512))))
@@ -348,7 +347,7 @@ class TestLiveHostFuzz:
                 if payload[0]:
                     sock.sendall(plan_frame)
                 send_session_frame(
-                    sock, SESSION_CONTROL_MAGIC, pickle.dumps(("bye",))
+                    sock, SESSION_CONTROL_MAGIC, wire.encode_control("bye")
                 )
             assert thread.is_alive()
         finally:

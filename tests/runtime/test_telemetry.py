@@ -17,13 +17,15 @@ from repro.runtime import (
     ServingConfig,
     ShardedExecutor,
     compile_fn,
-    deserialize_trace_frame,
     get_telemetry,
-    serialize_trace_context,
-    serialize_worker_spans,
 )
 from repro.runtime.chaos import FaultAction
 from repro.runtime.telemetry import Telemetry, TraceContext, WorkerSpanRecorder
+from repro.runtime.wire import (
+    deserialize_trace_frame,
+    serialize_trace_context,
+    serialize_worker_spans,
+)
 
 RESULT_TIMEOUT = 120.0
 

@@ -1,16 +1,14 @@
-"""Transport seam: shared-memory ring and TCP worker-host sessions.
+"""Transport seam: TCP worker-host sessions.
 
 Every transport must be *invisible* — bit-identical outputs, identical
 ordering, identical fault semantics — while differing only in how bytes
-cross the worker boundary.  These tests drive the shm and tcp
-implementations through the same serving surface the pipe transport
-uses, including host loss mid-batch and the seeded chaos matrix's
-``host_relay`` site.
+cross the worker boundary.  These tests drive the tcp implementation
+through the same serving surface the pipe transport uses, including
+host loss mid-batch and the seeded chaos matrix's ``host_relay`` site.
 """
 
 from __future__ import annotations
 
-import gc
 import multiprocessing as mp
 import os
 import signal
@@ -29,11 +27,11 @@ from repro.runtime import (
     FaultPolicy,
     ServingConfig,
     ShardedExecutor,
-    available_transports,
     compile_fn,
     get_telemetry,
     serve,
 )
+from repro.runtime.wire import WorkerConfig, available_transports
 
 RESULT_TIMEOUT = 120.0
 
@@ -76,49 +74,8 @@ def _batches(rctx, n, seed=9):
     ]
 
 
-def test_transport_registry_lists_all_three():
-    assert available_transports() == ("pipe", "shm", "tcp")
-
-
-class TestShmTransport:
-    def test_bit_identity_and_ring_traffic(self, rctx, fabric_plan):
-        batches = _batches(rctx, 5)
-        reference = fabric_plan.run_batch(batches)
-        cfg = ServingConfig(num_workers=2, transport="shm")
-        with ShardedExecutor(fabric_plan, config=cfg) as pool:
-            sharded = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
-            stats = pool.stats()
-            if not stats["inline"]:
-                assert stats["transport"] == "shm"
-                assert stats["transport_stats"]["live_rings"] == 2
-        _assert_batches_equal(sharded, reference)
-
-    def test_no_leaked_segments_after_close(self, rctx, fabric_plan):
-        # A crashed-then-replaced worker AND a clean close must both
-        # free their /dev/shm segments (each endpoint owns one ring).
-        def shm_names():
-            try:
-                return {n for n in os.listdir("/dev/shm")}
-            except FileNotFoundError:  # non-Linux: rings still close()
-                return set()
-
-        before = shm_names()
-        cfg = ServingConfig(num_workers=2, transport="shm")
-        pool = ShardedExecutor(fabric_plan, config=cfg)
-        pool.start()
-        pool.run_batch(_batches(rctx, 2), timeout=RESULT_TIMEOUT)
-        pool.close()
-        assert shm_names() - before == set()
-
-    def test_oversized_payload_falls_back_inline(self, rctx, fabric_plan):
-        # A ring too small for one ciphertext: every payload overflows
-        # and ships inline; results must still be bit-identical.
-        batches = _batches(rctx, 3, seed=11)
-        reference = fabric_plan.run_batch(batches)
-        cfg = ServingConfig(num_workers=2, transport="shm", ring_bytes=256)
-        with ShardedExecutor(fabric_plan, config=cfg) as pool:
-            sharded = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
-        _assert_batches_equal(sharded, reference)
+def test_transport_registry_lists_both():
+    assert available_transports() == ("pipe", "tcp")
 
 
 class TestTcpTransport:
@@ -236,17 +193,22 @@ class TestHostLoss:
             telemetry.disable()
 
 
+_BARE_CONFIG = WorkerConfig(
+    coeff_bits=0, io_s=0.0, fused=False, chaos=None, heartbeat_s=None
+)
+
+
 class TestSessionSecurity:
     """The session socket is loopback but loopback is multi-user: no
-    frame — hence no pickle — may be parsed from an unauthenticated
-    peer, and no hostile bytes may crash the host or allocate GiBs."""
+    frame may be parsed from an unauthenticated peer, and no hostile
+    bytes may crash the host or allocate GiBs."""
 
     @staticmethod
     def _bare_host(fabric_plan):
         from repro.runtime.coordinator import TcpTransport
 
         transport = TcpTransport(
-            mp.get_context("fork"), plan=fabric_plan, cfg=None
+            mp.get_context("fork"), plan=fabric_plan, cfg=_BARE_CONFIG
         )
         proc, port = transport._fork_host("sec-test")
         return transport, proc, port
@@ -289,7 +251,8 @@ class TestSessionSecurity:
     def test_unauthenticated_peer_disconnected_before_any_frame(
         self, fabric_plan
     ):
-        from repro.runtime.coordinator import _auth_client, _recv_exact
+        from repro.runtime.coordinator import _auth_client
+        from repro.runtime.wire import recv_exact
 
         transport, proc, port = self._bare_host(fabric_plan)
         try:
@@ -297,7 +260,7 @@ class TestSessionSecurity:
             # digest, and hangs up without parsing a single frame.
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
                 sock.settimeout(10)
-                nonce = _recv_exact(sock, 32)
+                nonce = recv_exact(sock, 32)
                 assert len(nonce) == 32
                 sock.sendall(b"\x00" * 64)
                 assert sock.recv(1) == b""
@@ -310,7 +273,7 @@ class TestSessionSecurity:
 
     def test_oversized_length_prefix_rejected_before_read(self):
         from repro.ckks.serialization import WireFormatError
-        from repro.runtime.coordinator import recv_session_frame
+        from repro.runtime.wire import recv_session_frame
 
         a, b = socket.socketpair()
         with a, b:
@@ -322,12 +285,12 @@ class TestSessionSecurity:
                 recv_session_frame(b)
 
     def test_malformed_frame_drops_session_not_host(self, fabric_plan):
-        from repro.runtime.coordinator import (
+        from repro.runtime.coordinator import _auth_client
+        from repro.runtime.wire import (
             SESSION_ACK_MAGIC,
             SESSION_BATCH_MAGIC,
-            _auth_client,
-            _encode_hello,
             SESSION_HELLO_MAGIC,
+            encode_hello,
             recv_session_frame,
             send_session_frame,
         )
@@ -338,12 +301,12 @@ class TestSessionSecurity:
                 sock.settimeout(10)
                 _auth_client(sock, transport._authkey)
                 send_session_frame(
-                    sock, SESSION_HELLO_MAGIC, _encode_hello(False, "", None)
+                    sock, SESSION_HELLO_MAGIC, encode_hello(False, "", _BARE_CONFIG)
                 )
                 tag, _ = recv_session_frame(sock)
                 assert tag == SESSION_ACK_MAGIC
                 # CRC-valid but malformed batch: count says one entry,
-                # payload ends before the entry header (struct.error).
+                # payload ends before the entry header.
                 send_session_frame(sock, SESSION_BATCH_MAGIC, struct.pack("<I", 1))
                 assert sock.recv(1) == b""  # session dropped…
             time.sleep(0.2)
@@ -355,33 +318,14 @@ class TestSessionSecurity:
             self._retire(transport, proc)
 
 
-class TestDropFinalizers:
-    def test_shm_transport_drop_without_close_unlinks_segments(self):
-        from repro.runtime.transport import ShmRing, ShmTransport
-
-        transport = ShmTransport(None, None, (), None, ring_bytes=4096)
-        ring = ShmRing(4096)
-        transport._rings.append(ring)
-        path = f"/dev/shm/{ring.name}"
-        if not os.path.exists(path):
-            pytest.skip("no observable /dev/shm on this platform")
-        # Dropped without close(): the transport's finalizer (over the
-        # concrete ring list — a weakref-to-self finalizer would see
-        # None and do nothing) must unlink the segment.
-        del ring
-        del transport
-        gc.collect()
-        assert not os.path.exists(path)
-
-
 class TestChaosMatrix:
-    @pytest.mark.parametrize("transport", ["shm", "tcp"])
+    @pytest.mark.parametrize("transport", ["tcp"])
     def test_seeded_chaos_completes_bit_identical(
         self, rctx, fabric_plan, transport
     ):
-        """The seeded matrix — worker crashes plus (for tcp) session
-        disconnects, partial frames, and slow relays — must finish every
-        request exactly once with byte-identical outputs."""
+        """The seeded matrix — worker crashes plus session disconnects,
+        partial frames, and slow relays — must finish every request
+        exactly once with byte-identical outputs."""
         batches = _batches(rctx, 8, seed=16)
         reference = fabric_plan.run_batch(batches)
         chaos = FaultPlan(

@@ -1,0 +1,285 @@
+"""``repro.runtime.wire`` — the one owner of every worker/session layout.
+
+Property round trips for each codec, the two structural pins behind
+"one owner" (no pickle and no object-channel ``send``/``recv`` anywhere
+under ``src/repro/runtime``; ``docs/formats.md``'s tables equal to the
+tables in code), and typed rejection of ill-typed worker configs.
+"""
+
+from __future__ import annotations
+
+import ast
+import importlib
+import json
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ckks import CkksContext, toy_params
+from repro.ckks.serialization import WireFormatError
+from repro.runtime import FaultAction, FaultPlan, wire
+
+ROOT = Path(__file__).resolve().parents[2]
+RUNTIME = ROOT / "src" / "repro" / "runtime"
+
+u32 = st.integers(0, 2**32 - 1)
+u64 = st.integers(0, 2**64 - 1)
+kinds = st.sampled_from(
+    [wire.REQUEST, wire.OK, wire.ERR, wire.HEARTBEAT, wire.SHUTDOWN]
+)
+part = st.binary(max_size=64 << 10)
+
+
+# ----------------------------------------------------------------------
+# Worker message
+# ----------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(kinds, u64, u32, st.lists(part, max_size=4))
+def test_message_round_trip_and_peek(kind, req_id, attempt, parts):
+    """0–4 parts of 0–64 KiB: the first is the trace part, the rest the
+    blobs; an empty trace part decodes as untraced; the peeked header is
+    the decoded one."""
+    trace, blobs = (parts[0] or None, tuple(parts[1:])) if parts else (None, ())
+    data = wire.encode_message(kind, req_id, attempt, blobs, trace)
+    msg = wire.decode_message(data)
+    assert msg == wire.Message(kind, req_id, attempt, blobs, trace)
+    assert wire.peek_message(data)[:3] == (msg.kind, msg.req_id, msg.attempt)
+    wire_parts = wire.peek_message(data)[3]
+    assert wire_parts == (1 + len(blobs) if (blobs or trace) else 0)
+
+
+def test_empty_trace_part_is_untraced():
+    traced = wire.encode_message(wire.REQUEST, 1, 0, [b"x"], b"")
+    untraced = wire.encode_message(wire.REQUEST, 1, 0, [b"x"], None)
+    assert traced == untraced
+    assert wire.decode_message(traced).trace is None
+    # No blobs and no trace: a header-only message (heartbeat, shutdown).
+    assert len(wire.encode_message(wire.HEARTBEAT, 9, 2)) == 15
+
+
+@pytest.mark.parametrize(
+    "mangle",
+    [
+        lambda d: d[:14],  # shorter than the header
+        lambda d: b"\x00" + d[1:],  # kind 0
+        lambda d: b"\x06" + d[1:],  # kind 6
+        lambda d: d[:-1],  # last part truncated
+        lambda d: d + b"\x00",  # trailing byte
+        lambda d: d[:1] + b"\xff\xff" + d[3:],  # part count past the data
+    ],
+)
+def test_malformed_message_is_a_wire_format_error(mangle):
+    data = wire.encode_message(wire.OK, 3, 1, [b"abc", b"defg"], b"trace")
+    with pytest.raises(WireFormatError):
+        wire.decode_message(mangle(data))
+
+
+# ----------------------------------------------------------------------
+# Session layouts
+# ----------------------------------------------------------------------
+
+
+@given(st.lists(st.tuples(u32, st.binary(max_size=2048)), max_size=8))
+def test_batch_round_trip(items):
+    assert wire.decode_batch(wire.encode_batch(items)) == items
+
+
+@given(
+    st.sampled_from(["spawn", "kill", "bye", "up", "down", "busy", "version"]),
+    u32,
+    u32,
+)
+def test_control_round_trip(op, a, b):
+    payload = wire.encode_control(op, a, b)
+    assert len(payload) == 9
+    assert wire.decode_control(payload) == (op, a, b)
+
+
+def test_control_rejects_unknown_op_and_wrong_length():
+    for bad in (b"\x00" * 9, b"\x08" + b"\x00" * 8, b"\x01" * 8, b"\x01" * 10):
+        with pytest.raises(WireFormatError):
+            wire.decode_control(bad)
+
+
+@given(st.booleans(), u32)
+def test_ack_and_host_report_round_trip(need_plan, pid):
+    assert wire.decode_ack(wire.encode_ack(need_plan, pid)) == (need_plan, pid)
+    assert wire.decode_host_report(wire.encode_host_report(pid, 7)) == (pid, 7)
+
+
+# ----------------------------------------------------------------------
+# Worker config
+# ----------------------------------------------------------------------
+
+rate = st.floats(0.0, 0.15)
+actions = st.none() | st.builds(
+    FaultAction,
+    st.sampled_from(["crash", "stop", "hang", "slow", "flip", "disconnect"]),
+    st.sampled_from(wire.SITES),
+    duration_s=st.floats(0.0, 5.0),
+    salt=st.integers(0, 2**31),
+)
+fault_plans = st.builds(
+    FaultPlan,
+    st.integers(-(2**63), 2**63),
+    crash_rate=rate,
+    slow_rate=rate,
+    reply_flip_rate=rate,
+    disconnect_rate=rate,
+    duplicate_rate=rate,
+    hang_s=st.floats(0.0, 60.0),
+    scripted=st.dictionaries(
+        st.tuples(st.sampled_from(wire.SITES), st.integers(0, 99), st.integers(0, 9)),
+        actions,
+        max_size=4,
+    ),
+)
+
+
+@pytest.fixture(scope="module")
+def host_env():
+    ctx = CkksContext.create(toy_params(degree=64, num_primes=3), seed=5)
+    return wire.HostEnv(ctx.params, tuple(ctx.basis.primes)), ctx
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 64),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.none() | fault_plans,
+    st.none() | st.floats(0.02, 1.0),
+    st.booleans(),
+)
+def test_worker_config_round_trip(
+    host_env, coeff_bits, io_s, fused, chaos, heartbeat_s, with_env
+):
+    env = host_env[0] if with_env else None
+    cfg = wire.WorkerConfig(coeff_bits, io_s, fused, chaos, heartbeat_s, env)
+    back = wire.decode_worker_config(wire.encode_worker_config(cfg))
+    assert back == cfg
+    hello = wire.decode_hello(wire.encode_hello(fused, "sig-é", cfg))
+    assert hello == (fused, "sig-é", cfg)
+
+
+def test_rebuilt_host_env_builds_the_same_evaluator(host_env):
+    env, ctx = host_env
+    scripted = {
+        ("host_relay", 2, 0): FaultAction("disconnect", "host_relay"),
+        ("pre_evaluate", 0, 1): None,  # pinned "no fault"
+    }
+    cfg = wire.WorkerConfig(
+        44, 0.0, True, FaultPlan(7, crash_rate=0.1, scripted=scripted), 0.25, env
+    )
+    back = wire.decode_worker_config(wire.encode_worker_config(cfg))
+    assert back.chaos == cfg.chaos and back.chaos.scripted == scripted
+    assert back.env == env
+    evaluator = back.env.build_evaluator()
+    assert evaluator.params == ctx.params
+    assert evaluator.basis.moduli == ctx.basis.moduli
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        lambda o: o.pop("fused"),  # missing key
+        lambda o: o.update(extra=1),  # unknown key
+        lambda o: o.update(coeff_bits="44"),  # wrong type
+        lambda o: o.update(coeff_bits=True),  # bool is not an int
+        lambda o: o.update(fused=1),  # int is not a bool
+        lambda o: o["chaos"].update(crash_rate=1.5),  # FaultPlan rejects
+        lambda o: o["chaos"].update(scripted=[[["pre_evaluate", 0], None]]),
+        lambda o: o["chaos"].update(scripted=[[[0, 0, 0], None]]),
+        lambda o: o["chaos"].update(scripted={"pre_evaluate": None}),
+        lambda o: o["env"]["params"].update(degree=100),  # not a power of two
+        lambda o: o["env"]["params"]["fp_format"].update(mantissa_bits=99),
+        lambda o: o["env"]["primes"][0].update(k_terms=[[1]]),
+        lambda o: o["env"].update(primes="nope"),
+    ],
+)
+def test_ill_typed_worker_config_is_a_wire_format_error(host_env, edit):
+    cfg = wire.WorkerConfig(44, 0.0, True, FaultPlan(1), None, host_env[0])
+    obj = json.loads(wire.encode_worker_config(cfg))
+    edit(obj)
+    with pytest.raises(WireFormatError):
+        wire.decode_worker_config(json.dumps(obj).encode())
+
+
+@pytest.mark.parametrize("blob", [b"", b"\xff\xfe", b"[1, 2]", b"{", b"[" * 100_000])
+def test_undecodable_worker_config_is_a_wire_format_error(blob):
+    with pytest.raises(WireFormatError):
+        wire.decode_worker_config(blob)
+
+
+# ----------------------------------------------------------------------
+# One owner
+# ----------------------------------------------------------------------
+
+
+def test_runtime_speaks_bytes_on_every_channel():
+    """No module under src/repro/runtime imports pickle, and none calls
+    ``.send(...)`` or a bare ``.recv()`` — the object-pickling half of a
+    ``multiprocessing`` connection; sockets use ``sendall`` /
+    ``recv(n)``, channels ``send_bytes`` / ``recv_bytes``."""
+    offenders = []
+    for path in sorted(RUNTIME.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            if any(name.split(".")[0] in ("pickle", "dill") for name in names):
+                offenders.append(f"{where}: imports pickle")
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "send":
+                    offenders.append(f"{where}: .send(...) pickles its argument")
+                if node.func.attr == "recv" and not node.args and not node.keywords:
+                    offenders.append(f"{where}: .recv() unpickles")
+    assert offenders == []
+
+
+def _doc_table(header_cell: str) -> list[list[str]]:
+    """Rows (cells stripped of backticks) of the docs/formats.md table
+    whose first header cell is ``header_cell``."""
+    lines = (ROOT / "docs" / "formats.md").read_text().splitlines()
+    start = next(
+        i for i, line in enumerate(lines) if re.match(rf"\|\s*{header_cell}\s*\|", line)
+    )
+    rows = []
+    for line in lines[start + 2 :]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip().strip("`") for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _resolve(dotted: str):
+    module, _, name = dotted.rpartition(".")
+    return getattr(importlib.import_module(module), name)
+
+
+def test_docs_magic_table_matches_code():
+    documented = {row[0].encode(): row[1] for row in _doc_table("Magic")}
+    assert documented == wire.MAGICS
+    for magic, constant in wire.MAGICS.items():
+        assert _resolve(constant) == magic
+
+
+def test_docs_version_table_matches_code():
+    rows = _doc_table("Family")
+    documented = {
+        family: tuple(int(v) for v in re.findall(r"\d+", reads))
+        for family, _constant, reads in rows
+    }
+    assert documented == wire.SUPPORTED_VERSIONS
+    for family, constant, _reads in rows:
+        assert _resolve(constant) == max(wire.SUPPORTED_VERSIONS[family])
+    assert wire.SESSION_VERSION == 2

@@ -11,9 +11,9 @@ on SIGTERM instead of dropping it.
 from __future__ import annotations
 
 import os
-import pickle
 import signal
 import socket
+import struct
 import subprocess
 import sys
 import threading
@@ -32,18 +32,23 @@ from repro.runtime import (
     compile_fn,
     serve,
 )
-from repro.runtime.coordinator import (
+from repro.runtime.coordinator import _auth_client, _auth_server
+from repro.runtime.plan_io import serialize_plan
+from repro.runtime.wire import (
     SESSION_ACK_MAGIC,
     SESSION_CONTROL_MAGIC,
+    SESSION_HELLO_MAGIC,
     SESSION_PLAN_MAGIC,
+    SESSION_VERSION,
     HostEnv,
-    _auth_client,
-    _encode_hello,
+    VersionMismatch,
+    WorkerConfig,
+    decode_control,
+    encode_control,
+    encode_hello,
     recv_session_frame,
     send_session_frame,
 )
-from repro.runtime.executor import _WorkerConfig
-from repro.runtime.plan_io import serialize_plan
 from repro.runtime.worker_host import (
     MIN_AUTHKEY_BYTES,
     StandaloneWorkerHost,
@@ -115,14 +120,14 @@ def _negotiate_session(port, authkey, host_plan):
         params=host_plan.evaluator.params,
         primes=tuple(host_plan.evaluator.basis.primes),
     )
-    cfg = _WorkerConfig(
+    cfg = WorkerConfig(
         coeff_bits=0, io_s=0.0, fused=False, chaos=None, heartbeat_s=None, env=env
     )
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     sock.settimeout(10)
     _auth_client(sock, authkey)
     send_session_frame(
-        sock, b"FHL1", _encode_hello(True, host_plan.signature, cfg)
+        sock, SESSION_HELLO_MAGIC, encode_hello(True, host_plan.signature, cfg)
     )
     tag, payload = recv_session_frame(sock)
     assert tag == SESSION_ACK_MAGIC
@@ -230,12 +235,11 @@ class TestSessionLifecycle:
                 _auth_client(second, key)
                 tag, payload = recv_session_frame(second)
                 assert tag == SESSION_CONTROL_MAGIC
-                op = pickle.loads(payload)
-                assert op[0] == "busy"
-                assert op[1] == os.getpid()  # the threaded host's pid
+                # (op, a=the threaded host's pid, b unused)
+                assert decode_control(payload) == ("busy", os.getpid(), 0)
                 assert second.recv(1) == b""  # then disconnected
             # The first session is untouched by the refusal.
-            send_session_frame(first, SESSION_CONTROL_MAGIC, pickle.dumps(("bye",)))
+            send_session_frame(first, SESSION_CONTROL_MAGIC, encode_control("bye"))
             assert thread.is_alive()
         finally:
             if first is not None:
@@ -249,12 +253,91 @@ class TestSessionLifecycle:
             for _ in range(2):  # the second attach proves the host stayed
                 sock = _negotiate_session(port, key, host_plan)
                 send_session_frame(
-                    sock, SESSION_CONTROL_MAGIC, pickle.dumps(("bye",))
+                    sock, SESSION_CONTROL_MAGIC, encode_control("bye")
                 )
                 sock.close()
             assert thread.is_alive()
         finally:
             _stop_host(host, thread)
+
+
+def _v1_hello(signature: str) -> bytes:
+    """The FHL1 payload a SESSION_VERSION 1 checkout sent: the same
+    head, then a *pickled* worker config (opaque here — a v2 host must
+    refuse on the version field without reading that far)."""
+    sig = signature.encode()
+    blob = b"\x80\x04N."  # pickle.dumps(None), spelled out
+    return (
+        struct.pack("<HBH", 1, 1, len(sig)) + sig + struct.pack("<I", len(blob)) + blob
+    )
+
+
+class TestVersionMismatch:
+    """Rule 2 of docs/formats.md "Versioning": a peer from another
+    checkout is rejected with an error naming both versions — in both
+    directions — never misparsed and never a bare closed socket."""
+
+    def test_host_refuses_a_v1_hello_naming_both_versions(self, tmp_path, host_plan):
+        _, key = _write_key(tmp_path)
+        host, port, thread = _threaded_host(key)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.settimeout(10)
+                _auth_client(sock, key)
+                send_session_frame(
+                    sock, SESSION_HELLO_MAGIC, _v1_hello(host_plan.signature)
+                )
+                tag, payload = recv_session_frame(sock)
+                assert tag == SESSION_CONTROL_MAGIC
+                assert decode_control(payload) == ("version", SESSION_VERSION, 1)
+                assert sock.recv(1) == b""  # then disconnected
+            # The refusal cost the host nothing: a v2 session attaches.
+            _negotiate_session(port, key, host_plan).close()
+            assert thread.is_alive()
+        finally:
+            _stop_host(host, thread)
+
+    def test_coordinator_names_both_versions_when_refused(self, tmp_path, host_plan):
+        """A v1 host cannot be run from this checkout, so stand one in:
+        authenticate, read the hello, answer as a host that speaks only
+        version 1 would under rule 2."""
+        keyfile, key = _write_key(tmp_path)
+        listener = socket.create_server(("127.0.0.1", 0))
+        port = listener.getsockname()[1]
+
+        def v1_host():
+            sock, _ = listener.accept()
+            with sock:
+                sock.settimeout(10)
+                assert _auth_server(sock, key)
+                tag, payload = recv_session_frame(sock)
+                assert tag == SESSION_HELLO_MAGIC
+                (peer_version,) = struct.unpack_from("<H", payload)
+                send_session_frame(
+                    sock,
+                    SESSION_CONTROL_MAGIC,
+                    encode_control("version", 1, peer_version),
+                )
+
+        thread = threading.Thread(target=v1_host, daemon=True)
+        thread.start()
+        cfg = ServingConfig(
+            num_workers=1,
+            transport="tcp",
+            hosts=(f"tcp://127.0.0.1:{port}",),
+            ship_plan=True,
+            authkey_file=keyfile,
+        )
+        try:
+            start = time.monotonic()
+            with pytest.raises(VersionMismatch, match=r"speaks 2.*speaks 1"):
+                serve(host_plan, cfg).start()
+            # Deterministic, so raised at once — not after the redial window.
+            assert time.monotonic() - start < 10
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert not thread.is_alive()
 
 
 class TestCliHostServing:
