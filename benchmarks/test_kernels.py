@@ -3,9 +3,10 @@
 These are the operations the accelerator replaces; their wall-clock times
 make the CPU bars of Fig. 5(a) tangible.  The reducer-backend benches are
 the software shadow of Table I: same math, different instruction mix —
-``generic-split`` pays six uint64 divisions per modular product, while
-``barrett``/``montgomery`` replace them with mul/shift/conditional-
-subtract pipelines (see ``repro.nums.kernels``).
+the seed's split product (``seed_mulmod_vec`` below, the denominator and
+nowhere else) pays six uint64 divisions, while ``barrett``/``montgomery``
+replace them with mul/shift/conditional-subtract pipelines (see
+``repro.nums.kernels``).
 """
 
 from __future__ import annotations
@@ -298,7 +299,7 @@ def test_barrett_speedup_vs_seed_path(report):
     ntt_speedup = t_seed_ntt / t_barrett_ntt
 
     report(
-        "Reducer-backend speedup vs seed generic-split path (barrett backend)",
+        "Reducer-backend speedup vs the seed split-and-divide path (barrett backend)",
         [
             f"mulmod 2^16:        seed {t_seed_mul*1e3:6.2f} ms   "
             f"barrett {t_barrett_mul*1e3:6.2f} ms   {mul_speedup:4.2f}x (target >= 2x)",

@@ -96,8 +96,7 @@ def main() -> None:
           f"{fstats['dispatch_count_fused']} fused "
           f"({fstats['fused_groups']} groups covering "
           f"{fstats['fused_nodes']} nodes); arena {fstats['arena_slots']} slots, "
-          f"peak {fstats['arena_peak_bytes'] / 1024:.0f} KiB "
-          f"[{fstats['array_backend']}]")
+          f"peak {fstats['arena_peak_bytes'] / 1024:.0f} KiB")
 
     # --- clients encrypt, then the streaming engine serves --------------
     # Each request: enter the bounded queue (backpressure at

@@ -6,28 +6,19 @@ reference model for the accelerator's modular-arithmetic hardware:
 * :mod:`repro.nums.primality` — deterministic Miller–Rabin;
 * :mod:`repro.nums.primegen` — NTT-friendly prime search (paper Eq. 8);
 * :mod:`repro.nums.modular` — exact scalar helpers on Python ints;
-* :mod:`repro.nums.kernels` — pluggable vectorized reducer backends
-  (``generic-split`` / ``barrett`` / ``montgomery``) with the registry
-  and the :class:`~repro.nums.kernels.ReducerSpec` Table I accounting;
-* :mod:`repro.nums.backend` — the array-namespace seam the kernels and
-  the fused plan replayer compute through (numpy default; any other
-  library is registered by the caller);
+* :mod:`repro.nums.kernels` — the two vectorized numpy reducer backends
+  (``barrett`` / ``montgomery``) with the registry and the
+  :class:`~repro.nums.kernels.ReducerSpec` Table I accounting;
 * :mod:`repro.nums.barrett` / :mod:`repro.nums.montgomery` — the three
   scalar reducer designs compared in Table I (exact-int references);
 * :mod:`repro.nums.crt` — RNS decompose / CRT combine.
 """
 
-from repro.nums.backend import (
-    ArrayNamespace,
-    get_array_namespace,
-    register_array_namespace,
-)
 from repro.nums.barrett import BarrettReducer
 from repro.nums.crt import CrtSystem
 from repro.nums.kernels import (
     REDUCER_SPECS,
     BarrettKernel,
-    GenericSplitKernel,
     MontgomeryKernel,
     ReducerKernel,
     ReducerSpec,
@@ -52,13 +43,9 @@ from repro.nums.primegen import NttFriendlyPrime, count_primes, find_primes, pri
 
 __all__ = [
     "REDUCER_SPECS",
-    "ArrayNamespace",
-    "get_array_namespace",
-    "register_array_namespace",
     "BarrettKernel",
     "BarrettReducer",
     "CrtSystem",
-    "GenericSplitKernel",
     "MontgomeryKernel",
     "MontgomeryReducer",
     "ReducerKernel",

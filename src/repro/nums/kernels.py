@@ -2,17 +2,13 @@
 
 The paper's central hardware argument (Section III, Table I) is that the
 choice of modular reducer dominates accelerator cost.  This module makes
-that choice a *software* knob as well: three interchangeable uint64 numpy
-kernels compute ``a * b mod q`` with identical results but very different
+that choice a *software* knob as well: two interchangeable uint64 numpy
+kernels compute ``a * b mod q`` with identical results but different
 instruction mixes, mirroring the area/pipeline trade-offs of the hardware
 candidates:
 
-* ``generic-split`` — the seed implementation: an 18-bit operand split
-  with six ``np.uint64 %`` divisions per multiply.  Correct and simple,
-  but integer division is the slowest ALU op on every ISA; kept as the
-  reference baseline.
 * ``barrett`` — quotient estimation by two shifted multiplications with a
-  per-prime precomputed ``mu = floor(2^{2r}/q)``; every ``%`` becomes
+  per-prime precomputed ``mu = floor(2^{2r}/q)``; every division becomes
   mul/shift/conditional-subtract (Table I row 1).
 * ``montgomery`` — word-size REDC with ``R = 2^64``; constants (twiddle
   tables, scalars) are kept in the Montgomery domain so each product
@@ -27,8 +23,8 @@ the RNS layers maintain that invariant, and ``reduce`` is available for
 values up to ``q^2``.  Two primitives defer reduction the way a hardware
 MAC datapath does: ``mul_pre_raw``, each backend's product *short of its
 conditional subtracts* (congruent mod ``q``, below ``RAW_BOUND * q``, for
-any first operand below ``raw_operand_limit``), which the batched NTT's
-butterflies sum; and ``mul_accumulate_rows``, the inner product of key
+any first operand below ``raw_operand_limit = 2^42``), which the batched
+NTT's butterflies sum; and ``mul_accumulate_rows``, the inner product of key
 switching and the fused plaintext MAC, which multiplies the halves of a
 split operand against plain residues — no per-backend constant form.
 
@@ -41,7 +37,6 @@ driven by the same data.
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import ClassVar
@@ -52,7 +47,6 @@ __all__ = [
     "ReducerSpec",
     "REDUCER_SPECS",
     "ReducerKernel",
-    "GenericSplitKernel",
     "BarrettKernel",
     "MontgomeryKernel",
     "KERNEL_LIMIT_BITS",
@@ -66,9 +60,9 @@ __all__ = [
     "using_backend",
 ]
 
-# Kernels accept moduli up to 41 bits: the generic-split path needs
-# a * b_hi < 2^64 with an 18-bit split, and Barrett's widened shifts assume
-# q^2 < 2^82.  The paper's 32–36-bit double-scale primes fit with margin.
+# Kernels accept moduli up to 41 bits: Barrett's widened shifts assume
+# q^2 < 2^82, and a 20-bit operand split keeps a * b_hi inside uint64.  The
+# paper's 32–36-bit double-scale primes fit with margin.
 KERNEL_LIMIT_BITS = 41
 
 _U64 = np.uint64
@@ -167,13 +161,13 @@ def ufunc_buffer():
         np.setbufsize(previous)
 
 
-def _csub(x: np.ndarray, q) -> np.ndarray:
+def _csub(x: np.ndarray, q, out=None) -> np.ndarray:
     """One conditional subtract: maps [0, 2q) into [0, q).
 
     Relies on wrap-around: when ``x < q`` the subtraction wraps to a huge
     value and the minimum keeps ``x``.
     """
-    return np.minimum(x, x - q)
+    return np.minimum(x, x - q, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -186,26 +180,25 @@ class ReducerKernel:
 
     ``moduli`` may be a Python int, or any uint64-convertible array whose
     shape broadcasts against the operand arrays (e.g. an ``(L, 1)`` column
-    against ``(L, N)`` residue matrices).  Subclasses add precomputed
-    per-modulus tables in ``_precompute``.
+    against ``(L, N)`` residue matrices).  A subclass is one word-size
+    reducer — a Table I row: it adds its per-modulus tables in
+    ``_precompute`` and its products (:meth:`mul`, :meth:`pre`,
+    :meth:`mul_pre`, :meth:`mul_pre_raw`).
 
     All operands are assumed canonical (``0 <= x < q`` elementwise) except
     where noted; outputs are always canonical.
     """
 
     name: ClassVar[str]
-    spec: ClassVar[ReducerSpec | None] = None
+    spec: ClassVar[ReducerSpec]
     #: :meth:`mul_pre_raw` returns values below ``RAW_BOUND * q``.
-    RAW_BOUND: ClassVar[int] = 1
+    RAW_BOUND: ClassVar[int]
+    #: Exclusive bound on :meth:`mul_pre_raw`'s first operand (which need
+    #: not be canonical): below it the partial products of a 41-bit
+    #: modulus stay inside uint64 and the ``RAW_BOUND`` holds.
+    raw_operand_limit: ClassVar[int] = 1 << 42
 
-    def __init__(self, moduli, xp=None) -> None:
-        from repro.nums.backend import get_array_namespace
-
-        #: The array namespace every vectorized op dispatches through
-        #: (numpy unless the caller — e.g. a fused replayer lowering for
-        #: an accelerator — asks otherwise).  Tables are precomputed on
-        #: the host and moved into the namespace once, at construction.
-        self.xp = get_array_namespace(xp)
+    def __init__(self, moduli) -> None:
         q = np.asarray(moduli, dtype=np.uint64)
         flat = [int(v) for v in np.atleast_1d(q).ravel()]
         for v in flat:
@@ -217,9 +210,6 @@ class ReducerKernel:
                     f"most {KERNEL_LIMIT_BITS} bits (paper uses 32–36-bit primes)"
                 )
         self.q = q
-        # Deferred-accumulation budgets, precomputed so the fused hot
-        # paths never touch host-side scalar reductions of (possibly
-        # device-resident) q.
         #: Canonical terms one deferred sum may hold before a partial
         #: reduce: it must fit uint64 and ``reduce``'s ``[0, q^2)`` domain.
         self.term_budget = min(((1 << 64) - 1) // max(max(flat) - 1, 1), min(flat))
@@ -229,28 +219,10 @@ class ReducerKernel:
         self.mac_split = (max(flat).bit_length() + 1) // 2
         term = (max(flat) - 1) * ((1 << self.mac_split) - 1)
         self.mac_budget = (min(1 << 64, min(flat) ** 2) - max(flat)) // term - 1
-        #: Exclusive bound on :meth:`mul_pre_raw`'s first operand (which
-        #: need not be canonical): below it every backend's partial
-        #: products stay inside uint64 and the ``RAW_BOUND`` holds.
-        self.raw_operand_limit = 1 << 42
         self._precompute()
-        if not self.xp.is_host:
-            self._move_tables()
 
-    def _precompute(self) -> None:  # pragma: no cover - overridden
-        pass
-
-    def _move_tables(self) -> None:
-        """Convert the moduli and every precomputed table into the active
-        array namespace (one-time device upload for non-numpy namespaces)."""
-        for attr, value in list(self.__dict__.items()):
-            if isinstance(value, np.ndarray):
-                setattr(self, attr, self.xp.asarray(value))
-
-    def _csub_into(self, x, q, out=None):
-        """One conditional subtract (see :func:`_csub`), namespace-routed,
-        optionally writing into a preallocated output buffer."""
-        return self.xp.minimum(x, x - q, out=out)
+    def _precompute(self) -> None:
+        raise NotImplementedError
 
     def _table(self, fn) -> np.ndarray:
         """Per-modulus precomputed table, shaped like ``self.q``.
@@ -276,13 +248,13 @@ class ReducerKernel:
 
         The returned array is in whatever internal form the backend
         multiplies fastest against (Montgomery domain for ``montgomery``,
-        plain residues otherwise).
+        the residues stacked on their Shoup pieces for ``barrett``).
         """
-        return self.xp.asarray(b, dtype=np.uint64)
+        raise NotImplementedError
 
     def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
         """``a * b mod q`` where ``b_pre`` came from :meth:`pre`."""
-        return self.mul(a, b_pre, out=out)
+        raise NotImplementedError
 
     def mul_accumulate(self, a: np.ndarray, b, axis: int = 0, out=None) -> np.ndarray:
         """Fused ``sum_t a[t] * b[t] mod q`` along ``axis`` — one reduction.
@@ -309,10 +281,9 @@ class ReducerKernel:
         given; ``work`` is scratch of the result's shape for a backend
         whose product has a full-size temporary (Barrett's quotient
         estimate), so a caller that passes both allocates nothing.
-        Neither may overlap ``a``.  The base class has nothing cheaper
-        than the canonical product.
+        Neither may overlap ``a``.
         """
-        return self.mul_pre(a, b_pre, out=out)
+        raise NotImplementedError
 
     def mul_accumulate_rows(self, rows, consts, outs=None, budget=None) -> list:
         """``outs[k] = sum_t rows[t] * consts[k][t] mod q`` — four plain
@@ -386,20 +357,20 @@ class ReducerKernel:
         the plan fusion pass collapse accumulation chains into one
         dispatch without perturbing ciphertext bytes.
         """
-        return self._accumulate(self.xp.asarray(terms, dtype=np.uint64), axis, out=out)
+        return self._accumulate(np.asarray(terms, dtype=np.uint64), axis, out=out)
 
     def _accumulate(self, prod: np.ndarray, axis: int, out=None) -> np.ndarray:
         """Sum canonical products along ``axis`` with deferred reduction."""
-        xp = self.xp
         headroom = self.term_budget
         terms = prod.shape[axis]
         if terms <= headroom:
-            acc = xp.add_reduce(prod, axis=axis)
+            acc = np.add.reduce(prod, axis=axis, dtype=np.uint64)
         else:  # pragma: no cover - needs > 2^23 digit rows
-            prod = xp.moveaxis(prod, axis, 0)
-            acc = xp.zeros(prod.shape[1:], dtype=np.uint64)
+            prod = np.moveaxis(prod, axis, 0)
+            acc = np.zeros(prod.shape[1:], dtype=np.uint64)
             for start in range(0, terms, headroom):
-                part = xp.add_reduce(prod[start : start + headroom], axis=0)
+                chunk = prod[start : start + headroom]
+                part = np.add.reduce(chunk, axis=0, dtype=np.uint64)
                 acc = self.add(self.reduce(acc), self.reduce(part))
         return self.reduce(acc, out=out)
 
@@ -422,25 +393,22 @@ class ReducerKernel:
 
     def add(self, a: np.ndarray, b, out=None) -> np.ndarray:
         """Elementwise modular addition (canonical in, canonical out)."""
-        xp = self.xp
-        a = xp.asarray(a, dtype=np.uint64)
-        b = xp.asarray(b, dtype=np.uint64)
-        return self._csub_into(a + b, self.q, out=out)
+        a = np.asarray(a, dtype=np.uint64)
+        b = np.asarray(b, dtype=np.uint64)
+        return _csub(a + b, self.q, out=out)
 
     def sub(self, a: np.ndarray, b, out=None) -> np.ndarray:
         """Elementwise modular subtraction (canonical in, canonical out)."""
-        xp = self.xp
-        a = xp.asarray(a, dtype=np.uint64)
-        b = xp.asarray(b, dtype=np.uint64)
+        a = np.asarray(a, dtype=np.uint64)
+        b = np.asarray(b, dtype=np.uint64)
         d = a - b  # wraps when a < b; then d + q is the canonical value
-        return xp.minimum(d, d + self.q, out=out)
+        return np.minimum(d, d + self.q, out=out)
 
     def neg(self, a: np.ndarray, out=None) -> np.ndarray:
         """Elementwise modular negation."""
-        xp = self.xp
-        a = xp.asarray(a, dtype=np.uint64)
+        a = np.asarray(a, dtype=np.uint64)
         # q - a is canonical except at a == 0, where 0 - a == 0 wins the min.
-        return xp.minimum(self.q - a, _U64(0) - a, out=out)
+        return np.minimum(self.q - a, _U64(0) - a, out=out)
 
     # -- reduction -----------------------------------------------------
 
@@ -452,50 +420,12 @@ class ReducerKernel:
         it and ``out`` the call allocates nothing.  ``out`` may be ``x``;
         the scratch may not overlap either.
         """
-        return self.xp.mod(self.xp.asarray(x, dtype=np.uint64), self.q, out=out)
+        return np.mod(np.asarray(x, dtype=np.uint64), self.q, out=out)
 
     # ------------------------------------------------------------------
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(q={np.atleast_1d(self.q).ravel().tolist()})"
-
-
-# ---------------------------------------------------------------------------
-# generic-split: the seed's division-based kernel, generalized to array q
-# ---------------------------------------------------------------------------
-
-
-class GenericSplitKernel(ReducerKernel):
-    """18-bit operand split with ``%`` reductions — the seed hot path.
-
-    No Table I row: this is a pure-software baseline no hardware designer
-    would build (division is neither cheap nor pipelinable), retained so
-    the speedup of the reducer-aware kernels stays measurable.
-    """
-
-    name = "generic-split"
-    spec = None
-
-    _SPLIT = _U64(18)
-    _SPLIT_MASK = _U64((1 << 18) - 1)
-
-    def _precompute(self) -> None:
-        # a * (b >> 18) must fit uint64: one bit short of the other
-        # backends' operand range at a 41-bit modulus.
-        bits = int(np.max(self.q)).bit_length()
-        self.raw_operand_limit = 1 << min(42, 82 - bits)
-
-    def mul(self, a: np.ndarray, b, out=None) -> np.ndarray:
-        q = self.q
-        xp = self.xp
-        a = xp.asarray(a, dtype=np.uint64)
-        b = xp.asarray(b, dtype=np.uint64)
-        b_hi = b >> self._SPLIT
-        b_lo = b & self._SPLIT_MASK
-        hi = (a * b_hi) % q
-        hi = (hi << self._SPLIT) % q
-        lo = (a * b_lo) % q
-        return xp.mod(hi + lo, q, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -555,13 +485,12 @@ class BarrettKernel(ReducerKernel):
         xs = (lo >> self._s1) | (hi << self._s1c)  # exact x >> (r-1), < 2^{r+1}
         q_est = ((xs * self._mu_hi) >> self._s3) + ((xs * self._mu_lo) >> self._s2)
         t = lo - q_est * self.q  # exact mod 2^64; true value in [0, 4q)
-        t = self._csub_into(t, self._q2)
-        return self._csub_into(t, self.q, out=out)
+        t = _csub(t, self._q2)
+        return _csub(t, self.q, out=out)
 
     def mul(self, a: np.ndarray, b, out=None) -> np.ndarray:
-        xp = self.xp
-        a = xp.asarray(a, dtype=np.uint64)
-        b = xp.asarray(b, dtype=np.uint64)
+        a = np.asarray(a, dtype=np.uint64)
+        b = np.asarray(b, dtype=np.uint64)
         if not self._wide:
             return self._reduce_wide(*_mul128_41(a, b), out=out)
         b_hi = b >> _SPLIT20
@@ -571,8 +500,8 @@ class BarrettKernel(ReducerKernel):
         xs = (p1 + (p0 >> _SPLIT20)) >> self._s4  # exact x >> (r-1)
         q_est = ((xs * self._mu_hi) >> self._s3) + ((xs * self._mu_lo) >> self._s2)
         t = a * b - q_est * self.q  # exact mod 2^64; true value in [0, 4q)
-        t = self._csub_into(t, self._q2)
-        return self._csub_into(t, self.q, out=out)
+        t = _csub(t, self._q2)  # rebinding frees the wider value first
+        return _csub(t, self.q, out=out)
 
     def reduce(self, x: np.ndarray, out=None, work=None) -> np.ndarray:
         # Single-word input: hi = 0, so _reduce_wide's (lo >> s1) | (hi <<
@@ -580,7 +509,7 @@ class BarrettKernel(ReducerKernel):
         # reduction (``work``, else allocated by their first op): a
         # block-sized operand then cycles 1.5 MB through the cache, not
         # the ten temporaries of the expression form.
-        x = self.xp.asarray(x, dtype=np.uint64)
+        x = np.asarray(x, dtype=np.uint64)
         est, low = (None, None) if work is None else work
         est = np.right_shift(x, self._s1, out=est)  # exact x >> (r-1)
         low = np.multiply(est, self._mu_lo, out=low)
@@ -605,21 +534,21 @@ class BarrettKernel(ReducerKernel):
         contributes < 1 to the quotient estimate, folded into the
         conditional-subtract budget.
         """
-        b = np.asarray(self.xp.to_numpy(b), dtype=np.uint64)
-        q_host = np.asarray(self.xp.to_numpy(self.q), dtype=np.uint64)
-        shape = np.broadcast_shapes(b.shape, np.shape(q_host))
-        step = 64 - int(q_host.max()).bit_length()
+        b = np.asarray(b, dtype=np.uint64)
+        q = self.q
+        shape = np.broadcast_shapes(b.shape, np.shape(q))
+        step = 64 - int(q.max()).bit_length()
         shoup = np.zeros(shape, dtype=np.uint64)
         rem = np.broadcast_to(b, shape)
         for done in range(0, 64, step):
             shift = _U64(min(step, 64 - done))
             rem = rem << shift
-            digit = rem // q_host
-            rem = rem - digit * q_host
+            digit = rem // q
+            rem = rem - digit * q
             shoup = (shoup << shift) | digit
         w2 = shoup >> _U64(43)
         w1 = (shoup >> _U64(22)) & _U64((1 << 21) - 1)
-        return self.xp.asarray(np.stack([np.broadcast_to(b, shape), w2, w1]))
+        return np.stack([np.broadcast_to(b, shape), w2, w1])
 
     def mul_pre_raw(
         self, a: np.ndarray, b_pre: np.ndarray, out=None, work=None
@@ -633,7 +562,7 @@ class BarrettKernel(ReducerKernel):
         product — the estimate (``work``) and the result (``out``) — each
         allocated by its first multiply when not given.
         """
-        a = self.xp.asarray(a, dtype=np.uint64)
+        a = np.asarray(a, dtype=np.uint64)
         w, w2, w1 = b_pre[0], b_pre[1], b_pre[2]
         q_est = np.multiply(a, w2, out=work)
         q_est >>= self._SHOUP_S2
@@ -647,8 +576,7 @@ class BarrettKernel(ReducerKernel):
 
     def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
         """``a * w mod q``: the raw product and the usual 2q/q cascade."""
-        t = self._csub_into(self.mul_pre_raw(a, b_pre), self._q2)
-        return self._csub_into(t, self.q, out=out)
+        return _csub(_csub(self.mul_pre_raw(a, b_pre), self._q2), self.q, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -702,34 +630,33 @@ class MontgomeryKernel(ReducerKernel):
 
     def _redc(self, hi: np.ndarray, lo: np.ndarray, out=None) -> np.ndarray:
         """REDC of a (hi, lo) value ``t < q * 2^64``: ``t * 2^-64 mod q``."""
-        return self._csub_into(self._redc_raw(hi, lo), self.q, out=out)
+        return _csub(self._redc_raw(hi, lo), self.q, out=out)
 
     def to_montgomery(self, a: np.ndarray) -> np.ndarray:
         """Map canonical residues into the Montgomery domain (``a * R mod q``)."""
-        a = self.xp.asarray(a, dtype=np.uint64)
+        a = np.asarray(a, dtype=np.uint64)
         return self._redc(*_mul128_41(a, self._r2))
 
     def from_montgomery(self, a_mont: np.ndarray) -> np.ndarray:
         """Map Montgomery-domain values back to canonical residues."""
-        a_mont = self.xp.asarray(a_mont, dtype=np.uint64)
-        return self._redc(self.xp.zeros_like(a_mont), a_mont)
+        a_mont = np.asarray(a_mont, dtype=np.uint64)
+        return self._redc(np.zeros_like(a_mont), a_mont)
 
     def mul(self, a: np.ndarray, b, out=None) -> np.ndarray:
-        a = self.xp.asarray(a, dtype=np.uint64)
-        b = self.xp.asarray(b, dtype=np.uint64)
+        a = np.asarray(a, dtype=np.uint64)
         return self._redc(*_mul128_41(a, self.to_montgomery(b)), out=out)
 
     def pre(self, b) -> np.ndarray:
-        return self.to_montgomery(self.xp.asarray(b, dtype=np.uint64))
+        return self.to_montgomery(b)
 
     def mul_pre_raw(
         self, a: np.ndarray, b_pre: np.ndarray, out=None, work=None
     ) -> np.ndarray:
-        a = self.xp.asarray(a, dtype=np.uint64)
+        a = np.asarray(a, dtype=np.uint64)
         return self._redc_raw(*_mul128_41(a, b_pre), out=out)
 
     def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
-        return self._csub_into(self.mul_pre_raw(a, b_pre), self.q, out=out)
+        return _csub(self.mul_pre_raw(a, b_pre), self.q, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -737,15 +664,13 @@ class MontgomeryKernel(ReducerKernel):
 # ---------------------------------------------------------------------------
 
 _BACKENDS: dict[str, type[ReducerKernel]] = {
-    GenericSplitKernel.name: GenericSplitKernel,
     BarrettKernel.name: BarrettKernel,
     MontgomeryKernel.name: MontgomeryKernel,
 }
 
-# Barrett is the default: it needs no domain bookkeeping and replaces every
-# division with mul/shift/csub — the biggest portable speed lever.  Override
-# process-wide with REPRO_REDUCER_BACKEND or set_default_backend().
-_DEFAULT_BACKEND = os.environ.get("REPRO_REDUCER_BACKEND", "barrett")
+# Barrett is the default: it needs no domain bookkeeping.  Override
+# process-wide with set_default_backend(), or in a scope with using_backend.
+_DEFAULT_BACKEND = BarrettKernel.name
 
 
 def available_backends() -> tuple[str, ...]:
@@ -766,11 +691,6 @@ def get_backend(name: str | None = None) -> type[ReducerKernel]:
 
 def default_backend_name() -> str:
     """The process-wide default backend name."""
-    if _DEFAULT_BACKEND not in _BACKENDS:
-        raise ValueError(
-            f"REPRO_REDUCER_BACKEND={_DEFAULT_BACKEND!r} is not one of "
-            f"{available_backends()}"
-        )
     return _DEFAULT_BACKEND
 
 
@@ -806,13 +726,9 @@ class using_backend:
         set_default_backend(self._previous)
 
 
-def make_kernel(moduli, backend: str | None = None, xp=None) -> ReducerKernel:
-    """Instantiate a kernel for a modulus (array) under a backend.
-
-    ``xp`` selects the array namespace (name or :class:`ArrayNamespace`)
-    the kernel computes on; ``None`` means numpy.
-    """
-    return get_backend(backend)(moduli, xp=xp)
+def make_kernel(moduli, backend: str | None = None) -> ReducerKernel:
+    """Instantiate a kernel for a modulus (array) under a backend."""
+    return get_backend(backend)(moduli)
 
 
 _SCALAR_KERNELS: dict[tuple[str, int], ReducerKernel] = {}

@@ -17,7 +17,10 @@ The basis is also the cache root for everything precomputable per prime:
 * ``batch_ntt(level)`` bundles the per-limb twiddles into one
   :class:`~repro.transforms.ntt.BatchNtt` so a full ``(L, N)`` polynomial
   transforms with one kernel dispatch per butterfly stage and block of
-  limb rows.
+  limb rows;
+* ``rescale_tables(level, times)`` holds what folding the last ``times``
+  primes out of a level needs besides the data: the kept rows' kernel,
+  the mixed-radix weights and the inverse of the dropped product.
 
 Caches are keyed by the active reducer backend, so switching backends
 (e.g. ``with using_backend("montgomery")``) is safe mid-process.
@@ -54,6 +57,9 @@ class RnsBasis:
         default_factory=dict, repr=False, compare=False, hash=False
     )
     _batch_ntt_cache: dict = field(
+        default_factory=dict, repr=False, compare=False, hash=False
+    )
+    _rescale_cache: dict = field(
         default_factory=dict, repr=False, compare=False, hash=False
     )
 
@@ -137,6 +143,33 @@ class RnsBasis:
             bat = BatchNtt.create(self.degree, self.moduli[:level])
             self._batch_ntt_cache[key] = bat
         return bat
+
+    def rescale_tables(self, level: int, times: int) -> tuple:
+        """``(kern, weights, inv_col)`` for dividing ``level`` limbs by
+        the last ``times`` primes (cached per level, times, backend):
+        ``kern`` covers the kept rows, ``weights[t]`` is ``q_{L-1} ...
+        q_{L-t}`` on them (the radix of mixed-radix digit ``t``) and
+        ``inv_col`` the inverse of the whole dropped product ``P``.
+        """
+        keep = level - times
+        if not 1 <= keep < level <= self.num_primes:
+            raise ValueError(
+                f"cannot rescale {times} primes from level {level} below one limb"
+            )
+        key = (level, times, default_backend_name())
+        tables = self._rescale_cache.get(key)
+        if tables is None:
+            kept = self.moduli[:keep]
+            weights = np.empty((times, keep, 1), dtype=np.uint64)
+            radix = 1
+            for t in range(times):
+                weights[t, :, 0] = [radix % q for q in kept]
+                radix *= self.moduli[level - 1 - t]
+            inv_col = np.array(
+                [pow(radix, -1, q) for q in kept], dtype=np.uint64
+            ).reshape(-1, 1)
+            tables = self._rescale_cache[key] = (self.kernel(keep), weights, inv_col)
+        return tables
 
     # ------------------------------------------------------------------
 

@@ -72,17 +72,45 @@ def signed_embedder(coeffs: np.ndarray, min_modulus: int):
 
 def _peel(basis: RnsBasis, block: np.ndarray, first: int, pivot: int, rows: slice) -> None:
     """One mixed-radix peel, in place: ``block[rows] = (block[rows] -
-    block[pivot]) * q_pivot^-1``, row ``r`` of ``block`` living on limb
-    ``first + r``.  Row ``pivot`` is the digit; ``rows`` loses it."""
+    block[pivot]) * q_pivot^-1``, row ``r`` of the ``(..., r, N)``
+    ``block`` living on limb ``first + r``.  Row ``pivot`` is the digit;
+    ``rows`` loses it."""
     kern = basis.kernel_range(first + rows.start, first + rows.stop)
     q_pivot = basis.moduli[first + pivot]
     inv = np.array(
         [pow(q_pivot, -1, q) for q in basis.moduli[first + rows.start : first + rows.stop]],
         dtype=np.uint64,
     ).reshape(-1, 1)
+    target = block[..., rows, :]
     # The digit is canonical for its own limb only: reduce it per target row.
-    digit = kern.reduce(np.broadcast_to(block[pivot], block[rows].shape))
-    kern.mul(kern.sub(block[rows], digit, out=digit), inv, out=block[rows])
+    digit = kern.reduce(np.broadcast_to(block[..., pivot, None, :], target.shape))
+    kern.mul(kern.sub(target, digit, out=digit), inv, out=target)
+
+
+def rescale_rows(basis: RnsBasis, coeff: np.ndarray, times: int) -> np.ndarray:
+    """Divide ``(..., L, N)`` coefficient-domain residues by the last
+    ``times`` primes of level ``L``: :meth:`RnsPolynomial.rescale` on the
+    bare matrix, any leading axes (a ciphertext's stacked parts) riding
+    along — the moduli columns broadcast against the trailing ``(rows,
+    N)`` dims, so each leading entry gets the bytes it would get alone.
+    """
+    *lead, lvl, n = coeff.shape
+    kern, weights, inv_col = basis.rescale_tables(lvl, times)
+    keep = lvl - times
+    # Mixed-radix digits of [x]_P, computed on the dropped tail block
+    # exactly as the sequential division would produce them.
+    block = coeff[..., keep:, :].copy()
+    digits = np.empty((*lead, times, n), dtype=np.uint64)
+    for t in range(times):
+        rows = times - 1 - t  # dropped rows still undivided
+        digits[..., t, :] = block[..., rows, :]
+        if rows:
+            _peel(basis, block, keep, rows, slice(0, rows))
+    # [x]_P mod q_i = sum_t (q_{L-1} ... q_{L-t}) * digit_t, one MAC.
+    wide = np.broadcast_to(digits[..., None, :], (*lead, times, keep, n))
+    remainder = kern.mul_accumulate(kern.reduce(wide), weights, axis=-3)
+    diff = kern.sub(coeff[..., :keep, :], remainder, out=remainder)
+    return kern.mul(diff, inv_col, out=diff)
 
 
 @dataclass
@@ -361,39 +389,8 @@ class RnsPolynomial:
         """
         if self.domain != COEFF:
             raise ValueError("rescale operates in the coefficient domain")
-        if not 1 <= times <= self.level - 1:
-            raise ValueError(
-                f"cannot rescale {times} primes from level {self.level} "
-                f"below one limb"
-            )
-        lvl = self.level
-        keep = lvl - times
-        n = self.degree
-        basis = self.basis
-        # Mixed-radix digits of [x]_P, computed on the dropped tail block
-        # exactly as the sequential division would produce them.
-        block = self.data[keep:].copy()
-        digits = np.empty((times, n), dtype=np.uint64)
-        for t in range(times):
-            rows = times - 1 - t  # dropped rows still undivided
-            digits[t] = block[rows]
-            if rows:
-                _peel(basis, block, keep, rows, slice(0, rows))
-        # [x]_P mod q_i = sum_t (q_{L-1} ... q_{L-t}) * digit_t, one MAC.
-        kern = self._kernel(keep)
-        kept_moduli = basis.moduli[:keep]
-        weights = np.empty((times, keep, 1), dtype=np.uint64)
-        radix = 1
-        for t in range(times):
-            weights[t, :, 0] = [radix % q for q in kept_moduli]
-            radix *= basis.moduli[lvl - 1 - t]
-        wide = np.broadcast_to(digits[:, np.newaxis, :], (times, keep, n))
-        remainder = kern.mul_accumulate(kern.reduce(wide), weights)
-        inv_col = np.array(
-            [pow(radix, -1, q_i) for q_i in kept_moduli], dtype=np.uint64
-        ).reshape(-1, 1)
-        diff = kern.sub(self.data[:keep], remainder)
-        return RnsPolynomial(self.basis, kern.mul(diff, inv_col), COEFF)
+        data = rescale_rows(self.basis, self.data, times)
+        return RnsPolynomial(self.basis, data, COEFF)
 
     # ------------------------------------------------------------------
     # Exact lifts

@@ -26,8 +26,7 @@ interpreter (the oracle), and ``plan.run_batch`` is the fused replayer —
 an arena-backed :class:`~repro.runtime.plan.FusedExecutor` that
 preassigns every intermediate to a slot in one preallocated pool and
 collapses elementwise/MAC/hoisted-rotation runs into single kernel
-dispatches, optionally on a non-numpy array namespace
-(:mod:`repro.nums.backend`);
+dispatches;
 :mod:`repro.runtime.bridge` converts traced plans into accelerator
 workload/queue form for scheduler experiments.
 
@@ -75,7 +74,7 @@ from repro.runtime.bridge import (
     plan_to_request_queue,
     plan_to_workload,
 )
-from repro.runtime.arena import ArenaLayout, ArenaStep, BufferArena
+from repro.runtime.arena import ArenaLayout, BufferArena
 from repro.runtime.chaos import FaultAction, FaultPlan
 from repro.runtime.executor import ShardedExecutor, WorkerError
 from repro.runtime.faults import (
@@ -88,12 +87,10 @@ from repro.runtime.faults import (
     WorkerCrash,
     WorkerHang,
 )
-from repro.runtime.graph import ELEMENTWISE_OPS, CtSpec, FusedGroup, Graph, Node, PtSpec
+from repro.runtime.graph import CtSpec, Graph, Node, PtSpec
 from repro.runtime.passes import (
     PlanValidationError,
     check_alignment,
-    eliminate_common_subexpressions,
-    eliminate_dead_nodes,
     fuse_rescales,
     fusion_groups,
     hoist_groups,
@@ -123,43 +120,27 @@ from repro.runtime.plan_io import (
     serialize_plan,
 )
 from repro.runtime.serving import ServingConfig, ServingSession, serve
-from repro.runtime.stream import RequestRecord, StreamingServer
+from repro.runtime.stream import StreamingServer
 from repro.runtime.transport import Transport
 from repro.runtime.telemetry import (
-    MetricGroup,
     Span,
     Telemetry,
     TraceContext,
     WorkerSpanRecorder,
     get_telemetry,
 )
-from repro.runtime.telemetry import now as monotonic_now
-from repro.runtime.trace import (
-    LazyCiphertext,
-    LazyDecomposed,
-    LazyEvaluator,
-    LazyPlaintext,
-    TraceError,
-    trace,
-)
+from repro.runtime.trace import LazyEvaluator, TraceError, trace
 
 __all__ = [
     "CtSpec",
     "PtSpec",
     "Graph",
     "Node",
-    "FusedGroup",
-    "ELEMENTWISE_OPS",
     "TraceError",
-    "LazyCiphertext",
-    "LazyPlaintext",
-    "LazyDecomposed",
     "LazyEvaluator",
     "trace",
     "PlanValidationError",
     "optimize",
-    "eliminate_common_subexpressions",
-    "eliminate_dead_nodes",
     "fuse_rescales",
     "fusion_groups",
     "hoist_groups",
@@ -167,7 +148,6 @@ __all__ = [
     "ExecutionPlan",
     "FusedExecutor",
     "ArenaLayout",
-    "ArenaStep",
     "BufferArena",
     "compile_fn",
     "compile_graph",
@@ -207,12 +187,9 @@ __all__ = [
     "ServingSession",
     "Transport",
     "StreamingServer",
-    "RequestRecord",
     "Telemetry",
     "TraceContext",
     "Span",
-    "MetricGroup",
     "WorkerSpanRecorder",
     "get_telemetry",
-    "monotonic_now",
 ]

@@ -140,22 +140,21 @@ class ArenaLayout:
 class BufferArena:
     """The preallocated pool an :class:`ArenaLayout` indexes into.
 
-    One contiguous ``(num_slots, level, degree)`` uint64 array, allocated
-    once on first :meth:`ensure` (in the layout's array namespace) and
-    reused for every subsequent replay.  ``allocations`` counts pool
+    One contiguous ``(num_slots, level, degree)`` uint64 numpy array,
+    allocated once on first :meth:`ensure` and reused for every
+    subsequent replay.  ``allocations`` counts pool
     allocations so tests can assert steady-state replay performs none.
     """
 
-    def __init__(self, layout: ArenaLayout, xp) -> None:
+    def __init__(self, layout: ArenaLayout) -> None:
         self.layout = layout
-        self.xp = xp
         self.pool = None
         self.allocations = 0
 
     def ensure(self):
         """Allocate the pool if needed; returns it (stable identity)."""
         if self.pool is None:
-            self.pool = self.xp.empty(
+            self.pool = np.empty(
                 (self.layout.num_slots, self.layout.level, self.layout.degree),
                 dtype=np.uint64,
             )

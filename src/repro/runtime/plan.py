@@ -19,10 +19,8 @@ ways:
   kernel dispatches; an :class:`~repro.runtime.arena.ArenaLayout`
   preassigns every intermediate to a slot in one preallocated
   ``(slots, L, N)`` pool, so steady-state replay performs zero
-  result-buffer allocations; and all array math goes through a
-  pluggable :class:`~repro.nums.backend.ArrayNamespace` resolved at
-  lower time (numpy unless the caller registered another).  Still the same
-  bits: every fused transformation rests on the uniqueness of canonical
+  result-buffer allocations.  Still the same bits: every fused
+  transformation rests on the uniqueness of canonical
   residues (deferred uint64 accumulation and pre-formed constant
   multiplies reproduce exact eager bytes).
   ``run_batch(..., fused=False)`` replays each entry through the
@@ -40,9 +38,9 @@ process (or one host) is reused by every other, trace -> load -> execute
 with the optimizer skipped.
 
 Process/fork contract (see ``docs/architecture.md``): the plan cache,
-each plan's :class:`FusedExecutor` per array-namespace name (arena pool,
-fused closures, and the per-key :meth:`SwitchingKey.stacked` tensors its
-first replay builds) and every constant they bind are process-local state
+each plan's :class:`FusedExecutor` (arena pool, fused closures, and the
+per-key :meth:`SwitchingKey.stacked` tensors its first replay builds) and
+every constant they bind are process-local state
 that forked serving workers inherit copy-on-write when the parent warms the
 replay before forking (``ShardedExecutor`` does); nothing in this module
 crosses the worker boundary except through :mod:`repro.runtime.plan_io`'s
@@ -65,9 +63,8 @@ import numpy as np
 
 from repro.ckks.containers import Ciphertext, Plaintext
 from repro.ckks.evaluator import SCALE_RTOL, Evaluator
-from repro.nums.backend import get_array_namespace
-from repro.nums.kernels import default_backend_name, make_kernel, ufunc_buffer
-from repro.rns.poly import EVAL, RnsPolynomial
+from repro.nums.kernels import default_backend_name, ufunc_buffer
+from repro.rns.poly import EVAL, RnsPolynomial, rescale_rows
 from repro.runtime.arena import ArenaLayout, ArenaStep, BufferArena
 from repro.runtime.graph import AUTOMORPHISM_OPS, CtSpec, Graph, Node, PtSpec
 from repro.runtime.passes import (
@@ -119,7 +116,7 @@ class ExecutionPlan:
     hoist: dict[int, tuple[int, ...]]
     _releases: list[tuple[int, ...]] = field(init=False, repr=False)
     _dec_done: dict[int, int] = field(init=False, repr=False)
-    _fused: dict = field(default_factory=dict, init=False, repr=False)
+    _fused: "FusedExecutor | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._releases = self._release_schedule()
@@ -156,7 +153,7 @@ class ExecutionPlan:
 
     def stats(self) -> dict:
         """Plan-shape and fused-replay statistics (lowers the fused
-        executor for the default array backend on first call)."""
+        executor on first call)."""
         ex = self.fused()
         fused_nodes = sum(len(g.members) for g in ex.groups)
         return {
@@ -168,7 +165,6 @@ class ExecutionPlan:
             "dispatch_count_fused": ex.dispatch_count,
             "arena_slots": ex.layout.num_slots,
             "arena_peak_bytes": ex.layout.pool_bytes,
-            "array_backend": ex.xp.name,
         }
 
     # ------------------------------------------------------------------
@@ -229,42 +225,29 @@ class ExecutionPlan:
     # Batch replay
     # ------------------------------------------------------------------
 
-    def run_batch(
-        self, batches, *, fused: bool = True, array_backend=None
-    ) -> list[list[Ciphertext]]:
+    def run_batch(self, batches, *, fused: bool = True) -> list[list[Ciphertext]]:
         """Replay the plan across many input tuples (throughput serving).
 
         ``batches`` is a sequence of input lists, each matching
         ``input_specs``; returns one output list per batch entry.  The
         replay goes through the :class:`FusedExecutor` — arena-backed
-        buffers, fused kernel dispatch, optionally on a non-default
-        array backend — lowered on first use and shared by every later
-        call.  ``fused=False`` replays each entry through :meth:`run`,
-        the interpreter oracle, instead; the bits are the same.
+        buffers, fused kernel dispatch — lowered on first use and shared
+        by every later call.  ``fused=False`` replays each entry through
+        :meth:`run`, the interpreter oracle, instead; the bits are the same.
         """
-        if fused or array_backend is not None:
-            return self.fused(array_backend).run_batch(batches)
+        if fused:
+            return self.fused().run_batch(batches)
         return [self.run(inputs) for inputs in batches]
 
     # ------------------------------------------------------------------
     # Fused executor
     # ------------------------------------------------------------------
 
-    def fused(self, array_backend=None) -> "FusedExecutor":
-        """The arena-backed fused replayer, lowered once per array backend.
-
-        ``array_backend`` is an array-namespace name (``"numpy"`` or
-        anything registered via
-        :func:`repro.nums.backend.register_array_namespace`) or an
-        :class:`~repro.nums.backend.ArrayNamespace`; ``None`` means
-        numpy.  Executors are cached per namespace name — the
-        same ``EPL1`` artifact replays anywhere without re-lowering.
-        """
-        xp = get_array_namespace(array_backend)
-        ex = self._fused.get(xp.name)
-        if ex is None:
-            ex = self._fused[xp.name] = FusedExecutor(self, array_backend=xp)
-        return ex
+    def fused(self) -> "FusedExecutor":
+        """The arena-backed fused replayer, lowered once and kept."""
+        if self._fused is None:
+            self._fused = FusedExecutor(self)
+        return self._fused
 
     # ------------------------------------------------------------------
     # Internals
@@ -316,65 +299,8 @@ class ExecutionPlan:
 
 
 # ---------------------------------------------------------------------------
-# Fused executor: arena buffers + fused kernel dispatch + array namespace
+# Fused executor: arena buffers + fused kernel dispatch
 # ---------------------------------------------------------------------------
-
-
-def _rescale_consts(basis, lvl: int, times: int):
-    """Everything :meth:`RnsPolynomial.rescale` recomputes per call,
-    resolved once at lower time: the per-digit tail kernels and inverses,
-    the mixed-radix weights, and the final ``P^{-1}`` column."""
-    keep = lvl - times
-    tail = []
-    for t in range(times):
-        rows = times - 1 - t
-        if rows:
-            bk = basis.kernel_range(keep, keep + rows)
-            q_d = basis.moduli[lvl - 1 - t]
-            inv = np.array(
-                [pow(q_d, -1, basis.moduli[keep + i]) for i in range(rows)],
-                dtype=np.uint64,
-            ).reshape(-1, 1)
-            tail.append((rows, bk, inv))
-        else:
-            tail.append((0, None, None))
-    kern = basis.kernel(keep)
-    kept = basis.moduli[:keep]
-    weights = np.empty((times, keep, 1), dtype=np.uint64)
-    radix = 1
-    for t in range(times):
-        weights[t, :, 0] = [radix % q for q in kept]
-        radix *= basis.moduli[lvl - 1 - t]
-    inv_col = np.array(
-        [pow(radix, -1, q) for q in kept], dtype=np.uint64
-    ).reshape(-1, 1)
-    return keep, tail, kern, weights, inv_col
-
-
-def _rescale_stack(coeff_all: np.ndarray, consts) -> np.ndarray:
-    """:meth:`RnsPolynomial.rescale` vectorized over a leading part axis.
-
-    ``coeff_all`` is ``(P, L, N)`` — all ciphertext parts stacked.  Every
-    kernel call below is the eager rescale's call on a leading-axis-
-    stacked operand: the moduli columns broadcast against the trailing
-    ``(rows, N)`` dims and the deferred accumulation sums the same terms,
-    so the result is bit-identical per part.
-    """
-    keep, tail, kern, weights, inv_col = consts
-    times = len(tail)
-    parts, _, n = coeff_all.shape
-    block = coeff_all[:, keep:, :].copy()
-    digits = np.empty((parts, times, n), dtype=np.uint64)
-    for t, (rows, bk, inv) in enumerate(tail):
-        digit = block[:, rows, :]
-        digits[:, t, :] = digit
-        if rows:
-            red = bk.reduce(np.broadcast_to(digit[:, None, :], (parts, rows, n)))
-            block[:, :rows, :] = bk.mul(bk.sub(block[:, :rows, :], red), inv)
-    wide = np.broadcast_to(digits[:, :, None, :], (parts, times, keep, n))
-    remainder = kern.mul_accumulate(kern.reduce(wide), weights, axis=1)
-    diff = kern.sub(coeff_all[:, :keep, :], remainder)
-    return kern.mul(diff, inv_col)
 
 
 # Every live fused executor, so a forked child can replace replay locks
@@ -391,9 +317,9 @@ os.register_at_fork(after_in_child=_fresh_replay_locks)
 
 
 class FusedExecutor:
-    """Arena-backed fused replayer for one plan on one array namespace.
+    """Arena-backed fused replayer for one plan.
 
-    Lowering (once per plan per namespace) runs :func:`fusion_groups`,
+    Lowering (once per plan) runs :func:`fusion_groups`,
     plans an :class:`ArenaLayout` over the *fused* schedule, allocates the
     buffer pool, and compiles every step into a closure that reads its
     operands from preassigned pool views and writes its result into its
@@ -404,10 +330,6 @@ class FusedExecutor:
     fused accumulations are exact by deferred-reduction canonicity (see
     :mod:`repro.runtime.passes`).
 
-    Array namespace: elementwise and accumulate steps run on ``xp``
-    (numpy by default; a registered namespace otherwise);
-    NTT-bound steps (key switching, rescale) stage through the host via
-    the namespace's exact uint64 ``to_numpy``/``from_numpy`` boundary.
     The executor (pool included) is per-process state — forked workers
     inherit it copy-on-write when the parent lowered before forking;
     nothing here crosses the worker boundary or the ``EPL1`` format.
@@ -417,15 +339,12 @@ class FusedExecutor:
     concurrent callers queue behind it and each gets its own bytes.
     """
 
-    def __init__(self, plan: ExecutionPlan, array_backend=None) -> None:
+    def __init__(self, plan: ExecutionPlan) -> None:
         self.plan = plan
-        self.xp = get_array_namespace(array_backend)
-        self._host = self.xp.is_host
         self._basis = plan.evaluator.basis
         # Key-switch steps run the eager engine's own decomposition and
-        # contraction on host arrays, so they mirror it bit for bit.
+        # contraction, so they mirror it bit for bit.
         self._engine = plan.evaluator.keyswitch
-        self._dkern_cache: dict[int, object] = {}
         self._replay_lock = threading.Lock()
         _LIVE_EXECUTORS.add(self)
         g = plan.graph
@@ -463,7 +382,7 @@ class FusedExecutor:
         self.layout = ArenaLayout.plan(
             arena_steps, g.outputs, level=level, degree=self._basis.degree
         )
-        self.arena = BufferArena(self.layout, self.xp)
+        self.arena = BufferArena(self.layout)
         self.arena.ensure()
         self._views = {
             nid: self.arena.views(nid, g.nodes[nid].level)
@@ -486,18 +405,16 @@ class FusedExecutor:
         telemetry = get_telemetry()
         self._telemetry = telemetry
         self._metrics = telemetry.group(
-            "fused", plan=plan.signature[:12], backend=self.xp.name
+            "fused", plan=plan.signature[:12]
         ).declare("replays", "dispatches")
         # Arena occupancy is plan metadata: publish it once as gauges so
         # the exporter sees the same numbers ``plan.stats()`` reports.
-        telemetry.gauge(
-            "fused_arena_slots", plan=plan.signature[:12], backend=self.xp.name
-        ).set(self.layout.num_slots)
-        telemetry.gauge(
-            "fused_arena_peak_bytes",
-            plan=plan.signature[:12],
-            backend=self.xp.name,
-        ).set(self.layout.pool_bytes)
+        telemetry.gauge("fused_arena_slots", plan=plan.signature[:12]).set(
+            self.layout.num_slots
+        )
+        telemetry.gauge("fused_arena_peak_bytes", plan=plan.signature[:12]).set(
+            self.layout.pool_bytes
+        )
         self._out_build = []
         for o in g.outputs:
             node = g.nodes[o]
@@ -541,7 +458,6 @@ class FusedExecutor:
             "fused_replay",
             category="replay",
             plan=self.plan.signature[:12],
-            backend=self.xp.name,
             arena_slots=self.layout.num_slots,
             arena_peak_bytes=self.layout.pool_bytes,
         )
@@ -564,50 +480,11 @@ class FusedExecutor:
                 outs.append(inputs[input_index])
                 continue
             parts = [
-                RnsPolynomial(basis, np.array(self._H(v), copy=True), EVAL)
+                RnsPolynomial(basis, v.copy(), EVAL)
                 for v in self._views[nid]
             ]
             outs.append(Ciphertext(parts=parts, scale=scale))
         return outs
-
-    # ------------------------------------------------------------------
-    # Namespace staging helpers
-    # ------------------------------------------------------------------
-
-    def _H(self, x):
-        """Host view of an array (identity on the numpy namespace)."""
-        return x if self._host else np.asarray(self.xp.to_numpy(x))
-
-    def _S(self, view, host_arr) -> None:
-        """Store a host result into a pool view."""
-        if self._host:
-            np.copyto(view, host_arr)
-        else:
-            self.xp.copyto(
-                view, self.xp.from_numpy(np.ascontiguousarray(host_arr))
-            )
-
-    def _dev(self, host_arr):
-        return host_arr if self._host else self.xp.asarray(host_arr)
-
-    def _add_into(self, kern, a, b, view) -> None:
-        if self._host:
-            kern.add(a, b, out=view)
-        else:
-            self._S(view, kern.add(a, b))
-
-    def _dkern(self, lvl: int):
-        """Kernel for fused elementwise steps, in the active namespace."""
-        if self._host:
-            return self._basis.kernel(lvl)
-        kern = self._dkern_cache.get(lvl)
-        if kern is None:
-            q_col = np.array(
-                self._basis.moduli[:lvl], dtype=np.uint64
-            ).reshape(-1, 1)
-            kern = make_kernel(q_col, self.plan.backend, xp=self.xp)
-            self._dkern_cache[lvl] = kern
-        return kern
 
     # ------------------------------------------------------------------
     # Lowering
@@ -648,8 +525,7 @@ class FusedExecutor:
             return self._lower_hoisted(grp)
         root = g.nodes[grp.anchor]
         lvl = root.level
-        dkern = self._dkern(lvl)
-        xp = self.xp
+        kern = self._basis.kernel(lvl)
         views = self._views[root.id]
         srcs = grp.sources
         if grp.kind == "mac":
@@ -658,16 +534,14 @@ class FusedExecutor:
             # multiply/add tree (see ReducerKernel.mul_accumulate_rows),
             # one reduction pair per part.
             diags = [
-                self._dev(
-                    g.consts[g.nodes[t].consts[0]].poly.drop_limbs(lvl).to_eval().data
-                )
+                g.consts[g.nodes[t].consts[0]].poly.drop_limbs(lvl).to_eval().data
                 for t in grp.payload
             ]
 
             def mac_step(env, inputs):
                 for i, v in enumerate(views):
                     rows = (env[s][i][:lvl] for s in srcs)
-                    dkern.mul_accumulate_rows(rows, (diags,), (v,))
+                    kern.mul_accumulate_rows(rows, (diags,), (v,))
 
             return mac_step
 
@@ -675,20 +549,20 @@ class FusedExecutor:
         # is bit-identical to the eager binary add tree (canonical residues
         # are unique; see ReducerKernel.add_accumulate); past the term
         # budget the partial sum is reduced in place and counts as one.
-        chunk = dkern.term_budget - 1
+        chunk = kern.term_budget - 1
         # Allocated once, at lower time: replays hold the replay lock and
         # the accumulator is dead when the step ends.
-        acc = xp.empty((lvl, self._basis.degree), dtype=np.uint64)
+        acc = np.empty((lvl, self._basis.degree), dtype=np.uint64)
 
         def sum_step(env, inputs):
             a_ = acc  # local alias: += must not rebind the closure cell
             for i, v in enumerate(views):
-                xp.copyto(a_, env[srcs[0]][i][:lvl])
+                np.copyto(a_, env[srcs[0]][i][:lvl])
                 for t in range(1, len(srcs)):
                     if t % chunk == 0:
-                        dkern.reduce(a_, out=a_)
+                        kern.reduce(a_, out=a_)
                     a_ += env[srcs[t]][i][:lvl]
-                dkern.reduce(a_, out=v)
+                kern.reduce(a_, out=v)
 
         return sum_step
 
@@ -696,7 +570,7 @@ class FusedExecutor:
         g = self.plan.graph
         src = grp.sources[0]
         lvl = g.nodes[src].level
-        hkern = self._basis.kernel(lvl)
+        kern = self._basis.kernel(lvl)
         two_n = 2 * self._basis.degree
         members_meta = [
             (
@@ -707,19 +581,15 @@ class FusedExecutor:
             for m in grp.members
         ]
 
-        host = self._host
         engine = self._engine
 
         def hoisted_step(env, inputs):
             parts = env[src]
-            p0 = self._H(parts[0][:lvl])
-            dec = engine.decompose_rows(self._H(parts[1][:lvl]))
+            p0 = parts[0][:lvl]
+            dec = engine.decompose_rows(parts[1][:lvl])
             for perm, key, mviews in members_meta:
-                out1 = mviews[1] if host else None
-                ks0, ks1 = engine.contract(dec, key, perm=perm, out1=out1)
-                self._add_into(hkern, p0[:, perm], ks0, mviews[0])
-                if not host:
-                    self._S(mviews[1], ks1)
+                ks0, _ = engine.contract(dec, key, perm=perm, out1=mviews[1])
+                kern.add(p0[:, perm], ks0, out=mviews[0])
 
         return hoisted_step
 
@@ -732,7 +602,6 @@ class FusedExecutor:
         """
         g = self.plan.graph
         op = node.op
-        xp = self.xp
         nid = node.id
         if op in ("input", "pt_input"):
             index = node.attrs[0]
@@ -744,18 +613,18 @@ class FusedExecutor:
                 return pt_step
 
             def input_step(env, inputs):
-                env[nid] = [self._dev(p.data) for p in inputs[index].parts]
+                env[nid] = [p.data for p in inputs[index].parts]
 
             return input_step
 
         views = self._views[nid]
         lvl = node.level
+        kern = self._basis.kernel(lvl)
         ids = node.inputs
         if op in ("add", "sub"):
             a, b = ids
             asize = g.nodes[a].size
             bsize = g.nodes[b].size
-            kern = self._dkern(lvl)
             is_sub = op == "sub"
 
             def add_step(env, inputs):
@@ -769,16 +638,15 @@ class FusedExecutor:
                         else:
                             kern.add(pa[i][:lvl], pb[i][:lvl], out=v)
                     elif i < asize:
-                        xp.copyto(v, pa[i][:lvl])
+                        np.copyto(v, pa[i][:lvl])
                     elif is_sub:
                         kern.neg(pb[i][:lvl], out=v)
                     else:
-                        xp.copyto(v, pb[i][:lvl])
+                        np.copyto(v, pb[i][:lvl])
 
             return add_step
         if op == "negate":
             (a,) = ids
-            kern = self._dkern(lvl)
 
             def neg_step(env, inputs):
                 pa = env[a]
@@ -788,7 +656,6 @@ class FusedExecutor:
             return neg_step
         if op == "multiply":
             a, b = ids
-            kern = self._dkern(lvl)
 
             def mul_step(env, inputs):
                 pa = env[a]
@@ -805,15 +672,14 @@ class FusedExecutor:
                 return self._lower_plain_fallback(node)
             (a,) = ids
             pt = g.consts[node.consts[0]]
-            m = self._dev(pt.poly.drop_limbs(lvl).to_eval().data)
-            kern = self._dkern(lvl)
+            m = pt.poly.drop_limbs(lvl).to_eval().data
             if op == "add_plain":
 
                 def addp_step(env, inputs):
                     pa = env[a]
                     kern.add(pa[0][:lvl], m, out=views[0])
                     for i in range(1, len(views)):
-                        xp.copyto(views[i], pa[i][:lvl])
+                        np.copyto(views[i], pa[i][:lvl])
 
                 return addp_step
 
@@ -828,54 +694,44 @@ class FusedExecutor:
         if op == "relinearize":
             (a,) = ids
             key = g.consts[node.consts[0]]
-            hkern = self._basis.kernel(lvl)
             engine = self._engine
 
             def relin_step(env, inputs):
                 parts = env[a]
-                ks0, ks1 = engine.contract(
-                    engine.decompose_rows(self._H(parts[2][:lvl])), key
-                )
-                self._add_into(hkern, self._H(parts[0][:lvl]), ks0, views[0])
-                self._add_into(hkern, self._H(parts[1][:lvl]), ks1, views[1])
+                ks0, ks1 = engine.contract(engine.decompose_rows(parts[2][:lvl]), key)
+                kern.add(parts[0][:lvl], ks0, out=views[0])
+                kern.add(parts[1][:lvl], ks1, out=views[1])
 
             return relin_step
         if op == "rescale":
             (a,) = ids
             times = node.attrs[0]
             lvl_in = g.nodes[a].level
-            consts = _rescale_consts(self._basis, lvl_in, times)
-            bat_in = self._basis.batch_ntt(lvl_in)
-            bat_out = self._basis.batch_ntt(lvl_in - times)
+            basis = self._basis
+            bat_in = basis.batch_ntt(lvl_in)
+            bat_out = basis.batch_ntt(lvl)
 
             def rescale_step(env, inputs):
-                stacked = np.stack([self._H(p[:lvl_in]) for p in env[a]])
-                res = _rescale_stack(bat_in.inverse(stacked), consts)
-                out = bat_out.forward(res)
+                stacked = np.stack([p[:lvl_in] for p in env[a]])
+                coeff = rescale_rows(basis, bat_in.inverse(stacked), times)
+                out = bat_out.forward(coeff)
                 for i, v in enumerate(views):
-                    self._S(v, out[i])
+                    np.copyto(v, out[i])
 
             return rescale_step
         if op in AUTOMORPHISM_OPS:
             (a,) = ids
             key = g.consts[node.consts[0]]
-            hkern = self._basis.kernel(lvl)
             perm = galois_permutation(
                 self._basis.degree, node.attrs[-1] % (2 * self._basis.degree)
             )
-
-            host = self._host
             engine = self._engine
 
             def galois_step(env, inputs):
                 parts = env[a]
-                dec = engine.decompose_rows(self._H(parts[1][:lvl]))
-                out1 = views[1] if host else None
-                ks0, ks1 = engine.contract(dec, key, perm=perm, out1=out1)
-                c0r = self._H(parts[0][:lvl])[:, perm]
-                self._add_into(hkern, c0r, ks0, views[0])
-                if not host:
-                    self._S(views[1], ks1)
+                dec = engine.decompose_rows(parts[1][:lvl])
+                ks0, _ = engine.contract(dec, key, perm=perm, out1=views[1])
+                kern.add(parts[0][:lvl][:, perm], ks0, out=views[0])
 
             return galois_step
         raise AssertionError(f"unschedulable op {op!r}")
@@ -895,14 +751,14 @@ class FusedExecutor:
         def plain_step(env, inputs):
             ct = Ciphertext(
                 parts=[
-                    RnsPolynomial(basis, self._H(part[:alvl]), EVAL)
+                    RnsPolynomial(basis, part[:alvl], EVAL)
                     for part in env[a]
                 ],
                 scale=scale,
             )
             res = method(ct, env[p])
             for i, v in enumerate(views):
-                self._S(v, res.parts[i].data)
+                np.copyto(v, res.parts[i].data)
 
         return plain_step
 

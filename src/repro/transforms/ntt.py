@@ -268,8 +268,9 @@ def _lazy_plans(kernel: ReducerKernel, moduli, stages: int, input_bound: int):
     Values are tracked as multiples of their own limb's modulus: ``c``
     means "every value of limb ``i`` is below ``c * q_i``".  A raw product
     (:meth:`~repro.nums.kernels.ReducerKernel.mul_pre_raw`) takes an
-    operand below ``kernel.raw_operand_limit`` and returns a value below
-    ``B * q`` (``B = RAW_BOUND``); ``reduce`` takes values below ``q^2``.
+    operand below ``raw_operand_limit`` (``2^42``, whatever the backend)
+    and returns a value below ``B * q`` (``B`` the backend's
+    ``RAW_BOUND``); ``reduce`` takes values below ``q^2``.
     Forward inputs are below ``input_bound`` on every limb; inverse inputs
     are canonical.
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, toy_params
+from repro.nums.kernels import available_backends
 
 
 class TestRoundtrip:
@@ -59,7 +60,7 @@ class TestStreamedEncrypt:
         v = v.to_eval()
         return v * enc.public_key.b + noisy, v * enc.public_key.a + e1.to_eval()
 
-    @pytest.mark.parametrize("backend", ["barrett", "montgomery", "generic-split"])
+    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("case", ["coeff", "eval", "below-plaintext-level"])
     def test_equals_composed_formula(self, case, backend, rng):
         from repro.ckks.containers import Plaintext

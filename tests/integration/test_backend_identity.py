@@ -2,7 +2,7 @@
 
 The reducer backends must be *semantically invisible*: running the same
 seeded encrypt -> multiply -> relinearize -> rescale -> decrypt pipeline
-under generic-split, Barrett, and Montgomery kernels has to produce
+under the Barrett and Montgomery kernels has to produce
 byte-identical ciphertexts at every stage and byte-identical decoded
 outputs.  This is the software analogue of the paper's Table I claim that
 the reducers differ in cost, not semantics.
@@ -11,7 +11,9 @@ The same holds for *how* the program runs: a parametrized grid —
 executor {interpreter, fused} x delivery/transport {in-process,
 fork-pipe, shipped-pipe, tcp-loopback, CLI remote host,
 hang-recovered} — pins every mode to the eager evaluator's bytes under
-each backend.
+each backend.  Two more programs — the fusion passes' heavier shapes, a
+hoisted rotation pair with a plaintext MAC and a dense BSGS transform —
+are held to the same bytes in process, interpreter and fused.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.ckks import CkksContext, toy_params
+from repro.ckks import CkksContext, HomomorphicLinearTransform, toy_params
 from repro.nums.kernels import available_backends, using_backend
 from repro.runtime import (
     CtSpec,
@@ -93,6 +95,45 @@ def _program(rlk, gks):
         rot = ev.rotate(a, 1, gks)
         prod = ev.multiply_relin_rescale(a, b, rlk)
         return rot, prod
+
+    return program
+
+
+def _rotate_mac_multiply(ctx):
+    """Two rotations of one source (a hoist group), a three-term plaintext
+    MAC (one fused accumulate) and multiply/relinearize/rescale."""
+    gks = ctx.galois_keys([1, 2], levels=[NUM_PRIMES])
+    rlk = ctx.relin_keys(levels=[NUM_PRIMES])
+    pts = [
+        ctx.encoder.encode(
+            np.full(ctx.params.slots, 0.2 * (i + 1)),
+            level=NUM_PRIMES,
+            scale=ctx.params.scale,
+        )
+        for i in range(3)
+    ]
+
+    def program(ev, x):
+        rot = ev.add(ev.rotate(x, 1, gks), ev.rotate(x, 2, gks))
+        mac = ev.add(
+            ev.add(ev.multiply_plain(x, pts[0]), ev.multiply_plain(x, pts[1])),
+            ev.multiply_plain(x, pts[2]),
+        )
+        return ev.multiply_relin_rescale(rot, x, rlk), mac
+
+    return program
+
+
+def _bsgs(ctx):
+    """A dense linear transform at the default baby/giant split: hoisted
+    baby rotations, giant rotations, one long plaintext MAC a giant step."""
+    slots = ctx.params.slots
+    matrix = np.random.default_rng(5).uniform(-1, 1, (slots, slots)) / slots
+    hlt = HomomorphicLinearTransform(ctx, matrix, level=NUM_PRIMES)
+    keys = ctx.galois_keys(hlt.required_rotations(), levels=[NUM_PRIMES])
+
+    def program(ev, x):
+        return (hlt.emit(ev, x, keys),)
 
     return program
 
@@ -215,6 +256,33 @@ def test_every_mode_is_byte_equal_to_eager(
                 f"{executor} over {delivery} diverged from eager at "
                 f"{name} part {i} under {backend}"
             )
+
+
+@pytest.mark.parametrize("build", [_rotate_mac_multiply, _bsgs], ids=["mac", "bsgs"])
+@pytest.mark.parametrize("backend", available_backends())
+def test_fused_shapes_are_byte_equal_to_eager(backend, build, pipelines):
+    """The programs the fusion passes rewrite most — hoisted rotations,
+    plaintext MACs, a whole BSGS transform — through the interpreter and
+    the fused replayer, against the eager evaluator."""
+    ctx, _, (ct, _), _, _ = pipelines[backend]
+    with using_backend(backend):
+        program = build(ctx)
+        eager = program(ctx.evaluator, ct)
+        spec = CtSpec(level=NUM_PRIMES, scale=ctx.params.scale)
+        plan = compile_fn(program, ctx.evaluator, [spec])
+        modes = {
+            "interpreter": plan.run([ct]),
+            "fused": plan.run_batch([[ct]], fused=True)[0],
+        }
+        stats = plan.stats()
+        assert stats["dispatch_count_fused"] < stats["nodes"]
+    for mode, got in modes.items():
+        for want, have in zip(eager, got, strict=True):
+            assert have.scale == want.scale
+            for i, part in enumerate(want.parts):
+                assert np.array_equal(part.data, have.parts[i].data), (
+                    f"{mode} diverged from eager at part {i} under {backend}"
+                )
 
 
 @pytest.mark.parametrize("backend", available_backends())

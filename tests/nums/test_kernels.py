@@ -9,6 +9,9 @@ and per-row matrix-moduli broadcasting.
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,8 +161,26 @@ class TestMatrixModuli:
 
 
 class TestRegistry:
-    def test_three_backends_registered(self):
-        assert set(BACKENDS) >= {"generic-split", "barrett", "montgomery"}
+    def test_backends_are_the_table1_reducers(self):
+        assert BACKENDS == ("barrett", "montgomery")
+        with pytest.raises(ValueError, match=r"\('barrett', 'montgomery'\)"):
+            get_backend("generic-split")
+
+    def test_numpy_is_the_array_library(self):
+        """No module under src/repro defines, passes or reads an ``xp`` /
+        ``array_backend`` parameter, variable or attribute: kernels and
+        the fused replayer compute on numpy arrays, full stop."""
+        seam = {"xp", "array_backend"}
+        offenders = []
+        src = Path(__file__).resolve().parents[2] / "src" / "repro"
+        for path in sorted(src.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = {
+                    getattr(node, field, None) for field in ("arg", "id", "attr")
+                }
+                if names & seam:
+                    offenders.append(f"{path.relative_to(src)}:{node.lineno}")
+        assert offenders == []
 
     def test_unknown_backend_raises(self):
         with pytest.raises(ValueError, match="unknown reducer backend"):
@@ -184,7 +205,7 @@ class TestRegistry:
             cls((1 << (KERNEL_LIMIT_BITS + 1)) + 1)
 
     def test_even_moduli_montgomery_only(self, rng):
-        # Only Montgomery needs odd q (for q^-1 mod 2^64); the others keep
+        # Only Montgomery needs odd q (for q^-1 mod 2^64); Barrett keeps
         # the legacy any-modulus contract.
         with pytest.raises(ValueError, match="odd"):
             get_backend("montgomery")(1 << 20)
@@ -192,8 +213,14 @@ class TestRegistry:
             a = rng.integers(0, q, 100).astype(np.uint64)
             b = rng.integers(0, q, 100).astype(np.uint64)
             expected = [int(x) * int(y) % q for x, y in zip(a, b)]
-            for name in ("barrett", "generic-split"):
-                assert make_kernel(q, name).mul(a, b).tolist() == expected, (name, q)
+            assert make_kernel(q, "barrett").mul(a, b).tolist() == expected, q
+
+    def test_hardware_spec_attached_to_kernels(self):
+        for name in BACKENDS:
+            cls = get_backend(name)
+            assert cls.spec is REDUCER_SPECS[name]
+            assert cls.raw_operand_limit == 1 << 42
+            assert make_kernel(PRIMES[41], name).raw_operand_limit == 1 << 42
 
     def test_specs_cover_table1(self):
         assert set(REDUCER_SPECS) == {"barrett", "montgomery", "ntt_friendly"}
@@ -201,10 +228,6 @@ class TestRegistry:
             assert spec.multiplier_equivalents > 0
             assert spec.pipeline_stages in (3, 4)
 
-    def test_hardware_spec_attached_to_kernels(self):
-        assert get_backend("barrett").spec is REDUCER_SPECS["barrett"]
-        assert get_backend("montgomery").spec is REDUCER_SPECS["montgomery"]
-        assert get_backend("generic-split").spec is None
 
 
 class TestMontgomeryDomain:
@@ -338,7 +361,7 @@ class TestRawProduct:
 
     def test_bounds_per_backend(self):
         bounds = {name: get_backend(name).RAW_BOUND for name in BACKENDS}
-        assert bounds == {"generic-split": 1, "montgomery": 2, "barrett": 4}
+        assert bounds == {"montgomery": 2, "barrett": 4}
 
 
 class TestRowAccumulate:

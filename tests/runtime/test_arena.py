@@ -5,13 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.runtime import (
-    ArenaLayout,
-    ArenaStep,
-    BufferArena,
-    CtSpec,
-    compile_fn,
-)
+from repro.runtime import ArenaLayout, BufferArena, CtSpec, compile_fn
+from repro.runtime.arena import ArenaStep
 
 
 def _spec(rctx, level=None):
@@ -101,9 +96,7 @@ class TestBufferArena:
             ArenaStep(produced=((1, 1),), consumed=(0,)),
         ]
         layout = ArenaLayout.plan(steps, (1,), level=4, degree=16)
-        from repro.nums.backend import get_array_namespace
-
-        arena = BufferArena(layout, get_array_namespace("numpy"))
+        arena = BufferArena(layout)
         pool = arena.ensure()
         assert arena.allocations == 1
         assert arena.ensure() is pool

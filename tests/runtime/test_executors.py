@@ -216,7 +216,7 @@ class TestFusedReplay:
         pair = [rctx.encrypt(rng.uniform(-1, 1, rctx.params.slots)) for _ in range(2)]
         want_prod, want_rot = program(rctx.evaluator, *pair)
         plan.run_batch([pair], fused=True)  # lower outside the race
-        executor = plan._fused["numpy"]
+        executor = plan.fused()
         unrelinearized = rctx.evaluator.multiply(*pair)
         problems: list[str] = []
         done = {"replay": 0, "rotate": 0}
@@ -288,7 +288,6 @@ class TestFusedReplay:
 
         plan = compile_fn(program, rctx.evaluator, [_spec(rctx)])
         assert plan.fused() is plan.fused()
-        assert plan.fused("numpy") is plan.fused()
 
 
 class TestDispatchCounts:

@@ -10,13 +10,15 @@ from repro.runtime import (
     CtSpec,
     PlanValidationError,
     check_alignment,
-    eliminate_common_subexpressions,
-    eliminate_dead_nodes,
     fuse_rescales,
     fusion_groups,
     hoist_groups,
     optimize,
     trace,
+)
+from repro.runtime.passes import (
+    eliminate_common_subexpressions,
+    eliminate_dead_nodes,
 )
 
 

@@ -13,7 +13,7 @@ from repro.nums.primegen import find_primes
 from repro.transforms.ntt import NttContext, negacyclic_mul_naive
 from repro.utils.bitops import bit_reverse
 
-PRIME = find_primes(36, 1 << 12)[0].value
+PRIME = find_primes(36, 1 << 12, max_count=1)[0].value
 LIMB_PRIMES = tuple(p.value for p in find_primes(36, 1 << 12, max_count=7))
 
 
@@ -162,7 +162,7 @@ class TestBatchedTensors:
     def test_leading_batch_axis_matches_per_matrix(self):
         from repro.transforms.ntt import BatchNtt
 
-        moduli = tuple(p.value for p in find_primes(36, 1 << 9)[:3])
+        moduli = tuple(p.value for p in find_primes(36, 1 << 9, max_count=3))
         bn = BatchNtt.create(64, moduli)
         rng = np.random.default_rng(2)
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
@@ -267,7 +267,7 @@ class TestBatchedTensors:
         # 36-bit primes under Barrett: 2 + 4 * 15 = 62 < 64 = 2^42 / 2^36,
         # so sixteen forward stages never renormalize; the inverse's sums
         # double and do, every fifth stage.
-        paper = BatchNtt.create(1 << 16, (find_primes(36, 1 << 16)[0].value,), "barrett")
+        paper = BatchNtt.create(1 << 16, (PAPER_PRIMES[0],), "barrett")
         assert not any(paper._forward_plan)
         assert [s for s, (first, _) in enumerate(paper._inverse_plan) if first] == [5, 10, 15]
         # A mixed toy chain has no such room (limb 0 must stay below 17^2
@@ -279,16 +279,18 @@ class TestBatchedTensors:
         want = np.stack([c.forward(row) for c, row in zip(refs, x)])
         assert np.array_equal(toy.forward(x), want)
         assert np.array_equal(toy.inverse(want), x % np.array([[17], [97]], dtype=np.uint64))
-        # generic-split's 18-bit split cannot take an unreduced 41-bit operand.
+        # Every reducer takes an unreduced 41-bit operand; a limb that
+        # cannot even hold another limb's residues below q^2 is refused.
         wide = find_primes(41, 64, max_count=1)[0].value
-        BatchNtt.create(64, (wide,), "barrett")
-        with pytest.raises(ValueError, match="no room for lazy butterflies"):
-            BatchNtt.create(64, (wide,), "generic-split")
+        for backend in available_backends():
+            BatchNtt.create(64, (wide,), backend)
+            with pytest.raises(ValueError, match="no room for lazy butterflies"):
+                BatchNtt.create(8, (17, 7681), backend)
 
     def test_bad_trailing_shape_rejected(self):
         from repro.transforms.ntt import BatchNtt
 
-        moduli = tuple(p.value for p in find_primes(36, 1 << 9)[:2])
+        moduli = tuple(p.value for p in find_primes(36, 1 << 9, max_count=2))
         bn = BatchNtt.create(64, moduli)
         with pytest.raises(ValueError, match="expected"):
             bn.forward(np.zeros((3, 64), dtype=np.uint64))
