@@ -16,20 +16,13 @@ per-request :class:`~repro.runtime.faults.WireCorruption`, never as a
 silent wrong answer or a dead worker.
 
 **Failure semantics** (see ``docs/architecture.md`` "Failure semantics"
-and :mod:`repro.runtime.faults`): the parent I/O loop enforces a
-:class:`~repro.runtime.faults.FaultPolicy` — per-request deadlines,
-heartbeat-based hang detection (a hung worker is SIGKILLed and replaced
-like a crashed one; a slow worker keeps heartbeating and is left alone),
-a retry budget with deterministic exponential backoff + jitter, and
-quarantine: a request that keeps killing workers fails *itself* with a
-typed :class:`~repro.runtime.faults.PoisonRequest` while the pool keeps
-serving everything else.  If replacement forks keep dying, the
-crash-loop breaker either fails outstanding requests loudly (default) or
-— with ``FaultPolicy(degrade_to_inline=True)`` — drains the queue
-through the inline single-process path with a warning instead of
-deadlocking.  Deterministic fault injection for all of these paths is
-provided by :class:`~repro.runtime.chaos.FaultPlan` via the ``chaos=``
-constructor knob.
+and :mod:`repro.runtime.faults`) are one pure state machine,
+:mod:`repro.runtime.policy`, enforcing the pool's
+:class:`~repro.runtime.faults.FaultPolicy` — deadlines, heartbeat-based
+hang detection, the retry budget and its backoff, quarantine, the
+crash-loop breaker and its degrade-or-stop choice; this module is its
+driver.  Every one of those paths is reachable deterministically:
+:class:`~repro.runtime.chaos.FaultPlan`, ``ServingConfig(chaos=...)``.
 
 ``ship_plan=True`` selects the **wire path** instead of the warm-fork
 path: the parent serializes the compiled plan once
@@ -42,13 +35,14 @@ stays cheaper on one host because workers inherit the fused replayer
 and stacked key tensors copy-on-write instead of rebuilding them.
 
 Topology: one duplex pipe per worker, at most one request in flight per
-worker, a single parent-side I/O thread multiplexing dispatch,
-collection, heartbeats, and timers with
-:func:`multiprocessing.connection.wait`.  Because the parent always
-knows which request (and which attempt) each worker holds, a crashed
-worker is detected by pipe EOF, its in-flight request is re-queued under
-the retry budget, and a replacement is forked — requests are never lost
-and never duplicated.
+worker, a single parent-side I/O thread waiting on every pipe, its
+mailbox and the next timer with :func:`multiprocessing.connection.wait`.
+That thread alone owns the pool's :class:`~repro.runtime.policy.PoolMachine`:
+it tells the machine what happened (``submit()`` / ``cancel()`` post
+events; a reply, a heartbeat, an EOF, a timer) and carries out the
+actions it answers with.  The machine knows which request (and which
+attempt) each worker holds, so a crashed worker — a pipe EOF — costs its
+request one attempt: requests are never lost and never duplicated.
 
 ``num_workers=0`` (or a platform without ``fork``) degrades to an inline
 executor that still routes every request through the serialization
@@ -68,13 +62,13 @@ keys, every warmed cache, and the (immutable) policy/chaos values;
 crossing the worker boundary — per-request ciphertexts/plaintexts always
 (``ENV1``-framed ``CTF2``/``PTX1``), typed failures as ``FLT1`` frames,
 the compiled plan itself only under ``ship_plan=True`` (``EPL1``);
-process-cached in the parent — request table, futures, retry/backoff
-schedule, and crash accounting.
+parent-only — the machine's request/worker tables, retry/backoff schedule
+and crash accounting (touched by the I/O thread only), and this driver's
+futures, spans, endpoints and processes.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import multiprocessing as mp
 import os
@@ -83,17 +77,16 @@ import threading
 import time
 import warnings
 from collections import deque
-from concurrent.futures import Future
+from concurrent.futures import Future, InvalidStateError
 from concurrent.futures import TimeoutError as _FuturesTimeout
+from contextlib import suppress
 from multiprocessing.connection import wait as connection_wait
 
 from repro.ckks.serialization import WireFormatError, wire_coeff_bits
 from repro.runtime import wire
 from repro.runtime.chaos import flip_frame_byte
 from repro.runtime.faults import (
-    DeadlineExceeded,
     FaultPolicy,
-    PoisonRequest,
     RequestError,
     WireCorruption,
     WorkerCrash,
@@ -103,6 +96,7 @@ from repro.runtime.faults import (
     serialize_fault,
 )
 from repro.runtime.plan import ExecutionPlan
+from repro.runtime.policy import PoolMachine
 from repro.runtime.serving import ServingConfig
 from repro.runtime.telemetry import (
     WorkerSpanRecorder,
@@ -275,74 +269,56 @@ def _worker_loop(plan: ExecutionPlan, conn, cfg: wire.WorkerConfig) -> None:
 
 
 class _Request:
-    __slots__ = (
-        "id",
-        "blobs",
-        "future",
-        "attempts",
-        "causes",
-        "deadline_at",
-        "submitted_at",
-        "first_dispatch_at",
-        "last_dispatch_at",
-        "cancelled",
-        "trace",
-        "root_span",
-        "attempt_span",
-        "backoff_from",
-    )
+    """What the driver keeps of one request: bytes, future, spans.  Where
+    it stands (queued, in flight, which attempt) is the machine's to know."""
 
-    def __init__(self, req_id: int, blobs, future: Future, deadline_at):
-        self.id = req_id
+    def __init__(self, blobs, future: Future, deadline_s, trace) -> None:
+        self.id: int | None = None  # minted when queued; inline requests have none
         self.blobs = blobs
         self.future = future
-        self.attempts = 0  # dispatches so far; attempt index is 0-based
-        self.causes: list[str] = []
-        self.deadline_at = deadline_at
-        self.submitted_at = time.monotonic()
-        self.first_dispatch_at: float | None = None
-        self.last_dispatch_at: float | None = None
-        self.cancelled = False
-        self.trace = None  # TraceContext spans parent under (None=untraced)
+        self.deadline_s = deadline_s
+        self.outputs = None  # the decoded reply, once one arrived intact
+        self.submitted_at = _mono()
+        self.sent_at: list[float] = []  # one per delivered attempt
+        # TraceContext spans parent under (None=untraced): the caller's, or
+        # the root this executor mints when the request is queued.
+        self.trace = trace if trace is not None and trace.sampled else None
         self.root_span = None  # executor-owned root handle, if we minted it
         self.attempt_span = None  # open span for the in-flight attempt
         self.backoff_from: float | None = None  # retry scheduled at (mono)
 
 
 class _Worker:
-    __slots__ = (
-        "endpoint",
-        "proc",
-        "conn",
-        "host",
-        "busy",
-        "busy_attempt",
-        "dispatched_at",
-        "last_beat",
-    )
-
     def __init__(self, endpoint):
         self.endpoint = endpoint
         self.proc = endpoint.proc
         self.conn = endpoint.conn
         self.host = endpoint.host
-        self.busy: int | None = None  # request id in flight, if any
-        self.busy_attempt = 0
-        self.dispatched_at = 0.0
-        self.last_beat = 0.0
+        self.dispatched_at = 0.0  # start of the attempt it is serving, if any
+
+    def __str__(self) -> str:  # how the machine names it in failure causes
+        return f"pid {self.proc.pid}"
 
 
-def _resolve(fut: Future, *, result=None, exc=None) -> None:
-    """Resolve a future exactly once; cancelled futures are left alone."""
-    if fut.done():
-        return
-    try:
-        if exc is not None:
-            fut.set_exception(exc)
-        else:
-            fut.set_result(result)
-    except Exception:  # noqa: BLE001 — lost a race with cancel()
-        pass
+# How a request ends, by ``Finish.status``: the counters bumped, the
+# fault-taxonomy event recorded; the status also closes the attempt span (if
+# open) and the root span.  ``degraded`` is no ending: served in-process, the
+# request then ends ``ok`` or ``error``; ``cancelled`` is counted by ``cancel()``.
+_ENDINGS: dict[str, tuple[tuple[str, ...], str | None]] = {
+    "ok": (("completed",), None),
+    "error": (("errors",), None),
+    "deadline": (("deadline_failures", "errors"), "deadline_failure"),
+    "poisoned": (("poisoned", "errors"), "quarantine"),
+    "breaker": ((), None),
+    "closed": ((), None),
+    "cancelled": ((), None),
+}
+
+# Retiring a worker as ``crash`` / ``hang`` is a fault too: counter, event, class.
+_WORKER_FAULTS = {
+    "crash": ("worker_crashes", "worker_crash", WorkerCrash),
+    "hang": ("hang_kills", "hang_kill", WorkerHang),
+}
 
 
 class ShardedExecutor:
@@ -352,9 +328,8 @@ class ShardedExecutor:
         plan: the compiled :class:`ExecutionPlan` every worker replays.
         num_workers: pool size; ``0`` selects the inline (single-process)
             fallback that still crosses the serialization boundary.
-        policy: the :class:`~repro.runtime.faults.FaultPolicy` enforced by
-            the parent I/O loop (deadlines, hang detection, retry budget,
-            quarantine, breaker behaviour).
+        policy: the :class:`~repro.runtime.faults.FaultPolicy` the pool's
+            :class:`~repro.runtime.policy.PoolMachine` enforces.
         chaos: optional :class:`~repro.runtime.chaos.FaultPlan` consulted
             at the documented hook points for deterministic fault
             injection (tests/benches only; ``None`` in production).
@@ -387,12 +362,10 @@ class ShardedExecutor:
         self.num_workers = num_workers
         self.ship_plan = cfg.ship_plan
         self.fused = cfg.fused
-        self.policy = (
-            cfg.fault_policy if cfg.fault_policy is not None else FaultPolicy()
-        )
+        self.policy = cfg.fault_policy or FaultPolicy()
         self.chaos = cfg.chaos
         self._plan_blob: bytes | None = None
-        self._coeff_bits = cfg.coeff_bits or wire_coeff_bits(plan.evaluator.basis)
+        self._coeff_bits = wire_coeff_bits(plan.evaluator.basis)
         self._io_s = float(cfg.modeled_request_io_s)
         self._max_crashes = (
             cfg.max_crash_respawns
@@ -411,22 +384,19 @@ class ShardedExecutor:
         self._ctx = None if self._inline else mp.get_context("fork")
         self._workers: list[_Worker] = []
         self._io_thread: threading.Thread | None = None
-        self._stop = threading.Event()
         self._lock = threading.Lock()
-        self._pending: deque[int] = deque()
-        self._delayed: list[tuple[float, int]] = []  # (ready_at, req_id) heap
-        self._requests: dict[int, _Request] = {}
-        self._consecutive_crashes = 0
-        self._degraded = False
-        self._has_deadlines = self.policy.deadline_s is not None
+        # The I/O thread's mailbox, its machine, and the requests the
+        # machine has not finished yet: once started, that thread's alone.
+        self._events: deque = deque()
+        self._machine: PoolMachine | None = None
+        self._live: dict[int, _Request] = {}
+        self._pending = 0  # the machine's, as of the I/O thread's last sleep
         self._req_ids = itertools.count()
         self._started = False
         # Single source of truth for pool accounting: a telemetry counter
         # group (unique per pool instance); stats() stays a dict view.
         self._telemetry = get_telemetry()
-        self._m = self._telemetry.group(
-            "executor", pool=str(next(_POOL_IDS))
-        ).declare(
+        self._m = self._telemetry.group("executor", pool=str(next(_POOL_IDS))).declare(
             "submitted",
             "completed",
             "errors",
@@ -467,11 +437,12 @@ class ShardedExecutor:
             if self._started or self._inline:
                 self._started = True
                 return self
-            self._stop.clear()
+            self._machine = PoolMachine(self.policy, self._max_crashes)
             self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
             self._transport = self._make_transport()
             for _ in range(self.num_workers):
-                self._workers.append(self._spawn())
+                self._workers.append(_Worker(self._transport.spawn()))
+                self._machine.spawned(_mono(), self._workers[-1])
             self._io_thread = threading.Thread(
                 target=self._io_loop, name="sharded-executor-io", daemon=True
             )
@@ -483,29 +454,23 @@ class ShardedExecutor:
         """Stop the pool; outstanding futures fail.  Idempotent, and loud
         (warns with pids) when a worker has to be escalated or leaks
         instead of joining."""
-        if self._inline or not self._started:
+        # The I/O thread fails what is outstanding and exits on this event.  An
+        # inline pool, one never started, a second close(): nobody to post to.
+        if not self._post("close"):
             self._started = False
             return
-        self._started = False  # flip first: a second close() is a no-op
-        self._stop.set()
-        self._wake()
-        if self._io_thread is not None:
-            self._io_thread.join(timeout=5.0)
-            if self._io_thread.is_alive():
-                warnings.warn(
-                    "ShardedExecutor I/O thread failed to stop within 5s",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            self._io_thread = None
+        self._io_thread.join(timeout=5.0)
+        if self._io_thread.is_alive():
+            warnings.warn(
+                "ShardedExecutor I/O thread failed to stop within 5s",
+                RuntimeWarning,
+                stacklevel=2,
+            )
         for worker in self._workers:
-            try:
+            with suppress(OSError):  # a dead pipe: that worker is gone already
                 worker.conn.send_bytes(wire.encode_message(wire.SHUTDOWN))
-            except (BrokenPipeError, OSError):
-                pass
-        escalated: list[int] = []
-        leaked: list[int] = []
-        for worker in self._workers:
+        escalated, leaked = [], []  # pids
+        for worker in list(self._workers):
             worker.proc.join(timeout=2.0)
             if worker.proc.is_alive():
                 worker.proc.terminate()
@@ -516,26 +481,19 @@ class ShardedExecutor:
                 # or the transport's kill-slot escalation) is the only
                 # path guaranteed to reap it.
                 escalated.append(worker.proc.pid)
-                worker.endpoint.kill()
-                worker.proc.join(timeout=1.0)
+            self._do_kill(worker, "closed", None, kill=worker.proc.is_alive())
             if worker.proc.is_alive():
                 leaked.append(worker.proc.pid)
-            worker.conn.close()
-        if escalated:
-            warnings.warn(
-                f"ShardedExecutor.close(): worker(s) failed to join and were "
-                f"SIGKILLed: pids {escalated}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if leaked:
-            warnings.warn(
-                f"ShardedExecutor.close(): worker(s) leaked (still alive after "
-                f"SIGKILL): pids {leaked}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        self._workers.clear()
+        for pids, what in (
+            (escalated, "failed to join and were SIGKILLed"),
+            (leaked, "leaked (still alive after SIGKILL)"),
+        ):
+            if pids:
+                warnings.warn(
+                    f"ShardedExecutor.close(): worker(s) {what}: pids {pids}",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
         # Transport teardown frees everything workers rode on — sockets
         # and host processes.  Transports also register atexit/finalize
         # hooks, so even a run that never reaches this line cannot leak
@@ -544,19 +502,8 @@ class ShardedExecutor:
             self._transport.close()
             self._transport = None
         for pipe_end in (self._wake_r, self._wake_w):
-            try:
+            with suppress(OSError):
                 pipe_end.close()
-            except OSError:
-                pass
-        with self._lock:
-            requests = list(self._requests.values())
-            self._requests.clear()
-            self._pending.clear()
-            self._delayed.clear()
-        for req in requests:
-            self._close_attempt(req, "closed")
-            self._finish_trace(req, "closed")
-            _resolve(req.future, exc=RuntimeError("executor closed"))
 
     def __enter__(self) -> "ShardedExecutor":
         return self.start()
@@ -565,12 +512,26 @@ class ShardedExecutor:
         self.close()
 
     # ------------------------------------------------------------------
-    # Submission
+    # Submission (any thread)
     # ------------------------------------------------------------------
 
-    def submit(
-        self, inputs, *, deadline_s: float | None = None, trace=None
-    ) -> Future:
+    def _post(self, kind: str, payload=None, mint=None) -> bool:
+        """Hand one event to the I/O thread, the machine's only owner
+        (``False``: no pool is running to read it).  ``mint`` runs under the
+        lock, so request ids, trace ids and queue order agree under concurrent
+        submitters; ``close`` ends ``_started`` there: nothing queues behind it."""
+        with self._lock:
+            if self._inline or not self._started:
+                return False
+            if mint is not None:
+                mint()
+            self._events.append((kind, payload))
+            self._started = kind != "close"
+        with suppress(OSError):
+            self._wake_w.send_bytes(b"x")
+        return True
+
+    def submit(self, inputs, *, deadline_s: float | None = None, trace=None) -> Future:
         """Queue one plan replay; resolves to its output ciphertexts.
 
         ``deadline_s`` bounds the request's *total* time in the engine
@@ -585,39 +546,34 @@ class ShardedExecutor:
         """
         if not self._started:
             self.start()
-        if not self._inline and not self._degraded and self._stop.is_set():
-            # The pool exceeded its crash budget and shut itself down;
-            # fail fast instead of queueing requests nobody will serve.
+        # ``mode``: the one thing read off the machine from outside its thread,
+        # a plain attribute (an inline pool has no machine).
+        mode = getattr(self._machine, "mode", None)
+        if mode == "stopped":
+            # The pool exceeded its crash budget and shut itself down: fail fast
+            # (a submit that raced the breaker is failed by the machine).
             raise RuntimeError("executor stopped (crash budget exceeded)")
         blobs = [wire.encode_value(v, self._coeff_bits) for v in inputs]
-        fut: Future = Future()
-        if self._inline or self._degraded:
-            self._run_inline(blobs, fut, trace=trace)
-            return fut
-        deadline = deadline_s if deadline_s is not None else self.policy.deadline_s
-        deadline_at = None if deadline is None else time.monotonic() + deadline
-        with self._lock:
-            req_id = next(self._req_ids)
-            fut.request_id = req_id
+        req = _Request(blobs, Future(), deadline_s, trace)
+        if self._inline or mode == "degraded":
             self._m.inc("submitted")
-            req = _Request(req_id, blobs, fut, deadline_at)
-            # Trace minting happens under the lock so trace ids follow
-            # request ids deterministically under concurrent submitters.
-            if trace is not None and trace.sampled:
-                req.trace = trace
-            else:
+            self._serve_inline(req)
+            return req.future
+
+        def mint() -> None:
+            req.id = req.future.request_id = next(self._req_ids)
+            self._m.inc("submitted")
+            if req.trace is None:
                 root = self._telemetry.start_trace(
-                    "request", category="serve", request=req_id
+                    "request", category="serve", request=req.id
                 )
                 if root:
                     req.root_span = root
                     req.trace = root.ctx
-            self._requests[req_id] = req
-            self._pending.append(req_id)
-            if deadline_at is not None:
-                self._has_deadlines = True
-        self._wake()
-        return fut
+
+        if not self._post("submit", req, mint):
+            raise RuntimeError("executor closed")
+        return req.future
 
     def cancel(self, fut: Future) -> bool:
         """Cancel one submitted request.
@@ -628,20 +584,11 @@ class ShardedExecutor:
         healthy.  Returns whether the future was cancelled.
         """
         req_id = getattr(fut, "request_id", None)
-        if req_id is None:
+        if req_id is None or fut.cancelled() or not fut.cancel():
             return False
-        with self._lock:
-            req = self._requests.get(req_id)
-            if req is None or req.cancelled:
-                return False
-            in_flight = any(w.busy == req_id for w in self._workers)
-            req.cancelled = True
-            if not in_flight:
-                self._requests.pop(req_id, None)
-            self._m.inc("cancelled")
-        self._close_attempt(req, "cancelled")
-        self._finish_trace(req, "cancelled")
-        return fut.cancel()
+        self._m.inc("cancelled")  # here, so it shows once this returns
+        self._post("cancel", req_id)
+        return True
 
     def run_batch(
         self, batches, timeout: float | None = None, *, deadline_s: float | None = None
@@ -659,38 +606,32 @@ class ShardedExecutor:
         remains fully serviceable for the next batch.
         """
         futures = [self.submit(entry, deadline_s=deadline_s) for entry in batches]
-        budget = None if timeout is None else time.monotonic() + timeout
-        results = []
+        budget = None if timeout is None else _mono() + timeout
         try:
-            for fut in futures:
-                remaining = None if budget is None else budget - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    raise _FuturesTimeout()
-                results.append(fut.result(timeout=remaining))
+            return [
+                fut.result(None if budget is None else max(0.0, budget - _mono()))
+                for fut in futures
+            ]
         except (_FuturesTimeout, TimeoutError):
-            dropped = sum(
-                1 for f in futures if not f.done() and self.cancel(f)
-            )
+            dropped = sum(1 for f in futures if not f.done() and self.cancel(f))
             raise TimeoutError(
                 f"run_batch timed out after {timeout:g}s; cancelled {dropped} "
                 "outstanding request(s) (queued dropped, in-flight drained); "
                 "the pool remains serviceable"
             ) from None
-        return results
 
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
 
     def stats(self) -> dict:
-        with self._lock:
-            out = self._m.to_dict()  # view over the telemetry registry
-            out["pending"] = len(self._pending) + len(self._delayed)
+        out = self._m.to_dict()  # view over the telemetry registry
+        out["pending"] = self._pending
         out["num_workers"] = self.num_workers
         out["inline"] = self._inline
         out["plan_wire"] = self._plan_blob is not None
         out["fused"] = self.fused
-        out["degraded"] = self._degraded
+        out["degraded"] = getattr(self._machine, "mode", None) == "degraded"
         out["transport"] = self.config.transport
         transport = self._transport
         if transport is not None:
@@ -701,44 +642,76 @@ class ShardedExecutor:
         return [w.proc.pid for w in self._workers]
 
     # ------------------------------------------------------------------
-    # Inline / degraded path
+    # The one ending of a request, and the in-process way to serve one
     # ------------------------------------------------------------------
 
-    def _run_inline(self, blobs, fut: Future, trace=None) -> None:
+    def _finish(self, req: _Request, status: str, attempts: int, causes=(), error=None):
+        """End ``req`` as ``status``.  Every ending goes through here:
+        counters, event, spans, then the future — exactly once."""
+        counters, event = _ENDINGS[status]
+        for name in counters:
+            self._m.inc(name)
+        if event is not None:
+            self._telemetry.event(
+                event,
+                request=req.id,
+                attempts=attempts,
+                code=error.code,
+                causes=len(causes),
+            )
+        self._close_attempt(req, status)
+        if req.root_span is not None:
+            # Ours to close only because this executor minted it (a
+            # caller-provided trace context is closed by the caller).
+            req.root_span.end(status=status)
+        fut = req.future
+        fut.attempts = attempts
+        if status == "ok":  # latency the retries added: first -> last dispatch
+            fut.retry_s = req.sent_at[-1] - req.sent_at[0] if req.sent_at else 0.0
+        with suppress(InvalidStateError):  # cancelled by its owner: left alone
+            if error is not None:
+                fut.set_exception(error)
+            else:
+                fut.set_result(req.outputs)
+
+    def _serve_inline(self, req: _Request) -> None:
+        """Serve ``req`` in this process, through the same codec: all an
+        inline pool does, and a degraded one — on the submitter's thread, but
+        what the breaker found outstanding: the I/O thread drains those, each
+        under its own trace."""
         basis = self.plan.evaluator.basis
-        self._m.inc("submitted")
-        if trace is not None and trace.sampled:
+        if req.trace is not None:
             span = self._telemetry.child_span(
-                "inline_evaluate", trace, category="serve"
+                "inline_evaluate", req.trace, category="serve"
             )
         else:
             span = self._telemetry.start_trace("inline_evaluate", category="serve")
         try:
             if self._io_s:  # parity with the worker-side link model
                 time.sleep(self._io_s)
-            inputs = [wire.decode_value(b, basis) for b in blobs]
+            inputs = [wire.decode_value(b, basis) for b in req.blobs]
             outputs = self.plan.run_batch([inputs], fused=self.fused)[0]
-            round_tripped = [
+            req.outputs = [
                 wire.decode_value(wire.encode_value(o, self._coeff_bits), basis)
                 for o in outputs
             ]
+            error = None
         except Exception as exc:  # noqa: BLE001 — mirror the pool contract
-            span.end(status="error")
-            self._m.inc("errors")
-            fut.attempts = 1
-            _resolve(
-                fut, exc=RequestError(f"{type(exc).__name__}: {exc}", attempts=1)
-            )
-            return
-        span.end(status="ok")
-        self._m.inc("completed")
-        fut.attempts = 1
-        fut.retry_s = 0.0
-        _resolve(fut, result=round_tripped)
+            error = RequestError(f"{type(exc).__name__}: {exc}", attempts=1)
+        status = "ok" if error is None else "error"
+        span.end(status=status)
+        self._finish(req, status, 1, error=error)
 
     # ------------------------------------------------------------------
     # Telemetry plumbing
     # ------------------------------------------------------------------
+
+    def _span(self, req: _Request, name: str, start: float, **attrs) -> None:
+        """Record a leg of ``req`` that ends now (a no-op when untraced)."""
+        if req.trace is not None:
+            self._telemetry.record_span(
+                name, req.trace, start, _mono(), category="serve", **attrs
+            )
 
     @staticmethod
     def _close_attempt(req: _Request, status: str, **attrs) -> None:
@@ -749,37 +722,17 @@ class ShardedExecutor:
         if span is not None:
             span.end(status=status, **attrs)
 
-    @staticmethod
-    def _finish_trace(req: _Request, status: str) -> None:
-        """Close the request root span iff this executor minted it (a
-        caller-provided trace context is closed by the caller)."""
-        span, req.root_span = req.root_span, None
-        if span is not None:
-            span.end(status=status)
-
-    def _accrue_busy(self, worker: _Worker, now: float) -> None:
-        """Fold one finished (or terminated) attempt's wall time into
-        the pool's busy-seconds counter — worker utilization is
-        ``busy_s / (workers * pool uptime)``."""
-        if worker.dispatched_at:
-            self._m.inc("busy_s", max(0.0, now - worker.dispatched_at))
-            worker.dispatched_at = 0.0
-
     def _ingest_worker_spans(self, span_blob) -> None:
         if span_blob is None:
             return
-        try:
+        # Corrupt telemetry never fails a request.
+        with suppress(WireFormatError, TypeError, KeyError):
             kind, spans = deserialize_trace_frame(span_blob)
-        except WireFormatError:
-            return  # corrupt telemetry never fails a request
-        if kind == "spans":
-            try:
+            if kind == "spans":
                 self._telemetry.ingest_spans(spans)
-            except (TypeError, KeyError):
-                pass
 
     # ------------------------------------------------------------------
-    # Pool internals (parent I/O thread unless noted)
+    # The driver (I/O thread): tell the machine what happened, do what it says
     # ------------------------------------------------------------------
 
     def _make_transport(self):
@@ -790,8 +743,7 @@ class ShardedExecutor:
         path's plan blob + evaluator, or the warm-fork plan object), so
         transports never reach into plan internals themselves.
         """
-        env = None
-        authkey = None
+        env = authkey = None
         if self.config.transport == "tcp":
             evaluator = self.plan.evaluator
             env = wire.HostEnv(
@@ -826,471 +778,203 @@ class ShardedExecutor:
             authkey=authkey,
         )
 
-    def _spawn(self) -> _Worker:
-        return _Worker(self._transport.spawn())
-
-    def _respawn(self, reason: str) -> None:
-        """Replace a retired worker, accounting the respawn; a spawn
-        failure (e.g. an unreachable worker host) trips the breaker
-        instead of killing the I/O thread."""
-        if self._stop.is_set():
-            return  # closing: late EOFs must not refork workers/hosts
-        try:
-            worker = self._spawn()
-        except Exception as exc:  # noqa: BLE001 — any spawn failure trips
-            self._trip_breaker(f"respawn after {reason} failed: {exc}")
-            return
-        self._workers.append(worker)
-        self._m.inc("respawns")
-        self._telemetry.event(
-            "respawn", pool=self._m.labels["pool"], reason=reason, host=worker.host
-        )
-
-    def _wake(self) -> None:
-        try:
-            self._wake_w.send_bytes(b"x")
-        except (BrokenPipeError, OSError, AttributeError):
-            pass
-
     def _io_loop(self) -> None:
-        while not self._stop.is_set():
-            now = time.monotonic()
-            self._promote_delayed(now)
-            self._check_deadlines(now)
-            self._check_hangs(now)
-            if self._stop.is_set():  # a breaker may have tripped above
-                break
-            self._dispatch()
+        machine = self._machine
+        while True:
+            now = _mono()
+            self._apply(machine.tick(now))
+            self._pending = machine.pending  # what stats() reads, lock-free
+            if machine.mode == "closed":
+                return
+            if self.policy.hang_timeout_s is not None:
+                self._staleness_gauge.set(machine.staleness(now))
+            # Sleep until a worker, a submitter or the machine's next timer needs
+            # the thread — a millisecond *past* the timer: expiries compare
+            # strictly, and waking on the dot would spin until the clock moves.
+            delay = machine.next_wake(_mono())
             conns = [w.conn for w in self._workers] + [self._wake_r]
-            timeout = 0.05 if self._timers_active() else 0.2
+            timeout = None if delay is None else delay + 0.001
             for ready in connection_wait(conns, timeout=timeout):
                 if ready is self._wake_r:
                     while self._wake_r.poll():
                         self._wake_r.recv_bytes()
                     continue
-                worker = next(
-                    (w for w in self._workers if w.conn is ready), None
-                )
+                worker = next((w for w in self._workers if w.conn is ready), None)
                 if worker is None:  # retired earlier in this very loop
                     continue
                 try:
                     msg = wire.decode_message(ready.recv_bytes())
-                except (EOFError, OSError):
-                    self._on_worker_death(worker)
+                except (EOFError, OSError, WireFormatError) as exc:
+                    if isinstance(exc, WireFormatError):
+                        # Bytes no worker of ours writes: stop trusting the
+                        # process and take the standard crash path.
+                        worker.endpoint.kill()
+                    self._apply(machine.worker_lost(_mono(), worker))
                     continue
-                except WireFormatError:
-                    # Bytes no worker of ours writes: stop trusting the
-                    # process and take the standard crash path.
-                    worker.endpoint.kill()
-                    self._on_worker_death(worker)
-                    continue
-                self._on_message(worker, msg)
+                self._apply(self._on_message(worker, msg))
+            while self._events:
+                kind, payload = self._events.popleft()
+                if kind == "submit":
+                    req = self._live[payload.id] = payload
+                    # The deadline counts from the submit() call, so it
+                    # covers the wait in this mailbox too.
+                    since = req.submitted_at
+                    self._apply(machine.submit(_mono(), req.id, req.deadline_s, since))
+                elif kind == "cancel":
+                    self._apply(machine.cancel(_mono(), payload))
+                else:  # close: the last event there is
+                    self._apply(machine.close(_mono()))
 
-    def _timers_active(self) -> bool:
-        return bool(
-            self._delayed
-            or self._has_deadlines
-            or (
-                self.policy.hang_timeout_s is not None
-                and any(w.busy is not None for w in self._workers)
-            )
-        )
-
-    def _promote_delayed(self, now: float) -> None:
-        """Move backoff-expired retries to the *front* of the queue."""
-        due: list[int] = []
-        with self._lock:
-            while self._delayed and self._delayed[0][0] <= now:
-                _, req_id = heapq.heappop(self._delayed)
-                req = self._requests.get(req_id)
-                if req is not None and not req.cancelled:
-                    due.append(req_id)
-            if due:
-                self._pending.extendleft(reversed(due))
-
-    def _check_deadlines(self, now: float) -> None:
-        if not self._has_deadlines:
-            return
-        in_flight = {w.busy: w for w in self._workers if w.busy is not None}
-        with self._lock:
-            expired = [
-                req
-                for req in self._requests.values()
-                if req.deadline_at is not None
-                and now > req.deadline_at
-                and not req.cancelled
-            ]
-        for req in expired:
-            worker = in_flight.get(req.id)
-            if worker is not None:
-                # The worker is stuck on this request past its budget;
-                # the only way to reclaim it is to replace the process.
-                self._accrue_busy(worker, now)
-                self._kill_and_retire(worker)
-                self._respawn("deadline")
-            with self._lock:
-                self._requests.pop(req.id, None)
-            self._m.inc("deadline_failures")
-            self._m.inc("errors")
-            elapsed = now - req.submitted_at
-            self._close_attempt(req, "deadline")
-            self._finish_trace(req, "deadline")
-            self._telemetry.event(
-                "deadline_failure",
-                request=req.id,
-                attempts=req.attempts,
-                code=DeadlineExceeded.code,
-            )
-            req.future.attempts = req.attempts
-            _resolve(
-                req.future,
-                exc=DeadlineExceeded(
-                    f"request {req.id} exceeded its {elapsed:.3f}s "
-                    f"deadline after {req.attempts} attempt(s)",
-                    request_id=req.id,
-                    attempts=req.attempts,
-                ),
-            )
-
-    def _check_hangs(self, now: float) -> None:
-        hang_timeout = self.policy.hang_timeout_s
-        if hang_timeout is None:
-            return
-        staleness = 0.0
-        for worker in list(self._workers):
-            if worker.busy is None:
-                continue
-            stale = now - worker.last_beat
-            if stale > staleness:
-                staleness = stale
-            if stale <= hang_timeout:
-                continue
-            req_id = worker.busy
-            pid = worker.proc.pid
-            host = worker.host
-            self._accrue_busy(worker, now)
-            self._kill_and_retire(worker)
-            self._m.inc("hang_kills")
-            with self._lock:
-                req = self._requests.get(req_id)
-                if req is not None and req.cancelled:
-                    self._requests.pop(req_id, None)
-                    req = None
-            self._telemetry.event(
-                "hang_kill",
-                pool=self._m.labels["pool"],
-                worker_pid=pid,
-                host=host,
-                request=req_id,
-                code=WorkerHang.code,
-            )
-            if req is not None:
-                self._close_attempt(req, "hang", worker_pid=pid)
-                self._retry_or_fail(
-                    req,
-                    f"worker pid {pid} hung (no heartbeat for "
-                    f"{hang_timeout:g}s) on attempt {req.attempts}",
-                    kind=WorkerHang,
-                )
-            self._respawn("hang")
-        self._staleness_gauge.set(staleness)
-
-    def _dispatch(self) -> None:
-        for worker in list(self._workers):
-            if worker.busy is not None:
-                continue
-            req = self._next_ready_request()
-            if req is None:
-                return
-            blobs = req.blobs
-            if self.chaos is not None:
-                action = self.chaos.decide("pre_dispatch", req.id, req.attempts)
-                if action is not None and action.kind == "flip":
-                    blobs = [flip_frame_byte(blobs[0], action), *blobs[1:]]
-            trace_blob = None
-            if req.trace is not None and req.trace.sampled:
-                now = _mono()
-                if req.backoff_from is not None:
-                    self._telemetry.record_span(
-                        "backoff",
-                        req.trace,
-                        req.backoff_from,
-                        now,
-                        category="serve",
-                        after_attempt=req.attempts - 1,
-                    )
-                if req.first_dispatch_at is None:
-                    self._telemetry.record_span(
-                        "queue_wait", req.trace, req.submitted_at, now,
-                        category="serve",
-                    )
-                req.attempt_span = self._telemetry.child_span(
-                    f"attempt-{req.attempts}",
-                    req.trace,
-                    category="serve",
-                    worker_pid=worker.proc.pid,
-                )
-                trace_blob = serialize_trace_context(req.attempt_span.ctx)
-            req.backoff_from = None
-            request = wire.encode_message(
-                wire.REQUEST, req.id, req.attempts, blobs, trace_blob
-            )
-            try:
-                worker.conn.send_bytes(request)
-            except (BrokenPipeError, OSError):
-                self._close_attempt(req, "send_failed")
-                with self._lock:
-                    self._pending.appendleft(req.id)
-                self._on_worker_death(worker)
-                continue
-            now = time.monotonic()
-            req.attempts += 1
-            if req.first_dispatch_at is None:
-                req.first_dispatch_at = now
-            req.last_dispatch_at = now
-            worker.busy = req.id
-            worker.busy_attempt = req.attempts - 1
-            worker.dispatched_at = now
-            worker.last_beat = now
-
-    def _next_ready_request(self) -> _Request | None:
-        with self._lock:
-            while self._pending:
-                req_id = self._pending.popleft()
-                req = self._requests.get(req_id)
-                if req is not None and not req.cancelled:
-                    return req
-        return None
-
-    def _on_message(self, worker: _Worker, msg: wire.Message) -> None:
+    def _on_message(self, worker: _Worker, msg: wire.Message) -> list:
         kind, req_id, attempt, payload, span_blob = msg
-        if worker.busy != req_id or worker.busy_attempt != attempt:
-            return  # stale beat or reply from a superseded attempt; drop it
+        now = _mono()
         if kind == wire.HEARTBEAT:
-            worker.last_beat = time.monotonic()
-            return
-        if kind not in (wire.OK, wire.ERR):
-            return  # not something a worker says
-        worker.busy = None
-        self._accrue_busy(worker, _mono())
-        with self._lock:
-            req = self._requests.get(req_id)
-            if req is not None and req.cancelled:
-                self._requests.pop(req_id, None)
-                req = None
-        if req is None:
-            return
+            return self._machine.heartbeat(now, worker, req_id, attempt)
+        stale = self._machine.in_flight(worker) != (req_id, attempt)
+        if stale or kind not in (wire.OK, wire.ERR):
+            # A superseded attempt's reply (the machine would drop it too;
+            # asked first so it costs no decode and leaves ``busy_s`` and the
+            # trace alone), or not something a worker says.
+            return []
+        self._m.inc("busy_s", max(0.0, now - worker.dispatched_at))
+        req = self._live.get(req_id)
+        if req is None:  # cancelled in flight: the reply is discarded unread
+            return self._machine.reply(now, worker, req_id, attempt)
         self._ingest_worker_spans(span_blob)
-        if kind == wire.ERR:
-            try:
-                (flt_frame,) = payload
-                fault = deserialize_fault(flt_frame, request_id=req_id)
-            except ValueError as exc:  # WireFormatError, or not one part
-                fault = WireCorruption(f"fault frame corrupt: {exc}")
-            if isinstance(fault, WireCorruption):
-                self._m.inc("wire_corruptions")
-                self._close_attempt(req, "wire_corruption")
-                self._telemetry.event(
-                    "wire_corruption", request=req_id, code=WireCorruption.code
-                )
-                self._retry_or_fail(req, str(fault), kind=WireCorruption)
-                return
-            fault.attempts = req.attempts
-            with self._lock:
-                self._requests.pop(req_id, None)
-            self._m.inc("errors")
-            self._close_attempt(req, "error", code=getattr(fault, "code", None))
-            self._finish_trace(req, "error")
-            req.future.attempts = req.attempts
-            _resolve(req.future, exc=fault)
-            return
-        basis = self.plan.evaluator.basis
         decode_from = _mono()
         try:
-            outputs = [wire.decode_value(b, basis) for b in payload]
-        except (WireFormatError, ValueError) as exc:
+            if kind == wire.ERR:
+                (flt_frame,) = payload
+                fault = deserialize_fault(flt_frame, request_id=req_id)
+            else:
+                basis = self.plan.evaluator.basis
+                req.outputs = [wire.decode_value(b, basis) for b in payload]
+                fault = None
+        except ValueError as exc:  # WireFormatError, or not one fault part
+            what = "fault" if kind == wire.ERR else "reply"
+            fault = WireCorruption(f"{what} frame corrupt: {exc}")
+        if isinstance(fault, WireCorruption):
             self._m.inc("wire_corruptions")
             self._close_attempt(req, "wire_corruption")
             self._telemetry.event(
                 "wire_corruption", request=req_id, code=WireCorruption.code
             )
-            self._retry_or_fail(req, f"reply frame corrupt: {exc}", kind=WireCorruption)
-            return
-        with self._lock:
-            self._requests.pop(req_id, None)
-        self._m.inc("completed")
-        self._consecutive_crashes = 0
-        if req.trace is not None and req.trace.sampled:
-            self._telemetry.record_span(
-                "reply_decode", req.trace, decode_from, _mono(), category="serve"
-            )
-        self._close_attempt(req, "ok")
-        self._finish_trace(req, "ok")
-        req.future.attempts = req.attempts
-        req.future.retry_s = (
-            (req.last_dispatch_at or 0.0) - (req.first_dispatch_at or 0.0)
-            if req.attempts > 1
-            else 0.0
-        )
-        _resolve(req.future, result=outputs)
+        elif fault is not None:
+            self._close_attempt(req, "error", code=fault.code)
+        else:
+            self._span(req, "reply_decode", decode_from)
+        return self._machine.reply(now, worker, req_id, attempt, fault)
 
-    def _retry_or_fail(self, req: _Request, cause: str, *, kind) -> None:
-        """Apply the retry budget to one failed attempt.
-
-        Either schedules a backoff-delayed re-dispatch or quarantines the
-        request as a typed :class:`PoisonRequest` carrying every cause.
-        The caller has already freed/replaced the worker.
-        """
-        req.causes.append(cause)
-        if req.attempts >= self.policy.max_attempts:
-            with self._lock:
-                self._requests.pop(req.id, None)
-            self._m.inc("poisoned")
-            self._m.inc("errors")
+    def _do_kill(self, worker: _Worker, status: str, req_id, kill=None) -> None:
+        """Carry out a :class:`~repro.runtime.policy.Kill` (or the end of
+        ``close()``): drop ``worker`` from the pool — by force unless it died on
+        its own: a SIGKILL locally, a kill-slot control op on a worker host —
+        recording why and closing the attempt it was serving."""
+        if kill is None:
+            kill = status != "crash"
+        pid = worker.proc.pid
+        if req_id is not None:  # worker utilization = busy_s / (workers * uptime)
+            self._m.inc("busy_s", max(0.0, _mono() - worker.dispatched_at))
+        if worker in self._workers:
+            self._workers.remove(worker)
+        if kill:
+            worker.endpoint.kill()
+        with suppress(OSError):
+            worker.conn.close()
+        worker.proc.join(timeout=2.0 if kill else 1.0)
+        if status in _WORKER_FAULTS:
+            counter, event, kind = _WORKER_FAULTS[status]
+            self._m.inc(counter)
             self._telemetry.event(
-                "quarantine",
-                request=req.id,
-                attempts=req.attempts,
-                code=PoisonRequest.code,
-                causes=len(req.causes),
+                event,
+                pool=self._m.labels["pool"],
+                worker_pid=pid,
+                host=worker.host,
+                request=req_id,
+                code=kind.code,
             )
-            self._finish_trace(req, "poisoned")
-            req.future.attempts = req.attempts
-            _resolve(
-                req.future,
-                exc=PoisonRequest(
-                    f"request {req.id} quarantined after {req.attempts} "
-                    f"attempt(s): " + "; ".join(req.causes),
-                    request_id=req.id,
-                    attempts=req.attempts,
-                    causes=tuple(req.causes),
-                ),
+        if req_id in self._live:
+            self._close_attempt(self._live[req_id], status, worker_pid=pid)
+
+    def _apply(self, actions) -> None:
+        """Carry out the machine's actions, each by its ``_do_`` method, in the
+        order it produced them: what one reports back (a dead pipe under a
+        dispatch, a spawn's outcome) may trip the breaker, and the answer to
+        that presumes every earlier action done — it queues behind the rest."""
+        todo = deque(actions)
+        while todo:
+            action = todo.popleft()
+            do = getattr(self, "_do_" + type(action).__name__.lower())
+            todo.extend(do(*action) or ())
+
+    def _do_dispatch(self, worker: _Worker, req_id: int, attempt: int):
+        req = self._live[req_id]
+        blobs = req.blobs
+        if self.chaos is not None:
+            action = self.chaos.decide("pre_dispatch", req_id, attempt)
+            if action is not None and action.kind == "flip":
+                blobs = [flip_frame_byte(blobs[0], action), *blobs[1:]]
+        trace_blob = None
+        if req.backoff_from is not None:
+            self._span(req, "backoff", req.backoff_from, after_attempt=attempt - 1)
+        if not req.sent_at:
+            self._span(req, "queue_wait", req.submitted_at)
+        if req.trace is not None:
+            req.attempt_span = self._telemetry.child_span(
+                f"attempt-{attempt}",
+                req.trace,
+                category="serve",
+                worker_pid=worker.proc.pid,
             )
-            return
-        if kind is not None and not kind.retriable:
-            raise AssertionError(f"{kind.__name__} must not reach the retry path")
-        delay = self.policy.backoff_s(req.attempts, req.id)
+            trace_blob = serialize_trace_context(req.attempt_span.ctx)
+        req.backoff_from = None
+        request = wire.encode_message(wire.REQUEST, req_id, attempt, blobs, trace_blob)
+        try:
+            worker.conn.send_bytes(request)
+        except (BrokenPipeError, OSError):
+            self._close_attempt(req, "send_failed")
+            return self._machine.worker_lost(_mono(), worker, delivered=False)
+        worker.dispatched_at = _mono()
+        req.sent_at.append(worker.dispatched_at)
+
+    def _do_spawn(self, reason: str):
+        """Replace a retired worker, accounting the respawn; a failure (e.g.
+        an unreachable worker host) is the machine's to judge, not fatal here."""
+        try:
+            worker = _Worker(self._transport.spawn())
+        except Exception as exc:  # noqa: BLE001 — any spawn failure is reported
+            why = f"respawn after {reason} failed: {exc}"
+            return self._machine.spawn_failed(_mono(), why)
+        self._workers.append(worker)
+        self._m.inc("respawns")
+        self._telemetry.event(
+            "respawn", pool=self._m.labels["pool"], reason=reason, host=worker.host
+        )
+        return self._machine.spawned(_mono(), worker)
+
+    def _do_retry(self, req_id: int, attempt: int, delay: float, code: int) -> None:
         self._m.inc("retries")
         self._telemetry.event(
-            "retry",
-            request=req.id,
-            attempt=req.attempts,
-            code=None if kind is None else kind.code,
-            backoff_s=delay,
+            "retry", request=req_id, attempt=attempt, code=code, backoff_s=delay
         )
-        req.backoff_from = _mono()
-        with self._lock:
-            heapq.heappush(self._delayed, (time.monotonic() + delay, req.id))
+        self._live[req_id].backoff_from = _mono()
 
-    def _kill_and_retire(self, worker: _Worker) -> None:
-        """Forcibly stop a worker the parent has given up on
-        (hang/deadline) and remove it from the pool without touching
-        crash accounting.  ``kill`` goes through the transport endpoint
-        (a SIGKILL locally, a kill-slot control op on a worker host)."""
-        if worker in self._workers:
-            self._workers.remove(worker)
-        worker.endpoint.kill()
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.proc.join(timeout=2.0)
-
-    def _retire(self, worker: _Worker) -> None:
-        if worker in self._workers:
-            self._workers.remove(worker)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        worker.proc.join(timeout=1.0)
-
-    def _on_worker_death(self, worker: _Worker) -> None:
-        """An unexpected EOF: account the crash, retry its request under
-        the budget, and either respawn or trip the breaker."""
-        if worker not in self._workers:
-            return
-        pid = worker.proc.pid
-        self._accrue_busy(worker, _mono())
-        self._retire(worker)
-        self._m.inc("worker_crashes")
-        self._consecutive_crashes += 1
-        req_id = worker.busy
-        self._telemetry.event(
-            "worker_crash",
-            pool=self._m.labels["pool"],
-            worker_pid=pid,
-            host=worker.host,
-            request=req_id,
-            code=WorkerCrash.code,
-        )
-        if req_id is not None:
-            with self._lock:
-                req = self._requests.get(req_id)
-                if req is not None and req.cancelled:
-                    self._requests.pop(req_id, None)
-                    req = None
-            if req is not None:
-                self._close_attempt(req, "crash", worker_pid=pid)
-                self._retry_or_fail(
-                    req,
-                    f"worker pid {pid} crashed on attempt {req.attempts}",
-                    kind=WorkerCrash,
-                )
-        budget_blown = self._m.get("worker_crashes") > self._max_crashes
-        crash_loop = self._consecutive_crashes >= self.policy.crash_loop_threshold
-        if budget_blown or crash_loop:
-            reason = (
-                f"pool exceeded {self._max_crashes} worker crashes"
-                if budget_blown
-                else f"{self._consecutive_crashes} consecutive worker crashes "
-                "with no completed request (crash loop)"
-            )
-            self._trip_breaker(reason)
-            return
-        self._respawn("crash")
-
-    def _trip_breaker(self, reason: str) -> None:
-        """Replacement forks keep dying: stop forking.  Either degrade to
-        the inline path (serve the queue in-process, keep accepting) or
-        fail everything outstanding and stop the pool."""
-        for worker in list(self._workers):
-            self._kill_and_retire(worker)
-        if self.policy.degrade_to_inline:
-            warnings.warn(
-                f"ShardedExecutor crash-loop breaker tripped ({reason}); "
-                "degrading to the inline single-process executor — worker "
-                "fault injection and preemption no longer apply",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            self._degraded = True
-            with self._lock:
-                queued = sorted(self._requests.items())
-                self._requests.clear()
-                self._pending.clear()
-                self._delayed.clear()
-            for _, req in queued:
-                if req.cancelled:
-                    continue
-                self._close_attempt(req, "breaker")
-                self._finish_trace(req, "degraded_inline")
-                # Inline drain double-counts "submitted"; undo it so the
-                # counter keeps meaning "requests entering the engine".
-                self._run_inline(req.blobs, req.future)
-                self._m.inc("submitted", -1)
-            self._stop.set()
-            return
-        with self._lock:
-            requests = list(self._requests.values())
-            self._requests.clear()
-            self._pending.clear()
-            self._delayed.clear()
-        for req in requests:
+    def _do_finish(self, req_id: int, status: str, *ending) -> None:
+        req = self._live.pop(req_id)
+        if status == "degraded":
             self._close_attempt(req, "breaker")
-            self._finish_trace(req, "breaker")
-            _resolve(
-                req.future,
-                exc=WorkerCrash(reason, request_id=req.id, attempts=req.attempts),
-            )
-        self._stop.set()
+            self._serve_inline(req)
+        else:
+            self._finish(req, status, *ending)
+
+    def _do_degrade(self, reason: str) -> None:
+        warnings.warn(
+            f"ShardedExecutor crash-loop breaker tripped ({reason}); "
+            "degrading to the inline single-process executor — worker "
+            "fault injection and preemption no longer apply",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+
+    def _do_stop(self, reason: str) -> None:
+        """Nothing to carry out: a ``Finish`` refuses each request."""

@@ -32,12 +32,13 @@ All of these subclass :class:`RequestError`, which subclasses the legacy
 :class:`WorkerError`, so existing ``except WorkerError`` call sites keep
 working unchanged.
 
-:class:`FaultPolicy` is the knob set the executor's parent I/O loop
-enforces: per-request deadlines, heartbeat-based hang detection, a retry
-budget with deterministic exponential backoff + jitter (seeded, so test
-runs are reproducible), a pool-level crash budget, and the crash-loop
-breaker that (optionally) degrades the pool to the inline single-process
-path instead of deadlocking when replacement forks keep dying.
+:class:`FaultPolicy` is the knob set the pool's policy machine
+(:mod:`repro.runtime.policy`) enforces: per-request deadlines,
+heartbeat-based hang detection, a retry budget with deterministic
+exponential backoff + jitter (seeded, so test runs are reproducible), a
+pool-level crash budget, and the crash-loop breaker that (optionally)
+degrades the pool to the inline single-process path instead of
+deadlocking when replacement forks keep dying.
 
 Faults also have a wire form: :func:`serialize_fault` packs a typed
 failure into an ``FLT1`` frame (the CRC-guarded frame container of
@@ -227,7 +228,7 @@ def deserialize_fault(
 
 @dataclass(frozen=True)
 class FaultPolicy:
-    """Per-pool fault-tolerance knobs, enforced in the parent I/O loop.
+    """Per-pool fault-tolerance knobs, enforced by the pool's policy machine.
 
     Attributes:
         deadline_s: default per-request total deadline (queued time plus

@@ -67,8 +67,6 @@ class ServingConfig:
             (:class:`~repro.runtime.stream.StreamingServer`).
         modeled_request_io_s: modeled client-link transfer delay charged
             per request inside the worker (benchmarks only).
-        coeff_bits: wire coefficient width override (``None`` = derived
-            from the plan's modulus basis).
         max_crash_respawns: pool-lifetime crash budget override.
         trace: enable process-wide telemetry tracing when the session
             starts (left enabled on exit; use
@@ -85,7 +83,6 @@ class ServingConfig:
     chaos: FaultPlan | None = None
     max_pending: int = 8
     modeled_request_io_s: float = 0.0
-    coeff_bits: int | None = None
     max_crash_respawns: int | None = None
     trace: bool = False
 

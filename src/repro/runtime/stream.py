@@ -45,7 +45,6 @@ boundary; this module never touches ciphertext bytes itself.
 from __future__ import annotations
 
 import asyncio
-import inspect
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -106,9 +105,11 @@ class StreamingServer:
     """Bounded-queue streaming front end over a sharded worker pool.
 
     Attributes:
-        executor: the pool requests are served by (any object with
-            ``submit(inputs) -> concurrent.futures.Future`` and a
-            ``plan``; inline executors work for tests).
+        executor: what serves the requests — anything with
+            ``submit(inputs, *, deadline_s=None, trace=None) ->
+            concurrent.futures.Future``, ``start()``, ``close()``,
+            ``stats()`` and a ``plan`` (a :class:`ShardedExecutor`,
+            inline or pooled; a hand-resolved stub in tests).
         max_pending: admission bound — at most this many requests are
             inside the engine (queued or in flight) at once; taken from
             ``config.max_pending`` (``None`` = :class:`ServingConfig`
@@ -125,7 +126,6 @@ class StreamingServer:
         self._records: list[RequestRecord] = []
         self._started_at: float | None = None
         self._index = 0
-        self._accepts_trace: bool | None = None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -194,7 +194,7 @@ class StreamingServer:
         record = RequestRecord(self._next_index())
         # The trace is minted at streaming ingress; the executor parents
         # its queue/attempt/worker spans under our service span via the
-        # ``trace=`` kwarg (only passed to executors that accept it).
+        # ``trace=`` kwarg.
         root = telemetry.start_trace(
             "request", category="stream", index=record.index
         )
@@ -223,15 +223,10 @@ class StreamingServer:
             t0 = _now()
             # executor.submit serializes the inputs before returning its
             # future — run it on the phase thread, not the event loop.
-            # The deadline/trace kwargs are only passed when set, so plain
-            # ``submit(inputs)`` executors (test stubs) keep working.
-            kwargs = {}
-            if deadline_s is not None:
-                kwargs["deadline_s"] = deadline_s
             service = telemetry.child_span("service", root.ctx, category="stream")
-            if service and self._submit_accepts_trace():
-                kwargs["trace"] = service.ctx
-            submit_call = partial(self.executor.submit, inputs, **kwargs)
+            submit_call = partial(
+                self.executor.submit, inputs, deadline_s=deadline_s, trace=service.ctx
+            )
             try:
                 pool_future = await loop.run_in_executor(
                     self._phase_pool, submit_call
@@ -360,18 +355,6 @@ class StreamingServer:
         index = self._index
         self._index += 1
         return index
-
-    def _submit_accepts_trace(self) -> bool:
-        """Whether the executor's ``submit`` takes a ``trace=`` kwarg —
-        probed once, so plain ``submit(inputs)`` stubs keep working."""
-        if self._accepts_trace is None:
-            try:
-                params = inspect.signature(self.executor.submit).parameters
-            except (TypeError, ValueError):
-                self._accepts_trace = False
-            else:
-                self._accepts_trace = "trace" in params
-        return self._accepts_trace
 
     def _admit(self) -> None:
         self._depth += 1

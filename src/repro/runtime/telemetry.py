@@ -131,8 +131,8 @@ class Span:
 
 
 class Counter:
-    """Monotonically *intended* numeric cell (negative deltas allowed so
-    legacy accounting like the breaker's submitted-undo keeps working)."""
+    """Monotonically *intended* numeric cell (nothing checks the sign of
+    a delta; float deltas accumulate seconds, e.g. ``busy_s``)."""
 
     __slots__ = ("name", "labels", "value")
 

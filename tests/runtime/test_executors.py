@@ -167,7 +167,7 @@ class TestFusedReplay:
         self, rctx, gks, rlk
     ):
         """Every replay of a plan shares one arena, and
-        ``ShardedExecutor._run_inline`` replays on the submitter's thread
+        ``ShardedExecutor._serve_inline`` replays on the submitter's thread
         (and, once degraded, on the I/O thread too): concurrent callers
         must each get the bytes of *their* input."""
         program = _pipeline(gks, rlk)

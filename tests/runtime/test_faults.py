@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import os
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -33,6 +35,7 @@ from repro.runtime import (
     WorkerError,
     WorkerHang,
     compile_fn,
+    get_telemetry,
 )
 from repro.runtime.wire import deserialize_fault, flip_frame_byte, serialize_fault
 
@@ -460,18 +463,42 @@ class TestDegradation:
             ),
             warm_inputs=batches[0],
         )
-        with pool:
-            futures = [pool.submit(b) for b in batches]
-            with pytest.warns(RuntimeWarning, match="degrading to the inline"):
-                results = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
-                # Submissions after degradation serve inline too.
-                late = pool.submit(batches[0]).result(timeout=RESULT_TIMEOUT)
-            stats = pool.stats()
+        telemetry = get_telemetry()
+        telemetry.reset()
+        telemetry.enable()
+        try:
+            with pool:
+                futures = [pool.submit(b) for b in batches]
+                with pytest.warns(RuntimeWarning, match="degrading to the inline"):
+                    results = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
+                    # Submissions after degradation serve inline too.
+                    late = pool.submit(batches[0]).result(timeout=RESULT_TIMEOUT)
+                stats = pool.stats()
+            spans = telemetry.spans()
+        finally:
+            telemetry.disable()
+            telemetry.reset()
         for got, want in zip(results, reference):
             _assert_outputs_equal(got, want, "degraded request")
         _assert_outputs_equal(late, reference[0], "post-degrade request")
         assert stats["degraded"] is True
         assert stats["completed"] == 4
+        assert stats["submitted"] == 4  # the drain re-counts nothing
+        # Every drained request is served under its own trace: the inline
+        # evaluation is a child of that request's root and ends before it.
+        # (The late submit never entered the pool: served on its caller's
+        # thread, it is a trace of its own, like an inline pool's.)
+        roots = {s.trace_id: s for s in spans if s.name == "request"}
+        inline = [s for s in spans if s.name == "inline_evaluate"]
+        assert len(inline) == 4
+        inline = [s for s in inline if s.trace_id in roots]
+        served = sorted(roots[s.trace_id].attrs["request"] for s in inline)
+        assert served == [0, 1, 2]
+        for span in inline:
+            root = roots[span.trace_id]
+            assert span.parent_id == root.span_id
+            assert span.end_s <= root.end_s
+            assert root.attrs["status"] == "ok"
 
     def test_breaker_without_degradation_fails_fast(
         self, rctx, fault_plan_program
@@ -521,14 +548,76 @@ class TestBatchTimeoutAndClose:
             with pytest.raises(TimeoutError, match="remains serviceable"):
                 pool.run_batch(batches, timeout=0.3)
             stats_after_timeout = pool.stats()
+            # ``pending`` is the I/O thread's to publish: give it a moment.
+            settled = time.monotonic() + RESULT_TIMEOUT
+            while pool.stats()["pending"] and time.monotonic() < settled:
+                time.sleep(0.01)
+            pending_after_timeout = pool.stats()["pending"]
             # Same pool, fresh batch (request ids beyond the scripted
             # faults): everything completes and matches bit-for-bit.
             results = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
             stats = pool.stats()
         assert stats_after_timeout["cancelled"] >= 1
+        # Cancelled requests leave the queue when the cancel is read, not
+        # when a worker frees up: nothing is pending behind the one slow
+        # request still draining on the worker.
+        assert pending_after_timeout == 0
         for got, want in zip(results, reference):
             _assert_outputs_equal(got, want, "post-timeout batch")
         assert stats["completed"] >= len(batches)
+
+    def test_concurrent_submits_and_cancels_each_get_their_one_answer(
+        self, rctx, fault_plan_program
+    ):
+        """Submitters and cancellers only post to the I/O thread's mailbox.
+        Interleaved mid-call (more threads than cores, a 10 us switch
+        interval), every future still gets its own answer or its own
+        cancellation, no id is shared, and the counters add up."""
+        clients, rounds = 3, 8
+        batches = _batches(rctx, clients, seed=91)
+        reference = fault_plan_program.run_batch(batches)
+        futures: dict[int, list] = {}
+        with ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=2),
+            warm_inputs=batches[0],
+        ) as pool:
+
+            def client(i):
+                mine = futures.setdefault(i, [])
+                for k in range(rounds):
+                    mine.append(pool.submit(batches[i]))
+                    if k % clients == i:
+                        pool.cancel(mine[-1])
+
+            threads = [
+                threading.Thread(target=client, args=(i,), daemon=True)
+                for i in range(clients)
+            ]
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=RESULT_TIMEOUT)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            for i, mine in futures.items():
+                for fut in mine:
+                    if not fut.cancelled():
+                        got = fut.result(timeout=RESULT_TIMEOUT)
+                        _assert_outputs_equal(got, reference[i], f"client {i}")
+            stats = pool.stats()
+        everyone = [fut for mine in futures.values() for fut in mine]
+        assert sorted(f.request_id for f in everyone) == list(range(clients * rounds))
+        cancelled = sum(f.cancelled() for f in everyone)
+        assert cancelled >= 1
+        assert stats["submitted"] == clients * rounds
+        assert stats["cancelled"] == cancelled
+        # (a reply can land between a cancel() and the I/O thread reading it)
+        assert clients * rounds - cancelled <= stats["completed"] <= clients * rounds
 
     def test_close_is_idempotent_and_loud_on_stuck_workers(
         self, rctx, fault_plan_program

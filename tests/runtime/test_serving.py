@@ -140,6 +140,8 @@ class TestLegacyKeywordBridge:
                 ShardedExecutor(square_plan, **removed)
         with pytest.raises(TypeError, match="unexpected"):
             serve(square_plan, num_workers=1)
+        with pytest.raises(TypeError, match="unexpected"):
+            ServingConfig(coeff_bits=44)  # always derived from the plan's basis
         pool = ShardedExecutor(square_plan, config=ServingConfig(num_workers=0))
         with pytest.raises(TypeError, match="unexpected"):
             StreamingServer(pool, max_pending=5)

@@ -40,20 +40,20 @@ class StubExecutor:
     def stats(self):
         return {"inline": True}
 
-    def submit(self, inputs) -> Future:
+    def submit(self, inputs, *, deadline_s=None, trace=None) -> Future:
         fut: Future = Future()
         self.submissions.append((inputs, fut))
         return fut
 
 
 class DeadlineRecordingStub(StubExecutor):
-    """Stub that accepts and records the per-request deadline kwarg."""
+    """Stub that records the per-request deadline kwarg."""
 
     def __init__(self):
         super().__init__()
         self.deadlines: list[float | None] = []
 
-    def submit(self, inputs, *, deadline_s=None) -> Future:
+    def submit(self, inputs, *, deadline_s=None, trace=None) -> Future:
         self.deadlines.append(deadline_s)
         return super().submit(inputs)
 
