@@ -401,7 +401,6 @@ def _remote_attach_timers(plan, request, reference, tmp: str):
             num_workers=1,
             transport="tcp",
             hosts=(f"tcp://127.0.0.1:{host['port']}",),
-            ship_plan=True,
             authkey_file=authkey,
         )
         with ShardedExecutor(plan, config=cfg) as pool:

@@ -8,9 +8,9 @@ docs/formats.md for the EPL1/PCS1 artifact formats):
 2. simulate a fresh process (cleared in-memory plan cache): the same
    ``compile_fn`` call now resolves to the on-disk artifact — the
    optimizer never runs;
-3. serve through a worker pool in ``ship_plan`` mode, where each worker
-   deserializes the EPL1 bytes instead of inheriting the compiled plan
-   via fork — the cross-machine path;
+3. serve through a ``tcp`` worker pool, whose worker host is sent the
+   EPL1 bytes (once) and deserializes them instead of inheriting the
+   compiled plan via fork — the cross-machine path;
 4. assert every path's outputs are byte-identical.
 
 Run:  python examples/plan_store_quickstart.py
@@ -90,14 +90,14 @@ def main() -> None:
         assert_identical(direct.run_batch(requests)[0], reference[0],
                          "load_path (no trace)")
 
-        # --- 4. serve with workers that deserialize the shipped plan
-        with ShardedExecutor(
-            plan, config=ServingConfig(num_workers=2, ship_plan=True)
-        ) as pool:
+        # --- 4. serve with workers whose host deserializes the shipped plan
+        config = ServingConfig(num_workers=2, transport="tcp")
+        with ShardedExecutor(plan, config=config) as pool:
             shipped = pool.run_batch(requests, timeout=120)
-            assert pool.stats()["plan_wire"] or pool.stats()["inline"]
+            stats = pool.stats()
+            assert stats["inline"] or stats["transport_stats"]["plan_uploads"] == 1
         for i, (got, want) in enumerate(zip(shipped, reference)):
-            assert_identical(got, want, f"ship_plan worker replay #{i}")
+            assert_identical(got, want, f"shipped-plan worker replay #{i}")
 
         set_plan_store(None)
     print("plan store quickstart: all paths byte-identical")

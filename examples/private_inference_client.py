@@ -7,11 +7,11 @@ clients decrypt.  The server side is written once against the shared
 evaluator surface, traced, compiled to a cached
 :class:`~repro.runtime.plan.ExecutionPlan`, and **served by the
 multi-process engine** through the unified surface: ``serve(plan,
-ServingConfig(...))`` opens a session whose worker pool runs in
-``ship_plan`` mode — the compiled plan crosses to each worker as a
-serialized ``EPL1`` artifact (constants resolved by fingerprint from
-the inline ``PCS1`` payload, the cross-machine path; see
-docs/formats.md) — and ``session.streaming()`` feeds it from a bounded
+ServingConfig(...))`` opens a session whose worker pool runs behind a
+``tcp`` worker host — the compiled plan crosses to it as a serialized
+``EPL1`` artifact (constants resolved by fingerprint from the inline
+``PCS1`` payload, the cross-machine path; see docs/formats.md) — and
+``session.streaming()`` feeds it from a bounded
 request queue so each client's encrypt -> evaluate -> decrypt pipeline
 overlaps the others'.  Ciphertexts cross the worker boundary through the
 wire formats of :mod:`repro.ckks.serialization`, and the streamed
@@ -43,11 +43,11 @@ from repro.runtime import (
 )
 
 NUM_CLIENTS = 4
-# ship_plan: workers rebuild the plan from its EPL1 bytes instead of
-# inheriting the compiled object through fork, and replay it through the
-# arena-backed fused executor (the default) — same bits as eager, fewer
-# dispatches.  max_pending bounds the streaming admission queue.
-SERVING = ServingConfig(num_workers=2, max_pending=3, ship_plan=True)
+# tcp: the worker host rebuilds the plan from its EPL1 bytes instead of
+# inheriting the compiled object through fork, and its workers replay it
+# through the arena-backed fused executor (the default) — same bits as
+# eager, fewer dispatches.  max_pending bounds the streaming admission queue.
+SERVING = ServingConfig(num_workers=2, max_pending=3, transport="tcp")
 
 
 def server_side_model(ev, ct, ctx, weights1, bias1, weights2, relin_keys):

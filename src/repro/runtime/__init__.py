@@ -54,8 +54,8 @@ versioned ``EPL1`` wire format (constants deduplicated by content
 fingerprint, shipped inline or as a separate ``PCS1`` payload), a
 :class:`~repro.runtime.plan_io.PlanStore` directory backs the plan cache
 across processes (:func:`~repro.runtime.plan.set_plan_store`), and
-``ServingConfig(ship_plan=True)`` sends the serialized plan to each
-worker instead of relying on fork-shared state.  See
+``ServingConfig(transport="tcp")`` sends the serialized plan to each
+worker host instead of relying on fork-shared state.  See
 ``docs/architecture.md`` for the layer map and ``docs/formats.md`` for
 the wire formats.
 

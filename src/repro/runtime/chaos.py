@@ -366,16 +366,15 @@ class NetworkShaper:
             self._threads.append(worker)
 
     def _serve(self, client: socket.socket, upstream: socket.socket) -> None:
-        from repro.runtime.coordinator import _AUTH_NONCE_BYTES
-        from repro.runtime.wire import recv_exact
+        from repro.runtime.wire import AUTH_NONCE_BYTES, recv_exact
 
         # The mutual-auth preamble is raw unframed bytes (nonce down,
         # digest+nonce up, proof down); relay it verbatim before
         # switching to frame-granular pumping.
         try:
-            client.sendall(recv_exact(upstream, _AUTH_NONCE_BYTES))
-            upstream.sendall(recv_exact(client, 2 * _AUTH_NONCE_BYTES))
-            client.sendall(recv_exact(upstream, _AUTH_NONCE_BYTES))
+            client.sendall(recv_exact(upstream, AUTH_NONCE_BYTES))
+            upstream.sendall(recv_exact(client, 2 * AUTH_NONCE_BYTES))
+            client.sendall(recv_exact(upstream, AUTH_NONCE_BYTES))
         except (ConnectionError, OSError):
             for sock in (client, upstream):
                 try:

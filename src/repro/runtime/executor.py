@@ -24,15 +24,14 @@ crash-loop breaker and its degrade-or-stop choice; this module is its
 driver.  Every one of those paths is reachable deterministically:
 :class:`~repro.runtime.chaos.FaultPlan`, ``ServingConfig(chaos=...)``.
 
-``ship_plan=True`` selects the **wire path** instead of the warm-fork
-path: the parent serializes the compiled plan once
-(:func:`repro.runtime.plan_io.serialize_plan`, constants inline) and each
-worker deserializes its own copy from bytes — no reliance on fork-shared
-plan state, exactly what a cross-machine pool will do.  Outputs are
+How the plan reaches a worker is the transport's to decide: ``pipe``
+workers inherit the warm plan through fork; ``tcp`` serializes it once
+(:func:`repro.runtime.plan_io.serialize_plan`, constants inline) and
+ships it as ``FPL1`` bytes to every worker host, which deserializes,
+lowers and caches it by content fingerprint before forking its slot
+workers — exactly what a cross-machine pool does.  Outputs are
 byte-identical either way (pinned in
-``tests/integration/test_backend_identity.py``); the warm-fork default
-stays cheaper on one host because workers inherit the fused replayer
-and stacked key tensors copy-on-write instead of rebuilding them.
+``tests/integration/test_backend_identity.py``).
 
 Topology: one duplex pipe per worker, at most one request in flight per
 worker, a single parent-side I/O thread waiting on every pipe, its
@@ -57,11 +56,12 @@ exact wire byte counts, making the pool's latency-hiding measurable even
 on a single core; it defaults to zero and is never used by the library
 itself.
 
-Contract summary (see ``docs/architecture.md``): fork-shared — plans,
-keys, every warmed cache, and the (immutable) policy/chaos values;
-crossing the worker boundary — per-request ciphertexts/plaintexts always
-(``ENV1``-framed ``CTF2``/``PTX1``), typed failures as ``FLT1`` frames,
-the compiled plan itself only under ``ship_plan=True`` (``EPL1``);
+Contract summary (see ``docs/architecture.md``): fork-shared (``pipe``)
+— plans, keys, every warmed cache, and the (immutable) policy/chaos
+values; crossing the worker boundary — per-request
+ciphertexts/plaintexts always (``ENV1``-framed ``CTF2``/``PTX1``), typed
+failures as ``FLT1`` frames, the compiled plan itself only to ``tcp``
+worker hosts (``EPL1``);
 parent-only — the machine's request/worker tables, retry/backoff schedule
 and crash accounting (touched by the I/O thread only), and this driver's
 futures, spans, endpoints and processes.
@@ -69,6 +69,7 @@ futures, spans, endpoints and processes.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import multiprocessing as mp
 import os
@@ -105,29 +106,13 @@ from repro.runtime.telemetry import (
     serialize_trace_context,
 )
 from repro.runtime.telemetry import now as _mono
-from repro.runtime.transport import create_transport
+from repro.runtime.transport import PipeTransport
 
 __all__ = ["ShardedExecutor", "WorkerError"]
 
 # Distinguishes the metric label set of concurrently-live pools in one
 # process (test suites build dozens); monotone so exports stay stable.
 _POOL_IDS = itertools.count()
-
-
-def _wire_worker_loop(
-    plan_blob: bytes, evaluator, conn, cfg: wire.WorkerConfig
-) -> None:
-    """Child process body for the shipped-plan path: rebuild the plan
-    from its EPL1 bytes (constants resolved from the inline PCS1
-    payload, no re-trace, no fork-shared plan state), then serve.  The
-    fused replayer is lowered here, before the first request arrives, so
-    no request pays lowering inside its deadline or ``evaluate`` span."""
-    from repro.runtime.plan_io import deserialize_plan
-
-    plan = deserialize_plan(plan_blob, evaluator)
-    if cfg.fused:
-        plan.fused()
-    _worker_loop(plan, conn, cfg)
 
 
 def _heartbeat_loop(conn, send_lock, state, stop, interval: float) -> None:
@@ -360,11 +345,9 @@ class ShardedExecutor:
         num_workers = cfg.num_workers
         self.plan = plan
         self.num_workers = num_workers
-        self.ship_plan = cfg.ship_plan
         self.fused = cfg.fused
         self.policy = cfg.fault_policy or FaultPolicy()
         self.chaos = cfg.chaos
-        self._plan_blob: bytes | None = None
         self._coeff_bits = wire_coeff_bits(plan.evaluator.basis)
         self._io_s = float(cfg.modeled_request_io_s)
         self._max_crashes = (
@@ -421,12 +404,6 @@ class ShardedExecutor:
         plan.run_batch(
             [warm_inputs] if warm_inputs is not None else [], fused=self.fused
         )
-        if self.ship_plan and not self._inline:
-            # Serialize once; every (re)spawned worker deserializes the
-            # same artifact instead of relying on the fork-warmed plan.
-            from repro.runtime.plan_io import serialize_plan
-
-            self._plan_blob = serialize_plan(plan)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -629,7 +606,6 @@ class ShardedExecutor:
         out["pending"] = self._pending
         out["num_workers"] = self.num_workers
         out["inline"] = self._inline
-        out["plan_wire"] = self._plan_blob is not None
         out["fused"] = self.fused
         out["degraded"] = getattr(self._machine, "mode", None) == "degraded"
         out["transport"] = self.config.transport
@@ -736,46 +712,33 @@ class ShardedExecutor:
     # ------------------------------------------------------------------
 
     def _make_transport(self):
-        """Build the worker-boundary transport from the serving config.
-
-        The executor stays the composition root: it hands the transport
-        the worker loop callable and its leading arguments (the wire
-        path's plan blob + evaluator, or the warm-fork plan object), so
-        transports never reach into plan internals themselves.
-        """
-        env = authkey = None
-        if self.config.transport == "tcp":
-            evaluator = self.plan.evaluator
-            env = wire.HostEnv(
-                params=evaluator.params,
-                primes=tuple(evaluator.basis.primes),
-            )
-            if self.config.authkey_file is not None:
-                from repro.runtime.worker_host import load_authkey
-
-                authkey = load_authkey(self.config.authkey_file)
+        """Build the worker-boundary transport from the serving config:
+        ``pipe`` workers run :func:`_worker_loop` over the fork-inherited
+        plan; ``tcp`` hosts get the plan as ``EPL1`` bytes and rebuild
+        the evaluator it loads against from a :class:`wire.HostEnv`."""
         cfg = wire.WorkerConfig(
             coeff_bits=self._coeff_bits,
             io_s=self._io_s,
             fused=self.fused,
             chaos=self.chaos,
             heartbeat_s=self.policy.heartbeat_interval_s(),
-            env=env,
         )
-        if self._plan_blob is not None:
-            target, head = _wire_worker_loop, (self._plan_blob, self.plan.evaluator)
-        else:
-            target, head = _worker_loop, (self.plan,)
-        return create_transport(
-            self.config.transport,
-            ctx=self._ctx,
-            target=target,
-            head=head,
-            cfg=cfg,
-            plan=self.plan,
-            plan_blob=self._plan_blob,
+        if self.config.transport == "pipe":
+            return PipeTransport(self._ctx, _worker_loop, self.plan, cfg)
+        from repro.runtime.coordinator import TcpTransport
+        from repro.runtime.plan_io import serialize_plan
+        from repro.runtime.worker_host import load_authkey
+
+        evaluator = self.plan.evaluator
+        env = wire.HostEnv(evaluator.params, tuple(evaluator.basis.primes))
+        keyfile = self.config.authkey_file
+        return TcpTransport(
+            self._ctx,
+            plan_blob=serialize_plan(self.plan),
+            signature=self.plan.signature,
+            cfg=dataclasses.replace(cfg, env=env),
             hosts=self.config.hosts,
-            authkey=authkey,
+            authkey=None if keyfile is None else load_authkey(keyfile),
         )
 
     def _io_loop(self) -> None:

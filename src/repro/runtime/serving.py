@@ -42,22 +42,21 @@ class ServingConfig:
         num_workers: pool size; ``0`` selects the inline single-process
             fallback.
         transport: worker-boundary transport — ``"pipe"`` (fork+pipe,
-            default) or ``"tcp"`` (worker-host sessions over sockets,
-            the one that runs across machines; see ``docs/serving.md``).
+            default: workers inherit the warm plan) or ``"tcp"``
+            (worker-host sessions over sockets, the one that runs across
+            machines: every host gets the plan as ``EPL1`` bytes; see
+            ``docs/serving.md``).
         hosts: worker hosts for the ``tcp`` transport (slots are
-            assigned round-robin); ignored by ``pipe``.
-            Either an ``int`` count of fork-local hosts, or a tuple of
-            specs mixing ``"local"`` (fork-local) and
-            ``"tcp://host:port"`` (a standalone host started via
+            assigned round-robin); ``pipe`` refuses anything but ``1``.
+            Either an ``int`` count of hosts the coordinator forks, or a
+            tuple of specs mixing ``"local"`` (forked) and
+            ``"tcp://host:port"`` (a host started via
             ``python -m repro.runtime.worker_host``; requires
-            ``ship_plan=True`` and ``authkey_file``).
+            ``authkey_file``).
         authkey_file: path to the shared session authkey file for
-            remote ``tcp://`` hosts — the same file the standalone
-            host was started with (``--authkey-file``).  ``None`` (the
-            default) keeps the fork-inherited per-run random key.
-        ship_plan: serialize the plan once and have each worker (or
-            worker host, deduplicated by content fingerprint)
-            deserialize its own copy — the cross-machine wire path.
+            remote ``tcp://`` hosts — the same file the host was started
+            with (``--authkey-file``).  ``None`` (the default) keeps a
+            per-run random key in memory; ``pipe`` refuses it.
         fused: replay through the arena-backed fused executor;
             ``False`` = through the reference interpreter — same bits.
         fault_policy: deadlines / hang detection / retry budget /
@@ -77,7 +76,6 @@ class ServingConfig:
     transport: str = "pipe"
     hosts: int | tuple = 1
     authkey_file: str | None = None
-    ship_plan: bool = False
     fused: bool = True
     fault_policy: FaultPolicy | None = None
     chaos: FaultPlan | None = None
@@ -96,24 +94,24 @@ class ServingConfig:
             )
         if isinstance(self.hosts, list):
             object.__setattr__(self, "hosts", tuple(self.hosts))
-        if isinstance(self.hosts, int):
+        if self.transport == "pipe":
+            if self.hosts != 1 or self.authkey_file is not None:
+                raise ValueError(
+                    "hosts= and authkey_file= configure tcp worker hosts; "
+                    "the pipe transport has none (use transport='tcp')"
+                )
+        elif isinstance(self.hosts, int):
             if self.hosts < 1:
                 raise ValueError("hosts must be >= 1")
         else:
             from repro.runtime.coordinator import parse_host_specs
 
             specs = parse_host_specs(self.hosts)
-            if any(spec is not None for spec in specs):
-                if not self.ship_plan:
-                    raise ValueError(
-                        "remote tcp:// hosts require ship_plan=True — a "
-                        "standalone worker host has no fork-inherited plan"
-                    )
-                if self.authkey_file is None:
-                    raise ValueError(
-                        "remote tcp:// hosts require authkey_file= (the "
-                        "file the worker host was started with)"
-                    )
+            if self.authkey_file is None and any(s is not None for s in specs):
+                raise ValueError(
+                    "remote tcp:// hosts require authkey_file= (the "
+                    "file the worker host was started with)"
+                )
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
 

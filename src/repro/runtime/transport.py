@@ -14,11 +14,12 @@ touching the fault or telemetry semantics.
 Two implementations:
 
 * :class:`PipeTransport` — the default: fork one child per worker with
-  a duplex :func:`multiprocessing.Pipe`.
+  a duplex :func:`multiprocessing.Pipe`; workers inherit the warm plan.
 * ``tcp`` (:class:`~repro.runtime.coordinator.TcpTransport`, in
   :mod:`repro.runtime.coordinator`) — worker slots multiplexed over one
-  length-prefixed CRC-framed socket session per worker host; the only
-  one that runs across machines.
+  length-prefixed CRC-framed socket session per worker host, every host
+  sent the plan as ``EPL1`` bytes; the only one that runs across
+  machines.
 
 Lifecycle contract (the leak-proofing the serving tests rely on): every
 transport registers itself in a process-wide registry swept by
@@ -48,7 +49,6 @@ __all__ = [
     "PipeTransport",
     "WorkerEndpoint",
     "available_transports",
-    "create_transport",
 ]
 
 
@@ -117,14 +117,10 @@ class WorkerEndpoint:
 
 
 class Transport:
-    """Base class: spawn endpoints, account, tear down.
-
-    Subclasses get the worker *factory* from the executor — the loop
-    callable plus its leading arguments (`` (plan,)`` for warm-fork,
-    ``(plan_blob, evaluator)`` for the shipped-plan wire path) — so the
-    transport layer needs no knowledge of plan internals and
-    :mod:`repro.runtime.executor` stays the composition root.
-    """
+    """Base class: spawn endpoints, account, tear down.  The executor
+    builds its transport (``ShardedExecutor._make_transport``), so
+    it stays the composition root and transports never reach into plan
+    internals."""
 
     name = "?"
 
@@ -150,18 +146,18 @@ class PipeTransport(Transport):
 
     name = "pipe"
 
-    def __init__(self, ctx, target, head, cfg) -> None:
+    def __init__(self, ctx, target, plan, cfg) -> None:
         super().__init__()
         self._ctx = ctx
-        self._target = target
-        self._head = head
+        self._target = target  # the worker loop: (plan, conn, cfg)
+        self._plan = plan
         self._cfg = cfg
 
     def spawn(self) -> WorkerEndpoint:
         parent_conn, child_conn = self._ctx.Pipe()
         proc = self._ctx.Process(
             target=self._target,
-            args=(*self._head, child_conn, self._cfg),
+            args=(self._plan, child_conn, self._cfg),
             daemon=True,
         )
         proc.start()
@@ -169,34 +165,3 @@ class PipeTransport(Transport):
         # surfaces as EOF on the parent connection.
         child_conn.close()
         return WorkerEndpoint(proc, parent_conn)
-
-
-def create_transport(
-    name: str,
-    *,
-    ctx,
-    target,
-    head,
-    cfg,
-    plan=None,
-    plan_blob: bytes | None = None,
-    hosts=1,
-    authkey: bytes | None = None,
-) -> Transport:
-    """Build a transport by name (``pipe`` / ``tcp``)."""
-    if name == "pipe":
-        return PipeTransport(ctx, target, head, cfg)
-    if name == "tcp":
-        from repro.runtime.coordinator import TcpTransport
-
-        return TcpTransport(
-            ctx,
-            plan=plan,
-            cfg=cfg,
-            plan_blob=plan_blob,
-            hosts=hosts,
-            authkey=authkey,
-        )
-    raise ValueError(
-        f"unknown transport {name!r}; known: {', '.join(available_transports())}"
-    )

@@ -7,10 +7,10 @@ envelope around every ciphertext/plaintext blob; the **worker message**
 — a fixed, peekable header, then length-prefixed parts that are the
 unchanged ``ENV1`` / ``FLT1`` / ``TRC1`` frames, so relays route on
 :func:`peek_message` and never decode a part; the ``tcp`` transport's
-**session** layouts (CRC-framed socket I/O, ``FHL1`` hello, ``FHA1`` ack,
-``FBT1`` batches, ``FCT1`` control ops, the fork-local host's report);
-and the **worker config**, a JSON object rebuilt field by field through
-the dataclass constructors.
+**session** layouts (the mutual-auth preamble, CRC-framed socket I/O,
+``FHL1`` hello, ``FHA1`` ack, ``FBT1`` batches, ``FCT1`` control ops,
+the forked host's port report); and the **worker config**, a JSON
+object rebuilt field by field through the dataclass constructors.
 
 No layout is a serialized Python object graph, and every decoder checks
 each length against the bytes remaining and raises
@@ -20,7 +20,10 @@ end its *session* with bad bytes, never the process that parses them.
 
 from __future__ import annotations
 
+import hashlib
+import hmac
 import json
+import os
 import socket
 import struct
 import typing
@@ -99,6 +102,11 @@ __all__ = [
     "decode_host_report",
     "encode_worker_config",
     "decode_worker_config",
+    "AUTH_NONCE_BYTES",
+    "HANDSHAKE_TIMEOUT_S",
+    "SESSION_ERRORS",
+    "auth_server",
+    "auth_client",
     "recv_exact",
     "recv_session_frame",
     "send_session_frame",
@@ -283,6 +291,53 @@ def decode_message(data: bytes) -> Message:
 # Session frames
 # ---------------------------------------------------------------------------
 
+# Both ends bound the auth preamble and the hello exchange with this
+# socket timeout, so an unauthenticated peer can only briefly stall a
+# host's one-session-at-a-time accept loop.
+HANDSHAKE_TIMEOUT_S = 30.0
+
+# What ends a *session* — never the host process (its warm plan cache
+# must survive), never a pump thread without marking the session dead:
+# the socket failing (a handshake TimeoutError is an OSError too), or a
+# CRC-valid frame that decodes malformed.
+SESSION_ERRORS = (OSError, EOFError, WireFormatError)
+
+# The auth preamble, before any frame: a session can spawn processes and
+# feed the host's decoders, and the listener may be reachable by every
+# local user, so both sides prove knowledge of a shared authkey that
+# never crosses the wire — multiprocessing.connection's challenge
+# model, mutual here.
+AUTH_NONCE_BYTES = 32
+
+
+def _auth_digest(authkey: bytes, role: bytes, nonce: bytes) -> bytes:
+    return hmac.new(authkey, role + b":" + nonce, hashlib.sha256).digest()
+
+
+def auth_server(sock: socket.socket, authkey: bytes) -> bool:
+    """Host side: challenge the connecting peer; returns False (never
+    raises into frame parsing) when the peer fails to authenticate."""
+    nonce = os.urandom(AUTH_NONCE_BYTES)
+    sock.sendall(nonce)
+    reply = recv_exact(sock, 2 * AUTH_NONCE_BYTES)
+    digest = reply[:AUTH_NONCE_BYTES]
+    peer_nonce = reply[AUTH_NONCE_BYTES:]
+    if not hmac.compare_digest(digest, _auth_digest(authkey, b"coordinator", nonce)):
+        return False
+    sock.sendall(_auth_digest(authkey, b"host", peer_nonce))
+    return True
+
+
+def auth_client(sock: socket.socket, authkey: bytes) -> None:
+    """Coordinator side: answer the host's challenge, then verify the
+    host's proof (mutual — a squatter on a recycled port fails too)."""
+    nonce = recv_exact(sock, AUTH_NONCE_BYTES)
+    my_nonce = os.urandom(AUTH_NONCE_BYTES)
+    sock.sendall(_auth_digest(authkey, b"coordinator", nonce) + my_nonce)
+    proof = recv_exact(sock, AUTH_NONCE_BYTES)
+    if not hmac.compare_digest(proof, _auth_digest(authkey, b"host", my_nonce)):
+        raise WireFormatError("worker host failed session authentication")
+
 
 def recv_exact(sock: socket.socket, n: int) -> bytes:
     buf = bytearray()
@@ -366,29 +421,31 @@ _HELLO_HEAD = struct.Struct("<HBH")  # version, flags, signature length
 _HELLO_FLAG_SHIP_PLAN = 1  # coordinator holds EPL1 bytes for this plan
 
 
-def encode_hello(ship_plan: bool, signature: str, cfg: "WorkerConfig") -> bytes:
+def encode_hello(signature: str, cfg: "WorkerConfig") -> bytes:
     sig = signature.encode()
     blob = encode_worker_config(cfg)
-    flags = _HELLO_FLAG_SHIP_PLAN if ship_plan else 0
-    head = _HELLO_HEAD.pack(SESSION_VERSION, flags, len(sig))
+    head = _HELLO_HEAD.pack(SESSION_VERSION, _HELLO_FLAG_SHIP_PLAN, len(sig))
     return head + sig + _U32.pack(len(blob)) + blob
 
 
-def decode_hello(payload: bytes) -> tuple[bool, str, "WorkerConfig"]:
-    """``(ship_plan, plan signature, worker config)``.  The version is
-    judged before any later field is read, so a peer from another
-    checkout gets a :class:`VersionMismatch`, never a misparse."""
+def decode_hello(payload: bytes) -> tuple[str, "WorkerConfig"]:
+    """``(plan signature, worker config)``.  The version is judged before
+    any later field is read, so a peer from another checkout gets a
+    :class:`VersionMismatch`, never a misparse; a hello whose flag bit 0
+    is clear offers no plan bytes, and no host can serve without them."""
     reader = _Reader(payload, "FHL1 hello")
     version, flags, sig_len = reader.unpack(_HELLO_HEAD)
     if version not in SUPPORTED_VERSIONS["session"]:
         raise VersionMismatch(SESSION_VERSION, version)
+    if not flags & _HELLO_FLAG_SHIP_PLAN:
+        raise WireFormatError("FHL1 hello offers no plan bytes (flag bit 0 clear)")
     try:
         signature = reader.take(sig_len).decode()
     except UnicodeDecodeError as exc:
         raise WireFormatError("FHL1 plan signature is not UTF-8") from exc
     cfg = decode_worker_config(reader.take(*reader.unpack(_U32)))
     reader.finish()
-    return bool(flags & _HELLO_FLAG_SHIP_PLAN), signature, cfg
+    return signature, cfg
 
 
 _ACK = struct.Struct("<BI")  # need_plan, host pid
@@ -405,7 +462,8 @@ def decode_ack(payload: bytes) -> tuple[bool, int]:
 
 
 def encode_host_report(port: int, pid: int) -> bytes:
-    """What a fork-local host writes to its report pipe once listening."""
+    """What a host the coordinator forked writes to its report pipe once
+    listening."""
     return _HOST_REPORT.pack(port, pid)
 
 
@@ -420,11 +478,12 @@ def decode_host_report(payload: bytes) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class HostEnv:
-    """Everything a *standalone* worker host needs to rebuild an
-    evaluator from scratch: the CKKS parameters and the exact RNS prime
-    chain.  Fork-local hosts ignore it (their evaluator is
-    fork-inherited).  The plan's backend is *not* here: ``EPL1`` blobs
-    carry their own backend in the META frame."""
+    """Everything a worker host needs to rebuild an evaluator from
+    scratch: the CKKS parameters and the exact RNS prime chain.  Every
+    host builds the evaluator its ``FPL1`` plan loads against from it,
+    whether the coordinator forked the host or an operator started it.
+    The plan's backend is *not* here: ``EPL1`` blobs carry their own
+    backend in the META frame."""
 
     params: CkksParameters
     primes: tuple[NttFriendlyPrime, ...]
@@ -447,8 +506,8 @@ class WorkerConfig:
     fused: bool
     chaos: FaultPlan | None
     heartbeat_s: float | None
-    # Only the tcp transport sets it: lets a host with no fork
-    # relationship rebuild the evaluator FPL1 plan bytes load against.
+    # Only the tcp transport sets it: the host rebuilds the evaluator
+    # FPL1 plan bytes load against from it.
     env: HostEnv | None = None
 
 

@@ -9,11 +9,11 @@ the reducers differ in cost, not semantics.
 
 The same holds for *how* the program runs: a parametrized grid —
 executor {interpreter, fused} x delivery/transport {in-process,
-fork-pipe, shipped-pipe, tcp-loopback, CLI remote host,
-hang-recovered} — pins every mode to the eager evaluator's bytes under
-each backend.  Two more programs — the fusion passes' heavier shapes, a
-hoisted rotation pair with a plaintext MAC and a dense BSGS transform —
-are held to the same bytes in process, interpreter and fused.
+fork-pipe, tcp-loopback, CLI remote host, hang-recovered} — pins every
+mode to the eager evaluator's bytes under each backend.  Two more
+programs — the fusion passes' heavier shapes, a hoisted rotation pair
+with a plaintext MAC and a dense BSGS transform — are held to the same
+bytes in process, interpreter and fused.
 """
 
 from __future__ import annotations
@@ -174,12 +174,10 @@ def _serving_config(delivery: str, fused: bool, remote) -> ServingConfig:
     """The pool shape behind one delivery/transport column of the grid."""
     if delivery == "fork-pipe":
         return ServingConfig(num_workers=2, fused=fused)
-    if delivery == "shipped-pipe":
-        return ServingConfig(num_workers=1, ship_plan=True, fused=fused)
     if delivery == "tcp-loopback":
-        return ServingConfig(
-            num_workers=1, transport="tcp", ship_plan=True, fused=fused
-        )
+        # A forked host: the plan reaches its worker rebuilt from EPL1
+        # bytes, against an evaluator rebuilt from the shipped HostEnv.
+        return ServingConfig(num_workers=1, transport="tcp", fused=fused)
     if delivery == "remote-host":
         # The worker-host CLI process: it rebuilt its evaluator from the
         # shipped HostEnv and got the plan as FPL1 bytes, with no fork
@@ -189,7 +187,6 @@ def _serving_config(delivery: str, fused: bool, remote) -> ServingConfig:
             num_workers=1,
             transport="tcp",
             hosts=(f"tcp://127.0.0.1:{port}",),
-            ship_plan=True,
             authkey_file=keyfile,
             fused=fused,
         )
@@ -209,7 +206,6 @@ def _serving_config(delivery: str, fused: bool, remote) -> ServingConfig:
 DELIVERIES = (
     "in-process",
     "fork-pipe",
-    "shipped-pipe",
     "tcp-loopback",
     "remote-host",
     "hang-recovered",
@@ -241,14 +237,13 @@ def test_every_mode_is_byte_equal_to_eager(
             assert stats["fused"] is fused
             assert stats["completed"] == 1
             if not stats["inline"]:
-                if delivery == "shipped-pipe":
-                    assert stats["plan_wire"]
-                elif delivery == "hang-recovered":
+                if delivery == "hang-recovered":
                     assert stats["hang_kills"] == 1
                 elif delivery == "remote-host":
                     assert stats["transport_stats"]["remote_hosts"] == 1
                 elif delivery == "tcp-loopback":
                     assert stats["transport"] == "tcp"
+                    assert stats["transport_stats"]["plan_uploads"] == 1
     for name, want, have in zip(("rot", "prod"), eager, got):
         assert have.scale == want.scale
         for i, part in enumerate(want.parts):

@@ -178,7 +178,6 @@ def test_ten_round_kill_reattach_soak(tmp_path, rctx, soak_plan):
                 num_workers=2,
                 transport="tcp",
                 hosts=(f"tcp://127.0.0.1:{supervisor.port}",),
-                ship_plan=True,
                 authkey_file=supervisor.keyfile,
                 chaos=chaos,
                 modeled_request_io_s=0.05,

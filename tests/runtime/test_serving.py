@@ -3,6 +3,10 @@ left of the executor's own constructor surface."""
 
 from __future__ import annotations
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -61,11 +65,26 @@ class TestServingConfig:
             {"hosts": 0},
             {"max_pending": 0},
             {"transport": "shm"},  # deleted in PR 22: rejected by name
+            {"hosts": 2},  # pipe has no hosts to count
+            {"hosts": ("tcp://10.0.0.7:9701",), "authkey_file": "key"},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             ServingConfig(**kwargs)
+
+    def test_docs_field_table_matches_the_dataclass(self):
+        """The rows of docs/serving.md's field table are the fields, in
+        order — a field added or removed must be documented with it."""
+        doc = Path(__file__).resolve().parents[2] / "docs" / "serving.md"
+        lines = doc.read_text().splitlines()
+        start = lines.index("| Field | Default | Meaning |")
+        rows = []
+        for line in lines[start + 2 :]:
+            if not line.startswith("|"):
+                break
+            rows.append(re.match(r"\| `(\w+)` \|", line).group(1))
+        assert rows == [f.name for f in dataclasses.fields(ServingConfig)]
 
 
 class TestServeFacade:
@@ -142,6 +161,8 @@ class TestLegacyKeywordBridge:
             serve(square_plan, num_workers=1)
         with pytest.raises(TypeError, match="unexpected"):
             ServingConfig(coeff_bits=44)  # always derived from the plan's basis
+        with pytest.raises(TypeError, match="unexpected"):
+            ServingConfig(ship_plan=True)  # the transport decides: tcp ships
         pool = ShardedExecutor(square_plan, config=ServingConfig(num_workers=0))
         with pytest.raises(TypeError, match="unexpected"):
             StreamingServer(pool, max_pending=5)

@@ -32,7 +32,6 @@ import pytest
 from repro.ckks.serialization import WireFormatError, pack_frame
 from repro.runtime import CtSpec, FaultAction, FaultPlan, compile_fn
 from repro.runtime import wire
-from repro.runtime.coordinator import _auth_client
 from repro.runtime.faults import WorkerCrash
 from repro.runtime.plan_io import serialize_plan
 from repro.runtime.telemetry import TraceContext
@@ -42,10 +41,11 @@ from repro.runtime.wire import (
     SESSION_CONTROL_MAGIC,
     SESSION_HELLO_MAGIC,
     SESSION_PLAN_MAGIC,
+    auth_client,
     recv_session_frame,
     send_session_frame,
 )
-from repro.runtime.worker_host import StandaloneWorkerHost
+from repro.runtime.worker_host import WorkerHost
 
 # Exceptions that count as a *typed rejection*: exactly the set the
 # session loop treats as end-of-session — the decoders' one error type,
@@ -137,7 +137,7 @@ class TestDecodeFuzz:
     the same payload decoder the host dispatch uses."""
 
     def _corpus(self, fuzz_plan):
-        hello = wire.encode_hello(True, fuzz_plan.signature, _worker_cfg(fuzz_plan))
+        hello = wire.encode_hello(fuzz_plan.signature, _worker_cfg(fuzz_plan))
 
         def decode_batch_entries(payload):
             for _slot, msg_bytes in wire.decode_batch(payload):
@@ -264,7 +264,7 @@ class TestDecodeFuzz:
 
 
 class TestLiveHostFuzz:
-    """The same mutation battery against a *live* standalone host: after
+    """The same mutation battery against a *live* worker host: after
     every hostile session the host must still be serving (a hung pump
     would wedge the one-session-at-a-time accept loop and time the next
     round out; an escaped exception would kill the serve thread)."""
@@ -276,14 +276,14 @@ class TestLiveHostFuzz:
 
         rng = np.random.default_rng(FUZZ_SEED + 2)
         key = os.urandom(32)
-        host = StandaloneWorkerHost(("127.0.0.1", 0), key)
+        host = WorkerHost(("127.0.0.1", 0), key)
         port = host.bind()
         thread = threading.Thread(target=host.serve_forever, daemon=True)
         thread.start()
         cfg = _worker_cfg(fuzz_plan)
         hello_frame = pack_frame(
             SESSION_HELLO_MAGIC,
-            wire.encode_hello(True, fuzz_plan.signature, cfg),
+            wire.encode_hello(fuzz_plan.signature, cfg),
         )
         steady_frames = [
             pack_frame(SESSION_CONTROL_MAGIC, wire.encode_control("spawn", 0)),
@@ -301,7 +301,7 @@ class TestLiveHostFuzz:
                     ("127.0.0.1", port), timeout=10
                 ) as sock:
                     sock.settimeout(10)
-                    _auth_client(sock, key)
+                    auth_client(sock, key)
                     if scenario == 0:
                         # Mutated hello as the first frame.
                         sock.sendall(_mutate(rng, hello_frame))
@@ -340,7 +340,7 @@ class TestLiveHostFuzz:
             # warm plan cache included.
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
                 sock.settimeout(10)
-                _auth_client(sock, key)
+                auth_client(sock, key)
                 sock.sendall(hello_frame)
                 tag, payload = recv_session_frame(sock)
                 assert tag == SESSION_ACK_MAGIC

@@ -31,7 +31,8 @@ from repro.runtime import (
     get_telemetry,
     serve,
 )
-from repro.runtime.wire import WorkerConfig, available_transports
+from repro.runtime.plan_io import serialize_plan
+from repro.runtime.wire import HostEnv, WorkerConfig, available_transports
 
 RESULT_TIMEOUT = 120.0
 
@@ -97,8 +98,9 @@ class TestTcpTransport:
         batches = _batches(rctx, 6, seed=12)
         reference = fabric_plan.run_batch(batches)
         cfg = ServingConfig(
-            num_workers=4, transport="tcp", hosts=2, ship_plan=True
+            num_workers=4, transport="tcp", hosts=2
         )
+        host_procs = []
         with ShardedExecutor(fabric_plan, config=cfg) as pool:
             sharded = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
             stats = pool.stats()
@@ -106,7 +108,11 @@ class TestTcpTransport:
                 ts = stats["transport_stats"]
                 assert ts["hosts_spawned"] == 2
                 assert ts["plan_uploads"] == 2
+                host_procs = [h.host_proc for h in pool._transport._hosts]
         _assert_batches_equal(sharded, reference)
+        # close() retires each forked host with a SIGTERM drain; exit
+        # code 0 means the drain finished it, not the SIGKILL fallback.
+        assert [p.exitcode for p in host_procs] == [0] * len(host_procs)
 
     def test_batched_framing_sends_fewer_frames(self, rctx, fabric_plan):
         batches = _batches(rctx, 8, seed=13)
@@ -137,7 +143,6 @@ class TestHostLoss:
         cfg = ServingConfig(
             num_workers=2,
             transport="tcp",
-            ship_plan=True,
             chaos=chaos,
             fault_policy=FaultPolicy(backoff_base_s=0.01),
         )
@@ -193,9 +198,16 @@ class TestHostLoss:
             telemetry.disable()
 
 
-_BARE_CONFIG = WorkerConfig(
-    coeff_bits=0, io_s=0.0, fused=False, chaos=None, heartbeat_s=None
-)
+def _bare_config(plan):
+    evaluator = plan.evaluator
+    return WorkerConfig(
+        coeff_bits=0,
+        io_s=0.0,
+        fused=False,
+        chaos=None,
+        heartbeat_s=None,
+        env=HostEnv(evaluator.params, tuple(evaluator.basis.primes)),
+    )
 
 
 class TestSessionSecurity:
@@ -208,7 +220,10 @@ class TestSessionSecurity:
         from repro.runtime.coordinator import TcpTransport
 
         transport = TcpTransport(
-            mp.get_context("fork"), plan=fabric_plan, cfg=_BARE_CONFIG
+            mp.get_context("fork"),
+            plan_blob=serialize_plan(fabric_plan),
+            signature=fabric_plan.signature,
+            cfg=_bare_config(fabric_plan),
         )
         proc, port = transport._fork_host("sec-test")
         return transport, proc, port
@@ -221,7 +236,7 @@ class TestSessionSecurity:
 
     def test_mutual_auth_round_trip_and_wrong_key(self):
         from repro.ckks.serialization import WireFormatError
-        from repro.runtime.coordinator import _auth_client, _auth_server
+        from repro.runtime.wire import auth_client, auth_server
 
         key = os.urandom(32)
 
@@ -230,14 +245,14 @@ class TestSessionSecurity:
             outcome = {}
 
             def server():
-                outcome["ok"] = _auth_server(a, server_key)
+                outcome["ok"] = auth_server(a, server_key)
                 if not outcome["ok"]:
                     a.close()  # what the host's accept loop does
 
             thread = threading.Thread(target=server)
             thread.start()
             try:
-                _auth_client(b, client_key)
+                auth_client(b, client_key)
             finally:
                 thread.join()
                 a.close()
@@ -251,8 +266,7 @@ class TestSessionSecurity:
     def test_unauthenticated_peer_disconnected_before_any_frame(
         self, fabric_plan
     ):
-        from repro.runtime.coordinator import _auth_client
-        from repro.runtime.wire import recv_exact
+        from repro.runtime.wire import auth_client, recv_exact
 
         transport, proc, port = self._bare_host(fabric_plan)
         try:
@@ -267,7 +281,7 @@ class TestSessionSecurity:
             # The host survives and still serves the genuine key.
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
                 sock.settimeout(10)
-                _auth_client(sock, transport._authkey)
+                auth_client(sock, transport._authkey)
         finally:
             self._retire(transport, proc)
 
@@ -285,35 +299,45 @@ class TestSessionSecurity:
                 recv_session_frame(b)
 
     def test_malformed_frame_drops_session_not_host(self, fabric_plan):
-        from repro.runtime.coordinator import _auth_client
         from repro.runtime.wire import (
             SESSION_ACK_MAGIC,
             SESSION_BATCH_MAGIC,
             SESSION_HELLO_MAGIC,
+            SESSION_PLAN_MAGIC,
+            auth_client,
+            decode_ack,
             encode_hello,
             recv_session_frame,
             send_session_frame,
         )
 
         transport, proc, port = self._bare_host(fabric_plan)
+
+        def attach():
+            """Dial, authenticate, say hello; returns (socket, need_plan)."""
+            sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+            sock.settimeout(10)
+            auth_client(sock, transport._authkey)
+            hello = encode_hello(transport.signature, transport.cfg)
+            send_session_frame(sock, SESSION_HELLO_MAGIC, hello)
+            tag, payload = recv_session_frame(sock)
+            assert tag == SESSION_ACK_MAGIC
+            return sock, decode_ack(payload)[0]
+
         try:
-            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-                sock.settimeout(10)
-                _auth_client(sock, transport._authkey)
-                send_session_frame(
-                    sock, SESSION_HELLO_MAGIC, encode_hello(False, "", _BARE_CONFIG)
-                )
-                tag, _ = recv_session_frame(sock)
-                assert tag == SESSION_ACK_MAGIC
-                # CRC-valid but malformed batch: count says one entry,
-                # payload ends before the entry header.
+            sock, need_plan = attach()
+            with sock:
+                assert need_plan  # a fresh host: complete the handshake
+                send_session_frame(sock, SESSION_PLAN_MAGIC, transport.plan_blob)
+                # Steady state.  A CRC-valid but malformed batch: count
+                # says one entry, payload ends before the entry header.
                 send_session_frame(sock, SESSION_BATCH_MAGIC, struct.pack("<I", 1))
                 assert sock.recv(1) == b""  # session dropped…
             time.sleep(0.2)
-            assert proc.is_alive()  # …but the host (plan cache) lives
-            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-                sock.settimeout(10)
-                _auth_client(sock, transport._authkey)  # and reconnects
+            assert proc.is_alive()  # …but the host lives,
+            sock, need_plan = attach()
+            with sock:
+                assert not need_plan  # its plan cache too
         finally:
             self._retire(transport, proc)
 

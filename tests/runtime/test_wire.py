@@ -163,8 +163,22 @@ def test_worker_config_round_trip(
     cfg = wire.WorkerConfig(coeff_bits, io_s, fused, chaos, heartbeat_s, env)
     back = wire.decode_worker_config(wire.encode_worker_config(cfg))
     assert back == cfg
-    hello = wire.decode_hello(wire.encode_hello(fused, "sig-é", cfg))
-    assert hello == (fused, "sig-é", cfg)
+    hello = wire.decode_hello(wire.encode_hello("sig-é", cfg))
+    assert hello == ("sig-é", cfg)
+
+
+def test_hello_without_plan_bytes_is_refused():
+    """Flag bit 0 is always set: a hello that clears it offers no plan,
+    and the host drops that session (after the version check, so a peer
+    from another checkout still gets named)."""
+    cfg = wire.WorkerConfig(44, 0.0, True, None, None)
+    hello = bytearray(wire.encode_hello("sig", cfg))
+    hello[2] = 0
+    with pytest.raises(WireFormatError, match="bit 0"):
+        wire.decode_hello(bytes(hello))
+    hello[0] = 1  # version 1
+    with pytest.raises(wire.VersionMismatch):
+        wire.decode_hello(bytes(hello))
 
 
 def test_rebuilt_host_env_builds_the_same_evaluator(host_env):
@@ -244,6 +258,37 @@ def test_runtime_speaks_bytes_on_every_channel():
                 if node.func.attr == "recv" and not node.args and not node.keywords:
                     offenders.append(f"{where}: .recv() unpickles")
     assert offenders == []
+
+
+def test_one_worker_host_class_apart_from_the_coordinator():
+    """Exactly one class serves sessions — ``worker_host.WorkerHost``,
+    which imports nothing from coordinator.py (the handshake lives in
+    wire.py) — and coordinator.py defines only the coordinator side."""
+    trees = {p.name: ast.parse(p.read_text()) for p in sorted(RUNTIME.glob("*.py"))}
+    imported = set()
+    for node in ast.walk(trees["worker_host.py"]):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not [name for name in imported if "coordinator" in name]
+    classes = {
+        name: [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+        for name, tree in trees.items()
+    }
+    hosts = [
+        (name, cls.name)
+        for name, found in classes.items()
+        for cls in found
+        if any(getattr(f, "name", None) == "serve_forever" for f in cls.body)
+    ]
+    assert hosts == [("worker_host.py", "WorkerHost")]
+    assert {cls.name for cls in classes["coordinator.py"]} == {
+        "_SlotProc",
+        "_SlotChannel",
+        "_HostHandle",
+        "TcpTransport",
+    }
 
 
 def _doc_table(header_cell: str) -> list[list[str]]:

@@ -1,10 +1,10 @@
-"""Standalone worker-host lifecycle: the operator-owned half of the fabric.
+"""Worker-host lifecycle: the half of the fabric that owns slot workers.
 
-A ``StandaloneWorkerHost`` (``python -m repro.runtime.worker_host``) has
-no fork relationship with any coordinator, so its lifecycle is its own:
-it must refuse stale keys without dying, report a bound address clearly,
-time out sessions whose coordinator went quiet, refuse a second
-coordinator explicitly while serving a first, and drain in-flight work
+A ``WorkerHost`` — the class ``python -m repro.runtime.worker_host``
+runs, and the one the tcp transport forks — must refuse stale keys
+without dying, report a bound address clearly, time out sessions whose
+coordinator went quiet, refuse a second coordinator explicitly while
+serving a first, take and lower the plan once, and drain in-flight work
 on SIGTERM instead of dropping it.
 """
 
@@ -32,7 +32,6 @@ from repro.runtime import (
     compile_fn,
     serve,
 )
-from repro.runtime.coordinator import _auth_client, _auth_server
 from repro.runtime.plan_io import serialize_plan
 from repro.runtime.wire import (
     SESSION_ACK_MAGIC,
@@ -43,6 +42,8 @@ from repro.runtime.wire import (
     HostEnv,
     VersionMismatch,
     WorkerConfig,
+    auth_client,
+    auth_server,
     decode_control,
     encode_control,
     encode_hello,
@@ -51,7 +52,7 @@ from repro.runtime.wire import (
 )
 from repro.runtime.worker_host import (
     MIN_AUTHKEY_BYTES,
-    StandaloneWorkerHost,
+    WorkerHost,
     load_authkey,
     main,
 )
@@ -98,9 +99,9 @@ def _write_key(tmp_path, name="authkey"):
 
 
 def _threaded_host(authkey, **kwargs):
-    """An in-process StandaloneWorkerHost serving on an ephemeral port
-    from a daemon thread; returns (host, port, thread)."""
-    host = StandaloneWorkerHost(("127.0.0.1", 0), authkey, **kwargs)
+    """An in-process WorkerHost serving on an ephemeral port from a
+    daemon thread; returns (host, port, thread)."""
+    host = WorkerHost(("127.0.0.1", 0), authkey, **kwargs)
     port = host.bind()
     thread = threading.Thread(target=host.serve_forever, daemon=True)
     thread.start()
@@ -113,21 +114,22 @@ def _stop_host(host, thread):
     assert not thread.is_alive()
 
 
-def _negotiate_session(port, authkey, host_plan):
-    """Dial + authenticate + complete a ship-plan hello, leaving the
-    host inside its session loop.  Returns the connected socket."""
+def _negotiate_session(port, authkey, host_plan, fused=False):
+    """Dial + authenticate + complete a hello (uploading the plan if the
+    host asks), leaving the host inside its session loop.  Returns the
+    connected socket."""
     env = HostEnv(
         params=host_plan.evaluator.params,
         primes=tuple(host_plan.evaluator.basis.primes),
     )
     cfg = WorkerConfig(
-        coeff_bits=0, io_s=0.0, fused=False, chaos=None, heartbeat_s=None, env=env
+        coeff_bits=0, io_s=0.0, fused=fused, chaos=None, heartbeat_s=None, env=env
     )
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     sock.settimeout(10)
-    _auth_client(sock, authkey)
+    auth_client(sock, authkey)
     send_session_frame(
-        sock, SESSION_HELLO_MAGIC, encode_hello(True, host_plan.signature, cfg)
+        sock, SESSION_HELLO_MAGIC, encode_hello(host_plan.signature, cfg)
     )
     tag, payload = recv_session_frame(sock)
     assert tag == SESSION_ACK_MAGIC
@@ -196,11 +198,11 @@ class TestSessionLifecycle:
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
                 sock.settimeout(10)
                 with pytest.raises((WireFormatError, ConnectionError, OSError)):
-                    _auth_client(sock, os.urandom(32))
+                    auth_client(sock, os.urandom(32))
             # The host neither died nor wedged: the real key still works.
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
                 sock.settimeout(10)
-                _auth_client(sock, key)
+                auth_client(sock, key)
             assert thread.is_alive()
         finally:
             _stop_host(host, thread)
@@ -232,7 +234,7 @@ class TestSessionLifecycle:
             # typed FCT1 control frame — not a hang, not a silent drop.
             with socket.create_connection(("127.0.0.1", port), timeout=10) as second:
                 second.settimeout(10)
-                _auth_client(second, key)
+                auth_client(second, key)
                 tag, payload = recv_session_frame(second)
                 assert tag == SESSION_CONTROL_MAGIC
                 # (op, a=the threaded host's pid, b unused)
@@ -260,6 +262,25 @@ class TestSessionLifecycle:
         finally:
             _stop_host(host, thread)
 
+    def test_shipped_plan_is_lowered_once_in_the_host(self, tmp_path, host_plan):
+        """A fused session's plan is lowered in the host, before any slot
+        forks — so no slot, respawned or not, lowers inside a request."""
+        _, key = _write_key(tmp_path)
+        host, port, thread = _threaded_host(key)
+        try:
+            sock = _negotiate_session(port, key, host_plan, fused=True)
+            # The spawn ack comes after negotiation: the plan is cached.
+            send_session_frame(sock, SESSION_CONTROL_MAGIC, encode_control("spawn", 0))
+            tag, payload = recv_session_frame(sock)
+            assert (tag, decode_control(payload)[0]) == (SESSION_CONTROL_MAGIC, "up")
+            cached = host._plans_by_sig[host_plan.signature]
+            assert cached is not host_plan  # rebuilt from the FPL1 bytes
+            assert cached._fused is not None
+            send_session_frame(sock, SESSION_CONTROL_MAGIC, encode_control("bye"))
+            sock.close()
+        finally:
+            _stop_host(host, thread)
+
 
 def _v1_hello(signature: str) -> bytes:
     """The FHL1 payload a SESSION_VERSION 1 checkout sent: the same
@@ -283,7 +304,7 @@ class TestVersionMismatch:
         try:
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
                 sock.settimeout(10)
-                _auth_client(sock, key)
+                auth_client(sock, key)
                 send_session_frame(
                     sock, SESSION_HELLO_MAGIC, _v1_hello(host_plan.signature)
                 )
@@ -309,7 +330,7 @@ class TestVersionMismatch:
             sock, _ = listener.accept()
             with sock:
                 sock.settimeout(10)
-                assert _auth_server(sock, key)
+                assert auth_server(sock, key)
                 tag, payload = recv_session_frame(sock)
                 assert tag == SESSION_HELLO_MAGIC
                 (peer_version,) = struct.unpack_from("<H", payload)
@@ -325,7 +346,6 @@ class TestVersionMismatch:
             num_workers=1,
             transport="tcp",
             hosts=(f"tcp://127.0.0.1:{port}",),
-            ship_plan=True,
             authkey_file=keyfile,
         )
         try:
@@ -399,7 +419,6 @@ class TestCliHostServing:
                 num_workers=2,
                 transport="tcp",
                 hosts=(f"tcp://127.0.0.1:{port}",),
-                ship_plan=True,
                 authkey_file=keyfile,
                 chaos=chaos,
                 fault_policy=FaultPolicy(backoff_base_s=0.01),
@@ -428,7 +447,6 @@ class TestCliHostServing:
                 num_workers=2,
                 transport="tcp",
                 hosts=(f"tcp://127.0.0.1:{port}",),
-                ship_plan=True,
                 authkey_file=keyfile,
                 modeled_request_io_s=0.5,
             )
