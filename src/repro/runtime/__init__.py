@@ -71,7 +71,6 @@ single Perfetto-loadable timeline across processes and retries (see
 from repro.runtime.bridge import (
     plan_op_counts,
     plan_schedule_comparison,
-    plan_to_request_queue,
     plan_to_workload,
 )
 from repro.runtime.arena import ArenaLayout, BufferArena
@@ -91,7 +90,6 @@ from repro.runtime.graph import CtSpec, Graph, Node, PtSpec
 from repro.runtime.passes import (
     PlanValidationError,
     check_alignment,
-    fuse_rescales,
     fusion_groups,
     hoist_groups,
     optimize,
@@ -102,7 +100,6 @@ from repro.runtime.plan import (
     clear_plan_cache,
     compile_fn,
     compile_graph,
-    get_plan_store,
     plan_cache_info,
     set_plan_store,
 )
@@ -141,7 +138,6 @@ __all__ = [
     "trace",
     "PlanValidationError",
     "optimize",
-    "fuse_rescales",
     "fusion_groups",
     "hoist_groups",
     "check_alignment",
@@ -154,7 +150,6 @@ __all__ = [
     "plan_cache_info",
     "clear_plan_cache",
     "set_plan_store",
-    "get_plan_store",
     "ConstantStore",
     "MissingConstantsError",
     "PlanFormatError",
@@ -168,7 +163,6 @@ __all__ = [
     "load_plan",
     "plan_op_counts",
     "plan_to_workload",
-    "plan_to_request_queue",
     "plan_schedule_comparison",
     "ShardedExecutor",
     "WorkerError",

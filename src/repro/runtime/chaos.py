@@ -11,7 +11,8 @@ order.  The executor consults it at four well-defined hook points:
 * ``pre_evaluate`` (worker, after decoding inputs): ``crash`` (SIGKILL
   self), ``stop`` (SIGSTOP self — a genuinely stuck-not-dead worker, the
   hang detector's prey), ``hang`` (sleep with heartbeats suppressed),
-  ``slow`` (sleep with heartbeats flowing — slow is *not* hung);
+  ``slow`` (sleep with heartbeats flowing — slow is *not* hung; how a
+  test holds a worker busy);
 * ``post_evaluate`` (worker, after computing, before replying): ``crash``
   — exercises exactly-once delivery when work is lost after completion;
 * ``reply_encode`` (worker, after encoding outputs): byte-flips the
@@ -26,11 +27,6 @@ order.  The executor consults it at four well-defined hook points:
   (deliver the reply twice — the executor's stale-attempt dedup must
   drop the extra copy) — exercises the coordinator's host-loss requeue
   path, frame-truncation detection, and delivery-order independence.
-
-For faults below the frame level — delaying, reordering, or duplicating
-whole *frames* on the wire rather than replies inside the host —
-:class:`NetworkShaper` is a deterministic loopback proxy a test can park
-between the coordinator and a worker host.
 
 Decisions are rate-based (one hash draw per ``(seed, site, request_id,
 attempt)``) and can be pinned exactly with ``scripted`` entries for
@@ -48,16 +44,13 @@ would defeat the purpose of graceful degradation).
 from __future__ import annotations
 
 import hashlib
-import socket
+import math
 import struct
-import threading
-import time
 from dataclasses import KW_ONLY, dataclass
 
 __all__ = [
     "FaultAction",
     "FaultPlan",
-    "NetworkShaper",
     "SITES",
     "flip_frame_byte",
 ]
@@ -90,6 +83,10 @@ class FaultAction:
     site: str
     duration_s: float = 0.0  # for hang/slow
     salt: int = 0  # for flip: which byte of the frame payload
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.duration_s < math.inf:  # time.sleep cannot take it
+            raise ValueError("fault durations must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -155,8 +152,13 @@ class FaultPlan:
             self.duplicate_rate,
         )
         flips = (self.crash_after_rate, self.request_flip_rate, self.reply_flip_rate)
-        if any(r < 0 or r > 1 for r in pre_evaluate + host_relay + flips):
+        # Each check states what a valid value satisfies, so NaN — which
+        # fails every comparison — is rejected rather than waved through.
+        if not all(0 <= r <= 1 for r in pre_evaluate + host_relay + flips):
             raise ValueError("fault rates must be in [0, 1]")
+        durations = (self.hang_s, self.slow_s, self.slow_host_s, self.asym_latency_s)
+        if not all(0 <= d < math.inf for d in durations):
+            raise ValueError("fault durations must be finite and >= 0")
         if sum(pre_evaluate) > 1:
             raise ValueError("pre_evaluate rates must sum to <= 1")
         if sum(host_relay) > 1:
@@ -235,224 +237,6 @@ class FaultPlan:
         if u < rate:
             return FaultAction("flip", site, salt=salt)
         return None
-
-
-# ---------------------------------------------------------------------------
-# Network shaper: deterministic frame-level delivery faults on the wire
-# ---------------------------------------------------------------------------
-
-
-class NetworkShaper:
-    """A deterministic loopback proxy injecting *delivery* faults.
-
-    Park it between a coordinator and a worker host: the coordinator
-    dials ``shaper.port`` instead of the host, and the shaper relays the
-    session — first the raw (unframed) mutual-auth preamble
-    byte-for-byte, then whole CRC-framed session frames — while
-    injecting the network misbehaviour loopback never exhibits:
-
-    * **asymmetric latency** — ``up_delay_s`` / ``down_delay_s`` delay
-      every frame of one direction only (``up`` = coordinator→host);
-    * **reorder** — hold a frame back one slot, shipping it after its
-      successor;
-    * **duplicate** — deliver a frame twice (intact both times — the
-      receiver's dedup, not its CRC check, is under test).
-
-    Per-frame faults are drawn deterministically from ``seed`` per
-    ``(direction, frame_index)``, or pinned exactly with
-    ``scripted={("up"|"down", index): "reorder"|"duplicate"|None}``.
-    The first ``grace_frames`` frames of each direction never draw a
-    fault: holding back an ``FHL1``/``FHA1``/``FPL1`` negotiation frame
-    would deadlock the handshake rather than exercise recovery
-    (``scripted`` entries still override, for tests that want exactly
-    that).
-    Frame *bytes* are never mutated — corruption is the frame fuzzer's
-    job; the shaper exercises delivery order and timing against intact
-    frames, so every injected fault must be absorbed silently (no
-    session loss, no wrong results).
-    """
-
-    def __init__(
-        self,
-        target: tuple[str, int],
-        *,
-        seed: int = 0,
-        up_delay_s: float = 0.0,
-        down_delay_s: float = 0.0,
-        reorder_rate: float = 0.0,
-        duplicate_rate: float = 0.0,
-        grace_frames: int = 3,
-        scripted: dict[tuple[str, int], str | None] | None = None,
-    ) -> None:
-        if reorder_rate + duplicate_rate > 1:
-            raise ValueError("shaper fault rates must sum to <= 1")
-        self._target = target
-        self.seed = seed
-        self.grace_frames = grace_frames
-        self.up_delay_s = up_delay_s
-        self.down_delay_s = down_delay_s
-        self.reorder_rate = reorder_rate
-        self.duplicate_rate = duplicate_rate
-        self.scripted = dict(scripted or {})
-        self.frames_relayed = {"up": 0, "down": 0}
-        self.injected = {"reorder": 0, "duplicate": 0}
-        self._stop = threading.Event()
-        self._lock = threading.Lock()
-        self._conns: list[socket.socket] = []
-        self._threads: list[threading.Thread] = []
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind(("127.0.0.1", 0))
-        listener.listen(4)
-        listener.settimeout(0.2)
-        self._listener = listener
-        self.port = listener.getsockname()[1]
-        accept = threading.Thread(
-            target=self._accept_loop, name="network-shaper-accept", daemon=True
-        )
-        accept.start()
-        self._threads.append(accept)
-
-    # -- lifecycle ------------------------------------------------------
-
-    def close(self) -> None:
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._lock:
-            conns, self._conns = self._conns, []
-        for conn in conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-
-    def __enter__(self) -> "NetworkShaper":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- relay ----------------------------------------------------------
-
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
-            try:
-                client, _ = self._listener.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return
-            try:
-                upstream = socket.create_connection(self._target, timeout=10.0)
-            except OSError:
-                client.close()
-                continue
-            for sock in (client, upstream):
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            with self._lock:
-                self._conns += [client, upstream]
-            worker = threading.Thread(
-                target=self._serve,
-                args=(client, upstream),
-                name="network-shaper-session",
-                daemon=True,
-            )
-            worker.start()
-            self._threads.append(worker)
-
-    def _serve(self, client: socket.socket, upstream: socket.socket) -> None:
-        from repro.runtime.wire import AUTH_NONCE_BYTES, recv_exact
-
-        # The mutual-auth preamble is raw unframed bytes (nonce down,
-        # digest+nonce up, proof down); relay it verbatim before
-        # switching to frame-granular pumping.
-        try:
-            client.sendall(recv_exact(upstream, AUTH_NONCE_BYTES))
-            upstream.sendall(recv_exact(client, 2 * AUTH_NONCE_BYTES))
-            client.sendall(recv_exact(upstream, AUTH_NONCE_BYTES))
-        except (ConnectionError, OSError):
-            for sock in (client, upstream):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            return
-        up = threading.Thread(
-            target=self._pump,
-            args=(client, upstream, "up", self.up_delay_s),
-            name="network-shaper-up",
-            daemon=True,
-        )
-        up.start()
-        self._threads.append(up)
-        self._pump(upstream, client, "down", self.down_delay_s)
-
-    def _read_session_frame(self, src: socket.socket) -> bytes:
-        from repro.runtime.wire import MAX_SESSION_FRAME_BYTES, recv_exact
-
-        header = recv_exact(src, 8)
-        (length,) = struct.unpack_from("<I", header, 4)
-        if length > MAX_SESSION_FRAME_BYTES:
-            raise ConnectionError("shaper saw an oversized frame")
-        return header + recv_exact(src, length + 4)
-
-    def _decide(self, direction: str, index: int) -> str | None:
-        key = (direction, index)
-        if key in self.scripted:
-            return self.scripted[key]
-        if index < self.grace_frames:
-            return None
-        digest = hashlib.blake2b(
-            f"{self.seed}|shaper|{direction}|{index}".encode(), digest_size=8
-        ).digest()
-        u = int.from_bytes(digest, "big") / 2**64
-        if u < self.reorder_rate:
-            return "reorder"
-        if u < self.reorder_rate + self.duplicate_rate:
-            return "duplicate"
-        return None
-
-    def _pump(self, src, dst, direction: str, delay_s: float) -> None:
-        held: bytes | None = None
-        index = 0
-        try:
-            while True:
-                frame = self._read_session_frame(src)
-                fault = self._decide(direction, index)
-                index += 1
-                self.frames_relayed[direction] += 1
-                if delay_s:
-                    time.sleep(delay_s)
-                if fault == "reorder" and held is None:
-                    # Hold this frame one slot; its successor overtakes.
-                    held = frame
-                    self.injected["reorder"] += 1
-                    continue
-                dst.sendall(frame)
-                if fault == "duplicate":
-                    dst.sendall(frame)
-                    self.injected["duplicate"] += 1
-                if held is not None:
-                    dst.sendall(held)
-                    held = None
-        except (ConnectionError, OSError):
-            # One side closed: flush any held frame, then mirror the
-            # close to the other side so EOF semantics survive the hop.
-            if held is not None:
-                try:
-                    dst.sendall(held)
-                except OSError:
-                    pass
-            for sock in (src, dst):
-                try:
-                    sock.close()
-                except OSError:
-                    pass
 
 
 def flip_frame_byte(frame: bytes, action: FaultAction) -> bytes:

@@ -49,13 +49,6 @@ boundary, so codec behaviour is identical everywhere.  The inline path
 never consults the chaos plan and cannot preempt, so deadlines/hangs do
 not apply there (documented degradation ladder).
 
-``modeled_request_io_s`` optionally charges each request a client-link
-transfer delay inside the worker (upload before evaluation, download
-after).  The serving benchmarks derive it from the serialization layer's
-exact wire byte counts, making the pool's latency-hiding measurable even
-on a single core; it defaults to zero and is never used by the library
-itself.
-
 Contract summary (see ``docs/architecture.md``): fork-shared (``pipe``)
 — plans, keys, every warmed cache, and the (immutable) policy/chaos
 values; crossing the worker boundary — per-request
@@ -148,7 +141,7 @@ def _inject(action, state) -> None:
 
 
 def _serve_request(
-    plan, basis, cfg: wire.WorkerConfig, state, req_id, attempt, blobs, rec
+    plan, basis, coeff_bits, cfg: wire.WorkerConfig, state, req_id, attempt, blobs, rec
 ) -> bytes:
     """Serve one request in the worker; always returns an encoded reply.
 
@@ -162,7 +155,6 @@ def _serve_request(
     attempt span still records the attempt's extent and outcome).
     """
     chaos = cfg.chaos
-    upload_s = download_s = cfg.io_s / 2.0
 
     def failed(fault: RequestError) -> bytes:
         frames = [serialize_fault(fault)]
@@ -183,22 +175,16 @@ def _serve_request(
         action = chaos.decide("pre_evaluate", req_id, attempt) if chaos else None
         if action is not None:
             _inject(action, state)
-        if upload_s:
-            with rec.span("upload_wait"):
-                time.sleep(upload_s)
         with rec.span("evaluate"):
             outputs = plan.run_batch([inputs], fused=cfg.fused)[0]
         action = chaos.decide("post_evaluate", req_id, attempt) if chaos else None
         if action is not None:
             _inject(action, state)
         with rec.span("serialize"):
-            payload = [wire.encode_value(o, cfg.coeff_bits) for o in outputs]
+            payload = [wire.encode_value(o, coeff_bits) for o in outputs]
         action = chaos.decide("reply_encode", req_id, attempt) if chaos else None
         if action is not None and action.kind == "flip":
             payload[0] = flip_frame_byte(payload[0], action)
-        if download_s:
-            with rec.span("download_wait"):
-                time.sleep(download_s)
         return wire.encode_message(wire.OK, req_id, attempt, payload, rec.payload())
     except Exception as exc:  # noqa: BLE001 — forwarded to the parent, typed
         return failed(
@@ -211,6 +197,7 @@ def _serve_request(
 def _worker_loop(plan: ExecutionPlan, conn, cfg: wire.WorkerConfig) -> None:
     """Child process body: recv request -> replay plan -> send reply."""
     basis = plan.evaluator.basis
+    coeff_bits = wire_coeff_bits(basis)
     send_lock = threading.Lock()
     state: dict = {"req": None, "attempt": 0, "suspend": False}
     hb_stop = threading.Event()
@@ -241,7 +228,7 @@ def _worker_loop(plan: ExecutionPlan, conn, cfg: wire.WorkerConfig) -> None:
         state["suspend"] = False
         state["req"] = req_id
         reply = _serve_request(
-            plan, basis, cfg, state, req_id, attempt, blobs, rec
+            plan, basis, coeff_bits, cfg, state, req_id, attempt, blobs, rec
         )
         state["req"] = None
         try:
@@ -349,7 +336,6 @@ class ShardedExecutor:
         self.policy = cfg.fault_policy or FaultPolicy()
         self.chaos = cfg.chaos
         self._coeff_bits = wire_coeff_bits(plan.evaluator.basis)
-        self._io_s = float(cfg.modeled_request_io_s)
         self._max_crashes = (
             cfg.max_crash_respawns
             if cfg.max_crash_respawns is not None
@@ -663,8 +649,6 @@ class ShardedExecutor:
         else:
             span = self._telemetry.start_trace("inline_evaluate", category="serve")
         try:
-            if self._io_s:  # parity with the worker-side link model
-                time.sleep(self._io_s)
             inputs = [wire.decode_value(b, basis) for b in req.blobs]
             outputs = self.plan.run_batch([inputs], fused=self.fused)[0]
             req.outputs = [
@@ -717,8 +701,6 @@ class ShardedExecutor:
         plan; ``tcp`` hosts get the plan as ``EPL1`` bytes and rebuild
         the evaluator it loads against from a :class:`wire.HostEnv`."""
         cfg = wire.WorkerConfig(
-            coeff_bits=self._coeff_bits,
-            io_s=self._io_s,
             fused=self.fused,
             chaos=self.chaos,
             heartbeat_s=self.policy.heartbeat_interval_s(),

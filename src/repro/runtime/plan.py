@@ -86,7 +86,6 @@ __all__ = [
     "plan_cache_info",
     "clear_plan_cache",
     "set_plan_store",
-    "get_plan_store",
 ]
 
 
@@ -792,11 +791,6 @@ def set_plan_store(store) -> None:
     from repro.runtime.plan_io import PlanStore
 
     _PLAN_STORE = PlanStore(store)
-
-
-def get_plan_store():
-    """The installed on-disk plan store, or ``None``."""
-    return _PLAN_STORE
 
 
 def compile_graph(

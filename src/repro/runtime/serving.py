@@ -64,8 +64,6 @@ class ServingConfig:
         chaos: deterministic fault injection plan (tests/benches only).
         max_pending: streaming admission bound
             (:class:`~repro.runtime.stream.StreamingServer`).
-        modeled_request_io_s: modeled client-link transfer delay charged
-            per request inside the worker (benchmarks only).
         max_crash_respawns: pool-lifetime crash budget override.
         trace: enable process-wide telemetry tracing when the session
             starts (left enabled on exit; use
@@ -80,7 +78,6 @@ class ServingConfig:
     fault_policy: FaultPolicy | None = None
     chaos: FaultPlan | None = None
     max_pending: int = 8
-    modeled_request_io_s: float = 0.0
     max_crash_respawns: int | None = None
     trace: bool = False
 

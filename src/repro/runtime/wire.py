@@ -23,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import json
+import math
 import os
 import socket
 import struct
@@ -128,8 +129,10 @@ SESSION_BATCH_MAGIC = b"FBT1"
 SESSION_CONTROL_MAGIC = b"FCT1"
 
 # v1 shipped worker messages, control ops and the hello's config as
-# serialized Python objects; a v1 peer is refused by version, not misparsed.
-SESSION_VERSION = 2
+# serialized Python objects; v2's hello also carried a flags byte, and its
+# config a packing width and a modeled link delay.  A peer of either is
+# refused by version, not misparsed.
+SESSION_VERSION = 3
 
 # Every magic the library emits -> the constant that names it; the
 # magic table of docs/formats.md is checked against this one.
@@ -417,28 +420,24 @@ def decode_control(payload: bytes) -> tuple[str, int, int]:
     return _CONTROL_OPS[code - 1], a, b
 
 
-_HELLO_HEAD = struct.Struct("<HBH")  # version, flags, signature length
-_HELLO_FLAG_SHIP_PLAN = 1  # coordinator holds EPL1 bytes for this plan
+_HELLO_HEAD = struct.Struct("<HH")  # version, signature length
 
 
 def encode_hello(signature: str, cfg: "WorkerConfig") -> bytes:
     sig = signature.encode()
     blob = encode_worker_config(cfg)
-    head = _HELLO_HEAD.pack(SESSION_VERSION, _HELLO_FLAG_SHIP_PLAN, len(sig))
+    head = _HELLO_HEAD.pack(SESSION_VERSION, len(sig))
     return head + sig + _U32.pack(len(blob)) + blob
 
 
 def decode_hello(payload: bytes) -> tuple[str, "WorkerConfig"]:
     """``(plan signature, worker config)``.  The version is judged before
     any later field is read, so a peer from another checkout gets a
-    :class:`VersionMismatch`, never a misparse; a hello whose flag bit 0
-    is clear offers no plan bytes, and no host can serve without them."""
+    :class:`VersionMismatch`, never a misparse."""
     reader = _Reader(payload, "FHL1 hello")
-    version, flags, sig_len = reader.unpack(_HELLO_HEAD)
+    version, sig_len = reader.unpack(_HELLO_HEAD)
     if version not in SUPPORTED_VERSIONS["session"]:
         raise VersionMismatch(SESSION_VERSION, version)
-    if not flags & _HELLO_FLAG_SHIP_PLAN:
-        raise WireFormatError("FHL1 hello offers no plan bytes (flag bit 0 clear)")
     try:
         signature = reader.take(sig_len).decode()
     except UnicodeDecodeError as exc:
@@ -499,16 +498,22 @@ class HostEnv:
 @dataclass(frozen=True)
 class WorkerConfig:
     """Per-worker knobs: handed to forked workers, sent once per session
-    (inside the ``FHL1`` hello) to worker hosts."""
+    (inside the ``FHL1`` hello) to worker hosts.  What a worker can work
+    out from the plan it holds — the reply packing width is
+    ``wire_coeff_bits`` of its basis — is not here."""
 
-    coeff_bits: int
-    io_s: float
     fused: bool
     chaos: FaultPlan | None
     heartbeat_s: float | None
     # Only the tcp transport sets it: the host rebuilds the evaluator
     # FPL1 plan bytes load against from it.
     env: HostEnv | None = None
+
+    def __post_init__(self) -> None:
+        # Event.wait() returns at once for a negative or NaN period: the
+        # worker's heartbeat thread would spin, beating on every turn.
+        if self.heartbeat_s is not None and not 0 < self.heartbeat_s < math.inf:
+            raise ValueError("heartbeat_s must be finite and > 0")
 
 
 def _to_json(value):
@@ -560,15 +565,23 @@ def _from_json(hint, obj, what: str):
 
 
 def encode_worker_config(cfg: WorkerConfig) -> bytes:
-    return json.dumps(_to_json(cfg), separators=(",", ":")).encode("utf-8")
+    # NaN / Infinity are not JSON: refuse to write them, as the decoder
+    # refuses to read them.
+    obj = _to_json(cfg)
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False).encode("utf-8")
+
+
+def _refuse_constant(token: str):
+    raise WireFormatError(f"worker config holds the non-JSON number {token}")
 
 
 def decode_worker_config(blob: bytes) -> WorkerConfig:
     """Rebuild a :class:`WorkerConfig` through the constructors of every
-    value inside it: a wrong key, type or out-of-range value is a
-    :class:`WireFormatError`."""
+    value inside it: a wrong key, type or out-of-range value (``NaN`` and
+    ``Infinity`` included) is a :class:`WireFormatError`."""
     try:
-        return _from_json(WorkerConfig, json.loads(blob.decode("utf-8")), "config")
+        obj = json.loads(blob.decode("utf-8"), parse_constant=_refuse_constant)
+        return _from_json(WorkerConfig, obj, "config")
     except WireFormatError:
         raise
     except (ValueError, TypeError, RecursionError, OverflowError) as exc:

@@ -7,9 +7,9 @@ from repro.runtime import (
     CtSpec,
     compile_fn,
     plan_op_counts,
-    plan_to_request_queue,
     plan_to_workload,
 )
+from repro.runtime.bridge import plan_to_request_queue
 
 
 def _spec(rctx, level=None):

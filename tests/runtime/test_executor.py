@@ -13,6 +13,7 @@ import pytest
 
 from repro.runtime import (
     CtSpec,
+    FaultPlan,
     FaultPolicy,
     PoisonRequest,
     PtSpec,
@@ -123,7 +124,9 @@ class TestCrashRecovery:
         reference = serving_plan.run_batch(batches)
         with ShardedExecutor(
             serving_plan,
-            config=ServingConfig(num_workers=2, modeled_request_io_s=0.3),
+            config=ServingConfig(
+                num_workers=2, chaos=FaultPlan(0, slow_rate=1.0, slow_s=0.3)
+            ),
             warm_inputs=batches[0],
         ) as pool:
             futures = [pool.submit(entry) for entry in batches]
@@ -144,7 +147,7 @@ class TestCrashRecovery:
             serving_plan,
             config=ServingConfig(
                 num_workers=2,
-                modeled_request_io_s=0.5,
+                chaos=FaultPlan(0, slow_rate=1.0, slow_s=0.5),
                 max_crash_respawns=0,
             ),
         ) as pool:
@@ -174,7 +177,7 @@ class TestCrashRecovery:
             serving_plan,
             config=ServingConfig(
                 num_workers=2,
-                modeled_request_io_s=0.4,
+                chaos=FaultPlan(0, slow_rate=1.0, slow_s=0.4),
                 fault_policy=policy,
             ),
             warm_inputs=batches[0],
@@ -211,7 +214,7 @@ class TestCrashRecovery:
             serving_plan,
             config=ServingConfig(
                 num_workers=1,
-                modeled_request_io_s=0.6,
+                chaos=FaultPlan(0, slow_rate=1.0, slow_s=0.6),
                 fault_policy=policy,
                 max_crash_respawns=10,
             ),
@@ -221,7 +224,7 @@ class TestCrashRecovery:
             for crashes_so_far in range(2):  # kill whoever serves it, twice
                 deadline = time.monotonic() + 30
                 # Wait for the (re)dispatch of the only queued request,
-                # then strike inside its modeled-I/O window.
+                # then strike inside its slow window.
                 while (
                     pool.stats()["worker_crashes"] < crashes_so_far
                     or not pool.worker_pids()

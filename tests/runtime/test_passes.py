@@ -10,7 +10,6 @@ from repro.runtime import (
     CtSpec,
     PlanValidationError,
     check_alignment,
-    fuse_rescales,
     fusion_groups,
     hoist_groups,
     optimize,
@@ -19,6 +18,7 @@ from repro.runtime import (
 from repro.runtime.passes import (
     eliminate_common_subexpressions,
     eliminate_dead_nodes,
+    fuse_rescales,
 )
 
 

@@ -170,6 +170,8 @@ def test_ten_round_kill_reattach_soak(tmp_path, rctx, soak_plan):
             chaos = FaultPlan(
                 1000 + round_no,
                 crash_rate=0.05,
+                slow_rate=0.95,
+                slow_s=0.05,
                 reorder_rate=0.15,
                 asym_latency_rate=0.2,
                 asym_latency_s=0.01,
@@ -180,7 +182,6 @@ def test_ten_round_kill_reattach_soak(tmp_path, rctx, soak_plan):
                 hosts=(f"tcp://127.0.0.1:{supervisor.port}",),
                 authkey_file=supervisor.keyfile,
                 chaos=chaos,
-                modeled_request_io_s=0.05,
                 fault_policy=FaultPolicy(
                     backoff_base_s=0.05,
                     max_attempts=10,

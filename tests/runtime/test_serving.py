@@ -163,6 +163,8 @@ class TestLegacyKeywordBridge:
             ServingConfig(coeff_bits=44)  # always derived from the plan's basis
         with pytest.raises(TypeError, match="unexpected"):
             ServingConfig(ship_plan=True)  # the transport decides: tcp ships
+        with pytest.raises(TypeError, match="unexpected"):
+            ServingConfig(modeled_request_io_s=0.1)  # a slow fault holds a worker
         pool = ShardedExecutor(square_plan, config=ServingConfig(num_workers=0))
         with pytest.raises(TypeError, match="unexpected"):
             StreamingServer(pool, max_pending=5)

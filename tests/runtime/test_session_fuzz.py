@@ -1,8 +1,8 @@
 """Seeded frame fuzzer over the serving fabric's wire formats.
 
-Every layout the fabric parses — session frames (FHL1 hello with its
-worker-config blob, FHA1 ack, FPL1 plan, FBT1 batch, FCT1 control), the
-worker message riding inside a batch (header and parts), and the
+Every layout the fabric parses — session-version-3 frames (FHL1 hello
+with its worker-config blob, FHA1 ack, FPL1 plan, FBT1 batch, FCT1
+control), the worker message riding inside a batch (header and parts), and the
 boundary frames riding inside worker messages (ENV1 envelopes, FLT1
 faults, TRC1 traces) — is mutated under a fixed seed: flipped bytes,
 corrupted length prefixes, zeroed CRCs, swapped magics, truncations,
@@ -121,9 +121,7 @@ def _worker_cfg(plan):
         crash_rate=0.25,
         scripted={("host_relay", 1, 0): FaultAction("slow", "host_relay", 0.5)},
     )
-    return wire.WorkerConfig(
-        coeff_bits=0, io_s=0.0, fused=False, chaos=chaos, heartbeat_s=0.5, env=env
-    )
+    return wire.WorkerConfig(fused=False, chaos=chaos, heartbeat_s=0.5, env=env)
 
 
 def _reply_message() -> bytes:
@@ -138,6 +136,7 @@ class TestDecodeFuzz:
 
     def _corpus(self, fuzz_plan):
         hello = wire.encode_hello(fuzz_plan.signature, _worker_cfg(fuzz_plan))
+        assert struct.unpack_from("<H", hello) == (3,)  # the layout fuzzed
 
         def decode_batch_entries(payload):
             for _slot, msg_bytes in wire.decode_batch(payload):

@@ -125,7 +125,9 @@ class TestStreamingPipeline:
         async def scenario():
             pool = ShardedExecutor(
                 square_plan,
-                config=ServingConfig(num_workers=2, modeled_request_io_s=0.01),
+                config=ServingConfig(
+                    num_workers=2, chaos=FaultPlan(0, slow_rate=1.0, slow_s=0.01)
+                ),
             )
             async with StreamingServer(
                 pool, config=ServingConfig(max_pending=3)
@@ -152,9 +154,9 @@ class TestStreamingPipeline:
 
     def test_phase_overlap_beats_serial_sum(self, rctx, square_plan):
         """Streaming must finish faster than strictly serializing every
-        request's modeled transfer time — i.e. the pool actually hides
-        per-request latency behind other requests' phases."""
-        io_s = 0.06
+        request's slow time — i.e. the pool actually hides per-request
+        latency behind other requests' phases."""
+        slow_s = 0.06
         n = 6
 
         def encrypt(values):
@@ -166,7 +168,9 @@ class TestStreamingPipeline:
         async def scenario():
             pool = ShardedExecutor(
                 square_plan,
-                config=ServingConfig(num_workers=2, modeled_request_io_s=io_s),
+                config=ServingConfig(
+                    num_workers=2, chaos=FaultPlan(0, slow_rate=1.0, slow_s=slow_s)
+                ),
             )
             async with StreamingServer(
                 pool, config=ServingConfig(max_pending=4)
@@ -179,7 +183,7 @@ class TestStreamingPipeline:
                 return server.stats()
 
         stats = asyncio.run(scenario())
-        assert stats["makespan_s"] < n * io_s
+        assert stats["makespan_s"] < n * slow_s
 
     def test_deadline_is_plumbed_to_the_executor(self):
         async def scenario():

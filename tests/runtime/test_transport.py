@@ -169,7 +169,7 @@ class TestHostLoss:
         cfg = ServingConfig(
             num_workers=2,
             transport="tcp",
-            modeled_request_io_s=0.15,
+            chaos=FaultPlan(0, slow_rate=1.0, slow_s=0.15),
             fault_policy=FaultPolicy(backoff_base_s=0.01),
         )
         try:
@@ -201,8 +201,6 @@ class TestHostLoss:
 def _bare_config(plan):
     evaluator = plan.evaluator
     return WorkerConfig(
-        coeff_bits=0,
-        io_s=0.0,
         fused=False,
         chaos=None,
         heartbeat_s=None,

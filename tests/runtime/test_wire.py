@@ -12,6 +12,8 @@ import ast
 import importlib
 import json
 import re
+import struct
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from repro.ckks import CkksContext, toy_params
 from repro.ckks.serialization import WireFormatError
 from repro.runtime import FaultAction, FaultPlan, wire
+from repro.runtime.plan_io import CONSTSTORE_VERSION, PLAN_VERSION
 
 ROOT = Path(__file__).resolve().parents[2]
 RUNTIME = ROOT / "src" / "repro" / "runtime"
@@ -149,36 +152,32 @@ def host_env():
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.integers(1, 64),
-    st.floats(0.0, 1.0),
     st.booleans(),
     st.none() | fault_plans,
     st.none() | st.floats(0.02, 1.0),
     st.booleans(),
 )
-def test_worker_config_round_trip(
-    host_env, coeff_bits, io_s, fused, chaos, heartbeat_s, with_env
-):
+def test_worker_config_round_trip(host_env, fused, chaos, heartbeat_s, with_env):
     env = host_env[0] if with_env else None
-    cfg = wire.WorkerConfig(coeff_bits, io_s, fused, chaos, heartbeat_s, env)
+    cfg = wire.WorkerConfig(fused, chaos, heartbeat_s, env)
     back = wire.decode_worker_config(wire.encode_worker_config(cfg))
     assert back == cfg
     hello = wire.decode_hello(wire.encode_hello("sig-é", cfg))
     assert hello == ("sig-é", cfg)
 
 
-def test_hello_without_plan_bytes_is_refused():
-    """Flag bit 0 is always set: a hello that clears it offers no plan,
-    and the host drops that session (after the version check, so a peer
-    from another checkout still gets named)."""
-    cfg = wire.WorkerConfig(44, 0.0, True, None, None)
-    hello = bytearray(wire.encode_hello("sig", cfg))
-    hello[2] = 0
-    with pytest.raises(WireFormatError, match="bit 0"):
-        wire.decode_hello(bytes(hello))
-    hello[0] = 1  # version 1
-    with pytest.raises(wire.VersionMismatch):
-        wire.decode_hello(bytes(hello))
+def test_v2_hello_is_a_version_mismatch():
+    """A version 2 hello — ``u16 version | u8 flags | u16 sig_len``, then
+    a config with the two fields version 3 dropped — is refused on its first
+    field, naming both versions, before the rest is read."""
+    sig = b"sig"
+    blob = b'{"coeff_bits":44,"io_s":0.0,"fused":true,"chaos":null,'
+    blob += b'"heartbeat_s":null,"env":null}'
+    hello = struct.pack("<HBH", 2, 1, len(sig)) + sig + struct.pack("<I", len(blob))
+    with pytest.raises(wire.VersionMismatch) as err:
+        wire.decode_hello(hello + blob)
+    assert (err.value.ours, err.value.theirs) == (3, 2)
+    assert wire.SUPPORTED_VERSIONS["session"] == (3,)
 
 
 def test_rebuilt_host_env_builds_the_same_evaluator(host_env):
@@ -188,7 +187,7 @@ def test_rebuilt_host_env_builds_the_same_evaluator(host_env):
         ("pre_evaluate", 0, 1): None,  # pinned "no fault"
     }
     cfg = wire.WorkerConfig(
-        44, 0.0, True, FaultPlan(7, crash_rate=0.1, scripted=scripted), 0.25, env
+        True, FaultPlan(7, crash_rate=0.1, scripted=scripted), 0.25, env
     )
     back = wire.decode_worker_config(wire.encode_worker_config(cfg))
     assert back.chaos == cfg.chaos and back.chaos.scripted == scripted
@@ -198,13 +197,16 @@ def test_rebuilt_host_env_builds_the_same_evaluator(host_env):
     assert evaluator.basis.moduli == ctx.basis.moduli
 
 
+HANG = {"kind": "hang", "site": "pre_evaluate", "duration_s": 1.0, "salt": 0}
+
+
 @pytest.mark.parametrize(
     "edit",
     [
         lambda o: o.pop("fused"),  # missing key
         lambda o: o.update(extra=1),  # unknown key
-        lambda o: o.update(coeff_bits="44"),  # wrong type
-        lambda o: o.update(coeff_bits=True),  # bool is not an int
+        lambda o: o["chaos"].update(seed="1"),  # wrong type
+        lambda o: o["chaos"].update(seed=True),  # bool is not an int
         lambda o: o.update(fused=1),  # int is not a bool
         lambda o: o["chaos"].update(crash_rate=1.5),  # FaultPlan rejects
         lambda o: o["chaos"].update(scripted=[[["pre_evaluate", 0], None]]),
@@ -214,14 +216,57 @@ def test_rebuilt_host_env_builds_the_same_evaluator(host_env):
         lambda o: o["env"]["params"]["fp_format"].update(mantissa_bits=99),
         lambda o: o["env"]["primes"][0].update(k_terms=[[1]]),
         lambda o: o["env"].update(primes="nope"),
+        # Periods and durations a sleeping thread cannot honour; the NaN
+        # and Infinity rows reach the decoder as bare non-JSON tokens.
+        lambda o: o.update(heartbeat_s=-5.0),  # Event.wait(-5) spins
+        lambda o: o.update(heartbeat_s=0.0),
+        lambda o: o.update(heartbeat_s=float("nan")),
+        lambda o: o.update(heartbeat_s=float("inf")),
+        lambda o: o["chaos"].update(crash_rate=float("nan")),
+        lambda o: o["chaos"].update(slow_s=-1.0),
+        lambda o: o["chaos"].update(hang_s=float("inf")),
+        lambda o: o["chaos"].update(
+            scripted=[[["pre_evaluate", 0, 0], dict(HANG, duration_s=-1.0)]]
+        ),
     ],
 )
 def test_ill_typed_worker_config_is_a_wire_format_error(host_env, edit):
-    cfg = wire.WorkerConfig(44, 0.0, True, FaultPlan(1), None, host_env[0])
+    cfg = wire.WorkerConfig(True, FaultPlan(1), None, host_env[0])
     obj = json.loads(wire.encode_worker_config(cfg))
     edit(obj)
     with pytest.raises(WireFormatError):
         wire.decode_worker_config(json.dumps(obj).encode())
+
+
+def test_fault_plan_rejects_non_finite_rates_and_bad_durations():
+    """``r < 0 or r > 1`` waved NaN through, and durations went
+    unchecked: ``hang_s=inf`` made ``time.sleep`` raise in the worker."""
+    nan, inf = float("nan"), float("inf")
+    for bad in (
+        {"crash_rate": nan},
+        {"reorder_rate": inf},
+        {"slow_s": -1.0},
+        {"hang_s": inf},
+        {"slow_host_s": nan},
+        {"asym_latency_s": -inf},
+    ):
+        with pytest.raises(ValueError, match="fault"):
+            FaultPlan(1, **bad)
+    with pytest.raises(ValueError, match="durations"):
+        FaultAction("hang", "pre_evaluate", duration_s=inf)
+    for period in (-5.0, 0.0, nan, inf):
+        with pytest.raises(ValueError, match="heartbeat_s"):
+            wire.WorkerConfig(True, None, period)
+    FaultPlan(1, crash_rate=1.0, hang_s=0.0)  # the closed ends stay legal
+
+
+def test_worker_config_never_encodes_a_non_json_number(host_env):
+    """Constructors keep NaN out; a value smuggled past them still cannot
+    reach the wire as a bare ``NaN`` token."""
+    cfg = wire.WorkerConfig(True, None, 0.5, host_env[0])
+    object.__setattr__(cfg, "heartbeat_s", float("nan"))
+    with pytest.raises(ValueError):
+        wire.encode_worker_config(cfg)
 
 
 @pytest.mark.parametrize("blob", [b"", b"\xff\xfe", b"[1, 2]", b"{", b"[" * 100_000])
@@ -291,12 +336,17 @@ def test_one_worker_host_class_apart_from_the_coordinator():
     }
 
 
-def _doc_table(header_cell: str) -> list[list[str]]:
-    """Rows (cells stripped of backticks) of the docs/formats.md table
-    whose first header cell is ``header_cell``."""
-    lines = (ROOT / "docs" / "formats.md").read_text().splitlines()
+def _doc_table(header_cell: str, after: str = "") -> list[list[str]]:
+    """Rows (cells stripped of backticks) of the first docs/formats.md
+    table, indented or not, whose first header cell is ``header_cell``
+    and that starts below the first line containing ``after``."""
+    text = (ROOT / "docs" / "formats.md").read_text()
+    lines = [line.strip() for line in text.splitlines()]
+    begin = next(i for i, line in enumerate(lines) if after in line)
     start = next(
-        i for i, line in enumerate(lines) if re.match(rf"\|\s*{header_cell}\s*\|", line)
+        i
+        for i in range(begin, len(lines))
+        if re.match(rf"\|\s*{header_cell}\s*\|", lines[i])
     )
     rows = []
     for line in lines[start + 2 :]:
@@ -327,4 +377,35 @@ def test_docs_version_table_matches_code():
     assert documented == wire.SUPPORTED_VERSIONS
     for family, constant, _reads in rows:
         assert _resolve(constant) == max(wire.SUPPORTED_VERSIONS[family])
-    assert wire.SESSION_VERSION == 2
+    assert [row[1] for row in rows] == [
+        "repro.runtime.wire.SESSION_VERSION",
+        "repro.runtime.plan_io.PLAN_VERSION",
+        "repro.runtime.plan_io.CONSTSTORE_VERSION",
+    ]
+    assert documented["EPL1"][-1] == PLAN_VERSION
+    assert documented["PCS1"][-1] == CONSTSTORE_VERSION
+    assert wire.SESSION_VERSION == 3
+
+
+def test_docs_worker_config_table_matches_the_dataclass():
+    rows = _doc_table("Key", after="**Worker config**")
+    assert [row[0] for row in rows] == [f.name for f in fields(wire.WorkerConfig)]
+
+
+def test_docs_hello_table_matches_the_hello_head():
+    """The fixed-offset rows of the ``FHL1`` table are the fields of the
+    hello head struct, and the signature starts where the head ends."""
+    rows = _doc_table("Offset", after="**`FHL1` hello**")
+    assert [row[2] for row in rows] == [
+        "version", "sig_len", "signature", "cfg_len", "config"
+    ]
+    head = wire._HELLO_HEAD
+    codes = head.format.lstrip("<")
+    width = {"B": "u8", "H": "u16", "I": "u32"}
+    want = [
+        (struct.calcsize("<" + codes[:i]), width[code]) for i, code in enumerate(codes)
+    ]
+    documented = [(int(row[0]), row[1]) for row in rows if row[0].isdigit()]
+    assert documented == [*want, (head.size, "…")]
+    cfg = wire.WorkerConfig(True, None, None)
+    assert wire.encode_hello("sig", cfg)[head.size : head.size + 3] == b"sig"

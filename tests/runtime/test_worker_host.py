@@ -122,9 +122,7 @@ def _negotiate_session(port, authkey, host_plan, fused=False):
         params=host_plan.evaluator.params,
         primes=tuple(host_plan.evaluator.basis.primes),
     )
-    cfg = WorkerConfig(
-        coeff_bits=0, io_s=0.0, fused=fused, chaos=None, heartbeat_s=None, env=env
-    )
+    cfg = WorkerConfig(fused=fused, chaos=None, heartbeat_s=None, env=env)
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     sock.settimeout(10)
     auth_client(sock, authkey)
@@ -282,15 +280,24 @@ class TestSessionLifecycle:
             _stop_host(host, thread)
 
 
-def _v1_hello(signature: str) -> bytes:
-    """The FHL1 payload a SESSION_VERSION 1 checkout sent: the same
-    head, then a *pickled* worker config (opaque here — a v2 host must
-    refuse on the version field without reading that far)."""
+# The worker config each older checkout put after its hello head: v1 a
+# *pickled* object (opaque here), v2 JSON with two fields v3 dropped.
+_OLD_CONFIGS = {
+    1: b"\x80\x04N.",  # pickle.dumps(None), spelled out
+    2: b'{"coeff_bits":44,"io_s":0.0,"fused":false,"chaos":null,'
+    b'"heartbeat_s":null,"env":null}',
+}
+
+
+def _old_hello(version: int, signature: str) -> bytes:
+    """The FHL1 payload a SESSION_VERSION 1 or 2 checkout sent: ``u16
+    version | u8 flags (bit 0 set) | u16 sig_len``, the signature, then
+    its config — a host must refuse on the version field without reading
+    further."""
     sig = signature.encode()
-    blob = b"\x80\x04N."  # pickle.dumps(None), spelled out
-    return (
-        struct.pack("<HBH", 1, 1, len(sig)) + sig + struct.pack("<I", len(blob)) + blob
-    )
+    blob = _OLD_CONFIGS[version]
+    head = struct.pack("<HBH", version, 1, len(sig))
+    return head + sig + struct.pack("<I", len(blob)) + blob
 
 
 class TestVersionMismatch:
@@ -298,21 +305,24 @@ class TestVersionMismatch:
     checkout is rejected with an error naming both versions — in both
     directions — never misparsed and never a bare closed socket."""
 
-    def test_host_refuses_a_v1_hello_naming_both_versions(self, tmp_path, host_plan):
+    @pytest.mark.parametrize("peer_version", [1, 2])
+    def test_host_refuses_a_v1_hello_naming_both_versions(
+        self, tmp_path, host_plan, peer_version
+    ):
         _, key = _write_key(tmp_path)
         host, port, thread = _threaded_host(key)
         try:
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
                 sock.settimeout(10)
                 auth_client(sock, key)
-                send_session_frame(
-                    sock, SESSION_HELLO_MAGIC, _v1_hello(host_plan.signature)
-                )
+                hello = _old_hello(peer_version, host_plan.signature)
+                send_session_frame(sock, SESSION_HELLO_MAGIC, hello)
                 tag, payload = recv_session_frame(sock)
                 assert tag == SESSION_CONTROL_MAGIC
-                assert decode_control(payload) == ("version", SESSION_VERSION, 1)
+                want = ("version", SESSION_VERSION, peer_version)
+                assert decode_control(payload) == want
                 assert sock.recv(1) == b""  # then disconnected
-            # The refusal cost the host nothing: a v2 session attaches.
+            # The refusal cost the host nothing: a current session attaches.
             _negotiate_session(port, key, host_plan).close()
             assert thread.is_alive()
         finally:
@@ -350,7 +360,8 @@ class TestVersionMismatch:
         )
         try:
             start = time.monotonic()
-            with pytest.raises(VersionMismatch, match=r"speaks 2.*speaks 1"):
+            speaks = rf"speaks {SESSION_VERSION}.*speaks 1"
+            with pytest.raises(VersionMismatch, match=speaks):
                 serve(host_plan, cfg).start()
             # Deterministic, so raised at once — not after the redial window.
             assert time.monotonic() - start < 10
@@ -448,7 +459,7 @@ class TestCliHostServing:
                 transport="tcp",
                 hosts=(f"tcp://127.0.0.1:{port}",),
                 authkey_file=keyfile,
-                modeled_request_io_s=0.5,
+                chaos=FaultPlan(0, slow_rate=1.0, slow_s=0.5),
             )
             with serve(host_plan, cfg) as session:
                 futures = [session.submit(b) for b in batches]
