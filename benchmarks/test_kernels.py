@@ -250,8 +250,8 @@ def test_mulmod_backend_throughput(benchmark, backend):
 def test_barrett_speedup_vs_seed_path(report):
     """Barrett backend vs the seed's division-based path, min-of-N timed.
 
-    Three views of the same replacement (measured 2-3.7x on an idle
-    machine; the virtualized CI host's division/multiply cost ratio
+    Three views of the same replacement (measured 3-5x on a 2-vCPU
+    x86-64 VM; the virtualized CI host's division/multiply cost ratio
     drifts, so the asserted floors sit below the typical ratios while the
     report prints what was actually achieved):
 

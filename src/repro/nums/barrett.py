@@ -5,6 +5,10 @@ multiplications by a precomputed constant ``mu = floor(2^(2r) / q)``.
 It needs no domain conversion but costs the most multiplier area of the
 three candidates the paper compares (Table I: 35054 µm², 4 pipeline
 stages), which is why ABC-FHE rejects it.
+
+This is the bit-level Table I model; the vector kernel
+(:class:`repro.nums.kernels.BarrettKernel`) estimates the same quotient
+from a float64 reciprocal of ``q`` instead of shifts by ``mu``.
 """
 
 from __future__ import annotations

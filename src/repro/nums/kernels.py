@@ -7,9 +7,11 @@ kernels compute ``a * b mod q`` with identical results but different
 instruction mixes, mirroring the area/pipeline trade-offs of the hardware
 candidates:
 
-* ``barrett`` — quotient estimation by two shifted multiplications with a
-  per-prime precomputed ``mu = floor(2^{2r}/q)``; every division becomes
-  mul/shift/conditional-subtract (Table I row 1).
+* ``barrett`` — quotient estimation against a per-prime precomputed
+  reciprocal: ``trunc(x · r_q)`` in float64 with ``r_q`` just below
+  ``1/q``, then ``x - q̂·q`` in wrapping uint64 and one conditional
+  subtract; every division becomes multiply/subtract (Table I row 1,
+  whose bit-level shift-multiply form is :mod:`repro.nums.barrett`).
 * ``montgomery`` — word-size REDC with ``R = 2^64``; constants (twiddle
   tables, scalars) are kept in the Montgomery domain so each product
   costs a single REDC (Table I rows 2–3; the NTT-friendly variant differs
@@ -60,9 +62,10 @@ __all__ = [
     "using_backend",
 ]
 
-# Kernels accept moduli up to 41 bits: Barrett's widened shifts assume
-# q^2 < 2^82, and a 20-bit operand split keeps a * b_hi inside uint64.  The
-# paper's 32–36-bit double-scale primes fit with margin.
+# Kernels accept moduli up to 41 bits: Barrett's float estimate is exact
+# for quotients below 2^42, and Montgomery's 20-bit operand split keeps
+# a * b_hi inside uint64.  The paper's 32–36-bit double-scale primes fit
+# with margin.
 KERNEL_LIMIT_BITS = 41
 
 _U64 = np.uint64
@@ -183,7 +186,7 @@ class ReducerKernel:
     against ``(L, N)`` residue matrices).  A subclass is one word-size
     reducer — a Table I row: it adds its per-modulus tables in
     ``_precompute`` and its products (:meth:`mul`, :meth:`pre`,
-    :meth:`mul_pre`, :meth:`mul_pre_raw`).
+    :meth:`mul_pre_raw`).
 
     All operands are assumed canonical (``0 <= x < q`` elementwise) except
     where noted; outputs are always canonical.
@@ -191,8 +194,9 @@ class ReducerKernel:
 
     name: ClassVar[str]
     spec: ClassVar[ReducerSpec]
-    #: :meth:`mul_pre_raw` returns values below ``RAW_BOUND * q``.
-    RAW_BOUND: ClassVar[int]
+    #: :meth:`mul_pre_raw` returns values below ``RAW_BOUND * q`` — one
+    #: conditional subtract short of canonical, under either backend.
+    RAW_BOUND: ClassVar[int] = 2
     #: Exclusive bound on :meth:`mul_pre_raw`'s first operand (which need
     #: not be canonical): below it the partial products of a 41-bit
     #: modulus stay inside uint64 and the ``RAW_BOUND`` holds.
@@ -248,13 +252,15 @@ class ReducerKernel:
 
         The returned array is in whatever internal form the backend
         multiplies fastest against (Montgomery domain for ``montgomery``,
-        the residues stacked on their Shoup pieces for ``barrett``).
+        the residues stacked on their scaled float64 reciprocals for
+        ``barrett``).
         """
         raise NotImplementedError
 
     def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
-        """``a * b mod q`` where ``b_pre`` came from :meth:`pre`."""
-        raise NotImplementedError
+        """``a * b mod q`` where ``b_pre`` came from :meth:`pre`: the raw
+        product and its one conditional subtract."""
+        return _csub(self.mul_pre_raw(a, b_pre), self.q, out=out)
 
     def mul_accumulate(self, a: np.ndarray, b, axis: int = 0, out=None) -> np.ndarray:
         """Fused ``sum_t a[t] * b[t] mod q`` along ``axis`` — one reduction.
@@ -429,154 +435,111 @@ class ReducerKernel:
 
 
 # ---------------------------------------------------------------------------
-# barrett: shift-multiply quotient estimation with precomputed mu
+# barrett: quotient estimation against a float64 reciprocal
 # ---------------------------------------------------------------------------
 
 
 class BarrettKernel(ReducerKernel):
-    """Vectorized Barrett reduction (Table I row 1).
+    """Vectorized Barrett reduction (Table I row 1), its quotient
+    estimated from a float64 reciprocal.
 
-    For each modulus, ``mu = floor(2^{2r} / q)`` with ``r = bits(q)``.
-    A product ``x = a*b < q^2`` is reduced by estimating the quotient as
-    ``((x >> (r-1)) * mu) >> (r+1)``; the estimate undershoots by at most
-    2, fixed by two conditional subtracts.  The 82-bit intermediates are
-    carried as (hi, lo) uint64 pairs from :func:`_mul128`.
+    Per modulus the kernel keeps one double, ``r_q = RN((1 - 2^-50) / q)``
+    (:attr:`reciprocal`; ``RN`` rounds to nearest).  Reducing a value
+    ``x`` — a product (:meth:`mul`), a sum (:meth:`reduce`), a product
+    with a pre-formed constant (:meth:`mul_pre_raw`) — estimates its
+    quotient as ``q̂ = trunc(e)``, ``e`` the float64 product of ``x`` (or
+    of its factors) with ``r_q``, forms ``t = x - q̂·q`` in wrapping uint64
+    and subtracts ``q`` once where ``t >= q``.  No division: a :meth:`mul`
+    is 7 ufunc calls (10 elementwise steps, counting the casts between
+    uint64 and float64), a :meth:`reduce` 5 (7), a raw product 4 (6).
+
+    Why it is exact.  ``e`` is three roundings to nearest away from
+    ``x / q``, each of relative error at most ``u = 2^-53``: ``r_q``
+    itself; ``RN(a·b)`` and ``RN(· r_q)`` in :meth:`mul`; the cast of
+    ``x`` (exact below ``2^53``) and ``RN(x̂ · r_q)`` in :meth:`reduce`;
+    ``w_q = RN(w · r_q)`` (:meth:`pre`) and ``RN(a · w_q)`` in the raw
+    product, whose operands are below ``2^53`` and cast exactly.  So
+
+    * ``e <= (x/q)(1 - 2^-50)(1 + u)^3 < x/q``: the estimate never
+      overshoots (``r_q <= (1 - 2^-51)/q`` already);
+    * ``e >= (x/q)(1 - 2^-50)(1 - u)^3 > (x/q)(1 - 11·2^-53)``: it
+      undershoots ``x/q`` by less than ``(x/q)·2^-49.5``, below 1 while
+      the true quotient is below ``2^53 / 11``.
+
+    Then ``x/q - 1 < e <= x/q``, so ``q̂`` is ``floor(x/q)`` or one less
+    and ``t`` is ``x mod q`` or that plus ``q``: below ``2q``, and the
+    wrapped difference is exact.  Every caller keeps the quotient below
+    ``2^42``: :meth:`mul`'s ``ab/q < q <= 2^41``, :meth:`reduce`'s
+    ``x/q < q`` for ``x < min(q^2, 2^64)``, the raw product's ``a·w/q <
+    a < 2^42``.
     """
 
     name = "barrett"
     spec = REDUCER_SPECS["barrett"]
-    RAW_BOUND = 4
-
-    # mul_pre uses Shoup's variant of the same shift-multiply idea: for a
-    # *constant* operand w the whole scaled reciprocal w' = floor(w*2^64/q)
-    # is precomputable, so the quotient estimate needs only two shifted
-    # multiplications by the (static) high pieces of w'.
-    _SHOUP_S2 = _U64(21)
-    _SHOUP_S1 = _U64(42)
 
     def _precompute(self) -> None:
-        table = self._table
-        # mu = floor(2^{2r}/q) < 2^{r+1} <= 2^42, statically split at 21 bits
-        # so the quotient-estimation product stays inside uint64.
-        self._mu_hi = table(lambda v: ((1 << (2 * v.bit_length())) // v) >> 21)
-        self._mu_lo = table(lambda v: ((1 << (2 * v.bit_length())) // v) & ((1 << 21) - 1))
-        self._s1 = table(lambda v: v.bit_length() - 1)  # x >> (r-1)
-        self._s1c = table(lambda v: 65 - v.bit_length())  # hi's share of that shift
-        self._s2 = table(lambda v: v.bit_length() + 1)  # ... >> (r+1)
-        self._s3 = table(lambda v: max(v.bit_length() - 20, 1))  # mu_hi's share
-        self._s4 = table(lambda v: max(v.bit_length() - 21, 1))  # fast-path x-shift
-        self._q2 = table(lambda v: 2 * v)
-        # For moduli of >= 22 bits (every RNS prime; toy moduli fall back),
-        # x >> (r-1) = (p1 + (p0 >> 20)) >> (r-21) exactly by the nested-
-        # floor identity — no 128-bit (hi, lo) assembly needed.
-        self._wide = all(
-            int(v).bit_length() >= 22 for v in np.atleast_1d(self.q).ravel()
-        )
+        #: ``r_q``, shaped like ``q``: ``1 - 2^-50`` and ``q`` are exact
+        #: doubles, so the one correctly rounded division is the ``RN``.
+        self.reciprocal = (1.0 - 2.0**-50) / self.q.astype(np.float64)
 
-    def _reduce_wide(self, hi: np.ndarray, lo: np.ndarray, out=None) -> np.ndarray:
-        """Map an exact (hi, lo) value < q^2 to its canonical residue.
-
-        ``q_est = ((x >> (r-1)) * mu) >> (r+1)`` with the mu product split
-        as ``mu = mu_hi * 2^21 + mu_lo``; distributing the floor over the
-        two partials undershoots by at most one more than classic Barrett's
-        two, so the remainder lands in [0, 4q) and two conditional
-        subtracts (one by 2q, one by q) finish the reduction.
-        """
-        xs = (lo >> self._s1) | (hi << self._s1c)  # exact x >> (r-1), < 2^{r+1}
-        q_est = ((xs * self._mu_hi) >> self._s3) + ((xs * self._mu_lo) >> self._s2)
-        t = lo - q_est * self.q  # exact mod 2^64; true value in [0, 4q)
-        t = _csub(t, self._q2)
-        return _csub(t, self.q, out=out)
+    def _times_q(self, x, scale, out=None) -> np.ndarray:
+        """``trunc(x * scale) * q`` in uint64, into ``out`` when given:
+        the quotient estimate times the modulus."""
+        if out is None:
+            shape = np.broadcast_shapes(np.shape(x), np.shape(scale))
+            out = np.empty(shape, dtype=np.uint64)
+        np.multiply(x, scale, out=out, casting="unsafe")  # the cast truncates
+        out *= self.q
+        return out
 
     def mul(self, a: np.ndarray, b, out=None) -> np.ndarray:
+        """Elementwise ``a * b mod q``; exact whenever ``a * b / q <
+        2^42`` — canonical operands, or a canonical ``b`` against any
+        ``a < 2^42``."""
         a = np.asarray(a, dtype=np.uint64)
         b = np.asarray(b, dtype=np.uint64)
-        if not self._wide:
-            return self._reduce_wide(*_mul128_41(a, b), out=out)
-        b_hi = b >> _SPLIT20
-        b_lo = b & _MASK20
-        p1 = a * b_hi
-        p0 = a * b_lo
-        xs = (p1 + (p0 >> _SPLIT20)) >> self._s4  # exact x >> (r-1)
-        q_est = ((xs * self._mu_hi) >> self._s3) + ((xs * self._mu_lo) >> self._s2)
-        t = a * b - q_est * self.q  # exact mod 2^64; true value in [0, 4q)
-        t = _csub(t, self._q2)  # rebinding frees the wider value first
+        est = np.empty(np.broadcast_shapes(a.shape, b.shape, self.q.shape))
+        np.multiply(a, b, out=est, dtype=np.float64)  # RN(a * b)
+        t = self._times_q(est, self.reciprocal, out=est.view(np.uint64))
+        np.subtract(a * b, t, out=t)  # exact mod 2^64: below 2q
         return _csub(t, self.q, out=out)
 
     def reduce(self, x: np.ndarray, out=None, work=None) -> np.ndarray:
-        # Single-word input: hi = 0, so _reduce_wide's (lo >> s1) | (hi <<
-        # s1c) collapses to the plain shift.  Two arrays carry the whole
-        # reduction (``work``, else allocated by their first op): a
-        # block-sized operand then cycles 1.5 MB through the cache, not
-        # the ten temporaries of the expression form.
+        # Two arrays carry the whole reduction (``work``, else allocated):
+        # a block-sized operand cycles them through the cache, not the
+        # temporaries of the expression form.
         x = np.asarray(x, dtype=np.uint64)
         est, low = (None, None) if work is None else work
-        est = np.right_shift(x, self._s1, out=est)  # exact x >> (r-1)
-        low = np.multiply(est, self._mu_lo, out=low)
-        low >>= self._s2
-        est *= self._mu_hi
-        est >>= self._s3
-        est += low  # the quotient estimate
-        est *= self.q
-        np.subtract(x, est, out=est)  # exact mod 2^64; true value in [0, 4q)
-        np.minimum(est, np.subtract(est, self._q2, out=low), out=est)
-        np.subtract(est, self.q, out=low)
-        return np.minimum(est, low, out=est if out is None else out)
+        t = self._times_q(x, self.reciprocal, out=est)
+        np.subtract(x, t, out=t)  # exact mod 2^64: below 2q
+        low = np.subtract(t, self.q, out=low)
+        return np.minimum(t, low, out=t if out is None else out)
 
     def pre(self, b) -> np.ndarray:
-        """Stack ``[w, w' >> 43, (w' >> 22) & mask21]`` for Shoup quotients.
+        """Stack ``[w, RN(w · r_q)]``, the second plane as float64 bits.
 
-        ``w' = floor(w * 2^64 / q)`` is computed exactly in uint64 by long
-        division: with ``w < q`` the running remainder stays below ``q``,
-        so it can be shifted by ``64 - bits(q)`` bits per step without
-        overflow (three steps for the 36-bit RNS primes).  Only the top
-        two 21-bit pieces of w' are kept: the discarded low piece
-        contributes < 1 to the quotient estimate, folded into the
-        conditional-subtract budget.
+        ``w`` is canonical and cast exactly, so the plane is one rounding
+        of ``w · r_q``: ``w_q <= (w/q)(1 - 2^-50)(1 + u)^2 <= (w/q)(1 -
+        2^-51)``, the scaled reciprocal the raw product multiplies by.
         """
         b = np.asarray(b, dtype=np.uint64)
-        q = self.q
-        shape = np.broadcast_shapes(b.shape, np.shape(q))
-        step = 64 - int(q.max()).bit_length()
-        shoup = np.zeros(shape, dtype=np.uint64)
-        rem = np.broadcast_to(b, shape)
-        for done in range(0, 64, step):
-            shift = _U64(min(step, 64 - done))
-            rem = rem << shift
-            digit = rem // q
-            rem = rem - digit * q
-            shoup = (shoup << shift) | digit
-        w2 = shoup >> _U64(43)
-        w1 = (shoup >> _U64(22)) & _U64((1 << 21) - 1)
-        return np.stack([np.broadcast_to(b, shape), w2, w1])
+        scaled = np.asarray(np.multiply(b, self.reciprocal, dtype=np.float64))
+        return np.stack([np.broadcast_to(b, scaled.shape), scaled.view(np.uint64)])
 
     def mul_pre_raw(
         self, a: np.ndarray, b_pre: np.ndarray, out=None, work=None
     ) -> np.ndarray:
-        """``a * w - mulhi(a, w') * q`` via the precomputed Shoup pieces.
-
-        The estimate ``q_est`` undershoots ``a * w / q`` by less than
-        ``2 + a / 2^42`` (two dropped floor corrections plus the discarded
-        low piece of ``w'``), so the remainder sits in [0, 4q) for every
-        ``a < 2^42`` — canonical or not.  Two arrays carry the whole
-        product — the estimate (``work``) and the result (``out``) — each
-        allocated by its first multiply when not given.
+        """``a * w - trunc(a * w_q) * q``: below ``2q`` for every ``a <
+        2^42``, canonical or not (the quotient ``a·w/q`` is below ``a``).
+        Two arrays carry the whole product — the estimate (``work``) and
+        the result (``out``) — each allocated when not given.
         """
         a = np.asarray(a, dtype=np.uint64)
-        w, w2, w1 = b_pre[0], b_pre[1], b_pre[2]
-        q_est = np.multiply(a, w2, out=work)
-        q_est >>= self._SHOUP_S2
-        res = np.multiply(a, w1, out=out)
-        res >>= self._SHOUP_S1
-        q_est += res
-        q_est *= self.q
-        np.multiply(a, w, out=res)
-        res -= q_est
+        w, w_q = b_pre[0], b_pre[1].view(np.float64)
+        t = self._times_q(a, w_q, out=work)
+        res = np.multiply(a, w, out=out)
+        res -= t
         return res
-
-    def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
-        """``a * w mod q``: the raw product and the usual 2q/q cascade."""
-        return _csub(_csub(self.mul_pre_raw(a, b_pre), self._q2), self.q, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +558,6 @@ class MontgomeryKernel(ReducerKernel):
 
     name = "montgomery"
     spec = REDUCER_SPECS["montgomery"]
-    RAW_BOUND = 2
 
     def _precompute(self) -> None:
         table = self._table
@@ -654,9 +616,6 @@ class MontgomeryKernel(ReducerKernel):
     ) -> np.ndarray:
         a = np.asarray(a, dtype=np.uint64)
         return self._redc_raw(*_mul128_41(a, b_pre), out=out)
-
-    def mul_pre(self, a: np.ndarray, b_pre: np.ndarray, out=None) -> np.ndarray:
-        return _csub(self.mul_pre_raw(a, b_pre), self.q, out=out)
 
 
 # ---------------------------------------------------------------------------

@@ -15,12 +15,13 @@ the limbs block by cache-sized block.  The active
 reducer backend (Barrett by default) decides how each modular product is
 reduced; results are bit-identical across backends.
 
-"Expand RNS" and "Combine CRT" (Fig. 2a) are word-level too, one core
-each.  :meth:`_expand` accumulates weighted words into residues, fed by
-exact integers (:meth:`from_bigint_coeffs`) or by the float datapath's
-own (mantissa, exponent) words (:meth:`from_float_coeffs`).
-:meth:`_combine` is its mirror: Garner mixed-radix digits peeled on the
-whole residue matrix, centred in mixed radix, and only the rows a
+"Expand RNS" and "Combine CRT" (Fig. 2a) are word-level too.
+:meth:`from_float_coeffs` streams the float datapath's own (mantissa,
+exponent) words limb by limb, each output row computed in cache by
+Barrett's float64 quotient estimate, the way the MSE streams a limb;
+:meth:`from_bigint_coeffs` accumulates the 32-bit words of exact
+integers.  :meth:`_combine` is the mirror: Garner mixed-radix digits
+peeled on the whole residue matrix, centred in mixed radix, and only the rows a
 coefficient actually reaches folded into integers — read out exactly
 (:meth:`to_bigints`) or as correctly rounded doubles
 (:meth:`to_float_coeffs`).
@@ -32,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.nums.kernels import kernel_for_modulus
 from repro.rns.basis import RnsBasis
 from repro.transforms.ntt import galois_permutation
 
@@ -170,8 +172,9 @@ class RnsPolynomial:
         """Arbitrary-precision coefficients -> RNS (the exact Expand-RNS).
 
         Each magnitude is cut into 32-bit words (``int.to_bytes``, one
-        Python pass over the list) and handed to :meth:`_expand`, the
-        weighted accumulation shared with :meth:`from_float_coeffs`.
+        Python pass over the list), least significant first.  Word 0 has
+        weight 1 and is added as is; the rest go through one fused
+        multiply-accumulate against per-limb powers of ``2^32``.
         """
         if len(coeffs) != basis.degree:
             raise ValueError(f"expected {basis.degree} coefficients")
@@ -179,10 +182,26 @@ class RnsPolynomial:
         negative = np.array([c < 0 for c in ints], dtype=bool)
         mags = [-c if c < 0 else c for c in ints]
         max_bits = max((c.bit_length() for c in mags), default=0)
-        num_words = max(1, (max_bits + 31) // 32)
-        raw = b"".join(c.to_bytes(4 * num_words, "little") for c in mags)
-        words = np.frombuffer(raw, dtype="<u4").reshape(basis.degree, num_words)
-        return cls._expand(basis, level, words.T.astype(np.uint64), 32, negative)
+        count = max(1, (max_bits + 31) // 32)
+        raw = b"".join(c.to_bytes(4 * count, "little") for c in mags)
+        words = np.frombuffer(raw, dtype="<u4").reshape(basis.degree, count)
+        words = words.T.astype(np.uint64)
+        kern = basis.kernel(level)
+        moduli = basis.moduli[:level]
+        wide = np.broadcast_to(words[:, np.newaxis, :], (count, level, basis.degree))
+        if min(moduli) >> 32 == 0:
+            # A word may exceed (the square of) a modulus: plain division.
+            wide = wide % kern.q
+        data = np.ascontiguousarray(wide[0])
+        if count > 1:
+            weights = np.array(
+                [[pow(2, 32 * k, q) for q in moduli] for k in range(1, count)],
+                dtype=np.uint64,
+            ).reshape(-1, level, 1)
+            data = kern.add(data, kern.mul_accumulate(wide[1:], weights))
+        if negative.any():
+            data = np.where(negative[np.newaxis, :], kern.neg(data), data)
+        return cls(basis, data, COEFF)
 
     @classmethod
     def from_float_coeffs(
@@ -191,10 +210,22 @@ class RnsPolynomial:
         """Integer-valued doubles -> RNS, straight from the float datapath.
 
         A double is ``±M * 2^E`` with a 53-bit integer mantissa, so its
-        residue is ``(M mod q_i) * (2^E mod q_i)`` — a table gather and
-        one modular multiply per limb, which is what the MSE does with an
-        FP55 word instead of materializing the ~72-bit integer.  Residues
-        equal ``from_bigint_coeffs([int(v) for v in values])`` exactly.
+        residue is ``(M mod q_i) * (±2^E mod q_i)`` — what the MSE does
+        with an FP55 word instead of materializing the ~72-bit integer.
+        Limb by limb, in cache, straight into its output row: ``M mod
+        q_i`` from Barrett's float64 quotient estimate, one gather from a
+        sign-folded table of ``±2^E mod q_i`` and one Barrett ``mul``.
+        Residues equal ``from_bigint_coeffs([int(v) for v in values])``
+        exactly, under either backend (canonical residues are unique).
+
+        Bound: ``M < 2^53`` is an exact double, so ``trunc(M · r_q)``
+        undershoots ``M / q`` by less than ``(M / q) 2^-49.5 + 1``
+        (:class:`~repro.nums.kernels.BarrettKernel`): ``M - trunc(M ·
+        r_q) · q`` is below ``2q`` for every ``q >= 11`` — every
+        ``RnsBasis`` prime from N = 8 up, at least ``2N + 1 = 17`` — and
+        below ``q + 11`` for the smaller ones.  Either way it is below
+        ``2^42`` against a canonical table entry, which is all ``mul``
+        needs to return the canonical product.
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (basis.degree,):
@@ -206,51 +237,19 @@ class RnsPolynomial:
         mags = np.abs(values)
         # Below 2^53 the double is its own mantissa; above, shift it down.
         exponents = np.maximum(np.frexp(mags)[1] - 53, 0)
-        mantissas = np.ldexp(mags, -exponents).astype(np.uint64)
-        return cls._expand(
-            basis, level, mantissas[np.newaxis, :], 53, values < 0, exponents
-        )
-
-    @classmethod
-    def _expand(
-        cls,
-        basis: RnsBasis,
-        level: int,
-        words: np.ndarray,
-        word_bits: int,
-        negative: np.ndarray,
-        exponents: np.ndarray | None = None,
-    ) -> "RnsPolynomial":
-        """Residues of ``±(sum_k words[k] * 2^(word_bits*k)) * 2^exponents``.
-
-        ``words`` is a ``(k, N)`` matrix of ``word_bits``-bit digits, least
-        significant first.  Word 0 has weight 1 and is added as is; the
-        rest go through one fused multiply-accumulate against per-limb
-        powers of ``2^word_bits``.
-        """
-        kern = basis.kernel(level)
-        moduli = basis.moduli[:level]
-        count = len(words)
-        wide = np.broadcast_to(words[:, np.newaxis, :], (count, level, basis.degree))
-        if min(moduli) >> word_bits == 0:
-            # A word may exceed (the square of) a modulus: plain division.
-            wide = wide % kern.q
-        data = np.ascontiguousarray(wide[0])
-        if count > 1:
-            weights = np.array(
-                [[pow(2, word_bits * k, q) for q in moduli] for k in range(1, count)],
-                dtype=np.uint64,
-            ).reshape(-1, level, 1)
-            data = kern.add(data, kern.mul_accumulate(wide[1:], weights))
-        if exponents is not None:
-            top = int(exponents.max())
-            powers = np.array(
-                [[pow(2, e, q) for e in range(top + 1)] for q in moduli],
-                dtype=np.uint64,
-            )
-            data = kern.mul(data, powers[:, exponents])
-        if negative.any():
-            data = np.where(negative[np.newaxis, :], kern.neg(data), data)
+        mantissas = np.ldexp(mags, -exponents)
+        words = mantissas.astype(np.uint64)
+        top = int(exponents.max())
+        index = exponents + (top + 1) * (values < 0)  # +2^E rows, then -2^E
+        data = np.empty((level, basis.degree), dtype=np.uint64)
+        for row, q in zip(data, basis.moduli[:level]):
+            kern = kernel_for_modulus(q, "barrett")
+            powers = [pow(2, e, q) for e in range(top + 1)]
+            signed = np.array(powers + [-p % q for p in powers], dtype=np.uint64)
+            np.multiply(mantissas, kern.reciprocal, out=row, casting="unsafe")
+            row *= kern.q
+            np.subtract(words, row, out=row)  # M mod q, short of a subtract
+            kern.mul(row, signed[index], out=row)
         return cls(basis, data, COEFF)
 
     # ------------------------------------------------------------------

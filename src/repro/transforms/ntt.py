@@ -121,7 +121,7 @@ class NttContext:
     ``psi_pre`` / ``psi_inv_pre``, the twiddle tables in that form, are
     built by the first per-limb transform: :class:`BatchNtt` stacks its
     own planes from ``psi_rev`` / ``psi_inv_rev``, so a context that only
-    feeds one never holds them (Barrett: three planes per table, 3 MiB
+    feeds one never holds them (Barrett: two planes per table, 2 MiB
     per limb at N = 2^16).
     """
 
@@ -275,14 +275,15 @@ def _lazy_plans(kernel: ReducerKernel, moduli, stages: int, input_bound: int):
     are canonical.
 
     * Forward (Cooley–Tukey) stage: ``v = raw(x1 * w)``, ``x1 <- u + B*q -
-      v``, ``u <- u + v`` — ``c`` grows by ``B`` per stage, so Barrett
-      (``B = 4``) enters stage ``s`` at ``2 + 4s`` and 36-bit primes need
-      no renormalization up to N = 2^16 (``62 q < 2^42`` at the last
-      stage).
+      v``, ``u <- u + v`` — ``c`` grows by ``B`` per stage, so either
+      backend (``B = 2``) enters stage ``s`` at ``2 + 2s`` and 36-bit
+      primes need no renormalization up to N = 2^16 (``32 q < 2^42`` at
+      the last stage).
     * Inverse (Gentleman–Sande) stage: ``u <- u + x1``, ``x1 <- raw((u +
       c*q - x1) * w)`` — the sums double, ``c <- max(2c, B)``, so a
-      renormalization falls every fifth stage or so; the closing ``1/N``
-      multiply is a canonical product and absorbs the last one.
+      renormalization falls every sixth stage (at 36 bits ``c`` reaches
+      ``64 = 2^42 / 2^36`` after six doublings); the closing ``1/N``
+      multiply takes whatever is left (``16 q`` at N = 2^16).
 
     Returns ``(forward, inverse)``.  ``forward[s]`` says whether stage
     ``s`` renormalizes first (the transform always ends on a reduce);
@@ -416,7 +417,7 @@ class BatchNtt:
         Tables are shaped ``(..., L, 1, N)`` — the trailing singleton keeps
         the per-row moduli column ``(L, 1, 1)`` broadcasting against the
         stage views; a leading axis (if any) carries the backend's
-        precomputed companions (e.g. Barrett's Shoup pieces).  The slices
+        precomputed companions (Barrett's scaled reciprocals).  The slices
         of the transposed stages are stored in :func:`_late_order`.
 
         ``input_bound`` is what :meth:`forward` accepts on every limb:

@@ -10,6 +10,7 @@ and per-row matrix-moduli broadcasting.
 from __future__ import annotations
 
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -85,11 +86,19 @@ class TestAgainstOracle:
             assert kern.pow(a, e).tolist() == [pow(int(x), e, prime) for x in a]
 
     def test_reduce_up_to_q_squared(self, prime, backend, rng):
+        """The whole domain ``[0, min(q^2, 2^64))``: ``mul_accumulate_rows``
+        hands ``reduce`` partial sums up to that bound, so the draws and
+        edges cross ``2^63`` (where an int64 detour would go wrong)."""
         kern = make_kernel(prime, backend)
-        hi = min(prime * prime, 1 << 63)
-        x = rng.integers(0, hi, 300).astype(np.uint64)
-        x = np.concatenate([x, np.array([0, 1, prime - 1, prime, 2 * prime - 1], dtype=np.uint64)])
+        hi = min(prime * prime, 1 << 64)
+        x = rng.integers(0, hi, 300, dtype=np.uint64)
+        edges = [0, 1, prime - 1, prime, 2 * prime - 1, 1 << 63, (1 << 64) - 1, hi - 1]
+        x = np.concatenate([x, np.array([v for v in edges if v < hi], dtype=np.uint64)])
         assert kern.reduce(x).tolist() == [int(v) % prime for v in x]
+        out = np.empty_like(x)
+        work = (np.empty_like(x), np.empty_like(x))
+        assert kern.reduce(x, out=out, work=work) is out
+        assert out.tolist() == [int(v) % prime for v in x]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
@@ -244,21 +253,32 @@ class TestMontgomeryDomain:
 
 
 class TestBarrettShoupPieces:
-    """``pre`` long-divides in uint64; the oracle divides Python ints."""
+    """``pre``'s second plane is Shoup's precomputed quotient ``w' ~ w/q``,
+    one float64 rounded below the exact division; the oracle divides
+    Python ints (``fractions.Fraction``).  The bounds are those of
+    ``BarrettKernel``'s docstring: ``r_q <= (1 - 2^-51)/q`` and ``w_q <=
+    (w/q)(1 - 2^-51)``, each at most ``2^-49.5`` below the exact value."""
 
-    @pytest.mark.parametrize(
-        "q", [2, 3, 257, (1 << 22) + 1, *PRIMES.values(), (1 << 41) - 21]
-    )
+    MODULI = [2, 3, 257, (1 << 22) + 1, *PRIMES.values(), (1 << 41) - 21]
+    HEADROOM = Fraction((1 << 51) - 1, 1 << 51)  # 1 - 2^-51
+    SLACK = 1 - Fraction(11, 1 << 53)  # the estimate's worst undershoot
+
+    @pytest.mark.parametrize("q", MODULI)
     def test_pieces_match_bigint_division(self, q, rng):
         kern = make_kernel(q, "barrett")
+        r_q = Fraction(float(kern.reciprocal))
+        # RN((1 - 2^-50) / q): Fraction -> float rounds correctly.
+        assert float(r_q) == float(Fraction((1 << 50) - 1, q << 50))
+        assert Fraction(1, q) * self.SLACK < r_q <= self.HEADROOM / q
         w = np.concatenate(
             [rng.integers(0, q, 300), [0, 1 % q, q // 2, q - 1]]
         ).astype(np.uint64)
-        shoup = [(int(x) << 64) // q for x in w]
         pre = kern.pre(w)
+        assert pre.shape == (2, len(w))
         assert pre[0].tolist() == w.tolist()
-        assert pre[1].tolist() == [s >> 43 for s in shoup]
-        assert pre[2].tolist() == [(s >> 22) & ((1 << 21) - 1) for s in shoup]
+        for x, plane in zip(w.tolist(), pre[1].view(np.float64).tolist()):
+            exact = Fraction(x, q)
+            assert exact * self.SLACK <= Fraction(plane) <= exact * self.HEADROOM
 
     def test_column_moduli_and_scalar_operand(self, rng):
         moduli = sorted(PRIMES.values())
@@ -266,10 +286,10 @@ class TestBarrettShoupPieces:
         w = np.stack([rng.integers(0, q, 50) for q in moduli]).astype(np.uint64)
         pre = kern.pre(w)
         for row, q in enumerate(moduli):
-            assert pre[1][row].tolist() == [((int(x) << 64) // q) >> 43 for x in w[row]]
+            assert np.array_equal(pre[:, row], make_kernel(q, "barrett").pre(w[row]))
         scalar = make_kernel(moduli[0], "barrett").pre(np.uint64(5))
-        assert scalar.shape == (3,)
-        assert int(scalar[1]) == ((5 << 64) // moduli[0]) >> 43
+        assert scalar.shape == (2,)
+        assert Fraction(float(scalar[1:].view(np.float64)[0])) <= Fraction(5, moduli[0])
 
 
 class TestMulAccumulate:
@@ -348,8 +368,10 @@ class TestRawProduct:
             assert kern.reduce(raw).tolist() == kern.mul(a_arr, b_arr).tolist()
 
     def test_worst_case_operand(self, backend):
-        """The largest operand against the largest multiplier."""
-        for q in RAW_PRIMES:
+        """The largest operand against the largest multiplier, and
+        ``mul``'s largest quotient, ``(q - 1)^2``, up to the widest odd
+        modulus a kernel takes."""
+        for q in (*RAW_PRIMES, (1 << 41) - 21):
             kern = make_kernel(q, backend)
             top = kern.raw_operand_limit - 1
             raw = kern.mul_pre_raw(
@@ -358,10 +380,12 @@ class TestRawProduct:
             )
             assert [int(r) % q for r in raw] == [top * (q - 1) % q, top % q]
             assert all(int(r) < kern.RAW_BOUND * q for r in raw)
+            edge = np.array([q - 1], dtype=np.uint64)
+            assert kern.mul(edge, edge).tolist() == [(q - 1) ** 2 % q]
 
     def test_bounds_per_backend(self):
         bounds = {name: get_backend(name).RAW_BOUND for name in BACKENDS}
-        assert bounds == {"montgomery": 2, "barrett": 4}
+        assert bounds == {"montgomery": 2, "barrett": 2}
 
 
 class TestRowAccumulate:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -88,6 +90,25 @@ def _float_coefficients():
     return st.one_of(ordinary, special, huge, huge.map(lambda x: -x))
 
 
+# The widest primes a kernel takes: find_primes can return a 42-bit one.
+WIDE_BASIS = RnsBasis(
+    degree=N,
+    primes=tuple(p for p in find_primes(41, N, max_count=12) if p.value.bit_length() == 41)[:6],
+)
+
+# Doubles at the edges of the mantissa/exponent split, placed unscaled.
+EDGE_DOUBLES = [
+    np.finfo(np.float64).max,
+    -np.finfo(np.float64).max,
+    2.0**53 + 2,
+    -(2.0**53 + 2),
+    2.0**63,
+    2.0**64 + 2.0**12,
+    2.0**64 - 2.0**12,
+    -0.0,
+]
+
+
 class TestExpandRns:
     """The float Expand-RNS against the exact big-int front-end."""
 
@@ -98,18 +119,42 @@ class TestExpandRns:
             [2.0**72, 2.0**36, 1.0, 2.0**72 / 68719403009, 3.0e21, 2.0**-3]
         ),
         st.integers(min_value=1, max_value=6),
+        st.booleans(),
     )
     def test_float_expand_matches_python_rounded_bigints(
-        self, basis, head, delta, level
+        self, basis, head, delta, level, wide
     ):
+        """On the shared 36-bit chain and on 41-bit primes; the edge
+        doubles sit unscaled after the scaled head and its negation."""
+        chain = WIDE_BASIS if wide else basis
         coeffs = np.zeros(N)
         coeffs[: len(head)] = head
         coeffs[len(head) : 2 * len(head)] = [-c for c in head]
         ints = [int(round(float(c) * delta)) for c in coeffs]
-        want = RnsPolynomial.from_bigint_coeffs(basis, level, ints)
-        got = RnsPolynomial.from_float_coeffs(basis, level, np.rint(coeffs * delta))
+        values = np.rint(coeffs * delta)
+        edges = slice(2 * len(head), 2 * len(head) + len(EDGE_DOUBLES))
+        values[edges] = EDGE_DOUBLES
+        ints[edges] = [int(v) for v in EDGE_DOUBLES]
+        want = RnsPolynomial.from_bigint_coeffs(chain, level, ints)
+        got = RnsPolynomial.from_float_coeffs(chain, level, values)
         assert got.domain == COEFF
         assert np.array_equal(got.data, want.data)
+
+    def test_one_call_streams_limb_by_limb(self):
+        """At the paper's shape (N = 2^16, 24 limbs) one call peaks below
+        twice its 12 MiB output: no (L, N) temporary beside the rows."""
+        basis = RnsBasis.create(1 << 16, 24)
+        rng = np.random.default_rng(5)
+        values = np.rint(rng.normal(size=basis.degree) * 2.0**60)
+        RnsPolynomial.from_float_coeffs(basis, 2, values)  # warm the kernels
+        tracemalloc.start()
+        try:
+            got = RnsPolynomial.from_float_coeffs(basis, 24, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.data.nbytes == 12 << 20
+        assert peak < 2 * got.data.nbytes
 
     def test_exact_ties_round_to_even(self, basis):
         coeffs = np.zeros(N)

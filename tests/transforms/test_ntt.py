@@ -264,21 +264,28 @@ class TestBatchedTensors:
     def test_renormalization_plan_follows_the_moduli(self):
         from repro.transforms.ntt import BatchNtt
 
-        # 36-bit primes under Barrett: 2 + 4 * 15 = 62 < 64 = 2^42 / 2^36,
-        # so sixteen forward stages never renormalize; the inverse's sums
-        # double and do, every fifth stage.
-        paper = BatchNtt.create(1 << 16, (PAPER_PRIMES[0],), "barrett")
-        assert not any(paper._forward_plan)
-        assert [s for s, (first, _) in enumerate(paper._inverse_plan) if first] == [5, 10, 15]
+        # A 36-bit prime under either backend (raw products below 2q):
+        # the forward enters stage s at c = 2 + 2s, and 2 + 2 * 15 = 32 <
+        # 64 = 2^42 / 2^36, so sixteen stages never renormalize.  The
+        # inverse's sums double from 1: c = 64 enters stage 5, the doubled
+        # 128 no longer fits, so stages 6 and 12 renormalize and four
+        # doublings after 12 leave 16 q for the closing 1/N product.
+        for backend in available_backends():
+            paper = BatchNtt.create(1 << 16, (PAPER_PRIMES[0],), backend)
+            assert not any(paper._forward_plan)
+            inverse = paper._inverse_plan
+            assert [s for s, (first, _) in enumerate(inverse[:-1]) if first] == [6, 12]
+            assert inverse[-1] == (False, 16)
         # A mixed toy chain has no such room (limb 0 must stay below 17^2
-        # while holding limb 1's residues) and still transforms exactly.
-        toy = BatchNtt.create(8, (17, 97), "barrett")
-        assert any(toy._forward_plan)
-        refs = [NttContext.cached(8, q, "barrett") for q in (17, 97)]
+        # while holding limb 1's residues: it enters at 16 q_0, and one
+        # stage would store 18 q_0) and still transforms exactly.
+        toy = BatchNtt.create(8, (17, 257), "barrett")
+        assert toy._forward_plan[0]
+        refs = [NttContext.cached(8, q, "barrett") for q in (17, 257)]
         x = np.full((2, 8), toy.input_bound - 1, dtype=np.uint64)
         want = np.stack([c.forward(row) for c, row in zip(refs, x)])
         assert np.array_equal(toy.forward(x), want)
-        assert np.array_equal(toy.inverse(want), x % np.array([[17], [97]], dtype=np.uint64))
+        assert np.array_equal(toy.inverse(want), x % np.array([[17], [257]], dtype=np.uint64))
         # Every reducer takes an unreduced 41-bit operand; a limb that
         # cannot even hold another limb's residues below q^2 is refused.
         wide = find_primes(41, 64, max_count=1)[0].value
