@@ -8,9 +8,9 @@ evaluator surface, traced, compiled to a cached
 :class:`~repro.runtime.plan.ExecutionPlan`, and **served by the
 multi-process engine** through the unified surface: ``serve(plan,
 ServingConfig(...))`` opens a session whose worker pool runs behind a
-``tcp`` worker host — the compiled plan crosses to it as a serialized
-``EPL1`` artifact (constants resolved by fingerprint from the inline
-``PCS1`` payload, the cross-machine path; see docs/formats.md) — and
+``tcp`` worker host — the compiled plan crosses to it as one
+self-contained ``EPL1`` blob (each constant inline once, named by its
+content fingerprint, the cross-machine path; see docs/formats.md) — and
 ``session.streaming()`` feeds it from a bounded
 request queue so each client's encrypt -> evaluate -> decrypt pipeline
 overlaps the others'.  Ciphertexts cross the worker boundary through the

@@ -44,21 +44,13 @@ _FENCE_RE = re.compile(r"```(?:python|py)\n(.*?)```", re.DOTALL)
 _PACKAGES = ("repro.runtime", "repro.ckks")
 
 # Exported names only tests reach, each with the reason it stays.
-_PLAN_STORE = "decided by the ROADMAP PlanStore item"
 _CAUGHT = "an exception type callers catch"
 _SECURITY = "the parameter-security check for callers picking their own ring"
 _SEEDED = "CTS2, pinned by the golden bytes; serving it is a parked ROADMAP item"
 _PACKING = "the reference for the residue-row packing docs/formats.md specifies"
 TEST_ONLY_ALLOWED: dict[str, str] = {
     "repro.runtime.TraceError": _CAUGHT,
-    "repro.runtime.PlanValidationError": _CAUGHT,
     "repro.runtime.PlanFormatError": _CAUGHT,
-    "repro.runtime.ConstantStore": _PLAN_STORE,
-    "repro.runtime.MissingConstantsError": _PLAN_STORE,
-    "repro.runtime.constant_fingerprint": _PLAN_STORE,
-    "repro.runtime.serialize_constants": _PLAN_STORE,
-    "repro.runtime.save_plan": _PLAN_STORE,
-    "repro.runtime.load_plan": _PLAN_STORE,
     "repro.runtime.Span": "the record type Telemetry.spans() returns",
     "repro.ckks.ChebyshevSeries": "the type sine_mod_series returns",
     "repro.ckks.SecurityReport": "the type check_parameters returns",

@@ -23,8 +23,10 @@ really emits:
   relinearization / Galois keys (``SWK1``), the constants a shipped
   :class:`~repro.runtime.plan.ExecutionPlan` resolves by fingerprint;
 * :func:`pack_frame` / :func:`read_frame` — the length-prefixed,
-  CRC-guarded frame container the plan formats (``EPL1``/``PCS1``,
-  :mod:`repro.runtime.plan_io`) are built from.
+  CRC-guarded frame container the plan format (``EPL1``, its ``CPAY``
+  body laid out as ``PCS1``; :mod:`repro.runtime.plan_io`) is built
+  from, and :class:`Reader`, the bounds-checked cursor the plan and
+  session decoders read every field through.
 
 These formats are also the transport between the serving engine's parent
 process and its forked workers (:mod:`repro.runtime.executor`); the
@@ -56,6 +58,7 @@ __all__ = [
     "unpack_residues",
     "pack_frame",
     "read_frame",
+    "Reader",
     "serialize_ciphertext",
     "deserialize_ciphertext",
     "serialize_seeded",
@@ -73,7 +76,7 @@ __all__ = [
 ]
 
 # Public: consumers that sniff blob types (the serving-engine worker
-# boundary, the plan constant store) must dispatch on these, never on
+# boundary, the plan constant payload) must dispatch on these, never on
 # hardcoded copies.
 CIPHERTEXT_MAGIC = b"CTF2"
 SEEDED_MAGIC = b"CTS2"
@@ -340,6 +343,9 @@ def deserialize_plaintext(blob: bytes, basis: RnsBasis) -> Plaintext:
     return Plaintext(poly=poly, scale=scale)
 
 
+_SWK_HEADER = struct.Struct("<IHH")  # degree, level, bits
+
+
 def serialize_switching_key(key: SwitchingKey, coeff_bits: int | None = None) -> bytes:
     """Key-switching key: ``SWK1`` header + ``level`` packed (b_j, a_j) pairs.
 
@@ -350,21 +356,19 @@ def serialize_switching_key(key: SwitchingKey, coeff_bits: int | None = None) ->
     """
     basis = key.pairs[0][0].basis
     bits = coeff_bits if coeff_bits is not None else wire_coeff_bits(basis)
-    header = SWITCHING_KEY_MAGIC + struct.pack(
-        "<IHH", basis.degree, key.level, bits
-    )
+    header = SWITCHING_KEY_MAGIC + _SWK_HEADER.pack(basis.degree, key.level, bits)
     return _blob(header, [poly for pair in key.pairs for poly in pair], bits)
 
 
 def deserialize_switching_key(blob: bytes, basis: RnsBasis) -> SwitchingKey:
     if blob[:4] != SWITCHING_KEY_MAGIC:
         raise WireFormatError("not a switching-key blob")
-    degree, level, bits = struct.unpack("<IHH", blob[4:12])
+    degree, level, bits = Reader(blob, "SWK1 header", 4).unpack(_SWK_HEADER)
     if degree != basis.degree:
         raise WireFormatError(
             f"degree mismatch: blob {degree}, basis {basis.degree}"
         )
-    offset = 12
+    offset = 4 + _SWK_HEADER.size
     pairs: list[tuple[RnsPolynomial, RnsPolynomial]] = []
     for _ in range(level):
         b_j, offset = _poly_from_payload(basis, blob, offset, level, bits, EVAL)
@@ -418,6 +422,49 @@ def read_frame(blob: bytes, offset: int) -> tuple[bytes, bytes, int]:
     if zlib.crc32(payload) != crc:
         raise WireFormatError(f"corrupt frame {tag!r}: CRC mismatch")
     return tag, payload, end + 4
+
+
+class Reader:
+    """Bounds-checked cursor over one payload: every read that would run
+    past its end, and text that is not UTF-8, is a
+    :class:`WireFormatError`."""
+
+    __slots__ = ("data", "pos", "what")
+
+    def __init__(self, data: bytes, what: str, pos: int = 0) -> None:
+        self.data = data
+        self.pos = pos
+        self.what = what
+
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
+            raise WireFormatError(
+                f"truncated {self.what}: need {n} bytes at offset {self.pos}, "
+                f"{len(self.data) - self.pos} remain"
+            )
+        chunk = self.data[self.pos : end]
+        self.pos = end
+        return chunk
+
+    def unpack(self, layout: struct.Struct) -> tuple:
+        return layout.unpack(self.take(layout.size))
+
+    def array(self, code: str, count: int) -> tuple:
+        """``count`` little-endian values of ``struct`` type ``code``."""
+        return self.unpack(struct.Struct(f"<{count}{code}"))
+
+    def text(self, n: int) -> str:
+        try:
+            return self.take(n).decode()
+        except UnicodeDecodeError as exc:
+            raise WireFormatError(f"{self.what}: text is not UTF-8") from exc
+
+    def finish(self) -> None:
+        if self.pos != len(self.data):
+            raise WireFormatError(
+                f"{self.what} has {len(self.data) - self.pos} trailing bytes"
+            )
 
 
 def wire_coeff_bits(basis: RnsBasis) -> int:

@@ -48,20 +48,18 @@ crosses that boundary is laid out in :mod:`repro.runtime.wire` — and
 async queue with backpressure so encrypt/evaluate/decrypt phases of
 different requests overlap.
 
-Compiled plans are durable artifacts: :mod:`repro.runtime.plan_io`
-serializes an :class:`~repro.runtime.plan.ExecutionPlan` to the
-versioned ``EPL1`` wire format (constants deduplicated by content
-fingerprint, shipped inline or as a separate ``PCS1`` payload), a
-:class:`~repro.runtime.plan_io.PlanStore` directory backs the plan cache
-across processes (:func:`~repro.runtime.plan.set_plan_store`), and
-``ServingConfig(transport="tcp")`` sends the serialized plan to each
-worker host instead of relying on fork-shared state.  See
-``docs/architecture.md`` for the layer map and ``docs/formats.md`` for
-the wire formats.
+Compiled plans travel as bytes: :func:`~repro.runtime.plan_io.serialize_plan`
+encodes an :class:`~repro.runtime.plan.ExecutionPlan` as one
+self-contained ``EPL1`` blob (each distinct constant inline once, named
+by content fingerprint), :func:`~repro.runtime.plan_io.deserialize_plan`
+rebuilds it without re-tracing, and ``ServingConfig(transport="tcp")``
+sends exactly those bytes to each worker host instead of relying on
+fork-shared state.  See ``docs/architecture.md`` for the layer map and
+``docs/formats.md`` for the wire formats.
 
 Observability: :mod:`repro.runtime.telemetry` is the process-wide
 metric registry and cross-process tracer behind every layer — compiler
-passes, plan cache/store, fused replay, executor, and streaming
+passes, plan cache, fused replay, executor, and streaming
 admission all report into it, and per-request trace contexts ride the
 worker pipe as ``TRC1`` frames so one request's spans nest into a
 single Perfetto-loadable timeline across processes and retries (see
@@ -101,21 +99,8 @@ from repro.runtime.plan import (
     compile_fn,
     compile_graph,
     plan_cache_info,
-    set_plan_store,
 )
-from repro.runtime.plan_io import (
-    ConstantStore,
-    MissingConstantsError,
-    PlanFormatError,
-    PlanStore,
-    constant_fingerprint,
-    deserialize_plan,
-    graph_content_signature,
-    load_plan,
-    save_plan,
-    serialize_constants,
-    serialize_plan,
-)
+from repro.runtime.plan_io import PlanFormatError, deserialize_plan, serialize_plan
 from repro.runtime.serving import ServingConfig, ServingSession, serve
 from repro.runtime.stream import StreamingServer
 from repro.runtime.transport import Transport
@@ -149,18 +134,9 @@ __all__ = [
     "compile_graph",
     "plan_cache_info",
     "clear_plan_cache",
-    "set_plan_store",
-    "ConstantStore",
-    "MissingConstantsError",
     "PlanFormatError",
-    "PlanStore",
-    "constant_fingerprint",
-    "graph_content_signature",
     "serialize_plan",
     "deserialize_plan",
-    "serialize_constants",
-    "save_plan",
-    "load_plan",
     "plan_op_counts",
     "plan_to_workload",
     "plan_schedule_comparison",

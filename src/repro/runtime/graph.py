@@ -17,10 +17,8 @@ ids dense and in topological order — an invariant both executors and the
 Contract (see ``docs/architecture.md``): a graph is plain process-local
 data — nothing here is cached process-wide or shared across forks on its
 own.  Constants are interned **by object identity** (``id()``), which is
-what :meth:`Graph.signature` hashes for the in-memory plan cache; the
-content-addressed, process-independent counterpart used by the on-disk
-store and the worker boundary is
-:func:`repro.runtime.plan_io.graph_content_signature`.  A graph crosses
+what :meth:`Graph.signature` hashes for the in-memory plan cache; only
+the serialized plan names its constants by content.  A graph crosses
 the worker boundary only after compilation, as a serialized plan.
 """
 

@@ -39,10 +39,13 @@ from __future__ import annotations
 
 import math
 
+from repro.ckks.containers import Plaintext
 from repro.ckks.evaluator import SCALE_RTOL
+from repro.ckks.keys import SwitchingKey
 from repro.runtime.graph import (
     AUTOMORPHISM_OPS,
     COMMUTATIVE_OPS,
+    CT_OPS,
     ELEMENTWISE_OPS,
     FusedGroup,
     Graph,
@@ -358,7 +361,10 @@ def check_alignment(graph: Graph) -> None:
     This is the plan-time analogue of ``Evaluator._check_scales`` — but
     instead of failing mid-execution it rejects the whole plan, and the
     error names the offending node *and* the ops that produced its
-    operands, levels and scales included.
+    operands, levels and scales included.  Operand kinds, captured
+    constant types, levels and part counts follow the tracer's rules, so
+    a graph that passes replays without a shape error whoever built it:
+    the tracer, an optimizer pass, or the ``EPL1`` decoder.
     """
 
     def fail(node: Node, why: str) -> None:
@@ -369,57 +375,64 @@ def check_alignment(graph: Graph) -> None:
         )
 
     for node in graph.nodes:
-        ins = [graph.nodes[i] for i in node.inputs]
-        if node.op in ("input", "pt_input"):
+        op = node.op
+        if op in ("input", "pt_input"):
             continue
-        if node.op in ("add", "sub"):
-            a, b = ins
+        if op not in CT_OPS:
+            fail(node, f"unknown op {op!r}")
+        ins = [graph.nodes[i] for i in node.inputs]
+        consts = [graph.consts[c] for c in node.consts]
+        a = ins[0]
+        plain = op in ("add_plain", "multiply_plain")
+        kinds = ["ct", "pt"] if plain and len(ins) == 2 else ["ct"] * len(ins)
+        if [n.kind for n in ins] != kinds:
+            fail(node, f"operand kinds {[n.kind for n in ins]}, expected {kinds}")
+        const_type = Plaintext if plain else SwitchingKey
+        if not all(isinstance(c, const_type) for c in consts):
+            fail(node, f"captured constant is not a {const_type.__name__}")
+        want = (a.level, a.size)  # negate
+        if op in ("add", "sub"):
+            b = ins[1]
             if not math.isclose(a.scale, b.scale, rel_tol=SCALE_RTOL):
                 fail(node, f"operand scales misaligned: {a.scale:g} vs {b.scale:g}")
-            if node.level != min(a.level, b.level):
-                fail(node, f"level {node.level} != min(operand levels)")
-        elif node.op == "multiply":
-            a, b = ins
+            want = (min(a.level, b.level), max(a.size, b.size))
+        elif op == "multiply":
+            b = ins[1]
             if a.size != 2 or b.size != 2:
                 fail(node, "tensor multiply needs 2-part operands")
-            if node.size != 3 or node.scale != a.scale * b.scale:
+            if node.scale != a.scale * b.scale:
                 fail(node, "multiply metadata inconsistent")
-        elif node.op == "relinearize":
-            (a,) = ins
-            key = graph.consts[node.consts[0]]
-            if a.size != 3:
-                fail(node, f"relinearize needs a 3-part operand, got {a.size}")
-            if key.level != a.level:
-                fail(node, f"switching key level {key.level} != operand level {a.level}")
-        elif node.op == "rescale":
-            (a,) = ins
+            want = (min(a.level, b.level), 3)
+        elif op == "rescale":
             times = node.attrs[0]
-            if a.level - times < 1 or node.level != a.level - times:
+            if times < 1 or a.level - times < 1:
                 fail(node, f"rescale x{times} from level {a.level} is invalid")
-        elif node.op in AUTOMORPHISM_OPS:
-            a = ins[0]
-            key = graph.consts[node.consts[0]]
-            if a.size != 2:
-                fail(node, "automorphisms need a relinearized (2-part) operand")
-            if key.level != a.level:
-                fail(node, f"switching key level {key.level} != operand level {a.level}")
-        elif node.op in ("add_plain", "multiply_plain"):
-            ct = ins[0]
-            if len(ins) == 2:
-                pt_level, pt_scale = ins[1].level, ins[1].scale
-            else:
-                pt = graph.consts[node.consts[0]]
-                pt_level, pt_scale = pt.level, pt.scale
-            if pt_level < ct.level:
-                fail(node, f"plaintext level {pt_level} below ciphertext level {ct.level}")
-            if node.op == "add_plain" and not math.isclose(
-                ct.scale, pt_scale, rel_tol=SCALE_RTOL
+            want = (a.level - times, a.size)
+        elif op == "relinearize" or op in AUTOMORPHISM_OPS:
+            parts = 3 if op == "relinearize" else 2
+            if a.size != parts:
+                fail(node, f"{op} needs a {parts}-part operand, got {a.size}")
+            key_level = consts[0].level
+            if key_level != a.level:
+                fail(node, f"switching key level {key_level} != operand level {a.level}")
+            if op != "relinearize" and node.attrs[-1] % 2 == 0:
+                fail(node, f"Galois element {node.attrs[-1]} is even")
+            want = (a.level, 2)
+        elif plain:
+            pt = ins[1] if len(ins) == 2 else consts[0]
+            if pt.level < a.level:
+                fail(node, f"plaintext level {pt.level} below ciphertext level {a.level}")
+            if op == "add_plain" and not math.isclose(
+                a.scale, pt.scale, rel_tol=SCALE_RTOL
             ):
-                fail(node, f"plain scale {pt_scale:g} != ciphertext scale {ct.scale:g}")
-        elif node.op == "negate":
-            pass
-        else:
-            fail(node, f"unknown op {node.op!r}")
+                fail(node, f"plain scale {pt.scale:g} != ciphertext scale {a.scale:g}")
+            want = (a.level, a.size)
+        if (node.level, node.size) != want:
+            fail(
+                node,
+                f"level {node.level} / {node.size} parts, but the operands give "
+                f"level {want[0]} / {want[1]} parts",
+            )
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,10 @@ ways:
 keyed by (graph signature, parameter fingerprint, reducer backend): one
 trace of a serving program is optimized once and the same plan object is
 replayed for every subsequent request with the same structure.  The
-cache can additionally be backed by an **on-disk plan store**
-(:func:`set_plan_store`): cache misses then consult a directory of
-serialized ``EPL1`` artifacts (:mod:`repro.runtime.plan_io`) keyed by
-the *content* signature of the traced graph — so a plan compiled by one
-process (or one host) is reused by every other, trace -> load -> execute
-with the optimizer skipped.
+cache is per process: a forked worker inherits it, a worker host
+receives the plan as ``EPL1`` bytes (:mod:`repro.runtime.plan_io`), and
+any other process compiles again — cheaper than hashing the plan's
+constants to look it up on disk would be.
 
 Process/fork contract (see ``docs/architecture.md``): the plan cache,
 each plan's :class:`FusedExecutor` (arena pool, fused closures, and the
@@ -55,7 +53,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-import warnings
 import weakref
 from dataclasses import dataclass, field
 
@@ -85,7 +82,6 @@ __all__ = [
     "params_fingerprint",
     "plan_cache_info",
     "clear_plan_cache",
-    "set_plan_store",
 ]
 
 
@@ -769,28 +765,7 @@ class FusedExecutor:
 _PLAN_CACHE: dict[tuple, ExecutionPlan] = {}
 # Single source of truth for the cache accounting: a telemetry counter
 # group; ``plan_cache_info()`` stays the thin dict view over it.
-_CACHE_STATS = get_telemetry().group("plan_cache").declare(
-    "hits", "misses", "disk_hits", "disk_saves"
-)
-_PLAN_STORE = None
-
-
-def set_plan_store(store) -> None:
-    """Back the process-level plan cache with an on-disk plan store.
-
-    ``store`` is a :class:`repro.runtime.plan_io.PlanStore`, a directory
-    path to create one at, or ``None`` to detach.  While installed,
-    ``compile_graph`` resolves cache misses against the store (loading a
-    serialized plan instead of running the optimizer) and persists every
-    freshly compiled plan back to it — fleet-wide plan caching.
-    """
-    global _PLAN_STORE
-    if store is None or hasattr(store, "load"):
-        _PLAN_STORE = store
-        return
-    from repro.runtime.plan_io import PlanStore
-
-    _PLAN_STORE = PlanStore(store)
+_CACHE_STATS = get_telemetry().group("plan_cache").declare("hits", "misses")
 
 
 def compile_graph(
@@ -799,8 +774,7 @@ def compile_graph(
     """Optimize and schedule a traced graph, reusing a cached plan when the
     same program structure was compiled before under the same parameters
     and reducer backend (optimized and pass-free compiles cache
-    separately).  With a plan store installed (:func:`set_plan_store`),
-    misses fall through to the on-disk artifact before the optimizer runs."""
+    separately)."""
     key = (
         graph.signature(),
         params_fingerprint(evaluator),
@@ -812,23 +786,6 @@ def compile_graph(
         _CACHE_STATS.inc("hits")
         return cached
     _CACHE_STATS.inc("misses")
-    if run_passes and _PLAN_STORE is not None:
-        # Fail open: a corrupt/truncated/newer-version artifact or a lost
-        # sidecar must degrade to a recompile, never to a compile outage.
-        try:
-            loaded = _PLAN_STORE.load(graph, evaluator, key[2])
-        except (ValueError, OSError) as exc:
-            loaded = None
-            warnings.warn(
-                f"plan store load failed ({exc}); recompiling",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        if loaded is not None:
-            _CACHE_STATS.inc("disk_hits")
-            loaded.signature = key[0]
-            _PLAN_CACHE[key] = loaded
-            return loaded
     if run_passes:
         optimized = optimize(graph)
     else:
@@ -842,14 +799,6 @@ def compile_graph(
         hoist=hoist_groups(optimized),
     )
     _PLAN_CACHE[key] = plan
-    if run_passes and _PLAN_STORE is not None:
-        try:
-            _PLAN_STORE.save(plan, graph=graph)
-            _CACHE_STATS.inc("disk_saves")
-        except OSError as exc:  # full/read-only disk must not kill serving
-            warnings.warn(
-                f"plan store save failed ({exc})", RuntimeWarning, stacklevel=2
-            )
     return plan
 
 

@@ -1,50 +1,41 @@
 """Plan serialization: ship compiled ExecutionPlans across processes and hosts.
 
-This module gives a compiled :class:`~repro.runtime.plan.ExecutionPlan` a
-durable, versioned wire form so a serving fleet can distribute compiled
-artifacts instead of re-tracing and re-optimizing per process:
-
-* :func:`serialize_plan` / :func:`deserialize_plan` — the ``EPL1`` framed
-  binary format: graph structure (input specs, op schedule, outputs) with
-  every captured constant carried *by content fingerprint*;
-* :class:`ConstantStore` — fingerprint -> constant resolution, with a
-  ``PCS1`` wire form of its own so large plaintext tables and switching
-  keys are deduplicated and can ship separately from (or inline with)
-  the plans that reference them;
-* :func:`graph_content_signature` — a process-independent structural
-  fingerprint (constants hashed by content, not ``id()``), the key the
-  on-disk store is addressed by;
-* :class:`PlanStore` — a directory of ``.epl1`` artifacts keyed by
-  (graph content signature, params fingerprint, reducer backend); the
-  process-level plan cache (:func:`repro.runtime.plan.set_plan_store`)
-  loads from and saves to it transparently.
+:func:`serialize_plan` gives a compiled
+:class:`~repro.runtime.plan.ExecutionPlan` one self-contained, versioned
+wire form — the ``EPL1`` framed binary format — and
+:func:`deserialize_plan` rebuilds an executable plan from it with no
+re-trace and no re-optimize.  The graph structure (input specs, op
+schedule, outputs) rides in its own frames; every captured constant is
+named in the ``CFPS`` table by a 16-byte content fingerprint and carried
+once, in the ``CPAY`` frame, whose body is laid out as ``PCS1``.  The
+``tcp`` transport ships exactly these bytes to each worker host
+(``FPL1``).
 
 Byte layouts and versioning/compat rules are specified normatively in
 ``docs/formats.md``; the framing primitives (:func:`pack_frame` /
-:func:`read_frame`) are shared with :mod:`repro.ckks.serialization`.
+:func:`read_frame`) and the bounds-checked :class:`Reader` every field
+is read through are shared with :mod:`repro.ckks.serialization`.  A
+malformed blob — truncated, bit-flipped, missing a frame, or describing
+a graph the plan-time checks reject — raises :class:`PlanFormatError`
+and nothing else.
 
 Worker-boundary contract: nothing in this module is fork-shared or
-process-cached — a serialized plan is a self-contained byte string (plus,
-optionally, a ``PCS1`` constant payload), and deserializing it in a fresh
-process rebuilds a plan whose batched execution is bit-identical to the
-plan it was serialized from (pinned across all reducer backends by
-``tests/integration/test_backend_identity.py``).  Constant fingerprints
-are cached on the constant objects themselves, so fingerprinting a graph
-twice costs one pass of hashing, not two.
+process-cached — a serialized plan is a self-contained byte string, and
+deserializing it in a fresh process rebuilds a plan whose batched
+execution is bit-identical to the plan it was serialized from (pinned
+across all reducer backends by
+``tests/integration/test_backend_identity.py``).
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
 import struct
-from pathlib import Path
 
 from repro.ckks.containers import Plaintext
 from repro.ckks.keys import SwitchingKey
 from repro.ckks.serialization import (
-    PLAINTEXT_MAGIC,
-    SWITCHING_KEY_MAGIC,
+    Reader,
     WireFormatError,
     deserialize_plaintext,
     deserialize_switching_key,
@@ -55,8 +46,7 @@ from repro.ckks.serialization import (
     wire_coeff_bits,
 )
 from repro.runtime.graph import CtSpec, Graph, PtSpec
-from repro.runtime.passes import check_alignment, hoist_groups
-from repro.runtime.telemetry import get_telemetry
+from repro.runtime.passes import PlanValidationError, check_alignment, hoist_groups
 from repro.runtime.plan import ExecutionPlan, params_fingerprint
 
 __all__ = [
@@ -65,27 +55,20 @@ __all__ = [
     "PLAN_VERSION",
     "CONSTSTORE_VERSION",
     "PlanFormatError",
-    "MissingConstantsError",
-    "constant_fingerprint",
-    "graph_content_signature",
-    "ConstantStore",
     "serialize_plan",
     "deserialize_plan",
-    "serialize_constants",
-    "save_plan",
-    "load_plan",
-    "PlanStore",
 ]
 
 # Public: consumers that sniff blob types must dispatch on these, never
-# on hardcoded copies (same rule as the ciphertext magics).
+# on hardcoded copies (same rule as the ciphertext magics).  PCS1 is the
+# layout of the CPAY frame's body.
 PLAN_MAGIC = b"EPL1"
 CONSTSTORE_MAGIC = b"PCS1"
 
 PLAN_VERSION = 1
 CONSTSTORE_VERSION = 1
 
-#: Set in the EPL1 header flags when a PCS1 constant payload is inline.
+#: Set in every EPL1 header: the CPAY constant payload is inline.
 _FLAG_CONSTANTS_INLINE = 0x0001
 
 _FINGERPRINT_BYTES = 16
@@ -109,216 +92,157 @@ OP_CODES = {
 }
 _OP_NAMES = {code: name for name, code in OP_CODES.items()}
 
+# (inputs, attrs, consts) a NODE entry of each op carries; a plain op
+# takes its plaintext as a captured constant or as a second operand.
+_NODE_SHAPES = {
+    "input": {(0, 1, 0)},
+    "pt_input": {(0, 1, 0)},
+    "add": {(2, 0, 0)},
+    "sub": {(2, 0, 0)},
+    "negate": {(1, 0, 0)},
+    "add_plain": {(1, 0, 1), (2, 0, 0)},
+    "multiply_plain": {(1, 0, 1), (2, 0, 0)},
+    "multiply": {(2, 0, 0)},
+    "relinearize": {(1, 0, 1)},
+    "rescale": {(1, 1, 0)},
+    "rotate": {(1, 2, 1)},
+    "conjugate": {(1, 1, 1)},
+    "apply_galois": {(1, 1, 1)},
+}
+
 _KIND_CT = 0
 _KIND_PT = 1
 
 _CONST_PLAINTEXT = 0
 _CONST_SWITCHING_KEY = 1
 
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_PLAN_HEADER = struct.Struct("<HH")  # version, flags
+_META_HEAD = struct.Struct("<IHH")  # degree, moduli, backend length
+_SPEC = struct.Struct("<BHHd")  # kind, level, size, scale
+_NODE_HEAD = struct.Struct("<BBHHdHHH")
+_CFPS_ENTRY = struct.Struct(f"<B{_FINGERPRINT_BYTES}s")  # kind, fingerprint
+_PCS1_HEAD = struct.Struct("<4sHHI")  # magic, version, reserved, count
+_CNST_HEAD = struct.Struct(f"<{_FINGERPRINT_BYTES}sB")  # fingerprint, kind
+
+_REQUIRED_FRAMES = (b"META", b"ISPC", b"NODE", b"OUTS", b"CFPS", b"CPAY")
+
 
 class PlanFormatError(WireFormatError):
-    """A plan/constant blob is malformed: bad magic, unsupported version,
-    truncated or corrupt frame, or inconsistent graph structure.
+    """A plan blob is malformed: bad magic, unsupported version,
+    truncated or corrupt frame, a constant that fails its fingerprint, or
+    a graph the plan-time checks reject.
 
     Subclasses :class:`repro.ckks.serialization.WireFormatError`, so the
     serving stack's worker boundary surfaces a corrupt shipped plan as
     the same typed corruption signal as any other bad wire frame."""
 
 
-class MissingConstantsError(PlanFormatError):
-    """A plan references constant fingerprints the resolver cannot supply."""
-
-    def __init__(self, fingerprints: list[bytes]):
-        self.fingerprints = fingerprints
-        listing = ", ".join(fp.hex() for fp in fingerprints)
-        super().__init__(
-            f"{len(fingerprints)} plan constant(s) unresolved: {listing}; "
-            "supply a ConstantStore covering them (a PCS1 payload or the "
-            "live traced graph)"
-        )
+def _fingerprint(body: bytes) -> bytes:
+    return hashlib.blake2b(body, digest_size=_FINGERPRINT_BYTES).digest()
 
 
 # ---------------------------------------------------------------------------
-# Content fingerprints
+# Constants: the CFPS table and the CPAY (PCS1) payload
 # ---------------------------------------------------------------------------
 
 
-def _const_kind(obj) -> int:
-    """Wire kind code for a plan constant (cheap, no serialization)."""
-    if isinstance(obj, Plaintext):
-        return _CONST_PLAINTEXT
-    if isinstance(obj, SwitchingKey):
-        return _CONST_SWITCHING_KEY
-    raise TypeError(
-        f"plan constants must be Plaintext or SwitchingKey, got "
-        f"{type(obj).__name__}"
-    )
+def _pack_constants(consts) -> tuple[bytes, bytes]:
+    """``(CFPS, CPAY)`` payloads for a graph's constant table.
 
-
-def _canonical_const_blob(obj) -> tuple[int, bytes]:
-    """(kind code, canonical wire encoding) for a plan constant."""
-    kind = _const_kind(obj)
-    if kind == _CONST_PLAINTEXT:
-        bits = wire_coeff_bits(obj.poly.basis)
-        return kind, serialize_plaintext(obj, coeff_bits=bits)
-    return kind, serialize_switching_key(obj)
-
-
-def constant_fingerprint(obj) -> bytes:
-    """16-byte BLAKE2b digest of a constant's canonical wire encoding.
-
-    Content-addressed (unlike ``Graph.signature``'s ``id()``-based
-    interning), so the same key material fingerprints identically in
-    every process — the property the on-disk plan store depends on.
-    Cached on the object: constants are immutable once captured.
+    Each constant is encoded once, in its canonical encoding (``PTX1`` at
+    ``wire_coeff_bits`` of its basis, or ``SWK1`` at its default packing),
+    and fingerprinted over exactly those bytes.  ``CPAY`` holds one
+    ``CNST`` entry per distinct fingerprint, sorted, so value-identical
+    constants ship once.
     """
-    cached = getattr(obj, "_plan_fingerprint", None)
-    if cached is None:
-        _, blob = _canonical_const_blob(obj)
-        cached = hashlib.blake2b(blob, digest_size=_FINGERPRINT_BYTES).digest()
-        obj._plan_fingerprint = cached
-    return cached
-
-
-def graph_content_signature(graph: Graph) -> str:
-    """Process-independent structural fingerprint of a graph.
-
-    Identical to :meth:`Graph.signature` except captured constants are
-    hashed by :func:`constant_fingerprint` instead of object identity:
-    tracing the same program over the same key material in two different
-    processes yields the same signature, so both resolve to the same
-    on-disk plan artifact.
-    """
-    h = hashlib.blake2b(digest_size=_FINGERPRINT_BYTES)
-    for spec in graph.input_specs:
-        h.update(repr(spec).encode())
-    for node in graph.nodes:
-        fps = tuple(
-            constant_fingerprint(graph.consts[c]).hex() for c in node.consts
-        )
-        h.update(
-            (
-                f"{node.op}|{node.inputs}|{node.attrs}|{fps}|"
-                f"{node.level}|{node.scale!r}|{node.size}|{node.kind}\n"
-            ).encode()
-        )
-    h.update(repr(graph.outputs).encode())
-    return h.hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Constant store (PCS1)
-# ---------------------------------------------------------------------------
-
-
-class ConstantStore:
-    """Fingerprint -> constant resolution, with a ``PCS1`` wire form.
-
-    Content addressing deduplicates: adding the same plaintext table (by
-    value) twice stores it once, and a fleet can ship one constant
-    payload for many plans that share key material.
-    """
-
-    def __init__(self) -> None:
-        self._by_fp: dict[bytes, object] = {}
-
-    def __len__(self) -> int:
-        return len(self._by_fp)
-
-    def __contains__(self, fingerprint: bytes) -> bool:
-        return fingerprint in self._by_fp
-
-    def fingerprints(self) -> list[bytes]:
-        return sorted(self._by_fp)
-
-    def add(self, obj) -> bytes:
-        """Intern one constant; returns its fingerprint."""
-        fp = constant_fingerprint(obj)
-        self._by_fp.setdefault(fp, obj)
-        return fp
-
-    def add_graph(self, graph: Graph) -> "ConstantStore":
-        for obj in graph.consts:
-            self.add(obj)
-        return self
-
-    @classmethod
-    def from_graph(cls, graph: Graph) -> "ConstantStore":
-        """Resolve against a live graph's captured constants — the
-        zero-copy path when the referencing program was just traced."""
-        return cls().add_graph(graph)
-
-    def get(self, fingerprint: bytes):
-        obj = self._by_fp.get(fingerprint)
-        if obj is None:
-            raise MissingConstantsError([fingerprint])
-        return obj
-
-    def merge(self, other: "ConstantStore") -> "ConstantStore":
-        """Fold ``other``'s constants in (existing entries win)."""
-        for fp, obj in other._by_fp.items():
-            self._by_fp.setdefault(fp, obj)
-        return self
-
-    def to_bytes(self) -> bytes:
-        """``PCS1`` blob: header + one CRC-guarded frame per constant,
-        sorted by fingerprint for deterministic output."""
-        out = [
-            CONSTSTORE_MAGIC,
-            struct.pack("<HHI", CONSTSTORE_VERSION, 0, len(self._by_fp)),
-        ]
-        for fp in sorted(self._by_fp):
-            kind, blob = _canonical_const_blob(self._by_fp[fp])
-            out.append(pack_frame(b"CNST", fp + bytes([kind]) + blob))
-        return b"".join(out)
-
-    @classmethod
-    def from_bytes(cls, blob: bytes, basis) -> "ConstantStore":
-        """Parse a ``PCS1`` blob, verifying every entry's fingerprint."""
-        if blob[:4] != CONSTSTORE_MAGIC:
-            raise PlanFormatError("not a PCS1 constant-store blob")
-        version, _, count = struct.unpack_from("<HHI", blob, 4)
-        if version > CONSTSTORE_VERSION:
-            raise PlanFormatError(
-                f"PCS1 version {version} is newer than supported "
-                f"({CONSTSTORE_VERSION})"
+    table = [_U32.pack(len(consts))]
+    entries: dict[bytes, tuple[int, bytes]] = {}
+    for obj in consts:
+        if isinstance(obj, Plaintext):
+            bits = wire_coeff_bits(obj.poly.basis)
+            kind, body = _CONST_PLAINTEXT, serialize_plaintext(obj, coeff_bits=bits)
+        elif isinstance(obj, SwitchingKey):
+            kind, body = _CONST_SWITCHING_KEY, serialize_switching_key(obj)
+        else:
+            raise TypeError(
+                f"plan constants must be Plaintext or SwitchingKey, got "
+                f"{type(obj).__name__}"
             )
-        store = cls()
-        offset = 4 + struct.calcsize("<HHI")
-        parsed = 0
-        while offset < len(blob) and parsed < count:
-            tag, payload, offset = read_frame(blob, offset)
-            if tag != b"CNST":
-                continue  # forward compat: skip unknown frames
-            parsed += 1
-            fp = payload[:_FINGERPRINT_BYTES]
-            kind = payload[_FINGERPRINT_BYTES]
-            body = payload[_FINGERPRINT_BYTES + 1 :]
+        fp = _fingerprint(body)
+        table.append(_CFPS_ENTRY.pack(kind, fp))
+        entries.setdefault(fp, (kind, body))
+    payload = [_PCS1_HEAD.pack(CONSTSTORE_MAGIC, CONSTSTORE_VERSION, 0, len(entries))]
+    for fp in sorted(entries):
+        kind, body = entries[fp]
+        payload.append(pack_frame(b"CNST", _CNST_HEAD.pack(fp, kind) + body))
+    return b"".join(table), b"".join(payload)
+
+
+def _unpack_fingerprints(payload: bytes) -> list[tuple[int, bytes]]:
+    reader = Reader(payload, "EPL1 CFPS")
+    (count,) = reader.unpack(_U32)
+    table = [reader.unpack(_CFPS_ENTRY) for _ in range(count)]
+    reader.finish()
+    return table
+
+
+def _unpack_constants(table: list[tuple[int, bytes]], payload: bytes, basis) -> list:
+    """Decode the constants ``table`` names from a ``CPAY`` payload.
+
+    Every ``CNST`` entry is re-fingerprinted before it is decoded, and
+    each distinct fingerprint is decoded once (value-identical constants
+    resolve to one object)."""
+    magic, version, _, count = Reader(payload, "EPL1 CPAY").unpack(_PCS1_HEAD)
+    if magic != CONSTSTORE_MAGIC:
+        raise PlanFormatError("CPAY body is not a PCS1 payload")
+    if version > CONSTSTORE_VERSION:
+        raise PlanFormatError(
+            f"PCS1 version {version} is newer than supported ({CONSTSTORE_VERSION})"
+        )
+    entries: dict[bytes, tuple[int, bytes]] = {}
+    parsed = 0
+    offset = _PCS1_HEAD.size
+    while offset < len(payload):
+        tag, frame, offset = read_frame(payload, offset)
+        if tag != b"CNST":
+            continue  # forward compat: skip unknown frames
+        parsed += 1
+        fp, kind = Reader(frame, "PCS1 CNST").unpack(_CNST_HEAD)
+        body = frame[_CNST_HEAD.size :]
+        if _fingerprint(body) != fp:
+            raise PlanFormatError(f"CPAY entry fingerprint mismatch for {fp.hex()}")
+        entries[fp] = (kind, body)
+    if parsed != count:
+        raise PlanFormatError(
+            f"PCS1 payload declares {count} constant(s) but carries {parsed}"
+        )
+    missing = sorted({fp for _, fp in table if fp not in entries})
+    if missing:
+        raise PlanFormatError(
+            f"{len(missing)} CFPS fingerprint(s) missing from CPAY: "
+            + ", ".join(fp.hex() for fp in missing)
+        )
+    decoded: dict[bytes, object] = {}
+    for kind, fp in table:
+        entry_kind, body = entries[fp]
+        if entry_kind != kind:
+            raise PlanFormatError(
+                f"constant {fp.hex()} is kind {kind} in CFPS, {entry_kind} in CPAY"
+            )
+        if fp not in decoded:
             if kind == _CONST_PLAINTEXT:
-                if body[:4] != PLAINTEXT_MAGIC:
-                    raise PlanFormatError("PCS1 plaintext entry lacks PTX1 magic")
-                obj = deserialize_plaintext(body, basis)
+                decoded[fp] = deserialize_plaintext(body, basis)
             elif kind == _CONST_SWITCHING_KEY:
-                if body[:4] != SWITCHING_KEY_MAGIC:
-                    raise PlanFormatError("PCS1 key entry lacks SWK1 magic")
-                obj = deserialize_switching_key(body, basis)
+                decoded[fp] = deserialize_switching_key(body, basis)
             else:
-                raise PlanFormatError(f"unknown PCS1 constant kind {kind}")
-            if constant_fingerprint(obj) != fp:
-                raise PlanFormatError(
-                    f"PCS1 entry fingerprint mismatch for {fp.hex()}"
-                )
-            store._by_fp[fp] = obj
-        if parsed < count:
-            raise PlanFormatError(
-                f"PCS1 blob declares {count} constant(s) but only {parsed} "
-                "CNST frame(s) present"
-            )
-        return store
+                raise PlanFormatError(f"unknown constant kind {kind}")
+    return [decoded[fp] for _, fp in table]
 
 
 # ---------------------------------------------------------------------------
-# Plan serialization (EPL1)
+# Graph frames
 # ---------------------------------------------------------------------------
 
 
@@ -329,66 +253,61 @@ def _pack_meta(plan: ExecutionPlan) -> bytes:
     signature = plan.signature.encode()
     return b"".join(
         [
-            struct.pack("<IHH", basis.degree, len(moduli), len(backend)),
+            _META_HEAD.pack(basis.degree, len(moduli), len(backend)),
             struct.pack(f"<{len(moduli)}Q", *moduli),
             backend,
-            struct.pack("<H", len(signature)),
+            _U16.pack(len(signature)),
             signature,
         ]
     )
 
 
 def _unpack_meta(payload: bytes) -> tuple[int, tuple[int, ...], str, str]:
-    degree, num_moduli, backend_len = struct.unpack_from("<IHH", payload, 0)
-    offset = struct.calcsize("<IHH")
-    moduli = struct.unpack_from(f"<{num_moduli}Q", payload, offset)
-    offset += 8 * num_moduli
-    backend = payload[offset : offset + backend_len].decode()
-    offset += backend_len
-    (sig_len,) = struct.unpack_from("<H", payload, offset)
-    offset += 2
-    signature = payload[offset : offset + sig_len].decode()
+    reader = Reader(payload, "EPL1 META")
+    degree, num_moduli, backend_len = reader.unpack(_META_HEAD)
+    moduli = reader.array("Q", num_moduli)
+    backend = reader.text(backend_len)
+    signature = reader.text(*reader.unpack(_U16))
+    reader.finish()
     return degree, moduli, backend, signature
 
 
 def _pack_input_specs(graph: Graph) -> bytes:
-    out = [struct.pack("<I", len(graph.input_specs))]
+    out = [_U32.pack(len(graph.input_specs))]
     for spec in graph.input_specs:
         if isinstance(spec, CtSpec):
-            out.append(
-                struct.pack("<BHHd", _KIND_CT, spec.level, spec.size, spec.scale)
-            )
+            out.append(_SPEC.pack(_KIND_CT, spec.level, spec.size, spec.scale))
         else:
-            out.append(struct.pack("<BHHd", _KIND_PT, spec.level, 1, spec.scale))
+            out.append(_SPEC.pack(_KIND_PT, spec.level, 1, spec.scale))
     return b"".join(out)
 
 
-def _unpack_input_specs(payload: bytes) -> list[CtSpec | PtSpec]:
-    (count,) = struct.unpack_from("<I", payload, 0)
-    offset = 4
+def _unpack_input_specs(payload: bytes, max_level: int) -> list[CtSpec | PtSpec]:
+    reader = Reader(payload, "EPL1 ISPC")
     specs: list[CtSpec | PtSpec] = []
-    for _ in range(count):
-        kind, level, size, scale = struct.unpack_from("<BHHd", payload, offset)
-        offset += struct.calcsize("<BHHd")
-        if kind == _KIND_CT:
+    for _ in range(*reader.unpack(_U32)):
+        kind, level, size, scale = reader.unpack(_SPEC)
+        if not 1 <= level <= max_level:
+            raise PlanFormatError(f"input spec level {level} outside 1..{max_level}")
+        if kind == _KIND_CT and size in (2, 3):
             specs.append(CtSpec(level=level, scale=scale, size=size))
-        elif kind == _KIND_PT:
+        elif kind == _KIND_PT and size == 1:
             specs.append(PtSpec(level=level, scale=scale))
         else:
-            raise PlanFormatError(f"unknown input-spec kind {kind}")
+            raise PlanFormatError(f"input spec of kind {kind} with {size} part(s)")
+    reader.finish()
     return specs
 
 
 def _pack_nodes(graph: Graph) -> bytes:
-    out = [struct.pack("<I", len(graph.nodes))]
+    out = [_U32.pack(len(graph.nodes))]
     for node in graph.nodes:
         code = OP_CODES.get(node.op)
         if code is None:
             raise PlanFormatError(f"op {node.op!r} has no wire opcode")
         kind = _KIND_CT if node.kind == "ct" else _KIND_PT
         out.append(
-            struct.pack(
-                "<BBHHdHHH",
+            _NODE_HEAD.pack(
                 code,
                 kind,
                 node.level,
@@ -408,168 +327,143 @@ def _pack_nodes(graph: Graph) -> bytes:
     return b"".join(out)
 
 
-def _unpack_nodes(payload: bytes, graph: Graph) -> None:
-    (count,) = struct.unpack_from("<I", payload, 0)
-    offset = 4
-    head = struct.Struct("<BBHHdHHH")
-    for node_id in range(count):
-        code, kind, level, size, scale, n_in, n_attr, n_const = head.unpack_from(
-            payload, offset
+def _unpack_nodes(payload: bytes, graph: Graph, num_consts: int) -> None:
+    """Append the ``NODE`` schedule to ``graph``, checking each entry's
+    shape on the way; :func:`check_alignment` judges the metadata."""
+    reader = Reader(payload, "EPL1 NODE")
+    for node_id in range(*reader.unpack(_U32)):
+        code, kind, level, size, scale, n_in, n_attr, n_const = reader.unpack(
+            _NODE_HEAD
         )
-        offset += head.size
         op = _OP_NAMES.get(code)
         if op is None:
             raise PlanFormatError(f"unknown opcode {code} at node {node_id}")
-        inputs = struct.unpack_from(f"<{n_in}I", payload, offset)
-        offset += 4 * n_in
-        attrs = struct.unpack_from(f"<{n_attr}q", payload, offset)
-        offset += 8 * n_attr
-        consts = struct.unpack_from(f"<{n_const}I", payload, offset)
-        offset += 4 * n_const
-        if any(i >= node_id for i in inputs):
+        inputs = reader.array("I", n_in)
+        attrs = reader.array("q", n_attr)
+        consts = reader.array("I", n_const)
+        where = f"node {node_id} ({op})"
+        if (n_in, n_attr, n_const) not in _NODE_SHAPES[op]:
             raise PlanFormatError(
-                f"node {node_id} references a non-topological input"
+                f"{where} carries {n_in} input(s), {n_attr} attr(s) and "
+                f"{n_const} constant(s)"
             )
+        if kind != (_KIND_PT if op == "pt_input" else _KIND_CT):
+            raise PlanFormatError(f"{where} has kind code {kind}")
+        if any(i >= node_id for i in inputs):
+            raise PlanFormatError(f"{where} references a non-topological input")
+        if any(c >= num_consts for c in consts):
+            raise PlanFormatError(f"{where} references a constant past CFPS")
+        if op in ("input", "pt_input"):
+            # A leaf must be exactly the node graph.add_input builds.
+            specs = graph.input_specs
+            leaf = CtSpec(level, scale, size) if op == "input" else PtSpec(level, scale)
+            if not (
+                0 <= attrs[0] < len(specs)
+                and specs[attrs[0]] == leaf
+                and (op == "input" or size == 1)
+            ):
+                raise PlanFormatError(f"{where} disagrees with its ISPC input spec")
         graph.add_node(
             op,
-            inputs=tuple(int(i) for i in inputs),
-            attrs=tuple(int(a) for a in attrs),
-            consts=tuple(int(c) for c in consts),
+            inputs=inputs,
+            attrs=attrs,
+            consts=consts,
             level=level,
             scale=scale,
             size=size,
-            kind="ct" if kind == _KIND_CT else "pt",
+            kind="pt" if kind == _KIND_PT else "ct",
         )
+    reader.finish()
 
 
-def serialize_plan(plan: ExecutionPlan, *, include_constants: bool = True) -> bytes:
-    """Encode a compiled plan as an ``EPL1`` framed blob.
+def _unpack_outputs(payload: bytes, num_nodes: int) -> tuple[int, ...]:
+    reader = Reader(payload, "EPL1 OUTS")
+    outputs = reader.array("I", *reader.unpack(_U32))
+    reader.finish()
+    if any(o >= num_nodes for o in outputs):
+        raise PlanFormatError("plan output references a node past the schedule")
+    return outputs
 
-    With ``include_constants`` (the default) a ``PCS1`` payload carrying
-    every captured plaintext and switching key rides inline, making the
-    blob fully self-contained.  Without it, constants travel only as
-    16-byte fingerprints and the receiver must resolve them against a
-    :class:`ConstantStore` (shipped separately or built from live
-    objects) — the deduplicated-fleet path.
-    """
+
+# ---------------------------------------------------------------------------
+# EPL1
+# ---------------------------------------------------------------------------
+
+
+def serialize_plan(plan: ExecutionPlan) -> bytes:
+    """Encode a compiled plan as one self-contained ``EPL1`` blob, every
+    captured plaintext and switching key inline in its ``CPAY`` frame."""
     graph = plan.graph
-    flags = _FLAG_CONSTANTS_INLINE if include_constants else 0
-    fps = b"".join(
-        [struct.pack("<I", len(graph.consts))]
-        + [
-            bytes([_const_kind(obj)]) + constant_fingerprint(obj)
-            for obj in graph.consts
+    cfps, cpay = _pack_constants(graph.consts)
+    return b"".join(
+        [
+            PLAN_MAGIC,
+            _PLAN_HEADER.pack(PLAN_VERSION, _FLAG_CONSTANTS_INLINE),
+            pack_frame(b"META", _pack_meta(plan)),
+            pack_frame(b"ISPC", _pack_input_specs(graph)),
+            pack_frame(b"NODE", _pack_nodes(graph)),
+            pack_frame(
+                b"OUTS",
+                _U32.pack(len(graph.outputs))
+                + struct.pack(f"<{len(graph.outputs)}I", *graph.outputs),
+            ),
+            pack_frame(b"CFPS", cfps),
+            pack_frame(b"CPAY", cpay),
         ]
     )
-    out = [
-        PLAN_MAGIC,
-        struct.pack("<HH", PLAN_VERSION, flags),
-        pack_frame(b"META", _pack_meta(plan)),
-        pack_frame(b"ISPC", _pack_input_specs(graph)),
-        pack_frame(b"NODE", _pack_nodes(graph)),
-        pack_frame(
-            b"OUTS",
-            struct.pack("<I", len(graph.outputs))
-            + struct.pack(f"<{len(graph.outputs)}I", *graph.outputs),
-        ),
-        pack_frame(b"CFPS", fps),
-    ]
-    if include_constants:
-        out.append(
-            pack_frame(b"CPAY", ConstantStore.from_graph(graph).to_bytes())
-        )
-    return b"".join(out)
 
 
-def serialize_constants(plan: ExecutionPlan) -> bytes:
-    """The ``PCS1`` constant payload for a plan, shipped separately."""
-    return ConstantStore.from_graph(plan.graph).to_bytes()
-
-
-def deserialize_plan(
-    blob: bytes,
-    evaluator,
-    *,
-    constants: ConstantStore | None = None,
-    validate: bool = True,
-) -> ExecutionPlan:
+def deserialize_plan(blob: bytes, evaluator) -> ExecutionPlan:
     """Rebuild an executable plan from an ``EPL1`` blob — no re-trace,
     no re-optimize.
 
-    Constants are resolved fingerprint-by-fingerprint: first against the
-    caller's ``constants`` store (live objects — the zero-copy path),
-    then against the blob's inline ``PCS1`` payload if present.  Raises
-    :class:`MissingConstantsError` listing every unresolved fingerprint,
-    and :class:`PlanFormatError` on truncation, corruption, unsupported
-    versions, or (with ``validate``) a graph that fails plan-time
-    alignment checks.
+    Raises :class:`PlanFormatError` — and nothing else — on a bad magic,
+    a newer version, a truncated, corrupt or missing frame, a constant
+    whose bytes fail their fingerprint or that ``CPAY`` lacks (every
+    missing digest is named), a plan compiled for other parameters, or a
+    graph that fails the plan-time alignment checks.
     """
+    try:
+        return _deserialize_plan(blob, evaluator)
+    except PlanFormatError:
+        raise
+    except (WireFormatError, PlanValidationError) as exc:
+        raise PlanFormatError(str(exc)) from exc
+
+
+def _deserialize_plan(blob: bytes, evaluator) -> ExecutionPlan:
     if blob[:4] != PLAN_MAGIC:
         raise PlanFormatError("not an EPL1 plan blob")
-    version, flags = struct.unpack_from("<HH", blob, 4)
+    version, _flags = Reader(blob, "EPL1 header", 4).unpack(_PLAN_HEADER)
     if version > PLAN_VERSION:
         raise PlanFormatError(
             f"EPL1 version {version} is newer than supported ({PLAN_VERSION})"
         )
     frames: dict[bytes, bytes] = {}
-    offset = 8
+    offset = 4 + _PLAN_HEADER.size
     while offset < len(blob):
-        try:
-            tag, payload, offset = read_frame(blob, offset)
-        except ValueError as exc:
-            raise PlanFormatError(str(exc)) from None
+        tag, payload, offset = read_frame(blob, offset)
         frames[tag] = payload  # unknown tags tolerated (forward compat)
-    for required in (b"META", b"ISPC", b"NODE", b"OUTS", b"CFPS"):
+    for required in _REQUIRED_FRAMES:
         if required not in frames:
             raise PlanFormatError(f"EPL1 blob missing required frame {required!r}")
 
     degree, moduli, backend, signature = _unpack_meta(frames[b"META"])
     basis = evaluator.basis
-    if (degree, tuple(moduli)) != params_fingerprint(evaluator):
+    if (degree, moduli) != params_fingerprint(evaluator):
         raise PlanFormatError(
             f"plan compiled for degree {degree} / {len(moduli)}-prime chain; "
             f"evaluator has degree {basis.degree} / "
             f"{len(basis.moduli)}-prime chain"
         )
-
-    graph = Graph(tuple(_unpack_input_specs(frames[b"ISPC"])))
-    _unpack_nodes(frames[b"NODE"], graph)
-    outs = frames[b"OUTS"]
-    (n_outs,) = struct.unpack_from("<I", outs, 0)
-    outputs = struct.unpack_from(f"<{n_outs}I", outs, 4)
-    if any(o >= len(graph.nodes) for o in outputs):
-        raise PlanFormatError("plan output references a node past the schedule")
-    graph.set_outputs(int(o) for o in outputs)
-
-    fps_payload = frames[b"CFPS"]
-    (n_consts,) = struct.unpack_from("<I", fps_payload, 0)
-    entry = 1 + _FINGERPRINT_BYTES
-    if len(fps_payload) < 4 + n_consts * entry:
-        raise PlanFormatError("CFPS frame shorter than its declared count")
-
-    inline: ConstantStore | None = None
-    missing: list[bytes] = []
-    for i in range(n_consts):
-        start = 4 + i * entry
-        fp = fps_payload[start + 1 : start + entry]
-        if constants is not None and fp in constants:
-            graph.consts.append(constants.get(fp))
-            continue
-        if inline is None and flags & _FLAG_CONSTANTS_INLINE and b"CPAY" in frames:
-            # Parsed lazily: when the caller's resolver covers every
-            # fingerprint (live-graph resolution, the plan-store hot
-            # path), the potentially-large inline payload is never
-            # decoded at all.
-            inline = ConstantStore.from_bytes(frames[b"CPAY"], basis)
-        if inline is not None and fp in inline:
-            graph.consts.append(inline.get(fp))
-        else:
-            missing.append(fp)
-    if missing:
-        raise MissingConstantsError(missing)
-
-    if validate:
-        check_alignment(graph)
+    graph = Graph(tuple(_unpack_input_specs(frames[b"ISPC"], len(moduli))))
+    table = _unpack_fingerprints(frames[b"CFPS"])
+    _unpack_nodes(frames[b"NODE"], graph, len(table))
+    graph.set_outputs(_unpack_outputs(frames[b"OUTS"], len(graph.nodes)))
+    # Structure first, constants last: a malformed schedule is refused
+    # before the (large) constant payload is hashed and decoded.
+    graph.consts.extend(_unpack_constants(table, frames[b"CPAY"], basis))
+    check_alignment(graph)
     return ExecutionPlan(
         graph=graph,
         evaluator=evaluator,
@@ -577,156 +471,3 @@ def deserialize_plan(
         backend=backend,
         hoist=hoist_groups(graph),
     )
-
-
-def _atomic_write(path: Path, blob: bytes) -> None:
-    """Write-then-rename with a per-writer temp name, so two processes
-    racing to publish the same artifact each rename a complete file."""
-    tmp = path.with_name(f"{path.name}.{os.getpid()}-{os.urandom(4).hex()}.tmp")
-    try:
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
-def save_plan(path, plan: ExecutionPlan, *, include_constants: bool = True) -> Path:
-    """Write a plan artifact atomically (unique tmp file + rename)."""
-    path = Path(path)
-    _atomic_write(path, serialize_plan(plan, include_constants=include_constants))
-    return path
-
-
-def load_plan(
-    path, evaluator, *, constants: ConstantStore | None = None
-) -> ExecutionPlan:
-    """Read one plan artifact (see :func:`deserialize_plan`)."""
-    return deserialize_plan(
-        Path(path).read_bytes(), evaluator, constants=constants
-    )
-
-
-# ---------------------------------------------------------------------------
-# On-disk plan store
-# ---------------------------------------------------------------------------
-
-
-class PlanStore:
-    """A directory of compiled-plan artifacts, content-addressed.
-
-    Artifacts are named by a digest of (traced-graph content signature,
-    parameter fingerprint, reducer backend) — the same triple the
-    in-memory plan cache keys on, but with the constants hashed by
-    content so every process, on every host, derives the same key for
-    the same program.  Install one with
-    :func:`repro.runtime.plan.set_plan_store` and ``compile_graph``
-    becomes trace -> disk hit -> execute, skipping the optimizer.
-
-    Each plan is stored **lean** (``<key>.epl1``, fingerprints only) with
-    its constants in a ``<key>.pcs1`` sidecar: the in-process hot path
-    resolves constants from the live traced graph and never touches the
-    multi-megabyte sidecar, while a fresh host reads both
-    (:meth:`load_path`).
-    """
-
-    SUFFIX = ".epl1"
-    CONSTS_SUFFIX = ".pcs1"
-
-    # Store traffic accounting, shared by every PlanStore instance in
-    # the process (the store is fleet-level state, not per-directory).
-    _METRICS = get_telemetry().group("plan_store").declare(
-        "hits", "misses", "bytes_read", "bytes_written"
-    )
-
-    def __init__(self, root) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    @staticmethod
-    def store_key(content_signature: str, evaluator, backend: str) -> str:
-        h = hashlib.blake2b(digest_size=_FINGERPRINT_BYTES)
-        h.update(content_signature.encode())
-        h.update(repr(params_fingerprint(evaluator)).encode())
-        h.update(backend.encode())
-        return h.hexdigest()
-
-    def path_for(self, key: str) -> Path:
-        return self.root / f"{key}{self.SUFFIX}"
-
-    def constants_path_for(self, key: str) -> Path:
-        return self.root / f"{key}{self.CONSTS_SUFFIX}"
-
-    def keys(self) -> list[str]:
-        return sorted(p.stem for p in self.root.glob(f"*{self.SUFFIX}"))
-
-    def __len__(self) -> int:
-        return len(self.keys())
-
-    def save(self, plan: ExecutionPlan, *, graph: Graph | None = None) -> Path:
-        """Persist a plan, keyed by the *traced* graph when supplied (the
-        key a fresh process can recompute before optimizing)."""
-        sig = graph_content_signature(graph if graph is not None else plan.graph)
-        key = self.store_key(sig, plan.evaluator, plan.backend)
-        # Sidecar first: a reader that sees the plan must find its
-        # constants (the reverse order would race).
-        sidecar_blob = serialize_constants(plan)
-        _atomic_write(self.constants_path_for(key), sidecar_blob)
-        saved = save_plan(self.path_for(key), plan, include_constants=False)
-        self._METRICS.inc(
-            "bytes_written", len(sidecar_blob) + saved.stat().st_size
-        )
-        return saved
-
-    def load(
-        self,
-        graph: Graph,
-        evaluator,
-        backend: str,
-        *,
-        constants: ConstantStore | None = None,
-    ) -> ExecutionPlan | None:
-        """Look up the compiled artifact for a traced graph; ``None`` on
-        miss.  Constants resolve from the live graph first (no copies,
-        no sidecar read); the sidecar is only decoded for fingerprints
-        the graph cannot supply."""
-        key = self.store_key(graph_content_signature(graph), evaluator, backend)
-        path = self.path_for(key)
-        if not path.exists():
-            self._METRICS.inc("misses")
-            return None
-        resolver = ConstantStore.from_graph(graph)
-        if constants is not None:
-            resolver.merge(constants)
-        blob = path.read_bytes()
-        self._METRICS.inc("hits")
-        self._METRICS.inc("bytes_read", len(blob))
-        try:
-            return deserialize_plan(blob, evaluator, constants=resolver)
-        except MissingConstantsError:
-            sidecar = self.constants_path_for(key)
-            if not sidecar.exists():
-                raise
-            sidecar_blob = sidecar.read_bytes()
-            self._METRICS.inc("bytes_read", len(sidecar_blob))
-            resolver.merge(
-                ConstantStore.from_bytes(sidecar_blob, evaluator.basis)
-            )
-            return deserialize_plan(blob, evaluator, constants=resolver)
-
-    def load_path(
-        self,
-        path,
-        evaluator,
-        *,
-        constants: ConstantStore | None = None,
-    ) -> ExecutionPlan:
-        """Load one artifact on a fresh host (no traced graph): caller
-        constants first, then the artifact's ``.pcs1`` sidecar."""
-        path = Path(path)
-        resolver = ConstantStore() if constants is None else constants
-        sidecar = path.with_suffix(self.CONSTS_SUFFIX)
-        if sidecar.exists():
-            resolver.merge(
-                ConstantStore.from_bytes(sidecar.read_bytes(), evaluator.basis)
-            )
-        return load_plan(path, evaluator, constants=resolver)

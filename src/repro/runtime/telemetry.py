@@ -6,9 +6,8 @@ pipeline measures:
 
 * **Metrics** — named counters / gauges / histograms with sorted label
   sets.  These are *always on*: they are plain dict-slot updates, cheap
-  enough that `ShardedExecutor.stats()`, `plan_cache_info()`, and the
-  `PlanStore` hit/miss accounting are now thin views over this registry
-  instead of parallel hand-kept dicts.  :class:`MetricGroup` bundles the
+  enough that `ShardedExecutor.stats()` and `plan_cache_info()` are
+  thin views over this registry instead of parallel hand-kept dicts.  :class:`MetricGroup` bundles the
   counters of one subsystem under a shared prefix + label set.
 * **Traces** — monotonic-clock spans grouped by a per-request trace ID,
   minted at `StreamingServer`/`ShardedExecutor` ingress and propagated

@@ -28,9 +28,7 @@ Contract (see ``docs/architecture.md``): tracing is a pure, process-local
 recording step — it caches nothing process-wide and shares nothing
 across forks.  In a serving fleet, tracing happens once on the compiling
 host; remote workers skip this module entirely when a serialized plan
-arrives over the wire (:mod:`repro.runtime.plan_io`), and a local fresh
-process only re-traces to *derive the plan-store key*, never to
-re-optimize.
+arrives over the wire (:mod:`repro.runtime.plan_io`).
 """
 
 from __future__ import annotations

@@ -38,6 +38,7 @@ from repro.ckks.serialization import (
     PLAINTEXT_MAGIC,
     SEEDED_MAGIC,
     SWITCHING_KEY_MAGIC,
+    Reader,
     WireFormatError,
     deserialize_ciphertext,
     deserialize_plaintext,
@@ -180,37 +181,6 @@ class VersionMismatch(WireFormatError):
         self.theirs = theirs
 
 
-class _Reader:
-    """Bounds-checked cursor over one payload."""
-
-    __slots__ = ("data", "pos", "what")
-
-    def __init__(self, data: bytes, what: str, pos: int = 0) -> None:
-        self.data = data
-        self.pos = pos
-        self.what = what
-
-    def take(self, n: int) -> bytes:
-        end = self.pos + n
-        if end > len(self.data):
-            raise WireFormatError(
-                f"truncated {self.what}: need {n} bytes at offset {self.pos}, "
-                f"{len(self.data) - self.pos} remain"
-            )
-        chunk = self.data[self.pos : end]
-        self.pos = end
-        return chunk
-
-    def unpack(self, layout: struct.Struct) -> tuple:
-        return layout.unpack(self.take(layout.size))
-
-    def finish(self) -> None:
-        if self.pos != len(self.data):
-            raise WireFormatError(
-                f"{self.what} has {len(self.data) - self.pos} trailing bytes"
-            )
-
-
 _U32 = struct.Struct("<I")
 
 # ---------------------------------------------------------------------------
@@ -283,7 +253,7 @@ def peek_message(data: bytes) -> tuple[int, int, int, int]:
 
 def decode_message(data: bytes) -> Message:
     kind, req_id, attempt, count = peek_message(data)
-    reader = _Reader(data, "worker message", _MESSAGE_HEADER.size)
+    reader = Reader(data, "worker message", _MESSAGE_HEADER.size)
     parts = [reader.take(*reader.unpack(_U32)) for _ in range(count)]
     reader.finish()
     trace = (parts and parts[0]) or None
@@ -386,7 +356,7 @@ def encode_batch(items: list[tuple[int, bytes]]) -> bytes:
 
 
 def decode_batch(payload: bytes) -> list[tuple[int, bytes]]:
-    reader = _Reader(payload, "FBT1 batch")
+    reader = Reader(payload, "FBT1 batch")
     items: list[tuple[int, bytes]] = []
     for _ in range(*reader.unpack(_U32)):
         slot, length = reader.unpack(_BATCH_ENTRY)
@@ -434,14 +404,11 @@ def decode_hello(payload: bytes) -> tuple[str, "WorkerConfig"]:
     """``(plan signature, worker config)``.  The version is judged before
     any later field is read, so a peer from another checkout gets a
     :class:`VersionMismatch`, never a misparse."""
-    reader = _Reader(payload, "FHL1 hello")
+    reader = Reader(payload, "FHL1 hello")
     version, sig_len = reader.unpack(_HELLO_HEAD)
     if version not in SUPPORTED_VERSIONS["session"]:
         raise VersionMismatch(SESSION_VERSION, version)
-    try:
-        signature = reader.take(sig_len).decode()
-    except UnicodeDecodeError as exc:
-        raise WireFormatError("FHL1 plan signature is not UTF-8") from exc
+    signature = reader.text(sig_len)
     cfg = decode_worker_config(reader.take(*reader.unpack(_U32)))
     reader.finish()
     return signature, cfg

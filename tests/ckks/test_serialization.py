@@ -436,6 +436,9 @@ class TestTypedWireErrors:
             deserialize_seeded(blob[:-1], sctx.basis)
         with pytest.raises(WireFormatError, match="too short"):
             deserialize_ciphertext(serialize_ciphertext(ct)[:-1], sctx.basis)
+        key = serialize_switching_key(sctx.relin_keys(levels=[2])[2])
+        with pytest.raises(WireFormatError, match="truncated SWK1 header"):
+            deserialize_switching_key(key[:6], sctx.basis)
 
     def test_container_magic_mismatch_is_typed(self, sctx):
         from repro.ckks import WireFormatError

@@ -13,8 +13,13 @@ reply — generated the same way (``PYTHONPATH=<parent>/src``) on the commit
 the paper's N, where ``BatchNtt`` walks one limb per block — carries the
 client digests only and was taken on the commit *before* the butterflies
 were re-laid (buffer-scoped, transposed late stages) and encrypt streamed
-limb by limb.  "Byte-equal to before" is therefore checked here, under
-every reducer backend, rather than asserted in a commit message.
+limb by limb.  ``plan_frames`` pins the bytes ``serialize_plan`` writes
+for a seeded plan with a rotate, a relinearize and a captured plaintext:
+SHA-256 over the ``EPL1`` header and every frame except ``META`` (whose
+signature is a process-local ``id()`` hash), taken on the commit *before*
+the plan writer stopped encoding each constant twice.  "Byte-equal to
+before" is therefore checked here, under every reducer backend, rather
+than asserted in a commit message.
 
 Regenerate (only when a format change is intended and documented in
 ``docs/formats.md``)::
@@ -34,6 +39,8 @@ import pytest
 
 from repro.ckks import (
     CkksContext,
+    Plaintext,
+    read_frame,
     serialize_ciphertext,
     serialize_plaintext,
     serialize_seeded,
@@ -41,6 +48,13 @@ from repro.ckks import (
     toy_params,
 )
 from repro.nums.kernels import available_backends, using_backend
+from repro.runtime import (
+    CtSpec,
+    PlanFormatError,
+    compile_fn,
+    deserialize_plan,
+    serialize_plan,
+)
 
 GOLDEN_FILE = pathlib.Path(__file__).with_name("golden_bytes.json")
 SEED = 2025
@@ -50,6 +64,37 @@ SHAPES = {
     "n16_l3": toy_params(degree=1 << 16, num_primes=3),
 }
 CLIENT_ONLY = {"n16_l3"}  # no switching keys at N = 2^16: upload and download only
+
+
+def plan_frames(blob: bytes) -> list[tuple[bytes, bytes]]:
+    """``(tag, whole frame bytes)`` for every frame of an ``EPL1`` blob."""
+    frames, offset = [], 8
+    while offset < len(blob):
+        tag, _, end = read_frame(blob, offset)
+        frames.append((tag, blob[offset:end]))
+        offset = end
+    return frames
+
+
+def plan_frames_digest(blob: bytes) -> str:
+    """SHA-256 over the ``EPL1`` header and every frame but ``META``."""
+    h = hashlib.sha256(blob[:8])
+    for tag, frame in plan_frames(blob):
+        if tag != b"META":
+            h.update(frame)
+    return h.hexdigest()
+
+
+def seeded_plan(ctx, rlk, gks, plaintext):
+    """``rotate -> multiply_relin_rescale -> add_plain(plaintext)`` over
+    one top-level ciphertext input, compiled."""
+
+    def model(ev, x):
+        prod = ev.multiply_relin_rescale(ev.rotate(x, 1, gks), x, rlk)
+        return ev.add_plain(prod, plaintext)
+
+    spec = CtSpec(level=ctx.params.num_primes, scale=ctx.params.scale)
+    return compile_fn(model, ctx.evaluator, [spec])
 
 
 def wire_digests(params, client_only: bool = False) -> dict[str, str]:
@@ -93,7 +138,10 @@ def wire_digests(params, client_only: bool = False) -> dict[str, str]:
         "decoded_multiplied": ctx.decrypt_decode(prod).tobytes(),
         "decoded_reply": ctx.decrypt_decode(reply).tobytes(),
     }
-    return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+    digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
+    plan = seeded_plan(ctx, rlk, gks, rescaled_scale)
+    digests["plan_frames"] = plan_frames_digest(serialize_plan(plan))
+    return digests
 
 
 @pytest.mark.parametrize("backend", available_backends())
@@ -107,6 +155,58 @@ def test_wire_bytes_match_golden(shape, backend):
         # whose exp() differs in the last place encodes other integers.
         pytest.skip("this platform's float FFT differs from the golden's")
     assert got == golden
+
+
+@pytest.fixture(scope="module")
+def twin_plaintext_plan():
+    """A seeded toy plan adding two value-identical captured plaintexts —
+    equal encodings, distinct objects — to one product."""
+    ctx = CkksContext.create(SHAPES["toy"], seed=SEED)
+    top = ctx.params.num_primes
+    rlk = ctx.relin_keys(levels=[top])
+    gks = ctx.galois_keys([1], levels=[top])
+    half = np.full(ctx.params.slots, 0.5)
+
+    def model(ev, x):
+        prod = ev.multiply_relin_rescale(ev.rotate(x, 1, gks), x, rlk)
+        twins = [
+            ctx.encoder.encode(half, level=prod.level, scale=prod.scale)
+            for _ in range(2)
+        ]
+        return [ev.add_plain(prod, pt) for pt in twins]
+
+    spec = CtSpec(level=top, scale=ctx.params.scale)
+    return compile_fn(model, ctx.evaluator, [spec])
+
+
+def test_blob_without_cpay_is_rejected(twin_plaintext_plan):
+    """What the deleted lean writer produced — every frame but ``CPAY``,
+    header flags 0 — is malformed, not a plan awaiting its constants."""
+    blob = serialize_plan(twin_plaintext_plan)
+    lean = blob[:6] + b"\x00\x00" + b"".join(
+        frame for tag, frame in plan_frames(blob) if tag != b"CPAY"
+    )
+    with pytest.raises(PlanFormatError, match="CPAY"):
+        deserialize_plan(lean, twin_plaintext_plan.evaluator)
+
+
+def test_value_identical_plaintexts_share_one_cnst_entry(twin_plaintext_plan):
+    """Two value-identical captured plaintexts are two ``CFPS`` entries
+    and one ``CNST`` frame."""
+    consts = twin_plaintext_plan.graph.consts
+    twins = [c for c in consts if isinstance(c, Plaintext)]
+    assert len(twins) == 2 and twins[0] is not twins[1]
+    frames = dict(plan_frames(serialize_plan(twin_plaintext_plan)))
+    cfps, cpay = frames[b"CFPS"][8:-4], frames[b"CPAY"][8:-4]
+    table = [cfps[4 + 17 * i : 21 + 17 * i] for i in range(len(consts))]
+    plaintext_fps = [entry[1:] for entry in table if entry[0] == 0]
+    assert len(plaintext_fps) == 2 and plaintext_fps[0] == plaintext_fps[1]
+    cnst, offset = [], 12
+    while offset < len(cpay):
+        _, payload, offset = read_frame(cpay, offset)
+        cnst.append(payload[:16])
+    assert sorted(cnst) == sorted({entry[1:] for entry in table})
+    assert len(cnst) == len(consts) - 1
 
 
 if __name__ == "__main__":

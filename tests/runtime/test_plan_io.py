@@ -1,5 +1,5 @@
-"""Plan serialization: EPL1/PCS1 round trips, rejection of damaged
-artifacts, and the on-disk plan store behind the compile cache."""
+"""Plan serialization: EPL1 round trips, the constant payload, and
+rejection of damaged blobs."""
 
 from __future__ import annotations
 
@@ -10,25 +10,15 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, toy_params
+from repro.ckks.serialization import pack_frame, read_frame
 from repro.nums.kernels import available_backends, default_backend_name, using_backend
 from repro.runtime import (
-    ConstantStore,
     CtSpec,
-    MissingConstantsError,
     PlanFormatError,
-    PlanStore,
     compile_fn,
-    constant_fingerprint,
     deserialize_plan,
-    graph_content_signature,
-    load_plan,
-    plan_cache_info,
-    save_plan,
-    serialize_constants,
     serialize_plan,
-    set_plan_store,
 )
-from repro.runtime.plan import compile_graph
 from repro.runtime.plan_io import CONSTSTORE_MAGIC, PLAN_MAGIC
 from repro.runtime.trace import trace
 
@@ -153,62 +143,64 @@ class TestRoundTrip:
             deserialize_plan(serialize_plan(plan), other.evaluator)
 
 
-class TestConstantStore:
-    def test_pcs1_roundtrip_and_dedup(self, rctx, plan):
-        pcs = serialize_constants(plan)
-        assert pcs[:4] == CONSTSTORE_MAGIC
-        store = ConstantStore.from_bytes(pcs, rctx.basis)
-        assert len(store) == len(plan.graph.consts)
-        for obj in plan.graph.consts:
-            assert constant_fingerprint(obj) in store
-        # Content addressing: re-adding value-identical copies is a no-op.
-        before = len(store)
-        for obj in plan.graph.consts:
-            store.add(obj)
-        assert len(store) == before
+def _frames(blob: bytes) -> dict[bytes, bytes]:
+    """Tag -> payload of every frame after the 8-byte EPL1 header."""
+    frames, offset = {}, 8
+    while offset < len(blob):
+        tag, payload, offset = read_frame(blob, offset)
+        frames[tag] = payload
+    return frames
 
-    def test_separate_constants_path(self, rctx, plan, inputs):
-        lean = serialize_plan(plan, include_constants=False)
-        full = serialize_plan(plan)
-        assert len(lean) < len(full) / 10  # constants dominate the blob
-        store = ConstantStore.from_bytes(serialize_constants(plan), rctx.basis)
-        back = deserialize_plan(lean, rctx.evaluator, constants=store)
-        _assert_outputs_equal(
-            back.run_batch([inputs])[0], plan.run_batch([inputs])[0]
-        )
 
-    def test_live_graph_resolution_shares_objects(self, rctx, plan):
-        lean = serialize_plan(plan, include_constants=False)
-        resolver = ConstantStore.from_graph(plan.graph)
-        back = deserialize_plan(lean, rctx.evaluator, constants=resolver)
-        # Constants resolve to the *same* live objects — no copies, so
-        # per-key caches (stacked tensors) stay shared.
-        assert all(
-            any(c is obj for obj in plan.graph.consts)
-            for c in back.graph.consts
-        )
+def _reframe(blob: bytes, frames: dict[bytes, bytes]) -> bytes:
+    return blob[:8] + b"".join(pack_frame(t, p) for t, p in frames.items())
+
+
+def _cfps(blob: bytes) -> list[bytes]:
+    payload = _frames(blob)[b"CFPS"]
+    (count,) = struct.unpack_from("<I", payload)
+    return [payload[4 + 17 * i : 4 + 17 * (i + 1)] for i in range(count)]
+
+
+class TestConstantPayload:
+    """The plan's constants: a CFPS fingerprint table plus the CPAY
+    payload, laid out as PCS1, that carries each distinct one once."""
+
+    def test_pcs1_roundtrip_and_dedup(self, plan):
+        blob = serialize_plan(plan)
+        cpay = _frames(blob)[b"CPAY"]
+        assert cpay[:4] == CONSTSTORE_MAGIC
+        version, _, count = struct.unpack_from("<HHI", cpay, 4)
+        assert (version, count) == (1, len(plan.graph.consts))
+        entries, offset = [], 12
+        while offset < len(cpay):
+            tag, payload, offset = read_frame(cpay, offset)
+            assert tag == b"CNST"
+            entries.append(payload[:16])
+        # One CNST entry per distinct CFPS fingerprint, sorted.
+        assert entries == sorted({entry[1:] for entry in _cfps(blob)})
 
     def test_missing_constants_listed(self, rctx, plan):
-        lean = serialize_plan(plan, include_constants=False)
-        with pytest.raises(MissingConstantsError) as err:
-            deserialize_plan(lean, rctx.evaluator)
-        missing = err.value.fingerprints
-        assert len(missing) == len(plan.graph.consts)
-        assert missing[0].hex() in str(err.value)
+        blob = serialize_plan(plan)
+        frames = _frames(blob)
+        frames[b"CPAY"] = CONSTSTORE_MAGIC + struct.pack("<HHI", 1, 0, 0)
+        with pytest.raises(PlanFormatError, match="missing from CPAY") as err:
+            deserialize_plan(_reframe(blob, frames), rctx.evaluator)
+        for entry in _cfps(blob):
+            assert entry[1:].hex() in str(err.value)
 
     def test_content_signature_stable_across_copies(self, rctx, plan, rlk, gks, cjk):
-        """The store key must not depend on object identity: rebuilding
-        the constants from bytes yields the same content signature."""
+        """Constants are named by content, not object identity: a plan
+        rebuilt from bytes holds new constant objects, so its id-based
+        graph signature differs, yet it fingerprints them identically."""
         model, specs = _program(rctx, rlk, gks, cjk)
         g1 = trace(model, rctx.evaluator, specs)
         g2 = trace(model, rctx.evaluator, specs)
         assert g1.signature() == g2.signature()  # same live objects
         blob = serialize_plan(plan)
         back = deserialize_plan(blob, rctx.evaluator)
-        assert graph_content_signature(back.graph) == graph_content_signature(
-            plan.graph
-        )
         assert back.graph.signature() != plan.graph.signature()  # id-based
+        assert _cfps(serialize_plan(back)) == _cfps(blob)
 
 
 class TestDamagedArtifacts:
@@ -238,103 +230,52 @@ class TestDamagedArtifacts:
             deserialize_plan(bytes(blob), rctx.evaluator)
 
     def test_missing_required_frame_rejected(self, rctx, plan):
-        lean = serialize_plan(plan, include_constants=False)
+        blob = serialize_plan(plan)
         # Keep only the 8-byte header + the first (META) frame.
-        from repro.ckks.serialization import read_frame
-
-        _, _, end_of_meta = read_frame(lean, 8)
+        _, _, end_of_meta = read_frame(blob, 8)
         with pytest.raises(PlanFormatError, match="missing required frame"):
-            deserialize_plan(lean[:end_of_meta], rctx.evaluator)
+            deserialize_plan(blob[:end_of_meta], rctx.evaluator)
 
-
-class TestPlanStore:
-    def test_save_load_roundtrip(self, tmp_path, rctx, plan, inputs):
-        store = PlanStore(tmp_path / "plans")
-        path = store.save(plan)
-        assert path.exists() and path.suffix == ".epl1"
-        assert store.keys() == [path.stem]
-        # Lean plan + constants sidecar: the hot path never reads the
-        # sidecar, a fresh host reads both.
-        sidecar = store.constants_path_for(path.stem)
-        assert sidecar.exists()
-        assert path.stat().st_size < sidecar.stat().st_size
-        loaded = store.load_path(path, rctx.evaluator)
-        _assert_outputs_equal(
-            loaded.run_batch([inputs])[0], plan.run_batch([inputs])[0]
-        )
-        # Without the sidecar resolution, the lean artifact must refuse.
-        with pytest.raises(MissingConstantsError):
-            load_plan(path, rctx.evaluator)
-
-    def test_save_plan_is_atomic_file(self, tmp_path, plan, rctx):
-        path = save_plan(tmp_path / "p.epl1", plan)
-        assert not list(tmp_path.glob("*.tmp"))
-        assert load_plan(path, rctx.evaluator).backend == plan.backend
-
-    def test_store_miss_returns_none(self, tmp_path, rctx, rlk, gks, cjk):
-        store = PlanStore(tmp_path / "plans")
-        model, specs = _program(rctx, rlk, gks, cjk)
-        graph = trace(model, rctx.evaluator, specs)
-        assert store.load(graph, rctx.evaluator, default_backend_name()) is None
-
-    def test_compile_graph_uses_installed_store(
-        self, tmp_path, rctx, rlk, gks, cjk, inputs
-    ):
-        model, specs = _program(rctx, rlk, gks, cjk)
-        set_plan_store(str(tmp_path / "plans"))
-        try:
-            first = compile_graph(trace(model, rctx.evaluator, specs), rctx.evaluator)
-            stats = plan_cache_info()
-            assert stats["disk_saves"] == 1 and stats["disk_hits"] == 0
-            reference = first.run_batch([inputs])[0]
-
-            # A "fresh process": empty in-memory cache, same store.
-            from repro.runtime.plan import clear_plan_cache
-
-            clear_plan_cache()
-            second = compile_graph(
-                trace(model, rctx.evaluator, specs), rctx.evaluator
-            )
-            stats = plan_cache_info()
-            assert stats["disk_hits"] == 1 and stats["disk_saves"] == 0
-            _assert_outputs_equal(second.run_batch([inputs])[0], reference)
-        finally:
-            set_plan_store(None)
-
-
-    def test_corrupt_store_artifact_degrades_to_recompile(
-        self, tmp_path, rctx, rlk, gks, cjk, inputs
-    ):
-        """A damaged on-disk artifact must never cause a compile outage:
-        the store fails open, recompiles, and still serves."""
-        model, specs = _program(rctx, rlk, gks, cjk)
-        store = PlanStore(tmp_path / "plans")
-        set_plan_store(store)
-        try:
-            plan = compile_graph(
-                trace(model, rctx.evaluator, specs), rctx.evaluator
-            )
-            reference = plan.run_batch([inputs])[0]
-            [key] = store.keys()
-            artifact = store.path_for(key)
-            artifact.write_bytes(artifact.read_bytes()[:40])  # truncate
-
-            from repro.runtime.plan import clear_plan_cache
-
-            clear_plan_cache()
-            with pytest.warns(RuntimeWarning, match="plan store load failed"):
-                recompiled = compile_graph(
-                    trace(model, rctx.evaluator, specs), rctx.evaluator
+    @pytest.mark.parametrize(
+        "craft",
+        [
+            pytest.param(lambda blob: b"EPL1", id="magic-only"),
+            pytest.param(lambda blob: blob[:6], id="six-byte-header"),
+            *(
+                pytest.param(
+                    lambda blob, tag=tag: _reframe(
+                        blob, {**_frames(blob), tag: _frames(blob)[tag][:3]}
+                    ),
+                    id=f"short-{tag.decode()}",
                 )
-            assert plan_cache_info()["disk_hits"] == 0
-            _assert_outputs_equal(recompiled.run_batch([inputs])[0], reference)
-        finally:
-            set_plan_store(None)
+                for tag in (b"META", b"ISPC", b"NODE", b"OUTS", b"CPAY")
+            ),
+            pytest.param(
+                # META = degree, moduli, backend length, moduli, backend...
+                lambda blob: _reframe(
+                    blob, {**_frames(blob), b"META": _non_utf8_backend(blob)}
+                ),
+                id="non-utf8-backend",
+            ),
+        ],
+    )
+    def test_crafted_blob_raises_plan_format_error(self, rctx, plan, craft):
+        """A CRC-valid but malformed blob is a PlanFormatError, never a
+        struct.error or UnicodeDecodeError."""
+        with pytest.raises(PlanFormatError):
+            deserialize_plan(craft(serialize_plan(plan)), rctx.evaluator)
+
+
+def _non_utf8_backend(blob: bytes) -> bytes:
+    meta = bytearray(_frames(blob)[b"META"])
+    _, num_moduli, _ = struct.unpack_from("<IHH", meta)
+    meta[8 + 8 * num_moduli] = 0xFF  # first byte of the backend name
+    return bytes(meta)
 
 
 def _fresh_process_serve(path, conn) -> None:
     """Child body for the cross-process smoke: rebuild a context (fresh
-    caches, fresh everything), load the artifact — no re-trace — then
+    caches, fresh everything), read the plan file — no re-trace — then
     serve request ciphertexts arriving over the wire."""
     from repro.ckks.serialization import (
         deserialize_ciphertext,
@@ -343,7 +284,7 @@ def _fresh_process_serve(path, conn) -> None:
     )
 
     ctx = CkksContext.create(toy_params(degree=128, num_primes=PRIMES), seed=41)
-    plan = load_plan(path, ctx.evaluator)
+    plan = deserialize_plan(path.read_bytes(), ctx.evaluator)
     bits = wire_coeff_bits(ctx.basis)
     batch = [deserialize_ciphertext(b, ctx.basis) for b in conn.recv()]
     outs = plan.run_batch([batch])[0]
@@ -358,7 +299,8 @@ def test_plan_serves_in_fresh_process(tmp_path, rctx, plan, inputs):
     """Serialize here, deserialize in another process, byte-compare."""
     from repro.ckks.serialization import serialize_ciphertext, wire_coeff_bits
 
-    path = save_plan(tmp_path / "shipped.epl1", plan)
+    path = tmp_path / "shipped.epl1"
+    path.write_bytes(serialize_plan(plan))
     bits = wire_coeff_bits(rctx.basis)
     ctx_mp = mp.get_context("fork")
     parent_conn, child_conn = ctx_mp.Pipe()
