@@ -20,10 +20,12 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, toy_params
+from repro.ckks.containers import Ciphertext
+from repro.ckks.evaluator import Evaluator
 from repro.nums import find_primes
 from repro.nums.kernels import available_backends, make_kernel, using_backend
 from repro.rns import RnsBasis
-from repro.rns.poly import RnsPolynomial
+from repro.rns.poly import EVAL, RnsPolynomial
 from repro.transforms.fft import SpecialFft
 from repro.transforms.ntt import NttContext
 
@@ -221,6 +223,32 @@ def test_batch_ntt_stage_table(report):
         lines.append("  run t:    " + " ".join(f"{t:5d}" for t in spans))
         lines.append("  stage ms: " + " ".join(f"{v*1e3:5.2f}" for v in stages))
     report("BatchNtt (24, 2^16) per-stage cost, barrett", lines)
+
+
+def test_rescale_table(report):
+    """Report only: ms per eager ``Evaluator.rescale`` of a 2-part
+    ciphertext by two primes, at the bench shape (2^10, L = 10) and the
+    paper's (2^16, L = 24).  It inverse-transforms the 2 x 2 dropped rows
+    and forward-transforms the 2 x (L - 2) kept ones."""
+    lines = []
+    for log_n, limbs, reps in ((10, 10, 50), (16, 24, 5)):
+        poly = _residue_poly(limbs, log_n)
+        basis = poly.basis
+        ev = Evaluator(toy_params(degree=basis.degree, num_primes=limbs), basis)
+        part = RnsPolynomial(basis, poly.data, EVAL)  # any canonical rows
+        ct = Ciphertext(parts=[part, part.copy()], scale=2.0**72)
+        ev.rescale(ct, times=2)  # tables built outside the timing
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            ev.rescale(ct, times=2)
+            best = min(best, time.perf_counter() - t0)
+        rows = 2 * 2 + 2 * (limbs - 2)
+        lines.append(
+            f"N=2^{log_n}, L={limbs:2d}: {best*1e3:7.2f} ms "
+            f"({rows} NTT rows, best of {reps})"
+        )
+    report("Evaluator.rescale, 2 parts by two primes, eager", lines)
 
 
 @pytest.mark.parametrize("log_slots", [12, 15])

@@ -15,8 +15,8 @@ their Galois automorphisms directly on NTT-domain data (a slot
 permutation, zero transform round trips) and can *hoist* — decompose a
 ciphertext once, then rotate-and-switch against many keys — which is what
 the BSGS linear layer and bootstrapping exploit.  Multi-prime rescaling is
-fused: ``times`` primes are divided out in a single coeff<->eval round
-trip instead of one per prime.
+fused and stays in the evaluation domain: ``times`` primes are divided
+out in one pass that inverse-transforms only the dropped limbs.
 """
 
 from __future__ import annotations
@@ -24,13 +24,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from repro.ckks.containers import Ciphertext, Plaintext
 from repro.ckks.keys import SwitchingKey, rotation_galois_elt
 from repro.ckks.keyswitch import DecomposedPoly, KeySwitchEngine
 from repro.ckks.params import CkksParameters
 from repro.nums.kernels import ufunc_buffer
 from repro.rns.basis import RnsBasis
-from repro.rns.poly import RnsPolynomial
+from repro.rns.poly import EVAL, RnsPolynomial, rescale_eval_rows
 
 __all__ = ["Evaluator", "SCALE_RTOL"]
 
@@ -149,10 +151,13 @@ class Evaluator:
         """Drop ``times`` primes, dividing the scale accordingly.
 
         Under the double-scale technique a multiplication is followed by
-        ``times = 2`` rescalings (Section V-B's 36-bit primes).  The
-        division is fused: one coeff<->eval round trip per part covers all
-        ``times`` primes (:meth:`repro.rns.poly.RnsPolynomial.rescale`),
-        instead of a full round trip per dropped prime.
+        ``times = 2`` rescalings (Section V-B's 36-bit primes).  All parts
+        are divided by all ``times`` primes in one call, in the evaluation
+        domain (:func:`repro.rns.poly.rescale_eval_rows`): only the dropped
+        limbs are inverse-transformed and only the kept ones forward —
+        ``parts * (times + L - times)`` NTT rows, 20 for a 2-part level-10
+        ciphertext by two primes where a coefficient round trip costs 36 —
+        with the bytes of :meth:`repro.rns.poly.RnsPolynomial.rescale`.
         """
         if times == 0:
             return Ciphertext(parts=list(ct.parts), scale=ct.scale)
@@ -160,7 +165,9 @@ class Evaluator:
         scale = ct.scale
         for t in range(times):
             scale /= self.basis.moduli[lvl - 1 - t]
-        parts = [p.to_coeff().rescale(times).to_eval() for p in ct.parts]
+        stacked = np.stack([p.data for p in ct.parts])
+        rows = rescale_eval_rows(self.basis, stacked, times)
+        parts = [RnsPolynomial(self.basis, part, EVAL) for part in rows]
         return Ciphertext(parts=parts, scale=scale)
 
     def multiply_relin_rescale(

@@ -89,19 +89,15 @@ def _peel(basis: RnsBasis, block: np.ndarray, first: int, pivot: int, rows: slic
     kern.mul(kern.sub(target, digit, out=digit), inv, out=target)
 
 
-def rescale_rows(basis: RnsBasis, coeff: np.ndarray, times: int) -> np.ndarray:
-    """Divide ``(..., L, N)`` coefficient-domain residues by the last
-    ``times`` primes of level ``L``: :meth:`RnsPolynomial.rescale` on the
-    bare matrix, any leading axes (a ciphertext's stacked parts) riding
-    along — the moduli columns broadcast against the trailing ``(rows,
-    N)`` dims, so each leading entry gets the bytes it would get alone.
-    """
-    *lead, lvl, n = coeff.shape
-    kern, weights, inv_col = basis.rescale_tables(lvl, times)
+def _dropped_remainder(basis: RnsBasis, block: np.ndarray, lvl: int) -> np.ndarray:
+    """``[x]_P`` on the kept limbs of level ``lvl``, canonical, from
+    ``block``: the ``(..., times, N)`` coefficient rows of the dropped
+    limbs, consumed (peeled in place)."""
+    *lead, times, n = block.shape
+    kern, weights, _ = basis.rescale_tables(lvl, times)
     keep = lvl - times
     # Mixed-radix digits of [x]_P, computed on the dropped tail block
     # exactly as the sequential division would produce them.
-    block = coeff[..., keep:, :].copy()
     digits = np.empty((*lead, times, n), dtype=np.uint64)
     for t in range(times):
         rows = times - 1 - t  # dropped rows still undivided
@@ -110,8 +106,46 @@ def rescale_rows(basis: RnsBasis, coeff: np.ndarray, times: int) -> np.ndarray:
             _peel(basis, block, keep, rows, slice(0, rows))
     # [x]_P mod q_i = sum_t (q_{L-1} ... q_{L-t}) * digit_t, one MAC.
     wide = np.broadcast_to(digits[..., None, :], (*lead, times, keep, n))
-    remainder = kern.mul_accumulate(kern.reduce(wide), weights, axis=-3)
+    return kern.mul_accumulate(kern.reduce(wide), weights, axis=-3)
+
+
+def rescale_rows(basis: RnsBasis, coeff: np.ndarray, times: int) -> np.ndarray:
+    """Divide ``(..., L, N)`` coefficient-domain residues by the last
+    ``times`` primes of level ``L``: :meth:`RnsPolynomial.rescale` on the
+    bare matrix, any leading axes (a ciphertext's stacked parts) riding
+    along — the moduli columns broadcast against the trailing ``(rows,
+    N)`` dims, so each leading entry gets the bytes it would get alone.
+    The reference :func:`rescale_eval_rows` is pinned against.
+    """
+    lvl = coeff.shape[-2]
+    kern, _, inv_col = basis.rescale_tables(lvl, times)
+    keep = lvl - times
+    remainder = _dropped_remainder(basis, coeff[..., keep:, :].copy(), lvl)
     diff = kern.sub(coeff[..., :keep, :], remainder, out=remainder)
+    return kern.mul(diff, inv_col, out=diff)
+
+
+def rescale_eval_rows(basis: RnsBasis, data: np.ndarray, times: int) -> np.ndarray:
+    """:func:`rescale_rows` on ``(..., L, N)`` *evaluation* rows, returning
+    ``(..., L - times, N)`` evaluation rows — what a ciphertext's rescale
+    is, without the coefficient round trip of its kept limbs.
+
+    Only the ``times`` dropped rows are inverse-transformed
+    (:meth:`~repro.transforms.ntt.BatchNtt.inverse_block`); ``[x]_P`` is
+    derived from them on the kept limbs (:func:`_dropped_remainder`) and
+    forward-transformed, and the division ``(x - [x]_P) · P^-1`` runs in
+    the evaluation domain.  The NTT is linear over each ``Z_q`` and every
+    operand is canonical, so the bytes are ``forward(rescale_rows(
+    inverse(x), times))``'s — with ``times`` inverse rows per entry in
+    place of ``L``.
+    """
+    lvl, n = data.shape[-2:]
+    kern, _, inv_col = basis.rescale_tables(lvl, times)
+    keep = lvl - times
+    tail = data[..., keep:, :].copy()
+    basis.batch_ntt(lvl).inverse_block(tail.reshape(-1, times, n), slice(keep, lvl))
+    remainder = basis.batch_ntt(keep).forward(_dropped_remainder(basis, tail, lvl))
+    diff = kern.sub(data[..., :keep, :], remainder, out=remainder)
     return kern.mul(diff, inv_col, out=diff)
 
 
@@ -246,7 +280,9 @@ class RnsPolynomial:
             kern = kernel_for_modulus(q, "barrett")
             powers = [pow(2, e, q) for e in range(top + 1)]
             signed = np.array(powers + [-p % q for p in powers], dtype=np.uint64)
-            np.multiply(mantissas, kern.reciprocal, out=row, casting="unsafe")
+            # The estimate is below 2^53: truncated through an int64 view.
+            estimate = row.view(np.int64)
+            np.multiply(mantissas, kern.reciprocal, out=estimate, casting="unsafe")
             row *= kern.q
             np.subtract(words, row, out=row)  # M mod q, short of a subtract
             kern.mul(row, signed[index], out=row)

@@ -78,10 +78,10 @@ def plan_op_counts(plan: ExecutionPlan) -> OpCounts:
             other += 4 * lvl * n  # a0b0, a0b1, a1b0, a1b1 limb-wise MACs
         elif node.op == "rescale":
             times = node.attrs[0]
-            src_lvl = g.nodes[node.inputs[0]].level
-            # Per part: one inverse pass at the source level, one forward
-            # pass at the dropped level, plus the fold-in MACs.
-            ntt += node.size * (src_lvl + lvl) * bfly
+            # Per part (rescale_eval_rows): an inverse pass over the
+            # ``times`` dropped rows, a forward pass over the kept ones,
+            # plus the fold-in MACs.
+            ntt += node.size * (times + lvl) * bfly
             rns += node.size * times * lvl * n
             other += node.size * lvl * n
         elif node.op == "relinearize" or node.op in AUTOMORPHISM_OPS:

@@ -61,7 +61,7 @@ import numpy as np
 from repro.ckks.containers import Ciphertext, Plaintext
 from repro.ckks.evaluator import SCALE_RTOL, Evaluator
 from repro.nums.kernels import default_backend_name, ufunc_buffer
-from repro.rns.poly import EVAL, RnsPolynomial, rescale_rows
+from repro.rns.poly import EVAL, RnsPolynomial, rescale_eval_rows
 from repro.runtime.arena import ArenaLayout, ArenaStep, BufferArena
 from repro.runtime.graph import AUTOMORPHISM_OPS, CtSpec, Graph, Node, PtSpec
 from repro.runtime.passes import (
@@ -703,13 +703,10 @@ class FusedExecutor:
             times = node.attrs[0]
             lvl_in = g.nodes[a].level
             basis = self._basis
-            bat_in = basis.batch_ntt(lvl_in)
-            bat_out = basis.batch_ntt(lvl)
 
             def rescale_step(env, inputs):
                 stacked = np.stack([p[:lvl_in] for p in env[a]])
-                coeff = rescale_rows(basis, bat_in.inverse(stacked), times)
-                out = bat_out.forward(coeff)
+                out = rescale_eval_rows(basis, stacked, times)
                 for i, v in enumerate(views):
                     np.copyto(v, out[i])
 

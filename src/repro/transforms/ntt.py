@@ -561,6 +561,11 @@ class BatchNtt:
         rows, N)`` uint64 array — for a caller that produces and consumes
         a polynomial block by block while it is in cache (the streamed
         encryption) instead of materializing it."""
+        self._check_block(block, rows)
+        with ufunc_buffer():
+            self._forward_block(block, rows, self._workspace(block.size))
+
+    def _check_block(self, block: np.ndarray, rows: slice) -> None:
         count = rows.stop - rows.start
         if (
             block.dtype != np.uint64
@@ -571,8 +576,6 @@ class BatchNtt:
             raise ValueError(
                 f"expected a contiguous (batch, {count}, {self.degree}) uint64 block"
             )
-        with ufunc_buffer():
-            self._forward_block(block, rows, self._workspace(block.size))
 
     def _forward_block(self, block: np.ndarray, rows: slice, work: np.ndarray) -> None:
         """Cooley–Tukey stages of one ``(batch, r, N)`` block, in place."""
@@ -609,12 +612,21 @@ class BatchNtt:
                 self._inverse_block(src[:, rows], out[:, rows], rows, work)
         return out.reshape(shape)
 
+    def inverse_block(self, block: np.ndarray, rows: slice) -> None:
+        """:meth:`inverse` of limbs ``rows``, in place on a contiguous
+        ``(batch, rows, N)`` uint64 array of canonical residues — the
+        mirror of :meth:`forward_block`, for a caller that needs the
+        coefficients of some limbs only (a rescale's dropped tail)."""
+        self._check_block(block, rows)
+        with ufunc_buffer():
+            self._inverse_block(block, block, rows, self._workspace(block.size))
+
     def _inverse_block(
         self, src: np.ndarray, block: np.ndarray, rows: slice, work: np.ndarray
     ) -> None:
         """Gentleman–Sande stages of one ``(batch, r, N)`` block, read
-        from ``src`` (straight into the transposed copy) and left in
-        ``block``."""
+        from ``src`` (straight into the transposed copy, so ``src`` may be
+        ``block``) and left in ``block``."""
         kern, _, psi_inv = self._block_plan(rows)
         natural, turned, spare = self._layouts(block, work)
         np.copyto(turned, self._turn(src))

@@ -2,8 +2,15 @@
 
 from __future__ import annotations
 
+from contextlib import ExitStack
+from unittest import mock
+
 import numpy as np
 import pytest
+
+from repro.ckks import CkksContext, toy_params
+from repro.runtime import CtSpec, compile_fn
+from repro.transforms.ntt import BatchNtt
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +115,52 @@ class TestMultiply:
         ct = ctx.encrypt(a)
         sq = ctx.evaluator.multiply_relin_rescale(ct, ct, rlk)
         assert np.max(np.abs(ctx.decrypt_decode(sq) - a * a)) < 1e-4
+
+
+def _rows_transformed(call) -> dict[str, int]:
+    """NTT rows (batch x limbs) ``call`` pushes through ``BatchNtt``'s
+    block kernels, which every transform entry point ends in."""
+    counts = {"inverse": 0, "forward": 0}
+
+    def counting(name, real):
+        def wrapper(self, block, *args, **kwargs):
+            counts[name] += block.shape[0] * block.shape[1]
+            return real(self, block, *args, **kwargs)
+
+        return wrapper
+
+    with ExitStack() as stack:
+        for name in counts:
+            attr = f"_{name}_block"
+            wrapped = counting(name, getattr(BatchNtt, attr))
+            stack.enter_context(mock.patch.object(BatchNtt, attr, wrapped))
+        call()
+    return counts
+
+
+class TestRescaleRows:
+    def test_level_ten_by_two_transforms_four_inverse_and_sixteen_forward_rows(self):
+        """Eager and fused alike, a 2-part level-10 rescale by two
+        inverse-transforms only its dropped rows (2 x 2) and forward-
+        transforms its kept ones (2 x 8); a coefficient round trip of the
+        whole level costs 2 x 10 inverse rows."""
+        ctx10 = CkksContext.create(toy_params(degree=128, num_primes=10), seed=5)
+        ct = ctx10.encrypt(np.linspace(-1, 1, ctx10.params.slots))
+        assert (ct.size, ct.level) == (2, 10)
+        spec = CtSpec(level=10, scale=ct.scale)
+        plan = compile_fn(lambda ev, x: ev.rescale(x, times=2), ctx10.evaluator, [spec])
+        plan.fused()  # lowered outside the count
+        out = {}
+        eager = _rows_transformed(
+            lambda: out.update(eager=ctx10.evaluator.rescale(ct, times=2))
+        )
+        fused = _rows_transformed(lambda: out.update(fused=plan.run_batch([[ct]])[0][0]))
+        assert eager == fused == {"inverse": 4, "forward": 16}
+        reference = [p.to_coeff().rescale(2).to_eval().data for p in ct.parts]
+        for got in out.values():
+            assert [p.data.tobytes() for p in got.parts] == [
+                r.tobytes() for r in reference
+            ]
 
 
 class TestDepth:

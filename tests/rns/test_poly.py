@@ -12,8 +12,14 @@ from hypothesis import strategies as st
 from repro.nums import find_primes
 from repro.nums.kernels import available_backends, using_backend
 from repro.rns.basis import RnsBasis
-from repro.rns.poly import COEFF, EVAL, RnsPolynomial
-from repro.transforms.ntt import negacyclic_mul_naive
+from repro.rns.poly import (
+    COEFF,
+    EVAL,
+    RnsPolynomial,
+    rescale_eval_rows,
+    rescale_rows,
+)
+from repro.transforms.ntt import NttContext, negacyclic_mul_naive
 
 N = 256
 LEVEL = 4
@@ -431,6 +437,90 @@ class TestRescale:
     def test_requires_coeff_domain(self, basis, rng):
         with pytest.raises(ValueError, match="coefficient domain"):
             poly_from(rng, basis).to_eval().rescale()
+
+
+# Ten limbs, the bench level, at a degree small enough for many examples.
+TEN_LIMBS = RnsBasis.create(64, 10)
+
+
+def _eval_rows(basis: RnsBasis, lead: tuple, lvl: int, seed: int) -> np.ndarray:
+    """Canonical ``(*lead, lvl, N)`` residues, the edge values ``0`` and
+    ``q - 1`` in the first two columns of every row."""
+    q_col = np.array(basis.moduli[:lvl], dtype=np.uint64).reshape(-1, 1)
+    rng = np.random.default_rng(seed)
+    data = rng.integers(0, 1 << 62, (*lead, lvl, basis.degree), dtype=np.uint64) % q_col
+    data[..., 0] = 0
+    data[..., 1] = q_col[:, 0] - np.uint64(1)
+    return data
+
+
+class TestRescaleEvalRows:
+    """The evaluation-domain rescale and the tail transform it runs on,
+    pinned against the coefficient-domain reference byte for byte."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 10),
+        st.integers(1, 3),
+        st.sampled_from([(), (2,), (3,)]),
+        st.sampled_from(available_backends()),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_coefficient_round_trip(self, lvl, times, lead, backend, seed):
+        times = min(times, lvl - 1)
+        data = _eval_rows(TEN_LIMBS, lead, lvl, seed)
+        before = data.copy()
+        with using_backend(backend):
+            coeff = TEN_LIMBS.batch_ntt(lvl).inverse(data)
+            reference = rescale_rows(TEN_LIMBS, coeff, times)
+            want = TEN_LIMBS.batch_ntt(lvl - times).forward(reference)
+            got = rescale_eval_rows(TEN_LIMBS, data, times)
+        assert got.dtype == np.uint64 and got.shape == (*lead, lvl - times, 64)
+        assert np.array_equal(got, want)
+        assert np.array_equal(data, before)  # the input is read, not consumed
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 9),
+        st.integers(1, 10),
+        st.integers(1, 3),
+        st.sampled_from(available_backends()),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_inverse_block_equals_the_per_limb_inverse(
+        self, start, count, batch, backend, seed
+    ):
+        stop = min(10, start + count)
+        data = _eval_rows(TEN_LIMBS, (batch,), 10, seed)
+        block = data[:, start:stop].copy()
+        with using_backend(backend):
+            TEN_LIMBS.batch_ntt(10).inverse_block(block, slice(start, stop))
+            for b in range(batch):
+                for r, q in enumerate(TEN_LIMBS.moduli[start:stop]):
+                    want = NttContext.cached(64, q, backend).inverse(data[b, start + r])
+                    assert np.array_equal(block[b, r], want)
+
+    def test_inverse_block_rejects_what_forward_block_rejects(self):
+        bat = TEN_LIMBS.batch_ntt(10)
+        rows = slice(7, 10)
+        good = np.zeros((2, 3, 64), dtype=np.uint64)
+        bad = {
+            "too few rows": good[:, :2].copy(),
+            "no batch axis": good[0].copy(),
+            "wrong degree": np.zeros((2, 3, 32), dtype=np.uint64),
+            "signed": good.astype(np.int64),
+            "strided": np.zeros((2, 3, 128), dtype=np.uint64)[..., ::2],
+            "transposed": np.zeros((2, 64, 3), dtype=np.uint64).transpose(0, 2, 1),
+        }
+        for name, block in bad.items():
+            messages = []
+            for method in (bat.forward_block, bat.inverse_block):
+                with pytest.raises(ValueError) as err:
+                    method(block, rows)
+                messages.append(str(err.value))
+            assert messages[0] == messages[1], name
+        bat.inverse_block(good, rows)  # the shape both accept
+        assert not good.any()
 
 
 class TestDropLimbs:

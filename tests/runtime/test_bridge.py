@@ -47,6 +47,17 @@ class TestOpCounts:
         # expansion; the chained pair cannot.
         assert plan_op_counts(h).ntt_ops < plan_op_counts(s).ntt_ops
 
+    def test_rescale_charges_the_rows_it_transforms(self, rctx):
+        """Per part, a rescale by two inverse-transforms the two dropped
+        rows and forward-transforms the kept ones — not the whole level."""
+        plan = compile_fn(
+            lambda ev, x: ev.rescale(x, times=2), rctx.evaluator, [_spec(rctx)]
+        )
+        n, lvl = rctx.basis.degree, rctx.params.num_primes
+        butterflies = (n // 2) * (n.bit_length() - 1)
+        rows = 2 * (2 + lvl - 2)  # parts x (dropped + kept)
+        assert plan_op_counts(plan).ntt_ops == rows * butterflies
+
 
 class TestClientBridge:
     def test_workload_reflects_plan_boundary(self, rctx, gks, rlk):

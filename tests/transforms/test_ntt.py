@@ -453,6 +453,8 @@ class TestButterflyLayouts:
             block = np.zeros((1, len(PAPER_PRIMES), 64), dtype=np.uint64)
             bn.forward_block(block, slice(0, len(PAPER_PRIMES)))
             yield "forward_block"
+            bn.inverse_block(block, slice(0, len(PAPER_PRIMES)))
+            yield "inverse_block"
             with pytest.raises(ValueError):
                 bn.forward(np.zeros((2, 64), dtype=np.uint64))
             yield "forward, wrong shape"
