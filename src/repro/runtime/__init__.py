@@ -17,7 +17,7 @@ the runtime plan it::
 
 Pipeline: :func:`trace` records an op DAG over symbolic handles
 (:mod:`repro.runtime.trace`); optimizer passes eliminate common
-subexpressions and dead nodes, fuse rescale chains, group hoistable
+subexpressions and dead nodes, merge stacked rescales, group hoistable
 rotations, and validate level/scale alignment at plan time
 (:mod:`repro.runtime.passes`); the resulting
 :class:`~repro.runtime.plan.ExecutionPlan` is cached process-wide and
@@ -25,7 +25,7 @@ executed two ways: ``plan.run`` is the bit-identical reference
 interpreter (the oracle), and ``plan.run_batch`` is the fused replayer —
 an arena-backed :class:`~repro.runtime.plan.FusedExecutor` that
 preassigns every intermediate to a slot in one preallocated pool and
-collapses elementwise/MAC/hoisted-rotation runs into single kernel
+collapses MAC/sum trees and hoisted-rotation families into single kernel
 dispatches;
 :mod:`repro.runtime.bridge` converts traced plans into accelerator
 workload/queue form for scheduler experiments.

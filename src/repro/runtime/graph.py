@@ -9,6 +9,15 @@ the graph; captured constants (encoded plaintexts, switching keys) live
 in a side table so one graph can be compiled once and replayed across
 millions of input ciphertexts.
 
+What each op takes and gives is stated once, in :data:`_RULES`: its
+operand kinds and constant types, its attribute count, its preconditions
+and its result ``(level, scale, size)``.  The tracer records what
+:meth:`Graph.derive` returns, the plan checker compares every node
+against it, and the ``EPL1`` decoder checks arity by
+:func:`op_arities` — three readers, one statement per rule.  The eager
+:class:`~repro.ckks.evaluator.Evaluator` keeps its own rules: it is the
+independent oracle the table is tested against.
+
 Graphs are append-only during tracing; optimizer passes
 (:mod:`repro.runtime.passes`) rebuild them wholesale, which keeps node
 ids dense and in topological order — an invariant both executors and the
@@ -25,7 +34,13 @@ the worker boundary only after compilation, as a serialized plan.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
+
+from repro.ckks.containers import Plaintext
+from repro.ckks.evaluator import SCALE_RTOL
+from repro.ckks.keys import SwitchingKey
 
 __all__ = [
     "CtSpec",
@@ -33,30 +48,10 @@ __all__ = [
     "Node",
     "Graph",
     "FusedGroup",
-    "CT_OPS",
     "AUTOMORPHISM_OPS",
     "COMMUTATIVE_OPS",
-    "ELEMENTWISE_OPS",
+    "op_arities",
 ]
-
-# Every ciphertext-producing op the tracer records.  ``input``/``pt_input``
-# are the symbolic leaves; everything else mirrors one Evaluator method.
-CT_OPS = frozenset(
-    {
-        "input",
-        "add",
-        "sub",
-        "negate",
-        "add_plain",
-        "multiply_plain",
-        "multiply",
-        "relinearize",
-        "rescale",
-        "rotate",
-        "conjugate",
-        "apply_galois",
-    }
-)
 
 #: Ops that permute slots then key-switch; candidates for hoisting when
 #: several of them share one source ciphertext.
@@ -65,13 +60,6 @@ AUTOMORPHISM_OPS = frozenset({"rotate", "conjugate", "apply_galois"})
 #: Ops whose operand order does not change the result bit pattern
 #: (modular adds/multiplies commute limb-wise); CSE canonicalizes these.
 COMMUTATIVE_OPS = frozenset({"add", "multiply"})
-
-#: Per-element ops over same-level operands — the fusion pass may collapse
-#: runs of these into single fused kernel dispatches without changing a
-#: single output bit (modular add/sub/neg and per-element products are
-#: position-independent, and deferred-reduction accumulation of canonical
-#: residues is exact; see ``ReducerKernel.add_accumulate``).
-ELEMENTWISE_OPS = frozenset({"add", "sub", "negate", "add_plain", "multiply_plain"})
 
 
 @dataclass(frozen=True)
@@ -103,7 +91,7 @@ class Node:
 
     Attributes:
         id: dense topological index into ``Graph.nodes``.
-        op: operation name (member of :data:`CT_OPS` or ``pt_input``).
+        op: operation name (a key of the op table, :data:`_RULES`).
         inputs: ids of operand nodes, in call order.
         attrs: hashable op attributes (rotation steps, rescale times,
             Galois element, input index).
@@ -135,10 +123,9 @@ class FusedGroup:
     Attributes:
         kind: ``"mac"`` (multiply_plain terms folded into one
             mul-accumulate), ``"sum"`` (an add-reduction tree folded into
-            one add-accumulate), ``"hoisted_automorphisms"`` (rotations
+            one add-accumulate), or ``"hoisted_automorphisms"`` (rotations
             sharing one gadget decomposition, batched through one NTT
-            dispatch), or ``"chain"`` (a linear elementwise run executed
-            back-to-back in one step).
+            dispatch).
         anchor: node id whose schedule position the group executes at.
         members: every node id the group covers (skipped elsewhere).
         outputs: member ids whose buffers later steps (or the caller)
@@ -163,10 +150,17 @@ class Graph:
         nodes: topologically ordered :class:`Node` list.
         consts: captured runtime objects (Plaintext, SwitchingKey).
         outputs: node ids returned by the traced function.
+        moduli: the RNS chain the graph runs over (a rescale's scale
+            divides by the primes it drops).
     """
 
-    def __init__(self, input_specs: tuple[CtSpec | PtSpec, ...] = ()):
+    def __init__(
+        self,
+        input_specs: tuple[CtSpec | PtSpec, ...] = (),
+        moduli: tuple[int, ...] = (),
+    ):
         self.input_specs: list[CtSpec | PtSpec] = list(input_specs)
+        self.moduli = tuple(moduli)
         self.nodes: list[Node] = []
         self.consts: list = []
         self._const_index: dict[int, int] = {}
@@ -260,6 +254,30 @@ class Graph:
             f"scale {node.scale:g}, {node.size} parts)"
         )
 
+    def operands(self, inputs) -> str:
+        """``"; operands: ..."`` naming each operand node, for errors."""
+        if not inputs:
+            return ""
+        return "; operands: " + ", ".join(self.provenance(i) for i in inputs)
+
+    def derive(
+        self, op: str, inputs: tuple[int, ...], attrs: tuple = (), consts: tuple = ()
+    ) -> tuple[int, float, int]:
+        """The ``(level, scale, size)`` an ``op`` node over these operand
+        node ids, attributes and constant indices records, by the op's
+        rule in :data:`_RULES`.
+
+        Raises:
+            ValueError: the op is unknown, its arity, operand kinds or
+                constant types are wrong, or the operands break one of its
+                preconditions; the message names the broken rule and each
+                operand.
+        """
+        try:
+            return _apply(self, op, inputs, attrs, consts)
+        except ValueError as exc:
+            raise ValueError(f"{exc}{self.operands(inputs)}") from None
+
     # ------------------------------------------------------------------
     # Identity
     # ------------------------------------------------------------------
@@ -298,7 +316,7 @@ class GraphBuilder:
     mapping: dict[int, int] = field(init=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.graph = Graph(tuple(self.source.input_specs))
+        self.graph = Graph(tuple(self.source.input_specs), self.source.moduli)
 
     def remap_inputs(self, node: Node) -> tuple[int, ...]:
         return tuple(self.mapping[i] for i in node.inputs)
@@ -328,3 +346,170 @@ class GraphBuilder:
     def finish(self) -> Graph:
         self.graph.set_outputs(self.mapping[o] for o in self.source.outputs)
         return self.graph
+
+
+# ---------------------------------------------------------------------------
+# The op table: one rule per op
+# ---------------------------------------------------------------------------
+
+
+class _Rule(NamedTuple):
+    """What one op takes and gives.
+
+    ``forms`` lists the accepted ``(operand kinds, constant types)``
+    pairs — a plain op reads its plaintext as a second operand or as a
+    captured constant — and ``attrs`` the attribute count.  ``result``
+    gets the graph, the first operand node ``a``, the second operand ``b``
+    (the second input node, else the first constant, else ``None``) and
+    the attrs; it raises ``ValueError`` on a broken precondition and
+    returns the node's ``(level, scale, size)`` otherwise.
+    """
+
+    forms: tuple[tuple[tuple[str, ...], tuple[type, ...]], ...]
+    attrs: int
+    result: Callable
+
+
+def op_arities(op: str) -> frozenset[tuple[int, int, int]]:
+    """``(inputs, attrs, consts)`` counts a node of ``op`` may carry
+    (empty for an unknown op)."""
+    rule = _RULES.get(op)
+    if rule is None:
+        return frozenset()
+    return frozenset((len(k), rule.attrs, len(t)) for k, t in rule.forms)
+
+
+def _apply(g: Graph, op: str, inputs, attrs, consts) -> tuple[int, float, int]:
+    rule = _RULES.get(op)
+    if rule is None:
+        raise ValueError(f"unknown op {op!r}")
+    kinds = tuple(g.nodes[i].kind for i in inputs)
+    objs = tuple(g.consts[c] for c in consts)
+    form = next(
+        (f for f in rule.forms if (len(f[0]), len(f[1])) == (len(kinds), len(objs))),
+        None,
+    )
+    if form is None or len(attrs) != rule.attrs:
+        raise ValueError(
+            f"{len(kinds)} input(s), {len(attrs)} attr(s) and {len(objs)} "
+            f"constant(s) fit no form of {op}"
+        )
+    if kinds != form[0]:
+        raise ValueError(f"operand kinds {list(kinds)}, expected {list(form[0])}")
+    for obj, cls in zip(objs, form[1]):
+        if not isinstance(obj, cls):
+            raise ValueError(f"captured constant is not a {cls.__name__}")
+    a, b = (*(g.nodes[i] for i in inputs), *objs, None, None)[:2]
+    return rule.result(g, a, b, attrs)
+
+
+def _aligned(x, y) -> None:
+    if not math.isclose(x.scale, y.scale, rel_tol=SCALE_RTOL):
+        raise ValueError(f"scale mismatch: {x.scale:g} vs {y.scale:g}")
+
+
+def _parts(x, n: int) -> None:
+    if x.size != n:
+        raise ValueError(f"needs a {n}-part operand, got {x.size} parts")
+
+
+def _reaches(pt, ct) -> None:
+    if pt.level < ct.level:
+        raise ValueError(
+            f"plaintext at level {pt.level} cannot reach ciphertext level {ct.level}"
+        )
+
+
+def _switched(a, key, parts: int) -> None:
+    _parts(a, parts)
+    if key.level != a.level:
+        raise ValueError(
+            f"switching key level {key.level} != operand level {a.level}"
+        )
+
+
+def _leaf(spec_type):
+    def result(g, a, b, attrs):
+        (index,) = attrs
+        specs = g.input_specs
+        spec = specs[index] if 0 <= index < len(specs) else None
+        if not isinstance(spec, spec_type):
+            raise ValueError(f"input index {index} names no {spec_type.__name__}")
+        return spec.level, spec.scale, spec.size if spec_type is CtSpec else 1
+
+    return result
+
+
+def _add(g, a, b, attrs):
+    _aligned(a, b)
+    return min(a.level, b.level), a.scale, max(a.size, b.size)
+
+
+def _negate(g, a, b, attrs):
+    return a.level, a.scale, a.size
+
+
+def _add_plain(g, a, pt, attrs):
+    _reaches(pt, a)
+    _aligned(a, pt)
+    return a.level, a.scale, a.size
+
+
+def _multiply_plain(g, a, pt, attrs):
+    _reaches(pt, a)
+    return a.level, a.scale * pt.scale, a.size
+
+
+def _multiply(g, a, b, attrs):
+    _parts(a, 2)
+    _parts(b, 2)
+    return min(a.level, b.level), a.scale * b.scale, 3
+
+
+def _relinearize(g, a, key, attrs):
+    _switched(a, key, 3)
+    return a.level, a.scale, 2
+
+
+def _rescale(g, a, b, attrs):
+    (times,) = attrs
+    if not 1 <= times < a.level:
+        raise ValueError(
+            f"rescale x{times} from level {a.level}: it must drop at least one "
+            f"prime and not exhaust the modulus chain"
+        )
+    scale = a.scale
+    for t in range(times):  # the eager evaluator's division order
+        scale /= g.moduli[a.level - 1 - t]
+    return a.level - times, scale, a.size
+
+
+def _automorphism(g, a, key, attrs):
+    _switched(a, key, 2)
+    if attrs[-1] % 2 == 0:
+        raise ValueError(f"Galois element {attrs[-1]} is even")
+    return a.level, a.scale, 2
+
+
+_LEAF = (((), ()),)
+_UNARY = ((("ct",), ()),)
+_BINARY = ((("ct", "ct"), ()),)
+_PLAIN = ((("ct",), (Plaintext,)), (("ct", "pt"), ()))
+_KEYED = ((("ct",), (SwitchingKey,)),)
+
+#: Op name -> its rule; the one place an op's contract is written down.
+_RULES: dict[str, _Rule] = {
+    "input": _Rule(_LEAF, 1, _leaf(CtSpec)),
+    "pt_input": _Rule(_LEAF, 1, _leaf(PtSpec)),
+    "add": _Rule(_BINARY, 0, _add),
+    "sub": _Rule(_BINARY, 0, _add),
+    "negate": _Rule(_UNARY, 0, _negate),
+    "add_plain": _Rule(_PLAIN, 0, _add_plain),
+    "multiply_plain": _Rule(_PLAIN, 0, _multiply_plain),
+    "multiply": _Rule(_BINARY, 0, _multiply),
+    "relinearize": _Rule(_KEYED, 0, _relinearize),
+    "rescale": _Rule(_UNARY, 1, _rescale),
+    "rotate": _Rule(_KEYED, 2, _automorphism),
+    "conjugate": _Rule(_KEYED, 1, _automorphism),
+    "apply_galois": _Rule(_KEYED, 1, _automorphism),
+}

@@ -14,7 +14,8 @@ produces.  That constraint shapes what the passes are allowed to do:
   ``rescale(x, t1 + t2)`` when the inner node has no other consumer.
   :meth:`repro.rns.poly.RnsPolynomial.rescale` guarantees the fused
   multi-prime division is bit-identical to the sequential one, and the
-  fused node pays a single coeff<->eval round trip instead of two.
+  fused node runs one evaluation-domain rescale
+  (:func:`repro.rns.poly.rescale_eval_rows`) instead of two.
 * **DCE** drops nodes unreachable from the outputs (symbolic inputs are
   kept so plan arity always matches the trace's input specs).
 * **Hoist grouping** does not rewrite at all — it *annotates*: automorphism
@@ -22,10 +23,12 @@ produces.  That constraint shapes what the passes are allowed to do:
   decompose that source once (`Evaluator.decompose`) and replay the
   decomposition across the whole group, exactly what `linear.py` used to
   hand-code.
-* **check_alignment** re-derives every node's level/scale/size from its
-  operands and fails compilation — naming the offending op and the ops
-  that produced its operands — if the graph violates the eager evaluator's
-  rules.  Plans fail at compile time, not mid-execution.
+* **check_alignment** re-derives every node's level, scale and part count
+  from its operands by the op's rule — the one table in
+  :mod:`repro.runtime.graph` the tracer records by — and fails
+  compilation, naming the offending op and the ops that produced its
+  operands, on any precondition broken or any recorded value that differs
+  from the derived one.  Plans fail at compile time, not mid-execution.
 
 Contract (see ``docs/architecture.md``): passes are stateless pure
 functions — no process-level caches, nothing fork-shared, nothing on the
@@ -37,16 +40,9 @@ hand-crafted artifacts), never the rewrites.
 
 from __future__ import annotations
 
-import math
-
-from repro.ckks.containers import Plaintext
-from repro.ckks.evaluator import SCALE_RTOL
-from repro.ckks.keys import SwitchingKey
 from repro.runtime.graph import (
     AUTOMORPHISM_OPS,
     COMMUTATIVE_OPS,
-    CT_OPS,
-    ELEMENTWISE_OPS,
     FusedGroup,
     Graph,
     GraphBuilder,
@@ -167,23 +163,12 @@ def hoist_groups(graph: Graph) -> dict[int, tuple[int, ...]]:
     }
 
 
-#: Ops a linear fused chain may contain: per-element runs plus rescale
-#: (whose fused coeff<->eval round trip is itself one dispatch).
-_CHAINABLE_OPS = ELEMENTWISE_OPS | {"rescale"}
-
-
-def _captured_only(node: Node) -> bool:
-    """Whether a plain-operand op reads a captured constant (not a
-    symbolic pt_input), so its plaintext is resolvable at lower time."""
-    return node.op not in ("add_plain", "multiply_plain") or len(node.inputs) == 1
-
-
 def fusion_groups(
     graph: Graph, hoist: dict[int, tuple[int, ...]] | None = None
 ) -> tuple[FusedGroup, ...]:
     """Discover fused schedule steps; pure analysis, no rewrite.
 
-    Three shapes, claimed greedily and disjointly (a node belongs to at
+    Two shapes, claimed greedily and disjointly (a node belongs to at
     most one group):
 
     1. ``hoisted_automorphisms`` — the :func:`hoist_groups` families,
@@ -196,9 +181,9 @@ def fusion_groups(
        captured-constant ``multiply_plain`` at the same level, the leaves
        fold in too and the whole tree becomes one ``mul_accumulate``
        (``mac``).  Trees need >= 3 leaves to beat two binary adds.
-    3. ``chain`` — maximal linear runs of elementwise/rescale ops where
-       each node's sole consumer is the next and every external operand
-       precedes the run, executed back-to-back in one step.
+
+    Every other node is a step of its own: stepping a run of single-node
+    closures back to back under one dispatch would fuse no work.
 
     Bit-identity: modular addition of canonical residues is exactly
     associative/commutative, and deferred uint64 accumulation reduces to
@@ -296,142 +281,35 @@ def fusion_groups(
         groups.append(group)
         claimed.update(members)
 
-    def _chainable(nid: int) -> bool:
-        n = graph.nodes[nid]
-        return (
-            n.kind == "ct"
-            and n.op in _CHAINABLE_OPS
-            and nid not in claimed
-            and _captured_only(n)
-        )
-
-    for node in graph.nodes:
-        if not _chainable(node.id):
-            continue
-        run = [node.id]
-        cur = node.id
-        while consumers[cur] == 1 and cur not in outputs:
-            # The sole consumer (node ids are topological, so scan forward).
-            nxt = next(
-                (
-                    n.id
-                    for n in graph.nodes[cur + 1 :]
-                    if cur in n.inputs
-                ),
-                None,
-            )
-            if (
-                nxt is None
-                or not _chainable(nxt)
-                or any(
-                    i != cur and i >= node.id for i in graph.nodes[nxt].inputs
-                )
-            ):
-                break
-            run.append(nxt)
-            cur = nxt
-        if len(run) < 2:
-            continue
-        in_run = set(run)
-        sources = tuple(
-            dict.fromkeys(
-                i
-                for nid in run
-                for i in graph.nodes[nid].inputs
-                if i not in in_run
-            )
-        )
-        groups.append(
-            FusedGroup(
-                kind="chain",
-                anchor=run[0],
-                members=tuple(run),
-                outputs=(run[-1],),
-                sources=sources,
-            )
-        )
-        claimed.update(run)
-
     return tuple(sorted(groups, key=lambda g: g.anchor))
 
 
 def check_alignment(graph: Graph) -> None:
-    """Re-derive and verify every node's metadata; raise on any mismatch.
+    """Re-derive every node's metadata and reject the plan on a mismatch.
 
-    This is the plan-time analogue of ``Evaluator._check_scales`` — but
-    instead of failing mid-execution it rejects the whole plan, and the
-    error names the offending node *and* the ops that produced its
-    operands, levels and scales included.  Operand kinds, captured
-    constant types, levels and part counts follow the tracer's rules, so
-    a graph that passes replays without a shape error whoever built it:
-    the tracer, an optimizer pass, or the ``EPL1`` decoder.
+    Each node's ``(level, scale, size)`` must equal exactly what its op's
+    rule gives its operands (:meth:`~repro.runtime.graph.Graph.derive`,
+    the rule the tracer records by), and the operands must meet the
+    rule's preconditions — operand kinds, constant types, aligned scales,
+    key levels, odd Galois elements, a rescale that stays on the chain.
+    It is the plan-time analogue of the eager evaluator's checks: instead
+    of failing mid-execution it raises :class:`PlanValidationError`
+    naming the node and the ops that produced its operands.  A graph that
+    passes replays the tracer's metadata whoever built it: the tracer, an
+    optimizer pass, or the ``EPL1`` decoder.
     """
-
-    def fail(node: Node, why: str) -> None:
-        operands = ", ".join(graph.provenance(i) for i in node.inputs)
-        raise PlanValidationError(
-            f"{graph.provenance(node.id)}: {why}"
-            + (f"; operands: {operands}" if operands else "")
-        )
-
     for node in graph.nodes:
-        op = node.op
-        if op in ("input", "pt_input"):
-            continue
-        if op not in CT_OPS:
-            fail(node, f"unknown op {op!r}")
-        ins = [graph.nodes[i] for i in node.inputs]
-        consts = [graph.consts[c] for c in node.consts]
-        a = ins[0]
-        plain = op in ("add_plain", "multiply_plain")
-        kinds = ["ct", "pt"] if plain and len(ins) == 2 else ["ct"] * len(ins)
-        if [n.kind for n in ins] != kinds:
-            fail(node, f"operand kinds {[n.kind for n in ins]}, expected {kinds}")
-        const_type = Plaintext if plain else SwitchingKey
-        if not all(isinstance(c, const_type) for c in consts):
-            fail(node, f"captured constant is not a {const_type.__name__}")
-        want = (a.level, a.size)  # negate
-        if op in ("add", "sub"):
-            b = ins[1]
-            if not math.isclose(a.scale, b.scale, rel_tol=SCALE_RTOL):
-                fail(node, f"operand scales misaligned: {a.scale:g} vs {b.scale:g}")
-            want = (min(a.level, b.level), max(a.size, b.size))
-        elif op == "multiply":
-            b = ins[1]
-            if a.size != 2 or b.size != 2:
-                fail(node, "tensor multiply needs 2-part operands")
-            if node.scale != a.scale * b.scale:
-                fail(node, "multiply metadata inconsistent")
-            want = (min(a.level, b.level), 3)
-        elif op == "rescale":
-            times = node.attrs[0]
-            if times < 1 or a.level - times < 1:
-                fail(node, f"rescale x{times} from level {a.level} is invalid")
-            want = (a.level - times, a.size)
-        elif op == "relinearize" or op in AUTOMORPHISM_OPS:
-            parts = 3 if op == "relinearize" else 2
-            if a.size != parts:
-                fail(node, f"{op} needs a {parts}-part operand, got {a.size}")
-            key_level = consts[0].level
-            if key_level != a.level:
-                fail(node, f"switching key level {key_level} != operand level {a.level}")
-            if op != "relinearize" and node.attrs[-1] % 2 == 0:
-                fail(node, f"Galois element {node.attrs[-1]} is even")
-            want = (a.level, 2)
-        elif plain:
-            pt = ins[1] if len(ins) == 2 else consts[0]
-            if pt.level < a.level:
-                fail(node, f"plaintext level {pt.level} below ciphertext level {a.level}")
-            if op == "add_plain" and not math.isclose(
-                a.scale, pt.scale, rel_tol=SCALE_RTOL
-            ):
-                fail(node, f"plain scale {pt.scale:g} != ciphertext scale {a.scale:g}")
-            want = (a.level, a.size)
-        if (node.level, node.size) != want:
-            fail(
-                node,
-                f"level {node.level} / {node.size} parts, but the operands give "
-                f"level {want[0]} / {want[1]} parts",
+        recorded = (node.level, node.scale, node.size)
+        try:
+            want = graph.derive(node.op, node.inputs, node.attrs, node.consts)
+        except ValueError as exc:
+            raise PlanValidationError(f"{graph.provenance(node.id)}: {exc}") from None
+        if recorded != want:
+            raise PlanValidationError(
+                f"{graph.provenance(node.id)} records level {recorded[0]}, "
+                f"scale {recorded[1]!r}, {recorded[2]} parts, but its rule "
+                f"gives level {want[0]}, scale {want[1]!r}, {want[2]} parts"
+                + graph.operands(node.inputs)
             )
 
 

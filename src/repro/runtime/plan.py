@@ -14,10 +14,10 @@ ways:
   node's ciphertext is freed the moment its last consumer has run.
 * :meth:`ExecutionPlan.run_batch` — the **fused replayer**
   (:class:`FusedExecutor`), the one fast path.  Fusion groups
-  (:func:`~repro.runtime.passes.fusion_groups`) collapse elementwise
-  runs, MAC/sum trees, and hoisted rotation families into single fused
-  kernel dispatches; an :class:`~repro.runtime.arena.ArenaLayout`
-  preassigns every intermediate to a slot in one preallocated
+  (:func:`~repro.runtime.passes.fusion_groups`) collapse MAC/sum trees
+  and hoisted rotation families into single fused kernel dispatches; an
+  :class:`~repro.runtime.arena.ArenaLayout` preassigns every
+  intermediate to a slot in one preallocated
   ``(slots, L, N)`` pool, so steady-state replay performs zero
   result-buffer allocations.  Still the same bits: every fused
   transformation rests on the uniqueness of canonical
@@ -487,35 +487,13 @@ class FusedExecutor:
 
     @staticmethod
     def _arena_step_for_group(grp, g: Graph) -> ArenaStep:
-        if grp.kind in ("mac", "sum"):
-            return ArenaStep(
-                produced=((grp.anchor, g.nodes[grp.anchor].size),),
-                consumed=grp.sources,
-            )
-        if grp.kind == "hoisted_automorphisms":
-            return ArenaStep(
-                produced=tuple((m, g.nodes[m].size) for m in grp.members),
-                consumed=grp.sources,
-            )
-        # chain: internal edges count too, so interior slots free at the
-        # end of the step rather than leaking for the whole replay.
         return ArenaStep(
-            produced=tuple((m, g.nodes[m].size) for m in grp.members),
-            consumed=tuple(
-                i for m in grp.members for i in g.nodes[m].inputs
-            ),
+            produced=tuple((m, g.nodes[m].size) for m in grp.outputs),
+            consumed=grp.sources,
         )
 
     def _lower_group(self, grp):
         g = self.plan.graph
-        if grp.kind == "chain":
-            closures = [self._lower_raw(g.nodes[m]) for m in grp.members]
-
-            def chain_step(env, inputs):
-                for fn in closures:
-                    fn(env, inputs)
-
-            return chain_step
         if grp.kind == "hoisted_automorphisms":
             return self._lower_hoisted(grp)
         root = g.nodes[grp.anchor]

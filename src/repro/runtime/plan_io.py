@@ -45,7 +45,7 @@ from repro.ckks.serialization import (
     serialize_switching_key,
     wire_coeff_bits,
 )
-from repro.runtime.graph import CtSpec, Graph, PtSpec
+from repro.runtime.graph import CtSpec, Graph, PtSpec, op_arities
 from repro.runtime.passes import PlanValidationError, check_alignment, hoist_groups
 from repro.runtime.plan import ExecutionPlan, params_fingerprint
 
@@ -91,24 +91,6 @@ OP_CODES = {
     "apply_galois": 12,
 }
 _OP_NAMES = {code: name for name, code in OP_CODES.items()}
-
-# (inputs, attrs, consts) a NODE entry of each op carries; a plain op
-# takes its plaintext as a captured constant or as a second operand.
-_NODE_SHAPES = {
-    "input": {(0, 1, 0)},
-    "pt_input": {(0, 1, 0)},
-    "add": {(2, 0, 0)},
-    "sub": {(2, 0, 0)},
-    "negate": {(1, 0, 0)},
-    "add_plain": {(1, 0, 1), (2, 0, 0)},
-    "multiply_plain": {(1, 0, 1), (2, 0, 0)},
-    "multiply": {(2, 0, 0)},
-    "relinearize": {(1, 0, 1)},
-    "rescale": {(1, 1, 0)},
-    "rotate": {(1, 2, 1)},
-    "conjugate": {(1, 1, 1)},
-    "apply_galois": {(1, 1, 1)},
-}
 
 _KIND_CT = 0
 _KIND_PT = 1
@@ -329,7 +311,8 @@ def _pack_nodes(graph: Graph) -> bytes:
 
 def _unpack_nodes(payload: bytes, graph: Graph, num_consts: int) -> None:
     """Append the ``NODE`` schedule to ``graph``, checking each entry's
-    shape on the way; :func:`check_alignment` judges the metadata."""
+    arity against its op's rule on the way; :func:`check_alignment`
+    judges the metadata, leaves against their ``ISPC`` specs included."""
     reader = Reader(payload, "EPL1 NODE")
     for node_id in range(*reader.unpack(_U32)):
         code, kind, level, size, scale, n_in, n_attr, n_const = reader.unpack(
@@ -342,7 +325,7 @@ def _unpack_nodes(payload: bytes, graph: Graph, num_consts: int) -> None:
         attrs = reader.array("q", n_attr)
         consts = reader.array("I", n_const)
         where = f"node {node_id} ({op})"
-        if (n_in, n_attr, n_const) not in _NODE_SHAPES[op]:
+        if (n_in, n_attr, n_const) not in op_arities(op):
             raise PlanFormatError(
                 f"{where} carries {n_in} input(s), {n_attr} attr(s) and "
                 f"{n_const} constant(s)"
@@ -353,16 +336,6 @@ def _unpack_nodes(payload: bytes, graph: Graph, num_consts: int) -> None:
             raise PlanFormatError(f"{where} references a non-topological input")
         if any(c >= num_consts for c in consts):
             raise PlanFormatError(f"{where} references a constant past CFPS")
-        if op in ("input", "pt_input"):
-            # A leaf must be exactly the node graph.add_input builds.
-            specs = graph.input_specs
-            leaf = CtSpec(level, scale, size) if op == "input" else PtSpec(level, scale)
-            if not (
-                0 <= attrs[0] < len(specs)
-                and specs[attrs[0]] == leaf
-                and (op == "input" or size == 1)
-            ):
-                raise PlanFormatError(f"{where} disagrees with its ISPC input spec")
         graph.add_node(
             op,
             inputs=inputs,
@@ -456,7 +429,7 @@ def _deserialize_plan(blob: bytes, evaluator) -> ExecutionPlan:
             f"evaluator has degree {basis.degree} / "
             f"{len(basis.moduli)}-prime chain"
         )
-    graph = Graph(tuple(_unpack_input_specs(frames[b"ISPC"], len(moduli))))
+    graph = Graph(tuple(_unpack_input_specs(frames[b"ISPC"], len(moduli))), moduli)
     table = _unpack_fingerprints(frames[b"CFPS"])
     _unpack_nodes(frames[b"NODE"], graph, len(table))
     graph.set_outputs(_unpack_outputs(frames[b"OUTS"], len(graph.nodes)))

@@ -16,10 +16,12 @@ eagerly or traced::
 
     graph = trace(program, ctx.evaluator, [CtSpec(level=6, scale=delta)])
 
-Level/scale bookkeeping follows the eager evaluator's rules exactly, so a
-malformed program (scale mismatch, missing key, exhausted levels) fails
-*at trace time* with the producing ops named — not mid-execution on live
-data.  Captured plaintexts and switching keys are interned in the graph's
+Each recorded node's level, scale and part count come from its op's rule
+in :mod:`repro.runtime.graph` (the table the plan checker and the
+``EPL1`` decoder read too), which matches the eager evaluator's rules
+exactly, so a malformed program (scale mismatch, missing key, exhausted
+levels) fails *at trace time* with the producing ops named — not
+mid-execution on live data.  Captured plaintexts and switching keys are interned in the graph's
 constant table; the specific key each op needs is resolved during tracing
 (levels are known), so a plan can never hit a missing-key ``KeyError`` at
 run time.
@@ -33,11 +35,8 @@ arrives over the wire (:mod:`repro.runtime.plan_io`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.ckks.containers import Plaintext
-from repro.ckks.evaluator import SCALE_RTOL
 from repro.ckks.keys import SwitchingKey, rotation_galois_elt
 from repro.ckks.params import CkksParameters
 from repro.rns.basis import RnsBasis
@@ -108,9 +107,10 @@ class LazyEvaluator:
     """Evaluator look-alike that records ops instead of executing them.
 
     Attributes:
-        params: CKKS parameters (level/scale rules come from here).
-        basis: the RNS chain (rescale needs the dropped moduli).
-        graph: the graph under construction.
+        params: CKKS parameters (slot count, levels per multiplication).
+        basis: the RNS chain (its degree fixes the Galois elements).
+        graph: the graph under construction; its op table gives every
+            recorded node's level, scale and part count.
     """
 
     params: CkksParameters
@@ -122,98 +122,41 @@ class LazyEvaluator:
     # ------------------------------------------------------------------
 
     def add(self, a: LazyCiphertext, b: LazyCiphertext) -> LazyCiphertext:
-        self._check_scales(a, b, op="add")
-        return self._emit(
-            "add", (a.node, b.node),
-            level=min(a.level, b.level), scale=a.scale, size=max(a.size, b.size),
-        )
+        return self._emit("add", (a, b))
 
     def sub(self, a: LazyCiphertext, b: LazyCiphertext) -> LazyCiphertext:
-        self._check_scales(a, b, op="sub")
-        return self._emit(
-            "sub", (a.node, b.node),
-            level=min(a.level, b.level), scale=a.scale, size=max(a.size, b.size),
-        )
+        return self._emit("sub", (a, b))
 
     def negate(self, a: LazyCiphertext) -> LazyCiphertext:
-        return self._emit(
-            "negate", (a.node,), level=a.level, scale=a.scale, size=a.size
-        )
+        return self._emit("negate", (a,))
 
     def add_plain(self, ct: LazyCiphertext, pt) -> LazyCiphertext:
-        self._check_plain(ct, pt, op="add_plain")
-        if not math.isclose(ct.scale, pt.scale, rel_tol=SCALE_RTOL):
-            raise TraceError(
-                f"add_plain: scale mismatch: ciphertext from "
-                f"{self.graph.provenance(ct.node)} has scale {ct.scale:g} but "
-                f"the plaintext's is {pt.scale:g}"
-            )
-        inputs, consts = self._plain_operand(ct, pt)
-        return self._emit(
-            "add_plain", inputs, consts=consts,
-            level=ct.level, scale=ct.scale, size=ct.size,
-        )
+        return self._plain("add_plain", ct, pt)
 
     def multiply_plain(self, ct: LazyCiphertext, pt) -> LazyCiphertext:
-        self._check_plain(ct, pt, op="multiply_plain")
-        inputs, consts = self._plain_operand(ct, pt)
-        return self._emit(
-            "multiply_plain", inputs, consts=consts,
-            level=ct.level, scale=ct.scale * pt.scale, size=ct.size,
-        )
+        return self._plain("multiply_plain", ct, pt)
 
     # ------------------------------------------------------------------
     # Multiplication / relinearization / rescaling
     # ------------------------------------------------------------------
 
     def multiply(self, a: LazyCiphertext, b: LazyCiphertext) -> LazyCiphertext:
-        if a.size != 2 or b.size != 2:
-            raise TraceError(
-                f"multiply expects relinearized (2-part) inputs; got "
-                f"{self.graph.provenance(a.node)} and {self.graph.provenance(b.node)}"
-            )
-        return self._emit(
-            "multiply", (a.node, b.node),
-            level=min(a.level, b.level), scale=a.scale * b.scale, size=3,
-        )
+        return self._emit("multiply", (a, b))
 
     def relinearize(
         self, ct: LazyCiphertext, relin_keys: dict[int, SwitchingKey]
     ) -> LazyCiphertext:
         if ct.size == 2:
             return ct
-        if ct.size != 3:
-            raise TraceError(
-                f"can only relinearize 3-part ciphertexts, got "
-                f"{self.graph.provenance(ct.node)}"
-            )
-        key = relin_keys.get(ct.level)
-        if key is None:
-            raise TraceError(
-                f"no relinearization key for level {ct.level} "
-                f"(needed by {self.graph.provenance(ct.node)})"
-            )
-        return self._emit(
-            "relinearize", (ct.node,), consts=(self.graph.add_const(key),),
-            level=ct.level, scale=ct.scale, size=2,
+        key = self._key(
+            relin_keys, ct.level, f"relinearization key for level {ct.level}", ct
         )
+        return self._emit("relinearize", (ct,), consts=(key,))
 
     def rescale(self, ct: LazyCiphertext, times: int = 1) -> LazyCiphertext:
         if times == 0:
             return ct
-        if ct.level - times < 1:
-            raise TraceError(
-                f"rescale x{times} would exhaust the modulus chain: "
-                f"{self.graph.provenance(ct.node)} has only "
-                f"{ct.level - 1} droppable prime(s) left"
-            )
-        scale = ct.scale
-        for t in range(times):
-            scale /= self.basis.moduli[ct.level - 1 - t]
-        return self._emit(
-            "rescale", (ct.node,), attrs=(times,),
-            level=ct.level - times, scale=scale, size=ct.size,
-        )
+        return self._emit("rescale", (ct,), attrs=(times,))
 
     def multiply_relin_rescale(
         self, a: LazyCiphertext, b: LazyCiphertext, relin_keys: dict[int, SwitchingKey]
@@ -229,11 +172,6 @@ class LazyEvaluator:
         """Surface-compatible no-op: the hoisting pass regroups rotations
         sharing a source automatically, so an explicit hoist is just a
         marker validated against later ``decomposed=`` uses."""
-        if ct.size != 2:
-            raise TraceError(
-                f"hoisting expects relinearized (2-part) ciphertexts, got "
-                f"{self.graph.provenance(ct.node)}"
-            )
         return LazyDecomposed(graph=self.graph, source=ct.node)
 
     def rotate(
@@ -243,31 +181,24 @@ class LazyEvaluator:
         galois_keys: dict[tuple[int, int], SwitchingKey],
         decomposed: LazyDecomposed | None = None,
     ) -> LazyCiphertext:
-        key = galois_keys.get((steps, ct.level))
-        if key is None:
-            raise TraceError(
-                f"no Galois key for rotation {steps} at level {ct.level} "
-                f"(needed by {self.graph.provenance(ct.node)})"
-            )
+        key = self._key(
+            galois_keys, (steps, ct.level),
+            f"Galois key for rotation {steps} at level {ct.level}", ct,
+        )
         galois_elt = rotation_galois_elt(
             steps, self.params.slots, 2 * self.basis.degree
         )
         return self._automorphism(
-            "rotate", ct, galois_elt, key, decomposed, attrs=(steps, galois_elt)
+            "rotate", ct, (steps, galois_elt), key, decomposed
         )
 
     def conjugate(
         self, ct: LazyCiphertext, conj_keys: dict[int, SwitchingKey]
     ) -> LazyCiphertext:
-        key = conj_keys.get(ct.level)
-        if key is None:
-            raise TraceError(
-                f"no conjugation key at level {ct.level} "
-                f"(needed by {self.graph.provenance(ct.node)})"
-            )
-        galois_elt = 2 * self.basis.degree - 1
-        return self._automorphism("conjugate", ct, galois_elt, key, None,
-                                  attrs=(galois_elt,))
+        key = self._key(conj_keys, ct.level, f"conjugation key at level {ct.level}", ct)
+        return self._automorphism(
+            "conjugate", ct, (2 * self.basis.degree - 1,), key, None
+        )
 
     def apply_galois(
         self,
@@ -276,64 +207,49 @@ class LazyEvaluator:
         key: SwitchingKey,
         decomposed: LazyDecomposed | None = None,
     ) -> LazyCiphertext:
-        return self._automorphism(
-            "apply_galois", ct, galois_elt, key, decomposed, attrs=(galois_elt,)
-        )
+        return self._automorphism("apply_galois", ct, (galois_elt,), key, decomposed)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
 
-    def _emit(self, op, inputs, *, level, scale, size, attrs=(), consts=()):
-        node = self.graph.add_node(
+    def _emit(self, op, operands, attrs=(), consts=()) -> LazyCiphertext:
+        """Record ``op`` with the ``(level, scale, size)`` its rule gives
+        (:meth:`Graph.derive`); a broken rule is a :class:`TraceError`."""
+        g = self.graph
+        inputs = tuple(h.node for h in operands)
+        consts = tuple(g.add_const(c) for c in consts)
+        try:
+            level, scale, size = g.derive(op, inputs, attrs, consts)
+        except ValueError as exc:
+            raise TraceError(f"{op}: {exc}") from None
+        node = g.add_node(
             op, inputs=inputs, attrs=attrs, consts=consts,
             level=level, scale=scale, size=size,
         )
-        return LazyCiphertext(graph=self.graph, node=node)
+        return LazyCiphertext(graph=g, node=node)
 
-    def _automorphism(self, op, ct, galois_elt, key, decomposed, attrs):
-        if ct.size != 2:
+    def _plain(self, op, ct, pt) -> LazyCiphertext:
+        if isinstance(pt, LazyPlaintext):
+            return self._emit(op, (ct, pt))
+        return self._emit(op, (ct,), consts=(pt,))
+
+    def _key(self, keys, index, what: str, ct) -> SwitchingKey:
+        key = keys.get(index)
+        if key is None:
             raise TraceError(
-                f"relinearize before applying automorphisms: "
-                f"{self.graph.provenance(ct.node)} has {ct.size} parts"
+                f"no {what} (needed by {self.graph.provenance(ct.node)})"
             )
-        if key.level != ct.level:
-            raise TraceError(
-                f"{op}: switching key level {key.level} != ciphertext level "
-                f"{ct.level} ({self.graph.provenance(ct.node)})"
-            )
+        return key
+
+    def _automorphism(self, op, ct, attrs, key, decomposed) -> LazyCiphertext:
         if decomposed is not None and decomposed.source != ct.node:
             raise TraceError(
                 f"{op}: decomposed= was hoisted from "
                 f"{self.graph.provenance(decomposed.source)} but the rotated "
                 f"ciphertext is {self.graph.provenance(ct.node)}"
             )
-        return self._emit(
-            op, (ct.node,), attrs=attrs, consts=(self.graph.add_const(key),),
-            level=ct.level, scale=ct.scale, size=2,
-        )
-
-    def _plain_operand(self, ct, pt):
-        if isinstance(pt, LazyPlaintext):
-            return (ct.node, pt.node), ()
-        return (ct.node,), (self.graph.add_const(pt),)
-
-    def _check_plain(self, ct, pt, *, op: str) -> None:
-        if not isinstance(pt, (Plaintext, LazyPlaintext)):
-            raise TraceError(f"{op} expects a Plaintext, got {type(pt).__name__}")
-        if pt.level < ct.level:
-            raise TraceError(
-                f"{op}: plaintext at level {pt.level} cannot reach ciphertext "
-                f"level {ct.level} ({self.graph.provenance(ct.node)})"
-            )
-
-    def _check_scales(self, a, b, *, op: str) -> None:
-        if not math.isclose(a.scale, b.scale, rel_tol=SCALE_RTOL):
-            raise TraceError(
-                f"{op}: scale mismatch: {a.scale:g} (from "
-                f"{self.graph.provenance(a.node)}) vs {b.scale:g} (from "
-                f"{self.graph.provenance(b.node)}); rescale first"
-            )
+        return self._emit(op, (ct,), attrs=attrs, consts=(key,))
 
 
 def trace(fn, evaluator, input_specs) -> Graph:
@@ -352,7 +268,7 @@ def trace(fn, evaluator, input_specs) -> Graph:
         or a sequence of handles).
     """
     specs = tuple(input_specs)
-    graph = Graph(specs)
+    graph = Graph(specs, evaluator.basis.moduli)
     lazy = LazyEvaluator(params=evaluator.params, basis=evaluator.basis, graph=graph)
     handles = []
     for spec in specs:

@@ -180,22 +180,6 @@ class TestFusion:
             grp.kind in ("mac", "sum") for grp in fusion_groups(g)
         )
 
-    def test_elementwise_chain_runs_as_one_step(self, rctx):
-        (p1,) = self._pts(rctx, 1)
-        # add_plain operand must match the product's squared scale.
-        (p2,) = self._pts(rctx, 1, scale=rctx.params.scale * p1.scale)
-
-        def program(ev, x):
-            y = ev.add_plain(ev.multiply_plain(x, p1), p2)
-            return ev.negate(y)
-
-        g = trace(program, rctx.evaluator, [_spec(rctx)])
-        chains = [grp for grp in fusion_groups(g) if grp.kind == "chain"]
-        (chain,) = chains
-        assert len(chain.members) == 3
-        assert chain.outputs == (chain.members[-1],)
-        assert chain.sources == (0,)  # the lone graph input
-
     def test_hoist_families_become_schedule_steps(self, rctx, gks):
         def program(ev, x):
             return ev.add(ev.rotate(x, 1, gks), ev.rotate(x, 2, gks))
@@ -255,12 +239,13 @@ class TestAlignmentChecker:
             return ev.rotate(x, 1, gks)
 
         g = trace(program, rctx.evaluator, [_spec(rctx)])
-        # Corrupt the rotation's recorded input level via a fake extra drop.
+        # Move the input (its spec, leaf and the rotation) one level down,
+        # consistently, so only the key's level is wrong.
         import dataclasses
 
-        g.nodes[1] = dataclasses.replace(
-            g.nodes[1], level=g.nodes[1].level - 1
-        )
-        g.nodes[0] = dataclasses.replace(g.nodes[0], level=g.nodes[0].level - 1)
+        lower = rctx.params.num_primes - 1
+        g.input_specs[0] = _spec(rctx, level=lower)
+        g.nodes[0] = dataclasses.replace(g.nodes[0], level=lower)
+        g.nodes[1] = dataclasses.replace(g.nodes[1], level=lower)
         with pytest.raises(PlanValidationError, match="switching key level"):
             check_alignment(g)

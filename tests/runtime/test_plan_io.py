@@ -4,7 +4,9 @@ rejection of damaged blobs."""
 from __future__ import annotations
 
 import multiprocessing as mp
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,10 +21,13 @@ from repro.runtime import (
     deserialize_plan,
     serialize_plan,
 )
-from repro.runtime.plan_io import CONSTSTORE_MAGIC, PLAN_MAGIC
+from repro.runtime.graph import _RULES, op_arities
+from repro.runtime.plan_io import CONSTSTORE_MAGIC, OP_CODES, PLAN_MAGIC
 from repro.runtime.trace import trace
 
 PRIMES = 6
+ROOT = Path(__file__).resolve().parents[2]
+_NODE_HEAD = struct.Struct("<BBHHdHHH")  # opcode, kind, level, size, scale, counts
 
 
 @pytest.fixture(scope="module")
@@ -264,6 +269,82 @@ class TestDamagedArtifacts:
         struct.error or UnicodeDecodeError."""
         with pytest.raises(PlanFormatError):
             deserialize_plan(craft(serialize_plan(plan)), rctx.evaluator)
+
+
+def _with_scale(blob: bytes, node_id: int, factor: float) -> bytes:
+    """``blob`` with node ``node_id``'s recorded scale times ``factor``,
+    the NODE frame's CRC re-stamped."""
+    frames = _frames(blob)
+    node = bytearray(frames[b"NODE"])
+    at = 4
+    for _ in range(node_id):
+        *_, n_in, n_attr, n_const = _NODE_HEAD.unpack_from(node, at)
+        at += _NODE_HEAD.size + 4 * n_in + 8 * n_attr + 4 * n_const
+    (scale,) = struct.unpack_from("<d", node, at + 6)
+    struct.pack_into("<d", node, at + 6, scale * factor)
+    return _reframe(blob, {**frames, b"NODE": bytes(node)})
+
+
+class TestForgedScale:
+    """A decoded node's scale must be the one its op's rule derives: a
+    doubled output scale, CRC re-stamped, would otherwise replay into a
+    result that decodes to half (or twice) the right value."""
+
+    @pytest.mark.parametrize("op", ["rescale", "add", "multiply_plain", "rotate"])
+    def test_doubled_output_scale_rejected(self, rctx, gks, op):
+        delta = rctx.params.scale
+        half = rctx.encoder.encode(
+            np.full(rctx.params.slots, 0.5), level=PRIMES, scale=delta
+        )
+        program = {
+            "rescale": lambda ev, x: ev.rescale(x, 1),
+            "add": lambda ev, x: ev.add(x, x),
+            "multiply_plain": lambda ev, x: ev.multiply_plain(x, half),
+            "rotate": lambda ev, x: ev.rotate(x, 1, gks),
+        }[op]
+        plan = compile_fn(program, rctx.evaluator, [CtSpec(level=PRIMES, scale=delta)])
+        (out,) = plan.graph.outputs
+        assert plan.graph.nodes[out].op == op
+        blob = serialize_plan(plan)
+        deserialize_plan(blob, rctx.evaluator)  # the honest blob decodes
+        with pytest.raises(PlanFormatError, match="rule gives"):
+            deserialize_plan(_with_scale(blob, out, 2.0), rctx.evaluator)
+
+
+def _cell_items(cell: str) -> list[str]:
+    """``"(ct, pt¹)"`` -> ``["ct", "pt¹"]``; ``"—"`` -> ``[]``."""
+    return [item.strip() for item in cell.strip("()").split(",") if item.strip("— ")]
+
+
+def test_docs_opcode_table_matches_the_rule_table():
+    """docs/formats.md's NODE opcode table is ``OP_CODES`` and, row by
+    row, the operand kinds, attribute count and constants of the op's rule
+    (a ``¹`` item is the plaintext, carried as an operand or a constant)."""
+    text = (ROOT / "docs" / "formats.md").read_text()
+    section = text[text.index("### `NODE`") : text.index("### `OUTS`")]
+    rows = [
+        [cell.strip().strip("`") for cell in line.strip().strip("|").split("|")]
+        for line in section.splitlines()
+        if re.match(r"\|\s*\d+\s*\|", line)
+    ]
+    assert {op: int(code) for code, op, *_ in rows} == OP_CODES
+    const_names = {"plaintext": "Plaintext", "switching key": "SwitchingKey"}
+    for _code, op, inputs, attrs, consts in rows:
+        ins, cs = _cell_items(inputs), _cell_items(consts)
+        kinds = tuple(i.rstrip("¹") for i in ins if not i.endswith("¹"))
+        types = tuple(const_names[c.rstrip("¹")] for c in cs if not c.endswith("¹"))
+        forms = {(kinds, types)}
+        if any(i.endswith("¹") for i in ins):
+            forms = {
+                (kinds + ("pt",), types),
+                (kinds, types + tuple(const_names[c.rstrip("¹")] for c in cs)),
+            }
+        rule = _RULES[op]
+        assert forms == {(k, tuple(t.__name__ for t in ts)) for k, ts in rule.forms}, op
+        assert len(_cell_items(attrs)) == rule.attrs, op
+        assert op_arities(op) == {
+            (len(k), rule.attrs, len(t)) for k, t in forms
+        }, op
 
 
 def _non_utf8_backend(blob: bytes) -> bytes:

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
-from repro.runtime import CtSpec, TraceError, trace
+from repro.ckks.keys import rotation_galois_elt
+from repro.runtime import CtSpec, PtSpec, TraceError, trace
 
 
 def _spec(rctx, level=None):
@@ -12,22 +14,59 @@ def _spec(rctx, level=None):
     return CtSpec(level=level, scale=rctx.params.scale)
 
 
+# One call per non-leaf op (both plaintext forms), over a top-level
+# ciphertext x, a ciphertext y one level down, and a plaintext p that
+# rides as a captured constant (k["pt"]) or as a pt_input operand.
+CASES = {
+    "add": lambda ev, k, x, y, p: ev.add(x, y),
+    "sub": lambda ev, k, x, y, p: ev.sub(y, x),
+    "negate": lambda ev, k, x, y, p: ev.negate(y),
+    "add_plain": lambda ev, k, x, y, p: ev.add_plain(y, k["pt"]),
+    "add_plain-pt": lambda ev, k, x, y, p: ev.add_plain(x, p),
+    "multiply_plain": lambda ev, k, x, y, p: ev.multiply_plain(x, k["pt"]),
+    "multiply_plain-pt": lambda ev, k, x, y, p: ev.multiply_plain(y, p),
+    "multiply": lambda ev, k, x, y, p: ev.multiply(x, y),
+    "relinearize": lambda ev, k, x, y, p: ev.relinearize(ev.multiply(x, x), k["rlk"]),
+    "rescale": lambda ev, k, x, y, p: ev.rescale(x, times=2),
+    "rotate": lambda ev, k, x, y, p: ev.rotate(x, 1, k["gks"]),
+    "conjugate": lambda ev, k, x, y, p: ev.conjugate(x, k["cjk"]),
+    "apply_galois": lambda ev, k, x, y, p: ev.apply_galois(x, k["elt"], k["key"]),
+    "pipeline": lambda ev, k, x, y, p: ev.multiply_relin_rescale(x, x, k["rlk"]),
+}
+
+
 class TestMetadata:
-    def test_levels_and_scales_follow_eager_rules(self, rctx, rlk):
-        delta = rctx.params.scale
-        seen = {}
+    def test_levels_and_scales_follow_eager_rules(self, rctx, rlk, gks):
+        """For every case, the traced output's (level, scale, size) is
+        exactly the eager evaluator's — the op table checked against the
+        oracle it shares no code with."""
+        top = rctx.params.num_primes
+        slots = rctx.params.slots
+        rng = np.random.default_rng(7)
+        pt = rctx.encoder.encode(rng.uniform(-1, 1, slots), level=top)
+        keys = {
+            "pt": pt,
+            "rlk": rlk,
+            "gks": gks,
+            "cjk": rctx.keygen.gen_conjugation(rctx.secret_key, [top]),
+            "elt": rotation_galois_elt(3, slots, 2 * rctx.basis.degree),
+            "key": gks[(3, top)],
+        }
+        x = rctx.encrypt(rng.uniform(-1, 1, slots))
+        y = rctx.encrypt(rng.uniform(-1, 1, slots), level=top - 1)
+        specs = [_spec(rctx), _spec(rctx, top - 1), PtSpec(level=top, scale=pt.scale)]
+        for case, call in CASES.items():
 
-        def program(ev, x):
-            prod = ev.multiply_relin_rescale(x, x, rlk)
-            seen["prod"] = (prod.level, prod.scale, prod.size)
-            return prod
+            def program(ev, *handles, call=call):
+                return call(ev, keys, *handles)
 
-        trace(program, rctx.evaluator, [_spec(rctx)])
-        lvl = rctx.params.num_primes - 2
-        exp_scale = delta * delta
-        for t in range(2):
-            exp_scale /= rctx.basis.moduli[rctx.params.num_primes - 1 - t]
-        assert seen["prod"] == (lvl, exp_scale, 2)
+            eager = program(rctx.evaluator, x, y, pt)
+            g = trace(program, rctx.evaluator, specs)
+            node = g.nodes[g.outputs[0]]
+            if case != "pipeline":
+                assert node.op == case.removesuffix("-pt"), case
+            got = (node.level, node.scale, node.size)
+            assert got == (eager.level, eager.scale, eager.size), case
 
     def test_multiply_produces_three_parts(self, rctx):
         def program(ev, x, y):
