@@ -156,8 +156,8 @@ class Graph:
 
     def __init__(
         self,
-        input_specs: tuple[CtSpec | PtSpec, ...] = (),
-        moduli: tuple[int, ...] = (),
+        input_specs: tuple[CtSpec | PtSpec, ...],
+        moduli: tuple[int, ...],
     ):
         self.input_specs: list[CtSpec | PtSpec] = list(input_specs)
         self.moduli = tuple(moduli)

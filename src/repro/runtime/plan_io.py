@@ -433,8 +433,9 @@ def _deserialize_plan(blob: bytes, evaluator) -> ExecutionPlan:
     table = _unpack_fingerprints(frames[b"CFPS"])
     _unpack_nodes(frames[b"NODE"], graph, len(table))
     graph.set_outputs(_unpack_outputs(frames[b"OUTS"], len(graph.nodes)))
-    # Structure first, constants last: a malformed schedule is refused
-    # before the (large) constant payload is hashed and decoded.
+    # Arity, kind and id checks run above, before the (large) constant
+    # payload is hashed and decoded; level, scale and part-count checks,
+    # leaves included, run in check_alignment once the constants are in.
     graph.consts.extend(_unpack_constants(table, frames[b"CPAY"], basis))
     check_alignment(graph)
     return ExecutionPlan(
