@@ -135,7 +135,7 @@ def _rotate_reference(ev, ct: Ciphertext, steps: int, galois_keys) -> Ciphertext
     Decrypts to the same message as the engine's rotation but encodes a
     different (equally valid) noise representative: the engine permutes
     already-decomposed digits, the seed decomposed the permuted
-    polynomial (see ``KeySwitchEngine.permute``).
+    polynomial (see ``repro.ckks.evaluator.galois_rows``).
     """
     key = galois_keys[(steps, ct.level)]
     galois_elt = rotation_galois_elt(steps, ev.params.slots, 2 * ev.basis.degree)

@@ -5,18 +5,18 @@ and the Fig. 1 end-to-end breakdown — needs the server's homomorphic
 add / multiply / relinearize / rescale / rotate, so they are implemented
 here with the same RNS substrate.
 
+Each op's arithmetic is one module-level *row function* (rescale's is
+:func:`~repro.rns.poly.rescale_eval_rows`): given a kernel, the
+operands' ``(L, N)`` part rows, the op's bound data and the output rows
+``outs``, it reads the operands' first ``len(outs[0])`` limbs and writes
+``outs``.  An :class:`Evaluator` method checks its operands, allocates
+the result and makes one call; the runtime's fused replayer binds the
+same function to arena views, so each op is one kernel sequence.
+
 Key switching goes through the batched, hoisting-aware
-:class:`~repro.ckks.keyswitch.KeySwitchEngine`: per-limb CRT-idempotent
-digits (decomposing a polynomial into its residue rows keeps each digit
-below one prime, so the switching noise stays ~q_j-sized rather than
-Q-sized), stacked into one ``(L, L, N)`` tensor and contracted against the
-key with fused multiply-accumulates.  Rotations and conjugations apply
-their Galois automorphisms directly on NTT-domain data (a slot
-permutation, zero transform round trips) and can *hoist* — decompose a
-ciphertext once, then rotate-and-switch against many keys — which is what
-the BSGS linear layer and bootstrapping exploit.  Multi-prime rescaling is
-fused and stays in the evaluation domain: ``times`` primes are divided
-out in one pass that inverse-transforms only the dropped limbs.
+:class:`~repro.ckks.keyswitch.KeySwitchEngine`; automorphisms are
+evaluation-domain slot permutations, and rescaling inverse-transforms
+only the dropped limbs.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.ckks.params import CkksParameters
 from repro.nums.kernels import ufunc_buffer
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import EVAL, RnsPolynomial, rescale_eval_rows
+from repro.transforms.ntt import galois_permutation
 
 __all__ = ["Evaluator", "SCALE_RTOL"]
 
@@ -41,6 +42,103 @@ __all__ = ["Evaluator", "SCALE_RTOL"]
 #: (:mod:`repro.runtime.trace`) so lazy and eager programs agree on what
 #: "mismatched" means.
 SCALE_RTOL = 1e-9
+
+
+def add_rows(kern, a, b, outs, subtract: bool = False) -> None:
+    """``a + b``, or ``a - b``; a part only one operand has is copied
+    (negated when it is ``b``'s and ``subtract``)."""
+    lvl = len(outs[0])
+    for i, out in enumerate(outs):
+        if i < len(a) and i < len(b):
+            # kern.sub == add(a, neg(b)) by canonicity.
+            (kern.sub if subtract else kern.add)(a[i][:lvl], b[i][:lvl], out=out)
+        elif i < len(a):
+            np.copyto(out, a[i][:lvl])
+        elif subtract:
+            kern.neg(b[i][:lvl], out=out)
+        else:
+            np.copyto(out, b[i][:lvl])
+
+
+def negate_rows(kern, a, outs) -> None:
+    for p, out in zip(a, outs):
+        kern.neg(p[: len(out)], out=out)
+
+
+def add_plain_rows(kern, a, m, outs) -> None:
+    """``a + m`` for a plaintext's rows ``m`` (:func:`plain_rows`)."""
+    lvl = len(outs[0])
+    kern.add(a[0][:lvl], m, out=outs[0])
+    for p, out in zip(a[1:], outs[1:]):
+        np.copyto(out, p[:lvl])
+
+
+def multiply_plain_rows(kern, a, m_pre, outs) -> None:
+    """``a * m`` for ``m_pre = kern.pre(m)`` (:func:`plain_rows`)."""
+    for p, out in zip(a, outs):
+        kern.mul_pre(p[: len(out)], m_pre, out=out)
+
+
+def multiply_rows(kern, a, b, outs) -> None:
+    """The tensor product ``(a0 b0, a0 b1 + a1 b0, a1 b1)``."""
+    lvl = len(outs[0])
+    a0, a1, b0, b1 = a[0][:lvl], a[1][:lvl], b[0][:lvl], b[1][:lvl]
+    kern.mul(a0, b0, out=outs[0])
+    kern.add(kern.mul(a0, b1), kern.mul(a1, b0), out=outs[1])
+    kern.mul(a1, b1, out=outs[2])
+
+
+def relinearize_rows(kern, engine: KeySwitchEngine, a, key, outs) -> None:
+    """Switch part 2 through ``key`` onto parts 0 and 1."""
+    lvl = len(outs[0])
+    ks0, ks1 = engine.contract(engine.decompose_rows(a[2][:lvl]), key)
+    kern.add(a[0][:lvl], ks0, out=outs[0])
+    kern.add(a[1][:lvl], ks1, out=outs[1])
+
+
+def galois_rows(kern, engine: KeySwitchEngine, a, key, perm, outs, dec=None) -> None:
+    """``X -> X^k`` (slot permutation ``perm``) on a 2-part ciphertext,
+    switched back by ``key``; ``dec``: part 1's hoisted decomposition.
+
+    ``perm`` is folded into the contraction's row gather.  Permuting
+    decomposed digits negates sign-flipped coefficients mod each *limb's*
+    modulus, giving signed digits ``±d`` (|d| < q_j) where decomposing the
+    permuted polynomial (the seed path) carries ``q_j - d``: both are
+    valid gadget digits of the same bound, so the result differs from the
+    seed's only in its noise representative and decrypts identically
+    (inherent to hoisting: digits are fixed before the rotation is known).
+    """
+    lvl = len(outs[0])
+    if dec is None:
+        dec = engine.decompose_rows(a[1][:lvl])
+    ks0, _ = engine.contract(dec, key, perm=perm, out1=outs[1])
+    kern.add(a[0][:lvl][:, perm], ks0, out=outs[0])
+
+
+def plain_rows(pt: Plaintext, level: int, kern=None) -> np.ndarray:
+    """``pt``'s evaluation rows at ``level`` (pre-formed given the level's
+    kernel): every caller's plaintext operand, eager or fused."""
+    m = pt.poly.drop_limbs(level).to_eval().data
+    return m if kern is None else kern.pre(m)
+
+
+def _rows(ct: Ciphertext) -> list[np.ndarray]:
+    return [p.data for p in ct.parts]
+
+
+def _check_reaches(op: str, ct: Ciphertext, pt: Plaintext) -> None:
+    if pt.level < ct.level:
+        raise ValueError(
+            f"{op}: plaintext at level {pt.level} cannot reach ciphertext "
+            f"level {ct.level}"
+        )
+
+
+def _check_key(op: str, key: SwitchingKey, ct: Ciphertext) -> None:
+    if key.level != ct.level:
+        raise ValueError(
+            f"{op}: switching key level {key.level} != operand level {ct.level}"
+        )
 
 
 @dataclass
@@ -67,35 +165,21 @@ class Evaluator:
     @ufunc_buffer()
     def add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Slot-wise addition; scales must match."""
-        self._check_scales(a, b, op="add")
-        lvl = min(a.level, b.level)
-        n = max(a.size, b.size)
-        parts = []
-        for i in range(n):
-            pa = a.parts[i].drop_limbs(lvl) if i < a.size else None
-            pb = b.parts[i].drop_limbs(lvl) if i < b.size else None
-            if pa is None:
-                parts.append(pb)
-            elif pb is None:
-                parts.append(pa)
-            else:
-                parts.append(pa + pb)
-        return Ciphertext(parts=parts, scale=a.scale)
+        return self._add(a, b, "add")
 
     @ufunc_buffer()
     def sub(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
         """Slot-wise subtraction; scales must match."""
-        self._check_scales(a, b, op="sub")
-        neg = Ciphertext(parts=[-p for p in b.parts], scale=b.scale)
-        return self.add(a, neg)
+        return self._add(a, b, "sub")
 
     @ufunc_buffer()
     def negate(self, a: Ciphertext) -> Ciphertext:
-        return Ciphertext(parts=[-p for p in a.parts], scale=a.scale)
+        return self._run(negate_rows, a.size, a.level, a.scale, _rows(a))
 
     @ufunc_buffer()
     def add_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Add an encoded plaintext (scales must match)."""
+        _check_reaches("add_plain", ct, pt)
         if not math.isclose(ct.scale, pt.scale, rel_tol=SCALE_RTOL):
             raise ValueError(
                 f"add_plain: scale mismatch: ciphertext scale {ct.scale:g} "
@@ -103,16 +187,16 @@ class Evaluator:
                 f"(level {pt.level}); re-encode the plaintext at the "
                 f"ciphertext's scale"
             )
-        m = pt.poly.drop_limbs(ct.level).to_eval()
-        parts = [ct.parts[0] + m] + [p.copy() for p in ct.parts[1:]]
-        return Ciphertext(parts=parts, scale=ct.scale)
+        m = plain_rows(pt, ct.level)
+        return self._run(add_plain_rows, ct.size, ct.level, ct.scale, _rows(ct), m)
 
     @ufunc_buffer()
     def multiply_plain(self, ct: Ciphertext, pt: Plaintext) -> Ciphertext:
         """Multiply by an encoded plaintext; output scale is the product."""
-        m = pt.poly.drop_limbs(ct.level).to_eval()
-        parts = [p * m for p in ct.parts]
-        return Ciphertext(parts=parts, scale=ct.scale * pt.scale)
+        _check_reaches("multiply_plain", ct, pt)
+        m_pre = plain_rows(pt, ct.level, self.basis.kernel(ct.level))
+        scale = ct.scale * pt.scale
+        return self._run(multiply_plain_rows, ct.size, ct.level, scale, _rows(ct), m_pre)
 
     # ------------------------------------------------------------------
     # Multiplication / relinearization / rescaling
@@ -123,13 +207,8 @@ class Evaluator:
         """Tensor product of two degree-1 ciphertexts (3 parts, pre-relin)."""
         if a.size != 2 or b.size != 2:
             raise ValueError("multiply expects relinearized (2-part) inputs")
-        lvl = min(a.level, b.level)
-        a0, a1 = (p.drop_limbs(lvl) for p in a.parts)
-        b0, b1 = (p.drop_limbs(lvl) for p in b.parts)
-        return Ciphertext(
-            parts=[a0 * b0, a0 * b1 + a1 * b0, a1 * b1],
-            scale=a.scale * b.scale,
-        )
+        lvl, scale = min(a.level, b.level), a.scale * b.scale
+        return self._run(multiply_rows, 3, lvl, scale, _rows(a), _rows(b))
 
     @ufunc_buffer()
     def relinearize(self, ct: Ciphertext, relin_keys: dict[int, SwitchingKey]) -> Ciphertext:
@@ -141,10 +220,9 @@ class Evaluator:
         key = relin_keys.get(ct.level)
         if key is None:
             raise KeyError(f"no relinearization key for level {ct.level}")
-        ks0, ks1 = self.keyswitch.switch(ct.parts[2], key)
-        return Ciphertext(
-            parts=[ct.parts[0] + ks0, ct.parts[1] + ks1], scale=ct.scale
-        )
+        _check_key("relinearize", key, ct)
+        args = (self.keyswitch, _rows(ct), key)
+        return self._run(relinearize_rows, 2, ct.level, ct.scale, *args)
 
     @ufunc_buffer()
     def rescale(self, ct: Ciphertext, times: int = 1) -> Ciphertext:
@@ -235,15 +313,32 @@ class Evaluator:
         """
         if ct.size != 2:
             raise ValueError("relinearize before applying automorphisms")
-        engine = self.keyswitch
-        c0r = ct.parts[0].automorphism(galois_elt)
-        dec = decomposed if decomposed is not None else engine.decompose(ct.parts[1])
-        ks0, ks1 = engine.apply(engine.permute(dec, galois_elt), key)
-        return Ciphertext(parts=[c0r + ks0, ks1], scale=ct.scale)
+        _check_key("apply_galois", key, ct)
+        n = self.basis.degree
+        perm = galois_permutation(n, galois_elt % (2 * n))
+        dec = None if decomposed is None else decomposed.tensor
+        args = (self.keyswitch, _rows(ct), key, perm)
+        return self._run(galois_rows, 2, ct.level, ct.scale, *args, dec=dec)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _add(self, a: Ciphertext, b: Ciphertext, op: str) -> Ciphertext:
+        self._check_scales(a, b, op=op)
+        size, lvl = max(a.size, b.size), min(a.level, b.level)
+        rows = (_rows(a), _rows(b))
+        return self._run(add_rows, size, lvl, a.scale, *rows, subtract=op == "sub")
+
+    def _run(
+        self, row_fn, size: int, level: int, scale: float, *args, **kw
+    ) -> Ciphertext:
+        """``size`` new parts at ``level``, filled by one ``row_fn`` call
+        and wrapped at ``scale``."""
+        shape = (level, self.basis.degree)
+        outs = [np.empty(shape, dtype=np.uint64) for _ in range(size)]
+        row_fn(self.basis.kernel(level), *args, outs=outs, **kw)
+        return Ciphertext([RnsPolynomial(self.basis, o, EVAL) for o in outs], scale)
 
     def _check_scales(self, a: Ciphertext, b: Ciphertext, *, op: str = "op") -> None:
         """Raise with full provenance when operand scales are misaligned.

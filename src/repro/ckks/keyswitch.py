@@ -16,13 +16,12 @@ tensorizes the whole pipeline:
   stacked ``(L, L, N)`` residue tensors
   (:meth:`~repro.nums.kernels.ReducerKernel.mul_accumulate_rows`: each
   digit row split once, raw products summed as uint64, one reduction pair
-  per key component) — the one contraction the eager
-  :meth:`KeySwitchEngine.apply` and the fused replayer share;
-* **permute** applies a Galois automorphism to a *decomposed* polynomial
-  as a pure EVAL-domain slot permutation, which is what makes **hoisting**
-  work: decompose once, then rotate-and-apply against many keys.  The BSGS
-  inner loop and bootstrapping's CoeffToSlot/SlotToCoeff pay one inverse
-  NTT for a whole batch of rotations instead of one per rotation.
+  per key component), gathering each row through a Galois slot
+  permutation when given one — which is what makes **hoisting** work:
+  decompose once, then rotate-and-contract against many keys
+  (:func:`repro.ckks.evaluator.galois_rows`).  The BSGS inner loop and
+  bootstrapping's CoeffToSlot/SlotToCoeff pay one inverse NTT for a whole
+  batch of rotations instead of one per rotation.
 
 ``switch_reference`` preserves the seed's per-digit loop so tests can pin
 bit-identity and benchmarks can measure the speedup.
@@ -38,7 +37,6 @@ from repro.ckks.keys import SwitchingKey
 from repro.nums.kernels import ufunc_buffer
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import COEFF, EVAL, RnsPolynomial
-from repro.transforms.ntt import galois_permutation
 
 __all__ = ["DecomposedPoly", "KeySwitchEngine"]
 
@@ -95,25 +93,6 @@ class KeySwitchEngine:
         return bat.forward(
             np.broadcast_to(coeff[:, np.newaxis, :], (lvl, lvl, self.basis.degree))
         )
-
-    def permute(self, dec: DecomposedPoly, galois_elt: int) -> DecomposedPoly:
-        """Apply X -> X^k to a decomposed polynomial, staying decomposed.
-
-        Per-limb decomposition commutes with the automorphism, and in the
-        NTT domain the automorphism is a pure slot permutation — so a
-        hoisted rotation costs one fancy-index gather, zero transforms.
-
-        Note on representatives: permuting decomposed digits negates
-        sign-flipped coefficients mod each *limb's* modulus, yielding
-        signed digits ``±d`` (|d| < q_j), where decomposing the permuted
-        polynomial (the seed path) would carry ``q_j - d`` in [0, q_j).
-        Both are valid gadget digits with the same magnitude bound — the
-        switched ciphertext differs from the seed's only in its noise
-        representative and decrypts identically (this is inherent to
-        hoisting: the digits must be fixed before the rotation is known).
-        """
-        src = galois_permutation(self.basis.degree, galois_elt % (2 * self.basis.degree))
-        return DecomposedPoly(basis=self.basis, tensor=dec.tensor[:, :, src])
 
     def apply(
         self, dec: DecomposedPoly, key: SwitchingKey

@@ -21,12 +21,13 @@ subexpressions and dead nodes, merge stacked rescales, group hoistable
 rotations, and validate level/scale alignment at plan time
 (:mod:`repro.runtime.passes`); the resulting
 :class:`~repro.runtime.plan.ExecutionPlan` is cached process-wide and
-executed two ways: ``plan.run`` is the bit-identical reference
-interpreter (the oracle), and ``plan.run_batch`` is the fused replayer —
+executed two ways: ``plan.run`` is the reference interpreter (one eager
+call per node), and ``plan.run_batch`` is the fused replayer —
 an arena-backed :class:`~repro.runtime.plan.FusedExecutor` that
 preassigns every intermediate to a slot in one preallocated pool and
 collapses MAC/sum trees and hoisted-rotation families into single kernel
-dispatches;
+dispatches (both run each op through its one row function in
+:mod:`repro.ckks.evaluator`);
 :mod:`repro.runtime.bridge` converts traced plans into accelerator
 workload/queue form for scheduler experiments.
 

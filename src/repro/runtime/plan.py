@@ -19,10 +19,12 @@ ways:
   :class:`~repro.runtime.arena.ArenaLayout` preassigns every
   intermediate to a slot in one preallocated
   ``(slots, L, N)`` pool, so steady-state replay performs zero
-  result-buffer allocations.  Still the same bits: every fused
-  transformation rests on the uniqueness of canonical
-  residues (deferred uint64 accumulation and pre-formed constant
-  multiplies reproduce exact eager bytes).
+  result-buffer allocations.  Still the same bits: a single-node step
+  calls its op's row function (:mod:`repro.ckks.evaluator`), the one the
+  eager method calls, and every fused group rests on the uniqueness of
+  canonical residues (deferred uint64 accumulation reproduces the eager
+  bytes).  So interpreter and replayer share each op's arithmetic:
+  comparing them checks fusion, the arena and the bindings.
   ``run_batch(..., fused=False)`` replays each entry through the
   interpreter instead — the oracle at the batch call shape.
 
@@ -59,7 +61,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.ckks.containers import Ciphertext, Plaintext
-from repro.ckks.evaluator import SCALE_RTOL, Evaluator
+from repro.ckks.evaluator import (
+    SCALE_RTOL,
+    Evaluator,
+    add_plain_rows,
+    add_rows,
+    galois_rows,
+    multiply_plain_rows,
+    multiply_rows,
+    negate_rows,
+    plain_rows,
+    relinearize_rows,
+)
 from repro.nums.kernels import default_backend_name, ufunc_buffer
 from repro.rns.poly import EVAL, RnsPolynomial, rescale_eval_rows
 from repro.runtime.arena import ArenaLayout, ArenaStep, BufferArena
@@ -187,18 +200,11 @@ class ExecutionPlan:
         if op == "input" or op == "pt_input":
             return inputs[node.attrs[0]]
         ins = [env[i] for i in node.inputs]
-        if op == "add":
-            return ev.add(*ins)
-        if op == "sub":
-            return ev.sub(*ins)
-        if op == "negate":
-            return ev.negate(*ins)
-        if op == "multiply":
-            return ev.multiply(*ins)
-        if op == "add_plain" or op == "multiply_plain":
+        if op in ("add", "sub", "negate", "multiply"):
+            return getattr(ev, op)(*ins)
+        if op in ("add_plain", "multiply_plain"):
             pt = ins[1] if len(ins) == 2 else g.consts[node.consts[0]]
-            method = ev.add_plain if op == "add_plain" else ev.multiply_plain
-            return method(ins[0], pt)
+            return getattr(ev, op)(ins[0], pt)
         if op == "relinearize":
             key = g.consts[node.consts[0]]
             return ev.relinearize(ins[0], {g.nodes[node.inputs[0]].level: key})
@@ -320,10 +326,10 @@ class FusedExecutor:
     operands from preassigned pool views and writes its result into its
     own — steady-state replay performs zero result-buffer allocations and
     ``dispatch_count`` Python dispatches (vs one per graph node for the
-    interpreter).  Outputs are bit-identical to the eager evaluator:
-    every raw step mirrors the eager op's exact kernel calls, and the
-    fused accumulations are exact by deferred-reduction canonicity (see
-    :mod:`repro.runtime.passes`).
+    interpreter).  Outputs are bit-identical to the eager evaluator: a
+    single-node step calls its op's row function — the one the eager
+    method calls — on arena views, and the fused accumulations are exact
+    by deferred-reduction canonicity (see :mod:`repro.runtime.passes`).
 
     The executor (pool included) is per-process state — forked workers
     inherit it copy-on-write when the parent lowered before forking;
@@ -337,8 +343,6 @@ class FusedExecutor:
     def __init__(self, plan: ExecutionPlan) -> None:
         self.plan = plan
         self._basis = plan.evaluator.basis
-        # Key-switch steps run the eager engine's own decomposition and
-        # contraction, so they mirror it bit for bit.
         self._engine = plan.evaluator.keyswitch
         self._replay_lock = threading.Lock()
         _LIVE_EXECUTORS.add(self)
@@ -507,7 +511,7 @@ class FusedExecutor:
             # multiply/add tree (see ReducerKernel.mul_accumulate_rows),
             # one reduction pair per part.
             diags = [
-                g.consts[g.nodes[t].consts[0]].poly.drop_limbs(lvl).to_eval().data
+                plain_rows(g.consts[g.nodes[t].consts[0]], lvl)
                 for t in grp.payload
             ]
 
@@ -539,46 +543,38 @@ class FusedExecutor:
 
         return sum_step
 
+    def _perm(self, node: Node) -> np.ndarray:
+        n = self._basis.degree
+        return galois_permutation(n, node.attrs[-1] % (2 * n))
+
     def _lower_hoisted(self, grp):
         g = self.plan.graph
         src = grp.sources[0]
         lvl = g.nodes[src].level
         kern = self._basis.kernel(lvl)
-        two_n = 2 * self._basis.degree
-        members_meta = [
-            (
-                galois_permutation(self._basis.degree, g.nodes[m].attrs[-1] % two_n),
-                g.consts[g.nodes[m].consts[0]],
-                self._views[m],
-            )
+        engine = self._engine
+        members = [
+            (g.consts[g.nodes[m].consts[0]], self._perm(g.nodes[m]), self._views[m])
             for m in grp.members
         ]
 
-        engine = self._engine
-
         def hoisted_step(env, inputs):
             parts = env[src]
-            p0 = parts[0][:lvl]
             dec = engine.decompose_rows(parts[1][:lvl])
-            for perm, key, mviews in members_meta:
-                ks0, _ = engine.contract(dec, key, perm=perm, out1=mviews[1])
-                kern.add(p0[:, perm], ks0, out=mviews[0])
+            for key, perm, views in members:
+                galois_rows(kern, engine, parts, key, perm, views, dec)
 
         return hoisted_step
 
     def _lower_raw(self, node: Node):
-        """One node -> one closure writing into its preassigned views.
-
-        Each branch issues the exact kernel-call sequence the eager
-        evaluator performs for that op (with ``out=`` routed into the
-        arena), so single-node steps are bit-identical by construction.
-        """
+        """One node -> one closure calling its op's row function — the one
+        its :class:`Evaluator` method calls — on the operands' buffers,
+        the node's constants (pre-formed here) and its own arena views."""
         g = self.plan.graph
-        op = node.op
-        nid = node.id
+        op, nid, ids = node.op, node.id, node.inputs
         if op in ("input", "pt_input"):
             index = node.attrs[0]
-            if op == "pt_input":
+            if op == "pt_input":  # a Plaintext: its consumer binds its rows
 
                 def pt_step(env, inputs):
                     env[nid] = inputs[index]
@@ -593,91 +589,45 @@ class FusedExecutor:
         views = self._views[nid]
         lvl = node.level
         kern = self._basis.kernel(lvl)
-        ids = node.inputs
+        engine = self._engine
+        a = ids[0]
         if op in ("add", "sub"):
-            a, b = ids
-            asize = g.nodes[a].size
-            bsize = g.nodes[b].size
-            is_sub = op == "sub"
+            b, subtract = ids[1], op == "sub"
 
             def add_step(env, inputs):
-                pa = env[a]
-                pb = env[b]
-                for i, v in enumerate(views):
-                    if i < asize and i < bsize:
-                        if is_sub:
-                            # kern.sub == add(a, neg(b)) by canonicity.
-                            kern.sub(pa[i][:lvl], pb[i][:lvl], out=v)
-                        else:
-                            kern.add(pa[i][:lvl], pb[i][:lvl], out=v)
-                    elif i < asize:
-                        np.copyto(v, pa[i][:lvl])
-                    elif is_sub:
-                        kern.neg(pb[i][:lvl], out=v)
-                    else:
-                        np.copyto(v, pb[i][:lvl])
+                add_rows(kern, env[a], env[b], views, subtract)
 
             return add_step
         if op == "negate":
-            (a,) = ids
 
-            def neg_step(env, inputs):
-                pa = env[a]
-                for i, v in enumerate(views):
-                    kern.neg(pa[i][:lvl], out=v)
+            def negate_step(env, inputs):
+                negate_rows(kern, env[a], views)
 
-            return neg_step
+            return negate_step
         if op == "multiply":
-            a, b = ids
+            b = ids[1]
 
-            def mul_step(env, inputs):
-                pa = env[a]
-                pb = env[b]
-                a0, a1 = pa[0][:lvl], pa[1][:lvl]
-                b0, b1 = pb[0][:lvl], pb[1][:lvl]
-                kern.mul(a0, b0, out=views[0])
-                kern.add(kern.mul(a0, b1), kern.mul(a1, b0), out=views[1])
-                kern.mul(a1, b1, out=views[2])
+            def multiply_step(env, inputs):
+                multiply_rows(kern, env[a], env[b], views)
 
-            return mul_step
+            return multiply_step
         if op in ("add_plain", "multiply_plain"):
-            if len(ids) == 2:  # symbolic plaintext: eager fallback
-                return self._lower_plain_fallback(node)
-            (a,) = ids
-            pt = g.consts[node.consts[0]]
-            m = pt.poly.drop_limbs(lvl).to_eval().data
-            if op == "add_plain":
+            row = add_plain_rows if op == "add_plain" else multiply_plain_rows
+            pre = kern if op == "multiply_plain" else None
+            if len(ids) == 2:  # a plaintext input, bound at each replay
+                p = ids[1]
 
-                def addp_step(env, inputs):
-                    pa = env[a]
-                    kern.add(pa[0][:lvl], m, out=views[0])
-                    for i in range(1, len(views)):
-                        np.copyto(views[i], pa[i][:lvl])
+                def plain_input_step(env, inputs):
+                    row(kern, env[a], plain_rows(env[p], lvl, pre), views)
 
-                return addp_step
+                return plain_input_step
+            m = plain_rows(g.consts[node.consts[0]], lvl, pre)
 
-            m_pre = kern.pre(m)  # constant operand: pre-form at lower time
+            def plain_step(env, inputs):
+                row(kern, env[a], m, views)
 
-            def mulp_step(env, inputs):
-                pa = env[a]
-                for i, v in enumerate(views):
-                    kern.mul_pre(pa[i][:lvl], m_pre, out=v)
-
-            return mulp_step
-        if op == "relinearize":
-            (a,) = ids
-            key = g.consts[node.consts[0]]
-            engine = self._engine
-
-            def relin_step(env, inputs):
-                parts = env[a]
-                ks0, ks1 = engine.contract(engine.decompose_rows(parts[2][:lvl]), key)
-                kern.add(parts[0][:lvl], ks0, out=views[0])
-                kern.add(parts[1][:lvl], ks1, out=views[1])
-
-            return relin_step
+            return plain_step
         if op == "rescale":
-            (a,) = ids
             times = node.attrs[0]
             lvl_in = g.nodes[a].level
             basis = self._basis
@@ -689,48 +639,22 @@ class FusedExecutor:
                     np.copyto(v, out[i])
 
             return rescale_step
-        if op in AUTOMORPHISM_OPS:
-            (a,) = ids
+        if op == "relinearize":
             key = g.consts[node.consts[0]]
-            perm = galois_permutation(
-                self._basis.degree, node.attrs[-1] % (2 * self._basis.degree)
-            )
-            engine = self._engine
+
+            def relinearize_step(env, inputs):
+                relinearize_rows(kern, engine, env[a], key, views)
+
+            return relinearize_step
+        if op in AUTOMORPHISM_OPS:
+            key = g.consts[node.consts[0]]
+            perm = self._perm(node)
 
             def galois_step(env, inputs):
-                parts = env[a]
-                dec = engine.decompose_rows(parts[1][:lvl])
-                ks0, _ = engine.contract(dec, key, perm=perm, out1=views[1])
-                kern.add(parts[0][:lvl][:, perm], ks0, out=views[0])
+                galois_rows(kern, engine, env[a], key, perm, views)
 
             return galois_step
         raise AssertionError(f"unschedulable op {op!r}")
-
-    def _lower_plain_fallback(self, node: Node):
-        """Plain op over a *symbolic* plaintext: per-replay data, so the
-        step materializes containers and calls the eager evaluator."""
-        g = self.plan.graph
-        ev = self.plan.evaluator
-        basis = self._basis
-        a, p = node.inputs
-        method = ev.add_plain if node.op == "add_plain" else ev.multiply_plain
-        alvl = g.nodes[a].level
-        scale = g.nodes[a].scale
-        views = self._views[node.id]
-
-        def plain_step(env, inputs):
-            ct = Ciphertext(
-                parts=[
-                    RnsPolynomial(basis, part[:alvl], EVAL)
-                    for part in env[a]
-                ],
-                scale=scale,
-            )
-            res = method(ct, env[p])
-            for i, v in enumerate(views):
-                np.copyto(v, res.parts[i].data)
-
-        return plain_step
 
 
 # ---------------------------------------------------------------------------

@@ -69,6 +69,15 @@ class TestLinear:
         assert out.level == 3
         assert np.max(np.abs(ctx.decrypt_decode(out) - (a + b))) < 1e-6
 
+    @pytest.mark.parametrize("op", ["add_plain", "multiply_plain"])
+    def test_plaintext_below_the_ciphertext_is_named(self, ctx, msgs, op):
+        a, b = msgs
+        ct = ctx.encrypt(a, level=4)
+        pt = ctx.encoder.encode(np.asarray(b), level=2)
+        want = f"{op}: plaintext at level 2 cannot reach ciphertext level 4"
+        with pytest.raises(ValueError, match=want):
+            getattr(ctx.evaluator, op)(ct, pt)
+
 
 class TestMultiply:
     def test_tensor_then_relin_then_rescale(self, ctx, msgs, rlk):
@@ -109,6 +118,17 @@ class TestMultiply:
         q_last = ctx.basis.moduli[ct.level - 1]
         assert resc.scale == pytest.approx(ct.scale / q_last)
         assert resc.level == ct.level - 1
+
+    @pytest.mark.parametrize("times", [1, 2])
+    def test_rescale_alone_decrypts_to_the_message(self, ctx, msgs, times):
+        """Encoded at 2^(36 (times + 1)) and divided by ``times`` primes,
+        the message comes back at a scale near 2^36."""
+        a, _ = msgs
+        pt = ctx.encoder.encode(np.asarray(a), scale=2.0 ** (36 * (times + 1)))
+        ct = ctx.encryptor.encrypt(pt)
+        out = ctx.evaluator.rescale(ct, times=times)
+        assert out.level == ct.level - times
+        assert np.max(np.abs(ctx.decrypt_decode(out) - a)) < 1e-6
 
     def test_squaring(self, ctx, msgs, rlk):
         a, _ = msgs
@@ -195,6 +215,25 @@ class TestRotation:
         gk = ctx.galois_keys([5], levels=[ctx.params.num_primes])
         out = ctx.decrypt_decode(ctx.evaluator.rotate(ctx.encrypt(msg), 5, gk))
         assert np.max(np.abs(out - np.roll(msg, -5))) < 1e-4
+
+    def test_hoisted_pair_decrypts(self, ctx):
+        """One decomposition feeding rotations by 1 and 2."""
+        slots = ctx.params.slots
+        msg = np.arange(slots, dtype=float)
+        gk = ctx.galois_keys([1, 2], levels=[ctx.params.num_primes])
+        ct = ctx.encrypt(msg)
+        dec = ctx.evaluator.decompose(ct)
+        for steps in (1, 2):
+            out = ctx.decrypt_decode(ctx.evaluator.rotate(ct, steps, gk, decomposed=dec))
+            assert np.max(np.abs(out - np.roll(msg, -steps))) < 1e-4
+
+    def test_apply_galois_with_the_conjugation_element(self, ctx, msgs):
+        a, _ = msgs
+        top = ctx.params.num_primes
+        conj = ctx.keygen.gen_conjugation(ctx.secret_key, levels=[top])
+        elt = 2 * ctx.basis.degree - 1
+        out = ctx.evaluator.apply_galois(ctx.encrypt(a), elt, conj[top])
+        assert np.max(np.abs(ctx.decrypt_decode(out) - np.conj(a))) < 1e-4
 
     def test_missing_galois_key(self, ctx):
         with pytest.raises(KeyError, match="no Galois key"):

@@ -186,8 +186,9 @@ class TestHoistedRotations:
     def test_matches_seed_rotation_semantically(self, kctx, msg):
         """Engine rotation decrypts identically to the seed path.
 
-        The seed decomposed the *permuted* polynomial; the engine permutes
-        already-decomposed digits (the hoisting prerequisite).  The two
+        The seed decomposed the *permuted* polynomial; ``galois_rows``
+        gathers already-decomposed digits through the slot permutation
+        (the hoisting prerequisite).  The two
         carry different — equally valid — digit representatives, so the
         ciphertexts are not byte-equal, but they encrypt the same message
         with the same noise bound.

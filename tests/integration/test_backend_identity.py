@@ -14,6 +14,13 @@ mode to the eager evaluator's bytes under each backend.  Two more
 programs — the fusion passes' heavier shapes, a hoisted rotation pair
 with a plaintext MAC and a dense BSGS transform — are held to the same
 bytes in process, interpreter and fused.
+
+Every mode runs an op through the same row function
+(:mod:`repro.ckks.evaluator`), so the grid pins delivery, fusion, the
+arena and the bindings, not independent arithmetic; that is pinned by
+``KeySwitchEngine.switch_reference``, ``RnsPolynomial.rescale``, the
+per-op digests of ``test_golden_bytes.py`` and the decrypt-vs-numpy rows
+of ``tests/ckks/test_evaluator.py``.
 """
 
 from __future__ import annotations

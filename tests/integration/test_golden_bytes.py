@@ -141,7 +141,37 @@ def wire_digests(params, client_only: bool = False) -> dict[str, str]:
     digests = {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
     plan = seeded_plan(ctx, rlk, gks, rescaled_scale)
     digests["plan_frames"] = plan_frames_digest(serialize_plan(plan))
+    digests.update(op_digests(ctx, ct, low, plaintext, gks))
     return digests
+
+
+def op_digests(ctx, ct, low, plaintext, gks) -> dict[str, str]:
+    """SHA-256 of each op's eager output: its scale, then every part's
+    residues.  The extra keys are generated last, so every digest above
+    keeps the randomness it was taken with."""
+    ev = ctx.evaluator
+    top = ctx.params.num_primes
+    gks = {**gks, **ctx.galois_keys([2], levels=[top])}
+    conj = ctx.keygen.gen_conjugation(ctx.secret_key, levels=[top])
+    dec = ev.decompose(ct)
+    outs = {
+        "op_sub": ev.sub(ct, low),
+        "op_negate": ev.negate(ct),
+        "op_add_mixed_levels": ev.add(low, ct),
+        "op_add_plain": ev.add_plain(ct, plaintext),
+        "op_multiply_plain": ev.multiply_plain(ct, plaintext),
+        "op_multiply_unrelinearized": ev.multiply(ct, low),
+        "op_rescale": ev.rescale(ct, times=1),
+        "op_conjugate": ev.conjugate(ct, conj),
+        "op_hoisted_rotate_1": ev.rotate(ct, 1, gks, decomposed=dec),
+        "op_hoisted_rotate_2": ev.rotate(ct, 2, gks, decomposed=dec),
+    }
+    return {
+        name: hashlib.sha256(
+            np.float64(out.scale).tobytes() + b"".join(p.data.tobytes() for p in out.parts)
+        ).hexdigest()
+        for name, out in outs.items()
+    }
 
 
 @pytest.mark.parametrize("backend", available_backends())

@@ -6,18 +6,25 @@ from __future__ import annotations
 import multiprocessing as mp
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+import repro.ckks.evaluator as evaluator_module
+import repro.runtime.plan as plan_module
+from repro.ckks.evaluator import Evaluator
+from repro.ckks.keys import rotation_galois_elt
 from repro.ckks.keyswitch import KeySwitchEngine
 from repro.ckks.linear import HomomorphicLinearTransform
 from repro.runtime import (
     CtSpec,
+    PtSpec,
     compile_fn,
     plan_cache_info,
     trace,
 )
+from repro.runtime.graph import _RULES
 
 
 def _spec(rctx, level=None):
@@ -301,13 +308,13 @@ class TestDispatchCounts:
         )
 
         calls = {"n": 0}
-        real = KeySwitchEngine.decompose
+        real = KeySwitchEngine.decompose_rows
 
-        def counting(self, poly):
+        def counting(self, data):
             calls["n"] += 1
-            return real(self, poly)
+            return real(self, data)
 
-        monkeypatch.setattr(KeySwitchEngine, "decompose", counting)
+        monkeypatch.setattr(KeySwitchEngine, "decompose_rows", counting)
 
         calls["n"] = 0
         hlt.emit(rctx.evaluator, sample_ct, keys)  # unplanned eager dispatch
@@ -331,13 +338,13 @@ class TestDispatchCounts:
         self, rctx, gks, monkeypatch, sample_ct
     ):
         calls = {"n": 0}
-        real = KeySwitchEngine.apply
+        real = KeySwitchEngine.contract
 
-        def counting(self, dec, key):
+        def counting(self, *args, **kwargs):
             calls["n"] += 1
-            return real(self, dec, key)
+            return real(self, *args, **kwargs)
 
-        monkeypatch.setattr(KeySwitchEngine, "apply", counting)
+        monkeypatch.setattr(KeySwitchEngine, "contract", counting)
 
         def program(ev, x):
             return ev.add(ev.rotate(x, 1, gks), ev.rotate(x, 1, gks))
@@ -346,6 +353,117 @@ class TestDispatchCounts:
         calls["n"] = 0
         plan.run([sample_ct])
         assert calls["n"] == 1  # two traced rotations, one executed
+
+
+# Each non-leaf op's row function: the one kernel sequence its eager
+# method and fused replay share (rescale's lives in repro.rns.poly).
+ROW_FUNCTIONS = {
+    "add": "add_rows",
+    "sub": "add_rows",
+    "negate": "negate_rows",
+    "add_plain": "add_plain_rows",
+    "multiply_plain": "multiply_plain_rows",
+    "multiply": "multiply_rows",
+    "relinearize": "relinearize_rows",
+    "rescale": "rescale_eval_rows",
+    "rotate": "galois_rows",
+    "conjugate": "galois_rows",
+    "apply_galois": "galois_rows",
+}
+
+# One call per non-leaf op (both plaintext forms) over a top-level x, a y
+# one level down, a 3-part t and a plaintext p that rides as a captured
+# constant (k["pt"]) or as a pt_input operand.
+ONE_OP = {
+    "add": lambda ev, k, x, y, t, p: ev.add(x, y),
+    "sub": lambda ev, k, x, y, t, p: ev.sub(y, x),
+    "negate": lambda ev, k, x, y, t, p: ev.negate(y),
+    "add_plain": lambda ev, k, x, y, t, p: ev.add_plain(y, k["pt"]),
+    "add_plain-pt": lambda ev, k, x, y, t, p: ev.add_plain(x, p),
+    "multiply_plain": lambda ev, k, x, y, t, p: ev.multiply_plain(x, k["pt"]),
+    "multiply_plain-pt": lambda ev, k, x, y, t, p: ev.multiply_plain(y, p),
+    "multiply": lambda ev, k, x, y, t, p: ev.multiply(x, y),
+    "relinearize": lambda ev, k, x, y, t, p: ev.relinearize(t, k["rlk"]),
+    "rescale": lambda ev, k, x, y, t, p: ev.rescale(x, times=2),
+    "rotate": lambda ev, k, x, y, t, p: ev.rotate(x, 1, k["gks"]),
+    "conjugate": lambda ev, k, x, y, t, p: ev.conjugate(x, k["cjk"]),
+    "apply_galois": lambda ev, k, x, y, t, p: ev.apply_galois(x, k["elt"], k["key"]),
+}
+
+
+def _counting(fn, counts: Counter, name: str):
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+class TestOneKernelSequencePerOp:
+    """Eager and fused replay run each op through the same row function,
+    so the two cannot fork."""
+
+    def test_row_functions_cover_every_non_leaf_op(self):
+        non_leaf = {
+            op for op, rule in _RULES.items() if all(kinds for kinds, _ in rule.forms)
+        }
+        assert set(ROW_FUNCTIONS) == non_leaf
+        assert {case.removesuffix("-pt") for case in ONE_OP} == non_leaf
+
+    def test_each_path_calls_the_ops_row_function_once(
+        self, rctx, rlk, gks, monkeypatch
+    ):
+        """Per op, the eager call and a one-node plan's fused replay each
+        call its row function exactly once, and the replay enters no
+        ``Evaluator`` method (a plaintext input used to fall back to one)."""
+        top, slots = rctx.params.num_primes, rctx.params.slots
+        rng = np.random.default_rng(16)
+        pt = rctx.encoder.encode(rng.uniform(-1, 1, slots), level=top)
+        x = rctx.encrypt(rng.uniform(-1, 1, slots))
+        y = rctx.encrypt(rng.uniform(-1, 1, slots), level=top - 1)
+        t = rctx.evaluator.multiply(x, x)
+        keys = {
+            "pt": pt,
+            "rlk": rlk,
+            "gks": gks,
+            "cjk": rctx.keygen.gen_conjugation(rctx.secret_key, [top]),
+            "elt": rotation_galois_elt(3, slots, 2 * rctx.basis.degree),
+            "key": gks[(3, top)],
+        }
+        specs = [
+            _spec(rctx),
+            _spec(rctx, top - 1),
+            CtSpec(level=top, scale=t.scale, size=3),
+            PtSpec(level=top, scale=pt.scale),
+        ]
+        inputs = [x, y, t, pt]
+        rows, entered = Counter(), Counter()
+        for name in set(ROW_FUNCTIONS.values()):
+            for module in (evaluator_module, plan_module):
+                monkeypatch.setattr(
+                    module, name, _counting(getattr(module, name), rows, name)
+                )
+        for name, method in list(vars(Evaluator).items()):
+            if callable(method) and not name.startswith("__"):
+                monkeypatch.setattr(Evaluator, name, _counting(method, entered, name))
+        for case, call in ONE_OP.items():
+            op = case.removesuffix("-pt")
+
+            def program(ev, *handles, call=call):
+                return call(ev, keys, *handles)
+
+            rows.clear()
+            eager = program(rctx.evaluator, *inputs)
+            assert rows == {ROW_FUNCTIONS[op]: 1}, f"eager {case}: {dict(rows)}"
+            plan = compile_fn(program, rctx.evaluator, specs)
+            assert [n.op for n in plan.graph.nodes if n.inputs] == [op], case
+            plan.fused()  # lowered outside the count
+            rows.clear()
+            entered.clear()
+            [[fused]] = plan.run_batch([inputs])
+            assert rows == {ROW_FUNCTIONS[op]: 1}, f"fused {case}: {dict(rows)}"
+            assert not entered, f"fused {case} entered Evaluator.{sorted(entered)}"
+            _assert_ct_equal(fused, eager, case)
 
 
 class TestPlanMechanics:

@@ -6,7 +6,10 @@ scales agree, rescales never exhaust the chain), traced, optimized and
 compiled, and then ``plan.run_batch`` (fused replay) must return the
 bytes of ``plan.run`` (the interpreter) — and both the bytes of the
 eager evaluator running the same callable, which puts the optimizer
-passes under the same test.
+passes under the same test.  Values may be unrelinearized 3-part
+tensors (the 2-part-only ops skip them, add/sub mix part counts,
+relinearize folds them), and add_plain/multiply_plain read either a
+captured plaintext or the plaintext input bound at each replay.
 
 The settings are derandomized so tier-1 replays the same examples every
 run; explore further with ``--hypothesis-seed=random``.
@@ -23,7 +26,7 @@ from hypothesis import strategies as st
 
 from repro.ckks import CkksContext, toy_params
 from repro.ckks.evaluator import SCALE_RTOL
-from repro.runtime import CtSpec, compile_fn
+from repro.runtime import CtSpec, PtSpec, compile_fn
 
 DEGREE = 64
 PRIMES = 6
@@ -37,11 +40,15 @@ KINDS = (
     "sub",
     "negate",
     "multiply",
+    "tensor",
+    "relinearize",
     "rescale",
     "rotate",
     "add_plain",
     "multiply_plain",
 )
+# Operand part counts the kinds that need one take.
+PARTS = {"multiply": 2, "tensor": 2, "rotate": 2, "relinearize": 3}
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +59,7 @@ def world():
     gks = ctx.galois_keys([1, 2], levels=levels)
     rng = np.random.default_rng(98)
     inputs = [ctx.encrypt(rng.uniform(-1, 1, ctx.params.slots)) for _ in range(2)]
+    inputs.append(ctx.encode(rng.uniform(-1, 1, ctx.params.slots)))
     return ctx, rlk, gks, inputs
 
 
@@ -68,19 +76,21 @@ def _program(ops, drop, ctx, rlk, gks):
         values = np.random.default_rng(seed).uniform(-1, 1, ctx.params.slots)
         return ctx.encoder.encode(values, level=level, scale=scale)
 
-    def program(ev, x, y):
+    def program(ev, x, y, p):
         vals = [(x, 0), (y, 0)]
         consumed = set()
         for step, (kind, i, j, k) in enumerate(ops):
             ia = i % len(vals)
             ib = None
             a, da = vals[ia]
-            if kind in ("add", "sub", "multiply"):
-                if kind == "multiply":
+            if a.size != PARTS.get(kind, a.size):
+                continue
+            if kind in ("add", "sub", "multiply", "tensor"):
+                if kind in ("multiply", "tensor"):
                     peers = [
                         n
                         for n, (v, _) in enumerate(vals)
-                        if a.scale * v.scale <= MAX_SCALE
+                        if v.size == 2 and a.scale * v.scale <= MAX_SCALE
                     ]
                 else:
                     peers = [
@@ -105,6 +115,10 @@ def _program(ops, drop, ctx, rlk, gks):
                 out = ev.negate(a)
             elif kind == "multiply":
                 out = ev.relinearize(ev.multiply(a, b), rlk)
+            elif kind == "tensor":
+                out = ev.multiply(a, b)
+            elif kind == "relinearize":
+                out = ev.relinearize(a, rlk)
             elif kind == "rescale":
                 times = min(1 + k % 2, a.level - 1)
                 scale = a.scale
@@ -116,11 +130,13 @@ def _program(ops, drop, ctx, rlk, gks):
             elif kind == "rotate":
                 out = ev.rotate(a, 1 + k % 2, gks)
             elif kind == "add_plain":
-                out = ev.add_plain(a, plaintext(step, a.level, a.scale))
+                # Odd k reads the plaintext input where its scale fits.
+                fits = k % 2 and math.isclose(a.scale, p.scale, rel_tol=SCALE_RTOL)
+                out = ev.add_plain(a, p if fits else plaintext(step, a.level, a.scale))
             else:
                 if a.scale * ctx.params.scale > MAX_SCALE:
                     continue
-                pt = plaintext(step, a.level, ctx.params.scale)
+                pt = p if k % 2 else plaintext(step, a.level, ctx.params.scale)
                 out = ev.multiply_plain(a, pt)
             vals.append((out, depth))
             consumed |= {ia, ib} - {None}
@@ -156,7 +172,8 @@ def test_fused_replay_matches_interpreter_on_random_graphs(world, ops, drop):
     ctx, rlk, gks, inputs = world
     program = _program(ops, drop, ctx, rlk, gks)
     spec = CtSpec(level=PRIMES, scale=ctx.params.scale)
-    plan = compile_fn(program, ctx.evaluator, [spec, spec])
+    pt_spec = PtSpec(level=PRIMES, scale=ctx.params.scale)
+    plan = compile_fn(program, ctx.evaluator, [spec, spec, pt_spec])
     oracle = _bytes(plan.run(inputs))
     (fused,) = plan.run_batch([inputs])
     assert _bytes(fused) == oracle, f"fused != interpreter on {plan.summary()}"
