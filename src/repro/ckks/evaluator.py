@@ -314,8 +314,10 @@ class Evaluator:
         if ct.size != 2:
             raise ValueError("relinearize before applying automorphisms")
         _check_key("apply_galois", key, ct)
-        n = self.basis.degree
-        perm = galois_permutation(n, galois_elt % (2 * n))
+        if decomposed is not None and decomposed.level != ct.level:
+            msg = f"decomposition level {decomposed.level} != operand level {ct.level}"
+            raise ValueError(f"apply_galois: {msg}")
+        perm = galois_permutation(self.basis.degree, galois_elt)
         dec = None if decomposed is None else decomposed.tensor
         args = (self.keyswitch, _rows(ct), key, perm)
         return self._run(galois_rows, 2, ct.level, ct.scale, *args, dec=dec)

@@ -543,20 +543,17 @@ class FusedExecutor:
 
         return sum_step
 
-    def _perm(self, node: Node) -> np.ndarray:
-        n = self._basis.degree
-        return galois_permutation(n, node.attrs[-1] % (2 * n))
-
     def _lower_hoisted(self, grp):
         g = self.plan.graph
         src = grp.sources[0]
         lvl = g.nodes[src].level
         kern = self._basis.kernel(lvl)
         engine = self._engine
-        members = [
-            (g.consts[g.nodes[m].consts[0]], self._perm(g.nodes[m]), self._views[m])
-            for m in grp.members
-        ]
+        members = []
+        for m in grp.members:
+            node = g.nodes[m]
+            perm = galois_permutation(self._basis.degree, node.attrs[-1])
+            members.append((g.consts[node.consts[0]], perm, self._views[m]))
 
         def hoisted_step(env, inputs):
             parts = env[src]
@@ -648,7 +645,7 @@ class FusedExecutor:
             return relinearize_step
         if op in AUTOMORPHISM_OPS:
             key = g.consts[node.consts[0]]
-            perm = self._perm(node)
+            perm = galois_permutation(self._basis.degree, node.attrs[-1])
 
             def galois_step(env, inputs):
                 galois_rows(kern, engine, env[a], key, perm, views)

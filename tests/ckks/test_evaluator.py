@@ -227,6 +227,16 @@ class TestRotation:
             out = ctx.decrypt_decode(ctx.evaluator.rotate(ct, steps, gk, decomposed=dec))
             assert np.max(np.abs(out - np.roll(msg, -steps))) < 1e-4
 
+    def test_decomposition_from_another_level_is_refused(self, ctx, msgs):
+        top = ctx.params.num_primes
+        gk = ctx.galois_keys([1], levels=[top - 1])
+        ct = ctx.encrypt(msgs[0])
+        dec = ctx.evaluator.decompose(ct)
+        low = ctx.evaluator.rescale(ct)
+        want = f"decomposition level {top} != operand level {top - 1}"
+        with pytest.raises(ValueError, match=want):
+            ctx.evaluator.rotate(low, 1, gk, decomposed=dec)
+
     def test_apply_galois_with_the_conjugation_element(self, ctx, msgs):
         a, _ = msgs
         top = ctx.params.num_primes
