@@ -22,6 +22,12 @@ import pytest
 from repro.ckks import CkksContext, toy_params
 from repro.ckks.containers import Ciphertext
 from repro.ckks.evaluator import Evaluator
+from repro.ckks.serialization import (
+    _word_layout,
+    deserialize_ciphertext,
+    serialize_ciphertext,
+    wire_coeff_bits,
+)
 from repro.nums import find_primes
 from repro.nums.kernels import available_backends, make_kernel, using_backend
 from repro.rns import RnsBasis
@@ -249,6 +255,45 @@ def test_rescale_table(report):
             f"({rows} NTT rows, best of {reps})"
         )
     report("Evaluator.rescale, 2 parts by two primes, eager", lines)
+
+
+def test_codec_table(report):
+    """Report only: best-of-k ms of ``serialize_ciphertext`` and
+    ``deserialize_ciphertext`` of a 2-part ciphertext at the bench shape
+    (2^10, L = 10, the toy chain's wire width) and at the paper's upload
+    (2^16, L = 24) and 2-limb reply, both at the 44-bit datapath width."""
+    served = _residue_poly(10, 10)
+    paper = _residue_poly(24, 16)
+    cases = (
+        ("served ", served.basis, served.data, wire_coeff_bits(served.basis), 200),
+        ("upload ", paper.basis, paper.data, 44, 5),
+        ("reply  ", paper.basis, paper.data[:2], 44, 30),
+    )
+    lines = []
+    for name, basis, data, bits, reps in cases:
+        part = RnsPolynomial(basis, data, EVAL)
+        ct = Ciphertext(parts=[part, part.copy()], scale=2.0**72)
+        blob = serialize_ciphertext(ct, bits)
+        times = []
+        codecs = (
+            lambda: serialize_ciphertext(ct, bits),
+            lambda: deserialize_ciphertext(blob, basis),
+        )
+        for codec in codecs:
+            best = float("inf")
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                codec()
+                best = min(best, time.perf_counter() - t0)
+            times.append(best)
+        period, width = _word_layout(bits)
+        lines.append(
+            f"{name} N=2^{basis.degree.bit_length() - 1}, L={len(data):2d}, "
+            f"{bits} bits ({period} values / {width} words): "
+            f"serialize {times[0]*1e3:7.3f} ms, deserialize {times[1]*1e3:7.3f} ms "
+            f"(best of {reps})"
+        )
+    report("Ciphertext codec, 2 parts", lines)
 
 
 @pytest.mark.parametrize("log_slots", [12, 15])

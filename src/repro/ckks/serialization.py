@@ -40,9 +40,11 @@ Integration tests assert these sizes equal the
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 import zlib
+from typing import NamedTuple
 
 import numpy as np
 
@@ -110,61 +112,119 @@ def _word_layout(bits: int) -> tuple[int, int]:
     return 64 // unit, bits // unit
 
 
-# Values one pass of the packer walks (8 bytes each).  A period's columns
-# are strided views, so every column of a pass re-reads the same cache
-# lines: half a megabyte of values and the ~0.7 of it they pack into stay
-# in a 2 MiB L2 for all of a period's shifts (4x faster at 2 x 24 x 65536
-# than walking whole matrices column by column).
-_PACK_PASS_VALUES = 1 << 16
+# Values one pass of the codec walks (8 bytes each).  A pass's block, its
+# transposed scratch, its words and the shift tiles (about half a MiB
+# together) stay in L2 while the pass's handful of numpy calls run.
+_PACK_PASS_VALUES = 1 << 14
+
+
+class _Period(NamedTuple):
+    """Where the values of one packing period land, as index arrays.
+
+    Value ``j`` starts at bit ``shift_j`` of word ``word_of[j]``; the words
+    are filled in stream order, so word ``w`` takes the starts of columns
+    ``first[w]..`` plus, for ``w >= 1``, the high bits of the one value
+    that straddles in from word ``w - 1`` — the last to start there
+    (``carry[w - 1]``).  Every inner word boundary is straddled, since no
+    value but the period's first starts on one.  ``shifts`` and
+    ``carry_shifts`` are the per-column shifts repeated over a pass's
+    rows, so each shift is one contiguous elementwise call.
+    """
+
+    period: int
+    width: int
+    rows: int  # periods per pass
+    word_of: np.ndarray
+    first: np.ndarray
+    later: tuple  # per start rank after the first: (words that have one, its column)
+    carry: np.ndarray
+    shifts: np.ndarray  # (period, rows): shift_j
+    carry_shifts: np.ndarray  # (width - 1, rows): 64 - shift_j of each straddler
+
+
+@functools.lru_cache(maxsize=8)
+def _period(bits: int) -> _Period:
+    period, width = _word_layout(bits)
+    rows = max(1, _PACK_PASS_VALUES // period)
+    word_of, shift = np.divmod(np.arange(period) * bits, 64)
+    first = np.searchsorted(word_of, np.arange(width))
+    last = np.searchsorted(word_of, np.arange(width), side="right") - 1
+    later = []
+    for k in range(1, int((last - first).max()) + 1):
+        words = np.flatnonzero(first + k <= last)
+        later.append((words, first[words] + k))
+    carry = last[:-1]
+
+    def tile(column):
+        return np.repeat(column.astype(np.uint64)[:, None], rows, axis=1)
+
+    plan = _Period(
+        period,
+        width,
+        rows,
+        word_of,
+        first,
+        tuple(later),
+        carry,
+        tile(shift),
+        tile(64 - shift[carry]),
+    )
+    # Every caller shares the cached arrays: none may write them.
+    for array in (word_of, first, carry, plan.shifts, plan.carry_shifts):
+        array.flags.writeable = False
+    for targets, sources in later:
+        targets.flags.writeable = sources.flags.writeable = False
+    return plan
 
 
 def _pack_words(arrays, bits: int) -> tuple[np.ndarray, int]:
     """One little-endian bitstream over the values of ``arrays``, in order,
     as a matrix of uint64 words plus the stream's length in bytes.
 
-    The stream is assembled a word at a time: the values are laid out as a
-    ``(periods, values per period)`` matrix and each column is shifted
-    into the word column(s) it lands in — assigned where it is the first
-    to land there, OR-ed after, so the words are never zero-filled.  Every
-    array packs into its own rows of the one word matrix; only a toy
-    array whose size is no multiple of the period is concatenated first.
+    The values are laid out as a ``(periods, values per period)`` matrix
+    and packed a pass of rows at a time: the pass is copied once into a
+    transposed scratch, so each column is a contiguous row; one call
+    shifts every column to its place, one gather assigns each word its
+    first start, one OR per further start lands the rest and one OR the
+    straddlers' high bits, and the transposed word block is copied back
+    once.  Every array packs into its own rows of the one word matrix;
+    only a toy array whose size is no multiple of the period is
+    concatenated first.
     """
     if bits < 1 or bits > 64:
         raise ValueError(f"bits must be in [1, 64], got {bits}")
     arrays = [np.asarray(a, dtype=np.uint64).ravel() for a in arrays]
-    for values in arrays:
-        if len(values) and int(values.max()).bit_length() > bits:
-            raise ValueError(f"value {values.max()} does not fit in {bits} bits")
-    period, width = _word_layout(bits)
+    plan = _period(bits)
+    period, width = plan.period, plan.width
     count = sum(len(values) for values in arrays)
     if any(len(values) % period for values in arrays[:-1]) or count % period:
         pad = np.zeros(-count % period, dtype=np.uint64)
         arrays = [np.concatenate([*arrays, pad])]
-    # (column, word, shift, shift right?, first into its word?) per landing;
-    # a straddling value lands twice, and stream order fills words in order.
-    landings = []
-    for j in range(period):
-        word, shift = divmod(j * bits, 64)
-        landings.append((j, word, np.uint64(shift), False, shift == 0))
-        if shift + bits > 64:
-            landings.append((j, word + 1, np.uint64(64 - shift), True, True))
-    step = max(1, _PACK_PASS_VALUES // period)
     words = np.empty((-(-count // period), width), dtype="<u8")
-    shifted = np.empty(step, dtype=np.uint64)
+    columns = np.empty((period, plan.rows), dtype=np.uint64)
+    block_words = np.empty((width, plan.rows), dtype=np.uint64)
     row = 0
     for values in arrays:
-        columns = values.reshape(-1, period)
-        for lo in range(0, len(columns), step):
-            source = columns[lo : lo + step]
-            target = words[row + lo : row + lo + len(source)]
-            for j, word, shift, right, first in landings:
-                move = np.right_shift if right else np.left_shift
-                if first:
-                    move(source[:, j], shift, out=target[:, word])
-                else:
-                    move(source[:, j], shift, out=shifted[: len(source)])
-                    target[:, word] |= shifted[: len(source)]
-        row += len(columns)
+        matrix = values.reshape(-1, period)
+        for lo in range(0, len(matrix), plan.rows):
+            block = matrix[lo : lo + plan.rows]
+            n = len(block)
+            # One sequential read checks the fit and brings the block into
+            # cache for the strided one that transposes it.
+            top = int(block.max())
+            if top.bit_length() > bits:
+                raise ValueError(f"value {top} does not fit in {bits} bits")
+            cols, out = columns[:, :n], block_words[:, :n]
+            np.copyto(cols, block.T)
+            high = cols[plan.carry]
+            high >>= plan.carry_shifts[:, :n]
+            cols <<= plan.shifts[:, :n]
+            out[...] = cols[plan.first]
+            for targets, sources in plan.later:
+                out[targets] |= cols[sources]
+            out[1:] |= high
+            np.copyto(words[row + lo : row + lo + n], out.T)
+        row += len(matrix)
     return words, (bits * count + 7) // 8
 
 
@@ -180,7 +240,12 @@ def pack_residues(values: np.ndarray, bits: int) -> bytes:
 
 
 def unpack_residues(blob: bytes, bits: int, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_residues`."""
+    """Inverse of :func:`pack_residues`.
+
+    A pass of word rows is copied once into a transposed scratch; one
+    gather-and-shift reads every column's low word, one shift-and-OR the
+    straddlers' high words, and one mask drops the neighbours' bits.
+    """
     if bits < 1 or bits > 64:
         raise WireFormatError(f"bits must be in [1, 64], got {bits}")
     used = (bits * count + 7) // 8
@@ -188,18 +253,26 @@ def unpack_residues(blob: bytes, bits: int, count: int) -> np.ndarray:
         raise WireFormatError(
             f"blob too short: {8 * len(blob)} bits < {bits * count}"
         )
-    period, width = _word_layout(bits)
+    plan = _period(bits)
+    period, width = plan.period, plan.width
     periods = -(-count // period)
-    words = np.zeros((periods, width), dtype="<u8")
-    words.reshape(-1).view(np.uint8)[:used] = np.frombuffer(blob, np.uint8, used)
+    words = np.empty((periods, width), dtype="<u8")
+    stream = words.reshape(-1).view(np.uint8)
+    stream[:used] = np.frombuffer(blob, np.uint8, used)
+    stream[used:] = 0
     mask = np.uint64((1 << bits) - 1)
     values = np.empty((periods, period), dtype=np.uint64)
-    for j in range(period):
-        word, shift = divmod(j * bits, 64)
-        column = words[:, word] >> np.uint64(shift)
-        if shift + bits > 64:
-            column |= words[:, word + 1] << np.uint64(64 - shift)
-        np.bitwise_and(column, mask, out=values[:, j])
+    scratch = np.empty((width, plan.rows), dtype=np.uint64)
+    for lo in range(0, periods, plan.rows):
+        block = words[lo : lo + plan.rows]
+        n = len(block)
+        word_rows = scratch[:, :n]
+        np.copyto(word_rows, block.T)
+        cols = word_rows[plan.word_of]
+        cols >>= plan.shifts[:, :n]
+        cols[plan.carry] |= word_rows[1:] << plan.carry_shifts[:, :n]
+        cols &= mask
+        np.copyto(values[lo : lo + n], cols.T)
     return values.reshape(-1)[:count]
 
 
@@ -220,31 +293,53 @@ def _blob(
     return b"".join([header, *body, trailer])
 
 
-def _poly_from_payload(
-    basis: RnsBasis, blob: bytes, offset: int, level: int, bits: int, domain: str
-) -> tuple[RnsPolynomial, int]:
+def _polys_from_payload(
+    basis: RnsBasis,
+    blob: bytes,
+    offset: int,
+    count: int,
+    level: int,
+    bits: int,
+    domain: str,
+    trailer: int = 0,
+) -> tuple[list[RnsPolynomial], int]:
+    """The ``count`` polynomials at ``level`` packed back to back from
+    ``offset`` — as :func:`_blob` wrote them, one bitstream and so one
+    unpack whenever rows end on byte boundaries — and the offset past them.
+
+    The blob must end ``trailer`` bytes after them: a longer one is a
+    :class:`WireFormatError` before anything is unpacked.
+    """
+    what = bytes(blob[:4]).decode(errors="replace")
     if not 1 <= level <= basis.num_primes:
         raise WireFormatError(
-            f"level {level} outside the basis's 1..{basis.num_primes}"
+            f"{what} level {level} outside the basis's 1..{basis.num_primes}"
         )
     n = basis.degree
     row_bytes = (bits * n + 7) // 8
-    end = offset + level * row_bytes
+    end = offset + count * level * row_bytes
+    if len(blob) > end + trailer:
+        raise WireFormatError(
+            f"{what} length {len(blob)}: {len(blob) - end - trailer} bytes "
+            f"past the body"
+        )
     payload = memoryview(blob)[offset:end]
+    rows = count * level
     if bits * n % 8 == 0:
-        data = unpack_residues(payload, bits, level * n).reshape(level, n)
+        data = unpack_residues(payload, bits, rows * n)
     else:
-        data = np.stack(
+        data = np.concatenate(
             [
                 unpack_residues(payload[i * row_bytes : (i + 1) * row_bytes], bits, n)
-                for i in range(level)
+                for i in range(rows)
             ]
         )
+    data = data.reshape(count, level, n)
     # Every kernel assumes canonical residues; a wider field can carry more.
     moduli = np.array(basis.moduli[:level], dtype=np.uint64).reshape(-1, 1)
     if (data >= moduli).any():
         raise WireFormatError("residue not below its modulus")
-    return RnsPolynomial(basis, data, domain), end
+    return [RnsPolynomial(basis, limbs, domain) for limbs in data], end
 
 
 def _header(magic: bytes, ct, bits: int, size: int) -> bytes:
@@ -276,6 +371,8 @@ def _read_header(blob: bytes, magic: bytes, what: str, basis: RnsBasis):
         raise WireFormatError(
             f"degree mismatch: blob {degree}, basis {basis.degree}"
         )
+    if not (math.isfinite(scale) and scale > 0):
+        raise WireFormatError(f"{magic.decode()} scale {scale!r} is not positive")
     return level, bits, scale, size
 
 
@@ -291,11 +388,9 @@ def deserialize_ciphertext(blob: bytes, basis: RnsBasis) -> Ciphertext:
     level, bits, scale, size = _read_header(
         blob, _MAGIC_FULL, "full-ciphertext", basis
     )
-    offset = _HEADER_LEN
-    parts = []
-    for _ in range(size):
-        poly, offset = _poly_from_payload(basis, blob, offset, level, bits, EVAL)
-        parts.append(poly)
+    if size < 2:
+        raise WireFormatError(f"CTF2 part count {size}: a ciphertext has c0 and c1")
+    parts, _ = _polys_from_payload(basis, blob, _HEADER_LEN, size, level, bits, EVAL)
     return Ciphertext(parts=parts, scale=scale)
 
 
@@ -314,8 +409,9 @@ def deserialize_seeded(blob: bytes, basis: RnsBasis) -> Ciphertext:
     level, bits, scale, _ = _read_header(
         blob, _MAGIC_SEED, "seeded-ciphertext", basis
     )
-    offset = _HEADER_LEN
-    c0, offset = _poly_from_payload(basis, blob, offset, level, bits, EVAL)
+    (c0,), offset = _polys_from_payload(
+        basis, blob, _HEADER_LEN, 1, level, bits, EVAL, trailer=16
+    )
     seed = blob[offset : offset + 16]
     if len(seed) != 16:
         raise WireFormatError("truncated seed")
@@ -338,8 +434,10 @@ def deserialize_plaintext(blob: bytes, basis: RnsBasis) -> Plaintext:
     level, bits, scale, domain_flag = _read_header(
         blob, _MAGIC_PLAIN, "plaintext", basis
     )
+    if domain_flag not in (0, 1):
+        raise WireFormatError(f"PTX1 domain flag {domain_flag} is neither 0 nor 1")
     domain = EVAL if domain_flag else COEFF
-    poly, _ = _poly_from_payload(basis, blob, _HEADER_LEN, level, bits, domain)
+    (poly,), _ = _polys_from_payload(basis, blob, _HEADER_LEN, 1, level, bits, domain)
     return Plaintext(poly=poly, scale=scale)
 
 
@@ -368,13 +466,12 @@ def deserialize_switching_key(blob: bytes, basis: RnsBasis) -> SwitchingKey:
         raise WireFormatError(
             f"degree mismatch: blob {degree}, basis {basis.degree}"
         )
-    offset = 4 + _SWK_HEADER.size
-    pairs: list[tuple[RnsPolynomial, RnsPolynomial]] = []
-    for _ in range(level):
-        b_j, offset = _poly_from_payload(basis, blob, offset, level, bits, EVAL)
-        a_j, offset = _poly_from_payload(basis, blob, offset, level, bits, EVAL)
-        pairs.append((b_j, a_j))
-    return SwitchingKey(level=level, pairs=pairs)
+    if level < 1:
+        raise WireFormatError("SWK1 level 0: a key has at least one digit")
+    polys, _ = _polys_from_payload(
+        basis, blob, 4 + _SWK_HEADER.size, 2 * level, level, bits, EVAL
+    )
+    return SwitchingKey(level=level, pairs=list(zip(polys[::2], polys[1::2])))
 
 
 # ---------------------------------------------------------------------------

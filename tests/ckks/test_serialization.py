@@ -4,6 +4,7 @@ round trips through the serving engine's forked-worker boundary."""
 from __future__ import annotations
 
 import multiprocessing as mp
+import struct
 
 import numpy as np
 import pytest
@@ -11,11 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks import CkksContext, toy_params
+from repro.ckks.containers import Ciphertext
 from repro.ckks.serialization import (
     _HEADER_LEN,
+    _PACK_PASS_VALUES,
     SEEDED_MAGIC,
     SWITCHING_KEY_MAGIC,
     WireFormatError,
+    _pack_words,
     ciphertext_wire_bytes,
     deserialize_ciphertext,
     deserialize_plaintext,
@@ -32,6 +36,17 @@ from repro.ckks.serialization import (
     wire_coeff_bits,
 )
 from repro.nums.kernels import available_backends, using_backend
+from repro.rns.poly import EVAL, RnsPolynomial
+
+
+# Widths the pass and multi-array paths are compared against the oracle at:
+# the extremes, an odd one, the toy chains' 36/37/41 bits, the datapath's 44.
+ORACLE_WIDTHS = (1, 13, 36, 37, 41, 44, 63, 64)
+
+
+def _random_values(rng, bits: int, count: int) -> np.ndarray:
+    vals = rng.integers(0, 1 << 63, count, dtype=np.uint64)
+    return (vals * np.uint64(2) + np.uint64(1)) >> np.uint64(64 - bits)
 
 
 def _packbits_oracle(values: np.ndarray, bits: int) -> bytes:
@@ -44,6 +59,26 @@ def _packbits_oracle(values: np.ndarray, bits: int) -> bytes:
 @pytest.fixture(scope="module")
 def sctx():
     return CkksContext.create(toy_params(degree=128, num_primes=4), seed=55)
+
+
+def _put(blob: bytes, offset: int, layout: str, value) -> bytes:
+    out = bytearray(blob)
+    struct.pack_into(layout, out, offset, value)
+    return bytes(out)
+
+
+def _encoded(ctx, form: str):
+    """``(blob, decoder)`` of one object in wire form ``form``."""
+    pt = ctx.encode(np.linspace(-1, 1, ctx.params.slots))
+    if form == "ciphertext":
+        return serialize_ciphertext(ctx.encryptor.encrypt(pt)), deserialize_ciphertext
+    if form == "plaintext":
+        return serialize_plaintext(pt), deserialize_plaintext
+    if form == "seeded":
+        ct, seed = ctx.encryptor.encrypt_symmetric_seeded(pt, ctx.secret_key)
+        return serialize_seeded(ct, seed), deserialize_seeded
+    key = ctx.relin_keys(levels=[2])[2]
+    return serialize_switching_key(key), deserialize_switching_key
 
 
 class TestPacking:
@@ -112,6 +147,30 @@ class TestPacking:
             with pytest.raises(WireFormatError, match="too short"):
                 unpack_residues(blob[:-1], bits, len(vals))
 
+    @pytest.mark.parametrize("bits", ORACLE_WIDTHS)
+    def test_passes_match_packbits_oracle(self, bits, rng):
+        """Two pass boundaries and a partial period: the pass walk joins
+        its blocks into the one stream."""
+        period = 64 // np.gcd(bits, 64)
+        count = 2 * _PACK_PASS_VALUES + period + period // 2
+        vals = _random_values(rng, bits, count)
+        blob = pack_residues(vals, bits)
+        assert blob == _packbits_oracle(vals, bits)
+        assert np.array_equal(unpack_residues(blob, bits, count), vals)
+
+    @pytest.mark.parametrize("bits", ORACLE_WIDTHS)
+    def test_arrays_pack_as_their_concatenation(self, bits, rng):
+        """``_blob``'s path: several arrays, each its own rows of one word
+        matrix, are one bitstream."""
+        period = 64 // np.gcd(bits, 64)
+        arrays = [
+            _random_values(rng, bits, size)
+            for size in (_PACK_PASS_VALUES + 3 * period, 5 * period, 2 * period)
+        ]
+        words, size = _pack_words(arrays, bits)
+        stream = words.reshape(-1).view(np.uint8)[:size].tobytes()
+        assert stream == _packbits_oracle(np.concatenate(arrays), bits)
+
     def test_matrix_packs_as_its_rows(self, rng):
         mat = rng.integers(0, 1 << 37, (5, 64), dtype=np.uint64)
         rows = b"".join(pack_residues(row, 37) for row in mat)
@@ -159,6 +218,29 @@ class TestFullCiphertext:
         bad.scale = ct.scale
         with pytest.raises(ValueError, match="NTT-domain"):
             serialize_ciphertext(bad)
+
+    @pytest.mark.parametrize("bits", ORACLE_WIDTHS)
+    def test_parts_decode_in_one_unpack_as_one_by_one(self, sctx, bits, rng):
+        """A three-part body is one bitstream: its one-unpack decode is
+        each part's own unpack at its offset."""
+        basis, level, n = sctx.basis, 3, sctx.params.degree
+        tops = [min(int(q), 1 << bits) for q in basis.moduli[:level]]
+        parts = [
+            RnsPolynomial(
+                basis,
+                np.stack([rng.integers(0, top, n, dtype=np.uint64) for top in tops]),
+                EVAL,
+            )
+            for _ in range(3)
+        ]
+        blob = serialize_ciphertext(Ciphertext(parts=parts, scale=2.0**30), bits)
+        decoded = deserialize_ciphertext(blob, basis)
+        part_bytes = level * n * bits // 8
+        for i, part in enumerate(decoded.parts):
+            body = blob[_HEADER_LEN + i * part_bytes :]
+            alone = unpack_residues(body, bits, level * n).reshape(level, n)
+            assert np.array_equal(part.data, alone)
+            assert np.array_equal(part.data, parts[i].data)
 
 
 class TestSeededCiphertext:
@@ -427,6 +509,45 @@ class TestTypedWireErrors:
         blob[12:14] = (sctx.basis.num_primes + 1).to_bytes(2, "little")  # level field
         with pytest.raises(WireFormatError, match="level"):
             deserialize_ciphertext(bytes(blob), sctx.basis)
+
+    @pytest.mark.parametrize(
+        "form, field, forge",
+        [
+            ("ciphertext", "part count", lambda b: _put(b, 24, "<H", 0)),
+            ("ciphertext", "part count", lambda b: _put(b, 24, "<H", 1)),
+            ("switching_key", "level", lambda b: _put(b, 8, "<H", 0)[:12]),
+            ("plaintext", "domain flag", lambda b: _put(b, 24, "<H", 2)),
+            ("ciphertext", "length", lambda b: b + b"\x00"),
+            ("seeded", "length", lambda b: b + b"\x00"),
+            ("plaintext", "length", lambda b: b + b"\x00"),
+            ("switching_key", "length", lambda b: b + b"\x00"),
+            ("ciphertext", "scale", lambda b: _put(b, 16, "<d", float("nan"))),
+            ("ciphertext", "scale", lambda b: _put(b, 16, "<d", float("inf"))),
+            ("seeded", "scale", lambda b: _put(b, 16, "<d", 0.0)),
+            ("plaintext", "scale", lambda b: _put(b, 16, "<d", -(2.0**40))),
+        ],
+        ids=[
+            "ctf2-no-parts",
+            "ctf2-one-part",
+            "swk1-level-0",
+            "ptx1-domain-2",
+            "ctf2-trailing",
+            "cts2-trailing",
+            "ptx1-trailing",
+            "swk1-trailing",
+            "scale-nan",
+            "scale-inf",
+            "scale-zero",
+            "scale-negative",
+        ],
+    )
+    def test_layout_formats_md_rules_out_is_typed(self, sctx, form, field, forge):
+        """A header or length that ``docs/formats.md`` rules out is refused
+        by name — never a decoded object, never a bare ``ValueError``."""
+        blob, decode = _encoded(sctx, form)
+        decode(blob, sctx.basis)  # intact
+        with pytest.raises(WireFormatError, match=field):
+            decode(forge(blob), sctx.basis)
 
     def test_truncated_payload_and_seed_are_typed(self, sctx):
         pt = sctx.encode([1.0])
