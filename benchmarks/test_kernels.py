@@ -296,6 +296,47 @@ def test_codec_table(report):
     report("Ciphertext codec, 2 parts", lines)
 
 
+def test_keygen_table(report):
+    """Report only: distinct key objects, their MiB and best-of-3 seconds
+    for three key sets — every relinearization level at (2^10, L = 10),
+    the two levels ``eval_poly3`` asks for, and the ``Bootstrapper`` set
+    at ``benchmarks/test_bootstrap.py``'s shape (timed as the whole
+    constructor, which the key generation dominates)."""
+    from dataclasses import replace
+
+    from repro.ckks import BootstrapConfig, Bootstrapper
+
+    served = CkksContext.create(toy_params(degree=1 << 10, num_primes=10), seed=1)
+    boot_ctx = CkksContext.create(
+        replace(toy_params(degree=64, num_primes=22), secret_hamming_weight=8), seed=2
+    )
+    boot_cfg = BootstrapConfig(input_scale_bits=25, eval_mod_degree=63, wraps=7)
+
+    def bootstrap_keys():
+        bs = Bootstrapper(boot_ctx, boot_cfg)
+        return [bs._galois, bs._conj, bs._relin]
+
+    cases = (
+        ("relin_keys(), 2^10 L=10       ", lambda: [served.relin_keys()]),
+        ("relin_keys(levels=[10, 8])    ", lambda: [served.relin_keys(levels=[10, 8])]),
+        ("Bootstrapper, 2^6 L=22 (init) ", bootstrap_keys),
+    )
+    lines = []
+    for name, generate in cases:
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            key_sets = generate()
+            best = min(best, time.perf_counter() - t0)
+        keys = {id(k): k for ks in key_sets for k in ks.values()}.values()
+        nbytes = sum(p.data.nbytes for k in keys for pair in k.pairs for p in pair)
+        lines.append(
+            f"{name}: {len(keys):3d} keys, {nbytes / 2**20:6.2f} MiB, "
+            f"{best * 1e3:7.1f} ms (best of 3)"
+        )
+    report("Switching-key generation", lines)
+
+
 @pytest.mark.parametrize("log_slots", [12, 15])
 def test_special_fft(benchmark, log_slots):
     slots = 1 << log_slots

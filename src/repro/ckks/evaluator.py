@@ -135,9 +135,10 @@ def _check_reaches(op: str, ct: Ciphertext, pt: Plaintext) -> None:
 
 
 def _check_key(op: str, key: SwitchingKey, ct: Ciphertext) -> None:
-    if key.level != ct.level:
+    if key.level < ct.level:
         raise ValueError(
-            f"{op}: switching key level {key.level} != operand level {ct.level}"
+            f"{op}: switching key at level {key.level} cannot reach operand "
+            f"level {ct.level}"
         )
 
 

@@ -14,6 +14,14 @@ decomposition: limb ``j`` of the switching key encrypts
 ``idem_j * s_target`` where ``idem_j`` is the CRT idempotent of ``q_j`` in
 the level's composite modulus, so ``sum_j [c]_{q_j} * idem_j ≡ c (mod Q)``
 reconstructs exactly with small (one-limb-sized) digit coefficients.
+
+One key per automorphism serves every level at or below its own: the
+idempotent of ``q_j`` in ``Q_L``, taken mod ``Q_ℓ`` (``j < ℓ <= L``), is
+``≡ 1 (mod q_j)`` and ``≡ 0`` mod every other ``q_i`` of ``Q_ℓ`` — the
+idempotent of ``q_j`` in ``Q_ℓ``.  So the first ``ℓ`` digits of a
+level-``L`` key, restricted to their first ``ℓ`` limbs, *are* a level-``ℓ``
+key, and a level-``ℓ`` switch reads the ``[:ℓ, :ℓ]`` prefix of the top
+key's tensors instead of a key of its own.
 """
 
 from __future__ import annotations
@@ -84,43 +92,37 @@ class PublicKey:
     a: RnsPolynomial
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SwitchingKey:
-    """Key-switching key from some ``s_src`` to ``s`` at one level.
+    """Key-switching key from some ``s_src`` to ``s``, born stacked.
 
-    ``pairs[j] = (b_j, a_j)`` with ``b_j = -a_j*s + e_j + idem_j * s_src``
-    over the first ``level`` limbs, NTT domain.
+    ``b[j]`` / ``a[j]`` are digit ``j``'s ``(L, N)`` NTT-domain residue
+    rows, ``b_j = -a_j*s + e_j + idem_j * s_src``: two read-only
+    ``(L, L, N)`` tensors, the layout the key-switch contraction walks
+    digit row by digit row, as plain residues under every backend.  The
+    key reaches every level ``ℓ <= level`` through its ``[:ℓ, :ℓ]``
+    prefix (see the module docstring).
     """
 
-    level: int
-    pairs: list[tuple[RnsPolynomial, RnsPolynomial]]
-    _stacked: tuple[np.ndarray, np.ndarray] | None = field(
-        default=None, repr=False, compare=False
-    )
+    basis: RnsBasis
+    b: np.ndarray = field(repr=False)
+    a: np.ndarray = field(repr=False)
 
-    def stacked(self) -> tuple[np.ndarray, np.ndarray]:
-        """The key as two stacked ``(L, L, N)`` tensors ``(B, A)``.
+    def __post_init__(self) -> None:
+        self.b.flags.writeable = False
+        self.a.flags.writeable = False
 
-        ``B[j] = b_j.data`` / ``A[j] = a_j.data`` — the layout the
-        key-switch contraction walks digit row by digit row, as plain
-        residues under every backend.  Built lazily, cached per key; from
-        then on ``pairs`` are row views of the two tensors, so the key
-        holds its residues once.
-        """
-        if self._stacked is None:
-            b = np.stack([pair[0].data for pair in self.pairs])
-            a = np.stack([pair[1].data for pair in self.pairs])
-            b.setflags(write=False)
-            a.setflags(write=False)
-            self._stacked = (b, a)
-            self.pairs = [
-                (
-                    RnsPolynomial(b_j.basis, b[j], b_j.domain),
-                    RnsPolynomial(a_j.basis, a[j], a_j.domain),
-                )
-                for j, (b_j, a_j) in enumerate(self.pairs)
-            ]
-        return self._stacked
+    @property
+    def level(self) -> int:
+        return self.b.shape[0]
+
+    @property
+    def pairs(self) -> tuple[tuple[RnsPolynomial, RnsPolynomial], ...]:
+        """Digit ``j``'s ``(b_j, a_j)`` as polynomials: read-only row views."""
+        return tuple(
+            (RnsPolynomial(self.basis, b_j, EVAL), RnsPolynomial(self.basis, a_j, EVAL))
+            for b_j, a_j in zip(self.b, self.a)
+        )
 
 
 def expand_uniform_poly(
@@ -188,11 +190,13 @@ class KeyGenerator:
 
         Uses CRT-idempotent gadgets: ``idem_j ≡ 1 (mod q_j)``,
         ``≡ 0 (mod q_i, i != j)`` over the level's composite modulus.
+        Each digit's rows are written straight into the key's tensors.
         """
         if source.domain != EVAL:
             raise ValueError("source secret must be in the NTT domain")
         crt = self.basis.crt(level)
-        pairs: list[tuple[RnsPolynomial, RnsPolynomial]] = []
+        b = np.empty((level, level, self.basis.degree), dtype=np.uint64)
+        a = np.empty_like(b)
         src = source.drop_limbs(level)
         for j, q_j in enumerate(self.basis.moduli[:level]):
             idem = crt.q_hat[j] * crt.q_hat_inv[j]  # CRT idempotent, big int
@@ -202,50 +206,55 @@ class KeyGenerator:
             e_j = self._error_poly(level, tag + b"|e%d" % j).to_eval()
             idem_residues = [idem % q for q in self.basis.moduli[:level]]
             b_j = -(a_j * sk.at_level(level)) + e_j + src.scale_scalar(idem_residues)
-            pairs.append((b_j, a_j))
-        return SwitchingKey(level=level, pairs=pairs)
+            b[j], a[j] = b_j.data, a_j.data
+        return SwitchingKey(self.basis, b, a)
 
     def gen_relin(self, sk: SecretKey, levels: list[int]) -> dict[int, SwitchingKey]:
-        """Relinearization keys (s^2 -> s) for each requested level."""
-        s_squared = sk.poly * sk.poly
-        return {
-            lvl: self.gen_switching_key(sk, s_squared, lvl, b"relin-l%d" % lvl)
-            for lvl in levels
-        }
+        """One relinearization key (s^2 -> s), at the top requested level,
+        listed under every requested level."""
+        top = _top_level(levels)
+        key = self.gen_switching_key(sk, sk.poly * sk.poly, top, b"relin-l%d" % top)
+        return dict.fromkeys(levels, key)
 
     def gen_conjugation(
         self, sk: SecretKey, levels: list[int]
     ) -> dict[int, SwitchingKey]:
-        """Keys for complex conjugation (the Galois element X -> X^{-1}).
+        """One key for complex conjugation (the Galois element X -> X^{-1}),
+        at the top requested level, listed under every requested level.
 
         Conjugating all message slots is the automorphism by ``2N - 1``;
         bootstrapping's CoeffToSlot needs it to split real and imaginary
         coefficient parts.
         """
-        conj_elt = 2 * self.basis.degree - 1
+        top = _top_level(levels)
         # EVAL-domain automorphism: a pure slot permutation, no NTT trip.
-        s_conj = sk.poly.automorphism(conj_elt)
-        return {
-            lvl: self.gen_switching_key(sk, s_conj, lvl, b"conj-l%d" % lvl)
-            for lvl in levels
-        }
+        s_conj = sk.poly.automorphism(2 * self.basis.degree - 1)
+        key = self.gen_switching_key(sk, s_conj, top, b"conj-l%d" % top)
+        return dict.fromkeys(levels, key)
 
     def gen_galois(
         self, sk: SecretKey, rotations: list[int], levels: list[int]
     ) -> dict[tuple[int, int], SwitchingKey]:
-        """Galois keys for slot rotations.
+        """Galois keys for slot rotations, one per rotation at the top
+        requested level.
 
         Rotation by ``r`` slots corresponds to the automorphism
         ``X -> X^{5^r mod 2N}``; the returned dict is keyed by
-        ``(rotation, level)``.
+        ``(rotation, level)``, every level of a rotation naming its key.
         """
+        top = _top_level(levels)
         out: dict[tuple[int, int], SwitchingKey] = {}
         two_n = 2 * self.basis.degree
         for r in rotations:
             galois_elt = rotation_galois_elt(r, self.params.slots, two_n)
             s_rot = sk.poly.automorphism(galois_elt)
-            for lvl in levels:
-                out[(r, lvl)] = self.gen_switching_key(
-                    sk, s_rot, lvl, b"galois-r%d-l%d" % (r, lvl)
-                )
+            key = self.gen_switching_key(sk, s_rot, top, b"galois-r%d-l%d" % (r, top))
+            out.update(((r, lvl), key) for lvl in levels)
         return out
+
+
+def _top_level(levels: list[int]) -> int:
+    """The level a key set is generated at: the highest one requested."""
+    if not levels:
+        raise ValueError("levels must name at least one level to generate keys at")
+    return max(levels)

@@ -12,8 +12,9 @@ tensorizes the whole pipeline:
   :class:`~repro.transforms.ntt.BatchNtt` dispatch over the flattened
   ``(L·L, N)`` matrix — the transform takes the digits unreduced, so no
   whole-tensor re-reduction precedes it;
-* **contract** walks the digit rows once against a switching key's two
-  stacked ``(L, L, N)`` residue tensors
+* **contract** walks the digit rows once against the ``[:L, :L]``
+  prefix of a switching key's two ``(L, L, N)`` residue tensors (a key
+  reaches every level at or below its own)
   (:meth:`~repro.nums.kernels.ReducerKernel.mul_accumulate_rows`: each
   digit row split once, raw products summed as uint64, one reduction pair
   per key component), gathering each row through a Galois slot
@@ -44,7 +45,7 @@ __all__ = ["DecomposedPoly", "KeySwitchEngine"]
 @dataclass(frozen=True)
 class DecomposedPoly:
     """A polynomial's full gadget decomposition, NTT domain, ready to be
-    applied against any switching key at its level.
+    applied against any switching key at or above its level.
 
     Attributes:
         basis: the RNS chain.
@@ -98,10 +99,7 @@ class KeySwitchEngine:
         self, dec: DecomposedPoly, key: SwitchingKey
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
         """Contract a decomposed polynomial against one switching key."""
-        if key.level != dec.level:
-            raise ValueError(
-                f"switching key level {key.level} != poly level {dec.level}"
-            )
+        _check_reach(key, dec.level)
         out0, out1 = self.contract(dec.tensor, key)
         return (
             RnsPolynomial(self.basis, out0, EVAL),
@@ -118,15 +116,15 @@ class KeySwitchEngine:
         Each row is gathered once — through ``perm`` when a Galois slot
         permutation is folded in, which reads the same elements as
         permuting the whole tensor first — and multiplied against both
-        key components while cache-hot.  The key tensors are the key's
-        own residues (:meth:`SwitchingKey.stacked`), whatever the backend.
+        key components while cache-hot.  The key operands are views of
+        the key's own residues, its ``[:L, :L]`` prefix at the tensor's
+        level ``L``, whatever the backend.
         """
-        kern = self.basis.kernel(tensor.shape[0])
-        rows = (
-            tensor[j] if perm is None else tensor[j][:, perm]
-            for j in range(tensor.shape[0])
-        )
-        return kern.mul_accumulate_rows(rows, key.stacked(), (out0, out1))
+        lvl = tensor.shape[0]
+        kern = self.basis.kernel(lvl)
+        rows = (tensor[j] if perm is None else tensor[j][:, perm] for j in range(lvl))
+        consts = (key.b[:lvl, :lvl], key.a[:lvl, :lvl])
+        return kern.mul_accumulate_rows(rows, consts, (out0, out1))
 
     def switch(
         self, poly: RnsPolynomial, key: SwitchingKey
@@ -148,8 +146,8 @@ class KeySwitchEngine:
         if poly.domain != EVAL:
             raise ValueError("key switching expects an NTT-domain polynomial")
         lvl = poly.level
-        if key.level != lvl:
-            raise ValueError(f"switching key level {key.level} != poly level {lvl}")
+        _check_reach(key, lvl)
+        pairs = key.pairs
         coeff = poly.to_coeff()
         kern = self.basis.kernel(lvl)
         out0: RnsPolynomial | None = None
@@ -158,10 +156,17 @@ class KeySwitchEngine:
             digit_row = coeff.data[j]  # residues mod q_j
             wide = np.broadcast_to(digit_row, (lvl, digit_row.shape[0]))
             digit = RnsPolynomial(self.basis, kern.reduce(wide), COEFF).to_eval()
-            b_j, a_j = key.pairs[j]
+            b_j, a_j = (part.drop_limbs(lvl) for part in pairs[j])
             t0 = digit * b_j
             t1 = digit * a_j
             out0 = t0 if out0 is None else out0 + t0
             out1 = t1 if out1 is None else out1 + t1
         assert out0 is not None and out1 is not None
         return out0, out1
+
+
+def _check_reach(key: SwitchingKey, level: int) -> None:
+    if key.level < level:
+        raise ValueError(
+            f"switching key at level {key.level} cannot reach poly level {level}"
+        )

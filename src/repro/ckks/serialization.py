@@ -452,7 +452,7 @@ def serialize_switching_key(key: SwitchingKey, coeff_bits: int | None = None) ->
     canonical encoding plan constants are fingerprinted over
     (:mod:`repro.runtime.plan_io`).
     """
-    basis = key.pairs[0][0].basis
+    basis = key.basis
     bits = coeff_bits if coeff_bits is not None else wire_coeff_bits(basis)
     header = SWITCHING_KEY_MAGIC + _SWK_HEADER.pack(basis.degree, key.level, bits)
     return _blob(header, [poly for pair in key.pairs for poly in pair], bits)
@@ -471,7 +471,8 @@ def deserialize_switching_key(blob: bytes, basis: RnsBasis) -> SwitchingKey:
     polys, _ = _polys_from_payload(
         basis, blob, 4 + _SWK_HEADER.size, 2 * level, level, bits, EVAL
     )
-    return SwitchingKey(level=level, pairs=list(zip(polys[::2], polys[1::2])))
+    b, a = (np.stack([poly.data for poly in polys[k::2]]) for k in (0, 1))
+    return SwitchingKey(basis, b, a)
 
 
 # ---------------------------------------------------------------------------

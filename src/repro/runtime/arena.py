@@ -111,21 +111,6 @@ class ArenaLayout:
                     free.extend(slots[nid])
         return cls(slots=slots, num_slots=next_slot, level=level, degree=degree)
 
-    @classmethod
-    def for_graph(cls, graph, *, degree: int) -> "ArenaLayout":
-        """Per-node layout for an unfused schedule (one step per node)."""
-        steps = [
-            ArenaStep(
-                produced=()
-                if node.op in ("input", "pt_input")
-                else ((node.id, node.size),),
-                consumed=node.inputs,
-            )
-            for node in graph.nodes
-        ]
-        level = max((node.level for node in graph.nodes), default=1)
-        return cls.plan(steps, graph.outputs, level=level, degree=degree)
-
     @property
     def slot_bytes(self) -> int:
         """Bytes per pool slot (one full-level uint64 residue matrix)."""

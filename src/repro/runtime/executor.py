@@ -2,10 +2,10 @@
 
 :class:`ShardedExecutor` scales :meth:`ExecutionPlan.run_batch` past one
 core.  Compiled plans are immutable, evaluation keys are read-only, and
-every process-level cache (the fused replayer, stacked key tensors, NTT
-twiddle pre-forms, Galois permutation tables) is warmed *before* the pool
-starts — so forked workers inherit all of it copy-on-write and execute
-with zero per-process recompilation.  Only the per-request ciphertexts
+every process-level cache (the fused replayer, NTT twiddle pre-forms,
+Galois permutation tables) is warmed *before* the pool starts — so
+forked workers inherit all of it copy-on-write and execute with zero
+per-process recompilation.  Only the per-request ciphertexts
 move between processes, through the exact wire formats of
 :mod:`repro.ckks.serialization` (packed at :func:`wire_coeff_bits`, with
 raw-double scales, so a round trip is bit-exact and sharded output is
@@ -307,8 +307,8 @@ class ShardedExecutor:
             injection (tests/benches only; ``None`` in production).
         fused: replay through the arena-backed
             :class:`~repro.runtime.plan.FusedExecutor` (``False``: the
-            reference interpreter; same bits).  The fused warm (arena +
-            stacked keys) happens in the parent before the first fork
+            reference interpreter; same bits).  The fused warm (arena,
+            bound constants) happens in the parent before the first fork
             so workers inherit it copy-on-write.
     """
 
@@ -384,9 +384,8 @@ class ShardedExecutor:
         )
         # Warm every fork-shared cache in the parent: lowering the fused
         # replayer (arena layout, fused closures, bound constants), plus
-        # (optionally) one real replay so the stacked key tensors
-        # (``SwitchingKey.stacked``, one copy per key instead of one per
-        # worker) and permutation tables exist before the first fork.
+        # (optionally) one real replay so the permutation tables exist
+        # before the first fork.
         plan.run_batch(
             [warm_inputs] if warm_inputs is not None else [], fused=self.fused
         )

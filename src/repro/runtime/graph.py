@@ -422,9 +422,9 @@ def _reaches(pt, ct) -> None:
 
 def _switched(a, key, parts: int) -> None:
     _parts(a, parts)
-    if key.level != a.level:
+    if key.level < a.level:
         raise ValueError(
-            f"switching key level {key.level} != operand level {a.level}"
+            f"switching key at level {key.level} cannot reach operand level {a.level}"
         )
 
 

@@ -38,8 +38,7 @@ any other process compiles again — cheaper than hashing the plan's
 constants to look it up on disk would be.
 
 Process/fork contract (see ``docs/architecture.md``): the plan cache,
-each plan's :class:`FusedExecutor` (arena pool, fused closures, and the
-per-key :meth:`SwitchingKey.stacked` tensors its first replay builds) and
+each plan's :class:`FusedExecutor` (arena pool and fused closures) and
 every constant they bind are process-local state
 that forked serving workers inherit copy-on-write when the parent warms the
 replay before forking (``ShardedExecutor`` does); nothing in this module

@@ -86,10 +86,6 @@ class RequestRecord:
         """JSON-ready form; typed errors ride as (name, stable code)."""
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "RequestRecord":
-        return cls(**data)
-
 
 def _percentile(sorted_values: list[float], q: float) -> float:
     if not sorted_values:

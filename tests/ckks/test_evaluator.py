@@ -200,6 +200,40 @@ class TestDepth:
         assert np.max(np.abs(out - a * b * b)) < 1e-3
 
 
+class TestKeyReach:
+    """A switching key reaches every level at or below its own."""
+
+    def test_relinearize_through_a_key_above_the_operand(self, ctx, msgs, rlk):
+        a, b = msgs
+        low = ctx.params.num_primes - 2
+        ev = ctx.evaluator
+        three = ev.multiply(ctx.encrypt(a, level=low), ctx.encrypt(b, level=low))
+        out = ev.rescale(ev.relinearize(three, {low: rlk[ctx.params.num_primes]}), 2)
+        assert np.max(np.abs(ctx.decrypt_decode(out) - a * b)) < 1e-4
+
+    def test_apply_galois_through_a_key_above_the_operand(self, ctx, msgs):
+        a, _ = msgs
+        top = ctx.params.num_primes
+        conj = ctx.keygen.gen_conjugation(ctx.secret_key, levels=[top])
+        elt = 2 * ctx.basis.degree - 1
+        out = ctx.evaluator.apply_galois(ctx.encrypt(a, level=top - 1), elt, conj[top])
+        assert out.level == top - 1
+        assert np.max(np.abs(ctx.decrypt_decode(out) - np.conj(a))) < 1e-4
+
+    @pytest.mark.parametrize("op", ["relinearize", "apply_galois"])
+    def test_key_below_the_operand_is_refused(self, ctx, msgs, op):
+        a, _ = msgs
+        top = ctx.params.num_primes
+        key = ctx.relin_keys(levels=[top - 1])[top - 1]
+        ct = ctx.encrypt(a)
+        want = f"{op}: switching key at level {top - 1} cannot reach operand level {top}"
+        with pytest.raises(ValueError, match=want):
+            if op == "relinearize":
+                ctx.evaluator.relinearize(ctx.evaluator.multiply(ct, ct), {top: key})
+            else:
+                ctx.evaluator.apply_galois(ct, 2 * ctx.basis.degree - 1, key)
+
+
 class TestRotation:
     def test_rotate_by_one(self, ctx):
         slots = ctx.params.slots

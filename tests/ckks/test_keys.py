@@ -83,10 +83,37 @@ class TestSwitchingKeys:
             assert all(abs(x) <= bound for x in residual), j
 
     def test_relin_key_levels(self, ctx):
+        """One key, at the top requested level, listed under every level."""
         keys = ctx.relin_keys(levels=[2, 4])
         assert set(keys) == {2, 4}
-        assert keys[2].level == 2
+        assert keys[2] is keys[4]
+        assert keys[4].level == 4
         assert len(keys[4].pairs) == 4
+
+    def test_one_key_per_automorphism(self, ctx):
+        gk = ctx.galois_keys([1, 2], levels=[3, 5])
+        assert gk[(1, 3)] is gk[(1, 5)] and gk[(2, 3)] is gk[(2, 5)]
+        assert gk[(1, 5)] is not gk[(2, 5)]
+        assert {key.level for key in gk.values()} == {5}
+        conj = ctx.keygen.gen_conjugation(ctx.secret_key, levels=[2, 3])
+        assert conj[2] is conj[3] and conj[3].level == 3
+
+    def test_top_level_key_is_the_single_level_key(self, ctx):
+        """The tag names the top level, so a multi-level request makes
+        the very key a single-level request at that level does."""
+        both = ctx.galois_keys([1], levels=[2, 4])[(1, 2)]
+        alone = ctx.galois_keys([1], levels=[4])[(1, 4)]
+        assert np.array_equal(both.b, alone.b) and np.array_equal(both.a, alone.a)
+
+    @pytest.mark.parametrize("gen", ["relin", "conjugation", "galois"])
+    def test_empty_levels_rejected(self, ctx, gen):
+        make = {
+            "relin": lambda: ctx.relin_keys(levels=[]),
+            "conjugation": lambda: ctx.keygen.gen_conjugation(ctx.secret_key, []),
+            "galois": lambda: ctx.galois_keys([1], levels=[]),
+        }[gen]
+        with pytest.raises(ValueError, match="levels"):
+            make()
 
     def test_galois_key_shape(self, ctx):
         gk = ctx.galois_keys([1, 2], levels=[3])

@@ -58,10 +58,43 @@ class TestBatchedSwitch:
         assert np.max(np.abs(kctx.decrypt_decode(out) - msg * msg)) < 1e-4
 
     def test_level_mismatch_rejected(self, kctx, msg):
-        rlk = kctx.relin_keys(levels=[NUM_PRIMES])
+        """A key below the operand's level cannot reach it."""
+        low = NUM_PRIMES - 1
+        key = kctx.relin_keys(levels=[low])[low]
+        poly = kctx.encrypt(msg).parts[1]
+        engine = kctx.evaluator.keyswitch
+        want = f"switching key at level {low} cannot reach poly level {NUM_PRIMES}"
+        with pytest.raises(ValueError, match=want):
+            engine.switch(poly, key)
+        with pytest.raises(ValueError, match=want):
+            engine.switch_reference(poly, key)
+
+    @pytest.mark.parametrize("path", ["apply", "switch_reference"])
+    def test_key_above_the_operand_level_is_accepted(self, kctx, msg, path):
+        """A key reaches every level at or below its own."""
+        key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
         poly = kctx.encrypt(msg, level=NUM_PRIMES - 1).parts[1]
-        with pytest.raises(ValueError, match="level"):
-            kctx.evaluator.keyswitch.switch(poly, rlk[NUM_PRIMES])
+        engine = kctx.evaluator.keyswitch
+        if path == "apply":
+            out0, out1 = engine.apply(engine.decompose(poly), key)
+        else:
+            out0, out1 = engine.switch_reference(poly, key)
+        assert out0.level == out1.level == NUM_PRIMES - 1
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("level", range(1, NUM_PRIMES))
+    def test_prefix_switch_matches_digit_loop(self, kctx, msg, level, backend):
+        """One top-level key, every level below it (the top level is
+        ``test_bit_identical_to_digit_loop``): the contraction over its
+        ``[:level, :level]`` prefix equals the seed loop over its pairs."""
+        key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
+        poly = kctx.encrypt(msg, level=level).parts[1]
+        with using_backend(backend):
+            engine = kctx.evaluator.keyswitch
+            fast0, fast1 = engine.switch(poly, key)
+            ref0, ref1 = engine.switch_reference(poly, key)
+        assert np.array_equal(fast0.data, ref0.data)
+        assert np.array_equal(fast1.data, ref1.data)
 
     def test_single_forward_dispatch_over_stacked_digits(self, kctx, msg, monkeypatch):
         """decompose issues exactly one forward BatchNtt over (L, L, N)."""
@@ -96,14 +129,14 @@ class TestContraction:
             got0, got1 = engine.contract(tensor, key, perm=perm, out1=out1)
             kern = kctx.basis.kernel(NUM_PRIMES)
             moved = tensor if perm is None else tensor[:, :, perm]
-            want0, want1 = (kern.mul_accumulate(moved, k) for k in key.stacked())
+            want0, want1 = (kern.mul_accumulate(moved, k) for k in (key.b, key.a))
         assert got1 is out1
         assert np.array_equal(got0, want0)
         assert np.array_equal(got1, want1)
 
     def test_every_backend_contracts_the_same_key_arrays(self, kctx, msg, monkeypatch):
         """No per-backend copy of a key: each backend's kernel is handed
-        the very arrays ``stacked()`` caches."""
+        views of the key's own tensors, at the top level and below."""
         from repro.nums.kernels import ReducerKernel
 
         key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
@@ -116,25 +149,56 @@ class TestContraction:
             return original(kern, rows, consts, *args)
 
         monkeypatch.setattr(ReducerKernel, "mul_accumulate_rows", spy)
+        low = kctx.evaluator.rescale(kctx.encrypt(msg)).parts[1]
         for backend in BACKENDS:
             with using_backend(backend):
                 engine = kctx.evaluator.keyswitch
                 engine.apply(engine.decompose(poly), key)
-        assert [name for name, _ in seen] == list(BACKENDS)
-        for _, consts in seen:
-            assert all(c is k for c, k in zip(consts, key.stacked(), strict=True))
+                engine.apply(engine.decompose(low), key)
+        assert [name for name, _ in seen] == [b for b in BACKENDS for _ in (0, 1)]
+        for _, (b, a) in seen:
+            assert np.shares_memory(b, key.b) and np.shares_memory(a, key.a)
 
     def test_key_holds_its_residues_once(self, kctx):
-        """Once stacked, ``pairs`` are row views of the stacked tensors."""
+        """A key is born stacked: two read-only ``(L, L, N)`` tensors, and
+        ``pairs`` are row views of them."""
         key = kctx.keygen.gen_switching_key(
             kctx.secret_key, kctx.secret_key.poly, NUM_PRIMES, b"views"
         )
-        before = [(b.data.copy(), a.data.copy()) for b, a in key.pairs]
-        b_stack, a_stack = key.stacked()
-        for j, ((b_j, a_j), (b_was, a_was)) in enumerate(zip(key.pairs, before)):
-            assert np.shares_memory(b_j.data, b_stack) and np.shares_memory(a_j.data, a_stack)
-            assert np.array_equal(b_j.data, b_was) and np.array_equal(a_j.data, a_was)
+        assert key.b.shape == key.a.shape == (NUM_PRIMES, NUM_PRIMES, DEGREE)
+        assert not key.b.flags.writeable and not key.a.flags.writeable
+        assert len(key.pairs) == NUM_PRIMES
+        for j, (b_j, a_j) in enumerate(key.pairs):
+            assert np.shares_memory(b_j.data, key.b) and np.shares_memory(a_j.data, key.a)
+            assert np.array_equal(b_j.data, key.b[j]) and np.array_equal(a_j.data, key.a[j])
             assert b_j.domain == a_j.domain == "eval"
+
+
+class TestPrefixKeyPrecision:
+    """At N=2^10, L=10 a level-``ℓ`` relinearization through the top key's
+    prefix is as precise as one through a key made at ``ℓ``."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        ctx = CkksContext.create(toy_params(degree=1 << 10, num_primes=10), seed=3)
+        return ctx, ctx.relin_keys(levels=[10])[10]
+
+    @pytest.mark.parametrize("level", [10, 8, 2])
+    def test_square_through_the_top_key(self, wide, level):
+        ctx, top_key = wide
+        ev = ctx.evaluator
+        # Level 2 can drop only one prime: square at a one-prime scale there.
+        times = min(ctx.params.levels_per_multiplication, level - 1)
+        msg = np.random.default_rng(level).uniform(-0.5, 0.5, ctx.params.slots)
+        scale = 2.0 ** (ctx.params.prime_bits * times)
+        ct = ctx.encryptor.encrypt(ctx.encoder.encode(msg, level=level, scale=scale))
+        square = ev.multiply(ct, ct)
+        bits = []
+        for key in (top_key, ctx.relin_keys(levels=[level])[level]):
+            out = ev.rescale(ev.relinearize(square, {level: key}), times)
+            bits.append(-np.log2(np.max(np.abs(ctx.decrypt_decode(out) - msg**2))))
+        assert min(bits) > 15
+        assert abs(bits[0] - bits[1]) <= 0.5, bits
 
 
 class TestHoistedRotations:

@@ -234,18 +234,30 @@ class TestAlignmentChecker:
         msg = str(err.value)
         assert "scale" in msg and "node #" in msg and "operands" in msg
 
-    def test_rejects_wrong_key_level(self, rctx, gks):
-        def program(ev, x):
-            return ev.rotate(x, 1, gks)
-
-        g = trace(program, rctx.evaluator, [_spec(rctx)])
-        # Move the input (its spec, leaf and the rotation) one level down,
-        # consistently, so only the key's level is wrong.
+    @staticmethod
+    def _rotation_moved_to(rctx, keys, key_level, level):
+        """A traced rotation through a level-``key_level`` key, its input
+        (spec, leaf and the rotation) moved to ``level`` consistently, so
+        only the key's level can be wrong."""
         import dataclasses
 
-        lower = rctx.params.num_primes - 1
-        g.input_specs[0] = _spec(rctx, level=lower)
-        g.nodes[0] = dataclasses.replace(g.nodes[0], level=lower)
-        g.nodes[1] = dataclasses.replace(g.nodes[1], level=lower)
-        with pytest.raises(PlanValidationError, match="switching key level"):
+        def program(ev, x):
+            return ev.rotate(x, 1, keys)
+
+        g = trace(program, rctx.evaluator, [_spec(rctx, level=key_level)])
+        g.input_specs[0] = _spec(rctx, level=level)
+        g.nodes[0] = dataclasses.replace(g.nodes[0], level=level)
+        g.nodes[1] = dataclasses.replace(g.nodes[1], level=level)
+        return g
+
+    def test_rejects_wrong_key_level(self, rctx):
+        top = rctx.params.num_primes
+        keys = rctx.galois_keys([1], levels=[top - 1])
+        g = self._rotation_moved_to(rctx, keys, top - 1, top)
+        want = f"switching key at level {top - 1} cannot reach operand level {top}"
+        with pytest.raises(PlanValidationError, match=want):
             check_alignment(g)
+
+    def test_accepts_key_above_operand_level(self, rctx, gks):
+        top = rctx.params.num_primes
+        check_alignment(self._rotation_moved_to(rctx, gks, top, top - 1))

@@ -22,7 +22,12 @@ from repro.runtime import (
     serialize_plan,
 )
 from repro.runtime.graph import _RULES, op_arities
-from repro.runtime.plan_io import CONSTSTORE_MAGIC, OP_CODES, PLAN_MAGIC
+from repro.runtime.plan_io import (
+    _CONST_SWITCHING_KEY,
+    CONSTSTORE_MAGIC,
+    OP_CODES,
+    PLAN_MAGIC,
+)
 from repro.runtime.trace import trace
 
 PRIMES = 6
@@ -165,6 +170,47 @@ def _cfps(blob: bytes) -> list[bytes]:
     payload = _frames(blob)[b"CFPS"]
     (count,) = struct.unpack_from("<I", payload)
     return [payload[4 + 17 * i : 4 + 17 * (i + 1)] for i in range(count)]
+
+
+def _poly3(rctx, rlk):
+    """x^4 + x^2 + 1/2: relinearizations at two levels, one key."""
+
+    def model(ev, x):
+        def square(v):
+            return ev.rescale(ev.relinearize(ev.multiply(v, v), rlk), times=2)
+
+        encode, ones = rctx.encoder.encode, np.ones(rctx.params.slots)
+        x2 = square(x)
+        unity = encode(ones, level=x2.level, scale=x2.scale)
+        y = ev.add(square(x2), ev.rescale(ev.multiply_plain(x2, unity), times=2))
+        return [ev.add_plain(y, encode(0.5 * ones, level=y.level, scale=y.scale))]
+
+    return model
+
+
+class TestOneKeyAcrossLevels:
+    """A plan relinearizing at two levels through one top-level key holds,
+    ships and replays that key once."""
+
+    def test_poly3_holds_and_ships_one_key(self, rctx, rlk):
+        assert rlk[PRIMES] is rlk[PRIMES - 2]
+        spec = CtSpec(level=PRIMES, scale=rctx.params.scale)
+        plan = compile_fn(_poly3(rctx, rlk), rctx.evaluator, [spec])
+        assert plan.graph.op_histogram()["relinearize"] == 2
+        assert plan.stats()["consts"] == 3
+        kinds = [entry[0] for entry in _cfps(serialize_plan(plan))]
+        assert kinds.count(_CONST_SWITCHING_KEY) == 1
+
+    def test_poly3_every_path_is_byte_identical(self, rctx, rlk, inputs):
+        model = _poly3(rctx, rlk)
+        spec = CtSpec(level=PRIMES, scale=rctx.params.scale)
+        plan = compile_fn(model, rctx.evaluator, [spec])
+        x = inputs[:1]
+        eager = model(rctx.evaluator, *x)
+        back = deserialize_plan(serialize_plan(plan), rctx.evaluator)
+        _assert_outputs_equal(plan.run_batch([x])[0], eager)
+        _assert_outputs_equal(plan.run(x), eager)
+        _assert_outputs_equal(back.run_batch([x])[0], eager)
 
 
 class TestConstantPayload:
