@@ -7,27 +7,28 @@ clients decrypt.  The server side is written once against the shared
 evaluator surface, traced, compiled to a cached
 :class:`~repro.runtime.plan.ExecutionPlan`, and **served by the
 multi-process engine** through the unified surface: ``serve(plan,
-ServingConfig(...))`` opens a session whose worker pool runs behind a
-``tcp`` worker host — the compiled plan crosses to it as one
-self-contained ``EPL1`` blob (each constant inline once, named by its
-content fingerprint, the cross-machine path; see docs/formats.md) — and
-``session.streaming()`` feeds it from a bounded
-request queue so each client's encrypt -> evaluate -> decrypt pipeline
-overlaps the others'.  Ciphertexts cross the worker boundary through the
-wire formats of :mod:`repro.ckks.serialization`, and the streamed
-outputs are asserted bit-identical to eager one-op-at-a-time evaluation.
+ServingConfig(...))`` returns a worker pool running behind a ``tcp``
+worker host — the compiled plan crosses to it as one self-contained
+``EPL1`` blob (each constant inline once, named by its content
+fingerprint, the cross-machine path; see docs/formats.md).  The clients
+keep a small window of requests in flight through ``pool.submit()``
+futures, so one client's encrypt and another's decrypt overlap the
+pool's evaluation.  Ciphertexts cross the worker boundary through the
+wire formats of :mod:`repro.ckks.serialization`, and the served outputs
+are asserted bit-identical to eager one-op-at-a-time evaluation.
 
 Afterwards the accelerator model reports what each client phase would
 cost on ABC-FHE vs a CPU at bootstrappable parameters — reproducing the
-Fig. 1 story end to end — and the engine's own served queue is projected
-onto the dual-RSC scheduling policies through the runtime bridge.
+Fig. 1 story end to end — and the served run is projected onto the
+dual-RSC scheduling policies through the runtime bridge.
 
 Run:  python examples/private_inference_client.py
 """
 
 from __future__ import annotations
 
-import asyncio
+import time
+from collections import deque
 
 import numpy as np
 
@@ -38,16 +39,18 @@ from repro.runtime import (
     CtSpec,
     ServingConfig,
     compile_fn,
+    plan_schedule_comparison,
     plan_to_workload,
     serve,
 )
 
 NUM_CLIENTS = 4
+WINDOW = 3  # requests in flight at once
 # tcp: the worker host rebuilds the plan from its EPL1 bytes instead of
 # inheriting the compiled object through fork, and its workers replay it
 # through the arena-backed fused executor (the default) — same bits as
-# eager, fewer dispatches.  max_pending bounds the streaming admission queue.
-SERVING = ServingConfig(num_workers=2, max_pending=3, transport="tcp")
+# eager, fewer dispatches.
+SERVING = ServingConfig(num_workers=2, transport="tcp")
 
 
 def server_side_model(ev, ct, ctx, weights1, bias1, weights2, relin_keys):
@@ -98,51 +101,57 @@ def main() -> None:
           f"{fstats['fused_nodes']} nodes); arena {fstats['arena_slots']} slots, "
           f"peak {fstats['arena_peak_bytes'] / 1024:.0f} KiB")
 
-    # --- clients encrypt, then the streaming engine serves --------------
-    # Each request: enter the bounded queue (backpressure at
-    # SERVING.max_pending), evaluate on a forked worker, decrypt in the
-    # thread pool — phases overlap across clients.
-    cts = [ctx.encrypt(f) for f in features]
+    # --- clients encrypt, the pool serves, a window at a time -----------
+    # Each client encrypts and submits; once WINDOW requests are in
+    # flight, the oldest is decrypted before the next is sent, so client
+    # phases overlap the workers' evaluation and results arrive in order.
+    cts, output_cts, predictions, latencies = [], [], [], []
+    window = deque()  # (future, time the client started the request)
 
-    def as_request(ct):
-        return [ct]
+    def collect():
+        future, started = window.popleft()
+        (out_ct,) = future.result()
+        predictions.append(ctx.decrypt_decode(out_ct).real)
+        output_cts.append(out_ct)
+        latencies.append(time.perf_counter() - started)
 
-    def decrypt(outputs):
-        return ctx.decrypt_decode(outputs[0]).real, outputs[0]
+    with serve(plan, SERVING, warm_inputs=[ctx.encrypt(features[0])]) as pool:
+        began = time.perf_counter()
+        for f in features:
+            started = time.perf_counter()
+            cts.append(ctx.encrypt(f))
+            window.append((pool.submit([cts[-1]]), started))
+            if len(window) == WINDOW:
+                collect()
+        while window:
+            collect()
+        wall = time.perf_counter() - began
+        stats = pool.stats()
+    policies = plan_schedule_comparison(
+        plan, requests=stats["completed"], failures=stats["errors"]
+    )
 
-    async def serve_all():
-        session = serve(plan, SERVING, warm_inputs=[cts[0]])
-        async with session.streaming() as server:
-            served = await server.serve(cts, encrypt=as_request, decrypt=decrypt)
-            return served, server.stats(), server.schedule_comparison()
-
-    served, stats, policies = asyncio.run(serve_all())
-    predictions = [pred for pred, _ in served]
-    output_cts = [out_ct for _, out_ct in served]
-
-    # The sharded, streamed path must be bit-identical to eager dispatch.
+    # The sharded path must be bit-identical to eager dispatch.
     eager = server_side_model(ctx.evaluator, cts[0], ctx, w1_pt, b1, w2, rlk)
     for i, (a, b) in enumerate(zip(eager.parts, output_cts[0].parts)):
         assert np.array_equal(a.data, b.data), f"part {i} diverged from eager"
     assert eager.scale == output_cts[0].scale
-    print("  streamed sharded replay is bit-identical to eager evaluation")
+    print("  sharded replay is bit-identical to eager evaluation")
     worst = 0.0
     for f, pred in zip(features, predictions):
         expected = w2 * (w1 * f + b1) ** 2
         worst = max(worst, float(np.max(np.abs(pred - expected))))
 
-    latency = stats["latency"]
     print(f"private inference: W2 * (W1*x + b1)^2, {NUM_CLIENTS} clients, "
-          f"{SERVING.num_workers} forked workers, queue bound "
-          f"{SERVING.max_pending}")
+          f"{SERVING.num_workers} workers, {WINDOW} requests in flight")
     print(f"  ciphertext levels: {params.num_primes} -> {output_cts[0].level} "
           "(server consumed levels, as in Fig. 2a)")
     print(f"  max error vs plaintext model: {worst:.2e}")
-    print(f"  per-request latency: mean {latency['mean_s']*1e3:.1f} ms, "
-          f"p95 {latency['p95_s']*1e3:.1f} ms; max queue depth "
-          f"{stats['max_queue_depth']}; {stats['throughput_rps']:.1f} req/s")
-    print(f"  pool: {stats['executor']['completed']} served, "
-          f"{stats['executor']['worker_crashes']} crashes\n")
+    print(f"  per-request latency (encrypt to decrypted): mean "
+          f"{np.mean(latencies)*1e3:.1f} ms, max {max(latencies)*1e3:.1f} ms; "
+          f"{len(latencies) / wall:.1f} req/s")
+    print(f"  pool: {stats['completed']} served, {stats['errors']} failed, "
+          f"{stats['worker_crashes']} crashes\n")
 
     # --- the Fig. 1 projection at bootstrappable parameters ------------
     # The client workload comes from the traced plan's I/O boundary,
@@ -166,7 +175,7 @@ def main() -> None:
     print("  -> with ABC-FHE the client stops being the bottleneck (Fig. 1)")
 
     # --- the engine's served queue on the two RSCs ----------------------
-    print(f"\nscheduling the engine's served queue ({NUM_CLIENTS} requests) "
+    print(f"\nscheduling the served queue ({stats['completed']} requests) "
           "on the dual RSCs:")
     for result in policies:
         print(f"  {result.policy:13s} {result.makespan_seconds*1e3:8.3f} ms")

@@ -4,8 +4,9 @@
 Subcommands:
 
 ``demo``
-    Run a chaos-seeded 2-worker streaming serve with tracing enabled —
-    one request is *scripted* to crash its first attempt's worker, so
+    Run a chaos-seeded 2-worker serve with tracing enabled — requests
+    kept in flight a window at a time through ``submit()`` futures, one
+    of them *scripted* to crash its first attempt's worker, so
     the exported timeline always contains a crash→backoff→retry→success
     trace spanning parent and worker processes — then export the three
     telemetry artifacts into ``--out-dir``:
@@ -31,10 +32,9 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
-from collections import defaultdict
+from collections import defaultdict, deque
 from pathlib import Path
 
 try:
@@ -59,6 +59,7 @@ from repro.runtime import (
 DEGREE = 256
 PRIMES = 6
 SEED = 23
+WINDOW = 4  # requests the demo keeps in flight
 
 
 def _build_plan(ctx: CkksContext):
@@ -112,22 +113,20 @@ def cmd_demo(args: argparse.Namespace) -> int:
             ("pre_evaluate", 0, 0): FaultAction(kind="crash", site="pre_evaluate")
         },
     )
-    session = serve(
-        plan,
-        ServingConfig(
-            num_workers=args.workers,
-            max_pending=4,
-            chaos=chaos,
-            fault_policy=FaultPolicy(max_attempts=6),
-        ),
+    config = ServingConfig(
+        num_workers=args.workers,
+        chaos=chaos,
+        fault_policy=FaultPolicy(max_attempts=6),
     )
-
-    async def run():
-        async with session.streaming() as server:
-            await server.serve(payloads, encrypt=encrypt, decrypt=decrypt)
-            return server.stats()
-
-    stats = asyncio.run(run())
+    window = deque()  # up to WINDOW requests in flight, oldest first
+    with serve(plan, config) as pool:
+        for payload in payloads:
+            window.append(pool.submit(encrypt(payload)))
+            if len(window) == WINDOW:
+                decrypt(window.popleft().result())
+        for future in window:
+            decrypt(future.result())
+        stats = pool.stats()
     telemetry.disable()
 
     telemetry.export_chrome_trace(out_dir / "trace.json")
@@ -144,8 +143,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     ]
     print(
         f"served {stats['completed']} request(s) on {args.workers} workers "
-        f"(failed={stats['failed']}, crashes="
-        f"{stats['executor']['worker_crashes']})"
+        f"(failed={stats['errors']}, crashes={stats['worker_crashes']})"
     )
     print(
         f"exported {len(telemetry.spans())} span(s) across {len(traces)} "

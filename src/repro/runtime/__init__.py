@@ -36,18 +36,18 @@ plus a frozen :class:`~repro.runtime.serving.ServingConfig`::
 
     from repro.runtime import ServingConfig, serve
 
-    with serve(plan, ServingConfig(num_workers=4, transport="tcp")) as s:
-        outputs = s.run_batch(batches)
+    with serve(plan, ServingConfig(num_workers=4, transport="tcp")) as pool:
+        outputs = pool.run_batch(batches)        # or pool.submit(inputs)
 
-Underneath, :class:`~repro.runtime.executor.ShardedExecutor` shards
-``run_batch`` across a worker pool (bit-identical, crash-recovering,
-order-preserving) reached through a pluggable transport — fork+pipe or
-TCP worker-host sessions (:mod:`repro.runtime.transport` /
-:mod:`repro.runtime.coordinator`, ``docs/serving.md``); every byte that
-crosses that boundary is laid out in :mod:`repro.runtime.wire` — and
-:class:`~repro.runtime.stream.StreamingServer` feeds it from a bounded
-async queue with backpressure so encrypt/evaluate/decrypt phases of
-different requests overlap.
+What ``serve`` returns is the :class:`~repro.runtime.executor.ShardedExecutor`
+itself: it shards requests across a worker pool (bit-identical,
+crash-recovering, order-preserving) reached through a pluggable
+transport — fork+pipe or TCP worker-host sessions
+(:mod:`repro.runtime.transport` / :mod:`repro.runtime.coordinator`,
+``docs/serving.md``); every byte that crosses that boundary is laid out
+in :mod:`repro.runtime.wire`.  ``submit`` returns a future per request,
+so a caller overlaps its own encrypt/decrypt with the pool's evaluation
+by keeping a few requests in flight.
 
 Compiled plans travel as bytes: :func:`~repro.runtime.plan_io.serialize_plan`
 encodes an :class:`~repro.runtime.plan.ExecutionPlan` as one
@@ -60,10 +60,10 @@ fork-shared state.  See ``docs/architecture.md`` for the layer map and
 
 Observability: :mod:`repro.runtime.telemetry` is the process-wide
 metric registry and cross-process tracer behind every layer — compiler
-passes, plan cache, fused replay, executor, and streaming
-admission all report into it, and per-request trace contexts ride the
-worker pipe as ``TRC1`` frames so one request's spans nest into a
-single Perfetto-loadable timeline across processes and retries (see
+passes, plan cache, fused replay and the executor all report into it,
+and per-request trace contexts ride the worker pipe as ``TRC1`` frames
+so one request's spans nest into a single Perfetto-loadable timeline
+across processes and retries (see
 ``docs/observability.md``).
 """
 
@@ -102,8 +102,7 @@ from repro.runtime.plan import (
     plan_cache_info,
 )
 from repro.runtime.plan_io import PlanFormatError, deserialize_plan, serialize_plan
-from repro.runtime.serving import ServingConfig, ServingSession, serve
-from repro.runtime.stream import StreamingServer
+from repro.runtime.serving import ServingConfig, serve
 from repro.runtime.transport import Transport
 from repro.runtime.telemetry import (
     Span,
@@ -155,12 +154,14 @@ __all__ = [
     "FaultPlan",
     "serve",
     "ServingConfig",
-    "ServingSession",
     "Transport",
-    "StreamingServer",
     "Telemetry",
     "TraceContext",
     "Span",
     "WorkerSpanRecorder",
     "get_telemetry",
 ]
+
+# The name the frozen benchmark API surface (bench/api_surface.json)
+# resolves; not part of the public surface.
+ServingSession = ShardedExecutor

@@ -165,8 +165,9 @@ def plan_schedule_comparison(
     Builds the client-side queue and workload a served plan implies and
     runs every :class:`~repro.accel.scheduler.RscScheduler` policy on it
     (best makespan first) — the accelerator-side counterpart of the
-    software serving engine's measured queue, so streaming-server stats
-    can sit next to the paper's dual-RSC scheduling policies.
+    software serving engine's measured queue, so a served run's counts
+    (requests that returned, requests that failed) can sit next to the
+    paper's dual-RSC scheduling policies.
     ``failures`` projects failed requests onto the queue the same way
     :func:`plan_to_request_queue` does (encrypt leg only).
     """

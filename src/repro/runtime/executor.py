@@ -244,18 +244,18 @@ class _Request:
     """What the driver keeps of one request: bytes, future, spans.  Where
     it stands (queued, in flight, which attempt) is the machine's to know."""
 
-    def __init__(self, blobs, future: Future, deadline_s, trace) -> None:
+    def __init__(self, blobs, future: Future, deadline_s) -> None:
         self.id: int | None = None  # minted when queued; inline requests have none
         self.blobs = blobs
         self.future = future
         self.deadline_s = deadline_s
         self.outputs = None  # the decoded reply, once one arrived intact
         self.submitted_at = _mono()
-        self.sent_at: list[float] = []  # one per delivered attempt
-        # TraceContext spans parent under (None=untraced): the caller's, or
-        # the root this executor mints when the request is queued.
-        self.trace = trace if trace is not None and trace.sampled else None
-        self.root_span = None  # executor-owned root handle, if we minted it
+        self.delivered = 0  # attempts that reached a worker
+        # TraceContext spans parent under (None=untraced): the root minted
+        # when the request is queued, and its handle.
+        self.trace = None
+        self.root_span = None
         self.attempt_span = None  # open span for the in-flight attempt
         self.backoff_from: float | None = None  # retry scheduled at (mono)
 
@@ -296,7 +296,13 @@ _WORKER_FAULTS = {
 class ShardedExecutor:
     """Shards plan replays across a persistent pool of forked workers.
 
+    The one serving object — what :func:`~repro.runtime.serving.serve`
+    returns: ``start`` / ``submit`` / ``run_batch`` / ``stats`` /
+    ``close``, and ``with``.
+
     Attributes:
+        config: the :class:`~repro.runtime.serving.ServingConfig` it was
+            built from (``None`` at construction = the defaults).
         plan: the compiled :class:`ExecutionPlan` every worker replays.
         num_workers: pool size; ``0`` selects the inline (single-process)
             fallback that still crosses the serialization boundary.
@@ -315,20 +321,11 @@ class ShardedExecutor:
     def __init__(
         self,
         plan: ExecutionPlan,
-        num_workers: int | None = None,
         *,
         config: ServingConfig | None = None,
         warm_inputs=None,
     ) -> None:
-        # A bare positional pool size is ServingConfig(num_workers=...).
-        cfg = config if config is not None else ServingConfig()
-        if num_workers is not None:
-            if config is not None:
-                raise TypeError(
-                    "pass the pool size inside ServingConfig when using config="
-                )
-            cfg = cfg.replace(num_workers=num_workers)
-        self.config = cfg
+        self.config = cfg = config if config is not None else ServingConfig()
         num_workers = cfg.num_workers
         self.plan = plan
         self.num_workers = num_workers
@@ -401,14 +398,22 @@ class ShardedExecutor:
                 return self
             self._machine = PoolMachine(self.policy, self._max_crashes)
             self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
-            self._transport = self._make_transport()
-            for _ in range(self.num_workers):
-                self._workers.append(_Worker(self._transport.spawn()))
-                self._machine.spawned(_mono(), self._workers[-1])
-            self._io_thread = threading.Thread(
-                target=self._io_loop, name="sharded-executor-io", daemon=True
-            )
-            self._io_thread.start()
+            try:
+                self._transport = self._make_transport()
+                for _ in range(self.num_workers):
+                    self._workers.append(_Worker(self._transport.spawn()))
+                    self._machine.spawned(_mono(), self._workers[-1])
+                self._io_thread = threading.Thread(
+                    target=self._io_loop, name="sharded-executor-io", daemon=True
+                )
+                self._io_thread.start()
+            except BaseException:
+                # Not started, so close() would be a no-op: undo it all here.
+                for worker in list(self._workers):
+                    self._do_kill(worker, "closed", None, kill=True)
+                self._close_transport()
+                self._machine = None  # it holds the dead workers' handles
+                raise
             self._started = True
         return self
 
@@ -456,10 +461,12 @@ class ShardedExecutor:
                     RuntimeWarning,
                     stacklevel=2,
                 )
-        # Transport teardown frees everything workers rode on — sockets
-        # and host processes.  Transports also register atexit/finalize
-        # hooks, so even a run that never reaches this line cannot leak
-        # host processes or bound ports.
+        self._close_transport()
+
+    def _close_transport(self) -> None:
+        """Free everything workers rode on — sockets, host processes, the
+        wake pipe.  Transports also register atexit/finalize hooks, so even
+        a run that never gets here cannot leak host processes or bound ports."""
         if self._transport is not None:
             self._transport.close()
             self._transport = None
@@ -493,18 +500,14 @@ class ShardedExecutor:
             self._wake_w.send_bytes(b"x")
         return True
 
-    def submit(self, inputs, *, deadline_s: float | None = None, trace=None) -> Future:
+    def submit(self, inputs, *, deadline_s: float | None = None) -> Future:
         """Queue one plan replay; resolves to its output ciphertexts.
 
         ``deadline_s`` bounds the request's *total* time in the engine
         (queue wait plus every attempt); past it the request fails with a
         typed :class:`~repro.runtime.faults.DeadlineExceeded`.  ``None``
-        falls back to the policy default.
-
-        ``trace`` optionally parents this request's spans under a caller
-        :class:`~repro.runtime.telemetry.TraceContext` (the streaming
-        front end passes its service span); otherwise the executor mints
-        a fresh trace at ingress when tracing is enabled.
+        falls back to the policy default.  When tracing is enabled the
+        request's spans nest under a ``request`` root minted here.
         """
         if not self._started:
             self.start()
@@ -516,7 +519,7 @@ class ShardedExecutor:
             # (a submit that raced the breaker is failed by the machine).
             raise RuntimeError("executor stopped (crash budget exceeded)")
         blobs = [wire.encode_value(v, self._coeff_bits) for v in inputs]
-        req = _Request(blobs, Future(), deadline_s, trace)
+        req = _Request(blobs, Future(), deadline_s)
         if self._inline or mode == "degraded":
             self._m.inc("submitted")
             self._serve_inline(req)
@@ -525,13 +528,12 @@ class ShardedExecutor:
         def mint() -> None:
             req.id = req.future.request_id = next(self._req_ids)
             self._m.inc("submitted")
-            if req.trace is None:
-                root = self._telemetry.start_trace(
-                    "request", category="serve", request=req.id
-                )
-                if root:
-                    req.root_span = root
-                    req.trace = root.ctx
+            root = self._telemetry.start_trace(
+                "request", category="serve", request=req.id
+            )
+            if root:
+                req.root_span = root
+                req.trace = root.ctx
 
         if not self._post("submit", req, mint):
             raise RuntimeError("executor closed")
@@ -622,13 +624,9 @@ class ShardedExecutor:
             )
         self._close_attempt(req, status)
         if req.root_span is not None:
-            # Ours to close only because this executor minted it (a
-            # caller-provided trace context is closed by the caller).
             req.root_span.end(status=status)
         fut = req.future
         fut.attempts = attempts
-        if status == "ok":  # latency the retries added: first -> last dispatch
-            fut.retry_s = req.sent_at[-1] - req.sent_at[0] if req.sent_at else 0.0
         with suppress(InvalidStateError):  # cancelled by its owner: left alone
             if error is not None:
                 fut.set_exception(error)
@@ -861,7 +859,7 @@ class ShardedExecutor:
         trace_blob = None
         if req.backoff_from is not None:
             self._span(req, "backoff", req.backoff_from, after_attempt=attempt - 1)
-        if not req.sent_at:
+        if not req.delivered:
             self._span(req, "queue_wait", req.submitted_at)
         if req.trace is not None:
             req.attempt_span = self._telemetry.child_span(
@@ -879,7 +877,7 @@ class ShardedExecutor:
             self._close_attempt(req, "send_failed")
             return self._machine.worker_lost(_mono(), worker, delivered=False)
         worker.dispatched_at = _mono()
-        req.sent_at.append(worker.dispatched_at)
+        req.delivered += 1
 
     def _do_spawn(self, reason: str):
         """Replace a retired worker, accounting the respawn; a failure (e.g.

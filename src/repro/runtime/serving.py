@@ -3,16 +3,14 @@
 Everything needed to stand up a pool, and the only keyword surface:
 
 * :class:`ServingConfig` — a frozen dataclass holding every serving
-  knob (pool shape, transport, execution mode, fault policy, chaos,
-  streaming admission, tracing).  Immutable, hashable, and safe to
-  share between a pool and its streaming front end.
+  knob (pool shape, transport, execution mode, fault policy, chaos).
+  Immutable and hashable.
 * :func:`serve` — the facade: takes a compiled
   :class:`~repro.runtime.plan.ExecutionPlan` *or* a traceable function
   (compiled on the spot via :func:`~repro.runtime.trace.trace` +
-  :func:`~repro.runtime.plan.compile_graph`), and returns a
-  :class:`ServingSession` wrapping a configured
-  :class:`~repro.runtime.executor.ShardedExecutor` with batch, submit,
-  and async streaming entry points.
+  :func:`~repro.runtime.plan.compile_graph`), and returns the configured
+  :class:`~repro.runtime.executor.ShardedExecutor` itself — ``start`` /
+  ``submit`` / ``run_batch`` / ``stats`` / ``close``, and ``with``.
 
 Contract (see ``docs/architecture.md``): pure parent-process
 configuration — nothing here crosses the worker boundary except as
@@ -24,14 +22,17 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from repro.runtime.chaos import FaultPlan
 from repro.runtime.faults import FaultPolicy
 from repro.runtime.plan import ExecutionPlan, compile_fn
-from repro.runtime.telemetry import get_telemetry
 from repro.runtime.transport import available_transports
 
-__all__ = ["ServingConfig", "ServingSession", "serve"]
+if TYPE_CHECKING:
+    from repro.runtime.executor import ShardedExecutor
+
+__all__ = ["ServingConfig", "serve"]
 
 
 @dataclass(frozen=True)
@@ -62,12 +63,7 @@ class ServingConfig:
         fault_policy: deadlines / hang detection / retry budget /
             breaker behaviour (``None`` = :class:`FaultPolicy` defaults).
         chaos: deterministic fault injection plan (tests/benches only).
-        max_pending: streaming admission bound
-            (:class:`~repro.runtime.stream.StreamingServer`).
         max_crash_respawns: pool-lifetime crash budget override.
-        trace: enable process-wide telemetry tracing when the session
-            starts (left enabled on exit; use
-            :meth:`Telemetry.disable` to turn it off).
     """
 
     num_workers: int = 2
@@ -77,9 +73,7 @@ class ServingConfig:
     fused: bool = True
     fault_policy: FaultPolicy | None = None
     chaos: FaultPlan | None = None
-    max_pending: int = 8
     max_crash_respawns: int | None = None
-    trace: bool = False
 
     def __post_init__(self) -> None:
         if self.num_workers < 0:
@@ -109,71 +103,9 @@ class ServingConfig:
                     "remote tcp:// hosts require authkey_file= (the "
                     "file the worker host was started with)"
                 )
-        if self.max_pending < 1:
-            raise ValueError("max_pending must be >= 1")
 
     def replace(self, **changes) -> "ServingConfig":
         return dataclasses.replace(self, **changes)
-
-
-class ServingSession:
-    """A configured pool plus its entry points, as one context manager.
-
-    Synchronous use::
-
-        with serve(plan, config) as session:
-            outputs = session.run_batch(batches)
-
-    Streaming use::
-
-        session = serve(plan, config)
-        async with session.streaming() as server:
-            await server.serve(payloads, encrypt=enc, decrypt=dec)
-    """
-
-    def __init__(self, plan, config: ServingConfig, *, warm_inputs=None) -> None:
-        from repro.runtime.executor import ShardedExecutor
-
-        self.plan = plan
-        self.config = config
-        if config.trace:
-            get_telemetry().enable()
-        self.executor = ShardedExecutor(plan, config=config, warm_inputs=warm_inputs)
-
-    # -- lifecycle ------------------------------------------------------
-
-    def start(self) -> "ServingSession":
-        self.executor.start()
-        return self
-
-    def close(self) -> None:
-        self.executor.close()
-
-    def __enter__(self) -> "ServingSession":
-        return self.start()
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # -- serving --------------------------------------------------------
-
-    def submit(self, inputs, *, deadline_s: float | None = None, trace=None):
-        return self.executor.submit(inputs, deadline_s=deadline_s, trace=trace)
-
-    def run_batch(self, batches, timeout=None, *, deadline_s=None):
-        return self.executor.run_batch(batches, timeout, deadline_s=deadline_s)
-
-    def streaming(self):
-        """A :class:`~repro.runtime.stream.StreamingServer` over this
-        session's pool, admission-bounded by ``config.max_pending``."""
-        from repro.runtime.stream import StreamingServer
-
-        return StreamingServer(self.executor, config=self.config)
-
-    # -- introspection --------------------------------------------------
-
-    def stats(self) -> dict:
-        return self.executor.stats()
 
 
 def serve(
@@ -183,8 +115,10 @@ def serve(
     evaluator=None,
     input_specs=None,
     warm_inputs=None,
-) -> ServingSession:
-    """Build a :class:`ServingSession` for a plan or traceable function.
+) -> ShardedExecutor:
+    """Build the :class:`~repro.runtime.executor.ShardedExecutor` serving
+    a plan or traceable function (started by ``start()``, ``with`` or
+    the first ``submit``).
 
     Args:
         plan_or_fn: a compiled :class:`ExecutionPlan`, or a function
@@ -212,4 +146,6 @@ def serve(
             "serve() takes an ExecutionPlan or a traceable function, "
             f"got {type(plan_or_fn).__name__}"
         )
-    return ServingSession(plan, config, warm_inputs=warm_inputs)
+    from repro.runtime.executor import ShardedExecutor
+
+    return ShardedExecutor(plan, config=config, warm_inputs=warm_inputs)

@@ -10,7 +10,7 @@ pipeline measures:
   thin views over this registry instead of parallel hand-kept dicts.  :class:`MetricGroup` bundles the
   counters of one subsystem under a shared prefix + label set.
 * **Traces** — monotonic-clock spans grouped by a per-request trace ID,
-  minted at `StreamingServer`/`ShardedExecutor` ingress and propagated
+  minted at `ShardedExecutor.submit` ingress and propagated
   across the worker process boundary as a ``TRC1`` frame riding the
   request tuple next to the ``ENV1`` payload blobs.  A request's spans —
   queue wait, backoff sleeps, per-attempt dispatch, worker-side
@@ -37,9 +37,9 @@ determinism tests compare byte-for-byte across seeded chaos repeats.
 Clock discipline: :func:`now` is ``time.monotonic`` — CLOCK_MONOTONIC on
 Linux, which forked workers share with the parent, so parent- and
 worker-recorded span timestamps are directly comparable and every
-latency field in the stack (`stream.py` included) is sourced from this
-one helper.  IDs are deterministic: trace/span IDs come from per-process
-counters, worker-side span IDs are derived by hashing
+latency field in the stack is sourced from this one helper.  IDs are
+deterministic: trace/span IDs come from per-process counters,
+worker-side span IDs are derived by hashing
 ``(trace_id, attempt, seq)`` — so a seeded chaos run produces an
 identical span structure on every repeat.
 

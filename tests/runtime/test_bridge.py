@@ -7,6 +7,7 @@ from repro.runtime import (
     CtSpec,
     compile_fn,
     plan_op_counts,
+    plan_schedule_comparison,
     plan_to_workload,
 )
 from repro.runtime.bridge import plan_to_request_queue
@@ -84,3 +85,21 @@ class TestClientBridge:
         assert len(results) == 3
         assert all(r.makespan_cycles > 0 for r in results)
         assert results[0].makespan_cycles <= results[-1].makespan_cycles
+
+    def test_schedule_comparison_covers_all_policies(self, rctx, gks, rlk):
+        """A served run's counts on every dual-RSC policy, best first; the
+        failed requests cost the client their upload and nothing more."""
+        plan = _bsgs_like_plan(rctx, gks, rlk)
+        comparison = plan_schedule_comparison(plan, requests=3, failures=2)
+        assert {r.policy for r in comparison} == {
+            "static_split",
+            "dual_batched",
+            "dynamic",
+        }
+        makespans = [r.makespan_cycles for r in comparison]
+        assert makespans == sorted(makespans)
+        served = plan_to_request_queue(plan, 3)
+        assert plan_to_request_queue(plan, 3, failures=2) == RequestQueue(
+            encode_encrypt=served.encode_encrypt + 2,
+            decode_decrypt=served.decode_decrypt,
+        )

@@ -4,6 +4,7 @@ propagation, and the inline fallback."""
 
 from __future__ import annotations
 
+import multiprocessing as mp
 import os
 import signal
 import time
@@ -74,7 +75,11 @@ class TestShardedBitIdentity:
     def test_matches_single_process_run_batch(self, rctx, serving_plan):
         batches = _batches(rctx, 5)
         reference = serving_plan.run_batch(batches)
-        with ShardedExecutor(serving_plan, 2, warm_inputs=batches[0]) as pool:
+        with ShardedExecutor(
+            serving_plan,
+            config=ServingConfig(num_workers=2),
+            warm_inputs=batches[0],
+        ) as pool:
             sharded = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
         for i, (got, want) in enumerate(zip(sharded, reference)):
             _assert_outputs_equal(got, want, f"entry {i}")
@@ -84,7 +89,9 @@ class TestShardedBitIdentity:
         # to the scheduler, result order must stay submission order.
         batches = _batches(rctx, 6, seed=10)
         reference = serving_plan.run_batch(batches)
-        with ShardedExecutor(serving_plan, 3) as pool:
+        with ShardedExecutor(
+            serving_plan, config=ServingConfig(num_workers=3)
+        ) as pool:
             sharded = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
         for i, (got, want) in enumerate(zip(sharded, reference)):
             _assert_outputs_equal(got, want, f"entry {i}")
@@ -110,7 +117,7 @@ class TestShardedBitIdentity:
             for _ in range(3)
         ]
         reference = plan.run_batch(entries)
-        with ShardedExecutor(plan, 2) as pool:
+        with ShardedExecutor(plan, config=ServingConfig(num_workers=2)) as pool:
             sharded = pool.run_batch(entries, timeout=RESULT_TIMEOUT)
         for got, want in zip(sharded, reference):
             _assert_outputs_equal(got, want, "plaintext-input entry")
@@ -246,7 +253,9 @@ class TestCrashRecovery:
     def test_bad_input_fails_its_future_not_the_pool(self, rctx, serving_plan):
         good = _batches(rctx, 1, seed=13)[0]
         wrong_level = [rctx.evaluator.rescale(good[0], times=1), good[1]]
-        with ShardedExecutor(serving_plan, 2) as pool:
+        with ShardedExecutor(
+            serving_plan, config=ServingConfig(num_workers=2)
+        ) as pool:
             bad_future = pool.submit(wrong_level)
             with pytest.raises(WorkerError, match="level"):
                 bad_future.result(timeout=RESULT_TIMEOUT)
@@ -258,11 +267,49 @@ class TestCrashRecovery:
         assert stats["worker_crashes"] == 0
 
 
+class TestStartFailure:
+    def test_failed_start_leaks_no_worker_transport_or_fd(
+        self, serving_plan, monkeypatch
+    ):
+        """A spawn that raises part-way through ``start()`` takes down what
+        the start already built: ``close()`` cannot, as nothing started."""
+        transports, endpoints = [], []
+        make_transport = ShardedExecutor._make_transport
+
+        def second_spawn_raises(pool):
+            transport = make_transport(pool)
+            spawn = transport.spawn
+
+            def flaky_spawn():
+                if endpoints:
+                    raise OSError("spawn refused")
+                endpoints.append(spawn())
+                return endpoints[-1]
+
+            transport.spawn = flaky_spawn
+            transports.append(transport)
+            return transport
+
+        monkeypatch.setattr(ShardedExecutor, "_make_transport", second_spawn_raises)
+        pool = ShardedExecutor(serving_plan, config=ServingConfig(num_workers=2))
+        mp.active_children()  # reap what earlier tests left to the collector
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(OSError, match="spawn refused"):
+            pool.start()
+        pool.close()  # still a no-op, and must not raise
+        assert [e.proc.is_alive() for e in endpoints] == [False]
+        assert [t._closed for t in transports] == [True]
+        assert pool._transport is None
+        endpoints.clear()  # the test's own handles hold the process's fds
+        mp.active_children()
+        assert len(os.listdir("/proc/self/fd")) == fds
+
+
 class TestInlineFallback:
     def test_zero_workers_serves_through_the_codec(self, rctx, serving_plan):
         batches = _batches(rctx, 3, seed=14)
         reference = serving_plan.run_batch(batches)
-        pool = ShardedExecutor(serving_plan, 0)
+        pool = ShardedExecutor(serving_plan, config=ServingConfig(num_workers=0))
         results = pool.run_batch(batches)
         stats = pool.stats()
         pool.close()
@@ -272,6 +319,6 @@ class TestInlineFallback:
         assert stats["completed"] == len(batches)
 
     def test_rejects_non_container_inputs(self, rctx, serving_plan):
-        pool = ShardedExecutor(serving_plan, 0)
+        pool = ShardedExecutor(serving_plan, config=ServingConfig(num_workers=0))
         with pytest.raises(TypeError, match="Ciphertext or Plaintext"):
             pool.submit([np.zeros(4), np.zeros(4)])

@@ -156,7 +156,7 @@ class TestFusedReplay:
         assert stats["arena_slots"] >= 1
 
     def test_sharded_pool_replays_fused(self, rctx, gks, rlk, sample_ct):
-        from repro.runtime import ShardedExecutor
+        from repro.runtime import ServingConfig, ShardedExecutor
 
         rng = np.random.default_rng(13)
         ct_y = rctx.encrypt(rng.uniform(-1, 1, rctx.params.slots))
@@ -164,7 +164,7 @@ class TestFusedReplay:
             _pipeline(gks, rlk), rctx.evaluator, [_spec(rctx), _spec(rctx)]
         )
         ((bprod, brot),) = plan.run_batch([[sample_ct, ct_y]], fused=False)
-        with ShardedExecutor(plan, 1) as pool:
+        with ShardedExecutor(plan, config=ServingConfig(num_workers=1)) as pool:
             assert pool.stats()["fused"]  # the default
             ((sprod, srot),) = pool.run_batch([[sample_ct, ct_y]], timeout=120)
         _assert_ct_equal(sprod, bprod, "fused sharded prod")

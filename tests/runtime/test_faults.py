@@ -623,7 +623,11 @@ class TestBatchTimeoutAndClose:
         self, rctx, fault_plan_program
     ):
         batches = _batches(rctx, 1, seed=89)
-        pool = ShardedExecutor(fault_plan_program, 2, warm_inputs=batches[0])
+        pool = ShardedExecutor(
+            fault_plan_program,
+            config=ServingConfig(num_workers=2),
+            warm_inputs=batches[0],
+        )
         pool.start()
         pids = pool.worker_pids()
         os.kill(pids[0], signal.SIGSTOP)  # ignores the shutdown sentinel

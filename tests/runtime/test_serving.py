@@ -1,5 +1,6 @@
-"""The unified serving surface: ServingConfig, serve(), and what is
-left of the executor's own constructor surface."""
+"""The unified serving surface: ServingConfig, serve() (which returns the
+ShardedExecutor itself), and what is left of the executor's own
+constructor surface."""
 
 from __future__ import annotations
 
@@ -13,9 +14,7 @@ import pytest
 from repro.runtime import (
     CtSpec,
     ServingConfig,
-    ServingSession,
     ShardedExecutor,
-    StreamingServer,
     compile_fn,
     serve,
 )
@@ -63,7 +62,7 @@ class TestServingConfig:
             {"num_workers": -1},
             {"transport": "carrier-pigeon"},
             {"hosts": 0},
-            {"max_pending": 0},
+            {"authkey_file": "key"},  # pipe has no host to authenticate
             {"transport": "shm"},  # deleted in PR 22: rejected by name
             {"hosts": 2},  # pipe has no hosts to count
             {"hosts": ("tcp://10.0.0.7:9701",), "authkey_file": "key"},
@@ -91,9 +90,9 @@ class TestServeFacade:
     def test_serve_plan_matches_run_batch(self, rctx, square_plan):
         batches = _batches(rctx, 4)
         reference = square_plan.run_batch(batches)
-        with serve(square_plan, ServingConfig(num_workers=2)) as session:
-            served = session.run_batch(batches, timeout=RESULT_TIMEOUT)
-        assert isinstance(session, ServingSession)
+        with serve(square_plan, ServingConfig(num_workers=2)) as pool:
+            served = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
+        assert type(pool) is ShardedExecutor
         for got, want in zip(served, reference):
             for g, w in zip(got, want):
                 for pg, pw in zip(g.parts, w.parts):
@@ -126,34 +125,25 @@ class TestServeFacade:
         with pytest.raises(TypeError, match="ExecutionPlan"):
             serve(42)
 
-    def test_streaming_uses_config_admission_bound(self, square_plan):
-        session = ServingSession(
-            square_plan, ServingConfig(num_workers=0, max_pending=3)
-        )
-        server = session.streaming()
-        assert isinstance(server, StreamingServer)
-        assert server.max_pending == 3
+    def test_one_serving_object(self):
+        """No session wraps the pool; the old name survives only for the
+        frozen benchmark surface, outside ``__all__``."""
+        import repro.runtime as runtime
+
+        assert runtime.ServingSession is ShardedExecutor
+        assert "ServingSession" not in runtime.__all__
+        assert not hasattr(runtime, "StreamingServer")
 
 
 class TestLegacyKeywordBridge:
-    """The keyword bridge itself is gone (0.10.0); what remains of the
-    pre-config constructor surface is the positional pool size."""
-
-    def test_bare_positional_pool_size_stays_silent(self, square_plan):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            pool = ShardedExecutor(square_plan, 3)
-        assert pool.config.num_workers == 3
-
-    def test_positional_size_plus_config_is_an_error(self, square_plan):
-        with pytest.raises(TypeError, match="pool size"):
-            ShardedExecutor(square_plan, 2, config=ServingConfig())
+    """The keyword bridge is gone: a pool is sized only by
+    ``ServingConfig(num_workers=...)``."""
 
     def test_unknown_kwargs_still_rejected(self, square_plan):
         with pytest.raises(TypeError, match="unexpected"):
             ShardedExecutor(square_plan, frobnicate=True)
+        with pytest.raises(TypeError, match="positional"):
+            ShardedExecutor(square_plan, 3)  # the pool size lives in config
         for removed in ({"fused": True}, {"policy": None}, {"max_pending": 4}):
             with pytest.raises(TypeError, match="unexpected"):
                 ShardedExecutor(square_plan, **removed)
@@ -165,6 +155,7 @@ class TestLegacyKeywordBridge:
             ServingConfig(ship_plan=True)  # the transport decides: tcp ships
         with pytest.raises(TypeError, match="unexpected"):
             ServingConfig(modeled_request_io_s=0.1)  # a slow fault holds a worker
-        pool = ShardedExecutor(square_plan, config=ServingConfig(num_workers=0))
         with pytest.raises(TypeError, match="unexpected"):
-            StreamingServer(pool, max_pending=5)
+            ServingConfig(max_pending=8)  # a caller bounds its own window
+        with pytest.raises(TypeError, match="unexpected"):
+            ServingConfig(trace=True)  # get_telemetry().enable()

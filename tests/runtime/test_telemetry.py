@@ -388,7 +388,7 @@ class TestCrossProcess:
         telemetry = clean_telemetry
         plan = _make_plan(rctx, rlk)
         rng = np.random.default_rng(3)
-        with ShardedExecutor(plan, 1) as pool:
+        with ShardedExecutor(plan, config=ServingConfig(num_workers=1)) as pool:
             pool.run_batch(
                 [[_encrypt(rctx, rng), _encrypt(rctx, rng)]],
                 timeout=RESULT_TIMEOUT,

@@ -178,7 +178,7 @@ class TestHostLoss:
                 time.sleep(0.4)  # several in flight, more queued
                 if session.stats()["inline"]:
                     pytest.skip("pool degraded to inline; no host to kill")
-                [host_pid] = session.executor._transport.host_pids()
+                [host_pid] = session._transport.host_pids()
                 os.kill(host_pid, signal.SIGKILL)
                 outputs = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
                 stats = session.stats()
