@@ -36,9 +36,7 @@ completes — which is exactly the recovery path under test.
 
 Contract (see ``docs/architecture.md``): immutable value object; crosses
 the worker boundary through fork, or field by field inside the ``FHL1``
-hello's worker config (:mod:`repro.runtime.wire`); never consulted by
-the inline degraded path (injecting a SIGKILL into the parent process
-would defeat the purpose of graceful degradation).
+hello's worker config (:mod:`repro.runtime.wire`).
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ and :mod:`repro.runtime.faults`) are one pure state machine,
 :mod:`repro.runtime.policy`, enforcing the pool's
 :class:`~repro.runtime.faults.FaultPolicy` — deadlines, heartbeat-based
 hang detection, the retry budget and its backoff, quarantine, the
-crash-loop breaker and its degrade-or-stop choice; this module is its
-driver.  Every one of those paths is reachable deterministically:
+crash-loop breaker that stops the pool; this module is its driver.
+Every one of those paths is reachable deterministically:
 :class:`~repro.runtime.chaos.FaultPlan`, ``ServingConfig(chaos=...)``.
 
 How the plan reaches a worker is the transport's to decide: ``pipe``
@@ -42,12 +42,8 @@ events; a reply, a heartbeat, an EOF, a timer) and carries out the
 actions it answers with.  The machine knows which request (and which
 attempt) each worker holds, so a crashed worker — a pipe EOF — costs its
 request one attempt: requests are never lost and never duplicated.
-
-``num_workers=0`` (or a platform without ``fork``) degrades to an inline
-executor that still routes every request through the serialization
-boundary, so codec behaviour is identical everywhere.  The inline path
-never consults the chaos plan and cannot preempt, so deadlines/hangs do
-not apply there (documented degradation ladder).
+Every request is served by a worker, so every request gets the same
+contract: deadline, cancel, retry, hang detection and chaos.
 
 Contract summary (see ``docs/architecture.md``): fork-shared (``pipe``)
 — plans, keys, every warmed cache, and the (immutable) policy/chaos
@@ -86,6 +82,7 @@ from repro.runtime.faults import (
     WorkerCrash,
     WorkerError,
     WorkerHang,
+    check_timeout,
     deserialize_fault,
     serialize_fault,
 )
@@ -245,7 +242,7 @@ class _Request:
     it stands (queued, in flight, which attempt) is the machine's to know."""
 
     def __init__(self, blobs, future: Future, deadline_s) -> None:
-        self.id: int | None = None  # minted when queued; inline requests have none
+        self.id: int | None = None  # minted when queued
         self.blobs = blobs
         self.future = future
         self.deadline_s = deadline_s
@@ -274,8 +271,7 @@ class _Worker:
 
 # How a request ends, by ``Finish.status``: the counters bumped, the
 # fault-taxonomy event recorded; the status also closes the attempt span (if
-# open) and the root span.  ``degraded`` is no ending: served in-process, the
-# request then ends ``ok`` or ``error``; ``cancelled`` is counted by ``cancel()``.
+# open) and the root span.  ``cancelled`` is counted by ``cancel()``.
 _ENDINGS: dict[str, tuple[tuple[str, ...], str | None]] = {
     "ok": (("completed",), None),
     "error": (("errors",), None),
@@ -304,8 +300,7 @@ class ShardedExecutor:
         config: the :class:`~repro.runtime.serving.ServingConfig` it was
             built from (``None`` at construction = the defaults).
         plan: the compiled :class:`ExecutionPlan` every worker replays.
-        num_workers: pool size; ``0`` selects the inline (single-process)
-            fallback that still crosses the serialization boundary.
+        num_workers: pool size (>= 1).
         policy: the :class:`~repro.runtime.faults.FaultPolicy` the pool's
             :class:`~repro.runtime.policy.PoolMachine` enforces.
         chaos: optional :class:`~repro.runtime.chaos.FaultPlan` consulted
@@ -336,18 +331,10 @@ class ShardedExecutor:
         self._max_crashes = (
             cfg.max_crash_respawns
             if cfg.max_crash_respawns is not None
-            else 3 + 2 * max(num_workers, 1)
+            else 3 + 2 * num_workers
         )
         self._transport = None
-        self._inline = num_workers == 0 or "fork" not in mp.get_all_start_methods()
-        if self._inline and num_workers > 0:
-            warnings.warn(
-                "fork start method unavailable; ShardedExecutor degrades to "
-                "the inline single-process executor",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        self._ctx = None if self._inline else mp.get_context("fork")
+        self._ctx = mp.get_context("fork")
         self._workers: list[_Worker] = []
         self._io_thread: threading.Thread | None = None
         self._lock = threading.Lock()
@@ -358,7 +345,7 @@ class ShardedExecutor:
         self._live: dict[int, _Request] = {}
         self._pending = 0  # the machine's, as of the I/O thread's last sleep
         self._req_ids = itertools.count()
-        self._started = False
+        self._state = "new"  # -> "running" -> "closed", each move under the lock
         # Single source of truth for pool accounting: a telemetry counter
         # group (unique per pool instance); stats() stays a dict view.
         self._telemetry = get_telemetry()
@@ -393,8 +380,9 @@ class ShardedExecutor:
 
     def start(self) -> "ShardedExecutor":
         with self._lock:  # concurrent first submits must not double-fork
-            if self._started or self._inline:
-                self._started = True
+            if self._state == "closed":
+                raise RuntimeError("executor closed")
+            if self._state == "running":
                 return self
             self._machine = PoolMachine(self.policy, self._max_crashes)
             self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
@@ -414,17 +402,16 @@ class ShardedExecutor:
                 self._close_transport()
                 self._machine = None  # it holds the dead workers' handles
                 raise
-            self._started = True
+            self._state = "running"
         return self
 
     def close(self) -> None:
-        """Stop the pool; outstanding futures fail.  Idempotent, and loud
-        (warns with pids) when a worker has to be escalated or leaks
-        instead of joining."""
-        # The I/O thread fails what is outstanding and exits on this event.  An
-        # inline pool, one never started, a second close(): nobody to post to.
+        """Stop the pool for good; outstanding futures fail, and a later
+        ``start()`` or ``submit()`` raises.  Idempotent, and loud (warns with
+        pids) when a worker has to be escalated or leaks instead of joining."""
+        # The I/O thread fails what is outstanding and exits on this event.  A
+        # pool never started, a second close(): nobody to post to.
         if not self._post("close"):
-            self._started = False
             return
         self._io_thread.join(timeout=5.0)
         if self._io_thread.is_alive():
@@ -488,14 +475,17 @@ class ShardedExecutor:
         """Hand one event to the I/O thread, the machine's only owner
         (``False``: no pool is running to read it).  ``mint`` runs under the
         lock, so request ids, trace ids and queue order agree under concurrent
-        submitters; ``close`` ends ``_started`` there: nothing queues behind it."""
+        submitters; ``close`` ends the pool there, for good: nothing queues
+        behind it, and nothing starts it again."""
         with self._lock:
-            if self._inline or not self._started:
+            running = self._state == "running"
+            if kind == "close":
+                self._state = "closed"
+            if not running:
                 return False
             if mint is not None:
                 mint()
             self._events.append((kind, payload))
-            self._started = kind != "close"
         with suppress(OSError):
             self._wake_w.send_bytes(b"x")
         return True
@@ -509,21 +499,16 @@ class ShardedExecutor:
         falls back to the policy default.  When tracing is enabled the
         request's spans nest under a ``request`` root minted here.
         """
-        if not self._started:
-            self.start()
-        # ``mode``: the one thing read off the machine from outside its thread,
-        # a plain attribute (an inline pool has no machine).
-        mode = getattr(self._machine, "mode", None)
-        if mode == "stopped":
+        check_timeout("deadline_s", deadline_s)
+        if self._state != "running":
+            self.start()  # raises once closed
+        # ``mode``: the one thing read off the machine from outside its thread.
+        if self._machine.mode == "stopped":
             # The pool exceeded its crash budget and shut itself down: fail fast
             # (a submit that raced the breaker is failed by the machine).
             raise RuntimeError("executor stopped (crash budget exceeded)")
         blobs = [wire.encode_value(v, self._coeff_bits) for v in inputs]
         req = _Request(blobs, Future(), deadline_s)
-        if self._inline or mode == "degraded":
-            self._m.inc("submitted")
-            self._serve_inline(req)
-            return req.future
 
         def mint() -> None:
             req.id = req.future.request_id = next(self._req_ids)
@@ -592,9 +577,7 @@ class ShardedExecutor:
         out = self._m.to_dict()  # view over the telemetry registry
         out["pending"] = self._pending
         out["num_workers"] = self.num_workers
-        out["inline"] = self._inline
         out["fused"] = self.fused
-        out["degraded"] = getattr(self._machine, "mode", None) == "degraded"
         out["transport"] = self.config.transport
         transport = self._transport
         if transport is not None:
@@ -605,7 +588,7 @@ class ShardedExecutor:
         return [w.proc.pid for w in self._workers]
 
     # ------------------------------------------------------------------
-    # The one ending of a request, and the in-process way to serve one
+    # The one ending of a request
     # ------------------------------------------------------------------
 
     def _finish(self, req: _Request, status: str, attempts: int, causes=(), error=None):
@@ -632,32 +615,6 @@ class ShardedExecutor:
                 fut.set_exception(error)
             else:
                 fut.set_result(req.outputs)
-
-    def _serve_inline(self, req: _Request) -> None:
-        """Serve ``req`` in this process, through the same codec: all an
-        inline pool does, and a degraded one — on the submitter's thread, but
-        what the breaker found outstanding: the I/O thread drains those, each
-        under its own trace."""
-        basis = self.plan.evaluator.basis
-        if req.trace is not None:
-            span = self._telemetry.child_span(
-                "inline_evaluate", req.trace, category="serve"
-            )
-        else:
-            span = self._telemetry.start_trace("inline_evaluate", category="serve")
-        try:
-            inputs = [wire.decode_value(b, basis) for b in req.blobs]
-            outputs = self.plan.run_batch([inputs], fused=self.fused)[0]
-            req.outputs = [
-                wire.decode_value(wire.encode_value(o, self._coeff_bits), basis)
-                for o in outputs
-            ]
-            error = None
-        except Exception as exc:  # noqa: BLE001 — mirror the pool contract
-            error = RequestError(f"{type(exc).__name__}: {exc}", attempts=1)
-        status = "ok" if error is None else "error"
-        span.end(status=status)
-        self._finish(req, status, 1, error=error)
 
     # ------------------------------------------------------------------
     # Telemetry plumbing
@@ -902,21 +859,7 @@ class ShardedExecutor:
         self._live[req_id].backoff_from = _mono()
 
     def _do_finish(self, req_id: int, status: str, *ending) -> None:
-        req = self._live.pop(req_id)
-        if status == "degraded":
-            self._close_attempt(req, "breaker")
-            self._serve_inline(req)
-        else:
-            self._finish(req, status, *ending)
-
-    def _do_degrade(self, reason: str) -> None:
-        warnings.warn(
-            f"ShardedExecutor crash-loop breaker tripped ({reason}); "
-            "degrading to the inline single-process executor — worker "
-            "fault injection and preemption no longer apply",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+        self._finish(self._live.pop(req_id), status, *ending)
 
     def _do_stop(self, reason: str) -> None:
         """Nothing to carry out: a ``Finish`` refuses each request."""

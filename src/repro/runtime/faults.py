@@ -36,9 +36,8 @@ working unchanged.
 (:mod:`repro.runtime.policy`) enforces: per-request deadlines,
 heartbeat-based hang detection, a retry budget with deterministic
 exponential backoff + jitter (seeded, so test runs are reproducible), a
-pool-level crash budget, and the crash-loop breaker that (optionally)
-degrades the pool to the inline single-process path instead of
-deadlocking when replacement forks keep dying.
+pool-level crash budget, and the crash-loop breaker that stops the pool
+instead of deadlocking when replacement forks keep dying.
 
 Faults also have a wire form: :func:`serialize_fault` packs a typed
 failure into an ``FLT1`` frame (the CRC-guarded frame container of
@@ -55,6 +54,7 @@ values that cross the worker boundary by pickling/bytes.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from dataclasses import dataclass
 
@@ -226,6 +226,12 @@ def deserialize_fault(
     return cls(message, request_id=request_id, attempts=attempts)
 
 
+def check_timeout(name: str, value: float | None) -> None:
+    """Refuse a time budget that is not ``None`` or finite and > 0."""
+    if value is not None and not 0 < value < math.inf:
+        raise ValueError(f"{name} must be None or finite and > 0, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FaultPolicy:
     """Per-pool fault-tolerance knobs, enforced by the pool's policy machine.
@@ -246,11 +252,8 @@ class FaultPolicy:
             jitter (seeded per request id and attempt).
         seed: jitter seed; fixed so recovery schedules are reproducible.
         crash_loop_threshold: this many *consecutive* worker crashes with
-            no completed request in between trips the breaker.
-        degrade_to_inline: what the breaker does — ``True`` drains the
-            queue through the inline single-process path (with a warning)
-            and keeps serving; ``False`` fails all outstanding requests
-            and stops the pool (the historical behavior).
+            no completed request in between trips the breaker, which fails
+            all outstanding requests and stops the pool.
     """
 
     deadline_s: float | None = None
@@ -262,15 +265,22 @@ class FaultPolicy:
     backoff_jitter: float = 0.25
     seed: int = 0
     crash_loop_threshold: int = 5
-    degrade_to_inline: bool = False
 
     def __post_init__(self) -> None:
+        # Each check states what a valid value satisfies, so NaN — which
+        # fails every comparison — is rejected rather than waved through.
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.deadline_s is not None and self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
-        if self.hang_timeout_s is not None and self.hang_timeout_s <= 0:
-            raise ValueError("hang_timeout_s must be positive")
+        check_timeout("deadline_s", self.deadline_s)
+        check_timeout("hang_timeout_s", self.hang_timeout_s)
+        backoff = (
+            self.backoff_base_s,
+            self.backoff_factor,
+            self.backoff_max_s,
+            self.backoff_jitter,
+        )
+        if not all(0 <= b < math.inf for b in backoff):
+            raise ValueError("backoff fields must be finite and >= 0")
         if self.crash_loop_threshold < 1:
             raise ValueError("crash_loop_threshold must be >= 1")
 

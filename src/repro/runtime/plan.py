@@ -76,12 +76,7 @@ from repro.nums.kernels import default_backend_name, ufunc_buffer
 from repro.rns.poly import EVAL, RnsPolynomial, rescale_eval_rows
 from repro.runtime.arena import ArenaLayout, ArenaStep, BufferArena
 from repro.runtime.graph import AUTOMORPHISM_OPS, CtSpec, Graph, Node, PtSpec
-from repro.runtime.passes import (
-    check_alignment,
-    fusion_groups,
-    hoist_groups,
-    optimize,
-)
+from repro.runtime.passes import fusion_groups, hoist_groups, optimize
 from repro.runtime.telemetry import get_telemetry
 from repro.runtime.trace import trace
 from repro.transforms.ntt import galois_permutation
@@ -663,29 +658,17 @@ _PLAN_CACHE: dict[tuple, ExecutionPlan] = {}
 _CACHE_STATS = get_telemetry().group("plan_cache").declare("hits", "misses")
 
 
-def compile_graph(
-    graph: Graph, evaluator: Evaluator, *, run_passes: bool = True
-) -> ExecutionPlan:
+def compile_graph(graph: Graph, evaluator: Evaluator) -> ExecutionPlan:
     """Optimize and schedule a traced graph, reusing a cached plan when the
     same program structure was compiled before under the same parameters
-    and reducer backend (optimized and pass-free compiles cache
-    separately)."""
-    key = (
-        graph.signature(),
-        params_fingerprint(evaluator),
-        default_backend_name(),
-        run_passes,
-    )
+    and reducer backend."""
+    key = (graph.signature(), params_fingerprint(evaluator), default_backend_name())
     cached = _PLAN_CACHE.get(key)
     if cached is not None:
         _CACHE_STATS.inc("hits")
         return cached
     _CACHE_STATS.inc("misses")
-    if run_passes:
-        optimized = optimize(graph)
-    else:
-        check_alignment(graph)
-        optimized = graph
+    optimized = optimize(graph)
     plan = ExecutionPlan(
         graph=optimized,
         evaluator=evaluator,
@@ -697,11 +680,9 @@ def compile_graph(
     return plan
 
 
-def compile_fn(fn, evaluator: Evaluator, input_specs, *, run_passes: bool = True):
+def compile_fn(fn, evaluator: Evaluator, input_specs):
     """Trace ``fn`` and compile it in one step (the common entry point)."""
-    return compile_graph(
-        trace(fn, evaluator, input_specs), evaluator, run_passes=run_passes
-    )
+    return compile_graph(trace(fn, evaluator, input_specs), evaluator)
 
 
 def plan_cache_info() -> dict[str, int]:

@@ -3,8 +3,8 @@
 Every *decision* :class:`~repro.runtime.executor.ShardedExecutor` makes
 lives here — queue order, dispatch, stale-reply rejection, the retry
 budget and its seeded backoff, quarantine, deadline expiry, heartbeat
-staleness, crash accounting, the crash-loop breaker and its
-degrade-or-stop choice, cancellation.  Each event method of
+staleness, crash accounting, the crash-loop breaker that stops the pool,
+cancellation.  Each event method of
 :class:`PoolMachine` takes the clock reading ``now``, mutates private
 tables and returns the actions its driver must carry out, in that order.
 It owns no thread, process, socket, future, span or byte, so the transition
@@ -25,7 +25,7 @@ from collections import deque, namedtuple
 
 from repro.runtime import faults
 
-__all__ = "PoolMachine Dispatch Kill Spawn Retry Finish Degrade Stop".split()
+__all__ = "PoolMachine Dispatch Kill Spawn Retry Finish Stop".split()
 
 #: Send ``req_id``'s ``attempt`` (0-based) to idle ``worker``.
 Dispatch = namedtuple("Dispatch", "worker req_id attempt")
@@ -38,13 +38,11 @@ Spawn = namedtuple("Spawn", "reason")
 #: and re-enters the queue in ``delay`` s (the timer is the machine's).
 Retry = namedtuple("Retry", "req_id attempt delay code")
 #: The one ending of ``req_id``: ``ok`` / ``error`` / ``deadline`` /
-#: ``poisoned`` / ``breaker`` / ``closed`` / ``cancelled`` are final;
-#: ``degraded`` asks the driver to serve it in-process (``ok`` or ``error``).
+#: ``poisoned`` / ``breaker`` / ``closed`` / ``cancelled``.
 Finish = namedtuple(
     "Finish", "req_id status attempts causes error", defaults=((), None)
 )
-#: The breaker tripped: serve in-process from now on / refuse from now on.
-Degrade = namedtuple("Degrade", "reason")
+#: The breaker tripped: refuse from now on.
 Stop = namedtuple("Stop", "reason")
 
 
@@ -72,7 +70,7 @@ class PoolMachine:
     def __init__(self, policy: faults.FaultPolicy, max_crashes: int) -> None:
         self.policy = policy
         self.max_crashes = max_crashes
-        self.mode = "running"  # -> "degraded" | "stopped" | "closed"
+        self.mode = "running"  # -> "stopped" | "closed"
         self._reason = ""  # why the breaker tripped
         self._requests: dict[int, _Request] = {}
         self._workers: dict[object, _Slot] = {}
@@ -287,13 +285,12 @@ class PoolMachine:
         actions.append(self._finish(req, "poisoned", error))
 
     def _trip(self, reason: str) -> list:
-        """Replacement workers keep dying: stop forking, and serve
-        in-process or refuse — what is outstanding, and whatever comes."""
+        """Replacement workers keep dying: stop forking, and refuse what
+        is outstanding and whatever comes."""
         kills = [Kill(w, "breaker", slot.req_id) for w, slot in self._workers.items()]
         self._reason = reason
-        degrade = self.policy.degrade_to_inline
-        self.mode = "degraded" if degrade else "stopped"
-        return kills + [(Degrade if degrade else Stop)(reason)] + self._refuse_all()
+        self.mode = "stopped"
+        return kills + [Stop(reason)] + self._refuse_all()
 
     def _refuse_all(self) -> list:
         outstanding = sorted(self._requests.values(), key=lambda req: req.id)
@@ -305,8 +302,6 @@ class PoolMachine:
 
     def _refuse(self, req_id: int, attempts: int):
         """The ending of a request the pool will not (or no longer) send."""
-        if self.mode == "degraded":
-            return Finish(req_id, "degraded", attempts)
         if self.mode == "closed":
             error: Exception = RuntimeError("executor closed")
             return Finish(req_id, "closed", attempts, (), error)

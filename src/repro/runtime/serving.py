@@ -40,8 +40,7 @@ class ServingConfig:
     """Every serving knob in one immutable value.
 
     Attributes:
-        num_workers: pool size; ``0`` selects the inline single-process
-            fallback.
+        num_workers: pool size, >= 1: every request is served by a worker.
         transport: worker-boundary transport — ``"pipe"`` (fork+pipe,
             default: workers inherit the warm plan) or ``"tcp"``
             (worker-host sessions over sockets, the one that runs across
@@ -76,8 +75,8 @@ class ServingConfig:
     max_crash_respawns: int | None = None
 
     def __post_init__(self) -> None:
-        if self.num_workers < 0:
-            raise ValueError("num_workers must be >= 0")
+        if self.num_workers < 1:
+            raise ValueError(f"num_workers must be >= 1, got {self.num_workers!r}")
         if self.transport not in available_transports():
             raise ValueError(
                 f"unknown transport {self.transport!r}; "

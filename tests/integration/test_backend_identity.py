@@ -243,14 +243,13 @@ def test_every_mode_is_byte_equal_to_eager(
                 stats = pool.stats()
             assert stats["fused"] is fused
             assert stats["completed"] == 1
-            if not stats["inline"]:
-                if delivery == "hang-recovered":
-                    assert stats["hang_kills"] == 1
-                elif delivery == "remote-host":
-                    assert stats["transport_stats"]["remote_hosts"] == 1
-                elif delivery == "tcp-loopback":
-                    assert stats["transport"] == "tcp"
-                    assert stats["transport_stats"]["plan_uploads"] == 1
+            if delivery == "hang-recovered":
+                assert stats["hang_kills"] == 1
+            elif delivery == "remote-host":
+                assert stats["transport_stats"]["remote_hosts"] == 1
+            elif delivery == "tcp-loopback":
+                assert stats["transport"] == "tcp"
+                assert stats["transport_stats"]["plan_uploads"] == 1
     for name, want, have in zip(("rot", "prod"), eager, got):
         assert have.scale == want.scale
         for i, part in enumerate(want.parts):

@@ -1,6 +1,6 @@
 """ShardedExecutor: bit-identity with the single-process batched
 executor, deterministic ordering, worker-crash recovery, error
-propagation, and the inline fallback."""
+propagation, and a close() that is final."""
 
 from __future__ import annotations
 
@@ -305,20 +305,29 @@ class TestStartFailure:
         assert len(os.listdir("/proc/self/fd")) == fds
 
 
-class TestInlineFallback:
-    def test_zero_workers_serves_through_the_codec(self, rctx, serving_plan):
-        batches = _batches(rctx, 3, seed=14)
-        reference = serving_plan.run_batch(batches)
-        pool = ShardedExecutor(serving_plan, config=ServingConfig(num_workers=0))
-        results = pool.run_batch(batches)
-        stats = pool.stats()
+class TestCloseIsFinal:
+    @pytest.mark.parametrize("started", [True, False])
+    def test_submit_after_close_raises_and_forks_nothing(
+        self, rctx, serving_plan, started
+    ):
+        batches = _batches(rctx, 1, seed=15)
+        pool = ShardedExecutor(serving_plan, config=ServingConfig(num_workers=1))
+        if started:
+            pool.run_batch(batches, timeout=RESULT_TIMEOUT)
         pool.close()
-        for got, want in zip(results, reference):
-            _assert_outputs_equal(got, want, "inline entry")
-        assert stats["inline"] is True
-        assert stats["completed"] == len(batches)
+        mp.active_children()  # reap the retired worker
+        children = set(mp.active_children())
+        for call in (lambda: pool.submit(batches[0]), pool.start):
+            with pytest.raises(RuntimeError, match="executor closed"):
+                call()
+        assert pool.worker_pids() == []
+        assert set(mp.active_children()) == children
+        pool.close()  # still idempotent
 
+
+class TestInlineFallback:
     def test_rejects_non_container_inputs(self, rctx, serving_plan):
-        pool = ShardedExecutor(serving_plan, config=ServingConfig(num_workers=0))
-        with pytest.raises(TypeError, match="Ciphertext or Plaintext"):
-            pool.submit([np.zeros(4), np.zeros(4)])
+        # The inputs are encoded on the caller's thread, before they queue.
+        with ShardedExecutor(serving_plan, config=ServingConfig(num_workers=1)) as pool:
+            with pytest.raises(TypeError, match="Ciphertext or Plaintext"):
+                pool.submit([np.zeros(4), np.zeros(4)])

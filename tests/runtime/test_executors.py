@@ -173,10 +173,9 @@ class TestFusedReplay:
     def test_concurrent_replays_on_one_plan_get_their_own_bytes(
         self, rctx, gks, rlk
     ):
-        """Every replay of a plan shares one arena, and
-        ``ShardedExecutor._serve_inline`` replays on the submitter's thread
-        (and, once degraded, on the I/O thread too): concurrent callers
-        must each get the bytes of *their* input."""
+        """Every replay of a plan shares one arena, and ``plan.run_batch``
+        may be called from any thread: concurrent callers must each get the
+        bytes of *their* input."""
         program = _pipeline(gks, rlk)
         plan = compile_fn(program, rctx.evaluator, [_spec(rctx), _spec(rctx)])
         rng = np.random.default_rng(14)

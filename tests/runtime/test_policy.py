@@ -37,7 +37,6 @@ from repro.runtime import (
 from repro.runtime import policy as pm
 from repro.runtime.executor import _ENDINGS, ShardedExecutor
 from repro.runtime.policy import (
-    Degrade,
     Dispatch,
     Finish,
     Kill,
@@ -49,7 +48,7 @@ from repro.runtime.policy import (
 
 ROOT = Path(__file__).resolve().parents[2]
 RETRIABLE = (WorkerCrash.code, WorkerHang.code, WireCorruption.code)
-STATUSES = set(_ENDINGS) | {"degraded"}  # every ending, and "serve it in-process"
+STATUSES = set(_ENDINGS)
 
 
 def _snapshot(m: PoolMachine):
@@ -79,7 +78,6 @@ policies = st.builds(
     backoff_jitter=st.sampled_from([0.0, 0.25]),
     seed=st.integers(0, 3),
     crash_loop_threshold=st.sampled_from([1, 2, 4, 8, 8, 8]),
-    degrade_to_inline=st.booleans(),
 )
 
 
@@ -109,8 +107,8 @@ class PoolModel(RuleBasedStateMachine):
         self.holding: dict[int, tuple[int, int] | None] = {}  # live workers
         self.last_beat: dict[int, float] = {}
         self.not_before: dict[int, float] = {}  # failure time + backoff
-        self.trips = 0  # Degrade / Stop answered by the machine so far ...
-        self.tripped: str | None = None  # ... and carried out: "degraded" | "stopped"
+        self.trips = 0  # Stops answered by the machine so far ...
+        self.tripped: str | None = None  # ... and carried out: "stopped"
         self.closed = False
         self.crashes = self.streak = 0
         self.spawn_fails = self.send_fails = False  # armed for the next one
@@ -127,7 +125,7 @@ class PoolModel(RuleBasedStateMachine):
 
     def check_list(self, actions, expect_trip: bool | None = None):
         """One answer of the machine, as a list (feedback answers too)."""
-        trips = [a for a in actions if isinstance(a, (Degrade, Stop))]
+        trips = [a for a in actions if isinstance(a, Stop)]
         if expect_trip is not None:
             assert bool(trips) == expect_trip, actions
         if trips:  # once, and only refusals follow
@@ -147,7 +145,7 @@ class PoolModel(RuleBasedStateMachine):
         refused = [
             a.req_id
             for a in actions
-            if isinstance(a, Finish) and a.status in ("degraded", "breaker", "closed")
+            if isinstance(a, Finish) and a.status in ("breaker", "closed")
         ]
         assert refused == sorted(refused)  # the breaker drains in request-id order
 
@@ -207,14 +205,11 @@ class PoolModel(RuleBasedStateMachine):
         self.finished[act.req_id] = act
         self.check_ending(act)
 
-    def _do_degrade(self, reason, mode="degraded"):
+    def _do_stop(self, reason):
         # Every worker was killed first — but a replacement asked for before
         # the trip and brought up since, whose Kill is on its way.
         assert self.tripped is None and not any(self.holding.values())
-        self.tripped = mode
-
-    def _do_stop(self, reason):
-        self._do_degrade(reason, "stopped")
+        self.tripped = "stopped"
 
     def lose(self, worker, held, delivered=True):
         """Feed ``worker_lost`` and check the crash accounting of its answer."""
@@ -242,10 +237,8 @@ class PoolModel(RuleBasedStateMachine):
         if act.status == "deadline":
             assert self.now > self.deadline_at[act.req_id]
             assert isinstance(act.error, DeadlineExceeded)
-        if act.status in ("ok", "cancelled", "degraded"):
+        if act.status in ("ok", "cancelled"):
             assert act.error is None
-        if act.status == "degraded":
-            assert self.tripped == "degraded"
         if act.status == "breaker":
             assert self.tripped == "stopped" and isinstance(act.error, WorkerCrash)
         if act.status == "closed":
@@ -569,11 +562,8 @@ class TestScenarios:
         assert m.cancel(0.1, 0) == [] and m.in_flight("w0") == (0, 0)
         assert m.reply(0.5, "w0", 0, 0) == [Dispatch("w0", 2, 0)]  # no Finish
 
-    @pytest.mark.parametrize("degrade", [False, True])
-    def test_submit_racing_the_breaker_is_answered(self, degrade):
-        m = _machine(
-            workers=2, crash_loop_threshold=2, degrade_to_inline=degrade, max_attempts=9
-        )
+    def test_submit_racing_the_breaker_is_answered(self):
+        m = _machine(workers=2, crash_loop_threshold=2, max_attempts=9)
         for req_id in range(3):
             m.submit(0.0, req_id)
         crash = WorkerCrash.code
@@ -583,17 +573,16 @@ class TestScenarios:
             Spawn("crash"),
         ]
         why = "2 consecutive worker crashes with no completed request (crash loop)"
-        status = "degraded" if degrade else "breaker"
-        error = None if degrade else (WorkerCrash, why)
+        error = (WorkerCrash, why)
         assert _plain(m.worker_lost(0.2, "w1")) == [
             Kill("w1", "crash", 1),
             Retry(1, 1, 0.05, crash),
-            (Degrade if degrade else Stop)(why),
-            *(Finish(r, status, a, (), error) for r, a in [(0, 1), (1, 1), (2, 0)]),
+            Stop(why),
+            *(Finish(r, "breaker", a, (), error) for r, a in [(0, 1), (1, 1), (2, 0)]),
         ]
-        assert m.mode == ("degraded" if degrade else "stopped")
+        assert m.mode == "stopped"
         # The one posted just before the trip, and the replacement asked for:
-        assert _plain(m.submit(0.2, 3)) == [Finish(3, status, 0, (), error)]
+        assert _plain(m.submit(0.2, 3)) == [Finish(3, "breaker", 0, (), error)]
         assert m.spawned(0.3, "w2") == [Kill("w2", "breaker", None)]
         assert m.tick(9.0) == [] and m.next_wake(9.0) is None
         assert _plain(m.close(9.0)) == []
@@ -676,14 +665,14 @@ class TestScenarios:
             def _do_kill(self, *_):
                 pass
 
-            _do_degrade = _do_stop = _do_kill
+            _do_stop = _do_kill
 
         # Two workers hang in one tick and the first respawn fails.
-        m = _machine(workers=2, hang_timeout_s=1.0, degrade_to_inline=True)
+        m = _machine(workers=2, hang_timeout_s=1.0)
         driver = Driver(m)
         ShardedExecutor._apply(driver, m.submit(0.0, 0) + m.submit(0.0, 1))
         ShardedExecutor._apply(driver, m.tick(2.0))
-        assert driver.log == [(0, "degraded"), (1, "degraded")]
+        assert driver.log == [(0, "breaker"), (1, "breaker")]
         # Two retries go out in one tick; the first send finds a dead pipe,
         # and that crash is the one the breaker trips on.
         m = _machine(workers=2, crash_loop_threshold=1)
@@ -755,4 +744,4 @@ def test_docs_transition_table_matches_code():
     for action in in_code:
         assert callable(getattr(ShardedExecutor, "_do_" + action.lower()))
     ladder = _doc_section("Degradation ladder")
-    assert "`Degrade`" in ladder and "`Stop`" in ladder
+    assert "`Stop`" in ladder and "`Degrade`" not in ladder

@@ -66,6 +66,7 @@ class TestServingConfig:
             {"transport": "shm"},  # deleted in PR 22: rejected by name
             {"hosts": 2},  # pipe has no hosts to count
             {"hosts": ("tcp://10.0.0.7:9701",), "authkey_file": "key"},
+            {"num_workers": 0},  # every request is served by a worker
         ],
     )
     def test_validation(self, kwargs):

@@ -256,8 +256,6 @@ def _serve(plan, rctx, *, chaos, n_requests, telemetry):
         ),
     )
     with pool:
-        if pool.stats()["inline"]:
-            pytest.skip("fork unavailable; cross-process tracing needs a pool")
         pool.run_batch(batches, timeout=RESULT_TIMEOUT)
     return {
         trace_id: telemetry.span_structure(trace_id)

@@ -87,9 +87,8 @@ class TestTcpTransport:
         with ShardedExecutor(fabric_plan, config=cfg) as pool:
             sharded = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
             stats = pool.stats()
-            if not stats["inline"]:
-                assert stats["transport_stats"]["hosts_spawned"] == 1
-                assert stats["transport_stats"]["sessions_opened"] == 1
+            assert stats["transport_stats"]["hosts_spawned"] == 1
+            assert stats["transport_stats"]["sessions_opened"] == 1
         _assert_batches_equal(sharded, reference)
 
     def test_plan_ships_once_per_host(self, rctx, fabric_plan):
@@ -104,11 +103,10 @@ class TestTcpTransport:
         with ShardedExecutor(fabric_plan, config=cfg) as pool:
             sharded = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
             stats = pool.stats()
-            if not stats["inline"]:
-                ts = stats["transport_stats"]
-                assert ts["hosts_spawned"] == 2
-                assert ts["plan_uploads"] == 2
-                host_procs = [h.host_proc for h in pool._transport._hosts]
+            ts = stats["transport_stats"]
+            assert ts["hosts_spawned"] == 2
+            assert ts["plan_uploads"] == 2
+            host_procs = [h.host_proc for h in pool._transport._hosts]
         _assert_batches_equal(sharded, reference)
         # close() retires each forked host with a SIGTERM drain; exit
         # code 0 means the drain finished it, not the SIGKILL fallback.
@@ -149,12 +147,11 @@ class TestHostLoss:
         with ShardedExecutor(fabric_plan, config=cfg) as pool:
             sharded = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
             stats = pool.stats()
-            if not stats["inline"]:
-                ts = stats["transport_stats"]
-                assert ts["sessions_opened"] >= 2
-                assert ts["hosts_spawned"] == 1  # same host process
-                assert ts["plan_uploads"] == 1  # fingerprint cache hit
-                assert stats["worker_crashes"] >= 1
+            ts = stats["transport_stats"]
+            assert ts["sessions_opened"] >= 2
+            assert ts["hosts_spawned"] == 1  # same host process
+            assert ts["plan_uploads"] == 1  # fingerprint cache hit
+            assert stats["worker_crashes"] >= 1
         _assert_batches_equal(sharded, reference)
 
     def test_host_sigkill_mid_batch_loses_nothing(self, rctx, fabric_plan):
@@ -176,8 +173,6 @@ class TestHostLoss:
             with serve(fabric_plan, cfg) as session:
                 futures = [session.submit(b) for b in batches]
                 time.sleep(0.4)  # several in flight, more queued
-                if session.stats()["inline"]:
-                    pytest.skip("pool degraded to inline; no host to kill")
                 [host_pid] = session._transport.host_pids()
                 os.kill(host_pid, signal.SIGKILL)
                 outputs = [f.result(timeout=RESULT_TIMEOUT) for f in futures]
