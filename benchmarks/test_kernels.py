@@ -1,12 +1,12 @@
 """Genuine software-kernel benchmarks of the library's hot paths.
 
 These are the operations the accelerator replaces; their wall-clock times
-make the CPU bars of Fig. 5(a) tangible.  The reducer-backend benches are
-the software shadow of Table I: same math, different instruction mix —
-the seed's split product (``seed_mulmod_vec`` below, the denominator and
-nowhere else) pays six uint64 divisions, while ``barrett``/``montgomery``
-replace them with mul/shift/conditional-subtract pipelines (see
-``repro.nums.kernels``).
+make the CPU bars of Fig. 5(a) tangible.  The reducer benches are the
+software shadow of Table I: same math, different instruction mix — the
+seed's split product (``seed_mulmod_vec`` below, the denominator and
+nowhere else) pays six uint64 divisions, while the Barrett kernel
+replaces them with a multiply/subtract/conditional-subtract pipeline
+(see ``repro.nums.kernels``).
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from repro.ckks.serialization import (
     wire_coeff_bits,
 )
 from repro.nums import find_primes
-from repro.nums.kernels import available_backends, make_kernel, using_backend
+from repro.nums.kernels import ReducerKernel
 from repro.rns import RnsBasis
 from repro.rns.poly import EVAL, RnsPolynomial
 from repro.transforms.fft import SpecialFft
@@ -39,7 +39,7 @@ PRIME = find_primes(36, 1 << 16)[0].value
 
 # ---------------------------------------------------------------------------
 # The pre-refactor reference implementations ("seed path"), kept verbatim so
-# the reducer-backend speedups stay measured against a fixed baseline.
+# the reducer's speedups stay measured against a fixed baseline.
 # ---------------------------------------------------------------------------
 
 _SPLIT_BITS = np.uint64(18)
@@ -114,12 +114,10 @@ def test_ntt_forward(benchmark, log_n):
     benchmark(ntt.forward, a)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_ntt_forward_backend(benchmark, backend):
-    """Forward NTT at 2^14 under each reducer backend."""
+def test_ntt_forward_backend(benchmark):
+    """Forward NTT at 2^14 on the Barrett reducer."""
     n = 1 << 14
-    with using_backend(backend):
-        ntt = NttContext.cached(n, PRIME)
+    ntt = NttContext.cached(n, PRIME)
     a = np.random.default_rng(0).integers(0, PRIME, n).astype(np.uint64)
     benchmark(ntt.forward, a)
 
@@ -346,13 +344,12 @@ def test_special_fft(benchmark, log_slots):
     benchmark(lambda: fft.forward(v.copy()))
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_mulmod_backend_throughput(benchmark, backend):
-    """Canonical-operand modular product under each reducer backend."""
+def test_mulmod_backend_throughput(benchmark):
+    """Canonical-operand modular product on the Barrett reducer."""
     rng = np.random.default_rng(0)
     a = rng.integers(0, PRIME, 1 << 16).astype(np.uint64)
     b = rng.integers(0, PRIME, 1 << 16).astype(np.uint64)
-    kern = make_kernel(PRIME, backend)
+    kern = ReducerKernel(PRIME)
     benchmark(kern.mul, a, b)
 
 
@@ -362,7 +359,7 @@ def test_mulmod_backend_throughput(benchmark, backend):
 
 
 def test_barrett_speedup_vs_seed_path(report):
-    """Barrett backend vs the seed's division-based path, min-of-N timed.
+    """Barrett reducer vs the seed's division-based path, min-of-N timed.
 
     Three views of the same replacement (measured 3-5x on a 2-vCPU
     x86-64 VM; the virtualized CI host's division/multiply cost ratio
@@ -379,41 +376,40 @@ def test_barrett_speedup_vs_seed_path(report):
     n = 1 << 16
     a = rng.integers(0, PRIME, n).astype(np.uint64)
     b = rng.integers(0, PRIME, n).astype(np.uint64)
-    kern = make_kernel(PRIME, "barrett")
+    kern = ReducerKernel(PRIME)
 
     t_seed_mul, t_barrett_mul = _min_time_pair(
         lambda: seed_mulmod_vec(a, b, PRIME), lambda: kern.mul(a, b), reps=20
     )
     mul_speedup = t_seed_mul / t_barrett_mul
 
-    with using_backend("barrett"):
-        basis = RnsBasis.create(1 << 12, 8)
-        mat_a = np.stack(
-            [rng.integers(0, q, basis.degree) for q in basis.moduli]
-        ).astype(np.uint64)
-        mat_b = np.stack(
-            [rng.integers(0, q, basis.degree) for q in basis.moduli]
-        ).astype(np.uint64)
-        mat_kern = basis.kernel(basis.num_primes)
+    basis = RnsBasis.create(1 << 12, 8)
+    mat_a = np.stack(
+        [rng.integers(0, q, basis.degree) for q in basis.moduli]
+    ).astype(np.uint64)
+    mat_b = np.stack(
+        [rng.integers(0, q, basis.degree) for q in basis.moduli]
+    ).astype(np.uint64)
+    mat_kern = basis.kernel(basis.num_primes)
 
-        def seed_poly_mul():
-            return [
-                seed_mulmod_vec(mat_a[i], mat_b[i], q) for i, q in enumerate(basis.moduli)
-            ]
+    def seed_poly_mul():
+        return [
+            seed_mulmod_vec(mat_a[i], mat_b[i], q) for i, q in enumerate(basis.moduli)
+        ]
 
-        t_seed_poly, t_barrett_poly = _min_time_pair(
-            seed_poly_mul, lambda: mat_kern.mul(mat_a, mat_b), reps=20
-        )
-        poly_speedup = t_seed_poly / t_barrett_poly
+    t_seed_poly, t_barrett_poly = _min_time_pair(
+        seed_poly_mul, lambda: mat_kern.mul(mat_a, mat_b), reps=20
+    )
+    poly_speedup = t_seed_poly / t_barrett_poly
 
-        ntt = NttContext.cached(n, PRIME)
+    ntt = NttContext.cached(n, PRIME)
     t_seed_ntt, t_barrett_ntt = _min_time_pair(
         lambda: seed_ntt_forward(ntt.psi_rev, n, PRIME, a), lambda: ntt.forward(a), reps=8
     )
     ntt_speedup = t_seed_ntt / t_barrett_ntt
 
     report(
-        "Reducer-backend speedup vs the seed split-and-divide path (barrett backend)",
+        "Barrett reducer speedup vs the seed split-and-divide path",
         [
             f"mulmod 2^16:        seed {t_seed_mul*1e3:6.2f} ms   "
             f"barrett {t_barrett_mul*1e3:6.2f} ms   {mul_speedup:4.2f}x (target >= 2x)",

@@ -2,19 +2,18 @@
 three reduction algorithms (the hardware table's software shadow).
 
 Two timing views: the scalar Python-int reducers (one residue at a time,
-as the hardware datapath computes) and the vectorized numpy backends
-(``repro.nums.kernels``) the library actually runs on."""
+as the hardware datapath computes) and the vectorized numpy Barrett
+kernel (``repro.nums.kernels``) the library actually runs on."""
 
 from __future__ import annotations
 
 import random
 
 import numpy as np
-import pytest
 
 from repro.experiments import table1_modmul_areas
 from repro.nums import BarrettReducer, MontgomeryReducer, NttFriendlyMontgomeryReducer
-from repro.nums.kernels import available_backends, make_kernel
+from repro.nums.kernels import ReducerKernel
 from repro.nums.primegen import find_primes
 
 PRIME = find_primes(36, 1 << 16)[0]
@@ -70,10 +69,9 @@ def test_ntt_friendly_montgomery_software_timing(benchmark):
     benchmark(_mul_loop, red.mul, pairs)
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_vectorized_backend_timing(benchmark, backend):
-    """The same Table I algorithms as whole-array numpy kernels."""
-    kern = make_kernel(PRIME.value, backend)
+def test_vectorized_backend_timing(benchmark):
+    """Table I's Barrett row as the whole-array numpy kernel."""
+    kern = ReducerKernel(PRIME.value)
     rnd = np.random.default_rng(0)
     a = rnd.integers(0, PRIME.value, 1 << 14).astype(np.uint64)
     b = rnd.integers(0, PRIME.value, 1 << 14).astype(np.uint64)

@@ -68,10 +68,10 @@ MODMUL_OVERHEAD_EQUIV = 0.429
 """Fixed overhead (control, correction adders, shift-add network) as a
 fraction of one bw^2 multiplier array (fit to Table I)."""
 
-# The per-algorithm accounting lives in repro.nums.kernels.REDUCER_SPECS so
-# the *software* reducer backends and this area model are driven by the
-# same ReducerSpec rows — changing an algorithm's hardware assumptions
-# changes both views at once.
+# The per-algorithm accounting lives in repro.nums.kernels.REDUCER_SPECS,
+# one ReducerSpec per Table I row beside the software reducer, so the rows
+# are stated once — changing an algorithm's hardware assumptions changes
+# every view of it.
 
 MODMUL_EQUIV = {name: spec.multiplier_equivalents for name, spec in REDUCER_SPECS.items()}
 """Full-multiplier equivalents per reduction algorithm (fit to Table I)."""

@@ -99,9 +99,9 @@ class SwitchingKey:
     ``b[j]`` / ``a[j]`` are digit ``j``'s ``(L, N)`` NTT-domain residue
     rows, ``b_j = -a_j*s + e_j + idem_j * s_src``: two read-only
     ``(L, L, N)`` tensors, the layout the key-switch contraction walks
-    digit row by digit row, as plain residues under every backend.  The
-    key reaches every level ``ℓ <= level`` through its ``[:ℓ, :ℓ]``
-    prefix (see the module docstring).
+    digit row by digit row, as plain residues.  The key reaches every
+    level ``ℓ <= level`` through its ``[:ℓ, :ℓ]`` prefix (see the module
+    docstring).
     """
 
     basis: RnsBasis

@@ -118,7 +118,7 @@ class KeySwitchEngine:
         permuting the whole tensor first — and multiplied against both
         key components while cache-hot.  The key operands are views of
         the key's own residues, its ``[:L, :L]`` prefix at the tensor's
-        level ``L``, whatever the backend.
+        level ``L``.
         """
         lvl = tensor.shape[0]
         kern = self.basis.kernel(lvl)

@@ -6,9 +6,8 @@ reference model for the accelerator's modular-arithmetic hardware:
 * :mod:`repro.nums.primality` — deterministic Miller–Rabin;
 * :mod:`repro.nums.primegen` — NTT-friendly prime search (paper Eq. 8);
 * :mod:`repro.nums.modular` — exact scalar helpers on Python ints;
-* :mod:`repro.nums.kernels` — the two vectorized numpy reducer backends
-  (``barrett`` / ``montgomery``) with the registry and the
-  :class:`~repro.nums.kernels.ReducerSpec` Table I accounting;
+* :mod:`repro.nums.kernels` — the vectorized numpy reducer (Barrett)
+  and the :class:`~repro.nums.kernels.ReducerSpec` Table I accounting;
 * :mod:`repro.nums.barrett` / :mod:`repro.nums.montgomery` — the three
   scalar reducer designs compared in Table I (exact-int references);
 * :mod:`repro.nums.crt` — RNS decompose / CRT combine.
@@ -18,45 +17,30 @@ from repro.nums.barrett import BarrettReducer
 from repro.nums.crt import CrtSystem
 from repro.nums.kernels import (
     REDUCER_SPECS,
-    BarrettKernel,
-    MontgomeryKernel,
     ReducerKernel,
     ReducerSpec,
-    available_backends,
     default_backend_name,
-    get_backend,
     kernel_for_modulus,
-    make_kernel,
-    set_default_backend,
-    using_backend,
 )
 from repro.nums.modular import (
     centered,
     mod_inv,
     mod_pow,
     nth_root_of_unity,
-    primitive_root,
 )
 from repro.nums.montgomery import MontgomeryReducer, NttFriendlyMontgomeryReducer
-from repro.nums.primality import is_prime, next_prime
+from repro.nums.primality import is_prime
 from repro.nums.primegen import NttFriendlyPrime, count_primes, find_primes, prime_chain
 
 __all__ = [
     "REDUCER_SPECS",
-    "BarrettKernel",
     "BarrettReducer",
     "CrtSystem",
-    "MontgomeryKernel",
     "MontgomeryReducer",
     "ReducerKernel",
     "ReducerSpec",
-    "available_backends",
     "default_backend_name",
-    "get_backend",
     "kernel_for_modulus",
-    "make_kernel",
-    "set_default_backend",
-    "using_backend",
     "NttFriendlyMontgomeryReducer",
     "NttFriendlyPrime",
     "centered",
@@ -65,8 +49,6 @@ __all__ = [
     "is_prime",
     "mod_inv",
     "mod_pow",
-    "next_prime",
     "nth_root_of_unity",
     "prime_chain",
-    "primitive_root",
 ]

@@ -7,7 +7,7 @@ three candidates the paper compares (Table I: 35054 µm², 4 pipeline
 stages), which is why ABC-FHE rejects it.
 
 This is the bit-level Table I model; the vector kernel
-(:class:`repro.nums.kernels.BarrettKernel`) estimates the same quotient
+(:class:`repro.nums.kernels.ReducerKernel`) estimates the same quotient
 from a float64 reciprocal of ``q`` instead of shifts by ``mu``.
 """
 

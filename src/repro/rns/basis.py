@@ -9,11 +9,11 @@ datapath stay at 44 bits.
 The basis is also the cache root for everything precomputable per prime:
 
 * NTT contexts come from the process-level ``NttContext.cached`` store
-  keyed by ``(degree, modulus, backend)`` — two bases sharing primes
-  share twiddles;
-* ``kernel(level)`` hands out reducer kernels whose per-limb tables
-  (Barrett ``mu``, Montgomery ``-q^-1``/``R^2``) are broadcast as an
-  ``(level, 1)`` column over whole residue matrices;
+  keyed by ``(degree, modulus)`` — two bases sharing primes share
+  twiddles;
+* ``kernel(level)`` hands out reducer kernels whose per-limb
+  reciprocals are broadcast as an ``(level, 1)`` column over whole
+  residue matrices;
 * ``batch_ntt(level)`` bundles the per-limb twiddles into one
   :class:`~repro.transforms.ntt.BatchNtt` so a full ``(L, N)`` polynomial
   transforms with one kernel dispatch per butterfly stage and block of
@@ -21,9 +21,6 @@ The basis is also the cache root for everything precomputable per prime:
 * ``rescale_tables(level, times)`` holds what folding the last ``times``
   primes out of a level needs besides the data: the kept rows' kernel,
   the mixed-radix weights and the inverse of the dropped product.
-
-Caches are keyed by the active reducer backend, so switching backends
-(e.g. ``with using_backend("montgomery")``) is safe mid-process.
 """
 
 from __future__ import annotations
@@ -33,9 +30,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.nums.crt import CrtSystem
-from repro.nums.kernels import ReducerKernel, default_backend_name, make_kernel
+from repro.nums.kernels import ReducerKernel
 from repro.nums.primegen import NttFriendlyPrime, prime_chain
-from repro.transforms.ntt import BatchNtt, NttContext
+from repro.transforms.ntt import BatchNtt
 from repro.utils.bitops import ilog2
 
 __all__ = ["RnsBasis"]
@@ -91,18 +88,8 @@ class RnsBasis:
     def moduli(self) -> tuple[int, ...]:
         return tuple(p.value for p in self.primes)
 
-    @property
-    def ntt_contexts(self) -> tuple[NttContext, ...]:
-        """One merged-twiddle NTT context per limb.
-
-        A plain property (not cached on the basis): contexts come from
-        the process-level store keyed by the *active* backend, so a
-        ``using_backend`` switch is reflected immediately.
-        """
-        return tuple(NttContext.cached(self.degree, q) for q in self.moduli)
-
     # ------------------------------------------------------------------
-    # Reducer tables (cached per level and active backend)
+    # Reducer tables (cached per level)
     # ------------------------------------------------------------------
 
     def kernel(self, level: int) -> ReducerKernel:
@@ -110,7 +97,7 @@ class RnsBasis:
 
         The returned kernel broadcasts per-row moduli over ``(level, N)``
         residue matrices; its precomputed tables are cached on the basis
-        per (level, backend).
+        per level.
         """
         self._check_level(level)
         return self.kernel_range(0, level)
@@ -120,33 +107,32 @@ class RnsBasis:
 
         The fused multi-prime rescale works on the *trailing* limbs of a
         level — a slice no prefix kernel covers — so kernels are cached per
-        (start, stop, backend).
+        (start, stop).
         """
         if not 0 <= start < stop <= self.num_primes:
             raise ValueError(
                 f"limb range [{start}, {stop}) outside [0, {self.num_primes}]"
             )
-        key = (start, stop, default_backend_name())
+        key = (start, stop)
         kern = self._kernel_cache.get(key)
         if kern is None:
             q_col = np.array(self.moduli[start:stop], dtype=np.uint64).reshape(-1, 1)
-            kern = make_kernel(q_col)
+            kern = ReducerKernel(q_col)
             self._kernel_cache[key] = kern
         return kern
 
     def batch_ntt(self, level: int) -> BatchNtt:
         """Whole-matrix NTT over the first ``level`` limbs (cached)."""
         self._check_level(level)
-        key = (level, default_backend_name())
-        bat = self._batch_ntt_cache.get(key)
+        bat = self._batch_ntt_cache.get(level)
         if bat is None:
             bat = BatchNtt.create(self.degree, self.moduli[:level])
-            self._batch_ntt_cache[key] = bat
+            self._batch_ntt_cache[level] = bat
         return bat
 
     def rescale_tables(self, level: int, times: int) -> tuple:
         """``(kern, weights, inv_col)`` for dividing ``level`` limbs by
-        the last ``times`` primes (cached per level, times, backend):
+        the last ``times`` primes (cached per level and times):
         ``kern`` covers the kept rows, ``weights[t]`` is ``q_{L-1} ...
         q_{L-t}`` on them (the radix of mixed-radix digit ``t``) and
         ``inv_col`` the inverse of the whole dropped product ``P``.
@@ -156,7 +142,7 @@ class RnsBasis:
             raise ValueError(
                 f"cannot rescale {times} primes from level {level} below one limb"
             )
-        key = (level, times, default_backend_name())
+        key = (level, times)
         tables = self._rescale_cache.get(key)
         if tables is None:
             kept = self.moduli[:keep]

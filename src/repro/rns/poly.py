@@ -11,9 +11,8 @@ All arithmetic runs as whole-``(L, N)``-matrix kernel calls with per-row
 modulus broadcasting (``RnsBasis.kernel``) — one vectorized dispatch per
 operation instead of a Python loop over limbs — and the NTT round trips
 go through :class:`~repro.transforms.ntt.BatchNtt`, which butterflies
-the limbs block by cache-sized block.  The active
-reducer backend (Barrett by default) decides how each modular product is
-reduced; results are bit-identical across backends.
+the limbs block by cache-sized block; every modular product is a Barrett
+reduction (:class:`~repro.nums.kernels.ReducerKernel`).
 
 "Expand RNS" and "Combine CRT" (Fig. 2a) are word-level too.
 :meth:`from_float_coeffs` streams the float datapath's own (mantissa,
@@ -250,11 +249,11 @@ class RnsPolynomial:
         q_i`` from Barrett's float64 quotient estimate, one gather from a
         sign-folded table of ``±2^E mod q_i`` and one Barrett ``mul``.
         Residues equal ``from_bigint_coeffs([int(v) for v in values])``
-        exactly, under either backend (canonical residues are unique).
+        exactly (canonical residues are unique).
 
         Bound: ``M < 2^53`` is an exact double, so ``trunc(M · r_q)``
         undershoots ``M / q`` by less than ``(M / q) 2^-49.5 + 1``
-        (:class:`~repro.nums.kernels.BarrettKernel`): ``M - trunc(M ·
+        (:class:`~repro.nums.kernels.ReducerKernel`): ``M - trunc(M ·
         r_q) · q`` is below ``2q`` for every ``q >= 11`` — every
         ``RnsBasis`` prime from N = 8 up, at least ``2N + 1 = 17`` — and
         below ``q + 11`` for the smaller ones.  Either way it is below
@@ -277,7 +276,7 @@ class RnsPolynomial:
         index = exponents + (top + 1) * (values < 0)  # +2^E rows, then -2^E
         data = np.empty((level, basis.degree), dtype=np.uint64)
         for row, q in zip(data, basis.moduli[:level]):
-            kern = kernel_for_modulus(q, "barrett")
+            kern = kernel_for_modulus(q)
             powers = [pow(2, e, q) for e in range(top + 1)]
             signed = np.array(powers + [-p % q for p in powers], dtype=np.uint64)
             # The estimate is below 2^53: truncated through an int64 view.

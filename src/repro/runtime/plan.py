@@ -29,7 +29,7 @@ ways:
   interpreter instead — the oracle at the batch call shape.
 
 ``compile_graph`` / ``compile_fn`` front a **process-level plan cache**
-keyed by (graph signature, parameter fingerprint, reducer backend): one
+keyed by (graph signature, parameter fingerprint): one
 trace of a serving program is optimized once and the same plan object is
 replayed for every subsequent request with the same structure.  The
 cache is per process: a forked worker inherits it, a worker host
@@ -72,7 +72,7 @@ from repro.ckks.evaluator import (
     plain_rows,
     relinearize_rows,
 )
-from repro.nums.kernels import default_backend_name, ufunc_buffer
+from repro.nums.kernels import ufunc_buffer
 from repro.rns.poly import EVAL, RnsPolynomial, rescale_eval_rows
 from repro.runtime.arena import ArenaLayout, ArenaStep, BufferArena
 from repro.runtime.graph import AUTOMORPHISM_OPS, CtSpec, Graph, Node, PtSpec
@@ -106,7 +106,6 @@ class ExecutionPlan:
         evaluator: the eager evaluator ops are dispatched through.
         signature: structural fingerprint of the *traced* graph (the plan
             cache key component).
-        backend: reducer backend the plan was compiled under.
         hoist: source-node id -> automorphism nodes sharing one
             decomposition.
     """
@@ -114,7 +113,6 @@ class ExecutionPlan:
     graph: Graph
     evaluator: Evaluator
     signature: str
-    backend: str
     hoist: dict[int, tuple[int, ...]]
     _releases: list[tuple[int, ...]] = field(init=False, repr=False)
     _dec_done: dict[int, int] = field(init=False, repr=False)
@@ -150,7 +148,7 @@ class ExecutionPlan:
             f"ExecutionPlan[{self.signature[:12]}] "
             f"{len(self.graph.nodes)} nodes, "
             f"{len(self.input_specs)} inputs -> {self.num_outputs} outputs, "
-            f"{len(self.hoist)} hoist group(s), backend={self.backend}: {hist}"
+            f"{len(self.hoist)} hoist group(s): {hist}"
         )
 
     def stats(self) -> dict:
@@ -660,9 +658,8 @@ _CACHE_STATS = get_telemetry().group("plan_cache").declare("hits", "misses")
 
 def compile_graph(graph: Graph, evaluator: Evaluator) -> ExecutionPlan:
     """Optimize and schedule a traced graph, reusing a cached plan when the
-    same program structure was compiled before under the same parameters
-    and reducer backend."""
-    key = (graph.signature(), params_fingerprint(evaluator), default_backend_name())
+    same program structure was compiled before under the same parameters."""
+    key = (graph.signature(), params_fingerprint(evaluator))
     cached = _PLAN_CACHE.get(key)
     if cached is not None:
         _CACHE_STATS.inc("hits")
@@ -673,7 +670,6 @@ def compile_graph(graph: Graph, evaluator: Evaluator) -> ExecutionPlan:
         graph=optimized,
         evaluator=evaluator,
         signature=key[0],
-        backend=key[2],
         hoist=hoist_groups(optimized),
     )
     _PLAN_CACHE[key] = plan

@@ -23,8 +23,7 @@ Worker-boundary contract: nothing in this module is fork-shared or
 process-cached — a serialized plan is a self-contained byte string, and
 deserializing it in a fresh process rebuilds a plan whose batched
 execution is bit-identical to the plan it was serialized from (pinned
-across all reducer backends by
-``tests/integration/test_backend_identity.py``).
+by ``tests/integration/test_backend_identity.py``).
 """
 
 from __future__ import annotations
@@ -102,6 +101,9 @@ _U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 _PLAN_HEADER = struct.Struct("<HH")  # version, flags
 _META_HEAD = struct.Struct("<IHH")  # degree, moduli, backend length
+#: ``META``'s backend field: frozen in the layout, always this reducer
+#: name on write, read and ignored (``docs/formats.md``).
+_META_BACKEND = b"barrett"
 _SPEC = struct.Struct("<BHHd")  # kind, level, size, scale
 _NODE_HEAD = struct.Struct("<BBHHdHHH")
 _CFPS_ENTRY = struct.Struct(f"<B{_FINGERPRINT_BYTES}s")  # kind, fingerprint
@@ -231,27 +233,26 @@ def _unpack_constants(table: list[tuple[int, bytes]], payload: bytes, basis) -> 
 def _pack_meta(plan: ExecutionPlan) -> bytes:
     basis = plan.evaluator.basis
     moduli = list(basis.moduli)
-    backend = plan.backend.encode()
     signature = plan.signature.encode()
     return b"".join(
         [
-            _META_HEAD.pack(basis.degree, len(moduli), len(backend)),
+            _META_HEAD.pack(basis.degree, len(moduli), len(_META_BACKEND)),
             struct.pack(f"<{len(moduli)}Q", *moduli),
-            backend,
+            _META_BACKEND,
             _U16.pack(len(signature)),
             signature,
         ]
     )
 
 
-def _unpack_meta(payload: bytes) -> tuple[int, tuple[int, ...], str, str]:
+def _unpack_meta(payload: bytes) -> tuple[int, tuple[int, ...], str]:
     reader = Reader(payload, "EPL1 META")
     degree, num_moduli, backend_len = reader.unpack(_META_HEAD)
     moduli = reader.array("Q", num_moduli)
-    backend = reader.text(backend_len)
+    reader.text(backend_len)  # checked, then ignored
     signature = reader.text(*reader.unpack(_U16))
     reader.finish()
-    return degree, moduli, backend, signature
+    return degree, moduli, signature
 
 
 def _pack_input_specs(graph: Graph) -> bytes:
@@ -421,7 +422,7 @@ def _deserialize_plan(blob: bytes, evaluator) -> ExecutionPlan:
         if required not in frames:
             raise PlanFormatError(f"EPL1 blob missing required frame {required!r}")
 
-    degree, moduli, backend, signature = _unpack_meta(frames[b"META"])
+    degree, moduli, signature = _unpack_meta(frames[b"META"])
     basis = evaluator.basis
     if (degree, moduli) != params_fingerprint(evaluator):
         raise PlanFormatError(
@@ -442,6 +443,5 @@ def _deserialize_plan(blob: bytes, evaluator) -> ExecutionPlan:
         graph=graph,
         evaluator=evaluator,
         signature=signature,
-        backend=backend,
         hoist=hoist_groups(graph),
     )

@@ -448,8 +448,7 @@ class HostEnv:
     scratch: the CKKS parameters and the exact RNS prime chain.  Every
     host builds the evaluator its ``FPL1`` plan loads against from it,
     whether the coordinator forked the host or an operator started it.
-    The plan's backend is *not* here: ``EPL1`` blobs carry their own
-    backend in the META frame."""
+    The plan itself travels as ``EPL1`` bytes, not here."""
 
     params: CkksParameters
     primes: tuple[NttFriendlyPrime, ...]

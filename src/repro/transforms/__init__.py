@@ -20,7 +20,7 @@ from repro.transforms.dataflow import (
     sfg_multiplications_unmerged,
 )
 from repro.transforms.fft import SpecialFft, embedding_matrix
-from repro.transforms.fp_custom import FP32_LIKE, FP55, FP64, FloatFormat
+from repro.transforms.fp_custom import FP55, FP64, FloatFormat
 from repro.transforms.ntt import BatchNtt, NttContext, negacyclic_mul_naive
 from repro.transforms.twiddle import (
     OnTheFlyTwiddleGenerator,
@@ -30,7 +30,6 @@ from repro.transforms.twiddle import (
 
 __all__ = [
     "BatchNtt",
-    "FP32_LIKE",
     "FP55",
     "FP64",
     "FloatFormat",

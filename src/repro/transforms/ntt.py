@@ -8,12 +8,10 @@ the ψ powers are folded into the per-stage butterfly twiddles so no separate
 pre/post multiplier columns are needed — the property that lets the RFE hit
 the theoretical minimum of ``P/2 * log2 N`` pipeline multipliers.
 
-The kernels are fully vectorized and reducer-aware: every butterfly
-multiply goes through a pluggable :class:`~repro.nums.kernels.ReducerKernel`
-(Barrett by default — no integer division on the hot path), with the
-twiddle tables held in the backend's precomputed form (Montgomery domain
-for the ``montgomery`` backend, mirroring hardware that keeps operands in
-the domain across pipeline stages).
+The kernels are fully vectorized: every butterfly multiply goes through a
+:class:`~repro.nums.kernels.ReducerKernel` (Barrett — no integer division
+on the hot path), with the twiddle tables held in its precomputed form
+(each twiddle stacked on its scaled float64 reciprocal).
 
 Two transform front-ends share the tables:
 
@@ -41,7 +39,6 @@ import numpy as np
 from repro.nums.kernels import (
     ReducerKernel,
     _csub,
-    default_backend_name,
     kernel_for_modulus,
     ufunc_buffer,
 )
@@ -113,15 +110,14 @@ class NttContext:
         psi_rev: merged Cooley–Tukey twiddles, ``psi^{bitrev(j)}``.
         psi_inv_rev: merged Gentleman–Sande twiddles for the inverse.
         n_inv: ``N^{-1} mod q`` folded into the inverse's last stage.
-        backend: reducer-backend name the butterfly kernels run on.
         kernel: the bound :class:`ReducerKernel` instance.
-        n_inv_pre: ``n_inv`` in the backend's precomputed constant form
+        n_inv_pre: ``n_inv`` in the kernel's precomputed constant form
             (see ``ReducerKernel.pre``).
 
     ``psi_pre`` / ``psi_inv_pre``, the twiddle tables in that form, are
     built by the first per-limb transform: :class:`BatchNtt` stacks its
     own planes from ``psi_rev`` / ``psi_inv_rev``, so a context that only
-    feeds one never holds them (Barrett: two planes per table, 2 MiB
+    feeds one never holds them (two planes per table, 2 MiB
     per limb at N = 2^16).
     """
 
@@ -131,7 +127,6 @@ class NttContext:
     psi_rev: np.ndarray
     psi_inv_rev: np.ndarray
     n_inv: int
-    backend: str = field(default="", compare=False)
     kernel: ReducerKernel = field(default=None, repr=False, compare=False)
     n_inv_pre: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -144,9 +139,7 @@ class NttContext:
         return self.kernel.pre(self.psi_inv_rev)
 
     @classmethod
-    def create(
-        cls, degree: int, modulus: int, psi: int | None = None, backend: str | None = None
-    ) -> "NttContext":
+    def create(cls, degree: int, modulus: int, psi: int | None = None) -> "NttContext":
         """Build tables; derives ψ from the field structure unless given."""
         ilog2(degree)  # validates power of two
         if (modulus - 1) % (2 * degree) != 0:
@@ -159,8 +152,7 @@ class NttContext:
         elif pow(psi, 2 * degree, modulus) != 1 or pow(psi, degree, modulus) == 1:
             raise ValueError("psi is not a primitive 2N-th root of unity")
 
-        backend_name = backend or default_backend_name()
-        kernel = kernel_for_modulus(modulus, backend_name)
+        kernel = kernel_for_modulus(modulus)
         psi_rev = _bit_reversed_powers(kernel, psi, degree)
         psi_inv_rev = _bit_reversed_powers(kernel, mod_inv(psi, modulus), degree)
         n_inv = mod_inv(degree, modulus)
@@ -171,23 +163,21 @@ class NttContext:
             psi_rev=psi_rev,
             psi_inv_rev=psi_inv_rev,
             n_inv=n_inv,
-            backend=backend_name,
             kernel=kernel,
             n_inv_pre=kernel.pre(np.uint64(n_inv)),
         )
 
     # Process-level context cache: RNS bases / key generators ask for the
     # same (degree, prime) pairs over and over, and the tables are O(N).
-    _CACHE: ClassVar[dict[tuple[int, int, str], "NttContext"]] = {}
+    _CACHE: ClassVar[dict[tuple[int, int], "NttContext"]] = {}
 
     @classmethod
-    def cached(cls, degree: int, modulus: int, backend: str | None = None) -> "NttContext":
-        """Shared context for a (degree, modulus) pair under a backend."""
-        key = (degree, modulus, backend or default_backend_name())
+    def cached(cls, degree: int, modulus: int) -> "NttContext":
+        """Shared context for a (degree, modulus) pair."""
+        key = (degree, modulus)
         ctx = cls._CACHE.get(key)
         if ctx is None:
-            ctx = cls.create(degree, modulus, backend=key[2])
-            cls._CACHE[key] = ctx
+            ctx = cls._CACHE[key] = cls.create(degree, modulus)
         return ctx
 
     # ------------------------------------------------------------------
@@ -268,15 +258,15 @@ def _lazy_plans(kernel: ReducerKernel, moduli, stages: int, input_bound: int):
     Values are tracked as multiples of their own limb's modulus: ``c``
     means "every value of limb ``i`` is below ``c * q_i``".  A raw product
     (:meth:`~repro.nums.kernels.ReducerKernel.mul_pre_raw`) takes an
-    operand below ``raw_operand_limit`` (``2^42``, whatever the backend)
-    and returns a value below ``B * q`` (``B`` the backend's
-    ``RAW_BOUND``); ``reduce`` takes values below ``q^2``.
+    operand below ``raw_operand_limit`` (``2^42``) and returns a value
+    below ``B * q`` (``B`` the kernel's ``RAW_BOUND``); ``reduce`` takes
+    values below ``q^2``.
     Forward inputs are below ``input_bound`` on every limb; inverse inputs
     are canonical.
 
     * Forward (Cooley–Tukey) stage: ``v = raw(x1 * w)``, ``x1 <- u + B*q -
-      v``, ``u <- u + v`` — ``c`` grows by ``B`` per stage, so either
-      backend (``B = 2``) enters stage ``s`` at ``2 + 2s`` and 36-bit
+      v``, ``u <- u + v`` — ``c`` grows by ``B`` per stage, so with
+      ``B = 2`` stage ``s`` is entered at ``2 + 2s`` and 36-bit
       primes need no renormalization up to N = 2^16 (``32 q < 2^42`` at
       the last stage).
     * Inverse (Gentleman–Sande) stage: ``u <- u + x1``, ``x1 <- raw((u +
@@ -303,8 +293,8 @@ def _lazy_plans(kernel: ReducerKernel, moduli, stages: int, input_bound: int):
     # the forward input must itself be reducible.
     if not (c_in <= q_min and fits(1, 1 + bound) and fits(2, max(2, bound))):
         raise ValueError(
-            f"moduli {q_min}..{q_max} leave no room for lazy butterflies under "
-            f"the {kernel.name} reducer (operands below {limit})"
+            f"moduli {q_min}..{q_max} leave no room for lazy butterflies "
+            f"(operands below {limit})"
         )
     forward, c = [], c_in
     for _ in range(stages):
@@ -391,7 +381,6 @@ class BatchNtt:
 
     degree: int
     moduli: tuple[int, ...]
-    backend: str
     kernel: ReducerKernel = field(repr=False, compare=False)
     psi_pre: np.ndarray = field(repr=False, compare=False)
     psi_inv_pre: np.ndarray = field(repr=False, compare=False)
@@ -409,15 +398,13 @@ class BatchNtt:
     BLOCK_BYTES: ClassVar[int] = 896 << 10
 
     @classmethod
-    def create(
-        cls, degree: int, moduli: tuple[int, ...], backend: str | None = None
-    ) -> "BatchNtt":
+    def create(cls, degree: int, moduli: tuple[int, ...]) -> "BatchNtt":
         """Stack (cached) per-limb twiddles and precompute batched tables.
 
         Tables are shaped ``(..., L, 1, N)`` — the trailing singleton keeps
         the per-row moduli column ``(L, 1, 1)`` broadcasting against the
-        stage views; a leading axis (if any) carries the backend's
-        precomputed companions (Barrett's scaled reciprocals).  The slices
+        stage views; a leading axis carries the kernel's precomputed
+        companions (the scaled reciprocals).  The slices
         of the transposed stages are stored in :func:`_late_order`.
 
         ``input_bound`` is what :meth:`forward` accepts on every limb:
@@ -426,10 +413,9 @@ class BatchNtt:
         any once-added pair of one limb's.  The renormalization plans are
         derived from it here, once; moduli that leave no room raise.
         """
-        backend_name = backend or default_backend_name()
-        contexts = [NttContext.cached(degree, q, backend_name) for q in moduli]
+        contexts = [NttContext.cached(degree, q) for q in moduli]
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1, 1)
-        kernel = type(contexts[0].kernel)(q_col)
+        kernel = ReducerKernel(q_col)
         span = _transposed_span(degree)
         psi = np.stack([c.psi_rev for c in contexts]).reshape(-1, 1, degree)
         psi_inv = np.stack([c.psi_inv_rev for c in contexts]).reshape(-1, 1, degree)
@@ -441,7 +427,6 @@ class BatchNtt:
         return cls(
             degree=degree,
             moduli=tuple(moduli),
-            backend=backend_name,
             kernel=kernel,
             psi_pre=kernel.pre(_late_order(psi, degree, span)),
             psi_inv_pre=kernel.pre(_late_order(psi_inv, degree, span)),
@@ -473,7 +458,7 @@ class BatchNtt:
         if plan is None:
             kern = self.kernel
             if rows.stop - rows.start < self.num_limbs:
-                kern = type(kern)(kern.q[rows])
+                kern = ReducerKernel(kern.q[rows])
             chunks = self.degree // _transposed_span(self.degree)
             tables = []
             for table in (self.psi_pre, self.psi_inv_pre):

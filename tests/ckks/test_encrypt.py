@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, toy_params
-from repro.nums.kernels import available_backends
 
 
 class TestRoundtrip:
@@ -60,23 +59,20 @@ class TestStreamedEncrypt:
         v = v.to_eval()
         return v * enc.public_key.b + noisy, v * enc.public_key.a + e1.to_eval()
 
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("case", ["coeff", "eval", "below-plaintext-level"])
-    def test_equals_composed_formula(self, case, backend, rng):
+    def test_equals_composed_formula(self, case, rng):
         from repro.ckks.containers import Plaintext
-        from repro.nums.kernels import using_backend
 
-        with using_backend(backend):
-            ctx = CkksContext.create(toy_params(degree=128, num_primes=4), seed=11)
-            msg = rng.normal(size=ctx.params.slots)
-            plaintext = ctx.encode(msg)
-            if case == "eval":
-                poly = plaintext.poly.to_eval()
-                plaintext = Plaintext(poly=poly, scale=plaintext.scale)
-            level = plaintext.level - 1 if case == "below-plaintext-level" else None
-            counter = ctx.encryptor._counter
-            ct = ctx.encryptor.encrypt(plaintext, level=level)
-            c0, c1 = self.composed(ctx, plaintext, ct.level, counter)
+        ctx = CkksContext.create(toy_params(degree=128, num_primes=4), seed=11)
+        msg = rng.normal(size=ctx.params.slots)
+        plaintext = ctx.encode(msg)
+        if case == "eval":
+            poly = plaintext.poly.to_eval()
+            plaintext = Plaintext(poly=poly, scale=plaintext.scale)
+        level = plaintext.level - 1 if case == "below-plaintext-level" else None
+        counter = ctx.encryptor._counter
+        ct = ctx.encryptor.encrypt(plaintext, level=level)
+        c0, c1 = self.composed(ctx, plaintext, ct.level, counter)
         assert ct.level == (plaintext.level if level is None else level)
         assert ct.scale == plaintext.scale
         assert np.array_equal(ct.c0.data, c0.data)

@@ -3,8 +3,8 @@
 Pins the tentpole invariants: the tensorized pipeline is bit-identical to
 the seed's per-digit loop, hoisted rotations are bit-identical to
 non-hoisted ones, EVAL-domain automorphisms match the coefficient-domain
-path, fused multi-prime rescale matches sequential rescaling — each
-across all three reducer backends — and the dispatch-count guarantees
+path, fused multi-prime rescale matches sequential rescaling — and the
+dispatch-count guarantees
 (one forward BatchNtt per decomposition, zero NTT round trips per
 automorphism) hold structurally, not just by timing.
 """
@@ -15,12 +15,10 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, toy_params
-from repro.nums.kernels import available_backends, using_backend
 from repro.transforms.ntt import BatchNtt, galois_permutation
 
 DEGREE = 256
 NUM_PRIMES = 6
-BACKENDS = available_backends()
 
 
 @pytest.fixture(scope="module")
@@ -37,16 +35,14 @@ def msg(kctx):
 
 
 class TestBatchedSwitch:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_bit_identical_to_digit_loop(self, kctx, msg, backend):
+    def test_bit_identical_to_digit_loop(self, kctx, msg):
         """engine.switch == the seed's per-digit loop, bit for bit."""
         rlk = kctx.relin_keys(levels=[NUM_PRIMES])
         key = rlk[NUM_PRIMES]
         poly = kctx.encrypt(msg).parts[1]
-        with using_backend(backend):
-            engine = kctx.evaluator.keyswitch
-            fast0, fast1 = engine.switch(poly, key)
-            ref0, ref1 = engine.switch_reference(poly, key)
+        engine = kctx.evaluator.keyswitch
+        fast0, fast1 = engine.switch(poly, key)
+        ref0, ref1 = engine.switch_reference(poly, key)
         assert np.array_equal(fast0.data, ref0.data)
         assert np.array_equal(fast1.data, ref1.data)
 
@@ -81,18 +77,16 @@ class TestBatchedSwitch:
             out0, out1 = engine.switch_reference(poly, key)
         assert out0.level == out1.level == NUM_PRIMES - 1
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("level", range(1, NUM_PRIMES))
-    def test_prefix_switch_matches_digit_loop(self, kctx, msg, level, backend):
+    def test_prefix_switch_matches_digit_loop(self, kctx, msg, level):
         """One top-level key, every level below it (the top level is
         ``test_bit_identical_to_digit_loop``): the contraction over its
         ``[:level, :level]`` prefix equals the seed loop over its pairs."""
         key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
         poly = kctx.encrypt(msg, level=level).parts[1]
-        with using_backend(backend):
-            engine = kctx.evaluator.keyswitch
-            fast0, fast1 = engine.switch(poly, key)
-            ref0, ref1 = engine.switch_reference(poly, key)
+        engine = kctx.evaluator.keyswitch
+        fast0, fast1 = engine.switch(poly, key)
+        ref0, ref1 = engine.switch_reference(poly, key)
         assert np.array_equal(fast0.data, ref0.data)
         assert np.array_equal(fast1.data, ref1.data)
 
@@ -116,27 +110,25 @@ class TestBatchedSwitch:
 class TestContraction:
     """The one row-loop contraction eager ``apply`` and fused replay share."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
     @pytest.mark.parametrize("galois_elt", [None, 5, 2 * DEGREE - 1])
-    def test_matches_whole_tensor_accumulate(self, kctx, msg, backend, galois_elt):
+    def test_matches_whole_tensor_accumulate(self, kctx, msg, galois_elt):
         key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
         poly = kctx.encrypt(msg).parts[1]
         perm = None if galois_elt is None else galois_permutation(DEGREE, galois_elt)
-        with using_backend(backend):
-            engine = kctx.evaluator.keyswitch
-            tensor = engine.decompose(poly).tensor
-            out1 = np.empty((NUM_PRIMES, DEGREE), dtype=np.uint64)
-            got0, got1 = engine.contract(tensor, key, perm=perm, out1=out1)
-            kern = kctx.basis.kernel(NUM_PRIMES)
-            moved = tensor if perm is None else tensor[:, :, perm]
-            want0, want1 = (kern.mul_accumulate(moved, k) for k in (key.b, key.a))
+        engine = kctx.evaluator.keyswitch
+        tensor = engine.decompose(poly).tensor
+        out1 = np.empty((NUM_PRIMES, DEGREE), dtype=np.uint64)
+        got0, got1 = engine.contract(tensor, key, perm=perm, out1=out1)
+        kern = kctx.basis.kernel(NUM_PRIMES)
+        moved = tensor if perm is None else tensor[:, :, perm]
+        want0, want1 = (kern.mul_accumulate(moved, k) for k in (key.b, key.a))
         assert got1 is out1
         assert np.array_equal(got0, want0)
         assert np.array_equal(got1, want1)
 
-    def test_every_backend_contracts_the_same_key_arrays(self, kctx, msg, monkeypatch):
-        """No per-backend copy of a key: each backend's kernel is handed
-        views of the key's own tensors, at the top level and below."""
+    def test_contraction_reads_the_key_arrays(self, kctx, msg, monkeypatch):
+        """No copy of a key: the kernel is handed views of the key's own
+        tensors, at the top level and below."""
         from repro.nums.kernels import ReducerKernel
 
         key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
@@ -145,18 +137,16 @@ class TestContraction:
         original = ReducerKernel.mul_accumulate_rows
 
         def spy(kern, rows, consts, *args):
-            seen.append((kern.name, consts))
+            seen.append(consts)
             return original(kern, rows, consts, *args)
 
         monkeypatch.setattr(ReducerKernel, "mul_accumulate_rows", spy)
         low = kctx.evaluator.rescale(kctx.encrypt(msg)).parts[1]
-        for backend in BACKENDS:
-            with using_backend(backend):
-                engine = kctx.evaluator.keyswitch
-                engine.apply(engine.decompose(poly), key)
-                engine.apply(engine.decompose(low), key)
-        assert [name for name, _ in seen] == [b for b in BACKENDS for _ in (0, 1)]
-        for _, (b, a) in seen:
+        engine = kctx.evaluator.keyswitch
+        engine.apply(engine.decompose(poly), key)
+        engine.apply(engine.decompose(low), key)
+        assert len(seen) == 2
+        for b, a in seen:
             assert np.shares_memory(b, key.b) and np.shares_memory(a, key.a)
 
     def test_key_holds_its_residues_once(self, kctx):
@@ -202,14 +192,12 @@ class TestPrefixKeyPrecision:
 
 
 class TestHoistedRotations:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_hoisted_bit_identical_to_unhoisted(self, kctx, msg, backend):
+    def test_hoisted_bit_identical_to_unhoisted(self, kctx, msg):
         gks = kctx.galois_keys([3], levels=[NUM_PRIMES])
         ct = kctx.encrypt(msg)
-        with using_backend(backend):
-            plain = kctx.evaluator.rotate(ct, 3, gks)
-            dec = kctx.evaluator.decompose(ct)
-            hoisted = kctx.evaluator.rotate(ct, 3, gks, decomposed=dec)
+        plain = kctx.evaluator.rotate(ct, 3, gks)
+        dec = kctx.evaluator.decompose(ct)
+        hoisted = kctx.evaluator.rotate(ct, 3, gks, decomposed=dec)
         for p, h in zip(plain.parts, hoisted.parts):
             assert np.array_equal(p.data, h.data)
 
@@ -280,14 +268,12 @@ class TestHoistedRotations:
 
 
 class TestEvalDomainAutomorphism:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_matches_coeff_domain_path(self, kctx, msg, backend):
+    def test_matches_coeff_domain_path(self, kctx, msg):
         poly = kctx.encrypt(msg).parts[0]  # EVAL domain
-        with using_backend(backend):
-            for k in (3, 5, 2 * DEGREE - 1):
-                via_eval = poly.automorphism(k)
-                via_coeff = poly.to_coeff().automorphism(k).to_eval()
-                assert np.array_equal(via_eval.data, via_coeff.data)
+        for k in (3, 5, 2 * DEGREE - 1):
+            via_eval = poly.automorphism(k)
+            via_coeff = poly.to_coeff().automorphism(k).to_eval()
+            assert np.array_equal(via_eval.data, via_coeff.data)
 
     def test_permutation_is_sign_free_bijection(self):
         for k in (3, 5, 2 * DEGREE - 1):
@@ -300,12 +286,10 @@ class TestEvalDomainAutomorphism:
 
 
 class TestFusedRescale:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fused_matches_sequential(self, kctx, msg, backend):
+    def test_fused_matches_sequential(self, kctx, msg):
         ct = kctx.encrypt(msg)
-        with using_backend(backend):
-            fused = kctx.evaluator.rescale(ct, times=2)
-            seq = kctx.evaluator.rescale(kctx.evaluator.rescale(ct), times=1)
+        fused = kctx.evaluator.rescale(ct, times=2)
+        seq = kctx.evaluator.rescale(kctx.evaluator.rescale(ct), times=1)
         assert fused.scale == seq.scale
         for f, s in zip(fused.parts, seq.parts):
             assert np.array_equal(f.data, s.data)

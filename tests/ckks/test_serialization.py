@@ -35,7 +35,6 @@ from repro.ckks.serialization import (
     unpack_residues,
     wire_coeff_bits,
 )
-from repro.nums.kernels import available_backends, using_backend
 from repro.rns.poly import EVAL, RnsPolynomial
 
 
@@ -336,8 +335,8 @@ def _child_roundtrip(conn, basis) -> None:
     "fork" not in mp.get_all_start_methods(), reason="requires fork"
 )
 class TestWorkerBoundary:
-    """Seeded and full wire forms crossing a real fork boundary, under
-    every reducer backend (the transport of repro.runtime.executor)."""
+    """Seeded and full wire forms crossing a real fork boundary (the
+    transport of repro.runtime.executor)."""
 
     def _through_fork(self, blob, basis) -> bytes:
         ctx_mp = mp.get_context("fork")
@@ -351,37 +350,29 @@ class TestWorkerBoundary:
         parent_conn.close()
         return out
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_full_form_bit_exact_across_fork(self, backend):
-        with using_backend(backend):
-            ctx = CkksContext.create(
-                toy_params(degree=128, num_primes=4), seed=60
-            )
-            ct = ctx.encrypt(np.linspace(-1, 1, ctx.params.slots))
-            bits = wire_coeff_bits(ctx.basis)
-            blob = serialize_ciphertext(ct, coeff_bits=bits)
-            echoed = self._through_fork(blob, ctx.basis)
-            # decode -> re-encode in the child reproduces the bytes.
-            assert echoed == blob
-            back = deserialize_ciphertext(echoed, ctx.basis)
-            assert back.scale == ct.scale
-            for got, want in zip(back.parts, ct.parts):
-                assert np.array_equal(got.data, want.data)
+    def test_full_form_bit_exact_across_fork(self):
+        ctx = CkksContext.create(toy_params(degree=128, num_primes=4), seed=60)
+        ct = ctx.encrypt(np.linspace(-1, 1, ctx.params.slots))
+        bits = wire_coeff_bits(ctx.basis)
+        blob = serialize_ciphertext(ct, coeff_bits=bits)
+        echoed = self._through_fork(blob, ctx.basis)
+        # decode -> re-encode in the child reproduces the bytes.
+        assert echoed == blob
+        back = deserialize_ciphertext(echoed, ctx.basis)
+        assert back.scale == ct.scale
+        for got, want in zip(back.parts, ct.parts):
+            assert np.array_equal(got.data, want.data)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_seeded_form_expands_identically_across_fork(self, backend):
-        with using_backend(backend):
-            ctx = CkksContext.create(
-                toy_params(degree=128, num_primes=4), seed=61
-            )
-            pt = ctx.encode(np.linspace(0, 1, ctx.params.slots))
-            ct, seed = ctx.encryptor.encrypt_symmetric_seeded(pt, ctx.secret_key)
-            bits = wire_coeff_bits(ctx.basis)
-            seeded_blob = serialize_seeded(ct, seed, coeff_bits=bits)
-            echoed = self._through_fork(seeded_blob, ctx.basis)
-            # The child re-expanded c1 from the 16-byte seed; its full
-            # form must equal the parent's full form of the same ct.
-            assert echoed == serialize_ciphertext(ct, coeff_bits=bits)
+    def test_seeded_form_expands_identically_across_fork(self):
+        ctx = CkksContext.create(toy_params(degree=128, num_primes=4), seed=61)
+        pt = ctx.encode(np.linspace(0, 1, ctx.params.slots))
+        ct, seed = ctx.encryptor.encrypt_symmetric_seeded(pt, ctx.secret_key)
+        bits = wire_coeff_bits(ctx.basis)
+        seeded_blob = serialize_seeded(ct, seed, coeff_bits=bits)
+        echoed = self._through_fork(seeded_blob, ctx.basis)
+        # The child re-expanded c1 from the 16-byte seed; its full
+        # form must equal the parent's full form of the same ct.
+        assert echoed == serialize_ciphertext(ct, coeff_bits=bits)
 
 
 class TestSwitchingKey:

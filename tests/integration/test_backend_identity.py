@@ -1,19 +1,13 @@
-"""Cross-backend bit-identity of the full CKKS pipeline.
+"""Bit-identity of the full CKKS pipeline however a plan runs.
 
-The reducer backends must be *semantically invisible*: running the same
-seeded encrypt -> multiply -> relinearize -> rescale -> decrypt pipeline
-under the Barrett and Montgomery kernels has to produce
-byte-identical ciphertexts at every stage and byte-identical decoded
-outputs.  This is the software analogue of the paper's Table I claim that
-the reducers differ in cost, not semantics.
-
-The same holds for *how* the program runs: a parametrized grid —
-executor {interpreter, fused} x delivery/transport {in-process,
+How the program runs must be *semantically invisible*: a parametrized
+grid — executor {interpreter, fused} x delivery/transport {in-process,
 fork-pipe, tcp-loopback, CLI remote host, hang-recovered} — pins every
-mode to the eager evaluator's bytes under each backend.  Two more
-programs — the fusion passes' heavier shapes, a hoisted rotation pair
-with a plaintext MAC and a dense BSGS transform — are held to the same
-bytes in process, interpreter and fused.
+mode to the eager evaluator's bytes for one seeded encrypt -> rotate /
+multiply -> relinearize -> rescale pipeline.  Two more programs — the
+fusion passes' heavier shapes, a hoisted rotation pair with a plaintext
+MAC and a dense BSGS transform — are held to the same bytes in process,
+interpreter and fused.
 
 Every mode runs an op through the same row function
 (:mod:`repro.ckks.evaluator`), so the grid pins delivery, fusion, the
@@ -34,7 +28,6 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, HomomorphicLinearTransform, toy_params
-from repro.nums.kernels import available_backends, using_backend
 from repro.runtime import (
     CtSpec,
     FaultAction,
@@ -161,20 +154,15 @@ def _eager(ctx):
 
 
 @pytest.fixture(scope="module")
-def pipelines():
-    """Per reducer backend: the context, the compiled plan, the inputs
-    and the eager outputs — built once, shared by the whole grid."""
-    built = {}
-    for backend in available_backends():
-        with using_backend(backend):
-            ctx = CkksContext.create(
-                toy_params(degree=DEGREE, num_primes=NUM_PRIMES), seed=SEED
-            )
-            program, inputs, eager, expected = _eager(ctx)
-            spec = CtSpec(level=NUM_PRIMES, scale=ctx.params.scale)
-            plan = compile_fn(program, ctx.evaluator, [spec, spec])
-            built[backend] = (ctx, plan, inputs, eager, expected)
-    return built
+def pipeline():
+    """The context, the compiled plan, the inputs and the eager outputs —
+    built once, shared by the whole grid."""
+    params = toy_params(degree=DEGREE, num_primes=NUM_PRIMES)
+    ctx = CkksContext.create(params, seed=SEED)
+    program, inputs, eager, expected = _eager(ctx)
+    spec = CtSpec(level=NUM_PRIMES, scale=ctx.params.scale)
+    plan = compile_fn(program, ctx.evaluator, [spec, spec])
+    return ctx, plan, inputs, eager, expected
 
 
 def _serving_config(delivery: str, fused: bool, remote) -> ServingConfig:
@@ -221,99 +209,65 @@ DELIVERIES = (
 
 @pytest.mark.parametrize("delivery", DELIVERIES)
 @pytest.mark.parametrize("executor", ["interpreter", "fused"])
-@pytest.mark.parametrize("backend", available_backends())
-def test_every_mode_is_byte_equal_to_eager(
-    backend, executor, delivery, pipelines, remote_host
-):
+def test_every_mode_is_byte_equal_to_eager(executor, delivery, pipeline, remote_host):
     """executor {interpreter, fused} x delivery/transport: every way a
     plan can run and every way a request can reach it lands the eager
-    evaluator's exact bytes, under every reducer backend."""
-    _, plan, inputs, eager, _ = pipelines[backend]
+    evaluator's exact bytes."""
+    _, plan, inputs, eager, _ = pipeline
     fused = executor == "fused"
-    with using_backend(backend):
-        if delivery == "in-process":
-            if fused:
-                (got,) = plan.run_batch([list(inputs)], fused=True)
-            else:
-                got = plan.run(list(inputs))
+    if delivery == "in-process":
+        if fused:
+            (got,) = plan.run_batch([list(inputs)], fused=True)
         else:
-            config = _serving_config(delivery, fused, remote_host)
-            with ShardedExecutor(plan, config=config) as pool:
-                (got,) = pool.run_batch([list(inputs)], timeout=120)
-                stats = pool.stats()
-            assert stats["fused"] is fused
-            assert stats["completed"] == 1
-            if delivery == "hang-recovered":
-                assert stats["hang_kills"] == 1
-            elif delivery == "remote-host":
-                assert stats["transport_stats"]["remote_hosts"] == 1
-            elif delivery == "tcp-loopback":
-                assert stats["transport"] == "tcp"
-                assert stats["transport_stats"]["plan_uploads"] == 1
+            got = plan.run(list(inputs))
+    else:
+        config = _serving_config(delivery, fused, remote_host)
+        with ShardedExecutor(plan, config=config) as pool:
+            (got,) = pool.run_batch([list(inputs)], timeout=120)
+            stats = pool.stats()
+        assert stats["fused"] is fused
+        assert stats["completed"] == 1
+        if delivery == "hang-recovered":
+            assert stats["hang_kills"] == 1
+        elif delivery == "remote-host":
+            assert stats["transport_stats"]["remote_hosts"] == 1
+        elif delivery == "tcp-loopback":
+            assert stats["transport"] == "tcp"
+            assert stats["transport_stats"]["plan_uploads"] == 1
     for name, want, have in zip(("rot", "prod"), eager, got):
         assert have.scale == want.scale
         for i, part in enumerate(want.parts):
             assert np.array_equal(part.data, have.parts[i].data), (
-                f"{executor} over {delivery} diverged from eager at "
-                f"{name} part {i} under {backend}"
+                f"{executor} over {delivery} diverged from eager at {name} part {i}"
             )
 
 
 @pytest.mark.parametrize("build", [_rotate_mac_multiply, _bsgs], ids=["mac", "bsgs"])
-@pytest.mark.parametrize("backend", available_backends())
-def test_fused_shapes_are_byte_equal_to_eager(backend, build, pipelines):
+def test_fused_shapes_are_byte_equal_to_eager(build, pipeline):
     """The programs the fusion passes rewrite most — hoisted rotations,
     plaintext MACs, a whole BSGS transform — through the interpreter and
     the fused replayer, against the eager evaluator."""
-    ctx, _, (ct, _), _, _ = pipelines[backend]
-    with using_backend(backend):
-        program = build(ctx)
-        eager = program(ctx.evaluator, ct)
-        spec = CtSpec(level=NUM_PRIMES, scale=ctx.params.scale)
-        plan = compile_fn(program, ctx.evaluator, [spec])
-        modes = {
-            "interpreter": plan.run([ct]),
-            "fused": plan.run_batch([[ct]], fused=True)[0],
-        }
-        stats = plan.stats()
-        assert stats["dispatch_count_fused"] < stats["nodes"]
+    ctx, _, (ct, _), _, _ = pipeline
+    program = build(ctx)
+    eager = program(ctx.evaluator, ct)
+    spec = CtSpec(level=NUM_PRIMES, scale=ctx.params.scale)
+    plan = compile_fn(program, ctx.evaluator, [spec])
+    modes = {
+        "interpreter": plan.run([ct]),
+        "fused": plan.run_batch([[ct]], fused=True)[0],
+    }
+    stats = plan.stats()
+    assert stats["dispatch_count_fused"] < stats["nodes"]
     for mode, got in modes.items():
         for want, have in zip(eager, got, strict=True):
             assert have.scale == want.scale
             for i, part in enumerate(want.parts):
                 assert np.array_equal(part.data, have.parts[i].data), (
-                    f"{mode} diverged from eager at part {i} under {backend}"
+                    f"{mode} diverged from eager at part {i}"
                 )
 
 
-@pytest.mark.parametrize("backend", available_backends())
-def test_pipeline_is_correct_under_every_backend(backend, pipelines):
-    ctx, _, _, (_, prod), expected = pipelines[backend]
-    with using_backend(backend):
-        out = ctx.decrypt_decode(prod)
+def test_pipeline_is_correct(pipeline):
+    ctx, _, _, (_, prod), expected = pipeline
+    out = ctx.decrypt_decode(prod)
     assert np.max(np.abs(out.real - expected)) < 1e-3
-
-
-def test_ciphertexts_bit_identical_across_backends(pipelines):
-    """Eager bytes agree across reducer backends — and the grid above
-    ties every other mode to eager within each backend."""
-    snaps = {}
-    for backend, (ctx, plan, inputs, eager, _) in pipelines.items():
-        with using_backend(backend):
-            snaps[backend] = {
-                "inputs": [p.data for ct in inputs for p in ct.parts],
-                "eager": [p.data for ct in eager for p in ct.parts],
-                "out": ctx.decrypt_decode(eager[1]),
-            }
-    names = sorted(snaps)
-    ref = snaps[names[0]]
-    for other in names[1:]:
-        got = snaps[other]
-        for key in ("inputs", "eager"):
-            for i, (a, b) in enumerate(zip(ref[key], got[key])):
-                assert np.array_equal(a, b), (
-                    f"{key} part {i} differs between {names[0]} and {other}"
-                )
-        assert np.array_equal(ref["out"], got["out"]), (
-            f"decoded output differs between {names[0]} and {other}"
-        )

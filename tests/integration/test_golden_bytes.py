@@ -18,8 +18,8 @@ for a seeded plan with a rotate, a relinearize and a captured plaintext:
 SHA-256 over the ``EPL1`` header and every frame except ``META`` (whose
 signature is a process-local ``id()`` hash), taken on the commit *before*
 the plan writer stopped encoding each constant twice.  "Byte-equal to
-before" is therefore checked here, under every reducer backend, rather
-than asserted in a commit message.
+before" is therefore checked here rather than asserted in a commit
+message.
 
 Regenerate (only when a format change is intended and documented in
 ``docs/formats.md``)::
@@ -47,7 +47,6 @@ from repro.ckks import (
     serialize_switching_key,
     toy_params,
 )
-from repro.nums.kernels import available_backends, using_backend
 from repro.runtime import (
     CtSpec,
     PlanFormatError,
@@ -174,12 +173,10 @@ def op_digests(ctx, ct, low, plaintext, gks) -> dict[str, str]:
     }
 
 
-@pytest.mark.parametrize("backend", available_backends())
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_wire_bytes_match_golden(shape, backend):
+def test_wire_bytes_match_golden(shape):
     golden = json.loads(GOLDEN_FILE.read_text())[shape]
-    with using_backend(backend):
-        got = wire_digests(SHAPES[shape], shape in CLIENT_ONLY)
+    got = wire_digests(SHAPES[shape], shape in CLIENT_ONLY)
     if got["fft_inverse"] != golden["fft_inverse"]:
         # Δ = 2^72 keeps every mantissa bit of the IFFT output, so a libm
         # whose exp() differs in the last place encodes other integers.

@@ -1,10 +1,9 @@
-"""Property tests for the pluggable reducer backends.
+"""Property tests for the vectorized reducer.
 
-The contract under test: every backend computes *exactly* the same modular
-arithmetic as the Python-int oracle (``pow`` / ``%``) — the backends may
-only differ in instruction mix, never in results.  Probed across 32/36/41-
-bit NTT-friendly primes, the q^2 input boundary, zero/identity edge cases,
-and per-row matrix-moduli broadcasting.
+The contract under test: the kernel computes *exactly* the same modular
+arithmetic as the Python-int oracle (``pow`` / ``%``).  Probed across
+32/36/41-bit NTT-friendly primes, the q^2 input boundary, zero/identity
+edge cases, and per-row matrix-moduli broadcasting.
 """
 
 from __future__ import annotations
@@ -21,28 +20,17 @@ from hypothesis import strategies as st
 from repro.nums.kernels import (
     KERNEL_LIMIT_BITS,
     REDUCER_SPECS,
-    available_backends,
-    default_backend_name,
-    get_backend,
+    ReducerKernel,
     kernel_for_modulus,
-    make_kernel,
-    set_default_backend,
-    using_backend,
 )
 from repro.nums.primegen import find_primes
 
 PRIMES = {bw: find_primes(bw, 1 << 12, max_count=1)[0].value for bw in (32, 36, 41)}
-BACKENDS = available_backends()
 
 
 @pytest.fixture(params=sorted(PRIMES), ids=lambda bw: f"bw{bw}")
 def prime(request):
     return PRIMES[request.param]
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request):
-    return request.param
 
 
 def _edge_operands(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -54,8 +42,8 @@ def _edge_operands(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestAgainstOracle:
-    def test_mul_random_and_edges(self, prime, backend, rng):
-        kern = make_kernel(prime, backend)
+    def test_mul_random_and_edges(self, prime, rng):
+        kern = ReducerKernel(prime)
         a = rng.integers(0, prime, 400).astype(np.uint64)
         b = rng.integers(0, prime, 400).astype(np.uint64)
         ea, eb = _edge_operands(prime)
@@ -63,14 +51,14 @@ class TestAgainstOracle:
         expected = [int(x) * int(y) % prime for x, y in zip(a, b)]
         assert kern.mul(a, b).tolist() == expected
 
-    def test_mul_pre_matches_mul(self, prime, backend, rng):
-        kern = make_kernel(prime, backend)
+    def test_mul_pre_matches_mul(self, prime, rng):
+        kern = ReducerKernel(prime)
         a = rng.integers(0, prime, 200).astype(np.uint64)
         b = rng.integers(0, prime, 200).astype(np.uint64)
         assert kern.mul_pre(a, kern.pre(b)).tolist() == kern.mul(a, b).tolist()
 
-    def test_add_sub_neg(self, prime, backend, rng):
-        kern = make_kernel(prime, backend)
+    def test_add_sub_neg(self, prime, rng):
+        kern = ReducerKernel(prime)
         a = rng.integers(0, prime, 300).astype(np.uint64)
         b = rng.integers(0, prime, 300).astype(np.uint64)
         ea, eb = _edge_operands(prime)
@@ -79,17 +67,17 @@ class TestAgainstOracle:
         assert kern.sub(a, b).tolist() == [(int(x) - int(y)) % prime for x, y in zip(a, b)]
         assert kern.neg(a).tolist() == [(-int(x)) % prime for x in a]
 
-    def test_pow_matches_int_pow(self, prime, backend, rng):
-        kern = make_kernel(prime, backend)
+    def test_pow_matches_int_pow(self, prime, rng):
+        kern = ReducerKernel(prime)
         a = rng.integers(0, prime, 40).astype(np.uint64)
         for e in (0, 1, 2, 3, 17, 1 << 12):
             assert kern.pow(a, e).tolist() == [pow(int(x), e, prime) for x in a]
 
-    def test_reduce_up_to_q_squared(self, prime, backend, rng):
+    def test_reduce_up_to_q_squared(self, prime, rng):
         """The whole domain ``[0, min(q^2, 2^64))``: ``mul_accumulate_rows``
         hands ``reduce`` partial sums up to that bound, so the draws and
         edges cross ``2^63`` (where an int64 detour would go wrong)."""
-        kern = make_kernel(prime, backend)
+        kern = ReducerKernel(prime)
         hi = min(prime * prime, 1 << 64)
         x = rng.integers(0, hi, 300, dtype=np.uint64)
         edges = [0, 1, prime - 1, prime, 2 * prime - 1, 1 << 63, (1 << 64) - 1, hi - 1]
@@ -102,38 +90,36 @@ class TestAgainstOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_hypothesis_all_backends_agree(self, data):
+    def test_hypothesis_matches_int_product(self, data):
         q = data.draw(st.sampled_from(sorted(PRIMES.values())))
         x = data.draw(st.integers(min_value=0, max_value=q - 1))
         y = data.draw(st.integers(min_value=0, max_value=q - 1))
-        expected = x * y % q
-        for name in BACKENDS:
-            kern = kernel_for_modulus(q, name)
-            got = kern.mul(np.array([x], dtype=np.uint64), np.array([y], dtype=np.uint64))
-            assert int(got[0]) == expected, name
+        kern = kernel_for_modulus(q)
+        got = kern.mul(np.array([x], dtype=np.uint64), np.array([y], dtype=np.uint64))
+        assert int(got[0]) == x * y % q
 
 
 class TestOperandAndModulusEdges:
     """A Python-int operand, the additive ops on an even modulus, the
     negative-exponent error, and arbitrary (non-prime) odd moduli."""
 
-    def test_mul_scalar_broadcast(self, backend, rng):
+    def test_mul_scalar_broadcast(self, rng):
         q = PRIMES[32]
         a = rng.integers(0, q, 100).astype(np.uint64)
-        assert make_kernel(q, backend).mul(a, 3).tolist() == [int(x) * 3 % q for x in a]
+        assert ReducerKernel(q).mul(a, 3).tolist() == [int(x) * 3 % q for x in a]
 
     def test_add_sub_neg_even_modulus(self, rng):
         q = 100
         a = rng.integers(0, q, 50).astype(np.uint64)
         b = rng.integers(0, q, 50).astype(np.uint64)
-        kern = make_kernel(q, "barrett")
+        kern = ReducerKernel(q)
         assert kern.add(a, b).tolist() == [(int(x) + int(y)) % q for x, y in zip(a, b)]
         assert kern.sub(a, b).tolist() == [(int(x) - int(y)) % q for x, y in zip(a, b)]
         assert kern.neg(a).tolist() == [(-int(x)) % q for x in a]
 
-    def test_pow_negative_exponent_raises(self, backend):
+    def test_pow_negative_exponent_raises(self):
         with pytest.raises(ValueError, match="negative"):
-            make_kernel(PRIMES[32], backend).pow(np.array([2], dtype=np.uint64), -1)
+            ReducerKernel(PRIMES[32]).pow(np.array([2], dtype=np.uint64), -1)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=3, max_value=(1 << 41) - 1).filter(lambda q: q % 2 == 1))
@@ -141,27 +127,26 @@ class TestOperandAndModulusEdges:
         a = np.array([q - 1, q // 2, 1], dtype=np.uint64)
         b = np.array([q - 1, 3, q - 2], dtype=np.uint64)
         expected = [int(x) * int(y) % q for x, y in zip(a, b)]
-        for name in BACKENDS:
-            assert make_kernel(q, name).mul(a, b).tolist() == expected, name
+        assert ReducerKernel(q).mul(a, b).tolist() == expected
 
 
 class TestMatrixModuli:
     """Per-row modulus broadcasting over (L, N) residue matrices."""
 
-    def test_column_broadcast(self, backend, rng):
+    def test_column_broadcast(self, rng):
         moduli = sorted(PRIMES.values())
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
-        kern = make_kernel(q_col, backend)
+        kern = ReducerKernel(q_col)
         a = np.stack([rng.integers(0, m, 64) for m in moduli]).astype(np.uint64)
         b = np.stack([rng.integers(0, m, 64) for m in moduli]).astype(np.uint64)
         got = kern.mul(a, b)
         for i, m in enumerate(moduli):
             assert got[i].tolist() == [int(x) * int(y) % m for x, y in zip(a[i], b[i])]
 
-    def test_scalar_column_against_matrix(self, backend, rng):
+    def test_scalar_column_against_matrix(self, rng):
         moduli = sorted(PRIMES.values())
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
-        kern = make_kernel(q_col, backend)
+        kern = ReducerKernel(q_col)
         a = np.stack([rng.integers(0, m, 32) for m in moduli]).astype(np.uint64)
         s = np.array([3, 5, 7], dtype=np.uint64).reshape(-1, 1)
         got = kern.mul(a, s)
@@ -170,11 +155,6 @@ class TestMatrixModuli:
 
 
 class TestRegistry:
-    def test_backends_are_the_table1_reducers(self):
-        assert BACKENDS == ("barrett", "montgomery")
-        with pytest.raises(ValueError, match=r"\('barrett', 'montgomery'\)"):
-            get_backend("generic-split")
-
     def test_numpy_is_the_array_library(self):
         """No module under src/repro defines, passes or reads an ``xp`` /
         ``array_backend`` parameter, variable or attribute: kernels and
@@ -191,45 +171,22 @@ class TestRegistry:
                     offenders.append(f"{path.relative_to(src)}:{node.lineno}")
         assert offenders == []
 
-    def test_unknown_backend_raises(self):
-        with pytest.raises(ValueError, match="unknown reducer backend"):
-            get_backend("fhe-on-an-abacus")
-        with pytest.raises(ValueError, match="unknown reducer backend"):
-            set_default_backend("fhe-on-an-abacus")
-
-    def test_using_backend_scopes_default(self):
-        before = default_backend_name()
-        other = next(n for n in BACKENDS if n != before)
-        with using_backend(other):
-            assert default_backend_name() == other
-        assert default_backend_name() == before
-
     def test_kernel_for_modulus_is_cached(self):
         q = PRIMES[36]
-        assert kernel_for_modulus(q, "barrett") is kernel_for_modulus(q, "barrett")
+        assert kernel_for_modulus(q) is kernel_for_modulus(q)
 
-    def test_rejects_wide_moduli(self, backend):
-        cls = get_backend(backend)
+    def test_rejects_wide_moduli(self):
         with pytest.raises(ValueError, match="at most"):
-            cls((1 << (KERNEL_LIMIT_BITS + 1)) + 1)
+            ReducerKernel((1 << (KERNEL_LIMIT_BITS + 1)) + 1)
 
-    def test_even_moduli_montgomery_only(self, rng):
-        # Only Montgomery needs odd q (for q^-1 mod 2^64); Barrett keeps
-        # the legacy any-modulus contract.
-        with pytest.raises(ValueError, match="odd"):
-            get_backend("montgomery")(1 << 20)
+    def test_any_modulus(self, rng):
+        """Even and composite moduli up to 41 bits: the kernel keeps the
+        any-modulus contract."""
         for q in (2, 100, (1 << 41) - 2):
             a = rng.integers(0, q, 100).astype(np.uint64)
             b = rng.integers(0, q, 100).astype(np.uint64)
             expected = [int(x) * int(y) % q for x, y in zip(a, b)]
-            assert make_kernel(q, "barrett").mul(a, b).tolist() == expected, q
-
-    def test_hardware_spec_attached_to_kernels(self):
-        for name in BACKENDS:
-            cls = get_backend(name)
-            assert cls.spec is REDUCER_SPECS[name]
-            assert cls.raw_operand_limit == 1 << 42
-            assert make_kernel(PRIMES[41], name).raw_operand_limit == 1 << 42
+            assert ReducerKernel(q).mul(a, b).tolist() == expected, q
 
     def test_specs_cover_table1(self):
         assert set(REDUCER_SPECS) == {"barrett", "montgomery", "ntt_friendly"}
@@ -238,25 +195,11 @@ class TestRegistry:
             assert spec.pipeline_stages in (3, 4)
 
 
-
-class TestMontgomeryDomain:
-    def test_domain_roundtrip(self, prime, rng):
-        kern = make_kernel(prime, "montgomery")
-        a = rng.integers(0, prime, 200).astype(np.uint64)
-        assert kern.from_montgomery(kern.to_montgomery(a)).tolist() == a.tolist()
-
-    def test_pre_is_montgomery_domain(self, prime):
-        kern = make_kernel(prime, "montgomery")
-        one = np.array([1], dtype=np.uint64)
-        # pre(1) = R mod q, the Montgomery image of the identity.
-        assert int(kern.pre(one)[0]) == (1 << 64) % prime
-
-
 class TestBarrettShoupPieces:
     """``pre``'s second plane is Shoup's precomputed quotient ``w' ~ w/q``,
     one float64 rounded below the exact division; the oracle divides
     Python ints (``fractions.Fraction``).  The bounds are those of
-    ``BarrettKernel``'s docstring: ``r_q <= (1 - 2^-51)/q`` and ``w_q <=
+    ``ReducerKernel``'s docstring: ``r_q <= (1 - 2^-51)/q`` and ``w_q <=
     (w/q)(1 - 2^-51)``, each at most ``2^-49.5`` below the exact value."""
 
     MODULI = [2, 3, 257, (1 << 22) + 1, *PRIMES.values(), (1 << 41) - 21]
@@ -265,7 +208,7 @@ class TestBarrettShoupPieces:
 
     @pytest.mark.parametrize("q", MODULI)
     def test_pieces_match_bigint_division(self, q, rng):
-        kern = make_kernel(q, "barrett")
+        kern = ReducerKernel(q)
         r_q = Fraction(float(kern.reciprocal))
         # RN((1 - 2^-50) / q): Fraction -> float rounds correctly.
         assert float(r_q) == float(Fraction((1 << 50) - 1, q << 50))
@@ -282,12 +225,12 @@ class TestBarrettShoupPieces:
 
     def test_column_moduli_and_scalar_operand(self, rng):
         moduli = sorted(PRIMES.values())
-        kern = make_kernel(np.array(moduli, dtype=np.uint64).reshape(-1, 1), "barrett")
+        kern = ReducerKernel(np.array(moduli, dtype=np.uint64).reshape(-1, 1))
         w = np.stack([rng.integers(0, q, 50) for q in moduli]).astype(np.uint64)
         pre = kern.pre(w)
         for row, q in enumerate(moduli):
-            assert np.array_equal(pre[:, row], make_kernel(q, "barrett").pre(w[row]))
-        scalar = make_kernel(moduli[0], "barrett").pre(np.uint64(5))
+            assert np.array_equal(pre[:, row], ReducerKernel(q).pre(w[row]))
+        scalar = ReducerKernel(moduli[0]).pre(np.uint64(5))
         assert scalar.shape == (2,)
         assert Fraction(float(scalar[1:].view(np.float64)[0])) <= Fraction(5, moduli[0])
 
@@ -295,8 +238,8 @@ class TestBarrettShoupPieces:
 class TestMulAccumulate:
     """The fused MAC behind batched key switching and multi-prime rescale."""
 
-    def test_matches_oracle(self, prime, backend, rng):
-        kern = make_kernel(prime, backend)
+    def test_matches_oracle(self, prime, rng):
+        kern = ReducerKernel(prime)
         a = rng.integers(0, prime, (7, 50)).astype(np.uint64)
         b = rng.integers(0, prime, (7, 50)).astype(np.uint64)
         expected = [
@@ -305,25 +248,15 @@ class TestMulAccumulate:
         ]
         assert kern.mul_accumulate(a, b).tolist() == expected
 
-    def test_rows_variant_matches_plain(self, prime, backend, rng):
-        kern = make_kernel(prime, backend)
+    def test_rows_variant_matches_plain(self, prime, rng):
+        kern = ReducerKernel(prime)
         a = rng.integers(0, prime, (5, 64)).astype(np.uint64)
         b = rng.integers(0, prime, (5, 64)).astype(np.uint64)
         (got,) = kern.mul_accumulate_rows(a, (b,))
         assert np.array_equal(got, kern.mul_accumulate(a, b))
 
-    def test_bit_identical_across_backends(self, prime, rng):
-        a = rng.integers(0, prime, (6, 32)).astype(np.uint64)
-        b = rng.integers(0, prime, (6, 32)).astype(np.uint64)
-        results = {
-            be: make_kernel(prime, be).mul_accumulate(a, b).tolist()
-            for be in BACKENDS
-        }
-        first = next(iter(results.values()))
-        assert all(r == first for r in results.values())
-
-    def test_edge_values_all_q_minus_one(self, prime, backend):
-        kern = make_kernel(prime, backend)
+    def test_edge_values_all_q_minus_one(self, prime):
+        kern = ReducerKernel(prime)
         a = np.full((9, 4), prime - 1, dtype=np.uint64)
         expected = (9 * (prime - 1) * (prime - 1)) % prime
         assert kern.mul_accumulate(a, a).tolist() == [[expected] * 4][0]
@@ -347,14 +280,14 @@ def _operands(q: int, top: int):
 
 
 class TestRawProduct:
-    """``mul_pre_raw`` is ``mul`` short of its conditional subtracts:
+    """``mul_pre_raw`` is ``mul`` short of its conditional subtract:
     congruent to the product, below ``RAW_BOUND * q``."""
 
     @settings(max_examples=120, deadline=None)
     @given(st.data())
     def test_congruent_and_bounded(self, data):
         q = data.draw(st.sampled_from(RAW_PRIMES))
-        kern = kernel_for_modulus(q, data.draw(st.sampled_from(BACKENDS)))
+        kern = kernel_for_modulus(q)
         # The multiplier is a canonical constant; the operand may be any
         # lazily accumulated value below the kernel's operand limit.
         wide = data.draw(st.booleans())
@@ -367,12 +300,12 @@ class TestRawProduct:
         if not wide:
             assert kern.reduce(raw).tolist() == kern.mul(a_arr, b_arr).tolist()
 
-    def test_worst_case_operand(self, backend):
+    def test_worst_case_operand(self):
         """The largest operand against the largest multiplier, and
         ``mul``'s largest quotient, ``(q - 1)^2``, up to the widest odd
         modulus a kernel takes."""
         for q in (*RAW_PRIMES, (1 << 41) - 21):
-            kern = make_kernel(q, backend)
+            kern = ReducerKernel(q)
             top = kern.raw_operand_limit - 1
             raw = kern.mul_pre_raw(
                 np.array([top, top], dtype=np.uint64),
@@ -383,9 +316,9 @@ class TestRawProduct:
             edge = np.array([q - 1], dtype=np.uint64)
             assert kern.mul(edge, edge).tolist() == [(q - 1) ** 2 % q]
 
-    def test_bounds_per_backend(self):
-        bounds = {name: get_backend(name).RAW_BOUND for name in BACKENDS}
-        assert bounds == {"montgomery": 2, "barrett": 2}
+    def test_raw_bound(self):
+        assert ReducerKernel.RAW_BOUND == 2
+        assert ReducerKernel(PRIMES[41]).raw_operand_limit == 1 << 42
 
 
 class TestRowAccumulate:
@@ -396,7 +329,7 @@ class TestRowAccumulate:
     @given(st.data())
     def test_matches_oracle_and_stacked_accumulate(self, data):
         q = data.draw(st.sampled_from(RAW_PRIMES))
-        kern = kernel_for_modulus(q, data.draw(st.sampled_from(BACKENDS)))
+        kern = kernel_for_modulus(q)
         terms = data.draw(st.integers(1, 9))
         # A budget below the term count exercises the partial reduces; at
         # 41 bits the kernel's own budget (None) is below it too.
@@ -419,9 +352,9 @@ class TestRowAccumulate:
             assert np.array_equal(got, kern.mul_accumulate(a, b))
 
     @pytest.mark.parametrize("budget", [None, 2])
-    def test_all_q_minus_one_past_the_budget(self, backend, budget):
+    def test_all_q_minus_one_past_the_budget(self, budget):
         for q in RAW_PRIMES:
-            kern = make_kernel(q, backend)
+            kern = ReducerKernel(q)
             a = np.full((11, 3), q - 1, dtype=np.uint64)
             out = np.full(3, 7, dtype=np.uint64)
             (got,) = kern.mul_accumulate_rows(a, (a,), (out,), budget)
@@ -429,9 +362,9 @@ class TestRowAccumulate:
             assert out.tolist() == [11 * (q - 1) * (q - 1) % q] * 3
             assert a.min() == q - 1  # operands untouched
 
-    def test_column_moduli(self, backend, rng):
+    def test_column_moduli(self, rng):
         moduli = [RAW_PRIMES[2], RAW_PRIMES[3], PRIMES[36]]
-        kern = make_kernel(np.array(moduli, dtype=np.uint64).reshape(-1, 1), backend)
+        kern = ReducerKernel(np.array(moduli, dtype=np.uint64).reshape(-1, 1))
         a, b0, b1 = (
             np.stack(
                 [[rng.integers(0, q, 16) for q in moduli] for _ in range(5)]
@@ -442,15 +375,15 @@ class TestRowAccumulate:
         for got, b in zip(outs, (b0, b1)):
             assert np.array_equal(got, kern.mul_accumulate(a, b))
 
-    def test_budgets(self, backend):
+    def test_budgets(self):
         """The split-MAC budget is the docstring's bound, not a tuned
         number: the recombined worst case stays inside uint64 and
         ``reduce``'s domain with ``mac_budget`` terms held."""
-        assert make_kernel(PRIMES[36], backend).term_budget >= 1 << 28
-        assert make_kernel(5, backend).term_budget == 5
+        assert ReducerKernel(PRIMES[36]).term_budget >= 1 << 28
+        assert ReducerKernel(5).term_budget == 5
         budgets = {}
         for q in RAW_PRIMES:
-            kern = make_kernel(q, backend)
+            kern = ReducerKernel(q)
             h = (q.bit_length() + 1) // 2
             term = (q - 1) * ((1 << h) - 1)
             room = min(1 << 64, q * q)
@@ -458,10 +391,10 @@ class TestRowAccumulate:
             assert ((q - 1) << h) + held * term < room
             assert ((q - 1) << h) + (held + 2) * term >= room  # and no slack
         assert budgets[36] >= 1023 and budgets[37] >= 255 and budgets[41] == 3
-        assert make_kernel(5, backend).mac_budget < 2
+        assert ReducerKernel(5).mac_budget < 2
 
-    def test_rejects_what_it_cannot_compute(self, backend):
-        kern = make_kernel(PRIMES[36], backend)
+    def test_rejects_what_it_cannot_compute(self):
+        kern = ReducerKernel(PRIMES[36])
         a = np.ones((3, 4), dtype=np.uint64)
         out = np.zeros(4, dtype=np.uint64)
         with pytest.raises(ValueError, match="at least one row"):
@@ -469,5 +402,5 @@ class TestRowAccumulate:
         with pytest.raises(ValueError, match="got budget 1 "):
             kern.mul_accumulate_rows(a, (a,), (out,), budget=1)
         with pytest.raises(ValueError, match="MAC split at 2 bits"):
-            make_kernel(5, backend).mul_accumulate_rows(a, (a,))
+            ReducerKernel(5).mul_accumulate_rows(a, (a,))
         assert not out.any()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.rns.basis import RnsBasis
+from repro.transforms.ntt import NttContext
 
 
 class TestCreate:
@@ -17,19 +18,14 @@ class TestCreate:
         for q in basis.moduli:
             assert (q - 1) % (2 * basis.degree) == 0
 
-    def test_ntt_contexts_lazy_and_cached(self, basis):
-        ctxs = basis.ntt_contexts
-        assert len(ctxs) == basis.num_primes
-        # Contexts come from the process-level (degree, modulus, backend)
-        # store: identical instances on re-access under the same backend.
-        assert all(a is b for a, b in zip(ctxs, basis.ntt_contexts))
-
-    def test_ntt_contexts_follow_active_backend(self, basis):
-        from repro.nums.kernels import available_backends, using_backend
-
-        for name in available_backends():
-            with using_backend(name):
-                assert basis.ntt_contexts[0].backend == name
+    def test_tables_are_cached(self, basis):
+        # NTT contexts come from the process-level (degree, modulus) store;
+        # kernels and batched transforms are cached on the basis per level.
+        for q in basis.moduli:
+            ctx = NttContext.cached(basis.degree, q)
+            assert ctx is NttContext.cached(basis.degree, q)
+        assert basis.kernel(3) is basis.kernel(3)
+        assert basis.batch_ntt(3) is basis.batch_ntt(3)
 
     def test_bad_degree(self):
         with pytest.raises(ValueError, match="power of two"):

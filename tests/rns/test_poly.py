@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nums import find_primes
-from repro.nums.kernels import available_backends, using_backend
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import (
     COEFF,
@@ -246,8 +245,7 @@ class TestCombineCrt:
         assert np.array_equal(floats.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(poly.data, data)  # the lift works on a copy
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_edge_columns(self, chain, backend, rng):
+    def test_edge_columns(self, chain, rng):
         for level in range(1, 7):
             big, q0 = chain.modulus_at(level), chain.moduli[0]
             edges = [
@@ -256,8 +254,7 @@ class TestCombineCrt:
                 *(q0 - 1, q0, q0 + 1),  # the row boundary
                 *(2**53 + 1, 2**54 - 2, 2**54 + 2),  # exact ties past the mantissa
             ]
-            with using_backend(backend):
-                self.check(chain, level, edges + [-v for v in edges], rng)
+            self.check(chain, level, edges + [-v for v in edges], rng)
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -272,10 +269,9 @@ class TestCombineCrt:
             max_size=12,
         ),
         st.integers(1, 6),
-        st.sampled_from(available_backends()),
         st.sampled_from(["shared", "mixed"]),
     )
-    def test_matches_scalar_crt(self, basis, draws, level, backend, which):
+    def test_matches_scalar_crt(self, basis, draws, level, which):
         chain = basis if which == "shared" else MIXED_BASIS
         big = chain.modulus_at(level)
         # Q//2, then the mixed-radix weights q_0, q_0 q_1, …, Q.
@@ -284,8 +280,7 @@ class TestCombineCrt:
             anchors[d[0] % len(anchors)] + d[1] if isinstance(d, tuple) else d
             for d in draws
         ]
-        with using_backend(backend):
-            self.check(chain, level, values, np.random.default_rng(level))
+        self.check(chain, level, values, np.random.default_rng(level))
 
 
 class TestDomains:
@@ -463,18 +458,16 @@ class TestRescaleEvalRows:
         st.integers(2, 10),
         st.integers(1, 3),
         st.sampled_from([(), (2,), (3,)]),
-        st.sampled_from(available_backends()),
         st.integers(0, 2**32 - 1),
     )
-    def test_equals_the_coefficient_round_trip(self, lvl, times, lead, backend, seed):
+    def test_equals_the_coefficient_round_trip(self, lvl, times, lead, seed):
         times = min(times, lvl - 1)
         data = _eval_rows(TEN_LIMBS, lead, lvl, seed)
         before = data.copy()
-        with using_backend(backend):
-            coeff = TEN_LIMBS.batch_ntt(lvl).inverse(data)
-            reference = rescale_rows(TEN_LIMBS, coeff, times)
-            want = TEN_LIMBS.batch_ntt(lvl - times).forward(reference)
-            got = rescale_eval_rows(TEN_LIMBS, data, times)
+        coeff = TEN_LIMBS.batch_ntt(lvl).inverse(data)
+        reference = rescale_rows(TEN_LIMBS, coeff, times)
+        want = TEN_LIMBS.batch_ntt(lvl - times).forward(reference)
+        got = rescale_eval_rows(TEN_LIMBS, data, times)
         assert got.dtype == np.uint64 and got.shape == (*lead, lvl - times, 64)
         assert np.array_equal(got, want)
         assert np.array_equal(data, before)  # the input is read, not consumed
@@ -484,21 +477,17 @@ class TestRescaleEvalRows:
         st.integers(0, 9),
         st.integers(1, 10),
         st.integers(1, 3),
-        st.sampled_from(available_backends()),
         st.integers(0, 2**32 - 1),
     )
-    def test_inverse_block_equals_the_per_limb_inverse(
-        self, start, count, batch, backend, seed
-    ):
+    def test_inverse_block_equals_the_per_limb_inverse(self, start, count, batch, seed):
         stop = min(10, start + count)
         data = _eval_rows(TEN_LIMBS, (batch,), 10, seed)
         block = data[:, start:stop].copy()
-        with using_backend(backend):
-            TEN_LIMBS.batch_ntt(10).inverse_block(block, slice(start, stop))
-            for b in range(batch):
-                for r, q in enumerate(TEN_LIMBS.moduli[start:stop]):
-                    want = NttContext.cached(64, q, backend).inverse(data[b, start + r])
-                    assert np.array_equal(block[b, r], want)
+        TEN_LIMBS.batch_ntt(10).inverse_block(block, slice(start, stop))
+        for b in range(batch):
+            for r, q in enumerate(TEN_LIMBS.moduli[start:stop]):
+                want = NttContext.cached(64, q).inverse(data[b, start + r])
+                assert np.array_equal(block[b, r], want)
 
     def test_inverse_block_rejects_what_forward_block_rejects(self):
         bat = TEN_LIMBS.batch_ntt(10)

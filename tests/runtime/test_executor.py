@@ -325,7 +325,7 @@ class TestCloseIsFinal:
         pool.close()  # still idempotent
 
 
-class TestInlineFallback:
+class TestSubmitValidation:
     def test_rejects_non_container_inputs(self, rctx, serving_plan):
         # The inputs are encoded on the caller's thread, before they queue.
         with ShardedExecutor(serving_plan, config=ServingConfig(num_workers=1)) as pool:

@@ -465,10 +465,8 @@ class TestHangsAndDeadlines:
         pool.close()
 
 
-class TestDegradation:
-    def test_breaker_without_degradation_fails_fast(
-        self, rctx, fault_plan_program
-    ):
+class TestCrashLoopBreaker:
+    def test_crash_loop_stops_the_pool(self, rctx, fault_plan_program):
         batches = _batches(rctx, 2, seed=87)
         chaos = FaultPlan(0, crash_rate=1.0)
         policy = FaultPolicy(max_attempts=20, crash_loop_threshold=2,

@@ -13,7 +13,6 @@ import pytest
 
 from repro.ckks import CkksContext, toy_params
 from repro.ckks.serialization import pack_frame, read_frame
-from repro.nums.kernels import available_backends, default_backend_name, using_backend
 from repro.runtime import (
     CtSpec,
     PlanFormatError,
@@ -87,7 +86,6 @@ class TestRoundTrip:
         assert blob[:4] == PLAN_MAGIC
         back = deserialize_plan(blob, rctx.evaluator)
         assert back.signature == plan.signature
-        assert back.backend == plan.backend
         assert back.input_specs == plan.input_specs
         assert back.graph.outputs == plan.graph.outputs
         assert back.hoist == plan.hoist
@@ -118,34 +116,44 @@ class TestRoundTrip:
         )
         _assert_outputs_equal(back.run(inputs), plan.run(inputs))
 
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_roundtrip_under_every_backend(self, backend, seed):
-        """Seeded program round trips, per reducer backend: deserialized
-        execution must be bit-identical to the traced plan's."""
-        with using_backend(backend):
-            ctx = CkksContext.create(
-                toy_params(degree=128, num_primes=PRIMES), seed=seed
-            )
-            rlk = ctx.relin_keys(levels=[PRIMES])
-            gks = ctx.galois_keys([1, 2], levels=[PRIMES])
-            rng = np.random.default_rng(seed)
+    def test_seeded_program_roundtrips(self, seed):
+        """Seeded program round trips: deserialized execution must be
+        bit-identical to the traced plan's."""
+        ctx = CkksContext.create(toy_params(degree=128, num_primes=PRIMES), seed=seed)
+        rlk = ctx.relin_keys(levels=[PRIMES])
+        gks = ctx.galois_keys([1, 2], levels=[PRIMES])
+        rng = np.random.default_rng(seed)
 
-            def model(ev, x):
-                s = ev.add(ev.rotate(x, 1, gks), ev.rotate(x, 2, gks))
-                return ev.multiply_relin_rescale(s, s, rlk)
+        def model(ev, x):
+            s = ev.add(ev.rotate(x, 1, gks), ev.rotate(x, 2, gks))
+            return ev.multiply_relin_rescale(s, s, rlk)
 
-            plan = compile_fn(
-                model,
-                ctx.evaluator,
-                [CtSpec(level=PRIMES, scale=ctx.params.scale)],
-            )
-            back = deserialize_plan(serialize_plan(plan), ctx.evaluator)
-            assert back.backend == default_backend_name()
-            batch = [[ctx.encrypt(rng.uniform(-1, 1, ctx.params.slots))]]
-            _assert_outputs_equal(
-                back.run_batch(batch)[0], plan.run_batch(batch)[0]
-            )
+        plan = compile_fn(
+            model,
+            ctx.evaluator,
+            [CtSpec(level=PRIMES, scale=ctx.params.scale)],
+        )
+        back = deserialize_plan(serialize_plan(plan), ctx.evaluator)
+        batch = [[ctx.encrypt(rng.uniform(-1, 1, ctx.params.slots))]]
+        _assert_outputs_equal(back.run_batch(batch)[0], plan.run_batch(batch)[0])
+
+    def test_meta_backend_field_is_read_and_ignored(
+        self, rctx, rlk, gks, cjk, plan, inputs
+    ):
+        """``META`` keeps its backend field (formats rule 3): the writer
+        emits ``barrett``, and a blob naming ``montgomery`` — what an
+        older writer emitted under that reducer — still loads and replays
+        to the eager bytes."""
+        blob = serialize_plan(plan)
+        frames = _frames(blob)
+        assert _meta_backend(frames[b"META"]) == b"barrett"
+        meta = _with_meta_backend(frames[b"META"], b"montgomery")
+        old = _reframe(blob, {**frames, b"META": meta})
+        back = deserialize_plan(old, rctx.evaluator)
+        model, _ = _program(rctx, rlk, gks, cjk)
+        eager = list(model(rctx.evaluator, *inputs))
+        _assert_outputs_equal(back.run_batch([inputs])[0], eager)
 
     def test_params_mismatch_rejected(self, plan):
         other = CkksContext.create(toy_params(degree=128, num_primes=4), seed=9)
@@ -391,6 +399,19 @@ def test_docs_opcode_table_matches_the_rule_table():
         assert op_arities(op) == {
             (len(k), rule.attrs, len(t)) for k, t in forms
         }, op
+
+
+def _meta_backend(meta: bytes) -> bytes:
+    _, num_moduli, length = struct.unpack_from("<IHH", meta)
+    start = 8 + 8 * num_moduli
+    return meta[start : start + length]
+
+
+def _with_meta_backend(meta: bytes, name: bytes) -> bytes:
+    degree, num_moduli, length = struct.unpack_from("<IHH", meta)
+    start = 8 + 8 * num_moduli
+    head = struct.pack("<IHH", degree, num_moduli, len(name))
+    return head + meta[8:start] + name + meta[start + length :]
 
 
 def _non_utf8_backend(blob: bytes) -> bytes:

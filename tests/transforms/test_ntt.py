@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nums.kernels import available_backends
 from repro.nums.modular import mod_inv
 from repro.nums.primegen import find_primes
 from repro.transforms.ntt import NttContext, negacyclic_mul_naive
@@ -44,10 +43,9 @@ class TestConstruction:
         again = NttContext.create(256, PRIME, psi=base.psi)
         assert np.array_equal(base.psi_rev, again.psi_rev)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_twiddle_tables_are_bit_reversed_powers(self, backend):
+    def test_twiddle_tables_are_bit_reversed_powers(self):
         """The doubling construction fills ``psi_rev[bitrev(i)] = psi^i``."""
-        ctx = NttContext.create(64, PRIME, backend=backend)
+        ctx = NttContext.create(64, PRIME)
         psi_inv = mod_inv(ctx.psi, PRIME)
         for i in range(64):
             j = bit_reverse(i, 6)
@@ -176,7 +174,6 @@ class TestBatchedTensors:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from(available_backends()),
         st.sampled_from([16, 64]),
         st.integers(min_value=1, max_value=7),
         st.integers(min_value=1, max_value=3),
@@ -184,7 +181,7 @@ class TestBatchedTensors:
         st.integers(min_value=0, max_value=2**32 - 1),
     )
     def test_blocked_transform_matches_per_limb_contexts(
-        self, backend, n, limbs, batch, block_rows, seed
+        self, n, limbs, batch, block_rows, seed
     ):
         """Any block size — one limb, a block boundary mid-chain, a last
         block shorter than the rest, everything in one block — gives the
@@ -194,11 +191,11 @@ class TestBatchedTensors:
         from repro.transforms.ntt import BatchNtt
 
         moduli = LIMB_PRIMES[:limbs]
-        bn = BatchNtt.create(n, moduli, backend=backend)
+        bn = BatchNtt.create(n, moduli)
         rng = np.random.default_rng(seed)
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
         tensor = rng.integers(0, 2**62, (batch, limbs, n), dtype=np.uint64) % q_col
-        contexts = [NttContext.cached(n, q, backend) for q in moduli]
+        contexts = [NttContext.cached(n, q) for q in moduli]
         want = np.stack(
             [
                 np.stack([c.forward(row) for c, row in zip(contexts, matrix)])
@@ -216,24 +213,23 @@ class TestBatchedTensors:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        st.sampled_from(available_backends()),
         st.sampled_from([16, 64]),
         st.integers(min_value=1, max_value=5),
         st.integers(min_value=0, max_value=2**32 - 1),
     )
-    def test_forward_takes_unreduced_input(self, backend, n, limbs, seed):
+    def test_forward_takes_unreduced_input(self, n, limbs, seed):
         """Anything below ``input_bound`` — another limb's residues, a
         once-added pair — transforms to the bytes of its canonical value."""
         from repro.transforms.ntt import BatchNtt
 
         moduli = LIMB_PRIMES[:limbs]
-        bn = BatchNtt.create(n, moduli, backend=backend)
+        bn = BatchNtt.create(n, moduli)
         assert bn.input_bound >= max(max(moduli), 2 * min(moduli))
         rng = np.random.default_rng(seed)
         tensor = rng.integers(0, bn.input_bound, (3, limbs, n), dtype=np.uint64)
         tensor[1] = bn.input_bound - 1
         tensor[2] = np.array(moduli, dtype=np.uint64).reshape(-1, 1) - np.uint64(1)
-        contexts = [NttContext.cached(n, q, backend) for q in moduli]
+        contexts = [NttContext.cached(n, q) for q in moduli]
         want = np.stack(
             [
                 np.stack([c.forward(row) for c, row in zip(contexts, matrix)])
@@ -242,19 +238,18 @@ class TestBatchedTensors:
         )
         assert np.array_equal(bn.forward(tensor), want)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_growth_bound_worst_case_at_paper_degree(self, backend):
+    def test_growth_bound_worst_case_at_paper_degree(self):
         """All-(q-1) and all-(bound-1) rows at N = 2^16: sixteen stages of
         the largest values the lazy butterflies can be handed."""
         from repro.transforms.ntt import BatchNtt
 
         n = 1 << 16
         moduli = tuple(p.value for p in find_primes(36, n, max_count=2))
-        bn = BatchNtt.create(n, moduli, backend=backend)
+        bn = BatchNtt.create(n, moduli)
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
         top = np.broadcast_to(q_col - np.uint64(1), (2, n))
         wide = np.full((2, n), bn.input_bound - 1, dtype=np.uint64)
-        contexts = [NttContext.cached(n, q, backend) for q in moduli]
+        contexts = [NttContext.cached(n, q) for q in moduli]
         for rows in (top, wide):
             want = np.stack([c.forward(r) for c, r in zip(contexts, rows)])
             assert np.array_equal(bn.forward(rows), want)
@@ -264,35 +259,33 @@ class TestBatchedTensors:
     def test_renormalization_plan_follows_the_moduli(self):
         from repro.transforms.ntt import BatchNtt
 
-        # A 36-bit prime under either backend (raw products below 2q):
+        # A 36-bit prime (raw products below 2q):
         # the forward enters stage s at c = 2 + 2s, and 2 + 2 * 15 = 32 <
         # 64 = 2^42 / 2^36, so sixteen stages never renormalize.  The
         # inverse's sums double from 1: c = 64 enters stage 5, the doubled
         # 128 no longer fits, so stages 6 and 12 renormalize and four
         # doublings after 12 leave 16 q for the closing 1/N product.
-        for backend in available_backends():
-            paper = BatchNtt.create(1 << 16, (PAPER_PRIMES[0],), backend)
-            assert not any(paper._forward_plan)
-            inverse = paper._inverse_plan
-            assert [s for s, (first, _) in enumerate(inverse[:-1]) if first] == [6, 12]
-            assert inverse[-1] == (False, 16)
+        paper = BatchNtt.create(1 << 16, (PAPER_PRIMES[0],))
+        assert not any(paper._forward_plan)
+        inverse = paper._inverse_plan
+        assert [s for s, (first, _) in enumerate(inverse[:-1]) if first] == [6, 12]
+        assert inverse[-1] == (False, 16)
         # A mixed toy chain has no such room (limb 0 must stay below 17^2
         # while holding limb 1's residues: it enters at 16 q_0, and one
         # stage would store 18 q_0) and still transforms exactly.
-        toy = BatchNtt.create(8, (17, 257), "barrett")
+        toy = BatchNtt.create(8, (17, 257))
         assert toy._forward_plan[0]
-        refs = [NttContext.cached(8, q, "barrett") for q in (17, 257)]
+        refs = [NttContext.cached(8, q) for q in (17, 257)]
         x = np.full((2, 8), toy.input_bound - 1, dtype=np.uint64)
         want = np.stack([c.forward(row) for c, row in zip(refs, x)])
         assert np.array_equal(toy.forward(x), want)
         assert np.array_equal(toy.inverse(want), x % np.array([[17], [257]], dtype=np.uint64))
-        # Every reducer takes an unreduced 41-bit operand; a limb that
+        # The reducer takes an unreduced 41-bit operand; a limb that
         # cannot even hold another limb's residues below q^2 is refused.
         wide = find_primes(41, 64, max_count=1)[0].value
-        for backend in available_backends():
-            BatchNtt.create(64, (wide,), backend)
-            with pytest.raises(ValueError, match="no room for lazy butterflies"):
-                BatchNtt.create(8, (17, 7681), backend)
+        BatchNtt.create(64, (wide,))
+        with pytest.raises(ValueError, match="no room for lazy butterflies"):
+            BatchNtt.create(8, (17, 7681))
 
     def test_bad_trailing_shape_rejected(self):
         from repro.transforms.ntt import BatchNtt
@@ -348,10 +341,10 @@ PAPER_PRIMES = tuple(p.value for p in find_primes(36, 1 << 16, max_count=3))
 WIDE_PRIMES = tuple(p.value for p in find_primes(40, 1 << 10, max_count=3))
 
 
-def per_limb(tensor, moduli, backend, direction):
+def per_limb(tensor, moduli, direction):
     """The reference: every limb row through its own ``NttContext``."""
     n = tensor.shape[-1]
-    contexts = [NttContext.cached(n, q, backend) for q in moduli]
+    contexts = [NttContext.cached(n, q) for q in moduli]
     rows = [
         getattr(contexts[i % len(moduli)], direction)(row)
         for i, row in enumerate(tensor.reshape(-1, n))
@@ -366,7 +359,7 @@ class TestButterflyLayouts:
 
     @staticmethod
     def check(bn, moduli, lead, rng):
-        n, backend = bn.degree, bn.backend
+        n = bn.degree
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
         shape = (*lead, len(moduli), n)
         canonical = [
@@ -381,15 +374,14 @@ class TestButterflyLayouts:
             np.broadcast_to(np.uint64(2) * q_col - np.uint64(2), shape),
         ]
         for tensor in canonical + unreduced:
-            want = per_limb(tensor, moduli, backend, "forward")
+            want = per_limb(tensor, moduli, "forward")
             assert np.array_equal(bn.forward(tensor), want)
         for tensor in canonical:
-            want = per_limb(tensor, moduli, backend, "inverse")
+            want = per_limb(tensor, moduli, "inverse")
             assert np.array_equal(bn.inverse(tensor), want)
 
-    @pytest.mark.parametrize("backend", available_backends())
     @pytest.mark.parametrize("log_n", [1, 2, 3, 4, 5, 6, 7, 10, 12])
-    def test_grid_matches_per_limb_reference(self, backend, log_n):
+    def test_grid_matches_per_limb_reference(self, log_n):
         """Degrees on both sides of every layout boundary (one chunk per
         transposed row at N = 2, up to 64 x 64), the three batch shapes
         incl. key switching's (L, L, N), and 1, 2 and all limbs a block."""
@@ -398,7 +390,7 @@ class TestButterflyLayouts:
         from repro.transforms.ntt import BatchNtt
 
         n, moduli = 1 << log_n, PAPER_PRIMES
-        bn = BatchNtt.create(n, moduli, backend=backend)
+        bn = BatchNtt.create(n, moduli)
         rng = np.random.default_rng(log_n)
         for lead in ((), (2,), (len(moduli),)):
             batch = int(np.prod(lead))
@@ -408,26 +400,22 @@ class TestButterflyLayouts:
                     assert len(bn.blocks(batch)) == -(-len(moduli) // limbs)
                     self.check(bn, moduli, lead, rng)
 
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_paper_degree_matches_per_limb_reference(self, backend):
+    def test_paper_degree_matches_per_limb_reference(self):
         """N = 2^16: one 512 KiB limb per block, 256 x 256 transposed."""
         from repro.transforms.ntt import BatchNtt
 
-        bn = BatchNtt.create(1 << 16, PAPER_PRIMES[:2], backend=backend)
+        bn = BatchNtt.create(1 << 16, PAPER_PRIMES[:2])
         assert len(bn.blocks()) == 2
         self.check(bn, PAPER_PRIMES[:2], (), np.random.default_rng(16))
 
-    # Montgomery's scalar 1/N constant wraps mod 2^64 on purpose.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.parametrize("backend", available_backends())
-    def test_renormalizing_stages_fall_on_both_layouts(self, backend):
+    def test_renormalizing_stages_fall_on_both_layouts(self):
         """At 40 bits the forward plan, too, renormalizes mid-transform
         (at 36 only the inverse's does): a renormalization lands on the
         in-place stages and on the transposed ones, in both directions."""
         from repro.transforms.ntt import BatchNtt, _transposed_span
 
         n = 1 << 10
-        bn = BatchNtt.create(n, WIDE_PRIMES, backend=backend)
+        bn = BatchNtt.create(n, WIDE_PRIMES)
         in_place = (n // _transposed_span(n)).bit_length() - 1  # stages before the turn
         forward = bn._forward_plan
         assert any(forward[:in_place]) and any(forward[in_place:])
@@ -494,7 +482,7 @@ class TestButterflyLayouts:
         inputs = [
             rng.integers(0, 1 << 62, shape, dtype=np.uint64) % q_col for _ in range(2)
         ]
-        wants = [per_limb(x, moduli, bn.backend, "forward") for x in inputs]
+        wants = [per_limb(x, moduli, "forward") for x in inputs]
         failures: list[int] = []
 
         def work(k: int) -> None:
