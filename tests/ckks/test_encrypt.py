@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, toy_params
+from tests import BARRETT
 
 
 class TestRoundtrip:
@@ -59,6 +60,7 @@ class TestStreamedEncrypt:
         v = v.to_eval()
         return v * enc.public_key.b + noisy, v * enc.public_key.a + e1.to_eval()
 
+    @BARRETT
     @pytest.mark.parametrize("case", ["coeff", "eval", "below-plaintext-level"])
     def test_equals_composed_formula(self, case, rng):
         from repro.ckks.containers import Plaintext

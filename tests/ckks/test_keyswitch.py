@@ -16,6 +16,7 @@ import pytest
 
 from repro.ckks import CkksContext, toy_params
 from repro.transforms.ntt import BatchNtt, galois_permutation
+from tests import BARRETT
 
 DEGREE = 256
 NUM_PRIMES = 6
@@ -35,6 +36,7 @@ def msg(kctx):
 
 
 class TestBatchedSwitch:
+    @BARRETT
     def test_bit_identical_to_digit_loop(self, kctx, msg):
         """engine.switch == the seed's per-digit loop, bit for bit."""
         rlk = kctx.relin_keys(levels=[NUM_PRIMES])
@@ -77,6 +79,7 @@ class TestBatchedSwitch:
             out0, out1 = engine.switch_reference(poly, key)
         assert out0.level == out1.level == NUM_PRIMES - 1
 
+    @BARRETT
     @pytest.mark.parametrize("level", range(1, NUM_PRIMES))
     def test_prefix_switch_matches_digit_loop(self, kctx, msg, level):
         """One top-level key, every level below it (the top level is
@@ -110,6 +113,7 @@ class TestBatchedSwitch:
 class TestContraction:
     """The one row-loop contraction eager ``apply`` and fused replay share."""
 
+    @BARRETT
     @pytest.mark.parametrize("galois_elt", [None, 5, 2 * DEGREE - 1])
     def test_matches_whole_tensor_accumulate(self, kctx, msg, galois_elt):
         key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
@@ -126,7 +130,7 @@ class TestContraction:
         assert np.array_equal(got0, want0)
         assert np.array_equal(got1, want1)
 
-    def test_contraction_reads_the_key_arrays(self, kctx, msg, monkeypatch):
+    def test_every_backend_contracts_the_same_key_arrays(self, kctx, msg, monkeypatch):
         """No copy of a key: the kernel is handed views of the key's own
         tensors, at the top level and below."""
         from repro.nums.kernels import ReducerKernel
@@ -192,6 +196,7 @@ class TestPrefixKeyPrecision:
 
 
 class TestHoistedRotations:
+    @BARRETT
     def test_hoisted_bit_identical_to_unhoisted(self, kctx, msg):
         gks = kctx.galois_keys([3], levels=[NUM_PRIMES])
         ct = kctx.encrypt(msg)
@@ -268,6 +273,7 @@ class TestHoistedRotations:
 
 
 class TestEvalDomainAutomorphism:
+    @BARRETT
     def test_matches_coeff_domain_path(self, kctx, msg):
         poly = kctx.encrypt(msg).parts[0]  # EVAL domain
         for k in (3, 5, 2 * DEGREE - 1):
@@ -286,6 +292,7 @@ class TestEvalDomainAutomorphism:
 
 
 class TestFusedRescale:
+    @BARRETT
     def test_fused_matches_sequential(self, kctx, msg):
         ct = kctx.encrypt(msg)
         fused = kctx.evaluator.rescale(ct, times=2)

@@ -36,6 +36,7 @@ from repro.ckks.serialization import (
     wire_coeff_bits,
 )
 from repro.rns.poly import EVAL, RnsPolynomial
+from tests import BARRETT
 
 
 # Widths the pass and multi-array paths are compared against the oracle at:
@@ -350,6 +351,7 @@ class TestWorkerBoundary:
         parent_conn.close()
         return out
 
+    @BARRETT
     def test_full_form_bit_exact_across_fork(self):
         ctx = CkksContext.create(toy_params(degree=128, num_primes=4), seed=60)
         ct = ctx.encrypt(np.linspace(-1, 1, ctx.params.slots))
@@ -363,6 +365,7 @@ class TestWorkerBoundary:
         for got, want in zip(back.parts, ct.parts):
             assert np.array_equal(got.data, want.data)
 
+    @BARRETT
     def test_seeded_form_expands_identically_across_fork(self):
         ctx = CkksContext.create(toy_params(degree=128, num_primes=4), seed=61)
         pt = ctx.encode(np.linspace(0, 1, ctx.params.slots))

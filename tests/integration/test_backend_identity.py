@@ -37,6 +37,7 @@ from repro.runtime import (
     ShardedExecutor,
     compile_fn,
 )
+from tests import BARRETT
 
 DEGREE = 256
 NUM_PRIMES = 6
@@ -209,6 +210,7 @@ DELIVERIES = (
 
 @pytest.mark.parametrize("delivery", DELIVERIES)
 @pytest.mark.parametrize("executor", ["interpreter", "fused"])
+@BARRETT
 def test_every_mode_is_byte_equal_to_eager(executor, delivery, pipeline, remote_host):
     """executor {interpreter, fused} x delivery/transport: every way a
     plan can run and every way a request can reach it lands the eager
@@ -243,6 +245,7 @@ def test_every_mode_is_byte_equal_to_eager(executor, delivery, pipeline, remote_
 
 
 @pytest.mark.parametrize("build", [_rotate_mac_multiply, _bsgs], ids=["mac", "bsgs"])
+@BARRETT
 def test_fused_shapes_are_byte_equal_to_eager(build, pipeline):
     """The programs the fusion passes rewrite most — hoisted rotations,
     plaintext MACs, a whole BSGS transform — through the interpreter and
@@ -267,7 +270,8 @@ def test_fused_shapes_are_byte_equal_to_eager(build, pipeline):
                 )
 
 
-def test_pipeline_is_correct(pipeline):
+@BARRETT
+def test_pipeline_is_correct_under_every_backend(pipeline):
     ctx, _, _, (_, prod), expected = pipeline
     out = ctx.decrypt_decode(prod)
     assert np.max(np.abs(out.real - expected)) < 1e-3

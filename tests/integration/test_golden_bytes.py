@@ -54,6 +54,7 @@ from repro.runtime import (
     deserialize_plan,
     serialize_plan,
 )
+from tests import BARRETT
 
 GOLDEN_FILE = pathlib.Path(__file__).with_name("golden_bytes.json")
 SEED = 2025
@@ -173,6 +174,7 @@ def op_digests(ctx, ct, low, plaintext, gks) -> dict[str, str]:
     }
 
 
+@BARRETT
 @pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_wire_bytes_match_golden(shape):
     golden = json.loads(GOLDEN_FILE.read_text())[shape]

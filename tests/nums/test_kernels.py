@@ -24,6 +24,7 @@ from repro.nums.kernels import (
     kernel_for_modulus,
 )
 from repro.nums.primegen import find_primes
+from tests import BARRETT
 
 PRIMES = {bw: find_primes(bw, 1 << 12, max_count=1)[0].value for bw in (32, 36, 41)}
 
@@ -42,6 +43,7 @@ def _edge_operands(q: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 class TestAgainstOracle:
+    @BARRETT
     def test_mul_random_and_edges(self, prime, rng):
         kern = ReducerKernel(prime)
         a = rng.integers(0, prime, 400).astype(np.uint64)
@@ -51,12 +53,14 @@ class TestAgainstOracle:
         expected = [int(x) * int(y) % prime for x, y in zip(a, b)]
         assert kern.mul(a, b).tolist() == expected
 
+    @BARRETT
     def test_mul_pre_matches_mul(self, prime, rng):
         kern = ReducerKernel(prime)
         a = rng.integers(0, prime, 200).astype(np.uint64)
         b = rng.integers(0, prime, 200).astype(np.uint64)
         assert kern.mul_pre(a, kern.pre(b)).tolist() == kern.mul(a, b).tolist()
 
+    @BARRETT
     def test_add_sub_neg(self, prime, rng):
         kern = ReducerKernel(prime)
         a = rng.integers(0, prime, 300).astype(np.uint64)
@@ -67,12 +71,14 @@ class TestAgainstOracle:
         assert kern.sub(a, b).tolist() == [(int(x) - int(y)) % prime for x, y in zip(a, b)]
         assert kern.neg(a).tolist() == [(-int(x)) % prime for x in a]
 
+    @BARRETT
     def test_pow_matches_int_pow(self, prime, rng):
         kern = ReducerKernel(prime)
         a = rng.integers(0, prime, 40).astype(np.uint64)
         for e in (0, 1, 2, 3, 17, 1 << 12):
             assert kern.pow(a, e).tolist() == [pow(int(x), e, prime) for x in a]
 
+    @BARRETT
     def test_reduce_up_to_q_squared(self, prime, rng):
         """The whole domain ``[0, min(q^2, 2^64))``: ``mul_accumulate_rows``
         hands ``reduce`` partial sums up to that bound, so the draws and
@@ -90,7 +96,7 @@ class TestAgainstOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_hypothesis_matches_int_product(self, data):
+    def test_hypothesis_all_backends_agree(self, data):
         q = data.draw(st.sampled_from(sorted(PRIMES.values())))
         x = data.draw(st.integers(min_value=0, max_value=q - 1))
         y = data.draw(st.integers(min_value=0, max_value=q - 1))
@@ -103,6 +109,7 @@ class TestOperandAndModulusEdges:
     """A Python-int operand, the additive ops on an even modulus, the
     negative-exponent error, and arbitrary (non-prime) odd moduli."""
 
+    @BARRETT
     def test_mul_scalar_broadcast(self, rng):
         q = PRIMES[32]
         a = rng.integers(0, q, 100).astype(np.uint64)
@@ -117,6 +124,7 @@ class TestOperandAndModulusEdges:
         assert kern.sub(a, b).tolist() == [(int(x) - int(y)) % q for x, y in zip(a, b)]
         assert kern.neg(a).tolist() == [(-int(x)) % q for x in a]
 
+    @BARRETT
     def test_pow_negative_exponent_raises(self):
         with pytest.raises(ValueError, match="negative"):
             ReducerKernel(PRIMES[32]).pow(np.array([2], dtype=np.uint64), -1)
@@ -133,6 +141,7 @@ class TestOperandAndModulusEdges:
 class TestMatrixModuli:
     """Per-row modulus broadcasting over (L, N) residue matrices."""
 
+    @BARRETT
     def test_column_broadcast(self, rng):
         moduli = sorted(PRIMES.values())
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
@@ -143,6 +152,7 @@ class TestMatrixModuli:
         for i, m in enumerate(moduli):
             assert got[i].tolist() == [int(x) * int(y) % m for x, y in zip(a[i], b[i])]
 
+    @BARRETT
     def test_scalar_column_against_matrix(self, rng):
         moduli = sorted(PRIMES.values())
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
@@ -175,6 +185,7 @@ class TestRegistry:
         q = PRIMES[36]
         assert kernel_for_modulus(q) is kernel_for_modulus(q)
 
+    @BARRETT
     def test_rejects_wide_moduli(self):
         with pytest.raises(ValueError, match="at most"):
             ReducerKernel((1 << (KERNEL_LIMIT_BITS + 1)) + 1)
@@ -238,6 +249,7 @@ class TestBarrettShoupPieces:
 class TestMulAccumulate:
     """The fused MAC behind batched key switching and multi-prime rescale."""
 
+    @BARRETT
     def test_matches_oracle(self, prime, rng):
         kern = ReducerKernel(prime)
         a = rng.integers(0, prime, (7, 50)).astype(np.uint64)
@@ -248,6 +260,7 @@ class TestMulAccumulate:
         ]
         assert kern.mul_accumulate(a, b).tolist() == expected
 
+    @BARRETT
     def test_rows_variant_matches_plain(self, prime, rng):
         kern = ReducerKernel(prime)
         a = rng.integers(0, prime, (5, 64)).astype(np.uint64)
@@ -255,6 +268,7 @@ class TestMulAccumulate:
         (got,) = kern.mul_accumulate_rows(a, (b,))
         assert np.array_equal(got, kern.mul_accumulate(a, b))
 
+    @BARRETT
     def test_edge_values_all_q_minus_one(self, prime):
         kern = ReducerKernel(prime)
         a = np.full((9, 4), prime - 1, dtype=np.uint64)
@@ -300,6 +314,7 @@ class TestRawProduct:
         if not wide:
             assert kern.reduce(raw).tolist() == kern.mul(a_arr, b_arr).tolist()
 
+    @BARRETT
     def test_worst_case_operand(self):
         """The largest operand against the largest multiplier, and
         ``mul``'s largest quotient, ``(q - 1)^2``, up to the widest odd
@@ -316,7 +331,7 @@ class TestRawProduct:
             edge = np.array([q - 1], dtype=np.uint64)
             assert kern.mul(edge, edge).tolist() == [(q - 1) ** 2 % q]
 
-    def test_raw_bound(self):
+    def test_bounds_per_backend(self):
         assert ReducerKernel.RAW_BOUND == 2
         assert ReducerKernel(PRIMES[41]).raw_operand_limit == 1 << 42
 
@@ -352,6 +367,7 @@ class TestRowAccumulate:
             assert np.array_equal(got, kern.mul_accumulate(a, b))
 
     @pytest.mark.parametrize("budget", [None, 2])
+    @BARRETT
     def test_all_q_minus_one_past_the_budget(self, budget):
         for q in RAW_PRIMES:
             kern = ReducerKernel(q)
@@ -362,6 +378,7 @@ class TestRowAccumulate:
             assert out.tolist() == [11 * (q - 1) * (q - 1) % q] * 3
             assert a.min() == q - 1  # operands untouched
 
+    @BARRETT
     def test_column_moduli(self, rng):
         moduli = [RAW_PRIMES[2], RAW_PRIMES[3], PRIMES[36]]
         kern = ReducerKernel(np.array(moduli, dtype=np.uint64).reshape(-1, 1))
@@ -375,6 +392,7 @@ class TestRowAccumulate:
         for got, b in zip(outs, (b0, b1)):
             assert np.array_equal(got, kern.mul_accumulate(a, b))
 
+    @BARRETT
     def test_budgets(self):
         """The split-MAC budget is the docstring's bound, not a tuned
         number: the recombined worst case stays inside uint64 and
@@ -393,6 +411,7 @@ class TestRowAccumulate:
         assert budgets[36] >= 1023 and budgets[37] >= 255 and budgets[41] == 3
         assert ReducerKernel(5).mac_budget < 2
 
+    @BARRETT
     def test_rejects_what_it_cannot_compute(self):
         kern = ReducerKernel(PRIMES[36])
         a = np.ones((3, 4), dtype=np.uint64)

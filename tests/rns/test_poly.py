@@ -19,6 +19,7 @@ from repro.rns.poly import (
     rescale_rows,
 )
 from repro.transforms.ntt import NttContext, negacyclic_mul_naive
+from tests import BARRETT
 
 N = 256
 LEVEL = 4
@@ -245,6 +246,7 @@ class TestCombineCrt:
         assert np.array_equal(floats.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(poly.data, data)  # the lift works on a copy
 
+    @BARRETT
     def test_edge_columns(self, chain, rng):
         for level in range(1, 7):
             big, q0 = chain.modulus_at(level), chain.moduli[0]

@@ -288,7 +288,7 @@ class TestFusedReplay:
                 proc.join(timeout=10)
         assert proc.exitcode == 0
 
-    def test_fused_executor_is_cached_on_the_plan(self, rctx, gks):
+    def test_fused_executor_cached_per_backend(self, rctx, gks):
         def program(ev, x):
             return ev.rotate(x, 1, gks)
 

@@ -28,6 +28,7 @@ from repro.runtime.plan_io import (
     PLAN_MAGIC,
 )
 from repro.runtime.trace import trace
+from tests import BARRETT
 
 PRIMES = 6
 ROOT = Path(__file__).resolve().parents[2]
@@ -116,8 +117,9 @@ class TestRoundTrip:
         )
         _assert_outputs_equal(back.run(inputs), plan.run(inputs))
 
+    @BARRETT
     @pytest.mark.parametrize("seed", [3, 11])
-    def test_seeded_program_roundtrips(self, seed):
+    def test_roundtrip_under_every_backend(self, seed):
         """Seeded program round trips: deserialized execution must be
         bit-identical to the traced plan's."""
         ctx = CkksContext.create(toy_params(degree=128, num_primes=PRIMES), seed=seed)

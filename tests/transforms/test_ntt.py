@@ -11,6 +11,7 @@ from repro.nums.modular import mod_inv
 from repro.nums.primegen import find_primes
 from repro.transforms.ntt import NttContext, negacyclic_mul_naive
 from repro.utils.bitops import bit_reverse
+from tests import BARRETT
 
 PRIME = find_primes(36, 1 << 12, max_count=1)[0].value
 LIMB_PRIMES = tuple(p.value for p in find_primes(36, 1 << 12, max_count=7))
@@ -43,6 +44,7 @@ class TestConstruction:
         again = NttContext.create(256, PRIME, psi=base.psi)
         assert np.array_equal(base.psi_rev, again.psi_rev)
 
+    @BARRETT
     def test_twiddle_tables_are_bit_reversed_powers(self):
         """The doubling construction fills ``psi_rev[bitrev(i)] = psi^i``."""
         ctx = NttContext.create(64, PRIME)
@@ -238,6 +240,7 @@ class TestBatchedTensors:
         )
         assert np.array_equal(bn.forward(tensor), want)
 
+    @BARRETT
     def test_growth_bound_worst_case_at_paper_degree(self):
         """All-(q-1) and all-(bound-1) rows at N = 2^16: sixteen stages of
         the largest values the lazy butterflies can be handed."""
@@ -380,6 +383,7 @@ class TestButterflyLayouts:
             want = per_limb(tensor, moduli, "inverse")
             assert np.array_equal(bn.inverse(tensor), want)
 
+    @BARRETT
     @pytest.mark.parametrize("log_n", [1, 2, 3, 4, 5, 6, 7, 10, 12])
     def test_grid_matches_per_limb_reference(self, log_n):
         """Degrees on both sides of every layout boundary (one chunk per
@@ -400,6 +404,7 @@ class TestButterflyLayouts:
                     assert len(bn.blocks(batch)) == -(-len(moduli) // limbs)
                     self.check(bn, moduli, lead, rng)
 
+    @BARRETT
     def test_paper_degree_matches_per_limb_reference(self):
         """N = 2^16: one 512 KiB limb per block, 256 x 256 transposed."""
         from repro.transforms.ntt import BatchNtt
@@ -408,6 +413,7 @@ class TestButterflyLayouts:
         assert len(bn.blocks()) == 2
         self.check(bn, PAPER_PRIMES[:2], (), np.random.default_rng(16))
 
+    @BARRETT
     def test_renormalizing_stages_fall_on_both_layouts(self):
         """At 40 bits the forward plan, too, renormalizes mid-transform
         (at 36 only the inverse's does): a renormalization lands on the
