@@ -28,7 +28,7 @@ from repro.ckks.serialization import (
     serialize_ciphertext,
     wire_coeff_bits,
 )
-from repro.nums import find_primes
+from repro.nums import find_primes, kernels
 from repro.nums.kernels import ReducerKernel
 from repro.rns import RnsBasis
 from repro.rns.poly import EVAL, RnsPolynomial
@@ -197,6 +197,12 @@ def _stage_times(bn, transform, x, opener) -> tuple[float, list[float], float]:
     return end - start, per_stage, other
 
 
+def _one_lane():
+    """Patch the CPU count ``in_lanes`` reads to one: every block on the
+    caller's thread."""
+    return mock.patch.object(kernels, "_cpu_count", return_value=1)
+
+
 def test_batch_ntt_stage_table(report):
     """Report only: ms per butterfly stage of the (24, 2^16) transforms.
 
@@ -204,7 +210,14 @@ def test_batch_ntt_stage_table(report):
     costs a multiple of the cheapest is walking short runs the slow way
     (numpy's buffered iterator): before the stages were re-laid the
     forward read 2.3-2.8 ms for runs >= 4096 and 4.7-8.0 ms below.
+    Taken at one lane: ``_stage_times`` keeps one timeline, which the
+    blocks of several lanes would interleave.
     """
+    with _one_lane():
+        _stage_table(report)
+
+
+def _stage_table(report) -> None:
     poly = _residue_poly(24, 16)
     bn = poly.basis.batch_ntt(poly.level)
     evals = bn.forward(poly.data)
@@ -227,6 +240,49 @@ def test_batch_ntt_stage_table(report):
         lines.append("  run t:    " + " ".join(f"{t:5d}" for t in spans))
         lines.append("  stage ms: " + " ".join(f"{v*1e3:5.2f}" for v in stages))
     report("BatchNtt (24, 2^16) per-stage cost, barrett", lines)
+
+
+def test_lanes_table(report):
+    """Report only: best-of-5 ms of the limb-block loops that run in
+    lanes (``repro.nums.kernels.in_lanes``) at the paper's (24, 2^16)
+    shape — the batched forward and inverse transforms, Expand-RNS
+    (``from_float_coeffs``) and a whole public-key ``encrypt`` — at one
+    lane and at one lane per CPU, the two timed alternately."""
+    from repro.ckks import bootstrappable_params
+
+    ctx = CkksContext.create(bootstrappable_params(), seed=1)
+    basis, level = ctx.basis, ctx.params.top_level
+    rng = np.random.default_rng(0)
+    coeffs = np.stack([rng.integers(0, q, basis.degree) for q in basis.moduli])
+    coeffs = coeffs[:level].astype(np.uint64)
+    bn = basis.batch_ntt(level)
+    evals = bn.forward(coeffs)
+    values = np.rint(rng.normal(size=basis.degree) * 2.0**60)
+    plain = ctx.encode(rng.normal(size=ctx.params.slots))
+    cases = {
+        "forward": lambda: bn.forward(coeffs),
+        "inverse": lambda: bn.inverse(evals),
+        "expand": lambda: RnsPolynomial.from_float_coeffs(basis, level, values),
+        "encrypt": lambda: ctx.encryptor.encrypt(plain),
+    }
+    configs = {"1 lane": _one_lane, f"all {kernels._cpu_count()}": ExitStack}
+    best = {(config, name): float("inf") for config in configs for name in cases}
+    for _ in range(5):
+        for config, scope in configs.items():
+            with scope():
+                for name, run in cases.items():
+                    t0 = time.perf_counter()
+                    run()
+                    elapsed = time.perf_counter() - t0
+                    best[config, name] = min(best[config, name], elapsed)
+    lines = ["config    " + "".join(f"{name:>10}" for name in cases)]
+    for config in configs:
+        cells = "".join(f"{best[config, name] * 1e3:10.1f}" for name in cases)
+        lines.append(f"{config:10}{cells}")
+    one, every = configs
+    ratios = "".join(f"{best[one, k] / best[every, k]:9.2f}x" for k in cases)
+    lines.append(f"{'speed-up':10}{ratios}")
+    report(f"In lanes at (24, 2^16), ms, best of 5, {os.cpu_count()} CPUs", lines)
 
 
 def test_rescale_table(report):

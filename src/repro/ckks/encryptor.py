@@ -9,7 +9,9 @@ domain and transformed together, so an encryption runs three NTTs
 draws are made once, then each block of limbs goes embed -> NTT ->
 multiply-add -> output row while it sits in cache, the software shape of
 the accelerator's one-limb-on-chip datapath.  No ``(level, N)``
-intermediate is ever built.
+intermediate is ever built.  The blocks are independent, so they are
+spread over one lane per CPU, as the accelerator spreads limbs over its
+parallel NTT lanes; the bytes do not depend on the lane count.
 
 Decrypt: ``m' = c0 + c1*s`` (plus ``c2*s^2`` for unrelinearized
 ciphertexts), followed by decode on the encoder side.
@@ -24,6 +26,7 @@ import numpy as np
 from repro.ckks.containers import Ciphertext, Plaintext
 from repro.ckks.keys import PublicKey, SecretKey, expand_uniform_poly
 from repro.ckks.params import CkksParameters
+from repro.nums.kernels import in_lanes
 from repro.prng.samplers import DiscreteGaussianSampler, TernarySampler
 from repro.prng.xof import Xof
 from repro.rns.basis import RnsBasis
@@ -114,9 +117,12 @@ class Encryptor:
         a coefficient-domain message to ``e0`` *unreduced* (a once-added
         pair, which the transform accepts), transform in place, and add
         the product with the key rows while the transformed mask is still
-        in cache.  The NTT is linear and every residue canonical, so the
-        bytes are those of the composed ``v.to_eval() * b + (m + e0)
-        .to_eval()``; keys, message and outputs are row slices of full
+        in cache.  Blocks are independent and run in lanes, one thread
+        per CPU (:func:`~repro.nums.kernels.in_lanes`), each lane with its
+        own scratch and writing only its own output rows.  The NTT is
+        linear and every residue canonical, so the bytes are those of the
+        composed ``v.to_eval() * b + (m + e0).to_eval()``, whatever the
+        lane count; keys, message and outputs are row slices of full
         matrices, never copies.
         """
         basis, n = self.basis, self.basis.degree
@@ -127,30 +133,33 @@ class Encryptor:
         embed_mask = None
         if not isinstance(mask, RnsPolynomial):
             embed_mask = signed_embedder(mask, floor)
-        blocks = bat.blocks()
-        width = blocks[0].stop - blocks[0].start
-        scratch = np.empty((2, width, n), dtype=np.uint64)
         outs = [np.empty((level, n), dtype=np.uint64) for _ in keys]
-        for rows in blocks:
-            kern = basis.kernel_range(rows.start, rows.stop)
-            count = rows.stop - rows.start
-            product = scratch[1, :count]
-            if embed_mask:
-                mask_hat = scratch[0, :count]
-                embed_mask(kern.q, mask_hat)
-                bat.forward_block(mask_hat[np.newaxis], rows)
-            else:
-                mask_hat = mask.data[rows]
-            for k, (embed, key, out) in enumerate(zip(embed_errors, keys, outs)):
-                part = out[rows]
-                embed(kern.q, part)
-                if k == 0 and message.domain == COEFF:
-                    part += message.data[rows]
-                bat.forward_block(part[np.newaxis], rows)
-                if k == 0 and message.domain == EVAL:
-                    kern.add(part, message.data[rows], out=part)
-                kern.mul(mask_hat, key.data[rows], out=product)
-                (kern.add if sign > 0 else kern.sub)(part, product, out=part)
+
+        def lane(blocks: list[slice]) -> None:
+            width = blocks[0].stop - blocks[0].start
+            scratch = np.empty((2, width, n), dtype=np.uint64)
+            for rows in blocks:
+                kern = basis.kernel_range(rows.start, rows.stop)
+                count = rows.stop - rows.start
+                product = scratch[1, :count]
+                if embed_mask:
+                    mask_hat = scratch[0, :count]
+                    embed_mask(kern.q, mask_hat)
+                    bat.forward_block(mask_hat[np.newaxis], rows)
+                else:
+                    mask_hat = mask.data[rows]
+                for k, (embed, key, out) in enumerate(zip(embed_errors, keys, outs)):
+                    part = out[rows]
+                    embed(kern.q, part)
+                    if k == 0 and message.domain == COEFF:
+                        part += message.data[rows]
+                    bat.forward_block(part[np.newaxis], rows)
+                    if k == 0 and message.domain == EVAL:
+                        kern.add(part, message.data[rows], out=part)
+                    kern.mul(mask_hat, key.data[rows], out=product)
+                    (kern.add if sign > 0 else kern.sub)(part, product, out=part)
+
+        in_lanes(bat.blocks(), lane)
         return [RnsPolynomial(basis, out, EVAL) for out in outs]
 
 

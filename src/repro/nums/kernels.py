@@ -27,9 +27,11 @@ split operand against plain residues — no pre-formed constant.
 
 from __future__ import annotations
 
+import os
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -39,6 +41,7 @@ __all__ = [
     "ReducerKernel",
     "KERNEL_LIMIT_BITS",
     "ufunc_buffer",
+    "in_lanes",
     "kernel_for_modulus",
     "default_backend_name",
 ]
@@ -109,6 +112,55 @@ def ufunc_buffer():
         yield
     finally:
         np.setbufsize(previous)
+
+
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one (a ``taskset`` or a container's cpuset), else every
+    CPU of the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def in_lanes(blocks: Sequence, lane: Callable[[Sequence], None]) -> None:
+    """Run ``lane`` over ``blocks`` striped across one thread per CPU.
+
+    With ``n = min(len(blocks), CPUs)`` lanes, lane ``k`` gets
+    ``blocks[k::n]``; lane 0 runs on the caller's thread, the others on
+    threads started here and joined before returning, so no thread
+    outlives the call (nor reaches a later ``fork``).  One block, or one
+    CPU, is one lane on the caller's thread: no thread starts.  The
+    blocks must be independent — each lane writing its own rows — and
+    numpy releases the interpreter lock inside every pass over a row, so
+    lanes over different limbs overlap.  Each lane runs under its own
+    :func:`ufunc_buffer`: the setting is context-local and a new thread
+    starts at numpy's default.  Every lane is joined before the first
+    lane exception is re-raised on the caller.
+    """
+    n = min(len(blocks), _cpu_count())
+    if n <= 1:
+        with ufunc_buffer():
+            lane(blocks)
+        return
+    errors: list[BaseException | None] = [None] * n
+
+    def run(k: int) -> None:
+        try:
+            with ufunc_buffer():
+                lane(blocks[k::n])
+        except BaseException as exc:  # re-raised on the caller below
+            errors[k] = exc
+
+    threads = [threading.Thread(target=run, args=(k,)) for k in range(1, n)]
+    for thread in threads:
+        thread.start()
+    run(0)
+    for thread in threads:
+        thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
 
 
 def _csub(x: np.ndarray, q, out=None) -> np.ndarray:

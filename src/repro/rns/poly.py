@@ -32,9 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.nums.kernels import kernel_for_modulus
+from repro.nums.kernels import in_lanes, kernel_for_modulus
 from repro.rns.basis import RnsBasis
-from repro.transforms.ntt import galois_permutation
+from repro.transforms.ntt import BatchNtt, galois_permutation
 
 __all__ = ["RnsPolynomial", "COEFF", "EVAL"]
 
@@ -248,6 +248,9 @@ class RnsPolynomial:
         Limb by limb, in cache, straight into its output row: ``M mod
         q_i`` from Barrett's float64 quotient estimate, one gather from a
         sign-folded table of ``±2^E mod q_i`` and one Barrett ``mul``.
+        The rows go in the batched transform's cache-sized blocks
+        (:meth:`~repro.transforms.ntt.BatchNtt.row_blocks`), one lane per
+        CPU (:func:`~repro.nums.kernels.in_lanes`).
         Residues equal ``from_bigint_coeffs([int(v) for v in values])``
         exactly (canonical residues are unique).
 
@@ -275,16 +278,25 @@ class RnsPolynomial:
         top = int(exponents.max())
         index = exponents + (top + 1) * (values < 0)  # +2^E rows, then -2^E
         data = np.empty((level, basis.degree), dtype=np.uint64)
-        for row, q in zip(data, basis.moduli[:level]):
-            kern = kernel_for_modulus(q)
-            powers = [pow(2, e, q) for e in range(top + 1)]
-            signed = np.array(powers + [-p % q for p in powers], dtype=np.uint64)
-            # The estimate is below 2^53: truncated through an int64 view.
-            estimate = row.view(np.int64)
-            np.multiply(mantissas, kern.reciprocal, out=estimate, casting="unsafe")
-            row *= kern.q
-            np.subtract(words, row, out=row)  # M mod q, short of a subtract
-            kern.mul(row, signed[index], out=row)
+
+        def lane(blocks: list[slice]) -> None:
+            for rows in blocks:
+                for row, q in zip(data[rows], basis.moduli[rows]):
+                    kern = kernel_for_modulus(q)
+                    powers = [pow(2, e, q) for e in range(top + 1)]
+                    signed = np.array(
+                        powers + [-p % q for p in powers], dtype=np.uint64
+                    )
+                    # The estimate is below 2^53: truncated through an int64 view.
+                    estimate = row.view(np.int64)
+                    np.multiply(
+                        mantissas, kern.reciprocal, out=estimate, casting="unsafe"
+                    )
+                    row *= kern.q
+                    np.subtract(words, row, out=row)  # M mod q, short of a subtract
+                    kern.mul(row, signed[index], out=row)
+
+        in_lanes(BatchNtt.row_blocks(level, basis.degree * 8), lane)
         return cls(basis, data, COEFF)
 
     # ------------------------------------------------------------------

@@ -25,7 +25,9 @@ Two transform front-ends share the tables:
   broadcasting, walked in cache-sized blocks of limb rows: one numpy
   dispatch per stage for *all* limbs while the operand is small, one limb
   at a time at the paper's N = 2^16 — the software analogue of the
-  accelerator keeping a limb on chip while it streams through the stages.
+  accelerator keeping a limb on chip while it streams through the stages,
+  with the blocks spread over one lane per CPU as the accelerator spreads
+  limbs over its parallel NTT lanes.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ import numpy as np
 from repro.nums.kernels import (
     ReducerKernel,
     _csub,
+    in_lanes,
     kernel_for_modulus,
     ufunc_buffer,
 )
@@ -374,9 +377,14 @@ class BatchNtt:
     :meth:`NttContext.forward` limb by limb — which stays the canonical
     reference.
 
-    Scratch (the raw product, its estimate, the transposed copy) is
-    allocated per call and never kept here: one cached instance serves
-    every thread.
+    Blocks are independent, so :meth:`forward` and :meth:`inverse` walk
+    them in lanes, one thread per CPU (:func:`~repro.nums.kernels.in_lanes`;
+    a one-block operand runs on the caller's thread).  Scratch (the raw
+    product, its estimate, the transposed copy) is allocated per lane and
+    never kept here.  The one cache filled after construction,
+    :meth:`_block_plan`'s, is keyed by block, so lanes fill distinct keys
+    and a race on one key builds equal plans twice: one cached instance
+    serves every thread.
     """
 
     degree: int
@@ -443,9 +451,15 @@ class BatchNtt:
     def blocks(self, batch: int = 1) -> list[slice]:
         """The limb-row slices one transform of ``batch`` stacked
         polynomials walks, each at most :data:`BLOCK_BYTES` of residues."""
-        lcount = self.num_limbs
-        rows = max(1, self.BLOCK_BYTES // (batch * self.degree * 8))
-        return [slice(lo, min(lo + rows, lcount)) for lo in range(0, lcount, rows)]
+        return self.row_blocks(self.num_limbs, batch * self.degree * 8)
+
+    @classmethod
+    def row_blocks(cls, count: int, row_bytes: int) -> list[slice]:
+        """``count`` rows of ``row_bytes`` each cut into slices of at most
+        :data:`BLOCK_BYTES` (at least one row): the blocks of a transform,
+        or of any limb-by-limb pass that should keep a block in cache."""
+        rows = max(1, cls.BLOCK_BYTES // row_bytes)
+        return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
     def _block_plan(self, rows: slice) -> tuple[ReducerKernel, list, list]:
         """``(kernel, psi, psi_inv)`` of limbs ``rows``, built once and
@@ -525,19 +539,21 @@ class BatchNtt:
         key switching's ``(L, L, N)`` matrix of broadcast digits — runs
         through the same per-stage kernel calls as a single polynomial:
         one vectorized dispatch per butterfly stage and block, covering
-        every batch entry's rows of that block.  Every limb's values may
-        be anything below :attr:`input_bound`, or a once-added pair of
-        that limb's residues; outputs are canonical.
+        every batch entry's rows of that block; the blocks run in lanes.
+        Every limb's values may be anything below :attr:`input_bound`, or
+        a once-added pair of that limb's residues; outputs are canonical.
         """
         shape = self._check(mat)
         src = np.asarray(mat, dtype=np.uint64).reshape(-1, *shape[-2:])
         out = np.empty(src.shape, dtype=np.uint64)
-        blocks = self.blocks(len(src))
-        work = self._workspace(out[:, blocks[0]].size)
-        with ufunc_buffer():
+
+        def lane(blocks: list[slice]) -> None:
+            work = self._workspace(out[:, blocks[0]].size)
             for rows in blocks:
                 np.copyto(out[:, rows], src[:, rows])
                 self._forward_block(out[:, rows], rows, work)
+
+        in_lanes(self.blocks(len(src)), lane)
         return out.reshape(shape)
 
     def forward_block(self, block: np.ndarray, rows: slice) -> None:
@@ -590,11 +606,13 @@ class BatchNtt:
         shape = self._check(mat)
         src = np.asarray(mat, dtype=np.uint64).reshape(-1, *shape[-2:])
         out = np.empty(src.shape, dtype=np.uint64)
-        blocks = self.blocks(len(src))
-        work = self._workspace(out[:, blocks[0]].size)
-        with ufunc_buffer():
+
+        def lane(blocks: list[slice]) -> None:
+            work = self._workspace(out[:, blocks[0]].size)
             for rows in blocks:
                 self._inverse_block(src[:, rows], out[:, rows], rows, work)
+
+        in_lanes(self.blocks(len(src)), lane)
         return out.reshape(shape)
 
     def inverse_block(self, block: np.ndarray, rows: slice) -> None:

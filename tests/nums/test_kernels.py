@@ -9,18 +9,25 @@ edge cases, and per-row matrix-moduli broadcasting.
 from __future__ import annotations
 
 import ast
+import os
+import threading
+import time
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nums import kernels
 from repro.nums.kernels import (
+    _UFUNC_BUFFER,
     KERNEL_LIMIT_BITS,
     REDUCER_SPECS,
     ReducerKernel,
+    in_lanes,
     kernel_for_modulus,
 )
 from repro.nums.primegen import find_primes
@@ -423,3 +430,100 @@ class TestRowAccumulate:
         with pytest.raises(ValueError, match="MAC split at 2 bits"):
             ReducerKernel(5).mul_accumulate_rows(a, (a,))
         assert not out.any()
+
+
+def cpus(n: int):
+    """Patch the CPU count ``in_lanes`` reads."""
+    return mock.patch.object(kernels, "_cpu_count", return_value=n)
+
+
+class TestLanes:
+    """``in_lanes``: blocks striped over one thread per CPU, joined before
+    the call returns."""
+
+    def test_cpu_count_is_the_affinity_mask(self):
+        if hasattr(os, "sched_getaffinity"):
+            assert kernels._cpu_count() == len(os.sched_getaffinity(0))
+        else:
+            assert kernels._cpu_count() == (os.cpu_count() or 1)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 7])
+    @pytest.mark.parametrize("cpu", [1, 2, 3])
+    def test_stripes_every_block_once(self, cpu, count):
+        """Lane ``k`` of ``n = min(blocks, CPUs)`` gets ``blocks[k::n]``;
+        lane 0 runs on the caller, the other ``n - 1`` on threads gone
+        when the call returns."""
+        blocks = list(range(count))
+        seen: list[tuple[threading.Thread, list[int]]] = []
+        lock = threading.Lock()
+
+        def lane(mine):
+            with lock:
+                seen.append((threading.current_thread(), list(mine)))
+
+        before = threading.active_count()
+        with cpus(cpu):
+            in_lanes(blocks, lane)
+        assert threading.active_count() == before
+        n = min(count, cpu)
+        assert sorted(mine for _, mine in seen) == [blocks[k::n] for k in range(n)]
+        assert len({thread for thread, _ in seen}) == n
+        caller = [mine for thread, mine in seen if thread is threading.current_thread()]
+        assert caller == [blocks[0::n]]
+
+    @pytest.mark.parametrize("cpu", [1, 2, 3])
+    def test_one_block_or_one_cpu_starts_no_thread(self, cpu):
+        ran = []
+        no_thread = mock.patch.object(threading, "Thread", side_effect=AssertionError)
+        with cpus(cpu), no_thread:
+            in_lanes([0], ran.append)
+        with cpus(1), no_thread:
+            in_lanes([0, 1, 2], ran.append)
+        assert ran == [[0], [0, 1, 2]]
+
+    @pytest.mark.parametrize("raiser", [0, 1, 2])
+    def test_raises_on_the_caller_after_every_lane_joined(self, raiser):
+        """A raising lane — the caller's own or a thread's — re-raises on
+        the caller only once every other lane has finished."""
+        finished = []
+
+        def lane(mine):
+            if mine[0] == raiser:
+                raise KeyError(raiser)
+            time.sleep(0.05)
+            finished.append(mine[0])
+
+        before = threading.active_count()
+        with cpus(3), pytest.raises(KeyError) as info:
+            in_lanes([0, 1, 2], lane)
+        assert info.value.args == (raiser,)
+        assert sorted(finished) == sorted({0, 1, 2} - {raiser})
+        assert threading.active_count() == before
+
+    def test_first_lane_exception_wins(self):
+        def lane(mine):
+            raise ValueError(mine[0])
+
+        with cpus(3), pytest.raises(ValueError) as info:
+            in_lanes([0, 1, 2], lane)
+        assert info.value.args == (0,)
+
+    @pytest.mark.parametrize("cpu", [1, 2, 3])
+    def test_every_lane_runs_under_the_buffer_scope(self, cpu):
+        """Each lane sees ``_UFUNC_BUFFER`` — a new thread starts at
+        numpy's default — and the caller's own setting survives."""
+        sizes = []
+
+        def lane(mine):
+            sizes.append(np.getbufsize())
+
+        default = np.getbufsize()
+        previous = np.setbufsize(4096)
+        try:
+            with cpus(cpu):
+                in_lanes([0, 1, 2], lane)
+            assert np.getbufsize() == 4096
+        finally:
+            np.setbufsize(previous)
+        assert np.getbufsize() == default
+        assert sizes == [_UFUNC_BUFFER] * min(3, cpu)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -355,6 +357,21 @@ def per_limb(tensor, moduli, direction):
     return np.stack(rows).reshape(tensor.shape)
 
 
+@contextmanager
+def lanes(rows: int, cpu: int, n: int = 1 << 10):
+    """Blocks of ``rows`` limbs of degree ``n``, and ``cpu`` CPUs."""
+    from unittest import mock
+
+    from repro.nums import kernels
+    from repro.transforms.ntt import BatchNtt
+
+    with (
+        mock.patch.object(BatchNtt, "BLOCK_BYTES", rows * n * 8),
+        mock.patch.object(kernels, "_cpu_count", return_value=cpu),
+    ):
+        yield
+
+
 class TestButterflyLayouts:
     """The re-laid dataflow (ufunc buffer scoped to the call, closing /
     opening stages on the transposed block, per-call workspace) against
@@ -473,8 +490,9 @@ class TestButterflyLayouts:
         assert np.getbufsize() == default
 
     def test_threads_share_one_instance(self):
-        """Scratch is per call: two threads transforming different inputs
-        through one cached ``BatchNtt`` both get the reference rows."""
+        """Scratch is per lane: two threads transforming different inputs
+        through one cached ``BatchNtt``, each fanning out into lanes over
+        one-limb blocks, both get the reference rows."""
         import sys
         import threading
 
@@ -502,11 +520,113 @@ class TestButterflyLayouts:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=120)
+            with lanes(1, 3, n):
+                assert len(bn.blocks()) == len(moduli)
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert not failures
+
+
+class TestLanes:
+    """The limb-block loops in lanes (``repro.nums.kernels.in_lanes``):
+    several blocks forced at N = 2^10 by a smaller ``BLOCK_BYTES``, the
+    CPU count patched to 1, 2 and 3; every result is the bytes of the
+    one-lane path."""
+
+    LANES = [
+        pytest.param(rows, cpu, id=f"rows{rows}-cpu{cpu}")
+        for rows in (1, 2)
+        for cpu in (1, 2, 3)
+    ]
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        from repro.ckks import CkksContext, toy_params
+
+        return CkksContext.create(toy_params(degree=1 << 10, num_primes=5), seed=2)
+
+    @pytest.mark.parametrize("rows, cpu", LANES)
+    def test_transforms_match_per_limb_reference(self, rows, cpu):
+        import threading
+
+        from repro.transforms.ntt import BatchNtt
+
+        n, moduli = 1 << 10, LIMB_PRIMES[:5]
+        bn = BatchNtt.create(n, moduli)
+        rng = np.random.default_rng(rows * 10 + cpu)
+        q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        before = threading.active_count()
+        for lead in ((), (3,)):
+            x = rng.integers(0, 1 << 62, (*lead, len(moduli), n), dtype=np.uint64)
+            x %= q_col
+            with lanes(rows, cpu):
+                assert len(bn.blocks(int(np.prod(lead)))) > 1
+                got = bn.forward(x)
+                back = bn.inverse(got)
+            assert np.array_equal(got, per_limb(x, moduli, "forward"))
+            assert np.array_equal(back, x)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("rows, cpu", LANES)
+    def test_encrypt_bytes_match_one_lane(self, ctx, rows, cpu):
+        """Both streamed encryptions: the public-key one (mask transformed
+        per block) and the seeded one (mask already evaluated)."""
+        got = self.encryptions(ctx, lanes(rows, cpu))
+        want = self.encryptions(ctx, lanes(ctx.basis.num_primes, 1))
+        assert got == want
+
+    @staticmethod
+    def encryptions(ctx, scope) -> list[bytes]:
+        from repro.ckks.encryptor import Encryptor
+        from repro.prng.xof import Xof
+
+        rng = np.random.default_rng(11)
+        plain = ctx.encode(rng.normal(size=ctx.params.slots))
+        enc = Encryptor(ctx.params, ctx.basis, ctx.public_key, Xof.from_int(5))
+        with scope:
+            ct = enc.encrypt(plain)
+            seeded, _ = enc.encrypt_symmetric_seeded(plain, ctx.secret_key)
+        return [p.data.tobytes() for c in (ct, seeded) for p in c.parts]
+
+    @pytest.mark.parametrize("rows, cpu", LANES)
+    def test_float_expand_matches_bigint_expand(self, rows, cpu):
+        from repro.rns import RnsBasis
+        from repro.rns.poly import RnsPolynomial
+
+        basis = RnsBasis.create(1 << 10, 5)
+        rng = np.random.default_rng(rows * 10 + cpu)
+        values = np.rint(rng.normal(size=basis.degree) * 2.0**60)
+        want = RnsPolynomial.from_bigint_coeffs(basis, 5, [int(v) for v in values])
+        with lanes(rows, cpu):
+            got = RnsPolynomial.from_float_coeffs(basis, 5, values)
+        assert np.array_equal(got.data, want.data)
+
+    def test_affinity_sets_the_lane_count(self):
+        """Unpatched: a multi-block transform starts one thread per CPU
+        this process may use, less the caller's — none under a one-CPU
+        affinity mask (``taskset -c 0``)."""
+        import threading
+        from unittest import mock
+
+        from repro.nums import kernels
+        from repro.transforms.ntt import BatchNtt
+
+        n, moduli = 1 << 10, LIMB_PRIMES
+        bn = BatchNtt.create(n, moduli)
+        x = np.zeros((len(moduli), n), dtype=np.uint64)
+        started = []
+        real = threading.Thread
+
+        def counting(*args, **kwargs):
+            started.append(1)
+            return real(*args, **kwargs)
+
+        with mock.patch.object(BatchNtt, "BLOCK_BYTES", n * 8):
+            with mock.patch.object(threading, "Thread", counting):
+                bn.forward(x)
+        assert len(started) == min(len(moduli), kernels._cpu_count()) - 1
