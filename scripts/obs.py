@@ -13,7 +13,7 @@ Subcommands:
 
     * ``trace.json``   — Chrome trace-event JSON (open in Perfetto:
       https://ui.perfetto.dev → "Open trace file")
-    * ``metrics.prom`` — Prometheus-style text exposition snapshot
+    * ``metrics.prom`` — Prometheus-style text snapshot of the counters
     * ``events.json``  — structured event log (retries, respawns, ...)
 
     The CI telemetry-smoke job runs this and validates ``trace.json``
@@ -79,7 +79,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     telemetry = get_telemetry()
     telemetry.reset()
-    telemetry.enable(sample_rate=args.sample_rate)
+    telemetry.enable()
 
     ctx = CkksContext.create(
         toy_params(degree=DEGREE, num_primes=PRIMES), seed=SEED
@@ -206,7 +206,6 @@ def main(argv: list[str] | None = None) -> int:
     demo.add_argument("--requests", type=int, default=8)
     demo.add_argument("--chaos-seed", type=int, default=3)
     demo.add_argument("--crash-rate", type=float, default=0.08)
-    demo.add_argument("--sample-rate", type=float, default=1.0)
     demo.set_defaults(fn=cmd_demo)
 
     summ = sub.add_parser("summarize", help="span trees for a trace.json")

@@ -187,8 +187,8 @@ class Bootstrapper:
         The whole segment — BSGS transform, rescale, conjugation, and the
         real/imaginary split — is traced once into a computation graph,
         optimized (the runtime hoists the BSGS baby steps onto a single
-        gadget decomposition), and replayed from the plan cache on every
-        subsequent bootstrap.
+        gadget decomposition), and replayed from this bootstrapper's own
+        plan memo on every subsequent bootstrap.
         """
         from repro.runtime import CtSpec, compile_fn
 

@@ -144,8 +144,8 @@ class HomomorphicLinearTransform:
         """Trace + compile (once) the BSGS program for one input scale.
 
         The compiled :class:`~repro.runtime.plan.ExecutionPlan` is memoized
-        per (scale, key-set) — and deduplicated process-wide by the plan
-        cache — so serving traffic replays one optimized plan.
+        here per (scale, key-set), so serving traffic replays one
+        optimized plan.
         """
         from repro.runtime import CtSpec, compile_fn
 

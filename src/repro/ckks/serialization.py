@@ -96,10 +96,6 @@ class WireFormatError(ValueError):
     typed reply) instead of letting a corrupt frame take a process down.
     """
 
-_MAGIC_FULL = CIPHERTEXT_MAGIC
-_MAGIC_SEED = SEEDED_MAGIC
-_MAGIC_PLAIN = PLAINTEXT_MAGIC
-
 
 def _word_layout(bits: int) -> tuple[int, int]:
     """``(values, words)`` of one packing period at ``bits`` bits per value.
@@ -381,12 +377,13 @@ def serialize_ciphertext(ct: Ciphertext, coeff_bits: int = 44) -> bytes:
     for part in ct.parts:
         if part.domain != EVAL:
             raise ValueError("serialize NTT-domain ciphertexts (the wire form)")
-    return _blob(_header(_MAGIC_FULL, ct, coeff_bits, ct.size), ct.parts, coeff_bits)
+    header = _header(CIPHERTEXT_MAGIC, ct, coeff_bits, ct.size)
+    return _blob(header, ct.parts, coeff_bits)
 
 
 def deserialize_ciphertext(blob: bytes, basis: RnsBasis) -> Ciphertext:
     level, bits, scale, size = _read_header(
-        blob, _MAGIC_FULL, "full-ciphertext", basis
+        blob, CIPHERTEXT_MAGIC, "full-ciphertext", basis
     )
     if size < 2:
         raise WireFormatError(f"CTF2 part count {size}: a ciphertext has c0 and c1")
@@ -400,14 +397,14 @@ def serialize_seeded(ct: Ciphertext, seed: bytes, coeff_bits: int = 44) -> bytes
         raise ValueError("seeded format carries exactly (c0, seed)")
     if len(seed) != 16:
         raise ValueError("seed must be 16 bytes")
-    header = _header(_MAGIC_SEED, ct, coeff_bits, ct.size)
+    header = _header(SEEDED_MAGIC, ct, coeff_bits, ct.size)
     return _blob(header, [ct.c0], coeff_bits, seed)
 
 
 def deserialize_seeded(blob: bytes, basis: RnsBasis) -> Ciphertext:
     """Rebuild the full ciphertext server-side, re-expanding c1."""
     level, bits, scale, _ = _read_header(
-        blob, _MAGIC_SEED, "seeded-ciphertext", basis
+        blob, SEEDED_MAGIC, "seeded-ciphertext", basis
     )
     (c0,), offset = _polys_from_payload(
         basis, blob, _HEADER_LEN, 1, level, bits, EVAL, trailer=16
@@ -426,13 +423,13 @@ def serialize_plaintext(pt: Plaintext, coeff_bits: int = 44) -> bytes:
     1 = NTT/evaluation), since a plaintext is always one polynomial.
     """
     domain_flag = 1 if pt.poly.domain == EVAL else 0
-    header = _header(_MAGIC_PLAIN, pt, coeff_bits, domain_flag)
+    header = _header(PLAINTEXT_MAGIC, pt, coeff_bits, domain_flag)
     return _blob(header, [pt.poly], coeff_bits)
 
 
 def deserialize_plaintext(blob: bytes, basis: RnsBasis) -> Plaintext:
     level, bits, scale, domain_flag = _read_header(
-        blob, _MAGIC_PLAIN, "plaintext", basis
+        blob, PLAINTEXT_MAGIC, "plaintext", basis
     )
     if domain_flag not in (0, 1):
         raise WireFormatError(f"PTX1 domain flag {domain_flag} is neither 0 nor 1")

@@ -395,18 +395,6 @@ class ReducerKernel:
         outs = outs or [None] * len(sums)
         return [self.reduce(s_hi, out=out) for (s_hi, _), out in zip(sums, outs)]
 
-    def add_accumulate(self, terms: np.ndarray, axis: int = 0, out=None) -> np.ndarray:
-        """Fused ``sum_t terms[t] mod q`` along ``axis`` — one reduction.
-
-        The fused form of an add-reduction tree: canonical addends are
-        summed as raw uint64 and reduced once.  Canonical residues are
-        unique, so the result is bit-identical to folding the same terms
-        through a chain of binary :meth:`add` calls — which is what lets
-        the plan fusion pass collapse accumulation chains into one
-        dispatch without perturbing ciphertext bytes.
-        """
-        return self._accumulate(np.asarray(terms, dtype=np.uint64), axis, out=out)
-
     def _accumulate(self, prod: np.ndarray, axis: int, out=None) -> np.ndarray:
         """Sum canonical products along ``axis`` with deferred reduction."""
         headroom = self.term_budget

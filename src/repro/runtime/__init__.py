@@ -20,7 +20,7 @@ Pipeline: :func:`trace` records an op DAG over symbolic handles
 subexpressions and dead nodes, merge stacked rescales, group hoistable
 rotations, and validate level/scale alignment at plan time
 (:mod:`repro.runtime.passes`); the resulting
-:class:`~repro.runtime.plan.ExecutionPlan` is cached process-wide and
+:class:`~repro.runtime.plan.ExecutionPlan` belongs to the caller and is
 executed two ways: ``plan.run`` is the reference interpreter (one eager
 call per node), and ``plan.run_batch`` is the fused replayer —
 an arena-backed :class:`~repro.runtime.plan.FusedExecutor` that
@@ -31,8 +31,9 @@ dispatches (both run each op through its one row function in
 :mod:`repro.runtime.bridge` converts traced plans into accelerator
 workload/queue form for scheduler experiments.
 
-For serving, the stable surface is :func:`~repro.runtime.serving.serve`
-plus a frozen :class:`~repro.runtime.serving.ServingConfig`::
+For serving, the stable surface is :func:`~repro.runtime.serving.serve`,
+which takes a compiled plan, plus a frozen
+:class:`~repro.runtime.serving.ServingConfig`::
 
     from repro.runtime import ServingConfig, serve
 
@@ -60,7 +61,7 @@ fork-shared state.  See ``docs/architecture.md`` for the layer map and
 
 Observability: :mod:`repro.runtime.telemetry` is the process-wide
 metric registry and cross-process tracer behind every layer — compiler
-passes, plan cache, fused replay and the executor all report into it,
+passes, fused replay and the executor all report into it,
 and per-request trace contexts ride the worker pipe as ``TRC1`` frames
 so one request's spans nest into a single Perfetto-loadable timeline
 across processes and retries (see
@@ -96,10 +97,7 @@ from repro.runtime.passes import (
 from repro.runtime.plan import (
     ExecutionPlan,
     FusedExecutor,
-    clear_plan_cache,
     compile_fn,
-    compile_graph,
-    plan_cache_info,
 )
 from repro.runtime.plan_io import PlanFormatError, deserialize_plan, serialize_plan
 from repro.runtime.serving import ServingConfig, serve
@@ -131,9 +129,6 @@ __all__ = [
     "ArenaLayout",
     "BufferArena",
     "compile_fn",
-    "compile_graph",
-    "plan_cache_info",
-    "clear_plan_cache",
     "PlanFormatError",
     "serialize_plan",
     "deserialize_plan",
@@ -162,6 +157,10 @@ __all__ = [
     "get_telemetry",
 ]
 
-# The name the frozen benchmark API surface (bench/api_surface.json)
+# Names the frozen benchmark API surface (bench/api_surface.json)
 # resolves; not part of the public surface.
 ServingSession = ShardedExecutor
+
+
+def clear_plan_cache() -> None:
+    """Nothing to clear: a compiled plan belongs to its caller."""

@@ -235,7 +235,7 @@ class _HostHandle:
         self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         wire.auth_client(self.sock, self._authkey)
         send_session_frame(
-            self.sock, SESSION_HELLO_MAGIC, wire.encode_hello(t.signature, t.cfg)
+            self.sock, SESSION_HELLO_MAGIC, wire.encode_hello(t.fingerprint, t.cfg)
         )
         tag, payload = recv_session_frame(self.sock)
         if tag == SESSION_CONTROL_MAGIC:  # a typed refusal
@@ -425,7 +425,6 @@ class TcpTransport(Transport):
         ctx,
         *,
         plan_blob: bytes,
-        signature: str,
         cfg,
         hosts=1,
         authkey: bytes | None = None,
@@ -435,7 +434,8 @@ class TcpTransport(Transport):
         num_hosts = len(self._host_specs)
         self._ctx = ctx
         self.plan_blob = plan_blob  # EPL1, uploaded to every host lacking it
-        self.signature = signature
+        # What the hello names the plan by: hosts cache plans under it.
+        self.fingerprint = wire.plan_fingerprint(plan_blob)
         self.cfg = cfg
         self.num_hosts = num_hosts
         if authkey is None and any(s is not None for s in self._host_specs):

@@ -363,9 +363,6 @@ class ShardedExecutor:
             "cancelled",
             "busy_s",
         )
-        self._staleness_gauge = self._telemetry.gauge(
-            "executor_heartbeat_staleness_s", **self._m.labels
-        )
         # Warm every fork-shared cache in the parent: lowering the fused
         # replayer (arena layout, fused closures, bound constants), plus
         # (optionally) one real replay so the permutation tables exist
@@ -671,7 +668,6 @@ class ShardedExecutor:
         return TcpTransport(
             self._ctx,
             plan_blob=serialize_plan(self.plan),
-            signature=self.plan.signature,
             cfg=dataclasses.replace(cfg, env=env),
             hosts=self.config.hosts,
             authkey=None if keyfile is None else load_authkey(keyfile),
@@ -680,13 +676,10 @@ class ShardedExecutor:
     def _io_loop(self) -> None:
         machine = self._machine
         while True:
-            now = _mono()
-            self._apply(machine.tick(now))
+            self._apply(machine.tick(_mono()))
             self._pending = machine.pending  # what stats() reads, lock-free
             if machine.mode == "closed":
                 return
-            if self.policy.hang_timeout_s is not None:
-                self._staleness_gauge.set(machine.staleness(now))
             # Sleep until a worker, a submitter or the machine's next timer needs
             # the thread — a millisecond *past* the timer: expiries compare
             # strictly, and waking on the dot would spin until the clock moves.

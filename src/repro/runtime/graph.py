@@ -26,8 +26,8 @@ ids dense and in topological order — an invariant both executors and the
 Contract (see ``docs/architecture.md``): a graph is plain process-local
 data — nothing here is cached process-wide or shared across forks on its
 own.  Constants are interned **by object identity** (``id()``), which is
-what :meth:`Graph.signature` hashes for the in-memory plan cache; only
-the serialized plan names its constants by content.  A graph crosses
+what :meth:`Graph.signature` hashes; only the serialized plan names its
+constants by content.  A graph crosses
 the worker boundary only after compilation, as a serialized plan.
 """
 
@@ -283,14 +283,16 @@ class Graph:
     # ------------------------------------------------------------------
 
     def signature(self) -> str:
-        """Structural fingerprint for the process-level plan cache.
+        """Structural fingerprint: a label for the plan within one process.
 
-        Hashes the full op structure and metadata plus the *identities* of
-        captured constants: two traces reusing the same key/plaintext
-        objects over the same op sequence collide (and may share a cached
-        plan); traces over different key material do not.  Constant
-        identity uses ``id()``, which is safe because any cached plan
-        keeps its constants alive — a live object's id cannot be reused.
+        Hashes the full op structure and metadata plus the *identities*
+        (``id()``) of captured constants: two traces over the same live
+        key/plaintext objects and op sequence collide, traces over
+        different live key material do not.  Once a constant dies its id
+        may be reused, so the signature is not an identity across
+        processes or across a constant's lifetime; a plan that leaves the
+        process is named by the fingerprint of its ``EPL1`` bytes
+        (:func:`repro.runtime.wire.plan_fingerprint`).
         """
         h = hashlib.blake2b(digest_size=16)
         for spec in self.input_specs:

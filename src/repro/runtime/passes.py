@@ -48,6 +48,7 @@ from repro.runtime.graph import (
     GraphBuilder,
     Node,
 )
+from repro.runtime.telemetry import get_telemetry
 
 __all__ = [
     "PlanValidationError",
@@ -185,10 +186,9 @@ def fusion_groups(
     Every other node is a step of its own: stepping a run of single-node
     closures back to back under one dispatch would fuse no work.
 
-    Bit-identity: modular addition of canonical residues is exactly
-    associative/commutative, and deferred uint64 accumulation reduces to
-    the same canonical bytes (``ReducerKernel.add_accumulate``), so
-    regrouping changes no output bit.
+    Bit-identity: canonical residues are unique, so a raw uint64 sum of
+    canonical terms reduced once gives the bytes of the binary add chain
+    over the same terms in any order; regrouping changes no output bit.
     """
     hoist = hoist_groups(graph) if hoist is None else hoist
     consumers = graph.consumer_counts()
@@ -321,21 +321,11 @@ def check_alignment(graph: Graph) -> None:
 def optimize(graph: Graph) -> Graph:
     """The default pass pipeline: CSE -> rescale fusion -> DCE -> verify.
 
-    With telemetry enabled, each pass runs under a ``compile`` span and
-    records its wall time plus node-count delta (the registry keeps a
-    per-pass seconds histogram either way the trace sampling falls);
-    when disabled the pipeline is the plain four calls.
+    Each pass runs under a child of one ``compile`` span and records its
+    node-count delta as a ``compile_pass`` event; both are no-ops unless
+    tracing is on.
     """
-    from repro.runtime.telemetry import get_telemetry
-    from repro.runtime.telemetry import now as _mono
-
     telemetry = get_telemetry()
-    if not telemetry.enabled:
-        graph = eliminate_common_subexpressions(graph)
-        graph = fuse_rescales(graph)
-        graph = eliminate_dead_nodes(graph)
-        check_alignment(graph)
-        return graph
     pipeline = (
         ("cse", eliminate_common_subexpressions),
         ("fuse_rescales", fuse_rescales),
@@ -347,12 +337,8 @@ def optimize(graph: Graph) -> Graph:
     try:
         for name, fn in pipeline:
             before = len(graph.nodes)
-            start = _mono()
             with telemetry.child_span(name, root.ctx, category="compile"):
                 graph = fn(graph)
-            telemetry.histogram(
-                "compile_pass_seconds", **{"pass": name}
-            ).observe(_mono() - start)
             telemetry.event(
                 "compile_pass",
                 nodes_before=before,

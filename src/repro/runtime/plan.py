@@ -1,4 +1,4 @@
-"""Execution plans: topologically scheduled, ref-counted, cached, replayable.
+"""Execution plans: topologically scheduled, ref-counted, replayable.
 
 An :class:`ExecutionPlan` binds an optimized :class:`~repro.runtime.graph.Graph`
 to one eager :class:`~repro.ckks.evaluator.Evaluator` and executes it two
@@ -28,18 +28,16 @@ ways:
   ``run_batch(..., fused=False)`` replays each entry through the
   interpreter instead — the oracle at the batch call shape.
 
-``compile_graph`` / ``compile_fn`` front a **process-level plan cache**
-keyed by (graph signature, parameter fingerprint): one
-trace of a serving program is optimized once and the same plan object is
-replayed for every subsequent request with the same structure.  The
-cache is per process: a forked worker inherits it, a worker host
-receives the plan as ``EPL1`` bytes (:mod:`repro.runtime.plan_io`), and
-any other process compiles again — cheaper than hashing the plan's
-constants to look it up on disk would be.
+``compile_graph`` / ``compile_fn`` optimize and schedule; the plan they
+return belongs to the caller, who keeps it for as long as it serves
+(:meth:`repro.ckks.linear.HomomorphicLinearTransform.plan_for` memoizes
+its own).  A forked worker inherits it, a worker host receives it as
+``EPL1`` bytes (:mod:`repro.runtime.plan_io`), and nothing else outlives
+the caller's reference.
 
-Process/fork contract (see ``docs/architecture.md``): the plan cache,
-each plan's :class:`FusedExecutor` (arena pool and fused closures) and
-every constant they bind are process-local state
+Process/fork contract (see ``docs/architecture.md``): a plan, its
+:class:`FusedExecutor` (arena pool and fused closures) and every
+constant they bind are process-local state
 that forked serving workers inherit copy-on-write when the parent warms the
 replay before forking (``ShardedExecutor`` does); nothing in this module
 crosses the worker boundary except through :mod:`repro.runtime.plan_io`'s
@@ -87,13 +85,11 @@ __all__ = [
     "compile_graph",
     "compile_fn",
     "params_fingerprint",
-    "plan_cache_info",
-    "clear_plan_cache",
 ]
 
 
 def params_fingerprint(evaluator: Evaluator) -> tuple:
-    """What makes two evaluators interchangeable for a cached plan."""
+    """What makes two evaluators interchangeable for one plan."""
     return (evaluator.basis.degree, tuple(evaluator.basis.moduli))
 
 
@@ -104,8 +100,9 @@ class ExecutionPlan:
     Attributes:
         graph: the optimized op DAG.
         evaluator: the eager evaluator ops are dispatched through.
-        signature: structural fingerprint of the *traced* graph (the plan
-            cache key component).
+        signature: structural fingerprint of the *traced* graph; names the
+            plan in summaries and telemetry labels within one process
+            (see :meth:`~repro.runtime.graph.Graph.signature`).
         hoist: source-node id -> automorphism nodes sharing one
             decomposition.
     """
@@ -398,14 +395,6 @@ class FusedExecutor:
         self._metrics = telemetry.group(
             "fused", plan=plan.signature[:12]
         ).declare("replays", "dispatches")
-        # Arena occupancy is plan metadata: publish it once as gauges so
-        # the exporter sees the same numbers ``plan.stats()`` reports.
-        telemetry.gauge("fused_arena_slots", plan=plan.signature[:12]).set(
-            self.layout.num_slots
-        )
-        telemetry.gauge("fused_arena_peak_bytes", plan=plan.signature[:12]).set(
-            self.layout.pool_bytes
-        )
         self._out_build = []
         for o in g.outputs:
             node = g.nodes[o]
@@ -444,7 +433,7 @@ class FusedExecutor:
     def _run_steps_traced(self, telemetry, env, inputs) -> None:
         """One replay under tracing: a root span per replay with one
         child span per fused step.  Only reached when telemetry is
-        enabled; an unsampled trace falls back to the plain loop."""
+        enabled."""
         root = telemetry.start_trace(
             "fused_replay",
             category="replay",
@@ -452,10 +441,6 @@ class FusedExecutor:
             arena_slots=self.layout.num_slots,
             arena_peak_bytes=self.layout.pool_bytes,
         )
-        if not root:
-            for fn in self._steps:
-                fn(env, inputs)
-            return
         try:
             for fn, label in zip(self._steps, self._step_labels):
                 with telemetry.child_span(label, root.ctx, category="replay"):
@@ -514,10 +499,10 @@ class FusedExecutor:
 
             return mac_step
 
-        # Raw uint64 accumulation of canonical terms with one final reduce
-        # is bit-identical to the eager binary add tree (canonical residues
-        # are unique; see ReducerKernel.add_accumulate); past the term
-        # budget the partial sum is reduced in place and counts as one.
+        # Canonical residues are unique, so a raw uint64 sum of canonical
+        # terms reduced once gives the bytes of the eager binary add chain;
+        # past the term budget the partial sum is reduced in place and
+        # counts as one term.
         chunk = kern.term_budget - 1
         # Allocated once, at lower time: replays hold the replay lock and
         # the accumulator is dead when the step ends.
@@ -647,46 +632,21 @@ class FusedExecutor:
 
 
 # ---------------------------------------------------------------------------
-# Process-level plan cache
+# Compilation
 # ---------------------------------------------------------------------------
-
-_PLAN_CACHE: dict[tuple, ExecutionPlan] = {}
-# Single source of truth for the cache accounting: a telemetry counter
-# group; ``plan_cache_info()`` stays the thin dict view over it.
-_CACHE_STATS = get_telemetry().group("plan_cache").declare("hits", "misses")
 
 
 def compile_graph(graph: Graph, evaluator: Evaluator) -> ExecutionPlan:
-    """Optimize and schedule a traced graph, reusing a cached plan when the
-    same program structure was compiled before under the same parameters."""
-    key = (graph.signature(), params_fingerprint(evaluator))
-    cached = _PLAN_CACHE.get(key)
-    if cached is not None:
-        _CACHE_STATS.inc("hits")
-        return cached
-    _CACHE_STATS.inc("misses")
+    """Optimize and schedule a traced graph into a new plan."""
     optimized = optimize(graph)
-    plan = ExecutionPlan(
+    return ExecutionPlan(
         graph=optimized,
         evaluator=evaluator,
-        signature=key[0],
+        signature=graph.signature(),
         hoist=hoist_groups(optimized),
     )
-    _PLAN_CACHE[key] = plan
-    return plan
 
 
 def compile_fn(fn, evaluator: Evaluator, input_specs):
     """Trace ``fn`` and compile it in one step (the common entry point)."""
     return compile_graph(trace(fn, evaluator, input_specs), evaluator)
-
-
-def plan_cache_info() -> dict[str, int]:
-    """Hit/miss/size counters for the process-level plan cache — a view
-    over the telemetry registry's ``plan_cache_*`` counters."""
-    return {**_CACHE_STATS.to_dict(), "size": len(_PLAN_CACHE)}
-
-
-def clear_plan_cache() -> None:
-    _PLAN_CACHE.clear()
-    _CACHE_STATS.reset()

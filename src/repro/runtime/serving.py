@@ -6,9 +6,7 @@ Everything needed to stand up a pool, and the only keyword surface:
   knob (pool shape, transport, execution mode, fault policy, chaos).
   Immutable and hashable.
 * :func:`serve` — the facade: takes a compiled
-  :class:`~repro.runtime.plan.ExecutionPlan` *or* a traceable function
-  (compiled on the spot via :func:`~repro.runtime.trace.trace` +
-  :func:`~repro.runtime.plan.compile_graph`), and returns the configured
+  :class:`~repro.runtime.plan.ExecutionPlan` and returns the configured
   :class:`~repro.runtime.executor.ShardedExecutor` itself — ``start`` /
   ``submit`` / ``run_batch`` / ``stats`` / ``close``, and ``with``.
 
@@ -26,7 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro.runtime.chaos import FaultPlan
 from repro.runtime.faults import FaultPolicy
-from repro.runtime.plan import ExecutionPlan, compile_fn
+from repro.runtime.plan import ExecutionPlan
 from repro.runtime.transport import available_transports
 
 if TYPE_CHECKING:
@@ -108,43 +106,26 @@ class ServingConfig:
 
 
 def serve(
-    plan_or_fn,
+    plan: ExecutionPlan,
     config: ServingConfig | None = None,
     *,
-    evaluator=None,
-    input_specs=None,
     warm_inputs=None,
 ) -> ShardedExecutor:
     """Build the :class:`~repro.runtime.executor.ShardedExecutor` serving
-    a plan or traceable function (started by ``start()``, ``with`` or
-    the first ``submit``).
+    a compiled plan (started by ``start()``, ``with`` or the first
+    ``submit``).
 
     Args:
-        plan_or_fn: a compiled :class:`ExecutionPlan`, or a function
-            written against the evaluator surface (then ``evaluator``
-            and ``input_specs`` are required and the plan is compiled
-            here through the process-level plan cache).
+        plan: a compiled :class:`ExecutionPlan`
+            (:func:`~repro.runtime.plan.compile_fn`).
         config: the :class:`ServingConfig`; ``None`` means defaults.
-        evaluator / input_specs: only for the traceable-function form.
         warm_inputs: optional real inputs replayed once in the parent
             before the first fork, warming every fork-shared cache.
     """
+    if not isinstance(plan, ExecutionPlan):
+        raise TypeError(f"serve() takes an ExecutionPlan, got {type(plan).__name__}")
     if config is None:
         config = ServingConfig()
-    if isinstance(plan_or_fn, ExecutionPlan):
-        plan = plan_or_fn
-    elif callable(plan_or_fn):
-        if evaluator is None or input_specs is None:
-            raise TypeError(
-                "serve(fn, ...) requires evaluator= and input_specs= to "
-                "compile the function into a plan"
-            )
-        plan = compile_fn(plan_or_fn, evaluator, input_specs)
-    else:
-        raise TypeError(
-            "serve() takes an ExecutionPlan or a traceable function, "
-            f"got {type(plan_or_fn).__name__}"
-        )
     from repro.runtime.executor import ShardedExecutor
 
     return ShardedExecutor(plan, config=config, warm_inputs=warm_inputs)

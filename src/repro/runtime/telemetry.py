@@ -4,11 +4,11 @@ One process-wide :class:`Telemetry` object (reachable via
 :func:`get_telemetry`) is the single source of truth for everything the
 pipeline measures:
 
-* **Metrics** — named counters / gauges / histograms with sorted label
-  sets.  These are *always on*: they are plain dict-slot updates, cheap
-  enough that `ShardedExecutor.stats()` and `plan_cache_info()` are
-  thin views over this registry instead of parallel hand-kept dicts.  :class:`MetricGroup` bundles the
-  counters of one subsystem under a shared prefix + label set.
+* **Metrics** — named counters with sorted label sets.  These are
+  *always on*: they are plain dict-slot updates, cheap enough that
+  `ShardedExecutor.stats()` is a thin view over this registry instead of
+  a parallel hand-kept dict.  :class:`MetricGroup` bundles the counters
+  of one subsystem under a shared prefix + label set.
 * **Traces** — monotonic-clock spans grouped by a per-request trace ID,
   minted at `ShardedExecutor.submit` ingress and propagated
   across the worker process boundary as a ``TRC1`` frame riding the
@@ -18,9 +18,8 @@ pipeline measures:
   ordered timeline even across crash/retry/hang-kill, because every
   attempt span carries the same trace ID and worker-side spans are
   shipped back in the reply and re-parented under their attempt span.
-  Tracing is **disabled by default** (`enabled=False`) and additionally
-  gated by a deterministic ``sample_rate`` knob for high-QPS runs; when
-  off, every tracing entry point returns a shared no-op handle.
+  Tracing is on or off, **off by default** (`enabled=False`); when off,
+  every tracing entry point returns a shared no-op handle.
 * **Events** — a structured JSON-ready log of discrete occurrences
   (retries, quarantines, hang kills, respawns), each tagged with the
   stable :mod:`repro.runtime.faults` code where one applies.
@@ -29,7 +28,7 @@ Exports: :meth:`Telemetry.export_chrome_trace` emits Chrome trace-event
 JSON (``ph:"X"`` complete events, microsecond timestamps, one process
 row per OS pid and one thread row per trace) that loads directly in
 Perfetto; :meth:`Telemetry.export_prometheus` emits a text-exposition
-snapshot of the metric registry; :meth:`Telemetry.export_events` returns
+snapshot of the counters; :meth:`Telemetry.export_events` returns
 the event log.  :meth:`Telemetry.span_structure` reduces a trace to its
 canonical nested ``(name, category, children)`` shape — the form the
 determinism tests compare byte-for-byte across seeded chaos repeats.
@@ -46,10 +45,10 @@ identical span structure on every repeat.
 Wire format (``TRC1``, documented in ``docs/formats.md``): the payload
 of a standard :func:`repro.ckks.serialization.pack_frame` container,
 first byte a *kind* discriminator — kind 0 is a trace context
-(``<u64 trace_id, u64 parent_span_id, u8 sampled>``, parent→worker),
-kind 1 is a worker span batch (``u32`` length + UTF-8 JSON list,
-worker→parent).  A missing/None field means "not traced" and costs the
-hot path one ``is None`` check.
+(``<u64 trace_id, u64 parent_span_id, u8 sampled>``, parent→worker;
+a traced attempt always sends ``sampled = 1``), kind 1 is a worker span
+batch (``u32`` length + UTF-8 JSON list, worker→parent).  A missing/None
+field means "not traced" and costs the hot path one ``is None`` check.
 """
 
 from __future__ import annotations
@@ -73,8 +72,6 @@ __all__ = [
     "Span",
     "SpanHandle",
     "Counter",
-    "Gauge",
-    "Histogram",
     "MetricGroup",
     "Telemetry",
     "WorkerSpanRecorder",
@@ -108,7 +105,7 @@ class TraceContext:
 
     trace_id: int
     span_id: int
-    sampled: bool
+    sampled: bool  # False only on the no-op context: nothing is traced
 
 
 NOOP_CTX = TraceContext(0, 0, False)
@@ -144,66 +141,11 @@ class Counter:
         self.value += n
 
 
-class Gauge:
-    __slots__ = ("name", "labels", "value")
-
-    def __init__(self, name: str, labels: tuple) -> None:
-        self.name = name
-        self.labels = labels
-        self.value = 0.0
-
-    def set(self, v) -> None:
-        self.value = v
-
-
-class Histogram:
-    """Fixed log-spaced latency buckets + count/sum/min/max."""
-
-    __slots__ = ("name", "labels", "bounds", "bucket_counts", "count", "sum", "min", "max")
-
-    DEFAULT_BOUNDS = (
-        1e-5, 1e-4, 1e-3, 4e-3, 1.6e-2, 6.4e-2, 2.56e-1, 1.024, 4.096,
-    )
-
-    def __init__(self, name: str, labels: tuple, bounds=None) -> None:
-        self.name = name
-        self.labels = labels
-        self.bounds = tuple(bounds) if bounds is not None else self.DEFAULT_BOUNDS
-        self.bucket_counts = [0] * (len(self.bounds) + 1)
-        self.count = 0
-        self.sum = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    def observe(self, v: float) -> None:
-        self.count += 1
-        self.sum += v
-        if v < self.min:
-            self.min = v
-        if v > self.max:
-            self.max = v
-        for i, bound in enumerate(self.bounds):
-            if v <= bound:
-                self.bucket_counts[i] += 1
-                return
-        self.bucket_counts[-1] += 1
-
-    def summary(self) -> dict:
-        return {
-            "count": self.count,
-            "sum_s": self.sum,
-            "mean_s": self.sum / self.count if self.count else 0.0,
-            "min_s": self.min if self.count else 0.0,
-            "max_s": self.max,
-        }
-
-
 class MetricGroup:
     """One subsystem's counters under a shared prefix + label set.
 
-    The executor's ``stats()`` and ``plan_cache_info()`` are dict views
-    over groups like this — the registry is the single source of truth,
-    the old accessors stay as thin projections.
+    The executor's ``stats()`` is a dict view over a group like this —
+    the registry is the single source of truth.
     """
 
     __slots__ = ("_telemetry", "prefix", "labels", "_cells")
@@ -308,13 +250,10 @@ NOOP_SPAN = _NoopSpan()
 class Telemetry:
     """Process-wide metric registry + opt-in trace/event recorder."""
 
-    def __init__(self, *, enabled: bool = False, sample_rate: float = 1.0) -> None:
+    def __init__(self, *, enabled: bool = False) -> None:
         self.enabled = enabled
-        self.sample_rate = float(sample_rate)
         self._lock = threading.RLock()
         self._counters: dict[tuple, Counter] = {}
-        self._gauges: dict[tuple, Gauge] = {}
-        self._histograms: dict[tuple, Histogram] = {}
         self._spans: list[Span] = []
         self._events: list[dict] = []
         self._trace_ids = itertools.count(1)
@@ -322,33 +261,19 @@ class Telemetry:
 
     # -- lifecycle -----------------------------------------------------
 
-    def configure(self, *, enabled: bool | None = None, sample_rate=None) -> None:
-        if enabled is not None:
-            self.enabled = bool(enabled)
-        if sample_rate is not None:
-            self.sample_rate = float(sample_rate)
-
-    def enable(self, sample_rate: float = 1.0) -> None:
-        self.configure(enabled=True, sample_rate=sample_rate)
+    def enable(self) -> None:
+        self.enabled = True
 
     def disable(self) -> None:
         self.enabled = False
 
     def reset(self) -> None:
-        """Zero every metric and drop spans/events — but keep the metric
+        """Zero every counter and drop spans/events — but keep the counter
         *objects*, so subsystems holding a :class:`MetricGroup` keep
         writing to live cells after a test-suite reset."""
         with self._lock:
             for counter in self._counters.values():
                 counter.value = 0
-            for gauge in self._gauges.values():
-                gauge.value = 0.0
-            for hist in self._histograms.values():
-                hist.bucket_counts = [0] * (len(hist.bounds) + 1)
-                hist.count = 0
-                hist.sum = 0.0
-                hist.min = float("inf")
-                hist.max = 0.0
             self._spans.clear()
             self._events.clear()
             self._trace_ids = itertools.count(1)
@@ -368,47 +293,18 @@ class Telemetry:
                 cell = self._counters.setdefault(key, Counter(name, key[1]))
         return cell
 
-    def gauge(self, name: str, **labels) -> Gauge:
-        key = self._key(name, labels)
-        cell = self._gauges.get(key)
-        if cell is None:
-            with self._lock:
-                cell = self._gauges.setdefault(key, Gauge(name, key[1]))
-        return cell
-
-    def histogram(self, name: str, bounds=None, **labels) -> Histogram:
-        key = self._key(name, labels)
-        cell = self._histograms.get(key)
-        if cell is None:
-            with self._lock:
-                cell = self._histograms.setdefault(
-                    key, Histogram(name, key[1], bounds)
-                )
-        return cell
-
     def group(self, prefix: str, **labels) -> MetricGroup:
         return MetricGroup(self, prefix, labels)
 
-    # -- tracing (gated on enabled + sampling) -------------------------
-
-    def _sampled(self, trace_id: int) -> bool:
-        rate = self.sample_rate
-        if rate >= 1.0:
-            return True
-        if rate <= 0.0:
-            return False
-        # Deterministic per-trace decision: same id -> same verdict.
-        return _hash_id("sample", trace_id) % 10_000 < int(rate * 10_000)
+    # -- tracing (gated on enabled) ------------------------------------
 
     def start_trace(self, name: str, *, category: str = "request", **attrs):
         """Mint a new trace and open its root span.  Returns the shared
-        no-op handle when tracing is disabled or the trace is unsampled."""
+        no-op handle when tracing is disabled."""
         if not self.enabled:
             return NOOP_SPAN
         with self._lock:
             trace_id = next(self._trace_ids)
-            if not self._sampled(trace_id):
-                return NOOP_SPAN
             span_id = next(self._span_ids)
         ctx = TraceContext(trace_id, span_id, True)
         return SpanHandle(self, name, category, ctx, 0, attrs)
@@ -483,7 +379,7 @@ class Telemetry:
 
     def event(self, name: str, **fields) -> None:
         """Append one structured occurrence to the event log (enabled
-        runs only; events are not subject to trace sampling)."""
+        runs only)."""
         if not self.enabled:
             return
         record = {"ts_s": now(), "event": name, **fields}
@@ -591,48 +487,22 @@ class Telemetry:
         return doc
 
     def export_prometheus(self) -> str:
-        """Prometheus-style text exposition of the metric registry."""
+        """Prometheus-style text exposition of the counters."""
 
-        def fmt_labels(labels: tuple, extra: tuple = ()) -> str:
-            items = [*labels, *extra]
-            if not items:
+        def fmt_labels(labels: tuple) -> str:
+            if not labels:
                 return ""
-            inner = ",".join(f'{k}="{v}"' for k, v in items)
-            return "{" + inner + "}"
+            return "{" + ",".join(f'{k}="{v}"' for k, v in labels) + "}"
 
         lines: list[str] = []
         with self._lock:
             counters = sorted(self._counters.items())
-            gauges = sorted(self._gauges.items())
-            hists = sorted(self._histograms.items())
         typed: set[str] = set()
         for (name, labels), cell in counters:
             if name not in typed:
                 typed.add(name)
                 lines.append(f"# TYPE {name} counter")
             lines.append(f"{name}{fmt_labels(labels)} {cell.value}")
-        for (name, labels), cell in gauges:
-            if name not in typed:
-                typed.add(name)
-                lines.append(f"# TYPE {name} gauge")
-            lines.append(f"{name}{fmt_labels(labels)} {cell.value}")
-        for (name, labels), hist in hists:
-            if name not in typed:
-                typed.add(name)
-                lines.append(f"# TYPE {name} histogram")
-            cumulative = 0
-            for bound, n in zip(hist.bounds, hist.bucket_counts):
-                cumulative += n
-                lines.append(
-                    f"{name}_bucket"
-                    f"{fmt_labels(labels, (('le', f'{bound:g}'),))} {cumulative}"
-                )
-            cumulative += hist.bucket_counts[-1]
-            lines.append(
-                f"{name}_bucket{fmt_labels(labels, (('le', '+Inf'),))} {cumulative}"
-            )
-            lines.append(f"{name}_sum{fmt_labels(labels)} {hist.sum}")
-            lines.append(f"{name}_count{fmt_labels(labels)} {hist.count}")
         return "\n".join(lines) + "\n"
 
     def export_events(self) -> list[dict]:

@@ -62,7 +62,6 @@ from repro.runtime.telemetry import (
     serialize_trace_context,
     serialize_worker_spans,
 )
-from repro.runtime.transport import PipeTransport, available_transports
 
 __all__ = [
     "MAGICS",
@@ -96,6 +95,7 @@ __all__ = [
     "decode_batch",
     "encode_control",
     "decode_control",
+    "plan_fingerprint",
     "encode_hello",
     "decode_hello",
     "encode_ack",
@@ -118,8 +118,6 @@ __all__ = [
     "serialize_worker_spans",
     "deserialize_trace_frame",
     "flip_frame_byte",
-    "PipeTransport",
-    "available_transports",
 ]
 
 ENVELOPE_MAGIC = b"ENV1"
@@ -390,28 +388,34 @@ def decode_control(payload: bytes) -> tuple[str, int, int]:
     return _CONTROL_OPS[code - 1], a, b
 
 
-_HELLO_HEAD = struct.Struct("<HH")  # version, signature length
+_HELLO_HEAD = struct.Struct("<HH")  # version, fingerprint length
 
 
-def encode_hello(signature: str, cfg: "WorkerConfig") -> bytes:
-    sig = signature.encode()
+def plan_fingerprint(plan_blob: bytes) -> str:
+    """The name a shipped plan goes by: the hex BLAKE2b-128 of the
+    ``EPL1`` bytes its ``FPL1`` upload carries."""
+    return hashlib.blake2b(plan_blob, digest_size=16).hexdigest()
+
+
+def encode_hello(fingerprint: str, cfg: "WorkerConfig") -> bytes:
+    name = fingerprint.encode()
     blob = encode_worker_config(cfg)
-    head = _HELLO_HEAD.pack(SESSION_VERSION, len(sig))
-    return head + sig + _U32.pack(len(blob)) + blob
+    head = _HELLO_HEAD.pack(SESSION_VERSION, len(name))
+    return head + name + _U32.pack(len(blob)) + blob
 
 
 def decode_hello(payload: bytes) -> tuple[str, "WorkerConfig"]:
-    """``(plan signature, worker config)``.  The version is judged before
+    """``(plan fingerprint, worker config)``.  The version is judged before
     any later field is read, so a peer from another checkout gets a
     :class:`VersionMismatch`, never a misparse."""
     reader = Reader(payload, "FHL1 hello")
-    version, sig_len = reader.unpack(_HELLO_HEAD)
+    version, name_len = reader.unpack(_HELLO_HEAD)
     if version not in SUPPORTED_VERSIONS["session"]:
         raise VersionMismatch(SESSION_VERSION, version)
-    signature = reader.text(sig_len)
+    fingerprint = reader.text(name_len)
     cfg = decode_worker_config(reader.take(*reader.unpack(_U32)))
     reader.finish()
-    return signature, cfg
+    return fingerprint, cfg
 
 
 _ACK = struct.Struct("<BI")  # need_plan, host pid

@@ -8,11 +8,12 @@ machine.  Either way the **plan** arrives through the session as
 ``FPL1`` bytes, is deserialized against an evaluator rebuilt from the
 :class:`~repro.runtime.wire.HostEnv` in the ``FHL1`` hello's worker
 config, lowered once (for a fused session) before any slot forks, and
-cached by content fingerprint across sessions, so a coordinator that
-reconnects never re-uploads.  The session **authkey** is a constructor
-argument: a per-transport random key handed over in memory for a
-forked host, a file both ends share (``ServingConfig(authkey_file=...)``)
-for the CLI.
+cached across sessions under the hello's fingerprint — the BLAKE2b of
+those ``EPL1`` bytes, checked on upload — so a coordinator that
+reconnects never re-uploads, and two plans never share a name.  The
+session **authkey** is a constructor argument: a per-transport random
+key handed over in memory for a forked host, a file both ends share
+(``ServingConfig(authkey_file=...)``) for the CLI.
 
 Lifecycle, the same for every host:
 
@@ -115,7 +116,7 @@ class WorkerHost:
         self._idle_timeout_s = idle_timeout_s
         self._drain_timeout_s = drain_timeout_s
         self._owner_pid = owner_pid  # exit once re-parented away from it
-        self._plans_by_sig: dict[str, object] = {}
+        self._plans: dict[str, object] = {}  # plan fingerprint -> plan
         self._listener: socket.socket | None = None
         # Session-scoped state: slots with a request in flight, the drain
         # flag (SIGTERM sets it), and the last time the session moved bytes.
@@ -213,7 +214,7 @@ class WorkerHost:
         if tag != SESSION_HELLO_MAGIC:
             raise WireFormatError(f"expected FHL1, got {tag!r}")
         try:
-            sig, cfg = wire.decode_hello(payload)
+            fingerprint, cfg = wire.decode_hello(payload)
         except wire.VersionMismatch as exc:
             # Rule 2 of docs/formats.md "Versioning": tell the peer both
             # versions before hanging up, so it can name them too.
@@ -223,7 +224,7 @@ class WorkerHost:
                 wire.encode_control("version", exc.ours, exc.theirs),
             )
             raise
-        plan = self._plans_by_sig.get(sig)
+        plan = self._plans.get(fingerprint)
         send_session_frame(
             sock, SESSION_ACK_MAGIC, wire.encode_ack(plan is None, os.getpid())
         )
@@ -231,6 +232,10 @@ class WorkerHost:
             tag, blob = recv_session_frame(sock)
             if tag != SESSION_PLAN_MAGIC:
                 raise WireFormatError(f"expected FPL1, got {tag!r}")
+            if wire.plan_fingerprint(blob) != fingerprint:
+                raise WireFormatError(
+                    "FPL1 upload does not match the hello's fingerprint"
+                )
         if plan is None and cfg.env is None:
             raise WireFormatError("hello carries no HostEnv")
         try:
@@ -238,7 +243,7 @@ class WorkerHost:
                 from repro.runtime.plan_io import deserialize_plan
 
                 evaluator = cfg.env.build_evaluator()
-                plan = self._plans_by_sig[sig] = deserialize_plan(blob, evaluator)
+                plan = self._plans[fingerprint] = deserialize_plan(blob, evaluator)
             if cfg.fused:
                 # Lower once, here, before any slot forks: every slot
                 # (respawns too) inherits the replayer, so no request

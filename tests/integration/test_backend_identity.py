@@ -270,6 +270,39 @@ def test_fused_shapes_are_byte_equal_to_eager(build, pipeline):
                 )
 
 
+def test_a_remote_host_names_each_plan_by_its_bytes(pipeline, remote_host):
+    """Two plans given one ``signature`` — an ``id()`` hash, free for reuse
+    once its constants die — served in turn through one host that caches
+    plans across sessions: each pool returns its own plan's bytes."""
+    ctx, _, (ct, _), _, _ = pipeline
+    port, keyfile = remote_host
+    spec = CtSpec(level=NUM_PRIMES, scale=ctx.params.scale)
+    plans = []
+    for factor in (2.0, 3.0):
+        pt = ctx.encoder.encode(
+            np.full(ctx.params.slots, factor), level=NUM_PRIMES, scale=ctx.params.scale
+        )
+
+        def program(ev, x, pt=pt):
+            return (ev.multiply_plain(x, pt),)
+
+        plans.append(compile_fn(program, ctx.evaluator, [spec]))
+    plans[1].signature = plans[0].signature
+    config = ServingConfig(
+        num_workers=1,
+        transport="tcp",
+        hosts=(f"tcp://127.0.0.1:{port}",),
+        authkey_file=keyfile,
+    )
+    wants = [plan.run([ct])[0] for plan in plans]
+    assert not np.array_equal(wants[0].parts[0].data, wants[1].parts[0].data)
+    for plan, want in zip(plans, wants):
+        with ShardedExecutor(plan, config=config) as pool:
+            [[got]] = pool.run_batch([[ct]], timeout=120)
+        for i, part in enumerate(want.parts):
+            assert np.array_equal(part.data, got.parts[i].data), f"part {i}"
+
+
 @BARRETT
 def test_pipeline_is_correct_under_every_backend(pipeline):
     ctx, _, _, (_, prod), expected = pipeline

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import settings
 
 from repro.ckks import CkksContext, toy_params
-from repro.runtime import clear_plan_cache
 
 DEGREE = 128
 PRIMES = 6
@@ -35,11 +34,3 @@ def rlk(rctx):
 @pytest.fixture(scope="module")
 def gks(rctx):
     return rctx.galois_keys([1, 2, 3], levels=[PRIMES])
-
-
-@pytest.fixture(autouse=True)
-def fresh_plan_cache():
-    """Keep cache-statistics assertions independent across tests."""
-    clear_plan_cache()
-    yield
-    clear_plan_cache()

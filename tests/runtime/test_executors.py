@@ -1,11 +1,13 @@
 """Executors: bit-identity with the eager Evaluator, dispatch-count
-guards proving CSE/hoisting fire, buffer release, and the plan cache."""
+guards proving CSE/hoisting fire, buffer release, and plan ownership."""
 
 from __future__ import annotations
 
+import gc
 import multiprocessing as mp
 import sys
 import threading
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -21,7 +23,6 @@ from repro.runtime import (
     CtSpec,
     PtSpec,
     compile_fn,
-    plan_cache_info,
     trace,
 )
 from repro.runtime.graph import _RULES
@@ -466,15 +467,21 @@ class TestOneKernelSequencePerOp:
 
 
 class TestPlanMechanics:
-    def test_process_level_cache_hits_on_retrace(self, rctx, gks):
+    def test_a_plan_belongs_to_its_caller(self, rctx, gks):
+        """Each compile returns a new plan, and nothing else holds it: once
+        the caller drops it, its lowered replayer (arena pool and all) is
+        freed."""
+
         def program(ev, x):
             return ev.rotate(x, 1, gks)
 
         p1 = compile_fn(program, rctx.evaluator, [_spec(rctx)])
         p2 = compile_fn(program, rctx.evaluator, [_spec(rctx)])
-        assert p1 is p2
-        info = plan_cache_info()
-        assert info["hits"] == 1 and info["misses"] == 1 and info["size"] == 1
+        assert p1 is not p2
+        replayer = weakref.ref(p1.fused())
+        del p1
+        gc.collect()
+        assert replayer() is None
 
     def test_buffers_released_by_refcount(self, rctx, gks, rlk, sample_ct):
         plan = compile_fn(

@@ -135,7 +135,8 @@ class TestDecodeFuzz:
     the same payload decoder the host dispatch uses."""
 
     def _corpus(self, fuzz_plan):
-        hello = wire.encode_hello(fuzz_plan.signature, _worker_cfg(fuzz_plan))
+        blob = serialize_plan(fuzz_plan)
+        hello = wire.encode_hello(wire.plan_fingerprint(blob), _worker_cfg(fuzz_plan))
         assert struct.unpack_from("<H", hello) == (3,)  # the layout fuzzed
 
         def decode_batch_entries(payload):
@@ -280,9 +281,10 @@ class TestLiveHostFuzz:
         thread = threading.Thread(target=host.serve_forever, daemon=True)
         thread.start()
         cfg = _worker_cfg(fuzz_plan)
+        blob = serialize_plan(fuzz_plan)
         hello_frame = pack_frame(
             SESSION_HELLO_MAGIC,
-            wire.encode_hello(fuzz_plan.signature, cfg),
+            wire.encode_hello(wire.plan_fingerprint(blob), cfg),
         )
         steady_frames = [
             pack_frame(SESSION_CONTROL_MAGIC, wire.encode_control("spawn", 0)),
@@ -290,7 +292,7 @@ class TestLiveHostFuzz:
                 SESSION_BATCH_MAGIC, wire.encode_batch([(0, _reply_message())])
             ),
         ]
-        plan_frame = pack_frame(SESSION_PLAN_MAGIC, serialize_plan(fuzz_plan))
+        plan_frame = pack_frame(SESSION_PLAN_MAGIC, blob)
         deadline = time.monotonic() + 240
         try:
             for round_no in range(N_LIVE_MUTATIONS):

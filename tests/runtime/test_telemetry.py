@@ -47,21 +47,13 @@ def clean_telemetry():
 
 
 class TestRegistry:
-    def test_counters_gauges_histograms(self):
+    def test_counters_by_label(self):
         t = Telemetry()
         t.counter("reqs", pool="a").inc()
         t.counter("reqs", pool="a").inc(2)
         t.counter("reqs", pool="b").inc()
         assert t.counter("reqs", pool="a").value == 3
         assert t.counter("reqs", pool="b").value == 1
-        t.gauge("depth").set(7)
-        assert t.gauge("depth").value == 7
-        h = t.histogram("lat_s")
-        for v in (0.001, 0.002, 0.5):
-            h.observe(v)
-        assert h.count == 3
-        assert h.summary()["max_s"] == 0.5
-        assert h.summary()["min_s"] == 0.001
 
     def test_metrics_always_on_when_tracing_disabled(self):
         t = Telemetry()  # enabled=False
@@ -85,23 +77,15 @@ class TestRegistry:
     def test_prometheus_exposition(self):
         t = Telemetry()
         t.counter("hits", store="s1").inc(4)
-        t.gauge("depth").set(2)
-        t.histogram("lat_s").observe(0.002)
-        text = t.export_prometheus()
-        assert "# TYPE hits counter" in text
-        assert 'hits{store="s1"} 4' in text
-        assert "depth 2" in text
-        assert 'lat_s_bucket{le="+Inf"} 1' in text
-        assert "lat_s_count 1" in text
-
-    def test_sampling_gates_spans_not_counters(self):
-        t = Telemetry(enabled=True, sample_rate=0.0)
-        span = t.start_trace("req")
-        assert not span  # no-op handle
-        span.end()
-        t.counter("n").inc()
-        assert t.spans() == []
-        assert t.counter("n").value == 1
+        t.counter("hits", store="s2").inc()
+        t.counter("busy_s").inc(0.5)
+        assert t.export_prometheus().splitlines() == [
+            "# TYPE busy_s counter",
+            "busy_s 0.5",
+            "# TYPE hits counter",
+            'hits{store="s1"} 4',
+            'hits{store="s2"} 1',
+        ]
 
     def test_events_record_only_when_enabled(self):
         t = Telemetry()
@@ -265,9 +249,9 @@ def _serve(plan, rctx, *, chaos, n_requests, telemetry):
 
 class TestFusedReplaySpanBudget:
     """What tracing adds to the fused hot loop is exact: one root span per
-    replay plus one child per fused dispatch when sampled in, nothing
-    when off or sampled out.  (Its *time* cost has no timing gate until a
-    paired ``bench/`` workload exists — see docs/observability.md.)"""
+    replay plus one child per fused dispatch when on, nothing when off.
+    (Its *time* cost has no timing gate until a paired ``bench/``
+    workload exists — see docs/observability.md.)"""
 
     def test_span_count_per_mode(self, rctx, rlk, clean_telemetry):
         telemetry = clean_telemetry
@@ -277,11 +261,7 @@ class TestFusedReplaySpanBudget:
         want = plan.run_batch(batch, fused=True)
         assert telemetry.spans() == []  # disabled: the plain loop ran
 
-        telemetry.enable(sample_rate=0.0)
-        plan.run_batch(batch, fused=True)
-        assert telemetry.spans() == []  # hooks reached, every trace sampled out
-
-        telemetry.enable(sample_rate=1.0)
+        telemetry.enable()
         got = plan.run_batch(batch, fused=True)
         dispatches = plan.stats()["dispatch_count_fused"]
         assert len(telemetry.spans()) == len(batch) * (1 + dispatches)

@@ -32,7 +32,8 @@ from repro.runtime import (
     serve,
 )
 from repro.runtime.plan_io import serialize_plan
-from repro.runtime.wire import HostEnv, WorkerConfig, available_transports
+from repro.runtime.transport import available_transports
+from repro.runtime.wire import HostEnv, WorkerConfig
 
 RESULT_TIMEOUT = 120.0
 
@@ -160,7 +161,7 @@ class TestHostLoss:
         bit-identical), the crash surfaces as typed WorkerCrash events
         labelled with the host, and a replacement host is forked."""
         telemetry = get_telemetry()
-        telemetry.enable(sample_rate=0.0)
+        telemetry.enable()
         batches = _batches(rctx, 10, seed=15)
         reference = fabric_plan.run_batch(batches)
         cfg = ServingConfig(
@@ -215,7 +216,6 @@ class TestSessionSecurity:
         transport = TcpTransport(
             mp.get_context("fork"),
             plan_blob=serialize_plan(fabric_plan),
-            signature=fabric_plan.signature,
             cfg=_bare_config(fabric_plan),
         )
         proc, port = transport._fork_host("sec-test")
@@ -311,7 +311,7 @@ class TestSessionSecurity:
             sock = socket.create_connection(("127.0.0.1", port), timeout=10)
             sock.settimeout(10)
             auth_client(sock, transport._authkey)
-            hello = encode_hello(transport.signature, transport.cfg)
+            hello = encode_hello(transport.fingerprint, transport.cfg)
             send_session_frame(sock, SESSION_HELLO_MAGIC, hello)
             tag, payload = recv_session_frame(sock)
             assert tag == SESSION_ACK_MAGIC

@@ -47,6 +47,7 @@ from repro.runtime.wire import (
     decode_control,
     encode_control,
     encode_hello,
+    plan_fingerprint,
     recv_session_frame,
     send_session_frame,
 )
@@ -123,16 +124,17 @@ def _negotiate_session(port, authkey, host_plan, fused=False):
         primes=tuple(host_plan.evaluator.basis.primes),
     )
     cfg = WorkerConfig(fused=fused, chaos=None, heartbeat_s=None, env=env)
+    blob = serialize_plan(host_plan)
     sock = socket.create_connection(("127.0.0.1", port), timeout=10)
     sock.settimeout(10)
     auth_client(sock, authkey)
     send_session_frame(
-        sock, SESSION_HELLO_MAGIC, encode_hello(host_plan.signature, cfg)
+        sock, SESSION_HELLO_MAGIC, encode_hello(plan_fingerprint(blob), cfg)
     )
     tag, payload = recv_session_frame(sock)
     assert tag == SESSION_ACK_MAGIC
     if payload[0]:  # need_plan
-        send_session_frame(sock, SESSION_PLAN_MAGIC, serialize_plan(host_plan))
+        send_session_frame(sock, SESSION_PLAN_MAGIC, blob)
     return sock
 
 
@@ -271,11 +273,36 @@ class TestSessionLifecycle:
             send_session_frame(sock, SESSION_CONTROL_MAGIC, encode_control("spawn", 0))
             tag, payload = recv_session_frame(sock)
             assert (tag, decode_control(payload)[0]) == (SESSION_CONTROL_MAGIC, "up")
-            cached = host._plans_by_sig[host_plan.signature]
+            [cached] = host._plans.values()
             assert cached is not host_plan  # rebuilt from the FPL1 bytes
             assert cached._fused is not None
             send_session_frame(sock, SESSION_CONTROL_MAGIC, encode_control("bye"))
             sock.close()
+        finally:
+            _stop_host(host, thread)
+
+    def test_an_upload_must_be_the_plan_its_hello_names(self, tmp_path, host_plan):
+        """Plans are cached across sessions under the hello's fingerprint,
+        so an upload whose bytes hash to another name ends the session
+        uncached — and the host serves the next one."""
+        _, key = _write_key(tmp_path)
+        host, port, thread = _threaded_host(key)
+        evaluator = host_plan.evaluator
+        env = HostEnv(evaluator.params, tuple(evaluator.basis.primes))
+        cfg = WorkerConfig(fused=False, chaos=None, heartbeat_s=None, env=env)
+        hello = encode_hello(plan_fingerprint(b"some other plan"), cfg)
+        try:
+            with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+                sock.settimeout(10)
+                auth_client(sock, key)
+                send_session_frame(sock, SESSION_HELLO_MAGIC, hello)
+                tag, payload = recv_session_frame(sock)
+                assert tag == SESSION_ACK_MAGIC and payload[0]  # need_plan
+                send_session_frame(sock, SESSION_PLAN_MAGIC, serialize_plan(host_plan))
+                assert sock.recv(1) == b""  # the session is dropped
+            assert host._plans == {}
+            _negotiate_session(port, key, host_plan).close()
+            assert thread.is_alive()
         finally:
             _stop_host(host, thread)
 
