@@ -13,9 +13,8 @@ Three sections, selectable with ``--sections``:
   vs. a compiled ``ExecutionPlan`` through the interpreter vs. fused plan
   replay, on the BSGS matmul and a three-level polynomial, with each
   plan's arena/dispatch stats;
-* ``fabric`` → ``BENCH_fabric.json``: batched vs. per-message ``FBT1``
-  session framing of byte worker messages, and reattach vs. cold start
-  against a CLI-spawned remote worker host.
+* ``fabric`` → ``BENCH_fabric.json``: reattach vs. cold start against a
+  CLI-spawned remote worker host.
 
 Every ratio is measured by :func:`_interleaved`: each round samples the
 reference and then the engine back to back, so host drift lands on
@@ -38,7 +37,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import socket
 import statistics
 import subprocess
 import sys
@@ -64,7 +62,6 @@ from repro.ckks import (
 from repro.ckks.keys import rotation_galois_elt
 from repro.nums.kernels import default_backend_name
 from repro.runtime import CtSpec, ServingConfig, ShardedExecutor, compile_fn
-from repro.runtime import wire as fbt
 
 DEGREE = 1024
 PRIMES = 10
@@ -321,35 +318,7 @@ def section_runtime(ctx, payload: dict) -> None:
     )
 
 
-# --- fabric: batched framing, remote reattach ---
-
-FRAMING_MESSAGES = 1024
-FRAMING_MESSAGE_BYTES = 2048
-FRAMING_GROUP = 32  # messages per batched FBT1 frame
-
-
-def _framing_loopback(payloads: list[bytes], messages_per_frame: int) -> float:
-    """Seconds to carry ``payloads`` across a loopback socket as ``FBT1``
-    session frames of ``messages_per_frame`` messages each.
-
-    Encode, send, receive, CRC-check and decode run one frame at a time
-    on one thread, so the clock sees framing cost, not thread scheduling.
-    """
-    tx, rx = socket.socketpair()
-    tx.settimeout(30)  # a frame outgrowing the socket buffer fails, not hangs
-    got = 0
-    with tx, rx:
-        t0 = time.perf_counter()
-        for start in range(0, len(payloads), messages_per_frame):
-            chunk = payloads[start : start + messages_per_frame]
-            frame = fbt.encode_batch(list(enumerate(chunk, start)))
-            fbt.send_session_frame(tx, fbt.SESSION_BATCH_MAGIC, frame)
-            tag, payload = fbt.recv_session_frame(rx)
-            assert tag == fbt.SESSION_BATCH_MAGIC
-            got += len(fbt.decode_batch(payload))
-        elapsed = time.perf_counter() - t0
-    assert got == len(payloads)
-    return elapsed
+# --- fabric: remote reattach ---
 
 
 def _remote_attach_timers(plan, request, reference, tmp: str):
@@ -432,25 +401,6 @@ def _remote_attach_timers(plan, request, reference, tmp: str):
 
 def section_fabric(ctx, payload: dict) -> None:
     rng = np.random.default_rng(41)
-    payload["meta"].update(
-        framing_messages=FRAMING_MESSAGES,
-        framing_message_bytes=FRAMING_MESSAGE_BYTES,
-        framing_messages_per_frame=FRAMING_GROUP,
-    )
-    # Real worker messages: an OK reply, one FRAMING_MESSAGE_BYTES part.
-    payloads = [
-        fbt.encode_message(fbt.OK, i, 0, [rng.bytes(FRAMING_MESSAGE_BYTES)])
-        for i in range(FRAMING_MESSAGES)
-    ]
-    _interleaved(
-        {
-            "framing_per_message": lambda: _framing_loopback(payloads, 1),
-            "framing_batched": lambda: _framing_loopback(payloads, FRAMING_GROUP),
-        },
-        {"fabric_tcp_batched_framing": ("framing_per_message", "framing_batched")},
-        payload,
-    )
-
     _, plan = _poly3(ctx)
     request = [ctx.encrypt(rng.uniform(-1, 1, ctx.params.slots))]
     (reference,) = plan.run(request)

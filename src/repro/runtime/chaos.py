@@ -17,16 +17,14 @@ order.  The executor consults it at four well-defined hook points:
   — exercises exactly-once delivery when work is lost after completion;
 * ``reply_encode`` (worker, after encoding outputs): byte-flips the
   reply envelope — exercises parent-side CRC detection and retry;
-* ``host_relay`` (worker host, before relaying a reply upstream over
-  the TCP session — see :mod:`repro.runtime.coordinator`):
-  ``disconnect`` (drop the session socket), ``partial`` (write half a
-  frame, then drop), ``slow`` (delay the relay with heartbeats already
-  through), ``asym`` (asymmetric latency: delay only the upstream
-  direction, the shape loopback never exhibits), ``reorder`` (hold the
-  reply back and ship it after the batch that follows it), ``duplicate``
-  (deliver the reply twice — the executor's stale-attempt dedup must
-  drop the extra copy) — exercises the coordinator's host-loss requeue
-  path, frame-truncation detection, and delivery-order independence.
+* ``host_relay`` (a ``tcp`` slot worker, as it sends a reply on its
+  socket — :class:`~repro.runtime.transport.SocketChannel`; a pipe
+  worker never reaches it): ``disconnect`` (drop the slot's
+  connection), ``partial`` (write half a frame, then drop), ``slow``
+  (send late, with heartbeats already through), ``duplicate`` (send the
+  reply twice — the executor's stale-attempt dedup must drop the extra
+  copy) — exercises the coordinator's slot-loss requeue path and
+  frame-truncation detection.
 
 Decisions are rate-based (one hash draw per ``(seed, site, request_id,
 attempt)``) and can be pinned exactly with ``scripted`` entries for
@@ -63,14 +61,7 @@ SITES = (
 
 # Fixed draw order within a site: at most one fault fires per decision.
 _PRE_EVALUATE_KINDS = ("crash", "stop", "hang", "slow")
-_HOST_RELAY_KINDS = (
-    "disconnect",
-    "partial",
-    "slow",
-    "asym",
-    "reorder",
-    "duplicate",
-)
+_HOST_RELAY_KINDS = ("disconnect", "partial", "slow", "duplicate")
 
 
 @dataclass(frozen=True)
@@ -101,15 +92,11 @@ class FaultPlan:
         request_flip_rate: probability of a ``pre_dispatch`` byte flip.
         reply_flip_rate: probability of a ``reply_encode`` byte flip.
         disconnect_rate / partial_frame_rate / slow_host_rate /
-        asym_latency_rate / reorder_rate / duplicate_rate:
-            per-reply probabilities at the TCP coordinator's
-            ``host_relay`` site (drawn in that order from one hash, so
-            at most one fires per relayed reply).
+        duplicate_rate: per-reply probabilities at a ``tcp`` slot
+            worker's ``host_relay`` site (drawn in that order from one
+            hash, so at most one fires per reply).
         hang_s / slow_s: sleep durations for hang/slow injections.
-        slow_host_s: relay delay for a ``host_relay`` slow injection.
-        asym_latency_s: upstream-only relay delay for an ``asym``
-            injection (downstream dispatch is never delayed — the
-            asymmetric shape loopback cannot produce).
+        slow_host_s: reply delay for a ``host_relay`` slow injection.
         scripted: exact overrides — ``{(site, request_id, attempt):
             FaultAction | None}``; ``None`` pins "no fault" at that key.
     """
@@ -126,13 +113,10 @@ class FaultPlan:
     disconnect_rate: float = 0.0
     partial_frame_rate: float = 0.0
     slow_host_rate: float = 0.0
-    asym_latency_rate: float = 0.0
-    reorder_rate: float = 0.0
     duplicate_rate: float = 0.0
     hang_s: float = 30.0
     slow_s: float = 0.05
     slow_host_s: float = 0.05
-    asym_latency_s: float = 0.05
     scripted: dict[tuple[str, int, int], FaultAction | None] | None = None
 
     # The generated field-tuple hash would choke on the scripted dict.
@@ -145,8 +129,6 @@ class FaultPlan:
             self.disconnect_rate,
             self.partial_frame_rate,
             self.slow_host_rate,
-            self.asym_latency_rate,
-            self.reorder_rate,
             self.duplicate_rate,
         )
         flips = (self.crash_after_rate, self.request_flip_rate, self.reply_flip_rate)
@@ -154,7 +136,7 @@ class FaultPlan:
         # fails every comparison — is rejected rather than waved through.
         if not all(0 <= r <= 1 for r in pre_evaluate + host_relay + flips):
             raise ValueError("fault rates must be in [0, 1]")
-        durations = (self.hang_s, self.slow_s, self.slow_host_s, self.asym_latency_s)
+        durations = (self.hang_s, self.slow_s, self.slow_host_s)
         if not all(0 <= d < math.inf for d in durations):
             raise ValueError("fault durations must be finite and >= 0")
         if sum(pre_evaluate) > 1:
@@ -212,19 +194,12 @@ class FaultPlan:
                     self.disconnect_rate,
                     self.partial_frame_rate,
                     self.slow_host_rate,
-                    self.asym_latency_rate,
-                    self.reorder_rate,
                     self.duplicate_rate,
                 ),
             ):
                 edge += rate
                 if u < edge:
-                    if kind == "slow":
-                        duration = self.slow_host_s
-                    elif kind == "asym":
-                        duration = self.asym_latency_s
-                    else:
-                        duration = 0.0
+                    duration = self.slow_host_s if kind == "slow" else 0.0
                     return FaultAction(kind, site, duration_s=duration, salt=salt)
             return None
         rate = (

@@ -33,9 +33,10 @@ workers — exactly what a cross-machine pool does.  Outputs are
 byte-identical either way (pinned in
 ``tests/integration/test_backend_identity.py``).
 
-Topology: one duplex pipe per worker, at most one request in flight per
-worker, a single parent-side I/O thread waiting on every pipe, its
-mailbox and the next timer with :func:`multiprocessing.connection.wait`.
+Topology: one duplex channel per worker (a pipe, or a ``tcp`` slot's
+socket), at most one request in flight per worker, a single parent-side
+I/O thread waiting on every channel, its mailbox and the next timer
+with :func:`multiprocessing.connection.wait`.
 That thread alone owns the pool's :class:`~repro.runtime.policy.PoolMachine`:
 it tells the machine what happened (``submit()`` / ``cancel()`` post
 events; a reply, a heartbeat, an EOF, a timer) and carries out the
@@ -429,8 +430,8 @@ class ShardedExecutor:
             if worker.proc.is_alive():
                 # A SIGSTOPped (or otherwise wedged) worker ignores the
                 # sentinel and holds SIGTERM pending; SIGKILL (locally,
-                # or the transport's kill-slot escalation) is the only
-                # path guaranteed to reap it.
+                # or by its host once the slot's socket closes) is the
+                # only path guaranteed to reap it.
                 escalated.append(worker.proc.pid)
             self._do_kill(worker, "closed", None, kill=worker.proc.is_alive())
             if worker.proc.is_alive():
@@ -760,7 +761,7 @@ class ShardedExecutor:
     def _do_kill(self, worker: _Worker, status: str, req_id, kill=None) -> None:
         """Carry out a :class:`~repro.runtime.policy.Kill` (or the end of
         ``close()``): drop ``worker`` from the pool — by force unless it died on
-        its own: a SIGKILL locally, a kill-slot control op on a worker host —
+        its own: a SIGKILL locally, closing the slot's socket on a worker host —
         recording why and closing the attempt it was serving."""
         if kill is None:
             kill = status != "crash"

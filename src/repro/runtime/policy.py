@@ -97,10 +97,6 @@ class PoolMachine:
     def _beats(self) -> list[float]:
         return [slot.last_beat for slot in self._workers.values() if slot.busy]
 
-    def staleness(self, now: float) -> float:
-        """Longest time since a busy worker last showed progress."""
-        return max((now - beat for beat in self._beats()), default=0.0)
-
     def next_wake(self, now: float) -> float | None:
         """Seconds to the earliest backoff, deadline or hang expiry, if any."""
         times = [heap[0][0] for heap in (self._delayed, self._deadlines) if heap]

@@ -11,21 +11,23 @@ string each) and a ``proc`` (``pid`` / ``is_alive`` / ``join`` /
 interpret them — which is what makes them interchangeable without
 touching the fault or telemetry semantics.
 
-Two implementations:
+Two implementations, which differ only in who forks the worker and
+what its channel is — every worker runs the same
+:func:`repro.runtime.executor._worker_loop`:
 
 * :class:`PipeTransport` — the default: fork one child per worker with
   a duplex :func:`multiprocessing.Pipe`; workers inherit the warm plan.
 * ``tcp`` (:class:`~repro.runtime.coordinator.TcpTransport`, in
-  :mod:`repro.runtime.coordinator`) — worker slots multiplexed over one
-  length-prefixed CRC-framed socket session per worker host, every host
-  sent the plan as ``EPL1`` bytes; the only one that runs across
-  machines.
+  :mod:`repro.runtime.coordinator`) — each worker is a slot that a
+  worker host forks on its own authenticated socket, a
+  :class:`SocketChannel` at both ends; every host is sent the plan as
+  ``EPL1`` bytes.  The only one that runs across machines.
 
 Lifecycle contract (the leak-proofing the serving tests rely on): every
 transport registers itself in a process-wide registry swept by
 :mod:`atexit` (interpreter exit), and a transport that owns OS
 resources additionally registers a :func:`weakref.finalize` over the
-*concrete* resources — the host-handle list for ``tcp`` — never over a
+*concrete* resources — the forked-host list for ``tcp`` — never over a
 weakref to the transport itself (a finalizer that dereferences its own
 dying object always sees ``None`` and silently does nothing).  So a
 crashed test run cannot leak bound ports even when
@@ -42,11 +44,18 @@ from __future__ import annotations
 import atexit
 import os
 import signal
+import socket
+import time
 import weakref
+from multiprocessing.connection import wait as connection_wait
+
+from repro.ckks.serialization import WireFormatError, pack_frame
+from repro.runtime import wire
 
 __all__ = [
     "Transport",
     "PipeTransport",
+    "SocketChannel",
     "WorkerEndpoint",
     "available_transports",
 ]
@@ -91,7 +100,7 @@ class WorkerEndpoint:
     Attributes:
         proc: process-like handle (``pid`` / ``is_alive`` / ``join`` /
             ``terminate``) — a real :class:`multiprocessing.Process` for
-            the pipe transport, a slot shim for the socket transport.
+            the pipe transport, the slot's channel for the socket one.
         conn: duplex byte-message channel carrying the worker protocol.
         host: stable host label for telemetry (``local`` for the pipe
             transport, ``host<N>`` for TCP worker hosts).
@@ -128,7 +137,7 @@ class Transport:
         self._closed = False
         # Interpreter-exit sweep.  Subclasses owning OS resources must
         # ALSO register a weakref.finalize over the concrete resources
-        # (see the module docstring and TcpTransport's host-handle list).
+        # (see the module docstring and TcpTransport's forked-host list).
         _LIVE_TRANSPORTS.add(self)
 
     def spawn(self) -> WorkerEndpoint:
@@ -165,3 +174,54 @@ class PipeTransport(Transport):
         # surfaces as EOF on the parent connection.
         child_conn.close()
         return WorkerEndpoint(proc, parent_conn)
+
+
+class SocketChannel:
+    """A worker channel over one slot socket, the same class at both ends:
+    the ``conn`` duck type a pipe offers, carrying one worker message per
+    CRC-framed ``FMS1`` session frame, so the CRC and
+    :data:`~repro.runtime.wire.MAX_SESSION_FRAME_BYTES` guard every read.
+
+    ``chaos`` is set on a slot worker's end only: each reply it sends
+    passes the ``host_relay`` fault site (:mod:`repro.runtime.chaos`).
+    """
+
+    def __init__(self, sock: socket.socket, chaos=None) -> None:
+        self._sock = sock
+        self._chaos = chaos
+        self.closed = False
+
+    def send_bytes(self, msg: bytes) -> None:
+        frame = pack_frame(wire.SESSION_MESSAGE_MAGIC, msg)
+        action = None
+        if self._chaos is not None:
+            kind, req_id, attempt, _ = wire.peek_message(msg)
+            if kind in (wire.OK, wire.ERR):
+                action = self._chaos.decide("host_relay", req_id, attempt)
+        if action is None:
+            self._sock.sendall(frame)
+        elif action.kind in ("disconnect", "partial"):
+            # The reply is lost with the connection; its request re-runs
+            # under the executor's retry budget.
+            if action.kind == "partial":
+                self._sock.sendall(frame[: max(9, len(frame) // 2)])
+            self._sock.shutdown(socket.SHUT_RDWR)
+        else:  # slow: late; duplicate: twice, for the stale-attempt dedup
+            time.sleep(action.duration_s)
+            self._sock.sendall(frame * (2 if action.kind == "duplicate" else 1))
+
+    def recv_bytes(self) -> bytes:
+        tag, payload = wire.recv_session_frame(self._sock)
+        if tag != wire.SESSION_MESSAGE_MAGIC:
+            raise WireFormatError(f"expected FMS1, got {tag!r}")
+        return payload
+
+    def poll(self, timeout: float | None = 0.0) -> bool:
+        return bool(connection_wait([self._sock], timeout))
+
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
+    def close(self) -> None:
+        self.closed = True
+        self._sock.close()

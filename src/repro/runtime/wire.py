@@ -5,11 +5,11 @@ One module owns the data format of the serving fabric (normative spec:
 against :data:`MAGICS` and :data:`SUPPORTED_VERSIONS`): the ``ENV1``
 envelope around every ciphertext/plaintext blob; the **worker message**
 — a fixed, peekable header, then length-prefixed parts that are the
-unchanged ``ENV1`` / ``FLT1`` / ``TRC1`` frames, so relays route on
-:func:`peek_message` and never decode a part; the ``tcp`` transport's
+unchanged ``ENV1`` / ``FLT1`` / ``TRC1`` frames, so a fault site keys on
+:func:`peek_message` and never decodes a part; the ``tcp`` transport's
 **session** layouts (the mutual-auth preamble, CRC-framed socket I/O,
-``FHL1`` hello, ``FHA1`` ack, ``FBT1`` batches, ``FCT1`` control ops,
-the forked host's port report); and the **worker config**, a JSON
+``FHL1`` hello, ``FHA1`` ack, ``FMS1`` message frames, ``FCT1`` control
+ops, the forked host's port report); and the **worker config**, a JSON
 object rebuilt field by field through the dataclass constructors.
 
 No layout is a serialized Python object graph, and every decoder checks
@@ -72,7 +72,7 @@ __all__ = [
     "SESSION_HELLO_MAGIC",
     "SESSION_ACK_MAGIC",
     "SESSION_PLAN_MAGIC",
-    "SESSION_BATCH_MAGIC",
+    "SESSION_MESSAGE_MAGIC",
     "SESSION_CONTROL_MAGIC",
     "FAULT_MAGIC",
     "TRACE_MAGIC",
@@ -91,8 +91,6 @@ __all__ = [
     "encode_message",
     "decode_message",
     "peek_message",
-    "encode_batch",
-    "decode_batch",
     "encode_control",
     "decode_control",
     "plan_fingerprint",
@@ -124,14 +122,15 @@ ENVELOPE_MAGIC = b"ENV1"
 SESSION_HELLO_MAGIC = b"FHL1"
 SESSION_ACK_MAGIC = b"FHA1"
 SESSION_PLAN_MAGIC = b"FPL1"
-SESSION_BATCH_MAGIC = b"FBT1"
+SESSION_MESSAGE_MAGIC = b"FMS1"
 SESSION_CONTROL_MAGIC = b"FCT1"
 
 # v1 shipped worker messages, control ops and the hello's config as
 # serialized Python objects; v2's hello also carried a flags byte, and its
-# config a packing width and a modeled link delay.  A peer of either is
-# refused by version, not misparsed.
-SESSION_VERSION = 3
+# config a packing width and a modeled link delay; v3 multiplexed every
+# slot of a host over one session in FBT1 batches.  A peer of any of them
+# is refused by version, not misparsed.
+SESSION_VERSION = 4
 
 # Every magic the library emits -> the constant that names it; the
 # magic table of docs/formats.md is checked against this one.
@@ -148,7 +147,7 @@ MAGICS: dict[bytes, str] = {
     SESSION_HELLO_MAGIC: "repro.runtime.wire.SESSION_HELLO_MAGIC",
     SESSION_ACK_MAGIC: "repro.runtime.wire.SESSION_ACK_MAGIC",
     SESSION_PLAN_MAGIC: "repro.runtime.wire.SESSION_PLAN_MAGIC",
-    SESSION_BATCH_MAGIC: "repro.runtime.wire.SESSION_BATCH_MAGIC",
+    SESSION_MESSAGE_MAGIC: "repro.runtime.wire.SESSION_MESSAGE_MAGIC",
     SESSION_CONTROL_MAGIC: "repro.runtime.wire.SESSION_CONTROL_MAGIC",
 }
 
@@ -179,6 +178,7 @@ class VersionMismatch(WireFormatError):
         self.theirs = theirs
 
 
+_U16 = struct.Struct("<H")
 _U32 = struct.Struct("<I")
 
 # ---------------------------------------------------------------------------
@@ -240,7 +240,7 @@ def encode_message(kind, req_id=0, attempt=0, blobs=(), trace=None) -> bytes:
 
 def peek_message(data: bytes) -> tuple[int, int, int, int]:
     """``(kind, req_id, attempt, part count)`` from the fixed header —
-    all a relay needs, whatever the size of the parts behind it."""
+    all a fault site needs, whatever the size of the parts behind it."""
     if len(data) < _MESSAGE_HEADER.size:
         raise WireFormatError(f"worker message of {len(data)} bytes has no header")
     kind, parts, attempt, req_id = _MESSAGE_HEADER.unpack_from(data)
@@ -264,13 +264,12 @@ def decode_message(data: bytes) -> Message:
 
 # Both ends bound the auth preamble and the hello exchange with this
 # socket timeout, so an unauthenticated peer can only briefly stall a
-# host's one-session-at-a-time accept loop.
+# host's one-at-a-time handshakes.
 HANDSHAKE_TIMEOUT_S = 30.0
 
-# What ends a *session* — never the host process (its warm plan cache
-# must survive), never a pump thread without marking the session dead:
-# the socket failing (a handshake TimeoutError is an OSError too), or a
-# CRC-valid frame that decodes malformed.
+# What ends a slot's connection — never the host process (its warm plan
+# cache must survive): the socket failing (a handshake TimeoutError is an
+# OSError too), or a CRC-valid frame that decodes malformed.
 SESSION_ERRORS = (OSError, EOFError, WireFormatError)
 
 # The auth preamble, before any frame: a session can spawn processes and
@@ -341,54 +340,34 @@ def send_session_frame(sock: socket.socket, tag: bytes, payload: bytes) -> None:
     sock.sendall(pack_frame(tag, payload))
 
 
-_BATCH_ENTRY = struct.Struct("<II")  # slot, message length
-
-
-def encode_batch(items: list[tuple[int, bytes]]) -> bytes:
-    """``FBT1`` payload: ``u32 count | count x (u32 slot | u32 len |
-    worker message)``."""
-    parts = [_U32.pack(len(items))]
-    for slot, msg_bytes in items:
-        parts += (_BATCH_ENTRY.pack(slot, len(msg_bytes)), msg_bytes)
-    return b"".join(parts)
-
-
-def decode_batch(payload: bytes) -> list[tuple[int, bytes]]:
-    reader = Reader(payload, "FBT1 batch")
-    items: list[tuple[int, bytes]] = []
-    for _ in range(*reader.unpack(_U32)):
-        slot, length = reader.unpack(_BATCH_ENTRY)
-        items.append((slot, reader.take(length)))
-    reader.finish()
-    return items
-
-
 def _fixed(layout: struct.Struct, payload: bytes, what: str) -> tuple:
     if len(payload) != layout.size:
         raise WireFormatError(f"{what} is {len(payload)} bytes, not {layout.size}")
     return layout.unpack(payload)
 
 
-# FCT1: ``u8 op | u32 a | u32 b``, ops numbered from 1.  Coordinator ->
-# host: spawn(a=slot), kill(a=slot), bye.  Host -> coordinator: up(a=slot,
-# b=pid), down(a=slot), busy(a=host pid), version(a=the host's
-# SESSION_VERSION, b=the hello's).
+# FCT1: ``u8 op | u32 a | u32 b``, host -> coordinator only: up(a=the
+# slot worker's pid), busy(a=host pid), version(a=the host's
+# SESSION_VERSION, b=the hello's).  The codes are v3's, so a v3 peer still
+# reads a version refusal; v3's spawn, kill, bye and down (1, 2, 3, 5)
+# are retired, never reused.
 _CONTROL = struct.Struct("<BII")
-_CONTROL_OPS = ("spawn", "kill", "bye", "up", "down", "busy", "version")
+_CONTROL_OPS = {"up": 4, "busy": 6, "version": 7}
 
 
 def encode_control(op: str, a: int = 0, b: int = 0) -> bytes:
-    return _CONTROL.pack(_CONTROL_OPS.index(op) + 1, a, b)
+    return _CONTROL.pack(_CONTROL_OPS[op], a, b)
 
 
 def decode_control(payload: bytes) -> tuple[str, int, int]:
     code, a, b = _fixed(_CONTROL, payload, "FCT1 control op")
-    if not 1 <= code <= len(_CONTROL_OPS):
+    op = next((op for op, c in _CONTROL_OPS.items() if c == code), None)
+    if op is None:
         raise WireFormatError(f"unknown FCT1 control op {code}")
-    return _CONTROL_OPS[code - 1], a, b
+    return op, a, b
 
 
-_HELLO_HEAD = struct.Struct("<HH")  # version, fingerprint length
+_HELLO_HEAD = struct.Struct("<HQH")  # version, session id, fingerprint length
 
 
 def plan_fingerprint(plan_blob: bytes) -> str:
@@ -397,25 +376,29 @@ def plan_fingerprint(plan_blob: bytes) -> str:
     return hashlib.blake2b(plan_blob, digest_size=16).hexdigest()
 
 
-def encode_hello(fingerprint: str, cfg: "WorkerConfig") -> bytes:
+def encode_hello(fingerprint: str, session: int, cfg: "WorkerConfig") -> bytes:
+    """What every slot connection opens with: its coordinator's session
+    id (one per transport, shared by all its slots), the plan's name and
+    the worker config."""
     name = fingerprint.encode()
     blob = encode_worker_config(cfg)
-    head = _HELLO_HEAD.pack(SESSION_VERSION, len(name))
+    head = _HELLO_HEAD.pack(SESSION_VERSION, session, len(name))
     return head + name + _U32.pack(len(blob)) + blob
 
 
-def decode_hello(payload: bytes) -> tuple[str, "WorkerConfig"]:
-    """``(plan fingerprint, worker config)``.  The version is judged before
-    any later field is read, so a peer from another checkout gets a
-    :class:`VersionMismatch`, never a misparse."""
-    reader = Reader(payload, "FHL1 hello")
-    version, name_len = reader.unpack(_HELLO_HEAD)
+def decode_hello(payload: bytes) -> tuple[str, int, "WorkerConfig"]:
+    """``(plan fingerprint, session id, worker config)``.  The version is
+    judged before any later field is read, so a peer from another
+    checkout gets a :class:`VersionMismatch`, never a misparse."""
+    (version,) = Reader(payload, "FHL1 hello").unpack(_U16)
     if version not in SUPPORTED_VERSIONS["session"]:
         raise VersionMismatch(SESSION_VERSION, version)
+    reader = Reader(payload, "FHL1 hello")
+    _, session, name_len = reader.unpack(_HELLO_HEAD)
     fingerprint = reader.text(name_len)
     cfg = decode_worker_config(reader.take(*reader.unpack(_U32)))
     reader.finish()
-    return fingerprint, cfg
+    return fingerprint, session, cfg
 
 
 _ACK = struct.Struct("<BI")  # need_plan, host pid

@@ -1,39 +1,52 @@
-"""Worker hosts: the process that owns slot workers behind a tcp session.
+"""Worker hosts: the process that forks ``tcp`` slot workers.
 
 One class, :class:`WorkerHost`, is every worker host.  The ``tcp``
 transport forks one per ``"local"`` host, bound to ``127.0.0.1:0``;
 ``python -m repro.runtime.worker_host --bind HOST:PORT --authkey-file
 KEYFILE`` runs the same class for an operator, possibly on another
-machine.  Either way the **plan** arrives through the session as
-``FPL1`` bytes, is deserialized against an evaluator rebuilt from the
-:class:`~repro.runtime.wire.HostEnv` in the ``FHL1`` hello's worker
-config, lowered once (for a fused session) before any slot forks, and
-cached across sessions under the hello's fingerprint — the BLAKE2b of
-those ``EPL1`` bytes, checked on upload — so a coordinator that
-reconnects never re-uploads, and two plans never share a name.  The
-session **authkey** is a constructor argument: a per-transport random
-key handed over in memory for a forked host, a file both ends share
-(``ServingConfig(authkey_file=...)``) for the CLI.
+machine.
+
+Every worker slot is its own connection.  The host authenticates it
+over the **authkey** (a constructor argument: a per-transport random
+key handed over in memory for a forked host, a file both ends share —
+``ServingConfig(authkey_file=...)`` — for the CLI) and reads its
+``FHL1`` hello.  The **plan** arrives as ``FPL1`` bytes only when the
+host's cache lacks the hello's fingerprint — the BLAKE2b of those
+``EPL1`` bytes, checked on upload — so a coordinator that reconnects
+never re-uploads, and two plans never share a name.  It is deserialized
+against an evaluator rebuilt from the hello's
+:class:`~repro.runtime.wire.HostEnv` and lowered once (for a fused
+session) before any slot forks.  Then the host forks the slot worker on
+the socket, names its pid in one ``FCT1`` ``up`` frame, and never reads
+that connection again: the slot runs the verbatim
+:func:`repro.runtime.executor._worker_loop` on it, as a ``pipe`` worker
+does on its pipe.
 
 Lifecycle, the same for every host:
 
-* a session ``bye`` ends the session, never the host;
-* while one session is live, a second coordinator is authenticated and
-  then refused with an ``FCT1`` ``busy`` control frame — one session at
-  a time stays an invariant, and the refusal is explicit rather than a
-  hang;
-* ``--idle-timeout-s`` drops a session whose coordinator has gone
-  quiet, freeing the host for the next attach;
-* SIGTERM/SIGINT **drain**: the host stops reading new requests, keeps
-  relaying in-flight replies until no slot is busy (bounded by
-  ``--drain-timeout-s``), then closes the session and exits — how an
-  operator stops a host, and how the coordinator retires one it forked;
+* one coordinator at a time: every hello carries its coordinator's
+  session id, and while slots of one session run, a dial carrying
+  another is authenticated and then refused with an ``FCT1`` ``busy``
+  frame — explicit rather than a hang;
+* the host keeps its copy of each slot socket only to watch it for the
+  coordinator's hang-up, on which it SIGKILLs and reaps the slot (a
+  SIGSTOPped one too) — closing a slot's socket is how a coordinator
+  kills it.  When a slot dies, the host closes its copy, which is what
+  the coordinator reads as EOF; when the host dies, every slot exits;
+* ``--idle-timeout-s`` is each slot socket's timeout: a slot whose
+  coordinator has sent nothing for that long exits;
+* SIGTERM/SIGINT **drain**: the host stops accepting and shuts the read
+  side of every slot socket, so each slot finishes its in-flight
+  request, sends the reply and exits; past ``--drain-timeout-s`` the
+  rest are SIGKILLed — how an operator stops a host, and how the
+  coordinator retires one it forked;
 * a host the coordinator forked also exits once orphaned
   (``owner_pid``), so it never outlives its coordinator.
 
-Contract (see ``docs/serving.md``): one session at a time; slot workers
-run the verbatim :func:`repro.runtime.executor._worker_loop`; nothing
-host-side caches ciphertext bytes beyond the in-flight frame.
+Contract (see ``docs/serving.md``): nothing host-side caches ciphertext
+bytes; a handshake runs inline (bounded by ``HANDSHAKE_TIMEOUT_S``), so
+a silent dial can delay new slot attaches, never the replies of slots
+already running.
 """
 
 from __future__ import annotations
@@ -42,18 +55,20 @@ import argparse
 import errno
 import multiprocessing as mp
 import os
+import select
 import signal
 import socket
 import sys
+import threading
 import time
 from contextlib import suppress
-from multiprocessing.connection import wait as connection_wait
 
-from repro.ckks.serialization import WireFormatError, pack_frame
+from repro.ckks.serialization import WireFormatError
 from repro.runtime import wire
+from repro.runtime.executor import _worker_loop
+from repro.runtime.transport import SocketChannel
 from repro.runtime.wire import (
     SESSION_ACK_MAGIC,
-    SESSION_BATCH_MAGIC,
     SESSION_CONTROL_MAGIC,
     SESSION_ERRORS,
     SESSION_HELLO_MAGIC,
@@ -67,6 +82,7 @@ __all__ = [
     "WorkerHost",
     "load_authkey",
     "main",
+    "parse_address",
 ]
 
 # An HMAC key shorter than this is a typo, not a secret.
@@ -89,15 +105,24 @@ def load_authkey(path: str) -> bytes:
     return key
 
 
-class _SessionDrop(Exception):
-    """Internal: tear the current session down (injected or real)."""
+def parse_address(text: str, *, dial: bool = False) -> tuple[str, int]:
+    """``"HOST:PORT"`` as ``(host, port)``; a port above 65535 — or port
+    0 (ephemeral) in an address to ``dial`` — is a :class:`ValueError`."""
+    host, sep, port = text.rpartition(":")
+    lowest = 1 if dial else 0
+    if not (sep and host and port.isdigit() and lowest <= int(port) <= 65535):
+        raise ValueError(
+            f"expected HOST:PORT with a port in {lowest}..65535, got {text!r}"
+        )
+    return host, int(port)
 
 
 class WorkerHost:
-    """A worker host: accepts coordinator sessions, forks slot workers
-    (see module docstring).  The plan cache (``fingerprint -> lowered
-    plan``) persists across sessions, which is what makes
-    reconnect-after-drop cheap and keeps plan shipping once per host."""
+    """A worker host: authenticates slot connections and forks a slot
+    worker on each (see module docstring).  The plan cache
+    (``fingerprint -> lowered plan``) persists across sessions, which is
+    what makes reconnect-after-drop cheap and keeps plan shipping once
+    per host."""
 
     def __init__(
         self,
@@ -118,12 +143,10 @@ class WorkerHost:
         self._owner_pid = owner_pid  # exit once re-parented away from it
         self._plans: dict[str, object] = {}  # plan fingerprint -> plan
         self._listener: socket.socket | None = None
-        # Session-scoped state: slots with a request in flight, the drain
-        # flag (SIGTERM sets it), and the last time the session moved bytes.
-        self._busy: set[int] = set()
+        self._slots: list[tuple] = []  # (process, this host's copy of its socket)
+        self._session: int | None = None  # the live coordinator's session id
         self._draining = False
-        self._drain_deadline: float | None = None
-        self._last_activity = time.monotonic()
+        self._drained: list[socket.socket] = []  # copies a drain holds open
 
     # -- lifecycle -------------------------------------------------------
 
@@ -149,14 +172,11 @@ class WorkerHost:
         return self.port
 
     def request_drain(self) -> None:
-        """Begin a graceful exit: finish in-flight requests, relay their
-        replies, then stop.  Safe from a signal handler or another
-        thread: it sets a flag and shuts the listener, which wakes a
-        blocked accept and refuses new dials."""
+        """Begin a graceful exit: every slot finishes its in-flight
+        request and sends the reply, then the host stops.  Safe from a
+        signal handler or another thread: it sets a flag the serve loop
+        acts on within a poll period."""
         self._draining = True
-        if self._listener is not None:
-            with suppress(OSError):
-                self._listener.shutdown(socket.SHUT_RDWR)
 
     def run(self, publish=None) -> None:
         """A host process's body: drain on SIGTERM/SIGINT, then
@@ -170,51 +190,98 @@ class WorkerHost:
         self.serve_forever()
 
     def serve_forever(self) -> None:
-        """Accept and serve sessions one at a time until drained (or
-        orphaned); ``bye`` ends a session, never the host."""
+        """Attach slots and watch them until drained (or orphaned)."""
         if self._listener is None:
             self.bind()
         listener = self._listener
+        # Every slot closes its copy of the write end, so a slot's read
+        # end sees EOF exactly when this process is gone.
+        life_r, life_w = os.pipe()
+        drain_deadline = None
         try:
-            while not self._draining:
-                try:
-                    sock, _ = listener.accept()
-                except TimeoutError:
-                    if self._owner_pid not in (None, os.getppid()):
-                        break  # orphaned: the coordinator is gone
-                    continue
-                except OSError:
-                    break  # shut by request_drain()
-                self._serve_connection(sock)
+            while True:
+                if self._draining and drain_deadline is None:
+                    drain_deadline = time.monotonic() + self._drain_timeout_s
+                    listener.close()  # dials are refused from here on
+                    for _, sock in self._slots:
+                        with suppress(OSError):
+                            sock.shutdown(socket.SHUT_RD)  # the slot reads EOF
+                if drain_deadline is not None:
+                    if not self._slots or time.monotonic() >= drain_deadline:
+                        return
+                elif self._owner_pid not in (None, os.getppid()):
+                    return  # orphaned: the coordinator is gone
+                poller = select.poll()
+                watched = {}
+                for slot in self._slots:
+                    proc, sock = slot
+                    watched[proc.sentinel] = slot  # readable once it exits
+                    poller.register(proc.sentinel, select.POLLIN)
+                    if drain_deadline is None:
+                        # A draining host shut the read side itself.
+                        watched[sock.fileno()] = slot
+                        poller.register(sock, select.POLLRDHUP)
+                if drain_deadline is None:
+                    poller.register(listener, select.POLLIN)
+                for fd, _ in poller.poll(200):
+                    if fd in watched:
+                        if watched[fd] in self._slots:
+                            self._reap(watched[fd])
+                    else:  # the listener
+                        self._attach(life_r, life_w)
         finally:
-            listener.close()
-
-    # -- one session ----------------------------------------------------
-
-    def _serve_connection(self, sock: socket.socket) -> None:
-        """Authenticate one accepted connection and serve its session.
-        An unauthenticated peer can hold the (one-session-at-a-time)
-        accept loop for at most the handshake timeout, and is
-        disconnected before any frame is parsed."""
-        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(wire.HANDSHAKE_TIMEOUT_S)
-        try:
-            if wire.auth_server(sock, self.authkey):
-                self._serve_session(sock)
-        except SESSION_ERRORS:
-            pass
-        finally:
-            try:
+            for slot in list(self._slots):
+                self._reap(slot)
+            for sock in self._drained:
                 sock.close()
-            except OSError:
-                pass
+            listener.close()
+            os.close(life_r)
+            os.close(life_w)
+
+    # -- one slot -------------------------------------------------------
+
+    def _attach(self, life_r: int, life_w: int) -> None:
+        """Accept one dial and, when it authenticates and joins the live
+        session, fork its slot worker on it.  An unauthenticated peer
+        holds the accept loop for at most the handshake timeout, and is
+        disconnected before any frame is parsed."""
+        try:
+            sock, _ = self._listener.accept()
+        except OSError:
+            return
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            sock.settimeout(wire.HANDSHAKE_TIMEOUT_S)
+            admitted = wire.auth_server(sock, self.authkey) and self._negotiate(sock)
+            if admitted:
+                proc = mp.get_context("fork").Process(
+                    target=self._slot_entry,
+                    args=(*admitted, sock, life_r, life_w),
+                    daemon=True,
+                )
+                proc.start()
+        except SESSION_ERRORS:
+            admitted = None  # a hostile dial or a failed fork, never the host
+        if not admitted:
+            sock.close()
+            return
+        slot = (proc, sock)
+        self._slots.append(slot)
+        try:
+            send_session_frame(
+                sock, SESSION_CONTROL_MAGIC, wire.encode_control("up", proc.pid)
+            )
+        except OSError:
+            self._reap(slot)
 
     def _negotiate(self, sock: socket.socket):
+        """Hello, ack and (on a cache miss) upload; returns ``(plan,
+        cfg)``, or ``None`` for a dial refused as busy."""
         tag, payload = recv_session_frame(sock)
         if tag != SESSION_HELLO_MAGIC:
             raise WireFormatError(f"expected FHL1, got {tag!r}")
         try:
-            fingerprint, cfg = wire.decode_hello(payload)
+            fingerprint, session, cfg = wire.decode_hello(payload)
         except wire.VersionMismatch as exc:
             # Rule 2 of docs/formats.md "Versioning": tell the peer both
             # versions before hanging up, so it can name them too.
@@ -224,6 +291,11 @@ class WorkerHost:
                 wire.encode_control("version", exc.ours, exc.theirs),
             )
             raise
+        if self._slots and session != self._session:
+            send_session_frame(
+                sock, SESSION_CONTROL_MAGIC, wire.encode_control("busy", os.getpid())
+            )
+            return None
         plan = self._plans.get(fingerprint)
         send_session_frame(
             sock, SESSION_ACK_MAGIC, wire.encode_ack(plan is None, os.getpid())
@@ -254,266 +326,55 @@ class WorkerHost:
         except Exception as exc:  # noqa: BLE001 — a session boundary
             # Crafted plan bytes (or a HostEnv no evaluator can be
             # built from) can raise nearly anything:
-            # all of it ends the session, never the host.
+            # all of it ends the dial, never the host.
             raise WireFormatError(f"undecodable plan upload: {exc!r}") from exc
+        self._session = session
         return plan, cfg
 
-    def _session_over(self) -> bool:
-        """Whether the live session should end now: drained (or out of
-        drain time), or its coordinator went quiet past the idle timeout."""
-        now = time.monotonic()
+    def _reap(self, slot: tuple) -> None:
+        """End a slot: SIGKILL it (a no-op once it exited), reap it, then
+        close this host's copy of its socket — the EOF its coordinator
+        reads.  A drain holds every copy until the last slot is done: a
+        coordinator respawns on one slot's EOF, and must not block in that
+        while another slot's reply is still on its way."""
+        proc, sock = slot
+        self._slots.remove(slot)
+        with suppress(OSError):
+            os.kill(proc.pid, signal.SIGKILL)
+        proc.join()
         if self._draining:
-            if self._drain_deadline is None:
-                self._drain_deadline = now + self._drain_timeout_s
-            return not self._busy or now >= self._drain_deadline
-        idle = self._idle_timeout_s
-        return idle is not None and now - self._last_activity > idle
+            self._drained.append(sock)
+        else:
+            sock.close()
 
-    def _serve_session(self, sock: socket.socket) -> None:
-        session_plan, cfg = self._negotiate(sock)
-        sock.settimeout(None)  # steady state: blocking frame reads
-        ctx = mp.get_context("fork")
-        workers: dict[int, tuple] = {}  # slot -> (proc, conn)
-        self._busy.clear()
-        self._last_activity = time.monotonic()
-        try:
-            while not self._session_over():
-                # A draining host stops reading coordinator frames (no
-                # new requests) but keeps relaying in-flight replies.
-                conns = [w[1] for w in workers.values()]
-                if not self._draining:
-                    conns += [sock, self._listener]
-                ready_list = connection_wait(conns, timeout=0.2)
-                out: list[tuple[int, bytes]] = []
-                if sock in ready_list:
-                    # Before the listener: a coordinator that said bye
-                    # and redialed finds its new session accepted.
-                    if self._on_session_frame(sock, workers, ctx, session_plan, cfg):
-                        return
-                for ready in ready_list:
-                    if ready is sock:
-                        continue
-                    if ready is self._listener:
-                        self._refuse_busy()
-                        continue
-                    slot = next(
-                        (s for s, w in workers.items() if w[1] is ready), None
-                    )
-                    if slot is None:
-                        continue
-                    try:
-                        msg_bytes = ready.recv_bytes()
-                    except (EOFError, OSError):
-                        self._reap_slot(workers, slot)
-                        self._busy.discard(slot)
-                        send_session_frame(
-                            sock,
-                            SESSION_CONTROL_MAGIC,
-                            wire.encode_control("down", slot),
-                        )
-                        continue
-                    if wire.peek_message(msg_bytes)[0] in (wire.OK, wire.ERR):
-                        self._busy.discard(slot)  # reply for the request
-                    out.append((slot, msg_bytes))
-                if out:
-                    self._relay_upstream(sock, out, cfg.chaos)
-                    self._last_activity = time.monotonic()
-        except _SessionDrop:
-            pass
-        finally:
-            # Every way out — bye, drain, idle, a session error, which
-            # includes a CRC-valid but malformed frame — keeps the host
-            # (and its warm plan cache) alive for the next attach.
-            self._busy.clear()
-            for slot in list(workers):
-                self._kill_slot(workers, slot)
-
-    def _refuse_busy(self) -> None:
-        """A second coordinator dialed in while a session is live: prove
-        we share its key, then refuse explicitly.  Unauthenticated peers
-        are dropped without a frame, exactly as in the accept loop."""
-        try:
-            intruder, _ = self._listener.accept()
-        except OSError:
-            return
-        intruder.settimeout(wire.HANDSHAKE_TIMEOUT_S)
-        try:
-            if wire.auth_server(intruder, self.authkey):
-                send_session_frame(
-                    intruder,
-                    SESSION_CONTROL_MAGIC,
-                    wire.encode_control("busy", os.getpid()),
-                )
-        except SESSION_ERRORS:
-            pass
-        finally:
-            try:
-                intruder.close()
-            except OSError:
-                pass
-
-    def _on_session_frame(self, sock, workers, ctx, session_plan, cfg) -> bool:
-        """Handle one coordinator frame; True when it was ``bye``."""
-        tag, payload = recv_session_frame(sock)
-        self._last_activity = time.monotonic()
-        if tag == SESSION_BATCH_MAGIC:
-            for slot, msg_bytes in wire.decode_batch(payload):
-                entry = workers.get(slot)
-                if entry is None:
-                    continue
-                is_request = wire.peek_message(msg_bytes)[0] == wire.REQUEST
-                try:
-                    entry[1].send_bytes(msg_bytes)
-                except (BrokenPipeError, OSError):
-                    self._reap_slot(workers, slot)
-                    continue
-                if is_request:
-                    self._busy.add(slot)
-            return False
-        if tag != SESSION_CONTROL_MAGIC:
-            raise WireFormatError(f"unexpected session frame {tag!r}")
-        op, slot, _ = wire.decode_control(payload)
-        if op == "spawn":
-            from repro.runtime.executor import _worker_loop
-
-            parent_conn, child_conn = ctx.Pipe()
-            # Fork-inherited fds the slot worker must NOT keep: the
-            # session socket and listener (a dead host's session would
-            # otherwise never EOF at the coordinator while a worker
-            # still holds them), its OWN parent-side pipe end (holding
-            # both ends of one socketpair would mask the host-death EOF
-            # forever), and the sibling workers' parent ends (which
-            # would likewise mask sibling EOFs).
-            inherited = [self._listener, sock, parent_conn]
-            inherited += [w[1] for w in workers.values()]
-            proc = ctx.Process(
-                target=_slot_entry,
-                args=(_worker_loop, session_plan, child_conn, cfg, inherited),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
-            workers[slot] = (proc, parent_conn)
-            send_session_frame(
-                sock, SESSION_CONTROL_MAGIC, wire.encode_control("up", slot, proc.pid)
-            )
-        elif op == "kill" and slot in workers:
-            self._kill_slot(workers, slot)
-            self._busy.discard(slot)  # its reply will never come: don't drain for it
-            send_session_frame(
-                sock, SESSION_CONTROL_MAGIC, wire.encode_control("down", slot)
-            )
-        return op == "bye"
-
-    def _relay_upstream(self, sock, out, chaos) -> None:
-        """Ship collected worker messages upstream as one batch,
-        consulting the ``host_relay`` chaos site per reply."""
-        clean: list[tuple[int, bytes]] = []
-        deferred: list[tuple[int, bytes]] = []  # reorder: ship last
-        for slot, msg_bytes in out:
-            action = None
-            if chaos is not None:
-                kind, req_id, attempt, _ = wire.peek_message(msg_bytes)
-                if kind in (wire.OK, wire.ERR):
-                    action = chaos.decide("host_relay", req_id, attempt)
-            if action is None:
-                clean.append((slot, msg_bytes))
-                continue
-            if action.kind in ("slow", "asym"):
-                # "asym" models asymmetric latency: only this upstream
-                # relay is delayed, never the downstream dispatch.
-                time.sleep(action.duration_s)
-                clean.append((slot, msg_bytes))
-                continue
-            if action.kind == "reorder":
-                # The reply is overtaken by everything else relayed this
-                # round (and ships in its own trailing frame).
-                deferred.append((slot, msg_bytes))
-                continue
-            if action.kind == "duplicate":
-                # Delivered twice, intact: the executor's stale-attempt
-                # dedup must drop the second copy.
-                clean.append((slot, msg_bytes))
-                clean.append((slot, msg_bytes))
-                continue
-            # disconnect / partial: flush what precedes the fault, then
-            # break the session (the faulted reply is lost either way —
-            # its request re-runs under the executor's retry budget).
-            if clean:
-                send_session_frame(
-                    sock, SESSION_BATCH_MAGIC, wire.encode_batch(clean)
-                )
-            if action.kind == "partial":
-                frame = pack_frame(
-                    SESSION_BATCH_MAGIC, wire.encode_batch([(slot, msg_bytes)])
-                )
-                sock.sendall(frame[: max(9, len(frame) // 2)])
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            raise _SessionDrop()
-        if clean:
-            send_session_frame(sock, SESSION_BATCH_MAGIC, wire.encode_batch(clean))
-        if deferred:
-            send_session_frame(
-                sock, SESSION_BATCH_MAGIC, wire.encode_batch(deferred)
-            )
-
-    @staticmethod
-    def _reap_slot(workers: dict, slot: int) -> None:
-        proc, conn = workers.pop(slot, (None, None))
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        if proc is not None:
-            proc.join(timeout=1.0)
-
-    @staticmethod
-    def _kill_slot(workers: dict, slot: int) -> None:
-        proc, conn = workers.pop(slot, (None, None))
-        if proc is not None and proc.pid is not None:
-            try:
-                os.kill(proc.pid, signal.SIGKILL)
-            except (ProcessLookupError, OSError):
-                pass
-            proc.join(timeout=2.0)
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:
-                pass
+    def _slot_entry(self, plan, cfg, sock, life_r: int, life_w: int) -> None:
+        """Slot-worker process body, in the fork (``self`` is this
+        process's copy of the host): drop the host's descriptors, exit
+        with the host, then serve the socket with the worker loop.  The
+        host's drain handler is dropped too: it would only flag this
+        process's dead copy of the host.  SIGTERM kills the slot again; a
+        terminal's Ctrl-C, which reaches the whole process group, is left
+        to the host, whose drain still lets the slot send its in-flight
+        reply."""
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        # A copy of a sibling's socket would hide that sibling's death
+        # from its coordinator, one of the life pipe's write end this
+        # host's death from this slot.
+        os.close(life_w)
+        self._listener.close()
+        for _, sibling in self._slots:
+            sibling.close()
+        threading.Thread(target=_exit_with_host, args=(life_r,), daemon=True).start()
+        sock.settimeout(self._idle_timeout_s)
+        _worker_loop(plan, SocketChannel(sock, cfg.chaos), cfg)
 
 
-def _slot_entry(worker_loop, plan, conn, cfg, inherited) -> None:
-    """Slot-worker process body: drop fork-inherited host fds (session
-    socket, listener, sibling pipes) before entering the worker loop, so
-    host death propagates as EOF instead of being masked by workers.
-    The host's drain handler is dropped too: it would only flag this
-    process's dead copy of the host.  SIGTERM kills the slot again; a
-    terminal's Ctrl-C, which reaches the whole process group, is left
-    to the host, whose drain still relays the slot's in-flight reply."""
-    signal.signal(signal.SIGTERM, signal.SIG_DFL)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    for obj in inherited:
-        if obj is None:
-            continue
-        try:
-            obj.close()
-        except OSError:
-            pass
-    worker_loop(plan, conn, cfg)
-
-
-def _parse_bind(text: str) -> tuple[str, int]:
-    host, sep, port = text.rpartition(":")
-    if not sep or not host or not port.isdigit():
-        raise ValueError(
-            f"--bind expects HOST:PORT (port 0 for ephemeral), got {text!r}"
-        )
-    return host, int(port)
+def _exit_with_host(life_r: int) -> None:
+    """Return from the read only once the host is gone, then end the
+    slot: its coordinator must read the host's death as this slot's EOF."""
+    os.read(life_r, 1)
+    os._exit(1)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -549,8 +410,8 @@ def main(argv: list[str] | None = None) -> int:
         "--idle-timeout-s",
         type=float,
         default=None,
-        help="drop a session after this long without coordinator "
-        "traffic (default: never)",
+        help="a slot worker exits after this long without a request "
+        "from its coordinator (default: never)",
     )
     parser.add_argument(
         "--drain-timeout-s",
@@ -561,9 +422,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     try:
-        bind = _parse_bind(args.bind)
+        bind = parse_address(args.bind)
     except ValueError as exc:
-        parser.error(str(exc))
+        parser.error(f"--bind: {exc} (port 0 for ephemeral)")
     try:
         authkey = load_authkey(args.authkey_file)
     except (OSError, ValueError) as exc:

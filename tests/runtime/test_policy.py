@@ -508,7 +508,7 @@ class TestScenarios:
         assert m.submit(0.0, 0) == [Dispatch("w0", 0, 0)]
         assert m.next_wake(0.0) == 1.0
         assert m.heartbeat(0.9, "w0", 0, 0) == []
-        assert m.tick(1.5) == [] and m.staleness(1.5) == pytest.approx(0.6)
+        assert m.tick(1.5) == []
         assert m.tick(1.9) == []  # exactly the timeout is not past it
         cause = "worker w0 hung (no heartbeat for 1s) on attempt 1"
         assert m.tick(2.0) == [
@@ -733,7 +733,7 @@ def test_docs_transition_table_matches_code():
     # In the code: an event is a public method of the machine that is not
     # one of its read-only views, an action a namedtuple of the module, a
     # status whatever the module's source ends a request with.
-    views = {"pending", "in_flight", "staleness", "next_wake"}
+    views = {"pending", "in_flight", "next_wake"}
     public = {name for name in vars(PoolMachine) if not name.startswith("_")}
     classes = [value for value in vars(pm).values() if inspect.isclass(value)]
     in_code = {cls.__name__ for cls in classes if issubclass(cls, tuple)}

@@ -2,7 +2,7 @@
 
 Ten rounds against a genuinely remote (CLI-spawned, no fork
 relationship) worker host.  Each round serves a batch under seeded
-chaos — worker crashes, reply reordering, asymmetric relay latency —
+chaos — worker crashes, duplicated replies, slow replies —
 and on alternating rounds the host process is SIGKILLed mid-batch and
 restarted on the same address by a supervisor thread, exercising the
 dial → requeue → reattach path end to end.  The invariant is the
@@ -172,9 +172,9 @@ def test_ten_round_kill_reattach_soak(tmp_path, rctx, soak_plan):
                 crash_rate=0.05,
                 slow_rate=0.95,
                 slow_s=0.05,
-                reorder_rate=0.15,
-                asym_latency_rate=0.2,
-                asym_latency_s=0.01,
+                duplicate_rate=0.15,
+                slow_host_rate=0.2,
+                slow_host_s=0.01,
             )
             cfg = ServingConfig(
                 num_workers=2,

@@ -66,6 +66,9 @@ class TestServingConfig:
             {"transport": "shm"},  # deleted in PR 22: rejected by name
             {"hosts": 2},  # pipe has no hosts to count
             {"hosts": ("tcp://10.0.0.7:9701",), "authkey_file": "key"},
+            # Ports a host cannot listen on: refused here, not at dial time.
+            {"transport": "tcp", "hosts": ("tcp://127.0.0.1:99999",), "authkey_file": "k"},
+            {"transport": "tcp", "hosts": ("tcp://127.0.0.1:0",), "authkey_file": "k"},
             {"num_workers": 0},  # every request is served by a worker
         ],
     )

@@ -1,18 +1,19 @@
 """Seeded frame fuzzer over the serving fabric's wire formats.
 
-Every layout the fabric parses — session-version-3 frames (FHL1 hello
-with its worker-config blob, FHA1 ack, FPL1 plan, FBT1 batch, FCT1
-control), the worker message riding inside a batch (header and parts), and the
-boundary frames riding inside worker messages (ENV1 envelopes, FLT1
-faults, TRC1 traces) — is mutated under a fixed seed: flipped bytes,
-corrupted length prefixes, zeroed CRCs, swapped magics, truncations,
-junk tails, and CRC-*valid* malformed payloads (mutate, then re-frame).
+Every layout the fabric parses — session-version-4 frames (FHL1 hello
+with its worker-config blob, FHA1 ack, FPL1 plan, FMS1 message, FCT1
+control), the worker message riding inside an FMS1 frame (header and
+parts), and the boundary frames riding inside worker messages (ENV1
+envelopes, FLT1 faults, TRC1 traces) — is mutated under a fixed seed:
+flipped bytes, corrupted length prefixes, zeroed CRCs, swapped magics,
+truncations, junk tails, and CRC-*valid* malformed payloads (mutate,
+then re-frame).
 
 The invariant under test is the contract in ``docs/formats.md``: every
 mutation yields a **typed rejection** — :class:`WireFormatError` or a
 connection-level error, full stop — **or a dropped session**: never a
-hung pump thread, never a dead host process, and never a decode of
-bytes whose CRC did not check out.
+hung host, never a dead host process, and never a decode of bytes whose
+CRC did not check out.
 
 Tier-1 acceptance requires at least 500 seeded mutations; the counts
 below are asserted so a refactor cannot silently shrink the battery.
@@ -37,18 +38,17 @@ from repro.runtime.plan_io import serialize_plan
 from repro.runtime.telemetry import TraceContext
 from repro.runtime.wire import (
     SESSION_ACK_MAGIC,
-    SESSION_BATCH_MAGIC,
     SESSION_CONTROL_MAGIC,
     SESSION_HELLO_MAGIC,
+    SESSION_MESSAGE_MAGIC,
     SESSION_PLAN_MAGIC,
     auth_client,
     recv_session_frame,
-    send_session_frame,
 )
 from repro.runtime.worker_host import WorkerHost
 
 # Exceptions that count as a *typed rejection*: exactly the set the
-# session loop treats as end-of-session — the decoders' one error type,
+# host treats as the end of a dial — the decoders' one error type,
 # or the connection failing (ConnectionError / TimeoutError, both
 # OSErrors, for reads that outlive a dropped peer).  Anything else —
 # struct.error, KeyError, a bare ValueError — would be a decoder that
@@ -136,35 +136,28 @@ class TestDecodeFuzz:
 
     def _corpus(self, fuzz_plan):
         blob = serialize_plan(fuzz_plan)
-        hello = wire.encode_hello(wire.plan_fingerprint(blob), _worker_cfg(fuzz_plan))
-        assert struct.unpack_from("<H", hello) == (3,)  # the layout fuzzed
-
-        def decode_batch_entries(payload):
-            for _slot, msg_bytes in wire.decode_batch(payload):
-                wire.decode_message(msg_bytes)
-
+        fingerprint = wire.plan_fingerprint(blob)
+        hello = wire.encode_hello(fingerprint, 3, _worker_cfg(fuzz_plan))
+        assert struct.unpack_from("<H", hello) == (4,)  # the layout fuzzed
         return [
             ("FHL1", pack_frame(SESSION_HELLO_MAGIC, hello), wire.decode_hello),
             (
-                "FBT1",
-                pack_frame(
-                    SESSION_BATCH_MAGIC, wire.encode_batch([(3, _reply_message())])
-                ),
-                decode_batch_entries,
+                "FMS1",
+                pack_frame(SESSION_MESSAGE_MAGIC, _reply_message()),
+                wire.decode_message,
             ),
             (
                 # A heartbeat is header only, so a payload mutation
-                # lands in the batch entry or the message header.
-                "FBT1-header",
+                # lands in the message header.
+                "FMS1-header",
                 pack_frame(
-                    SESSION_BATCH_MAGIC,
-                    wire.encode_batch([(3, wire.encode_message(wire.HEARTBEAT, 7, 1))]),
+                    SESSION_MESSAGE_MAGIC, wire.encode_message(wire.HEARTBEAT, 7, 1)
                 ),
-                decode_batch_entries,
+                wire.decode_message,
             ),
             (
                 "FCT1",
-                pack_frame(SESSION_CONTROL_MAGIC, wire.encode_control("spawn", 3)),
+                pack_frame(SESSION_CONTROL_MAGIC, wire.encode_control("up", 4321)),
                 wire.decode_control,
             ),
             (
@@ -177,7 +170,7 @@ class TestDecodeFuzz:
     @staticmethod
     def _feed_session(mutant: bytes):
         """Run one mutant through recv_session_frame over a socketpair;
-        returns (tag, payload) or raises what the pump would see."""
+        returns (tag, payload) or raises what a reader would see."""
         a, b = socket.socketpair()
         try:
             a.sendall(mutant)
@@ -265,7 +258,7 @@ class TestDecodeFuzz:
 
 class TestLiveHostFuzz:
     """The same mutation battery against a *live* worker host: after
-    every hostile session the host must still be serving (a hung pump
+    every hostile session the host must still be serving (a hung handshake
     would wedge the one-session-at-a-time accept loop and time the next
     round out; an escaped exception would kill the serve thread)."""
 
@@ -284,13 +277,16 @@ class TestLiveHostFuzz:
         blob = serialize_plan(fuzz_plan)
         hello_frame = pack_frame(
             SESSION_HELLO_MAGIC,
-            wire.encode_hello(wire.plan_fingerprint(blob), cfg),
+            wire.encode_hello(wire.plan_fingerprint(blob), 3, cfg),
         )
+        # What a slot worker reads once forked: a request (its junk input
+        # earns a typed WireCorruption reply) and a stray reply.
         steady_frames = [
-            pack_frame(SESSION_CONTROL_MAGIC, wire.encode_control("spawn", 0)),
             pack_frame(
-                SESSION_BATCH_MAGIC, wire.encode_batch([(0, _reply_message())])
+                SESSION_MESSAGE_MAGIC,
+                wire.encode_message(wire.REQUEST, 0, 0, [b"not-an-envelope"]),
             ),
+            pack_frame(SESSION_MESSAGE_MAGIC, _reply_message()),
         ]
         plan_frame = pack_frame(SESSION_PLAN_MAGIC, blob)
         deadline = time.monotonic() + 240
@@ -315,8 +311,7 @@ class TestLiveHostFuzz:
                             sock.sendall(_mutate(rng, plan_frame))
                         else:
                             # Plan cached from an earlier clean round:
-                            # fuzz the steady-state frames instead (a
-                            # slot spawn, then a batch for that slot).
+                            # fuzz what the forked slot worker reads.
                             for frame in steady_frames:
                                 sock.sendall(_mutate(rng, frame))
                     else:
@@ -347,9 +342,12 @@ class TestLiveHostFuzz:
                 assert tag == SESSION_ACK_MAGIC
                 if payload[0]:
                     sock.sendall(plan_frame)
-                send_session_frame(
-                    sock, SESSION_CONTROL_MAGIC, wire.encode_control("bye")
+                tag, payload = recv_session_frame(sock)
+                assert (tag, wire.decode_control(payload)[0]) == (
+                    SESSION_CONTROL_MAGIC,
+                    "up",
                 )
+                sock.shutdown(socket.SHUT_RDWR)
             assert thread.is_alive()
         finally:
             host.request_drain()

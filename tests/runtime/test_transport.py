@@ -1,4 +1,4 @@
-"""Transport seam: TCP worker-host sessions.
+"""Transport seam: TCP worker-host slots.
 
 Every transport must be *invisible* — bit-identical outputs, identical
 ordering, identical fault semantics — while differing only in how bytes
@@ -89,7 +89,8 @@ class TestTcpTransport:
             sharded = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
             stats = pool.stats()
             assert stats["transport_stats"]["hosts_spawned"] == 1
-            assert stats["transport_stats"]["sessions_opened"] == 1
+            # One connection per slot.
+            assert stats["transport_stats"]["sessions_opened"] == 2
         _assert_batches_equal(sharded, reference)
 
     def test_plan_ships_once_per_host(self, rctx, fabric_plan):
@@ -107,30 +108,21 @@ class TestTcpTransport:
             ts = stats["transport_stats"]
             assert ts["hosts_spawned"] == 2
             assert ts["plan_uploads"] == 2
-            host_procs = [h.host_proc for h in pool._transport._hosts]
+            host_procs = [proc for proc, _port in pool._transport._forked]
         _assert_batches_equal(sharded, reference)
         # close() retires each forked host with a SIGTERM drain; exit
         # code 0 means the drain finished it, not the SIGKILL fallback.
         assert [p.exitcode for p in host_procs] == [0] * len(host_procs)
-
-    def test_batched_framing_sends_fewer_frames(self, rctx, fabric_plan):
-        batches = _batches(rctx, 8, seed=13)
-        cfg = ServingConfig(num_workers=2, transport="tcp")
-        with ShardedExecutor(fabric_plan, config=cfg) as pool:
-            pool.run_batch(batches, timeout=RESULT_TIMEOUT)
-            ts = pool.stats().get("transport_stats", {})
-        if ts:
-            assert ts["frames_sent"] <= ts["messages_sent"]
 
 
 class TestHostLoss:
     def test_scripted_disconnect_reconnects_without_replan(
         self, rctx, fabric_plan
     ):
-        """A host_relay disconnect drops the session; the executor
-        requeues the in-flight requests, the transport reconnects to the
-        *same* host process, and the warm plan cache means the plan is
-        not shipped again."""
+        """A host_relay disconnect drops one slot's connection; the
+        executor requeues its request, the transport dials the *same*
+        host process for a new slot, and the warm plan cache means the
+        plan is not shipped again."""
         batches = _batches(rctx, 6, seed=14)
         reference = fabric_plan.run_batch(batches)
         chaos = FaultPlan(
@@ -149,7 +141,7 @@ class TestHostLoss:
             sharded = pool.run_batch(batches, timeout=RESULT_TIMEOUT)
             stats = pool.stats()
             ts = stats["transport_stats"]
-            assert ts["sessions_opened"] >= 2
+            assert ts["sessions_opened"] >= 3  # two slots, then the redial
             assert ts["hosts_spawned"] == 1  # same host process
             assert ts["plan_uploads"] == 1  # fingerprint cache hit
             assert stats["worker_crashes"] >= 1
@@ -286,7 +278,7 @@ class TestSessionSecurity:
         with a, b:
             # A corrupted u32 claiming ~4 GiB: rejected from the 8-byte
             # header alone — no body allocation, no blocking read.
-            a.sendall(b"FBT1" + struct.pack("<I", 0xFFFF_FF00))
+            a.sendall(b"FMS1" + struct.pack("<I", 0xFFFF_FF00))
             b.settimeout(10)
             with pytest.raises(WireFormatError):
                 recv_session_frame(b)
@@ -294,11 +286,13 @@ class TestSessionSecurity:
     def test_malformed_frame_drops_session_not_host(self, fabric_plan):
         from repro.runtime.wire import (
             SESSION_ACK_MAGIC,
-            SESSION_BATCH_MAGIC,
+            SESSION_CONTROL_MAGIC,
             SESSION_HELLO_MAGIC,
+            SESSION_MESSAGE_MAGIC,
             SESSION_PLAN_MAGIC,
             auth_client,
             decode_ack,
+            decode_control,
             encode_hello,
             recv_session_frame,
             send_session_frame,
@@ -311,7 +305,7 @@ class TestSessionSecurity:
             sock = socket.create_connection(("127.0.0.1", port), timeout=10)
             sock.settimeout(10)
             auth_client(sock, transport._authkey)
-            hello = encode_hello(transport.fingerprint, transport.cfg)
+            hello = encode_hello(transport.fingerprint, 1, transport.cfg)
             send_session_frame(sock, SESSION_HELLO_MAGIC, hello)
             tag, payload = recv_session_frame(sock)
             assert tag == SESSION_ACK_MAGIC
@@ -322,9 +316,12 @@ class TestSessionSecurity:
             with sock:
                 assert need_plan  # a fresh host: complete the handshake
                 send_session_frame(sock, SESSION_PLAN_MAGIC, transport.plan_blob)
-                # Steady state.  A CRC-valid but malformed batch: count
-                # says one entry, payload ends before the entry header.
-                send_session_frame(sock, SESSION_BATCH_MAGIC, struct.pack("<I", 1))
+                tag, payload = recv_session_frame(sock)
+                assert tag == SESSION_CONTROL_MAGIC
+                assert decode_control(payload)[0] == "up"
+                # Steady state.  A CRC-valid but malformed message: a
+                # header cut short after its kind byte.
+                send_session_frame(sock, SESSION_MESSAGE_MAGIC, b"\x01")
                 assert sock.recv(1) == b""  # session dropped…
             time.sleep(0.2)
             assert proc.is_alive()  # …but the host lives,
@@ -340,8 +337,8 @@ class TestChaosMatrix:
     def test_seeded_chaos_completes_bit_identical(
         self, rctx, fabric_plan, transport
     ):
-        """The seeded matrix — worker crashes plus session disconnects,
-        partial frames, and slow relays — must finish every request
+        """The seeded matrix — worker crashes plus slot disconnects,
+        partial frames, and slow replies — must finish every request
         exactly once with byte-identical outputs."""
         batches = _batches(rctx, 8, seed=16)
         reference = fabric_plan.run_batch(batches)
@@ -353,9 +350,8 @@ class TestChaosMatrix:
             slow_host_rate=0.2,
             slow_host_s=0.01,
         )
-        # A session drop crashes BOTH slots, so innocent-bystander
-        # requests accrue attempts too: give the budget headroom — the
-        # invariant under test is exactly-once results, not retry count.
+        # Give the retry budget headroom: the invariant under test is
+        # exactly-once results, not retry count.
         cfg = ServingConfig(
             num_workers=2,
             transport=transport,

@@ -2,10 +2,11 @@
 
 A ``WorkerHost`` — the class ``python -m repro.runtime.worker_host``
 runs, and the one the tcp transport forks — must refuse stale keys
-without dying, report a bound address clearly, time out sessions whose
+without dying, report a bound address clearly, time out slots whose
 coordinator went quiet, refuse a second coordinator explicitly while
-serving a first, take and lower the plan once, and drain in-flight work
-on SIGTERM instead of dropping it.
+serving a first, take and lower the plan once, kill a slot whose
+coordinator hung up, never let a stalled dial delay a running slot, and
+drain in-flight work on SIGTERM instead of dropping it.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ from repro.runtime.wire import (
     decode_control,
     encode_control,
     encode_hello,
+    recv_exact,
     plan_fingerprint,
     recv_session_frame,
     send_session_frame,
@@ -115,10 +117,10 @@ def _stop_host(host, thread):
     assert not thread.is_alive()
 
 
-def _negotiate_session(port, authkey, host_plan, fused=False):
+def _negotiate_session(port, authkey, host_plan, fused=False, session=1):
     """Dial + authenticate + complete a hello (uploading the plan if the
-    host asks), leaving the host inside its session loop.  Returns the
-    connected socket."""
+    host asks) + read the ``up`` frame naming the forked slot worker.
+    Returns the connected socket, now the slot's channel."""
     env = HostEnv(
         params=host_plan.evaluator.params,
         primes=tuple(host_plan.evaluator.basis.primes),
@@ -129,13 +131,22 @@ def _negotiate_session(port, authkey, host_plan, fused=False):
     sock.settimeout(10)
     auth_client(sock, authkey)
     send_session_frame(
-        sock, SESSION_HELLO_MAGIC, encode_hello(plan_fingerprint(blob), cfg)
+        sock, SESSION_HELLO_MAGIC, encode_hello(plan_fingerprint(blob), session, cfg)
     )
     tag, payload = recv_session_frame(sock)
     assert tag == SESSION_ACK_MAGIC
     if payload[0]:  # need_plan
         send_session_frame(sock, SESSION_PLAN_MAGIC, blob)
+    tag, payload = recv_session_frame(sock)
+    assert (tag, decode_control(payload)[0]) == (SESSION_CONTROL_MAGIC, "up")
     return sock
+
+
+def _hang_up(sock):
+    """Close as a coordinator does: the FIN goes out even though a slot
+    forked from this very process holds a copy of the socket."""
+    sock.shutdown(socket.SHUT_RDWR)
+    sock.close()
 
 
 class TestCliEntrypoint:
@@ -164,6 +175,19 @@ class TestCliEntrypoint:
         assert "bad --authkey-file" in capsys.readouterr().err
         with pytest.raises(ValueError, match=str(MIN_AUTHKEY_BYTES)):
             load_authkey(str(keyfile))
+
+    @pytest.mark.parametrize(
+        "bind", ["127.0.0.1:70000", "127.0.0.1:65536", "127.0.0.1", "127.0.0.1:x"]
+    )
+    def test_bad_bind_address_exits_2(self, tmp_path, capsys, bind):
+        """A port past 65535 is a usage error (exit 2 with a message),
+        not an ``OverflowError`` traceback from ``bind()``."""
+        keyfile, _ = _write_key(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["--bind", bind, "--authkey-file", keyfile])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "--bind" in err and "0..65535" in err
 
     def test_trailing_newline_in_keyfile_tolerated(self, tmp_path):
         key = bytes(range(1, 33))
@@ -212,8 +236,8 @@ class TestSessionLifecycle:
         host, port, thread = _threaded_host(key, idle_timeout_s=0.5)
         try:
             sock = _negotiate_session(port, key, host_plan)
-            # Quiet coordinator: the host drops the session (EOF here)
-            # instead of staying attached forever.
+            # Quiet coordinator: the slot exits and the host closes its
+            # socket (EOF here) instead of staying attached forever.
             start = time.monotonic()
             assert sock.recv(1) == b""
             assert time.monotonic() - start < 10
@@ -229,35 +253,40 @@ class TestSessionLifecycle:
         host, port, thread = _threaded_host(key)
         first = None
         try:
-            first = _negotiate_session(port, key, host_plan)
+            first = _negotiate_session(port, key, host_plan, session=1)
             # Second coordinator: authenticated, then told "busy" in a
             # typed FCT1 control frame — not a hang, not a silent drop.
             with socket.create_connection(("127.0.0.1", port), timeout=10) as second:
                 second.settimeout(10)
                 auth_client(second, key)
+                hello = encode_hello(plan_fingerprint(b"a plan"), 2, _config(host_plan))
+                send_session_frame(second, SESSION_HELLO_MAGIC, hello)
                 tag, payload = recv_session_frame(second)
                 assert tag == SESSION_CONTROL_MAGIC
                 # (op, a=the threaded host's pid, b unused)
                 assert decode_control(payload) == ("busy", os.getpid(), 0)
                 assert second.recv(1) == b""  # then disconnected
-            # The first session is untouched by the refusal.
-            send_session_frame(first, SESSION_CONTROL_MAGIC, encode_control("bye"))
+            # The first session is untouched by the refusal: its slot is
+            # still up, and it may open more.
+            first.settimeout(0.2)
+            with pytest.raises(TimeoutError):  # neither a frame nor EOF
+                first.recv(1)
+            _hang_up(_negotiate_session(port, key, host_plan, session=1))
             assert thread.is_alive()
         finally:
             if first is not None:
-                first.close()
+                _hang_up(first)
             _stop_host(host, thread)
 
-    def test_bye_ends_session_not_host(self, tmp_path, host_plan):
+    def test_hang_up_ends_session_not_host(self, tmp_path, host_plan):
         _, key = _write_key(tmp_path)
         host, port, thread = _threaded_host(key)
         try:
-            for _ in range(2):  # the second attach proves the host stayed
-                sock = _negotiate_session(port, key, host_plan)
-                send_session_frame(
-                    sock, SESSION_CONTROL_MAGIC, encode_control("bye")
-                )
-                sock.close()
+            # A coordinator that hangs up ends its session: the next one,
+            # with another session id, is admitted — and the second
+            # attach proves the host stayed.
+            for session in (1, 2):
+                _hang_up(_negotiate_session(port, key, host_plan, session=session))
             assert thread.is_alive()
         finally:
             _stop_host(host, thread)
@@ -268,16 +297,12 @@ class TestSessionLifecycle:
         _, key = _write_key(tmp_path)
         host, port, thread = _threaded_host(key)
         try:
+            # The up frame comes after the fork: the plan is cached.
             sock = _negotiate_session(port, key, host_plan, fused=True)
-            # The spawn ack comes after negotiation: the plan is cached.
-            send_session_frame(sock, SESSION_CONTROL_MAGIC, encode_control("spawn", 0))
-            tag, payload = recv_session_frame(sock)
-            assert (tag, decode_control(payload)[0]) == (SESSION_CONTROL_MAGIC, "up")
             [cached] = host._plans.values()
             assert cached is not host_plan  # rebuilt from the FPL1 bytes
             assert cached._fused is not None
-            send_session_frame(sock, SESSION_CONTROL_MAGIC, encode_control("bye"))
-            sock.close()
+            _hang_up(sock)
         finally:
             _stop_host(host, thread)
 
@@ -287,10 +312,7 @@ class TestSessionLifecycle:
         uncached — and the host serves the next one."""
         _, key = _write_key(tmp_path)
         host, port, thread = _threaded_host(key)
-        evaluator = host_plan.evaluator
-        env = HostEnv(evaluator.params, tuple(evaluator.basis.primes))
-        cfg = WorkerConfig(fused=False, chaos=None, heartbeat_s=None, env=env)
-        hello = encode_hello(plan_fingerprint(b"some other plan"), cfg)
+        hello = encode_hello(plan_fingerprint(b"another plan"), 1, _config(host_plan))
         try:
             with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
                 sock.settimeout(10)
@@ -301,29 +323,40 @@ class TestSessionLifecycle:
                 send_session_frame(sock, SESSION_PLAN_MAGIC, serialize_plan(host_plan))
                 assert sock.recv(1) == b""  # the session is dropped
             assert host._plans == {}
-            _negotiate_session(port, key, host_plan).close()
+            _hang_up(_negotiate_session(port, key, host_plan))
             assert thread.is_alive()
         finally:
             _stop_host(host, thread)
 
 
+def _config(plan, fused=False):
+    evaluator = plan.evaluator
+    env = HostEnv(evaluator.params, tuple(evaluator.basis.primes))
+    return WorkerConfig(fused=fused, chaos=None, heartbeat_s=None, env=env)
+
+
 # The worker config each older checkout put after its hello head: v1 a
-# *pickled* object (opaque here), v2 JSON with two fields v3 dropped.
+# *pickled* object (opaque here), v2 JSON with two fields v3 dropped, v3
+# today's JSON.
 _OLD_CONFIGS = {
     1: b"\x80\x04N.",  # pickle.dumps(None), spelled out
     2: b'{"coeff_bits":44,"io_s":0.0,"fused":false,"chaos":null,'
     b'"heartbeat_s":null,"env":null}',
+    3: b'{"fused":false,"chaos":null,"heartbeat_s":null,"env":null}',
 }
 
 
 def _old_hello(version: int, signature: str) -> bytes:
-    """The FHL1 payload a SESSION_VERSION 1 or 2 checkout sent: ``u16
-    version | u8 flags (bit 0 set) | u16 sig_len``, the signature, then
-    its config — a host must refuse on the version field without reading
-    further."""
+    """The FHL1 payload an older checkout sent: ``u16 version | u8 flags
+    (bit 0 set) | u16 sig_len`` for SESSION_VERSION 1 or 2, ``u16 version
+    | u16 sig_len`` for 3; then the signature and its config — a host
+    must refuse on the version field without reading further."""
     sig = signature.encode()
     blob = _OLD_CONFIGS[version]
-    head = struct.pack("<HBH", version, 1, len(sig))
+    if version == 3:
+        head = struct.pack("<HH", version, len(sig))
+    else:
+        head = struct.pack("<HBH", version, 1, len(sig))
     return head + sig + struct.pack("<I", len(blob)) + blob
 
 
@@ -332,7 +365,7 @@ class TestVersionMismatch:
     checkout is rejected with an error naming both versions — in both
     directions — never misparsed and never a bare closed socket."""
 
-    @pytest.mark.parametrize("peer_version", [1, 2])
+    @pytest.mark.parametrize("peer_version", [1, 2, 3])
     def test_host_refuses_a_v1_hello_naming_both_versions(
         self, tmp_path, host_plan, peer_version
     ):
@@ -350,7 +383,7 @@ class TestVersionMismatch:
                 assert decode_control(payload) == want
                 assert sock.recv(1) == b""  # then disconnected
             # The refusal cost the host nothing: a current session attaches.
-            _negotiate_session(port, key, host_plan).close()
+            _hang_up(_negotiate_session(port, key, host_plan))
             assert thread.is_alive()
         finally:
             _stop_host(host, thread)
@@ -438,10 +471,10 @@ class TestCliHostServing:
         self, tmp_path, rctx, host_plan
     ):
         """The acceptance pin for remote hosts: a scripted host_relay
-        disconnect drops the session mid-batch, the coordinator redials
-        the *same* CLI-spawned process, and the host's fingerprint-keyed
-        plan cache answers need_plan=0 — plan_uploads stays at the one
-        cold upload."""
+        disconnect drops one slot's connection mid-batch, the coordinator
+        redials the *same* CLI-spawned process, and the host's
+        fingerprint-keyed plan cache answers need_plan=0 — plan_uploads
+        stays at the one cold upload."""
         keyfile, _ = _write_key(tmp_path)
         proc, port = self._spawn_cli_host(tmp_path, keyfile)
         try:
@@ -466,7 +499,7 @@ class TestCliHostServing:
                 stats = session.stats()
             ts = stats["transport_stats"]
             assert ts["remote_hosts"] == 1
-            assert ts["sessions_opened"] >= 2  # the scripted drop + redial
+            assert ts["sessions_opened"] >= 3  # two slots, the drop's redial
             assert ts["plan_uploads"] == 1  # reconnect never re-uploads
             _assert_batches_equal(outputs, reference)
             assert proc.poll() is None  # the host process survived it all
@@ -501,3 +534,89 @@ class TestCliHostServing:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+
+    def test_silent_dial_never_delays_in_flight_replies(
+        self, tmp_path, rctx, host_plan
+    ):
+        """A dial that never authenticates holds the host's handshake for
+        up to HANDSHAKE_TIMEOUT_S; the slots already running must not
+        notice — their replies never pass through the host."""
+        keyfile, _ = _write_key(tmp_path)
+        proc, port = self._spawn_cli_host(tmp_path, keyfile)
+        silent = None
+        try:
+            batches = _batches(rctx, 2, seed=24)
+            reference = host_plan.run_batch(batches)
+            cfg = ServingConfig(
+                num_workers=1,
+                transport="tcp",
+                hosts=(f"tcp://127.0.0.1:{port}",),
+                authkey_file=keyfile,
+            )
+            with serve(host_plan, cfg) as session:
+                warm = session.run_batch(batches[:1], timeout=RESULT_TIMEOUT)
+                silent = socket.create_connection(("127.0.0.1", port), timeout=10)
+                silent.settimeout(10)
+                recv_exact(silent, 32)  # the host is now inside its handshake
+                start = time.monotonic()
+                late = session.run_batch(batches[1:], timeout=RESULT_TIMEOUT)
+                elapsed = time.monotonic() - start
+            assert elapsed < 5.0, f"in-flight reply waited {elapsed:.1f}s"
+            _assert_batches_equal(warm + late, reference)
+        finally:
+            if silent is not None:
+                silent.close()
+            if proc.poll() is None:
+                proc.terminate()
+            proc.wait(timeout=30)
+
+    def test_hung_slot_is_killed_by_closing_its_socket(
+        self, tmp_path, rctx, host_plan
+    ):
+        """A SIGSTOPped slot sends no heartbeat; the hang timeout makes the
+        executor close that slot's socket, and the host SIGKILLs and
+        reaps it — the request completes on a respawned slot, and the
+        host itself lives on."""
+        keyfile, _ = _write_key(tmp_path)
+        proc, port = self._spawn_cli_host(tmp_path, keyfile)
+        try:
+            batches = _batches(rctx, 1, seed=25)
+            reference = host_plan.run_batch(batches)
+            chaos = FaultPlan(
+                0,
+                scripted={
+                    ("pre_evaluate", 0, 0): FaultAction("stop", "pre_evaluate")
+                },
+            )
+            cfg = ServingConfig(
+                num_workers=1,
+                transport="tcp",
+                hosts=(f"tcp://127.0.0.1:{port}",),
+                authkey_file=keyfile,
+                chaos=chaos,
+                fault_policy=FaultPolicy(hang_timeout_s=1.0, backoff_base_s=0.01),
+            )
+            with serve(host_plan, cfg) as session:
+                [stopped] = session.worker_pids()
+                outputs = session.run_batch(batches, timeout=RESULT_TIMEOUT)
+                stats = session.stats()
+                assert session.worker_pids() != [stopped]
+            _assert_batches_equal(outputs, reference)
+            assert stats["hang_kills"] == 1
+            deadline = time.monotonic() + 10
+            while _pid_exists(stopped):
+                assert time.monotonic() < deadline, f"stopped slot {stopped} lives"
+                time.sleep(0.05)
+            assert proc.poll() is None  # the host survived the kill
+        finally:
+            if proc.poll() is None:
+                proc.terminate()
+            proc.wait(timeout=30)
+
+
+def _pid_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
