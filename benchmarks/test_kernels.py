@@ -12,6 +12,8 @@ replaces them with a multiply/subtract/conditional-subtract pipeline
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 import time
 from contextlib import ExitStack
 from unittest import mock
@@ -389,6 +391,77 @@ def test_keygen_table(report):
             f"{best * 1e3:7.1f} ms (best of 3)"
         )
     report("Switching-key generation", lines)
+
+
+def test_reattach_table(report, tmp_path):
+    """Report only: ms to serve one request through a cold CLI-started
+    worker host (process start, auth, plan upload, slot fork) against a
+    fresh coordinator reattaching to that live host, whose fingerprint
+    cache already holds the plan; best of 3 of each at (2^10, L = 10).
+    Asserted: ``plan_uploads`` is 1 cold and 0 on reattach, and every
+    reply is bit-identical to ``plan.run``.  Nothing about time."""
+    import repro
+    from repro.runtime import CtSpec, ServingConfig, compile_fn, serve
+
+    ctx = CkksContext.create(toy_params(degree=1 << 10, num_primes=10), seed=3)
+    rlk = ctx.relin_keys(levels=[10])
+    spec = CtSpec(level=10, scale=ctx.params.scale)
+    plan = compile_fn(
+        lambda ev, x: ev.multiply_relin_rescale(x, x, rlk), ctx.evaluator, [spec]
+    )
+    request = [ctx.encrypt(np.random.default_rng(4).uniform(-1, 1, ctx.params.slots))]
+    (want,) = plan.run(request)
+    keyfile = tmp_path / "authkey"
+    keyfile.write_bytes(os.urandom(32))
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def attach(port: int, uploads: int) -> None:
+        cfg = ServingConfig(
+            num_workers=1,
+            transport="tcp",
+            hosts=(f"tcp://127.0.0.1:{port}",),
+            authkey_file=str(keyfile),
+        )
+        with serve(plan, cfg) as pool:
+            ((got,),) = pool.run_batch([request], timeout=600)
+            assert pool.stats()["transport_stats"]["plan_uploads"] == uploads
+        assert got.scale == want.scale
+        for g, w in zip(got.parts, want.parts):
+            assert np.array_equal(g.data, w.data)
+
+    cold = reattach = float("inf")
+    for k in range(3):
+        portfile = tmp_path / f"port{k}"
+        t0 = time.perf_counter()
+        host = subprocess.Popen(
+            [sys.executable, "-m", "repro.runtime.worker_host"]
+            + ["--bind", "127.0.0.1:0", "--authkey-file", str(keyfile)]
+            + ["--port-file", str(portfile)],
+            env=env,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+        )
+        try:
+            while not portfile.exists():
+                assert host.poll() is None, "worker host exited before listening"
+                time.sleep(0.01)
+            port = int(portfile.read_text())
+            attach(port, uploads=1)
+            cold = min(cold, time.perf_counter() - t0)
+            t0 = time.perf_counter()
+            attach(port, uploads=0)
+            reattach = min(reattach, time.perf_counter() - t0)
+        finally:
+            host.terminate()
+            host.wait(timeout=30)
+    lines = [
+        f"cold start (launch + upload): {cold * 1e3:8.1f} ms",
+        f"reattach (cached plan)      : {reattach * 1e3:8.1f} ms",
+        f"cold / reattach             : {cold / reattach:8.2f}x",
+    ]
+    report("Remote worker host, one request, best of 3", lines)
 
 
 @pytest.mark.parametrize("log_slots", [12, 15])

@@ -232,6 +232,12 @@ def check_timeout(name: str, value: float | None) -> None:
         raise ValueError(f"{name} must be None or finite and > 0, got {value!r}")
 
 
+def check_count(name: str, value: int, minimum: int) -> None:
+    """Refuse a count that is not an ``int`` (a ``bool`` is not one) >= ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ValueError(f"{name} must be an int >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class FaultPolicy:
     """Per-pool fault-tolerance knobs, enforced by the pool's policy machine.
@@ -269,8 +275,8 @@ class FaultPolicy:
     def __post_init__(self) -> None:
         # Each check states what a valid value satisfies, so NaN — which
         # fails every comparison — is rejected rather than waved through.
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+        check_count("max_attempts", self.max_attempts, 1)
+        check_count("crash_loop_threshold", self.crash_loop_threshold, 1)
         check_timeout("deadline_s", self.deadline_s)
         check_timeout("hang_timeout_s", self.hang_timeout_s)
         backoff = (
@@ -281,8 +287,6 @@ class FaultPolicy:
         )
         if not all(0 <= b < math.inf for b in backoff):
             raise ValueError("backoff fields must be finite and >= 0")
-        if self.crash_loop_threshold < 1:
-            raise ValueError("crash_loop_threshold must be >= 1")
 
     def heartbeat_interval_s(self) -> float | None:
         """Worker-side heartbeat period: a quarter of the hang timeout,

@@ -85,6 +85,18 @@ class PtSpec:
     scale: float
 
 
+def check_input_spec(spec: CtSpec | PtSpec, max_level: int) -> None:
+    """The one rule for an input leaf, read by the tracer and the ``EPL1``
+    decoder: level on the chain, 2 or 3 ciphertext parts, a finite
+    positive scale.  Raises ``ValueError``."""
+    if not 1 <= spec.level <= max_level:
+        raise ValueError(f"input spec level {spec.level} outside 1..{max_level}")
+    if isinstance(spec, CtSpec) and spec.size not in (2, 3):
+        raise ValueError(f"ciphertext input spec with {spec.size} part(s)")
+    if not 0 < spec.scale < math.inf:
+        raise ValueError(f"input spec scale {spec.scale!r} is not finite and > 0")
+
+
 @dataclass(frozen=True)
 class Node:
     """One recorded operation.

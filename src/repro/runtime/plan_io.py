@@ -44,7 +44,13 @@ from repro.ckks.serialization import (
     serialize_switching_key,
     wire_coeff_bits,
 )
-from repro.runtime.graph import CtSpec, Graph, PtSpec, op_arities
+from repro.runtime.graph import (
+    CtSpec,
+    Graph,
+    PtSpec,
+    check_input_spec,
+    op_arities,
+)
 from repro.runtime.passes import PlanValidationError, check_alignment, hoist_groups
 from repro.runtime.plan import ExecutionPlan, params_fingerprint
 
@@ -270,14 +276,17 @@ def _unpack_input_specs(payload: bytes, max_level: int) -> list[CtSpec | PtSpec]
     specs: list[CtSpec | PtSpec] = []
     for _ in range(*reader.unpack(_U32)):
         kind, level, size, scale = reader.unpack(_SPEC)
-        if not 1 <= level <= max_level:
-            raise PlanFormatError(f"input spec level {level} outside 1..{max_level}")
-        if kind == _KIND_CT and size in (2, 3):
-            specs.append(CtSpec(level=level, scale=scale, size=size))
+        if kind == _KIND_CT:
+            spec = CtSpec(level=level, scale=scale, size=size)
         elif kind == _KIND_PT and size == 1:
-            specs.append(PtSpec(level=level, scale=scale))
+            spec = PtSpec(level=level, scale=scale)
         else:
             raise PlanFormatError(f"input spec of kind {kind} with {size} part(s)")
+        try:
+            check_input_spec(spec, max_level)
+        except ValueError as exc:
+            raise PlanFormatError(str(exc)) from None
+        specs.append(spec)
     reader.finish()
     return specs
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.runtime.chaos import FaultPlan
-from repro.runtime.faults import FaultPolicy
+from repro.runtime.faults import FaultPolicy, check_count
 from repro.runtime.plan import ExecutionPlan
 from repro.runtime.transport import available_transports
 
@@ -73,8 +73,9 @@ class ServingConfig:
     max_crash_respawns: int | None = None
 
     def __post_init__(self) -> None:
-        if self.num_workers < 1:
-            raise ValueError(f"num_workers must be >= 1, got {self.num_workers!r}")
+        check_count("num_workers", self.num_workers, 1)
+        if self.max_crash_respawns is not None:
+            check_count("max_crash_respawns", self.max_crash_respawns, 0)
         if self.transport not in available_transports():
             raise ValueError(
                 f"unknown transport {self.transport!r}; "

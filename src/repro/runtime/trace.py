@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from repro.ckks.keys import SwitchingKey, rotation_galois_elt
 from repro.ckks.params import CkksParameters
 from repro.rns.basis import RnsBasis
-from repro.runtime.graph import CtSpec, Graph, PtSpec
+from repro.runtime.graph import CtSpec, Graph, PtSpec, check_input_spec
 
 __all__ = [
     "TraceError",
@@ -272,13 +272,14 @@ def trace(fn, evaluator, input_specs) -> Graph:
     lazy = LazyEvaluator(params=evaluator.params, basis=evaluator.basis, graph=graph)
     handles = []
     for spec in specs:
+        if not isinstance(spec, (CtSpec, PtSpec)):
+            raise TypeError(f"input spec must be CtSpec or PtSpec, got {spec!r}")
+        check_input_spec(spec, len(graph.moduli))
         nid = graph.add_input(spec)
         if isinstance(spec, CtSpec):
             handles.append(LazyCiphertext(graph=graph, node=nid))
-        elif isinstance(spec, PtSpec):
-            handles.append(LazyPlaintext(graph=graph, node=nid))
         else:
-            raise TypeError(f"input spec must be CtSpec or PtSpec, got {spec!r}")
+            handles.append(LazyPlaintext(graph=graph, node=nid))
     out = fn(lazy, *handles)
     if out is None:
         raise TraceError("traced function must return handles from this trace")

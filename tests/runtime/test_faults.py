@@ -134,6 +134,12 @@ class TestFaultPolicy:
             for bad in (math.nan, math.inf, -1.0):
                 with pytest.raises(ValueError, match="backoff"):
                     FaultPolicy(**{f"backoff_{field}": bad})
+        # The machine compares counts with < and >=: a NaN threshold never
+        # trips the breaker, an infinite budget retries forever.
+        for field in ("max_attempts", "crash_loop_threshold"):
+            for bad in (math.nan, math.inf, 2.5, 3.0, True):
+                with pytest.raises(ValueError, match=field):
+                    FaultPolicy(**{field: bad})
 
 
 class TestFaultPlan:

@@ -5,6 +5,7 @@ constructor surface."""
 from __future__ import annotations
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
@@ -70,6 +71,15 @@ class TestServingConfig:
             {"transport": "tcp", "hosts": ("tcp://127.0.0.1:99999",), "authkey_file": "k"},
             {"transport": "tcp", "hosts": ("tcp://127.0.0.1:0",), "authkey_file": "k"},
             {"num_workers": 0},  # every request is served by a worker
+            # Counts are ints: NaN fails every comparison, 2.5 dies in start().
+            {"num_workers": 2.5},
+            {"num_workers": math.nan},
+            {"num_workers": True},
+            {"max_crash_respawns": math.nan},
+            {"max_crash_respawns": math.inf},
+            {"max_crash_respawns": -3},
+            {"max_crash_respawns": 1.0},
+            {"max_crash_respawns": False},
         ],
     )
     def test_validation(self, kwargs):

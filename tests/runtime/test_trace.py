@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
@@ -141,3 +144,30 @@ class TestTraceTimeFailures:
     def test_output_must_come_from_this_trace(self, rctx):
         with pytest.raises(TraceError, match="return handles"):
             trace(lambda ev, x: None, rctx.evaluator, [_spec(rctx)])
+
+    # Specs the EPL1 decoder would refuse (or the writer could not pack):
+    # the tracer reads the same rule, so they fail at compile time.
+    @pytest.mark.parametrize(
+        "kind, field, bad",
+        [
+            ("ct", "level", 0),
+            ("ct", "level", -1),
+            ("ct", "level", 7),  # one past the six-prime chain
+            ("ct", "size", 1),
+            ("ct", "size", 7),
+            ("ct", "scale", math.nan),
+            ("ct", "scale", math.inf),
+            ("ct", "scale", 0.0),
+            ("pt", "level", 0),
+            ("pt", "scale", -1.0),
+        ],
+    )
+    def test_spec_the_plan_format_refuses_fails_at_trace_time(
+        self, rctx, kind, field, bad
+    ):
+        spec = _spec(rctx)
+        if kind == "pt":
+            spec = PtSpec(level=spec.level, scale=spec.scale)
+        spec = dataclasses.replace(spec, **{field: bad})
+        with pytest.raises(ValueError, match="input spec"):
+            trace(lambda ev, x: x, rctx.evaluator, [spec])

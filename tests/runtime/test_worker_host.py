@@ -613,6 +613,36 @@ class TestCliHostServing:
                 proc.terminate()
             proc.wait(timeout=30)
 
+    def test_a_new_coordinator_reuses_the_hosts_cached_plan(
+        self, tmp_path, rctx, host_plan
+    ):
+        """Reattach across coordinators: a second, fresh ``serve()`` on
+        the same live host finds the plan in its fingerprint cache — no
+        upload — and replies bit-identical, from the same host process."""
+        keyfile, _ = _write_key(tmp_path)
+        proc, port = self._spawn_cli_host(tmp_path, keyfile)
+        try:
+            batches = _batches(rctx, 2, seed=26)
+            reference = host_plan.run_batch(batches)
+            cfg = ServingConfig(
+                num_workers=1,
+                transport="tcp",
+                hosts=(f"tcp://127.0.0.1:{port}",),
+                authkey_file=keyfile,
+            )
+            for uploads in (1, 0):  # cold, then a fresh coordinator
+                with serve(host_plan, cfg) as session:
+                    outputs = session.run_batch(batches, timeout=RESULT_TIMEOUT)
+                    assert session._transport.host_pids() == [proc.pid]
+                    stats = session.stats()
+                assert stats["transport_stats"]["plan_uploads"] == uploads
+                _assert_batches_equal(outputs, reference)
+            assert proc.poll() is None
+        finally:
+            if proc.poll() is None:
+                proc.terminate()
+            proc.wait(timeout=30)
+
 
 def _pid_exists(pid: int) -> bool:
     try:
