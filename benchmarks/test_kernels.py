@@ -21,7 +21,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from repro.ckks import CkksContext, toy_params
+from repro.ckks import CkksContext, bootstrappable_params, toy_params
 from repro.ckks.containers import Ciphertext
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.serialization import (
@@ -311,6 +311,46 @@ def test_rescale_table(report):
             f"({rows} NTT rows, best of {reps})"
         )
     report("Evaluator.rescale, 2 parts by two primes, eager", lines)
+
+
+def test_download_table(report):
+    """Report only: best-of-5 ms of the client's download half at the
+    paper's shape (2^16, L = 24) for a level-2, scale-2^36 reply —
+    deserialize, decrypt and decode, within decode its Combine-CRT
+    (``to_float_coeffs``) and special FFT — and one limb's forward NTT
+    against its inverse, which carries the ``1/N``."""
+    ctx = CkksContext.create(bootstrappable_params(), seed=1)
+    slots, reps = ctx.params.slots, 5
+    rng = np.random.default_rng(1)
+    msg = rng.uniform(-1, 1, slots) + 1j * rng.uniform(-1, 1, slots)
+    reply = ctx.encryptor.encrypt(ctx.encoder.encode(msg, level=2, scale=2.0**36))
+    blob = serialize_ciphertext(reply, 44)
+    ct = deserialize_ciphertext(blob, ctx.basis)
+    plain = ctx.decryptor.decrypt(ct)
+    coeffs = plain.poly.to_float_coeffs()
+    folded = (coeffs[:slots] + 1j * coeffs[slots:]) / plain.scale
+    assert np.max(np.abs(ctx.encoder.fft.forward(folded) - msg)) < 2.0**-10
+    limb = ctx.basis.batch_ntt(1)
+    row = plain.poly.data[:1]
+    evals = limb.forward(row)
+    cases = (
+        ("deserialize        ", lambda: deserialize_ciphertext(blob, ctx.basis)),
+        ("decrypt            ", lambda: ctx.decryptor.decrypt(ct)),
+        ("decode             ", lambda: ctx.decode(plain)),
+        ("  Combine-CRT      ", plain.poly.to_float_coeffs),
+        ("  special FFT      ", lambda: ctx.encoder.fft.forward(folded)),
+        ("NTT forward, 1 limb", lambda: limb.forward(row)),
+        ("NTT inverse, 1 limb", lambda: limb.inverse(evals)),
+    )
+    lines = []
+    for name, step in cases:
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.perf_counter()
+            step()
+            best = min(best, time.perf_counter() - t0)
+        lines.append(f"{name}: {best * 1e3:7.2f} ms (best of {reps})")
+    report("Client download half, N=2^16, L=24, level-2 reply at 2^36", lines)
 
 
 def test_codec_table(report):

@@ -14,7 +14,10 @@ spread over one lane per CPU, as the accelerator spreads limbs over its
 parallel NTT lanes; the bytes do not depend on the lane count.
 
 Decrypt: ``m' = c0 + c1*s`` (plus ``c2*s^2`` for unrelinearized
-ciphertexts), followed by decode on the encoder side.
+ciphertexts), streamed the same way: per block of limbs the products
+with ``s`` and ``c0`` are summed into the output rows and those rows
+are inverse-transformed in place, in lanes — again no ``(level, N)``
+intermediate.  Decode follows on the encoder side.
 """
 
 from __future__ import annotations
@@ -178,13 +181,32 @@ class Decryptor:
     def decrypt(self, ciphertext: Ciphertext) -> Plaintext:
         """``m' = sum_i c_i * s^i``, returned in the coefficient domain.
 
-        ``s`` is a prefix view at the ciphertext's level, so its powers
-        (a 3-part ciphertext needs ``s^2``) are taken at that level too.
+        Streamed like :meth:`Encryptor._masked`: per block of limbs
+        (:meth:`BatchNtt.blocks`, in lanes) Horner's rule ``(c2 * s + c1)
+        * s + c0`` runs in the output rows, which are then
+        inverse-transformed in place (:meth:`BatchNtt.inverse_block`).
+        Every residue is canonical, so the bytes are those of the
+        composed ``(c0 + c1 * s + c2 * s^2).to_coeff()``, whatever the
+        lane count.  ``s`` is a prefix view at the ciphertext's level.
         """
-        s = self.secret_key.at_level(ciphertext.level)
-        acc = ciphertext.parts[0]
-        s_power = None
-        for part in ciphertext.parts[1:]:
-            s_power = s if s_power is None else s_power * s
-            acc = acc + part * s_power
-        return Plaintext(poly=acc.to_coeff(), scale=ciphertext.scale)
+        level, parts = ciphertext.level, ciphertext.parts
+        s = self.secret_key.at_level(level)
+        basis = s.basis
+        if any(p.basis.moduli[:level] != basis.moduli[:level] for p in parts):
+            raise ValueError("polynomials live on different bases")
+        bat = basis.batch_ntt(level)
+        out = np.empty((level, basis.degree), dtype=np.uint64)
+
+        def lane(blocks: list[slice]) -> None:
+            for rows in blocks:
+                kern = basis.kernel_range(rows.start, rows.stop)
+                acc = out[rows]
+                higher = parts[-1].data[rows]
+                for part in reversed(parts[:-1]):
+                    kern.mul(higher, s.data[rows], out=acc)
+                    kern.add(acc, part.data[rows], out=acc)
+                    higher = acc
+                bat.inverse_block(acc[np.newaxis], rows)
+
+        in_lanes(bat.blocks(), lane)
+        return Plaintext(poly=RnsPolynomial(basis, out, COEFF), scale=ciphertext.scale)

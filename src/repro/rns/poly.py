@@ -453,9 +453,16 @@ class RnsPolynomial:
         by digit, ``Q = q_0 + sum_{j>0} (q_j - 1) q_0 … q_{j-1}``, which
         leaves signed digits and no carry.  A coefficient of magnitude
         below ``q_0 … q_{k-1}`` then has zeros from row ``k`` up, so the
-        Horner fold — exact, in an object array — starts at the highest
-        row that is non-zero anywhere: one row for a scale-2^36 reply,
-        two or three for a Δ = 2^72 message, whatever the level.
+        Horner fold starts at the highest row that is non-zero anywhere:
+        one row for a scale-2^36 reply, two or three for a Δ = 2^72
+        message, whatever the level.
+
+        The data decide the fold's integers, as in :func:`signed_embedder`.
+        Every lower digit is below its modulus in magnitude, so every
+        partial sum of the fold is below ``(M + 2) q_0 … q_{top-1}``, ``M``
+        the largest top digit: while that is at most ``2^63`` the fold
+        runs in int64 (a reply: no fold at all), else exactly in an object
+        array.
         """
         if self.domain != COEFF:
             raise ValueError("lift from the coefficient domain")
@@ -467,11 +474,17 @@ class RnsPolynomial:
         if center:
             negative = np.zeros(self.degree, dtype=bool)
             for row, q in zip(digits, moduli):  # least significant first
-                negative = np.where(row == q // 2, negative, row > q // 2)
-            q_digits = np.array([moduli[0], *(q - 1 for q in moduli[1:])], dtype=np.int64)
-            np.subtract(digits, q_digits[:, np.newaxis], out=digits, where=negative)
+                negative &= row == q // 2
+                negative |= row > q // 2
+            q_digits = [moduli[0], *(q - 1 for q in moduli[1:])]
+            digits -= np.array(q_digits, dtype=np.int64)[:, np.newaxis] * negative
         top = int(np.flatnonzero(digits.any(axis=1)).max(initial=0))
-        acc = digits[top].astype(object)
+        acc = digits[top]
+        bound = int(np.abs(acc).max()) + 2
+        for q in moduli[:top]:
+            bound *= q
+        if bound > 1 << 63:
+            acc = acc.astype(object)
         for j in range(top - 1, -1, -1):
             acc *= moduli[j]  # in place: one generation of integers alive
             acc += digits[j]

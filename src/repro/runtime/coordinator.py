@@ -341,8 +341,8 @@ class TcpTransport(Transport):
                     self._drop_forked(index)  # broken or dead: fork anew
             if self._closed or (attempts >= 2 and time.monotonic() >= deadline):
                 break
-            if spec is not None:
-                time.sleep(_REMOTE_REDIAL_INTERVAL_S)
+            if spec is not None and self._interrupted.wait(_REMOTE_REDIAL_INTERVAL_S):
+                break
         if spec is not None:
             raise HostUnreachable(
                 f"remote worker host tcp://{spec[0]}:{spec[1]} is "

@@ -411,6 +411,7 @@ class ShardedExecutor:
         # pool never started, a second close(): nobody to post to.
         if not self._post("close"):
             return
+        self._transport.interrupt()  # a respawn redialing a host gives up
         self._io_thread.join(timeout=5.0)
         if self._io_thread.is_alive():
             warnings.warn(

@@ -45,6 +45,7 @@ import atexit
 import os
 import signal
 import socket
+import threading
 import time
 import weakref
 from multiprocessing.connection import wait as connection_wait
@@ -135,6 +136,7 @@ class Transport:
 
     def __init__(self) -> None:
         self._closed = False
+        self._interrupted = threading.Event()
         # Interpreter-exit sweep.  Subclasses owning OS resources must
         # ALSO register a weakref.finalize over the concrete resources
         # (see the module docstring and TcpTransport's forked-host list).
@@ -142,6 +144,11 @@ class Transport:
 
     def spawn(self) -> WorkerEndpoint:
         raise NotImplementedError
+
+    def interrupt(self) -> None:
+        """Make a spawn() waiting on another thread give up now: the
+        owner is closing, and close() follows."""
+        self._interrupted.set()
 
     def close(self) -> None:
         self._closed = True

@@ -33,35 +33,49 @@ class SpecialFft:
         slots: number of complex slots (ring degree / 2), a power of two.
         fmt: floating-point datapath format; quantization is applied after
             every butterfly stage when not native FP64.
-        roots: the ``M = 4 * slots`` complex roots ``exp(2*pi*i*k / M)``.
         rot_group: ``5^j mod M`` for ``j`` in ``[0, slots)``.
         bit_rev: the bit-reversal permutation of ``[0, slots)`` — a table,
             because building it (``log2(slots)`` shift/OR passes) costs a
             third to a half of a transform.
+        forward_twiddles: per stage of :meth:`forward`, in the order it
+            runs them, the ``half`` twiddles its blocks share — roots
+            ``exp(2*pi*i*k / M)`` (``M = 4 * slots``) gathered once here,
+            not per call.
+        inverse_twiddles: the same for :meth:`inverse`.
     """
 
     slots: int
     fmt: FloatFormat
-    roots: np.ndarray
     rot_group: np.ndarray
     bit_rev: np.ndarray
+    forward_twiddles: tuple[np.ndarray, ...]
+    inverse_twiddles: tuple[np.ndarray, ...]
 
     @classmethod
     def create(cls, slots: int, fmt: FloatFormat = FP64) -> "SpecialFft":
         ilog2(slots)  # validates power of two
         m = 4 * slots
-        roots = np.exp(2j * np.pi * np.arange(m) / m)
+        roots = fmt.quantize(np.exp(2j * np.pi * np.arange(m) / m))
         rot_group = np.empty(slots, dtype=np.int64)
         five = 1
         for j in range(slots):
             rot_group[j] = five
             five = (five * 5) % m
+        forward, inverse = [], []
+        length = 2
+        while length <= slots:
+            quad = length * 4
+            k = rot_group[: length // 2] % quad
+            forward.append(roots[k * (m // quad)])
+            inverse.append(roots[(quad - k) * (m // quad)])
+            length *= 2
         return cls(
             slots=slots,
             fmt=fmt,
-            roots=fmt.quantize(roots),
             rot_group=rot_group,
             bit_rev=bit_reverse_indices(slots),
+            forward_twiddles=tuple(forward),
+            inverse_twiddles=tuple(inverse[::-1]),
         )
 
     @property
@@ -79,23 +93,15 @@ class SpecialFft:
         Input and output are length-``slots`` complex vectors; input is in
         the "folded coefficient" layout produced by :meth:`inverse`.
         """
-        v = self._checked(values)
-        n = self.slots
-        v = v[self.bit_rev]
-        length = 2
-        while length <= n:
-            half = length // 2
-            quad = length * 4
-            gap = self.m // quad
-            idx = (self.rot_group[:half] % quad) * gap
-            tw = self.roots[idx]  # shape (half,), shared across blocks
-            blocks = v.reshape(n // length, length)
-            u = blocks[:, :half].copy()  # copy: the next line overwrites it
-            w = blocks[:, half:] * tw
-            blocks[:, :half] = u + w
-            blocks[:, half:] = u - w
-            v = self.fmt.quantize(blocks).reshape(n)
-            length *= 2
+        v = self._checked(values)[self.bit_rev]
+        scratch = np.empty(self.slots // 2, dtype=np.complex128)
+        for tw in self.forward_twiddles:  # shared across blocks
+            blocks = v.reshape(-1, 2 * len(tw))
+            lower, upper = blocks[:, : len(tw)], blocks[:, len(tw) :]
+            w = np.multiply(upper, tw, out=scratch.reshape(upper.shape))
+            np.subtract(lower, w, out=upper)
+            lower += w
+            v = self.fmt.quantize(v)  # in place on FP64: the same array
         return v
 
     # ------------------------------------------------------------------
@@ -105,23 +111,16 @@ class SpecialFft:
     def inverse(self, values: np.ndarray) -> np.ndarray:
         """Special IFFT: slot values -> folded coefficients (encode path)."""
         v = self._checked(values)
-        n = self.slots
-        length = n
-        while length >= 2:
-            half = length // 2
-            quad = length * 4
-            gap = self.m // quad
-            idx = (quad - (self.rot_group[:half] % quad)) * gap
-            tw = self.roots[idx]
-            blocks = v.reshape(n // length, length)
-            u = blocks[:, :half] + blocks[:, half:]
-            w = (blocks[:, :half] - blocks[:, half:]) * tw
-            blocks[:, :half] = u
-            blocks[:, half:] = w
-            v = self.fmt.quantize(blocks).reshape(n)
-            length //= 2
+        scratch = np.empty(self.slots // 2, dtype=np.complex128)
+        for tw in self.inverse_twiddles:
+            blocks = v.reshape(-1, 2 * len(tw))
+            lower, upper = blocks[:, : len(tw)], blocks[:, len(tw) :]
+            diff = np.subtract(lower, upper, out=scratch.reshape(upper.shape))
+            lower += upper
+            np.multiply(diff, tw, out=upper)
+            v = self.fmt.quantize(v)
         v = v[self.bit_rev]
-        return self.fmt.quantize(v / n)
+        return self.fmt.quantize(v / self.slots)
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
         v = np.array(values, dtype=np.complex128)

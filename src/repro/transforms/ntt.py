@@ -112,7 +112,9 @@ class NttContext:
         psi: primitive 2N-th root of unity mod q.
         psi_rev: merged Cooley–Tukey twiddles, ``psi^{bitrev(j)}``.
         psi_inv_rev: merged Gentleman–Sande twiddles for the inverse.
-        n_inv: ``N^{-1} mod q`` folded into the inverse's last stage.
+        n_inv: ``N^{-1} mod q``.  :meth:`inverse` multiplies it in after
+            the last stage; :class:`BatchNtt` folds it into that stage
+            (into both outputs' twiddles).
         kernel: the bound :class:`ReducerKernel` instance.
         n_inv_pre: ``n_inv`` in the kernel's precomputed constant form
             (see ``ReducerKernel.pre``).
@@ -275,14 +277,16 @@ def _lazy_plans(kernel: ReducerKernel, moduli, stages: int, input_bound: int):
     * Inverse (Gentleman–Sande) stage: ``u <- u + x1``, ``x1 <- raw((u +
       c*q - x1) * w)`` — the sums double, ``c <- max(2c, B)``, so a
       renormalization falls every sixth stage (at 36 bits ``c`` reaches
-      ``64 = 2^42 / 2^36`` after six doublings); the closing ``1/N``
-      multiply takes whatever is left (``16 q`` at N = 2^16).
+      ``64 = 2^42 / 2^36`` after six doublings).  The last stage carries
+      ``1/N``: ``u <- raw((u + x1) * n_inv)``, ``x1 <- raw((u + c*q -
+      x1) * (w * n_inv))``, so it stores two raw products, not a sum, and
+      its operands take whatever is left (``16 q`` at N = 2^16).
 
     Returns ``(forward, inverse)``.  ``forward[s]`` says whether stage
     ``s`` renormalizes first (the transform always ends on a reduce);
     ``inverse[s]`` is ``(reduce_first, c)`` with ``c`` the bound entering
-    the stage's butterflies, and one closing entry for the ``1/N``
-    multiply.
+    the stage's butterflies (the transform ends on one conditional
+    subtract).
     """
     bound = kernel.RAW_BOUND
     q_max, q_min = max(moduli), min(moduli)
@@ -305,12 +309,12 @@ def _lazy_plans(kernel: ReducerKernel, moduli, stages: int, input_bound: int):
         forward.append(first)
         c = (1 if first else c) + bound
     inverse, c = [], 1
-    for _ in range(stages):
-        first = not fits(2 * c, max(2 * c, bound))
+    for s in range(stages):
+        stored = bound if s == stages - 1 else max(2 * c, bound)
+        first = not fits(2 * c, stored)
         c = 1 if first else c
         inverse.append((first, c))
         c = max(2 * c, bound)
-    inverse.append((not fits(c, c), c))
     return tuple(forward), tuple(inverse)
 
 
@@ -372,10 +376,10 @@ class BatchNtt:
     The butterflies are *lazy*: products stay unreduced and sums are not
     brought back below ``q`` stage by stage; a block is renormalized only
     where :func:`_lazy_plans` says the next operand would overflow, and
-    once at the end.  Every value stays congruent to the canonical
-    transform's, so results are bit-identical to looping
-    :meth:`NttContext.forward` limb by limb — which stays the canonical
-    reference.
+    once at the end (the inverse's last stage, which also carries
+    ``1/N``).  Every value stays congruent to the canonical transform's,
+    so results are bit-identical to looping :class:`NttContext` limb by
+    limb — which stays the canonical reference.
 
     Blocks are independent, so :meth:`forward` and :meth:`inverse` walk
     them in lanes, one thread per CPU (:func:`~repro.nums.kernels.in_lanes`;
@@ -466,7 +470,9 @@ class BatchNtt:
         kept: their reducer (the full-column one when they are all the
         limbs) and, per stage ``m = 2^s``, the slice ``[m, 2m)`` of each
         twiddle table as a view that broadcasts against that stage's
-        operands (:meth:`_operands`)."""
+        operands (:meth:`_operands`).  The inverse's last stage (``m =
+        1``) gets the pair ``(n_inv, w * n_inv)`` of its two outputs in
+        place of its one twiddle ``w``."""
         key = (rows.start, rows.stop)
         plan = self._block_plans.get(key)
         if plan is None:
@@ -474,19 +480,23 @@ class BatchNtt:
             if rows.stop - rows.start < self.num_limbs:
                 kern = ReducerKernel(kern.q[rows])
             chunks = self.degree // _transposed_span(self.degree)
-            tables = []
-            for table in (self.psi_pre, self.psi_inv_pre):
-                psi = table[..., rows, 0, :]
-                stages = []
-                for s in range(ilog2(self.degree)):
-                    w = psi[..., 1 << s : 2 << s]
-                    if w.shape[-1] < chunks:
-                        stages.append(w[..., None, :, :, None])
-                    else:  # stored (groups, chunks): see _late_order
-                        w = w.reshape(*w.shape[:-1], -1, chunks).swapaxes(-2, -3)
-                        stages.append(w[..., None, None, :, None, :])
-                tables.append(stages)
-            plan = self._block_plans[key] = (kern, *tables)
+
+            def staged(w: np.ndarray) -> np.ndarray:
+                if w.shape[-1] < chunks:
+                    return w[..., None, :, :, None]
+                # stored (groups, chunks): see _late_order
+                w = w.reshape(*w.shape[:-1], -1, chunks).swapaxes(-2, -3)
+                return w[..., None, None, :, None, :]
+
+            groups = [1 << s for s in range(ilog2(self.degree))]
+            psi, psi_inv = (
+                [staged(table[..., rows, 0, m : 2 * m]) for m in groups]
+                for table in (self.psi_pre, self.psi_inv_pre)
+            )
+            n_inv = self.n_inv_pre[0, rows]
+            w_n_inv = kern.mul(self.psi_inv_pre[0, rows, :, 1:2], n_inv)
+            psi_inv[0] = tuple(staged(kern.pre(w)[..., 0, :]) for w in (n_inv, w_n_inv))
+            plan = self._block_plans[key] = (kern, psi, psi_inv)
         return plan
 
     @staticmethod
@@ -635,7 +645,7 @@ class BatchNtt:
         np.copyto(turned, self._turn(src))
         held = turned
         stages = reversed(range(len(psi_inv)))
-        for s, (reduce_first, c) in zip(stages, self._inverse_plan[:-1]):
+        for s, (reduce_first, c) in zip(stages, self._inverse_plan):
             if reduce_first:
                 kern.reduce(held, out=held, work=spare(held))
             u, x1 = self._operands(block, turned, 1 << s)
@@ -643,13 +653,17 @@ class BatchNtt:
             np.add(u, kern.q * np.uint64(c), out=diff)
             diff -= x1
             u += x1
-            kern.mul_pre_raw(diff, psi_inv[s], out=x1, work=est)
+            if s:
+                kern.mul_pre_raw(diff, psi_inv[s], out=x1, work=est)
+            else:  # the last stage scales both outputs by 1/N
+                n_inv, w_n_inv = psi_inv[0]
+                kern.mul_pre_raw(diff, w_n_inv, out=x1, work=est)
+                kern.mul_pre_raw(u, n_inv, out=diff, work=est)
+                _csub(diff, kern.q, out=u)
+                _csub(x1, kern.q, out=x1)
             if 1 << s == turned.shape[-1]:
                 np.copyto(self._turn(block), turned)
                 held = natural
-        if self._inverse_plan[-1][0]:
-            kern.reduce(natural, out=natural, work=spare(natural))
-        kern.mul_pre(natural, self.n_inv_pre[..., rows, :, :], out=natural)
 
     def _check(self, mat: np.ndarray) -> tuple[int, ...]:
         if mat.ndim < 2 or mat.shape[-2:] != (self.num_limbs, self.degree):

@@ -178,3 +178,44 @@ class TestDecryptor:
         out = ctx.decode(ctx.decryptor.decrypt(prod))
         # scale is squared; decode uses the ciphertext's scale tracking.
         assert np.max(np.abs(out[:4] - msg)) < 1e-5
+
+
+class TestStreamedDecryptLanes:
+    """The limb-streamed decryption, in lanes: several blocks forced at
+    N = 2^10 by a smaller ``BLOCK_BYTES``, the CPU count patched to 1, 2
+    and 3; the bytes are those of the composed whole-polynomial formula
+    ``(c0 + c1*s [+ c2*s^2]).to_coeff()``."""
+
+    @pytest.fixture(scope="class")
+    def ctx(self):
+        return CkksContext.create(toy_params(degree=1 << 10, num_primes=5), seed=2)
+
+    @pytest.mark.parametrize("cpu", (1, 2, 3))
+    @pytest.mark.parametrize("rows", (1, 2))
+    def test_bytes_match_the_composed_formula(self, ctx, rows, cpu):
+        import threading
+        from unittest import mock
+
+        from repro.nums import kernels
+        from repro.transforms.ntt import BatchNtt
+
+        rng = np.random.default_rng(rows * 10 + cpu)
+        fresh = ctx.encrypt(rng.normal(size=ctx.params.slots))
+        low = ctx.encrypt(rng.normal(size=ctx.params.slots), level=3)
+        product = ctx.evaluator.multiply(fresh, fresh)  # three parts
+        block_bytes = rows * ctx.params.degree * 8
+        before = threading.active_count()
+        for ct in (fresh, low, product):
+            s = ctx.secret_key.at_level(ct.level)
+            want = ct.parts[0] + ct.parts[1] * s
+            if ct.size == 3:
+                want = want + ct.parts[2] * (s * s)
+            with (
+                mock.patch.object(BatchNtt, "BLOCK_BYTES", block_bytes),
+                mock.patch.object(kernels, "_cpu_count", return_value=cpu),
+            ):
+                assert len(ctx.basis.batch_ntt(ct.level).blocks()) > 1
+                got = ctx.decryptor.decrypt(ct)
+            assert got.scale == ct.scale
+            assert got.poly.data.tobytes() == want.to_coeff().data.tobytes()
+        assert threading.active_count() == before

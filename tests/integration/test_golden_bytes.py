@@ -112,11 +112,15 @@ def wire_digests(params, client_only: bool = False) -> dict[str, str]:
     low = ctx.encryptor.encrypt(plaintext, level=top - 1)
     sym, seed = ctx.encryptor.encrypt_symmetric_seeded(plaintext, ctx.secret_key)
     if client_only:
+        # The reply is encrypted after every upload above, so those keep
+        # the randomness they were taken with.
+        reply = ctx.encryptor.encrypt(ctx.encoder.encode(msg, level=2, scale=2.0**36))
         blobs = {
             "ciphertext": serialize_ciphertext(ct),
             "seeded": serialize_seeded(sym, seed),
             "fft_inverse": ctx.encoder.fft.inverse(msg).tobytes(),
             "decoded": ctx.decrypt_decode(ct).tobytes(),
+            "decoded_reply": ctx.decrypt_decode(reply).tobytes(),
         }
         return {name: hashlib.sha256(blob).hexdigest() for name, blob in blobs.items()}
     prod = ctx.evaluator.multiply_relin_rescale(ct, ct, rlk)

@@ -225,11 +225,19 @@ class TestCombineCrt:
         return basis if request.param == "shared" else MIXED_BASIS
 
     @staticmethod
-    def check(chain: RnsBasis, level: int, values: list[int], rng) -> None:
+    def check(
+        chain: RnsBasis, level: int, values: list[int], rng, small: bool = False
+    ) -> RnsPolynomial:
         """``values`` head the columns, uniformly random residues (a
-        full-range coefficient each) fill the rest."""
+        full-range coefficient each) fill the rest — or, ``small``,
+        coefficients below ``q_0 / 2`` in magnitude (a decrypted reply)."""
         moduli = chain.moduli[:level]
-        data = np.stack([rng.integers(0, q, N, dtype=np.uint64) for q in moduli])
+        if small:
+            half = chain.moduli[0] // 2
+            signed = rng.integers(-half, half + 1, N)
+            data = np.stack([signed % q for q in moduli]).astype(np.uint64)
+        else:
+            data = np.stack([rng.integers(0, q, N, dtype=np.uint64) for q in moduli])
         for col, value in enumerate(values):
             data[:, col] = [value % q for q in moduli]
         poly = RnsPolynomial(chain, data)
@@ -245,6 +253,32 @@ class TestCombineCrt:
         want = np.array(centered, dtype=np.float64)
         assert np.array_equal(floats.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(poly.data, data)  # the lift works on a copy
+        return poly
+
+    @BARRETT
+    def test_small_columns_fold_in_int64(self, chain, rng):
+        """Every coefficient small, as in a decrypted reply: the read-out
+        stays in int64.  A column near ``2^62`` among them keeps it there
+        (ties past the mantissa included); one at ``2^63`` or past it
+        sends the whole fold to exact Python ints."""
+        half = chain.moduli[0] // 2
+        for level in range(1, 5):
+            edges = [0, half, half + 1]
+            poly = self.check(chain, level, edges + [-v for v in edges], rng, True)
+            assert poly._combine(center=True).dtype == np.int64
+            if level == 1:
+                continue  # Q < 2^63: no wider coefficient exists
+            for wide, dtype in (
+                (2**62 - 1, np.int64),
+                (2**62 + 2**9, np.int64),  # ties to even: down ...
+                (2**62 + 3 * 2**9, np.int64),  # ... and up
+                (2**63 - 2**10, object),
+                (2**63, object),
+                (2**63 + 2**10, object),
+            ):
+                for value in (wide, -wide):
+                    poly = self.check(chain, level, [0, value, half], rng, True)
+                    assert poly._combine(center=True).dtype == dtype
 
     @BARRETT
     def test_edge_columns(self, chain, rng):

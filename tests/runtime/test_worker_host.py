@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -642,6 +643,44 @@ class TestCliHostServing:
             if proc.poll() is None:
                 proc.terminate()
             proc.wait(timeout=30)
+
+    def test_close_interrupts_a_redial_of_a_drained_host(
+        self, tmp_path, rctx, host_plan
+    ):
+        """A host that drained on SIGTERM leaves the pool redialing its
+        address from the I/O thread (the redial window is 15 s); close()
+        stops that redial instead of waiting out its 5 s join."""
+        keyfile, _ = _write_key(tmp_path)
+        proc, port = self._spawn_cli_host(tmp_path, keyfile)
+        try:
+            cfg = ServingConfig(
+                num_workers=1,
+                transport="tcp",
+                hosts=(f"tcp://127.0.0.1:{port}",),
+                authkey_file=keyfile,
+            )
+            session = serve(host_plan, cfg)
+            try:
+                session.run_batch(_batches(rctx, 1, seed=27), timeout=RESULT_TIMEOUT)
+                proc.send_signal(signal.SIGTERM)
+                assert proc.wait(timeout=30) == 0
+                deadline = time.monotonic() + 30
+                while session.stats().get("worker_crashes", 0) < 1:
+                    assert time.monotonic() < deadline, "the slot was never lost"
+                    time.sleep(0.05)
+                time.sleep(0.6)  # a few redial intervals into the window
+            finally:
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    started = time.monotonic()
+                    session.close()
+                    elapsed = time.monotonic() - started
+            assert elapsed < 2.0
+            assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
 
 
 def _pid_exists(pid: int) -> bool:

@@ -268,13 +268,15 @@ class TestBatchedTensors:
         # the forward enters stage s at c = 2 + 2s, and 2 + 2 * 15 = 32 <
         # 64 = 2^42 / 2^36, so sixteen stages never renormalize.  The
         # inverse's sums double from 1: c = 64 enters stage 5, the doubled
-        # 128 no longer fits, so stages 6 and 12 renormalize and four
-        # doublings after 12 leave 16 q for the closing 1/N product.
+        # 128 no longer fits, so stages 6 and 12 renormalize and three
+        # doublings after 12 enter the last stage at 8 q: its 16 q sums
+        # take the folded 1/N products.
         paper = BatchNtt.create(1 << 16, (PAPER_PRIMES[0],))
         assert not any(paper._forward_plan)
         inverse = paper._inverse_plan
-        assert [s for s, (first, _) in enumerate(inverse[:-1]) if first] == [6, 12]
-        assert inverse[-1] == (False, 16)
+        assert len(inverse) == 16
+        assert [s for s, (first, _) in enumerate(inverse) if first] == [6, 12]
+        assert inverse[-1] == (False, 8)
         # A mixed toy chain has no such room (limb 0 must stay below 17^2
         # while holding limb 1's residues: it enters at 16 q_0, and one
         # stage would store 18 q_0) and still transforms exactly.
@@ -399,6 +401,9 @@ class TestButterflyLayouts:
         for tensor in canonical:
             want = per_limb(tensor, moduli, "inverse")
             assert np.array_equal(bn.inverse(tensor), want)
+            block = np.array(tensor, order="C").reshape(-1, len(moduli), n)
+            bn.inverse_block(block, slice(0, len(moduli)))
+            assert np.array_equal(block.reshape(shape), want)
 
     @BARRETT
     @pytest.mark.parametrize("log_n", [1, 2, 3, 4, 5, 6, 7, 10, 12])
@@ -442,7 +447,7 @@ class TestButterflyLayouts:
         in_place = (n // _transposed_span(n)).bit_length() - 1  # stages before the turn
         forward = bn._forward_plan
         assert any(forward[:in_place]) and any(forward[in_place:])
-        inverse = [first for first, _ in bn._inverse_plan[:-1]]
+        inverse = [first for first, _ in bn._inverse_plan]
         assert any(inverse[:-in_place]) and any(inverse[-in_place:])
         rng = np.random.default_rng(40)
         for lead in ((), (len(WIDE_PRIMES),)):
