@@ -24,6 +24,7 @@ import pytest
 from repro.ckks import CkksContext, bootstrappable_params, toy_params
 from repro.ckks.containers import Ciphertext
 from repro.ckks.evaluator import Evaluator
+from repro.ckks.linear import HomomorphicLinearTransform
 from repro.ckks.serialization import (
     _word_layout,
     deserialize_ciphertext,
@@ -31,7 +32,7 @@ from repro.ckks.serialization import (
     wire_coeff_bits,
 )
 from repro.nums import find_primes, kernels
-from repro.nums.kernels import ReducerKernel
+from repro.nums.kernels import ReducerKernel, ufunc_buffer
 from repro.rns import RnsBasis
 from repro.rns.poly import EVAL, RnsPolynomial
 from repro.transforms.fft import SpecialFft
@@ -311,6 +312,68 @@ def test_rescale_table(report):
             f"({rows} NTT rows, best of {reps})"
         )
     report("Evaluator.rescale, 2 parts by two primes, eager", lines)
+
+
+def test_bsgs_step_table(report):
+    """Report only: one ``eval_bsgs``-shaped fused replay (2^10, L = 10, a
+    dense 512 x 512 matrix) split by fused step — the hoisted baby-step
+    family, the merged MAC, the giant-step family and the sum — as
+    best-of-5 ms per step, the replay's dispatch count, and the giant
+    family's one batched decomposition at one lane and at one lane per
+    CPU, the two timed alternately."""
+    ctx = CkksContext.create(toy_params(degree=1 << 10, num_primes=10), seed=1)
+    slots, level = ctx.params.slots, ctx.params.num_primes
+    rng = np.random.default_rng(1)
+    draw = rng.uniform(-1, 1, (2, slots, slots))
+    matrix = (draw[0] + 1j * draw[1]) / np.sqrt(slots)
+    hlt = HomomorphicLinearTransform(ctx, matrix, level=level)
+    keys = ctx.galois_keys(hlt.required_rotations(), levels=[level])
+    ct = ctx.encrypt(rng.uniform(-1, 1, slots))
+    plan = hlt.plan_for(ct.scale, keys)
+    plan.run_batch([[ct]])  # lowers the fused executor
+    ex = plan.fused()
+    names = {}
+    for grp in ex.groups:
+        if grp.kind == "automorphisms":
+            what = "hoisted family" if len(grp.sources) == 1 else "giant family"
+            shape = f"{len(grp.sources)} source(s), {len(grp.members)} rotations"
+        elif grp.kind == "mac":
+            what = "MAC"
+            shape = f"{len(grp.outputs)} outputs over {len(grp.sources)} sources"
+        else:
+            what, shape = grp.kind, f"{len(grp.sources)} terms"
+        names[f"{grp.kind}@{grp.anchor}"] = f"{what:15} ({shape})"
+    best: dict[str, float] = {}
+    for _ in range(5):
+        env = ex._template.copy()
+        spent: dict[str, float] = {}
+        with ufunc_buffer():
+            for fn, label in zip(ex._steps, ex._step_labels):
+                t0 = time.perf_counter()
+                fn(env, [ct])
+                name = names.get(label, label.split("@")[0])
+                spent[name] = spent.get(name, 0.0) + time.perf_counter() - t0
+        spent["replay"] = sum(spent.values())
+        for name, seconds in spent.items():
+            best[name] = min(best.get(name, float("inf")), seconds)
+    giant = next(g for g in ex.groups if g.kind == "automorphisms" and len(g.sources) > 1)
+    rows = np.stack([env[s][1][:level] for s in giant.sources])
+    engine = ctx.evaluator.keyswitch
+    configs = {"1 lane": _one_lane, f"all {kernels._cpu_count()}": ExitStack}
+    lanes = {config: float("inf") for config in configs}
+    for _ in range(5):
+        for config, scope in configs.items():
+            with scope():
+                t0 = time.perf_counter()
+                engine.decompose_rows(rows)
+                lanes[config] = min(lanes[config], time.perf_counter() - t0)
+    lines = [f"{name}: {seconds * 1e3:7.2f} ms" for name, seconds in best.items()]
+    lines.append(f"dispatches per replay: {ex.dispatch_count}")
+    lines.append(
+        f"giant decomposition {rows.shape}: "
+        + ", ".join(f"{c} {t * 1e3:.1f} ms" for c, t in lanes.items())
+    )
+    report("eval_bsgs fused replay by step, N=2^10, L=10, best of 5", lines)
 
 
 def test_download_table(report):

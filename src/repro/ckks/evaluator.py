@@ -117,8 +117,14 @@ def galois_rows(kern, engine: KeySwitchEngine, a, key, perm, outs, dec=None) -> 
 
 def plain_rows(pt: Plaintext, level: int, kern=None) -> np.ndarray:
     """``pt``'s evaluation rows at ``level`` (pre-formed given the level's
-    kernel): every caller's plaintext operand, eager or fused."""
-    m = pt.poly.drop_limbs(level).to_eval().data
+    kernel): every caller's plaintext operand, eager or fused.  An
+    evaluation-domain plaintext's rows are a view of its own — no caller
+    writes them — so a fused plan binds its diagonals without a copy."""
+    poly = pt.poly
+    if poly.domain == EVAL:
+        m = poly.data[:level]
+    else:
+        m = poly.drop_limbs(level).to_eval().data
     return m if kern is None else kern.pre(m)
 
 

@@ -79,21 +79,23 @@ class KeySwitchEngine:
         return DecomposedPoly(basis=self.basis, tensor=self.decompose_rows(poly.data))
 
     def decompose_rows(self, data: np.ndarray) -> np.ndarray:
-        """:meth:`decompose` on a bare ``(L, N)`` evaluation-domain matrix.
+        """:meth:`decompose` on bare ``(..., L, N)`` evaluation-domain
+        rows: ``(..., L, L, N)``, one tensor per leading index.
 
         One inverse BatchNtt (the digits are coefficient-domain residue
         rows) and exactly one forward BatchNtt dispatch over the stacked
-        ``(L·L, N)`` digit matrix.
+        ``(..., L·L, N)`` digit matrix.  Stacked sources (a family of
+        giant-step rotations) make both transforms several blocks long,
+        which the transforms walk in lanes.
         """
-        lvl = data.shape[0]
+        lvl = data.shape[-2]
         bat = self.basis.batch_ntt(lvl)
         coeff = bat.inverse(data)
         # tensor[j, i] = digit j broadcast onto limb i, unreduced: it is
         # below q_j, and the forward transform accepts any limb's
         # residues on every limb.
-        return bat.forward(
-            np.broadcast_to(coeff[:, np.newaxis, :], (lvl, lvl, self.basis.degree))
-        )
+        shape = (*data.shape[:-1], lvl, self.basis.degree)
+        return bat.forward(np.broadcast_to(coeff[..., np.newaxis, :], shape))
 
     def apply(
         self, dec: DecomposedPoly, key: SwitchingKey

@@ -134,16 +134,18 @@ class FusedGroup:
 
     Attributes:
         kind: ``"mac"`` (multiply_plain terms folded into one
-            mul-accumulate), ``"sum"`` (an add-reduction tree folded into
-            one add-accumulate), or ``"hoisted_automorphisms"`` (rotations
-            sharing one gadget decomposition, batched through one NTT
-            dispatch).
+            mul-accumulate; trees over one source multiset share it, one
+            output each), ``"sum"`` (an add-reduction tree folded into
+            one add-accumulate), or ``"automorphisms"`` (rotations of the
+            outputs of one step, sharing one batched gadget
+            decomposition).
         anchor: node id whose schedule position the group executes at.
         members: every node id the group covers (skipped elsewhere).
         outputs: member ids whose buffers later steps (or the caller)
             read.
         sources: external node ids the group reads.
-        payload: kind-specific extras (e.g. the mac's term node ids).
+        payload: kind-specific extras (the mac's term node ids, aligned
+            with ``sources``, output after output).
     """
 
     kind: str

@@ -19,10 +19,11 @@ produces.  That constraint shapes what the passes are allowed to do:
 * **DCE** drops nodes unreachable from the outputs (symbolic inputs are
   kept so plan arity always matches the trace's input specs).
 * **Hoist grouping** does not rewrite at all — it *annotates*: automorphism
-  nodes sharing a source ciphertext are grouped so the executors gadget-
-  decompose that source once (`Evaluator.decompose`) and replay the
+  nodes sharing a source ciphertext are grouped so the interpreter gadget-
+  decomposes that source once (`Evaluator.decompose`) and replays the
   decomposition across the whole group, exactly what `linear.py` used to
-  hand-code.
+  hand-code.  The fused replayer's rotation families
+  (:func:`fusion_groups`) widen it to every rotation of one step's outputs.
 * **check_alignment** re-derives every node's level, scale and part count
   from its operands by the op's rule — the one table in
   :mod:`repro.runtime.graph` the tracer records by — and fails
@@ -164,24 +165,33 @@ def hoist_groups(graph: Graph) -> dict[int, tuple[int, ...]]:
     }
 
 
-def fusion_groups(
-    graph: Graph, hoist: dict[int, tuple[int, ...]] | None = None
-) -> tuple[FusedGroup, ...]:
+def fusion_groups(graph: Graph) -> tuple[FusedGroup, ...]:
     """Discover fused schedule steps; pure analysis, no rewrite.
 
-    Two shapes, claimed greedily and disjointly (a node belongs to at
-    most one group):
+    Three shapes, claimed disjointly (a node belongs to at most one
+    group):
 
-    1. ``hoisted_automorphisms`` — the :func:`hoist_groups` families,
-       lifted into schedule steps so one gadget decomposition (one batched
-       NTT dispatch) serves every rotation of the family.
-    2. ``mac`` / ``sum`` — add-reduction trees.  Interior adds must be
+    1. ``mac`` / ``sum`` — add-reduction trees.  Interior adds must be
        single-consumer non-outputs at the root's level/size, so collapsing
        the tree into one deferred-reduction accumulate is invisible
        outside the group; when *every* leaf is a single-consumer
        captured-constant ``multiply_plain`` at the same level, the leaves
        fold in too and the whole tree becomes one ``mul_accumulate``
-       (``mac``).  Trees need >= 3 leaves to beat two binary adds.
+       (``mac``).  Mac trees are claimed first, so one inside a larger
+       tree is a leaf of that ``sum``.  Trees need >= 3 leaves to beat
+       two binary adds.
+    2. Merged ``mac`` — macs at one level over one multiset of sources
+       (BSGS: every giant group reads every baby-step rotation) become
+       one step with one output per tree, so each source row is split
+       once for all of them.  Its ``sources`` are sorted; ``payload``
+       holds each output's terms in that order, output after output.
+    3. ``automorphisms`` — every automorphism at one level whose source
+       is an output of one schedule step, when there are at least two:
+       one batched gadget decomposition of the distinct sources serves
+       every member.  A shared source (the baby steps, the eager path's
+       hoisting) is the one-source case; the outputs of a merged mac (the
+       giant steps) the many-source one.  The family runs at its first
+       member, after the step producing its sources.
 
     Every other node is a step of its own: stepping a run of single-node
     closures back to back under one dispatch would fuse no work.
@@ -189,24 +199,14 @@ def fusion_groups(
     Bit-identity: canonical residues are unique, so a raw uint64 sum of
     canonical terms reduced once gives the bytes of the binary add chain
     over the same terms in any order; regrouping changes no output bit.
+    A batched transform is bit-identical row by row to one transform per
+    source.
     """
-    hoist = hoist_groups(graph) if hoist is None else hoist
     consumers = graph.consumer_counts()
     outputs = set(graph.outputs)
     claimed: set[int] = set()
     groups: list[FusedGroup] = []
-
-    for src, members in sorted(hoist.items()):
-        groups.append(
-            FusedGroup(
-                kind="hoisted_automorphisms",
-                anchor=min(members),
-                members=tuple(members),
-                outputs=tuple(members),
-                sources=(src,),
-            )
-        )
-        claimed.update(members)
+    macs: dict[tuple, list[tuple]] = {}  # (level, sources) -> trees
 
     def _expandable(nid: int, root: Node) -> bool:
         n = graph.nodes[nid]
@@ -233,53 +233,98 @@ def fusion_groups(
             and graph.nodes[n.inputs[0]].level == root.level
         )
 
-    for root in reversed(graph.nodes):
-        if root.op != "add" or root.kind != "ct" or root.id in claimed:
-            continue
+    def _tree(root: Node, macs_only: bool):
+        """``(interiors, terms)`` of the add tree at ``root``; ``None``
+        when ``macs_only`` and a term is no mac term."""
         interiors: list[int] = []
         terms: list[int] = []
         stack = [root.id]
         while stack:
-            nid = stack.pop()
-            for i in graph.nodes[nid].inputs:
+            for i in graph.nodes[stack.pop()].inputs:
                 if _expandable(i, root):
                     interiors.append(i)
                     stack.append(i)
+                elif macs_only and not _mac_term(i, root):
+                    return None
                 else:
                     terms.append(i)
-        if len(terms) < 3:
-            continue
-        # The fused accumulate stacks every term at the root's shape; a
-        # term at a different level/size would need the eager add's
-        # drop-to-min branches, so such trees stay unfused.
-        if not all(
-            graph.nodes[t].kind == "ct"
-            and graph.nodes[t].level == root.level
-            and graph.nodes[t].size == root.size
-            for t in terms
-        ):
-            continue
-        if all(_mac_term(t, root) for t in terms):
-            members = (root.id, *interiors, *terms)
-            group = FusedGroup(
+        return interiors, terms
+
+    # Mac trees first, so a mac inside a larger sum (BSGS's first inner
+    # sum, under the giant-step sum) is a leaf of that sum, not raw
+    # multiplies in it.
+    for macs_only in (True, False):
+        for root in reversed(graph.nodes):
+            if root.op != "add" or root.kind != "ct" or root.id in claimed:
+                continue
+            tree = _tree(root, macs_only)
+            if tree is None or len(tree[1]) < 3:
+                continue
+            interiors, terms = tree
+            if macs_only:
+                terms.sort(key=lambda t: graph.nodes[t].inputs[0])
+                sources = tuple(graph.nodes[t].inputs[0] for t in terms)
+                members = (root.id, *interiors, *terms)
+                macs.setdefault((root.level, sources), []).append((members, terms))
+            # The fused accumulate stacks every term at the root's shape;
+            # a term at a different level/size would need the eager add's
+            # drop-to-min branches, so such trees stay unfused.
+            elif all(
+                graph.nodes[t].kind == "ct"
+                and graph.nodes[t].level == root.level
+                and graph.nodes[t].size == root.size
+                for t in terms
+            ):
+                members = (root.id, *interiors)
+                groups.append(
+                    FusedGroup(
+                        kind="sum",
+                        anchor=root.id,
+                        members=members,
+                        outputs=(root.id,),
+                        sources=tuple(terms),
+                    )
+                )
+            else:
+                continue
+            claimed.update(members)
+
+    # Trees over one multiset of sources read nothing of each other, so
+    # the merged step may run at the earliest root: every source is
+    # produced before that root's terms.
+    for (_, sources), trees in macs.items():
+        trees.sort()  # by root: a tree's members start with its root
+        groups.append(
+            FusedGroup(
                 kind="mac",
-                anchor=root.id,
-                members=members,
-                outputs=(root.id,),
-                sources=tuple(graph.nodes[t].inputs[0] for t in terms),
-                payload=tuple(terms),
+                anchor=trees[0][0][0],
+                members=tuple(m for members, _ in trees for m in members),
+                outputs=tuple(members[0] for members, _ in trees),
+                sources=sources,
+                payload=tuple(t for _, terms in trees for t in terms),
             )
-        else:
-            members = (root.id, *interiors)
-            group = FusedGroup(
-                kind="sum",
-                anchor=root.id,
-                members=members,
-                outputs=(root.id,),
-                sources=tuple(terms),
+        )
+
+    producer = {o: grp.anchor for grp in groups for o in grp.outputs}
+    families: dict[tuple[int, int], list[int]] = {}
+    for node in graph.nodes:
+        if node.op in AUTOMORPHISM_OPS:
+            src = node.inputs[0]
+            key = (producer.get(src, src), node.level)
+            families.setdefault(key, []).append(node.id)
+    for members in families.values():
+        if len(members) > 1:
+            groups.append(
+                FusedGroup(
+                    kind="automorphisms",
+                    anchor=members[0],
+                    members=tuple(members),
+                    outputs=tuple(members),
+                    sources=tuple(
+                        dict.fromkeys(graph.nodes[m].inputs[0] for m in members)
+                    ),
+                )
             )
-        groups.append(group)
-        claimed.update(members)
 
     return tuple(sorted(groups, key=lambda g: g.anchor))
 

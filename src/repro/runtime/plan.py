@@ -15,7 +15,7 @@ ways:
 * :meth:`ExecutionPlan.run_batch` — the **fused replayer**
   (:class:`FusedExecutor`), the one fast path.  Fusion groups
   (:func:`~repro.runtime.passes.fusion_groups`) collapse MAC/sum trees
-  and hoisted rotation families into single fused kernel dispatches; an
+  and rotation families into single fused kernel dispatches; an
   :class:`~repro.runtime.arena.ArenaLayout` preassigns every
   intermediate to a slot in one preallocated
   ``(slots, L, N)`` pool, so steady-state replay performs zero
@@ -336,7 +336,7 @@ class FusedExecutor:
         self._replay_lock = threading.Lock()
         _LIVE_EXECUTORS.add(self)
         g = plan.graph
-        self.groups = fusion_groups(g, plan.hoist)
+        self.groups = fusion_groups(g)
         by_anchor = {grp.anchor: grp for grp in self.groups}
         covered = {m for grp in self.groups for m in grp.members}
 
@@ -475,8 +475,8 @@ class FusedExecutor:
 
     def _lower_group(self, grp):
         g = self.plan.graph
-        if grp.kind == "hoisted_automorphisms":
-            return self._lower_hoisted(grp)
+        if grp.kind == "automorphisms":
+            return self._lower_family(grp)
         root = g.nodes[grp.anchor]
         lvl = root.level
         kern = self._basis.kernel(lvl)
@@ -486,16 +486,21 @@ class FusedExecutor:
             # Per-term multiplies against the diagonals' plain residues,
             # summed unreduced: the same canonical result as the eager
             # multiply/add tree (see ReducerKernel.mul_accumulate_rows),
-            # one reduction pair per part.
+            # one reduction pair per part and output.  Every output reads
+            # the same source rows, so each row is split once for all.
             diags = [
                 plain_rows(g.consts[g.nodes[t].consts[0]], lvl)
                 for t in grp.payload
             ]
+            k = len(srcs)
+            consts = [diags[o : o + k] for o in range(0, len(diags), k)]
+            out_views = [self._views[o] for o in grp.outputs]
 
             def mac_step(env, inputs):
-                for i, v in enumerate(views):
+                for i in range(len(views)):
                     rows = (env[s][i][:lvl] for s in srcs)
-                    kern.mul_accumulate_rows(rows, (diags,), (v,))
+                    outs = [v[i] for v in out_views]
+                    kern.mul_accumulate_rows(rows, consts, outs)
 
             return mac_step
 
@@ -520,25 +525,29 @@ class FusedExecutor:
 
         return sum_step
 
-    def _lower_hoisted(self, grp):
+    def _lower_family(self, grp):
+        """One gadget decomposition of the stacked ``(S, L, N)`` part-1
+        rows of the family's ``S`` sources, then each member's
+        contraction against its source's slice."""
         g = self.plan.graph
-        src = grp.sources[0]
-        lvl = g.nodes[src].level
+        srcs = grp.sources
+        lvl = g.nodes[srcs[0]].level
         kern = self._basis.kernel(lvl)
         engine = self._engine
         members = []
         for m in grp.members:
             node = g.nodes[m]
             perm = galois_permutation(self._basis.degree, node.attrs[-1])
-            members.append((g.consts[node.consts[0]], perm, self._views[m]))
+            k = srcs.index(node.inputs[0])
+            members.append((k, g.consts[node.consts[0]], perm, self._views[m]))
 
-        def hoisted_step(env, inputs):
-            parts = env[src]
-            dec = engine.decompose_rows(parts[1][:lvl])
-            for key, perm, views in members:
-                galois_rows(kern, engine, parts, key, perm, views, dec)
+        def family_step(env, inputs):
+            parts = [env[s] for s in srcs]
+            dec = engine.decompose_rows(np.stack([p[1][:lvl] for p in parts]))
+            for k, key, perm, views in members:
+                galois_rows(kern, engine, parts[k], key, perm, views, dec[k])
 
-        return hoisted_step
+        return family_step
 
     def _lower_raw(self, node: Node):
         """One node -> one closure calling its op's row function — the one

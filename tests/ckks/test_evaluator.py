@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, toy_params
+from repro.ckks.containers import Plaintext
+from repro.ckks.evaluator import plain_rows
 from repro.runtime import CtSpec, compile_fn
 from repro.transforms.ntt import BatchNtt
 
@@ -77,6 +79,21 @@ class TestLinear:
         want = f"{op}: plaintext at level 2 cannot reach ciphertext level 4"
         with pytest.raises(ValueError, match=want):
             getattr(ctx.evaluator, op)(ct, pt)
+
+
+    def test_plain_rows_view_an_evaluation_plaintext(self, ctx, msgs):
+        """An EVAL plaintext's rows are bound without a copy (a fused
+        BSGS plan binds hundreds of diagonals); a COEFF one is
+        transformed into a fresh array.  Both give the same residues."""
+        coeff_pt = ctx.encode(msgs[1])
+        eval_pt = Plaintext(poly=coeff_pt.poly.to_eval(), scale=coeff_pt.scale)
+        level = ctx.params.num_primes - 2
+        view = plain_rows(eval_pt, level)
+        fresh = plain_rows(coeff_pt, level)
+        assert np.shares_memory(view, eval_pt.poly.data)
+        assert not np.shares_memory(fresh, coeff_pt.poly.data)
+        assert np.array_equal(view, fresh)
+        assert view.shape == (level, ctx.params.degree)
 
 
 class TestMultiply:

@@ -61,6 +61,17 @@ def sample_ct(rctx):
     return rctx.encrypt(rng.uniform(-1, 1, rctx.params.slots))
 
 
+@pytest.fixture(scope="module")
+def dense_bsgs(rctx, sample_ct):
+    """A dense HLT over every slot and its compiled plan."""
+    n = rctx.params.num_primes
+    slots = rctx.params.slots
+    rng = np.random.default_rng(14)
+    hlt = HomomorphicLinearTransform(rctx, rng.uniform(-1, 1, (slots, slots)), level=n)
+    keys = rctx.galois_keys(hlt.required_rotations(), levels=[n])
+    return hlt, hlt.plan_for(sample_ct.scale, keys)
+
+
 def _pipeline(gks, rlk):
     """Rotate / multiply / relinearize / rescale / add — every op class."""
 
@@ -155,6 +166,64 @@ class TestFusedReplay:
         assert stats["dispatch_count_fused"] * 3 <= stats["nodes"]
         assert stats["fused_groups"] >= 1
         assert stats["arena_slots"] >= 1
+
+    def test_dense_bsgs_lowers_to_one_mac_and_one_giant_family(self, dense_bsgs, sample_ct):
+        """A dense HLT with ``G`` giant groups: one ``mac`` step with ``G``
+        outputs over every baby-step source, one family of the ``G - 1``
+        giant rotations over its outputs, the hoisted baby-step family
+        (the one-source case) and one sum."""
+        hlt, plan = dense_bsgs
+        giants = hlt.ctx.params.slots // hlt.baby_steps
+        groups = plan.fused().groups
+        assert [grp.kind for grp in groups] == ["automorphisms", "mac", "automorphisms", "sum"]
+        baby, mac, giant, total = groups
+        assert len(baby.sources) == 1 and len(baby.members) == hlt.baby_steps - 1
+        assert len(mac.outputs) == giants
+        assert len(mac.sources) == hlt.baby_steps
+        assert len(mac.payload) == giants * hlt.baby_steps
+        assert set(giant.sources) == set(mac.outputs[1:])
+        assert len(giant.members) == giants - 1
+        assert len(total.sources) == giants
+        assert plan.stats()["dispatch_count_fused"] == 1 + len(groups)  # + the input
+        [fused] = plan.run_batch([[sample_ct]])[0]
+        _assert_ct_equal(fused, plan.run([sample_ct])[0], "dense BSGS")
+
+    @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
+    @pytest.mark.parametrize("cpu", [1, 2, 3])
+    def test_family_lanes_give_one_set_of_bytes(self, dense_bsgs, sample_ct, cpu, split):
+        """The giant family decomposes its stacked sources in one batched
+        transform pair, whose blocks run in lanes: the replay's bytes are
+        the interpreter's for any CPU count, with the blocks as they come
+        (one at this shape) or cut so both the inverse and the forward
+        split, and every lane thread is gone when the replay returns."""
+        from unittest import mock
+
+        from repro.nums import kernels
+        from repro.transforms.ntt import BatchNtt
+
+        hlt, plan = dense_bsgs
+        [oracle] = plan.run([sample_ct])
+        giant = plan.fused().groups[2]
+        degree = hlt.ctx.params.degree
+        # Two limbs of the stacked inverse per block, one of the forward.
+        block_bytes = 2 * len(giant.sources) * degree * 8 if split else BatchNtt.BLOCK_BYTES
+        started = []
+        real = threading.Thread
+
+        def counting(*args, **kwargs):
+            started.append(1)
+            return real(*args, **kwargs)
+
+        before = threading.active_count()
+        with (
+            mock.patch.object(BatchNtt, "BLOCK_BYTES", block_bytes),
+            mock.patch.object(kernels, "_cpu_count", return_value=cpu),
+            mock.patch.object(threading, "Thread", counting),
+        ):
+            [[fused]] = plan.run_batch([[sample_ct]])
+        assert threading.active_count() == before
+        assert bool(started) == (split and cpu > 1)
+        _assert_ct_equal(fused, oracle, f"{cpu} lane(s)")
 
     def test_sharded_pool_replays_fused(self, rctx, gks, rlk, sample_ct):
         from repro.runtime import ServingConfig, ShardedExecutor
@@ -333,6 +402,11 @@ class TestDispatchCounts:
         assert eager_decomposes == len(baby) + len(giants)
         assert planned_decomposes == 1 + len(giants)
         assert planned_decomposes < eager_decomposes
+        # The fused replay batches every giant step into one more call.
+        plan.run_batch([[sample_ct]])  # lowers
+        calls["n"] = 0
+        plan.run_batch([[sample_ct]])
+        assert calls["n"] == 2
 
     def test_cse_eliminates_duplicate_keyswitch_work(
         self, rctx, gks, monkeypatch, sample_ct

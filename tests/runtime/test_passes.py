@@ -186,14 +186,12 @@ class TestFusion:
 
         g = optimize(trace(program, rctx.evaluator, [_spec(rctx)]))
         hoist = hoist_groups(g)
-        hoisted = [
-            grp for grp in fusion_groups(g, hoist)
-            if grp.kind == "hoisted_automorphisms"
-        ]
+        hoisted = [grp for grp in fusion_groups(g) if grp.kind == "automorphisms"]
         (grp,) = hoisted
-        (members,) = hoist.values()
+        ((src, members),) = hoist.items()
         assert grp.members == tuple(members)
         assert grp.anchor == min(members)
+        assert grp.sources == (src,)  # the one-source family
 
     def test_groups_are_disjoint(self, rctx, gks):
         p1, p2, p3 = self._pts(rctx, 3)

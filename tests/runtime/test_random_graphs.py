@@ -11,6 +11,11 @@ tensors (the 2-part-only ops skip them, add/sub mix part counts,
 relinearize folds them), and add_plain/multiply_plain read either a
 captured plaintext or the plaintext input bound at each replay.
 
+A second property draws BSGS-shaped blocks — several MACs over shared,
+reordered or different source sets, rotations of their outputs, one sum —
+so merged MAC steps and many-source rotation families meet the same two
+oracles.
+
 The settings are derandomized so tier-1 replays the same examples every
 run; explore further with ``--hypothesis-seed=random``.
 """
@@ -25,6 +30,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ckks import CkksContext, toy_params
+from repro.ckks.containers import Plaintext
 from repro.ckks.evaluator import SCALE_RTOL
 from repro.runtime import CtSpec, PtSpec, compile_fn
 
@@ -178,5 +184,84 @@ def test_fused_replay_matches_interpreter_on_random_graphs(world, ops, drop):
     (fused,) = plan.run_batch([inputs])
     assert _bytes(fused) == oracle, f"fused != interpreter on {plan.summary()}"
     assert _bytes(program(ctx.evaluator, *inputs)) == oracle, (
+        f"interpreter != eager on {plan.summary()}"
+    )
+
+
+MODES = ("same", "reordered", "different", "repeated")
+
+
+def _bsgs_block(draw, ctx, gks):
+    """A BSGS-shaped program: ``G >= 2`` MACs over ``K >= 3`` sources
+    each — the first MAC's set, a reordering of it, a different set, or
+    the first set with one source twice — some MAC outputs rotated, and
+    one sum over all of them."""
+    pool_size = 7
+    k = draw(st.integers(3, 5), label="K")
+    base = draw(st.lists(st.integers(0, pool_size - 1), min_size=k, max_size=k, unique=True))
+    macs = []
+    for mode in draw(st.lists(st.sampled_from(MODES), min_size=2, max_size=4), label="G"):
+        if mode == "same" or not macs:
+            macs.append(list(base))
+        elif mode == "reordered":
+            macs.append(draw(st.permutations(base)))
+        elif mode == "different":
+            macs.append(
+                draw(st.lists(st.integers(0, pool_size - 1), min_size=3, max_size=6, unique=True))
+            )
+        else:
+            macs.append([*base, base[0]])
+    g = len(macs)
+    rotated = draw(st.lists(st.integers(0, g - 1), min_size=1, max_size=g, unique=True))
+    steps = [draw(st.sampled_from((1, 2))) for _ in rotated]
+
+    def plaintext(seed, level):
+        values = np.random.default_rng(seed).uniform(-1, 1, ctx.params.slots)
+        pt = ctx.encoder.encode(values, level=level, scale=ctx.params.scale)
+        # Odd seeds are held in the evaluation domain, as an HLT holds its
+        # diagonals (bound as views), even ones in the coefficient domain.
+        return Plaintext(poly=pt.poly.to_eval(), scale=pt.scale) if seed % 2 else pt
+
+    def program(ev, x, y, p):
+        pool = [
+            x,
+            y,
+            ev.rotate(x, 1, gks),
+            ev.rotate(x, 2, gks),
+            ev.rotate(y, 1, gks),
+            ev.rotate(y, 2, gks),
+            ev.negate(x),
+        ]
+        outs = []
+        for m, sources in enumerate(macs):
+            acc = None
+            for t, s in enumerate(sources):
+                term = ev.multiply_plain(pool[s], plaintext(10 * m + t, x.level))
+                acc = term if acc is None else ev.add(acc, term)
+            outs.append(acc)
+        for i, step in zip(rotated, steps):
+            outs[i] = ev.rotate(outs[i], step, gks)
+        total = outs[0]
+        for out in outs[1:]:
+            total = ev.add(total, out)
+        return total
+
+    return program
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fused_bsgs_blocks_match_interpreter_and_eager(world, data):
+    """Merged MACs and rotation families over them replay the bytes of
+    the interpreter and of the eager evaluator."""
+    ctx, _, gks, inputs = world
+    program = _bsgs_block(data.draw, ctx, gks)
+    spec = CtSpec(level=PRIMES, scale=ctx.params.scale)
+    pt_spec = PtSpec(level=PRIMES, scale=ctx.params.scale)
+    plan = compile_fn(program, ctx.evaluator, [spec, spec, pt_spec])
+    oracle = _bytes(plan.run(inputs))
+    (fused,) = plan.run_batch([inputs])
+    assert _bytes(fused) == oracle, f"fused != interpreter on {plan.summary()}"
+    assert _bytes([program(ctx.evaluator, *inputs)]) == oracle, (
         f"interpreter != eager on {plan.summary()}"
     )
