@@ -457,13 +457,17 @@ def test_codec_table(report):
 
 def test_keygen_table(report):
     """Report only: distinct key objects, their MiB and best-of-3 seconds
-    for three key sets — every relinearization level at (2^10, L = 10),
-    the two levels ``eval_poly3`` asks for, and the ``Bootstrapper`` set
+    for four key sets — every relinearization level at (2^10, L = 10),
+    the two levels ``eval_poly3`` asks for, the 46 Galois keys of
+    ``eval_bsgs``'s dense 512-slot layer, and the ``Bootstrapper`` set
     at ``benchmarks/test_bootstrap.py``'s shape (timed as the whole
-    constructor, which the key generation dominates)."""
+    constructor, which the key generation dominates) — and, below them,
+    the set-up's other half: building that layer's
+    ``HomomorphicLinearTransform`` (512 diagonals encoded, best of 3)."""
     from dataclasses import replace
 
     from repro.ckks import BootstrapConfig, Bootstrapper
+    from repro.ckks.linear import HomomorphicLinearTransform
 
     served = CkksContext.create(toy_params(degree=1 << 10, num_primes=10), seed=1)
     boot_ctx = CkksContext.create(
@@ -475,25 +479,46 @@ def test_keygen_table(report):
         bs = Bootstrapper(boot_ctx, boot_cfg)
         return [bs._galois, bs._conj, bs._relin]
 
+    slots = served.params.slots
+    rng = np.random.default_rng(1)
+    dense = rng.uniform(-1, 1, (slots, slots)) + 1j * rng.uniform(-1, 1, (slots, slots))
+    layer = HomomorphicLinearTransform(served, dense, level=10)
+    rotations = layer.required_rotations()
+    assert len(rotations) == 46
+
+    def best_of_3(generate):
+        best = float("inf")
+        for _ in range(3):
+            t0 = time.perf_counter()
+            made = generate()
+            best = min(best, time.perf_counter() - t0)
+        return made, best
+
+    def bsgs_keys():
+        return [served.galois_keys(rotations, levels=[10])]
+
     cases = (
         ("relin_keys(), 2^10 L=10       ", lambda: [served.relin_keys()]),
         ("relin_keys(levels=[10, 8])    ", lambda: [served.relin_keys(levels=[10, 8])]),
+        ("galois_keys(46 BSGS rotations)", bsgs_keys),
         ("Bootstrapper, 2^6 L=22 (init) ", bootstrap_keys),
     )
     lines = []
     for name, generate in cases:
-        best = float("inf")
-        for _ in range(3):
-            t0 = time.perf_counter()
-            key_sets = generate()
-            best = min(best, time.perf_counter() - t0)
+        key_sets, best = best_of_3(generate)
         keys = {id(k): k for ks in key_sets for k in ks.values()}.values()
         nbytes = sum(p.data.nbytes for k in keys for pair in k.pairs for p in pair)
         lines.append(
             f"{name}: {len(keys):3d} keys, {nbytes / 2**20:6.2f} MiB, "
             f"{best * 1e3:7.1f} ms (best of 3)"
         )
-    report("Switching-key generation", lines)
+    layer, best = best_of_3(lambda: HomomorphicLinearTransform(served, dense, level=10))
+    nbytes = sum(pt.poly.data.nbytes for pt in layer._diagonals.values())
+    lines.append(
+        f"HLT build, 512x512 at L=10    : {len(layer._diagonals):3d} diags, "
+        f"{nbytes / 2**20:6.2f} MiB, {best * 1e3:7.1f} ms (best of 3)"
+    )
+    report("Set-up: switching-key generation and HLT build", lines)
 
 
 def test_reattach_table(report, tmp_path):

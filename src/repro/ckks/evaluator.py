@@ -112,7 +112,7 @@ def galois_rows(kern, engine: KeySwitchEngine, a, key, perm, outs, dec=None) -> 
     if dec is None:
         dec = engine.decompose_rows(a[1][:lvl])
     ks0, _ = engine.contract(dec, key, perm=perm, out1=outs[1])
-    kern.add(a[0][:lvl][:, perm], ks0, out=outs[0])
+    kern.add(np.take(a[0][:lvl], perm, axis=-1), ks0, out=outs[0])
 
 
 def plain_rows(pt: Plaintext, level: int, kern=None) -> np.ndarray:

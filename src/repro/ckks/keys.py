@@ -35,7 +35,8 @@ from repro.ckks.params import CkksParameters
 from repro.prng.samplers import DiscreteGaussianSampler, TernarySampler, UniformSampler
 from repro.prng.xof import Xof
 from repro.rns.basis import RnsBasis
-from repro.rns.poly import EVAL, RnsPolynomial
+from repro.rns.poly import EVAL, RnsPolynomial, signed_embedder
+from repro.transforms.ntt import BatchNtt
 
 __all__ = [
     "SecretKey",
@@ -189,24 +190,35 @@ class KeyGenerator:
         """Key-switching key taking ``source`` (NTT domain) onto ``sk``.
 
         Uses CRT-idempotent gadgets: ``idem_j ≡ 1 (mod q_j)``,
-        ``≡ 0 (mod q_i, i != j)`` over the level's composite modulus.
-        Each digit's rows are written straight into the key's tensors.
+        ``≡ 0 (mod q_i, i != j)`` over the level's composite modulus, so
+        ``idem_j * source`` is ``source``'s limb ``j`` on digit ``j``'s
+        own row and zero elsewhere.  The key is built as two tensors:
+        every digit's uniform ``a_j`` is drawn into ``a`` and its error
+        embedded straight into ``b``, one forward transform takes all of
+        ``b`` to the NTT domain in place, and ``b = e - a*s + idem ⊗
+        source`` is formed by whole-tensor kernel calls (in digit blocks
+        of the transform's block size, so the product's temporaries stay
+        a block at any shape).  Every XOF stream is domain-separated, so
+        the draws are those of building the digits one by one.
         """
         if source.domain != EVAL:
             raise ValueError("source secret must be in the NTT domain")
-        crt = self.basis.crt(level)
-        b = np.empty((level, level, self.basis.degree), dtype=np.uint64)
+        n = self.basis.degree
+        kern = self.basis.kernel(level)
+        b = np.empty((level, level, n), dtype=np.uint64)
         a = np.empty_like(b)
-        src = source.drop_limbs(level)
-        for j, q_j in enumerate(self.basis.moduli[:level]):
-            idem = crt.q_hat[j] * crt.q_hat_inv[j]  # CRT idempotent, big int
-            a_j = expand_uniform_poly(
-                self.basis, level, self.xof.derive(tag + b"|a%d" % j), tag
-            )
-            e_j = self._error_poly(level, tag + b"|e%d" % j).to_eval()
-            idem_residues = [idem % q for q in self.basis.moduli[:level]]
-            b_j = -(a_j * sk.at_level(level)) + e_j + src.scale_scalar(idem_residues)
-            b[j], a[j] = b_j.data, a_j.data
+        min_modulus = min(self.basis.moduli[:level])
+        for j in range(level):
+            child = self.xof.derive(tag + b"|a%d" % j)
+            a[j] = expand_uniform_poly(self.basis, level, child, tag).data
+            errors = self._gauss.sample_signed(self.xof, tag + b"|e%d" % j, n)
+            signed_embedder(errors, min_modulus)(kern.q, b[j])
+        self.basis.batch_ntt(level).forward(b, out=b)
+        s = sk.at_level(level).data
+        for digits in BatchNtt.row_blocks(level, b[0].nbytes):
+            kern.sub(b[digits], kern.mul(a[digits], s), out=b[digits])
+        own = np.arange(level)
+        b[own, own] = kern.add(b[own, own], source.data[:level])
         return SwitchingKey(self.basis, b, a)
 
     def gen_relin(self, sk: SecretKey, levels: list[int]) -> dict[int, SwitchingKey]:

@@ -24,8 +24,8 @@ tensorizes the whole pipeline:
   bootstrapping's CoeffToSlot/SlotToCoeff pay one inverse NTT for a whole
   batch of rotations instead of one per rotation.
 
-``switch_reference`` preserves the seed's per-digit loop so tests can pin
-bit-identity and benchmarks can measure the speedup.
+``switch_reference`` preserves the seed's per-digit loop; only tests call
+it, to pin the batched path bit-identical to it.
 """
 
 from __future__ import annotations
@@ -124,7 +124,10 @@ class KeySwitchEngine:
         """
         lvl = tensor.shape[0]
         kern = self.basis.kernel(lvl)
-        rows = (tensor[j] if perm is None else tensor[j][:, perm] for j in range(lvl))
+        if perm is None:
+            rows = (tensor[j] for j in range(lvl))
+        else:  # np.take gathers C-ordered rows; ``row[:, perm]`` is Fortran-ordered
+            rows = (np.take(tensor[j], perm, axis=-1) for j in range(lvl))
         consts = (key.b[:lvl, :lvl], key.a[:lvl, :lvl])
         return kern.mul_accumulate_rows(rows, consts, (out0, out1))
 
@@ -142,9 +145,8 @@ class KeySwitchEngine:
     def switch_reference(
         self, poly: RnsPolynomial, key: SwitchingKey
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """The seed's per-digit Python loop, kept for bit-identity tests
-        and as the benchmark baseline.  Semantically (and bit-for-bit)
-        equal to :meth:`switch`."""
+        """The seed's per-digit Python loop, kept for bit-identity tests.
+        Semantically (and bit-for-bit) equal to :meth:`switch`."""
         if poly.domain != EVAL:
             raise ValueError("key switching expects an NTT-domain polynomial")
         lvl = poly.level

@@ -37,6 +37,7 @@ import numpy as np
 from repro.ckks.containers import Ciphertext, Plaintext
 from repro.ckks.context import CkksContext
 from repro.ckks.keys import SwitchingKey
+from repro.rns.poly import EVAL, RnsPolynomial
 
 __all__ = ["HomomorphicLinearTransform"]
 
@@ -74,33 +75,39 @@ class HomomorphicLinearTransform:
             self.baby_steps = 1 << ((n - 1).bit_length() + 1) // 2
         self._compile()
 
-    def _diag(self, i: int) -> np.ndarray:
-        """The i-th generalized diagonal: d_j = M[j, (j + i) mod n]."""
-        n = self.ctx.params.slots
-        j = np.arange(n)
-        return self.matrix[j, (j + i) % n]
-
     def _compile(self) -> None:
-        """Encode every nonzero diagonal, pre-rotated by its giant step."""
+        """Encode every nonzero diagonal, pre-rotated by its giant step.
+
+        The diagonal ``d_i`` (``d_j = M[j, (j + i) mod n]``) goes in
+        giant group ``g, j = divmod(i, baby_steps)``.  A group's nonzero
+        diagonals are encoded as one stack (:meth:`CkksEncoder.encode_rows`)
+        and forward-transformed in place as one batch, whose limb blocks
+        run in lanes; each diagonal's :class:`Plaintext` is a row view of
+        its group's buffer, byte-equal to encoding it alone.
+        """
         n = self.ctx.params.slots
         bs = self.baby_steps
+        scale = self.ctx.params.scale
+        bat = self.ctx.basis.batch_ntt(self.level)
         self._diagonals = {}
         self._nonzero = []
-        scale = self.ctx.params.scale
-        for i in range(n):
-            d = self._diag(i)
-            if np.max(np.abs(d)) < 1e-15:
+        cols = np.arange(n)
+        for g in range(-(-n // bs)):
+            shift = np.arange(g * bs, min((g + 1) * bs, n))[:, np.newaxis]
+            diags = self.matrix[cols, (cols + shift) % n]
+            js = np.flatnonzero(~(np.abs(diags).max(axis=1) < 1e-15))
+            if not len(js):
                 continue
-            g, j = divmod(i, bs)
             # Pre-rotate by -g*bs so the inner sum needs only rot_j(x).
-            pre = np.roll(d, g * bs)
-            encoded = self.ctx.encoder.encode(pre, level=self.level, scale=scale)
+            pre = np.roll(diags[js], g * bs, axis=-1)
+            rows = self.ctx.encoder.encode_rows(pre, level=self.level, scale=scale)
             # Cache in the NTT domain: apply() multiplies each diagonal
             # every call, so the forward transform is paid once here.
-            self._diagonals[(g, j)] = Plaintext(
-                poly=encoded.poly.to_eval(), scale=encoded.scale
-            )
-            self._nonzero.append((g, j))
+            bat.forward(rows, out=rows)
+            for j, row in zip(js.tolist(), rows):
+                poly = RnsPolynomial(self.ctx.basis, row, EVAL)
+                self._diagonals[(g, j)] = Plaintext(poly=poly, scale=scale)
+                self._nonzero.append((g, j))
 
     def required_rotations(self) -> list[int]:
         """Slot rotations the evaluation needs keys for (at ``level``)."""

@@ -15,7 +15,8 @@ the limbs block by cache-sized block; every modular product is a Barrett
 reduction (:class:`~repro.nums.kernels.ReducerKernel`).
 
 "Expand RNS" and "Combine CRT" (Fig. 2a) are word-level too.
-:meth:`from_float_coeffs` streams the float datapath's own (mantissa,
+:func:`float_coeff_rows` (behind :meth:`from_float_coeffs`, over any
+stack of polynomials) streams the float datapath's own (mantissa,
 exponent) words limb by limb, each output row computed in cache by
 Barrett's float64 quotient estimate, the way the MSE streams a limb;
 :meth:`from_bigint_coeffs` accumulates the 32-bit words of exact
@@ -148,6 +149,66 @@ def rescale_eval_rows(basis: RnsBasis, data: np.ndarray, times: int) -> np.ndarr
     return kern.mul(diff, inv_col, out=diff)
 
 
+def float_coeff_rows(basis: RnsBasis, level: int, values: np.ndarray) -> np.ndarray:
+    """Integer-valued doubles ``(..., N)`` -> ``(..., level, N)`` RNS
+    coefficient rows (Expand-RNS), each leading index the rows it would
+    get alone: :meth:`RnsPolynomial.from_float_coeffs` and, for a stack
+    of messages, :meth:`~repro.ckks.encoder.CkksEncoder.encode_rows`.
+
+    A double is ``±M * 2^E`` with a 53-bit integer mantissa, so its
+    residue is ``(M mod q_i) * (±2^E mod q_i)`` — what the MSE does
+    with an FP55 word instead of materializing the ~72-bit integer.
+    Limb by limb, in cache, straight into its output row: ``M mod
+    q_i`` from Barrett's float64 quotient estimate, one gather from a
+    sign-folded table of ``±2^E mod q_i`` and one Barrett ``mul``.  A
+    stack is expanded as one: each limb's pass covers every leading
+    index.  The limbs go in the cache-sized blocks a transform of the
+    whole stack walks (:meth:`~repro.transforms.ntt.BatchNtt.row_blocks`),
+    one lane per CPU (:func:`~repro.nums.kernels.in_lanes`).
+
+    Bound: ``M < 2^53`` is an exact double, so ``trunc(M · r_q)``
+    undershoots ``M / q`` by less than ``(M / q) 2^-49.5 + 1``
+    (:class:`~repro.nums.kernels.ReducerKernel`): ``M - trunc(M ·
+    r_q) · q`` is below ``2q`` for every ``q >= 11`` — every
+    ``RnsBasis`` prime from N = 8 up, at least ``2N + 1 = 17`` — and
+    below ``q + 11`` for the smaller ones.  Either way it is below
+    ``2^42`` against a canonical table entry, which is all ``mul``
+    needs to return the canonical product.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if values.ndim < 1 or values.shape[-1] != basis.degree:
+        raise ValueError(f"expected (..., {basis.degree}) coefficients")
+    if not np.isfinite(values).all():
+        raise ValueError("cannot expand non-finite coefficients")
+    if (values != np.rint(values)).any():
+        raise ValueError("coefficients must be integer-valued; round them first")
+    mags = np.abs(values)
+    # Below 2^53 the double is its own mantissa; above, shift it down.
+    exponents = np.maximum(np.frexp(mags)[1] - 53, 0)
+    mantissas = np.ldexp(mags, -exponents)
+    words = mantissas.astype(np.uint64)
+    top = int(exponents.max())
+    index = exponents + (top + 1) * (values < 0)  # +2^E rows, then -2^E
+    data = np.empty((*values.shape[:-1], level, basis.degree), dtype=np.uint64)
+
+    def lane(blocks: list[slice]) -> None:
+        for rows in blocks:
+            for limb, q in enumerate(basis.moduli[rows], rows.start):
+                row = data[..., limb, :]
+                kern = kernel_for_modulus(q)
+                powers = [pow(2, e, q) for e in range(top + 1)]
+                signed = np.array(powers + [-p % q for p in powers], dtype=np.uint64)
+                # The estimate is below 2^53: truncated through an int64 view.
+                estimate = row.view(np.int64)
+                np.multiply(mantissas, kern.reciprocal, out=estimate, casting="unsafe")
+                row *= kern.q
+                np.subtract(words, row, out=row)  # M mod q, short of a subtract
+                kern.mul(row, signed[index], out=row)
+
+    in_lanes(BatchNtt.row_blocks(level, words.size * 8), lane)
+    return data
+
+
 @dataclass
 class RnsPolynomial:
     """A polynomial over an RNS basis prefix.
@@ -240,64 +301,15 @@ class RnsPolynomial:
     def from_float_coeffs(
         cls, basis: RnsBasis, level: int, values: np.ndarray
     ) -> "RnsPolynomial":
-        """Integer-valued doubles -> RNS, straight from the float datapath.
-
-        A double is ``±M * 2^E`` with a 53-bit integer mantissa, so its
-        residue is ``(M mod q_i) * (±2^E mod q_i)`` — what the MSE does
-        with an FP55 word instead of materializing the ~72-bit integer.
-        Limb by limb, in cache, straight into its output row: ``M mod
-        q_i`` from Barrett's float64 quotient estimate, one gather from a
-        sign-folded table of ``±2^E mod q_i`` and one Barrett ``mul``.
-        The rows go in the batched transform's cache-sized blocks
-        (:meth:`~repro.transforms.ntt.BatchNtt.row_blocks`), one lane per
-        CPU (:func:`~repro.nums.kernels.in_lanes`).
-        Residues equal ``from_bigint_coeffs([int(v) for v in values])``
-        exactly (canonical residues are unique).
-
-        Bound: ``M < 2^53`` is an exact double, so ``trunc(M · r_q)``
-        undershoots ``M / q`` by less than ``(M / q) 2^-49.5 + 1``
-        (:class:`~repro.nums.kernels.ReducerKernel`): ``M - trunc(M ·
-        r_q) · q`` is below ``2q`` for every ``q >= 11`` — every
-        ``RnsBasis`` prime from N = 8 up, at least ``2N + 1 = 17`` — and
-        below ``q + 11`` for the smaller ones.  Either way it is below
-        ``2^42`` against a canonical table entry, which is all ``mul``
-        needs to return the canonical product.
+        """Integer-valued doubles -> RNS, straight from the float datapath
+        (:func:`float_coeff_rows` of one polynomial).  Residues equal
+        ``from_bigint_coeffs([int(v) for v in values])`` exactly (canonical
+        residues are unique).
         """
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (basis.degree,):
             raise ValueError(f"expected {basis.degree} coefficients")
-        if not np.isfinite(values).all():
-            raise ValueError("cannot expand non-finite coefficients")
-        if (values != np.rint(values)).any():
-            raise ValueError("coefficients must be integer-valued; round them first")
-        mags = np.abs(values)
-        # Below 2^53 the double is its own mantissa; above, shift it down.
-        exponents = np.maximum(np.frexp(mags)[1] - 53, 0)
-        mantissas = np.ldexp(mags, -exponents)
-        words = mantissas.astype(np.uint64)
-        top = int(exponents.max())
-        index = exponents + (top + 1) * (values < 0)  # +2^E rows, then -2^E
-        data = np.empty((level, basis.degree), dtype=np.uint64)
-
-        def lane(blocks: list[slice]) -> None:
-            for rows in blocks:
-                for row, q in zip(data[rows], basis.moduli[rows]):
-                    kern = kernel_for_modulus(q)
-                    powers = [pow(2, e, q) for e in range(top + 1)]
-                    signed = np.array(
-                        powers + [-p % q for p in powers], dtype=np.uint64
-                    )
-                    # The estimate is below 2^53: truncated through an int64 view.
-                    estimate = row.view(np.int64)
-                    np.multiply(
-                        mantissas, kern.reciprocal, out=estimate, casting="unsafe"
-                    )
-                    row *= kern.q
-                    np.subtract(words, row, out=row)  # M mod q, short of a subtract
-                    kern.mul(row, signed[index], out=row)
-
-        in_lanes(BatchNtt.row_blocks(level, basis.degree * 8), lane)
-        return cls(basis, data, COEFF)
+        return cls(basis, float_coeff_rows(basis, level, values), COEFF)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -399,7 +411,7 @@ class RnsPolynomial:
         k %= 2 * n
         if self.domain == EVAL:
             src = galois_permutation(n, k)
-            return RnsPolynomial(self.basis, self.data[:, src], EVAL)
+            return RnsPolynomial(self.basis, np.take(self.data, src, axis=-1), EVAL)
         src = np.arange(n, dtype=np.int64)
         dest = (src * k) % (2 * n)
         wrap = dest >= n

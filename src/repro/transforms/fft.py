@@ -90,11 +90,11 @@ class SpecialFft:
     def forward(self, values: np.ndarray) -> np.ndarray:
         """Special FFT: evaluate at the ``zeta^{5^j}`` orbit (decode path).
 
-        Input and output are length-``slots`` complex vectors; input is in
+        Input and output are ``(..., slots)`` complex arrays; input is in
         the "folded coefficient" layout produced by :meth:`inverse`.
         """
-        v = self._checked(values)[self.bit_rev]
-        scratch = np.empty(self.slots // 2, dtype=np.complex128)
+        v = np.take(self._checked(values), self.bit_rev, axis=-1)
+        scratch = np.empty(v.size // 2, dtype=np.complex128)
         for tw in self.forward_twiddles:  # shared across blocks
             blocks = v.reshape(-1, 2 * len(tw))
             lower, upper = blocks[:, : len(tw)], blocks[:, len(tw) :]
@@ -109,9 +109,14 @@ class SpecialFft:
     # ------------------------------------------------------------------
 
     def inverse(self, values: np.ndarray) -> np.ndarray:
-        """Special IFFT: slot values -> folded coefficients (encode path)."""
+        """Special IFFT: slot values -> folded coefficients (encode path).
+
+        Leading axes are a batch: the stages run over every row at once
+        (a butterfly block never spans two rows), so each row gets the
+        bytes it would get alone — the quantization included.
+        """
         v = self._checked(values)
-        scratch = np.empty(self.slots // 2, dtype=np.complex128)
+        scratch = np.empty(v.size // 2, dtype=np.complex128)
         for tw in self.inverse_twiddles:
             blocks = v.reshape(-1, 2 * len(tw))
             lower, upper = blocks[:, : len(tw)], blocks[:, len(tw) :]
@@ -119,13 +124,13 @@ class SpecialFft:
             lower += upper
             np.multiply(diff, tw, out=upper)
             v = self.fmt.quantize(v)
-        v = v[self.bit_rev]
+        v = np.take(v, self.bit_rev, axis=-1)
         return self.fmt.quantize(v / self.slots)
 
     def _checked(self, values: np.ndarray) -> np.ndarray:
         v = np.array(values, dtype=np.complex128)
-        if v.shape != (self.slots,):
-            raise ValueError(f"expected shape ({self.slots},), got {v.shape}")
+        if v.ndim < 1 or v.shape[-1] != self.slots:
+            raise ValueError(f"expected shape (..., {self.slots}), got {v.shape}")
         return v
 
 

@@ -542,7 +542,7 @@ class BatchNtt:
         view = turned.reshape(m // chunks, 2, -1, *turned.shape[1:])
         return view[:, 0], view[:, 1]
 
-    def forward(self, mat: np.ndarray) -> np.ndarray:
+    def forward(self, mat: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``(..., L, N)`` coefficient rows -> evaluation rows.
 
         Leading batch axes are flattened so a stacked digit tensor — e.g.
@@ -552,19 +552,30 @@ class BatchNtt:
         every batch entry's rows of that block; the blocks run in lanes.
         Every limb's values may be anything below :attr:`input_bound`, or
         a once-added pair of that limb's residues; outputs are canonical.
+
+        The result goes to ``out`` when given: a contiguous uint64 array
+        of ``mat``'s shape, which may be ``mat`` itself — a transform in
+        place, for a caller that keeps the rows it built (a stack of
+        encoded diagonals, a switching key's error tensor).
         """
         shape = self._check(mat)
         src = np.asarray(mat, dtype=np.uint64).reshape(-1, *shape[-2:])
-        out = np.empty(src.shape, dtype=np.uint64)
+        if out is None:
+            res = np.empty(src.shape, dtype=np.uint64)
+        elif out.shape != shape or out.dtype != np.uint64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a contiguous {shape} uint64 array")
+        else:
+            res = out.reshape(src.shape)
 
         def lane(blocks: list[slice]) -> None:
-            work = self._workspace(out[:, blocks[0]].size)
+            work = self._workspace(res[:, blocks[0]].size)
             for rows in blocks:
-                np.copyto(out[:, rows], src[:, rows])
-                self._forward_block(out[:, rows], rows, work)
+                if out is not mat:
+                    np.copyto(res[:, rows], src[:, rows])
+                self._forward_block(res[:, rows], rows, work)
 
         in_lanes(self.blocks(len(src)), lane)
-        return out.reshape(shape)
+        return res.reshape(shape) if out is None else out
 
     def forward_block(self, block: np.ndarray, rows: slice) -> None:
         """:meth:`forward` of limbs ``rows`` (one of :meth:`blocks`, or

@@ -7,7 +7,9 @@ import pytest
 
 from repro.ckks import CkksContext, toy_params
 from repro.ckks.keys import expand_uniform_poly
+from repro.prng.samplers import DiscreteGaussianSampler
 from repro.prng.xof import Xof
+from repro.rns.poly import RnsPolynomial
 
 
 class TestSecretKey:
@@ -119,3 +121,72 @@ class TestSwitchingKeys:
         gk = ctx.galois_keys([1, 2], levels=[3])
         assert set(gk) == {(1, 3), (2, 3)}
         assert len(gk[(1, 3)].pairs) == 3
+
+
+def _composed_digit_by_digit(ctx, source, level, tag):
+    """A switching key as the per-digit composition writes it:
+    ``b_j = -(a_j * s) + e_j + idem_j * source`` with the big-integer CRT
+    idempotent, each digit's ``a_j`` and ``e_j`` from their own streams."""
+    basis, xof = ctx.basis, ctx.keygen.xof
+    gauss = DiscreteGaussianSampler(ctx.params.error_stddev)
+    crt = basis.crt(level)
+    s = ctx.secret_key.at_level(level)
+    src = source.drop_limbs(level)
+    b, a = [], []
+    for j in range(level):
+        idem = crt.q_hat[j] * crt.q_hat_inv[j]
+        a_j = expand_uniform_poly(basis, level, xof.derive(tag + b"|a%d" % j), tag)
+        errors = gauss.sample_signed(xof, tag + b"|e%d" % j, basis.degree)
+        e_j = RnsPolynomial.from_signed_coeffs(basis, level, errors).to_eval()
+        idem_residues = [idem % q for q in basis.moduli[:level]]
+        b_j = -(a_j * s) + e_j + src.scale_scalar(idem_residues)
+        b.append(b_j.data)
+        a.append(a_j.data)
+    return np.stack(b), np.stack(a)
+
+
+class TestKeyStacks:
+    """A switching key is built as two ``(L, L, N)`` tensors: errors
+    embedded into ``b``, one in-place forward over all of it, and
+    whole-tensor products.  Its bytes are the per-digit composition's;
+    with one limb (and one digit) a block the transform runs in lanes
+    under a patched CPU count, and on the caller's thread under the
+    process's own (one CPU under ``taskset -c 0``)."""
+
+    @pytest.mark.parametrize("cpu", [None, 1, 3], ids=["own", "cpu1", "cpu3"])
+    @pytest.mark.parametrize("kind", ["relin", "galois", "conjugation"])
+    @pytest.mark.parametrize("level", [3, 6])
+    def test_key_stacks_equal_the_digit_by_digit_composition(
+        self, ctx, kind, level, cpu
+    ):
+        import threading
+        from contextlib import ExitStack
+        from unittest import mock
+
+        from repro.ckks.keys import rotation_galois_elt
+        from repro.nums import kernels
+        from repro.transforms.ntt import BatchNtt
+
+        sk = ctx.secret_key.poly
+        degree = ctx.params.degree
+        source = {
+            "relin": lambda: sk * sk,
+            "galois": lambda: sk.automorphism(
+                rotation_galois_elt(3, ctx.params.slots, 2 * degree)
+            ),
+            "conjugation": lambda: sk.automorphism(2 * degree - 1),
+        }[kind]()
+        tag = b"stack-test-" + kind.encode()
+        before = threading.active_count()
+        with ExitStack() as patches:
+            patches.enter_context(mock.patch.object(BatchNtt, "BLOCK_BYTES", 1))
+            if cpu is not None:
+                patches.enter_context(
+                    mock.patch.object(kernels, "_cpu_count", return_value=cpu)
+                )
+            key = ctx.keygen.gen_switching_key(ctx.secret_key, source, level, tag)
+        assert threading.active_count() == before
+        want_b, want_a = _composed_digit_by_digit(ctx, source, level, tag)
+        assert key.b.shape == key.a.shape == (level, level, degree)
+        assert key.a.tobytes() == want_a.tobytes()
+        assert key.b.tobytes() == want_b.tobytes()

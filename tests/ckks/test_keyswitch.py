@@ -130,6 +130,35 @@ class TestContraction:
         assert np.array_equal(got0, want0)
         assert np.array_equal(got1, want1)
 
+    @pytest.mark.parametrize("galois_elt", [5, 2 * DEGREE - 1])
+    def test_gathered_rows_are_the_pre_permuted_tensors(
+        self, kctx, msg, galois_elt, monkeypatch
+    ):
+        """Folding ``perm`` into the row gather gives the bytes of
+        contracting a tensor permuted beforehand, and every row the MAC
+        walks is C-ordered, as the key's rows are."""
+        from repro.nums.kernels import ReducerKernel
+
+        key = kctx.galois_keys([1], levels=[NUM_PRIMES])[(1, NUM_PRIMES)]
+        perm = galois_permutation(DEGREE, galois_elt)
+        engine = kctx.evaluator.keyswitch
+        tensor = engine.decompose(kctx.encrypt(msg).parts[1]).tensor
+        moved = np.ascontiguousarray(tensor[:, :, perm])
+        want = engine.contract(moved, key)
+        seen = []
+        real = ReducerKernel.mul_accumulate_rows
+
+        def recording(kern, rows, *args, **kwargs):
+            rows = list(rows)
+            seen.extend(row.flags.c_contiguous for row in rows)
+            return real(kern, iter(rows), *args, **kwargs)
+
+        monkeypatch.setattr(ReducerKernel, "mul_accumulate_rows", recording)
+        got = engine.contract(tensor, key, perm=perm)
+        assert seen == [True] * NUM_PRIMES
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
     def test_every_backend_contracts_the_same_key_arrays(self, kctx, msg, monkeypatch):
         """No copy of a key: the kernel is handed views of the key's own
         tensors, at the top level and below."""
@@ -280,6 +309,11 @@ class TestEvalDomainAutomorphism:
             via_eval = poly.automorphism(k)
             via_coeff = poly.to_coeff().automorphism(k).to_eval()
             assert np.array_equal(via_eval.data, via_coeff.data)
+
+    def test_gather_keeps_rows_c_ordered(self, kctx, msg):
+        poly = kctx.encrypt(msg).parts[0]  # EVAL domain
+        for k in (5, 2 * DEGREE - 1):
+            assert poly.automorphism(k).data.flags.c_contiguous
 
     def test_permutation_is_sign_free_bijection(self):
         for k in (3, 5, 2 * DEGREE - 1):

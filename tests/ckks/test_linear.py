@@ -116,6 +116,84 @@ class TestSplit:
         assert np.max(np.abs(got - m @ x)) < 1e-5
 
 
+def _diagonals_one_by_one(lt) -> dict:
+    """Every nonzero diagonal pre-rotated and encoded alone, as the
+    per-diagonal loop did: ``encode(pre).poly.to_eval()``, in the
+    transform's ``(giant, baby)`` order."""
+    ctx, n, bs = lt.ctx, lt.ctx.params.slots, lt.baby_steps
+    j = np.arange(n)
+    want = {}
+    for i in range(n):
+        d = lt.matrix[j, (j + i) % n]
+        if np.max(np.abs(d)) < 1e-15:
+            continue
+        g, b = divmod(i, bs)
+        pre = np.roll(d, g * bs)
+        pt = ctx.encoder.encode(pre, level=lt.level, scale=ctx.params.scale)
+        want[(g, b)] = pt.poly.to_eval()
+    return want
+
+
+class TestDiagonalStacks:
+    """Each giant group's diagonals are encoded as one stack and
+    transformed as one batch; every diagonal keeps the bytes of its own
+    encoding.  The stacks are cut one limb a block, so the blocks run in
+    lanes under a patched CPU count, and on the caller's thread under
+    the process's own (one CPU under ``taskset -c 0``)."""
+
+    @pytest.mark.parametrize("cpu", [None, 1, 3], ids=["own", "cpu1", "cpu3"])
+    @pytest.mark.parametrize(
+        "case, baby_steps",
+        # banded: groups 0 and 2 partial (3 and 1 of 8), groups 1 and 3 empty;
+        # ragged: 12 does not divide 64, so the last group holds 4.
+        [("dense", 8), ("banded", 8), ("ragged", 12)],
+    )
+    def test_group_stacks_equal_diagonals_encoded_alone(
+        self, lctx, case, baby_steps, cpu
+    ):
+        import threading
+        from contextlib import ExitStack
+        from unittest import mock
+
+        from repro.nums import kernels
+        from repro.transforms.ntt import BatchNtt
+
+        n = lctx.params.slots
+        rng = np.random.default_rng(13)
+        m = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        if case == "banded":
+            offset = (np.arange(n)[None, :] - np.arange(n)[:, None]) % n
+            m = np.where(np.isin(offset, [0, 1, 2, 17, 40, 41]), m, 0)
+        before = threading.active_count()
+        with ExitStack() as patches:
+            patches.enter_context(mock.patch.object(BatchNtt, "BLOCK_BYTES", 1))
+            if cpu is not None:
+                patches.enter_context(
+                    mock.patch.object(kernels, "_cpu_count", return_value=cpu)
+                )
+            lt = HomomorphicLinearTransform(lctx, m, level=6, baby_steps=baby_steps)
+        assert threading.active_count() == before
+        want = _diagonals_one_by_one(lt)
+        assert list(lt._diagonals) == list(want) == lt._nonzero
+        assert len(want) == (6 if case == "banded" else n)
+        for key, pt in lt._diagonals.items():
+            assert pt.scale == lctx.params.scale and pt.poly.domain == "eval"
+            assert pt.poly.data.tobytes() == want[key].data.tobytes(), key
+        # A diagonal is a row of its group's buffer, not a buffer of its own.
+        first, second = (lt._diagonals[(0, j)].poly.data for j in (0, 1))
+        assert first.base is not None and first.base is second.base
+
+    def test_encode_rows_of_a_stack_equal_encode_per_row(self, lctx):
+        enc = lctx.encoder
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(2, 3, 40)) + 1j * rng.normal(size=(2, 3, 40))
+        rows = enc.encode_rows(stack, level=4, scale=2.0**50)
+        assert rows.shape == (2, 3, 4, lctx.params.degree)
+        for idx in np.ndindex(2, 3):
+            alone = enc.encode(stack[idx], level=4, scale=2.0**50).poly.data
+            assert rows[idx].tobytes() == alone.tobytes()
+
+
 class TestConjugation:
     def test_conjugate_slots(self, lctx):
         n = lctx.params.slots

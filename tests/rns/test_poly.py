@@ -15,10 +15,13 @@ from repro.rns.poly import (
     COEFF,
     EVAL,
     RnsPolynomial,
+    float_coeff_rows,
     rescale_eval_rows,
     rescale_rows,
 )
-from repro.transforms.ntt import NttContext, negacyclic_mul_naive
+from repro.transforms.fft import SpecialFft
+from repro.transforms.fp_custom import FP32_LIKE, FP55, FP64
+from repro.transforms.ntt import BatchNtt, NttContext, negacyclic_mul_naive
 from tests import BARRETT
 
 N = 256
@@ -161,6 +164,33 @@ class TestExpandRns:
             tracemalloc.stop()
         assert got.data.nbytes == 12 << 20
         assert peak < 2 * got.data.nbytes
+
+    @pytest.mark.parametrize(
+        "fmt", [FP64, FP55, FP32_LIKE], ids=["fp64", "fp55", "fp32"]
+    )
+    @pytest.mark.parametrize("cpu", [1, 3])
+    def test_stacked_rows_equal_one_call_per_row(self, basis, fmt, cpu):
+        """A stack of encoder outputs (a special IFFT in ``fmt``, scaled
+        and rounded) expands to the rows each gets alone, with one limb
+        per block so the limbs run in lanes."""
+        from unittest import mock
+
+        from repro.nums import kernels
+
+        rng = np.random.default_rng(23)
+        msgs = rng.normal(size=(2, 3, N // 2)) + 1j * rng.normal(size=(2, 3, N // 2))
+        folded = SpecialFft.create(N // 2, fmt).inverse(msgs)
+        values = np.rint(np.concatenate([folded.real, folded.imag], axis=-1) * 2.0**60)
+        values[0, 0, :3] = [-(2.0**80), 2.0**53 + 2, -0.0]
+        with (
+            mock.patch.object(BatchNtt, "BLOCK_BYTES", 1),  # one limb a block
+            mock.patch.object(kernels, "_cpu_count", return_value=cpu),
+        ):
+            got = float_coeff_rows(basis, LEVEL, values)
+        assert got.shape == (2, 3, LEVEL, N)
+        for idx in np.ndindex(2, 3):
+            alone = RnsPolynomial.from_float_coeffs(basis, LEVEL, values[idx])
+            assert got[idx].tobytes() == alone.data.tobytes()
 
     def test_exact_ties_round_to_even(self, basis):
         coeffs = np.zeros(N)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.transforms.fft import SpecialFft, embedding_matrix
-from repro.transforms.fp_custom import FP55, FP64
+from repro.transforms.fp_custom import FP32_LIKE, FP55, FP64
 
 
 @pytest.fixture(scope="module", params=[4, 16, 128], ids=lambda s: f"slots{s}")
@@ -73,10 +73,32 @@ class TestAlgebra:
         np.testing.assert_allclose(fft.forward(fft.inverse(e0.copy())), e0, atol=1e-10)
 
 
+class TestBatchAxes:
+    """Leading axes are a batch: each row's bytes are those of a call on
+    the row alone, at every datapath format (quantized after every
+    stage)."""
+
+    @pytest.mark.parametrize(
+        "fmt", [FP64, FP55, FP32_LIKE], ids=["fp64", "fp55", "fp32"]
+    )
+    @pytest.mark.parametrize("direction", ["inverse", "forward"])
+    def test_stack_equals_one_call_per_row(self, fmt, direction):
+        fft = SpecialFft.create(128, fmt)
+        rng = np.random.default_rng(17)
+        stack = rng.normal(size=(3, 5, 128)) + 1j * rng.normal(size=(3, 5, 128))
+        run = getattr(fft, direction)
+        got = run(stack.copy())
+        want = np.stack([[run(row.copy()) for row in rows] for rows in stack])
+        assert got.shape == stack.shape
+        assert got.tobytes() == want.tobytes()
+
+
 class TestValidation:
     def test_shape_check(self, fft):
         with pytest.raises(ValueError, match="expected shape"):
             fft.forward(np.zeros(fft.slots + 1, dtype=np.complex128))
+        with pytest.raises(ValueError, match="expected shape"):
+            fft.inverse(np.zeros((2, fft.slots + 1), dtype=np.complex128))
 
     def test_non_power_of_two_slots(self):
         with pytest.raises(ValueError, match="power of two"):

@@ -176,6 +176,32 @@ class TestBatchedTensors:
         assert np.array_equal(batched, per_matrix)
         assert np.array_equal(bn.inverse(batched), tensor)
 
+    def test_forward_into_out_and_in_place(self):
+        """``out`` takes the result; ``out=mat`` transforms in place, over
+        several blocks as over one."""
+        from unittest import mock
+
+        from repro.transforms.ntt import BatchNtt
+
+        moduli = tuple(p.value for p in find_primes(36, 1 << 9, max_count=3))
+        bn = BatchNtt.create(64, moduli)
+        q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
+        rng = np.random.default_rng(4)
+        tensor = rng.integers(0, 2**40, (4, 3, 64)).astype(np.uint64) % q_col
+        want = bn.forward(tensor)
+        out = np.empty_like(tensor)
+        assert bn.forward(tensor, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        for block_bytes in (BatchNtt.BLOCK_BYTES, 1):
+            mat = tensor.copy()
+            with mock.patch.object(BatchNtt, "BLOCK_BYTES", block_bytes):
+                bn.forward(mat, out=mat)
+            assert mat.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="out must be"):
+            bn.forward(tensor, out=np.empty((4, 3, 32), dtype=np.uint64))
+        with pytest.raises(ValueError, match="out must be"):
+            bn.forward(tensor, out=np.empty((3, 4, 64), dtype=np.uint64).swapaxes(0, 1))
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from([16, 64]),
