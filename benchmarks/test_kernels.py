@@ -376,6 +376,57 @@ def test_bsgs_step_table(report):
     report("eval_bsgs fused replay by step, N=2^10, L=10, best of 5", lines)
 
 
+def test_apply_table(report):
+    """Report only: the dense 512-slot layer at N=2^10, L=10 three ways —
+    ``HomomorphicLinearTransform.apply`` (the fused replay), the plan's
+    reference interpreter ``plan.run`` and the eager ``emit`` loop, the
+    three timed in turn, median of 9 ms each, with the
+    ``decompose_rows`` calls one evaluation makes.  No speed is asserted."""
+    import statistics
+
+    from repro.ckks.keyswitch import KeySwitchEngine
+
+    ctx = CkksContext.create(toy_params(degree=1 << 10, num_primes=10), seed=1)
+    slots, level = ctx.params.slots, ctx.params.num_primes
+    rng = np.random.default_rng(1)
+    draw = rng.uniform(-1, 1, (2, slots, slots))
+    hlt = HomomorphicLinearTransform(
+        ctx, (draw[0] + 1j * draw[1]) / np.sqrt(slots), level=level
+    )
+    keys = ctx.galois_keys(hlt.required_rotations(), levels=[level])
+    ct = ctx.encrypt(rng.uniform(-1, 1, slots))
+    plan = hlt.plan_for(ct.scale, keys)
+    ways = {
+        "apply (fused)": lambda: hlt.apply(ct, keys),
+        "plan.run": lambda: plan.run([ct]),
+        "eager emit": lambda: hlt.emit(ctx.evaluator, ct, keys),
+    }
+    decompositions = {}
+    real = KeySwitchEngine.decompose_rows
+    for name, fn in ways.items():
+        fn()  # lowers the plan / warms the tables
+        calls = []
+        with mock.patch.object(
+            KeySwitchEngine,
+            "decompose_rows",
+            lambda self, data: calls.append(1) or real(self, data),
+        ):
+            fn()
+        decompositions[name] = len(calls)
+    times: dict[str, list[float]] = {name: [] for name in ways}
+    for _ in range(9):
+        for name, fn in ways.items():
+            t0 = time.perf_counter()
+            fn()
+            times[name].append(time.perf_counter() - t0)
+    lines = [
+        f"{name:14}: {statistics.median(t) * 1e3:7.1f} ms, "
+        f"{decompositions[name]} decompose_rows call(s)"
+        for name, t in times.items()
+    ]
+    report("dense 512-slot layer, N=2^10, L=10, median of 9", lines)
+
+
 def test_download_table(report):
     """Report only: best-of-5 ms of the client's download half at the
     paper's shape (2^16, L = 24) for a level-2, scale-2^36 reply —

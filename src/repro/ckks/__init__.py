@@ -24,7 +24,7 @@ from repro.ckks.keys import (
     SwitchingKey,
     expand_uniform_poly,
 )
-from repro.ckks.keyswitch import DecomposedPoly, KeySwitchEngine
+from repro.ckks.keyswitch import KeySwitchEngine
 from repro.ckks.params import CkksParameters, bootstrappable_params, toy_params
 from repro.ckks.security import (
     SecurityReport,
@@ -91,7 +91,6 @@ __all__ = [
     "Decryptor",
     "Encryptor",
     "Evaluator",
-    "DecomposedPoly",
     "KeyGenerator",
     "KeySwitchEngine",
     "Plaintext",

@@ -127,8 +127,8 @@ class Bootstrapper:
         self._relin = ctx.keygen.gen_relin(ctx.secret_key, relin_levels)
 
         # Pre-warm the EVAL-domain automorphism permutation tables so the
-        # hoisted C2S/S2C rotations never pay the one-time O(N) table
-        # build inside the bootstrap hot path.
+        # C2S/S2C rotations never pay the one-time O(N) table build inside
+        # the bootstrap hot path.
         degree = ctx.basis.degree
         for r in rotations:
             galois_permutation(degree, rotation_galois_elt(r, slots, 2 * degree))
@@ -186,9 +186,9 @@ class Bootstrapper:
 
         The whole segment — BSGS transform, rescale, conjugation, and the
         real/imaginary split — is traced once into a computation graph,
-        optimized (the runtime hoists the BSGS baby steps onto a single
-        gadget decomposition), and replayed from this bootstrapper's own
-        plan memo on every subsequent bootstrap.
+        compiled into a plan kept in this bootstrapper's memo, and
+        replayed fused on every bootstrap (the replay's rotation families
+        share one gadget decomposition across the BSGS baby steps).
         """
         from repro.runtime import CtSpec, compile_fn
 
@@ -201,7 +201,7 @@ class Bootstrapper:
                 [CtSpec(level=ct.level, scale=ct.scale)],
             )
             self._c2s_plans[plan_key] = cached
-        real_part, imag_part = cached.run([ct])
+        real_part, imag_part = cached.run_batch([[ct]])[0]
         return real_part, imag_part
 
     def eval_mod(self, ct: Ciphertext) -> Ciphertext:

@@ -13,10 +13,13 @@ operands' ``(L, N)`` part rows, the op's bound data and the output rows
 the result and makes one call; the runtime's fused replayer binds the
 same function to arena views, so each op is one kernel sequence.
 
-Key switching goes through the batched, hoisting-aware
+Key switching goes through the batched
 :class:`~repro.ckks.keyswitch.KeySwitchEngine`; automorphisms are
 evaluation-domain slot permutations, and rescaling inverse-transforms
-only the dropped limbs.
+only the dropped limbs.  Each eager rotation decomposes its own
+operand; rotations share one decomposition (hoisting) only in the
+runtime's fused replay, whose rotation families hand
+:func:`galois_rows` a slice of one batched decomposition.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import numpy as np
 
 from repro.ckks.containers import Ciphertext, Plaintext
 from repro.ckks.keys import SwitchingKey, rotation_galois_elt
-from repro.ckks.keyswitch import DecomposedPoly, KeySwitchEngine
+from repro.ckks.keyswitch import KeySwitchEngine
 from repro.ckks.params import CkksParameters
 from repro.nums.kernels import ufunc_buffer
 from repro.rns.basis import RnsBasis
@@ -98,7 +101,9 @@ def relinearize_rows(kern, engine: KeySwitchEngine, a, key, outs) -> None:
 
 def galois_rows(kern, engine: KeySwitchEngine, a, key, perm, outs, dec=None) -> None:
     """``X -> X^k`` (slot permutation ``perm``) on a 2-part ciphertext,
-    switched back by ``key``; ``dec``: part 1's hoisted decomposition.
+    switched back by ``key``; ``dec``: part 1's decomposition, when a
+    fused rotation family shares one (computed here otherwise — the same
+    digits either way, since they are taken before the permutation).
 
     ``perm`` is folded into the contraction's row gather.  Permuting
     decomposed digits negates sign-flipped coefficients mod each *limb's*
@@ -266,24 +271,11 @@ class Evaluator:
     # Rotations
     # ------------------------------------------------------------------
 
-    def decompose(self, ct: Ciphertext) -> DecomposedPoly:
-        """Hoist a ciphertext's c1 decomposition for reuse across rotations.
-
-        Pass the result as ``decomposed=`` to :meth:`rotate` /
-        :meth:`apply_galois`: the expensive digit expansion (inverse NTT +
-        batched forward NTT) runs once, each rotation then costs only a
-        slot permutation plus the key contraction.
-        """
-        if ct.size != 2:
-            raise ValueError("hoisting expects relinearized (2-part) ciphertexts")
-        return self.keyswitch.decompose(ct.parts[1])
-
     def rotate(
         self,
         ct: Ciphertext,
         steps: int,
         galois_keys: dict[tuple[int, int], SwitchingKey],
-        decomposed: DecomposedPoly | None = None,
     ) -> Ciphertext:
         """Cyclically rotate message slots by ``steps`` positions."""
         key = galois_keys.get((steps, ct.level))
@@ -292,7 +284,7 @@ class Evaluator:
         galois_elt = rotation_galois_elt(
             steps, self.params.slots, 2 * self.basis.degree
         )
-        return self.apply_galois(ct, galois_elt, key, decomposed=decomposed)
+        return self.apply_galois(ct, galois_elt, key)
 
     def conjugate(
         self, ct: Ciphertext, conj_keys: dict[int, SwitchingKey]
@@ -305,29 +297,20 @@ class Evaluator:
 
     @ufunc_buffer()
     def apply_galois(
-        self,
-        ct: Ciphertext,
-        galois_elt: int,
-        key: SwitchingKey,
-        decomposed: DecomposedPoly | None = None,
+        self, ct: Ciphertext, galois_elt: int, key: SwitchingKey
     ) -> Ciphertext:
         """Apply an arbitrary Galois automorphism and switch back to s.
 
         Ciphertext parts stay in the NTT domain throughout: the
         automorphism is an EVAL-domain slot permutation (zero NTT round
-        trips), and the key switch runs on the hoisted decomposition when
-        one is supplied.
+        trips), folded into the key contraction's row gather.
         """
         if ct.size != 2:
             raise ValueError("relinearize before applying automorphisms")
         _check_key("apply_galois", key, ct)
-        if decomposed is not None and decomposed.level != ct.level:
-            msg = f"decomposition level {decomposed.level} != operand level {ct.level}"
-            raise ValueError(f"apply_galois: {msg}")
         perm = galois_permutation(self.basis.degree, galois_elt)
-        dec = None if decomposed is None else decomposed.tensor
         args = (self.keyswitch, _rows(ct), key, perm)
-        return self._run(galois_rows, 2, ct.level, ct.scale, *args, dec=dec)
+        return self._run(galois_rows, 2, ct.level, ct.scale, *args)
 
     # ------------------------------------------------------------------
     # Internals

@@ -20,9 +20,10 @@ tensorizes the whole pipeline:
   per key component), gathering each row through a Galois slot
   permutation when given one — which is what makes **hoisting** work:
   decompose once, then rotate-and-contract against many keys
-  (:func:`repro.ckks.evaluator.galois_rows`).  The BSGS inner loop and
-  bootstrapping's CoeffToSlot/SlotToCoeff pay one inverse NTT for a whole
-  batch of rotations instead of one per rotation.
+  (:func:`repro.ckks.evaluator.galois_rows`, fed by a rotation family of
+  the runtime's fused replay).  The BSGS inner loop and bootstrapping's
+  CoeffToSlot/SlotToCoeff pay one inverse NTT for a whole batch of
+  rotations instead of one per rotation.
 
 ``switch_reference`` preserves the seed's per-digit loop; only tests call
 it, to pin the batched path bit-identical to it.

@@ -20,12 +20,12 @@ baby-step count *up* to the power of two at or above ``sqrt(n)``.
 Evaluation goes through the lazy runtime (:mod:`repro.runtime`): the BSGS
 loop is *emitted* as plain rotate/multiply/add calls with no hand-coded
 hoisting, traced into a computation graph, and compiled into a cached
-:class:`~repro.runtime.plan.ExecutionPlan`.  The optimizer's hoisting pass
-rediscovers that every baby-step rotation shares the input ciphertext and
-collapses them onto one gadget decomposition
-(:meth:`repro.ckks.evaluator.Evaluator.decompose`) — the classic hoisting
-optimization that used to be hand-woven through this file — and the plan
-replays across many inputs via :meth:`apply_batch`.
+:class:`~repro.runtime.plan.ExecutionPlan`, which :meth:`apply` and
+:meth:`apply_batch` replay fused.  The fused replay groups every
+baby-step rotation of the input into one rotation family, so they share
+one gadget decomposition (the classic hoisting optimization), and the
+giant-step rotations into a second family with one batched
+decomposition of their sources.
 """
 
 from __future__ import annotations
@@ -121,9 +121,8 @@ class HomomorphicLinearTransform:
         ``ev`` may be the eager :class:`~repro.ckks.evaluator.Evaluator`
         (one-shot, unoptimized dispatch — the benchmark baseline) or a
         :class:`~repro.runtime.trace.LazyEvaluator` recording a graph.
-        Rotations are emitted *without* explicit hoisting; when traced,
-        the runtime's hoisting pass regroups the baby steps onto one
-        shared decomposition automatically.
+        Rotations are emitted *without* explicit hoisting; the fused
+        replay of the traced plan shares the baby steps' decomposition.
         """
         bs = self.baby_steps
         rotated = {0: ct}
@@ -179,13 +178,11 @@ class HomomorphicLinearTransform:
 
         Output scale is ``ct.scale * Delta`` (caller rescales when ready —
         CoeffToSlot sums several transforms before a single rescale).
-        Runs through the cached execution plan; bit-identical to emitting
-        the loop eagerly, with the baby-step rotations hoisted by the
-        optimizer.
+        The one-input case of :meth:`apply_batch`: a fused replay of the
+        cached plan (which refuses a ciphertext at another level),
+        bit-identical to emitting the loop eagerly.
         """
-        if ct.level != self.level:
-            raise ValueError(f"transform compiled for level {self.level}, got {ct.level}")
-        return self.plan_for(ct.scale, galois_keys).run([ct])[0]
+        return self.apply_batch([ct], galois_keys)[0]
 
     def apply_batch(
         self,

@@ -17,17 +17,17 @@ the runtime plan it::
 
 Pipeline: :func:`trace` records an op DAG over symbolic handles
 (:mod:`repro.runtime.trace`); optimizer passes eliminate common
-subexpressions and dead nodes, merge stacked rescales, group hoistable
-rotations, and validate level/scale alignment at plan time
-(:mod:`repro.runtime.passes`); the resulting
-:class:`~repro.runtime.plan.ExecutionPlan` belongs to the caller and is
-executed two ways: ``plan.run`` is the reference interpreter (one eager
-call per node), and ``plan.run_batch`` is the fused replayer —
-an arena-backed :class:`~repro.runtime.plan.FusedExecutor` that
-preassigns every intermediate to a slot in one preallocated pool and
-collapses MAC/sum trees and hoisted-rotation families into single kernel
+subexpressions and dead nodes, merge stacked rescales, and validate
+level/scale alignment at plan time (:mod:`repro.runtime.passes`); the
+resulting :class:`~repro.runtime.plan.ExecutionPlan` belongs to the
+caller and is executed two ways: ``plan.run`` is the reference
+interpreter (one eager call per node), and ``plan.run_batch`` is the
+fused replayer — an arena-backed :class:`~repro.runtime.plan.FusedExecutor`
+that preassigns every intermediate to a slot in one preallocated pool and
+collapses MAC/sum trees and rotation families into single kernel
 dispatches (both run each op through its one row function in
-:mod:`repro.ckks.evaluator`);
+:mod:`repro.ckks.evaluator`).  A rotation family's one batched gadget
+decomposition is the only place rotations share one (hoisting).
 :mod:`repro.runtime.bridge` converts traced plans into accelerator
 workload/queue form for scheduler experiments.
 
@@ -91,7 +91,6 @@ from repro.runtime.passes import (
     PlanValidationError,
     check_alignment,
     fusion_groups,
-    hoist_groups,
     optimize,
 )
 from repro.runtime.plan import (
@@ -122,7 +121,6 @@ __all__ = [
     "PlanValidationError",
     "optimize",
     "fusion_groups",
-    "hoist_groups",
     "check_alignment",
     "ExecutionPlan",
     "FusedExecutor",

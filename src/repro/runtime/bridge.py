@@ -54,10 +54,10 @@ def plan_op_counts(plan: ExecutionPlan) -> OpCounts:
     """Multiplier-bound op tally for one execution of a plan.
 
     Walks the scheduled nodes and charges each one the transforms and
-    element-wise work the executor actually issues — including the
-    hoisting discount: a hoisted automorphism group pays its gadget
-    decomposition (L inverse-NTT rows + L*L forward-NTT rows) once for
-    the whole group, not once per rotation.
+    element-wise work the fused replay issues — including the hoisting
+    discount: every automorphism of one source shares its gadget
+    decomposition (L inverse-NTT rows + L*L forward-NTT rows), paid once
+    per distinct source, not once per rotation.
     """
     g = plan.graph
     n = plan.evaluator.basis.degree
@@ -86,14 +86,14 @@ def plan_op_counts(plan: ExecutionPlan) -> OpCounts:
             other += node.size * lvl * n
         elif node.op == "relinearize" or node.op in AUTOMORPHISM_OPS:
             src = node.inputs[0]
-            hoisted = node.op in AUTOMORPHISM_OPS and src in plan.hoist
-            if not hoisted or src not in decomposed:
+            shared = node.op in AUTOMORPHISM_OPS
+            if not shared or src not in decomposed:
                 # Gadget decomposition: inverse NTT of the source (L rows),
                 # digit re-reduction (L*L residues per coefficient), and
                 # the forward batch NTT over all L*L digit rows.
                 ntt += lvl * bfly + lvl * lvl * bfly
                 rns += lvl * lvl * n
-                if hoisted:
+                if shared:
                     decomposed.add(src)
             # Key contraction: two fused MACs over the (L, L, N) tensors.
             other += 2 * lvl * lvl * n

@@ -18,12 +18,12 @@ produces.  That constraint shapes what the passes are allowed to do:
   (:func:`repro.rns.poly.rescale_eval_rows`) instead of two.
 * **DCE** drops nodes unreachable from the outputs (symbolic inputs are
   kept so plan arity always matches the trace's input specs).
-* **Hoist grouping** does not rewrite at all — it *annotates*: automorphism
-  nodes sharing a source ciphertext are grouped so the interpreter gadget-
-  decomposes that source once (`Evaluator.decompose`) and replays the
-  decomposition across the whole group, exactly what `linear.py` used to
-  hand-code.  The fused replayer's rotation families
-  (:func:`fusion_groups`) widen it to every rotation of one step's outputs.
+* **Fusion grouping** (:func:`fusion_groups`) does not rewrite at all —
+  it *annotates* the steps the fused replayer lowers: MAC/sum trees, and
+  rotation families whose sources one batched gadget decomposition
+  serves.  The families are the only place rotations share a
+  decomposition (hoisting); the interpreter and the eager evaluator
+  decompose once per rotation, to the same bytes.
 * **check_alignment** re-derives every node's level, scale and part count
   from its operands by the op's rule — the one table in
   :mod:`repro.runtime.graph` the tracer records by — and fails
@@ -56,7 +56,6 @@ __all__ = [
     "eliminate_common_subexpressions",
     "fuse_rescales",
     "eliminate_dead_nodes",
-    "hoist_groups",
     "fusion_groups",
     "check_alignment",
     "optimize",
@@ -153,18 +152,6 @@ def eliminate_dead_nodes(graph: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
-def hoist_groups(graph: Graph) -> dict[int, tuple[int, ...]]:
-    """Map source-node id -> automorphism nodes that can share one
-    gadget decomposition (groups of at least two)."""
-    by_source: dict[int, list[int]] = {}
-    for node in graph.nodes:
-        if node.op in AUTOMORPHISM_OPS:
-            by_source.setdefault(node.inputs[0], []).append(node.id)
-    return {
-        src: tuple(nodes) for src, nodes in by_source.items() if len(nodes) > 1
-    }
-
-
 def fusion_groups(graph: Graph) -> tuple[FusedGroup, ...]:
     """Discover fused schedule steps; pure analysis, no rewrite.
 
@@ -188,10 +175,11 @@ def fusion_groups(graph: Graph) -> tuple[FusedGroup, ...]:
     3. ``automorphisms`` — every automorphism at one level whose source
        is an output of one schedule step, when there are at least two:
        one batched gadget decomposition of the distinct sources serves
-       every member.  A shared source (the baby steps, the eager path's
-       hoisting) is the one-source case; the outputs of a merged mac (the
-       giant steps) the many-source one.  The family runs at its first
-       member, after the step producing its sources.
+       every member.  This is the one place rotations share a
+       decomposition (hoisting, Halevi & Shoup).  A shared source (the
+       baby steps) is the one-source case; the outputs of a merged mac
+       (the giant steps) the many-source one.  The family runs at its
+       first member, after the step producing its sources.
 
     Every other node is a step of its own: stepping a run of single-node
     closures back to back under one dispatch would fuse no work.

@@ -5,26 +5,28 @@ to one eager :class:`~repro.ckks.evaluator.Evaluator` and executes it two
 ways:
 
 * :meth:`ExecutionPlan.run` — the **reference interpreter**, the
-  bit-identity oracle.  It walks the schedule node by node, issuing the
-  exact eager-evaluator calls the traced program would have made
-  (automorphisms go through ``Evaluator.apply_galois`` with a shared
-  hoisted decomposition, which is precisely what the eager path computes
-  internally), so its outputs are bit-identical to running the original
-  function eagerly.  It releases intermediates by reference counting: a
-  node's ciphertext is freed the moment its last consumer has run.
+  bit-identity oracle.  It walks the schedule node by node, issuing
+  exactly the eager-evaluator call each traced op made (every
+  automorphism pays its own gadget decomposition, as eager does), so its
+  outputs are bit-identical to running the original function eagerly.
+  It releases intermediates by reference counting: a node's ciphertext
+  is freed the moment its last consumer has run.
 * :meth:`ExecutionPlan.run_batch` — the **fused replayer**
   (:class:`FusedExecutor`), the one fast path.  Fusion groups
   (:func:`~repro.runtime.passes.fusion_groups`) collapse MAC/sum trees
-  and rotation families into single fused kernel dispatches; an
-  :class:`~repro.runtime.arena.ArenaLayout` preassigns every
-  intermediate to a slot in one preallocated
+  and rotation families into single fused kernel dispatches; a family's
+  one batched decomposition is the only place rotations share one
+  (hoisting).  An :class:`~repro.runtime.arena.ArenaLayout` preassigns
+  every intermediate to a slot in one preallocated
   ``(slots, L, N)`` pool, so steady-state replay performs zero
   result-buffer allocations.  Still the same bits: a single-node step
   calls its op's row function (:mod:`repro.ckks.evaluator`), the one the
-  eager method calls, and every fused group rests on the uniqueness of
-  canonical residues (deferred uint64 accumulation reproduces the eager
-  bytes).  So interpreter and replayer share each op's arithmetic:
-  comparing them checks fusion, the arena and the bindings.
+  eager method calls; a family hands each member its source's slice of
+  the batched decomposition, the digits ``galois_rows`` would compute;
+  and every fused sum rests on the uniqueness of canonical residues
+  (deferred uint64 accumulation reproduces the eager bytes).  So
+  interpreter and replayer share each op's arithmetic: comparing them
+  checks fusion, the arena and the bindings.
   ``run_batch(..., fused=False)`` replays each entry through the
   interpreter instead — the oracle at the batch call shape.
 
@@ -74,7 +76,7 @@ from repro.nums.kernels import ufunc_buffer
 from repro.rns.poly import EVAL, RnsPolynomial, rescale_eval_rows
 from repro.runtime.arena import ArenaLayout, ArenaStep, BufferArena
 from repro.runtime.graph import AUTOMORPHISM_OPS, CtSpec, Graph, Node, PtSpec
-from repro.runtime.passes import fusion_groups, hoist_groups, optimize
+from repro.runtime.passes import fusion_groups, optimize
 from repro.runtime.telemetry import get_telemetry
 from repro.runtime.trace import trace
 from repro.transforms.ntt import galois_permutation
@@ -103,24 +105,16 @@ class ExecutionPlan:
         signature: structural fingerprint of the *traced* graph; names the
             plan in summaries and telemetry labels within one process
             (see :meth:`~repro.runtime.graph.Graph.signature`).
-        hoist: source-node id -> automorphism nodes sharing one
-            decomposition.
     """
 
     graph: Graph
     evaluator: Evaluator
     signature: str
-    hoist: dict[int, tuple[int, ...]]
     _releases: list[tuple[int, ...]] = field(init=False, repr=False)
-    _dec_done: dict[int, int] = field(init=False, repr=False)
     _fused: "FusedExecutor | None" = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         self._releases = self._release_schedule()
-        # Schedule position at which each hoist group's decomposition dies
-        # (a node belongs to at most one group, so last-member ids are
-        # unique across groups).
-        self._dec_done = {members[-1]: src for src, members in self.hoist.items()}
 
     # ------------------------------------------------------------------
     # Introspection
@@ -144,19 +138,22 @@ class ExecutionPlan:
         return (
             f"ExecutionPlan[{self.signature[:12]}] "
             f"{len(self.graph.nodes)} nodes, "
-            f"{len(self.input_specs)} inputs -> {self.num_outputs} outputs, "
-            f"{len(self.hoist)} hoist group(s): {hist}"
+            f"{len(self.input_specs)} inputs -> {self.num_outputs} outputs: "
+            f"{hist}"
         )
 
     def stats(self) -> dict:
         """Plan-shape and fused-replay statistics (lowers the fused
-        executor on first call)."""
+        executor on first call).  ``hoist_groups`` counts the rotation
+        families: the batched gadget decompositions one replay makes
+        (a rotation outside every family decomposes on its own)."""
         ex = self.fused()
         fused_nodes = sum(len(g.members) for g in ex.groups)
+        families = sum(g.kind == "automorphisms" for g in ex.groups)
         return {
             "nodes": len(self.graph.nodes),
             "consts": len(self.graph.consts),
-            "hoist_groups": len(self.hoist),
+            "hoist_groups": families,
             "fused_groups": len(ex.groups),
             "fused_nodes": fused_nodes,
             "dispatch_count_fused": ex.dispatch_count,
@@ -173,17 +170,13 @@ class ExecutionPlan:
         self._check_inputs(inputs)
         ev = self.evaluator
         env: dict[int, object] = {}
-        dec_cache: dict[int, object] = {}
         for node in self.graph.nodes:
-            env[node.id] = self._interpret(node, env, ev, inputs, dec_cache)
-            done_src = self._dec_done.get(node.id)
-            if done_src is not None:
-                dec_cache.pop(done_src, None)
+            env[node.id] = self._interpret(node, env, ev, inputs)
             for victim in self._releases[node.id]:
                 env.pop(victim, None)
         return [env[o] for o in self.graph.outputs]
 
-    def _interpret(self, node: Node, env, ev: Evaluator, inputs, dec_cache):
+    def _interpret(self, node: Node, env, ev: Evaluator, inputs):
         op = node.op
         g = self.graph
         if op == "input" or op == "pt_input":
@@ -201,14 +194,7 @@ class ExecutionPlan:
             return ev.rescale(ins[0], times=node.attrs[0])
         if op in AUTOMORPHISM_OPS:
             key = g.consts[node.consts[0]]
-            galois_elt = node.attrs[-1]
-            src = node.inputs[0]
-            dec = None
-            if src in self.hoist:
-                dec = dec_cache.get(src)
-                if dec is None:
-                    dec = dec_cache[src] = ev.decompose(ins[0])
-            return ev.apply_galois(ins[0], galois_elt, key, decomposed=dec)
+            return ev.apply_galois(ins[0], node.attrs[-1], key)
         raise AssertionError(f"unschedulable op {op!r}")
 
     # ------------------------------------------------------------------
@@ -647,12 +633,8 @@ class FusedExecutor:
 
 def compile_graph(graph: Graph, evaluator: Evaluator) -> ExecutionPlan:
     """Optimize and schedule a traced graph into a new plan."""
-    optimized = optimize(graph)
     return ExecutionPlan(
-        graph=optimized,
-        evaluator=evaluator,
-        signature=graph.signature(),
-        hoist=hoist_groups(optimized),
+        graph=optimize(graph), evaluator=evaluator, signature=graph.signature()
     )
 
 

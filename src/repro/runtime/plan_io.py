@@ -51,7 +51,7 @@ from repro.runtime.graph import (
     check_input_spec,
     op_arities,
 )
-from repro.runtime.passes import PlanValidationError, check_alignment, hoist_groups
+from repro.runtime.passes import PlanValidationError, check_alignment
 from repro.runtime.plan import ExecutionPlan, params_fingerprint
 
 __all__ = [
@@ -448,9 +448,4 @@ def _deserialize_plan(blob: bytes, evaluator) -> ExecutionPlan:
     # leaves included, run in check_alignment once the constants are in.
     graph.consts.extend(_unpack_constants(table, frames[b"CPAY"], basis))
     check_alignment(graph)
-    return ExecutionPlan(
-        graph=graph,
-        evaluator=evaluator,
-        signature=signature,
-        hoist=hoist_groups(graph),
-    )
+    return ExecutionPlan(graph=graph, evaluator=evaluator, signature=signature)

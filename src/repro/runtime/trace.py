@@ -46,7 +46,6 @@ __all__ = [
     "TraceError",
     "LazyCiphertext",
     "LazyPlaintext",
-    "LazyDecomposed",
     "LazyEvaluator",
     "trace",
 ]
@@ -90,16 +89,6 @@ class LazyPlaintext:
     @property
     def scale(self) -> float:
         return self.graph.nodes[self.node].scale
-
-
-@dataclass(frozen=True)
-class LazyDecomposed:
-    """Mirror of :class:`~repro.ckks.keyswitch.DecomposedPoly` for surface
-    compatibility: hoisting is rediscovered by the optimizer, so the lazy
-    handle only remembers which ciphertext it came from."""
-
-    graph: Graph
-    source: int
 
 
 @dataclass
@@ -168,18 +157,11 @@ class LazyEvaluator:
     # Rotations
     # ------------------------------------------------------------------
 
-    def decompose(self, ct: LazyCiphertext) -> LazyDecomposed:
-        """Surface-compatible no-op: the hoisting pass regroups rotations
-        sharing a source automatically, so an explicit hoist is just a
-        marker validated against later ``decomposed=`` uses."""
-        return LazyDecomposed(graph=self.graph, source=ct.node)
-
     def rotate(
         self,
         ct: LazyCiphertext,
         steps: int,
         galois_keys: dict[tuple[int, int], SwitchingKey],
-        decomposed: LazyDecomposed | None = None,
     ) -> LazyCiphertext:
         key = self._key(
             galois_keys, (steps, ct.level),
@@ -188,26 +170,20 @@ class LazyEvaluator:
         galois_elt = rotation_galois_elt(
             steps, self.params.slots, 2 * self.basis.degree
         )
-        return self._automorphism(
-            "rotate", ct, (steps, galois_elt), key, decomposed
-        )
+        return self._emit("rotate", (ct,), attrs=(steps, galois_elt), consts=(key,))
 
     def conjugate(
         self, ct: LazyCiphertext, conj_keys: dict[int, SwitchingKey]
     ) -> LazyCiphertext:
         key = self._key(conj_keys, ct.level, f"conjugation key at level {ct.level}", ct)
-        return self._automorphism(
-            "conjugate", ct, (2 * self.basis.degree - 1,), key, None
+        return self._emit(
+            "conjugate", (ct,), attrs=(2 * self.basis.degree - 1,), consts=(key,)
         )
 
     def apply_galois(
-        self,
-        ct: LazyCiphertext,
-        galois_elt: int,
-        key: SwitchingKey,
-        decomposed: LazyDecomposed | None = None,
+        self, ct: LazyCiphertext, galois_elt: int, key: SwitchingKey
     ) -> LazyCiphertext:
-        return self._automorphism("apply_galois", ct, (galois_elt,), key, decomposed)
+        return self._emit("apply_galois", (ct,), attrs=(galois_elt,), consts=(key,))
 
     # ------------------------------------------------------------------
     # Internals
@@ -241,15 +217,6 @@ class LazyEvaluator:
                 f"no {what} (needed by {self.graph.provenance(ct.node)})"
             )
         return key
-
-    def _automorphism(self, op, ct, attrs, key, decomposed) -> LazyCiphertext:
-        if decomposed is not None and decomposed.source != ct.node:
-            raise TraceError(
-                f"{op}: decomposed= was hoisted from "
-                f"{self.graph.provenance(decomposed.source)} but the rotated "
-                f"ciphertext is {self.graph.provenance(ct.node)}"
-            )
-        return self._emit(op, (ct,), attrs=attrs, consts=(key,))
 
 
 def trace(fn, evaluator, input_specs) -> Graph:

@@ -77,6 +77,37 @@ class TestStages:
         assert np.max(np.abs(ctx.decrypt_decode(t_real).real - want_re)) < 1e-4
         assert np.max(np.abs(ctx.decrypt_decode(t_imag).real - want_im)) < 1e-4
 
+    def test_coeff_to_slot_replays_fused(self, boot_setting, monkeypatch):
+        """CoeffToSlot dispatches through the fused executor, never the
+        interpreter, and gives the eager segment's bytes."""
+        from repro.runtime import ExecutionPlan, FusedExecutor
+
+        ctx, bs = boot_setting
+        ct = ctx.encryptor.encrypt(
+            ctx.encoder.encode(np.ones(2), level=1, scale=bs.config.input_scale)
+        )
+        raised = bs.mod_raise(ct)
+        calls = {"fused": 0, "interpreter": 0}
+        fused_run, interp_run = FusedExecutor.run_batch, ExecutionPlan.run
+
+        def fused(self, batches):
+            calls["fused"] += 1
+            return fused_run(self, batches)
+
+        def interpreter(self, inputs):
+            calls["interpreter"] += 1
+            return interp_run(self, inputs)
+
+        monkeypatch.setattr(FusedExecutor, "run_batch", fused)
+        monkeypatch.setattr(ExecutionPlan, "run", interpreter)
+        got = bs.coeff_to_slot(raised)
+        assert calls == {"fused": 1, "interpreter": 0}
+        want = bs._emit_coeff_to_slot(ctx.evaluator, raised)
+        for g, w in zip(got, want):
+            assert g.scale == w.scale
+            for gp, wp in zip(g.parts, w.parts):
+                assert np.array_equal(gp.data, wp.data)
+
 
 class TestEndToEnd:
     def test_bootstrap_refreshes_level(self, boot_setting):

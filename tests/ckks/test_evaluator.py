@@ -268,25 +268,21 @@ class TestRotation:
         assert np.max(np.abs(out - np.roll(msg, -5))) < 1e-4
 
     def test_hoisted_pair_decrypts(self, ctx):
-        """One decomposition feeding rotations by 1 and 2."""
+        """One decomposition feeding rotations by 1 and 2: the fused
+        replay's one-source rotation family."""
         slots = ctx.params.slots
         msg = np.arange(slots, dtype=float)
         gk = ctx.galois_keys([1, 2], levels=[ctx.params.num_primes])
         ct = ctx.encrypt(msg)
-        dec = ctx.evaluator.decompose(ct)
-        for steps in (1, 2):
-            out = ctx.decrypt_decode(ctx.evaluator.rotate(ct, steps, gk, decomposed=dec))
+        plan = compile_fn(
+            lambda ev, x: [ev.rotate(x, steps, gk) for steps in (1, 2)],
+            ctx.evaluator,
+            [CtSpec(level=ct.level, scale=ct.scale)],
+        )
+        assert [grp.kind for grp in plan.fused().groups] == ["automorphisms"]
+        for steps, rot in zip((1, 2), plan.run_batch([[ct]])[0]):
+            out = ctx.decrypt_decode(rot)
             assert np.max(np.abs(out - np.roll(msg, -steps))) < 1e-4
-
-    def test_decomposition_from_another_level_is_refused(self, ctx, msgs):
-        top = ctx.params.num_primes
-        gk = ctx.galois_keys([1], levels=[top - 1])
-        ct = ctx.encrypt(msgs[0])
-        dec = ctx.evaluator.decompose(ct)
-        low = ctx.evaluator.rescale(ct)
-        want = f"decomposition level {top} != operand level {top - 1}"
-        with pytest.raises(ValueError, match=want):
-            ctx.evaluator.rotate(low, 1, gk, decomposed=dec)
 
     def test_apply_galois_with_the_conjugation_element(self, ctx, msgs):
         a, _ = msgs

@@ -15,6 +15,10 @@ import numpy as np
 import pytest
 
 from repro.ckks import CkksContext, toy_params
+from repro.ckks.containers import Ciphertext
+from repro.ckks.evaluator import galois_rows
+from repro.ckks.keys import rotation_galois_elt
+from repro.rns.poly import EVAL, RnsPolynomial
 from repro.transforms.ntt import BatchNtt, galois_permutation
 from tests import BARRETT
 
@@ -224,14 +228,27 @@ class TestPrefixKeyPrecision:
         assert abs(bits[0] - bits[1]) <= 0.5, bits
 
 
+def _hoisted_rotate(kctx, ct, steps, gks, dec):
+    """Rotate through :func:`galois_rows` given part 1's decomposition
+    ``dec``, as a fused rotation family hands each member its slice."""
+    elt = rotation_galois_elt(steps, kctx.params.slots, 2 * DEGREE)
+    outs = [np.empty_like(p.data) for p in ct.parts]
+    galois_rows(
+        kctx.basis.kernel(ct.level), kctx.evaluator.keyswitch,
+        [p.data for p in ct.parts], gks[(steps, ct.level)],
+        galois_permutation(DEGREE, elt), outs, dec,
+    )
+    return Ciphertext([RnsPolynomial(kctx.basis, o, EVAL) for o in outs], ct.scale)
+
+
 class TestHoistedRotations:
     @BARRETT
     def test_hoisted_bit_identical_to_unhoisted(self, kctx, msg):
         gks = kctx.galois_keys([3], levels=[NUM_PRIMES])
         ct = kctx.encrypt(msg)
         plain = kctx.evaluator.rotate(ct, 3, gks)
-        dec = kctx.evaluator.decompose(ct)
-        hoisted = kctx.evaluator.rotate(ct, 3, gks, decomposed=dec)
+        dec = kctx.evaluator.keyswitch.decompose_rows(ct.parts[1].data)
+        hoisted = _hoisted_rotate(kctx, ct, 3, gks, dec)
         for p, h in zip(plain.parts, hoisted.parts):
             assert np.array_equal(p.data, h.data)
 
@@ -240,16 +257,16 @@ class TestHoistedRotations:
         steps = [1, 2, 5]
         gks = kctx.galois_keys(steps, levels=[NUM_PRIMES])
         ct = kctx.encrypt(msg)
-        dec = kctx.evaluator.decompose(ct)
+        dec = kctx.evaluator.keyswitch.decompose_rows(ct.parts[1].data)
         for s in steps:
-            out = kctx.decrypt_decode(kctx.evaluator.rotate(ct, s, gks, decomposed=dec))
+            out = kctx.decrypt_decode(_hoisted_rotate(kctx, ct, s, gks, dec))
             assert np.max(np.abs(out - np.roll(msg, -s))) < 1e-4
 
     def test_hoisted_rotation_is_transform_free(self, kctx, msg, monkeypatch):
         """With a hoisted decomposition, a rotation runs zero NTT dispatches."""
         gks = kctx.galois_keys([2], levels=[NUM_PRIMES])
         ct = kctx.encrypt(msg)
-        dec = kctx.evaluator.decompose(ct)
+        dec = kctx.evaluator.keyswitch.decompose_rows(ct.parts[1].data)
         galois_permutation(DEGREE, pow(5, 2, 2 * DEGREE))  # pre-warm table
 
         counts = {"forward": 0, "inverse": 0}
@@ -266,7 +283,7 @@ class TestHoistedRotations:
             lambda self, m: counts.__setitem__("inverse", counts["inverse"] + 1)
             or inv(self, m),
         )
-        kctx.evaluator.rotate(ct, 2, gks, decomposed=dec)
+        _hoisted_rotate(kctx, ct, 2, gks, dec)
         assert counts == {"forward": 0, "inverse": 0}
 
     def test_matches_seed_rotation_semantically(self, kctx, msg):
@@ -279,9 +296,6 @@ class TestHoistedRotations:
         ciphertexts are not byte-equal, but they encrypt the same message
         with the same noise bound.
         """
-        from repro.ckks.containers import Ciphertext
-        from repro.ckks.keys import rotation_galois_elt
-
         gks = kctx.galois_keys([4], levels=[NUM_PRIMES])
         ct = kctx.encrypt(msg)
         ev = kctx.evaluator

@@ -116,6 +116,37 @@ class TestSplit:
         assert np.max(np.abs(got - m @ x)) < 1e-5
 
 
+class TestApplyLanes:
+    """``apply`` replays the plan fused: its rotation families' batched
+    decompositions run in lanes once their blocks split, and the bytes
+    are the eager loop's on one CPU or two."""
+
+    def test_apply_bytes_equal_on_one_and_two_cpus(self, lctx):
+        import threading
+        from unittest import mock
+
+        from repro.nums import kernels
+        from repro.transforms.ntt import BatchNtt
+
+        n = lctx.params.slots
+        rng = np.random.default_rng(21)
+        lt = HomomorphicLinearTransform(lctx, rng.uniform(-1, 1, (n, n)), level=6)
+        gk = lctx.galois_keys(lt.required_rotations(), levels=[6])
+        ct = lctx.encrypt(rng.uniform(-1, 1, n))
+        want = lt.emit(lctx.evaluator, ct, gk)
+        before = threading.active_count()
+        for cpu in (1, 2):
+            with (
+                mock.patch.object(BatchNtt, "BLOCK_BYTES", 1),
+                mock.patch.object(kernels, "_cpu_count", return_value=cpu),
+            ):
+                got = lt.apply(ct, gk)
+            assert threading.active_count() == before
+            assert got.scale == want.scale
+            for g, w in zip(got.parts, want.parts):
+                assert g.data.tobytes() == w.data.tobytes(), f"{cpu} CPU(s)"
+
+
 def _diagonals_one_by_one(lt) -> dict:
     """Every nonzero diagonal pre-rotated and encoded alone, as the
     per-diagonal loop did: ``encode(pre).poly.to_eval()``, in the

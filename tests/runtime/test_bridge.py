@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
-from repro.accel import RequestQueue, RscScheduler, abc_fhe
+import numpy as np
+
+from repro.accel import OpCounts, RequestQueue, RscScheduler, abc_fhe
+from repro.ckks.linear import HomomorphicLinearTransform
 from repro.runtime import (
     CtSpec,
     compile_fn,
@@ -47,6 +50,28 @@ class TestOpCounts:
         # Same number of rotations, but the hoisted pair shares one digit
         # expansion; the chained pair cannot.
         assert plan_op_counts(h).ntt_ops < plan_op_counts(s).ntt_ops
+        # Exact tallies (N=128, L=6): one decomposition per distinct
+        # automorphism source.
+        assert plan_op_counts(h) == OpCounts(
+            fft_ops=0, ntt_ops=18816, rns_ops=4608, other_ops=19968
+        )
+        assert plan_op_counts(s) == OpCounts(
+            fft_ops=0, ntt_ops=37632, rns_ops=9216, other_ops=18432
+        )
+
+    def test_dense_bsgs_counts_are_pinned(self, rctx):
+        """A dense 64-slot layer: 7 baby rotations of the input share one
+        decomposition, each of the 7 giant rotations pays its own."""
+        slots, lvl = rctx.params.slots, rctx.params.num_primes
+        rng = np.random.default_rng(14)
+        hlt = HomomorphicLinearTransform(
+            rctx, rng.uniform(-1, 1, (slots, slots)), level=lvl
+        )
+        keys = rctx.galois_keys(hlt.required_rotations(), levels=[lvl])
+        plan = hlt.plan_for(rctx.params.scale, keys)
+        assert plan_op_counts(plan) == OpCounts(
+            fft_ops=0, ntt_ops=150528, rns_ops=36864, other_ops=324096
+        )
 
     def test_rescale_charges_the_rows_it_transforms(self, rctx):
         """Per part, a rescale by two inverse-transforms the two dropped

@@ -388,25 +388,27 @@ class TestDispatchCounts:
         calls["n"] = 0
         hlt.emit(rctx.evaluator, sample_ct, keys)  # unplanned eager dispatch
         eager_decomposes = calls["n"]
-
-        plan = hlt.plan_for(sample_ct.scale, keys)
-        plan.run([sample_ct])  # warm (counts once)
-        calls["n"] = 0
-        plan.run([sample_ct])
-        planned_decomposes = calls["n"]
-
         baby = {j for _, j in hlt._nonzero if j != 0}
         giants = {g for g, _ in hlt._nonzero if g != 0}
-        # Eager pays one digit expansion per rotation; the plan hoists all
-        # baby steps onto a single shared decomposition.
+        # Eager pays one digit expansion per rotation, and so does the
+        # reference interpreter, which makes eager's calls.
         assert eager_decomposes == len(baby) + len(giants)
-        assert planned_decomposes == 1 + len(giants)
-        assert planned_decomposes < eager_decomposes
-        # The fused replay batches every giant step into one more call.
-        plan.run_batch([[sample_ct]])  # lowers
+        plan = hlt.plan_for(sample_ct.scale, keys)
+        calls["n"] = 0
+        plan.run([sample_ct])
+        assert calls["n"] == eager_decomposes
+
+        # apply replays fused: the baby steps share one batched
+        # decomposition and the giant steps another.
+        hlt.apply(sample_ct, keys)  # lowers
+        calls["n"] = 0
+        hlt.apply(sample_ct, keys)
+        assert calls["n"] == 2
         calls["n"] = 0
         plan.run_batch([[sample_ct]])
         assert calls["n"] == 2
+        # The stat counts those batched decompositions: the families.
+        assert plan.stats()["hoist_groups"] == 2
 
     def test_cse_eliminates_duplicate_keyswitch_work(
         self, rctx, gks, monkeypatch, sample_ct

@@ -1,4 +1,4 @@
-"""Optimizer passes: CSE, DCE, rescale fusion, hoist grouping, validation."""
+"""Optimizer passes: CSE, DCE, rescale fusion, fusion grouping, validation."""
 
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ from repro.runtime import (
     PlanValidationError,
     check_alignment,
     fusion_groups,
-    hoist_groups,
     optimize,
     trace,
 )
@@ -107,6 +106,8 @@ class TestDce:
 
 class TestHoistGrouping:
     def test_rotations_sharing_a_source_group(self, rctx, gks):
+        """Rotations of one source share a decomposition only as a fused
+        rotation family."""
         def program(ev, x):
             r1 = ev.rotate(x, 1, gks)
             r2 = ev.rotate(x, 2, gks)
@@ -114,10 +115,10 @@ class TestHoistGrouping:
             return lone
 
         g = optimize(trace(program, rctx.evaluator, [_spec(rctx)]))
-        groups = hoist_groups(g)
+        groups = [grp for grp in fusion_groups(g) if grp.kind == "automorphisms"]
         assert len(groups) == 1
-        (members,) = groups.values()
-        assert len(members) == 2  # the lone rotation stays ungrouped
+        (grp,) = groups
+        assert len(grp.members) == 2  # the lone rotation stays ungrouped
 
 
 class TestFusion:
@@ -185,13 +186,12 @@ class TestFusion:
             return ev.add(ev.rotate(x, 1, gks), ev.rotate(x, 2, gks))
 
         g = optimize(trace(program, rctx.evaluator, [_spec(rctx)]))
-        hoist = hoist_groups(g)
         hoisted = [grp for grp in fusion_groups(g) if grp.kind == "automorphisms"]
         (grp,) = hoisted
-        ((src, members),) = hoist.items()
-        assert grp.members == tuple(members)
+        members = tuple(n.id for n in g.nodes if n.op == "rotate")
+        assert grp.members == members
         assert grp.anchor == min(members)
-        assert grp.sources == (src,)  # the one-source family
+        assert grp.sources == g.input_ids  # the one-source family
 
     def test_groups_are_disjoint(self, rctx, gks):
         p1, p2, p3 = self._pts(rctx, 3)

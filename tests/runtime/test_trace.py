@@ -133,14 +133,6 @@ class TestTraceTimeFailures:
                 [_spec(rctx, level=1)],
             )
 
-    def test_foreign_decomposed_handle_rejected(self, rctx, gks):
-        def program(ev, x):
-            dec = ev.decompose(ev.negate(x))
-            return ev.rotate(x, 1, gks, decomposed=dec)
-
-        with pytest.raises(TraceError, match="hoisted from"):
-            trace(program, rctx.evaluator, [_spec(rctx)])
-
     def test_output_must_come_from_this_trace(self, rctx):
         with pytest.raises(TraceError, match="return handles"):
             trace(lambda ev, x: None, rctx.evaluator, [_spec(rctx)])
