@@ -192,34 +192,51 @@ class KeyGenerator:
         Uses CRT-idempotent gadgets: ``idem_j ≡ 1 (mod q_j)``,
         ``≡ 0 (mod q_i, i != j)`` over the level's composite modulus, so
         ``idem_j * source`` is ``source``'s limb ``j`` on digit ``j``'s
-        own row and zero elsewhere.  The key is built as two tensors:
-        every digit's uniform ``a_j`` is drawn into ``a`` and its error
-        embedded straight into ``b``, one forward transform takes all of
-        ``b`` to the NTT domain in place, and ``b = e - a*s + idem ⊗
-        source`` is formed by whole-tensor kernel calls (in digit blocks
-        of the transform's block size, so the product's temporaries stay
-        a block at any shape).  Every XOF stream is domain-separated, so
-        the draws are those of building the digits one by one.
+        own row and zero elsewhere.  The key is built as two tensors
+        (:meth:`_switching_keys`, a stack of one).
         """
-        if source.domain != EVAL:
+        (key,) = self._switching_keys(sk, [source], level, [tag])
+        return key
+
+    def _switching_keys(
+        self, sk: SecretKey, sources: list[RnsPolynomial], level: int, tags: list[bytes]
+    ) -> list[SwitchingKey]:
+        """One switching key per ``(source, tag)``, built as one stack.
+
+        Every digit's uniform ``a_j`` is drawn into the ``(K, L, L, N)``
+        stack ``a`` and its error embedded straight into ``b``, one
+        forward transform takes all of ``b`` — every key's — to the NTT
+        domain in place (limb blocks across the stack, so a stack of
+        several keys runs in lanes where one key's ``b`` is one block),
+        and each key's ``b = e - a*s + idem ⊗ source`` is formed by
+        whole-tensor kernel calls (in digit blocks of the transform's
+        block size, so the product's temporaries stay a block at any
+        shape).  Every XOF stream is domain-separated, so the draws are
+        those of building the keys, and their digits, one by one.  Key
+        ``k`` holds row ``k`` of both stacks: views, not copies.
+        """
+        if any(source.domain != EVAL for source in sources):
             raise ValueError("source secret must be in the NTT domain")
         n = self.basis.degree
         kern = self.basis.kernel(level)
-        b = np.empty((level, level, n), dtype=np.uint64)
+        b = np.empty((len(sources), level, level, n), dtype=np.uint64)
         a = np.empty_like(b)
         min_modulus = min(self.basis.moduli[:level])
-        for j in range(level):
-            child = self.xof.derive(tag + b"|a%d" % j)
-            a[j] = expand_uniform_poly(self.basis, level, child, tag).data
-            errors = self._gauss.sample_signed(self.xof, tag + b"|e%d" % j, n)
-            signed_embedder(errors, min_modulus)(kern.q, b[j])
+        for k, tag in enumerate(tags):
+            for j in range(level):
+                child = self.xof.derive(tag + b"|a%d" % j)
+                a[k, j] = expand_uniform_poly(self.basis, level, child, tag).data
+                errors = self._gauss.sample_signed(self.xof, tag + b"|e%d" % j, n)
+                signed_embedder(errors, min_modulus)(kern.q, b[k, j])
         self.basis.batch_ntt(level).forward(b, out=b)
         s = sk.at_level(level).data
-        for digits in BatchNtt.row_blocks(level, b[0].nbytes):
-            kern.sub(b[digits], kern.mul(a[digits], s), out=b[digits])
         own = np.arange(level)
-        b[own, own] = kern.add(b[own, own], source.data[:level])
-        return SwitchingKey(self.basis, b, a)
+        for k, source in enumerate(sources):
+            b_k, a_k = b[k], a[k]
+            for digits in BatchNtt.row_blocks(level, b_k[0].nbytes):
+                kern.sub(b_k[digits], kern.mul(a_k[digits], s), out=b_k[digits])
+            b_k[own, own] = kern.add(b_k[own, own], source.data[:level])
+        return [SwitchingKey(self.basis, b_k, a_k) for b_k, a_k in zip(b, a)]
 
     def gen_relin(self, sk: SecretKey, levels: list[int]) -> dict[int, SwitchingKey]:
         """One relinearization key (s^2 -> s), at the top requested level,
@@ -253,15 +270,24 @@ class KeyGenerator:
         Rotation by ``r`` slots corresponds to the automorphism
         ``X -> X^{5^r mod 2N}``; the returned dict is keyed by
         ``(rotation, level)``, every level of a rotation naming its key.
+        The keys are built in stacks (:meth:`_switching_keys`) of as many
+        as one transform block holds a limb row of each: eleven at
+        ``(2^10, L = 10)``, whose stacked transform is ten one-limb
+        blocks; one at the paper's shape, where a key alone is many.
         """
         top = _top_level(levels)
         out: dict[tuple[int, int], SwitchingKey] = {}
         two_n = 2 * self.basis.degree
-        for r in rotations:
-            galois_elt = rotation_galois_elt(r, self.params.slots, two_n)
-            s_rot = sk.poly.automorphism(galois_elt)
-            key = self.gen_switching_key(sk, s_rot, top, b"galois-r%d-l%d" % (r, top))
-            out.update(((r, lvl), key) for lvl in levels)
+        limb_row = top * self.basis.degree * 8  # one key's b, one limb
+        for keys in BatchNtt.row_blocks(len(rotations), limb_row):
+            stack = rotations[keys]
+            sources = [
+                sk.poly.automorphism(rotation_galois_elt(r, self.params.slots, two_n))
+                for r in stack
+            ]
+            tags = [b"galois-r%d-l%d" % (r, top) for r in stack]
+            for r, key in zip(stack, self._switching_keys(sk, sources, top, tags)):
+                out.update(((r, lvl), key) for lvl in levels)
         return out
 
 

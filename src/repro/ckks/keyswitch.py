@@ -14,11 +14,16 @@ tensorizes the whole pipeline:
   whole-tensor re-reduction precedes it;
 * **contract** walks the digit rows once against the ``[:L, :L]``
   prefix of a switching key's two ``(L, L, N)`` residue tensors (a key
-  reaches every level at or below its own)
+  reaches every level at or below its own), in blocks of as many digits
+  as fit one transform block — all ten at ``(2^10, L = 10)``, one at the
+  paper's ``(2^16, 24)``
   (:meth:`~repro.nums.kernels.ReducerKernel.mul_accumulate_rows`: each
-  digit row split once, raw products summed as uint64, one reduction pair
-  per key component), gathering each row through a Galois slot
-  permutation when given one — which is what makes **hoisting** work:
+  block of digit rows split once, raw products summed as uint64 a block
+  at a time, one reduction pair per key component; a block is a handful
+  of long numpy calls, the grain at which the fused replay's rotation
+  families run their members in lanes), gathering each block through a
+  Galois slot permutation when given one — which is what makes
+  **hoisting** work:
   decompose once, then rotate-and-contract against many keys
   (:func:`repro.ckks.evaluator.galois_rows`, fed by a rotation family of
   the runtime's fused replay).  The BSGS inner loop and bootstrapping's
@@ -39,6 +44,7 @@ from repro.ckks.keys import SwitchingKey
 from repro.nums.kernels import ufunc_buffer
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import COEFF, EVAL, RnsPolynomial
+from repro.transforms.ntt import BatchNtt
 
 __all__ = ["DecomposedPoly", "KeySwitchEngine"]
 
@@ -116,21 +122,25 @@ class KeySwitchEngine:
         """``sum_j digit_j * b_j`` and ``sum_j digit_j * a_j`` in one pass
         over the digit rows.
 
-        Each row is gathered once — through ``perm`` when a Galois slot
+        The rows go to the kernel in blocks of as many digits as fit one
+        transform block (:meth:`~repro.transforms.ntt.BatchNtt.row_blocks`:
+        all ten at ``(2^10, L = 10)``, one at the paper's ``(2^16, 24)``),
+        each gathered once — through ``perm`` when a Galois slot
         permutation is folded in, which reads the same elements as
-        permuting the whole tensor first — and multiplied against both
-        key components while cache-hot.  The key operands are views of
-        the key's own residues, its ``[:L, :L]`` prefix at the tensor's
-        level ``L``.
+        permuting the whole tensor first — and multiplied against both key
+        components while cache-hot.  The key operands are views of the
+        key's own residues, the matching digits of its ``[:L, :L]`` prefix
+        at the tensor's level ``L``.
         """
         lvl = tensor.shape[0]
         kern = self.basis.kernel(lvl)
+        digits = BatchNtt.row_blocks(lvl, tensor[0].nbytes)
         if perm is None:
-            rows = (tensor[j] for j in range(lvl))
-        else:  # np.take gathers C-ordered rows; ``row[:, perm]`` is Fortran-ordered
-            rows = (np.take(tensor[j], perm, axis=-1) for j in range(lvl))
-        consts = (key.b[:lvl, :lvl], key.a[:lvl, :lvl])
-        return kern.mul_accumulate_rows(rows, consts, (out0, out1))
+            blocks = (tensor[d] for d in digits)
+        else:  # np.take gathers C-ordered rows; ``rows[..., perm]`` is not
+            blocks = (np.take(tensor[d], perm, axis=-1) for d in digits)
+        consts = [[part[d, :lvl] for d in digits] for part in (key.b, key.a)]
+        return kern.mul_accumulate_rows(blocks, consts, (out0, out1))
 
     def switch(
         self, poly: RnsPolynomial, key: SwitchingKey

@@ -22,7 +22,10 @@ subtract* (congruent mod ``q``, below ``RAW_BOUND * q``, for any first
 operand below ``raw_operand_limit = 2^42``), which the batched NTT's
 butterflies sum; and ``mul_accumulate_rows``, the inner product of key
 switching and the fused plaintext MAC, which multiplies the halves of a
-split operand against plain residues — no pre-formed constant.
+split operand against plain residues — no pre-formed constant — a block
+of terms at a time, so a cache-sized block of rows is three numpy calls
+per half and output where row-sized calls are too short for lanes to
+overlap (:func:`in_lanes`).
 """
 
 from __future__ import annotations
@@ -123,10 +126,26 @@ def _cpu_count() -> int:
     return os.cpu_count() or 1
 
 
+#: Lanes one :func:`in_lanes` call may run, ``None`` for one per CPU;
+#: set once in a forked serving worker, by :func:`share_lanes`.
+_lane_cap: int | None = None
+
+
+def share_lanes(workers: int) -> None:
+    """Cap this process's lanes at its share of the CPUs,
+    ``max(1, CPUs // workers)``: called once in each of ``workers``
+    processes forked to serve side by side, so that together they start
+    no more lanes than there are CPUs (two workers on two CPUs run one
+    lane each, on their own threads)."""
+    global _lane_cap
+    _lane_cap = max(1, _cpu_count() // workers)
+
+
 def in_lanes(blocks: Sequence, lane: Callable[[Sequence], None]) -> None:
     """Run ``lane`` over ``blocks`` striped across one thread per CPU.
 
-    With ``n = min(len(blocks), CPUs)`` lanes, lane ``k`` gets
+    With ``n = min(len(blocks), CPUs)`` lanes (``CPUs`` capped by
+    :func:`share_lanes` in a serving worker), lane ``k`` gets
     ``blocks[k::n]``; lane 0 runs on the caller's thread, the others on
     threads started here and joined before returning, so no thread
     outlives the call (nor reaches a later ``fork``).  One block, or one
@@ -138,7 +157,7 @@ def in_lanes(blocks: Sequence, lane: Callable[[Sequence], None]) -> None:
     starts at numpy's default.  Every lane is joined before the first
     lane exception is re-raised on the caller.
     """
-    n = min(len(blocks), _cpu_count())
+    n = min(len(blocks), _cpu_count() if _lane_cap is None else _lane_cap)
     if n <= 1:
         with ufunc_buffer():
             lane(blocks)
@@ -333,20 +352,27 @@ class ReducerKernel:
         """
         return self._accumulate(self.mul(a, b), axis, out=out)
 
-    def mul_accumulate_rows(self, rows, consts, outs=None, budget=None) -> list:
-        """``outs[k] = sum_t rows[t] * consts[k][t] mod q`` — four plain
-        passes per term, one reduction pair per output.
+    def mul_accumulate_rows(self, blocks, consts, outs=None, budget=None) -> list:
+        """``outs[k] = sum_t rows[t] * consts[k][t] mod q`` over a stream of
+        row blocks — per block, half and output one multiply and one sum
+        over the block's terms; one reduction pair per output.
 
-        The row-loop inner product behind key switching (two key
-        components contracted against the same digit rows) and the fused
-        plaintext MAC.  ``rows`` yields each canonical operand once; it is
-        the operand every output shares, so it is the one that is split:
-        ``row = hi * 2^h + lo`` with ``h = ceil(bits(q_max) / 2)``.  A
-        term is ``S_hi += hi * c`` and ``S_lo += lo * c`` in raw uint64
-        against the *plain residues* ``c = consts[k][t]`` — no pre-form,
-        no quotient estimate, no ``q`` column — and an output is
-        ``reduce((reduce(S_hi) << h) + S_lo)``, written to ``outs[k]``
-        when given.  Row-sized operands keep every temporary in cache.
+        The inner product behind key switching (two key components
+        contracted against the same digit rows) and the fused plaintext
+        MAC.  ``blocks`` yields the canonical rows in term order as
+        ``(B, ...)`` stacks of ``B >= 1`` rows (sizes may differ from
+        block to block, the last may be short); ``consts[k]`` yields, in
+        step with it, output ``k``'s matching ``(B, ...)`` stack of plain
+        residues.  The rows are the operand every output shares, so they
+        are the one that is split, once per block: ``row = hi * 2^h + lo``
+        with ``h = ceil(bits(q_max) / 2)``.  A block adds ``sum_b hi[b] *
+        c[b]`` to ``S_hi`` and ``sum_b lo[b] * c[b]`` to ``S_lo`` in raw
+        uint64 — one ``(B, ...)`` multiply and one ``np.add.reduce`` over
+        its leading axis each; no pre-form, no quotient estimate, no ``q``
+        column — and an output is ``reduce((reduce(S_hi) << h) + S_lo)``,
+        written to ``outs[k]`` when given.  ``B = 1`` is the row-by-row
+        MAC; a block of ``B`` rows makes three numpy calls of what were
+        ``2B`` row-sized ones, a grain at which lanes overlap.
 
         Bound: ``hi <= (q_max - 1) >> h < 2^h`` and ``lo < 2^h``, so a
         term adds at most ``T = (q_max - 1)(2^h - 1)`` to either sum, and
@@ -357,10 +383,11 @@ class ReducerKernel:
         whenever ``n + 1 <= (M - q_max) // T``: ``mac_budget`` is that
         quotient less the recombination's one.  ``budget`` (default
         ``mac_budget``; at least 2, which moduli of a few bits do not
-        reach) caps the terms a partial sum holds: past it both sums are
-        reduced in place and accumulation continues, so any term count is
-        exact, and byte-equal to ``mul_accumulate`` over the stacked
-        operands (canonical residues are unique).
+        reach) caps the terms a partial sum holds: a block that would
+        pass it is summed in pieces, both sums reduced in place before
+        the piece that would, so any term count is exact, and byte-equal
+        to ``mul_accumulate`` over the stacked operands (canonical
+        residues are unique).
         """
         budget = self.mac_budget if budget is None else budget
         if budget < 2:
@@ -370,22 +397,44 @@ class ReducerKernel:
             )
         h = _U64(self.mac_split)
         mask = _U64((1 << self.mac_split) - 1)
-        sums: list = []  # per output, the pair (S_hi, S_lo)
-        hi = lo = None
-        for t, row in enumerate(rows):
-            hi = np.right_shift(row, h, out=hi)
-            lo = np.bitwise_and(row, mask, out=lo)
+        sums: list = []  # per output, [S_hi, S_lo]
+        held = 0  # terms every partial sum holds; a reduced sum is one
+        hi = lo = prod = part = None
+        for block, *cs in zip(blocks, *consts):
+            if not len(block):
+                raise ValueError(
+                    "mul_accumulate_rows needs at least one row in every block"
+                )
+            if hi is None or hi.shape != block.shape:
+                hi, lo, prod = (np.empty_like(block) for _ in range(3))
+            np.right_shift(block, h, out=hi)
+            np.bitwise_and(block, mask, out=lo)
+            pieces = []  # (start, stop, reduce the sums first)
+            start = 0
+            while start < len(block):
+                fold = held == budget
+                held = 1 if fold else held
+                stop = min(len(block), start + budget - held)
+                pieces.append((start, stop, fold))
+                held += stop - start
+                start = stop
             if not sums:
-                sums = [(hi * c[0], lo * c[0]) for c in consts]
-                prod = np.empty_like(sums[0][0])
-                continue
-            if t % (budget - 1) == 0:  # a reduced sum counts as one term
-                for pair in sums:
-                    for s in pair:
-                        self.reduce(s, out=s)
-            for (s_hi, s_lo), c in zip(sums, consts):
-                s_hi += np.multiply(hi, c[t], out=prod)
-                s_lo += np.multiply(lo, c[t], out=prod)
+                sums = [[None, None] for _ in cs]
+                part = np.empty_like(block[0])
+            for pair, c in zip(sums, cs):
+                for half, x in enumerate((hi, lo)):
+                    np.multiply(x, c, out=prod)
+                    s = pair[half]
+                    for start, stop, fold in pieces:
+                        if s is None:
+                            s = pair[half] = np.add.reduce(prod[start:stop], axis=0)
+                            continue
+                        if fold:
+                            self.reduce(s, out=s)
+                        if stop - start == 1:
+                            s += prod[start]
+                        else:
+                            s += np.add.reduce(prod[start:stop], axis=0, out=part)
         if not sums:
             raise ValueError("mul_accumulate_rows needs at least one row")
         for s_hi, s_lo in sums:

@@ -60,6 +60,7 @@ futures, spans, endpoints and processes.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import multiprocessing as mp
 import os
@@ -74,6 +75,7 @@ from contextlib import suppress
 from multiprocessing.connection import wait as connection_wait
 
 from repro.ckks.serialization import WireFormatError, wire_coeff_bits
+from repro.nums.kernels import share_lanes
 from repro.runtime import wire
 from repro.runtime.chaos import flip_frame_byte
 from repro.runtime.faults import (
@@ -192,8 +194,13 @@ def _serve_request(
         )
 
 
-def _worker_loop(plan: ExecutionPlan, conn, cfg: wire.WorkerConfig) -> None:
-    """Child process body: recv request -> replay plan -> send reply."""
+def _worker_loop(
+    plan: ExecutionPlan, conn, cfg: wire.WorkerConfig, workers: int = 1
+) -> None:
+    """Child process body: recv request -> replay plan -> send reply.
+    ``workers``: the processes serving side by side with this one, whose
+    CPUs its lanes share (:func:`~repro.nums.kernels.share_lanes`)."""
+    share_lanes(workers)
     basis = plan.evaluator.basis
     coeff_bits = wire_coeff_bits(basis)
     send_lock = threading.Lock()
@@ -659,7 +666,8 @@ class ShardedExecutor:
             heartbeat_s=self.policy.heartbeat_interval_s(),
         )
         if self.config.transport == "pipe":
-            return PipeTransport(self._ctx, _worker_loop, self.plan, cfg)
+            loop = functools.partial(_worker_loop, workers=self.config.num_workers)
+            return PipeTransport(self._ctx, loop, self.plan, cfg)
         from repro.runtime.coordinator import TcpTransport
         from repro.runtime.plan_io import serialize_plan
         from repro.runtime.worker_host import load_authkey

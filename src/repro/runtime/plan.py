@@ -72,7 +72,7 @@ from repro.ckks.evaluator import (
     plain_rows,
     relinearize_rows,
 )
-from repro.nums.kernels import ufunc_buffer
+from repro.nums.kernels import in_lanes, ufunc_buffer
 from repro.rns.poly import EVAL, RnsPolynomial, rescale_eval_rows
 from repro.runtime.arena import ArenaLayout, ArenaStep, BufferArena
 from repro.runtime.graph import AUTOMORPHISM_OPS, CtSpec, Graph, Node, PtSpec
@@ -472,21 +472,31 @@ class FusedExecutor:
             # Per-term multiplies against the diagonals' plain residues,
             # summed unreduced: the same canonical result as the eager
             # multiply/add tree (see ReducerKernel.mul_accumulate_rows),
-            # one reduction pair per part and output.  Every output reads
-            # the same source rows, so each row is split once for all.
+            # one reduction pair per part and output.  The (part, output)
+            # pairs are independent, so they run in lanes; a lane splits
+            # each source row once for all of its outputs of that part.
             diags = [
-                plain_rows(g.consts[g.nodes[t].consts[0]], lvl)
+                plain_rows(g.consts[g.nodes[t].consts[0]], lvl)[np.newaxis]
                 for t in grp.payload
             ]
             k = len(srcs)
             consts = [diags[o : o + k] for o in range(0, len(diags), k)]
             out_views = [self._views[o] for o in grp.outputs]
+            pairs = [(i, o) for o in range(len(out_views)) for i in range(len(views))]
 
             def mac_step(env, inputs):
-                for i in range(len(views)):
-                    rows = (env[s][i][:lvl] for s in srcs)
-                    outs = [v[i] for v in out_views]
-                    kern.mul_accumulate_rows(rows, consts, outs)
+                def lane(mine):
+                    for i in range(len(views)):
+                        outs = [o for j, o in mine if j == i]
+                        if outs:
+                            rows = [env[s][i][np.newaxis, :lvl] for s in srcs]
+                            kern.mul_accumulate_rows(
+                                rows,
+                                [consts[o] for o in outs],
+                                [out_views[o][i] for o in outs],
+                            )
+
+                in_lanes(pairs, lane)
 
             return mac_step
 
@@ -514,7 +524,8 @@ class FusedExecutor:
     def _lower_family(self, grp):
         """One gadget decomposition of the stacked ``(S, L, N)`` part-1
         rows of the family's ``S`` sources, then each member's
-        contraction against its source's slice."""
+        contraction against its source's slice — the members in lanes,
+        each writing only its own views."""
         g = self.plan.graph
         srcs = grp.sources
         lvl = g.nodes[srcs[0]].level
@@ -530,8 +541,12 @@ class FusedExecutor:
         def family_step(env, inputs):
             parts = [env[s] for s in srcs]
             dec = engine.decompose_rows(np.stack([p[1][:lvl] for p in parts]))
-            for k, key, perm, views in members:
-                galois_rows(kern, engine, parts[k], key, perm, views, dec[k])
+
+            def lane(mine):
+                for k, key, perm, views in mine:
+                    galois_rows(kern, engine, parts[k], key, perm, views, dec[k])
+
+            in_lanes(members, lane)
 
         return family_step
 

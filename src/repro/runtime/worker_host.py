@@ -367,7 +367,9 @@ class WorkerHost:
             sibling.close()
         threading.Thread(target=_exit_with_host, args=(life_r,), daemon=True).start()
         sock.settimeout(self._idle_timeout_s)
-        _worker_loop(plan, SocketChannel(sock, cfg.chaos), cfg)
+        # The slots this host serves, this one included, share its CPUs.
+        workers = len(self._slots) + 1
+        _worker_loop(plan, SocketChannel(sock, cfg.chaos), cfg, workers)
 
 
 def _exit_with_host(life_r: int) -> None:

@@ -190,3 +190,60 @@ class TestKeyStacks:
         assert key.b.shape == key.a.shape == (level, level, degree)
         assert key.a.tobytes() == want_a.tobytes()
         assert key.b.tobytes() == want_b.tobytes()
+
+    @pytest.mark.parametrize("cpu", [None, 1, 3], ids=["own", "cpu1", "cpu3"])
+    def test_galois_stacks_equal_keys_built_one_at_a_time(self, ctx, cpu):
+        """``gen_galois`` builds its keys in stacks — here of two, the
+        last stack one key, each stack's transform cut into one-limb
+        blocks that run in lanes, on the caller's thread alone under one
+        CPU: every key's
+        bytes are those of building it alone, and each key is a view of
+        its stack's tensor, which it shares with its stack-mate only."""
+        import threading
+        from contextlib import ExitStack
+        from unittest import mock
+
+        from repro.ckks.keys import rotation_galois_elt
+        from repro.nums import kernels
+        from repro.transforms.ntt import BatchNtt
+
+        top, degree = ctx.params.num_primes, ctx.params.degree
+        rotations = [1, 2, 3, 5, 6]
+        started = []
+        real_thread = threading.Thread
+
+        def counting(*args, **kwargs):
+            started.append(1)
+            return real_thread(*args, **kwargs)
+
+        before = threading.active_count()
+        with ExitStack() as patches:
+            patches.enter_context(mock.patch.object(threading, "Thread", counting))
+            # Two keys' limb rows a block: stacks of two, one limb a block.
+            patches.enter_context(
+                mock.patch.object(BatchNtt, "BLOCK_BYTES", 2 * top * degree * 8)
+            )
+            if cpu is not None:
+                patches.enter_context(
+                    mock.patch.object(kernels, "_cpu_count", return_value=cpu)
+                )
+            lanes = kernels._cpu_count()
+            keys = ctx.galois_keys(rotations, levels=[top])
+        assert threading.active_count() == before
+        assert bool(started) == (lanes > 1)
+        sk = ctx.secret_key
+        for r in rotations:
+            source = sk.poly.automorphism(
+                rotation_galois_elt(r, ctx.params.slots, 2 * degree)
+            )
+            tag = b"galois-r%d-l%d" % (r, top)
+            alone = ctx.keygen.gen_switching_key(sk, source, top, tag)
+            assert keys[(r, top)].b.tobytes() == alone.b.tobytes()
+            assert keys[(r, top)].a.tobytes() == alone.a.tobytes()
+        stacks = [rotations[lo : lo + 2] for lo in range(0, len(rotations), 2)]
+        for mine in stacks:
+            base = keys[(mine[0], top)].b.base
+            assert base.shape == (len(mine), top, top, degree)
+            for other in stacks:
+                for t in other:
+                    assert (keys[(t, top)].b.base is base) == (mine is other)

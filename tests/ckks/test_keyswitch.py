@@ -139,8 +139,10 @@ class TestContraction:
         self, kctx, msg, galois_elt, monkeypatch
     ):
         """Folding ``perm`` into the row gather gives the bytes of
-        contracting a tensor permuted beforehand, and every row the MAC
-        walks is C-ordered, as the key's rows are."""
+        contracting a tensor permuted beforehand, and every block of rows
+        the MAC walks is C-ordered, as the key's rows are — here one
+        block of every digit, a few digits' rows fitting one transform
+        block."""
         from repro.nums.kernels import ReducerKernel
 
         key = kctx.galois_keys([1], levels=[NUM_PRIMES])[(1, NUM_PRIMES)]
@@ -152,14 +154,51 @@ class TestContraction:
         seen = []
         real = ReducerKernel.mul_accumulate_rows
 
-        def recording(kern, rows, *args, **kwargs):
-            rows = list(rows)
-            seen.extend(row.flags.c_contiguous for row in rows)
-            return real(kern, iter(rows), *args, **kwargs)
+        def recording(kern, blocks, *args, **kwargs):
+            blocks = list(blocks)
+            seen.extend((len(block), block.flags.c_contiguous) for block in blocks)
+            return real(kern, iter(blocks), *args, **kwargs)
 
         monkeypatch.setattr(ReducerKernel, "mul_accumulate_rows", recording)
         got = engine.contract(tensor, key, perm=perm)
-        assert seen == [True] * NUM_PRIMES
+        assert seen == [(NUM_PRIMES, True)]
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("perm", [None, 5], ids=["plain", "galois"])
+    def test_digit_blocks_follow_the_transform_block_size(
+        self, kctx, msg, perm, monkeypatch
+    ):
+        """The digits go to the kernel in blocks of as many rows as fit
+        ``BatchNtt.BLOCK_BYTES`` — shrunk here so three digits' rows fit,
+        the last block short — with the key's matching digits as views:
+        the bytes of one block of every digit."""
+        from repro.nums.kernels import ReducerKernel
+        from repro.transforms.ntt import BatchNtt
+
+        key = kctx.galois_keys([1], levels=[NUM_PRIMES])[(1, NUM_PRIMES)]
+        if perm is not None:
+            perm = galois_permutation(DEGREE, perm)
+        engine = kctx.evaluator.keyswitch
+        tensor = engine.decompose(kctx.encrypt(msg).parts[1]).tensor
+        want = engine.contract(tensor, key, perm=perm)
+        sizes = []
+        real = ReducerKernel.mul_accumulate_rows
+
+        def recording(kern, blocks, consts, *args, **kwargs):
+            blocks = list(blocks)
+            sizes.append([len(block) for block in blocks])
+            for part, cs in zip((key.b, key.a), consts):
+                assert [len(c) for c in cs] == sizes[-1]
+                assert all(np.shares_memory(c, part) for c in cs)
+            return real(kern, blocks, consts, *args, **kwargs)
+
+        monkeypatch.setattr(ReducerKernel, "mul_accumulate_rows", recording)
+        row = tensor[0].nbytes
+        monkeypatch.setattr(BatchNtt, "BLOCK_BYTES", 3 * row + row // 2)
+        got = engine.contract(tensor, key, perm=perm)
+        last = [NUM_PRIMES % 3] if NUM_PRIMES % 3 else []
+        assert sizes == [[3] * (NUM_PRIMES // 3) + last]
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
@@ -173,9 +212,9 @@ class TestContraction:
         seen = []
         original = ReducerKernel.mul_accumulate_rows
 
-        def spy(kern, rows, consts, *args):
+        def spy(kern, blocks, consts, *args):
             seen.append(consts)
-            return original(kern, rows, consts, *args)
+            return original(kern, blocks, consts, *args)
 
         monkeypatch.setattr(ReducerKernel, "mul_accumulate_rows", spy)
         low = kctx.evaluator.rescale(kctx.encrypt(msg)).parts[1]
@@ -183,8 +222,9 @@ class TestContraction:
         engine.apply(engine.decompose(poly), key)
         engine.apply(engine.decompose(low), key)
         assert len(seen) == 2
-        for b, a in seen:
-            assert np.shares_memory(b, key.b) and np.shares_memory(a, key.a)
+        for bs, as_ in seen:
+            assert all(np.shares_memory(b, key.b) for b in bs)
+            assert all(np.shares_memory(a, key.a) for a in as_)
 
     def test_key_holds_its_residues_once(self, kctx):
         """A key is born stacked: two read-only ``(L, L, N)`` tensors, and

@@ -272,7 +272,7 @@ class TestMulAccumulate:
         kern = ReducerKernel(prime)
         a = rng.integers(0, prime, (5, 64)).astype(np.uint64)
         b = rng.integers(0, prime, (5, 64)).astype(np.uint64)
-        (got,) = kern.mul_accumulate_rows(a, (b,))
+        (got,) = kern.mul_accumulate_rows(_cut(a, 1), [_cut(b, 1)])
         assert np.array_equal(got, kern.mul_accumulate(a, b))
 
     @BARRETT
@@ -343,8 +343,14 @@ class TestRawProduct:
         assert ReducerKernel(PRIMES[41]).raw_operand_limit == 1 << 42
 
 
+def _cut(x: np.ndarray, size: int) -> list[np.ndarray]:
+    """``x``'s leading axis as blocks of ``size`` terms, the last short
+    when ``size`` does not divide it: views, as the kernel's callers pass."""
+    return [x[lo : lo + size] for lo in range(0, len(x), size)]
+
+
 class TestRowAccumulate:
-    """The row-loop split MAC: key switching's contraction and the fused
+    """The blocked split MAC: key switching's contraction and the fused
     plaintext MAC, against plain residues."""
 
     @settings(max_examples=120, deadline=None)
@@ -363,7 +369,10 @@ class TestRowAccumulate:
             np.array(data.draw(draw_rows), dtype=np.uint64)
             for _ in range(data.draw(st.integers(1, 2)))
         ]
-        gots = kern.mul_accumulate_rows(iter(a), consts, budget=budget)
+        size = data.draw(st.integers(1, terms))
+        gots = kern.mul_accumulate_rows(
+            iter(_cut(a, size)), [_cut(b, size) for b in consts], budget=budget
+        )
         assert len(gots) == len(consts)
         for got, b in zip(gots, consts):
             want = [
@@ -380,10 +389,35 @@ class TestRowAccumulate:
             kern = ReducerKernel(q)
             a = np.full((11, 3), q - 1, dtype=np.uint64)
             out = np.full(3, 7, dtype=np.uint64)
-            (got,) = kern.mul_accumulate_rows(a, (a,), (out,), budget)
+            (got,) = kern.mul_accumulate_rows(_cut(a, 4), [_cut(a, 4)], (out,), budget)
             assert got is out  # written in place
             assert out.tolist() == [11 * (q - 1) * (q - 1) % q] * 3
             assert a.min() == q - 1  # operands untouched
+
+    @pytest.mark.parametrize("budget", [None, 2, 3])
+    @pytest.mark.parametrize("size", range(1, 11))
+    @BARRETT
+    def test_every_block_size_gives_the_stacked_bytes(self, size, budget, rng):
+        """Ten terms — a digit tensor's rows at ``L = 10`` — in blocks of
+        1 to 10, the last short where the size does not divide ten, with
+        two outputs of ``(L, N)``-shaped rows: byte-equal to
+        ``mul_accumulate`` over the stacked operands.  A budget of 2 or 3
+        puts partial reductions inside blocks and between them."""
+        moduli = [RAW_PRIMES[2], RAW_PRIMES[3], RAW_PRIMES[4]]
+        kern = ReducerKernel(np.array(moduli, dtype=np.uint64).reshape(-1, 1))
+        q = kern.q[np.newaxis]
+        a, b0, b1 = (
+            rng.integers(0, 1 << 62, (10, 3, 16), dtype=np.uint64) % q
+            for _ in range(3)
+        )
+        a[0], b0[0] = q[0] - 1, q[0] - 1  # the largest term
+        outs = [np.empty((3, 16), dtype=np.uint64) for _ in range(2)]
+        gots = kern.mul_accumulate_rows(
+            _cut(a, size), [_cut(b0, size), _cut(b1, size)], outs, budget
+        )
+        assert all(got is out for got, out in zip(gots, outs))
+        for got, b in zip(gots, (b0, b1)):
+            assert got.tobytes() == kern.mul_accumulate(a, b).tobytes()
 
     @BARRETT
     def test_column_moduli(self, rng):
@@ -395,7 +429,9 @@ class TestRowAccumulate:
             ).astype(np.uint64)
             for _ in range(3)
         )
-        outs = kern.mul_accumulate_rows(a, (b0, b1), budget=3)
+        outs = kern.mul_accumulate_rows(
+            _cut(a, 2), [_cut(b0, 2), _cut(b1, 2)], budget=3
+        )
         for got, b in zip(outs, (b0, b1)):
             assert np.array_equal(got, kern.mul_accumulate(a, b))
 
@@ -424,11 +460,13 @@ class TestRowAccumulate:
         a = np.ones((3, 4), dtype=np.uint64)
         out = np.zeros(4, dtype=np.uint64)
         with pytest.raises(ValueError, match="at least one row"):
-            kern.mul_accumulate_rows(a[:0], (a[:0],), (out,))
+            kern.mul_accumulate_rows([], [[]], (out,))
+        with pytest.raises(ValueError, match="at least one row"):
+            kern.mul_accumulate_rows([a[:0]], [[a[:0]]], (out,))
         with pytest.raises(ValueError, match="got budget 1 "):
-            kern.mul_accumulate_rows(a, (a,), (out,), budget=1)
+            kern.mul_accumulate_rows([a], [[a]], (out,), budget=1)
         with pytest.raises(ValueError, match="MAC split at 2 bits"):
-            ReducerKernel(5).mul_accumulate_rows(a, (a,))
+            ReducerKernel(5).mul_accumulate_rows([a], [[a]])
         assert not out.any()
 
 

@@ -195,7 +195,9 @@ class TestFusedReplay:
         transform pair, whose blocks run in lanes: the replay's bytes are
         the interpreter's for any CPU count, with the blocks as they come
         (one at this shape) or cut so both the inverse and the forward
-        split, and every lane thread is gone when the replay returns."""
+        split, and every lane thread is gone when the replay returns.
+        The families' members and the MAC run in lanes too, so a replay
+        on more than one CPU starts threads whatever the cut."""
         from unittest import mock
 
         from repro.nums import kernels
@@ -222,8 +224,56 @@ class TestFusedReplay:
         ):
             [[fused]] = plan.run_batch([[sample_ct]])
         assert threading.active_count() == before
-        assert bool(started) == (split and cpu > 1)
+        assert bool(started) == (cpu > 1)
         _assert_ct_equal(fused, oracle, f"{cpu} lane(s)")
+
+    @pytest.mark.parametrize(
+        "cpu", [None, 1, 2, 3], ids=["own", "cpu1", "cpu2", "cpu3"]
+    )
+    def test_mac_and_family_lanes_give_eager_bytes(self, dense_bsgs, sample_ct, cpu):
+        """Both families run their members in lanes, and the MAC its
+        (part, output) pairs: the replay's bytes are the eager calls'
+        (the interpreter's) at the process's own CPU count and at one,
+        two and three, one lane thread starts per extra lane of each
+        laned step — none on one CPU — and every one is joined when the
+        replay returns."""
+        from contextlib import ExitStack
+        from unittest import mock
+
+        from repro.nums import kernels
+
+        hlt, plan = dense_bsgs
+        [oracle] = plan.run([sample_ct])
+        baby, mac, giant, _ = plan.fused().groups
+        calls = []
+        real_lanes = plan_module.in_lanes
+
+        def spy(blocks, lane):
+            calls.append(len(blocks))
+            return real_lanes(blocks, lane)
+
+        started = []
+        real_thread = threading.Thread
+
+        def counting(*args, **kwargs):
+            started.append(1)
+            return real_thread(*args, **kwargs)
+
+        before = threading.active_count()
+        with ExitStack() as patches:
+            patches.enter_context(mock.patch.object(plan_module, "in_lanes", spy))
+            patches.enter_context(mock.patch.object(threading, "Thread", counting))
+            if cpu is not None:
+                patches.enter_context(
+                    mock.patch.object(kernels, "_cpu_count", return_value=cpu)
+                )
+            lanes = kernels._cpu_count()
+            [[fused]] = plan.run_batch([[sample_ct]])
+        assert threading.active_count() == before
+        assert calls == [len(baby.members), 2 * len(mac.outputs), len(giant.members)]
+        assert len(started) >= sum(min(n, lanes) - 1 for n in calls)
+        assert bool(started) == (lanes > 1)
+        _assert_ct_equal(fused, oracle, f"{lanes} lane(s)")
 
     def test_sharded_pool_replays_fused(self, rctx, gks, rlk, sample_ct):
         from repro.runtime import ServingConfig, ShardedExecutor

@@ -127,6 +127,55 @@ class TestServeFacade:
         assert not hasattr(runtime, "StreamingServer")
 
 
+class TestWorkerLanes:
+    """A forked worker's lanes: its share of the CPUs, set once at fork,
+    so workers side by side start no more lanes than there are CPUs."""
+
+    @pytest.mark.parametrize(
+        "cpus,workers", [(1, 1), (2, 1), (2, 2), (3, 2), (4, 3), (8, 2)]
+    )
+    def test_a_worker_runs_its_share_of_the_cpus(self, square_plan, cpus, workers):
+        """``_worker_loop`` caps the lanes of the process it runs in at
+        ``max(1, CPUs // workers)`` before it serves: an eight-block
+        ``in_lanes`` call in that process then runs that many lanes.  The
+        parent, which forked it, keeps one lane per CPU."""
+        import multiprocessing as mp
+        from unittest import mock
+
+        from repro.nums import kernels
+        from repro.runtime import wire
+        from repro.runtime.executor import _worker_loop
+
+        fork = mp.get_context("fork")
+        report_r, report_w = fork.Pipe(duplex=False)
+        conn, peer = fork.Pipe()
+        cfg = wire.WorkerConfig(fused=True, chaos=None, heartbeat_s=None)
+
+        def child():
+            peer.close()  # the loop reads EOF at once and returns
+            lanes = []
+            with mock.patch.object(kernels, "_cpu_count", return_value=cpus):
+                _worker_loop(square_plan, conn, cfg, workers)
+                kernels.in_lanes(list(range(8)), lanes.append)
+            report_w.send((kernels._lane_cap, len(lanes)))
+
+        proc = fork.Process(target=child)
+        proc.start()
+        conn.close()
+        peer.close()
+        report_w.close()
+        got = report_r.recv()
+        proc.join(timeout=RESULT_TIMEOUT)
+        want = max(1, cpus // workers)
+        assert got == (want, want)
+        assert kernels._lane_cap is None
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_a_pipe_pool_forks_workers_that_know_its_size(self, square_plan, workers):
+        pool = ShardedExecutor(square_plan, config=ServingConfig(num_workers=workers))
+        assert pool._make_transport()._target.keywords == {"workers": workers}
+
+
 class TestLegacyKeywordBridge:
     """The keyword bridge is gone: a pool is sized only by
     ``ServingConfig(num_workers=...)``."""
