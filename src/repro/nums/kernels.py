@@ -141,6 +141,37 @@ def share_lanes(workers: int) -> None:
     _lane_cap = max(1, _cpu_count() // workers)
 
 
+def _lane_cpus(n: int) -> list:
+    """The CPU each of ``n`` lanes runs on: when the lanes cover every
+    CPU in the affinity mask, lane ``k`` gets the mask's ``k``-th CPU
+    (cyclically); otherwise, or where the platform cannot pin a thread,
+    ``None`` — the lane goes where the OS puts it."""
+    if not hasattr(os, "sched_setaffinity"):
+        return [None] * n
+    mask = sorted(os.sched_getaffinity(0))
+    if n < len(mask):
+        return [None] * n
+    return [mask[k % len(mask)] for k in range(n)]
+
+
+@contextmanager
+def _pinned(cpu):
+    """Run the calling thread on ``cpu`` alone, then on its former CPUs
+    again; ``cpu`` ``None``, or a pin the OS refuses, leaves it as is."""
+    before = None
+    if cpu is not None:
+        try:
+            before = os.sched_getaffinity(0)
+            os.sched_setaffinity(0, {cpu})
+        except OSError:
+            before = None
+    try:
+        yield
+    finally:
+        if before is not None:
+            os.sched_setaffinity(0, before)
+
+
 def in_lanes(blocks: Sequence, lane: Callable[[Sequence], None]) -> None:
     """Run ``lane`` over ``blocks`` striped across one thread per CPU.
 
@@ -156,6 +187,12 @@ def in_lanes(blocks: Sequence, lane: Callable[[Sequence], None]) -> None:
     :func:`ufunc_buffer`: the setting is context-local and a new thread
     starts at numpy's default.  Every lane is joined before the first
     lane exception is re-raised on the caller.
+
+    When the lanes cover every CPU the process may use, each runs pinned
+    to its own (:func:`_lane_cpus`; the caller's thread for the call
+    only).  Left to the OS, two threads that keep handing the
+    interpreter lock to each other were at times kept on one CPU of a
+    2-vCPU VM for seconds, two lanes then slower than one.
     """
     n = min(len(blocks), _cpu_count() if _lane_cap is None else _lane_cap)
     if n <= 1:
@@ -163,10 +200,11 @@ def in_lanes(blocks: Sequence, lane: Callable[[Sequence], None]) -> None:
             lane(blocks)
         return
     errors: list[BaseException | None] = [None] * n
+    cpus = _lane_cpus(n)
 
     def run(k: int) -> None:
         try:
-            with ufunc_buffer():
+            with ufunc_buffer(), _pinned(cpus[k]):
                 lane(blocks[k::n])
         except BaseException as exc:  # re-raised on the caller below
             errors[k] = exc

@@ -509,6 +509,29 @@ class TestLanes:
         caller = [mine for thread, mine in seen if thread is threading.current_thread()]
         assert caller == [blocks[0::n]]
 
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no thread affinity here"
+    )
+    def test_lanes_covering_the_mask_run_pinned(self):
+        """One lane per CPU of the affinity mask: lane ``k`` runs on the
+        mask's ``k``-th CPU alone, and the caller's thread gets its own
+        mask back; a pin the OS refuses leaves a thread where it was."""
+        mask = os.sched_getaffinity(0)
+        seen = []
+        lock = threading.Lock()
+
+        def lane(mine):
+            with lock:
+                seen.append((mine[0], os.sched_getaffinity(0)))
+
+        in_lanes(list(range(len(mask))), lane)
+        assert sorted(seen) == [(k, {cpu}) for k, cpu in enumerate(sorted(mask))]
+        assert os.sched_getaffinity(0) == mask
+        with kernels._pinned(1023):  # no such CPU: EINVAL
+            assert os.sched_getaffinity(0) == mask
+        with kernels._pinned(None):
+            assert os.sched_getaffinity(0) == mask
+
     @pytest.mark.parametrize("cpu", [1, 2, 3])
     def test_one_block_or_one_cpu_starts_no_thread(self, cpu):
         ran = []
