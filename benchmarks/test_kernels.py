@@ -36,7 +36,7 @@ from repro.nums.kernels import ReducerKernel, ufunc_buffer
 from repro.rns import RnsBasis
 from repro.rns.poly import EVAL, RnsPolynomial
 from repro.transforms.fft import SpecialFft
-from repro.transforms.ntt import NttContext
+from repro.transforms.ntt import NttContext, galois_permutation
 
 PRIME = find_primes(36, 1 << 16)[0].value
 
@@ -320,8 +320,9 @@ def test_bsgs_step_table(report):
     family, the merged MAC, the giant-step family and the sum — as
     best-of-5 ms per step at one lane and at one lane per CPU, the two
     timed alternately so a saving can be traced to its step; then the
-    replay's dispatch count, and the giant family's one batched
-    decomposition at both lane counts."""
+    replay's dispatch count, the giant family's one batched
+    decomposition at both lane counts, and one of the replay's 46
+    ``(10, 10, 1024)`` Galois contractions (one thread, median of 300)."""
     ctx = CkksContext.create(toy_params(degree=1 << 10, num_primes=10), seed=1)
     slots, level = ctx.params.slots, ctx.params.num_primes
     rng = np.random.default_rng(1)
@@ -369,6 +370,18 @@ def test_bsgs_step_table(report):
                 t0 = time.perf_counter()
                 engine.decompose_rows(rows)
                 lanes[config] = min(lanes[config], time.perf_counter() - t0)
+    graph = plan.graph
+    member = graph.nodes[giant.members[0]]
+    key = graph.consts[member.consts[0]]
+    perm = galois_permutation(ctx.params.degree, member.attrs[-1])
+    dec = engine.decompose_rows(rows[0])
+    outs = np.empty((2, level, ctx.params.degree), dtype=np.uint64)
+    contraction = []
+    with ufunc_buffer():
+        for _ in range(300):
+            t0 = time.perf_counter()
+            engine.contract(dec, key, perm, outs[0], outs[1])
+            contraction.append(time.perf_counter() - t0)
     lines = [
         f"{name}: " + ", ".join(f"{c} {best[c][name] * 1e3:7.2f} ms" for c in configs)
         for name in best["1 lane"]
@@ -377,6 +390,10 @@ def test_bsgs_step_table(report):
     lines.append(
         f"giant decomposition {rows.shape}: "
         + ", ".join(f"{c} {t * 1e3:.1f} ms" for c, t in lanes.items())
+    )
+    lines.append(
+        f"one contraction {dec.shape}, permuted: "
+        f"{np.median(contraction) * 1e3:.3f} ms"
     )
     report("eval_bsgs fused replay by step, N=2^10, L=10, best of 5", lines)
 

@@ -18,10 +18,11 @@ tensorizes the whole pipeline:
   as fit one transform block — all ten at ``(2^10, L = 10)``, one at the
   paper's ``(2^16, 24)``
   (:meth:`~repro.nums.kernels.ReducerKernel.mul_accumulate_rows`: each
-  block of digit rows split once, raw products summed as uint64 a block
-  at a time, one reduction pair per key component; a block is a handful
-  of long numpy calls, the grain at which the fused replay's rotation
-  families run their members in lanes), gathering each block through a
+  block of digit rows split once, its raw products summed as uint64 by
+  one sum of products per half and key component, both components
+  recombined as one stack; a block is a handful of long numpy calls, the
+  grain at which the fused replay's rotation families run their members
+  in lanes), gathering each block through a
   Galois slot permutation when given one — which is what makes
   **hoisting** work:
   decompose once, then rotate-and-contract against many keys

@@ -20,11 +20,14 @@ to ``q^2``.  Two primitives defer reduction the way a hardware MAC
 datapath does: ``mul_pre_raw``, the product *short of its conditional
 subtract* (congruent mod ``q``, below ``RAW_BOUND * q``, for any first
 operand below ``raw_operand_limit = 2^42``), which the batched NTT's
-butterflies sum; and ``mul_accumulate_rows``, the inner product of key
-switching and the fused plaintext MAC, which multiplies the halves of a
-split operand against plain residues — no pre-formed constant — a block
-of terms at a time, so a cache-sized block of rows is three numpy calls
-per half and output where row-sized calls are too short for lanes to
+butterflies sum; and ``mul_accumulate_rows`` (``mul_accumulate_halves``
+on an operand split beforehand), the inner product of key switching and
+the fused plaintext MAC, which sums the halves of a split operand
+against plain residues — no pre-formed constant — as one ``np.einsum``
+sum of products per block of terms, half and output, writing no product
+temporary; the constants may broadcast against the rows (a MAC output's
+diagonals against both parts of its ciphertexts), so a cache-sized block
+is one long numpy call where row-sized calls are too short for lanes to
 overlap (:func:`in_lanes`).
 """
 
@@ -220,6 +223,16 @@ def in_lanes(blocks: Sequence, lane: Callable[[Sequence], None]) -> None:
             raise exc
 
 
+def _sum_of_products(x: np.ndarray, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``sum_b x[b] * c[b]`` into ``out`` in wrapping uint64, ``c``
+    broadcasting against ``x`` past the leading axis: ``np.einsum`` writes
+    no ``(B, ...)`` product; one term is a multiply, which einsum is
+    slower at."""
+    if len(x) == 1:
+        return np.multiply(x[0], c[0], out=out)
+    return np.einsum("i...,i...->...", x, c, out=out)
+
+
 def _csub(x: np.ndarray, q, out=None) -> np.ndarray:
     """One conditional subtract: maps [0, 2q) into [0, q).
 
@@ -390,27 +403,56 @@ class ReducerKernel:
         """
         return self._accumulate(self.mul(a, b), axis, out=out)
 
+    def split_rows(self, rows: np.ndarray, out=None) -> tuple:
+        """``(hi, lo)``, canonical ``rows = hi * 2^h + lo`` split at ``h =
+        mac_split`` bits: the operand :meth:`mul_accumulate_halves`
+        multiplies.  Into the pair ``out`` when given, whose ``hi`` may be
+        ``rows`` itself (the low half is taken first)."""
+        hi, lo = (None, None) if out is None else out
+        lo = np.bitwise_and(rows, _U64((1 << self.mac_split) - 1), out=lo)
+        return np.right_shift(rows, _U64(self.mac_split), out=hi), lo
+
     def mul_accumulate_rows(self, blocks, consts, outs=None, budget=None) -> list:
+        """:meth:`mul_accumulate_halves` over a stream of canonical row
+        blocks, each split once (:meth:`split_rows`) into two buffers
+        reused while the block shape holds."""
+
+        def halves():
+            pair = None
+            for block in blocks:
+                if pair is None or pair[0].shape != block.shape:
+                    pair = (np.empty_like(block), np.empty_like(block))
+                yield self.split_rows(block, out=pair)
+
+        return self.mul_accumulate_halves(halves(), consts, outs, budget)
+
+    def mul_accumulate_halves(self, halves, consts, outs=None, budget=None) -> list:
         """``outs[k] = sum_t rows[t] * consts[k][t] mod q`` over a stream of
-        row blocks — per block, half and output one multiply and one sum
-        over the block's terms; one reduction pair per output.
+        split row blocks — per block, half and output one sum of products
+        over the block's terms; one stacked recombination for all outputs.
 
         The inner product behind key switching (two key components
         contracted against the same digit rows) and the fused plaintext
-        MAC.  ``blocks`` yields the canonical rows in term order as
-        ``(B, ...)`` stacks of ``B >= 1`` rows (sizes may differ from
-        block to block, the last may be short); ``consts[k]`` yields, in
-        step with it, output ``k``'s matching ``(B, ...)`` stack of plain
-        residues.  The rows are the operand every output shares, so they
-        are the one that is split, once per block: ``row = hi * 2^h + lo``
-        with ``h = ceil(bits(q_max) / 2)``.  A block adds ``sum_b hi[b] *
-        c[b]`` to ``S_hi`` and ``sum_b lo[b] * c[b]`` to ``S_lo`` in raw
-        uint64 — one ``(B, ...)`` multiply and one ``np.add.reduce`` over
-        its leading axis each; no pre-form, no quotient estimate, no ``q``
-        column — and an output is ``reduce((reduce(S_hi) << h) + S_lo)``,
-        written to ``outs[k]`` when given.  ``B = 1`` is the row-by-row
-        MAC; a block of ``B`` rows makes three numpy calls of what were
-        ``2B`` row-sized ones, a grain at which lanes overlap.
+        MAC.  ``halves`` yields the rows in term order as the ``(hi, lo)``
+        pairs :meth:`split_rows` makes of ``(B, ...)`` stacks of ``B >= 1``
+        canonical rows (sizes may differ from block to block, the last may
+        be short) — the operand every output shares, so it is split once
+        per block, however many outputs (or lanes) read it;
+        :meth:`mul_accumulate_rows` splits a stream of blocks itself.
+        ``consts[k]`` yields, in step with it, output ``k``'s matching
+        ``(B, ...)`` stack of plain residues, which may broadcast against
+        the rows past the leading axis: an ``(S, 1, L, N)`` stack of
+        diagonals against the ``(S, 2, L, N)`` parts of ``S`` ciphertexts
+        makes both parts of an output in one pass.
+
+        A block adds ``sum_b hi[b] * c[b]`` to ``S_hi`` and ``sum_b lo[b]
+        * c[b]`` to ``S_lo`` in raw uint64 — one ``np.einsum`` each, which
+        writes no ``(B, ...)`` product (one term is a multiply); no
+        pre-form, no quotient estimate, no ``q`` column.  The sums of all
+        ``K`` outputs are one ``(3, K, ...)`` stack (``S_hi``, ``S_lo`` and
+        a work plane, so the reductions allocate nothing more), and an
+        output is ``reduce((reduce(S_hi) << h) + S_lo)``, recombined for all
+        ``K`` at once, the last pass writing ``outs[k]`` when given.
 
         Bound: ``hi <= (q_max - 1) >> h < 2^h`` and ``lo < 2^h``, so a
         term adds at most ``T = (q_max - 1)(2^h - 1)`` to either sum, and
@@ -433,54 +475,54 @@ class ReducerKernel:
                 f"a partial sum must hold two terms, got budget "
                 f"{budget} (MAC split at {self.mac_split} bits)"
             )
-        h = _U64(self.mac_split)
-        mask = _U64((1 << self.mac_split) - 1)
-        sums: list = []  # per output, [S_hi, S_lo]
+        sums = part = None  # sums[0, k]: output k's S_hi; [1, k] S_lo; [2] work
         held = 0  # terms every partial sum holds; a reduced sum is one
-        hi = lo = prod = part = None
-        for block, *cs in zip(blocks, *consts):
-            if not len(block):
-                raise ValueError(
-                    "mul_accumulate_rows needs at least one row in every block"
-                )
-            if hi is None or hi.shape != block.shape:
-                hi, lo, prod = (np.empty_like(block) for _ in range(3))
-            np.right_shift(block, h, out=hi)
-            np.bitwise_and(block, mask, out=lo)
+        for (hi, lo), *cs in zip(halves, *consts):
+            if not len(hi):
+                raise ValueError("a MAC needs at least one row in every block")
             pieces = []  # (start, stop, reduce the sums first)
             start = 0
-            while start < len(block):
+            while start < len(hi):
                 fold = held == budget
                 held = 1 if fold else held
-                stop = min(len(block), start + budget - held)
+                stop = min(len(hi), start + budget - held)
                 pieces.append((start, stop, fold))
                 held += stop - start
                 start = stop
-            if not sums:
-                sums = [[None, None] for _ in cs]
-                part = np.empty_like(block[0])
-            for pair, c in zip(sums, cs):
+            fresh = sums is None
+            if fresh:
+                shape = np.broadcast_shapes(hi.shape[1:], *(c.shape[1:] for c in cs))
+                sums = np.empty((3, len(cs), *shape), dtype=np.uint64)
+                part = np.empty(shape, dtype=np.uint64)
+            for k, c in enumerate(cs):
                 for half, x in enumerate((hi, lo)):
-                    np.multiply(x, c, out=prod)
-                    s = pair[half]
-                    for start, stop, fold in pieces:
-                        if s is None:
-                            s = pair[half] = np.add.reduce(prod[start:stop], axis=0)
+                    s = sums[half, k]
+                    for i, (start, stop, fold) in enumerate(pieces):
+                        if fresh and not i:
+                            _sum_of_products(x[start:stop], c[start:stop], s)
                             continue
                         if fold:
-                            self.reduce(s, out=s)
-                        if stop - start == 1:
-                            s += prod[start]
-                        else:
-                            s += np.add.reduce(prod[start:stop], axis=0, out=part)
-        if not sums:
-            raise ValueError("mul_accumulate_rows needs at least one row")
-        for s_hi, s_lo in sums:
-            self.reduce(s_hi, out=s_hi)
-            s_hi <<= h
-            s_hi += s_lo
-        outs = outs or [None] * len(sums)
-        return [self.reduce(s_hi, out=out) for (s_hi, _), out in zip(sums, outs)]
+                            self.reduce(s, out=s, work=(sums[2, k], part))
+                        s += _sum_of_products(x[start:stop], c[start:stop], part)
+        if sums is None:
+            raise ValueError("a MAC needs at least one row")
+        # reduce(S_hi) in place, then reduce((S_hi << h) + S_lo) for every
+        # output at once, its last pass writing each caller's view
+        s_hi, s_lo, work = sums
+        np.minimum(*self._reduce_halfway(s_hi, work), out=s_hi)
+        s_hi <<= _U64(self.mac_split)
+        s_hi += s_lo
+        t, low = self._reduce_halfway(s_hi, s_lo)
+        outs = outs or [None] * len(t)
+        return [np.minimum(t[k], low[k], out=out) for k, out in enumerate(outs)]
+
+    def _reduce_halfway(self, x: np.ndarray, work: np.ndarray) -> tuple:
+        """:meth:`reduce` of ``x`` short of its last pass, in two arrays:
+        ``t``, congruent and below ``2q``, written to ``work``, and the
+        wrapped ``t - q`` over ``x``; their minimum is canonical."""
+        t = self._times_q(x, self.reciprocal, out=work)
+        np.subtract(x, t, out=t)  # exact mod 2^64: below 2q
+        return t, np.subtract(t, self.q, out=x)
 
     def _accumulate(self, prod: np.ndarray, axis: int, out=None) -> np.ndarray:
         """Sum canonical products along ``axis`` with deferred reduction."""

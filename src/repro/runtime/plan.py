@@ -90,6 +90,39 @@ __all__ = [
 ]
 
 
+def _strided(rows: list) -> np.ndarray | None:
+    """``rows`` — equal arrays of one buffer — as one ``(len(rows), ...)``
+    view when they are one evenly strided run of it, else ``None``.
+
+    Each row of the view is one of ``rows`` (same address, shape and
+    strides), so it reads and writes only memory they already cover."""
+    first = rows[0]
+
+    def owner(a):
+        while isinstance(a.base, np.ndarray):
+            a = a.base
+        return a
+
+    base = owner(first)
+    start = first.__array_interface__["data"][0]
+    step = rows[1].__array_interface__["data"][0] - start if len(rows) > 1 else 0
+    for n, row in enumerate(rows):
+        if (
+            row.shape != first.shape
+            or row.strides != first.strides
+            or row.dtype != first.dtype
+            or owner(row) is not base
+            or row.__array_interface__["data"][0] != start + n * step
+        ):
+            return None
+    return np.lib.stride_tricks.as_strided(
+        first,
+        (len(rows), *first.shape),
+        (step, *first.strides),
+        writeable=first.flags.writeable,
+    )
+
+
 def params_fingerprint(evaluator: Evaluator) -> tuple:
     """What makes two evaluators interchangeable for one plan."""
     return (evaluator.basis.degree, tuple(evaluator.basis.moduli))
@@ -471,32 +504,40 @@ class FusedExecutor:
         if grp.kind == "mac":
             # Per-term multiplies against the diagonals' plain residues,
             # summed unreduced: the same canonical result as the eager
-            # multiply/add tree (see ReducerKernel.mul_accumulate_rows),
-            # one reduction pair per part and output.  The (part, output)
-            # pairs are independent, so they run in lanes; a lane splits
-            # each source row once for all of its outputs of that part.
+            # multiply/add tree (see ReducerKernel.mul_accumulate_halves).
+            # Each output's diagonals are one (S, 1, L, N) stack — a view
+            # of its giant group's encode buffer when they are one evenly
+            # strided run of it — broadcast over both parts of the
+            # (S, P, L, N) sources, which a replay stacks and splits once;
+            # the outputs run in lanes, each reading its stack once.
+            k, parts = len(srcs), len(views)
             diags = [
-                plain_rows(g.consts[g.nodes[t].consts[0]], lvl)[np.newaxis]
-                for t in grp.payload
+                plain_rows(g.consts[g.nodes[t].consts[0]], lvl) for t in grp.payload
             ]
-            k = len(srcs)
-            consts = [diags[o : o + k] for o in range(0, len(diags), k)]
-            out_views = [self._views[o] for o in grp.outputs]
-            pairs = [(i, o) for o in range(len(out_views)) for i in range(len(views))]
+            consts = []
+            for o in range(0, len(diags), k):
+                run = diags[o : o + k]
+                stack = _strided(run)
+                stack = np.stack(run) if stack is None else stack
+                consts.append([stack[:, np.newaxis]])
+            outs = [self._views[o] for o in grp.outputs]
+            targets = [_strided(v) for v in outs]  # None: written back below
 
             def mac_step(env, inputs):
-                def lane(mine):
-                    for i in range(len(views)):
-                        outs = [o for j, o in mine if j == i]
-                        if outs:
-                            rows = [env[s][i][np.newaxis, :lvl] for s in srcs]
-                            kern.mul_accumulate_rows(
-                                rows,
-                                [consts[o] for o in outs],
-                                [out_views[o][i] for o in outs],
-                            )
+                rows = np.stack([env[s][i][:lvl] for s in srcs for i in range(parts)])
+                rows = rows.reshape(k, parts, lvl, -1)
+                halves = kern.split_rows(rows, out=(rows, None))
 
-                in_lanes(pairs, lane)
+                def lane(mine):
+                    sums = kern.mul_accumulate_halves(
+                        [halves], [consts[o] for o in mine], [targets[o] for o in mine]
+                    )
+                    for o, sum_ in zip(mine, sums):
+                        if targets[o] is None:
+                            for view, row in zip(outs[o], sum_):
+                                np.copyto(view, row)
+
+                in_lanes(range(len(outs)), lane)
 
             return mac_step
 

@@ -436,6 +436,58 @@ class TestRowAccumulate:
             assert np.array_equal(got, kern.mul_accumulate(a, b))
 
     @BARRETT
+    def test_budget_of_worst_terms_in_one_sum_of_products(self):
+        """Exactly ``mac_budget`` terms, every row and constant ``q - 1``,
+        as one block: each half is one ``np.einsum`` over all of them,
+        whose raw uint64 sums hold the bound's worst case without
+        wrapping — the Python-int sum reduced mod ``q``."""
+        for q in RAW_PRIMES:
+            kern = ReducerKernel(q)
+            n = kern.mac_budget
+            a = np.full((n, 3), q - 1, dtype=np.uint64)
+            with mock.patch.object(np, "einsum", wraps=np.einsum) as einsum:
+                (got,) = kern.mul_accumulate_rows([a], [[a]])
+            assert einsum.call_count == 2  # one per half, no piece
+            assert got.tolist() == [n * (q - 1) * (q - 1) % q] * 3
+
+    @pytest.mark.parametrize("budget", [None, 3])
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    @BARRETT
+    def test_broadcast_consts_make_every_part_at_once(self, size, budget, rng):
+        """An ``(S, 1, L, N)`` stack of constants against ``(S, P, L, N)``
+        rows — a MAC output's diagonals against both parts of its
+        sources — equals ``P`` calls, one part each; and rows split once
+        (in place, as the fused MAC splits its source stack) give the
+        bytes of rows the kernel splits itself."""
+        moduli = [RAW_PRIMES[2], RAW_PRIMES[3], RAW_PRIMES[4]]
+        kern = ReducerKernel(np.array(moduli, dtype=np.uint64).reshape(-1, 1))
+        q = kern.q
+        terms, parts = 5, 2
+        rows = rng.integers(0, 1 << 62, (terms, parts, 3, 16), dtype=np.uint64) % q
+        consts = [
+            rng.integers(0, 1 << 62, (terms, 1, 3, 16), dtype=np.uint64) % q
+            for _ in range(2)
+        ]
+        rows[0, 0], consts[0][0] = q - 1, q - 1
+        outs = [np.empty((parts, 3, 16), dtype=np.uint64) for _ in consts]
+        gots = kern.mul_accumulate_rows(
+            _cut(rows, size), [_cut(c, size) for c in consts], outs, budget
+        )
+        assert all(got is out for got, out in zip(gots, outs))
+        for got, c in zip(gots, consts):
+            for p in range(parts):
+                (want,) = kern.mul_accumulate_rows(
+                    _cut(rows[:, p], size), [_cut(c[:, 0], size)], budget=budget
+                )
+                assert got[p].tobytes() == want.tobytes()
+        stack = rows.copy()
+        halves = kern.split_rows(stack, out=(stack, None))
+        assert halves[0] is stack
+        again = kern.mul_accumulate_halves([halves], [[c] for c in consts], None, budget)
+        for got, want in zip(again, gots):
+            assert got.tobytes() == want.tobytes()
+
+    @BARRETT
     def test_budgets(self):
         """The split-MAC budget is the docstring's bound, not a tuned
         number: the recombined worst case stays inside uint64 and

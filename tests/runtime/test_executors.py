@@ -9,22 +9,28 @@ import sys
 import threading
 import weakref
 from collections import Counter
+from contextlib import ExitStack, contextmanager
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import repro.ckks.evaluator as evaluator_module
 import repro.runtime.plan as plan_module
+from repro.ckks.containers import Plaintext
 from repro.ckks.evaluator import Evaluator
 from repro.ckks.keys import rotation_galois_elt
 from repro.ckks.keyswitch import KeySwitchEngine
 from repro.ckks.linear import HomomorphicLinearTransform
+from repro.nums import kernels
+from repro.nums.kernels import ReducerKernel
 from repro.runtime import (
     CtSpec,
     PtSpec,
     compile_fn,
     trace,
 )
+from repro.rns.poly import EVAL, RnsPolynomial
 from repro.runtime.graph import _RULES
 
 
@@ -38,6 +44,23 @@ def _assert_ct_equal(a, b, what=""):
     assert a.size == b.size, what
     for i, (pa, pb) in enumerate(zip(a.parts, b.parts)):
         assert np.array_equal(pa.data, pb.data), f"{what} part {i} differs"
+
+
+@contextmanager
+def _thread_starts():
+    """The threads started inside the block, as a list that grows; each
+    must be gone again when it ends."""
+    started = []
+    real = threading.Thread
+
+    def counting(*args, **kwargs):
+        started.append(1)
+        return real(*args, **kwargs)
+
+    before = threading.active_count()
+    with mock.patch.object(threading, "Thread", counting):
+        yield started
+    assert threading.active_count() == before
 
 
 def _race(threads):
@@ -198,9 +221,6 @@ class TestFusedReplay:
         split, and every lane thread is gone when the replay returns.
         The families' members and the MAC run in lanes too, so a replay
         on more than one CPU starts threads whatever the cut."""
-        from unittest import mock
-
-        from repro.nums import kernels
         from repro.transforms.ntt import BatchNtt
 
         hlt, plan = dense_bsgs
@@ -232,16 +252,11 @@ class TestFusedReplay:
     )
     def test_mac_and_family_lanes_give_eager_bytes(self, dense_bsgs, sample_ct, cpu):
         """Both families run their members in lanes, and the MAC its
-        (part, output) pairs: the replay's bytes are the eager calls'
+        outputs (both parts of an output in one lane): the replay's bytes are the eager calls'
         (the interpreter's) at the process's own CPU count and at one,
         two and three, one lane thread starts per extra lane of each
         laned step — none on one CPU — and every one is joined when the
         replay returns."""
-        from contextlib import ExitStack
-        from unittest import mock
-
-        from repro.nums import kernels
-
         hlt, plan = dense_bsgs
         [oracle] = plan.run([sample_ct])
         baby, mac, giant, _ = plan.fused().groups
@@ -270,10 +285,111 @@ class TestFusedReplay:
             lanes = kernels._cpu_count()
             [[fused]] = plan.run_batch([[sample_ct]])
         assert threading.active_count() == before
-        assert calls == [len(baby.members), 2 * len(mac.outputs), len(giant.members)]
+        assert calls == [len(baby.members), len(mac.outputs), len(giant.members)]
         assert len(started) >= sum(min(n, lanes) - 1 for n in calls)
         assert bool(started) == (lanes > 1)
         _assert_ct_equal(fused, oracle, f"{lanes} lane(s)")
+
+    def test_mac_binds_diagonal_stacks_in_place(
+        self, dense_bsgs, sample_ct, monkeypatch
+    ):
+        """Each MAC output's diagonals reach the kernel as one ``(S, 1, L,
+        N)`` view of its giant group's encode buffer — no copy — broadcast
+        over both parts of the stacked sources in one call per lane; lane
+        threads start only on more than one CPU and are joined when the
+        replay returns."""
+        hlt, plan = dense_bsgs
+        mac = plan.fused().groups[1]
+        seen = []
+        real = ReducerKernel.mul_accumulate_halves
+
+        def spy(kern, halves, consts, *args):
+            halves = list(halves)
+            if halves[0][0].ndim == 4:  # the MAC's (S, P, L, N) sources
+                seen.extend(block for [block] in consts)
+            return real(kern, halves, consts, *args)
+
+        monkeypatch.setattr(ReducerKernel, "mul_accumulate_halves", spy)
+        with _thread_starts() as started:
+            [[fused]] = plan.run_batch([[sample_ct]])
+        assert bool(started) == (kernels._cpu_count() > 1)
+        _assert_ct_equal(fused, plan.run([sample_ct])[0], "dense BSGS")
+        level, degree = hlt.ctx.params.num_primes, hlt.ctx.params.degree
+        diags: dict[int, list] = {}
+        for g, j in hlt._nonzero:
+            diags.setdefault(g, []).append(hlt._diagonals[(g, j)].poly.data)
+        assert len(seen) == len(mac.outputs) == len(diags)
+        owners = []
+        for block in seen:
+            assert block.shape == (len(mac.sources), 1, level, degree)
+            [g] = [g for g, rows in diags.items() if np.shares_memory(block, rows[0])]
+            assert all(np.array_equal(b[0], d[:level]) for b, d in zip(block, diags[g]))
+            owners.append(g)
+        assert sorted(owners) == sorted(diags)
+
+    @pytest.mark.parametrize("layout", ["separate", "shuffled", "no_views"])
+    def test_mac_copy_path_gives_eager_bytes(
+        self, rctx, gks, sample_ct, layout, monkeypatch
+    ):
+        """A MAC whose diagonals are not one evenly strided run of one
+        buffer — encoded one by one, or rows of one stack out of order —
+        stacks a copy of them; with no strided view at all (diagonals nor
+        outputs) the outputs are written back part by part.  The bytes
+        are the eager calls' either way."""
+        rng = np.random.default_rng(15)
+        slots, level = rctx.params.slots, rctx.params.num_primes
+        values = rng.uniform(-1, 1, (2, 3, slots))
+        if layout == "shuffled":
+            # Diagonal (g, t) is row order[3g + t] of one stack: each
+            # group's rows are out of order, so no stride fits them.
+            order = [1, 0, 2, 4, 5, 3]
+            flat = np.empty((6, slots))
+            flat[order] = values.reshape(6, slots)
+            scale = rctx.params.scale
+            rows = rctx.encoder.encode_rows(flat, level=level, scale=scale)
+            rctx.basis.batch_ntt(level).forward(rows, out=rows)
+            pts = [
+                [
+                    Plaintext(
+                        RnsPolynomial(rctx.basis, rows[order[3 * g + t]], EVAL), scale
+                    )
+                    for t in range(3)
+                ]
+                for g in range(2)
+            ]
+        else:
+            pts = [[rctx.encode(v) for v in group] for group in values]
+        if layout == "no_views":
+            monkeypatch.setattr(plan_module, "_strided", lambda rows: None)
+
+        def program(ev, x):
+            sources = [x, ev.rotate(x, 1, gks), ev.rotate(x, 2, gks)]
+            outs = []
+            for group in pts:
+                terms = [ev.multiply_plain(s, pt) for s, pt in zip(sources, group)]
+                outs.append(ev.add(ev.add(terms[0], terms[1]), terms[2]))
+            return ev.add(outs[0], ev.rotate(outs[1], 3, gks))
+
+        plan = compile_fn(program, rctx.evaluator, [_spec(rctx)])
+        assert [grp.kind for grp in plan.fused().groups].count("mac") == 1
+        copies = []
+        every = [pt.poly.data for group in pts for pt in group]
+        real = ReducerKernel.mul_accumulate_halves
+
+        def spy(kern, halves, consts, *args):
+            halves = list(halves)
+            if halves[0][0].ndim == 4:  # the MAC's (S, P, L, N) sources
+                for [block] in consts:
+                    shared = [np.shares_memory(block, data) for data in every]
+                    copies.append(not any(shared))
+            return real(kern, halves, consts, *args)
+
+        monkeypatch.setattr(ReducerKernel, "mul_accumulate_halves", spy)
+        with _thread_starts() as started:
+            [[fused]] = plan.run_batch([[sample_ct]])
+        assert bool(started) == (kernels._cpu_count() > 1)
+        assert copies == [True, True]
+        _assert_ct_equal(fused, program(rctx.evaluator, sample_ct), layout)
 
     def test_sharded_pool_replays_fused(self, rctx, gks, rlk, sample_ct):
         from repro.runtime import ServingConfig, ShardedExecutor
@@ -334,8 +450,6 @@ class TestFusedReplay:
         call-scoped: a thread replaying a fused plan and one rotating
         eagerly each find their *own* ``np.getbufsize()`` after every
         call, raising or not — and both still get the right bytes."""
-        from unittest import mock
-
         program = _pipeline(gks, rlk)
         plan = compile_fn(program, rctx.evaluator, [_spec(rctx), _spec(rctx)])
         rng = np.random.default_rng(15)
