@@ -509,20 +509,21 @@ class ReducerKernel:
         # reduce(S_hi) in place, then reduce((S_hi << h) + S_lo) for every
         # output at once, its last pass writing each caller's view
         s_hi, s_lo, work = sums
-        np.minimum(*self._reduce_halfway(s_hi, work), out=s_hi)
+        self.reduce(s_hi, out=s_hi, work=(work, s_hi))
         s_hi <<= _U64(self.mac_split)
         s_hi += s_lo
-        t, low = self._reduce_halfway(s_hi, s_lo)
+        t, low = self._reduce_halfway(s_hi, s_lo, s_hi)
         outs = outs or [None] * len(t)
         return [np.minimum(t[k], low[k], out=out) for k, out in enumerate(outs)]
 
-    def _reduce_halfway(self, x: np.ndarray, work: np.ndarray) -> tuple:
+    def _reduce_halfway(self, x: np.ndarray, est=None, low=None) -> tuple:
         """:meth:`reduce` of ``x`` short of its last pass, in two arrays:
-        ``t``, congruent and below ``2q``, written to ``work``, and the
-        wrapped ``t - q`` over ``x``; their minimum is canonical."""
-        t = self._times_q(x, self.reciprocal, out=work)
+        ``t``, congruent and below ``2q``, written to ``est``, and the
+        wrapped ``t - q``, written to ``low`` (which may be ``x``); their
+        minimum is canonical."""
+        t = self._times_q(x, self.reciprocal, out=est)
         np.subtract(x, t, out=t)  # exact mod 2^64: below 2q
-        return t, np.subtract(t, self.q, out=x)
+        return t, np.subtract(t, self.q, out=low)
 
     def _accumulate(self, prod: np.ndarray, axis: int, out=None) -> np.ndarray:
         """Sum canonical products along ``axis`` with deferred reduction."""
@@ -584,13 +585,11 @@ class ReducerKernel:
         arrays of the result's shape, else allocated — so a block-sized
         operand cycles them through the cache, not the temporaries of the
         expression form; with ``work`` and ``out`` the call allocates
-        nothing.  ``out`` may be ``x``; the scratch may not overlap either.
+        nothing.  ``out`` may be ``x``, and so may the second scratch
+        array (written once ``x`` is read); the first may overlap neither.
         """
         x = np.asarray(x, dtype=np.uint64)
-        est, low = (None, None) if work is None else work
-        t = self._times_q(x, self.reciprocal, out=est)
-        np.subtract(x, t, out=t)  # exact mod 2^64: below 2q
-        low = np.subtract(t, self.q, out=low)
+        t, low = self._reduce_halfway(x, *(work or (None, None)))
         return np.minimum(t, low, out=t if out is None else out)
 
     # ------------------------------------------------------------------

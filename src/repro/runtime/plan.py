@@ -95,7 +95,7 @@ def _strided(rows: list) -> np.ndarray | None:
     view when they are one evenly strided run of it, else ``None``.
 
     Each row of the view is one of ``rows`` (same address, shape and
-    strides), so it reads and writes only memory they already cover."""
+    strides), so it reads only memory they already cover."""
     first = rows[0]
 
     def owner(a):
@@ -509,7 +509,8 @@ class FusedExecutor:
             # of its giant group's encode buffer when they are one evenly
             # strided run of it — broadcast over both parts of the
             # (S, P, L, N) sources, which a replay stacks and splits once;
-            # the outputs run in lanes, each reading its stack once.
+            # the outputs run in lanes, each reading its stack once and
+            # copying its sums into the output's arena rows.
             k, parts = len(srcs), len(views)
             diags = [
                 plain_rows(g.consts[g.nodes[t].consts[0]], lvl) for t in grp.payload
@@ -521,7 +522,6 @@ class FusedExecutor:
                 stack = np.stack(run) if stack is None else stack
                 consts.append([stack[:, np.newaxis]])
             outs = [self._views[o] for o in grp.outputs]
-            targets = [_strided(v) for v in outs]  # None: written back below
 
             def mac_step(env, inputs):
                 rows = np.stack([env[s][i][:lvl] for s in srcs for i in range(parts)])
@@ -530,12 +530,11 @@ class FusedExecutor:
 
                 def lane(mine):
                     sums = kern.mul_accumulate_halves(
-                        [halves], [consts[o] for o in mine], [targets[o] for o in mine]
+                        [halves], [consts[o] for o in mine]
                     )
                     for o, sum_ in zip(mine, sums):
-                        if targets[o] is None:
-                            for view, row in zip(outs[o], sum_):
-                                np.copyto(view, row)
+                        for view, row in zip(outs[o], sum_):
+                            np.copyto(view, row)
 
                 in_lanes(range(len(outs)), lane)
 

@@ -333,9 +333,8 @@ class TestFusedReplay:
     ):
         """A MAC whose diagonals are not one evenly strided run of one
         buffer — encoded one by one, or rows of one stack out of order —
-        stacks a copy of them; with no strided view at all (diagonals nor
-        outputs) the outputs are written back part by part.  The bytes
-        are the eager calls' either way."""
+        stacks a copy of them, as it does when no strided view is made at
+        all.  The bytes are the eager calls' either way."""
         rng = np.random.default_rng(15)
         slots, level = rctx.params.slots, rctx.params.num_primes
         values = rng.uniform(-1, 1, (2, 3, slots))
