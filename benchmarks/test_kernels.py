@@ -245,6 +245,50 @@ def _stage_table(report) -> None:
     report("BatchNtt (24, 2^16) per-stage cost, barrett", lines)
 
 
+def test_giant_limb_stage_table(report):
+    """Report only: ms per butterfly stage of one limb of ``eval_bsgs``'s
+    giant-step decomposition (N = 2^10, 36-bit prime, one lane, best of
+    30), in the two layouts ``BatchNtt`` has: the row layout's one-limb
+    block of the ``(150, 10, 1024)`` forward, ``(150, 1, N)`` — stage
+    ``s`` pairs runs of ``t = N / 2^(s+1)``, its last ``log2 K`` stages
+    on the transposed copy — beside the column layout's ``(N, 135)``
+    block of the limb's off-diagonal digits, whose stage ``s`` pairs
+    runs of ``t·R`` in place.  ``other`` is the rest of the call: the
+    transposed copy, the closing reduce and its strided write-back."""
+    with _one_lane():
+        _giant_limb_stage_table(report)
+
+
+def _giant_limb_stage_table(report) -> None:
+    poly = _residue_poly(1, 10)
+    n, q = poly.degree, int(poly.basis.moduli[0])
+    bn = poly.basis.batch_ntt(1)
+    rng = np.random.default_rng(0)
+    opener = (type(bn.kernel), "mul_pre_raw")
+    spans = [n >> (s + 1) for s in range(len(bn._forward_plan))]
+    lines = []
+    for name, rows in (("row", 150), ("column", 135)):
+        x = rng.integers(0, q, (rows, 1, n), dtype=np.uint64)
+        if name == "row":
+            run, runs = bn.forward, spans
+        else:
+            x = np.ascontiguousarray(x.reshape(rows, n).T)
+
+            def run(x):  # in place: its output is a valid input again
+                bn.forward_columns(x, 0)
+
+            runs = [t * rows for t in spans]
+        total, stages, other = min(_stage_times(bn, run, x, opener) for _ in range(30))
+        lines.append(
+            f"{name} layout, {rows} rows: total {total*1e3:5.2f} ms, "
+            f"other {other*1e3:5.2f} ms"
+        )
+        label = "t" if name == "row" else "t*R"
+        lines.append(f"  run {label:3}:   " + " ".join(f"{t:6d}" for t in runs))
+        lines.append("  stage ms:  " + " ".join(f"{v*1e3:6.3f}" for v in stages))
+    report("One limb of the giant decomposition per stage, N=2^10, one lane", lines)
+
+
 def test_lanes_table(report):
     """Report only: best-of-5 ms of the limb-block loops that run in
     lanes (``repro.nums.kernels.in_lanes``) at the paper's (24, 2^16)

@@ -8,10 +8,15 @@ tensorizes the whole pipeline:
 
 * **decompose** stacks all L digit rows into one ``(L, L, N)`` tensor
   (``tensor[j, i]`` = digit ``j``, the residues mod ``q_j``, on limb ``i``)
-  and forward-transforms it with exactly one
+  and forward-transforms it — the transform takes the digits unreduced,
+  so no whole-tensor re-reduction precedes it.  One source is one
   :class:`~repro.transforms.ntt.BatchNtt` dispatch over the flattened
-  ``(L·L, N)`` matrix — the transform takes the digits unreduced, so no
-  whole-tensor re-reduction precedes it;
+  ``(L·L, N)`` matrix; a stack of ``S`` sources whose limbs carry at least
+  ``column_rows`` rows each (``S·(L-1)``: the giant-step family) is
+  transformed limb by limb in lanes, the limb's off-diagonal digits of
+  every source as the columns of one ``(N, S·(L-1))`` block, and its
+  diagonal digits — ``forward_i(inverse_i(x_i)) = x_i`` — copied from
+  the input;
 * **contract** walks the digit rows once against the ``[:L, :L]``
   prefix of a switching key's two ``(L, L, N)`` residue tensors (a key
   reaches every level at or below its own), in blocks of as many digits
@@ -37,12 +42,13 @@ it, to pin the batched path bit-identical to it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.ckks.keys import SwitchingKey
-from repro.nums.kernels import ufunc_buffer
+from repro.nums.kernels import in_lanes, ufunc_buffer
 from repro.rns.basis import RnsBasis
 from repro.rns.poly import COEFF, EVAL, RnsPolynomial
 from repro.transforms.ntt import BatchNtt
@@ -91,19 +97,58 @@ class KeySwitchEngine:
         rows: ``(..., L, L, N)``, one tensor per leading index.
 
         One inverse BatchNtt (the digits are coefficient-domain residue
-        rows) and exactly one forward BatchNtt dispatch over the stacked
-        ``(..., L·L, N)`` digit matrix.  Stacked sources (a family of
-        giant-step rotations) make both transforms several blocks long,
-        which the transforms walk in lanes.
+        rows), then the forward transforms of the digits broadcast onto
+        every limb, in the layout the shape picks
+        (:meth:`~repro.transforms.ntt.BatchNtt.forward_columns`): while
+        the rows one limb carries, ``S·(L-1)`` for ``S`` stacked sources,
+        stay below :attr:`~repro.transforms.ntt.BatchNtt.column_rows`,
+        one forward dispatch over the stacked ``(..., L·L, N)`` digit
+        matrix; from there (a family of giant-step rotations) limb by
+        limb in lanes, each limb's off-diagonal digits as the columns of
+        one block.  The rows must be canonical: the diagonal ``tensor[j,
+        j]`` is then the input row ``j`` itself, which the second layout
+        copies instead of transforming.
         """
         lvl = data.shape[-2]
         bat = self.basis.batch_ntt(lvl)
         coeff = bat.inverse(data)
+        shape = (*data.shape[:-1], lvl, self.basis.degree)
+        if math.prod(data.shape[:-2]) * (lvl - 1) >= bat.column_rows:
+            return self._decompose_columns(bat, data, coeff).reshape(shape)
         # tensor[j, i] = digit j broadcast onto limb i, unreduced: it is
         # below q_j, and the forward transform accepts any limb's
         # residues on every limb.
-        shape = (*data.shape[:-1], lvl, self.basis.degree)
         return bat.forward(np.broadcast_to(coeff[..., np.newaxis, :], shape))
+
+    @staticmethod
+    def _decompose_columns(bat: BatchNtt, data: np.ndarray, coeff: np.ndarray):
+        """The column layout of :meth:`decompose_rows`, ``(S, L, L, N)``:
+        the coefficient rows transposed once to ``(N, S, L)`` — every limb
+        reads the same digits — then per limb ``i``, in lanes, the digits
+        ``j != i`` of every source gathered as one ``(N, S·(L-1))`` block,
+        transformed on limb ``i`` and written to ``tensor[:, j, i]``; the
+        diagonal ``tensor[:, i, i]`` is ``forward_i(inverse_i(x_i))``, the
+        input row."""
+        lvl, n = data.shape[-2:]
+        rows = data.reshape(-1, lvl, n)
+        count = len(rows)
+        digits = np.ascontiguousarray(coeff.reshape(count * lvl, n).T)
+        digits = digits.reshape(n, count, lvl)
+        tensor = np.empty((count, lvl, lvl, n), dtype=np.uint64)
+
+        def lane(limbs):
+            block = np.empty((n, count, lvl - 1), dtype=np.uint64)
+            for i in limbs:
+                np.copyto(block[..., :i], digits[..., :i])
+                np.copyto(block[..., i:], digits[..., i + 1 :])
+                bat.forward_columns(block.reshape(n, -1), i)
+                evals = block.transpose(1, 2, 0)
+                np.copyto(tensor[:, :i, i], evals[:, :i])
+                np.copyto(tensor[:, i + 1 :, i], evals[:, i:])
+                np.copyto(tensor[:, i, i], rows[:, i])
+
+        in_lanes(range(lvl), lane)
+        return tensor
 
     def apply(
         self, dec: DecomposedPoly, key: SwitchingKey

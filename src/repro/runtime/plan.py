@@ -79,7 +79,7 @@ from repro.runtime.graph import AUTOMORPHISM_OPS, CtSpec, Graph, Node, PtSpec
 from repro.runtime.passes import fusion_groups, optimize
 from repro.runtime.telemetry import get_telemetry
 from repro.runtime.trace import trace
-from repro.transforms.ntt import galois_permutation
+from repro.transforms.ntt import BatchNtt, galois_permutation
 
 __all__ = [
     "ExecutionPlan",
@@ -508,9 +508,10 @@ class FusedExecutor:
             # Each output's diagonals are one (S, 1, L, N) stack — a view
             # of its giant group's encode buffer when they are one evenly
             # strided run of it — broadcast over both parts of the
-            # (S, P, L, N) sources, which a replay stacks and splits once;
-            # the outputs run in lanes, each reading its stack once and
-            # copying its sums into the output's arena rows.
+            # (S, P, L, N) sources, which a replay stacks and splits once,
+            # in cache-sized blocks of rows run in lanes; then the outputs
+            # run in lanes, each reading its stack once and copying its
+            # sums into the output's arena rows.
             k, parts = len(srcs), len(views)
             diags = [
                 plain_rows(g.consts[g.nodes[t].consts[0]], lvl) for t in grp.payload
@@ -524,9 +525,17 @@ class FusedExecutor:
             outs = [self._views[o] for o in grp.outputs]
 
             def mac_step(env, inputs):
-                rows = np.stack([env[s][i][:lvl] for s in srcs for i in range(parts)])
-                rows = rows.reshape(k, parts, lvl, -1)
-                halves = kern.split_rows(rows, out=(rows, None))
+                rows = [env[s][i][:lvl] for s in srcs for i in range(parts)]
+                halves = np.empty((2, len(rows), *rows[0].shape), np.uint64)
+
+                def split(blocks):
+                    for b in blocks:
+                        hi, lo = halves[:, b]
+                        np.stack(rows[b], out=hi)
+                        kern.split_rows(hi, out=(hi, lo))
+
+                in_lanes(BatchNtt.row_blocks(len(rows), rows[0].nbytes), split)
+                halves = halves.reshape(2, k, parts, *rows[0].shape)
 
                 def lane(mine):
                     sums = kern.mul_accumulate_halves(

@@ -27,7 +27,9 @@ Two transform front-ends share the tables:
   at a time at the paper's N = 2^16 — the software analogue of the
   accelerator keeping a limb on chip while it streams through the stages,
   with the blocks spread over one lane per CPU as the accelerator spreads
-  limbs over its parallel NTT lanes.
+  limbs over its parallel NTT lanes.  Many rows of one limb can instead
+  be transformed as the columns of one block, every stage one long
+  regular run.
 """
 
 from __future__ import annotations
@@ -362,16 +364,31 @@ class BatchNtt:
     operand is one block, i.e. one numpy dispatch per stage for *all*
     limbs.
 
-    Every pass runs over long contiguous runs.  A stage pairs elements
-    ``t`` apart; while ``t >= K`` (``K`` = :func:`_transposed_span`) the
-    block is viewed ``(m, 2, t)`` in place, under a ufunc buffer short
-    enough to walk such runs in place
-    (:func:`~repro.nums.kernels.ufunc_buffer`).  The
-    ``log2 K`` stages with shorter runs — the forward transform's last,
-    the inverse's first — work on a scratch copy of the block transposed
-    from ``(N/K, K)`` to ``(K, N/K)``, where partners are whole rows and
-    the twiddles, stored in that order (:func:`_late_order`), run along
-    the row.
+    Every pass runs over long contiguous runs, in one of two operand
+    layouts that share the stage loop, its plans and its kernel:
+
+    * *Rows* (every transform): a block holds its polynomials as rows,
+      ``(batch, r, N)``.  A stage pairs elements ``t`` apart; while ``t
+      >= K`` (``K`` = :func:`_transposed_span`) the block is viewed
+      ``(m, 2, t)`` in place, under a ufunc buffer short enough to walk
+      such runs in place (:func:`~repro.nums.kernels.ufunc_buffer`).
+      The ``log2 K`` stages with shorter runs — the forward transform's
+      last, the inverse's first — work on a scratch copy of the block
+      transposed from ``(N/K, K)`` to ``(K, N/K)``, where partners are
+      whole rows and the twiddles, stored in that order
+      (:func:`_late_order`), run along the row.  The shortest run is
+      ``K`` in place and ``N/K`` on the copy.
+    * *Columns* (:meth:`forward_columns`): ``R`` polynomials of one limb
+      held as the columns of an ``(N, R)`` block, so stage ``s`` pairs
+      the ``(m, 2, t R)`` halves in place and no stage needs a
+      transposed copy.  The shortest run is ``R``.
+
+    So a caller that holds ``R`` rows of one limb takes the columns when
+    ``R >= K`` (:attr:`column_rows`): key switching's decomposition of a
+    stack of sources, whose limbs each carry ``S·(L-1)`` digit rows —
+    135 for ``eval_bsgs``'s 15 giant steps at ``(2^10, 10)``, against
+    ``K = 32``; one source's 9 there, and 23 against 256 at ``(2^16,
+    24)``, keep the rows.
 
     The butterflies are *lazy*: products stay unreduced and sums are not
     brought back below ``q`` stage by stage; a block is renormalized only
@@ -386,9 +403,9 @@ class BatchNtt:
     a one-block operand runs on the caller's thread).  Scratch (the raw
     product, its estimate, the transposed copy) is allocated per lane and
     never kept here.  The one cache filled after construction,
-    :meth:`_block_plan`'s, is keyed by block, so lanes fill distinct keys
-    and a race on one key builds equal plans twice: one cached instance
-    serves every thread.
+    :meth:`_block_plan`'s, is keyed by block and layout, so lanes fill
+    distinct keys and a race on one key builds equal plans twice: one
+    cached instance serves every thread.
     """
 
     degree: int
@@ -452,6 +469,13 @@ class BatchNtt:
     def num_limbs(self) -> int:
         return len(self.moduli)
 
+    @property
+    def column_rows(self) -> int:
+        """The fewest rows of one limb the column layout is taken for
+        (:meth:`forward_columns`): ``K`` = :func:`_transposed_span`, the
+        row layout's shortest run, as ``R`` is the column layout's."""
+        return _transposed_span(self.degree)
+
     def blocks(self, batch: int = 1) -> list[slice]:
         """The limb-row slices one transform of ``batch`` stacked
         polynomials walks, each at most :data:`BLOCK_BYTES` of residues."""
@@ -465,15 +489,20 @@ class BatchNtt:
         rows = max(1, cls.BLOCK_BYTES // row_bytes)
         return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
 
-    def _block_plan(self, rows: slice) -> tuple[ReducerKernel, list, list]:
+    def _block_plan(
+        self, rows: slice, columns: bool = False
+    ) -> tuple[ReducerKernel, list, list]:
         """``(kernel, psi, psi_inv)`` of limbs ``rows``, built once and
         kept: their reducer (the full-column one when they are all the
         limbs) and, per stage ``m = 2^s``, the slice ``[m, 2m)`` of each
         twiddle table as a view that broadcasts against that stage's
         operands (:meth:`_operands`).  The inverse's last stage (``m =
         1``) gets the pair ``(n_inv, w * n_inv)`` of its two outputs in
-        place of its one twiddle ``w``."""
-        key = (rows.start, rows.stop)
+        place of its one twiddle ``w``.  With ``columns`` (one limb's
+        column block, see :meth:`forward_columns`) every slice is in
+        natural order, the late ones copied back from
+        :func:`_late_order`'s."""
+        key = (rows.start, rows.stop, columns)
         plan = self._block_plans.get(key)
         if plan is None:
             kern = self.kernel
@@ -482,11 +511,12 @@ class BatchNtt:
             chunks = self.degree // _transposed_span(self.degree)
 
             def staged(w: np.ndarray) -> np.ndarray:
-                if w.shape[-1] < chunks:
-                    return w[..., None, :, :, None]
-                # stored (groups, chunks): see _late_order
-                w = w.reshape(*w.shape[:-1], -1, chunks).swapaxes(-2, -3)
-                return w[..., None, None, :, None, :]
+                if w.shape[-1] >= chunks:  # stored (groups, chunks)
+                    w = w.reshape(*w.shape[:-1], -1, chunks)
+                    if not columns:
+                        return w.swapaxes(-2, -3)[..., None, None, :, None, :]
+                    w = w.swapaxes(-1, -2).reshape(*w.shape[:-2], -1)
+                return w[..., None, :, :, None]
 
             groups = [1 << s for s in range(ilog2(self.degree))]
             psi, psi_inv = (
@@ -514,15 +544,20 @@ class BatchNtt:
         span = _transposed_span(n)
         return block.reshape(batch, count, 1, n // span, span).transpose(4, 0, 1, 2, 3)
 
-    def _layouts(self, block: np.ndarray, work: np.ndarray):
+    def _layouts(self, block: np.ndarray, work: np.ndarray, columns: bool = False):
         """``(natural, turned, spare)`` for one ``(batch, r, N)`` block:
         the block with the singleton the moduli column broadcasts over;
         the contiguous scratch its transposed copy (:meth:`_turn`) lives
-        in; and ``spare(like)``, two scratch arrays shaped like an operand
-        up to the block's size (a stage's half-block temporaries, a
-        renormalization's whole-block ones)."""
+        in — for a column block (``columns``, viewed ``(1, 1, N R)``) the
+        block itself, which no stage turns; and ``spare(like)``, two
+        scratch arrays shaped like an operand up to the block's size (a
+        stage's half-block temporaries, a renormalization's whole-block
+        ones)."""
         natural = block[:, :, None, :]
-        turned = work[2, : block.size].reshape(self._turn(block).shape)
+        if columns:
+            turned = natural
+        else:
+            turned = work[2, : block.size].reshape(self._turn(block).shape)
 
         def spare(like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             first, second = work[:2, : like.size]
@@ -599,14 +634,19 @@ class BatchNtt:
                 f"expected a contiguous (batch, {count}, {self.degree}) uint64 block"
             )
 
-    def _forward_block(self, block: np.ndarray, rows: slice, work: np.ndarray) -> None:
-        """Cooley–Tukey stages of one ``(batch, r, N)`` block, in place."""
-        kern, psi, _ = self._block_plan(rows)
-        natural, turned, spare = self._layouts(block, work)
+    def _forward_block(
+        self, block: np.ndarray, rows: slice, work: np.ndarray, columns: bool = False
+    ) -> None:
+        """Cooley–Tukey stages of one ``(batch, r, N)`` block, in place —
+        or, with ``columns``, of one limb's ``(N, R)`` column block."""
+        kern, psi, _ = self._block_plan(rows, columns)
+        if columns:
+            block = block.reshape(1, 1, -1)
+        natural, turned, spare = self._layouts(block, work, columns)
         bq = kern.q * np.uint64(kern.RAW_BOUND)
         held = natural
         for s, reduce_first in enumerate(self._forward_plan):
-            if 1 << s == turned.shape[-1]:
+            if not columns and 1 << s == turned.shape[-1]:
                 np.copyto(turned, self._turn(block))
                 held = turned
             if reduce_first:
@@ -617,7 +657,28 @@ class BatchNtt:
             np.add(u, bq, out=x1)
             x1 -= v
             u += v
-        kern.reduce(turned, out=self._turn(block), work=spare(turned))
+        done = natural if columns else self._turn(block)
+        kern.reduce(turned, out=done, work=spare(turned))
+
+    def forward_columns(self, block: np.ndarray, limb: int) -> None:
+        """:meth:`forward` of limb ``limb`` on ``R`` polynomials held as
+        the columns of a contiguous ``(N, R)`` uint64 array, in place —
+        the column layout (see the class docstring) for a caller that
+        has the rows of one limb transposed already (key switching's
+        decomposition of a stack of sources).  Values may be anything
+        below :attr:`input_bound`; outputs are canonical."""
+        if (
+            block.dtype != np.uint64
+            or block.ndim != 2
+            or block.shape[0] != self.degree
+            or not block.flags.c_contiguous
+        ):
+            raise ValueError(f"expected a contiguous ({self.degree}, R) uint64 block")
+        if not 0 <= limb < self.num_limbs:
+            raise ValueError(f"limb {limb} outside [0, {self.num_limbs})")
+        work = np.empty((2, block.size), np.uint64)  # never turned: no third row
+        with ufunc_buffer():
+            self._forward_block(block, slice(limb, limb + 1), work, columns=True)
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
         """``(..., L, N)`` evaluation rows -> coefficient rows (scaled 1/N).

@@ -11,6 +11,10 @@ automorphism) hold structurally, not just by timing.
 
 from __future__ import annotations
 
+import threading
+from contextlib import ExitStack
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -18,6 +22,7 @@ from repro.ckks import CkksContext, toy_params
 from repro.ckks.containers import Ciphertext
 from repro.ckks.evaluator import galois_rows
 from repro.ckks.keys import rotation_galois_elt
+from repro.nums import kernels
 from repro.rns.poly import EVAL, RnsPolynomial
 from repro.transforms.ntt import BatchNtt, galois_permutation
 from tests import BARRETT
@@ -112,6 +117,69 @@ class TestBatchedSwitch:
         forward_shapes = [s for s in calls if len(s) == 3]
         assert forward_shapes == [(NUM_PRIMES, NUM_PRIMES, DEGREE)]
         assert len(calls) == 1  # no stray per-digit dispatches
+
+
+class TestDecompositionLayouts:
+    """``decompose_rows`` of ``S`` stacked sources takes the column layout
+    once the rows one limb carries, ``S·(L-1)``, reach ``K`` (the
+    transform's ``column_rows``), and gives the per-source decompositions'
+    bytes either way.  At N = 128, L = 6 (``K = 16``) two sources are 10
+    rows, the row layout; four are 20, the column layout; at L = 5 four
+    sources are exactly ``K``."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return CkksContext.create(toy_params(degree=128, num_primes=6), seed=7)
+
+    @pytest.mark.parametrize(
+        "lead, lvl, columns",
+        [
+            ((2,), 6, False),
+            ((4,), 6, True),
+            ((2, 2), 6, True),
+            ((3,), 5, False),
+            ((4,), 5, True),
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("cpu", [None, 1, 2], ids=["own", "cpu1", "cpu2"])
+    def test_stack_matches_per_source(self, small, lead, lvl, columns, cpu):
+        engine = small.evaluator.keyswitch
+        n = small.params.degree
+        bat = small.basis.batch_ntt(lvl)
+        assert (np.prod(lead) * (lvl - 1) >= bat.column_rows) == columns
+        q_col = np.array(small.basis.moduli[:lvl], dtype=np.uint64).reshape(-1, 1)
+        rng = np.random.default_rng(len(lead) * 10 + int(np.prod(lead)))
+        rows = rng.integers(0, 1 << 62, (*lead, lvl, n), dtype=np.uint64) % q_col
+        rows[..., 0, :2] = q_col[0] - np.uint64(1)
+        flat = rows.reshape(-1, lvl, n)
+        want = np.stack([engine.decompose_rows(r) for r in flat])
+        transformed, started = [], []
+        real_columns, real_thread = BatchNtt.forward_columns, threading.Thread
+
+        def spy(self, block, limb):
+            transformed.append(limb)
+            return real_columns(self, block, limb)
+
+        def counting(*args, **kwargs):
+            started.append(1)
+            return real_thread(*args, **kwargs)
+
+        with ExitStack() as patches:
+            patches.enter_context(mock.patch.object(BatchNtt, "forward_columns", spy))
+            patches.enter_context(mock.patch.object(threading, "Thread", counting))
+            if cpu is not None:
+                patches.enter_context(
+                    mock.patch.object(kernels, "_cpu_count", return_value=cpu)
+                )
+            lanes = kernels._cpu_count()
+            got = engine.decompose_rows(rows)
+        assert got.shape == (*lead, lvl, lvl, n) and got.dtype == np.uint64
+        assert np.array_equal(got.reshape(want.shape), want)
+        assert sorted(transformed) == (list(range(lvl)) if columns else [])
+        assert bool(started) == (columns and lanes > 1)
+        for i in range(lvl):  # forward_i(inverse_i(x_i)) is x_i
+            assert np.array_equal(got[..., i, i, :], rows[..., i, :])
 
 
 class TestContraction:

@@ -32,6 +32,7 @@ from repro.runtime import (
 )
 from repro.rns.poly import EVAL, RnsPolynomial
 from repro.runtime.graph import _RULES
+from repro.transforms.ntt import BatchNtt
 
 
 def _spec(rctx, level=None):
@@ -252,14 +253,18 @@ class TestFusedReplay:
     )
     def test_mac_and_family_lanes_give_eager_bytes(self, dense_bsgs, sample_ct, cpu):
         """Both families run their members in lanes, and the MAC its
-        outputs (both parts of an output in one lane): the replay's bytes are the eager calls'
-        (the interpreter's) at the process's own CPU count and at one,
+        outputs (both parts of an output in one lane) after splitting its
+        sources in cache-sized blocks, in lanes too: the replay's bytes
+        are the eager calls' (the interpreter's) at the process's own CPU
+        count and at one,
         two and three, one lane thread starts per extra lane of each
         laned step — none on one CPU — and every one is joined when the
         replay returns."""
         hlt, plan = dense_bsgs
         [oracle] = plan.run([sample_ct])
         baby, mac, giant, _ = plan.fused().groups
+        rows = 2 * len(mac.sources)  # both parts of every source
+        split = len(BatchNtt.row_blocks(rows, sample_ct.parts[0].data.nbytes))
         calls = []
         real_lanes = plan_module.in_lanes
 
@@ -285,7 +290,7 @@ class TestFusedReplay:
             lanes = kernels._cpu_count()
             [[fused]] = plan.run_batch([[sample_ct]])
         assert threading.active_count() == before
-        assert calls == [len(baby.members), len(mac.outputs), len(giant.members)]
+        assert calls == [len(baby.members), split, len(mac.outputs), len(giant.members)]
         assert len(started) >= sum(min(n, lanes) - 1 for n in calls)
         assert bool(started) == (lanes > 1)
         _assert_ct_equal(fused, oracle, f"{lanes} lane(s)")

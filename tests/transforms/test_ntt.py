@@ -462,6 +462,53 @@ class TestButterflyLayouts:
         self.check(bn, PAPER_PRIMES[:2], (), np.random.default_rng(16))
 
     @BARRETT
+    @pytest.mark.parametrize(
+        "log_n, wide", [(1, False), (4, False), (7, False), (10, True)]
+    )
+    def test_columns_match_per_limb_reference(self, log_n, wide):
+        """The column layout (``BatchNtt.forward_columns``): ``R``
+        polynomials of one limb as the columns of an ``(N, R)`` block,
+        ``R = K`` and ``3K + 1``, limb by limb against the per-limb
+        reference — inputs anywhere below ``input_bound`` (any limb's
+        residues, unreduced) and at its edges; at 40 bits the forward
+        plan renormalizes on the column stages too."""
+        from repro.transforms.ntt import BatchNtt, _transposed_span
+
+        n, moduli = 1 << log_n, WIDE_PRIMES if wide else PAPER_PRIMES
+        bn = BatchNtt.create(n, moduli)
+        span = _transposed_span(n)
+        assert bn.column_rows == span
+        assert any(bn._forward_plan) == wide
+        rng = np.random.default_rng(log_n)
+        for count in (span, 3 * span + 1):
+            for limb, q in enumerate(moduli):
+                x = rng.integers(0, bn.input_bound, (count, n), dtype=np.uint64)
+                x[0] = bn.input_bound - 1
+                x[1] = 0
+                x[-1] = q - 1
+                block = x.T.copy()
+                bn.forward_columns(block, limb)
+                ref = NttContext.cached(n, q)
+                assert np.array_equal(block.T, np.stack([ref.forward(r) for r in x]))
+
+    def test_columns_reject_what_they_cannot_transform(self):
+        from repro.transforms.ntt import BatchNtt
+
+        n = 1 << 4
+        bn = BatchNtt.create(n, PAPER_PRIMES)
+        for bad in (
+            np.zeros((n, 3), np.int64),
+            np.zeros((3, n), np.uint64),
+            np.zeros((n, 6), np.uint64)[:, ::2],
+            np.zeros((n, 3, 1), np.uint64),
+        ):
+            with pytest.raises(ValueError):
+                bn.forward_columns(bad, 0)
+        for limb in (-1, len(PAPER_PRIMES)):
+            with pytest.raises(ValueError):
+                bn.forward_columns(np.zeros((n, 3), np.uint64), limb)
+
+    @BARRETT
     def test_renormalizing_stages_fall_on_both_layouts(self):
         """At 40 bits the forward plan, too, renormalizes mid-transform
         (at 36 only the inverse's does): a renormalization lands on the
