@@ -640,7 +640,7 @@ class BatchNtt:
         """Cooley–Tukey stages of one ``(batch, r, N)`` block, in place —
         or, with ``columns``, of one limb's ``(N, R)`` column block."""
         kern, psi, _ = self._block_plan(rows, columns)
-        if columns:
+        if columns:  # one row of N R: every stage's (m, 2, t R) halves in place
             block = block.reshape(1, 1, -1)
         natural, turned, spare = self._layouts(block, work, columns)
         bq = kern.q * np.uint64(kern.RAW_BOUND)
