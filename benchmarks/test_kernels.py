@@ -36,7 +36,7 @@ from repro.nums.kernels import ReducerKernel, ufunc_buffer
 from repro.rns import RnsBasis
 from repro.rns.poly import EVAL, RnsPolynomial
 from repro.transforms.fft import SpecialFft
-from repro.transforms.ntt import NttContext, galois_permutation
+from repro.transforms.ntt import BatchNtt, NttContext, galois_permutation
 
 PRIME = find_primes(36, 1 << 16)[0].value
 
@@ -109,29 +109,35 @@ def ckks_ctx():
 # ---------------------------------------------------------------------------
 
 
+def _one_limb(n: int, rows: int = 1) -> tuple[BatchNtt, list[np.ndarray]]:
+    """A one-limb :class:`BatchNtt` — the transform every caller runs —
+    and ``rows`` random ``(1, N)`` coefficient rows for it."""
+    rng = np.random.default_rng(0)
+    polys = [rng.integers(0, PRIME, (1, n), dtype=np.uint64) for _ in range(rows)]
+    return BatchNtt.create(n, (PRIME,)), polys
+
+
 @pytest.mark.parametrize("log_n", [12, 14, 16])
 def test_ntt_forward(benchmark, log_n):
-    n = 1 << log_n
-    ntt = NttContext.cached(n, PRIME)
-    a = np.random.default_rng(0).integers(0, PRIME, n).astype(np.uint64)
-    benchmark(ntt.forward, a)
+    bn, (a,) = _one_limb(1 << log_n)
+    benchmark(bn.forward, a)
 
 
 def test_ntt_forward_backend(benchmark):
     """Forward NTT at 2^14 on the Barrett reducer."""
-    n = 1 << 14
-    ntt = NttContext.cached(n, PRIME)
-    a = np.random.default_rng(0).integers(0, PRIME, n).astype(np.uint64)
-    benchmark(ntt.forward, a)
+    bn, (a,) = _one_limb(1 << 14)
+    benchmark(bn.forward, a)
 
 
 def test_ntt_negacyclic_mul(benchmark):
-    n = 1 << 14
-    ntt = NttContext.cached(n, PRIME)
-    rng = np.random.default_rng(0)
-    a = rng.integers(0, PRIME, n).astype(np.uint64)
-    b = rng.integers(0, PRIME, n).astype(np.uint64)
-    benchmark(ntt.negacyclic_mul, a, b)
+    """A ring product through the transform: two forwards, the pointwise
+    product, one inverse."""
+    bn, (a, b) = _one_limb(1 << 14, rows=2)
+
+    def negacyclic_mul():
+        return bn.inverse(bn.kernel.mul(bn.forward(a), bn.forward(b)))
+
+    benchmark(negacyclic_mul)
 
 
 def _residue_poly(limbs: int, log_n: int) -> RnsPolynomial:
@@ -794,9 +800,12 @@ def test_barrett_speedup_vs_seed_path(report):
     )
     poly_speedup = t_seed_poly / t_barrett_poly
 
-    ntt = NttContext.cached(n, PRIME)
+    psi_rev = NttContext.cached(n, PRIME).psi_rev
+    bn = BatchNtt.create(n, (PRIME,))
     t_seed_ntt, t_barrett_ntt = _min_time_pair(
-        lambda: seed_ntt_forward(ntt.psi_rev, n, PRIME, a), lambda: ntt.forward(a), reps=8
+        lambda: seed_ntt_forward(psi_rev, n, PRIME, a),
+        lambda: bn.forward(a[None]),
+        reps=8,
     )
     ntt_speedup = t_seed_ntt / t_barrett_ntt
 

@@ -68,7 +68,6 @@ TEST_ONLY_ALLOWED: dict[str, str] = {
     "repro.ckks.deserialize_seeded": _SEEDED,
     "repro.ckks.pack_residues": _PACKING,
     "repro.ckks.unpack_residues": _PACKING,
-    "repro.transforms.negacyclic_mul_naive": "the schoolbook oracle of the NTT tests",
     "repro.transforms.OnTheFlyTwiddleGenerator": _TWIDDLES,
     "repro.transforms.StageSeed": _TWIDDLES,
 }

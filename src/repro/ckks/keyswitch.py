@@ -36,8 +36,10 @@ tensorizes the whole pipeline:
   CoeffToSlot/SlotToCoeff pay one inverse NTT for a whole batch of
   rotations instead of one per rotation.
 
-``switch_reference`` preserves the seed's per-digit loop; only tests call
-it, to pin the batched path bit-identical to it.
+This is the one key switch.  The tests hold it to the gadget sum
+``Σ_j [x]_{q_j} · key_j`` of ``tests/oracle.py``, exact arithmetic on
+Python ints that shares nothing with this module but data: residues,
+moduli and each limb's ψ.
 """
 
 from __future__ import annotations
@@ -50,7 +52,7 @@ import numpy as np
 from repro.ckks.keys import SwitchingKey
 from repro.nums.kernels import in_lanes, ufunc_buffer
 from repro.rns.basis import RnsBasis
-from repro.rns.poly import COEFF, EVAL, RnsPolynomial
+from repro.rns.poly import EVAL, RnsPolynomial
 from repro.transforms.ntt import BatchNtt
 
 __all__ = ["DecomposedPoly", "KeySwitchEngine"]
@@ -193,37 +195,6 @@ class KeySwitchEngine:
     ) -> tuple[RnsPolynomial, RnsPolynomial]:
         """One-shot key switch (decompose + apply)."""
         return self.apply(self.decompose(poly), key)
-
-    # ------------------------------------------------------------------
-    # Reference path
-    # ------------------------------------------------------------------
-
-    @ufunc_buffer()
-    def switch_reference(
-        self, poly: RnsPolynomial, key: SwitchingKey
-    ) -> tuple[RnsPolynomial, RnsPolynomial]:
-        """The seed's per-digit Python loop, kept for bit-identity tests.
-        Semantically (and bit-for-bit) equal to :meth:`switch`."""
-        if poly.domain != EVAL:
-            raise ValueError("key switching expects an NTT-domain polynomial")
-        lvl = poly.level
-        _check_reach(key, lvl)
-        pairs = key.pairs
-        coeff = poly.to_coeff()
-        kern = self.basis.kernel(lvl)
-        out0: RnsPolynomial | None = None
-        out1: RnsPolynomial | None = None
-        for j in range(lvl):
-            digit_row = coeff.data[j]  # residues mod q_j
-            wide = np.broadcast_to(digit_row, (lvl, digit_row.shape[0]))
-            digit = RnsPolynomial(self.basis, kern.reduce(wide), COEFF).to_eval()
-            b_j, a_j = (part.drop_limbs(lvl) for part in pairs[j])
-            t0 = digit * b_j
-            t1 = digit * a_j
-            out0 = t0 if out0 is None else out0 + t0
-            out1 = t1 if out1 is None else out1 + t1
-        assert out0 is not None and out1 is not None
-        return out0, out1
 
 
 def _check_reach(key: SwitchingKey, level: int) -> None:

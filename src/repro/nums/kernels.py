@@ -396,10 +396,11 @@ class ReducerKernel:
 
         The inner-product primitive behind batched key switching: products
         are reduced to canonical form, but the *accumulation* is deferred —
-        terms are summed as raw uint64 and reduced once at the end.  With
-        canonical terms below ``2^41`` the uint64 headroom fits ``2^23``
-        addends, far beyond any RNS digit count; longer axes fall back to
-        chunked partial sums so the result stays exact.
+        terms are summed as raw uint64 and reduced once at the end.  One
+        sum holds :attr:`term_budget` terms: the ``2^23`` a 41-bit modulus
+        leaves in uint64, or the smallest modulus if that is fewer (the
+        sum must stay in ``reduce``'s ``[0, q^2)``).  Longer axes fall back
+        to chunked partial sums so the result stays exact.
         """
         return self._accumulate(self.mul(a, b), axis, out=out)
 
@@ -531,7 +532,7 @@ class ReducerKernel:
         terms = prod.shape[axis]
         if terms <= headroom:
             acc = np.add.reduce(prod, axis=axis, dtype=np.uint64)
-        else:  # pragma: no cover - needs > 2^23 digit rows
+        else:
             prod = np.moveaxis(prod, axis, 0)
             acc = np.zeros(prod.shape[1:], dtype=np.uint64)
             for start in range(0, terms, headroom):

@@ -21,7 +21,7 @@ from repro.transforms.dataflow import (
 )
 from repro.transforms.fft import SpecialFft, embedding_matrix
 from repro.transforms.fp_custom import FP55, FP64, FloatFormat
-from repro.transforms.ntt import BatchNtt, NttContext, negacyclic_mul_naive
+from repro.transforms.ntt import BatchNtt, NttContext
 from repro.transforms.twiddle import (
     OnTheFlyTwiddleGenerator,
     StageSeed,
@@ -41,7 +41,6 @@ __all__ = [
     "TwiddleMemoryModel",
     "design_space",
     "embedding_matrix",
-    "negacyclic_mul_naive",
     "pipeline_multipliers",
     "reduction_vs",
     "sfg_multiplications_merged",

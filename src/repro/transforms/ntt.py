@@ -13,29 +13,28 @@ The kernels are fully vectorized: every butterfly multiply goes through a
 on the hot path), with the twiddle tables held in its precomputed form
 (each twiddle stacked on its scaled float64 reciprocal).
 
-Two transform front-ends share the tables:
+:class:`NttContext` holds the tables of one (degree, modulus) pair — ψ and
+its merged twiddle rows — in a process-level cache
+(:meth:`NttContext.cached`), so repeated ``RnsBasis``/key-generation paths
+never rebuild them.  :class:`BatchNtt`, the one transform, stacks them for
+all limbs of an RNS basis with per-row modulus broadcasting and walks the
+limb rows in cache-sized blocks: one numpy dispatch per stage for *all*
+limbs while the operand is small, one limb at a time at the paper's N =
+2^16 — the software analogue of the accelerator keeping a limb on chip
+while it streams through the stages, with the blocks spread over one lane
+per CPU as the accelerator spreads limbs over its parallel NTT lanes.
+Many rows of one limb can instead be transformed as the columns of one
+block, every stage one long regular run.
 
-* :class:`NttContext` — one (degree, modulus) pair, the classic per-limb
-  API and the reference the batched transform is tested against, with a
-  process-level cache (:meth:`NttContext.cached`) so repeated
-  ``RnsBasis``/key-generation paths never rebuild twiddles.  Its
-  butterfly sums use *lazy reduction*: stage outputs live in ``[0, 2q)``
-  and are renormalized once at the top of the next stage;
-* :class:`BatchNtt` — all limbs of an RNS basis with per-row modulus
-  broadcasting, walked in cache-sized blocks of limb rows: one numpy
-  dispatch per stage for *all* limbs while the operand is small, one limb
-  at a time at the paper's N = 2^16 — the software analogue of the
-  accelerator keeping a limb on chip while it streams through the stages,
-  with the blocks spread over one lane per CPU as the accelerator spreads
-  limbs over its parallel NTT lanes.  Many rows of one limb can instead
-  be transformed as the columns of one block, every stage one long
-  regular run.
+The tests hold it to ``tests/oracle.py``, an exact textbook transform on
+Python ints that shares nothing with this module but data: the moduli
+and each limb's ψ.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -50,7 +49,7 @@ from repro.nums.kernels import (
 from repro.nums.modular import mod_inv, nth_root_of_unity
 from repro.utils.bitops import bit_reverse_indices, ilog2
 
-__all__ = ["NttContext", "BatchNtt", "galois_permutation", "negacyclic_mul_naive"]
+__all__ = ["NttContext", "BatchNtt", "galois_permutation"]
 
 
 @lru_cache(maxsize=None)
@@ -97,13 +96,6 @@ def _bit_reversed_powers(kernel: ReducerKernel, root: int, degree: int) -> np.nd
     return out
 
 
-def _canonicalize(a: np.ndarray, q) -> np.ndarray:
-    """Bring an arbitrary uint64 array into [0, q) (cheap when already there)."""
-    if int(a.max(initial=0)) >= int(np.max(q)):
-        return a % np.asarray(q, dtype=np.uint64)
-    return a
-
-
 @dataclass(frozen=True)
 class NttContext:
     """Precomputed tables for negacyclic NTT/INTT of one (degree, prime) pair.
@@ -114,18 +106,13 @@ class NttContext:
         psi: primitive 2N-th root of unity mod q.
         psi_rev: merged Cooley–Tukey twiddles, ``psi^{bitrev(j)}``.
         psi_inv_rev: merged Gentleman–Sande twiddles for the inverse.
-        n_inv: ``N^{-1} mod q``.  :meth:`inverse` multiplies it in after
-            the last stage; :class:`BatchNtt` folds it into that stage
-            (into both outputs' twiddles).
-        kernel: the bound :class:`ReducerKernel` instance.
-        n_inv_pre: ``n_inv`` in the kernel's precomputed constant form
-            (see ``ReducerKernel.pre``).
+        n_inv: ``N^{-1} mod q``, which :class:`BatchNtt` folds into the
+            inverse's last stage (into both outputs' twiddles).
 
-    ``psi_pre`` / ``psi_inv_pre``, the twiddle tables in that form, are
-    built by the first per-limb transform: :class:`BatchNtt` stacks its
-    own planes from ``psi_rev`` / ``psi_inv_rev``, so a context that only
-    feeds one never holds them (two planes per table, 2 MiB
-    per limb at N = 2^16).
+    No transform runs here: :class:`BatchNtt` stacks its reducer planes
+    from ``psi_rev`` / ``psi_inv_rev`` and ``n_inv``, and the on-the-fly
+    twiddle model (:mod:`repro.transforms.twiddle`) seeds its stages from
+    ``psi``.
     """
 
     degree: int
@@ -134,16 +121,6 @@ class NttContext:
     psi_rev: np.ndarray
     psi_inv_rev: np.ndarray
     n_inv: int
-    kernel: ReducerKernel = field(default=None, repr=False, compare=False)
-    n_inv_pre: np.ndarray = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def psi_pre(self) -> np.ndarray:
-        return self.kernel.pre(self.psi_rev)
-
-    @cached_property
-    def psi_inv_pre(self) -> np.ndarray:
-        return self.kernel.pre(self.psi_inv_rev)
 
     @classmethod
     def create(cls, degree: int, modulus: int, psi: int | None = None) -> "NttContext":
@@ -162,16 +139,13 @@ class NttContext:
         kernel = kernel_for_modulus(modulus)
         psi_rev = _bit_reversed_powers(kernel, psi, degree)
         psi_inv_rev = _bit_reversed_powers(kernel, mod_inv(psi, modulus), degree)
-        n_inv = mod_inv(degree, modulus)
         return cls(
             degree=degree,
             modulus=modulus,
             psi=psi,
             psi_rev=psi_rev,
             psi_inv_rev=psi_inv_rev,
-            n_inv=n_inv,
-            kernel=kernel,
-            n_inv_pre=kernel.pre(np.uint64(n_inv)),
+            n_inv=mod_inv(degree, modulus),
         )
 
     # Process-level context cache: RNS bases / key generators ask for the
@@ -186,77 +160,6 @@ class NttContext:
         if ctx is None:
             ctx = cls._CACHE[key] = cls.create(degree, modulus)
         return ctx
-
-    # ------------------------------------------------------------------
-    # Transforms
-    # ------------------------------------------------------------------
-
-    def forward(self, coeffs: np.ndarray) -> np.ndarray:
-        """Coefficient -> evaluation domain (merged negacyclic CT NTT).
-
-        Input in natural order, output in bit-reversed order; the inverse
-        consumes that order directly, so no explicit permutation is needed
-        for multiply-round-trips (exactly how the streaming hardware chains
-        NTT -> pointwise -> INTT).
-
-        Lazy reduction: intermediate values live in [0, 2q) and are pulled
-        back below q once per stage (a conditional subtract), not per op.
-        """
-        n, q = self.degree, np.uint64(self.modulus)
-        a = np.asarray(coeffs, dtype=np.uint64)
-        if a.shape != (n,):
-            raise ValueError(f"expected shape ({n},), got {a.shape}")
-        a = _canonicalize(a, q).copy()
-        kern = self.kernel
-        m = 1
-        t = n
-        while m < n:
-            t //= 2
-            view = a.reshape(m, 2, t)
-            factors = self.psi_pre[..., m : 2 * m, None]
-            u = _csub(view[:, 0, :], q)
-            v = kern.mul_pre(_csub(view[:, 1, :], q), factors)
-            view[:, 0, :] = u + v
-            view[:, 1, :] = u + (q - v)
-            m *= 2
-        return _csub(a, q)
-
-    def inverse(self, evals: np.ndarray) -> np.ndarray:
-        """Evaluation -> coefficient domain (merged GS INTT, scales by 1/N)."""
-        n, q = self.degree, np.uint64(self.modulus)
-        a = np.asarray(evals, dtype=np.uint64)
-        if a.shape != (n,):
-            raise ValueError(f"expected shape ({n},), got {a.shape}")
-        a = _canonicalize(a, q).copy()
-        kern = self.kernel
-        t = 1
-        m = n
-        while m > 1:
-            h = m // 2
-            view = a.reshape(h, 2, t)
-            factors = self.psi_inv_pre[..., h : 2 * h, None]
-            u = _csub(view[:, 0, :], q)
-            v = _csub(view[:, 1, :], q)
-            view[:, 0, :] = u + v
-            view[:, 1, :] = kern.mul_pre(kern.sub(u, v), factors)
-            t *= 2
-            m = h
-        return kern.mul_pre(_csub(a, q), self.n_inv_pre)
-
-    # ------------------------------------------------------------------
-    # Convenience operations in the evaluation domain
-    # ------------------------------------------------------------------
-
-    def pointwise_mul(self, a_eval: np.ndarray, b_eval: np.ndarray) -> np.ndarray:
-        """Hadamard product of two evaluation-domain polynomials."""
-        q = np.uint64(self.modulus)
-        a = _canonicalize(np.asarray(a_eval, dtype=np.uint64), q)
-        b = _canonicalize(np.asarray(b_eval, dtype=np.uint64), q)
-        return self.kernel.mul(a, b)
-
-    def negacyclic_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Full polynomial product in Z_q[X]/(X^N+1) via NTT round trip."""
-        return self.inverse(self.pointwise_mul(self.forward(a), self.forward(b)))
 
 
 def _lazy_plans(kernel: ReducerKernel, moduli, stages: int, input_bound: int):
@@ -395,8 +298,7 @@ class BatchNtt:
     where :func:`_lazy_plans` says the next operand would overflow, and
     once at the end (the inverse's last stage, which also carries
     ``1/N``).  Every value stays congruent to the canonical transform's,
-    so results are bit-identical to looping :class:`NttContext` limb by
-    limb — which stays the canonical reference.
+    so the outputs are its canonical residues.
 
     Blocks are independent, so :meth:`forward` and :meth:`inverse` walk
     them in lanes, one thread per CPU (:func:`~repro.nums.kernels.in_lanes`;
@@ -744,27 +646,3 @@ class BatchNtt:
                 f"got {mat.shape}"
             )
         return mat.shape
-
-
-def negacyclic_mul_naive(a, b, modulus: int) -> np.ndarray:
-    """Schoolbook negacyclic product — the O(N^2) oracle used by tests.
-
-    Works on exact Python ints so there is no overflow for any modulus.
-    """
-    a = [int(x) % modulus for x in a]
-    b = [int(x) % modulus for x in b]
-    n = len(a)
-    if len(b) != n:
-        raise ValueError("length mismatch")
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            k = i + j
-            term = ai * bj
-            if k < n:
-                out[k] = (out[k] + term) % modulus
-            else:
-                out[k - n] = (out[k - n] - term) % modulus
-    return np.array([x % modulus for x in out], dtype=np.uint64)

@@ -180,6 +180,7 @@ class TestDecryptor:
         assert np.max(np.abs(out[:4] - msg)) < 1e-5
 
 
+@pytest.mark.lanes
 class TestStreamedDecryptLanes:
     """The limb-streamed decryption, in lanes: several blocks forced at
     N = 2^10 by a smaller ``BLOCK_BYTES``, the CPU count patched to 1, 2

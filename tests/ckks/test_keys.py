@@ -145,6 +145,7 @@ def _composed_digit_by_digit(ctx, source, level, tag):
     return np.stack(b), np.stack(a)
 
 
+@pytest.mark.lanes
 class TestKeyStacks:
     """A switching key is built as two ``(L, L, N)`` tensors: errors
     embedded into ``b``, one in-place forward over all of it, and

@@ -1,7 +1,9 @@
 """The batched, hoisting-aware key-switch engine.
 
-Pins the tentpole invariants: the tensorized pipeline is bit-identical to
-the seed's per-digit loop, hoisted rotations are bit-identical to
+Pins the tentpole invariants: the tensorized pipeline gives the bytes of
+the exact gadget sum ``Σ_j [x]_{q_j} · key_j`` of ``tests/oracle.py``
+(which shares nothing with the engine but data), hoisted rotations are
+bit-identical to
 non-hoisted ones, EVAL-domain automorphisms match the coefficient-domain
 path, fused multi-prime rescale matches sequential rescaling — and the
 dispatch-count guarantees
@@ -13,6 +15,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import ExitStack
+from math import prod
 from unittest import mock
 
 import numpy as np
@@ -24,8 +27,8 @@ from repro.ckks.evaluator import galois_rows
 from repro.ckks.keys import rotation_galois_elt
 from repro.nums import kernels
 from repro.rns.poly import EVAL, RnsPolynomial
-from repro.transforms.ntt import BatchNtt, galois_permutation
-from tests import BARRETT
+from repro.transforms.ntt import BatchNtt, NttContext, galois_permutation
+from tests import BARRETT, oracle
 
 DEGREE = 256
 NUM_PRIMES = 6
@@ -44,18 +47,35 @@ def msg(kctx):
     )
 
 
+def oracle_switch(kctx, poly, key) -> list[np.ndarray]:
+    """The oracle's key switch of an evaluation-domain ``poly`` through
+    the ``[:L, :L]`` prefix of ``key``: ``Σ_j [x]_{q_j} · b_j`` and
+    ``Σ_j [x]_{q_j} · a_j`` over ``Q``, as evaluation rows."""
+    lvl = poly.level
+    moduli = kctx.basis.moduli[:lvl]
+    psis = [NttContext.cached(DEGREE, q).psi for q in moduli]
+    digits = [oracle.intt(row, q, psi) for row, q, psi in zip(poly.data, moduli, psis)]
+    outs = []
+    for part in (key.b, key.a):
+        keys = [oracle.from_eval(part[j, :lvl], moduli, psis) for j in range(lvl)]
+        ks = oracle.gadget_sum(digits, keys, prod(moduli))
+        outs.append(oracle.to_eval(ks, moduli, psis))
+    return outs
+
+
 class TestBatchedSwitch:
     @BARRETT
     def test_bit_identical_to_digit_loop(self, kctx, msg):
-        """engine.switch == the seed's per-digit loop, bit for bit."""
+        """engine.switch == the oracle's digit-by-digit gadget sum, bit
+        for bit."""
         rlk = kctx.relin_keys(levels=[NUM_PRIMES])
         key = rlk[NUM_PRIMES]
         poly = kctx.encrypt(msg).parts[1]
         engine = kctx.evaluator.keyswitch
         fast0, fast1 = engine.switch(poly, key)
-        ref0, ref1 = engine.switch_reference(poly, key)
-        assert np.array_equal(fast0.data, ref0.data)
-        assert np.array_equal(fast1.data, ref1.data)
+        ref0, ref1 = oracle_switch(kctx, poly, key)
+        assert np.array_equal(fast0.data, ref0)
+        assert np.array_equal(fast1.data, ref1)
 
     def test_relinearize_uses_batched_path(self, kctx, msg):
         """End-to-end multiply/relinearize still decrypts correctly."""
@@ -73,10 +93,8 @@ class TestBatchedSwitch:
         want = f"switching key at level {low} cannot reach poly level {NUM_PRIMES}"
         with pytest.raises(ValueError, match=want):
             engine.switch(poly, key)
-        with pytest.raises(ValueError, match=want):
-            engine.switch_reference(poly, key)
 
-    @pytest.mark.parametrize("path", ["apply", "switch_reference"])
+    @pytest.mark.parametrize("path", ["apply", "switch"])
     def test_key_above_the_operand_level_is_accepted(self, kctx, msg, path):
         """A key reaches every level at or below its own."""
         key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
@@ -85,7 +103,7 @@ class TestBatchedSwitch:
         if path == "apply":
             out0, out1 = engine.apply(engine.decompose(poly), key)
         else:
-            out0, out1 = engine.switch_reference(poly, key)
+            out0, out1 = engine.switch(poly, key)
         assert out0.level == out1.level == NUM_PRIMES - 1
 
     @BARRETT
@@ -93,14 +111,15 @@ class TestBatchedSwitch:
     def test_prefix_switch_matches_digit_loop(self, kctx, msg, level):
         """One top-level key, every level below it (the top level is
         ``test_bit_identical_to_digit_loop``): the contraction over its
-        ``[:level, :level]`` prefix equals the seed loop over its pairs."""
+        ``[:level, :level]`` prefix equals the oracle's gadget sum over
+        that prefix."""
         key = kctx.relin_keys(levels=[NUM_PRIMES])[NUM_PRIMES]
         poly = kctx.encrypt(msg, level=level).parts[1]
         engine = kctx.evaluator.keyswitch
         fast0, fast1 = engine.switch(poly, key)
-        ref0, ref1 = engine.switch_reference(poly, key)
-        assert np.array_equal(fast0.data, ref0.data)
-        assert np.array_equal(fast1.data, ref1.data)
+        ref0, ref1 = oracle_switch(kctx, poly, key)
+        assert np.array_equal(fast0.data, ref0)
+        assert np.array_equal(fast1.data, ref1)
 
     def test_single_forward_dispatch_over_stacked_digits(self, kctx, msg, monkeypatch):
         """decompose issues exactly one forward BatchNtt over (L, L, N)."""
@@ -119,6 +138,7 @@ class TestBatchedSwitch:
         assert len(calls) == 1  # no stray per-digit dispatches
 
 
+@pytest.mark.lanes
 class TestDecompositionLayouts:
     """``decompose_rows`` of ``S`` stacked sources takes the column layout
     once the rows one limb carries, ``S·(L-1)``, reach ``K`` (the
@@ -233,6 +253,7 @@ class TestContraction:
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
+    @pytest.mark.lanes
     @pytest.mark.parametrize("perm", [None, 5], ids=["plain", "galois"])
     def test_digit_blocks_follow_the_transform_block_size(
         self, kctx, msg, perm, monkeypatch
@@ -410,7 +431,7 @@ class TestHoistedRotations:
         elt = rotation_galois_elt(4, kctx.params.slots, 2 * DEGREE)
         c0r = ct.parts[0].to_coeff().automorphism(elt).to_eval()
         c1r = ct.parts[1].to_coeff().automorphism(elt).to_eval()
-        ks0, ks1 = ev.keyswitch.switch_reference(c1r, gks[(4, NUM_PRIMES)])
+        ks0, ks1 = ev.keyswitch.switch(c1r, gks[(4, NUM_PRIMES)])
         seed = Ciphertext(parts=[c0r + ks0, ks1], scale=ct.scale)
         engine = ev.rotate(ct, 4, gks)
         diff = kctx.decrypt_decode(seed) - kctx.decrypt_decode(engine)

@@ -116,6 +116,7 @@ class TestSplit:
         assert np.max(np.abs(got - m @ x)) < 1e-5
 
 
+@pytest.mark.lanes
 class TestApplyLanes:
     """``apply`` replays the plan fused: its rotation families' batched
     decompositions run in lanes once their blocks split, and the bytes
@@ -165,6 +166,7 @@ def _diagonals_one_by_one(lt) -> dict:
     return want
 
 
+@pytest.mark.lanes
 class TestDiagonalStacks:
     """Each giant group's diagonals are encoded as one stack and
     transformed as one batch; every diagonal keeps the bytes of its own

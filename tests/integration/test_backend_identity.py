@@ -11,10 +11,13 @@ interpreter and fused.
 
 Every mode runs an op through the same row function
 (:mod:`repro.ckks.evaluator`), so the grid pins delivery, fusion, the
-arena and the bindings, not independent arithmetic; that is pinned by
-``KeySwitchEngine.switch_reference``, ``RnsPolynomial.rescale``, the
-per-op digests of ``test_golden_bytes.py`` and the decrypt-vs-numpy rows
-of ``tests/ckks/test_evaluator.py``.
+arena and the bindings, not independent arithmetic.  That is pinned by
+``test_oracle_pins.py``, which holds every op, eager and fused, to
+``tests/oracle.py`` — exact arithmetic on Python ints that shares only
+data with ``src/`` (residues, moduli, each limb's ψ) — and, less
+independently, by the per-op digests of ``test_golden_bytes.py`` (taken
+from this code) and the decrypt-vs-numpy rows of
+``tests/ckks/test_evaluator.py``.
 """
 
 from __future__ import annotations

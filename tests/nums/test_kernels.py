@@ -282,6 +282,26 @@ class TestMulAccumulate:
         expected = (9 * (prime - 1) * (prime - 1)) % prime
         assert kern.mul_accumulate(a, a).tolist() == [[expected] * 4][0]
 
+    @pytest.mark.parametrize("q", [17, 97])
+    def test_more_terms_than_the_budget_sum_in_chunks(self, q):
+        """``term_budget`` is at most the smallest modulus (a partial sum
+        must stay in ``reduce``'s ``[0, q^2)``), so a small modulus takes
+        the chunked path with a few dozen terms: full chunks, a short
+        last one, on either axis, and the all-``(q-1)`` worst case."""
+        kern = ReducerKernel(q)
+        assert kern.term_budget == q
+        rng = np.random.default_rng(q)
+        for terms in (q + 1, 2 * q + 3):
+            a = rng.integers(0, q, (terms, 6), dtype=np.uint64)
+            b = rng.integers(0, q, (terms, 6), dtype=np.uint64)
+            a[:, 0] = b[:, 0] = q - 1
+            want = [
+                sum(int(x) * int(y) for x, y in zip(a[:, i], b[:, i])) % q
+                for i in range(6)
+            ]
+            assert kern.mul_accumulate(a, b).tolist() == want
+            assert kern.mul_accumulate(a.T, b.T, axis=1).tolist() == want
+
 
 # 36 bits is the paper's width; 37 is the first where a sum of raw terms
 # no longer fits the bounds by the 36-bit margin alone; 22 is the narrowest
@@ -394,6 +414,7 @@ class TestRowAccumulate:
             assert out.tolist() == [11 * (q - 1) * (q - 1) % q] * 3
             assert a.min() == q - 1  # operands untouched
 
+    @pytest.mark.lanes
     @pytest.mark.parametrize("budget", [None, 2, 3])
     @pytest.mark.parametrize("size", range(1, 11))
     @BARRETT
@@ -435,6 +456,7 @@ class TestRowAccumulate:
         for got, b in zip(outs, (b0, b1)):
             assert np.array_equal(got, kern.mul_accumulate(a, b))
 
+    @pytest.mark.lanes
     @BARRETT
     def test_budget_of_worst_terms_in_one_sum_of_products(self):
         """Exactly ``mac_budget`` terms, every row and constant ``q - 1``,
@@ -450,6 +472,7 @@ class TestRowAccumulate:
             assert einsum.call_count == 2  # one per half, no piece
             assert got.tolist() == [n * (q - 1) * (q - 1) % q] * 3
 
+    @pytest.mark.lanes
     @pytest.mark.parametrize("budget", [None, 3])
     @pytest.mark.parametrize("size", [1, 2, 5])
     @BARRETT
@@ -527,6 +550,7 @@ def cpus(n: int):
     return mock.patch.object(kernels, "_cpu_count", return_value=n)
 
 
+@pytest.mark.lanes
 class TestLanes:
     """``in_lanes``: blocks striped over one thread per CPU, joined before
     the call returns."""

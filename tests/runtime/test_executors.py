@@ -212,6 +212,7 @@ class TestFusedReplay:
         [fused] = plan.run_batch([[sample_ct]])[0]
         _assert_ct_equal(fused, plan.run([sample_ct])[0], "dense BSGS")
 
+    @pytest.mark.lanes
     @pytest.mark.parametrize("split", [False, True], ids=["whole", "split"])
     @pytest.mark.parametrize("cpu", [1, 2, 3])
     def test_family_lanes_give_one_set_of_bytes(self, dense_bsgs, sample_ct, cpu, split):
@@ -248,6 +249,7 @@ class TestFusedReplay:
         assert bool(started) == (cpu > 1)
         _assert_ct_equal(fused, oracle, f"{cpu} lane(s)")
 
+    @pytest.mark.lanes
     @pytest.mark.parametrize(
         "cpu", [None, 1, 2, 3], ids=["own", "cpu1", "cpu2", "cpu3"]
     )
@@ -295,6 +297,7 @@ class TestFusedReplay:
         assert bool(started) == (lanes > 1)
         _assert_ct_equal(fused, oracle, f"{lanes} lane(s)")
 
+    @pytest.mark.lanes
     def test_mac_binds_diagonal_stacks_in_place(
         self, dense_bsgs, sample_ct, monkeypatch
     ):
@@ -332,6 +335,7 @@ class TestFusedReplay:
             owners.append(g)
         assert sorted(owners) == sorted(diags)
 
+    @pytest.mark.lanes
     @pytest.mark.parametrize("layout", ["separate", "shuffled", "no_views"])
     def test_mac_copy_path_gives_eager_bytes(
         self, rctx, gks, sample_ct, layout, monkeypatch

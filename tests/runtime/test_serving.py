@@ -127,6 +127,7 @@ class TestServeFacade:
         assert not hasattr(runtime, "StreamingServer")
 
 
+@pytest.mark.lanes
 class TestWorkerLanes:
     """A forked worker's lanes: its share of the CPUs, set once at fork,
     so workers side by side start no more lanes than there are CPUs."""

@@ -1,4 +1,10 @@
-"""Negacyclic NTT: round trips, oracle agreement, algebraic laws."""
+"""Negacyclic NTT: round trips, oracle agreement, algebraic laws.
+
+The reference is ``tests/oracle.py``: an exact textbook transform on
+Python ints that reads nothing of the library's but each limb's modulus
+and ψ (``NttContext.psi``).  The per-limb tests run a one-limb
+:class:`BatchNtt`, the transform every caller runs.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.nums.kernels import kernel_for_modulus
 from repro.nums.modular import mod_inv
 from repro.nums.primegen import find_primes
-from repro.transforms.ntt import NttContext, negacyclic_mul_naive
+from repro.transforms.ntt import BatchNtt, NttContext
 from repro.utils.bitops import bit_reverse
-from tests import BARRETT
+from tests import BARRETT, oracle
 
 PRIME = find_primes(36, 1 << 12, max_count=1)[0].value
 LIMB_PRIMES = tuple(p.value for p in find_primes(36, 1 << 12, max_count=7))
+
+
+def psi_of(n: int, q: int) -> int:
+    """Limb ``q``'s ψ at degree ``n``: the one datum the oracle reads."""
+    return NttContext.cached(n, q).psi
 
 
 @pytest.fixture(scope="module", params=[16, 256, 1024], ids=lambda n: f"n{n}")
@@ -24,8 +36,41 @@ def ntt(request) -> NttContext:
     return NttContext.create(request.param, PRIME)
 
 
+class OneLimb:
+    """A one-limb :class:`BatchNtt` on single rows, with the pointwise
+    product of the limb's reducer: the per-limb transform and ring
+    product the library has."""
+
+    def __init__(self, n: int, q: int = PRIME):
+        self.degree, self.modulus = n, q
+        self.bat = BatchNtt.create(n, (q,))
+        self.mul = kernel_for_modulus(q).mul
+
+    def forward(self, a: np.ndarray) -> np.ndarray:
+        return self.bat.forward(np.asarray(a, dtype=np.uint64)[None])[0]
+
+    def inverse(self, a: np.ndarray) -> np.ndarray:
+        return self.bat.inverse(np.asarray(a, dtype=np.uint64)[None])[0]
+
+    def negacyclic_mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return self.inverse(self.mul(self.forward(a), self.forward(b)))
+
+    def oracle_forward(self, a: np.ndarray) -> np.ndarray:
+        return oracle.ntt(a, self.modulus, psi_of(self.degree, self.modulus))
+
+
+@pytest.fixture(scope="module", params=[16, 256, 1024], ids=lambda n: f"n{n}")
+def limb(request) -> OneLimb:
+    return OneLimb(request.param)
+
+
 def random_poly(rng, n, q=PRIME):
     return rng.integers(0, q, n).astype(np.uint64)
+
+
+def ring_product(a, b, q=PRIME) -> np.ndarray:
+    """The oracle's schoolbook product, as canonical uint64."""
+    return oracle.negacyclic_mul(a, b, q).astype(np.uint64)
 
 
 class TestConstruction:
@@ -66,75 +111,79 @@ class TestConstruction:
 
 
 class TestTransforms:
-    def test_roundtrip(self, ntt, rng):
-        a = random_poly(rng, ntt.degree)
-        assert np.array_equal(ntt.inverse(ntt.forward(a)), a)
+    def test_matches_oracle(self, limb, rng):
+        a = random_poly(rng, limb.degree)
+        a[0] = PRIME - 1
+        assert np.array_equal(limb.forward(a), limb.oracle_forward(a))
 
-    def test_roundtrip_other_order(self, ntt, rng):
-        a = random_poly(rng, ntt.degree)
-        assert np.array_equal(ntt.forward(ntt.inverse(a)), a)
+    def test_roundtrip(self, limb, rng):
+        a = random_poly(rng, limb.degree)
+        assert np.array_equal(limb.inverse(limb.forward(a)), a)
 
-    def test_forward_is_linear(self, ntt, rng):
-        q = ntt.modulus
-        a, b = random_poly(rng, ntt.degree), random_poly(rng, ntt.degree)
-        lhs = ntt.forward((a + b) % np.uint64(q))
-        rhs = (ntt.forward(a) + ntt.forward(b)) % np.uint64(q)
+    def test_roundtrip_other_order(self, limb, rng):
+        a = random_poly(rng, limb.degree)
+        assert np.array_equal(limb.forward(limb.inverse(a)), a)
+
+    def test_forward_is_linear(self, limb, rng):
+        q = limb.modulus
+        a, b = random_poly(rng, limb.degree), random_poly(rng, limb.degree)
+        lhs = limb.forward((a + b) % np.uint64(q))
+        rhs = (limb.forward(a) + limb.forward(b)) % np.uint64(q)
         assert np.array_equal(lhs, rhs)
 
-    def test_constant_polynomial(self, ntt):
+    def test_constant_polynomial(self, limb):
         """NTT of a constant c is the all-c vector (X^0 evaluates to 1)."""
-        a = np.zeros(ntt.degree, dtype=np.uint64)
+        a = np.zeros(limb.degree, dtype=np.uint64)
         a[0] = 42
-        assert np.array_equal(ntt.forward(a), np.full(ntt.degree, 42, dtype=np.uint64))
+        want = np.full(limb.degree, 42, dtype=np.uint64)
+        assert np.array_equal(limb.forward(a), want)
 
-    def test_input_not_mutated(self, ntt, rng):
-        a = random_poly(rng, ntt.degree)
+    def test_input_not_mutated(self, limb, rng):
+        a = random_poly(rng, limb.degree)
         before = a.copy()
-        ntt.forward(a)
+        limb.forward(a)
         assert np.array_equal(a, before)
 
-    def test_shape_check(self, ntt):
-        with pytest.raises(ValueError, match="expected shape"):
-            ntt.forward(np.zeros(ntt.degree + 1, dtype=np.uint64))
+    def test_shape_check(self, limb):
+        with pytest.raises(ValueError, match="expected"):
+            limb.forward(np.zeros(limb.degree + 1, dtype=np.uint64))
 
 
 class TestMultiplication:
-    def test_matches_naive(self, ntt, rng):
-        a, b = random_poly(rng, ntt.degree), random_poly(rng, ntt.degree)
-        got = ntt.negacyclic_mul(a, b)
-        assert np.array_equal(got, negacyclic_mul_naive(a, b, ntt.modulus))
+    def test_matches_naive(self, limb, rng):
+        a, b = random_poly(rng, limb.degree), random_poly(rng, limb.degree)
+        assert np.array_equal(limb.negacyclic_mul(a, b), ring_product(a, b))
 
-    def test_x_to_n_is_minus_one(self, ntt):
+    def test_x_to_n_is_minus_one(self, limb):
         """X^(N/2) * X^(N/2) = X^N = -1 in the negacyclic ring."""
-        n, q = ntt.degree, ntt.modulus
+        n, q = limb.degree, limb.modulus
         x_half = np.zeros(n, dtype=np.uint64)
         x_half[n // 2] = 1
-        prod = ntt.negacyclic_mul(x_half, x_half)
+        prod = limb.negacyclic_mul(x_half, x_half)
         expected = np.zeros(n, dtype=np.uint64)
         expected[0] = q - 1
         assert np.array_equal(prod, expected)
 
-    def test_multiplicative_identity(self, ntt, rng):
-        one = np.zeros(ntt.degree, dtype=np.uint64)
+    def test_multiplicative_identity(self, limb, rng):
+        one = np.zeros(limb.degree, dtype=np.uint64)
         one[0] = 1
-        a = random_poly(rng, ntt.degree)
-        assert np.array_equal(ntt.negacyclic_mul(a, one), a)
+        a = random_poly(rng, limb.degree)
+        assert np.array_equal(limb.negacyclic_mul(a, one), a)
 
-    def test_commutativity(self, ntt, rng):
-        a, b = random_poly(rng, ntt.degree), random_poly(rng, ntt.degree)
-        assert np.array_equal(ntt.negacyclic_mul(a, b), ntt.negacyclic_mul(b, a))
+    def test_commutativity(self, limb, rng):
+        a, b = random_poly(rng, limb.degree), random_poly(rng, limb.degree)
+        assert np.array_equal(limb.negacyclic_mul(a, b), limb.negacyclic_mul(b, a))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(min_value=0, max_value=2**36), st.integers(min_value=0, max_value=15))
     def test_monomial_product_hypothesis(self, coeff, shift):
         """c*X^i times X^j lands at X^(i+j) with negacyclic sign wrap."""
         n = 16
-        ntt = NttContext.create(n, PRIME)
         a = np.zeros(n, dtype=np.uint64)
         a[shift] = coeff % PRIME
         b = np.zeros(n, dtype=np.uint64)
         b[n - 1] = 1
-        prod = ntt.negacyclic_mul(a, b)
+        prod = OneLimb(n).negacyclic_mul(a, b)
         k = shift + n - 1
         expected = np.zeros(n, dtype=np.uint64)
         if k < n:
@@ -146,24 +195,22 @@ class TestMultiplication:
     @settings(max_examples=20, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=2**36), min_size=32, max_size=32))
     def test_random_poly_hypothesis(self, coeffs):
-        ntt = NttContext.create(32, PRIME)
+        limb = OneLimb(32)
         a = np.array([c % PRIME for c in coeffs], dtype=np.uint64)
-        assert np.array_equal(ntt.inverse(ntt.forward(a)), a)
+        assert np.array_equal(limb.inverse(limb.forward(a)), a)
 
 
 class TestPointwise:
-    def test_pointwise_is_ring_product(self, ntt, rng):
-        a, b = random_poly(rng, ntt.degree), random_poly(rng, ntt.degree)
-        via_pointwise = ntt.inverse(ntt.pointwise_mul(ntt.forward(a), ntt.forward(b)))
-        assert np.array_equal(via_pointwise, ntt.negacyclic_mul(a, b))
+    def test_pointwise_is_ring_product(self, limb, rng):
+        a, b = random_poly(rng, limb.degree), random_poly(rng, limb.degree)
+        via_pointwise = limb.inverse(limb.mul(limb.forward(a), limb.forward(b)))
+        assert np.array_equal(via_pointwise, ring_product(a, b))
 
 
 class TestBatchedTensors:
     """BatchNtt over stacked (..., L, N) tensors and EVAL-domain Galois."""
 
     def test_leading_batch_axis_matches_per_matrix(self):
-        from repro.transforms.ntt import BatchNtt
-
         moduli = tuple(p.value for p in find_primes(36, 1 << 9, max_count=3))
         bn = BatchNtt.create(64, moduli)
         rng = np.random.default_rng(2)
@@ -180,8 +227,6 @@ class TestBatchedTensors:
         """``out`` takes the result; ``out=mat`` transforms in place, over
         several blocks as over one."""
         from unittest import mock
-
-        from repro.transforms.ntt import BatchNtt
 
         moduli = tuple(p.value for p in find_primes(36, 1 << 9, max_count=3))
         bn = BatchNtt.create(64, moduli)
@@ -202,6 +247,7 @@ class TestBatchedTensors:
         with pytest.raises(ValueError, match="out must be"):
             bn.forward(tensor, out=np.empty((3, 4, 64), dtype=np.uint64).swapaxes(0, 1))
 
+    @pytest.mark.lanes
     @settings(max_examples=40, deadline=None)
     @given(
         st.sampled_from([16, 64]),
@@ -215,31 +261,22 @@ class TestBatchedTensors:
     ):
         """Any block size — one limb, a block boundary mid-chain, a last
         block shorter than the rest, everything in one block — gives the
-        bytes of the per-limb reference transform."""
+        bytes of the oracle's transform, limb by limb."""
         from unittest import mock
-
-        from repro.transforms.ntt import BatchNtt
 
         moduli = LIMB_PRIMES[:limbs]
         bn = BatchNtt.create(n, moduli)
         rng = np.random.default_rng(seed)
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
         tensor = rng.integers(0, 2**62, (batch, limbs, n), dtype=np.uint64) % q_col
-        contexts = [NttContext.cached(n, q) for q in moduli]
-        want = np.stack(
-            [
-                np.stack([c.forward(row) for c, row in zip(contexts, matrix)])
-                for matrix in tensor
-            ]
-        )
+        want = per_limb(tensor, moduli, "forward")
         with mock.patch.object(BatchNtt, "BLOCK_BYTES", block_rows * batch * n * 8):
             assert len(bn.blocks(batch)) == -(-limbs // block_rows)
             got = bn.forward(tensor)
             back = bn.inverse(got)
         assert np.array_equal(got, want)
         assert np.array_equal(back, tensor)
-        for c, row_in, row_out in zip(contexts, tensor[0], got[0]):
-            assert np.array_equal(c.inverse(row_out), row_in)
+        assert np.array_equal(per_limb(got, moduli, "inverse"), tensor)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -250,8 +287,6 @@ class TestBatchedTensors:
     def test_forward_takes_unreduced_input(self, n, limbs, seed):
         """Anything below ``input_bound`` — another limb's residues, a
         once-added pair — transforms to the bytes of its canonical value."""
-        from repro.transforms.ntt import BatchNtt
-
         moduli = LIMB_PRIMES[:limbs]
         bn = BatchNtt.create(n, moduli)
         assert bn.input_bound >= max(max(moduli), 2 * min(moduli))
@@ -259,37 +294,23 @@ class TestBatchedTensors:
         tensor = rng.integers(0, bn.input_bound, (3, limbs, n), dtype=np.uint64)
         tensor[1] = bn.input_bound - 1
         tensor[2] = np.array(moduli, dtype=np.uint64).reshape(-1, 1) - np.uint64(1)
-        contexts = [NttContext.cached(n, q) for q in moduli]
-        want = np.stack(
-            [
-                np.stack([c.forward(row) for c, row in zip(contexts, matrix)])
-                for matrix in tensor
-            ]
-        )
-        assert np.array_equal(bn.forward(tensor), want)
+        assert np.array_equal(bn.forward(tensor), per_limb(tensor, moduli, "forward"))
 
     @BARRETT
     def test_growth_bound_worst_case_at_paper_degree(self):
         """All-(q-1) and all-(bound-1) rows at N = 2^16: sixteen stages of
         the largest values the lazy butterflies can be handed."""
-        from repro.transforms.ntt import BatchNtt
-
         n = 1 << 16
         moduli = tuple(p.value for p in find_primes(36, n, max_count=2))
         bn = BatchNtt.create(n, moduli)
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
         top = np.broadcast_to(q_col - np.uint64(1), (2, n))
         wide = np.full((2, n), bn.input_bound - 1, dtype=np.uint64)
-        contexts = [NttContext.cached(n, q) for q in moduli]
         for rows in (top, wide):
-            want = np.stack([c.forward(r) for c, r in zip(contexts, rows)])
-            assert np.array_equal(bn.forward(rows), want)
-        want = np.stack([c.inverse(r) for c, r in zip(contexts, top)])
-        assert np.array_equal(bn.inverse(top), want)
+            assert np.array_equal(bn.forward(rows), per_limb(rows, moduli, "forward"))
+        assert np.array_equal(bn.inverse(top), per_limb(top, moduli, "inverse"))
 
     def test_renormalization_plan_follows_the_moduli(self):
-        from repro.transforms.ntt import BatchNtt
-
         # A 36-bit prime (raw products below 2q):
         # the forward enters stage s at c = 2 + 2s, and 2 + 2 * 15 = 32 <
         # 64 = 2^42 / 2^36, so sixteen stages never renormalize.  The
@@ -308,9 +329,8 @@ class TestBatchedTensors:
         # stage would store 18 q_0) and still transforms exactly.
         toy = BatchNtt.create(8, (17, 257))
         assert toy._forward_plan[0]
-        refs = [NttContext.cached(8, q) for q in (17, 257)]
         x = np.full((2, 8), toy.input_bound - 1, dtype=np.uint64)
-        want = np.stack([c.forward(row) for c, row in zip(refs, x)])
+        want = per_limb(x, (17, 257), "forward")
         assert np.array_equal(toy.forward(x), want)
         assert np.array_equal(toy.inverse(want), x % np.array([[17], [257]], dtype=np.uint64))
         # The reducer takes an unreduced 41-bit operand; a limb that
@@ -321,8 +341,6 @@ class TestBatchedTensors:
             BatchNtt.create(8, (17, 7681))
 
     def test_bad_trailing_shape_rejected(self):
-        from repro.transforms.ntt import BatchNtt
-
         moduli = tuple(p.value for p in find_primes(36, 1 << 9, max_count=2))
         bn = BatchNtt.create(64, moduli)
         with pytest.raises(ValueError, match="expected"):
@@ -332,17 +350,13 @@ class TestBatchedTensors:
         from repro.transforms.ntt import galois_permutation
 
         n = 64
-        ntt = NttContext.create(n, PRIME)
+        psi = psi_of(n, PRIME)
         a = random_poly(rng, n)
         for k in (3, 5, 2 * n - 1):
-            src = np.arange(n, dtype=np.int64)
-            dest = (src * k) % (2 * n)
-            wrap = dest >= n
-            dest_idx = np.where(wrap, dest - n, dest)
-            rotated = np.empty_like(a)
-            rotated[dest_idx] = np.where(wrap, (PRIME - a) % PRIME, a)
+            rotated = oracle.automorphism(a, k, PRIME)
             assert np.array_equal(
-                ntt.forward(rotated), ntt.forward(a)[galois_permutation(n, k)]
+                oracle.ntt(rotated, PRIME, psi),
+                oracle.ntt(a, PRIME, psi)[galois_permutation(n, k)],
             )
 
     def test_galois_permutation_matches_scalar_definition(self):
@@ -374,15 +388,29 @@ PAPER_PRIMES = tuple(p.value for p in find_primes(36, 1 << 16, max_count=3))
 WIDE_PRIMES = tuple(p.value for p in find_primes(40, 1 << 10, max_count=3))
 
 
+_TRANSFORMED: dict[tuple, np.ndarray] = {}
+
+
 def per_limb(tensor, moduli, direction):
-    """The reference: every limb row through its own ``NttContext``."""
+    """The reference: every limb's rows of a ``(..., L, N)`` tensor
+    through the oracle's transform (``direction``: forward or inverse).
+    The oracle is a pure function of a row, so a row already transformed
+    — an edge row repeated across a batch or another test — is looked up,
+    not transformed again (which at N = 2^16 takes a quarter second)."""
     n = tensor.shape[-1]
-    contexts = [NttContext.cached(n, q) for q in moduli]
-    rows = [
-        getattr(contexts[i % len(moduli)], direction)(row)
-        for i, row in enumerate(tensor.reshape(-1, n))
-    ]
-    return np.stack(rows).reshape(tensor.shape)
+    transform = oracle.ntt if direction == "forward" else oracle.intt
+    out = np.empty(tensor.shape, dtype=np.uint64)
+    for i, q in enumerate(moduli):
+        rows = np.ascontiguousarray(tensor[..., i, :]).reshape(-1, n)
+        keys = [(direction, q, row.tobytes()) for row in rows]
+        todo = {k: row for k, row in zip(keys, rows) if k not in _TRANSFORMED}
+        if todo:
+            done = transform(np.stack(list(todo.values())), q, psi_of(n, q))
+            _TRANSFORMED.update(zip(todo, done))
+        out[..., i, :] = np.stack([_TRANSFORMED[k] for k in keys]).reshape(
+            out.shape[:-2] + (n,)
+        )
+    return out
 
 
 @contextmanager
@@ -391,7 +419,6 @@ def lanes(rows: int, cpu: int, n: int = 1 << 10):
     from unittest import mock
 
     from repro.nums import kernels
-    from repro.transforms.ntt import BatchNtt
 
     with (
         mock.patch.object(BatchNtt, "BLOCK_BYTES", rows * n * 8),
@@ -403,10 +430,13 @@ def lanes(rows: int, cpu: int, n: int = 1 << 10):
 class TestButterflyLayouts:
     """The re-laid dataflow (ufunc buffer scoped to the call, closing /
     opening stages on the transposed block, per-call workspace) against
-    the per-limb reference, configuration by configuration."""
+    the oracle, configuration by configuration."""
 
     @staticmethod
-    def check(bn, moduli, lead, rng):
+    def cases(bn, moduli, lead, rng) -> list[tuple]:
+        """``(tensor, forward, inverse)``: edge and random inputs of shape
+        ``(*lead, L, N)`` with the oracle's transforms of them (``inverse``
+        ``None`` for the unreduced inputs, which only the forward takes)."""
         n = bn.degree
         q_col = np.array(moduli, dtype=np.uint64).reshape(-1, 1)
         shape = (*lead, len(moduli), n)
@@ -415,21 +445,30 @@ class TestButterflyLayouts:
             np.zeros(shape, dtype=np.uint64),
             np.broadcast_to(q_col - np.uint64(1), shape),
         ]
-        canonical.append(np.asfortranarray(canonical[0]))  # another memory order
         unreduced = [
             np.full(shape, bn.input_bound - 1, dtype=np.uint64),
             # a once-added pair of the limb's own residues
             np.broadcast_to(np.uint64(2) * q_col - np.uint64(2), shape),
         ]
-        for tensor in canonical + unreduced:
-            want = per_limb(tensor, moduli, "forward")
-            assert np.array_equal(bn.forward(tensor), want)
-        for tensor in canonical:
-            want = per_limb(tensor, moduli, "inverse")
-            assert np.array_equal(bn.inverse(tensor), want)
-            block = np.array(tensor, order="C").reshape(-1, len(moduli), n)
-            bn.inverse_block(block, slice(0, len(moduli)))
-            assert np.array_equal(block.reshape(shape), want)
+        out = [
+            (x, per_limb(x, moduli, "forward"), per_limb(x, moduli, "inverse"))
+            for x in canonical
+        ]
+        # Another memory order of the random input: the same transforms.
+        out.append((np.asfortranarray(canonical[0]), *out[0][1:]))
+        out += [(x, per_limb(x, moduli, "forward"), None) for x in unreduced]
+        return out
+
+    @staticmethod
+    def check(bn, cases) -> None:
+        for tensor, forward, inverse in cases:
+            assert np.array_equal(bn.forward(tensor), forward)
+            if inverse is None:
+                continue
+            assert np.array_equal(bn.inverse(tensor), inverse)
+            block = np.array(tensor, order="C").reshape(-1, *tensor.shape[-2:])
+            bn.inverse_block(block, slice(0, tensor.shape[-2]))
+            assert np.array_equal(block.reshape(tensor.shape), inverse)
 
     @BARRETT
     @pytest.mark.parametrize("log_n", [1, 2, 3, 4, 5, 6, 7, 10, 12])
@@ -439,28 +478,26 @@ class TestButterflyLayouts:
         incl. key switching's (L, L, N), and 1, 2 and all limbs a block."""
         from unittest import mock
 
-        from repro.transforms.ntt import BatchNtt
-
         n, moduli = 1 << log_n, PAPER_PRIMES
         bn = BatchNtt.create(n, moduli)
         rng = np.random.default_rng(log_n)
         for lead in ((), (2,), (len(moduli),)):
             batch = int(np.prod(lead))
+            cases = self.cases(bn, moduli, lead, rng)
             for limbs in (1, 2, len(moduli)):
                 block_bytes = limbs * batch * n * 8
                 with mock.patch.object(BatchNtt, "BLOCK_BYTES", block_bytes):
                     assert len(bn.blocks(batch)) == -(-len(moduli) // limbs)
-                    self.check(bn, moduli, lead, rng)
+                    self.check(bn, cases)
 
     @BARRETT
     def test_paper_degree_matches_per_limb_reference(self):
         """N = 2^16: one 512 KiB limb per block, 256 x 256 transposed."""
-        from repro.transforms.ntt import BatchNtt
-
         bn = BatchNtt.create(1 << 16, PAPER_PRIMES[:2])
         assert len(bn.blocks()) == 2
-        self.check(bn, PAPER_PRIMES[:2], (), np.random.default_rng(16))
+        self.check(bn, self.cases(bn, PAPER_PRIMES[:2], (), np.random.default_rng(16)))
 
+    @pytest.mark.lanes
     @BARRETT
     @pytest.mark.parametrize(
         "log_n, wide", [(1, False), (4, False), (7, False), (10, True)]
@@ -468,11 +505,11 @@ class TestButterflyLayouts:
     def test_columns_match_per_limb_reference(self, log_n, wide):
         """The column layout (``BatchNtt.forward_columns``): ``R``
         polynomials of one limb as the columns of an ``(N, R)`` block,
-        ``R = K`` and ``3K + 1``, limb by limb against the per-limb
-        reference — inputs anywhere below ``input_bound`` (any limb's
+        ``R = K`` and ``3K + 1``, limb by limb against the oracle —
+        inputs anywhere below ``input_bound`` (any limb's
         residues, unreduced) and at its edges; at 40 bits the forward
         plan renormalizes on the column stages too."""
-        from repro.transforms.ntt import BatchNtt, _transposed_span
+        from repro.transforms.ntt import _transposed_span
 
         n, moduli = 1 << log_n, WIDE_PRIMES if wide else PAPER_PRIMES
         bn = BatchNtt.create(n, moduli)
@@ -488,12 +525,10 @@ class TestButterflyLayouts:
                 x[-1] = q - 1
                 block = x.T.copy()
                 bn.forward_columns(block, limb)
-                ref = NttContext.cached(n, q)
-                assert np.array_equal(block.T, np.stack([ref.forward(r) for r in x]))
+                assert np.array_equal(block.T, oracle.ntt(x, q, psi_of(n, q)))
 
+    @pytest.mark.lanes
     def test_columns_reject_what_they_cannot_transform(self):
-        from repro.transforms.ntt import BatchNtt
-
         n = 1 << 4
         bn = BatchNtt.create(n, PAPER_PRIMES)
         for bad in (
@@ -513,7 +548,7 @@ class TestButterflyLayouts:
         """At 40 bits the forward plan, too, renormalizes mid-transform
         (at 36 only the inverse's does): a renormalization lands on the
         in-place stages and on the transposed ones, in both directions."""
-        from repro.transforms.ntt import BatchNtt, _transposed_span
+        from repro.transforms.ntt import _transposed_span
 
         n = 1 << 10
         bn = BatchNtt.create(n, WIDE_PRIMES)
@@ -524,12 +559,10 @@ class TestButterflyLayouts:
         assert any(inverse[:-in_place]) and any(inverse[-in_place:])
         rng = np.random.default_rng(40)
         for lead in ((), (len(WIDE_PRIMES),)):
-            self.check(bn, WIDE_PRIMES, lead, rng)
+            self.check(bn, self.cases(bn, WIDE_PRIMES, lead, rng))
 
     def test_ufunc_buffer_is_the_callers_after_every_call(self):
         from unittest import mock
-
-        from repro.transforms.ntt import BatchNtt
 
         bn = BatchNtt.create(64, PAPER_PRIMES)
         x = np.zeros((len(PAPER_PRIMES), 64), dtype=np.uint64)
@@ -567,14 +600,13 @@ class TestButterflyLayouts:
                 np.setbufsize(previous)
         assert np.getbufsize() == default
 
+    @pytest.mark.lanes
     def test_threads_share_one_instance(self):
         """Scratch is per lane: two threads transforming different inputs
         through one cached ``BatchNtt``, each fanning out into lanes over
         one-limb blocks, both get the reference rows."""
         import sys
         import threading
-
-        from repro.transforms.ntt import BatchNtt
 
         n, moduli = 1 << 10, PAPER_PRIMES
         bn = BatchNtt.create(n, moduli)
@@ -610,6 +642,7 @@ class TestButterflyLayouts:
         assert not failures
 
 
+@pytest.mark.lanes
 class TestLanes:
     """The limb-block loops in lanes (``repro.nums.kernels.in_lanes``):
     several blocks forced at N = 2^10 by a smaller ``BLOCK_BYTES``, the
@@ -631,8 +664,6 @@ class TestLanes:
     @pytest.mark.parametrize("rows, cpu", LANES)
     def test_transforms_match_per_limb_reference(self, rows, cpu):
         import threading
-
-        from repro.transforms.ntt import BatchNtt
 
         n, moduli = 1 << 10, LIMB_PRIMES[:5]
         bn = BatchNtt.create(n, moduli)
@@ -692,8 +723,6 @@ class TestLanes:
         from unittest import mock
 
         from repro.nums import kernels
-        from repro.transforms.ntt import BatchNtt
-
         n, moduli = 1 << 10, LIMB_PRIMES
         bn = BatchNtt.create(n, moduli)
         x = np.zeros((len(moduli), n), dtype=np.uint64)
