@@ -5,13 +5,14 @@ and the Fig. 1 end-to-end breakdown — needs the server's homomorphic
 add / multiply / relinearize / rescale / rotate, so they are implemented
 here with the same RNS substrate.
 
-Each op's arithmetic is one module-level *row function* (rescale's is
-:func:`~repro.rns.poly.rescale_eval_rows`): given a kernel, the
-operands' ``(L, N)`` part rows, the op's bound data and the output rows
-``outs``, it reads the operands' first ``len(outs[0])`` limbs and writes
-``outs``.  An :class:`Evaluator` method checks its operands, allocates
-the result and makes one call; the runtime's fused replayer binds the
-same function to arena views, so each op is one kernel sequence.
+Each op's arithmetic is one module-level *row function*: given a
+kernel, the operands' ``(L, N)`` part rows, the op's bound data and the
+output rows ``outs``, it reads the operands' limbs below
+``len(outs[0])`` (a rescale, :func:`~repro.rns.poly.rescale_eval_rows`,
+also the ones it drops) and writes ``outs``.  An :class:`Evaluator`
+method checks its operands, allocates the result and makes one call;
+the runtime's fused replayer binds the same function to arena views, so
+each op is one kernel sequence.
 
 Key switching goes through the batched
 :class:`~repro.ckks.keyswitch.KeySwitchEngine`; automorphisms are
@@ -105,13 +106,13 @@ def galois_rows(kern, engine: KeySwitchEngine, a, key, perm, outs, dec=None) -> 
     fused rotation family shares one (computed here otherwise — the same
     digits either way, since they are taken before the permutation).
 
-    ``perm`` is folded into the contraction's row gather.  Permuting
-    decomposed digits negates sign-flipped coefficients mod each *limb's*
-    modulus, giving signed digits ``±d`` (|d| < q_j) where decomposing the
-    permuted polynomial (the seed path) carries ``q_j - d``: both are
-    valid gadget digits of the same bound, so the result differs from the
-    seed's only in its noise representative and decrypts identically
-    (inherent to hoisting: digits are fixed before the rotation is known).
+    ``perm`` is folded into the contraction's row gather, so the digits
+    are those of part 1 itself, permuted: a sign-flipped coefficient is
+    the signed digit ``-d`` (|d| < q_j) on every limb, a valid gadget
+    digit of the same bound as the ``q_j - d`` that decomposing the
+    permuted part would give.  Every path takes the digits before the
+    permutation (hoisting), so an eager rotation, the interpreter and a
+    fused family give equal bytes.
     """
     lvl = len(outs[0])
     if dec is None:
@@ -251,14 +252,14 @@ class Evaluator:
         """
         if times == 0:
             return Ciphertext(parts=list(ct.parts), scale=ct.scale)
-        lvl = ct.level
+        lvl = ct.level - times
+        if lvl < 1:
+            raise ValueError(f"cannot rescale {times} primes from level {ct.level}")
         scale = ct.scale
-        for t in range(times):
-            scale /= self.basis.moduli[lvl - 1 - t]
-        stacked = np.stack([p.data for p in ct.parts])
-        rows = rescale_eval_rows(self.basis, stacked, times)
-        parts = [RnsPolynomial(self.basis, part, EVAL) for part in rows]
-        return Ciphertext(parts=parts, scale=scale)
+        for q in reversed(self.basis.moduli[lvl : ct.level]):
+            scale /= q
+        args = (self.basis, _rows(ct), times)
+        return self._run(rescale_eval_rows, ct.size, lvl, scale, *args)
 
     def multiply_relin_rescale(
         self, a: Ciphertext, b: Ciphertext, relin_keys: dict[int, SwitchingKey]

@@ -270,10 +270,11 @@ class KeyGenerator:
         Rotation by ``r`` slots corresponds to the automorphism
         ``X -> X^{5^r mod 2N}``; the returned dict is keyed by
         ``(rotation, level)``, every level of a rotation naming its key.
-        The keys are built in stacks (:meth:`_switching_keys`) of as many
-        as one transform block holds a limb row of each: eleven at
-        ``(2^10, L = 10)``, whose stacked transform is ten one-limb
-        blocks; one at the paper's shape, where a key alone is many.
+        The keys are built in near-equal stacks (:meth:`_switching_keys`)
+        of at most as many as one transform block holds a limb row of
+        each: eleven at ``(2^10, L = 10)``, whose stacked transform is ten
+        one-limb blocks; one at the paper's shape, where a key alone is
+        many.
         """
         top = _top_level(levels)
         out: dict[tuple[int, int], SwitchingKey] = {}

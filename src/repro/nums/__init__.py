@@ -1,4 +1,4 @@
-"""Number-theory substrate: primes, modular reduction, CRT.
+"""Number-theory substrate: primes and modular reduction.
 
 This package is the exact-integer foundation of the CKKS library and the
 reference model for the accelerator's modular-arithmetic hardware:
@@ -9,12 +9,10 @@ reference model for the accelerator's modular-arithmetic hardware:
 * :mod:`repro.nums.kernels` — the vectorized numpy reducer (Barrett)
   and the :class:`~repro.nums.kernels.ReducerSpec` Table I accounting;
 * :mod:`repro.nums.barrett` / :mod:`repro.nums.montgomery` — the three
-  scalar reducer designs compared in Table I (exact-int references);
-* :mod:`repro.nums.crt` — RNS decompose / CRT combine.
+  scalar reducer designs compared in Table I (exact-int references).
 """
 
 from repro.nums.barrett import BarrettReducer
-from repro.nums.crt import CrtSystem
 from repro.nums.kernels import (
     REDUCER_SPECS,
     ReducerKernel,
@@ -23,7 +21,6 @@ from repro.nums.kernels import (
     kernel_for_modulus,
 )
 from repro.nums.modular import (
-    centered,
     mod_inv,
     mod_pow,
     nth_root_of_unity,
@@ -35,7 +32,6 @@ from repro.nums.primegen import NttFriendlyPrime, count_primes, find_primes, pri
 __all__ = [
     "REDUCER_SPECS",
     "BarrettReducer",
-    "CrtSystem",
     "MontgomeryReducer",
     "ReducerKernel",
     "ReducerSpec",
@@ -43,7 +39,6 @@ __all__ = [
     "kernel_for_modulus",
     "NttFriendlyMontgomeryReducer",
     "NttFriendlyPrime",
-    "centered",
     "count_primes",
     "find_primes",
     "is_prime",

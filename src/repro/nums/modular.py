@@ -24,7 +24,6 @@ __all__ = [
     "multiplicative_order",
     "primitive_root",
     "nth_root_of_unity",
-    "centered",
     "centered_vec",
 ]
 
@@ -112,15 +111,7 @@ def nth_root_of_unity(n: int, prime: int) -> int:
     return root
 
 
-def centered(value: int, modulus: int) -> int:
-    """Map a residue in [0, modulus) to the centered range (-q/2, q/2]."""
-    value %= modulus
-    if value > modulus // 2:
-        value -= modulus
-    return value
-
-
 def centered_vec(residues: np.ndarray, modulus: int) -> np.ndarray:
-    """Vectorized :func:`centered`: canonical residues -> int64 lifts."""
+    """Canonical residues -> int64 lifts in the centered range (-q/2, q/2]."""
     r = np.asarray(residues, dtype=np.uint64).astype(np.int64)
     return np.where(r > modulus // 2, r - modulus, r)

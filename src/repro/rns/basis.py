@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nums.crt import CrtSystem
 from repro.nums.kernels import ReducerKernel
 from repro.nums.primegen import NttFriendlyPrime, prime_chain
 from repro.transforms.ntt import BatchNtt
@@ -158,19 +157,6 @@ class RnsBasis:
         return tables
 
     # ------------------------------------------------------------------
-
-    def crt(self, level: int) -> CrtSystem:
-        """CRT data for the first ``level`` limbs."""
-        self._check_level(level)
-        return CrtSystem.for_moduli(self.moduli[:level])
-
-    def modulus_at(self, level: int) -> int:
-        """The composite modulus ``q_0 * … * q_{level-1}``."""
-        self._check_level(level)
-        product = 1
-        for q in self.moduli[:level]:
-            product *= q
-        return product
 
     def _check_level(self, level: int) -> None:
         if level < 1 or level > self.num_primes:

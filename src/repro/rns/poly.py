@@ -112,10 +112,9 @@ def _dropped_remainder(basis: RnsBasis, block: np.ndarray, lvl: int) -> np.ndarr
 def rescale_rows(basis: RnsBasis, coeff: np.ndarray, times: int) -> np.ndarray:
     """Divide ``(..., L, N)`` coefficient-domain residues by the last
     ``times`` primes of level ``L``: :meth:`RnsPolynomial.rescale` on the
-    bare matrix, any leading axes (a ciphertext's stacked parts) riding
-    along — the moduli columns broadcast against the trailing ``(rows,
-    N)`` dims, so each leading entry gets the bytes it would get alone.
-    The reference :func:`rescale_eval_rows` is pinned against.
+    bare matrix, any leading axes riding along — the moduli columns
+    broadcast against the trailing ``(rows, N)`` dims, so each leading
+    entry gets the bytes it would get alone.
     """
     lvl = coeff.shape[-2]
     kern, _, inv_col = basis.rescale_tables(lvl, times)
@@ -125,28 +124,30 @@ def rescale_rows(basis: RnsBasis, coeff: np.ndarray, times: int) -> np.ndarray:
     return kern.mul(diff, inv_col, out=diff)
 
 
-def rescale_eval_rows(basis: RnsBasis, data: np.ndarray, times: int) -> np.ndarray:
-    """:func:`rescale_rows` on ``(..., L, N)`` *evaluation* rows, returning
-    ``(..., L - times, N)`` evaluation rows — what a ciphertext's rescale
-    is, without the coefficient round trip of its kept limbs.
+def rescale_eval_rows(kern, basis: RnsBasis, a, times: int, outs) -> None:
+    """Divide each part of ``a`` — evaluation rows of level ``L = len(outs[0])
+    + times`` — by its last ``times`` primes, writing the ``L - times``
+    evaluation rows of ``(x - [x]_P) · P^-1`` into ``outs``; ``kern`` is
+    the kept rows' kernel.  The row function of a ciphertext's rescale.
 
-    Only the ``times`` dropped rows are inverse-transformed
-    (:meth:`~repro.transforms.ntt.BatchNtt.inverse_block`); ``[x]_P`` is
-    derived from them on the kept limbs (:func:`_dropped_remainder`) and
-    forward-transformed, and the division ``(x - [x]_P) · P^-1`` runs in
-    the evaluation domain.  The NTT is linear over each ``Z_q`` and every
-    operand is canonical, so the bytes are ``forward(rescale_rows(
-    inverse(x), times))``'s — with ``times`` inverse rows per entry in
-    place of ``L``.
+    Only the ``times`` dropped rows of each part are copied and
+    inverse-transformed (:meth:`~repro.transforms.ntt.BatchNtt.inverse_block`);
+    ``[x]_P`` is derived from them on the kept limbs
+    (:func:`_dropped_remainder`) and forward-transformed, and the division
+    runs in the evaluation domain.  The NTT is linear over each ``Z_q``
+    and every operand is canonical, so the bytes are ``forward(
+    rescale_rows(inverse(x), times))``'s — with ``times`` inverse rows per
+    part in place of ``L``.
     """
-    lvl, n = data.shape[-2:]
-    kern, _, inv_col = basis.rescale_tables(lvl, times)
-    keep = lvl - times
-    tail = data[..., keep:, :].copy()
-    basis.batch_ntt(lvl).inverse_block(tail.reshape(-1, times, n), slice(keep, lvl))
-    remainder = basis.batch_ntt(keep).forward(_dropped_remainder(basis, tail, lvl))
-    diff = kern.sub(data[..., :keep, :], remainder, out=remainder)
-    return kern.mul(diff, inv_col, out=diff)
+    keep = len(outs[0])
+    lvl = keep + times
+    _, _, inv_col = basis.rescale_tables(lvl, times)
+    tail = np.stack([p[keep:lvl] for p in a])
+    basis.batch_ntt(lvl).inverse_block(tail, slice(keep, lvl))
+    remainder = _dropped_remainder(basis, tail, lvl)
+    basis.batch_ntt(keep).forward(remainder, out=remainder)
+    for p, rem, out in zip(a, remainder, outs):
+        kern.mul(kern.sub(p[:keep], rem, out=out), inv_col, out=out)
 
 
 def float_coeff_rows(basis: RnsBasis, level: int, values: np.ndarray) -> np.ndarray:
@@ -383,43 +384,20 @@ class RnsPolynomial:
         out = self._kernel(lvl).mul(self.data[:lvl], other.data[:lvl])
         return RnsPolynomial(self.basis, out, EVAL)
 
-    def scale_scalar(self, scalars: int | list[int]) -> "RnsPolynomial":
-        """Multiply by a scalar (single int, or one residue per limb)."""
-        if isinstance(scalars, int):
-            per_limb = [scalars % q for q in self.moduli()]
-        else:
-            if len(scalars) != self.level:
-                raise ValueError("need one scalar per active limb")
-            per_limb = [int(s) % q for s, q in zip(scalars, self.moduli())]
-        col = np.array(per_limb, dtype=np.uint64).reshape(-1, 1)
-        out = self._kernel().mul(self.data, col)
-        return RnsPolynomial(self.basis, out, self.domain)
-
     def automorphism(self, k: int) -> "RnsPolynomial":
-        """Apply X -> X^k (k odd) in either domain.
+        """Apply X -> X^k (k odd) to an evaluation-domain polynomial.
 
-        The Galois automorphisms behind CKKS slot rotations.  In the
-        coefficient domain this is an index permutation with negacyclic
-        sign flips for exponents that cross N; in the evaluation domain the
-        odd powers of ψ permute among themselves, so it is a *pure* slot
+        The Galois automorphisms behind CKKS slot rotations: the odd
+        powers of ψ permute among themselves, so it is a *pure* slot
         permutation (:func:`~repro.transforms.ntt.galois_permutation`) —
         no sign flips and no NTT round trip.
         """
-        n = self.degree
+        if self.domain != EVAL:
+            raise ValueError("automorphism operates in the evaluation domain")
         if k % 2 == 0:
             raise ValueError("automorphism index must be odd")
-        k %= 2 * n
-        if self.domain == EVAL:
-            src = galois_permutation(n, k)
-            return RnsPolynomial(self.basis, np.take(self.data, src, axis=-1), EVAL)
-        src = np.arange(n, dtype=np.int64)
-        dest = (src * k) % (2 * n)
-        wrap = dest >= n
-        dest_idx = np.where(wrap, dest - n, dest)
-        out = np.empty_like(self.data)
-        negated = self._kernel().neg(self.data)
-        out[:, dest_idx] = np.where(wrap[np.newaxis, :], negated, self.data)
-        return RnsPolynomial(self.basis, out, COEFF)
+        src = galois_permutation(self.degree, k % (2 * self.degree))
+        return RnsPolynomial(self.basis, np.take(self.data, src, axis=-1), EVAL)
 
     # ------------------------------------------------------------------
     # Level manipulation (rescale / mod-down)
@@ -460,7 +438,7 @@ class RnsPolynomial:
         Garner's mixed-radix digits ``x = d_0 + d_1 q_0 + d_2 q_0 q_1 + …``
         come from ``level - 1`` peels of the whole residue matrix.  ``Q``
         is odd, so the digits of ``Q // 2`` are ``q_j // 2`` and
-        ``x > Q // 2`` (the :func:`~repro.nums.modular.centered` rule) is
+        ``x > Q // 2`` (the centred-representative rule) is
         a lexicographic compare; where it holds ``x - Q`` is taken digit
         by digit, ``Q = q_0 + sum_{j>0} (q_j - 1) q_0 … q_{j-1}``, which
         leaves signed digits and no carry.  A coefficient of magnitude

@@ -173,13 +173,14 @@ def fusion_groups(graph: Graph) -> tuple[FusedGroup, ...]:
        once for all of them.  Its ``sources`` are sorted; ``payload``
        holds each output's terms in that order, output after output.
     3. ``automorphisms`` — every automorphism at one level whose source
-       is an output of one schedule step, when there are at least two:
-       one batched gadget decomposition of the distinct sources serves
-       every member.  This is the one place rotations share a
-       decomposition (hoisting, Halevi & Shoup).  A shared source (the
-       baby steps) is the one-source case; the outputs of a merged mac
-       (the giant steps) the many-source one.  The family runs at its
-       first member, after the step producing its sources.
+       is an output of one schedule step: one batched gadget
+       decomposition of the distinct sources serves every member.  This
+       is the one place rotations share a decomposition (hoisting,
+       Halevi & Shoup).  A shared source (the baby steps) is the
+       one-source case; the outputs of a merged mac (the giant steps)
+       the many-source one; a lone rotation is a family of one, so every
+       automorphism lowers the one way.  The family runs at its first
+       member, after the step producing its sources.
 
     Every other node is a step of its own: stepping a run of single-node
     closures back to back under one dispatch would fuse no work.
@@ -301,18 +302,16 @@ def fusion_groups(graph: Graph) -> tuple[FusedGroup, ...]:
             key = (producer.get(src, src), node.level)
             families.setdefault(key, []).append(node.id)
     for members in families.values():
-        if len(members) > 1:
-            groups.append(
-                FusedGroup(
-                    kind="automorphisms",
-                    anchor=members[0],
-                    members=tuple(members),
-                    outputs=tuple(members),
-                    sources=tuple(
-                        dict.fromkeys(graph.nodes[m].inputs[0] for m in members)
-                    ),
-                )
+        sources = dict.fromkeys(graph.nodes[m].inputs[0] for m in members)
+        groups.append(
+            FusedGroup(
+                kind="automorphisms",
+                anchor=members[0],
+                members=tuple(members),
+                outputs=tuple(members),
+                sources=tuple(sources),
             )
+        )
 
     return tuple(sorted(groups, key=lambda g: g.anchor))
 

@@ -14,7 +14,8 @@ ways:
 * :meth:`ExecutionPlan.run_batch` — the **fused replayer**
   (:class:`FusedExecutor`), the one fast path.  Fusion groups
   (:func:`~repro.runtime.passes.fusion_groups`) collapse MAC/sum trees
-  and rotation families into single fused kernel dispatches; a family's
+  and rotation families into single fused kernel dispatches; every
+  rotation belongs to a family (a lone one to a family of one), whose
   one batched decomposition is the only place rotations share one
   (hoisting).  An :class:`~repro.runtime.arena.ArenaLayout` preassigns
   every intermediate to a slot in one preallocated
@@ -178,8 +179,8 @@ class ExecutionPlan:
     def stats(self) -> dict:
         """Plan-shape and fused-replay statistics (lowers the fused
         executor on first call).  ``hoist_groups`` counts the rotation
-        families: the batched gadget decompositions one replay makes
-        (a rotation outside every family decomposes on its own)."""
+        families: the batched gadget decompositions one replay makes,
+        one per family (a lone rotation is a family of one)."""
         ex = self.fused()
         fused_nodes = sum(len(g.members) for g in ex.groups)
         families = sum(g.kind == "automorphisms" for g in ex.groups)
@@ -661,15 +662,10 @@ class FusedExecutor:
 
             return plain_step
         if op == "rescale":
-            times = node.attrs[0]
-            lvl_in = g.nodes[a].level
-            basis = self._basis
+            basis, times = self._basis, node.attrs[0]
 
             def rescale_step(env, inputs):
-                stacked = np.stack([p[:lvl_in] for p in env[a]])
-                out = rescale_eval_rows(basis, stacked, times)
-                for i, v in enumerate(views):
-                    np.copyto(v, out[i])
+                rescale_eval_rows(kern, basis, env[a], times, views)
 
             return rescale_step
         if op == "relinearize":
@@ -679,14 +675,6 @@ class FusedExecutor:
                 relinearize_rows(kern, engine, env[a], key, views)
 
             return relinearize_step
-        if op in AUTOMORPHISM_OPS:
-            key = g.consts[node.consts[0]]
-            perm = galois_permutation(self._basis.degree, node.attrs[-1])
-
-            def galois_step(env, inputs):
-                galois_rows(kern, engine, env[a], key, perm, views)
-
-            return galois_step
         raise AssertionError(f"unschedulable op {op!r}")
 
 

@@ -385,11 +385,20 @@ class BatchNtt:
 
     @classmethod
     def row_blocks(cls, count: int, row_bytes: int) -> list[slice]:
-        """``count`` rows of ``row_bytes`` each cut into slices of at most
-        :data:`BLOCK_BYTES` (at least one row): the blocks of a transform,
-        or of any limb-by-limb pass that should keep a block in cache."""
+        """``count`` rows of ``row_bytes`` each cut into the fewest slices
+        of at most :data:`BLOCK_BYTES` (at least one row), in order: the
+        blocks of a transform, or of any limb-by-limb pass that should
+        keep a block in cache.  Their sizes are within one row of each
+        other, so no lane is left the bulk of a pass, and never grow, so
+        a lane's first block is its largest (what its scratch is sized
+        by)."""
         rows = max(1, cls.BLOCK_BYTES // row_bytes)
-        return [slice(lo, min(lo + rows, count)) for lo in range(0, count, rows)]
+        blocks = -(-count // rows)
+        size, extra = divmod(count, max(1, blocks))
+        return [
+            slice(b * size + min(b, extra), (b + 1) * size + min(b + 1, extra))
+            for b in range(blocks)
+        ]
 
     def _block_plan(
         self, rows: slice, columns: bool = False

@@ -61,18 +61,6 @@ class TestAgainstScalarReference:
         want = ctx.encoder.fft.forward(folded)
         assert ctx.decode(pt).tobytes() == want.tobytes()
 
-    def test_decode_runs_no_scalar_crt(self, ctx, rng, monkeypatch):
-        """Combine-CRT is word-level: no per-coefficient Python CRT."""
-        from repro.nums.crt import CrtSystem
-
-        def scalar_crt(self, residues):
-            raise AssertionError("decode went through the scalar CRT")
-
-        pt = ctx.encode(rng.normal(size=ctx.params.slots))
-        want = ctx.decode(pt)
-        monkeypatch.setattr(CrtSystem, "combine", scalar_crt)
-        assert ctx.decode(pt).tobytes() == want.tobytes()
-
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_message_rejected(self, ctx):
         with pytest.raises(ValueError, match="non-finite"):

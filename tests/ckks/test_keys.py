@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 import pytest
 
@@ -75,12 +77,9 @@ class TestSwitchingKeys:
         rlk = ctx.keygen.gen_relin(ctx.secret_key, [level])[level]
         sk = ctx.secret_key.at_level(level)
         s_sq = sk * sk
-        crt = ctx.basis.crt(level)
         bound = 6 * ctx.params.error_stddev + 1
-        big_q = crt.modulus
         for j, (b_j, a_j) in enumerate(rlk.pairs):
-            idem = crt.q_hat[j] * crt.q_hat_inv[j] % big_q
-            gadget = s_sq.scale_scalar([idem % q for q in crt.moduli])
+            gadget = _idempotent_times(s_sq, j)
             residual = (b_j + a_j * sk - gadget).to_coeff().to_bigints()
             assert all(abs(x) <= bound for x in residual), j
 
@@ -123,23 +122,33 @@ class TestSwitchingKeys:
         assert len(gk[(1, 3)].pairs) == 3
 
 
+def _idempotent_times(poly, j):
+    """``idem_j * poly`` for the CRT idempotent ``idem_j = (Q/q_j) ·
+    ((Q/q_j)^-1 mod q_j)`` of limb ``j`` over ``poly``'s ``Q``, a big
+    integer reduced per limb, in exact Python ints."""
+    moduli = poly.moduli()
+    q_hat = prod(moduli) // moduli[j]
+    idem = q_hat * pow(q_hat, -1, moduli[j])
+    idem_col = np.array([[idem % q] for q in moduli], dtype=object)
+    q_col = np.array([[q] for q in moduli], dtype=object)
+    rows = (poly.data.astype(object) * idem_col % q_col).astype(np.uint64)
+    return RnsPolynomial(poly.basis, rows, poly.domain)
+
+
 def _composed_digit_by_digit(ctx, source, level, tag):
     """A switching key as the per-digit composition writes it:
     ``b_j = -(a_j * s) + e_j + idem_j * source`` with the big-integer CRT
     idempotent, each digit's ``a_j`` and ``e_j`` from their own streams."""
     basis, xof = ctx.basis, ctx.keygen.xof
     gauss = DiscreteGaussianSampler(ctx.params.error_stddev)
-    crt = basis.crt(level)
     s = ctx.secret_key.at_level(level)
     src = source.drop_limbs(level)
     b, a = [], []
     for j in range(level):
-        idem = crt.q_hat[j] * crt.q_hat_inv[j]
         a_j = expand_uniform_poly(basis, level, xof.derive(tag + b"|a%d" % j), tag)
         errors = gauss.sample_signed(xof, tag + b"|e%d" % j, basis.degree)
         e_j = RnsPolynomial.from_signed_coeffs(basis, level, errors).to_eval()
-        idem_residues = [idem % q for q in basis.moduli[:level]]
-        b_j = -(a_j * s) + e_j + src.scale_scalar(idem_residues)
+        b_j = -(a_j * s) + e_j + _idempotent_times(src, j)
         b.append(b_j.data)
         a.append(a_j.data)
     return np.stack(b), np.stack(a)

@@ -3,11 +3,10 @@
 Pins the tentpole invariants: the tensorized pipeline gives the bytes of
 the exact gadget sum ``Σ_j [x]_{q_j} · key_j`` of ``tests/oracle.py``
 (which shares nothing with the engine but data), hoisted rotations are
-bit-identical to
-non-hoisted ones, EVAL-domain automorphisms match the coefficient-domain
-path, fused multi-prime rescale matches sequential rescaling — and the
-dispatch-count guarantees
-(one forward BatchNtt per decomposition, zero NTT round trips per
+bit-identical to non-hoisted ones, EVAL-domain automorphisms match the
+oracle's coefficient-domain automorphism, fused multi-prime rescale
+matches sequential rescaling — and the dispatch-count guarantees (one
+forward BatchNtt per decomposition, zero NTT round trips per
 automorphism) hold structurally, not just by timing.
 """
 
@@ -258,10 +257,10 @@ class TestContraction:
     def test_digit_blocks_follow_the_transform_block_size(
         self, kctx, msg, perm, monkeypatch
     ):
-        """The digits go to the kernel in blocks of as many rows as fit
-        ``BatchNtt.BLOCK_BYTES`` — shrunk here so three digits' rows fit,
-        the last block short — with the key's matching digits as views:
-        the bytes of one block of every digit."""
+        """The digits go to the kernel in the fewest blocks within
+        ``BatchNtt.BLOCK_BYTES`` — shrunk here so four digits' rows fit,
+        which cuts the six digits 3 + 3, not 4 + 2 — with the key's
+        matching digits as views: the bytes of one block of every digit."""
         from repro.nums.kernels import ReducerKernel
         from repro.transforms.ntt import BatchNtt
 
@@ -284,10 +283,9 @@ class TestContraction:
 
         monkeypatch.setattr(ReducerKernel, "mul_accumulate_rows", recording)
         row = tensor[0].nbytes
-        monkeypatch.setattr(BatchNtt, "BLOCK_BYTES", 3 * row + row // 2)
+        monkeypatch.setattr(BatchNtt, "BLOCK_BYTES", 4 * row + row // 2)
         got = engine.contract(tensor, key, perm=perm)
-        last = [NUM_PRIMES % 3] if NUM_PRIMES % 3 else []
-        assert sizes == [[3] * (NUM_PRIMES // 3) + last]
+        assert NUM_PRIMES == 6 and sizes == [[3, 3]]
         for g, w in zip(got, want):
             assert g.tobytes() == w.tobytes()
 
@@ -416,21 +414,22 @@ class TestHoistedRotations:
         assert counts == {"forward": 0, "inverse": 0}
 
     def test_matches_seed_rotation_semantically(self, kctx, msg):
-        """Engine rotation decrypts identically to the seed path.
+        """Engine rotation decrypts identically to switching the permuted
+        ciphertext.
 
-        The seed decomposed the *permuted* polynomial; ``galois_rows``
-        gathers already-decomposed digits through the slot permutation
-        (the hoisting prerequisite).  The two
-        carry different — equally valid — digit representatives, so the
-        ciphertexts are not byte-equal, but they encrypt the same message
-        with the same noise bound.
+        Decomposing the *permuted* polynomial is the textbook rotation;
+        ``galois_rows`` gathers already-decomposed digits through the slot
+        permutation (the hoisting prerequisite).  The two carry different
+        — equally valid — digit representatives, so the ciphertexts are
+        not byte-equal, but they encrypt the same message with the same
+        noise bound.
         """
         gks = kctx.galois_keys([4], levels=[NUM_PRIMES])
         ct = kctx.encrypt(msg)
         ev = kctx.evaluator
         elt = rotation_galois_elt(4, kctx.params.slots, 2 * DEGREE)
-        c0r = ct.parts[0].to_coeff().automorphism(elt).to_eval()
-        c1r = ct.parts[1].to_coeff().automorphism(elt).to_eval()
+        c0r = ct.parts[0].automorphism(elt)
+        c1r = ct.parts[1].automorphism(elt)
         ks0, ks1 = ev.keyswitch.switch(c1r, gks[(4, NUM_PRIMES)])
         seed = Ciphertext(parts=[c0r + ks0, ks1], scale=ct.scale)
         engine = ev.rotate(ct, 4, gks)
@@ -447,11 +446,15 @@ class TestHoistedRotations:
 class TestEvalDomainAutomorphism:
     @BARRETT
     def test_matches_coeff_domain_path(self, kctx, msg):
+        """The slot gather is the oracle's X -> X^k on coefficients."""
         poly = kctx.encrypt(msg).parts[0]  # EVAL domain
+        moduli = kctx.basis.moduli[: poly.level]
+        psis = [NttContext.cached(DEGREE, q).psi for q in moduli]
+        coeffs = oracle.from_eval(poly.data, moduli, psis)
         for k in (3, 5, 2 * DEGREE - 1):
-            via_eval = poly.automorphism(k)
-            via_coeff = poly.to_coeff().automorphism(k).to_eval()
-            assert np.array_equal(via_eval.data, via_coeff.data)
+            moved = oracle.automorphism(coeffs, k, prod(moduli))
+            want = oracle.to_eval(moved, moduli, psis)
+            assert poly.automorphism(k).data.tobytes() == want.tobytes()
 
     def test_gather_keeps_rows_c_ordered(self, kctx, msg):
         poly = kctx.encrypt(msg).parts[0]  # EVAL domain
@@ -494,9 +497,9 @@ class TestFusedRescale:
         for name in counts:
             real = getattr(BatchNtt, name)
 
-            def counting(self, *args, _name=name, _real=real):
+            def counting(self, *args, _name=name, _real=real, **kwargs):
                 counts[_name] += 1
-                return _real(self, *args)
+                return _real(self, *args, **kwargs)
 
             monkeypatch.setattr(BatchNtt, name, counting)
         kctx.evaluator.rescale(ct, times=2)

@@ -2,12 +2,13 @@
 
 Each op of :data:`repro.runtime.graph._RULES` runs once through the eager
 :class:`~repro.ckks.evaluator.Evaluator` and once as a one-op fused plan,
-at N = 16 and 32 over four 36-bit limbs.  Every output part is composed
-into a polynomial over ``Q`` and must give, limb by limb, the bytes of the
-polynomial ``tests/oracle.py`` computes from the same inputs: schoolbook
-products, the automorphism on coefficients, the gadget sum of the digits
-against the key's polynomials, and the exact rescale.  The oracle shares
-no code with the library; it reads residues, moduli and each limb's ψ.
+at N = 16 and 32 over four 36-bit limbs.  The same callable runs on the
+:class:`~tests.oracle_evaluator.OracleEvaluator`, each op composed from
+``tests/oracle.py``: schoolbook products, the automorphism on
+coefficients, the gadget sum of the digits against the key's
+polynomials, and the exact rescale.  Every output part must give, limb
+by limb, the bytes of the oracle's polynomial.  The oracle shares no
+code with the library; it reads residues, moduli and each limb's ψ.
 
 Inputs are uniform residues with both edges (0 and ``q - 1``) planted,
 not encryptions: an op's bytes do not depend on what the rows decrypt
@@ -19,7 +20,6 @@ limb against ``column_rows`` = 4 at N = 16 and 8 at N = 32) the columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
 from unittest import mock
 
 import numpy as np
@@ -31,8 +31,8 @@ from repro.ckks.keys import rotation_galois_elt
 from repro.rns.poly import COEFF, EVAL, RnsPolynomial
 from repro.runtime import CtSpec, compile_fn
 from repro.runtime.graph import _RULES
-from repro.transforms.ntt import BatchNtt, NttContext
-from tests import oracle
+from repro.transforms.ntt import BatchNtt
+from tests.oracle_evaluator import OracleCiphertext, OracleEvaluator
 
 LEVEL = 4
 LEAVES = {"input", "pt_input"}
@@ -40,12 +40,10 @@ LEAVES = {"input", "pt_input"}
 
 @dataclass
 class World:
-    """One context, its keys and each limb's ψ, with the oracle's view of
-    its data: evaluation rows as polynomials over ``Q`` and back."""
+    """One context, its keys and the oracle evaluator over its moduli."""
 
     ctx: CkksContext
-    moduli: tuple[int, ...]
-    psis: tuple[int, ...]
+    ora: OracleEvaluator
     rlk: dict
     gks: dict
     conj: dict
@@ -54,28 +52,8 @@ class World:
     def n(self) -> int:
         return self.ctx.params.degree
 
-    def poly(self, rows: np.ndarray) -> np.ndarray:
-        """Evaluation rows of ``len(rows)`` limbs -> the polynomial over
-        their ``Q``, by the oracle's own inverse transform."""
-        lvl = len(rows)
-        return oracle.from_eval(rows, self.moduli[:lvl], self.psis[:lvl])
-
-    def rows(self, poly: np.ndarray, lvl: int) -> np.ndarray:
-        return oracle.to_eval(poly, self.moduli[:lvl], self.psis[:lvl])
-
-    def digits(self, rows: np.ndarray) -> list[np.ndarray]:
-        """``[x]_{q_j}``: the coefficient residues of evaluation rows."""
-        limbs = zip(rows, self.moduli, self.psis)
-        return [oracle.intt(row, q, psi) for row, q, psi in limbs]
-
-    def key_polys(self, key, lvl: int) -> tuple[list, list]:
-        """The ``[:lvl, :lvl]`` prefix of a switching key as polynomials."""
-        return tuple(
-            [self.poly(part[j, :lvl]) for j in range(lvl)] for part in (key.b, key.a)
-        )
-
     def random_rows(self, rng, lvl: int) -> np.ndarray:
-        q_col = np.array(self.moduli[:lvl], dtype=np.uint64).reshape(-1, 1)
+        q_col = np.array(self.ora.moduli[:lvl], dtype=np.uint64).reshape(-1, 1)
         rows = rng.integers(0, 1 << 62, (lvl, self.n), dtype=np.uint64) % q_col
         rows[:, 0] = q_col[:, 0] - np.uint64(1)
         rows[:, 1] = 0
@@ -92,51 +70,22 @@ class World:
         poly = RnsPolynomial(self.ctx.basis, self.random_rows(rng, LEVEL), domain)
         return Plaintext(poly, scale)
 
-    def plain_poly(self, pt: Plaintext, lvl: int) -> np.ndarray:
-        rows = pt.poly.data[:lvl]
-        if pt.poly.domain == EVAL:
-            return self.poly(rows)
-        return oracle.crt(rows, self.moduli[:lvl])
-
-    def switch(self, digits, key, lvl: int) -> tuple[np.ndarray, np.ndarray]:
-        big_q = self.big_q(lvl)
-        return tuple(
-            oracle.gadget_sum(digits, polys, big_q)
-            for polys in self.key_polys(key, lvl)
-        )
-
-    def galois(self, ct: Ciphertext, g: int, key) -> list[np.ndarray]:
-        """``(σ(c0) + Σ σ([c1]_{q_j}) b_j, Σ σ([c1]_{q_j}) a_j)``: the
-        digits are taken before the automorphism, as a hoisted family
-        takes them once for all its members."""
-        lvl, big_q = ct.level, self.big_q(ct.level)
-        digits = self.digits(ct.parts[1].data)
-        moved = [oracle.automorphism(d, g, big_q) for d in digits]
-        ks0, ks1 = self.switch(moved, key, lvl)
-        c0 = oracle.automorphism(self.poly(ct.parts[0].data), g, big_q)
-        return [(c0 + ks0) % big_q, ks1]
-
-    def big_q(self, lvl: int) -> int:
-        return prod(self.moduli[:lvl])
+    def expected(self, fn, inputs):
+        """``fn`` composed from the oracle's ops, on the same inputs."""
+        return fn(self.ora, *[self.ora.lift(ct) for ct in inputs])
 
 
 @pytest.fixture(scope="module", params=[16, 32], ids=lambda n: f"n{n}")
 def world(request) -> World:
     n = request.param
     ctx = CkksContext.create(toy_params(degree=n, num_primes=LEVEL), seed=n)
-    moduli = ctx.basis.moduli[:LEVEL]
     return World(
         ctx=ctx,
-        moduli=moduli,
-        psis=tuple(NttContext.cached(n, q).psi for q in moduli),
+        ora=OracleEvaluator(ctx),
         rlk=ctx.relin_keys(levels=[LEVEL]),
         gks=ctx.galois_keys([1, 3, 4, 8, 12], levels=[LEVEL]),
         conj=ctx.keygen.gen_conjugation(ctx.secret_key, levels=[LEVEL]),
     )
-
-
-def _parts(world: World, ct: Ciphertext, lvl: int) -> list[np.ndarray]:
-    return [world.poly(p.data[:lvl]) for p in ct.parts]
 
 
 def _linear(world, rng, op):
@@ -144,15 +93,8 @@ def _linear(world, rng, op):
     third part), and negate: limb-wise over the lower ``Q``."""
     a, b = world.ciphertext(rng), world.ciphertext(rng, LEVEL - 1, size=3)
     if op == "negate":
-        big_q = world.big_q(LEVEL)
-        want = [(-x) % big_q for x in _parts(world, a, LEVEL)]
-        return (lambda ev, x: ev.negate(x)), [a], want, LEVEL
-    lvl, big_q = LEVEL - 1, world.big_q(LEVEL - 1)
-    pa, pb = _parts(world, a, lvl), _parts(world, b, lvl)
-    pa.append(np.zeros(world.n, dtype=object))
-    sign = -1 if op == "sub" else 1
-    want = [(x + sign * y) % big_q for x, y in zip(pa, pb)]
-    return (lambda ev, x, y: getattr(ev, op)(x, y)), [a, b], want, lvl
+        return (lambda ev, x: ev.negate(x)), [a]
+    return (lambda ev, x, y: getattr(ev, op)(x, y)), [a, b]
 
 
 def _plain(world, rng, op):
@@ -160,28 +102,16 @@ def _plain(world, rng, op):
     evaluation-domain one (a BSGS diagonal's layout); the plaintext sits
     one level above the ciphertext, which reads its prefix."""
     ct = world.ciphertext(rng, LEVEL - 1)
-    lvl, big_q = LEVEL - 1, world.big_q(LEVEL - 1)
-    c0, c1 = _parts(world, ct, lvl)
     if op == "add_plain":
         pt = world.plaintext(rng, COEFF, ct.scale)
-        want = [(c0 + world.plain_poly(pt, lvl)) % big_q, c1]
     else:
         pt = world.plaintext(rng, EVAL, 2.0**36)
-        m = world.plain_poly(pt, lvl)
-        want = [oracle.negacyclic_mul(c, m, big_q) for c in (c0, c1)]
-    return (lambda ev, x: getattr(ev, op)(x, pt)), [ct], want, lvl
+    return (lambda ev, x: getattr(ev, op)(x, pt)), [ct]
 
 
 def _multiply(world, rng, op):
     a, b = world.ciphertext(rng), world.ciphertext(rng)
-    big_q = world.big_q(LEVEL)
-    (a0, a1), (b0, b1) = _parts(world, a, LEVEL), _parts(world, b, LEVEL)
-
-    def mul(x, y):
-        return oracle.negacyclic_mul(x, y, big_q)
-
-    want = [mul(a0, b0), (mul(a0, b1) + mul(a1, b0)) % big_q, mul(a1, b1)]
-    return (lambda ev, x, y: ev.multiply(x, y)), [a, b], want, LEVEL
+    return (lambda ev, x, y: ev.multiply(x, y)), [a, b]
 
 
 def _relinearize(world, rng, op):
@@ -189,36 +119,26 @@ def _relinearize(world, rng, op):
     lvl = LEVEL - 1
     ct = world.ciphertext(rng, lvl, size=3)
     key = world.rlk[LEVEL]
-    big_q = world.big_q(lvl)
-    c0, c1, _ = _parts(world, ct, lvl)
-    ks0, ks1 = world.switch(world.digits(ct.parts[2].data), key, lvl)
-    want = [(c0 + ks0) % big_q, (c1 + ks1) % big_q]
-    return (lambda ev, x: ev.relinearize(x, {lvl: key})), [ct], want, lvl
+    return (lambda ev, x: ev.relinearize(x, {lvl: key})), [ct]
 
 
 def _rescale(world, rng, op, times=1):
-    ct = world.ciphertext(rng)
-    want = [oracle.rescale(p, world.moduli, times) for p in _parts(world, ct, LEVEL)]
-    return (lambda ev, x: ev.rescale(x, times)), [ct], want, LEVEL - times
+    return (lambda ev, x: ev.rescale(x, times)), [world.ciphertext(rng)]
 
 
 def _automorphism(world, rng, op):
     """rotate by 3, conjugate, and apply_galois with rotation 1's element."""
-    ct = world.ciphertext(rng)
-    steps = 3 if op == "rotate" else 1
-    g = rotation_galois_elt(steps, world.ctx.params.slots, 2 * world.n)
-    key = world.gks[(steps, LEVEL)]
-    if op == "conjugate":
-        g, key = 2 * world.n - 1, world.conj[LEVEL]
+    g = rotation_galois_elt(1, world.ctx.params.slots, 2 * world.n)
+    key = world.gks[(1, LEVEL)]
 
     def fn(ev, x):
         if op == "rotate":
-            return ev.rotate(x, steps, world.gks)
+            return ev.rotate(x, 3, world.gks)
         if op == "conjugate":
             return ev.conjugate(x, world.conj)
         return ev.apply_galois(x, g, key)
 
-    return fn, [ct], world.galois(ct, g, key), LEVEL
+    return fn, [world.ciphertext(rng)]
 
 
 CASES = {
@@ -252,28 +172,29 @@ def _run(world: World, fn, inputs, path: str, op: str) -> Ciphertext:
     return out
 
 
-def _check(world: World, out: Ciphertext, want, lvl: int) -> None:
-    assert out.level == lvl and out.size == len(want)
-    for part, poly in zip(out.parts, want):
-        assert part.data.tobytes() == world.rows(poly, lvl).tobytes()
+def _check(world: World, out: Ciphertext, want: OracleCiphertext) -> None:
+    assert (out.level, out.size, out.scale) == (want.level, want.size, want.scale)
+    for part, rows in zip(out.parts, world.ora.eval_rows(want)):
+        assert part.data.tobytes() == rows.tobytes()
 
 
 @pytest.mark.parametrize("path", ["eager", "fused"])
 @pytest.mark.parametrize("op", sorted(CASES))
 def test_op_matches_the_oracle(world, op, path):
     rng = np.random.default_rng([world.n, sorted(CASES).index(op)])
-    fn, inputs, want, lvl = CASES[op](world, rng, op)
-    _check(world, _run(world, fn, inputs, path, op), want, lvl)
+    fn, inputs = CASES[op](world, rng, op)
+    _check(world, _run(world, fn, inputs, path, op), world.expected(fn, inputs))
 
 
 @pytest.mark.parametrize("path", ["eager", "fused"])
 @pytest.mark.parametrize("times", [1, 2])
 def test_rescale_drops_one_or_two_primes(world, times, path):
     rng = np.random.default_rng([world.n, times])
-    fn, inputs, want, lvl = _rescale(world, rng, "rescale", times)
+    fn, inputs = _rescale(world, rng, "rescale", times)
     out = _run(world, fn, inputs, path, "rescale")
-    _check(world, out, want, lvl)
-    dropped = np.array(world.moduli[LEVEL - times :], dtype=float)
+    _check(world, out, world.expected(fn, inputs))
+    assert out.level == LEVEL - times
+    dropped = np.array(world.ora.moduli[LEVEL - times : LEVEL], dtype=float)
     assert out.scale == pytest.approx(inputs[0].scale / np.prod(dropped))
 
 
@@ -322,25 +243,5 @@ def test_rotation_families_in_both_layouts(world, path):
             assert plan.stats()["hoist_groups"] == 2
             outs = plan.run_batch([[x]])[0]
     assert sorted(transformed) == (list(range(LEVEL)) if path == "fused" else [])
-
-    big_q = world.big_q(LEVEL)
-    slots, two_n = world.ctx.params.slots, 2 * n
-
-    def rotated(ct, steps):
-        g = rotation_galois_elt(steps, slots, two_n)
-        return world.galois(ct, g, world.gks[(steps, LEVEL)])
-
-    def wrap(polys, scale):
-        basis = world.ctx.basis
-        parts = [RnsPolynomial(basis, world.rows(p, LEVEL), EVAL) for p in polys]
-        return Ciphertext(parts, scale)
-
-    babies = [_parts(world, x, LEVEL), rotated(x, 1), rotated(x, 3)]
-    for out, row, steps in zip(outs, diagonals, giants):
-        acc = [np.zeros(n, dtype=object) for _ in range(2)]
-        for baby, pt in zip(babies, row):
-            m = world.plain_poly(pt, LEVEL)
-            for i in range(2):
-                acc[i] = (acc[i] + oracle.negacyclic_mul(baby[i], m, big_q)) % big_q
-        want = rotated(wrap(acc, out.scale), steps)
-        _check(world, out, want, LEVEL)
+    for out, want in zip(outs, world.expected(model, [x]), strict=True):
+        _check(world, out, want)

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.nums.modular import (
-    centered,
+    centered_vec,
     mod_inv,
     mod_pow,
     nth_root_of_unity,
@@ -45,12 +46,12 @@ class TestScalarHelpers:
 
     def test_centered_range(self):
         q = 17
-        for v in range(-40, 40):
-            c = centered(v, q)
-            assert -(q // 2) <= c <= q // 2
-            assert (c - v) % q == 0
+        v = np.arange(q, dtype=np.uint64)
+        c = centered_vec(v, q)
+        assert c.dtype == np.int64
+        assert ((-(q // 2) <= c) & (c <= q // 2)).all()
+        assert ((c - v.astype(np.int64)) % q == 0).all()
 
     def test_centered_half_boundary(self):
         # q even: q/2 maps to q/2 (the documented (-q/2, q/2] convention).
-        assert centered(8, 16) == 8
-        assert centered(9, 16) == -7
+        assert centered_vec(np.array([8, 9], dtype=np.uint64), 16).tolist() == [8, -7]

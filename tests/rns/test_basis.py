@@ -33,21 +33,8 @@ class TestCreate:
 
 
 class TestLevels:
-    def test_modulus_at(self, basis):
-        prod = 1
-        for q in basis.moduli[:3]:
-            prod *= q
-        assert basis.modulus_at(3) == prod
-
-    def test_modulus_at_full(self, basis):
-        assert basis.modulus_at(basis.num_primes) == basis.crt(basis.num_primes).modulus
-
     def test_level_bounds(self, basis):
         with pytest.raises(ValueError, match="level"):
-            basis.modulus_at(0)
+            basis.kernel(0)
         with pytest.raises(ValueError, match="level"):
-            basis.crt(basis.num_primes + 1)
-
-    def test_crt_prefix_consistency(self, basis):
-        crt3 = basis.crt(3)
-        assert crt3.moduli == basis.moduli[:3]
+            basis.batch_ntt(basis.num_primes + 1)

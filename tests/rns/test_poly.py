@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import tracemalloc
+from math import prod
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from repro.rns.poly import (
     RnsPolynomial,
     float_coeff_rows,
     rescale_eval_rows,
-    rescale_rows,
 )
 from repro.transforms.fft import SpecialFft
 from repro.transforms.fp_custom import FP32_LIKE, FP55, FP64
@@ -67,7 +67,7 @@ class TestConstruction:
         assert np.array_equal(masked[:, : len(edge)], divided[:, : len(edge)])
 
     def test_from_bigint_roundtrip(self, basis):
-        big = basis.modulus_at(LEVEL)
+        big = prod(basis.moduli[:LEVEL])
         coeffs = [0, 1, -1 % big, big // 3, big - 7] + [0] * (basis.degree - 5)
         p = RnsPolynomial.from_bigint_coeffs(basis, LEVEL, coeffs)
         assert p.to_bigints(center=False) == [c % big for c in coeffs]
@@ -202,7 +202,7 @@ class TestExpandRns:
         values = np.zeros(N)
         values[:4] = [2.0**53, 2.0**53 + 2, -(2.0**100), 3 * 2.0**70]
         got = RnsPolynomial.from_float_coeffs(basis, LEVEL, values)
-        big = basis.modulus_at(LEVEL)
+        big = prod(basis.moduli[:LEVEL])
         assert got.to_bigints(center=False)[:4] == [int(v) % big for v in values[:4]]
 
     def test_rejects_fractions_and_non_finite(self, basis):
@@ -247,8 +247,8 @@ MIXED_BASIS = _interleaved_chain()
 
 
 class TestCombineCrt:
-    """The word-level Garner Combine-CRT against the scalar idempotent-sum
-    CRT of :class:`~repro.nums.crt.CrtSystem`, one column at a time."""
+    """The word-level Garner Combine-CRT against the idempotent-sum CRT
+    of ``tests/oracle.py``."""
 
     @pytest.fixture(params=["shared", "mixed"])
     def chain(self, request, basis) -> RnsBasis:
@@ -271,13 +271,13 @@ class TestCombineCrt:
         for col, value in enumerate(values):
             data[:, col] = [value % q for q in moduli]
         poly = RnsPolynomial(chain, data)
-        crt = chain.crt(level)
-        columns = [[int(r) for r in column] for column in data.T]
-        centered = [crt.combine_centered(column) for column in columns]
+        big = prod(moduli)
+        combined = oracle.crt(data, moduli).tolist()
+        centered = [c - big if c > big // 2 else c for c in combined]
         got = poly.to_bigints()
         assert got == centered
         assert all(type(c) is int for c in got)
-        assert poly.to_bigints(center=False) == [crt.combine(c) for c in columns]
+        assert poly.to_bigints(center=False) == combined
         floats = poly.to_float_coeffs()
         assert floats.dtype == np.float64
         want = np.array(centered, dtype=np.float64)
@@ -313,7 +313,7 @@ class TestCombineCrt:
     @BARRETT
     def test_edge_columns(self, chain, rng):
         for level in range(1, 7):
-            big, q0 = chain.modulus_at(level), chain.moduli[0]
+            big, q0 = prod(chain.moduli[:level]), chain.moduli[0]
             edges = [
                 *(0, 1, big - 1),
                 *(big // 2, big // 2 + 1),  # the centering boundary (Q is odd)
@@ -339,9 +339,9 @@ class TestCombineCrt:
     )
     def test_matches_scalar_crt(self, basis, draws, level, which):
         chain = basis if which == "shared" else MIXED_BASIS
-        big = chain.modulus_at(level)
+        big = prod(chain.moduli[:level])
         # Q//2, then the mixed-radix weights q_0, q_0 q_1, …, Q.
-        anchors = [big // 2] + [chain.modulus_at(k) for k in range(1, level + 1)]
+        anchors = [big // 2] + [prod(chain.moduli[:k]) for k in range(1, level + 1)]
         values = [
             anchors[d[0] % len(anchors)] + d[1] if isinstance(d, tuple) else d
             for d in draws
@@ -395,20 +395,6 @@ class TestArithmetic:
             ref = oracle.negacyclic_mul(a.data[i], b.data[i], basis.moduli[i])
             assert np.array_equal(prod.data[i], ref.astype(np.uint64))
 
-    def test_scale_scalar_int(self, basis, rng):
-        a = poly_from(rng, basis)
-        got = a.scale_scalar(7).to_bigints()
-        assert got == [7 * c for c in a.to_bigints()]
-
-    def test_scale_scalar_per_limb(self, basis, rng):
-        a = poly_from(rng, basis, level=2)
-        scalars = [3 % basis.moduli[0], 3 % basis.moduli[1]]
-        assert np.array_equal(a.scale_scalar(scalars).data, a.scale_scalar(3).data)
-
-    def test_scale_scalar_wrong_count(self, basis, rng):
-        with pytest.raises(ValueError, match="one scalar per"):
-            poly_from(rng, basis, level=2).scale_scalar([1, 2, 3])
-
     def test_level_mismatch_takes_min(self, basis, rng):
         a, b = poly_from(rng, basis, level=4), poly_from(rng, basis, level=2)
         assert (a + b).level == 2
@@ -423,49 +409,60 @@ class TestArithmetic:
 
 
 class TestAutomorphism:
-    def test_monomial_mapping(self, basis):
+    """The evaluation-domain slot gather, read back through the
+    coefficients where a monomial's image is known by hand."""
+
+    @staticmethod
+    def monomial(basis, degree: int) -> RnsPolynomial:
         mono = np.zeros(N, dtype=np.int64)
-        mono[2] = 1
-        p = RnsPolynomial.from_signed_coeffs(basis, 2, mono)
-        out = p.automorphism(5).to_bigints()
+        mono[degree] = 1
+        return RnsPolynomial.from_signed_coeffs(basis, 2, mono).to_eval()
+
+    def test_monomial_mapping(self, basis):
+        out = self.monomial(basis, 2).automorphism(5).to_coeff().to_bigints()
         assert out[10] == 1 and sum(abs(c) for c in out) == 1
 
     def test_negacyclic_wrap_sign(self, basis):
         """X^k with k*g >= N wraps with a sign flip."""
-        mono = np.zeros(N, dtype=np.int64)
-        mono[N - 1] = 1
-        out = RnsPolynomial.from_signed_coeffs(basis, 2, mono).automorphism(3).to_bigints()
+        out = self.monomial(basis, N - 1).automorphism(3).to_coeff().to_bigints()
         # (N-1)*3 = 3N - 3 -> X^(3N-3) = X^(N-3) * (X^N)^2 = +X^(N-3)
         assert out[N - 3] == 1
 
     def test_identity_automorphism(self, basis, rng):
-        p = poly_from(rng, basis)
+        p = poly_from(rng, basis).to_eval()
         assert np.array_equal(p.automorphism(1).data, p.data)
 
     def test_composition(self, basis, rng):
-        p = poly_from(rng, basis)
+        p = poly_from(rng, basis).to_eval()
         lhs = p.automorphism(3).automorphism(5)
         rhs = p.automorphism(15)
         assert np.array_equal(lhs.data, rhs.data)
 
     def test_even_index_rejected(self, basis, rng):
         with pytest.raises(ValueError, match="odd"):
-            poly_from(rng, basis).automorphism(2)
+            poly_from(rng, basis).to_eval().automorphism(2)
+
+    def test_coeff_domain_rejected(self, basis, rng):
+        with pytest.raises(ValueError, match="evaluation domain"):
+            poly_from(rng, basis).automorphism(3)
 
     def test_eval_domain_matches_coeff_domain(self, basis, rng):
-        """EVAL-domain automorphism (slot permutation) == coeff path + NTT."""
-        p = poly_from(rng, basis)
+        """The slot permutation is the oracle's X -> X^k on coefficients."""
+        p = poly_from(rng, basis).to_eval()
+        moduli = basis.moduli[:LEVEL]
+        psis = [NttContext.cached(N, q).psi for q in moduli]
+        coeffs = oracle.from_eval(p.data, moduli, psis)
         for k in (3, 5, 2 * basis.degree - 1):
-            via_coeff = p.automorphism(k).to_eval()
-            via_eval = p.to_eval().automorphism(k)
-            assert np.array_equal(via_coeff.data, via_eval.data)
+            moved = oracle.automorphism(coeffs, k, prod(moduli))
+            want = oracle.to_eval(moved, moduli, psis)
+            assert p.automorphism(k).data.tobytes() == want.tobytes()
 
     def test_is_ring_homomorphism(self, basis, rng):
         """automorphism(a * b) == automorphism(a) * automorphism(b)."""
-        a, b = poly_from(rng, basis, bound=30), poly_from(rng, basis, bound=30)
-        prod = (a.to_eval() * b.to_eval()).to_coeff()
-        lhs = prod.automorphism(5)
-        rhs = (a.automorphism(5).to_eval() * b.automorphism(5).to_eval()).to_coeff()
+        a = poly_from(rng, basis, bound=30).to_eval()
+        b = poly_from(rng, basis, bound=30).to_eval()
+        lhs = (a * b).automorphism(5)
+        rhs = a.automorphism(5) * b.automorphism(5)
         assert np.array_equal(lhs.data, rhs.data)
 
 
@@ -517,25 +514,33 @@ def _eval_rows(basis: RnsBasis, lead: tuple, lvl: int, seed: int) -> np.ndarray:
 
 class TestRescaleEvalRows:
     """The evaluation-domain rescale and the tail transform it runs on,
-    pinned against the coefficient-domain reference byte for byte."""
+    pinned against the exact oracle byte for byte."""
 
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(2, 10),
         st.integers(1, 3),
-        st.sampled_from([(), (2,), (3,)]),
+        st.integers(1, 3),
         st.integers(0, 2**32 - 1),
     )
-    def test_equals_the_coefficient_round_trip(self, lvl, times, lead, seed):
+    def test_equals_the_oracle_rescale(self, lvl, times, parts, seed):
+        """Each part's ``(x - [x]_P) · P^-1`` lands in its output rows —
+        views of a wider buffer, as arena slots are — and nowhere else."""
         times = min(times, lvl - 1)
-        data = _eval_rows(TEN_LIMBS, lead, lvl, seed)
+        keep = lvl - times
+        data = _eval_rows(TEN_LIMBS, (parts,), lvl, seed)
         before = data.copy()
-        coeff = TEN_LIMBS.batch_ntt(lvl).inverse(data)
-        reference = rescale_rows(TEN_LIMBS, coeff, times)
-        want = TEN_LIMBS.batch_ntt(lvl - times).forward(reference)
-        got = rescale_eval_rows(TEN_LIMBS, data, times)
-        assert got.dtype == np.uint64 and got.shape == (*lead, lvl - times, 64)
-        assert np.array_equal(got, want)
+        pool = np.zeros((parts, 10, 64), dtype=np.uint64)
+        outs = [slot[:keep] for slot in pool]
+        kern = TEN_LIMBS.kernel(keep)
+        assert rescale_eval_rows(kern, TEN_LIMBS, list(data), times, outs) is None
+        moduli = TEN_LIMBS.moduli[:lvl]
+        psis = [NttContext.cached(64, q).psi for q in moduli]
+        for part, out in zip(data, outs):
+            exact = oracle.rescale(oracle.from_eval(part, moduli, psis), moduli, times)
+            want = oracle.to_eval(exact, moduli[:keep], psis[:keep])
+            assert out.tobytes() == want.tobytes()
+        assert not pool[:, keep:].any()
         assert np.array_equal(data, before)  # the input is read, not consumed
 
     @settings(max_examples=40, deadline=None)

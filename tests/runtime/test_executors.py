@@ -4,6 +4,7 @@ guards proving CSE/hoisting fire, buffer release, and plan ownership."""
 from __future__ import annotations
 
 import gc
+import inspect
 import multiprocessing as mp
 import sys
 import threading
@@ -604,7 +605,10 @@ class TestDispatchCounts:
 
 
 # Each non-leaf op's row function: the one kernel sequence its eager
-# method and fused replay share (rescale's lives in repro.rns.poly).
+# method (through Evaluator._run) and its fused step share, each writing
+# the output rows it is given.  Rescale's lives in repro.rns.poly, and
+# every automorphism's fused step is a rotation family's, a lone one a
+# family of one.
 ROW_FUNCTIONS = {
     "add": "add_rows",
     "sub": "add_rows",
@@ -663,7 +667,9 @@ class TestOneKernelSequencePerOp:
     ):
         """Per op, the eager call and a one-node plan's fused replay each
         call its row function exactly once, and the replay enters no
-        ``Evaluator`` method (a plaintext input used to fall back to one)."""
+        ``Evaluator`` method (a plaintext input used to fall back to one)
+        and hands the row function its own arena views as ``outs`` (a
+        rescale step once wrote a fresh result and copied it in)."""
         top, slots = rctx.params.num_primes, rctx.params.slots
         rng = np.random.default_rng(16)
         pt = rctx.encoder.encode(rng.uniform(-1, 1, slots), level=top)
@@ -686,11 +692,21 @@ class TestOneKernelSequencePerOp:
         ]
         inputs = [x, y, t, pt]
         rows, entered = Counter(), Counter()
+        written = []
+
+        def writing(fn):
+            signature = inspect.signature(fn)
+
+            def wrapper(*args, **kwargs):
+                written.append(signature.bind(*args, **kwargs).arguments["outs"])
+                return fn(*args, **kwargs)
+
+            return wrapper
+
         for name in set(ROW_FUNCTIONS.values()):
-            for module in (evaluator_module, plan_module):
-                monkeypatch.setattr(
-                    module, name, _counting(getattr(module, name), rows, name)
-                )
+            fn = getattr(evaluator_module, name)
+            monkeypatch.setattr(evaluator_module, name, _counting(fn, rows, name))
+            monkeypatch.setattr(plan_module, name, _counting(writing(fn), rows, name))
         for name, method in list(vars(Evaluator).items()):
             if callable(method) and not name.startswith("__"):
                 monkeypatch.setattr(Evaluator, name, _counting(method, entered, name))
@@ -705,12 +721,15 @@ class TestOneKernelSequencePerOp:
             assert rows == {ROW_FUNCTIONS[op]: 1}, f"eager {case}: {dict(rows)}"
             plan = compile_fn(program, rctx.evaluator, specs)
             assert [n.op for n in plan.graph.nodes if n.inputs] == [op], case
-            plan.fused()  # lowered outside the count
+            pool = plan.fused().arena.pool  # lowered outside the count
             rows.clear()
             entered.clear()
+            written.clear()
             [[fused]] = plan.run_batch([inputs])
             assert rows == {ROW_FUNCTIONS[op]: 1}, f"fused {case}: {dict(rows)}"
             assert not entered, f"fused {case} entered Evaluator.{sorted(entered)}"
+            (outs,) = written
+            assert all(np.shares_memory(out, pool) for out in outs), case
             _assert_ct_equal(fused, eager, case)
 
 

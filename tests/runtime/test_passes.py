@@ -106,8 +106,8 @@ class TestDce:
 
 class TestHoistGrouping:
     def test_rotations_sharing_a_source_group(self, rctx, gks):
-        """Rotations of one source share a decomposition only as a fused
-        rotation family."""
+        """Rotations of one source share a decomposition as one fused
+        rotation family; a lone rotation is a family of one."""
         def program(ev, x):
             r1 = ev.rotate(x, 1, gks)
             r2 = ev.rotate(x, 2, gks)
@@ -116,9 +116,9 @@ class TestHoistGrouping:
 
         g = optimize(trace(program, rctx.evaluator, [_spec(rctx)]))
         groups = [grp for grp in fusion_groups(g) if grp.kind == "automorphisms"]
-        assert len(groups) == 1
-        (grp,) = groups
-        assert len(grp.members) == 2  # the lone rotation stays ungrouped
+        r1, r2, lone = (n.id for n in g.nodes if n.op == "rotate")
+        assert [grp.members for grp in groups] == [(r1, r2), (lone,)]
+        assert [len(grp.sources) for grp in groups] == [1, 1]
 
 
 class TestFusion:

@@ -1,4 +1,4 @@
-"""Differential property test of the one fast path against the oracle.
+"""Differential property test of the one fast path against its references.
 
 ``hypothesis`` draws a small random CKKS program; it is built well-typed
 by construction (operands of add/sub are picked among values whose
@@ -6,7 +6,12 @@ scales agree, rescales never exhaust the chain), traced, optimized and
 compiled, and then ``plan.run_batch`` (fused replay) must return the
 bytes of ``plan.run`` (the interpreter) — and both the bytes of the
 eager evaluator running the same callable, which puts the optimizer
-passes under the same test.  Values may be unrelinearized 3-part
+passes under the same test.  The eager outputs are in turn held to the
+same callable run on the exact oracle's ops
+(:class:`~tests.oracle_evaluator.OracleEvaluator`, the formulas every
+op's oracle pin uses), so a whole program — rescales, lone rotations
+and 3-part tensors mixed — is judged by a reference that shares no code
+with the library.  Values may be unrelinearized 3-part
 tensors (the 2-part-only ops skip them, add/sub mix part counts,
 relinearize folds them), and add_plain/multiply_plain read either a
 captured plaintext or the plaintext input bound at each replay.
@@ -33,6 +38,7 @@ from repro.ckks import CkksContext, toy_params
 from repro.ckks.containers import Plaintext
 from repro.ckks.evaluator import SCALE_RTOL
 from repro.runtime import CtSpec, PtSpec, compile_fn
+from tests.oracle_evaluator import OracleEvaluator
 
 DEGREE = 64
 PRIMES = 6
@@ -67,6 +73,12 @@ def world():
     inputs = [ctx.encrypt(rng.uniform(-1, 1, ctx.params.slots)) for _ in range(2)]
     inputs.append(ctx.encode(rng.uniform(-1, 1, ctx.params.slots)))
     return ctx, rlk, gks, inputs
+
+
+@pytest.fixture(scope="module")
+def ora(world):
+    """One oracle evaluator for every example: it reads each key once."""
+    return OracleEvaluator(world[0])
 
 
 def _program(ops, drop, ctx, rlk, gks):
@@ -160,6 +172,14 @@ def _bytes(outs):
     return [(ct.scale, [p.data.tobytes() for p in ct.parts]) for ct in outs]
 
 
+def _oracle_bytes(ora, program, inputs):
+    """``_bytes`` of ``program`` composed from the oracle's ops."""
+    x, y, p = inputs
+    outs = program(ora, ora.lift(x), ora.lift(y), p)
+    outs = outs if isinstance(outs, tuple) else [outs]
+    return [(ct.scale, [r.tobytes() for r in ora.eval_rows(ct)]) for ct in outs]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     ops=st.lists(
@@ -174,17 +194,19 @@ def _bytes(outs):
     ),
     drop=st.integers(0, 2**11 - 1),
 )
-def test_fused_replay_matches_interpreter_on_random_graphs(world, ops, drop):
+def test_fused_replay_matches_interpreter_on_random_graphs(world, ora, ops, drop):
     ctx, rlk, gks, inputs = world
     program = _program(ops, drop, ctx, rlk, gks)
     spec = CtSpec(level=PRIMES, scale=ctx.params.scale)
     pt_spec = PtSpec(level=PRIMES, scale=ctx.params.scale)
     plan = compile_fn(program, ctx.evaluator, [spec, spec, pt_spec])
-    oracle = _bytes(plan.run(inputs))
+    interpreted = _bytes(plan.run(inputs))
     (fused,) = plan.run_batch([inputs])
-    assert _bytes(fused) == oracle, f"fused != interpreter on {plan.summary()}"
-    assert _bytes(program(ctx.evaluator, *inputs)) == oracle, (
-        f"interpreter != eager on {plan.summary()}"
+    assert _bytes(fused) == interpreted, f"fused != interpreter on {plan.summary()}"
+    eager = _bytes(program(ctx.evaluator, *inputs))
+    assert eager == interpreted, f"interpreter != eager on {plan.summary()}"
+    assert eager == _oracle_bytes(ora, program, inputs), (
+        f"eager != exact oracle on {plan.summary()}"
     )
 
 
@@ -251,7 +273,7 @@ def _bsgs_block(draw, ctx, gks):
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(data=st.data())
-def test_fused_bsgs_blocks_match_interpreter_and_eager(world, data):
+def test_fused_bsgs_blocks_match_interpreter_and_eager(world, ora, data):
     """Merged MACs and rotation families over them replay the bytes of
     the interpreter and of the eager evaluator."""
     ctx, _, gks, inputs = world
@@ -259,9 +281,11 @@ def test_fused_bsgs_blocks_match_interpreter_and_eager(world, data):
     spec = CtSpec(level=PRIMES, scale=ctx.params.scale)
     pt_spec = PtSpec(level=PRIMES, scale=ctx.params.scale)
     plan = compile_fn(program, ctx.evaluator, [spec, spec, pt_spec])
-    oracle = _bytes(plan.run(inputs))
+    interpreted = _bytes(plan.run(inputs))
     (fused,) = plan.run_batch([inputs])
-    assert _bytes(fused) == oracle, f"fused != interpreter on {plan.summary()}"
-    assert _bytes([program(ctx.evaluator, *inputs)]) == oracle, (
-        f"interpreter != eager on {plan.summary()}"
+    assert _bytes(fused) == interpreted, f"fused != interpreter on {plan.summary()}"
+    eager = _bytes([program(ctx.evaluator, *inputs)])
+    assert eager == interpreted, f"interpreter != eager on {plan.summary()}"
+    assert eager == _oracle_bytes(ora, program, inputs), (
+        f"eager != exact oracle on {plan.summary()}"
     )

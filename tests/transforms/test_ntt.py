@@ -247,6 +247,21 @@ class TestBatchedTensors:
         with pytest.raises(ValueError, match="out must be"):
             bn.forward(tensor, out=np.empty((3, 4, 64), dtype=np.uint64).swapaxes(0, 1))
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.integers(0, 100), st.integers(1, 2 * BatchNtt.BLOCK_BYTES))
+    def test_row_blocks_are_balanced(self, count, row_bytes):
+        """The fewest blocks within ``BLOCK_BYTES`` (one row at least),
+        covering the rows in order, in sizes within one row of each
+        other, largest first (the size a lane's scratch is taken from)."""
+        rows = max(1, BatchNtt.BLOCK_BYTES // row_bytes)
+        blocks = BatchNtt.row_blocks(count, row_bytes)
+        assert len(blocks) == -(-count // rows)
+        assert [i for b in blocks for i in range(b.start, b.stop)] == list(range(count))
+        sizes = [b.stop - b.start for b in blocks]
+        assert all(1 <= size <= rows for size in sizes)
+        assert sizes == sorted(sizes, reverse=True)
+        assert max(sizes, default=0) - min(sizes, default=0) <= 1
+
     @pytest.mark.lanes
     @settings(max_examples=40, deadline=None)
     @given(
