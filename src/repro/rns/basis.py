@@ -73,6 +73,8 @@ class RnsBasis:
 
     def __post_init__(self) -> None:
         values = [p.value for p in self.primes]
+        if not values:
+            raise ValueError("an RNS basis needs at least one prime")
         if len(set(values)) != len(values):
             raise ValueError("RNS primes must be distinct")
         for p in self.primes:

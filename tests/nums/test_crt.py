@@ -1,78 +1,111 @@
-"""CRT decompose/combine — the MSE's Expand-RNS and Combine-CRT oracles."""
+"""CRT decompose/combine over a four-prime chain: the library's
+Expand-RNS (:meth:`RnsPolynomial.from_bigint_coeffs`) and Combine-CRT
+(:meth:`RnsPolynomial.to_bigints`), one value per coefficient, against
+Python-int arithmetic."""
 
 from __future__ import annotations
 
+from math import prod
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nums.crt import CrtSystem
 from repro.nums.primegen import prime_chain
+from repro.rns.basis import RnsBasis
+from repro.rns.poly import RnsPolynomial
 
-MODULI = tuple(p.value for p in prime_chain(1 << 10, 4))
+N = 1 << 10
+PRIMES = tuple(prime_chain(N, 4))
+MODULI = tuple(p.value for p in PRIMES)
+BIG = prod(MODULI)
+BASIS = RnsBasis(degree=N, primes=PRIMES)
 
 
-@pytest.fixture(scope="module")
-def crt() -> CrtSystem:
-    return CrtSystem.for_moduli(MODULI)
+def decompose(values, basis: RnsBasis = BASIS) -> RnsPolynomial:
+    """``values`` (at most ``N``) in the first coefficients, zeros after."""
+    coeffs = list(values) + [0] * (basis.degree - len(values))
+    return RnsPolynomial.from_bigint_coeffs(basis, basis.num_primes, coeffs)
+
+
+def combine(poly: RnsPolynomial, count: int, center: bool = False) -> list[int]:
+    return poly.to_bigints(center=center)[:count]
 
 
 class TestConstruction:
-    def test_modulus_is_product(self, crt):
-        prod = 1
-        for q in MODULI:
-            prod *= q
-        assert crt.modulus == prod
+    def test_modulus_is_product(self):
+        poly = decompose([BIG, BIG - 1])
+        assert not poly.data[:, 0].any()
+        assert poly.data[:, 1].tolist() == [q - 1 for q in MODULI]
+        assert combine(poly, 2) == [0, BIG - 1]
 
-    def test_q_hat_inverse_property(self, crt):
-        for q, hat, hat_inv in zip(crt.moduli, crt.q_hat, crt.q_hat_inv):
+    def test_q_hat_inverse_property(self):
+        """The unit residue vector of limb ``i`` combines to the idempotent
+        ``q_hat_i · (q_hat_i^-1 mod q_i)``."""
+        data = np.eye(len(MODULI), N, dtype=np.uint64)
+        got = RnsPolynomial(BASIS, data).to_bigints(center=False)
+        for i, q in enumerate(MODULI):
+            hat = BIG // q
+            hat_inv = pow(hat, -1, q)
             assert hat % q * hat_inv % q == 1
+            assert got[i] == hat * hat_inv % BIG
 
     def test_rejects_duplicates(self):
         with pytest.raises(ValueError, match="distinct"):
-            CrtSystem.for_moduli((7, 7, 11))
+            RnsBasis(degree=N, primes=(PRIMES[0], PRIMES[0], PRIMES[1]))
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one"):
-            CrtSystem.for_moduli(())
+            RnsBasis(degree=N, primes=())
 
     def test_single_modulus(self):
-        c = CrtSystem.for_moduli((97,))
-        assert c.combine(c.decompose(42)) == 42
+        one = RnsBasis(degree=N, primes=PRIMES[:1])
+        poly = decompose([42, -42], one)
+        assert poly.data[0, :2].tolist() == [42, MODULI[0] - 42]
+        assert combine(poly, 2, center=True) == [42, -42]
 
 
 class TestRoundtrip:
-    def test_decompose_combine(self, crt, rng):
-        for _ in range(50):
-            v = int(rng.integers(0, 2**63)) * int(rng.integers(1, 2**60)) % crt.modulus
-            assert crt.combine(crt.decompose(v)) == v
+    def test_decompose_combine(self, rng):
+        values = [
+            int(rng.integers(0, 2**63)) * int(rng.integers(1, 2**60)) % BIG
+            for _ in range(50)
+        ]
+        poly = decompose(values)
+        for col, v in enumerate(values):
+            assert poly.data[:, col].tolist() == [v % q for q in MODULI]
+        assert combine(poly, len(values)) == values
 
-    def test_centered_roundtrip(self, crt):
-        for v in (-5, -1, 0, 1, 5, crt.modulus // 2 - 1):
-            residues = crt.decompose(v % crt.modulus)
-            assert crt.combine_centered(residues) == v
+    def test_centered_roundtrip(self):
+        values = [-5, -1, 0, 1, 5, BIG // 2 - 1, -(BIG // 2)]
+        assert combine(decompose(values), len(values), center=True) == values
 
-    def test_centered_range(self, crt, rng):
-        for _ in range(50):
-            v = int(rng.integers(0, 2**62))
-            c = crt.combine_centered(crt.decompose(v))
-            assert -(crt.modulus // 2) <= c <= crt.modulus // 2
+    def test_centered_range(self, rng):
+        values = [
+            int(rng.integers(0, 2**62)) * int(rng.integers(0, 2**62)) % BIG
+            for _ in range(50)
+        ] + [BIG // 2, BIG // 2 + 1]
+        got = combine(decompose(values), len(values), center=True)
+        for v, c in zip(values, got):
+            assert -(BIG // 2) <= c <= BIG // 2
+            assert (c - v) % BIG == 0
 
-    def test_combine_length_check(self, crt):
+    def test_combine_length_check(self):
         with pytest.raises(ValueError, match="expected"):
-            crt.combine((1, 2))
+            RnsPolynomial.from_bigint_coeffs(BASIS, len(MODULI), [1, 2])
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers())
-    def test_hypothesis_roundtrip(self, v):
-        crt = CrtSystem.for_moduli(MODULI)
-        assert crt.combine(crt.decompose(v % crt.modulus)) == v % crt.modulus
+    @given(st.lists(st.integers(), min_size=1, max_size=8))
+    def test_hypothesis_roundtrip(self, values):
+        want = [v % BIG for v in values]
+        assert combine(decompose(values), len(values)) == want
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(), st.integers())
     def test_crt_is_ring_homomorphism(self, a, b):
         """CRT residues of a*b equal the residue-wise products."""
-        crt = CrtSystem.for_moduli(MODULI)
-        prod = crt.decompose((a * b) % crt.modulus)
-        ra, rb = crt.decompose(a % crt.modulus), crt.decompose(b % crt.modulus)
-        assert prod == tuple(x * y % q for x, y, q in zip(ra, rb, crt.moduli))
+        kern = BASIS.kernel(len(MODULI))
+        product = decompose([a * b]).data[:, :1]
+        ra, rb = decompose([a]).data[:, :1], decompose([b]).data[:, :1]
+        assert np.array_equal(product, kern.mul(ra, rb))

@@ -18,6 +18,7 @@ from repro.rns.poly import (
     RnsPolynomial,
     float_coeff_rows,
     rescale_eval_rows,
+    rescale_rows,
 )
 from repro.transforms.fft import SpecialFft
 from repro.transforms.fp_custom import FP32_LIKE, FP55, FP64
@@ -542,6 +543,32 @@ class TestRescaleEvalRows:
             assert out.tobytes() == want.tobytes()
         assert not pool[:, keep:].any()
         assert np.array_equal(data, before)  # the input is read, not consumed
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(2, 10),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_coefficient_round_trip(self, lvl, times, parts, seed):
+        """The bytes of the coefficient-domain rescale between the two
+        whole-level transforms, which the row function skips."""
+        times = min(times, lvl - 1)
+        keep = lvl - times
+        data = _eval_rows(TEN_LIMBS, (parts,), lvl, seed)
+        coeff = TEN_LIMBS.batch_ntt(lvl).inverse(data)
+        reference = rescale_rows(TEN_LIMBS, coeff, times)
+        want = TEN_LIMBS.batch_ntt(keep).forward(reference)
+        outs = list(np.empty((parts, keep, 64), dtype=np.uint64))
+        rescale_eval_rows(TEN_LIMBS.kernel(keep), TEN_LIMBS, list(data), times, outs)
+        assert np.array_equal(np.stack(outs), want)
+
+    def test_rejects_dropping_every_limb(self):
+        data = _eval_rows(TEN_LIMBS, (2,), 3, 0)
+        outs = list(np.empty((2, 0, 64), dtype=np.uint64))
+        with pytest.raises(ValueError, match="below one limb"):
+            rescale_eval_rows(TEN_LIMBS.kernel(1), TEN_LIMBS, list(data), 3, outs)
 
     @settings(max_examples=40, deadline=None)
     @given(
