@@ -283,7 +283,7 @@ def _giant_limb_stage_table(report) -> None:
             x = np.ascontiguousarray(x.reshape(rows, n).T)
 
             def run(x):  # in place: its output is a valid input again
-                bn.forward_columns(x, 0)
+                bn.forward_columns(x, slice(0, 1))
 
             runs = [t * rows for t in spans]
         total, stages, other = min(_stage_times(bn, run, x, opener) for _ in range(30))
@@ -342,9 +342,14 @@ def test_lanes_table(report):
 
 def test_rescale_table(report):
     """Report only: ms per eager ``Evaluator.rescale`` of a 2-part
-    ciphertext by two primes, at the bench shape (2^10, L = 10) and the
-    paper's (2^16, L = 24).  It inverse-transforms the 2 x 2 dropped rows
-    and forward-transforms the 2 x (L - 2) kept ones."""
+    ciphertext by one and by two primes, at the bench shape (2^10, L =
+    10) and the paper's (2^16, L = 24), and within it the remainder
+    ``[x]_P`` on the kept limbs (``_dropped_remainder``, from the
+    inverse-transformed dropped rows).  A rescale inverse-transforms the
+    2 x times dropped rows and forward-transforms the 2 x (L - times)
+    kept ones."""
+    from repro.rns.poly import _dropped_remainder
+
     lines = []
     for log_n, limbs, reps in ((10, 10, 50), (16, 24, 5)):
         poly = _residue_poly(limbs, log_n)
@@ -352,18 +357,66 @@ def test_rescale_table(report):
         ev = Evaluator(toy_params(degree=basis.degree, num_primes=limbs), basis)
         part = RnsPolynomial(basis, poly.data, EVAL)  # any canonical rows
         ct = Ciphertext(parts=[part, part.copy()], scale=2.0**72)
-        ev.rescale(ct, times=2)  # tables built outside the timing
-        best = float("inf")
-        for _ in range(reps):
+        for times in (1, 2):
+            tail = np.stack([p.data[limbs - times :] for p in ct.parts])
+            basis.batch_ntt(limbs).inverse_block(tail, slice(limbs - times, limbs))
+            ev.rescale(ct, times=times)  # tables built outside the timing
+            best = remainder = float("inf")
+            for _ in range(reps):
+                t0 = time.perf_counter()
+                ev.rescale(ct, times=times)
+                best = min(best, time.perf_counter() - t0)
+                block = tail.copy()
+                with ufunc_buffer():
+                    t0 = time.perf_counter()
+                    _dropped_remainder(basis, block, limbs)
+                    remainder = min(remainder, time.perf_counter() - t0)
+            rows = 2 * times + 2 * (limbs - times)
+            lines.append(
+                f"N=2^{log_n}, L={limbs:2d}, {times} prime(s): {best*1e3:7.2f} ms, "
+                f"remainder {remainder*1e3:6.2f} ms ({rows} NTT rows, best of {reps})"
+            )
+    report("Evaluator.rescale, 2 parts, eager", lines)
+
+
+def test_decomposition_table(report):
+    """Report only: one source's gadget decomposition at the bench shape
+    (2^10, L = 10), best of 100 interleaved, in the two layouts — the
+    row layout's one forward over the broadcast ``(10, 10, 1024)`` digit
+    tensor beside the column layout ``decompose_rows`` takes there: the
+    limbs' 90 off-diagonal digits as one multi-limb ``(1024, 90)`` block
+    (scatter, ``forward_columns``, write-back and diagonal copy), and
+    ``forward_columns`` alone.  The shared inverse is timed once."""
+    from repro.ckks.keyswitch import KeySwitchEngine
+
+    basis = RnsBasis.create(1 << 10, 10)
+    lvl, n = basis.num_primes, basis.degree
+    engine = KeySwitchEngine(basis)
+    bat = basis.batch_ntt(lvl)
+    rng = np.random.default_rng(0)
+    q_col = np.array(basis.moduli, dtype=np.uint64).reshape(-1, 1)
+    data = rng.integers(0, 1 << 62, (1, lvl, n), dtype=np.uint64) % q_col
+    coeff = bat.inverse(data)
+    blocks = BatchNtt.row_blocks(lvl, n * (lvl - 1) * 8)
+    assert blocks == [slice(0, lvl)]
+    digits = np.broadcast_to(coeff[..., None, :], (1, lvl, lvl, n))
+    block = rng.integers(0, int(q_col.min()), (n, lvl * (lvl - 1)), dtype=np.uint64)
+    ways = {
+        "inverse (shared)": lambda: bat.inverse(data),
+        "rows: forward (10, 10, 1024)": lambda: bat.forward(digits),
+        "columns: one (1024, 90) block": lambda: engine._decompose_columns(
+            bat, data, coeff, blocks
+        ),
+        "  of which forward_columns": lambda: bat.forward_columns(block, slice(0, lvl)),
+    }
+    best = {name: float("inf") for name in ways}
+    for _ in range(100):
+        for name, fn in ways.items():
             t0 = time.perf_counter()
-            ev.rescale(ct, times=2)
-            best = min(best, time.perf_counter() - t0)
-        rows = 2 * 2 + 2 * (limbs - 2)
-        lines.append(
-            f"N=2^{log_n}, L={limbs:2d}: {best*1e3:7.2f} ms "
-            f"({rows} NTT rows, best of {reps})"
-        )
-    report("Evaluator.rescale, 2 parts by two primes, eager", lines)
+            fn()
+            best[name] = min(best[name], time.perf_counter() - t0)
+    lines = [f"{name:30}: {t * 1e3:6.3f} ms" for name, t in best.items()]
+    report("One source's decomposition, N=2^10, L=10, best of 100", lines)
 
 
 def test_bsgs_step_table(report):

@@ -67,6 +67,7 @@ __all__ = [
     "modmul_area_um2",
     "resnet20_client_ops",
     "rfe_area_progression",
+    "sram_area_mm2",
     "sweep_degree",
     "sweep_lanes",
 ]

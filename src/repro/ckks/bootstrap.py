@@ -34,7 +34,7 @@ import numpy as np
 from repro.ckks.cheby import evaluate_chebyshev, sine_mod_series
 from repro.ckks.containers import Ciphertext
 from repro.ckks.context import CkksContext
-from repro.ckks.keys import SwitchingKey, rotation_galois_elt
+from repro.ckks.keys import rotation_galois_elt
 from repro.ckks.linear import HomomorphicLinearTransform
 from repro.nums.modular import centered_vec
 from repro.rns.poly import RnsPolynomial

@@ -9,14 +9,17 @@ tensorizes the whole pipeline:
 * **decompose** stacks all L digit rows into one ``(L, L, N)`` tensor
   (``tensor[j, i]`` = digit ``j``, the residues mod ``q_j``, on limb ``i``)
   and forward-transforms it — the transform takes the digits unreduced,
-  so no whole-tensor re-reduction precedes it.  One source is one
-  :class:`~repro.transforms.ntt.BatchNtt` dispatch over the flattened
-  ``(L·L, N)`` matrix; a stack of ``S`` sources whose limbs carry at least
-  ``column_rows`` rows each (``S·(L-1)``: the giant-step family) is
-  transformed limb by limb in lanes, the limb's off-diagonal digits of
-  every source as the columns of one ``(N, S·(L-1))`` block, and its
-  diagonal digits — ``forward_i(inverse_i(x_i)) = x_i`` — copied from
-  the input;
+  so no whole-tensor re-reduction precedes it.  The limbs are cut into
+  cache-sized blocks, each limb carrying the ``S·(L-1)`` off-diagonal
+  digits of ``S`` sources; when the smallest block's reach
+  ``column_rows``, each block of ``r`` limbs is transformed as the
+  columns of one ``(N, r·S·(L-1))`` block, in lanes, and the diagonal digits —
+  ``forward_i(inverse_i(x_i)) = x_i`` — copied from the input: one
+  source at ``(2^10, 10)`` is one block of 90 columns, ``eval_bsgs``'s
+  15 giant steps one limb of 135 a block.  Below it (one source at the
+  paper's ``(2^16, 24)``, 23 columns a limb against 256) one
+  :class:`~repro.transforms.ntt.BatchNtt` dispatch runs over the
+  flattened ``(L·L, N)`` rows;
 * **contract** walks the digit rows once against the ``[:L, :L]``
   prefix of a switching key's two ``(L, L, N)`` residue tensors (a key
   reaches every level at or below its own), in blocks of as many digits
@@ -101,55 +104,70 @@ class KeySwitchEngine:
         One inverse BatchNtt (the digits are coefficient-domain residue
         rows), then the forward transforms of the digits broadcast onto
         every limb, in the layout the shape picks
-        (:meth:`~repro.transforms.ntt.BatchNtt.forward_columns`): while
-        the rows one limb carries, ``S·(L-1)`` for ``S`` stacked sources,
-        stay below :attr:`~repro.transforms.ntt.BatchNtt.column_rows`,
-        one forward dispatch over the stacked ``(..., L·L, N)`` digit
-        matrix; from there (a family of giant-step rotations) limb by
-        limb in lanes, each limb's off-diagonal digits as the columns of
-        one block.  The rows must be canonical: the diagonal ``tensor[j,
-        j]`` is then the input row ``j`` itself, which the second layout
-        copies instead of transforming.
+        (:meth:`~repro.transforms.ntt.BatchNtt.forward_columns`).  The
+        limbs are cut into blocks of off-diagonal digit rows,
+        ``row_blocks(L, N·S·(L-1)·8)`` for ``S`` stacked sources (sizes
+        within one limb of each other, the last the smallest).  When the
+        last block's ``r·S·(L-1)`` reach
+        :attr:`~repro.transforms.ntt.BatchNtt.column_rows`, every block
+        is one column block, in lanes: one source at ``(2^10, 10)`` is
+        one block of 90 columns, a family of giant-step rotations one
+        limb of ``S·(L-1)`` a block.  Otherwise one forward dispatch runs
+        over the stacked ``(..., L·L, N)`` digit matrix (one source at
+        ``(2^16, 24)``: one limb a block, 23 columns against 256).  The
+        rows must be canonical: the diagonal ``tensor[j, j]`` is then the
+        input row ``j`` itself, which the column layout copies instead
+        of transforming.
         """
-        lvl = data.shape[-2]
+        lvl, n = data.shape[-2:]
         bat = self.basis.batch_ntt(lvl)
         coeff = bat.inverse(data)
-        shape = (*data.shape[:-1], lvl, self.basis.degree)
-        if math.prod(data.shape[:-2]) * (lvl - 1) >= bat.column_rows:
-            return self._decompose_columns(bat, data, coeff).reshape(shape)
+        shape = (*data.shape[:-1], lvl, n)
+        width = math.prod(data.shape[:-2]) * (lvl - 1)  # off-diagonal rows per limb
+        if width:
+            blocks = BatchNtt.row_blocks(lvl, n * width * 8)
+            if (blocks[-1].stop - blocks[-1].start) * width >= bat.column_rows:
+                return self._decompose_columns(bat, data, coeff, blocks).reshape(shape)
         # tensor[j, i] = digit j broadcast onto limb i, unreduced: it is
         # below q_j, and the forward transform accepts any limb's
         # residues on every limb.
         return bat.forward(np.broadcast_to(coeff[..., np.newaxis, :], shape))
 
     @staticmethod
-    def _decompose_columns(bat: BatchNtt, data: np.ndarray, coeff: np.ndarray):
+    def _decompose_columns(bat: BatchNtt, data: np.ndarray, coeff: np.ndarray, blocks):
         """The column layout of :meth:`decompose_rows`, ``(S, L, L, N)``:
         the coefficient rows transposed once to ``(N, S, L)`` — every limb
-        reads the same digits — then per limb ``i``, in lanes, the digits
-        ``j != i`` of every source gathered as one ``(N, S·(L-1))`` block,
-        transformed on limb ``i`` and written to ``tensor[:, j, i]``; the
-        diagonal ``tensor[:, i, i]`` is ``forward_i(inverse_i(x_i))``, the
-        input row."""
+        reads the same digits — then per block of limbs, in lanes, the
+        digits ``j != i`` of every source on each limb ``i`` of the block
+        gathered as one limb-major ``(N, r·S·(L-1))`` block, transformed
+        on those limbs and written to ``tensor[:, j, i]``; the diagonal
+        ``tensor[:, i, i]`` is ``forward_i(inverse_i(x_i))``, the input
+        row."""
         lvl, n = data.shape[-2:]
         rows = data.reshape(-1, lvl, n)
         count = len(rows)
         digits = np.ascontiguousarray(coeff.reshape(count * lvl, n).T)
         digits = digits.reshape(n, count, lvl)
         tensor = np.empty((count, lvl, lvl, n), dtype=np.uint64)
+        width = count * (lvl - 1)
 
-        def lane(limbs):
-            block = np.empty((n, count, lvl - 1), dtype=np.uint64)
-            for i in limbs:
-                np.copyto(block[..., :i], digits[..., :i])
-                np.copyto(block[..., i:], digits[..., i + 1 :])
-                bat.forward_columns(block.reshape(n, -1), i)
-                evals = block.transpose(1, 2, 0)
-                np.copyto(tensor[:, :i, i], evals[:, :i])
-                np.copyto(tensor[:, i + 1 :, i], evals[:, i:])
-                np.copyto(tensor[:, i, i], rows[:, i])
+        def lane(limbs: list[slice]) -> None:
+            # Blocks never grow: the lane's first is its largest.
+            space = np.empty(n * (limbs[0].stop - limbs[0].start) * width, np.uint64)
+            for span in limbs:
+                block = space[: n * (span.stop - span.start) * width]
+                block = block.reshape(n, -1, count, lvl - 1)
+                for k, i in enumerate(range(span.start, span.stop)):
+                    np.copyto(block[:, k, :, :i], digits[..., :i])
+                    np.copyto(block[:, k, :, i:], digits[..., i + 1 :])
+                bat.forward_columns(block.reshape(n, -1), span)
+                evals = block.transpose(1, 2, 3, 0)
+                for k, i in enumerate(range(span.start, span.stop)):
+                    np.copyto(tensor[:, :i, i], evals[k, :, :i])
+                    np.copyto(tensor[:, i + 1 :, i], evals[k, :, i:])
+                    np.copyto(tensor[:, i, i], rows[:, i])
 
-        in_lanes(range(lvl), lane)
+        in_lanes(blocks, lane)
         return tensor
 
     def apply(

@@ -12,7 +12,6 @@ Used to validate that a :class:`~repro.ckks.params.CkksParameters` choice
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.ckks.params import CkksParameters

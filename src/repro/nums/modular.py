@@ -13,7 +13,6 @@ trial-division factorization of ``q - 1`` is shared across all of them.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np

@@ -20,7 +20,8 @@ The basis is also the cache root for everything precomputable per prime:
   limb rows;
 * ``rescale_tables(level, times)`` holds what folding the last ``times``
   primes out of a level needs besides the data: the kept rows' kernel,
-  the mixed-radix weights and the inverse of the dropped product.
+  the mixed-radix weights past digit 0 and the inverse of the dropped
+  product.
 """
 
 from __future__ import annotations
@@ -134,8 +135,9 @@ class RnsBasis:
     def rescale_tables(self, level: int, times: int) -> tuple:
         """``(kern, weights, inv_col)`` for dividing ``level`` limbs by
         the last ``times`` primes (cached per level and times):
-        ``kern`` covers the kept rows, ``weights[t]`` is ``q_{L-1} ...
-        q_{L-t}`` on them (the radix of mixed-radix digit ``t``) and
+        ``kern`` covers the kept rows, ``weights[t - 1]`` is ``q_{L-1}
+        ... q_{L-t}`` on them, the radix of mixed-radix digit ``t >= 1``
+        (digit 0's is 1, which no table holds: ``times - 1`` rows), and
         ``inv_col`` the inverse of the whole dropped product ``P``.
         """
         keep = level - times
@@ -147,10 +149,10 @@ class RnsBasis:
         tables = self._rescale_cache.get(key)
         if tables is None:
             kept = self.moduli[:keep]
-            weights = np.empty((times, keep, 1), dtype=np.uint64)
-            radix = 1
-            for t in range(times):
-                weights[t, :, 0] = [radix % q for q in kept]
+            weights = np.empty((times - 1, keep, 1), dtype=np.uint64)
+            radix = self.moduli[level - 1]
+            for t in range(1, times):
+                weights[t - 1, :, 0] = [radix % q for q in kept]
                 radix *= self.moduli[level - 1 - t]
             inv_col = np.array(
                 [pow(radix, -1, q) for q in kept], dtype=np.uint64

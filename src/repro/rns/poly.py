@@ -92,21 +92,28 @@ def _peel(basis: RnsBasis, block: np.ndarray, first: int, pivot: int, rows: slic
 def _dropped_remainder(basis: RnsBasis, block: np.ndarray, lvl: int) -> np.ndarray:
     """``[x]_P`` on the kept limbs of level ``lvl``, canonical, from
     ``block``: the ``(..., times, N)`` coefficient rows of the dropped
-    limbs, consumed (peeled in place)."""
+    limbs, consumed (peeled in place).
+
+    The peels leave the mixed-radix digits ``[x]_P = d_0 + d_1 q_{L-1} +
+    d_2 q_{L-1} q_{L-2} + …``, digit ``t`` below its own prime
+    ``q_{L-1-t}``, and the sum is taken on the kept limbs as it stands:
+    ``reduce(d_0)`` (its weight is 1) plus ``w_t · d_t`` for ``t >= 1``
+    (:meth:`~repro.rns.basis.RnsBasis.rescale_tables`), each digit read
+    as a broadcast view of its one row — a product of a canonical weight
+    and any ``d_t < 2^42`` reduces exactly — and added in canonical
+    form.  One prime dropped is one reduction.
+    """
     *lead, times, n = block.shape
     kern, weights, _ = basis.rescale_tables(lvl, times)
     keep = lvl - times
-    # Mixed-radix digits of [x]_P, computed on the dropped tail block
-    # exactly as the sequential division would produce them.
-    digits = np.empty((*lead, times, n), dtype=np.uint64)
-    for t in range(times):
-        rows = times - 1 - t  # dropped rows still undivided
-        digits[..., t, :] = block[..., rows, :]
-        if rows:
-            _peel(basis, block, keep, rows, slice(0, rows))
-    # [x]_P mod q_i = sum_t (q_{L-1} ... q_{L-t}) * digit_t, one MAC.
-    wide = np.broadcast_to(digits[..., None, :], (*lead, times, keep, n))
-    return kern.mul_accumulate(kern.reduce(wide), weights, axis=-3)
+    shape = (*lead, keep, n)
+    remainder = kern.reduce(np.broadcast_to(block[..., times - 1, None, :], shape))
+    for t in range(1, times):
+        # Digit t is the last undivided row once t peels are done.
+        _peel(basis, block, keep, times - t, slice(0, times - t))
+        digit = np.broadcast_to(block[..., times - 1 - t, None, :], shape)
+        kern.add(remainder, kern.mul(digit, weights[t - 1]), out=remainder)
+    return remainder
 
 
 def rescale_rows(basis: RnsBasis, coeff: np.ndarray, times: int) -> np.ndarray:
@@ -132,8 +139,9 @@ def rescale_eval_rows(kern, basis: RnsBasis, a, times: int, outs) -> None:
 
     Only the ``times`` dropped rows of each part are copied and
     inverse-transformed (:meth:`~repro.transforms.ntt.BatchNtt.inverse_block`);
-    ``[x]_P`` is derived from them on the kept limbs
-    (:func:`_dropped_remainder`) and forward-transformed, and the division
+    ``[x]_P`` is summed from their mixed-radix digits on the kept limbs
+    (:func:`_dropped_remainder`: one reduction for one prime, no
+    broadcast digit tensor) and forward-transformed, and the division
     runs in the evaluation domain.  The NTT is linear over each ``Z_q``
     and every operand is canonical, so the bytes are ``forward(
     rescale_rows(inverse(x), times))``'s — with ``times`` inverse rows per

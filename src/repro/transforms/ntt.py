@@ -23,8 +23,8 @@ limbs while the operand is small, one limb at a time at the paper's N =
 2^16 — the software analogue of the accelerator keeping a limb on chip
 while it streams through the stages, with the blocks spread over one lane
 per CPU as the accelerator spreads limbs over its parallel NTT lanes.
-Many rows of one limb can instead be transformed as the columns of one
-block, every stage one long regular run.
+Many rows of a range of limbs can instead be transformed as the columns
+of one block, every stage one long regular run.
 
 The tests hold it to ``tests/oracle.py``, an exact textbook transform on
 Python ints that shares nothing with this module but data: the moduli
@@ -281,17 +281,22 @@ class BatchNtt:
       whole rows and the twiddles, stored in that order
       (:func:`_late_order`), run along the row.  The shortest run is
       ``K`` in place and ``N/K`` on the copy.
-    * *Columns* (:meth:`forward_columns`): ``R`` polynomials of one limb
-      held as the columns of an ``(N, R)`` block, so stage ``s`` pairs
-      the ``(m, 2, t R)`` halves in place and no stage needs a
-      transposed copy.  The shortest run is ``R``.
+    * *Columns* (:meth:`forward_columns`): ``R`` polynomials held as the
+      columns of an ``(N, R)`` block, limb-major over a range of limbs,
+      so stage ``s`` pairs the ``(m, 2, t, R)`` halves in place and no
+      stage needs a transposed copy.  The shortest run is ``R``.  One
+      limb's block broadcasts its twiddle slices as the rows do; a
+      block of several limbs reads twiddles pre-formed per column
+      (:meth:`_block_plan`) against a per-column moduli row.
 
-    So a caller that holds ``R`` rows of one limb takes the columns when
-    ``R >= K`` (:attr:`column_rows`): key switching's decomposition of a
-    stack of sources, whose limbs each carry ``S·(L-1)`` digit rows —
-    135 for ``eval_bsgs``'s 15 giant steps at ``(2^10, 10)``, against
-    ``K = 32``; one source's 9 there, and 23 against 256 at ``(2^16,
-    24)``, keep the rows.
+    So a caller that holds ``R`` rows of a block of limbs takes the
+    columns when ``R >= K`` (:attr:`column_rows`): key switching's
+    decomposition, whose limbs each carry ``S·(L-1)`` digit rows for
+    ``S`` sources, in blocks of limbs cut to :data:`BLOCK_BYTES` — one
+    source at ``(2^10, 10)`` is one block of all ten limbs, 90 columns
+    against ``K = 32``; ``eval_bsgs``'s 15 giant steps are one limb a
+    block, 135 columns each; one source at ``(2^16, 24)`` is one limb a
+    block too, and its 23 columns against 256 keep the rows.
 
     The butterflies are *lazy*: products stay unreduced and sums are not
     brought back below ``q`` stage by stage; a block is renormalized only
@@ -401,23 +406,33 @@ class BatchNtt:
         ]
 
     def _block_plan(
-        self, rows: slice, columns: bool = False
-    ) -> tuple[ReducerKernel, list, list]:
+        self, rows: slice, columns: int = 0
+    ) -> tuple[ReducerKernel, list, list | None]:
         """``(kernel, psi, psi_inv)`` of limbs ``rows``, built once and
         kept: their reducer (the full-column one when they are all the
         limbs) and, per stage ``m = 2^s``, the slice ``[m, 2m)`` of each
         twiddle table as a view that broadcasts against that stage's
         operands (:meth:`_operands`).  The inverse's last stage (``m =
         1``) gets the pair ``(n_inv, w * n_inv)`` of its two outputs in
-        place of its one twiddle ``w``.  With ``columns`` (one limb's
-        column block, see :meth:`forward_columns`) every slice is in
-        natural order, the late ones copied back from
-        :func:`_late_order`'s."""
-        key = (rows.start, rows.stop, columns)
+        place of its one twiddle ``w``.
+
+        With ``columns`` (a column block of ``columns`` polynomials per
+        limb, see :meth:`forward_columns`) there is no ``psi_inv`` and
+        every slice is in natural order, the late ones copied back from
+        :func:`_late_order`'s, shaped ``(m, 1, r)`` against the stage's
+        ``(m, t, R)`` halves.  One limb's are views, as for the rows.
+        Over several limbs each limb's twiddles are pre-formed per
+        column, ``R = r·columns`` wide (``16·N·R`` bytes: 1.5 MiB at
+        ``(2^10, R = 90)``), and the reducer's moduli are a per-column
+        row: their plan is kept per width as well."""
+        count = rows.stop - rows.start
+        key = (rows.start, rows.stop, columns if count > 1 else columns > 0)
         plan = self._block_plans.get(key)
         if plan is None:
             kern = self.kernel
-            if rows.stop - rows.start < self.num_limbs:
+            if columns and count > 1:
+                kern = ReducerKernel(np.repeat(kern.q[rows, 0, 0], columns))
+            elif count < self.num_limbs:
                 kern = ReducerKernel(kern.q[rows])
             chunks = self.degree // _transposed_span(self.degree)
 
@@ -427,16 +442,23 @@ class BatchNtt:
                     if not columns:
                         return w.swapaxes(-2, -3)[..., None, None, :, None, :]
                     w = w.swapaxes(-1, -2).reshape(*w.shape[:-2], -1)
-                return w[..., None, :, :, None]
+                if not columns:
+                    return w[..., None, :, :, None]
+                w = w.swapaxes(-1, -2)[..., None, :]
+                return w if count == 1 else np.repeat(w, columns, axis=-1)
 
             groups = [1 << s for s in range(ilog2(self.degree))]
-            psi, psi_inv = (
-                [staged(table[..., rows, 0, m : 2 * m]) for m in groups]
-                for table in (self.psi_pre, self.psi_inv_pre)
-            )
-            n_inv = self.n_inv_pre[0, rows]
-            w_n_inv = kern.mul(self.psi_inv_pre[0, rows, :, 1:2], n_inv)
-            psi_inv[0] = tuple(staged(kern.pre(w)[..., 0, :]) for w in (n_inv, w_n_inv))
+            psi = [staged(self.psi_pre[..., rows, 0, m : 2 * m]) for m in groups]
+            psi_inv = None
+            if not columns:
+                psi_inv = [
+                    staged(self.psi_inv_pre[..., rows, 0, m : 2 * m]) for m in groups
+                ]
+                n_inv = self.n_inv_pre[0, rows]
+                w_n_inv = kern.mul(self.psi_inv_pre[0, rows, :, 1:2], n_inv)
+                psi_inv[0] = tuple(
+                    staged(kern.pre(w)[..., 0, :]) for w in (n_inv, w_n_inv)
+                )
             plan = self._block_plans[key] = (kern, psi, psi_inv)
         return plan
 
@@ -459,15 +481,15 @@ class BatchNtt:
         """``(natural, turned, spare)`` for one ``(batch, r, N)`` block:
         the block with the singleton the moduli column broadcasts over;
         the contiguous scratch its transposed copy (:meth:`_turn`) lives
-        in — for a column block (``columns``, viewed ``(1, 1, N R)``) the
-        block itself, which no stage turns; and ``spare(like)``, two
+        in — for an ``(N, R)`` column block (``columns``, viewed ``(1, N,
+        R)``) the block itself, which no stage turns; and ``spare(like)``, two
         scratch arrays shaped like an operand up to the block's size (a
         stage's half-block temporaries, a renormalization's whole-block
         ones)."""
-        natural = block[:, :, None, :]
         if columns:
-            turned = natural
+            natural = turned = block[None]
         else:
+            natural = block[:, :, None, :]
             turned = work[2, : block.size].reshape(self._turn(block).shape)
 
         def spare(like: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -477,10 +499,15 @@ class BatchNtt:
         return natural, turned, spare
 
     @staticmethod
-    def _operands(block: np.ndarray, turned: np.ndarray, m: int):
+    def _operands(block: np.ndarray, turned: np.ndarray, m: int, columns: bool = False):
         """``(upper, lower)`` butterfly operands of the stage with ``m``
         groups: halves of ``(m, 2, t)`` in place while a group spans at
-        least one chunk, row groups of the transposed copy after."""
+        least one chunk, row groups of the transposed copy after — or,
+        for an ``(N, R)`` column block, halves of ``(m, 2, t, R)`` in
+        place at every stage."""
+        if columns:
+            view = block.reshape(m, 2, -1, block.shape[-1])
+            return view[:, 0], view[:, 1]
         chunks = turned.shape[-1]
         if m < chunks:
             view = block.reshape(*block.shape[:-1], m, 2, -1)
@@ -546,14 +573,13 @@ class BatchNtt:
             )
 
     def _forward_block(
-        self, block: np.ndarray, rows: slice, work: np.ndarray, columns: bool = False
+        self, block: np.ndarray, rows: slice, work: np.ndarray, columns: int = 0
     ) -> None:
         """Cooley–Tukey stages of one ``(batch, r, N)`` block, in place —
-        or, with ``columns``, of one limb's ``(N, R)`` column block."""
+        or, with ``columns`` per limb, of limbs ``rows``' ``(N, R)``
+        column block."""
         kern, psi, _ = self._block_plan(rows, columns)
-        if columns:  # one row of N R: every stage's (m, 2, t R) halves in place
-            block = block.reshape(1, 1, -1)
-        natural, turned, spare = self._layouts(block, work, columns)
+        natural, turned, spare = self._layouts(block, work, columns > 0)
         bq = kern.q * np.uint64(kern.RAW_BOUND)
         held = natural
         for s, reduce_first in enumerate(self._forward_plan):
@@ -562,7 +588,7 @@ class BatchNtt:
                 held = turned
             if reduce_first:
                 kern.reduce(held, out=held, work=spare(held))
-            u, x1 = self._operands(block, turned, 1 << s)
+            u, x1 = self._operands(block, turned, 1 << s, columns > 0)
             raw, est = spare(u)
             v = kern.mul_pre_raw(x1, psi[s], out=raw, work=est)
             np.add(u, bq, out=x1)
@@ -571,25 +597,32 @@ class BatchNtt:
         done = natural if columns else self._turn(block)
         kern.reduce(turned, out=done, work=spare(turned))
 
-    def forward_columns(self, block: np.ndarray, limb: int) -> None:
-        """:meth:`forward` of limb ``limb`` on ``R`` polynomials held as
-        the columns of a contiguous ``(N, R)`` uint64 array, in place —
-        the column layout (see the class docstring) for a caller that
-        has the rows of one limb transposed already (key switching's
-        decomposition of a stack of sources).  Values may be anything
-        below :attr:`input_bound`; outputs are canonical."""
+    def forward_columns(self, block: np.ndarray, rows: slice) -> None:
+        """:meth:`forward` of limbs ``rows`` on polynomials held as the
+        columns of a contiguous ``(N, R)`` uint64 array, limb-major —
+        ``R / len(rows)`` columns per limb, the first on limb
+        ``rows.start`` — in place: the column layout (see the class
+        docstring) for a caller that has the rows transposed already
+        (key switching's decompositions).  Values may be anything below
+        :attr:`input_bound`; outputs are canonical."""
+        start, stop = rows.start, rows.stop
+        if rows.step not in (None, 1) or not 0 <= start < stop <= self.num_limbs:
+            raise ValueError(f"limbs {rows} outside [0, {self.num_limbs})")
         if (
             block.dtype != np.uint64
             or block.ndim != 2
             or block.shape[0] != self.degree
+            or not block.shape[1]
+            or block.shape[1] % (stop - start)
             or not block.flags.c_contiguous
         ):
-            raise ValueError(f"expected a contiguous ({self.degree}, R) uint64 block")
-        if not 0 <= limb < self.num_limbs:
-            raise ValueError(f"limb {limb} outside [0, {self.num_limbs})")
+            raise ValueError(
+                f"expected a contiguous ({self.degree}, R) uint64 block, "
+                f"R a multiple of the {stop - start} limb(s)"
+            )
         work = np.empty((2, block.size), np.uint64)  # never turned: no third row
         with ufunc_buffer():
-            self._forward_block(block, slice(limb, limb + 1), work, columns=True)
+            self._forward_block(block, rows, work, block.shape[1] // (stop - start))
 
     def inverse(self, mat: np.ndarray) -> np.ndarray:
         """``(..., L, N)`` evaluation rows -> coefficient rows (scaled 1/N).

@@ -121,72 +121,92 @@ class TestBatchedSwitch:
         assert np.array_equal(fast1.data, ref1)
 
     def test_single_forward_dispatch_over_stacked_digits(self, kctx, msg, monkeypatch):
-        """decompose issues exactly one forward BatchNtt over (L, L, N)."""
+        """decompose issues exactly one forward dispatch over the digits:
+        at (N = 256, L = 6) one source's 5 off-diagonal digits per limb
+        make one six-limb ``(N, 30)`` column block (``K = 16``), and no
+        row-layout forward runs."""
         poly = kctx.encrypt(msg).parts[1]
-        calls: list[tuple[int, ...]] = []
-        original = BatchNtt.forward
+        calls: list = []
+        forward, columns = BatchNtt.forward, BatchNtt.forward_columns
 
-        def counting_forward(self, mat):
-            calls.append(np.shape(mat))
-            return original(self, mat)
+        def counting_forward(self, mat, out=None):
+            calls.append(("forward", np.shape(mat)))
+            return forward(self, mat, out)
+
+        def counting_columns(self, block, limbs):
+            calls.append(("columns", block.shape, (limbs.start, limbs.stop)))
+            return columns(self, block, limbs)
 
         monkeypatch.setattr(BatchNtt, "forward", counting_forward)
+        monkeypatch.setattr(BatchNtt, "forward_columns", counting_columns)
         kctx.evaluator.keyswitch.decompose(poly)
-        forward_shapes = [s for s in calls if len(s) == 3]
-        assert forward_shapes == [(NUM_PRIMES, NUM_PRIMES, DEGREE)]
-        assert len(calls) == 1  # no stray per-digit dispatches
+        width = NUM_PRIMES * (NUM_PRIMES - 1)
+        assert calls == [("columns", (DEGREE, width), (0, NUM_PRIMES))]
 
 
 @pytest.mark.lanes
 class TestDecompositionLayouts:
-    """``decompose_rows`` of ``S`` stacked sources takes the column layout
-    once the rows one limb carries, ``S·(L-1)``, reach ``K`` (the
-    transform's ``column_rows``), and gives the per-source decompositions'
-    bytes either way.  At N = 128, L = 6 (``K = 16``) two sources are 10
-    rows, the row layout; four are 20, the column layout; at L = 5 four
-    sources are exactly ``K``."""
+    """``decompose_rows`` of ``S`` stacked sources cuts the limbs into
+    the blocks ``row_blocks(L, N·S·(L-1)·8)`` and takes the column layout
+    once the smallest block's columns, ``r·S·(L-1)`` for ``r`` limbs,
+    reach ``K`` (the transform's ``column_rows``), and gives the
+    per-source decompositions' bytes either way.  At N = 128 (``K =
+    16``) every limb fits one block: one source at L = 4 is 12 columns,
+    the row layout; at L = 6 it is 30, one six-limb column block; eight
+    sources at L = 2 are exactly ``K``.  ``BLOCK_BYTES`` shrunk to
+    ``per`` limbs' columns gives the one-limb blocks of the paper's shape
+    (and of ``eval_bsgs``'s giant family) and uneven cuts, whose last
+    block decides."""
 
     @pytest.fixture(scope="class")
     def small(self):
         return CkksContext.create(toy_params(degree=128, num_primes=6), seed=7)
 
     @pytest.mark.parametrize(
-        "lead, lvl, columns",
+        "lead, lvl, per, blocks",
         [
-            ((2,), 6, False),
-            ((4,), 6, True),
-            ((2, 2), 6, True),
-            ((3,), 5, False),
-            ((4,), 5, True),
+            pytest.param((), 4, None, None, id="one-L4-rows"),
+            pytest.param((2,), 3, None, None, id="two-L3-rows"),
+            pytest.param((8,), 2, None, [(0, 2)], id="eight-L2-block-at-K"),
+            pytest.param((), 6, None, [(0, 6)], id="one-L6-block"),
+            pytest.param((2, 2), 6, None, [(0, 6)], id="2x2-L6-block"),
+            pytest.param((3,), 5, 1, None, id="three-L5-limbs-rows"),
+            pytest.param(
+                (4,), 5, 1, [(i, i + 1) for i in range(5)], id="four-L5-limb-blocks"
+            ),
+            pytest.param((2,), 5, 2, None, id="two-L5-uneven-rows"),
+            pytest.param(
+                (4,), 5, 2, [(0, 2), (2, 4), (4, 5)], id="four-L5-uneven-blocks"
+            ),
         ],
-        ids=str,
     )
     @pytest.mark.parametrize("cpu", [None, 1, 2], ids=["own", "cpu1", "cpu2"])
-    def test_stack_matches_per_source(self, small, lead, lvl, columns, cpu):
+    def test_stack_matches_per_source(self, small, lead, lvl, per, blocks, cpu):
         engine = small.evaluator.keyswitch
         n = small.params.degree
         bat = small.basis.batch_ntt(lvl)
-        assert (np.prod(lead) * (lvl - 1) >= bat.column_rows) == columns
+        width = int(np.prod(lead)) * (lvl - 1)
+        assert bat.column_rows == 16
         q_col = np.array(small.basis.moduli[:lvl], dtype=np.uint64).reshape(-1, 1)
         rng = np.random.default_rng(len(lead) * 10 + int(np.prod(lead)))
         rows = rng.integers(0, 1 << 62, (*lead, lvl, n), dtype=np.uint64) % q_col
         rows[..., 0, :2] = q_col[0] - np.uint64(1)
         flat = rows.reshape(-1, lvl, n)
         want = np.stack([engine.decompose_rows(r) for r in flat])
-        transformed, started = [], []
-        real_columns, real_thread = BatchNtt.forward_columns, threading.Thread
+        transformed = []
+        real_columns = BatchNtt.forward_columns
 
-        def spy(self, block, limb):
-            transformed.append(limb)
-            return real_columns(self, block, limb)
-
-        def counting(*args, **kwargs):
-            started.append(1)
-            return real_thread(*args, **kwargs)
+        def spy(self, block, limbs):
+            transformed.append((limbs.start, limbs.stop, threading.get_ident()))
+            assert block.shape == (n, (limbs.stop - limbs.start) * width)
+            return real_columns(self, block, limbs)
 
         with ExitStack() as patches:
             patches.enter_context(mock.patch.object(BatchNtt, "forward_columns", spy))
-            patches.enter_context(mock.patch.object(threading, "Thread", counting))
+            if per is not None:
+                patches.enter_context(
+                    mock.patch.object(BatchNtt, "BLOCK_BYTES", per * n * width * 8)
+                )
             if cpu is not None:
                 patches.enter_context(
                     mock.patch.object(kernels, "_cpu_count", return_value=cpu)
@@ -195,8 +215,9 @@ class TestDecompositionLayouts:
             got = engine.decompose_rows(rows)
         assert got.shape == (*lead, lvl, lvl, n) and got.dtype == np.uint64
         assert np.array_equal(got.reshape(want.shape), want)
-        assert sorted(transformed) == (list(range(lvl)) if columns else [])
-        assert bool(started) == (columns and lanes > 1)
+        assert sorted(t[:2] for t in transformed) == (blocks or [])
+        threads = {t[2] for t in transformed}
+        assert len(threads) == (min(lanes, len(blocks)) if blocks else 0)
         for i in range(lvl):  # forward_i(inverse_i(x_i)) is x_i
             assert np.array_equal(got[..., i, i, :], rows[..., i, :])
 

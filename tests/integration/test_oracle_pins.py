@@ -12,9 +12,12 @@ code with the library; it reads residues, moduli and each limb's ψ.
 
 Inputs are uniform residues with both edges (0 and ``q - 1``) planted,
 not encryptions: an op's bytes do not depend on what the rows decrypt
-to.  A rotation family is pinned in both decomposition layouts: one
-source takes the rows, three stacked sources (``3·(L-1) = 9`` rows per
-limb against ``column_rows`` = 4 at N = 16 and 8 at N = 32) the columns.
+to.  At these sizes one source's four limbs are one decomposition block
+of ``4·(L-1) = 12`` columns, which reaches ``column_rows`` (4 at N = 16,
+8 at N = 32): every rotation decomposes as one multi-limb column block.
+A rotation family is also pinned in both layouts with the blocks cut to
+one limb, as at the paper's shape: one source's ``L - 1 = 3`` rows per
+limb take the rows, three stacked sources' 9 the columns.
 """
 
 from __future__ import annotations
@@ -187,8 +190,10 @@ def test_op_matches_the_oracle(world, op, path):
 
 
 @pytest.mark.parametrize("path", ["eager", "fused"])
-@pytest.mark.parametrize("times", [1, 2])
+@pytest.mark.parametrize("times", [1, 2, 3])
 def test_rescale_drops_one_or_two_primes(world, times, path):
+    """One, two and three primes: three pin the digit sum's terms past
+    the first weight (``w_2 · d_2``)."""
     rng = np.random.default_rng([world.n, times])
     fn, inputs = _rescale(world, rng, "rescale", times)
     out = _run(world, fn, inputs, path, "rescale")
@@ -204,9 +209,11 @@ def test_rotation_families_in_both_layouts(world, path):
     """Baby steps: one source rotated by 1 and 3, a family of one source
     (rows).  Three plaintext MAC trees over the babies, one merged step
     with three outputs, each rotated by its own giant step: a family of
-    three sources, which reaches ``column_rows`` and takes the column
-    layout.  Every rotation is held to the oracle, digits taken
-    from its own source."""
+    three sources.  With ``BLOCK_BYTES`` cut to one source's digits of
+    one limb every block is one limb: the baby family's 3 rows stay
+    below ``column_rows`` and take the rows, the giant family's 9 reach
+    it and take one-limb column blocks.  Every rotation is held to the
+    oracle, digits taken from its own source."""
     n = world.n
     rng = np.random.default_rng([n, 99])
     x = world.ciphertext(rng)
@@ -230,11 +237,15 @@ def test_rotation_families_in_both_layouts(world, path):
     transformed = []
     real = BatchNtt.forward_columns
 
-    def spy(self, block, limb):
-        transformed.append(limb)
-        return real(self, block, limb)
+    def spy(self, block, limbs):
+        transformed.append((limbs.start, limbs.stop))
+        return real(self, block, limbs)
 
-    with mock.patch.object(BatchNtt, "forward_columns", spy):
+    one_limb = n * (LEVEL - 1) * 8
+    with (
+        mock.patch.object(BatchNtt, "forward_columns", spy),
+        mock.patch.object(BatchNtt, "BLOCK_BYTES", one_limb),
+    ):
         if path == "eager":
             outs = model(world.ctx.evaluator, x)
         else:
@@ -242,6 +253,7 @@ def test_rotation_families_in_both_layouts(world, path):
             plan = compile_fn(model, world.ctx.evaluator, [spec])
             assert plan.stats()["hoist_groups"] == 2
             outs = plan.run_batch([[x]])[0]
-    assert sorted(transformed) == (list(range(LEVEL)) if path == "fused" else [])
+    limbs = [(i, i + 1) for i in range(LEVEL)]
+    assert sorted(transformed) == (limbs if path == "fused" else [])
     for out, want in zip(outs, world.expected(model, [x]), strict=True):
         _check(world, out, want)

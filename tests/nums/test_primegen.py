@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.nums.primality import is_prime
-from repro.nums.primegen import NttFriendlyPrime, count_primes, find_primes, prime_chain
+from repro.nums.primegen import count_primes, find_primes, prime_chain
 
 DEGREE = 1 << 12
 

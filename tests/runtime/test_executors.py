@@ -25,12 +25,7 @@ from repro.ckks.keyswitch import KeySwitchEngine
 from repro.ckks.linear import HomomorphicLinearTransform
 from repro.nums import kernels
 from repro.nums.kernels import ReducerKernel
-from repro.runtime import (
-    CtSpec,
-    PtSpec,
-    compile_fn,
-    trace,
-)
+from repro.runtime import CtSpec, PtSpec, compile_fn
 from repro.rns.poly import EVAL, RnsPolynomial
 from repro.runtime.graph import _RULES
 from repro.transforms.ntt import BatchNtt

@@ -518,12 +518,14 @@ class TestButterflyLayouts:
         "log_n, wide", [(1, False), (4, False), (7, False), (10, True)]
     )
     def test_columns_match_per_limb_reference(self, log_n, wide):
-        """The column layout (``BatchNtt.forward_columns``): ``R``
-        polynomials of one limb as the columns of an ``(N, R)`` block,
-        ``R = K`` and ``3K + 1``, limb by limb against the oracle —
-        inputs anywhere below ``input_bound`` (any limb's
-        residues, unreduced) and at its edges; at 40 bits the forward
-        plan renormalizes on the column stages too."""
+        """The column layout (``BatchNtt.forward_columns``): ``C``
+        polynomials on each limb of a range, limb-major as the columns of
+        an ``(N, r·C)`` block, limb by limb against the oracle — every
+        one-limb block at ``C = K`` and ``3K + 1``, then random limb
+        ranges of one limb and more (their twiddles formed per column)
+        at random ``C``; inputs anywhere below ``input_bound`` (any
+        limb's residues, unreduced) and at its edges; at 40 bits the
+        forward plan renormalizes on the column stages too."""
         from repro.transforms.ntt import _transposed_span
 
         n, moduli = 1 << log_n, WIDE_PRIMES if wide else PAPER_PRIMES
@@ -532,15 +534,28 @@ class TestButterflyLayouts:
         assert bn.column_rows == span
         assert any(bn._forward_plan) == wide
         rng = np.random.default_rng(log_n)
-        for count in (span, 3 * span + 1):
-            for limb, q in enumerate(moduli):
-                x = rng.integers(0, bn.input_bound, (count, n), dtype=np.uint64)
-                x[0] = bn.input_bound - 1
-                x[1] = 0
-                x[-1] = q - 1
-                block = x.T.copy()
-                bn.forward_columns(block, limb)
-                assert np.array_equal(block.T, oracle.ntt(x, q, psi_of(n, q)))
+        cases = [
+            (slice(i, i + 1), c)
+            for c in (span, 3 * span + 1)
+            for i in range(len(moduli))
+        ]
+        for _ in range(4):
+            start = int(rng.integers(0, len(moduli)))
+            stop = int(rng.integers(start + 1, len(moduli) + 1))
+            cases.append((slice(start, stop), int(rng.integers(1, 2 * span + 2))))
+        cases.append((slice(0, len(moduli)), span))
+        for limbs, count in cases:
+            r = limbs.stop - limbs.start
+            x = rng.integers(0, bn.input_bound, (r, count, n), dtype=np.uint64)
+            x[:, 0] = bn.input_bound - 1
+            x[:, -1, :2] = 0
+            for k, q in enumerate(moduli[limbs]):
+                x[k, count // 2, -1] = q - 1
+            block = x.reshape(r * count, n).T.copy()
+            bn.forward_columns(block, limbs)
+            got = block.T.reshape(r, count, n)
+            for k, q in enumerate(moduli[limbs]):
+                assert np.array_equal(got[k], oracle.ntt(x[k], q, psi_of(n, q)))
 
     @pytest.mark.lanes
     def test_columns_reject_what_they_cannot_transform(self):
@@ -551,12 +566,16 @@ class TestButterflyLayouts:
             np.zeros((3, n), np.uint64),
             np.zeros((n, 6), np.uint64)[:, ::2],
             np.zeros((n, 3, 1), np.uint64),
+            np.zeros((n, 0), np.uint64),
         ):
             with pytest.raises(ValueError):
-                bn.forward_columns(bad, 0)
-        for limb in (-1, len(PAPER_PRIMES)):
+                bn.forward_columns(bad, slice(0, 1))
+        last = len(PAPER_PRIMES)
+        for limbs in (slice(-1, 0), slice(last, last + 1), slice(1, 1), slice(0, 2, 2)):
             with pytest.raises(ValueError):
-                bn.forward_columns(np.zeros((n, 3), np.uint64), limb)
+                bn.forward_columns(np.zeros((n, 4), np.uint64), limbs)
+        with pytest.raises(ValueError):  # 3 columns do not split over 2 limbs
+            bn.forward_columns(np.zeros((n, 3), np.uint64), slice(0, 2))
 
     @BARRETT
     def test_renormalizing_stages_fall_on_both_layouts(self):
